@@ -1,8 +1,6 @@
 package main
 
 import (
-	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -23,14 +21,10 @@ const wirebenchDim = 1_000_000
 // serialization cost, which must not grow with the client count — the
 // encode-once fan-out is the point.
 type wirebenchEntry struct {
-	Clients          int     `json:"clients"`
-	GobBytesPerMsg   int64   `json:"gob_bytes_per_msg"`
-	WireBytesPerMsg  int64   `json:"wire_bytes_per_msg"`
-	BytesRatio       float64 `json:"wire_over_gob_bytes"`
-	GobBroadcastNs   float64 `json:"gob_broadcast_ns_per_round"`
-	WireBroadcastNs  float64 `json:"wire_broadcast_ns_per_round"`
-	WireEncodeNs     float64 `json:"wire_encode_ns_per_round"`
-	BroadcastSpeedup float64 `json:"broadcast_speedup"`
+	Clients         int     `json:"clients"`
+	WireBytesPerMsg int64   `json:"wire_bytes_per_msg"`
+	WireBroadcastNs float64 `json:"wire_broadcast_ns_per_round"`
+	WireEncodeNs    float64 `json:"wire_encode_ns_per_round"`
 }
 
 // sparsebenchEntry is one frozen-fraction row of the sparse codec arm:
@@ -69,9 +63,9 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// runWirebench compares the legacy per-session gob encoding against the
-// encode-once wire framing for GlobalMsg broadcast and writes the report
-// to path.
+// runWirebench measures the encode-once wire framing of a GlobalMsg
+// broadcast across client counts, plus the sparse-codec arm, and writes
+// the report to path.
 func runWirebench(path string) error {
 	// Fail fast on an unwritable path before spending time measuring.
 	probe, err := os.Create(path)
@@ -96,50 +90,14 @@ func runWirebench(path string) error {
 
 	for _, clients := range []int{2, 8, 32} {
 		fmt.Fprintf(os.Stderr, "wirebench: clients=%d\n", clients)
-		e := wirebenchEntry{Clients: clients}
-
-		// Steady-state gob bytes: the first message on a stream carries the
-		// type descriptors, so warm each encoder once and count the second
-		// message — that is what every subsequent round costs.
-		{
-			var buf bytes.Buffer
-			enc := gob.NewEncoder(&buf)
-			if err := enc.Encode(msg); err != nil {
-				return err
-			}
-			buf.Reset()
-			if err := enc.Encode(msg); err != nil {
-				return err
-			}
-			e.GobBytesPerMsg = int64(buf.Len())
-		}
-		e.WireBytesPerMsg = int64(len(wire.Encode(msg)))
-		e.BytesRatio = float64(e.WireBytesPerMsg) / float64(e.GobBytesPerMsg)
-
-		// Legacy broadcast: one persistent gob encoder per session, the
-		// message re-encoded into every stream each round.
+		e := wirebenchEntry{Clients: clients, WireBytesPerMsg: int64(len(wire.Encode(msg)))}
 		sinks := make([]*countingWriter, clients)
-		encs := make([]*gob.Encoder, clients)
-		for i := range encs {
+		for i := range sinks {
 			sinks[i] = &countingWriter{}
-			encs[i] = gob.NewEncoder(sinks[i])
-			if err := encs[i].Encode(msg); err != nil { // warm descriptors
-				return err
-			}
 		}
-		r := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for _, enc := range encs {
-					if err := enc.Encode(msg); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-		e.GobBroadcastNs = float64(r.NsPerOp())
 
 		// Wire broadcast: encode once, hand the same frame to every sink.
-		r = testing.Benchmark(func(b *testing.B) {
+		r := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				frame := wire.Encode(msg)
 				for _, w := range sinks {
@@ -157,7 +115,6 @@ func runWirebench(path string) error {
 			}
 		})
 		e.WireEncodeNs = float64(r.NsPerOp())
-		e.BroadcastSpeedup = e.GobBroadcastNs / e.WireBroadcastNs
 		rep.Broadcast = append(rep.Broadcast, e)
 	}
 

@@ -4,11 +4,9 @@
 //     (Frame/ReadFrame), plus little-endian Writer/Reader primitives that
 //     encode float64s via their IEEE-754 bit patterns, so a decoded
 //     snapshot is bit-identical to the encoded state;
-//   - codecs for the two pieces of irreplaceable server-side state: the
-//     APF manager snapshot (core.State — EMAs, freezing periods, AIMD
-//     state, threshold, round/check counters) and the aggregator's
-//     in-flight round (fl.AggregatorState — partial contributions and the
-//     received-set);
+//   - a codec for the APF manager snapshot (core.State — EMAs, freezing
+//     periods, AIMD state, threshold, round/check counters, per-word
+//     generations);
 //   - a Store that persists a coordinator as an atomically rotated
 //     snapshot plus an append-only, fsync'd write-ahead log, and recovers
 //     the newest consistent (snapshot, WAL-suffix) pair after a crash,
@@ -31,8 +29,8 @@ import (
 )
 
 // Version is the on-disk format version stamped into every frame.
-// Decoders reject frames from a different major format.
-const Version = 1
+// Decoders reject frames stamped with any other.
+const Version = 2
 
 // frame layout: magic(4) version(2) kind(2) length(4) payload CRC32(4).
 const (
@@ -48,8 +46,6 @@ const (
 const (
 	// KindManager frames a core.State manager snapshot.
 	KindManager uint16 = 1
-	// KindAggregator frames an fl.AggregatorState in-flight round.
-	KindAggregator uint16 = 2
 	// KindUser is the first kind value free for embedding packages
 	// (the transport's server snapshot and WAL records live here).
 	KindUser uint16 = 64

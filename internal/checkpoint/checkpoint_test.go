@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -10,7 +11,6 @@ import (
 	"testing"
 
 	"apf/internal/core"
-	"apf/internal/fl"
 	"apf/internal/perturb"
 )
 
@@ -18,7 +18,7 @@ import (
 // reads them off again.
 func TestFrameRoundTrip(t *testing.T) {
 	payloads := [][]byte{[]byte("hello"), nil, {0, 1, 2, 255}, make([]byte, 1000)}
-	kinds := []uint16{KindManager, KindAggregator, KindUser, KindUser + 7}
+	kinds := []uint16{KindManager, KindUser, KindUser + 1, KindUser + 7}
 	var buf []byte
 	for i, p := range payloads {
 		buf = AppendFrame(buf, kinds[i], p)
@@ -175,6 +175,7 @@ func testManagerState() *core.State {
 		Initialized: true,
 		InitRound:   1,
 		LastRound:   11,
+		WordGen:     []uint32{12},
 	}
 }
 
@@ -207,28 +208,33 @@ func TestManagerCodecRejectsDamage(t *testing.T) {
 	}
 }
 
-// TestAggregatorCodecRoundTrip round-trips an in-flight round, and
-// rejects a snapshot whose parallel arrays disagree.
-func TestAggregatorCodecRoundTrip(t *testing.T) {
-	s := &fl.AggregatorState{
-		Open:     true,
-		Round:    6,
-		Clients:  3,
-		IDs:      []int{0, 2},
-		Contribs: [][]float64{{1, 2, 3}, {-0.5, 0.25, 8}},
-		Weights:  []float64{10, 20},
+// previousVersionFrame re-stamps a frame with the previous format version
+// (the version check precedes the checksum, so the CRC is left alone).
+func previousVersionFrame(frame []byte) []byte {
+	old := append([]byte(nil), frame...)
+	binary.LittleEndian.PutUint16(old[4:], Version-1)
+	return old
+}
+
+// TestOldFormatRefused: a frame stamped with the previous format version
+// is refused with ErrVersion, and a manager payload that stops where that
+// format did (before the word generations) is corrupt — never decoded
+// with the missing fields defaulted.
+func TestOldFormatRefused(t *testing.T) {
+	frame := EncodeManager(testManagerState())
+	old := previousVersionFrame(frame)
+	if _, _, _, err := ReadFrame(old); !errors.Is(err, ErrVersion) {
+		t.Fatalf("version-1 frame: err = %v, want ErrVersion", err)
 	}
-	got, err := DecodeAggregator(EncodeAggregator(s))
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !reflect.DeepEqual(got, s) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, s)
+	if _, err := DecodeManager(old); !errors.Is(err, ErrVersion) {
+		t.Fatalf("version-1 manager frame: err = %v, want ErrVersion", err)
 	}
 
-	s.Weights = s.Weights[:1] // parallel arrays disagree
-	if _, err := DecodeAggregator(EncodeAggregator(s)); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("inconsistent aggregator snapshot: err = %v, want ErrCorrupt", err)
+	payload := frame[frameHeaderLen : len(frame)-frameTrailLen]
+	tailLen := 8 + 8*len(testManagerState().WordGen) // Ints: count + elements
+	short := AppendFrame(nil, KindManager, payload[:len(payload)-tailLen])
+	if _, err := DecodeManager(short); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("manager payload without word generations: err = %v, want ErrCorrupt", err)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"apf/internal/core"
-	"apf/internal/fl"
 	"apf/internal/perturb"
 )
 
@@ -30,8 +29,6 @@ func EncodeManager(s *core.State) []byte {
 	w.Bool(s.Initialized)
 	w.Int(s.InitRound)
 	w.Int(s.LastRound)
-	// Optional tail (absent in pre-reconciliation frames): the per-word
-	// generation vector.
 	gens := make([]int, len(s.WordGen))
 	for i, g := range s.WordGen {
 		gens[i] = int(g)
@@ -73,75 +70,16 @@ func DecodeManager(buf []byte) (*core.State, error) {
 	s.Initialized = r.Bool()
 	s.InitRound = r.Int()
 	s.LastRound = r.Int()
-	if r.Err() == nil && r.Remaining() > 0 {
-		gens := r.Ints()
-		if len(gens) > 0 {
-			s.WordGen = make([]uint32, len(gens))
-			for i, g := range gens {
-				if g < 0 || g > 1<<32-1 {
-					return nil, fmt.Errorf("%w: word generation %d out of range", ErrCorrupt, g)
-				}
-				s.WordGen[i] = uint32(g)
-			}
-		}
-	}
+	gens := r.Ints()
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
-	return s, nil
-}
-
-// EncodeAggregator frames an fl.AggregatorState — the in-flight partial
-// contributions and received-set of one round (KindAggregator).
-func EncodeAggregator(s *fl.AggregatorState) []byte {
-	var w Writer
-	w.Bool(s.Open)
-	w.Int(s.Round)
-	w.Int(s.Clients)
-	w.Ints(s.IDs)
-	w.Int(len(s.Contribs))
-	for _, c := range s.Contribs {
-		w.F64s(c)
-	}
-	w.F64s(s.Weights)
-	return AppendFrame(nil, KindAggregator, w.Bytes())
-}
-
-// DecodeAggregator reads an EncodeAggregator frame back into an
-// fl.AggregatorState.
-func DecodeAggregator(buf []byte) (*fl.AggregatorState, error) {
-	kind, payload, rest, err := ReadFrame(buf)
-	if err != nil {
-		return nil, err
-	}
-	if kind != KindAggregator {
-		return nil, fmt.Errorf("%w: frame kind %d, want aggregator (%d)", ErrCorrupt, kind, KindAggregator)
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d bytes after aggregator frame", ErrCorrupt, len(rest))
-	}
-	r := NewReader(payload)
-	s := &fl.AggregatorState{}
-	s.Open = r.Bool()
-	s.Round = r.Int()
-	s.Clients = r.Int()
-	s.IDs = r.Ints()
-	n := r.Int()
-	if r.Err() == nil {
-		if n < 0 || n > len(payload)/8 {
-			return nil, fmt.Errorf("%w: contribution count %d overruns payload", ErrCorrupt, n)
+	s.WordGen = make([]uint32, len(gens))
+	for i, g := range gens {
+		if g < 0 || g > 1<<32-1 {
+			return nil, fmt.Errorf("%w: word generation %d out of range", ErrCorrupt, g)
 		}
-		for i := 0; i < n; i++ {
-			s.Contribs = append(s.Contribs, r.F64s())
-		}
-	}
-	s.Weights = r.F64s()
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	if len(s.IDs) != len(s.Contribs) || len(s.IDs) != len(s.Weights) {
-		return nil, fmt.Errorf("%w: aggregator snapshot with %d ids, %d contribs, %d weights",
-			ErrCorrupt, len(s.IDs), len(s.Contribs), len(s.Weights))
+		s.WordGen[i] = uint32(g)
 	}
 	return s, nil
 }

@@ -136,7 +136,7 @@ func TestWordBlockDeltaRestoresReplica(t *testing.T) {
 
 // TestRestoreSnapshotInPlace pins the snapshot catch-up entry point:
 // an in-place restore reproduces the source manager bit-exactly and
-// legacy snapshots (nil WordGen) restore with conservative gens.
+// snapshots without the word generations are refused.
 func TestRestoreSnapshotInPlace(t *testing.T) {
 	const dim, rounds = 320, 37
 	cfg := reconTestConfig(dim)
@@ -152,16 +152,10 @@ func TestRestoreSnapshotInPlace(t *testing.T) {
 		t.Fatalf("in-place restore differs from source")
 	}
 
-	legacy := src.Snapshot()
-	legacy.WordGen = nil
-	if err := dst.RestoreSnapshot(legacy); err != nil {
-		t.Fatalf("restore legacy snapshot: %v", err)
-	}
-	want := uint32(legacy.LastRound + 1)
-	for w, g := range dst.WordGens() {
-		if g != want {
-			t.Fatalf("legacy restore word %d gen %d, want %d", w, g, want)
-		}
+	noGens := src.Snapshot()
+	noGens.WordGen = nil
+	if err := dst.RestoreSnapshot(noGens); err == nil {
+		t.Fatalf("snapshot without word generations restored without error")
 	}
 
 	bad := src.Snapshot()

@@ -19,9 +19,7 @@ import (
 // contribution after a finiteness guard — a NaN or Inf scalar yields a
 // typed ErrNonFinite instead of silently corrupting the aggregate — and
 // Reduce folds the stored set through the identical exact reduction, so
-// incremental collection is bit-exact with the one-shot path. The
-// in-flight round (partial contributions plus the received-set) is
-// exportable as an AggregatorState for checkpointing.
+// incremental collection is bit-exact with the one-shot path.
 //
 // Two further collection modes serve the hierarchical topology. With
 // SetStreaming(true), Add folds each contribution into exact partial
@@ -202,9 +200,7 @@ var ErrLengthMismatch = errors.New("fl: payload length mismatch")
 // Partial immediately instead of retaining the payload — the relay-tier
 // mode, where an edge may terminate far more clients than fit in memory.
 // Streaming rounds cannot apply a trimmed reduction (it needs every
-// per-client value) and SnapshotRound cannot export their per-client
-// payloads; the transport never snapshots in-flight streaming rounds.
-// Must be called outside an open round.
+// per-client value). Must be called outside an open round.
 func (a *Aggregator) SetStreaming(on bool) {
 	if a.open {
 		panic("fl: SetStreaming inside an open round")
@@ -467,65 +463,4 @@ func (a *Aggregator) Discard() {
 	}
 	a.open, a.received = false, 0
 	a.pMode, a.pCount = false, 0
-}
-
-// AggregatorState is a serializable snapshot of an in-flight round: the
-// partial (per-client) contributions and the received-set. All fields are
-// exported for codecs (package checkpoint frames it in binary).
-type AggregatorState struct {
-	Open  bool
-	Round int
-	// Clients is the slot count (cluster size) of the open round.
-	Clients int
-	// IDs lists the clients whose contributions are stored, ascending.
-	IDs []int
-	// Contribs and Weights hold the stored payloads, parallel to IDs.
-	Contribs [][]float64
-	Weights  []float64
-}
-
-// SnapshotRound exports the in-flight round (empty state when no round is
-// open). Payloads are copied.
-func (a *Aggregator) SnapshotRound() *AggregatorState {
-	s := &AggregatorState{Open: a.open, Round: a.round, Clients: len(a.slots)}
-	if !a.open {
-		return s
-	}
-	for id, c := range a.slots {
-		if c == nil {
-			continue
-		}
-		s.IDs = append(s.IDs, id)
-		s.Contribs = append(s.Contribs, append([]float64(nil), c...))
-		s.Weights = append(s.Weights, a.slotW[id])
-	}
-	return s
-}
-
-// RestoreRound reloads an in-flight round from a snapshot, replacing any
-// open round. Every stored contribution passes the same validation Add
-// applies.
-func (a *Aggregator) RestoreRound(s *AggregatorState) error {
-	if s == nil {
-		return fmt.Errorf("fl: nil aggregator snapshot")
-	}
-	if len(s.IDs) != len(s.Contribs) || len(s.IDs) != len(s.Weights) {
-		return fmt.Errorf("fl: inconsistent aggregator snapshot (%d ids, %d contribs, %d weights)",
-			len(s.IDs), len(s.Contribs), len(s.Weights))
-	}
-	if !s.Open {
-		a.Discard()
-		return nil
-	}
-	if s.Clients <= 0 {
-		return fmt.Errorf("fl: aggregator snapshot with %d clients", s.Clients)
-	}
-	a.Open(s.Round, s.Clients)
-	for k, id := range s.IDs {
-		if err := a.Add(id, s.Contribs[k], s.Weights[k]); err != nil {
-			a.Discard()
-			return err
-		}
-	}
-	return nil
 }

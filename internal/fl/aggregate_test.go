@@ -431,59 +431,6 @@ func TestAddRejectsPoisonedContribution(t *testing.T) {
 	}
 }
 
-// TestAggregatorSnapshotRoundTrip exports an in-flight round, restores it
-// into a fresh aggregator, and checks the restored round reduces to the
-// identical result; a snapshot poisoned after export must be refused.
-func TestAggregatorSnapshotRoundTrip(t *testing.T) {
-	a := NewAggregator(2)
-	defer a.Close()
-	a.Open(3, 4)
-	c0 := []float64{0.5, -1, 2}
-	c2 := []float64{3, 4, -0.25}
-	if err := a.Add(0, c0, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Add(2, c2, 1); err != nil {
-		t.Fatal(err)
-	}
-
-	s := a.SnapshotRound()
-	if !s.Open || s.Round != 3 || s.Clients != 4 || len(s.IDs) != 2 {
-		t.Fatalf("snapshot = %+v", s)
-	}
-
-	b := NewAggregator(2)
-	defer b.Close()
-	if err := b.RestoreRound(s); err != nil {
-		t.Fatal(err)
-	}
-	if !b.Received(0) || !b.Received(2) || b.Count() != 2 {
-		t.Fatalf("restored received-set wrong: count=%d", b.Count())
-	}
-	got := make([]float64, 3)
-	want := make([]float64, 3)
-	b.Reduce(got)
-	a.Reduce(want)
-	for j := range want {
-		if got[j] != want[j] {
-			t.Fatalf("restored element %d = %v, want %v", j, got[j], want[j])
-		}
-	}
-
-	s2 := a.SnapshotRound() // closed round exports empty
-	if s2.Open || len(s2.IDs) != 0 {
-		t.Fatalf("closed-round snapshot = %+v", s2)
-	}
-
-	s.Contribs[0][1] = math.NaN() // tampered snapshot must not restore
-	if err := b.RestoreRound(s); !errors.Is(err, ErrNonFinite) {
-		t.Fatalf("tampered restore err = %v, want ErrNonFinite", err)
-	}
-	if b.Count() != 0 || b.Received(0) {
-		t.Fatalf("failed restore left partial state: count=%d", b.Count())
-	}
-}
-
 // TestDiscardDropsRound checks crash-recovery semantics: a discarded
 // round leaves no trace and the aggregator reopens cleanly.
 func TestDiscardDropsRound(t *testing.T) {

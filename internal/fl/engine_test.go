@@ -238,12 +238,18 @@ func TestFedProxKeepsModelNearRoundStart(t *testing.T) {
 		cfg.LocalIters = 20
 		cfg.EvalEvery = 0
 		cfg.Prox = mu
-		var drift float64
+		var probes []*driftProbe
 		mf := func(clientID, dim int) SyncManager {
-			return &driftProbe{inner: NewPassthroughManager(4), drift: &drift}
+			p := &driftProbe{inner: NewPassthroughManager(4)}
+			probes = append(probes, p)
+			return p
 		}
 		e := New(cfg, mlpFactory, sgdFactory(0.3), mf, train, parts, nil)
 		e.Run()
+		drift := 0.0
+		for _, p := range probes {
+			drift += p.drift // per-client sums: clients train concurrently
+		}
 		return drift
 	}
 	free := run(0)
@@ -257,7 +263,7 @@ func TestFedProxKeepsModelNearRoundStart(t *testing.T) {
 type driftProbe struct {
 	inner SyncManager
 	start []float64
-	drift *float64
+	drift float64
 }
 
 func (p *driftProbe) PostIterate(round int, x []float64) {
@@ -272,7 +278,7 @@ func (p *driftProbe) PrepareUpload(round int, x []float64) ([]float64, float64, 
 	for j := range x {
 		d += (x[j] - p.start[j]) * (x[j] - p.start[j])
 	}
-	*p.drift += math.Sqrt(d)
+	p.drift += math.Sqrt(d)
 	return p.inner.PrepareUpload(round, x)
 }
 

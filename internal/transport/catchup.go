@@ -1,7 +1,7 @@
 package transport
 
 // O(diff) resume: when a client's round has fallen off the server's
-// bounded replay history (ServerConfig.HistoryRounds), the wire-v4
+// bounded replay history (ServerConfig.HistoryRounds), the
 // catch-up sub-protocol replaces the full-history replay. The server
 // keeps a shadow replica of the clients' deterministic manager state —
 // the manager is a pure function of the committed global trajectory, so

@@ -16,10 +16,12 @@ import (
 	"apf/internal/fl"
 	"apf/internal/nn"
 	"apf/internal/stats"
+	"apf/internal/telemetry"
 )
 
-// TestServerStateCodecRoundTrip round-trips the server snapshot and both
-// WAL record codecs bit-exactly.
+// TestServerStateCodecRoundTrip round-trips the server snapshot and the
+// WAL commit record bit-exactly, and refuses a snapshot payload that stops
+// short of the full layout.
 func TestServerStateCodecRoundTrip(t *testing.T) {
 	st := &serverState{
 		NumClients:    3,
@@ -57,33 +59,15 @@ func TestServerStateCodecRoundTrip(t *testing.T) {
 		t.Fatalf("nil-validator round trip: %+v err=%v", got.Validator, err)
 	}
 
-	// A legacy snapshot — written before the cosine gate — ends after the
-	// norm history. It must still decode, with the tail fields empty.
-	var w checkpoint.Writer
-	w.Int(1)             // NumClients
-	w.Int(2)             // Rounds
-	w.F64s(nil)          // Init
-	w.Int(0)             // sessions
-	w.Int(0)             // history
-	w.Int(0)             // PartialRounds
-	w.Bool(true)         // validator present
-	w.Ints([]int{3})     // Strikes
-	w.Int(1)             // quarantine flags
-	w.Bool(true)         //
-	w.F64s([]float64{2}) // Norms — legacy payload ends here
-	legacy, err := decodeServerState(w.Bytes())
-	if err != nil {
-		t.Fatalf("decode legacy server state: %v", err)
-	}
-	v := legacy.Validator
-	if v == nil || v.Ref != nil || v.RefCount != 0 || v.QuarRound != nil {
-		t.Fatalf("legacy validator state grew tail fields: %+v", v)
-	}
-
-	u := &UpdateMsg{Round: 7, Weight: 30, MaskHash: 0xdeadbeef, Payload: []float64{1, -2}}
-	id, gotU, err := decodeWALUpdate(encodeWALUpdate(2, u))
-	if err != nil || id != 2 || !reflect.DeepEqual(gotU, u) {
-		t.Fatalf("wal update round trip: id=%d u=%+v err=%v", id, gotU, err)
+	// Every field is always present: a payload cut anywhere (after the
+	// norm history, before the catch-up fields, …) is corrupt, never
+	// decoded with the missing fields defaulted.
+	st.Validator = &validatorState{Strikes: []int{3, 0, 0}, Quar: []bool{true, false, false}, Norms: []float64{2}}
+	full := encodeServerState(st)
+	for n := 0; n < len(full); n++ {
+		if _, err := decodeServerState(full[:n]); !errors.Is(err, checkpoint.ErrCorrupt) {
+			t.Fatalf("server state cut to %d/%d bytes: err = %v, want ErrCorrupt", n, len(full), err)
+		}
 	}
 
 	g := &GlobalMsg{Round: 4, Participants: 3, Payload: []float64{9, 8, 7}}
@@ -94,9 +78,9 @@ func TestServerStateCodecRoundTrip(t *testing.T) {
 }
 
 // TestRecoverStateReplaysWAL builds a store by hand and checks recovery
-// semantics: committed globals extend the history in order, the open
-// round's update records are discarded, replays and unknown kinds are
-// skipped.
+// semantics: committed globals extend the history in order, replays are
+// skipped, and a record of any other kind fails recovery with a typed
+// corruption error.
 func TestRecoverStateReplaysWAL(t *testing.T) {
 	store, err := checkpoint.Open(t.TempDir())
 	if err != nil {
@@ -121,16 +105,11 @@ func TestRecoverStateReplaysWAL(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Round 1 fully committed: updates then the global.
-	append_(kindWALUpdate, encodeWALUpdate(0, &UpdateMsg{Round: 1, Weight: 1, Payload: []float64{5, 6}}))
-	append_(kindWALUpdate, encodeWALUpdate(1, &UpdateMsg{Round: 1, Weight: 1, Payload: []float64{7, 8}}))
+	// Round 1 committed; round 2 was in flight at the crash and left
+	// nothing behind.
 	append_(kindWALGlobal, encodeWALGlobal(&GlobalMsg{Round: 1, Participants: 1, Payload: []float64{6, 7}}))
 	// A replayed commit of round 1 (already in history) must be skipped.
 	append_(kindWALGlobal, encodeWALGlobal(&GlobalMsg{Round: 1, Participants: 2, Payload: []float64{0, 0}}))
-	// An unknown record kind from a future writer must be skipped.
-	append_(kindWALGlobal+10, []byte("mystery"))
-	// Round 2 was in flight at the crash: one update, no commit.
-	append_(kindWALUpdate, encodeWALUpdate(0, &UpdateMsg{Round: 2, Weight: 1, Payload: []float64{9, 9}}))
 
 	st, err := recoverState(store, false)
 	if err != nil {
@@ -163,25 +142,20 @@ func TestRecoverStateReplaysWAL(t *testing.T) {
 			t.Fatalf("verifyRecovered accepted mismatched config %+v", cfg)
 		}
 	}
+
+	// A CRC-valid record of an unassigned kind is not something any build
+	// of this format writes: recovery must refuse it, not skip it.
+	append_(kindWALGlobal+1, encodeWALGlobal(&GlobalMsg{Round: 2, Participants: 2, Payload: []float64{1, 1}}))
+	if _, err := recoverState(store, false); !errors.Is(err, checkpoint.ErrCorrupt) {
+		t.Fatalf("unknown wal record kind: err = %v, want ErrCorrupt", err)
+	}
 }
 
-// TestWALPartialRecords pins the root tier's WAL semantics: relay partial
-// records round-trip through the shared body encoding, at recovery they
-// are in-flight state (discarded, repopulated by the relays' idempotent
-// re-sends), and the partial-round re-derivation stays off on the root
-// tier, where Participants counts underlying clients while NumClients
+// TestWALPartialRecords pins the root tier's WAL semantics for rounds that
+// closed with relays missing: the partial-round re-derivation stays off
+// there, where Participants counts underlying clients while NumClients
 // counts relays.
 func TestWALPartialRecords(t *testing.T) {
-	p := &PartialUpdateMsg{Round: 3, Count: 17, WeightLo: 21, WeightHi: 1,
-		MaskHash: 0xfeedface, Cols: []uint64{1, 2, 3, 4}}
-	id, got, err := decodeWALPartial(encodeWALPartial(1, p))
-	if err != nil || id != 1 || !reflect.DeepEqual(got, p) {
-		t.Fatalf("wal partial round trip: id=%d p=%+v err=%v", id, got, err)
-	}
-	if _, _, err := decodeWALPartial(encodeWALPartial(1, p)[:8]); err == nil {
-		t.Fatal("truncated partial record decoded without error")
-	}
-
 	store, err := checkpoint.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -206,10 +180,7 @@ func TestWALPartialRecords(t *testing.T) {
 	// Round 0 committed with one of two relays reporting: Participants
 	// carries the client count (1 here), which must NOT feed the
 	// partial-round counter on the root tier.
-	append_(kindWALPartial, encodeWALPartial(0, &PartialUpdateMsg{Round: 0, Count: 1, WeightLo: 1, Cols: []uint64{1, 0, 2, 0}}))
 	append_(kindWALGlobal, encodeWALGlobal(&GlobalMsg{Round: 0, Participants: 1, Payload: []float64{1, 2}}))
-	// Round 1 was in flight at the crash: one partial, no commit.
-	append_(kindWALPartial, encodeWALPartial(1, &PartialUpdateMsg{Round: 1, Count: 3, WeightLo: 3, Cols: []uint64{5, 0, 6, 0}}))
 
 	st, err := recoverState(store, true)
 	if err != nil {
@@ -224,6 +195,130 @@ func TestWALPartialRecords(t *testing.T) {
 	if st.PartialRounds != 0 {
 		t.Fatalf("partialRounds = %d, want 0 (root tier disables the re-derivation)", st.PartialRounds)
 	}
+}
+
+// requireCommitsOnly asserts that the WAL recovery would replay from a
+// checkpoint directory holds exactly n records, all of them commits.
+func requireCommitsOnly(t *testing.T, when, dir string, n int) {
+	t.Helper()
+	store, err := checkpoint.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	_, _, _, wal, _, err := store.Load()
+	if err != nil || len(wal) != n {
+		t.Fatalf("%s: WAL holds %d records (err %v), want %d commits", when, len(wal), err, n)
+	}
+	for _, rec := range wal {
+		if rec.Kind != kindWALGlobal {
+			t.Fatalf("%s: WAL holds a record of kind %d, want only commits (%d)", when, rec.Kind, kindWALGlobal)
+		}
+	}
+}
+
+// TestKillRestartWALHoldsOnlyCommits kills a durable coordinator after it
+// accepted k < n updates of a round and inspects what it left on disk: the
+// WAL holds commit records only — one per round a peer has observed
+// (commit before broadcast), nothing for the open round — and the
+// restarted coordinator, fed the peers' idempotent re-sends, finishes
+// bit-identical to a twin that was never killed.
+func TestKillRestartWALHoldsOnlyCommits(t *testing.T) {
+	const clients, rounds = 2, 3
+	init := []float64{1, 2, 3}
+	update := func(c, r int) *UpdateMsg {
+		return &UpdateMsg{Round: r, Weight: float64(c + 1),
+			Payload: []float64{float64(r) + 0.5*float64(c), -float64(c + 1), 1 / float64(r+c+3)}}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	start := func(ctx context.Context, dir string, reg *telemetry.Registry) (*Server, chan []float64) {
+		t.Helper()
+		srv, err := NewServer(ServerConfig{
+			Addr: "127.0.0.1:0", NumClients: clients, Rounds: rounds, Init: init,
+			RoundDeadline: 30 * time.Second, MinClients: clients,
+			CheckpointDir: dir, SnapshotEvery: rounds + 1, // every commit stays in the WAL
+			Metrics: reg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		final := make(chan []float64, 1)
+		go func() {
+			g, _ := srv.Run(ctx)
+			final <- g // nil when the run was killed
+		}()
+		return srv, final
+	}
+	join := func(srv *Server, haveRound int) [clients]*rawPeer {
+		t.Helper()
+		var peers [clients]*rawPeer
+		for c := range peers {
+			p := dialRaw(t, srv.Addr().String())
+			t.Cleanup(func() { p.conn.Close() })
+			peers[c] = p
+			key := fmt.Sprintf("peer-%d", c)
+			p.send(&JoinMsg{Name: key, SessionKey: key, HaveRound: haveRound})
+			if w := p.welcome(); w.Round != haveRound+1 || len(w.Missed) != 0 {
+				t.Fatalf("peer %d welcomed at round %d with %d missed, want round %d and none",
+					c, w.Round, len(w.Missed), haveRound+1)
+			}
+		}
+		return peers
+	}
+	playRound := func(peers [clients]*rawPeer, r int) {
+		t.Helper()
+		for c, p := range peers {
+			p.send(update(c, r))
+		}
+		for c, p := range peers {
+			if g := p.global(); g.Round != r {
+				t.Fatalf("peer %d got round %d, want %d", c, g.Round, r)
+			}
+		}
+	}
+	// The twin that is never killed.
+	twin, twinFinal := start(ctx, "", nil)
+	peers := join(twin, -1)
+	for r := 0; r < rounds; r++ {
+		playRound(peers, r)
+	}
+	want := <-twinFinal
+	if want == nil {
+		t.Fatal("twin run failed")
+	}
+
+	// The killed arm: round 0 completes, round 1 accepts one of two updates.
+	dir := t.TempDir()
+	reg := telemetry.New()
+	killCtx, kill := context.WithCancel(ctx)
+	defer kill()
+	srv1, killed := start(killCtx, dir, reg)
+	peers = join(srv1, -1)
+	playRound(peers, 0)
+	requireCommitsOnly(t, "round 0 observed by both peers", dir, 1)
+	peers[0].send(update(0, 1))
+	for counterValue(reg, "apf_updates_total", "result", "accepted") < clients+1 && ctx.Err() == nil {
+		time.Sleep(time.Millisecond) // until the server has accepted it
+	}
+	kill()
+	if g := <-killed; g != nil {
+		t.Fatal("server 1 finished the run; the kill never landed")
+	}
+	requireCommitsOnly(t, "killed with 1 of 2 round-1 updates accepted", dir, 1)
+
+	// Restart on the same directory: round 1 re-opens empty, both peers
+	// resume at their applied round and (re-)send.
+	srv2, recovered := start(ctx, dir, nil)
+	if !srv2.Recovered() || srv2.StartRound() != 1 {
+		t.Fatalf("restart: recovered=%v start round %d, want recovered at round 1", srv2.Recovered(), srv2.StartRound())
+	}
+	peers = join(srv2, 0)
+	for r := 1; r < rounds; r++ {
+		playRound(peers, r)
+	}
+	requireSameModel(t, "recovered vs unkilled twin", <-recovered, want)
+	requireCommitsOnly(t, "run complete", dir, rounds)
 }
 
 // TestRestartAfterCompletionReturnsFinalModel restarts a durable server
@@ -387,8 +482,7 @@ func TestRecoverFromGenerationZeroCheckpoint(t *testing.T) {
 	clean := runArm("clean", "")
 
 	// Hand-build exactly what a kill -9 inside round 0 leaves behind: the
-	// base snapshot at generation 0, a WAL with an in-flight round-0
-	// update, and no commit record.
+	// base snapshot at generation 0 and an empty WAL.
 	dir := t.TempDir()
 	store, err := checkpoint.Open(dir)
 	if err != nil {
@@ -402,9 +496,6 @@ func TestRecoverFromGenerationZeroCheckpoint(t *testing.T) {
 		Names:      []string{"c0", "c1"},
 	}
 	if err := store.WriteSnapshot(0, kindServerSnap, encodeServerState(base)); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Append(kindWALUpdate, encodeWALUpdate(0, &UpdateMsg{Round: 0, Weight: 1, Payload: init})); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.Close(); err != nil {

@@ -18,11 +18,11 @@ type event struct {
 	id   int
 	name string
 	upd  *UpdateMsg // nil for a connection failure or a relay partial
-	// sp is the sparse original when the update arrived on a sparse codec
-	// (upd then holds its dense-equivalent conversion); nil for dense
-	// sessions. The engine cross-checks its mask generation and hands it to
-	// the sink so the WAL can log the frame that actually crossed the wire.
-	sp *SparseUpdateMsg
+	// maskGen is the sender's mask generation when the update arrived on a
+	// sparse codec (upd then holds its dense-equivalent conversion); -1 for
+	// dense sessions and generation-less managers. The engine cross-checks
+	// it across the round's updates.
+	maskGen int
 	// part is a relay's pre-aggregated partial sum (root tier only); the
 	// slot id then identifies the relay, not a client.
 	part *PartialUpdateMsg
@@ -43,18 +43,11 @@ type roundMeta struct {
 // through. The TCP server implements it with WAL appends, snapshot
 // rotation, and frame fan-out; engine tests implement it in-process. The
 // engine guarantees the call order per round: markRound, then zero or more
-// logUpdate/logPartial/rejectUpdate, then exactly one commitRound (absent
-// only when the round aborts the run).
+// rejectUpdate, then exactly one commitRound (absent only when the round
+// aborts the run).
 type roundSink interface {
 	// markRound announces that the engine starts collecting the round.
 	markRound(round int)
-	// logUpdate durably records one admitted update before it counts
-	// toward the round; an error aborts the run (durability failures are
-	// never survivable). sp is the sparse original when one exists.
-	logUpdate(id int, u *UpdateMsg, sp *SparseUpdateMsg) error
-	// logPartial durably records one admitted relay partial (root tier)
-	// before it counts toward the round.
-	logPartial(id int, p *PartialUpdateMsg) error
 	// rejectUpdate records one refused update (fault-tolerant mode only;
 	// in strict mode a refused update aborts the run instead).
 	rejectUpdate(id, round int, err error)
@@ -62,7 +55,8 @@ type roundSink interface {
 	// admitted and aggregated, but the round-relative norm review struck
 	// the client after the fact (possibly quarantining it).
 	strikeClient(id, round int, err error)
-	// commitRound durably commits and distributes one aggregate. meta is
+	// commitRound durably commits and distributes one aggregate; an error
+	// aborts the run (durability failures are never survivable). meta is
 	// the round's mask agreement evidence; partial marks a round that
 	// aggregated fewer than the full cluster.
 	commitRound(g *GlobalMsg, meta roundMeta, partial bool) error
@@ -327,9 +321,8 @@ func (e *roundEngine) run(ctx context.Context, startRound int, init []float64, h
 // fault-tolerant mode, the round deadline passed with at least minClients
 // contributions. Quarantined clients are not waited for. Every accepted
 // contribution passes the sanitization hook (when configured) and the
-// aggregator's own guards, and is logged through the sink before it
-// counts. Returns the contribution count; the round's mask evidence lands
-// in st.meta.
+// aggregator's own guards before it counts. Returns the contribution
+// count; the round's mask evidence lands in st.meta.
 func (e *roundEngine) collect(ctx context.Context, st *roundState, agg *fl.Aggregator) (int, error) {
 	var deadline <-chan time.Time
 	var timer *time.Timer
@@ -450,12 +443,12 @@ func (e *roundEngine) handleUpdate(ev event, st *roundState, agg *fl.Aggregator)
 	// The mask hash proves the bitsets agree; the generation is the
 	// cheaper first tripwire, and the one echoed to clients so they can
 	// match a sparse global against their local mask history.
-	if ev.sp != nil && ev.sp.MaskGen >= 0 {
-		if st.meta.maskGen >= 0 && ev.sp.MaskGen != st.meta.maskGen {
+	if ev.maskGen >= 0 {
+		if st.meta.maskGen >= 0 && ev.maskGen != st.meta.maskGen {
 			return fmt.Errorf("%w: round %d: client %d mask generation %d, round generation %d",
-				ErrMaskDivergence, round, ev.id, ev.sp.MaskGen, st.meta.maskGen)
+				ErrMaskDivergence, round, ev.id, ev.maskGen, st.meta.maskGen)
 		}
-		st.meta.maskGen = ev.sp.MaskGen
+		st.meta.maskGen = ev.maskGen
 	}
 	if err := e.admit(ev.id, round, u, agg); err != nil {
 		if !e.faultTolerant() {
@@ -483,7 +476,7 @@ func (e *roundEngine) handleUpdate(ev event, st *roundState, agg *fl.Aggregator)
 	if e.metrics != nil {
 		e.metrics.accepted.Inc()
 	}
-	return e.sink.logUpdate(ev.id, u, ev.sp)
+	return nil
 }
 
 // handlePartial is handleUpdate's root-tier counterpart: one relay's
@@ -539,7 +532,7 @@ func (e *roundEngine) handlePartial(ev event, st *roundState, agg *fl.Aggregator
 	if e.metrics != nil {
 		e.metrics.accepted.Inc()
 	}
-	return e.sink.logPartial(ev.id, p)
+	return nil
 }
 
 // admit runs one update through the sanitization hook and the

@@ -17,29 +17,10 @@ type testSink struct {
 	commits  []GlobalMsg
 	metas    []roundMeta
 	partials []bool
-	logged   int
-	sparse   int
 	struck   []int // client ids struck by the post-round review, in order
 }
 
 func (s *testSink) markRound(int) {}
-
-func (s *testSink) logUpdate(id int, u *UpdateMsg, sp *SparseUpdateMsg) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.logged++
-	if sp != nil {
-		s.sparse++
-	}
-	return nil
-}
-
-func (s *testSink) logPartial(id int, p *PartialUpdateMsg) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.logged++
-	return nil
-}
 
 func (s *testSink) rejectUpdate(id, round int, err error) {}
 
@@ -231,26 +212,20 @@ func TestQuarantineBarrierDeadlineStillTrumps(t *testing.T) {
 }
 
 // TestEngineSparseMetaCommitted checks the round's mask evidence reaches
-// the sink: the agreed hash from the updates, the generation from the
-// sparse originals.
+// the sink: the agreed hash from the updates, the generation the sparse
+// frames carried.
 func TestEngineSparseMetaCommitted(t *testing.T) {
 	sink := &testSink{}
 	e := &roundEngine{clients: 2, rounds: 1, sink: sink}
-	sp := func(gen int) *SparseUpdateMsg {
-		return &SparseUpdateMsg{Round: 0, Weight: 1, MaskHash: 0xfeed, MaskGen: gen, Dim: 2}
-	}
 	_, err := runEngine(t, e, func(events chan<- event) {
-		events <- event{id: 0, upd: &UpdateMsg{Round: 0, Payload: []float64{1, 1}, Weight: 1, MaskHash: 0xfeed}, sp: sp(3)}
-		events <- event{id: 1, upd: &UpdateMsg{Round: 0, Payload: []float64{3, 3}, Weight: 1, MaskHash: 0xfeed}, sp: sp(3)}
+		events <- event{id: 0, upd: &UpdateMsg{Round: 0, Payload: []float64{1, 1}, Weight: 1, MaskHash: 0xfeed}, maskGen: 3}
+		events <- event{id: 1, upd: &UpdateMsg{Round: 0, Payload: []float64{3, 3}, Weight: 1, MaskHash: 0xfeed}, maskGen: 3}
 	})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if m := sink.metas[0]; m.maskHash != 0xfeed || m.maskGen != 3 {
 		t.Errorf("committed meta = %+v, want hash feed gen 3", m)
-	}
-	if sink.sparse != 2 {
-		t.Errorf("sparse originals logged = %d, want 2", sink.sparse)
 	}
 }
 
@@ -260,10 +235,8 @@ func TestEngineSparseMetaCommitted(t *testing.T) {
 func TestEngineMaskGenDivergence(t *testing.T) {
 	e := &roundEngine{clients: 2, rounds: 1, sink: &testSink{}}
 	_, err := runEngine(t, e, func(events chan<- event) {
-		events <- event{id: 0, upd: &UpdateMsg{Round: 0, Payload: []float64{1, 1}, Weight: 1, MaskHash: 5},
-			sp: &SparseUpdateMsg{Round: 0, Weight: 1, MaskHash: 5, MaskGen: 1, Dim: 2}}
-		events <- event{id: 1, upd: &UpdateMsg{Round: 0, Payload: []float64{3, 3}, Weight: 1, MaskHash: 5},
-			sp: &SparseUpdateMsg{Round: 0, Weight: 1, MaskHash: 5, MaskGen: 2, Dim: 2}}
+		events <- event{id: 0, upd: &UpdateMsg{Round: 0, Payload: []float64{1, 1}, Weight: 1, MaskHash: 5}, maskGen: 1}
+		events <- event{id: 1, upd: &UpdateMsg{Round: 0, Payload: []float64{3, 3}, Weight: 1, MaskHash: 5}, maskGen: 2}
 	})
 	if !errors.Is(err, ErrMaskDivergence) {
 		t.Fatalf("got %v, want ErrMaskDivergence", err)

@@ -1,8 +1,13 @@
 package transport
 
 import (
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
+	"apf/internal/checkpoint"
 	"apf/internal/wire"
 )
 
@@ -105,4 +110,80 @@ func FuzzClientDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestFuzzCorporaLive keeps the checked-in fuzz corpora on the current
+// formats: every valid-* byte seed of the wire, transport and checkpoint
+// fuzz targets must decode to the end without error. A format bump that
+// forgets to regenerate them fails here instead of silently leaving the
+// fuzzers mutating inputs that die at the version check. (Seeds with
+// structured arguments — FuzzSparseDecode's — encode through the current
+// format inside their target and need no check.)
+func TestFuzzCorporaLive(t *testing.T) {
+	wireStream := func(buf []byte) error {
+		for len(buf) > 0 {
+			_, rest, err := wire.Decode(buf, 0)
+			if err != nil {
+				return err
+			}
+			buf = rest
+		}
+		return nil
+	}
+	checkpointStream := func(buf []byte) error {
+		for len(buf) > 0 {
+			kind, payload, rest, err := checkpoint.ReadFrame(buf)
+			if err != nil {
+				return err
+			}
+			switch kind {
+			case checkpoint.KindManager:
+				_, err = checkpoint.DecodeManager(buf[:len(buf)-len(rest)])
+			case kindServerSnap:
+				_, err = decodeServerState(payload)
+			case kindWALGlobal:
+				_, err = decodeWALGlobal(payload)
+			}
+			if err != nil {
+				return err
+			}
+			buf = rest
+		}
+		return nil
+	}
+	for _, corpus := range []struct {
+		dir    string
+		decode func([]byte) error
+	}{
+		{"../wire/testdata/fuzz", wireStream},
+		{"testdata/fuzz", wireStream},
+		{"../checkpoint/testdata/fuzz", checkpointStream},
+	} {
+		paths, err := filepath.Glob(filepath.Join(corpus.dir, "*", "valid-*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked := 0
+		for _, p := range paths {
+			raw, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+			if len(lines) != 2 || !strings.HasPrefix(lines[1], "[]byte(") {
+				continue // structured-argument seed
+			}
+			seed, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+			if err != nil {
+				t.Fatalf("%s: unparseable seed: %v", p, err)
+			}
+			if err := corpus.decode([]byte(seed)); err != nil {
+				t.Errorf("%s no longer decodes on the current format: %v", p, err)
+			}
+			checked++
+		}
+		if checked == 0 {
+			t.Errorf("%s: no valid-* byte seeds found", corpus.dir)
+		}
+	}
 }

@@ -937,3 +937,100 @@ func TestCatchUpFutureGenerationRejected(t *testing.T) {
 		}
 	})
 }
+
+// TestResumedWelcomeOmitsInit: a peer that has applied a round never reads
+// the initial model, so its resumed Welcome frame stays far below one
+// model's worth of bytes. (The other arm — a restarted process joining with
+// no applied round still receives it — is TestFreshProcessResumeBitExact.)
+func TestResumedWelcomeOmitsInit(t *testing.T) {
+	const dim = 4096
+	srv, err := NewServer(ServerConfig{
+		Addr: "127.0.0.1:0", NumClients: 1, Rounds: 3, Init: make([]float64, dim),
+		RoundDeadline: 30 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	go srv.Run(ctx)
+
+	join := func(haveRound int) (*rawPeer, *WelcomeMsg) {
+		t.Helper()
+		peer := dialRaw(t, srv.Addr().String())
+		t.Cleanup(func() { peer.conn.Close() })
+		peer.send(&JoinMsg{Name: "p", SessionKey: "p", HaveRound: haveRound})
+		return peer, peer.welcome()
+	}
+	peer, _ := join(-1)
+	peer.send(&UpdateMsg{Round: 0, Payload: make([]float64, dim), Weight: 1})
+	peer.global()
+
+	_, resumed := join(0)
+	if !resumed.Resumed || len(resumed.Init) != 0 {
+		t.Fatalf("resume at round 0: resumed=%v init=%d, want a resumed welcome without init",
+			resumed.Resumed, len(resumed.Init))
+	}
+	if n := len(wire.Encode(resumed)); n >= 8*dim {
+		t.Fatalf("resumed welcome frame is %d bytes, want well under one model (%d)", n, 8*dim)
+	}
+}
+
+// TestFreshProcessResumeBitExact restarts the client process mid-run: the
+// replacement knows only its session key, joins with no applied round,
+// rebuilds its model from the Welcome's initial model plus the missed
+// aggregates, and ends on exactly the model of a twin that never
+// restarted. (A single-sample shard and momentum-free SGD make the
+// client's trajectory a function of the synchronized model alone.)
+func TestFreshProcessResumeBitExact(t *testing.T) {
+	const rounds, restartAfter = 6, 2
+	ds, parts, init := singleSampleSetup(1)
+	run := func(restart bool) []float64 {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		defer cancel()
+		srv, err := NewServer(ServerConfig{
+			Addr: "127.0.0.1:0", NumClients: 1, Rounds: rounds, Init: init,
+			RoundDeadline: 30 * time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		serverErr := make(chan error, 1)
+		go func() {
+			_, err := srv.Run(ctx)
+			serverErr <- err
+		}()
+		cfg := ClientConfig{
+			Addr: srv.Addr().String(), Name: "fp", SessionKey: "fp",
+			Model: tinyModel, Optimizer: tinySGD,
+			Manager: func(clientID, dim int) fl.SyncManager { return fl.NewPassthroughManager(4) },
+			Data:    ds, Indices: parts[0], LocalIters: 3, BatchSize: 1, Seed: 5,
+		}
+		if restart {
+			// First process: dies once it has applied round restartAfter.
+			procCtx, die := context.WithCancel(ctx)
+			cfg.OnRound = func(round int, _ []float64) {
+				if round == restartAfter {
+					die()
+				}
+			}
+			if _, err := RunClient(procCtx, cfg); err == nil {
+				t.Fatal("first process finished the run; it was never killed")
+			}
+			cfg.OnRound = nil
+		}
+		res, err := RunClient(ctx, cfg)
+		if err != nil {
+			t.Fatalf("restart=%v client: %v", restart, err)
+		}
+		if restart && res.Reconnects != 1 {
+			t.Fatalf("replacement process resumed %d times, want 1", res.Reconnects)
+		}
+		if err := <-serverErr; err != nil {
+			t.Fatalf("restart=%v server: %v", restart, err)
+		}
+		return res.FinalModel
+	}
+	requireSameModel(t, "restarted client vs never-restarted twin", run(true), run(false))
+}

@@ -56,8 +56,7 @@ import (
 const defaultIOTimeout = 30 * time.Second
 
 // The protocol messages are defined by package wire (which owns their
-// serialization); the aliases keep this package's API unchanged across
-// the gob→wire migration.
+// serialization); the aliases keep them addressable from this package.
 type (
 	// JoinMsg registers a client with the server, or resumes a session.
 	JoinMsg = wire.JoinMsg
@@ -67,23 +66,23 @@ type (
 	UpdateMsg = wire.UpdateMsg
 	// GlobalMsg carries the aggregated model back to the clients.
 	GlobalMsg = wire.GlobalMsg
-	// SparseUpdateMsg is the v2 mask-aware form of UpdateMsg.
+	// SparseUpdateMsg is the mask-aware form of UpdateMsg.
 	SparseUpdateMsg = wire.SparseUpdateMsg
-	// SparseGlobalMsg is the v2 mask-aware form of GlobalMsg.
+	// SparseGlobalMsg is the mask-aware form of GlobalMsg.
 	SparseGlobalMsg = wire.SparseGlobalMsg
-	// RelayJoinMsg registers an edge relay with the root (v3).
+	// RelayJoinMsg registers an edge relay with the root.
 	RelayJoinMsg = wire.RelayJoinMsg
 	// PartialUpdateMsg carries a relay's exact pre-aggregated partial sum
-	// upstream (v3).
+	// upstream.
 	PartialUpdateMsg = wire.PartialUpdateMsg
-	// ResumeOfferMsg opens and steers a catch-up exchange (v4).
+	// ResumeOfferMsg opens and steers a catch-up exchange.
 	ResumeOfferMsg = wire.ResumeOfferMsg
-	// SketchMsg carries a batch of rateless-IBLT cells (v4).
+	// SketchMsg carries a batch of rateless-IBLT cells.
 	SketchMsg = wire.SketchMsg
-	// SnapshotMsg carries the full current state for O(dim) catch-up (v4).
+	// SnapshotMsg carries the full current state for O(dim) catch-up.
 	SnapshotMsg = wire.SnapshotMsg
 	// DeltaMsg carries only the diverged mask words after sketch
-	// reconciliation (v4).
+	// reconciliation.
 	DeltaMsg = wire.DeltaMsg
 )
 

@@ -66,6 +66,9 @@ func runCluster(t *testing.T, clients, rounds int, mf fl.ManagerFactory) ([]*Cli
 	var wg sync.WaitGroup
 	errs := make([]error, clients)
 	for i := 0; i < clients; i++ {
+		for srv.Sessions() < i {
+			time.Sleep(time.Millisecond) // join order = shard order: ids, and so trajectories, repeat
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()

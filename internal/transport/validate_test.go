@@ -280,20 +280,13 @@ func TestValidatorQuarantineRound(t *testing.T) {
 		t.Fatal("unquarantined client grew a quarantine round across restore")
 	}
 
-	// A legacy snapshot (written before quarantine rounds were durable)
-	// carries the flag but not the round: the restored validator reports
-	// the honest -1 sentinel.
-	legacy := v.snapshotState()
-	legacy.QuarRound = nil
+	// A capture without the quarantine rounds is refused, not restored
+	// with sentinels.
+	short := v.snapshotState()
+	short.QuarRound = nil
 	v3 := NewValidator(ValidatorConfig{Clients: 2, Dim: 2, StrikeLimit: 2})
-	if err := v3.restoreState(legacy); err != nil {
-		t.Fatalf("legacy restore: %v", err)
-	}
-	if !v3.Quarantined(0) {
-		t.Fatal("quarantine flag lost across legacy restore")
-	}
-	if v3.QuarantineRound(0) != -1 {
-		t.Fatalf("legacy restored quarantine round = %d, want -1", v3.QuarantineRound(0))
+	if err := v3.restoreState(short); err == nil {
+		t.Fatal("validator state without quarantine rounds restored without error")
 	}
 }
 
@@ -362,8 +355,9 @@ func TestCosineGateGeometryReset(t *testing.T) {
 
 // TestCosineStateRoundTrip: the reference direction survives
 // snapshot/restore — a restarted validator rejects a flipper on its
-// first post-restore update, with no re-arming window. A legacy snapshot
-// (no reference) restores with the gate disarmed until fresh commits.
+// first post-restore update, with no re-arming window. A snapshot taken
+// before any commit (no reference) restores with the gate disarmed until
+// fresh commits.
 func TestCosineStateRoundTrip(t *testing.T) {
 	cfg := ValidatorConfig{Clients: 2, Dim: 4, CosineFloor: 0.2, StrikeLimit: 100}
 	v := NewValidator(cfg)
@@ -386,14 +380,11 @@ func TestCosineStateRoundTrip(t *testing.T) {
 		t.Fatalf("restored gate rejects honest update: %v", err)
 	}
 
-	legacy := v.snapshotState()
-	legacy.Ref, legacy.RefCount = nil, 0
-	v3 := NewValidator(cfg)
-	if err := v3.restoreState(legacy); err != nil {
-		t.Fatalf("legacy restore: %v", err)
+	if err := v2.restoreState(NewValidator(cfg).snapshotState()); err != nil {
+		t.Fatalf("restore of a fresh validator's state: %v", err)
 	}
-	if _, err := v3.Check(1, 4, flipped, 1); err != nil {
-		t.Fatalf("legacy restore should disarm the cosine gate: %v", err)
+	if _, err := v2.Check(1, 4, flipped, 1); err != nil {
+		t.Fatalf("an empty reference should disarm the cosine gate: %v", err)
 	}
 }
 

@@ -9,49 +9,21 @@ import (
 	"apf/internal/checkpoint"
 )
 
-// wireVersion implements Msg: a Join advertising capabilities needs v2;
-// the zero-capability form is the v1 body.
-func (m *JoinMsg) wireVersion() uint8 {
-	if m.Caps != 0 {
-		return 2
-	}
-	return 1
-}
-
 // appendBody serializes a JoinMsg body.
-func (m *JoinMsg) appendBody(w *checkpoint.Writer, version uint8) {
+func (m *JoinMsg) appendBody(w *checkpoint.Writer) {
 	w.String(m.Name)
 	w.String(m.SessionKey)
 	w.Int(m.HaveRound)
-	if version >= 2 {
-		w.U64(m.Caps)
-	}
+	w.U64(m.Caps)
 }
 
 // readJoin decodes a JoinMsg body.
-func readJoin(r *checkpoint.Reader, version uint8) *JoinMsg {
-	m := &JoinMsg{Name: r.String(), SessionKey: r.String(), HaveRound: r.Int()}
-	if version >= 2 {
-		m.Caps = r.U64()
-	}
-	return m
-}
-
-// wireVersion implements Msg: a Welcome initiating catch-up needs v4, one
-// selecting a non-dense codec needs v2; the dense no-catch-up form is the
-// v1 body.
-func (m *WelcomeMsg) wireVersion() uint8 {
-	if m.CatchUp {
-		return 4
-	}
-	if m.Codec != CodecDense {
-		return 2
-	}
-	return 1
+func readJoin(r *checkpoint.Reader) *JoinMsg {
+	return &JoinMsg{Name: r.String(), SessionKey: r.String(), HaveRound: r.Int(), Caps: r.U64()}
 }
 
 // appendBody serializes a WelcomeMsg body.
-func (m *WelcomeMsg) appendBody(w *checkpoint.Writer, version uint8) {
+func (m *WelcomeMsg) appendBody(w *checkpoint.Writer) {
 	w.Int(m.ClientID)
 	w.Int(m.NumClients)
 	w.Int(m.Rounds)
@@ -63,13 +35,9 @@ func (m *WelcomeMsg) appendBody(w *checkpoint.Writer, version uint8) {
 	for i := range m.Missed {
 		AppendGlobalBody(w, &m.Missed[i])
 	}
-	if version >= 2 {
-		w.U16(uint16(m.Codec))
-	}
-	if version >= 4 {
-		w.Bool(m.CatchUp)
-		w.Int(m.MaskGen)
-	}
+	w.U16(uint16(m.Codec))
+	w.Bool(m.CatchUp)
+	w.Int(m.MaskGen)
 }
 
 // globalBodyMinLen is the encoded size of a GlobalMsg with an empty
@@ -78,7 +46,7 @@ func (m *WelcomeMsg) appendBody(w *checkpoint.Writer, version uint8) {
 const globalBodyMinLen = 24
 
 // readWelcome decodes a WelcomeMsg body.
-func readWelcome(r *checkpoint.Reader, version uint8) *WelcomeMsg {
+func readWelcome(r *checkpoint.Reader) *WelcomeMsg {
 	m := &WelcomeMsg{
 		ClientID:   r.Int(),
 		NumClients: r.Int(),
@@ -99,41 +67,28 @@ func readWelcome(r *checkpoint.Reader, version uint8) *WelcomeMsg {
 	for i := 0; i < n && r.Err() == nil; i++ {
 		m.Missed = append(m.Missed, ReadGlobalBody(r))
 	}
-	if version >= 2 {
-		c := r.U16()
-		if r.Err() == nil && c > uint16(CodecSparseQ16) {
-			r.Fail(fmt.Sprintf("unknown negotiated codec %d", c))
-		}
-		m.Codec = Codec(c)
+	c := r.U16()
+	if r.Err() == nil && c > uint16(CodecSparseQ16) {
+		r.Fail(fmt.Sprintf("unknown negotiated codec %d", c))
 	}
-	if version >= 4 {
-		m.CatchUp = r.Bool()
-		m.MaskGen = r.Int()
-	}
+	m.Codec = Codec(c)
+	m.CatchUp = r.Bool()
+	m.MaskGen = r.Int()
 	return m
 }
 
-// AppendUpdateBody serializes an UpdateMsg body without the frame — the
-// shared form used by both the socket codec and the server's write-ahead
-// log (package transport prefixes the WAL record with the client id).
-func AppendUpdateBody(w *checkpoint.Writer, m *UpdateMsg) {
+// appendBody serializes an UpdateMsg body.
+func (m *UpdateMsg) appendBody(w *checkpoint.Writer) {
 	w.Int(m.Round)
 	w.F64(m.Weight)
 	w.U64(m.MaskHash)
 	w.F64s(m.Payload)
 }
 
-// ReadUpdateBody decodes an AppendUpdateBody encoding.
-func ReadUpdateBody(r *checkpoint.Reader) UpdateMsg {
-	return UpdateMsg{Round: r.Int(), Weight: r.F64(), MaskHash: r.U64(), Payload: r.F64s()}
+// readUpdate decodes an UpdateMsg body.
+func readUpdate(r *checkpoint.Reader) *UpdateMsg {
+	return &UpdateMsg{Round: r.Int(), Weight: r.F64(), MaskHash: r.U64(), Payload: r.F64s()}
 }
-
-// wireVersion implements Msg: the dense body is unchanged since v1 (the
-// WAL shares it, so its layout is frozen).
-func (m *UpdateMsg) wireVersion() uint8 { return 1 }
-
-// appendBody serializes an UpdateMsg body.
-func (m *UpdateMsg) appendBody(w *checkpoint.Writer, _ uint8) { AppendUpdateBody(w, m) }
 
 // AppendGlobalBody serializes a GlobalMsg body without the frame — shared
 // by the socket codec, the WelcomeMsg missed-payload list, and the
@@ -149,19 +104,15 @@ func ReadGlobalBody(r *checkpoint.Reader) GlobalMsg {
 	return GlobalMsg{Round: r.Int(), Participants: r.Int(), Payload: r.F64s()}
 }
 
-// wireVersion implements Msg.
-func (m *GlobalMsg) wireVersion() uint8 { return 1 }
-
 // appendBody serializes a GlobalMsg body.
-func (m *GlobalMsg) appendBody(w *checkpoint.Writer, _ uint8) { AppendGlobalBody(w, m) }
+func (m *GlobalMsg) appendBody(w *checkpoint.Writer) { AppendGlobalBody(w, m) }
 
 // Append frames m and appends the frame to dst, returning the extended
 // slice. The result is self-contained and immutable once built: broadcast
 // paths encode a message once and hand the same frame to every connection.
 func Append(dst []byte, m Msg) []byte {
 	var w checkpoint.Writer
-	version := m.wireVersion()
-	m.appendBody(&w, version)
+	m.appendBody(&w)
 	payload := w.Bytes()
 	if len(payload) > MaxPayload {
 		panic(fmt.Sprintf("wire: message payload %d exceeds MaxPayload", len(payload)))
@@ -169,7 +120,7 @@ func Append(dst []byte, m Msg) []byte {
 	start := len(dst)
 	var hdr [headerLen]byte
 	binary.LittleEndian.PutUint32(hdr[0:], frameMagic)
-	hdr[4] = version
+	hdr[4] = Version
 	hdr[5] = byte(m.WireKind())
 	binary.LittleEndian.PutUint32(hdr[6:], uint32(len(payload)))
 	dst = append(dst, hdr[:]...)
@@ -183,79 +134,52 @@ func Append(dst []byte, m Msg) []byte {
 // Encode frames m into a fresh buffer.
 func Encode(m Msg) []byte { return Append(nil, m) }
 
-// checkHeader validates a frame header against limit, returning the kind,
-// frame version, and payload length.
-func checkHeader(hdr []byte, limit int) (Kind, uint8, int, error) {
+// checkHeader validates a frame header against limit, returning the kind
+// and payload length.
+func checkHeader(hdr []byte, limit int) (Kind, int, error) {
 	if binary.LittleEndian.Uint32(hdr[0:]) != frameMagic {
-		return 0, 0, 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
+		return 0, 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	version := hdr[4]
-	if version < MinVersion || version > Version {
-		return 0, 0, 0, fmt.Errorf("%w: frame version %d, this build speaks %d-%d",
-			ErrVersion, version, MinVersion, Version)
+	if version := hdr[4]; version != Version {
+		return 0, 0, fmt.Errorf("%w: frame version %d, this build speaks %d", ErrVersion, version, Version)
 	}
 	kind := Kind(hdr[5])
-	switch kind {
-	case KindJoin, KindWelcome, KindUpdate, KindGlobal:
-	case KindSparseUpdate, KindSparseGlobal:
-		if version < 2 {
-			return 0, 0, 0, fmt.Errorf("%w: kind %s requires version 2, frame stamped %d",
-				ErrVersion, kind, version)
-		}
-	case KindRelayJoin, KindPartialUpdate:
-		if version < 3 {
-			return 0, 0, 0, fmt.Errorf("%w: kind %s requires version 3, frame stamped %d",
-				ErrVersion, kind, version)
-		}
-	case KindResumeOffer, KindSketch, KindSnapshot, KindDelta:
-		if version < 4 {
-			return 0, 0, 0, fmt.Errorf("%w: kind %s requires version 4, frame stamped %d",
-				ErrVersion, kind, version)
-		}
-	default:
-		return 0, 0, 0, fmt.Errorf("%w: kind %d", ErrUnknownKind, uint8(kind))
+	if kind < KindJoin || kind > KindDelta {
+		return 0, 0, fmt.Errorf("%w: kind %d", ErrUnknownKind, uint8(kind))
 	}
 	if limit <= 0 || limit > MaxPayload {
 		limit = MaxPayload
 	}
 	n := int(binary.LittleEndian.Uint32(hdr[6:]))
 	if n > limit {
-		return 0, 0, 0, fmt.Errorf("%w: declared payload %d over limit %d", ErrTooLarge, n, limit)
+		return 0, 0, fmt.Errorf("%w: declared payload %d over limit %d", ErrTooLarge, n, limit)
 	}
-	return kind, version, n, nil
+	return kind, n, nil
 }
 
 // decodeBody dispatches a validated payload to its body decoder and
-// requires it to consume the payload exactly. The decoded message must
-// also need exactly the stamped frame version (canonical versioning): a
-// v2 frame whose body is expressible at v1 — a Join with zero Caps, a
-// Welcome selecting dense — re-encodes differently and is refused, so
-// decode∘encode stays the identity on accepted frames.
-func decodeBody(kind Kind, version uint8, payload []byte) (Msg, error) {
+// requires it to consume the payload exactly.
+func decodeBody(kind Kind, payload []byte) (Msg, error) {
 	r := checkpoint.NewReader(payload)
 	var m Msg
 	switch kind {
 	case KindJoin:
-		m = readJoin(r, version)
+		m = readJoin(r)
 	case KindWelcome:
-		m = readWelcome(r, version)
+		m = readWelcome(r)
 	case KindUpdate:
-		u := ReadUpdateBody(r)
-		m = &u
+		m = readUpdate(r)
 	case KindGlobal:
 		g := ReadGlobalBody(r)
 		m = &g
 	case KindSparseUpdate:
-		u := ReadSparseUpdateBody(r)
-		m = &u
+		m = readSparseUpdate(r)
 	case KindSparseGlobal:
-		g := ReadSparseGlobalBody(r)
-		m = &g
+		m = readSparseGlobal(r)
 	case KindRelayJoin:
 		m = readRelayJoin(r)
 	case KindPartialUpdate:
-		u := ReadPartialUpdateBody(r)
-		m = &u
+		m = readPartialUpdate(r)
 	case KindResumeOffer:
 		m = readResumeOffer(r)
 	case KindSketch:
@@ -267,10 +191,6 @@ func decodeBody(kind Kind, version uint8, payload []byte) (Msg, error) {
 	}
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("%w: %s body: %v", ErrCorrupt, kind, err)
-	}
-	if m.wireVersion() != version {
-		return nil, fmt.Errorf("%w: %s body is canonical at version %d, frame stamped %d",
-			ErrCorrupt, kind, m.wireVersion(), version)
 	}
 	return m, nil
 }
@@ -286,7 +206,7 @@ func Decode(buf []byte, limit int) (Msg, []byte, error) {
 	if len(buf) < headerLen+trailerLen {
 		return nil, nil, fmt.Errorf("%w: %d-byte tail shorter than a frame", ErrCorrupt, len(buf))
 	}
-	kind, version, n, err := checkHeader(buf[:headerLen], limit)
+	kind, n, err := checkHeader(buf[:headerLen], limit)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -298,7 +218,7 @@ func Decode(buf []byte, limit int) (Msg, []byte, error) {
 	if crc32.ChecksumIEEE(buf[:end]) != want {
 		return nil, nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	m, err := decodeBody(kind, version, buf[headerLen:end])
+	m, err := decodeBody(kind, buf[headerLen:end])
 	if err != nil {
 		return nil, nil, err
 	}
@@ -327,7 +247,7 @@ func ReadMsg(r io.Reader, limit int) (Msg, error) {
 		}
 		return nil, err
 	}
-	kind, version, n, err := checkHeader(hdr[:], limit)
+	kind, n, err := checkHeader(hdr[:], limit)
 	if err != nil {
 		return nil, err
 	}
@@ -344,5 +264,5 @@ func ReadMsg(r io.Reader, limit int) (Msg, error) {
 	if sum != want {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	return decodeBody(kind, version, body[:n])
+	return decodeBody(kind, body[:n])
 }

@@ -25,9 +25,6 @@ func relaySampleMsgs() []Msg {
 func TestRelayRoundTrip(t *testing.T) {
 	for _, m := range relaySampleMsgs() {
 		frame := Encode(m)
-		if frame[4] != 3 {
-			t.Fatalf("%s: stamped version %d, want 3", m.WireKind(), frame[4])
-		}
 		got, rest, err := Decode(frame, 0)
 		if err != nil {
 			t.Fatalf("%s: Decode: %v", m.WireKind(), err)
@@ -45,8 +42,8 @@ func TestRelayRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRelayKindsNeedV3 pins the header gate: the relay kinds framed under
-// an older version stamp are refused with ErrVersion before any payload is
+// TestRelayKindsNeedV3: the relay kinds framed under a version stamp that
+// predates them are refused with ErrVersion before any payload is
 // interpreted.
 func TestRelayKindsNeedV3(t *testing.T) {
 	for _, m := range []Msg{
@@ -92,7 +89,7 @@ func TestHostileColsCount(t *testing.T) {
 		body[off+i] = 0
 	}
 	body[off+5] = 1 // little-endian byte 5 → 2^40 words
-	if _, err := decodeBody(KindPartialUpdate, 3, body); !errors.Is(err, ErrCorrupt) {
+	if _, err := decodeBody(KindPartialUpdate, body); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("hostile cols count: got %v, want ErrCorrupt", err)
 	}
 }

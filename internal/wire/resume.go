@@ -8,7 +8,7 @@ import (
 	"apf/internal/recon"
 )
 
-// This file is the v4 O(diff) catch-up sub-protocol. A resuming client
+// This file is the O(diff) catch-up sub-protocol. A resuming client
 // whose round fell off the server's bounded replay history receives a
 // Welcome with CatchUp set and then drives:
 //
@@ -24,7 +24,7 @@ import (
 //
 // A ResumeOffer with MaskGen -1 requests the snapshot mode outright
 // (managers without reconciliation state, and relays adopting the
-// root's round). All four kinds exist only at v4.
+// root's round).
 
 // CapRecon is the capability bit a client advertises in JoinMsg.Caps
 // when its manager supports sketch reconciliation (per-word generation
@@ -92,12 +92,7 @@ func (*SnapshotMsg) WireKind() Kind { return KindSnapshot }
 // WireKind implements Msg.
 func (*DeltaMsg) WireKind() Kind { return KindDelta }
 
-func (m *ResumeOfferMsg) wireVersion() uint8 { return 4 }
-func (m *SketchMsg) wireVersion() uint8      { return 4 }
-func (m *SnapshotMsg) wireVersion() uint8    { return 4 }
-func (m *DeltaMsg) wireVersion() uint8       { return 4 }
-
-func (m *ResumeOfferMsg) appendBody(w *checkpoint.Writer, _ uint8) {
+func (m *ResumeOfferMsg) appendBody(w *checkpoint.Writer) {
 	w.Int(m.Round)
 	w.Int(m.MaskGen)
 	w.Bool(m.NeedMore)
@@ -121,7 +116,7 @@ func readResumeOffer(r *checkpoint.Reader) *ResumeOfferMsg {
 // cellLen is the encoded size of one coded cell (sum, hash, count).
 const cellLen = 24
 
-func (m *SketchMsg) appendBody(w *checkpoint.Writer, _ uint8) {
+func (m *SketchMsg) appendBody(w *checkpoint.Writer) {
 	w.Int(m.Round)
 	w.Int(m.MaskGen)
 	w.Int(m.Start)
@@ -153,7 +148,7 @@ func readSketch(r *checkpoint.Reader) *SketchMsg {
 	return m
 }
 
-func (m *SnapshotMsg) appendBody(w *checkpoint.Writer, _ uint8) {
+func (m *SnapshotMsg) appendBody(w *checkpoint.Writer) {
 	w.Int(m.Round)
 	w.Int(m.MaskGen)
 	w.F64s(m.Payload)
@@ -208,7 +203,7 @@ func readWordBlock(r *checkpoint.Reader) core.WordBlock {
 	return b
 }
 
-func (m *DeltaMsg) appendBody(w *checkpoint.Writer, _ uint8) {
+func (m *DeltaMsg) appendBody(w *checkpoint.Writer) {
 	w.Int(m.Round)
 	w.Int(m.MaskGen)
 	w.F64(m.Header.Threshold)

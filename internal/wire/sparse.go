@@ -15,7 +15,7 @@ type Codec uint8
 
 // The negotiable codecs, weakest to strongest.
 const (
-	// CodecDense is the v1 behaviour: dense UpdateMsg/GlobalMsg frames.
+	// CodecDense frames every payload as dense UpdateMsg/GlobalMsg.
 	CodecDense Codec = 0
 	// CodecSparse sends only the unfrozen scalars as float64, framed by
 	// the sparse kinds. Lossless: models stay bit-identical to dense mode.
@@ -85,8 +85,8 @@ func (c Codec) Enc() Enc {
 // NegotiateCodec picks the strongest codec allowed by both the server's
 // configured maximum and the client's advertised capability bits. Missing
 // capabilities degrade gracefully toward dense; the result never exceeds
-// what the client asked for, so a v1 client (Caps 0) always gets the v1
-// dense session.
+// what the client asked for, so a client advertising no capabilities
+// always gets a dense session.
 func NegotiateCodec(max Codec, caps uint64) Codec {
 	c := CodecDense
 	if max >= CodecSparse && caps&CapSparse != 0 {
@@ -120,7 +120,7 @@ func (e Enc) String() string {
 	return fmt.Sprintf("Enc(%d)", uint8(e))
 }
 
-// SparseUpdateMsg is the v2 form of UpdateMsg: only the unfrozen scalars
+// SparseUpdateMsg is the mask-aware form of UpdateMsg: only the unfrozen scalars
 // cross the wire, positionally against the shared freezing bitset. No
 // indices are transmitted — MaskHash (and MaskGen) prove both sides hold
 // the identical mask, which is what makes the positional encoding sound;
@@ -147,7 +147,7 @@ type SparseUpdateMsg struct {
 	Q      []uint16  // EncF16 payload
 }
 
-// SparseGlobalMsg is the v2 form of GlobalMsg: the aggregate's unfrozen
+// SparseGlobalMsg is the mask-aware form of GlobalMsg: the aggregate's unfrozen
 // scalars against the round's agreed mask, which the server echoes back
 // via MaskHash/MaskGen so each client can verify its own mask matches
 // before expanding.
@@ -167,12 +167,6 @@ func (*SparseUpdateMsg) WireKind() Kind { return KindSparseUpdate }
 
 // WireKind implements Msg.
 func (*SparseGlobalMsg) WireKind() Kind { return KindSparseGlobal }
-
-// wireVersion implements Msg: the sparse kinds exist only at v2.
-func (*SparseUpdateMsg) wireVersion() uint8 { return 2 }
-
-// wireVersion implements Msg.
-func (*SparseGlobalMsg) wireVersion() uint8 { return 2 }
 
 // Scalars returns the number of payload scalars under either encoding.
 func (m *SparseUpdateMsg) Scalars() int { return sparseScalars(m.Enc, m.Values, m.Q) }
@@ -225,10 +219,8 @@ func PackSparse(enc Enc, vals []float64) ([]float64, []uint16) {
 	return nil, q
 }
 
-// AppendSparseUpdateBody serializes a SparseUpdateMsg body without the
-// frame — the shared form used by the socket codec and the server's
-// write-ahead log.
-func AppendSparseUpdateBody(w *checkpoint.Writer, m *SparseUpdateMsg) {
+// appendBody serializes a SparseUpdateMsg body.
+func (m *SparseUpdateMsg) appendBody(w *checkpoint.Writer) {
 	w.Int(m.Round)
 	w.F64(m.Weight)
 	w.U64(m.MaskHash)
@@ -238,11 +230,11 @@ func AppendSparseUpdateBody(w *checkpoint.Writer, m *SparseUpdateMsg) {
 	appendSparseValues(w, m.Enc, m.Values, m.Q)
 }
 
-// ReadSparseUpdateBody decodes an AppendSparseUpdateBody encoding,
-// validating the hostile-input surface (dimension, generation, scalar
-// count, encoding tag) before any expansion happens.
-func ReadSparseUpdateBody(r *checkpoint.Reader) SparseUpdateMsg {
-	m := SparseUpdateMsg{
+// readSparseUpdate decodes a SparseUpdateMsg body, validating the
+// hostile-input surface (dimension, generation, scalar count, encoding
+// tag) before any expansion happens.
+func readSparseUpdate(r *checkpoint.Reader) *SparseUpdateMsg {
+	m := &SparseUpdateMsg{
 		Round:    r.Int(),
 		Weight:   r.F64(),
 		MaskHash: r.U64(),
@@ -255,9 +247,8 @@ func ReadSparseUpdateBody(r *checkpoint.Reader) SparseUpdateMsg {
 	return m
 }
 
-// AppendSparseGlobalBody serializes a SparseGlobalMsg body without the
-// frame.
-func AppendSparseGlobalBody(w *checkpoint.Writer, m *SparseGlobalMsg) {
+// appendBody serializes a SparseGlobalMsg body.
+func (m *SparseGlobalMsg) appendBody(w *checkpoint.Writer) {
 	w.Int(m.Round)
 	w.Int(m.Participants)
 	w.U64(m.MaskHash)
@@ -267,9 +258,9 @@ func AppendSparseGlobalBody(w *checkpoint.Writer, m *SparseGlobalMsg) {
 	appendSparseValues(w, m.Enc, m.Values, m.Q)
 }
 
-// ReadSparseGlobalBody decodes an AppendSparseGlobalBody encoding.
-func ReadSparseGlobalBody(r *checkpoint.Reader) SparseGlobalMsg {
-	m := SparseGlobalMsg{
+// readSparseGlobal decodes a SparseGlobalMsg body.
+func readSparseGlobal(r *checkpoint.Reader) *SparseGlobalMsg {
+	m := &SparseGlobalMsg{
 		Round:        r.Int(),
 		Participants: r.Int(),
 		MaskHash:     r.U64(),
@@ -280,16 +271,6 @@ func ReadSparseGlobalBody(r *checkpoint.Reader) SparseGlobalMsg {
 	m.Values, m.Q = readSparseValues(r, m.Enc)
 	validateSparse(r, m.Dim, m.MaskGen, m.Scalars())
 	return m
-}
-
-// appendBody implements Msg.
-func (m *SparseUpdateMsg) appendBody(w *checkpoint.Writer, _ uint8) {
-	AppendSparseUpdateBody(w, m)
-}
-
-// appendBody implements Msg.
-func (m *SparseGlobalMsg) appendBody(w *checkpoint.Writer, _ uint8) {
-	AppendSparseGlobalBody(w, m)
 }
 
 // appendSparseValues writes the payload column selected by enc.
@@ -353,7 +334,7 @@ func validateSparse(r *checkpoint.Reader, dim, gen, scalars int) {
 }
 
 // DenseGlobalFrameSize returns the encoded size of a dense full-dimension
-// GlobalMsg frame — the v1 wire cost of broadcasting one aggregate without
+// GlobalMsg frame — the wire cost of broadcasting one aggregate without
 // masking, the baseline against which sparse bytes-saved accounting and
 // the wire benchmark measure.
 func DenseGlobalFrameSize(dim int) int {

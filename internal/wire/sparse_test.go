@@ -38,9 +38,6 @@ func TestSparseRoundTrip(t *testing.T) {
 	}
 	for _, m := range msgs {
 		frame := Encode(m)
-		if frame[4] != 2 {
-			t.Fatalf("%s frame stamped version %d, want 2", m.WireKind(), frame[4])
-		}
 		got, rest, err := Decode(frame, 0)
 		if err != nil {
 			t.Fatalf("decode %s: %v", m.WireKind(), err)
@@ -57,66 +54,35 @@ func TestSparseRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCanonicalVersionStamping pins the minimal-version rule: handshake
-// messages encode as v1 frames exactly when their v2 fields are zero, so a
-// v2 build talking dense is byte-compatible with a v1 peer.
-func TestCanonicalVersionStamping(t *testing.T) {
-	cases := []struct {
-		m    Msg
-		want uint8
-	}{
-		{&JoinMsg{Name: "a"}, 1},
-		{&JoinMsg{Name: "a", Caps: CapSparse}, 2},
-		{&WelcomeMsg{Dim: 1, Init: []float64{0}}, 1},
-		{&WelcomeMsg{Dim: 1, Init: []float64{0}, Codec: CodecSparse}, 2},
-		{&UpdateMsg{Round: 1, Payload: []float64{1}}, 1},
-		{&GlobalMsg{Round: 1, Payload: []float64{1}}, 1},
-		{&SparseUpdateMsg{Dim: 1, Values: []float64{1}}, 2},
-		{&SparseGlobalMsg{Dim: 1, Values: []float64{1}}, 2},
-	}
-	for _, tt := range cases {
-		frame := Encode(tt.m)
-		if frame[4] != tt.want {
-			t.Errorf("%s (%+v): stamped version %d, want %d", tt.m.WireKind(), tt.m, frame[4], tt.want)
+// TestVersionRange pins the one-version rule: every message kind framed
+// under any other stamp — each former protocol version included — is
+// refused at the header with ErrVersion, before any payload is touched,
+// by both the in-memory and the streaming decoder.
+func TestVersionRange(t *testing.T) {
+	for _, m := range sampleMsgs() {
+		good := Encode(m)
+		if good[4] != Version {
+			t.Fatalf("%s stamped version %d, want %d", m.WireKind(), good[4], Version)
 		}
-		if _, _, err := Decode(frame, 0); err != nil {
-			t.Errorf("%s: canonical frame refused: %v", tt.m.WireKind(), err)
+		for _, v := range []uint8{0, 1, 2, 3, 4, Version + 1, 200} {
+			bad := reframe(good, v)
+			if _, _, err := Decode(bad, 0); !errors.Is(err, ErrVersion) {
+				t.Errorf("%s stamped v%d: Decode got %v, want ErrVersion", m.WireKind(), v, err)
+			}
+			if _, err := ReadMsg(bytes.NewReader(bad), 0); !errors.Is(err, ErrVersion) {
+				t.Errorf("%s stamped v%d: ReadMsg got %v, want ErrVersion", m.WireKind(), v, err)
+			}
 		}
 	}
 }
 
-// TestNonCanonicalVersionRejected: a structurally intact frame whose
-// stamped version disagrees with the minimal version its body needs is
-// corrupt — decode∘encode must stay the identity on accepted frames.
-func TestNonCanonicalVersionRejected(t *testing.T) {
-	// A zero-caps Join is a v1 body; stamping it v2 is non-canonical.
-	join := reframe(Encode(&JoinMsg{Name: "a"}), 2)
-	if _, _, err := Decode(join, 0); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("v2-stamped v1 join body: got %v, want ErrCorrupt", err)
-	}
-	// A dense Update stamped v2 likewise.
-	up := reframe(Encode(&UpdateMsg{Round: 1, Payload: []float64{1}}), 2)
-	if _, _, err := Decode(up, 0); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("v2-stamped dense update: got %v, want ErrCorrupt", err)
-	}
-}
-
-// TestSparseKindNeedsV2 is the mixed-version story: a v1 peer (or a liar)
-// framing a sparse kind under version 1 is refused at the header with
+// TestSparseKindNeedsV2: a peer from before the sparse kinds existed (or a
+// liar) framing one under version 1 is refused at the header with
 // ErrVersion, before any payload is touched.
 func TestSparseKindNeedsV2(t *testing.T) {
 	frame := reframe(Encode(&SparseUpdateMsg{Dim: 2, Values: []float64{1}}), 1)
 	if _, _, err := Decode(frame, 0); !errors.Is(err, ErrVersion) {
 		t.Fatalf("sparse kind in v1 frame: got %v, want ErrVersion", err)
-	}
-}
-
-func TestVersionRange(t *testing.T) {
-	good := Encode(&JoinMsg{Name: "a"})
-	for _, v := range []uint8{0, Version + 1, 200} {
-		if _, _, err := Decode(reframe(good, v), 0); !errors.Is(err, ErrVersion) {
-			t.Errorf("version %d: got %v, want ErrVersion", v, err)
-		}
 	}
 }
 
@@ -150,7 +116,7 @@ func TestHostileHalfCount(t *testing.T) {
 		body[i] = 0
 	}
 	body[len(body)-3] = 1
-	if _, err := decodeBody(KindSparseUpdate, 2, body); !errors.Is(err, ErrCorrupt) {
+	if _, err := decodeBody(KindSparseUpdate, body); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("hostile half count: got %v, want ErrCorrupt", err)
 	}
 }
@@ -279,8 +245,8 @@ func TestV2HandshakeRoundTrip(t *testing.T) {
 	// An out-of-range negotiated codec is corrupt.
 	frame := Encode(w)
 	body := append([]byte(nil), frame[headerLen:len(frame)-trailerLen]...)
-	body[len(body)-2] = 9 // codec u16 little-endian low byte
-	if _, err := decodeBody(KindWelcome, 2, body); !errors.Is(err, ErrCorrupt) {
+	body[len(body)-11] = 9 // codec u16 low byte, before catch-up flag + mask generation
+	if _, err := decodeBody(KindWelcome, body); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("hostile codec value: got %v, want ErrCorrupt", err)
 	}
 }

@@ -212,12 +212,10 @@ func TestHostileMissedCount(t *testing.T) {
 	var m WelcomeMsg
 	frame := Encode(&m)
 	body := append([]byte(nil), frame[headerLen:len(frame)-trailerLen]...)
-	// The final 8 bytes are the missed count (0); overwrite with 1<<40.
-	for i := len(body) - 8; i < len(body); i++ {
-		body[i] = 0
-	}
-	body[len(body)-3] = 1 // little-endian byte 5 → 2^40
-	if _, err := decodeBody(KindWelcome, 1, body); !errors.Is(err, ErrCorrupt) {
+	// The missed count (0) sits just before the 11-byte codec/catch-up
+	// tail; overwrite it with 1<<40.
+	body[len(body)-11-3] = 1 // little-endian byte 5 → 2^40
+	if _, err := decodeBody(KindWelcome, body); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("hostile missed count: got %v, want ErrCorrupt", err)
 	}
 }
@@ -228,28 +226,8 @@ func TestTrailingGarbageInBody(t *testing.T) {
 	// body decoder must reject the leftovers.
 	body := append([]byte(nil), good[headerLen:len(good)-trailerLen]...)
 	body = append(body, 0)
-	if _, err := decodeBody(KindJoin, 1, body); !errors.Is(err, ErrCorrupt) {
+	if _, err := decodeBody(KindJoin, body); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("trailing byte in body: got %v, want ErrCorrupt", err)
-	}
-}
-
-// TestCatchUpWelcomeVersion pins canonical versioning for the catch-up
-// handshake: a Welcome encodes at v4 exactly when CatchUp is set, so
-// pre-v4 peers interoperate until a catch-up is actually needed.
-func TestCatchUpWelcomeVersion(t *testing.T) {
-	plain := Encode(&WelcomeMsg{Dim: 1, Init: []float64{1}, Round: 3})
-	if got := plain[4]; got != 1 {
-		t.Fatalf("plain welcome stamped v%d, want v1", got)
-	}
-	catch := Encode(&WelcomeMsg{Dim: 1, Init: []float64{1}, Round: 3, CatchUp: true, MaskGen: 2})
-	if got := catch[4]; got != 4 {
-		t.Fatalf("catch-up welcome stamped v%d, want v4", got)
-	}
-	// The v4 kinds are rejected below v4 from the header check alone.
-	frame := Encode(&ResumeOfferMsg{Round: 1, MaskGen: 1})
-	frame[4] = 3
-	if _, _, err := Decode(frame, 0); !errors.Is(err, ErrVersion) {
-		t.Fatalf("v3-stamped resume-offer: got %v, want ErrVersion", err)
 	}
 }
 
@@ -265,7 +243,7 @@ func TestHostileCatchUpCounts(t *testing.T) {
 			body[i] = 0
 		}
 		body[len(body)-3] = 1
-		if _, err := decodeBody(m.WireKind(), 4, body); !errors.Is(err, ErrCorrupt) {
+		if _, err := decodeBody(m.WireKind(), body); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: hostile count: got %v, want ErrCorrupt", m.WireKind(), err)
 		}
 	}
@@ -276,7 +254,7 @@ func TestHostileCatchUpCounts(t *testing.T) {
 	// body: word(8) gen(8) ... — flip the generation's high byte.
 	genOff := len(body) - wordBlockMinLen + 8 + 7
 	body[genOff] = 0xff
-	if _, err := decodeBody(KindDelta, 4, body); !errors.Is(err, ErrCorrupt) {
+	if _, err := decodeBody(KindDelta, body); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("oversized word generation: got %v, want ErrCorrupt", err)
 	}
 }
