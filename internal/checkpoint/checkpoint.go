@@ -117,8 +117,18 @@ type Writer struct {
 	buf []byte
 }
 
+// NewWriter returns a Writer that appends to buf, so an encoding can be
+// built in place behind bytes the caller already wrote, or into a buffer it
+// reuses. The zero Writer starts empty.
+func NewWriter(buf []byte) *Writer { return &Writer{buf: buf} }
+
 // Bytes returns the accumulated encoding.
 func (w *Writer) Bytes() []byte { return w.buf }
+
+// AppendWith extends the encoding through an append-style encoder — one
+// that returns its argument with bytes appended — for sections whose
+// layout is owned by another package.
+func (w *Writer) AppendWith(encode func(dst []byte) []byte) { w.buf = encode(w.buf) }
 
 // Reset discards the accumulated encoding but keeps the backing array, so
 // a pooled Writer re-encodes without reallocating (package wire re-frames
@@ -227,6 +237,10 @@ func (r *Reader) take(n int) []byte {
 	r.buf = r.buf[n:]
 	return b
 }
+
+// Rest consumes and returns every remaining byte without copying: the
+// result aliases the payload the Reader wraps (nil after a failure).
+func (r *Reader) Rest() []byte { return r.take(len(r.buf)) }
 
 // U16 reads one uint16.
 func (r *Reader) U16() uint16 {

@@ -167,6 +167,13 @@ type Partial struct {
 	// lo at 2j, hi at 2j+1. Empty until the first fold fixes the
 	// dimension.
 	Cols []uint64
+	// Packed holds the same sums in their packed byte form (packed.go)
+	// instead of Cols — how a partial decoded from a wire frame arrives,
+	// still aliasing that frame. It is a merge source only: Merge and
+	// AppendPacked read it; a partial that accumulates (Fold, Merge's
+	// receiver, Mean) keeps its sums in Cols. At most one of the two is
+	// non-empty.
+	Packed PackedCols
 
 	poisoned bool
 }
@@ -175,11 +182,17 @@ type Partial struct {
 func (p *Partial) Reset() {
 	p.Count, p.WeightLo, p.WeightHi = 0, 0, 0
 	p.Cols = p.Cols[:0]
+	p.Packed = PackedCols{}
 	p.poisoned = false
 }
 
 // Dim returns the coordinate count (0 until the first fold).
-func (p *Partial) Dim() int { return len(p.Cols) / 2 }
+func (p *Partial) Dim() int {
+	if p.Packed.dim != 0 {
+		return p.Packed.dim
+	}
+	return len(p.Cols) / 2
+}
 
 // Poisoned reports whether an accumulator overflow invalidated the
 // partial; a poisoned partial refuses further folds and never aggregates.
@@ -249,7 +262,9 @@ func (p *Partial) Fold(contrib []float64, weight float64) error {
 // order yields the same bits as folding every underlying contribution
 // into one flat partial. A dimension disagreement (ErrLengthMismatch), a
 // negative count or weight, a poisoned source, or an overflow
-// (ErrAccumOverflow, poisoning) is rejected.
+// (ErrAccumOverflow, poisoning) is rejected. The source's sums are read
+// from q.Cols or, block by block, from q.Packed; every structural check
+// runs before the first accumulator word changes.
 func (p *Partial) Merge(q *Partial) error {
 	if p.poisoned {
 		return fmt.Errorf("%w: partial is poisoned", ErrAccumOverflow)
@@ -266,20 +281,24 @@ func (p *Partial) Merge(q *Partial) error {
 	if len(q.Cols) != 0 && len(q.Cols)%2 != 0 {
 		return fmt.Errorf("fl: merge of partial with odd column length %d", len(q.Cols))
 	}
-	if len(p.Cols) != 0 && len(q.Cols) != 0 && len(p.Cols) != len(q.Cols) {
+	qdim := q.Dim()
+	if len(p.Cols) != 0 && qdim != 0 && len(p.Cols) != 2*qdim {
 		return fmt.Errorf("%w: partial dim %d, source dim %d",
-			ErrLengthMismatch, p.Dim(), q.Dim())
+			ErrLengthMismatch, p.Dim(), qdim)
 	}
-	if len(p.Cols) == 0 && len(q.Cols) != 0 {
-		p.adopt(q.Dim())
+	if len(p.Cols) == 0 && qdim != 0 {
+		p.adopt(qdim)
+	}
+	var err error
+	if q.Packed.dim != 0 {
+		err = p.addPacked(q.Packed)
+	} else {
+		err = p.addCols(0, q.Cols)
+	}
+	if err != nil {
+		return err
 	}
 	var ok bool
-	for j := 0; j < len(q.Cols); j += 2 {
-		if p.Cols[j], p.Cols[j+1], ok = fixAdd(p.Cols[j], p.Cols[j+1], q.Cols[j], q.Cols[j+1]); !ok {
-			p.poisoned = true
-			return fmt.Errorf("%w: coordinate %d", ErrAccumOverflow, j/2)
-		}
-	}
 	if p.WeightLo, p.WeightHi, ok = fixAdd(p.WeightLo, p.WeightHi, q.WeightLo, q.WeightHi); !ok {
 		p.poisoned = true
 		return fmt.Errorf("%w: total weight", ErrAccumOverflow)
@@ -288,10 +307,25 @@ func (p *Partial) Merge(q *Partial) error {
 	return nil
 }
 
+// addCols adds src (lo/hi word pairs) into p.Cols starting at word offset
+// at. A signed overflow poisons p.
+func (p *Partial) addCols(at int, src []uint64) error {
+	dst := p.Cols[at : at+len(src)]
+	var ok bool
+	for j := 0; j < len(src); j += 2 {
+		if dst[j], dst[j+1], ok = fixAdd(dst[j], dst[j+1], src[j], src[j+1]); !ok {
+			p.poisoned = true
+			return fmt.Errorf("%w: coordinate %d", ErrAccumOverflow, (at+j)/2)
+		}
+	}
+	return nil
+}
+
 // CopyFrom overwrites p with q's state, reusing column capacity.
 func (p *Partial) CopyFrom(q *Partial) {
 	p.Count, p.WeightLo, p.WeightHi = q.Count, q.WeightLo, q.WeightHi
 	p.Cols = append(p.Cols[:0], q.Cols...)
+	p.Packed = q.Packed
 	p.poisoned = q.poisoned
 }
 

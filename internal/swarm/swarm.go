@@ -157,9 +157,10 @@ func clientWeight(seed int64, client int) float64 {
 // round bookkeeping the socket relay keeps in its engine.
 type relayState struct {
 	agg     *fl.Aggregator
-	clients int    // population this relay terminates
-	arrived int    // contributions folded this round
-	frame   []byte // the round's wire-encoded partial, in flight to the root
+	clients int        // population this relay terminates
+	arrived int        // contributions folded this round
+	partial fl.Partial // the round's exported sum (buffer reused every round)
+	frame   []byte     // its wire frame, in flight to the root (buffer reused)
 	got     bool
 }
 
@@ -262,18 +263,10 @@ func Run(cfg Config) (*Result, error) {
 			if rs.arrived == rs.clients {
 				// Relay round closed: export and frame the partial exactly
 				// as the socket relay would.
-				var p fl.Partial
-				count, ok := rs.agg.ExportPartial(&p)
-				if !ok || p.Poisoned() {
+				if _, ok := rs.agg.ExportPartial(&rs.partial); !ok || rs.partial.Poisoned() {
 					return nil, fmt.Errorf("swarm: round %d relay %d export failed", round, k%cfg.Relays)
 				}
-				rs.frame = wire.Encode(&wire.PartialUpdateMsg{
-					Round:    round,
-					Count:    count,
-					WeightLo: p.WeightLo,
-					WeightHi: p.WeightHi,
-					Cols:     p.Cols,
-				})
+				rs.frame = wire.Append(rs.frame[:0], &wire.PartialUpdateMsg{Round: round, Sum: rs.partial})
 				res.EdgeCPUSeconds += time.Since(edgeStart).Seconds()
 				res.RootBytesIn += int64(len(rs.frame))
 				push(now, evPartial, int32(k%cfg.Relays))
@@ -283,7 +276,8 @@ func Run(cfg Config) (*Result, error) {
 		case evPartial:
 			// The root decodes the relay's actual wire frame, so the
 			// measured CPU covers the real decode path (header checks, CRC,
-			// column materialization), then merges through AddPartial.
+			// packed-section validation), then merges through AddPartial
+			// straight from the frame.
 			rs := &relays[e.who]
 			rootStart := time.Now()
 			m, rest, err := wire.Decode(rs.frame, wire.MaxPayload)
@@ -294,8 +288,7 @@ func Run(cfg Config) (*Result, error) {
 			if !ok || pm.Round != round {
 				return nil, fmt.Errorf("swarm: round %d relay %d sent %T", round, e.who, m)
 			}
-			p := fl.Partial{Count: pm.Count, WeightLo: pm.WeightLo, WeightHi: pm.WeightHi, Cols: pm.Cols}
-			if err := root.AddPartial(int(e.who), &p); err != nil {
+			if err := root.AddPartial(int(e.who), &pm.Sum); err != nil {
 				return nil, fmt.Errorf("swarm: round %d root AddPartial(%d): %w", round, e.who, err)
 			}
 			res.RootCPUSeconds += time.Since(rootStart).Seconds()

@@ -4,6 +4,7 @@ import (
 	"net"
 	"time"
 
+	"apf/internal/fl"
 	"apf/internal/wire"
 )
 
@@ -24,9 +25,10 @@ const (
 // shorter).
 func modelPayloadLimit(dim int) int { return dim*8 + modelPayloadSlack }
 
-// partialPayloadLimit bounds a frame carrying a relay's exact partial sum:
-// two accumulator words (16 bytes) per model coordinate.
-func partialPayloadLimit(dim int) int { return dim*16 + modelPayloadSlack }
+// partialPayloadLimit bounds a frame carrying a relay's exact partial sum
+// at the packed layout's worst case: every block at the full 16 bytes per
+// coordinate plus its width tag (typical sums pack to about 8).
+func partialPayloadLimit(dim int) int { return fl.MaxPackedLen(dim) + modelPayloadSlack }
 
 // readMsg reads one framed message with the connection's I/O deadline and
 // the given payload limit, accounting the frame (or the decode failure)

@@ -480,7 +480,8 @@ func (e *roundEngine) handleUpdate(ev event, st *roundState, agg *fl.Aggregator)
 }
 
 // handlePartial is handleUpdate's root-tier counterpart: one relay's
-// pre-aggregated partial sum. Admission is the exact merge
+// pre-aggregated partial sum. Admission is the exact merge, straight from
+// the packed section of the frame the partial arrived in
 // (fl.Aggregator.AddPartial validates dimensions, counts, weight sign,
 // poison); the mask-hash agreement check spans relays exactly as it spans
 // clients — every client folded into any partial attested the hash its
@@ -510,8 +511,7 @@ func (e *roundEngine) handlePartial(ev event, st *roundState, agg *fl.Aggregator
 		}
 		return nil
 	}
-	fp := fl.Partial{Count: p.Count, WeightLo: p.WeightLo, WeightHi: p.WeightHi, Cols: p.Cols}
-	if err := agg.AddPartial(ev.id, &fp); err != nil {
+	if err := agg.AddPartial(ev.id, &p.Sum); err != nil {
 		if !e.faultTolerant() {
 			return fmt.Errorf("transport: round %d: %w", round, err)
 		}

@@ -9,6 +9,7 @@ import (
 
 	"apf/internal/fl"
 	"apf/internal/quantize"
+	"apf/internal/wire"
 )
 
 // testSink records the engine's sink calls in-process, without sockets.
@@ -244,7 +245,8 @@ func TestEngineMaskGenDivergence(t *testing.T) {
 }
 
 // partialOf folds weighted contributions into a PartialUpdateMsg the way
-// a relay would.
+// a relay would and hands it over the way the root receives it: decoded
+// from its frame, the sums still packed.
 func partialOf(t *testing.T, round int, maskHash uint64, contribs [][]float64, weights []float64) *PartialUpdateMsg {
 	t.Helper()
 	var p fl.Partial
@@ -253,11 +255,11 @@ func partialOf(t *testing.T, round int, maskHash uint64, contribs [][]float64, w
 			t.Fatalf("fold: %v", err)
 		}
 	}
-	return &PartialUpdateMsg{
-		Round: round, Count: p.Count,
-		WeightLo: p.WeightLo, WeightHi: p.WeightHi,
-		MaskHash: maskHash, Cols: p.Cols,
+	m, _, err := wire.Decode(wire.Encode(&PartialUpdateMsg{Round: round, MaskHash: maskHash, Sum: p}), 0)
+	if err != nil {
+		t.Fatalf("partial frame round trip: %v", err)
 	}
+	return m.(*PartialUpdateMsg)
 }
 
 // TestEnginePartialTier drives the root face directly: two relay partials

@@ -295,10 +295,11 @@ func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
 // what is new at the relay: partials shipped, the upstream round trip, and
 // the session gauge operators watch to see how load spreads across relays.
 type relayMetrics struct {
-	partials        *telemetry.Counter
-	upstreamSeconds *telemetry.Histogram
-	sessions        *telemetry.Gauge
-	reconnects      *telemetry.Counter
+	partials          *telemetry.Counter
+	partialSavedBytes *telemetry.Counter
+	upstreamSeconds   *telemetry.Histogram
+	sessions          *telemetry.Gauge
+	reconnects        *telemetry.Counter
 }
 
 func newRelayMetrics(reg *telemetry.Registry) *relayMetrics {
@@ -308,6 +309,8 @@ func newRelayMetrics(reg *telemetry.Registry) *relayMetrics {
 	return &relayMetrics{
 		partials: reg.Counter("apf_relay_partials_total",
 			"Partial sums shipped to the root coordinator."),
+		partialSavedBytes: reg.Counter("apf_relay_partial_bytes_saved_total",
+			"Upstream bytes width-packing saved against raw 16-byte sums, over the shipped partials."),
 		upstreamSeconds: reg.Histogram("apf_relay_upstream_seconds",
 			"Upstream round trip: partial pushed until the root's aggregate arrives.", nil),
 		sessions: reg.Gauge("apf_relay_sessions",

@@ -45,8 +45,9 @@ type RelayConfig struct {
 	RoundDeadline time.Duration
 	MinClients    int
 	// Codec is the strongest payload codec negotiated with clients. The
-	// upstream leg is always dense — partial sums are exact integer
-	// columns, not payloads. With CodecSparseQ16 here, configure the root
+	// upstream leg is always full-dimension — partial sums are exact
+	// integer columns (width-packed on the wire), not payloads. With
+	// CodecSparseQ16 here, configure the root
 	// with the same codec so its commits are binary16-representable and
 	// the relay's quantized downward framing stays lossless.
 	Codec wire.Codec
@@ -109,11 +110,14 @@ type Relay struct {
 	// applied is the last round whose root aggregate this relay committed
 	// (-1 none); the resume HaveRound. adopted holds root-committed rounds
 	// received through welcome replays, consumed as the local round loop
-	// reaches them. inflight is the prepared partial, re-sent idempotently
-	// after a reconnect (the root drops duplicates by slot).
+	// reaches them. partial is the round's exported sum and inflight its
+	// encoded frame: both buffers are reused every round, the frame is
+	// encoded once, and an idempotent re-send after a reconnect (the root
+	// drops duplicates by slot) writes the same bytes again.
 	applied  int
 	adopted  map[int]*GlobalMsg
-	inflight *PartialUpdateMsg
+	partial  fl.Partial
+	inflight []byte
 	// pendingJump holds a snapshot adopted from the root's catch-up
 	// conversation (this relay fell off the root's replay history); the
 	// next reduceRound commits it as a round discontinuity.
@@ -267,12 +271,11 @@ func (r *Relay) Run(ctx context.Context) ([]float64, error) {
 // which the downward server then commits and broadcasts exactly as a flat
 // coordinator commits its local reduction.
 func (r *Relay) reduceRound(ctx context.Context, round int, agg *fl.Aggregator, meta roundMeta) (*GlobalMsg, error) {
-	var p fl.Partial
-	count, ok := agg.ExportPartial(&p)
+	count, ok := agg.ExportPartial(&r.partial)
 	if !ok {
 		return nil, protocolErrorf("round %d: no open round to export", round)
 	}
-	if p.Poisoned() {
+	if r.partial.Poisoned() {
 		// Overflowing the 128-bit accumulator takes ~2^63 unit-weight
 		// clients of unit-scale updates; if it happens, the round's sum is
 		// gone and no re-collection can restore it.
@@ -293,14 +296,8 @@ func (r *Relay) reduceRound(ctx context.Context, round int, agg *fl.Aggregator, 
 		r.log.Info("adopted root-committed round", "round", round, "dropped_clients", count)
 		return g, nil
 	}
-	r.inflight = &PartialUpdateMsg{
-		Round:    round,
-		Count:    count,
-		WeightLo: p.WeightLo,
-		WeightHi: p.WeightHi,
-		MaskHash: meta.maskHash,
-		Cols:     p.Cols,
-	}
+	r.inflight = wire.Append(r.inflight[:0],
+		&PartialUpdateMsg{Round: round, MaskHash: meta.maskHash, Sum: r.partial})
 	start := time.Now()
 	g, err := r.exchange(ctx, round)
 	if err != nil {
@@ -308,9 +305,9 @@ func (r *Relay) reduceRound(ctx context.Context, round int, agg *fl.Aggregator, 
 	}
 	if r.relayM != nil {
 		r.relayM.partials.Inc()
+		r.relayM.partialSavedBytes.Add(int64(16*r.partial.Dim() - wire.PartialSectionLen(r.inflight)))
 		r.relayM.upstreamSeconds.Observe(time.Since(start).Seconds())
 	}
-	r.inflight = nil
 	r.applied = g.Round // g.Round == round, unless the exchange jumped ahead
 	if g.Round > round {
 		for rr := range r.adopted {
@@ -382,7 +379,7 @@ func (r *Relay) tryExchange(ctx context.Context, round int) (*GlobalMsg, error) 
 		return g, nil
 	}
 	markRound(conn, round)
-	if err := writeMsg(conn, r.cfg.IOTimeout, r.inflight, r.wireM); err != nil {
+	if err := writeFrame(conn, r.cfg.IOTimeout, r.inflight, r.wireM, wire.KindPartialUpdate); err != nil {
 		r.dropConn()
 		return nil, fmt.Errorf("push partial: %w", err)
 	}

@@ -1382,21 +1382,22 @@ func (s *Server) reader(sess *session, gen int, cc *countingConn) {
 
 // relayReader is reader's root-tier counterpart: it decodes one relay
 // connection's partial sums into the event stream. The payload limit
-// admits the 16-bytes-per-coordinate exact accumulator; a declared column
-// count that disagrees with the model is refused here, before the frame
-// reaches the engine.
+// admits the packed accumulator's worst case (16 bytes per coordinate plus
+// block tags; a typical frame is half that); the wire decoder has already
+// validated the packed section, and a coordinate count that disagrees with
+// the model is refused here, before the frame reaches the engine.
 func (s *Server) relayReader(sess *session, gen int, cc *countingConn) {
 	limit := partialPayloadLimit(len(s.cfg.Init))
 	for {
 		m, err := readMsg(cc, s.cfg.IOTimeout, limit, s.wireM)
 		if err == nil {
 			if p, ok := m.(*PartialUpdateMsg); ok {
-				if len(p.Cols) == 2*len(s.cfg.Init) {
+				if p.Sum.Dim() == len(s.cfg.Init) {
 					s.post(event{id: sess.id, name: sess.name, part: p})
 					continue
 				}
-				err = protocolErrorf("relay %d partial carries %d accumulator words, model needs %d",
-					sess.id, len(p.Cols), 2*len(s.cfg.Init))
+				err = protocolErrorf("relay %d partial carries %d coordinates, model has %d",
+					sess.id, p.Sum.Dim(), len(s.cfg.Init))
 			} else {
 				err = protocolErrorf("expected a partial-update frame, got %s", m.WireKind())
 			}

@@ -108,27 +108,26 @@ func ReadGlobalBody(r *checkpoint.Reader) GlobalMsg {
 func (m *GlobalMsg) appendBody(w *checkpoint.Writer) { AppendGlobalBody(w, m) }
 
 // Append frames m and appends the frame to dst, returning the extended
-// slice. The result is self-contained and immutable once built: broadcast
-// paths encode a message once and hand the same frame to every connection.
+// slice. The body is serialized in place behind the header — a message is
+// copied exactly once, and a caller that hands back the same buffer
+// (dst[:0]) re-frames without allocating. The result is self-contained and
+// immutable once built: broadcast paths encode a message once and hand the
+// same frame to every connection.
 func Append(dst []byte, m Msg) []byte {
-	var w checkpoint.Writer
-	m.appendBody(&w)
-	payload := w.Bytes()
-	if len(payload) > MaxPayload {
-		panic(fmt.Sprintf("wire: message payload %d exceeds MaxPayload", len(payload)))
-	}
 	start := len(dst)
-	var hdr [headerLen]byte
+	w := checkpoint.NewWriter(append(dst, make([]byte, headerLen)...))
+	m.appendBody(w)
+	dst = w.Bytes()
+	n := len(dst) - start - headerLen
+	if n > MaxPayload {
+		panic(fmt.Sprintf("wire: message payload %d exceeds MaxPayload", n))
+	}
+	hdr := dst[start:]
 	binary.LittleEndian.PutUint32(hdr[0:], frameMagic)
 	hdr[4] = Version
 	hdr[5] = byte(m.WireKind())
-	binary.LittleEndian.PutUint32(hdr[6:], uint32(len(payload)))
-	dst = append(dst, hdr[:]...)
-	dst = append(dst, payload...)
-	sum := crc32.ChecksumIEEE(dst[start:])
-	var tr [trailerLen]byte
-	binary.LittleEndian.PutUint32(tr[0:], sum)
-	return append(dst, tr[:]...)
+	binary.LittleEndian.PutUint32(hdr[6:], uint32(n))
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
 }
 
 // Encode frames m into a fresh buffer.

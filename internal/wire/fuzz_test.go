@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"apf/internal/core"
+	"apf/internal/fl"
 	"apf/internal/recon"
 )
 
@@ -44,12 +45,13 @@ func FuzzWireDecode(f *testing.F) {
 	} {
 		f.Add(Encode(m))
 	}
-	// v3 relay forms: the kind↔version gate and the bounded accumulator
-	// length are the mutation targets.
+	// Relay forms: the packed accumulator section (width tags, canonical
+	// widths, section length vs declared coordinates) is the mutation
+	// target.
 	for _, m := range []Msg{
 		&RelayJoinMsg{Name: "edge-0", SessionKey: "edge-0", HaveRound: -1, Clients: 128},
-		&PartialUpdateMsg{Round: 4, Count: 3, WeightLo: 1, WeightHi: 2,
-			MaskHash: 0xabad1dea, Cols: []uint64{0, 1, ^uint64(0), 5}},
+		&PartialUpdateMsg{Round: 4, MaskHash: 0xabad1dea,
+			Sum: fl.Partial{Count: 3, WeightLo: 1, WeightHi: 2, Cols: []uint64{0, 1, ^uint64(0), 5}}},
 	} {
 		f.Add(Encode(m))
 	}

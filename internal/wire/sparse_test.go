@@ -59,12 +59,12 @@ func TestSparseRoundTrip(t *testing.T) {
 // refused at the header with ErrVersion, before any payload is touched,
 // by both the in-memory and the streaming decoder.
 func TestVersionRange(t *testing.T) {
-	for _, m := range sampleMsgs() {
+	for _, m := range append(sampleMsgs(), relaySampleMsgs()...) {
 		good := Encode(m)
 		if good[4] != Version {
 			t.Fatalf("%s stamped version %d, want %d", m.WireKind(), good[4], Version)
 		}
-		for _, v := range []uint8{0, 1, 2, 3, 4, Version + 1, 200} {
+		for _, v := range []uint8{0, 1, 2, 3, 4, 5, Version + 1, 200} {
 			bad := reframe(good, v)
 			if _, _, err := Decode(bad, 0); !errors.Is(err, ErrVersion) {
 				t.Errorf("%s stamped v%d: Decode got %v, want ErrVersion", m.WireKind(), v, err)

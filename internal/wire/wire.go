@@ -46,7 +46,7 @@ import (
 
 // Version is the protocol version stamped on every frame and the only one
 // decoded.
-const Version = 5
+const Version = 6
 
 // Frame geometry.
 const (
