@@ -21,7 +21,6 @@ import (
 	"apf/internal/core"
 	"apf/internal/experiments"
 	"apf/internal/fl"
-	"apf/internal/hotbench"
 	"apf/internal/nn"
 	"apf/internal/perturb"
 	"apf/internal/quantize"
@@ -145,43 +144,42 @@ func BenchmarkEMATrackerObserve(b *testing.B) {
 	}
 }
 
-// ---- Hot-path benchmarks (tracked in BENCH_hotpath.json) ----
+// ---- Hot-path benchmarks (fixtures and 0-alloc pins in hotpath_test.go) ----
 
 // BenchmarkManagerRound measures one full steady-state client round
 // (rollback + upload + compact codec + download/check) over the
-// Dim × frozen-ratio grid. `apfbench -hotpath` records the same cases.
-// The /telemetry variants attach a live telemetry registry through the
-// manager's observer hook — they must stay at 0 allocs/op and within
-// noise of the uninstrumented numbers (`apfbench -telemetry` tracks the
-// ratio in BENCH_telemetry.json).
+// Dim × frozen-ratio grid. The /telemetry variants attach a live
+// telemetry registry through the manager's observer hook. For working
+// measurements only: the tracked timings of these paths are bench/'s
+// core.*_ms and trace.overhead_frac rows.
 func BenchmarkManagerRound(b *testing.B) {
-	for _, c := range hotbench.Cases() {
+	for _, c := range roundCases() {
 		b.Run(fmt.Sprintf("dim=%d/frozen=%.2f", c.Dim, c.Frozen), func(b *testing.B) {
-			m, x, start := hotbench.NewManagerAt(c.Dim, c.Frozen)
+			m, x, start := newManagerAt(c.Dim, c.Frozen, nil)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				hotbench.Round(m, start+i, x)
+				steadyRound(m, start+i, x)
 			}
 		})
 		b.Run(fmt.Sprintf("dim=%d/frozen=%.2f/telemetry", c.Dim, c.Frozen), func(b *testing.B) {
 			obs := hooks.Manager(telemetry.New())
-			m, x, start := hotbench.NewManagerAtObserved(c.Dim, c.Frozen, obs)
+			m, x, start := newManagerAt(c.Dim, c.Frozen, obs)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				hotbench.Round(m, start+i, x)
+				steadyRound(m, start+i, x)
 			}
 		})
 	}
 }
 
 // BenchmarkAggregate measures the server-side weighted aggregation over
-// 10 client contributions: the sharded worker-pool reduction the engine
-// uses, with the serial client-major loop it replaced as the reference.
+// 10 client contributions through the sharded worker-pool reduction the
+// engine uses.
 func BenchmarkAggregate(b *testing.B) {
 	for _, dim := range []int{10_000, 1_000_000} {
-		contribs, weights := hotbench.NewAggregateInput(dim)
+		contribs, weights := newAggregateInput(dim)
 		b.Run(fmt.Sprintf("dim=%d", dim), func(b *testing.B) {
 			agg := fl.NewAggregator(0)
 			defer agg.Close()
@@ -193,13 +191,6 @@ func BenchmarkAggregate(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				agg.WeightedMean(dst, contribs, weights)
-			}
-		})
-		b.Run(fmt.Sprintf("dim=%d/serial", dim), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				hotbench.SerialAggregate(dim, contribs, weights)
 			}
 		})
 	}

@@ -58,17 +58,12 @@ func run(args []string) error {
 		snapEvery = fs.Int("snapshot-every", 5, "export the manager state every K applied rounds")
 		chaosSpec = fs.String("chaos", "", "fault-injection script, e.g. 'sever@3;delay@7:500ms' (testing)")
 		chaosSeed = fs.Int64("chaos-seed", 1, "seed for randomized chaos choices")
-
-		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /healthz, and /debug/pprof on this address (empty = disabled)")
-		logLevel    = fs.String("log-level", "warn", "log verbosity: debug | info | warn | error")
-		logFormat   = fs.String("log-format", "text", "log output format: text | json")
-		version     = fs.Bool("version", false, "print build information and exit")
 	)
+	obs := telemetry.BindFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *version {
-		fmt.Println("apf-client", telemetry.ReadBuildInfo().String())
+	if obs.PrintVersion() {
 		return nil
 	}
 	if *shard < 0 || *shard >= *shards {
@@ -77,22 +72,8 @@ func run(args []string) error {
 	if *ioTimeout <= 0 {
 		return fmt.Errorf("-io-timeout must be positive, got %v", *ioTimeout)
 	}
-	level, err := telemetry.ParseLevel(*logLevel)
-	if err != nil {
-		return fmt.Errorf("-log-level: %w", err)
-	}
-	format, err := telemetry.ParseFormat(*logFormat)
-	if err != nil {
-		return fmt.Errorf("-log-format: %w", err)
-	}
-	logger := telemetry.NewLogger(os.Stderr, level, format)
-
-	// The registry only exists when something serves it; with -metrics-addr
-	// unset every instrumented path below degrades to nil-safe no-ops.
-	var reg *telemetry.Registry
-	if *metricsAddr != "" {
-		reg = telemetry.New()
-		telemetry.RegisterBuildInfo(reg)
+	if err := obs.Resolve(); err != nil {
+		return err
 	}
 
 	p, err := preset.Load(*model, *seed)
@@ -120,7 +101,7 @@ func run(args []string) error {
 		manager = func(clientID, dim int) fl.SyncManager {
 			m := core.NewManager(core.Config{
 				Dim: dim, CheckEveryRounds: 2, Threshold: 0.1, EMAAlpha: 0.85, Seed: *seed,
-				Observer: hooks.Manager(reg),
+				Observer: hooks.Manager(obs.Metrics),
 			})
 			apfManager = m
 			return m
@@ -175,19 +156,13 @@ func run(args []string) error {
 		fmt.Printf("apf-client: chaos script armed with %d fault(s)\n", len(faults))
 	}
 
-	if *metricsAddr != "" {
-		h := telemetry.Handler(reg, telemetry.HealthFunc(func() []any {
-			return []any{"client", name, "shard", *shard}
-		}))
-		mln, err := telemetry.Serve(*metricsAddr, h, func(err error) {
-			logger.Error("observability endpoint failed", "err", err)
-		})
-		if err != nil {
-			return err
-		}
-		defer mln.Close()
-		fmt.Printf("apf-client: observability on http://%s/metrics\n", mln.Addr())
+	stopObs, err := obs.Serve(func() []any {
+		return []any{"client", name, "shard", *shard}
+	})
+	if err != nil {
+		return err
 	}
+	defer stopObs()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -211,8 +186,8 @@ func run(args []string) error {
 		MaxRetries: *retries,
 		Dial:       dial,
 		OnRound:    onRound,
-		Metrics:    reg,
-		Log:        logger,
+		Metrics:    obs.Metrics,
+		Log:        obs.Log,
 	})
 	if err != nil {
 		return err

@@ -63,38 +63,19 @@ func run(args []string) error {
 		codec      = fs.String("codec", "dense", "strongest payload codec to offer client sessions: dense | sparse | sparse-q16 (with a q16 edge, start the root with the same -codec so its commits stay lossless)")
 		retries    = fs.Int("retries", 3, "upstream reconnect attempts after a connection failure")
 		seed       = fs.Int64("seed", 42, "seed for the upstream backoff jitter stream")
-
-		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /healthz, and /debug/pprof on this address (empty = disabled)")
-		logLevel    = fs.String("log-level", "warn", "log verbosity: debug | info | warn | error")
-		logFormat   = fs.String("log-format", "text", "log output format: text | json")
-		version     = fs.Bool("version", false, "print build information and exit")
 	)
+	obs := telemetry.BindFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *version {
-		fmt.Println("apf-relay", telemetry.ReadBuildInfo().String())
+	if obs.PrintVersion() {
 		return nil
 	}
 	if *ioTimeout <= 0 {
 		return fmt.Errorf("-io-timeout must be positive, got %v", *ioTimeout)
 	}
-	level, err := telemetry.ParseLevel(*logLevel)
-	if err != nil {
-		return fmt.Errorf("-log-level: %w", err)
-	}
-	format, err := telemetry.ParseFormat(*logFormat)
-	if err != nil {
-		return fmt.Errorf("-log-format: %w", err)
-	}
-	logger := telemetry.NewLogger(os.Stderr, level, format)
-
-	// The registry only exists when something serves it; with -metrics-addr
-	// unset every instrumented path below degrades to nil-safe no-ops.
-	var reg *telemetry.Registry
-	if *metricsAddr != "" {
-		reg = telemetry.New()
-		telemetry.RegisterBuildInfo(reg)
+	if err := obs.Resolve(); err != nil {
+		return err
 	}
 
 	var validator *transport.ValidatorConfig
@@ -139,34 +120,28 @@ func run(args []string) error {
 		Validator:     validator,
 		MaxRetries:    *retries,
 		Seed:          *seed,
-		Metrics:       reg,
-		Log:           logger,
+		Metrics:       obs.Metrics,
+		Log:           obs.Log,
 	})
 	if err != nil {
 		return err
 	}
 
-	if *metricsAddr != "" {
-		h := telemetry.Handler(reg, telemetry.HealthFunc(func() []any {
-			hs := []any{"relay", *name, "upstream", *upstream}
-			if srv := rel.Server(); srv != nil {
-				hs = append(hs,
-					"round", srv.Round(),
-					"committed_rounds", srv.CommittedRounds(),
-					"recovered", srv.Recovered(),
-				)
-			}
-			return hs
-		}))
-		mln, err := telemetry.Serve(*metricsAddr, h, func(err error) {
-			logger.Error("observability endpoint failed", "err", err)
-		})
-		if err != nil {
-			return err
+	stopObs, err := obs.Serve(func() []any {
+		hs := []any{"relay", *name, "upstream", *upstream}
+		if srv := rel.Server(); srv != nil {
+			hs = append(hs,
+				"round", srv.Round(),
+				"committed_rounds", srv.CommittedRounds(),
+				"recovered", srv.Recovered(),
+			)
 		}
-		defer mln.Close()
-		fmt.Printf("apf-relay: observability on http://%s/metrics\n", mln.Addr())
+		return hs
+	})
+	if err != nil {
+		return err
 	}
+	defer stopObs()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -61,38 +61,19 @@ func run(args []string) error {
 		codec      = fs.String("codec", "dense", "strongest payload codec to offer sessions: dense | sparse | sparse-q16 (each client negotiates down to what it supports)")
 		chaosSpec  = fs.String("chaos", "", "fault-injection script, e.g. 'accept:1/sever-write@5;kill-server@7' (testing)")
 		chaosSeed  = fs.Int64("chaos-seed", 1, "seed for randomized chaos choices")
-
-		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /healthz, and /debug/pprof on this address (empty = disabled)")
-		logLevel    = fs.String("log-level", "warn", "log verbosity: debug | info | warn | error")
-		logFormat   = fs.String("log-format", "text", "log output format: text | json")
-		version     = fs.Bool("version", false, "print build information and exit")
 	)
+	obs := telemetry.BindFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *version {
-		fmt.Println("apf-server", telemetry.ReadBuildInfo().String())
+	if obs.PrintVersion() {
 		return nil
 	}
 	if *ioTimeout <= 0 {
 		return fmt.Errorf("-io-timeout must be positive, got %v", *ioTimeout)
 	}
-	level, err := telemetry.ParseLevel(*logLevel)
-	if err != nil {
-		return fmt.Errorf("-log-level: %w", err)
-	}
-	format, err := telemetry.ParseFormat(*logFormat)
-	if err != nil {
-		return fmt.Errorf("-log-format: %w", err)
-	}
-	logger := telemetry.NewLogger(os.Stderr, level, format)
-
-	// The registry only exists when something serves it; with -metrics-addr
-	// unset every instrumented path below degrades to nil-safe no-ops.
-	var reg *telemetry.Registry
-	if *metricsAddr != "" {
-		reg = telemetry.New()
-		telemetry.RegisterBuildInfo(reg)
+	if err := obs.Resolve(); err != nil {
+		return err
 	}
 
 	p, err := preset.Load(*model, *seed)
@@ -172,8 +153,8 @@ func run(args []string) error {
 		Codec:         maxCodec,
 		Reduction:     reduction,
 		TrimFraction:  *trimFrac,
-		Metrics:       reg,
-		Log:           logger,
+		Metrics:       obs.Metrics,
+		Log:           obs.Log,
 	})
 	if err != nil {
 		return err
@@ -182,23 +163,17 @@ func run(args []string) error {
 		fmt.Printf("apf-server: resumed from checkpoint at round %d\n", srv.StartRound())
 	}
 
-	if *metricsAddr != "" {
-		h := telemetry.Handler(reg, telemetry.HealthFunc(func() []any {
-			return []any{
-				"round", srv.Round(),
-				"committed_rounds", srv.CommittedRounds(),
-				"recovered", srv.Recovered(),
-			}
-		}))
-		mln, err := telemetry.Serve(*metricsAddr, h, func(err error) {
-			logger.Error("observability endpoint failed", "err", err)
-		})
-		if err != nil {
-			return err
+	stopObs, err := obs.Serve(func() []any {
+		return []any{
+			"round", srv.Round(),
+			"committed_rounds", srv.CommittedRounds(),
+			"recovered", srv.Recovered(),
 		}
-		defer mln.Close()
-		fmt.Printf("apf-server: observability on http://%s/metrics\n", mln.Addr())
+	})
+	if err != nil {
+		return err
 	}
+	defer stopObs()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

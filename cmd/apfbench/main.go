@@ -6,9 +6,6 @@
 //	apfbench -exp fig11                 # quick scale (seconds)
 //	apfbench -exp table2 -scale full    # paper-like scale (hours on CPU)
 //	apfbench -exp all -seed 7
-//	apfbench -hotpath BENCH_hotpath.json  # hot-path perf report
-//	apfbench -wire BENCH_wire.json        # wire broadcast + sparse codec report
-//	apfbench -telemetry BENCH_telemetry.json  # telemetry overhead report
 //	apfbench -scenarios BENCH_scenarios.json  # adversary × network × data matrix
 //	apfbench -scenarios smoke.json -matrix smoke  # CI smoke subset
 //	apfbench -scaling BENCH_scale.json        # two-tier topology at 100k–1M clients
@@ -47,9 +44,6 @@ func run(args []string) error {
 		list    = fs.Bool("list", false, "list experiment ids and exit")
 		tsv     = fs.String("tsv", "", "directory to dump figure series as TSV files")
 		plot    = fs.Bool("plot", false, "render figures as terminal plots")
-		hotpath = fs.String("hotpath", "", "measure the APF hot-path benchmarks and write the JSON report to this file")
-		wirerep = fs.String("wire", "", "measure wire-format broadcast and sparse-codec cost and write the JSON report to this file")
-		telem   = fs.String("telemetry", "", "measure the telemetry observer's hot-path overhead and write the JSON report to this file")
 		scen    = fs.String("scenarios", "", "run the adversary × network × data scenario matrix and write the JSON report to this file")
 		scaling = fs.String("scaling", "", "simulate the two-tier topology at 100k and 1M clients and write the JSON scaling report to this file (fails unless root work stays flat)")
 		resume  = fs.String("resume", "", "measure snapshot vs sketch catch-up cost for resuming clients and write the JSON report to this file (fails unless snapshot is flat in absence and sketch beats it)")
@@ -60,15 +54,6 @@ func run(args []string) error {
 		return err
 	}
 
-	if *hotpath != "" {
-		return runHotpath(*hotpath)
-	}
-	if *wirerep != "" {
-		return runWirebench(*wirerep)
-	}
-	if *telem != "" {
-		return runTelemetrybench(*telem)
-	}
 	if *scen != "" {
 		return runScenarios(*scen, *matrix, *seed, *trials)
 	}

@@ -1,13 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"apf/internal/hotbench"
 )
 
 func TestRunList(t *testing.T) {
@@ -25,6 +22,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"unknown experiment", []string{"-exp", "fig99"}},
 		{"unknown scale", []string{"-exp", "fig2", "-scale", "huge"}},
 		{"unknown scenario matrix", []string{"-scenarios", "out.json", "-matrix", "bogus"}},
+		// The isolated-timing modes are retired (EXPERIMENTS.md); bench/ times
+		// those paths in situ.
+		{"retired hotpath mode", []string{"-hotpath", "out.json"}},
+		{"retired wire mode", []string{"-wire", "out.json"}},
+		{"retired telemetry mode", []string{"-telemetry", "out.json"}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -32,34 +34,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 				t.Error("expected error")
 			}
 		})
-	}
-}
-
-func TestTelemetryBenchReport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs real (seconds-long) benchmarks")
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_telemetry.json")
-	if err := telemetryReportFor(path, []hotbench.Case{{Dim: 10_000, Frozen: 0.5}}); err != nil {
-		t.Fatalf("telemetry report: %v", err)
-	}
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep telemetryReport
-	if err := json.Unmarshal(buf, &rep); err != nil {
-		t.Fatalf("report is not valid JSON: %v", err)
-	}
-	if len(rep.ManagerRound) != 1 {
-		t.Fatalf("got %d entries, want 1", len(rep.ManagerRound))
-	}
-	e := rep.ManagerRound[0]
-	if e.NopNsPerOp <= 0 || e.TelemetryNsPerOp <= 0 {
-		t.Fatalf("non-positive timings: %+v", e)
-	}
-	if e.TelemetryAllocs != 0 {
-		t.Errorf("instrumented round allocates %d times per op, want 0", e.TelemetryAllocs)
 	}
 }
 

@@ -15,12 +15,10 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net"
 	"os"
-	"runtime"
 	"sync"
 	"time"
 
@@ -65,9 +63,7 @@ type resumebenchRun struct {
 
 // resumebenchReport is the BENCH_resume.json document.
 type resumebenchReport struct {
-	GoVersion  string `json:"go_version"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	Note       string `json:"note"`
+	reportHeader
 
 	Dim           int `json:"dim"`
 	HistoryRounds int `json:"history_rounds"`
@@ -216,28 +212,36 @@ func resumebenchCell(absence, sever int, shadow *core.Config) (mode string, byte
 // runResumebench measures both catch-up modes, writes BENCH_resume.json,
 // and fails when a cost gate is violated.
 func runResumebench(path string) error {
-	probe, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	probe.Close()
-
 	dim := nn.ParamCount(resumebenchModel(stats.SplitRNG(resumebenchSeed, 99)).Params())
 	rep := resumebenchReport{
-		GoVersion:     runtime.Version(),
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
+		reportHeader: newReportHeader("end-to-end catch-up cost over TCP loopback: a client absent past the aggregate-history window rejoins; " +
+			"snapshot mode must cost O(dim) independent of the absence length (flat ratio <= 1.25 across 10..200 rounds); " +
+			"sketch mode (freezing-mask drift far below dim) must cost less than the snapshot"),
 		Dim:           dim,
 		HistoryRounds: resumebenchHistory,
-		Note: "end-to-end catch-up cost over TCP loopback: a client absent past the aggregate-history window rejoins; " +
-			"snapshot mode must cost O(dim) independent of the absence length (flat ratio <= 1.25 across 10..200 rounds); " +
-			"sketch mode (freezing-mask drift far below dim) must cost less than the snapshot",
 	}
+	if err := writeReport(path, &rep, measureResume); err != nil {
+		return err
+	}
+	fmt.Printf("resumebench: %s written — snapshot flat %.3fx across %dx absence growth, sketch/snapshot %.3f\n",
+		path, rep.SnapshotFlatRatio,
+		resumebenchSnapshotAbsences[len(resumebenchSnapshotAbsences)-1]/resumebenchSnapshotAbsences[0],
+		rep.SketchVsSnapshot)
+	if !rep.Pass {
+		return fmt.Errorf("resumebench: cost gates violated (snapshot flat %.3fx > 1.25, or sketch/snapshot %.3f >= 1)",
+			rep.SnapshotFlatRatio, rep.SketchVsSnapshot)
+	}
+	return nil
+}
 
+// measureResume fills rep with the snapshot series, the sketch cell and
+// the two gate ratios.
+func measureResume(rep *resumebenchReport) error {
 	// Snapshot series: passthrough clients on a shadowless server pin the
 	// catch-up to the stateless O(dim) snapshot.
 	var snapMin, snapMax float64
 	for _, absence := range resumebenchSnapshotAbsences {
-		fmt.Fprintf(os.Stderr, "resumebench: snapshot cell, %d-round absence (dim %d)\n", absence, dim)
+		fmt.Fprintf(os.Stderr, "resumebench: snapshot cell, %d-round absence (dim %d)\n", absence, rep.Dim)
 		mode, bytes, err := resumebenchCell(absence, 1, nil)
 		if err != nil {
 			return fmt.Errorf("snapshot absence %d: %w", absence, err)
@@ -246,7 +250,7 @@ func runResumebench(path string) error {
 			return fmt.Errorf("snapshot absence %d: caught up in %s mode", absence, mode)
 		}
 		rep.Runs = append(rep.Runs, resumebenchRun{
-			Mode: mode, Absence: absence, CatchupBytes: bytes, BytesPerDim: bytes / float64(dim),
+			Mode: mode, Absence: absence, CatchupBytes: bytes, BytesPerDim: bytes / float64(rep.Dim),
 		})
 		if snapMin == 0 || bytes < snapMin {
 			snapMin = bytes
@@ -268,7 +272,7 @@ func runResumebench(path string) error {
 		sketchAbsence = 6
 		sketchSever   = 44
 	)
-	fmt.Fprintf(os.Stderr, "resumebench: sketch cell, %d-round absence after round %d (dim %d)\n", sketchAbsence, sketchSever, dim)
+	fmt.Fprintf(os.Stderr, "resumebench: sketch cell, %d-round absence after round %d (dim %d)\n", sketchAbsence, sketchSever, rep.Dim)
 	mode, sketchBytes, err := resumebenchCell(sketchAbsence, sketchSever, shadow)
 	if err != nil {
 		return fmt.Errorf("sketch cell: %w", err)
@@ -277,27 +281,11 @@ func runResumebench(path string) error {
 		return fmt.Errorf("sketch cell: caught up in %s mode", mode)
 	}
 	rep.Runs = append(rep.Runs, resumebenchRun{
-		Mode: mode, Absence: sketchAbsence, CatchupBytes: sketchBytes, BytesPerDim: sketchBytes / float64(dim),
+		Mode: mode, Absence: sketchAbsence, CatchupBytes: sketchBytes, BytesPerDim: sketchBytes / float64(rep.Dim),
 	})
 
 	rep.SnapshotFlatRatio = snapMax / snapMin
 	rep.SketchVsSnapshot = sketchBytes / snapMax
 	rep.Pass = rep.SnapshotFlatRatio <= 1.25 && rep.SketchVsSnapshot < 1
-
-	buf, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("resumebench: %s written — snapshot flat %.3fx across %dx absence growth, sketch/snapshot %.3f\n",
-		path, rep.SnapshotFlatRatio,
-		resumebenchSnapshotAbsences[len(resumebenchSnapshotAbsences)-1]/resumebenchSnapshotAbsences[0],
-		rep.SketchVsSnapshot)
-	if !rep.Pass {
-		return fmt.Errorf("resumebench: cost gates violated (snapshot flat %.3fx > 1.25, or sketch/snapshot %.3f >= 1)",
-			rep.SnapshotFlatRatio, rep.SketchVsSnapshot)
-	}
 	return nil
 }

@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 
 	"apf/internal/swarm"
 )
@@ -28,9 +26,7 @@ var scalebenchClients = []int{100_000, 1_000_000}
 // round); root CPU is wall-clock and carries scheduler noise, so it gets a
 // generous sanity bound that still rules out O(clients) root work.
 type scalebenchReport struct {
-	GoVersion  string `json:"go_version"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	Note       string `json:"note"`
+	reportHeader
 
 	Relays int `json:"relays"`
 	Dim    int `json:"dim"`
@@ -52,23 +48,29 @@ type scalebenchReport struct {
 // writes the report, and fails when the root's per-round work grows with
 // the client count — the hierarchy's core claim.
 func runScalebench(path string) error {
-	// Fail fast on an unwritable path before spending time measuring.
-	probe, err := os.Create(path)
-	if err != nil {
+	rep := scalebenchReport{
+		reportHeader: newReportHeader("two-tier discrete-event simulation through the real aggregation and wire-codec paths; " +
+			"root work must stay flat as clients grow 10x (bytes ratio <= 1.5 hard, CPU ratio <= 3 as a noise-tolerant sanity bound); " +
+			"oracle_match certifies bit-identity with a flat aggregation over all clients"),
+		Relays: scalebenchRelays,
+		Dim:    scalebenchDim,
+		Rounds: scalebenchRounds,
+	}
+	if err := writeReport(path, &rep, measureScale); err != nil {
 		return err
 	}
-	probe.Close()
-
-	rep := scalebenchReport{
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Relays:     scalebenchRelays,
-		Dim:        scalebenchDim,
-		Rounds:     scalebenchRounds,
-		Note: "two-tier discrete-event simulation through the real aggregation and wire-codec paths; " +
-			"root work must stay flat as clients grow 10x (bytes ratio <= 1.5 hard, CPU ratio <= 3 as a noise-tolerant sanity bound); " +
-			"oracle_match certifies bit-identity with a flat aggregation over all clients",
+	fmt.Printf("scalebench: %s written — %.0fx clients, root bytes %.3fx, root CPU %.2fx, edge CPU %.1fx\n",
+		path, rep.ClientGrowth, rep.RootBytesRatio, rep.RootCPURatio, rep.EdgeCPURatio)
+	if !rep.Flat {
+		return fmt.Errorf("scalebench: root per-round work is not flat across %.0fx client growth (bytes %.3fx, cpu %.2fx)",
+			rep.ClientGrowth, rep.RootBytesRatio, rep.RootCPURatio)
 	}
+	return nil
+}
+
+// measureScale fills rep with one oracle-checked swarm run per population
+// scale and the growth ratios the flatness gate reads.
+func measureScale(rep *scalebenchReport) error {
 	for _, clients := range scalebenchClients {
 		fmt.Fprintf(os.Stderr, "scalebench: %d clients over %d relays (dim %d, %d rounds)\n",
 			clients, scalebenchRelays, scalebenchDim, scalebenchRounds)
@@ -97,19 +99,5 @@ func runScalebench(path string) error {
 	rep.RootCPURatio = last.RootCPUPerRound / first.RootCPUPerRound
 	rep.EdgeCPURatio = last.EdgeCPUSeconds / first.EdgeCPUSeconds
 	rep.Flat = rep.RootBytesRatio <= 1.5 && rep.RootCPURatio <= 3
-
-	buf, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("scalebench: %s written — %.0fx clients, root bytes %.3fx, root CPU %.2fx, edge CPU %.1fx\n",
-		path, rep.ClientGrowth, rep.RootBytesRatio, rep.RootCPURatio, rep.EdgeCPURatio)
-	if !rep.Flat {
-		return fmt.Errorf("scalebench: root per-round work is not flat across %.0fx client growth (bytes %.3fx, cpu %.2fx)",
-			rep.ClientGrowth, rep.RootBytesRatio, rep.RootCPURatio)
-	}
 	return nil
 }

@@ -27,20 +27,18 @@ func runScenarios(path, matrix string, seed int64, trials int) error {
 		return fmt.Errorf("unknown scenario matrix %q (want full or smoke)", matrix)
 	}
 
-	// Fail fast on an unwritable path before spending minutes on trials.
-	probe, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	probe.Close()
-
-	rep, err := scenario.RunMatrix(matrix, cells, seed, scenario.DefaultGates(), func(name string) {
-		fmt.Fprintf(os.Stderr, "scenario: %s\n", name)
+	var rep scenario.Report
+	err := writeReport(path, &rep, func(rep *scenario.Report) error {
+		r, err := scenario.RunMatrix(matrix, cells, seed, scenario.DefaultGates(), func(name string) {
+			fmt.Fprintf(os.Stderr, "scenario: %s\n", name)
+		})
+		if err != nil {
+			return err
+		}
+		*rep = *r
+		return nil
 	})
 	if err != nil {
-		return err
-	}
-	if err := rep.WriteFile(path); err != nil {
 		return err
 	}
 

@@ -103,6 +103,39 @@ func TestWeightedMeanZeroTotalWeightLeavesDst(t *testing.T) {
 	}
 }
 
+// TestWeightedMeanSteadyStateAllocs pins the reduction's memory
+// discipline: once the accumulators are sized, a one-shot WeightedMean
+// allocates nothing, on one worker or four, at a dimension that splits
+// into a few shards and one that splits into many.
+func TestWeightedMeanSteadyStateAllocs(t *testing.T) {
+	const clients = 10
+	for _, dim := range []int{10_000, 100_000} {
+		contribs := make([][]float64, clients)
+		weights := make([]float64, clients)
+		for c := range contribs {
+			contribs[c] = make([]float64, dim)
+			for j := range contribs[c] {
+				contribs[c][j] = float64((j+c)%17) - 8
+			}
+			weights[c] = 1 + float64(c%3)
+		}
+		dst := make([]float64, dim)
+		for _, workers := range []int{1, 4} {
+			a := NewAggregator(workers)
+			a.WeightedMean(dst, contribs, weights) // size the accumulators
+			n := testing.AllocsPerRun(5, func() {
+				if !a.WeightedMean(dst, contribs, weights) {
+					t.Fatal("nothing aggregated")
+				}
+			})
+			a.Close()
+			if n != 0 {
+				t.Errorf("dim %d, %d worker(s): steady-state WeightedMean allocates %v objects per call, want 0", dim, workers, n)
+			}
+		}
+	}
+}
+
 // TestStreamingReduceMatchesOneShot collects rounds incrementally in
 // arbitrary arrival order and checks Reduce is bit-exact with the
 // one-shot WeightedMean over the same clients in id order.

@@ -1,9 +1,7 @@
 package scenario
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"apf/internal/scenario/adversary"
@@ -264,15 +262,4 @@ func RunMatrix(matrixName string, cells []Config, seed int64, gates Gates, progr
 	}
 	rep.Check()
 	return rep, nil
-}
-
-// WriteFile serializes the report deterministically (fixed field order,
-// no timestamps) so same-seed runs are byte-identical.
-func (rep *Report) WriteFile(path string) error {
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	return os.WriteFile(path, buf, 0o644)
 }

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"flag"
 	"io"
 	"math"
 	"net/http"
@@ -376,6 +377,54 @@ func TestServe(t *testing.T) {
 	ln.Close()
 	// Give the swallow-net.ErrClosed path a moment to run under -race.
 	time.Sleep(10 * time.Millisecond)
+}
+
+// TestFlags covers the daemons' shared observability flags: unset, no
+// registry exists and Serve starts nothing; set, the registry carries the
+// build info and the endpoint binds. (Bad values are rejected through each
+// daemon's main_test table.)
+func TestFlags(t *testing.T) {
+	bind := func(args ...string) *Flags {
+		fs := flag.NewFlagSet("apf-test", flag.ContinueOnError)
+		f := BindFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+
+	off := bind()
+	if off.PrintVersion() {
+		t.Fatal("-version reported without being given")
+	}
+	if err := off.Resolve(); err != nil {
+		t.Fatal(err)
+	}
+	if off.Metrics != nil || off.Log.Enabled(LevelInfo) || !off.Log.Enabled(LevelWarn) {
+		t.Fatalf("defaults: want no registry and a warn-level logger, got %v, info=%v", off.Metrics, off.Log.Enabled(LevelInfo))
+	}
+	health := func() []any { return []any{"round", 3} }
+	stop, err := off.Serve(health)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop()
+
+	on := bind("-metrics-addr", "127.0.0.1:0", "-log-level", "debug", "-log-format", "json")
+	if err := on.Resolve(); err != nil {
+		t.Fatal(err)
+	}
+	if !on.Log.Enabled(LevelDebug) {
+		t.Error("-log-level debug not applied")
+	}
+	if names := on.Metrics.Names(); len(names) != 1 || names[0] != "apf_build_info" {
+		t.Errorf("fresh registry holds %v, want exactly the build info", names)
+	}
+	stop, err = on.Serve(health)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop()
 }
 
 func TestRegisterBuildInfo(t *testing.T) {

@@ -89,10 +89,24 @@ func TestCrashRealSIGKILL(t *testing.T) {
 		srvDone := make(chan error, 1)
 		go func() { srvDone <- srv.Wait() }()
 
+		// The post-recovery scrape below needs a live process, and a
+		// restarted server may otherwise commit its last rounds and exit
+		// first. Every client therefore holds after applying round
+		// rounds-2 until the scrape has returned (or the arm has failed):
+		// no update for the last round exists before then, so the server
+		// cannot finish. The clean arm never holds.
+		scraped := make(chan struct{})
+		var scrapedOnce sync.Once
+		release := func() { scrapedOnce.Do(func() { close(scraped) }) }
+		defer release()
+		if killRound < 0 {
+			release()
+		}
+
 		// The observability endpoint serves from process start: metrics,
 		// health, and the pprof index must all answer before any round
 		// completes (and, in the crash arm, before the SIGKILL fires).
-		pollHTTP(t, name+" pre-crash", "http://"+maddr+"/metrics", "apf_round")
+		pollHTTP(t, name+" pre-crash", "http://"+maddr+"/metrics", "apf_round", srvDone)
 		for _, path := range []string{"/healthz", "/debug/pprof/"} {
 			if _, err := httpGetBody("http://" + maddr + path); err != nil {
 				t.Errorf("%s: %s unreachable: %v", name, path, err)
@@ -123,6 +137,14 @@ func TestCrashRealSIGKILL(t *testing.T) {
 				MaxRetries:     100,
 				RetryBaseDelay: 20 * time.Millisecond,
 				RetryMaxDelay:  300 * time.Millisecond,
+				OnRound: func(round int, _ []float64) {
+					if round >= rounds-2 {
+						select {
+						case <-scraped:
+						case <-ctx.Done():
+						}
+					}
+				},
 			}
 			wg.Add(1)
 			go func(i int) {
@@ -150,7 +172,7 @@ func TestCrashRealSIGKILL(t *testing.T) {
 			// Post-recovery observability: the restarted process reports
 			// the recovery in its counters and health, and its update
 			// accounting stays internally consistent mid-run.
-			body := pollHTTP(t, name+" post-recovery", "http://"+maddr+"/metrics", "apf_recoveries_total 1")
+			body := pollHTTP(t, name+" post-recovery", "http://"+maddr+"/metrics", "apf_recoveries_total 1", srvDone)
 			m := parseMetricsText(t, body)
 			recv, acc, rej, stale := updateCounts(m)
 			if acc+rej+stale > recv {
@@ -162,6 +184,7 @@ func TestCrashRealSIGKILL(t *testing.T) {
 			} else if !strings.Contains(hz, `"recovered":true`) {
 				t.Errorf("%s: /healthz does not report the recovery: %s", name, hz)
 			}
+			release()
 		}
 
 		wg.Wait()
@@ -218,12 +241,18 @@ func httpGetBody(url string) (string, error) {
 }
 
 // pollHTTP polls url until its body contains want (the target process may
-// still be binding its listener), failing the test after 30 seconds.
-func pollHTTP(t *testing.T, label, url, want string) string {
+// still be binding its listener), failing the test after 30 seconds — or
+// at once when exited reports that the process serving url is gone.
+func pollHTTP(t *testing.T, label, url, want string, exited <-chan error) string {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	var lastErr error
 	for time.Now().Before(deadline) {
+		select {
+		case err := <-exited:
+			t.Fatalf("%s: server exited (%v) before %s served %q", label, err, url, want)
+		default:
+		}
 		body, err := httpGetBody(url)
 		if err == nil && strings.Contains(body, want) {
 			return body

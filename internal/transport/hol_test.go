@@ -12,7 +12,67 @@ import (
 	"apf/internal/data"
 	"apf/internal/nn"
 	"apf/internal/stats"
+	"apf/internal/wire"
 )
+
+// TestRoundFramesEncodeOnce is the structural form of "broadcast encode
+// cost stays flat as clients grow": for one committed round, every session
+// writer asking for a codec's frame gets the same backing array, however
+// many ask at once; sparse variants are built on first request, one codec
+// at a time; and a round without mask agreement (maskHash 0) serves the
+// dense frame to sparse sessions too, encoding nothing.
+func TestRoundFramesEncodeOnce(t *testing.T) {
+	g := &GlobalMsg{Round: 4, Participants: 3, Payload: []float64{1.5, -2, 0.25, 8}}
+	rf := newRoundFrames(g, roundMeta{maskHash: 0xfeed, maskGen: 2}, 16)
+	if rf.encoded[wire.CodecDense] == nil || rf.encoded[wire.CodecSparse] != nil || rf.encoded[wire.CodecSparseQ16] != nil {
+		t.Fatal("at commit exactly the dense frame must exist")
+	}
+
+	const callers = 16
+	kinds := map[wire.Codec]wire.Kind{
+		wire.CodecDense:     wire.KindGlobal,
+		wire.CodecSparse:    wire.KindSparseGlobal,
+		wire.CodecSparseQ16: wire.KindSparseGlobal,
+	}
+	first := map[wire.Codec]*byte{}
+	for _, c := range []wire.Codec{wire.CodecDense, wire.CodecSparse, wire.CodecSparseQ16} {
+		got := make([][]byte, callers)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				got[i] = rf.frame(c)
+			}(i)
+		}
+		wg.Wait()
+		for i, f := range got {
+			if &f[0] != &got[0][0] || len(f) != len(got[0]) {
+				t.Fatalf("%s: caller %d got its own frame, want the one shared encoding", c, i)
+			}
+		}
+		if k := wire.FrameKind(got[0]); k != kinds[c] {
+			t.Errorf("%s sessions are served a %s frame, want %s", c, k, kinds[c])
+		}
+		first[c] = &got[0][0]
+		if c == wire.CodecSparse && rf.encoded[wire.CodecSparseQ16] != nil {
+			t.Error("serving the sparse codec also built the sparse-q16 frame")
+		}
+	}
+	if first[wire.CodecDense] == first[wire.CodecSparse] || first[wire.CodecSparse] == first[wire.CodecSparseQ16] {
+		t.Error("distinct codecs share one frame")
+	}
+
+	bare := newRoundFrames(g, roundMeta{maskGen: -1}, 16)
+	for _, c := range []wire.Codec{wire.CodecSparse, wire.CodecSparseQ16} {
+		if f := bare.frame(c); &f[0] != &bare.encoded[wire.CodecDense][0] {
+			t.Errorf("%s without mask agreement: got a frame of its own, want the dense frame", c)
+		}
+		if bare.encoded[c] != nil {
+			t.Errorf("%s without mask agreement: a sparse frame was encoded", c)
+		}
+	}
+}
 
 // TestBroadcastNoHeadOfLineBlocking pins the encode-once/fan-out broadcast
 // property: a client whose connection stalls must not delay the other

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"apf/internal/quantize"
@@ -22,8 +23,9 @@ func reframe(frame []byte, version uint8) []byte {
 	return f
 }
 
-func TestSparseRoundTrip(t *testing.T) {
-	msgs := []Msg{
+// sparseSampleMsgs covers both sparse kinds under both encodings.
+func sparseSampleMsgs() []Msg {
+	return []Msg{
 		&SparseUpdateMsg{Round: 5, Weight: 30, MaskHash: 0xdeadbeef, MaskGen: 2, Dim: 8,
 			Enc: EncF64, Values: []float64{1.5, -2.25, math.Inf(1), 0}},
 		&SparseUpdateMsg{Round: 0, Weight: 1, MaskHash: 1, MaskGen: -1, Dim: 3,
@@ -36,7 +38,10 @@ func TestSparseRoundTrip(t *testing.T) {
 			// reproduce these bits.
 			Enc: EncF16, Q: []uint16{0x7e33, 0xfe01, 0x7c01}},
 	}
-	for _, m := range msgs {
+}
+
+func TestSparseRoundTrip(t *testing.T) {
+	for _, m := range sparseSampleMsgs() {
 		frame := Encode(m)
 		got, rest, err := Decode(frame, 0)
 		if err != nil {
@@ -57,9 +62,14 @@ func TestSparseRoundTrip(t *testing.T) {
 // TestVersionRange pins the one-version rule: every message kind framed
 // under any other stamp — each former protocol version included — is
 // refused at the header with ErrVersion, before any payload is touched,
-// by both the in-memory and the streaming decoder.
+// by both the in-memory and the streaming decoder. The sweep must hold a
+// sample of every kind this build names, so a new kind cannot be added
+// without one.
 func TestVersionRange(t *testing.T) {
-	for _, m := range append(sampleMsgs(), relaySampleMsgs()...) {
+	msgs := append(append(sampleMsgs(), relaySampleMsgs()...), sparseSampleMsgs()...)
+	swept := map[Kind]bool{}
+	for _, m := range msgs {
+		swept[m.WireKind()] = true
 		good := Encode(m)
 		if good[4] != Version {
 			t.Fatalf("%s stamped version %d, want %d", m.WireKind(), good[4], Version)
@@ -74,15 +84,59 @@ func TestVersionRange(t *testing.T) {
 			}
 		}
 	}
+	// Kinds are numbered densely from KindJoin; the first value String()
+	// does not name ends the enumeration.
+	k := KindJoin
+	for ; !strings.HasPrefix(k.String(), "Kind("); k++ {
+		if !swept[k] {
+			t.Errorf("the sweep has no %s sample", k)
+		}
+	}
+	if k <= KindDelta {
+		t.Fatalf("kind enumeration stopped at %d, before KindDelta", k)
+	}
 }
 
-// TestSparseKindNeedsV2: a peer from before the sparse kinds existed (or a
-// liar) framing one under version 1 is refused at the header with
-// ErrVersion, before any payload is touched.
-func TestSparseKindNeedsV2(t *testing.T) {
-	frame := reframe(Encode(&SparseUpdateMsg{Dim: 2, Values: []float64{1}}), 1)
-	if _, _, err := Decode(frame, 0); !errors.Is(err, ErrVersion) {
-		t.Fatalf("sparse kind in v1 frame: got %v, want ErrVersion", err)
+// TestFrameLengthClosedForm pins the payload frames' size as an exact
+// function of the scalar count n: 38 + 8n for GlobalMsg, 46 + 8n for
+// UpdateMsg, and 64 + 8n (lossless) or 64 + 2n (binary16) for both sparse
+// kinds — no per-scalar index, no padding, no metadata that grows with the
+// payload. A sparse frame therefore shrinks in exact proportion to the
+// frozen fraction; the sweep below states that at every fraction.
+func TestFrameLengthClosedForm(t *testing.T) {
+	check := func(dim, n int) {
+		t.Helper()
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = 0.25 * float64(i%9-4)
+		}
+		type sized struct {
+			m    Msg
+			want int
+		}
+		frames := []sized{
+			{&GlobalMsg{Round: 3, Participants: 2, Payload: vals}, 38 + 8*n},
+			{&UpdateMsg{Round: 3, Weight: 30, MaskHash: 7, Payload: vals}, 46 + 8*n},
+		}
+		for enc, width := range map[Enc]int{EncF64: 8, EncF16: 2} {
+			up := &SparseUpdateMsg{Round: 3, Weight: 30, MaskHash: 7, MaskGen: 4, Dim: dim, Enc: enc}
+			up.Values, up.Q = PackSparse(enc, vals)
+			down := &SparseGlobalMsg{Round: 3, Participants: 2, MaskHash: 7, MaskGen: 4, Dim: dim, Enc: enc}
+			down.Values, down.Q = PackSparse(enc, vals)
+			frames = append(frames, sized{up, 64 + width*n}, sized{down, 64 + width*n})
+		}
+		for _, f := range frames {
+			if got := len(Encode(f.m)); got != f.want {
+				t.Errorf("%s dim %d, %d scalars: frame is %d bytes, closed form says %d", f.m.WireKind(), dim, n, got, f.want)
+			}
+		}
+	}
+	for _, n := range []int{0, 1, 7, 1000} {
+		check(1000, n)
+	}
+	const dim = 10_000
+	for _, frozen := range []float64{0, 0.5, 0.9, 0.95, 0.99} {
+		check(dim, dim-int(frozen*dim))
 	}
 }
 
@@ -222,8 +276,8 @@ func TestFrameKind(t *testing.T) {
 	}
 }
 
-// TestV2HandshakeRoundTrip covers Caps/Codec surviving the wire.
-func TestV2HandshakeRoundTrip(t *testing.T) {
+// TestHandshakeRoundTrip covers Caps/Codec surviving the wire.
+func TestHandshakeRoundTrip(t *testing.T) {
 	j := &JoinMsg{Name: "c1", SessionKey: "k", HaveRound: 4, Caps: CapSparse | CapQuantized}
 	got, _, err := Decode(Encode(j), 0)
 	if err != nil {
