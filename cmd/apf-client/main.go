@@ -99,10 +99,9 @@ func run(args []string) error {
 	switch *scheme {
 	case "apf":
 		manager = func(clientID, dim int) fl.SyncManager {
-			m := core.NewManager(core.Config{
-				Dim: dim, CheckEveryRounds: 2, Threshold: 0.1, EMAAlpha: 0.85, Seed: *seed,
-				Observer: hooks.Manager(obs.Metrics),
-			})
+			cfg := preset.APFConfig(*seed)
+			cfg.Dim, cfg.Observer = dim, hooks.Manager(obs.Metrics)
+			m := core.NewManager(cfg)
 			apfManager = m
 			return m
 		}

@@ -26,13 +26,11 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
-	"apf/internal/core"
 	"apf/internal/metrics"
 	"apf/internal/telemetry"
+	"apf/internal/tierflags"
 	"apf/internal/transport"
-	"apf/internal/wire"
 )
 
 func main() {
@@ -46,24 +44,14 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("apf-relay", flag.ContinueOnError)
 	var (
-		addr       = fs.String("addr", ":7171", "downward listen address for client sessions")
-		upstream   = fs.String("upstream", "127.0.0.1:7070", "root coordinator address (an apf-server started with -relays)")
-		name       = fs.String("name", "relay", "relay name, also the upstream session key (must be unique per relay)")
-		clients    = fs.Int("clients", 3, "number of clients this relay terminates")
-		ioTimeout  = fs.Duration("io-timeout", 30*time.Second, "per-message network deadline on both faces; upstream it must exceed the root's full round time")
-		deadline   = fs.Duration("deadline", 0, "downward round deadline enabling partial aggregation and session resume (0 = strict barrier)")
-		minClients = fs.Int("min-clients", 1, "minimum updates before a round deadline may aggregate")
-		ckptDir    = fs.String("checkpoint-dir", "", "directory for the downward face's durable snapshot + WAL (empty = not durable)")
-		snapEvery  = fs.Int("snapshot-every", 5, "rotate the checkpoint snapshot every K committed rounds")
-		histRounds = fs.Int("history-rounds", 0, "cap the downward face's aggregate replay history to this many rounds, bounding relay memory; clients absent past the cap catch up via sketch reconciliation or a snapshot instead of replay (0 = unbounded)")
-		shadow     = fs.Bool("shadow", false, "maintain a shadow APF replica of the client trajectory (requires clients with -scheme apf and the same -seed), enabling stateful O(diff) sketch catch-up for clients absent past -history-rounds")
-		maxNorm    = fs.Float64("max-norm-mult", 0, "arm this edge's update sanitization pipeline, striking updates whose L2 norm exceeds this multiple of the rolling median (0 = off); in a hierarchy per-client defenses live on the relays, never the root")
-		cosFloor   = fs.Float64("cosine-floor", 0, "with sanitization armed, also strike updates whose cosine against the decayed reference direction falls below this floor (0 = direction gate off)")
-		roundNorm  = fs.Float64("round-norm-mult", 0, "with sanitization armed, also strike accepted updates after the round when their norm exceeds this multiple of the round median (0 = off)")
-		codec      = fs.String("codec", "dense", "strongest payload codec to offer client sessions: dense | sparse | sparse-q16 (with a q16 edge, start the root with the same -codec so its commits stay lossless)")
-		retries    = fs.Int("retries", 3, "upstream reconnect attempts after a connection failure")
-		seed       = fs.Int64("seed", 42, "seed for the upstream backoff jitter stream")
+		addr     = fs.String("addr", ":7171", "downward listen address for client sessions")
+		upstream = fs.String("upstream", "127.0.0.1:7070", "root coordinator address (an apf-server started with -relays)")
+		name     = fs.String("name", "relay", "relay name, also the upstream session key (must be unique per relay)")
+		clients  = fs.Int("clients", 3, "number of clients this relay terminates")
+		retries  = fs.Int("retries", 3, "upstream reconnect attempts after a connection failure")
+		seed     = fs.Int64("seed", 42, "seed for the upstream backoff jitter stream (and, with -shadow, the clients' shared seed)")
 	)
+	tier := tierflags.Bind(fs)
 	obs := telemetry.BindFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -71,36 +59,11 @@ func run(args []string) error {
 	if obs.PrintVersion() {
 		return nil
 	}
-	if *ioTimeout <= 0 {
-		return fmt.Errorf("-io-timeout must be positive, got %v", *ioTimeout)
+	if err := tier.Resolve(*seed); err != nil {
+		return err
 	}
 	if err := obs.Resolve(); err != nil {
 		return err
-	}
-
-	var validator *transport.ValidatorConfig
-	if *maxNorm > 0 {
-		validator = &transport.ValidatorConfig{
-			MaxNormMult:   *maxNorm,
-			CosineFloor:   *cosFloor,
-			RoundNormMult: *roundNorm,
-		}
-	} else if *cosFloor != 0 || *roundNorm != 0 {
-		return fmt.Errorf("-cosine-floor and -round-norm-mult need -max-norm-mult to arm sanitization")
-	}
-	maxCodec, err := wire.ParseCodec(*codec)
-	if err != nil {
-		return fmt.Errorf("-codec: %w", err)
-	}
-	if *histRounds < 0 {
-		return fmt.Errorf("-history-rounds must be non-negative, got %d", *histRounds)
-	}
-	var shadowCfg *core.Config
-	if *shadow {
-		// Mirror apf-client's -scheme apf manager exactly: the shadow is a
-		// deterministic replica of the client trajectory, so the configs
-		// (and the shared seed) must match bit for bit.
-		shadowCfg = &core.Config{CheckEveryRounds: 2, Threshold: 0.1, EMAAlpha: 0.85, Seed: *seed}
 	}
 
 	rel, err := transport.NewRelay(transport.RelayConfig{
@@ -109,15 +72,15 @@ func run(args []string) error {
 		Name:          *name,
 		SessionKey:    *name,
 		NumClients:    *clients,
-		IOTimeout:     *ioTimeout,
-		RoundDeadline: *deadline,
-		MinClients:    *minClients,
-		Codec:         maxCodec,
-		CheckpointDir: *ckptDir,
-		SnapshotEvery: *snapEvery,
-		HistoryRounds: *histRounds,
-		Shadow:        shadowCfg,
-		Validator:     validator,
+		IOTimeout:     tier.IOTimeout,
+		RoundDeadline: tier.RoundDeadline,
+		MinClients:    tier.MinClients,
+		Codec:         tier.Codec,
+		CheckpointDir: tier.CheckpointDir,
+		SnapshotEvery: tier.SnapshotEvery,
+		HistoryRounds: tier.HistoryRounds,
+		Shadow:        tier.Shadow,
+		Validator:     tier.Validator,
 		MaxRetries:    *retries,
 		Seed:          *seed,
 		Metrics:       obs.Metrics,

@@ -15,6 +15,7 @@ func TestRelayRejectsBadFlags(t *testing.T) {
 		{"zero io timeout", []string{"-io-timeout", "0s"}},
 		{"bad codec", []string{"-codec", "zip"}},
 		{"orphan cosine floor", []string{"-cosine-floor", "0.5"}},
+		{"negative history rounds", []string{"-history-rounds", "-1"}},
 		{"bad log level", []string{"-log-level", "loud"}},
 		{"bad log format", []string{"-log-format", "xml"}},
 		{"bad metrics address", []string{"-addr", "127.0.0.1:0", "-metrics-addr", "256.256.256.256:99999"}},

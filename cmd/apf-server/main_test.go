@@ -14,6 +14,7 @@ func TestServerRejectsBadFlags(t *testing.T) {
 		{"bad address", []string{"-addr", "256.256.256.256:99999"}},
 		{"zero io timeout", []string{"-io-timeout", "0s"}},
 		{"negative io timeout", []string{"-io-timeout", "-5s"}},
+		{"negative history rounds", []string{"-history-rounds", "-1"}},
 		{"bad log level", []string{"-log-level", "loud"}},
 		{"bad log format", []string{"-log-format", "xml"}},
 		{"bad metrics address", []string{"-addr", "127.0.0.1:0", "-metrics-addr", "256.256.256.256:99999"}},

@@ -1,13 +1,15 @@
 // Package preset provides named, seed-deterministic workload presets
-// shared by the distributed binaries (cmd/apf-server, cmd/apf-client):
-// both sides of a deployment regenerate identical synthetic data and model
-// geometry from (name, seed), so only those two values need to agree.
+// shared by the distributed binaries (cmd/apf-server, cmd/apf-relay,
+// cmd/apf-client): every side of a deployment regenerates identical
+// synthetic data, model geometry, and APF configuration from (name, seed),
+// so only those two values need to agree.
 package preset
 
 import (
 	"fmt"
 	"math/rand"
 
+	"apf/internal/core"
 	"apf/internal/data"
 	"apf/internal/fl"
 	"apf/internal/models"
@@ -79,4 +81,14 @@ func Load(name string, seed int64) (Preset, error) {
 func (p Preset) InitVector(seed int64) []float64 {
 	net := p.Model(rand.New(rand.NewSource(seed)))
 	return nn.FlattenParams(net.Params(), nil)
+}
+
+// APFConfig is the APF manager configuration of a deployment: every
+// apf-client -scheme apf manager, and the -shadow replica apf-server and
+// apf-relay keep of them. The replica is only sound when its config
+// equals the clients' bit for bit, so every side builds it here. Dim is
+// left zero (the manager's own dimension, or the run's for the shadow);
+// callers may attach an Observer.
+func APFConfig(seed int64) core.Config {
+	return core.Config{CheckEveryRounds: 2, Threshold: 0.1, EMAAlpha: 0.85, Seed: seed}
 }

@@ -34,6 +34,7 @@ import (
 
 	"apf/internal/checkpoint"
 	"apf/internal/core"
+	"apf/internal/fl"
 	"apf/internal/nn"
 	"apf/internal/recon"
 	"apf/internal/wire"
@@ -346,74 +347,61 @@ func (s *Server) sendDelta(cc *countingConn, cap *catchupCapture, words []int) e
 	return writeMsg(cc, s.cfg.IOTimeout, d, s.wireM)
 }
 
-// stageJump hands a snapshot adopted from upstream (relay catch-up) to
-// the engine's commitJump, which consumes it via takeJump.
-func (s *Server) stageJump(snap *wire.SnapshotMsg) {
-	s.mu.Lock()
-	s.jumpSnap = snap
-	s.mu.Unlock()
-}
-
-// takeJump consumes the staged jump snapshot.
-func (s *Server) takeJump() *wire.SnapshotMsg {
-	s.mu.Lock()
-	snap := s.jumpSnap
-	s.jumpSnap = nil
-	s.mu.Unlock()
-	return snap
-}
-
-// catchUp is the client side of the conversation, entered when the
-// resume welcome carries CatchUp. It opens in sketch mode when the
-// manager tracks word generations and the server has a stateful capture
-// to reconcile against; otherwise it requests the snapshot outright.
-func (r *clientRun) catchUp(conn *countingConn, w *WelcomeMsg) error {
+// catchUp is the requesting side of the conversation, entered when the
+// resume Welcome w carries CatchUp; applied and dim are the peer's round
+// cursor and model dimension. With a manager tracking word generations it
+// opens in sketch mode when the server has a stateful capture to
+// reconcile against; otherwise (a stateless manager, or a relay, whose
+// upstream leg carries no manager state: manager nil) it requests the
+// snapshot outright. It returns the frame that closes the conversation, a
+// snapshot or a delta, for the caller to validate and apply.
+func (u *uplink) catchUp(conn *countingConn, w *WelcomeMsg, applied, dim int, manager fl.SyncManager) (*wire.SnapshotMsg, *wire.DeltaMsg, error) {
 	own := -1
-	if r.maskGenR != nil {
-		own = r.maskGenR.MaskGeneration()
+	if g, ok := manager.(fl.MaskGenerationReporter); ok {
+		own = g.MaskGeneration()
 	}
+	rm, _ := manager.(reconManager)
 	if own > w.MaskGen {
-		// The server cannot reproduce freezing state this client already
+		// The server cannot reproduce freezing state this peer already
 		// holds (rolled-back server, or a stateless server behind stateful
 		// clients): fail fast instead of adopting a regressed replica.
-		return fmt.Errorf("%w: local generation %d, server offers %d",
+		return nil, nil, fmt.Errorf("%w: local generation %d, server offers %d",
 			ErrFutureGeneration, own, w.MaskGen)
 	}
-	rm, sketchable := r.manager.(reconManager)
 	var dec *recon.Decoder
-	offer := &wire.ResumeOfferMsg{Round: r.applied, MaskGen: -1}
-	if sketchable && r.applied >= 0 && w.MaskGen >= 0 {
+	offer := &wire.ResumeOfferMsg{Round: applied, MaskGen: -1}
+	if rm != nil && applied >= 0 && w.MaskGen >= 0 {
 		offer.MaskGen = own
 		dec = recon.NewDecoder()
 		for wi, g := range rm.WordGens() {
 			dec.AddLocal(recon.PackWordGen(wi, g))
 		}
 	}
-	if err := writeMsg(conn, r.cfg.IOTimeout, offer, r.wireM); err != nil {
-		return fmt.Errorf("transport: catch-up offer: %w", err)
+	if err := writeMsg(conn, u.ioTimeout, offer, u.wireM); err != nil {
+		return nil, nil, fmt.Errorf("transport: catch-up offer: %w", err)
 	}
-	budget := 2*((r.dim+63)/64) + 64
+	budget := 2*((dim+63)/64) + 64
 	for {
-		m, err := readMsg(conn, r.cfg.IOTimeout, snapshotPayloadLimit(r.dim), r.wireM)
+		m, err := readMsg(conn, u.ioTimeout, snapshotPayloadLimit(dim), u.wireM)
 		if err != nil {
-			return fmt.Errorf("transport: catch-up: %w", err)
+			return nil, nil, fmt.Errorf("transport: catch-up: %w", err)
 		}
 		switch msg := m.(type) {
 		case *wire.SketchMsg:
 			if dec == nil {
-				return protocolErrorf("sketch cells on a snapshot catch-up")
+				return nil, nil, protocolErrorf("sketch cells on a snapshot catch-up")
 			}
 			if len(msg.Cells) == 0 {
-				return protocolErrorf("empty sketch batch")
+				return nil, nil, protocolErrorf("empty sketch batch")
 			}
 			if msg.Start != dec.Cells() {
-				return protocolErrorf("sketch batch starts at cell %d, decoder expects %d",
+				return nil, nil, protocolErrorf("sketch batch starts at cell %d, decoder expects %d",
 					msg.Start, dec.Cells())
 			}
 			for _, c := range msg.Cells {
 				dec.AddCell(c)
 			}
-			reply := &wire.ResumeOfferMsg{Round: r.applied, MaskGen: own}
+			reply := &wire.ResumeOfferMsg{Round: applied, MaskGen: own}
 			switch {
 			case dec.Decoded():
 				reply.Words = diffWords(dec)
@@ -425,20 +413,20 @@ func (r *clientRun) catchUp(conn *countingConn, w *WelcomeMsg) error {
 			default:
 				reply.NeedMore = true
 			}
-			if err := writeMsg(conn, r.cfg.IOTimeout, reply, r.wireM); err != nil {
-				return fmt.Errorf("transport: catch-up reply: %w", err)
+			if err := writeMsg(conn, u.ioTimeout, reply, u.wireM); err != nil {
+				return nil, nil, fmt.Errorf("transport: catch-up reply: %w", err)
 			}
 		case *wire.DeltaMsg:
 			if rm == nil || dec != nil && !dec.Decoded() {
-				return protocolErrorf("delta before the sketch decoded")
+				return nil, nil, protocolErrorf("delta before the sketch decoded")
 			}
-			return r.applyDelta(rm, msg)
+			return nil, msg, nil
 		case *wire.SnapshotMsg:
 			// The server may force the snapshot at any point (budget
 			// exhausted, stateless capture).
-			return r.applySnapshot(msg)
+			return msg, nil, nil
 		default:
-			return protocolErrorf("catch-up: unexpected %s frame", m.WireKind())
+			return nil, nil, protocolErrorf("catch-up: unexpected %s frame", m.WireKind())
 		}
 	}
 }
@@ -467,7 +455,8 @@ func diffWords(dec *recon.Decoder) []int {
 // differing words, plus the manager-global header. Words with equal
 // generations are bit-identical by the replica-identity invariant, so
 // the untouched remainder of the local state is already the server's.
-func (r *clientRun) applyDelta(rm reconManager, d *wire.DeltaMsg) error {
+func (r *clientRun) applyDelta(d *wire.DeltaMsg) error {
+	rm := r.manager.(reconManager) // catchUp accepts a delta only then
 	if d.Round <= r.applied {
 		return protocolErrorf("catch-up delta for round %d at applied round %d", d.Round, r.applied)
 	}
@@ -488,11 +477,8 @@ func (r *clientRun) applyDelta(rm reconManager, d *wire.DeltaMsg) error {
 // mid-run snapshot broadcast (the server jumped its history forward
 // after its own upstream catch-up).
 func (r *clientRun) applySnapshot(sm *wire.SnapshotMsg) error {
-	if sm.Round <= r.applied {
-		return protocolErrorf("snapshot for round %d at applied round %d", sm.Round, r.applied)
-	}
-	if len(sm.Payload) != r.dim {
-		return protocolErrorf("snapshot payload length %d, model has %d", len(sm.Payload), r.dim)
+	if err := checkSnapshot(sm, r.applied, r.dim); err != nil {
+		return err
 	}
 	if sr, ok := r.manager.(snapshotRestorer); ok {
 		if len(sm.Manager) == 0 {

@@ -2,12 +2,7 @@ package transport
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"hash/fnv"
-	"math/rand"
-	"net"
-	"sync"
 	"time"
 
 	"apf/internal/data"
@@ -19,10 +14,6 @@ import (
 	"apf/internal/telemetry"
 	"apf/internal/wire"
 )
-
-// DialFunc abstracts the client's dialer so tests and the -chaos flag can
-// inject fault-wrapped connections.
-type DialFunc func(network, addr string) (net.Conn, error)
 
 // compactLener is implemented by codec managers that can report the
 // expected compact payload length for a round (core.Manager does), letting
@@ -55,10 +46,8 @@ type ClientConfig struct {
 	BatchSize  int
 	// Seed drives the local RNG streams.
 	Seed int64
-	// DialTimeout and IOTimeout bound connection setup and each message
-	// exchange (defaults 10s / 30s).
-	DialTimeout time.Duration
-	IOTimeout   time.Duration
+	// IOTimeout bounds each message exchange (default 30s).
+	IOTimeout time.Duration
 	// MaxRetries bounds consecutive reconnection attempts after a
 	// connection failure (0 = fail immediately, the pre-resume behaviour).
 	// The budget refills whenever a round is successfully applied.
@@ -68,9 +57,9 @@ type ClientConfig struct {
 	// jittered in [d/2, d) by a stream seeded from Seed and SessionKey.
 	RetryBaseDelay time.Duration
 	RetryMaxDelay  time.Duration
-	// Dial, when non-nil, replaces the default TCP dialer — the hook for
-	// fault-injecting wrappers (package chaos). It must enforce its own
-	// connect timeout.
+	// Dial, when non-nil, replaces the default TCP dialer (10s connect
+	// timeout) — the hook for fault-injecting wrappers (package chaos). It
+	// must enforce its own connect timeout.
 	Dial DialFunc
 	// Codec is the strongest payload codec this client offers
 	// (wire.CodecDense requests the dense kinds). Its capability bits go
@@ -116,9 +105,10 @@ type clientRun struct {
 	cfg ClientConfig
 	res *ClientResult
 
-	// metrics/wireM/log are nil-safe instrumentation handles.
+	// up is the connection to the server (with its I/O deadline and wire
+	// metrics); metrics/log are nil-safe instrumentation handles.
+	up      *uplink
 	metrics *clientMetrics
-	wireM   *wireMetrics
 	log     *telemetry.Logger
 
 	// Training state, built on the first Welcome.
@@ -146,10 +136,6 @@ type clientRun struct {
 	applied     int
 	inflight    *UpdateMsg
 	inflightGen int
-
-	// Current connection, guarded for the cancellation watcher.
-	connMu sync.Mutex
-	conn   *countingConn
 }
 
 // RunClient connects to the server, trains for the announced number of
@@ -161,127 +147,35 @@ func RunClient(ctx context.Context, cfg ClientConfig) (*ClientResult, error) {
 	if cfg.LocalIters <= 0 || cfg.BatchSize <= 0 {
 		return nil, fmt.Errorf("transport: invalid client config iters=%d batch=%d", cfg.LocalIters, cfg.BatchSize)
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 10 * time.Second
-	}
-	if cfg.IOTimeout <= 0 {
-		cfg.IOTimeout = defaultIOTimeout
-	}
-	if cfg.RetryBaseDelay <= 0 {
-		cfg.RetryBaseDelay = 50 * time.Millisecond
-	}
-	if cfg.RetryMaxDelay <= 0 {
-		cfg.RetryMaxDelay = 2 * time.Second
-	}
-	if cfg.Dial == nil {
-		cfg.Dial = func(network, addr string) (net.Conn, error) {
-			return net.DialTimeout(network, addr, cfg.DialTimeout)
-		}
-	}
-
 	r := &clientRun{
 		cfg:     cfg,
 		res:     &ClientResult{ClientID: -1},
 		applied: -1,
 		metrics: newClientMetrics(cfg.Metrics),
-		wireM:   newWireMetrics(cfg.Metrics),
 		log:     cfg.Log.With("component", "client", "name", cfg.Name),
 	}
-
-	// Tear the live connection down on cancellation to unblock I/O.
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			r.connMu.Lock()
-			if r.conn != nil {
-				closeQuietly(r.conn)
-			}
-			r.connMu.Unlock()
-		case <-stop:
-		}
-	}()
-
-	// Jitter stream: deterministic per (Seed, SessionKey), independent of
-	// the training streams.
-	h := fnv.New64a()
-	h.Write([]byte(cfg.SessionKey + "/" + cfg.Name))
-	jitter := stats.SplitRNG(cfg.Seed, 4_000_000+int64(h.Sum64()%1_000_000))
-
-	attempts := 0
-	for {
-		before := r.applied
-		err := r.session(ctx)
-		if err == nil {
-			r.res.FinalModel = append([]float64(nil), r.x...)
-			return r.res, nil
-		}
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		if errors.Is(err, errProtocol) || errors.Is(err, ErrMaskDivergence) ||
-			errors.Is(err, ErrFutureGeneration) {
-			return nil, err
-		}
-		if r.applied > before {
-			attempts = 0 // progress made: refill the retry budget
-		}
-		attempts++
-		if attempts > cfg.MaxRetries {
-			return nil, fmt.Errorf("transport: connection failed (after %d reconnect attempt(s)): %w", attempts-1, err)
-		}
-		if err := sleepBackoff(ctx, jitter, cfg.RetryBaseDelay, cfg.RetryMaxDelay, attempts); err != nil {
-			return nil, err
-		}
+	r.up = newUplink(&uplink{
+		peer: "server", addr: cfg.Addr, offer: cfg.Codec, dial: cfg.Dial, ioTimeout: cfg.IOTimeout,
+		maxRetries: cfg.MaxRetries, retryBase: cfg.RetryBaseDelay, retryMax: cfg.RetryMaxDelay,
+		jitter: jitterStream(cfg.Seed, 4_000_000, cfg.SessionKey, cfg.Name),
+		wireM:  newWireMetrics(cfg.Metrics), log: r.log,
+	})
+	stop := r.up.watch(ctx)
+	err := r.up.retry(ctx, &r.applied, func() error { return r.session(ctx) })
+	stop()
+	if err != nil {
+		return nil, err
 	}
+	r.res.WireRead, r.res.WireWritten = r.up.bytes()
+	r.res.FinalModel = append([]float64(nil), r.x...)
+	return r.res, nil
 }
 
-// sleepBackoff waits the jittered exponential backoff for the given attempt
-// (1-based), honouring cancellation.
-func sleepBackoff(ctx context.Context, rng *rand.Rand, base, max time.Duration, attempt int) error {
-	d := base << (attempt - 1)
-	if d <= 0 || d > max {
-		d = max
-	}
-	jittered := d/2 + time.Duration(rng.Float64()*float64(d/2))
-	select {
-	case <-time.After(jittered):
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// session runs one connection lifetime: dial, join (or resume), replay of
+// session runs one connection lifetime: join (or resume), replay of
 // missed aggregates, and the round loop. A nil return means the full run
 // completed; any other error is retryable unless it is a protocol
 // violation.
 func (r *clientRun) session(ctx context.Context) error {
-	if ctx.Err() != nil {
-		return ctx.Err()
-	}
-	raw, err := r.cfg.Dial("tcp", r.cfg.Addr)
-	if err != nil {
-		return fmt.Errorf("transport: dial %s: %w", r.cfg.Addr, err)
-	}
-	conn := &countingConn{Conn: raw}
-	r.connMu.Lock()
-	r.conn = conn
-	r.connMu.Unlock()
-	defer func() {
-		r.connMu.Lock()
-		r.conn = nil
-		r.connMu.Unlock()
-		read, written := conn.Counts()
-		r.res.WireRead += read
-		r.res.WireWritten += written
-		closeQuietly(conn)
-	}()
-	if ctx.Err() != nil {
-		return ctx.Err() // the watcher may have missed this connection
-	}
-
 	caps := r.cfg.Codec.Caps()
 	if _, ok := r.manager.(reconManager); ok {
 		// The manager tracks per-word generations, so a catch-up resume can
@@ -295,21 +189,16 @@ func (r *clientRun) session(ctx context.Context) error {
 		HaveRound:  r.applied,
 		Caps:       caps,
 	}
-	if err := writeMsg(conn, r.cfg.IOTimeout, join, r.wireM); err != nil {
-		return fmt.Errorf("transport: join: %w", err)
-	}
-	// The welcome carries the init model plus every missed aggregate, so
-	// its bound is the format ceiling rather than the model geometry.
-	m, err := readMsg(conn, r.cfg.IOTimeout, wire.MaxPayload, r.wireM)
+	conn, welcome, err := r.up.connect(ctx, join, r.acceptWelcome)
 	if err != nil {
-		return fmt.Errorf("transport: welcome: %w", err)
-	}
-	welcome, ok := m.(*WelcomeMsg)
-	if !ok {
-		return protocolErrorf("expected a welcome frame, got %s", m.WireKind())
-	}
-	if err := r.acceptWelcome(welcome); err != nil {
 		return err
+	}
+	if welcome.Resumed {
+		r.res.Reconnects++
+		if r.metrics != nil {
+			r.metrics.reconnects.Inc()
+		}
+		r.log.Info("session resumed", "client", r.res.ClientID, "have_round", r.applied)
 	}
 
 	// The server evicted this client's round from its replay history: the
@@ -318,7 +207,16 @@ func (r *clientRun) session(ctx context.Context) error {
 	// track word generations, snapshot otherwise). Either way the client
 	// lands bit-identical to the replayed trajectory.
 	if welcome.CatchUp {
-		if err := r.catchUp(conn, welcome); err != nil {
+		snap, delta, err := r.up.catchUp(conn, welcome, r.applied, r.dim, r.manager)
+		if err != nil {
+			return err
+		}
+		if snap != nil {
+			err = r.applySnapshot(snap)
+		} else {
+			err = r.applyDelta(delta)
+		}
+		if err != nil {
 			return err
 		}
 	}
@@ -392,7 +290,7 @@ func (r *clientRun) session(ctx context.Context) error {
 		// The limit admits a snapshot frame: a server that adopted its own
 		// upstream's snapshot (relay catch-up) broadcasts it mid-stream in
 		// place of the jumped rounds' globals.
-		m, err := readMsg(conn, r.cfg.IOTimeout, snapshotPayloadLimit(r.dim), r.wireM)
+		m, err := readMsg(conn, r.up.ioTimeout, snapshotPayloadLimit(r.dim), r.up.wireM)
 		if err != nil {
 			return fmt.Errorf("transport: round %d pull: %w", round, err)
 		}
@@ -429,7 +327,7 @@ func (r *clientRun) session(ctx context.Context) error {
 // the in-flight copy was rounded through binary16 when prepared).
 func (r *clientRun) push(conn *countingConn) error {
 	if r.codecNeg < wire.CodecSparse {
-		return writeMsg(conn, r.cfg.IOTimeout, r.inflight, r.wireM)
+		return writeMsg(conn, r.up.ioTimeout, r.inflight, r.up.wireM)
 	}
 	sp := &SparseUpdateMsg{
 		Round:    r.inflight.Round,
@@ -440,7 +338,7 @@ func (r *clientRun) push(conn *countingConn) error {
 		Enc:      r.codecNeg.Enc(),
 	}
 	sp.Values, sp.Q = wire.PackSparse(sp.Enc, r.inflight.Payload)
-	return writeMsg(conn, r.cfg.IOTimeout, sp, r.wireM)
+	return writeMsg(conn, r.up.ioTimeout, sp, r.up.wireM)
 }
 
 // acceptGlobal validates one downloaded frame of the round and returns its
@@ -475,33 +373,9 @@ func (r *clientRun) acceptGlobal(m wire.Msg, round int) (*GlobalMsg, error) {
 	return nil, protocolErrorf("round %d: expected a global frame, got %s", round, m.WireKind())
 }
 
-// acceptWelcome validates a WelcomeMsg and, on the first connection, builds
-// the training state (model, optimizer, batcher, manager) from it.
+// acceptWelcome validates the first WelcomeMsg and builds the training
+// state (model, optimizer, batcher, manager) from it.
 func (r *clientRun) acceptWelcome(w *WelcomeMsg) error {
-	if w.Codec > r.cfg.Codec {
-		return protocolErrorf("server negotiated codec %s, stronger than the offered %s",
-			w.Codec, r.cfg.Codec)
-	}
-	if r.params != nil {
-		// Reconnection: the geometry must not have changed.
-		if w.ClientID != r.res.ClientID || w.Rounds != r.rounds || w.Dim != r.dim {
-			return protocolErrorf("resume welcome changed geometry: id %d→%d rounds %d→%d dim %d→%d",
-				r.res.ClientID, w.ClientID, r.rounds, w.Rounds, r.dim, w.Dim)
-		}
-		if !w.Resumed {
-			return protocolErrorf("server restarted the session instead of resuming it")
-		}
-		if w.Codec != r.codecNeg {
-			return protocolErrorf("resume welcome changed codec %s→%s", r.codecNeg, w.Codec)
-		}
-		r.res.Reconnects++
-		if r.metrics != nil {
-			r.metrics.reconnects.Inc()
-		}
-		r.log.Info("session resumed", "client", r.res.ClientID, "have_round", r.applied)
-		return nil
-	}
-
 	// RNG stream ids match the in-process engine (fl.New) exactly, so a
 	// TCP deployment reproduces the simulator's training bit for bit —
 	// the equivalence test in this package depends on it.
@@ -530,12 +404,6 @@ func (r *clientRun) acceptWelcome(w *WelcomeMsg) error {
 	r.x = make([]float64, w.Dim)
 	r.res.ClientID = w.ClientID
 	r.res.Rounds = w.Rounds
-	if w.Resumed {
-		r.res.Reconnects++
-		if r.metrics != nil {
-			r.metrics.reconnects.Inc()
-		}
-	}
 	r.log.Info("joined cluster", "client", w.ClientID, "rounds", w.Rounds,
 		"dim", w.Dim, "codec", w.Codec.String())
 	return nil

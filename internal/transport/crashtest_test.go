@@ -125,9 +125,9 @@ func TestCrashRealSIGKILL(t *testing.T) {
 				Model:      p.Model,
 				Optimizer:  p.Optimizer,
 				Manager: func(clientID, dim int) fl.SyncManager {
-					return core.NewManager(core.Config{
-						Dim: dim, CheckEveryRounds: 2, Threshold: 0.1, EMAAlpha: 0.85, Seed: seed,
-					})
+					cfg := preset.APFConfig(seed)
+					cfg.Dim = dim
+					return core.NewManager(cfg)
 				},
 				Data:           p.Data,
 				Indices:        parts[i],
@@ -217,6 +217,133 @@ func TestCrashRealSIGKILL(t *testing.T) {
 		if diffs != 0 {
 			t.Fatalf("kill@%d: crash-and-recover diverged from the uninterrupted run at %d/%d scalars",
 				killRound, diffs, len(clean))
+		}
+	}
+}
+
+// TestCrashTwoTierBinaries is the drill's two-tier arm: it builds the real
+// apf-relay binary and runs an in-process root (Relays 2) under two
+// apf-relay processes with two in-process clients each. Every client's
+// final model must equal its flat in-process twin's bit for bit, as
+// TestTwoTierBitExactVsFlat requires in-process — so the relay's flags and
+// its uplink run end to end from the binary an operator starts.
+func TestCrashTwoTierBinaries(t *testing.T) {
+	if os.Getenv("APF_CRASHTEST") == "" {
+		t.Skip("set APF_CRASHTEST=1 (make crashtest) to run the two-tier binary drill")
+	}
+	const (
+		seed    = 42
+		clients = 4
+		rounds  = 6
+	)
+	bin := filepath.Join(t.TempDir(), "apf-relay")
+	if out, err := exec.Command("go", "build", "-o", bin, "apf/cmd/apf-relay").CombinedOutput(); err != nil {
+		t.Fatalf("build apf-relay: %v\n%s", err, out)
+	}
+	p, err := preset.Load("mlp", seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	init := p.InitVector(seed)
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
+	defer cancel()
+
+	// Each client mirrors apf-client -scheme none on shard i, except that it
+	// trains on one sample: its trajectory then does not depend on the id
+	// its server assigns, which a relay numbers locally and the flat twin
+	// globally.
+	runClients := func(addr func(i int) string) [][]float64 {
+		models := make([][]float64, clients)
+		errs := make([]error, clients)
+		var wg sync.WaitGroup
+		for i := 0; i < clients; i++ {
+			name := fmt.Sprintf("shard-%d", i)
+			cfg := ClientConfig{
+				Addr: addr(i), Name: name, SessionKey: name,
+				Model: p.Model, Optimizer: p.Optimizer,
+				Manager:    func(int, int) fl.SyncManager { return fl.NewPassthroughManager(4) },
+				Data:       p.Data,
+				Indices:    []int{i},
+				LocalIters: 4,
+				BatchSize:  1,
+				Seed:       seed + int64(i),
+				// A relay process may still be starting: refused dials retry.
+				MaxRetries:     100,
+				RetryBaseDelay: 20 * time.Millisecond,
+				RetryMaxDelay:  300 * time.Millisecond,
+			}
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				res, err := RunClient(ctx, cfg)
+				if errs[i] = err; err == nil {
+					models[i] = res.FinalModel
+				}
+			}(i)
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("client %d: %v", i, err)
+			}
+		}
+		return models
+	}
+	serve := func(cfg ServerConfig) (*Server, <-chan error) {
+		srv, err := NewServer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := srv.Run(ctx)
+			done <- err
+		}()
+		return srv, done
+	}
+
+	flat, flatDone := serve(ServerConfig{Addr: "127.0.0.1:0", NumClients: clients, Rounds: rounds, Init: init})
+	want := runClients(func(int) string { return flat.Addr().String() })
+	if err := <-flatDone; err != nil {
+		t.Fatalf("flat twin: %v", err)
+	}
+
+	root, rootDone := serve(ServerConfig{Addr: "127.0.0.1:0", Relays: 2, Rounds: rounds, Init: init})
+	relayAddrs := []string{freeAddr(t), freeAddr(t)}
+	relayDone := make([]chan error, len(relayAddrs))
+	for i, name := range []string{"edge-a", "edge-b"} {
+		rel := exec.CommandContext(ctx, bin,
+			"-addr", relayAddrs[i], "-upstream", root.Addr().String(), "-name", name,
+			"-clients", fmt.Sprint(clients/2), "-retries", "3", "-seed", fmt.Sprint(seed),
+			// Every downward-face flag, set to values that leave a fault-free
+			// run's trajectory unchanged.
+			"-io-timeout", "30s", "-deadline", "30s", "-min-clients", "2",
+			"-checkpoint-dir", t.TempDir(), "-snapshot-every", "2",
+			"-history-rounds", "3", "-shadow", "-codec", "sparse",
+			"-max-norm-mult", "10", "-cosine-floor", "-1", "-round-norm-mult", "10",
+			"-log-level", "info")
+		rel.Stdout, rel.Stderr = os.Stderr, os.Stderr
+		if err := rel.Start(); err != nil {
+			t.Fatalf("start %s: %v", name, err)
+		}
+		relayDone[i] = make(chan error, 1)
+		go func(i int) { relayDone[i] <- rel.Wait() }(i)
+	}
+	got := runClients(func(i int) string { return relayAddrs[i/(clients/2)] })
+	for i, done := range relayDone {
+		if err := <-done; err != nil {
+			t.Fatalf("apf-relay %d: %v", i, err)
+		}
+	}
+	if err := <-rootDone; err != nil {
+		t.Fatalf("root: %v", err)
+	}
+	for i := range want {
+		for j := range want[i] {
+			if got[i][j] != want[i][j] {
+				t.Fatalf("client %d: two-tier final model differs from the flat twin's at %d: %v vs %v",
+					i, j, got[i][j], want[i][j])
+			}
 		}
 	}
 }

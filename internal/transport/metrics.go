@@ -316,7 +316,7 @@ func newRelayMetrics(reg *telemetry.Registry) *relayMetrics {
 		sessions: reg.Gauge("apf_relay_sessions",
 			"Client sessions this relay terminates."),
 		reconnects: reg.Counter("apf_relay_upstream_reconnects_total",
-			"Upstream session re-attachments after connection failures."),
+			"Failed upstream attempts, each answered by a reconnect until the retry budget is spent."),
 	}
 }
 

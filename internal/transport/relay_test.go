@@ -49,18 +49,7 @@ func runClientsAgainst(ctx context.Context, t *testing.T, addr string, ds *data.
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = RunClient(ctx, ClientConfig{
-				Addr:       addr,
-				Name:       "client",
-				Model:      tinyModel,
-				Optimizer:  tinySGD,
-				Manager:    func(clientID, dim int) fl.SyncManager { return fl.NewPassthroughManager(4) },
-				Data:       ds,
-				Indices:    parts[i],
-				LocalIters: 3,
-				BatchSize:  1,
-				Seed:       5,
-			})
+			results[i], errs[i] = RunClient(ctx, passthroughClient(addr, ds, parts[i]))
 		}(i)
 	}
 	wg.Wait()
@@ -70,6 +59,23 @@ func runClientsAgainst(ctx context.Context, t *testing.T, addr string, ds *data.
 		}
 	}
 	return results
+}
+
+// passthroughClient is the single-sample passthrough trainer the two-tier
+// tests run against addr.
+func passthroughClient(addr string, ds *data.Dataset, part []int) ClientConfig {
+	return ClientConfig{
+		Addr:       addr,
+		Name:       "client",
+		Model:      tinyModel,
+		Optimizer:  tinySGD,
+		Manager:    func(clientID, dim int) fl.SyncManager { return fl.NewPassthroughManager(4) },
+		Data:       ds,
+		Indices:    part,
+		LocalIters: 3,
+		BatchSize:  1,
+		Seed:       5,
+	}
 }
 
 // TestTwoTierBitExactVsFlat is the topology-refactor acceptance test: the
@@ -366,7 +372,7 @@ func TestRelayResendIsByteIdentical(t *testing.T) {
 	rel, err := NewRelay(RelayConfig{
 		Addr: "127.0.0.1:0", Upstream: rootLn.Addr().String(),
 		Name: "edge", SessionKey: "edge", NumClients: 1,
-		MaxRetries: 3, RetryBaseDelay: time.Millisecond, RetryMaxDelay: 5 * time.Millisecond,
+		MaxRetries: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

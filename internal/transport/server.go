@@ -166,9 +166,12 @@ type Server struct {
 
 	// reducer and streaming configure the engine's relay face: the relay
 	// installs its upstream partial-sum exchange (and streaming collection)
-	// between NewServer and Run, never concurrently with either.
+	// between NewServer and Run, never concurrently with either. jumpSnap
+	// is an upstream snapshot the reducer stages for the commitJump that
+	// follows it; both run on the engine goroutine.
 	reducer   roundReducer
 	streaming bool
+	jumpSnap  *wire.SnapshotMsg
 
 	// metrics/wireM/log are nil-safe instrumentation handles (no-ops
 	// unless ServerConfig injected a registry or logger).
@@ -186,12 +189,10 @@ type Server struct {
 	frames   []*roundFrames // per-codec encoded aggregates, parallel to history
 	// shadow replicates the clients' manager state (nil unless
 	// cfg.Shadow); lastDense/lastDenseRound keep the newest full-length
-	// committed payload for the stateless catch-up fallback; jumpSnap is
-	// an upstream snapshot staged by a relay for commitJump.
+	// committed payload for the stateless catch-up fallback.
 	shadow         *shadow
 	lastDense      []float64
 	lastDenseRound int
-	jumpSnap       *wire.SnapshotMsg
 	sessions       []*session // by client id, registration order
 	byKey          map[string]*session
 	conns          map[*countingConn]struct{} // live, un-absorbed connections
@@ -684,18 +685,14 @@ func (s *Server) Run(ctx context.Context) ([]float64, error) {
 	}()
 
 	// Tear everything down if the context is cancelled.
-	go func() {
-		select {
-		case <-ctx.Done():
-			closeQuietly(s.ln)
-			s.mu.Lock()
-			for cc := range s.conns {
-				closeQuietly(cc)
-			}
-			s.mu.Unlock()
-		case <-s.done:
+	defer context.AfterFunc(ctx, func() {
+		closeQuietly(s.ln)
+		s.mu.Lock()
+		for cc := range s.conns {
+			closeQuietly(cc)
 		}
-	}()
+		s.mu.Unlock()
+	})()
 
 	go s.acceptLoop()
 
@@ -876,7 +873,8 @@ func (s *Server) commitRound(g *GlobalMsg, meta roundMeta, partial bool) error {
 // jumped state reaches the checkpoint store before any session can
 // observe it.
 func (s *Server) commitJump(g *GlobalMsg) error {
-	snap := s.takeJump()
+	snap := s.jumpSnap
+	s.jumpSnap = nil
 	if snap == nil || snap.Round != g.Round {
 		return fmt.Errorf("transport: commitJump without a staged snapshot for round %d", g.Round)
 	}

@@ -178,10 +178,11 @@ func protocolErrorf(format string, args ...any) error {
 // closeQuietly closes c, ignoring errors (shutdown paths).
 func closeQuietly(c io.Closer) { _ = c.Close() }
 
-// checkWelcome validates a decoded WelcomeMsg against the client's model
-// dimension. Shared by the client and the protocol fuzz targets.
+// checkWelcome validates a peer's first WelcomeMsg against the model
+// dimension it expects. Shared by the client, the relay (which takes the
+// dimension from the welcome), and the protocol fuzz targets.
 func checkWelcome(w *WelcomeMsg, wantDim int) error {
-	if w.Dim != wantDim {
+	if w.Dim != wantDim || w.Dim <= 0 {
 		return protocolErrorf("server model dimension %d, local model has %d", w.Dim, wantDim)
 	}
 	if w.Rounds <= 0 || w.NumClients <= 0 || w.ClientID < 0 || w.ClientID >= w.NumClients {
@@ -193,6 +194,37 @@ func checkWelcome(w *WelcomeMsg, wantDim int) error {
 	}
 	if w.Round < 0 || w.Round >= w.Rounds+1 {
 		return protocolErrorf("welcome round %d outside [0,%d]", w.Round, w.Rounds)
+	}
+	return nil
+}
+
+// checkRejoin validates the Welcome of a reconnect against the session's
+// first one. The tier above must resume the same session: a fresh
+// Welcome means it lost the session (a restart without a checkpoint), and
+// the rounds this peer applied no longer exist there.
+func checkRejoin(first, w *WelcomeMsg) error {
+	if w.ClientID != first.ClientID || w.Rounds != first.Rounds || w.Dim != first.Dim {
+		return protocolErrorf("resume welcome changed geometry: id %d→%d rounds %d→%d dim %d→%d",
+			first.ClientID, w.ClientID, first.Rounds, w.Rounds, first.Dim, w.Dim)
+	}
+	if !w.Resumed {
+		return protocolErrorf("server restarted the session instead of resuming it")
+	}
+	if w.Codec != first.Codec {
+		return protocolErrorf("resume welcome changed codec %s→%s", first.Codec, w.Codec)
+	}
+	return nil
+}
+
+// checkSnapshot validates a snapshot frame — a catch-up answer or a
+// mid-stream jump — against the receiver's applied round and model
+// dimension.
+func checkSnapshot(sm *wire.SnapshotMsg, applied, dim int) error {
+	if sm.Round <= applied {
+		return protocolErrorf("snapshot for round %d at applied round %d", sm.Round, applied)
+	}
+	if len(sm.Payload) != dim {
+		return protocolErrorf("snapshot payload length %d, model has %d", len(sm.Payload), dim)
 	}
 	return nil
 }
