@@ -196,6 +196,32 @@ func BenchmarkAggregate(b *testing.B) {
 	}
 }
 
+// BenchmarkTrainStep measures one steady-state local training step
+// (ZeroGrads + LossGrad + optimizer Step) of the two bench/ models on a
+// fixed batch: the lenet preset (LeNet-5, Adam, batch 20) and dense256k
+// (batch 1). Its 0 allocs/op and its trajectory are pinned in
+// hotpath_test.go; its time in situ is bench/'s nn.train_ms.
+func BenchmarkTrainStep(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		f    func() *trainFixture
+	}{
+		{"lenet", func() *trainFixture { return presetFixture(b, "lenet", 1) }},
+		{"dense256k", func() *trainFixture { return dense256kFixture(1) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			f := c.f()
+			f.next = fixed(f.next)
+			f.step()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f.step()
+			}
+		})
+	}
+}
+
 // ---- Microbenchmarks: numeric substrate ----
 
 // BenchmarkMatMul measures the 128×128 matrix product.

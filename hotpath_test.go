@@ -4,6 +4,9 @@
 // with or without a live telemetry observer, and the fixture lands and
 // holds its target frozen ratio. Timings of the same paths are taken in
 // situ by bench/ (core.*_ms, trace.overhead_frac, proc.allocs_per_round).
+// The training-step fixtures below (shared with BenchmarkTrainStep) pin
+// the other half of a client round: a steady-state local step allocates
+// nothing, and its float trajectory is bit-identical to the recorded one.
 //
 // The fixtures use only public core APIs: a Manager is driven through one
 // real warm-up window so that an exact, configurable fraction of the model
@@ -14,12 +17,21 @@
 package apf_test
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
+	"math/rand"
 	"testing"
 
 	"apf/internal/core"
+	"apf/internal/data"
+	"apf/internal/models"
+	"apf/internal/nn"
+	"apf/internal/opt"
+	"apf/internal/preset"
 	"apf/internal/telemetry"
 	"apf/internal/telemetry/hooks"
+	"apf/internal/tensor"
 )
 
 // roundCase is one point of the hot-path benchmark grid.
@@ -180,6 +192,129 @@ func TestInstrumentedRoundIsAllocationFree(t *testing.T) {
 	// The observer really fired: the rounds counter tracks every round.
 	if got := reg.Snapshot()["apf_manager_rounds_total"]; got == 0 {
 		t.Fatal("observer never fired on the instrumented rounds")
+	}
+}
+
+// ---- Training step: 0-alloc and trajectory pins ----
+
+// trainFixture is one model with its optimizer and a batch source: the unit
+// of local training every client repeats LocalIters times per round.
+type trainFixture struct {
+	net   *nn.Network
+	optim opt.Optimizer
+	next  func() (*tensor.Tensor, []int)
+}
+
+// step runs one local training iteration.
+func (f *trainFixture) step() {
+	x, y := f.next()
+	nn.ZeroGrads(f.net.Params())
+	f.net.LossGrad(x, y)
+	f.optim.Step()
+}
+
+// hash fingerprints the flat parameter vector (FNV-1a over the float bits).
+func (f *trainFixture) hash() uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, v := range nn.FlattenParams(f.net.Params(), nil) {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
+	}
+	return h.Sum64()
+}
+
+// batches draws shuffled batches of size batch from the whole of ds.
+func batches(ds *data.Dataset, batch int, seed int64) func() (*tensor.Tensor, []int) {
+	idx := make([]int, ds.Len())
+	for i := range idx {
+		idx[i] = i
+	}
+	return data.NewBatcher(ds, idx, batch, rand.New(rand.NewSource(seed))).Next
+}
+
+// fixed replays one batch forever, so a step does no data work.
+func fixed(next func() (*tensor.Tensor, []int)) func() (*tensor.Tensor, []int) {
+	x, y := next()
+	return func() (*tensor.Tensor, []int) { return x, y }
+}
+
+// presetFixture is a named preset's model, optimizer and batch size.
+func presetFixture(t testing.TB, name string, seed int64) *trainFixture {
+	p, err := preset.Load(name, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := p.Model(rand.New(rand.NewSource(seed)))
+	return &trainFixture{net: net, optim: p.Optimizer(net.Params()), next: batches(p.Data, p.Batch, seed)}
+}
+
+// dense256kFixture is bench/'s dense256k model (Flatten→Dense(1024,256)→
+// Tanh→Dense(256,10), SGD 0.05) at its batch of one 32×32 image.
+func dense256kFixture(seed int64) *trainFixture {
+	rng := rand.New(rand.NewSource(seed))
+	net := nn.NewNetwork(
+		nn.NewFlatten(),
+		nn.NewDense(rng, "fc1", 1024, 256),
+		nn.NewTanh(),
+		nn.NewDense(rng, "fc2", 256, 10),
+	)
+	ds := data.SynthImages(data.ImageConfig{Classes: 10, Channels: 1, Size: 32, Samples: 4, NoiseStd: 0.5, Seed: seed})
+	return &trainFixture{net: net, optim: opt.NewSGD(net.Params(), 0.05, 0, 0), next: batches(ds, 1, seed)}
+}
+
+// resnet8Fixture is the experiments' residual network (batch norm, padded
+// and strided convolutions, projection shortcuts) on the lenet preset's
+// images, trained with momentum SGD and weight decay.
+func resnet8Fixture(t testing.TB, seed int64) *trainFixture {
+	p, err := preset.Load("lenet", seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := models.ResNet(rand.New(rand.NewSource(seed)), models.ResNet8Config(), 1, 10)
+	return &trainFixture{net: net, optim: opt.NewSGD(net.Params(), 0.05, 0.9, 5e-4), next: batches(p.Data, 10, seed)}
+}
+
+// TestTrainStepIsAllocationFree pins the training step's memory discipline:
+// once every layer's workspace is built, ZeroGrads + LossGrad + optimizer
+// Step of both bench models performs zero heap allocations.
+func TestTrainStepIsAllocationFree(t *testing.T) {
+	for name, f := range map[string]*trainFixture{
+		"lenet":     presetFixture(t, "lenet", 1),
+		"dense256k": dense256kFixture(1),
+	} {
+		f.next = fixed(f.next)
+		f.step() // build the workspaces
+		if avg := testing.AllocsPerRun(20, f.step); avg != 0 {
+			t.Errorf("%s: steady-state training step allocates %v times, want 0", name, avg)
+		}
+	}
+}
+
+// TestTrainTrajectoryPinned pins the exact float trajectory of local
+// training: the parameter hash after a fixed number of seeded steps. Kernel
+// or layer changes must keep every rounded operation in its order, so these
+// constants (recorded with the unblocked matrix loops and per-call
+// allocation) only move with a deliberate change of numerics.
+func TestTrainTrajectoryPinned(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		f     func() *trainFixture
+		steps int
+		want  uint64
+	}{
+		{"lenet", func() *trainFixture { return presetFixture(t, "lenet", 1) }, 50, 0xb43bad4661515813},
+		{"dense256k", func() *trainFixture { return dense256kFixture(1) }, 8, 0xd773650ec987888d},
+		{"resnet8", func() *trainFixture { return resnet8Fixture(t, 1) }, 6, 0x1bbd4622d1a0200f},
+		{"lstm", func() *trainFixture { return presetFixture(t, "lstm", 1) }, 20, 0x0040990a262199a3},
+	} {
+		f := c.f()
+		for i := 0; i < c.steps; i++ {
+			f.step()
+		}
+		if got := f.hash(); got != c.want {
+			t.Errorf("%s: parameters after %d steps hash to %#016x, want %#016x", c.name, c.steps, got, c.want)
+		}
 	}
 }
 

@@ -247,8 +247,11 @@ func runTable4(scale Scale, seed int64) (*Output, error) {
 	return &Output{ID: "table4", Title: Title("table4"), Tables: []*metrics.Table{tbl}, Notes: []string{note}}, nil
 }
 
-// measureStepAlloc measures the bytes one forward+backward training step
-// allocates (a proxy for the activation/feature-map footprint).
+// measureStepAlloc measures the bytes the first forward+backward training
+// step of a fresh network allocates: the activation/feature-map workspaces
+// its layers build and keep for every later step, plus any per-step
+// temporaries. A later step would count only the temporaries, which is
+// allocation churn, not footprint.
 func measureStepAlloc(w workload, seed int64) int64 {
 	net := w.model(stats.SplitRNG(seed, 47))
 	params := net.Params()
@@ -257,8 +260,6 @@ func measureStepAlloc(w workload, seed int64) int64 {
 		idx[i] = i % w.train.Len()
 	}
 	xb, yb := w.train.Gather(idx)
-	nn.ZeroGrads(params)
-	net.LossGrad(xb, yb) // warm-up
 
 	var before, after runtime.MemStats
 	runtime.GC()

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"math/bits"
 
 	"apf/internal/tensor"
 )
@@ -9,6 +10,7 @@ import (
 // ReLU is the rectified linear activation, applied elementwise.
 type ReLU struct {
 	lastInput *tensor.Tensor
+	out, dx   *tensor.Tensor
 }
 
 var _ Layer = (*ReLU)(nil)
@@ -16,16 +18,26 @@ var _ Layer = (*ReLU)(nil)
 // NewReLU constructs a ReLU activation layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward computes max(0, x).
+// positive is all ones when the float64 with bits b is > 0 and zero
+// otherwise, −0 and NaN included. It is computed without a data-dependent
+// branch, which the sign of fresh activations would mispredict half the
+// time: v > 0 exactly when b, as an unsigned integer, lies in (0, +Inf].
+func positive(b uint64) uint64 {
+	const posInf = 0x7FF0000000000000
+	_, borrow := bits.Sub64(b-1, posInf, 0)
+	return -borrow
+}
+
+// Forward computes max(0, x), as +0 wherever x is not > 0.
 func (r *ReLU) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	r.lastInput = x
-	out := tensor.New(x.Shape...)
+	r.out = ensure(r.out, x.Shape...)
+	out := r.out.Data[:len(x.Data)]
 	for i, v := range x.Data {
-		if v > 0 {
-			out.Data[i] = v
-		}
+		b := math.Float64bits(v)
+		out[i] = math.Float64frombits(b & positive(b))
 	}
-	return out
+	return r.out
 }
 
 // Backward passes gradient where the input was positive.
@@ -33,13 +45,12 @@ func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if r.lastInput == nil {
 		panic("nn: ReLU.Backward called before Forward")
 	}
-	dx := tensor.New(grad.Shape...)
+	r.dx = ensure(r.dx, grad.Shape...)
+	dx, g := r.dx.Data[:len(r.lastInput.Data)], grad.Data[:len(r.lastInput.Data)]
 	for i, v := range r.lastInput.Data {
-		if v > 0 {
-			dx.Data[i] = grad.Data[i]
-		}
+		dx[i] = math.Float64frombits(math.Float64bits(g[i]) & positive(math.Float64bits(v)))
 	}
-	return dx
+	return r.dx
 }
 
 // Params returns nil: activations have no parameters.
@@ -48,6 +59,7 @@ func (r *ReLU) Params() []*Param { return nil }
 // Tanh is the hyperbolic-tangent activation, applied elementwise.
 type Tanh struct {
 	lastOutput *tensor.Tensor
+	dx         *tensor.Tensor
 }
 
 var _ Layer = (*Tanh)(nil)
@@ -57,12 +69,12 @@ func NewTanh() *Tanh { return &Tanh{} }
 
 // Forward computes tanh(x).
 func (t *Tanh) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	out := tensor.New(x.Shape...)
+	t.lastOutput = ensure(t.lastOutput, x.Shape...)
+	out := t.lastOutput.Data[:len(x.Data)]
 	for i, v := range x.Data {
-		out.Data[i] = math.Tanh(v)
+		out[i] = math.Tanh(v)
 	}
-	t.lastOutput = out
-	return out
+	return t.lastOutput
 }
 
 // Backward computes grad·(1 - tanh²).
@@ -70,11 +82,12 @@ func (t *Tanh) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if t.lastOutput == nil {
 		panic("nn: Tanh.Backward called before Forward")
 	}
-	dx := tensor.New(grad.Shape...)
+	t.dx = ensure(t.dx, grad.Shape...)
+	dx, g := t.dx.Data[:len(t.lastOutput.Data)], grad.Data[:len(t.lastOutput.Data)]
 	for i, y := range t.lastOutput.Data {
-		dx.Data[i] = grad.Data[i] * (1 - y*y)
+		dx[i] = g[i] * (1 - y*y)
 	}
-	return dx
+	return t.dx
 }
 
 // Params returns nil: activations have no parameters.

@@ -18,7 +18,15 @@ type Conv2D struct {
 	w, b *Param
 
 	lastInput *tensor.Tensor
-	lastCols  []*tensor.Tensor // per-sample [inC·k·k, oh·ow] matrices
+	cols      *tensor.Tensor // [N, inC·k·k, oh·ow]: every sample's im2col matrix
+	out, dx   *tensor.Tensor
+	dcols     *tensor.Tensor // one sample's column gradient
+	dw        *tensor.Tensor // one sample's kernel-gradient product
+
+	wMat, dwMat *tensor.Tensor // [outC, inC·k·k] views of the kernel and its gradient
+	// Headers re-pointed at one sample's slice of cols, out and the
+	// incoming gradient.
+	colsMat, yMat, dyMat *tensor.Tensor
 }
 
 var _ Layer = (*Conv2D)(nil)
@@ -38,42 +46,58 @@ func NewConv2D(rng *rand.Rand, name string, inC, outC, k, stride, pad int) *Conv
 		b:      newParam(name+".b", outC),
 	}
 	heNormal(rng, c.w.Data, inC*k*k)
+	c.wMat = c.w.Data.Reshape(outC, inC*k*k)
+	c.dwMat = c.w.Grad.Reshape(outC, inC*k*k)
 	return c
 }
 
 // outDim computes the output spatial extent for an input extent.
 func (c *Conv2D) outDim(in int) int { return (in+2*c.pad-c.k)/c.stride + 1 }
 
-// im2col lowers one sample (flat [inC, h, w] data) into a
-// [inC·k·k, oh·ow] matrix whose columns are receptive fields.
-func (c *Conv2D) im2col(sample []float64, h, w, oh, ow int) *tensor.Tensor {
-	rows := c.inC * c.k * c.k
+// span returns the output positions [lo, hi) of one spatial axis, of
+// extent on, whose input position o·stride − pad + kk lies inside [0, in):
+// the cells kernel offset kk reads from the image rather than the padding.
+func (c *Conv2D) span(kk, in, on int) (lo, hi int) {
+	if d := c.pad - kk; d > 0 {
+		lo = (d + c.stride - 1) / c.stride
+	}
+	hi = (in + c.pad - kk + c.stride - 1) / c.stride
+	return min(lo, on), max(min(hi, on), min(lo, on))
+}
+
+// im2col lowers one sample (flat [inC, h, w] data) into od, a row-major
+// [inC·k·k, oh·ow] matrix whose columns are receptive fields. Every cell
+// is written, padding included, so od may hold a previous call's values.
+func (c *Conv2D) im2col(sample, od []float64, h, w, oh, ow int) {
 	cols := oh * ow
-	out := tensor.New(rows, cols)
-	od := out.Data
 	for ic := 0; ic < c.inC; ic++ {
 		plane := sample[ic*h*w : (ic+1)*h*w]
 		for ky := 0; ky < c.k; ky++ {
 			for kx := 0; kx < c.k; kx++ {
 				row := ((ic*c.k+ky)*c.k + kx) * cols
+				lo, hi := c.span(kx, w, ow)
+				off := kx - c.pad // input column of output column 0
 				for oy := 0; oy < oh; oy++ {
+					dst := od[row+oy*ow : row+(oy+1)*ow]
 					iy := oy*c.stride - c.pad + ky
 					if iy < 0 || iy >= h {
-						continue // stays zero (padding)
+						clear(dst) // padding row
+						continue
 					}
-					src := plane[iy*w:]
-					dst := od[row+oy*ow:]
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*c.stride - c.pad + kx
-						if ix >= 0 && ix < w {
-							dst[ox] = src[ix]
-						}
+					src := plane[iy*w : (iy+1)*w]
+					clear(dst[:lo])
+					clear(dst[hi:])
+					if c.stride == 1 {
+						copy(dst[lo:hi], src[lo+off:])
+						continue
+					}
+					for ox := lo; ox < hi; ox++ {
+						dst[ox] = src[ox*c.stride+off]
 					}
 				}
 			}
 		}
 	}
-	return out
 }
 
 // col2im scatters a [inC·k·k, oh·ow] gradient matrix back onto one
@@ -86,18 +110,17 @@ func (c *Conv2D) col2im(colsGrad *tensor.Tensor, dst []float64, h, w, oh, ow int
 		for ky := 0; ky < c.k; ky++ {
 			for kx := 0; kx < c.k; kx++ {
 				row := ((ic*c.k+ky)*c.k + kx) * cols
+				lo, hi := c.span(kx, w, ow)
+				off := kx - c.pad
 				for oy := 0; oy < oh; oy++ {
 					iy := oy*c.stride - c.pad + ky
 					if iy < 0 || iy >= h {
 						continue
 					}
-					dstRow := plane[iy*w:]
-					srcRow := cd[row+oy*ow:]
-					for ox := 0; ox < ow; ox++ {
-						ix := ox*c.stride - c.pad + kx
-						if ix >= 0 && ix < w {
-							dstRow[ix] += srcRow[ox]
-						}
+					dstRow := plane[iy*w : (iy+1)*w]
+					srcRow := cd[row+oy*ow : row+(oy+1)*ow]
+					for ox := lo; ox < hi; ox++ {
+						dstRow[ox*c.stride+off] += srcRow[ox]
 					}
 				}
 			}
@@ -115,19 +138,21 @@ func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	if oh <= 0 || ow <= 0 {
 		panic(fmt.Sprintf("nn: Conv2D input %v too small for k=%d stride=%d pad=%d", x.Shape, c.k, c.stride, c.pad))
 	}
+	rows := c.inC * c.k * c.k
 	c.lastInput = x
-	c.lastCols = make([]*tensor.Tensor, n)
-	out := tensor.New(n, c.outC, oh, ow)
+	c.cols = ensure(c.cols, n, rows, oh*ow)
+	c.out = ensure(c.out, n, c.outC, oh, ow)
 
-	wMat := c.w.Data.Reshape(c.outC, c.inC*c.k*c.k)
 	sampleIn := c.inC * h * w
+	sampleCols := rows * oh * ow
 	sampleOut := c.outC * oh * ow
 	for in := 0; in < n; in++ {
-		cols := c.im2col(x.Data[in*sampleIn:(in+1)*sampleIn], h, w, oh, ow)
-		c.lastCols[in] = cols
-		y := tensor.MatMul(wMat, cols) // [outC, oh·ow]
-		dst := out.Data[in*sampleOut : (in+1)*sampleOut]
-		copy(dst, y.Data)
+		cols := c.cols.Data[in*sampleCols : (in+1)*sampleCols]
+		c.im2col(x.Data[in*sampleIn:(in+1)*sampleIn], cols, h, w, oh, ow)
+		dst := c.out.Data[in*sampleOut : (in+1)*sampleOut]
+		c.colsMat = view(c.colsMat, cols, rows, oh*ow)
+		c.yMat = view(c.yMat, dst, c.outC, oh*ow)
+		tensor.MatMulInto(c.yMat, c.wMat, c.colsMat)
 		for oc := 0; oc < c.outC; oc++ {
 			bias := c.b.Data.Data[oc]
 			seg := dst[oc*oh*ow : (oc+1)*oh*ow]
@@ -136,41 +161,61 @@ func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 			}
 		}
 	}
-	return out
+	return c.out
 }
 
 // Backward accumulates kernel and bias gradients and returns the input
 // gradient.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	return c.backward(grad, true)
+}
+
+// backwardParams accumulates kernel and bias gradients only.
+func (c *Conv2D) backwardParams(grad *tensor.Tensor) { c.backward(grad, false) }
+
+func (c *Conv2D) backward(grad *tensor.Tensor, wantDx bool) *tensor.Tensor {
 	x := c.lastInput
-	if x == nil || c.lastCols == nil {
+	if x == nil {
 		panic("nn: Conv2D.Backward called before Forward")
 	}
 	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
 	oh, ow := grad.Shape[2], grad.Shape[3]
-	dx := tensor.New(x.Shape...)
+	rows := c.inC * c.k * c.k
+	c.dw = ensure(c.dw, c.outC, rows)
+	if wantDx {
+		c.dx = ensure(c.dx, x.Shape...)
+		clear(c.dx.Data) // col2im accumulates
+		c.dcols = ensure(c.dcols, rows, oh*ow)
+	}
 
-	wMat := c.w.Data.Reshape(c.outC, c.inC*c.k*c.k)
-	dwMat := c.w.Grad.Reshape(c.outC, c.inC*c.k*c.k)
 	sampleIn := c.inC * h * w
+	sampleCols := rows * oh * ow
 	sampleOut := c.outC * oh * ow
 	for in := 0; in < n; in++ {
-		dy := tensor.FromSlice(grad.Data[in*sampleOut:(in+1)*sampleOut], c.outC, oh*ow)
+		c.dyMat = view(c.dyMat, grad.Data[in*sampleOut:(in+1)*sampleOut], c.outC, oh*ow)
+		dy := c.dyMat.Data
 		// Bias: row sums of dy.
 		for oc := 0; oc < c.outC; oc++ {
 			s := 0.0
-			for _, v := range dy.Data[oc*oh*ow : (oc+1)*oh*ow] {
+			for _, v := range dy[oc*oh*ow : (oc+1)*oh*ow] {
 				s += v
 			}
 			c.b.Grad.Data[oc] += s
 		}
 		// Kernel: dW += dy · colsᵀ.
-		dwMat.AddAssign(tensor.MatMulTransB(dy, c.lastCols[in]))
-		// Input: dcols = Wᵀ · dy, scattered back.
-		dcols := tensor.MatMulTransA(wMat, dy)
-		c.col2im(dcols, dx.Data[in*sampleIn:(in+1)*sampleIn], h, w, oh, ow)
+		c.colsMat = view(c.colsMat, c.cols.Data[in*sampleCols:(in+1)*sampleCols], rows, oh*ow)
+		tensor.MatMulTransBInto(c.dw, c.dyMat, c.colsMat)
+		c.dwMat.AddAssign(c.dw)
+		if wantDx {
+			// Input: dcols = Wᵀ · dy, scattered back.
+			tensor.MatMulTransAInto(c.dcols, c.wMat, c.dyMat)
+			c.col2im(c.dcols, c.dx.Data[in*sampleIn:(in+1)*sampleIn], h, w, oh, ow)
+		}
 	}
-	return dx
+	if !wantDx {
+		return nil
+	}
+	return c.dx
 }
 
 // Params returns the kernel and bias parameters.

@@ -12,6 +12,8 @@ type Dense struct {
 	w, b *Param
 
 	lastInput *tensor.Tensor
+	out, dx   *tensor.Tensor
+	dw        *tensor.Tensor // the batch's weight-gradient product, when Grad holds a sum already
 }
 
 var _ Layer = (*Dense)(nil)
@@ -33,24 +35,43 @@ func (d *Dense) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: Dense expects [N, %d] input, got %v", d.w.Data.Shape[0], x.Shape))
 	}
 	d.lastInput = x
-	out := tensor.MatMul(x, d.w.Data)
-	n, m := out.Shape[0], out.Shape[1]
+	n, m := x.Shape[0], d.w.Data.Shape[1]
+	d.out = ensure(d.out, n, m)
+	tensor.MatMulInto(d.out, x, d.w.Data)
 	for i := 0; i < n; i++ {
-		row := out.Data[i*m : (i+1)*m]
+		row := d.out.Data[i*m : (i+1)*m]
 		for j := range row {
 			row[j] += d.b.Data.Data[j]
 		}
 	}
-	return out
+	return d.out
 }
 
 // Backward accumulates dW = xᵀ·dy and db = Σ_rows dy, and returns dx = dy·Wᵀ.
 func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	d.backwardParams(grad)
+	d.dx = ensure(d.dx, d.lastInput.Shape...)
+	tensor.MatMulTransBInto(d.dx, grad, d.w.Data)
+	return d.dx
+}
+
+// backwardParams accumulates dW and db only.
+func (d *Dense) backwardParams(grad *tensor.Tensor) {
 	x := d.lastInput
 	if x == nil {
 		panic("nn: Dense.Backward called before Forward")
 	}
-	d.w.Grad.AddAssign(tensor.MatMulTransA(x, grad))
+	if allZero(d.w.Grad.Data) {
+		// The usual case, right after ZeroGrads: the product goes straight
+		// into the gradient. Adding it to ±0 would not change a bit (the
+		// kernel sums from +0, so it never yields −0), and a 1024×256
+		// layer's 2 MB scratch is not needed.
+		tensor.MatMulTransAInto(d.w.Grad, x, grad)
+	} else {
+		d.dw = ensure(d.dw, d.w.Data.Shape...)
+		tensor.MatMulTransAInto(d.dw, x, grad)
+		d.w.Grad.AddAssign(d.dw)
+	}
 	n, m := grad.Shape[0], grad.Shape[1]
 	for i := 0; i < n; i++ {
 		row := grad.Data[i*m : (i+1)*m]
@@ -58,7 +79,16 @@ func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			d.b.Grad.Data[j] += row[j]
 		}
 	}
-	return tensor.MatMulTransB(grad, d.w.Data)
+}
+
+// allZero reports whether every element of v is ±0.
+func allZero(v []float64) bool {
+	for _, x := range v {
+		if x != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Params returns the weight and bias parameters.

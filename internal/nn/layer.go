@@ -7,9 +7,59 @@
 // Layers cache activations on Forward and consume them on Backward, so a
 // layer instance must not be shared across concurrent training loops. In
 // the FL simulator every client owns a private model replica.
+//
+// Workspaces. The layers on the training hot path (Conv2D, Dense, ReLU,
+// Tanh, MaxPool2D, Flatten, SoftmaxCrossEntropy) own their outputs and their
+// backward scratch and reuse them while shapes repeat, so a steady-state
+// training step allocates nothing. The contract: a tensor a layer returns
+// is valid until that layer's next call of the same method, and a layer
+// never writes into a tensor it received. A caller that keeps a result
+// across such a call copies it (Clone).
 package nn
 
 import "apf/internal/tensor"
+
+// ensure returns t when it already has the given shape, and otherwise a new
+// zero tensor of that shape: one workspace reused while shapes repeat. A
+// reused tensor holds whatever its last use left there.
+func ensure(t *tensor.Tensor, shape ...int) *tensor.Tensor {
+	if t != nil && sameDims(t.Shape, shape) {
+		return t
+	}
+	// A copy, so that shape itself does not escape: callers' variadic
+	// arguments then stay on the stack.
+	return tensor.New(append([]int(nil), shape...)...)
+}
+
+// view returns hdr re-pointed at data with the given shape, building a new
+// header only when the shape changes; len(data) must equal the shape's
+// element count.
+func view(hdr *tensor.Tensor, data []float64, shape ...int) *tensor.Tensor {
+	if hdr == nil || !sameDims(hdr.Shape, shape) {
+		return tensor.FromSlice(data, append([]int(nil), shape...)...)
+	}
+	hdr.Data = data
+	return hdr
+}
+
+func sameDims(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, d := range a {
+		if d != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// paramsBackwarder is a layer that can accumulate its parameter gradients
+// without computing its input gradient. Network.LossGrad uses it on the
+// lowest layer with parameters, whose input gradient nobody reads.
+type paramsBackwarder interface {
+	backwardParams(grad *tensor.Tensor)
+}
 
 // Param is a single learnable (or tracked) tensor of a model, together with
 // its gradient accumulator.

@@ -12,6 +12,7 @@ import (
 type SoftmaxCrossEntropy struct {
 	lastProbs  *tensor.Tensor
 	lastLabels []int
+	grad       *tensor.Tensor
 }
 
 // NewSoftmaxCrossEntropy constructs the loss.
@@ -26,7 +27,8 @@ func (l *SoftmaxCrossEntropy) Forward(logits *tensor.Tensor, labels []int) float
 	if len(labels) != n {
 		panic(fmt.Sprintf("nn: %d labels for batch of %d", len(labels), n))
 	}
-	probs := tensor.New(n, c)
+	l.lastProbs = ensure(l.lastProbs, n, c)
+	probs := l.lastProbs
 	loss := 0.0
 	for i := 0; i < n; i++ {
 		row := logits.Data[i*c : (i+1)*c]
@@ -57,7 +59,6 @@ func (l *SoftmaxCrossEntropy) Forward(logits *tensor.Tensor, labels []int) float
 		}
 		loss -= math.Log(p)
 	}
-	l.lastProbs = probs
 	l.lastLabels = labels
 	return loss / float64(n)
 }
@@ -68,7 +69,9 @@ func (l *SoftmaxCrossEntropy) Backward() *tensor.Tensor {
 		panic("nn: loss Backward called before Forward")
 	}
 	n, c := l.lastProbs.Shape[0], l.lastProbs.Shape[1]
-	grad := l.lastProbs.Clone()
+	l.grad = ensure(l.grad, n, c)
+	grad := l.grad
+	copy(grad.Data, l.lastProbs.Data)
 	inv := 1.0 / float64(n)
 	for i := 0; i < n; i++ {
 		row := grad.Data[i*c : (i+1)*c]
@@ -80,18 +83,28 @@ func (l *SoftmaxCrossEntropy) Backward() *tensor.Tensor {
 	return grad
 }
 
-// Accuracy returns the fraction of rows of logits whose argmax equals the
-// label.
+// Accuracy returns the fraction of rows of logits whose argmax (the lowest
+// index on ties) equals the label.
 func Accuracy(logits *tensor.Tensor, labels []int) float64 {
-	pred := tensor.ArgMaxRows(logits)
-	if len(pred) == 0 {
+	if logits.Rank() != 2 {
+		panic(fmt.Sprintf("nn: Accuracy expects [N, C] logits, got %v", logits.Shape))
+	}
+	n, c := logits.Shape[0], logits.Shape[1]
+	if n == 0 {
 		return 0
 	}
 	correct := 0
-	for i, p := range pred {
-		if p == labels[i] {
+	for i := 0; i < n; i++ {
+		row := logits.Data[i*c : (i+1)*c]
+		best := 0
+		for j := 1; j < c; j++ {
+			if row[j] > row[best] {
+				best = j
+			}
+		}
+		if best == labels[i] {
 			correct++
 		}
 	}
-	return float64(correct) / float64(len(pred))
+	return float64(correct) / float64(n)
 }

@@ -10,6 +10,7 @@ import (
 // Flatten reshapes [N, ...] inputs to [N, rest] matrices.
 type Flatten struct {
 	lastShape []int
+	out, dx   *tensor.Tensor // views of the input and of the gradient
 }
 
 var _ Layer = (*Flatten)(nil)
@@ -23,7 +24,12 @@ func (f *Flatten) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: Flatten expects rank ≥ 2 input, got %v", x.Shape))
 	}
 	f.lastShape = x.Shape
-	return x.Reshape(x.Shape[0], -1)
+	rest := 1
+	for _, d := range x.Shape[1:] {
+		rest *= d
+	}
+	f.out = view(f.out, x.Data, x.Shape[0], rest)
+	return f.out
 }
 
 // Backward restores the original input shape.
@@ -31,7 +37,8 @@ func (f *Flatten) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if f.lastShape == nil {
 		panic("nn: Flatten.Backward called before Forward")
 	}
-	return grad.Reshape(f.lastShape...)
+	f.dx = view(f.dx, grad.Data, f.lastShape...)
+	return f.dx
 }
 
 // Params returns nil: flattening has no parameters.
@@ -97,14 +104,18 @@ func (d *Dropout) Params() []*Param { return nil }
 type Sequential struct {
 	layers []Layer
 	params []*Param
+	lowest int // index of the first layer with parameters, -1 if none
 }
 
 var _ Layer = (*Sequential)(nil)
 
 // NewSequential composes the given layers.
 func NewSequential(layers ...Layer) *Sequential {
-	s := &Sequential{layers: layers}
-	for _, l := range layers {
+	s := &Sequential{layers: layers, lowest: -1}
+	for i, l := range layers {
+		if s.lowest < 0 && len(l.Params()) > 0 {
+			s.lowest = i
+		}
 		s.params = append(s.params, l.Params()...)
 	}
 	return s
@@ -124,6 +135,23 @@ func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		grad = s.layers[i].Backward(grad)
 	}
 	return grad
+}
+
+// backwardParams accumulates every parameter gradient without computing
+// the stack's input gradient: it stops at the lowest layer with parameters
+// and runs that layer's own backwardParams when it has one.
+func (s *Sequential) backwardParams(grad *tensor.Tensor) {
+	for i := len(s.layers) - 1; i > s.lowest; i-- {
+		grad = s.layers[i].Backward(grad)
+	}
+	if s.lowest < 0 {
+		return
+	}
+	if l, ok := s.layers[s.lowest].(paramsBackwarder); ok {
+		l.backwardParams(grad)
+	} else {
+		s.layers[s.lowest].Backward(grad)
+	}
 }
 
 // Params returns the concatenated parameters of all layers in order.

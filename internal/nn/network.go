@@ -24,12 +24,13 @@ func (n *Network) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // LossGrad runs a full forward/backward pass on one batch, accumulating
 // parameter gradients (call ZeroGrads first for a fresh step). It returns
-// the batch loss and the batch accuracy.
+// the batch loss and the batch accuracy. The input gradient nobody reads
+// is not computed: backward stops at the lowest layer with parameters.
 func (n *Network) LossGrad(x *tensor.Tensor, labels []int) (loss, acc float64) {
 	logits := n.layers.Forward(x, true)
 	loss = n.loss.Forward(logits, labels)
 	acc = Accuracy(logits, labels)
-	n.layers.Backward(n.loss.Backward())
+	n.layers.backwardParams(n.loss.Backward())
 	return loss, acc
 }
 

@@ -312,6 +312,14 @@ func TestAccuracy(t *testing.T) {
 	if got := Accuracy(logits, []int{0, 1, 1}); math.Abs(got-2.0/3.0) > 1e-12 {
 		t.Errorf("Accuracy = %v, want 2/3", got)
 	}
+	// Ties resolve to the lowest index: the tied row predicts class 0.
+	tied := tensor.FromSlice([]float64{1, 5, 2, 7, 0, 3, 3, 3, 1}, 3, 3)
+	if got := Accuracy(tied, []int{1, 0, 0}); got != 1 {
+		t.Errorf("Accuracy with a tied row = %v, want 1", got)
+	}
+	if got := Accuracy(tied, []int{1, 0, 1}); math.Abs(got-2.0/3.0) > 1e-12 {
+		t.Errorf("Accuracy with a tied row = %v, want 2/3", got)
+	}
 }
 
 func TestFlattenVectorRoundTrip(t *testing.T) {

@@ -14,6 +14,7 @@ type MaxPool2D struct {
 
 	lastShape []int
 	argmax    []int // flat input index of each output element's maximum
+	out, dx   *tensor.Tensor
 }
 
 var _ Layer = (*MaxPool2D)(nil)
@@ -38,11 +39,13 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	if oh <= 0 || ow <= 0 {
 		panic(fmt.Sprintf("nn: MaxPool2D input %v too small for k=%d stride=%d", x.Shape, p.k, p.stride))
 	}
-	out := tensor.New(n, c, oh, ow)
+	p.out = ensure(p.out, n, c, oh, ow)
 	p.lastShape = x.Shape
-	p.argmax = make([]int, out.Size())
+	if len(p.argmax) != p.out.Size() {
+		p.argmax = make([]int, p.out.Size())
+	}
 
-	xd, od := x.Data, out.Data
+	xd, od := x.Data, p.out.Data
 	oi := 0
 	for in := 0; in < n; in++ {
 		for ic := 0; ic < c; ic++ {
@@ -69,7 +72,7 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 			}
 		}
 	}
-	return out
+	return p.out
 }
 
 // Backward routes each output gradient to the input position that won the
@@ -78,11 +81,13 @@ func (p *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if p.argmax == nil {
 		panic("nn: MaxPool2D.Backward called before Forward")
 	}
-	dx := tensor.New(p.lastShape...)
+	p.dx = ensure(p.dx, p.lastShape...)
+	dx := p.dx.Data
+	clear(dx)
 	for oi, idx := range p.argmax {
-		dx.Data[idx] += grad.Data[oi]
+		dx[idx] += grad.Data[oi]
 	}
-	return dx
+	return p.dx
 }
 
 // Params returns nil: pooling has no parameters.

@@ -189,6 +189,8 @@ func matMulNaive(a, b *Tensor) *Tensor {
 	return out
 }
 
+// TestMatMulAgainstNaive requires bit equality: Randn operands have no
+// zeros, so the kernels sum exactly the naive loop's terms in its order.
 func TestMatMulAgainstNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 20; trial++ {
@@ -196,24 +198,151 @@ func TestMatMulAgainstNaive(t *testing.T) {
 		a := Randn(rng, 0, 1, m, k)
 		b := Randn(rng, 0, 1, k, n)
 		want := matMulNaive(a, b)
+		requireBits(t, "MatMul", MatMul(a, b), want)
+		requireBits(t, "MatMulTransA", MatMulTransA(Transpose2D(a), b), want)
+		requireBits(t, "MatMulTransB", MatMulTransB(a, Transpose2D(b)), want)
+	}
+}
 
-		got := MatMul(a, b)
-		for i := range got.Data {
-			if !almostEqual(got.Data[i], want.Data[i], 1e-12) {
-				t.Fatalf("MatMul mismatch at %d: %v vs %v", i, got.Data[i], want.Data[i])
+// The plain loops the blocked kernels replaced, kept verbatim as the
+// references the kernels must match bit for bit.
+
+func matMulRef(a, b *Tensor) *Tensor {
+	m, k := a.Shape[0], a.Shape[1]
+	n := b.Shape[1]
+	out := New(m, n)
+	for i := 0; i < m; i++ {
+		arow := a.Data[i*k : (i+1)*k]
+		orow := out.Data[i*n : (i+1)*n]
+		for kk := 0; kk < k; kk++ {
+			av := arow[kk]
+			if av == 0 {
+				continue
+			}
+			brow := b.Data[kk*n : (kk+1)*n]
+			for j, bv := range brow {
+				orow[j] += av * bv
 			}
 		}
+	}
+	return out
+}
 
-		gotTA := MatMulTransA(Transpose2D(a), b)
-		gotTB := MatMulTransB(a, Transpose2D(b))
-		for i := range want.Data {
-			if !almostEqual(gotTA.Data[i], want.Data[i], 1e-12) {
-				t.Fatalf("MatMulTransA mismatch at %d", i)
+func matMulTransARef(a, b *Tensor) *Tensor {
+	k, m := a.Shape[0], a.Shape[1]
+	n := b.Shape[1]
+	out := New(m, n)
+	for kk := 0; kk < k; kk++ {
+		arow := a.Data[kk*m : (kk+1)*m]
+		brow := b.Data[kk*n : (kk+1)*n]
+		for i, av := range arow {
+			if av == 0 {
+				continue
 			}
-			if !almostEqual(gotTB.Data[i], want.Data[i], 1e-12) {
-				t.Fatalf("MatMulTransB mismatch at %d", i)
+			orow := out.Data[i*n : (i+1)*n]
+			for j, bv := range brow {
+				orow[j] += av * bv
 			}
 		}
+	}
+	return out
+}
+
+func matMulTransBRef(a, b *Tensor) *Tensor {
+	m, k := a.Shape[0], a.Shape[1]
+	n := b.Shape[0]
+	out := New(m, n)
+	for i := 0; i < m; i++ {
+		arow := a.Data[i*k : (i+1)*k]
+		orow := out.Data[i*n : (i+1)*n]
+		for j := 0; j < n; j++ {
+			brow := b.Data[j*k : (j+1)*k]
+			s := 0.0
+			for kk, av := range arow {
+				s += av * brow[kk]
+			}
+			orow[j] = s
+		}
+	}
+	return out
+}
+
+// requireBits fails unless got and want hold the same float bits.
+func requireBits(t *testing.T, op string, got, want *Tensor) {
+	t.Helper()
+	if !got.SameShape(want) {
+		t.Fatalf("%s: shape %v, want %v", op, got.Shape, want.Shape)
+	}
+	for i := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("%s %v: element %d is %v (%#x), want %v (%#x)", op, want.Shape, i,
+				got.Data[i], math.Float64bits(got.Data[i]), want.Data[i], math.Float64bits(want.Data[i]))
+		}
+	}
+}
+
+// specialOperand draws an m×n matrix whose entries are mostly Gaussian but
+// include exact zeros (exercising the zero skip), −0, ±Inf and NaN.
+func specialOperand(rng *rand.Rand, m, n int) *Tensor {
+	x := Randn(rng, 0, 1, m, n)
+	for i := range x.Data {
+		switch r := rng.Intn(20); {
+		case r < 5:
+			x.Data[i] = 0
+		case r == 5:
+			x.Data[i] = math.Copysign(0, -1)
+		case r == 6:
+			x.Data[i] = math.Inf(1)
+		case r == 7:
+			x.Data[i] = math.Inf(-1)
+		case r == 8:
+			x.Data[i] = math.NaN()
+		}
+	}
+	return x
+}
+
+// garbage returns an m×n destination pre-filled with values an Into form
+// must overwrite.
+func garbage(rng *rand.Rand, m, n int) *Tensor {
+	d := specialOperand(rng, m, n)
+	for i := range d.Data {
+		if d.Data[i] == 0 {
+			d.Data[i] = 1e300
+		}
+	}
+	return d
+}
+
+// TestMatMulKernelsBitExact holds the blocked kernels and their Into forms
+// to the reference loops bit for bit, over every blocking remainder (k up
+// to 13, so k mod 4 takes all values) and operands full of the IEEE cases
+// where skipping or reordering a term would show: 0·Inf, NaN, −0.
+func TestMatMulKernelsBitExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for trial := 0; trial < 400; trial++ {
+		m, n, k := 1+rng.Intn(9), 1+rng.Intn(9), 1+rng.Intn(13)
+
+		a, b := specialOperand(rng, m, k), specialOperand(rng, k, n)
+		want := matMulRef(a, b)
+		requireBits(t, "MatMul", MatMul(a, b), want)
+		dst := garbage(rng, m, n)
+		MatMulInto(dst, a, b)
+		requireBits(t, "MatMulInto", dst, want)
+
+		at := specialOperand(rng, k, m)
+		want = matMulTransARef(at, b)
+		requireBits(t, "MatMulTransA", MatMulTransA(at, b), want)
+		dst = garbage(rng, m, n)
+		MatMulTransAInto(dst, at, b)
+		requireBits(t, "MatMulTransAInto", dst, want)
+
+		bt := specialOperand(rng, n, k)
+		want = matMulTransBRef(a, bt)
+		requireBits(t, "MatMulTransB", MatMulTransB(a, bt), want)
+		dst = garbage(rng, m, n)
+		MatMulTransBInto(dst, a, bt)
+		requireBits(t, "MatMulTransBInto", dst, want)
 	}
 }
 
@@ -226,6 +355,9 @@ func TestMatMulShapeChecks(t *testing.T) {
 		{"rank", func() { MatMul(New(2, 3, 1), New(3, 2)) }},
 		{"transA inner", func() { MatMulTransA(New(2, 3), New(3, 2)) }},
 		{"transB inner", func() { MatMulTransB(New(2, 3), New(2, 4)) }},
+		{"into dst", func() { MatMulInto(New(3, 2), New(2, 3), New(3, 2)) }},
+		{"transA into dst", func() { MatMulTransAInto(New(2, 3), New(3, 2), New(3, 2)) }},
+		{"transB into dst", func() { MatMulTransBInto(New(2, 1), New(2, 3), New(2, 3)) }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -247,17 +379,6 @@ func TestTranspose2D(t *testing.T) {
 	}
 	if at.At(2, 1) != 6 || at.At(0, 1) != 4 {
 		t.Errorf("transpose values wrong: %v", at.Data)
-	}
-}
-
-func TestArgMaxRows(t *testing.T) {
-	a := FromSlice([]float64{1, 5, 2, 7, 0, 3, 3, 3, 1}, 3, 3)
-	got := ArgMaxRows(a)
-	want := []int{1, 0, 0} // last row ties resolve to the lowest index
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("ArgMaxRows[%d] = %d, want %d", i, got[i], want[i])
-		}
 	}
 }
 
