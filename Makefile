@@ -52,13 +52,14 @@ fuzz:
 	$(GO) test ./internal/recon/ -run '^$$' -fuzz '^FuzzReconDecode$$' -fuzztime 10s
 	$(GO) test ./internal/fl/ -run '^$$' -fuzz '^FuzzParsePacked$$' -fuzztime 10s
 
-# Re-stamp the checked-in wire-format fuzz seeds (internal/wire and
+# Re-stamp the checked-in fixture-backed fuzz seeds (internal/wire and
 # internal/transport testdata: valid-*, two-frame-stream, and the damaged
-# seeds derived from them) from the message fixtures in
-# internal/transport/fuzz_test.go. Run it after any wire format change —
-# TestFuzzCorporaLive (tier-1) fails until the files match what the
-# current format encodes, so no version byte or CRC is edited by hand. New
-# seeds are added as fixtures there, not as files.
+# seeds derived from them; internal/checkpoint's valid-manager and
+# valid-snapshot-wal-stream) from the fixtures in
+# internal/transport/fuzz_test.go. Run it after any wire or checkpoint
+# format change — TestFuzzCorporaLive (tier-1) fails until the files match
+# what the current format encodes, so no version byte or CRC is edited by
+# hand. New seeds are added as fixtures there, not as files.
 corpora:
 	$(GO) test ./internal/transport/ -run '^TestFuzzCorporaLive$$' -update
 

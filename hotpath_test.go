@@ -7,6 +7,8 @@
 // The training-step fixtures below (shared with BenchmarkTrainStep) pin
 // the other half of a client round: a steady-state local step allocates
 // nothing, and its float trajectory is bit-identical to the recorded one.
+// The coordinator's durable commit — one WAL append — allocates nothing
+// either.
 //
 // The fixtures use only public core APIs: a Manager is driven through one
 // real warm-up window so that an exact, configurable fraction of the model
@@ -23,6 +25,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"apf/internal/checkpoint"
 	"apf/internal/core"
 	"apf/internal/data"
 	"apf/internal/models"
@@ -192,6 +195,33 @@ func TestInstrumentedRoundIsAllocationFree(t *testing.T) {
 	// The observer really fired: the rounds counter tracks every round.
 	if got := reg.Snapshot()["apf_manager_rounds_total"]; got == 0 {
 		t.Fatal("observer never fired on the instrumented rounds")
+	}
+}
+
+// TestWALAppendIsAllocationFree pins the durable commit's memory
+// discipline: once the store's record buffer has grown to the record size,
+// a steady-state Append — stamp, frame and checksum built in that buffer,
+// written in place, fsync'd, observed by live telemetry — allocates
+// nothing.
+func TestWALAppendIsAllocationFree(t *testing.T) {
+	st, err := checkpoint.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	st.SetObserver(hooks.Store(telemetry.New(), nil))
+	if err := st.WriteSnapshot(0, checkpoint.KindUser, []byte("base")); err != nil {
+		t.Fatal(err)
+	}
+	record := make([]byte, 4096)
+	appendRecord := func() {
+		if err := st.Append(checkpoint.KindUser, record); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendRecord() // grow the record buffer
+	if avg := testing.AllocsPerRun(20, appendRecord); avg != 0 {
+		t.Fatalf("steady-state WAL append allocates %v times, want 0", avg)
 	}
 }
 

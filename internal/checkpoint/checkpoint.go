@@ -8,9 +8,10 @@
 //     periods, AIMD state, threshold, round/check counters, per-word
 //     generations);
 //   - a Store that persists a coordinator as an atomically rotated
-//     snapshot plus an append-only, fsync'd write-ahead log, and recovers
-//     the newest consistent (snapshot, WAL-suffix) pair after a crash,
-//     tolerating torn tails from kill -9.
+//     snapshot plus an fsync'd write-ahead log of generation-stamped
+//     records, recycles the retired generation's files instead of freeing
+//     them, and recovers the newest consistent (snapshot, WAL-prefix) pair
+//     after a crash, tolerating torn tails from kill -9.
 //
 // The freezing masks, per-scalar EMAs, and AIMD freezing periods are a
 // pure function of the synchronized trajectory (PAPER.md §IV), so a
@@ -30,13 +31,15 @@ import (
 
 // Version is the on-disk format version stamped into every frame.
 // Decoders reject frames stamped with any other.
-const Version = 2
+const Version = 3
 
 // frame layout: magic(4) version(2) kind(2) length(4) payload CRC32(4).
 const (
 	frameMagic     = 0x41504643 // "APFC"
 	frameHeaderLen = 12
 	frameTrailLen  = 4
+	// recordStampLen is the generation stamp leading a WAL record's payload.
+	recordStampLen = 8
 	// MaxFramePayload bounds a frame so corrupt length fields cannot drive
 	// giant allocations during recovery or fuzzing.
 	MaxFramePayload = 1 << 30
@@ -64,21 +67,50 @@ var (
 // returns the extended slice. The CRC covers the header and the payload,
 // so a torn header is as detectable as a torn payload.
 func AppendFrame(dst []byte, kind uint16, payload []byte) []byte {
-	if len(payload) > MaxFramePayload {
-		panic(fmt.Sprintf("checkpoint: frame payload %d exceeds limit", len(payload)))
-	}
 	start := len(dst)
-	var hdr [frameHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:], frameMagic)
-	binary.LittleEndian.PutUint16(hdr[4:], Version)
-	binary.LittleEndian.PutUint16(hdr[6:], kind)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(payload)))
-	dst = append(dst, hdr[:]...)
+	dst = append(appendFrameHeader(dst, kind, len(payload)), payload...)
+	return appendFrameTrail(dst, start)
+}
+
+// AppendRecord appends one write-ahead-log record: a frame whose payload is
+// the generation stamp gen (8 bytes, little-endian) followed by payload, so
+// the checksum covers both. A recycled log file keeps the frames of earlier
+// generations behind the live ones; their stamps are what replay stops at.
+func AppendRecord(dst []byte, gen uint64, kind uint16, payload []byte) []byte {
+	start := len(dst)
+	dst = binary.LittleEndian.AppendUint64(appendFrameHeader(dst, kind, recordStampLen+len(payload)), gen)
 	dst = append(dst, payload...)
-	sum := crc32.ChecksumIEEE(dst[start:])
-	var tr [frameTrailLen]byte
-	binary.LittleEndian.PutUint32(tr[0:], sum)
-	return append(dst, tr[:]...)
+	return appendFrameTrail(dst, start)
+}
+
+func appendFrameHeader(dst []byte, kind uint16, n int) []byte {
+	if n > MaxFramePayload {
+		panic(fmt.Sprintf("checkpoint: frame payload %d exceeds limit", n))
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, frameMagic)
+	dst = binary.LittleEndian.AppendUint16(dst, Version)
+	dst = binary.LittleEndian.AppendUint16(dst, kind)
+	return binary.LittleEndian.AppendUint32(dst, uint32(n))
+}
+
+// appendFrameTrail checksums the frame that begins at dst[start:].
+func appendFrameTrail(dst []byte, start int) []byte {
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
+}
+
+// ReadRecord decodes the AppendRecord frame at the front of buf, returning
+// its generation stamp, kind, payload (aliasing buf, stamp removed) and the
+// remaining bytes. Errors are ReadFrame's, plus ErrCorrupt for a frame too
+// short to carry a stamp.
+func ReadRecord(buf []byte) (gen uint64, kind uint16, payload, rest []byte, err error) {
+	kind, payload, rest, err = ReadFrame(buf)
+	if err != nil {
+		return 0, 0, nil, nil, err
+	}
+	if len(payload) < recordStampLen {
+		return 0, 0, nil, nil, fmt.Errorf("%w: %d-byte record has no generation stamp", ErrCorrupt, len(payload))
+	}
+	return binary.LittleEndian.Uint64(payload), kind, payload[recordStampLen:], rest, nil
 }
 
 // ReadFrame decodes the frame at the front of buf, returning its kind,

@@ -3,11 +3,13 @@ package checkpoint
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"apf/internal/core"
@@ -298,44 +300,244 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStoreRotationPrunes checks that a newer snapshot supersedes the old
-// generation and removes its files.
-func TestStoreRotationPrunes(t *testing.T) {
-	dir := t.TempDir()
+// openStore opens a store over dir, closed when the test ends.
+func openStore(t *testing.T, dir string) *Store {
+	t.Helper()
 	st, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
-	if err := st.WriteSnapshot(0, KindUser, []byte("gen0")); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Append(KindUser, []byte("old")); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.WriteSnapshot(5, KindUser, []byte("gen5")); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.WriteSnapshot(5, KindUser, []byte("again")); err == nil {
-		t.Fatalf("non-increasing snapshot accepted")
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 2 { // snap-00000005.ckpt + wal-00000005.log
-		names := make([]string, len(entries))
-		for i, e := range entries {
-			names[i] = e.Name()
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
+// mustAppend appends one KindUser record per payload.
+func mustAppend(t *testing.T, st *Store, payloads ...string) {
+	t.Helper()
+	for _, p := range payloads {
+		if err := st.Append(KindUser, []byte(p)); err != nil {
+			t.Fatal(err)
 		}
-		t.Fatalf("store holds %v, want exactly the new generation", names)
 	}
+}
+
+// mustLoad recovers dir with a fresh store and returns the snapshot round
+// count, payload and the replayed record payloads.
+func mustLoad(t *testing.T, dir string) (*Store, int, string, []string) {
+	t.Helper()
+	st := openStore(t, dir)
 	rounds, _, payload, wal, found, err := st.Load()
 	if err != nil || !found {
 		t.Fatalf("Load: found=%v err=%v", found, err)
 	}
-	if rounds != 5 || string(payload) != "gen5" || len(wal) != 0 {
-		t.Fatalf("recovered (%d, %q, %d records)", rounds, payload, len(wal))
+	var recs []string
+	for _, r := range wal {
+		recs = append(recs, string(r.Payload))
+	}
+	return st, rounds, string(payload), recs
+}
+
+// storeFiles lists the names in a store directory.
+func storeFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
+	}
+	return names
+}
+
+// TestStoreRotationBounded checks that rotation keeps the directory at one
+// generation plus the spare snapshot file, however many rotations run, and
+// that the newest generation is what recovery finds.
+func TestStoreRotationBounded(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	for i := 0; i < 10; i++ {
+		if err := st.WriteSnapshot(3*i, KindUser, []byte(fmt.Sprintf("gen%d", 3*i))); err != nil {
+			t.Fatal(err)
+		}
+		mustAppend(t, st, "a", "b", "c")
+	}
+	if err := st.WriteSnapshot(27, KindUser, []byte("again")); err == nil {
+		t.Fatalf("non-increasing snapshot accepted")
+	}
+	want := []string{"snap-00000027.ckpt", "snap.spare", "wal-00000027.log"}
+	if got := storeFiles(t, dir); !reflect.DeepEqual(got, want) {
+		t.Fatalf("store holds %v after 10 rotations, want %v", got, want)
+	}
+	_, rounds, payload, recs := mustLoad(t, dir)
+	if rounds != 27 || payload != "gen27" || !reflect.DeepEqual(recs, []string{"a", "b", "c"}) {
+		t.Fatalf("recovered (%d, %q, %v)", rounds, payload, recs)
+	}
+}
+
+// TestStoreStaleRecordsNotReplayed: records of equal length make a rotated
+// generation's records line up exactly with the retired ones still behind
+// them in the recycled log. Replay must stop at the first of those.
+func TestStoreStaleRecordsNotReplayed(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	if err := st.WriteSnapshot(0, KindUser, []byte("gen0")); err != nil {
+		t.Fatal(err)
+	}
+	mustAppend(t, st, "old-0", "old-1", "old-2", "old-3")
+	if err := st.WriteSnapshot(4, KindUser, []byte("gen4")); err != nil {
+		t.Fatal(err)
+	}
+	mustAppend(t, st, "new-0", "new-1")
+	fi, err := os.Stat(filepath.Join(dir, "wal-00000004.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recLen := len(AppendRecord(nil, 4, KindUser, []byte("new-0"))); fi.Size() != int64(4*recLen) {
+		t.Fatalf("recycled wal is %d bytes, want the four %d-byte records it held", fi.Size(), recLen)
+	}
+	st.Close()
+	_, rounds, _, recs := mustLoad(t, dir)
+	if rounds != 4 || !reflect.DeepEqual(recs, []string{"new-0", "new-1"}) {
+		t.Fatalf("replayed generation %d records %v, want 4 [new-0 new-1]", rounds, recs)
+	}
+}
+
+// TestStoreRecycledSnapshotLongerThanFrame: a small snapshot written over
+// the spare that held a large one loads; the stale bytes behind its frame
+// are ignored.
+func TestStoreRecycledSnapshotLongerThanFrame(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	for i, p := range []string{strings.Repeat("x", 4096), "small", "tiny"} {
+		if err := st.WriteSnapshot(i, KindUser, []byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fi, err := os.Stat(filepath.Join(dir, "snap-00000002.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frame := len(AppendFrame(nil, KindUser, []byte("tiny"))); fi.Size() <= int64(frame) {
+		t.Fatalf("snapshot file is %d bytes for a %d-byte frame; it was not written over the large one", fi.Size(), frame)
+	}
+	st.Close()
+	if _, rounds, payload, _ := mustLoad(t, dir); rounds != 2 || payload != "tiny" {
+		t.Fatalf("recovered (%d, %q), want (2, \"tiny\")", rounds, payload)
+	}
+}
+
+// TestStoreCrashWhileOverwritingSpare: a process killed with half of the
+// next snapshot written over the spare recovers the current generation
+// with its records, and the next rotation succeeds over the torn spare.
+func TestStoreCrashWhileOverwritingSpare(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	if err := st.WriteSnapshot(0, KindUser, []byte("gen0")); err != nil {
+		t.Fatal(err)
+	}
+	mustAppend(t, st, "r0")
+	if err := st.WriteSnapshot(3, KindUser, []byte("gen3")); err != nil {
+		t.Fatal(err)
+	}
+	mustAppend(t, st, "r3", "r4")
+	next := AppendFrame(nil, KindUser, []byte("the generation-6 snapshot"))
+	f, err := os.OpenFile(filepath.Join(dir, spareName), os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(next[:len(next)/2], 0); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	st.Close()
+
+	st2, rounds, payload, recs := mustLoad(t, dir)
+	if rounds != 3 || payload != "gen3" || !reflect.DeepEqual(recs, []string{"r3", "r4"}) {
+		t.Fatalf("recovered (%d, %q, %v), want (3, \"gen3\", [r3 r4])", rounds, payload, recs)
+	}
+	if err := st2.WriteSnapshot(6, KindUser, []byte("gen6")); err != nil {
+		t.Fatalf("rotation after the crash: %v", err)
+	}
+	mustAppend(t, st2, "r6")
+	st2.Close()
+	if _, rounds, payload, recs := mustLoad(t, dir); rounds != 6 || payload != "gen6" || !reflect.DeepEqual(recs, []string{"r6"}) {
+		t.Fatalf("recovered (%d, %q, %v), want (6, \"gen6\", [r6])", rounds, payload, recs)
+	}
+	want := []string{"snap-00000006.ckpt", "snap.spare", "wal-00000006.log"}
+	if got := storeFiles(t, dir); !reflect.DeepEqual(got, want) {
+		t.Fatalf("store holds %v, want %v", got, want)
+	}
+}
+
+// TestStoreFinishesInterruptedRotation: a crash after a new snapshot was
+// published, but before (or while) the previous generation was retired,
+// recovers the new generation with no records, and Load completes the
+// retirement so the directory is back to its bound.
+func TestStoreFinishesInterruptedRotation(t *testing.T) {
+	for _, walMoved := range []bool{false, true} {
+		dir := t.TempDir()
+		st := openStore(t, dir)
+		if err := st.WriteSnapshot(0, KindUser, []byte("gen0")); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.WriteSnapshot(3, KindUser, []byte("gen3")); err != nil {
+			t.Fatal(err)
+		}
+		mustAppend(t, st, "r3")
+		st.Close()
+		// The rotation to 6 published its snapshot from the spare, and
+		// recycled the log only when walMoved.
+		spare := filepath.Join(dir, spareName)
+		if err := os.WriteFile(spare, AppendFrame(nil, KindUser, []byte("gen6")), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Rename(spare, filepath.Join(dir, "snap-00000006.ckpt")); err != nil {
+			t.Fatal(err)
+		}
+		if walMoved {
+			if err := os.Rename(filepath.Join(dir, "wal-00000003.log"), filepath.Join(dir, "wal-00000006.log")); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		st2, rounds, payload, recs := mustLoad(t, dir)
+		if rounds != 6 || payload != "gen6" || len(recs) != 0 {
+			t.Fatalf("walMoved=%v: recovered (%d, %q, %v), want (6, \"gen6\", [])", walMoved, rounds, payload, recs)
+		}
+		want := []string{"snap-00000006.ckpt", "snap.spare", "wal-00000006.log"}
+		if got := storeFiles(t, dir); !reflect.DeepEqual(got, want) {
+			t.Fatalf("walMoved=%v: store holds %v after recovery, want %v", walMoved, got, want)
+		}
+		mustAppend(t, st2, "r6")
+		st2.Close()
+		if _, _, _, recs := mustLoad(t, dir); !reflect.DeepEqual(recs, []string{"r6"}) {
+			t.Fatalf("walMoved=%v: replay after recovery = %v, want [r6]", walMoved, recs)
+		}
+	}
+}
+
+// TestStoreRefusesOtherVersion: a directory written by another format
+// version is refused with ErrVersion, never taken for an empty store.
+func TestStoreRefusesOtherVersion(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	if err := st.WriteSnapshot(0, KindUser, []byte("base")); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	path := filepath.Join(dir, "snap-00000000.ckpt")
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, previousVersionFrame(buf), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, _, found, err := openStore(t, dir).Load()
+	if !errors.Is(err, ErrVersion) || found {
+		t.Fatalf("Load over a version-%d snapshot: found=%v err=%v, want ErrVersion", Version-1, found, err)
 	}
 }
 

@@ -1,12 +1,16 @@
 package checkpoint
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 // FuzzCheckpointDecode throws arbitrary bytes at every decode surface of
-// the package: the frame reader and the manager codec. Invariants: no
-// panic, no over-allocation (the length guards bound slices by the
-// payload), and anything that decodes successfully must re-encode to a
-// frame that decodes to the same bytes.
+// the package: the frame reader, the WAL replay, and the manager codec.
+// Invariants: no panic, no over-allocation (the length guards bound slices
+// by the payload), and anything that decodes successfully must re-encode
+// to the bytes it was read from (WAL records) or to a frame that decodes
+// to the same state (manager).
 func FuzzCheckpointDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(AppendFrame(nil, KindUser, []byte("payload")))
@@ -15,9 +19,11 @@ func FuzzCheckpointDecode(f *testing.F) {
 	var w Writer
 	w.Int(1 << 50) // absurd length claim: must be bounded, not allocated
 	f.Add(AppendFrame(nil, KindManager, w.Bytes()))
+	// A recycled log: live records of generation 7 in front of a stale one.
+	f.Add(AppendRecord(AppendRecord(AppendRecord(nil, 7, KindUser, []byte("live")), 7, KindUser, nil), 4, KindUser, []byte("stale")))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Frame stream: walk every frame, as Store.replayWAL does.
+		// Frame stream: walk every frame.
 		buf := data
 		for i := 0; i < 1000; i++ {
 			_, payload, rest, err := ReadFrame(buf)
@@ -28,6 +34,20 @@ func FuzzCheckpointDecode(f *testing.F) {
 				t.Fatalf("payload %d bytes from a %d-byte input", len(payload), len(data))
 			}
 			buf = rest
+		}
+
+		// WAL replay, as Store.Load does, of the generation the first
+		// record is stamped with: the live records are exactly the bytes
+		// they span, and none carries another stamp.
+		if gen, _, _, _, err := ReadRecord(data); err == nil {
+			records, live := replayRecords(data, gen)
+			var again []byte
+			for _, r := range records {
+				again = AppendRecord(again, gen, r.Kind, r.Payload)
+			}
+			if !bytes.Equal(again, data[:live]) {
+				t.Fatalf("%d records replayed at generation %d do not re-encode to their %d-byte live prefix", len(records), gen, live)
+			}
 		}
 
 		if s, err := DecodeManager(data); err == nil {

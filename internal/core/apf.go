@@ -183,7 +183,6 @@ type Manager struct {
 	// steady-state rounds allocate nothing. Each buffer backs the return
 	// value of exactly one method; see the method contracts.
 	contribBuf []float64 // PrepareUpload
-	deltaBuf   []float64 // stabilityCheck
 	compactBuf []float64 // CompactUpload
 	denseBuf   []float64 // ExpandDownload
 }
@@ -343,14 +342,7 @@ func (m *Manager) stabilityCheck(round int, x []float64) {
 	// The caller (ApplyDownload) refreshed the mask for this round, so the
 	// bitmap is exactly the frozen-now set; every loop below iterates it
 	// word-level instead of re-deriving per-scalar freezing.
-	if m.deltaBuf == nil {
-		m.deltaBuf = make([]float64, m.cfg.Dim)
-	}
-	delta := m.deltaBuf
-	for j := range delta {
-		delta[j] = x[j] - m.lastCheck[j]
-	}
-	m.tracker.ObserveUnfrozen(delta, m.mask)
+	m.tracker.ObserveUnfrozen(x, m.lastCheck, m.mask)
 
 	step := float64(m.cfg.CheckEveryRounds)
 	m.mask.IterateClear(func(j int) {

@@ -194,17 +194,18 @@ func (t *EMATracker) ObserveMasked(delta []float64, skip func(j int) bool) {
 	t.seen++
 }
 
-// ObserveUnfrozen folds Δ into the averages at every clear bit of frozen —
-// the bitmap form of ObserveMasked, iterated word-level so the APF
-// stability check skips 64 frozen scalars at a time.
-func (t *EMATracker) ObserveUnfrozen(delta []float64, frozen *bitset.BitSet) {
-	if len(delta) != len(t.e) {
-		panic(fmt.Sprintf("perturb: update length %d, want %d", len(delta), len(t.e)))
+// ObserveUnfrozen folds Δ = x − base into the averages at every clear bit
+// of frozen — the bitmap form of ObserveMasked, iterated word-level so the
+// APF stability check skips 64 frozen scalars at a time, and computing Δ
+// only where it is folded, so no dim-length Δ vector exists.
+func (t *EMATracker) ObserveUnfrozen(x, base []float64, frozen *bitset.BitSet) {
+	if len(x) != len(t.e) || len(base) != len(t.e) {
+		panic(fmt.Sprintf("perturb: update lengths %d/%d, want %d", len(x), len(base), len(t.e)))
 	}
 	if frozen == nil || frozen.Len() != len(t.e) {
 		panic("perturb: frozen bitmap does not match tracker dimension")
 	}
-	frozen.IterateClear(func(j int) { t.observeOne(j, delta[j]) })
+	frozen.IterateClear(func(j int) { t.observeOne(j, x[j]-base[j]) })
 	t.seen++
 }
 

@@ -285,13 +285,14 @@ func TestObserveUnfrozenMatchesObserveMasked(t *testing.T) {
 	a := NewEMATracker(dim, 0.95)
 	b := NewEMATracker(dim, 0.95)
 	frozen := bitset.New(dim)
-	delta := make([]float64, dim)
+	x, base, delta := make([]float64, dim), make([]float64, dim), make([]float64, dim)
 	for round := 0; round < 20; round++ {
 		frozen.Fill(func(int) bool { return rng.Float64() < 0.6 })
 		for j := range delta {
-			delta[j] = rng.NormFloat64()
+			x[j], base[j] = rng.NormFloat64(), rng.NormFloat64()
+			delta[j] = x[j] - base[j]
 		}
-		a.ObserveUnfrozen(delta, frozen)
+		a.ObserveUnfrozen(x, base, frozen)
 		b.ObserveMasked(delta, frozen.Get)
 	}
 	if a.Seen() != b.Seen() {

@@ -106,7 +106,7 @@ func Store(reg *telemetry.Registry, log *telemetry.Logger) checkpoint.Observer {
 		snapshots: reg.Counter("apf_snapshots_total",
 			"Durable snapshot rotations."),
 		snapshotSeconds: reg.Histogram("apf_snapshot_seconds",
-			"Latency of one snapshot rotation (write, fsync, rename, prune).", nil),
+			"Latency of one snapshot rotation (write, fsync, rename, recycle).", nil),
 		snapshotRounds: reg.Gauge("apf_snapshot_rounds",
 			"Completed rounds captured by the current snapshot generation."),
 		loads: reg.Counter("apf_checkpoint_loads_total",

@@ -200,10 +200,14 @@ func TestCrashRealSIGKILL(t *testing.T) {
 	}
 
 	clean := runArm("clean", -1)
-	// Round 6: the classic mid-run crash. Round 0: the nastiest window —
-	// the base snapshot is on disk but nothing has committed, so recovery
-	// restarts from a generation-0 checkpoint with an empty history.
-	for _, killRound := range []int{6, 0} {
+	// Round 6: the classic mid-run crash, recovering generation 6 from a
+	// recycled snapshot file and a recycled log that holds only stale
+	// records. Round 0: the nastiest window — the base snapshot is on disk
+	// but nothing has committed, so recovery restarts from a generation-0
+	// checkpoint with an empty history. Round 8: generation 6's live
+	// records (rounds 6 and 7) sit in front of the stale, equal-length
+	// frame of round 5 in the recycled log, and replay must stop at it.
+	for _, killRound := range []int{6, 0, 8} {
 		crashed := runArm(fmt.Sprintf("crashed@%d", killRound), killRound)
 		if len(clean) != len(crashed) {
 			t.Fatalf("kill@%d: model dims differ: %d vs %d", killRound, len(clean), len(crashed))

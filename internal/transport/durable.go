@@ -156,11 +156,12 @@ func decodeServerState(payload []byte) (*serverState, error) {
 	return s, nil
 }
 
-// encodeWALGlobal frames one emitted aggregate for the WAL, in the same
-// body encoding the socket uses.
-func encodeWALGlobal(g *GlobalMsg) []byte {
-	var w checkpoint.Writer
-	wire.AppendGlobalBody(&w, g)
+// encodeWALGlobal encodes one emitted aggregate for the WAL, in the same
+// body encoding the socket uses, into w (reset first, so a reused Writer
+// encodes without allocating). The result aliases w.
+func encodeWALGlobal(w *checkpoint.Writer, g *GlobalMsg) []byte {
+	w.Reset()
+	wire.AppendGlobalBody(w, g)
 	return w.Bytes()
 }
 

@@ -2,9 +2,14 @@ package transport
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
+	"net"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -71,9 +76,48 @@ func TestServerStateCodecRoundTrip(t *testing.T) {
 	}
 
 	g := &GlobalMsg{Round: 4, Participants: 3, Payload: []float64{9, 8, 7}}
-	gotG, err := decodeWALGlobal(encodeWALGlobal(g))
+	gotG, err := decodeWALGlobal(encodeWALGlobal(new(checkpoint.Writer), g))
 	if err != nil || !reflect.DeepEqual(gotG, g) {
 		t.Fatalf("wal global round trip: g=%+v err=%v", gotG, err)
+	}
+}
+
+// TestWALCommitEncodeAllocationFree pins the commit record's encoding: a
+// reused Writer re-encodes a same-sized aggregate without allocating, so
+// the commit path's only per-round work on the record is the copy.
+func TestWALCommitEncodeAllocationFree(t *testing.T) {
+	var w checkpoint.Writer
+	g := &GlobalMsg{Round: 4, Participants: 3, Payload: make([]float64, 4096)}
+	encodeWALGlobal(&w, g)
+	if avg := testing.AllocsPerRun(100, func() {
+		g.Round++
+		encodeWALGlobal(&w, g)
+	}); avg != 0 {
+		t.Fatalf("commit record encode allocates %v times, want 0", avg)
+	}
+}
+
+// TestNewServerRefusesOtherFormatVersion: a checkpoint directory written by
+// another format version fails NewServer with ErrVersion. It must not be
+// taken for an empty store, which would retrain from scratch and write a
+// base snapshot over the old one.
+func TestNewServerRefusesOtherFormatVersion(t *testing.T) {
+	dir := t.TempDir()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	cfg := ServerConfig{Listener: ln, NumClients: 1, Rounds: 3, Init: []float64{1, 2}, CheckpointDir: dir}
+	base := &serverState{NumClients: 1, Rounds: 3, Init: cfg.Init, Keys: []string{"k"}, Names: []string{"c"}, ShadowRound: -1}
+	frame := checkpoint.AppendFrame(nil, kindServerSnap, encodeServerState(base))
+	binary.LittleEndian.PutUint16(frame[4:], checkpoint.Version-1)
+	binary.LittleEndian.PutUint32(frame[len(frame)-4:], crc32.ChecksumIEEE(frame[:len(frame)-4]))
+	if err := os.WriteFile(filepath.Join(dir, "snap-00000000.ckpt"), frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewServer(cfg); !errors.Is(err, checkpoint.ErrVersion) {
+		t.Fatalf("NewServer over a version-%d checkpoint: err = %v, want ErrVersion", checkpoint.Version-1, err)
 	}
 }
 
@@ -107,9 +151,9 @@ func TestRecoverStateReplaysWAL(t *testing.T) {
 	}
 	// Round 1 committed; round 2 was in flight at the crash and left
 	// nothing behind.
-	append_(kindWALGlobal, encodeWALGlobal(&GlobalMsg{Round: 1, Participants: 1, Payload: []float64{6, 7}}))
+	append_(kindWALGlobal, encodeWALGlobal(new(checkpoint.Writer), &GlobalMsg{Round: 1, Participants: 1, Payload: []float64{6, 7}}))
 	// A replayed commit of round 1 (already in history) must be skipped.
-	append_(kindWALGlobal, encodeWALGlobal(&GlobalMsg{Round: 1, Participants: 2, Payload: []float64{0, 0}}))
+	append_(kindWALGlobal, encodeWALGlobal(new(checkpoint.Writer), &GlobalMsg{Round: 1, Participants: 2, Payload: []float64{0, 0}}))
 
 	st, err := recoverState(store, false)
 	if err != nil {
@@ -145,7 +189,7 @@ func TestRecoverStateReplaysWAL(t *testing.T) {
 
 	// A CRC-valid record of an unassigned kind is not something any build
 	// of this format writes: recovery must refuse it, not skip it.
-	append_(kindWALGlobal+1, encodeWALGlobal(&GlobalMsg{Round: 2, Participants: 2, Payload: []float64{1, 1}}))
+	append_(kindWALGlobal+1, encodeWALGlobal(new(checkpoint.Writer), &GlobalMsg{Round: 2, Participants: 2, Payload: []float64{1, 1}}))
 	if _, err := recoverState(store, false); !errors.Is(err, checkpoint.ErrCorrupt) {
 		t.Fatalf("unknown wal record kind: err = %v, want ErrCorrupt", err)
 	}
@@ -180,7 +224,7 @@ func TestWALPartialRecords(t *testing.T) {
 	// Round 0 committed with one of two relays reporting: Participants
 	// carries the client count (1 here), which must NOT feed the
 	// partial-round counter on the root tier.
-	append_(kindWALGlobal, encodeWALGlobal(&GlobalMsg{Round: 0, Participants: 1, Payload: []float64{1, 2}}))
+	append_(kindWALGlobal, encodeWALGlobal(new(checkpoint.Writer), &GlobalMsg{Round: 0, Participants: 1, Payload: []float64{1, 2}}))
 
 	st, err := recoverState(store, true)
 	if err != nil {

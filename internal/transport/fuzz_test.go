@@ -11,14 +11,16 @@ import (
 	"testing"
 
 	"apf/internal/checkpoint"
+	"apf/internal/core"
 	"apf/internal/fl"
+	"apf/internal/perturb"
 	"apf/internal/wire"
 )
 
 // updateCorpora makes TestFuzzCorporaLive rewrite the fixture-backed byte
 // seeds instead of checking them (`make corpora`).
 var updateCorpora = flag.Bool("update", false,
-	"rewrite the wire-format fuzz corpus seeds from corpusFixtures instead of checking them")
+	"rewrite the fixture-backed fuzz corpus seeds from corpusFixtures instead of checking them")
 
 // encodeAll frames a sequence of messages into one wire stream, as a peer
 // would produce on the socket.
@@ -157,6 +159,42 @@ func fixturePartial() *PartialUpdateMsg {
 		Sum: fl.Partial{Count: 3, WeightLo: 1 << 63, WeightHi: 3, Cols: cols}}
 }
 
+// fixtureManager is the client APF state behind the checkpoint corpus's
+// manager seed: every field set, partial seeding, one word generation.
+func fixtureManager() *core.State {
+	return &core.State{
+		Dim:       4,
+		Ref:       []float64{1, -2.5, 0, 3.25},
+		LastCheck: []float64{0.5, 0, -1, 2},
+		Tracker: perturb.EMAState{
+			Alpha: 0.85, E: []float64{0.1, -0.2, 0.3, 0}, A: []float64{0.4, 0.5, 0, 0.6},
+			Seen: 9, Seeded: []uint64{^uint64(0), 0, 5, 0},
+		},
+		Period:      []float64{1, 2, 4, 8},
+		UnfreezeAt:  []int{3, 0, 12, 7},
+		RandomUntil: []int{0, 0, 15, 0},
+		Threshold:   0.3, CheckCount: 4, Initialized: true, InitRound: 1, LastRound: 11,
+		WordGen: []uint32{12},
+	}
+}
+
+// seedSnapshotWAL is the checkpoint corpus's stream seed: a coordinator
+// snapshot after round 0 (validator armed), then the WAL record that
+// commits round 1, stamped with the snapshot's generation as
+// checkpoint.Store writes it.
+func seedSnapshotWAL() []byte {
+	st := &serverState{
+		NumClients: 2, Rounds: 4, Init: []float64{1, 2},
+		Keys: []string{"k0", "k1"}, Names: []string{"c0", "c1"},
+		History: []GlobalMsg{{Round: 0, Payload: []float64{3, 4}, Participants: 2}},
+		Validator: &validatorState{Strikes: []int{0, 1}, Quar: []bool{false, false}, Norms: []float64{1.5},
+			Ref: []float64{0.5, -0.5}, RefCount: 1, QuarRound: []int{-1, -1}},
+		ShadowRound: -1,
+	}
+	commit := encodeWALGlobal(new(checkpoint.Writer), &GlobalMsg{Round: 1, Payload: []float64{5, 6}, Participants: 2})
+	return checkpoint.AppendRecord(checkpoint.AppendFrame(nil, kindServerSnap, encodeServerState(st)), 1, kindWALGlobal, commit)
+}
+
 // corpusFixtures maps every fixture-backed seed file (relative to this
 // package) to the bytes the current format produces for it. The damaged
 // seeds are derived from valid frames, so a format bump moves them too and
@@ -171,8 +209,9 @@ func corpusFixtures() map[string][]byte {
 		out[at] = b
 		return out
 	}
-	const wireDir, serverDir, clientDir = "../wire/testdata/fuzz/FuzzWireDecode/",
-		"testdata/fuzz/FuzzServerDecode/", "testdata/fuzz/FuzzClientDecode/"
+	const wireDir, serverDir, clientDir, checkpointDir = "../wire/testdata/fuzz/FuzzWireDecode/",
+		"testdata/fuzz/FuzzServerDecode/", "testdata/fuzz/FuzzClientDecode/",
+		"../checkpoint/testdata/fuzz/FuzzCheckpointDecode/"
 	return map[string][]byte{
 		wireDir + "valid-join":           join,
 		wireDir + "valid-update":         update,
@@ -196,6 +235,9 @@ func corpusFixtures() map[string][]byte {
 
 		clientDir + "valid-welcome-globals": seedWelcomeGlobals(),
 		clientDir + "valid-resume-welcome":  encodeAll(fixtureResumeWelcome),
+
+		checkpointDir + "valid-manager":             checkpoint.EncodeManager(fixtureManager()),
+		checkpointDir + "valid-snapshot-wal-stream": seedSnapshotWAL(),
 	}
 }
 
@@ -219,13 +261,14 @@ func readSeed(t *testing.T, path string) (seed []byte, ok bool) {
 }
 
 // TestFuzzCorporaLive keeps the checked-in fuzz corpora on the current
-// formats. The wire-format seeds (wire and transport corpora) must be
-// byte-for-byte what corpusFixtures produces today — so a format bump
-// fails here until `make corpora` (this test with -update) rewrites them,
-// with no version byte or CRC edited by hand — and every valid-* byte seed
-// of all three corpora, checkpoint included, must decode to the end without
-// error. (Seeds with structured arguments — FuzzSparseDecode's — encode
-// through the current format inside their target and need no check.)
+// formats. The fixture-backed seeds (wire, transport and checkpoint
+// corpora) must be byte-for-byte what corpusFixtures produces today — so a
+// wire or checkpoint format bump fails here until `make corpora` (this test
+// with -update) rewrites them, with no version byte or CRC edited by hand —
+// and every valid-* byte seed of all three corpora must decode to the end
+// without error. (Seeds with structured arguments — FuzzSparseDecode's —
+// encode through the current format inside their target and need no
+// check.)
 func TestFuzzCorporaLive(t *testing.T) {
 	for path, want := range corpusFixtures() {
 		if *updateCorpora {
@@ -262,7 +305,12 @@ func TestFuzzCorporaLive(t *testing.T) {
 			case kindServerSnap:
 				_, err = decodeServerState(payload)
 			case kindWALGlobal:
-				_, err = decodeWALGlobal(payload)
+				// A WAL record: the body follows the generation stamp.
+				if _, _, body, _, rerr := checkpoint.ReadRecord(buf); rerr != nil {
+					err = rerr
+				} else {
+					_, err = decodeWALGlobal(body)
+				}
 			}
 			if err != nil {
 				return err

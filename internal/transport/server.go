@@ -158,8 +158,11 @@ type Server struct {
 	// fresh start). recovered marks that openStore restored an existing
 	// checkpoint — even one with startRound still 0 (a crash inside round
 	// 0), in which case the base snapshot on disk must not be re-written.
-	// validator is nil unless sanitization is configured.
+	// validator is nil unless sanitization is configured. walEnc is the
+	// commit record's encoding buffer, reused by commitRound (engine
+	// goroutine only).
 	store      *checkpoint.Store
+	walEnc     checkpoint.Writer
 	startRound int
 	recovered  bool
 	validator  *Validator
@@ -812,7 +815,7 @@ func (s *Server) strikeClient(id, round int, err error) {
 // and delivery never blocks the round loop.
 func (s *Server) commitRound(g *GlobalMsg, meta roundMeta, partial bool) error {
 	if s.store != nil {
-		if err := s.store.Append(kindWALGlobal, encodeWALGlobal(g)); err != nil {
+		if err := s.store.Append(kindWALGlobal, encodeWALGlobal(&s.walEnc, g)); err != nil {
 			return err
 		}
 	}
