@@ -82,9 +82,9 @@ type snapshotRestorer interface {
 }
 
 // shadow is the server-side replica of the clients' manager state,
-// advanced at every commit. All fields are guarded by Server.mu: the
-// observe call runs inside commitRound's critical section so a capture
-// can never be ahead of or behind the committed history.
+// advanced at every commit. The ledger owns it, so it is guarded by
+// Server.mu and a capture can never be ahead of or behind the committed
+// history.
 type shadow struct {
 	cfg core.Config
 	mgr *core.Manager
@@ -151,11 +151,11 @@ func (sh *shadow) restore(round int, payload []float64, manager []byte) error {
 	return nil
 }
 
-// catchupCapture is one atomic cut of the server's catch-up state,
-// taken under Server.mu at resume time and then served without locks:
-// the conversation never blocks the round loop, and commits that land
-// meanwhile reach the client through its (already positioned) writer
-// queue.
+// catchupCapture is one atomic cut of the server's catch-up state
+// (ledger.capture), taken under Server.mu at resume time and then served
+// without locks: the conversation never blocks the round loop, and
+// commits that land meanwhile reach the client through its (already
+// positioned) writer queue.
 type catchupCapture struct {
 	cfg   core.Config
 	round int
@@ -165,30 +165,6 @@ type catchupCapture struct {
 	// state is the manager snapshot; nil on the stateless path, where
 	// only Round and x ship.
 	state *core.State
-}
-
-// captureLocked cuts the current catch-up state. Caller holds s.mu.
-// Returns nil when no consistent capture exists (broken shadow and no
-// dense last commit), in which case the resume is refused.
-func (s *Server) captureLocked() *catchupCapture {
-	done := s.histBase + len(s.history)
-	if done == 0 {
-		return nil
-	}
-	last := done - 1
-	if sh := s.shadow; sh != nil && !sh.broken && sh.round == last {
-		return &catchupCapture{
-			cfg:   sh.cfg,
-			round: last,
-			gen:   sh.mgr.MaskGeneration(),
-			x:     append([]float64(nil), sh.x...),
-			state: sh.mgr.Snapshot(),
-		}
-	}
-	if s.lastDenseRound == last {
-		return &catchupCapture{round: last, gen: -1, x: append([]float64(nil), s.lastDense...)}
-	}
-	return nil
 }
 
 // catchupSession drives one catch-up conversation to completion and

@@ -8,6 +8,7 @@ import (
 
 	"apf/internal/fl"
 	"apf/internal/quantize"
+	"apf/internal/wire"
 )
 
 // event is a notification from the connection layer to the round engine:
@@ -61,12 +62,12 @@ type roundSink interface {
 	// aggregated fewer than the full cluster.
 	commitRound(g *GlobalMsg, meta roundMeta, partial bool) error
 	// commitJump commits a round discontinuity: the reducer returned an
-	// aggregate for a round AHEAD of the one being collected (a relay
-	// adopted the root's snapshot after falling off its replay history).
-	// The sink replaces its retained history with the jumped state and
-	// propagates the snapshot downstream; the engine then resumes
-	// collection after g.Round.
-	commitJump(g *GlobalMsg) error
+	// aggregate for a round AHEAD of the one being collected, together with
+	// the upstream snapshot it came from (a relay adopted the root's state
+	// after falling off its replay history). The sink replaces its
+	// committed log with the snapshot and propagates it downstream; the
+	// engine then resumes collection after g.Round.
+	commitJump(g *GlobalMsg, snap *wire.SnapshotMsg) error
 }
 
 // roundReducer turns one collected round into the aggregate to commit.
@@ -75,9 +76,11 @@ type roundSink interface {
 // root. A relay installs a reducer that exports the round's exact partial
 // sum, streams it upstream, and returns the root's aggregate, so the same
 // engine drives both faces of the hierarchy with identical admission,
-// review, and commit semantics.
+// review, and commit semantics (collection streams: constant memory in
+// client count). An aggregate past the collected round comes with the
+// upstream snapshot it was adopted from.
 type roundReducer interface {
-	reduceRound(ctx context.Context, round int, agg *fl.Aggregator, meta roundMeta) (*GlobalMsg, error)
+	reduceRound(ctx context.Context, round int, agg *fl.Aggregator, meta roundMeta) (*GlobalMsg, *wire.SnapshotMsg, error)
 }
 
 // roundState is one round's compact admission record: who contributed and
@@ -146,14 +149,9 @@ type roundEngine struct {
 	// reducer replaces the local reduction when non-nil (the relay face);
 	// see roundReducer.
 	reducer roundReducer
-	// streaming folds contributions into the exact fixed-point accumulator
-	// as they arrive instead of retaining payload slices — constant memory
-	// in client count, required for the relay tier. Incompatible with the
-	// trimmed reduction, which needs every per-client value.
-	streaming bool
 	// partialTier marks the root face of the hierarchy: slots are relays
 	// and events carry PartialUpdateMsg instead of UpdateMsg. Implies
-	// streaming (partial merge needs the exact accumulator).
+	// streaming collection (partial merge needs the exact accumulator).
 	partialTier bool
 	// quantizeCommit rounds every committed aggregate through binary16
 	// (quantize.RoundTripSlice) before it is logged or distributed. Set when
@@ -188,30 +186,18 @@ func (e *roundEngine) peer() string {
 	return "client"
 }
 
-// run drives rounds startRound … rounds-1 and returns the final dense
-// global model. history holds the aggregates of already-committed rounds
-// (recovery); init is the round-0 model.
-func (e *roundEngine) run(ctx context.Context, startRound int, init []float64, history []GlobalMsg) ([]float64, error) {
+// run drives rounds startRound … rounds-1; every aggregate reaches the
+// sink, which keeps the committed log.
+func (e *roundEngine) run(ctx context.Context, startRound int) error {
 	agg := fl.NewAggregator(0)
 	defer agg.Close()
 	agg.SetReduction(e.reduction, e.trimFrac)
-	if e.streaming || e.partialTier {
+	if e.reducer != nil || e.partialTier {
 		agg.SetStreaming(true)
 	}
 
 	n := e.clients
 	st := &roundState{}
-	global := append([]float64(nil), init...)
-	// After recovery the dense global resumes from the last full-length
-	// aggregate (compact aggregates leave the dense copy informational,
-	// exactly as in an uninterrupted run).
-	for i := len(history) - 1; i >= 0; i-- {
-		if len(history[i].Payload) == len(global) {
-			global = append(global[:0], history[i].Payload...)
-			break
-		}
-	}
-
 	for round := startRound; round < e.rounds; round++ {
 		var roundStart time.Time
 		if e.metrics != nil {
@@ -226,7 +212,7 @@ func (e *roundEngine) run(ctx context.Context, startRound int, init []float64, h
 		count, err := e.collect(ctx, st, agg)
 		if err != nil {
 			agg.Discard()
-			return nil, err
+			return err
 		}
 		var reduceStart time.Time
 		if e.metrics != nil {
@@ -252,10 +238,11 @@ func (e *roundEngine) run(ctx context.Context, startRound int, init []float64, h
 
 		var msg *GlobalMsg
 		if e.reducer != nil {
-			msg, err = e.reducer.reduceRound(ctx, round, agg, st.meta)
+			var snap *wire.SnapshotMsg
+			msg, snap, err = e.reducer.reduceRound(ctx, round, agg, st.meta)
 			if err != nil {
 				agg.Discard()
-				return nil, err
+				return err
 			}
 			if msg.Round > round {
 				// The reducer jumped ahead (upstream snapshot catch-up): this
@@ -263,11 +250,8 @@ func (e *roundEngine) run(ctx context.Context, startRound int, init []float64, h
 				// committed past them without this relay — and collection
 				// resumes after the jumped round.
 				agg.Discard()
-				if err := e.sink.commitJump(msg); err != nil {
-					return nil, err
-				}
-				if len(msg.Payload) == len(global) {
-					global = append(global[:0], msg.Payload...)
+				if err := e.sink.commitJump(msg, snap); err != nil {
+					return err
 				}
 				round = msg.Round // the loop increment lands on msg.Round+1
 				continue
@@ -281,7 +265,7 @@ func (e *roundEngine) run(ctx context.Context, startRound int, init []float64, h
 			}
 			out := make([]float64, dim)
 			if _, ok := agg.Reduce(out); !ok {
-				return nil, protocolErrorf("round %d: all contributions withheld (total weight 0)", round)
+				return protocolErrorf("round %d: all contributions withheld (total weight 0)", round)
 			}
 			if e.metrics != nil {
 				if k, m := agg.LastTrim(); m > 0 {
@@ -300,20 +284,14 @@ func (e *roundEngine) run(ctx context.Context, startRound int, init []float64, h
 			commitStart = time.Now()
 		}
 		if err := e.sink.commitRound(msg, st.meta, count < n); err != nil {
-			return nil, err
+			return err
 		}
 		if e.metrics != nil {
 			e.metrics.commitSeconds.Observe(time.Since(commitStart).Seconds())
 			e.metrics.roundSeconds.Observe(time.Since(roundStart).Seconds())
 		}
-		// A full-length aggregate is the new dense global; compact
-		// (mask-elided) aggregates only update the transmitted positions
-		// on the clients, so the engine's dense copy is informational.
-		if len(msg.Payload) == len(global) {
-			global = append(global[:0], msg.Payload...)
-		}
 	}
-	return global, nil
+	return nil
 }
 
 // collect gathers round contributions into st (slot occupancy, mask

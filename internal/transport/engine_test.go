@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -18,12 +19,17 @@ type testSink struct {
 	commits  []GlobalMsg
 	metas    []roundMeta
 	partials []bool
+	rejected []int // client ids whose updates were rejected, in order
 	struck   []int // client ids struck by the post-round review, in order
 }
 
 func (s *testSink) markRound(int) {}
 
-func (s *testSink) rejectUpdate(id, round int, err error) {}
+func (s *testSink) rejectUpdate(id, round int, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.rejected = append(s.rejected, id)
+}
 
 func (s *testSink) strikeClient(id, round int, err error) {
 	s.mu.Lock()
@@ -40,7 +46,7 @@ func (s *testSink) commitRound(g *GlobalMsg, meta roundMeta, partial bool) error
 	return nil
 }
 
-func (s *testSink) commitJump(g *GlobalMsg) error {
+func (s *testSink) commitJump(g *GlobalMsg, _ *wire.SnapshotMsg) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.commits = append(s.commits, *g)
@@ -49,28 +55,21 @@ func (s *testSink) commitJump(g *GlobalMsg) error {
 	return nil
 }
 
-// runEngine drives one engine to completion against a testSink.
-func runEngine(t *testing.T, e *roundEngine, feed func(chan<- event)) ([]float64, error) {
+// runEngine drives one engine to completion against its testSink.
+func runEngine(t *testing.T, e *roundEngine, feed func(chan<- event)) error {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	events := make(chan event, 64)
 	e.events = events
-	type result struct {
-		global []float64
-		err    error
-	}
-	done := make(chan result, 1)
-	go func() {
-		g, err := e.run(ctx, 0, []float64{0, 0}, nil)
-		done <- result{g, err}
-	}()
+	done := make(chan error, 1)
+	go func() { done <- e.run(ctx, 0) }()
 	feed(events)
-	r := <-done
-	if errors.Is(r.err, context.DeadlineExceeded) {
+	err := <-done
+	if errors.Is(err, context.DeadlineExceeded) {
 		t.Fatal("engine hung: round never completed within the test budget")
 	}
-	return r.global, r.err
+	return err
 }
 
 // TestDeadlineStragglerCommits is the regression test for the
@@ -88,7 +87,7 @@ func TestDeadlineStragglerCommits(t *testing.T) {
 		minClients: 2,
 		sink:       sink,
 	}
-	global, err := runEngine(t, e, func(events chan<- event) {
+	err := runEngine(t, e, func(events chan<- event) {
 		events <- event{id: 0, upd: &UpdateMsg{Round: 0, Payload: []float64{2, 4}, Weight: 1}}
 		// Let the deadline expire with one update — below the floor of 2.
 		time.Sleep(160 * time.Millisecond)
@@ -105,7 +104,7 @@ func TestDeadlineStragglerCommits(t *testing.T) {
 	if !sink.partials[0] {
 		t.Error("a 2-of-3 round must commit as partial")
 	}
-	if global[0] != 3 || global[1] != 5 {
+	if global := sink.commits[0].Payload; global[0] != 3 || global[1] != 5 {
 		t.Errorf("global = %v, want the 2-client average [3 5]", global)
 	}
 }
@@ -122,7 +121,7 @@ func TestDeadlineBeforeFloorStillWaits(t *testing.T) {
 		minClients: 2,
 		sink:       sink,
 	}
-	_, err := runEngine(t, e, func(events chan<- event) {
+	err := runEngine(t, e, func(events chan<- event) {
 		time.Sleep(100 * time.Millisecond) // deadline expires with zero updates
 		events <- event{id: 0, upd: &UpdateMsg{Round: 0, Payload: []float64{2, 2}, Weight: 1}}
 		events <- event{id: 1, upd: &UpdateMsg{Round: 0, Payload: []float64{4, 4}, Weight: 1}}
@@ -160,7 +159,7 @@ func TestQuarantineResponseBarrier(t *testing.T) {
 		sink:       sink,
 	}
 	committedEarly := false
-	_, err := runEngine(t, e, func(events chan<- event) {
+	err := runEngine(t, e, func(events chan<- event) {
 		events <- event{id: 0, upd: &UpdateMsg{Round: 0, Payload: []float64{2, 2}, Weight: 1}}
 		events <- event{id: 1, upd: &UpdateMsg{Round: 0, Payload: []float64{4, 4}, Weight: 1}}
 		// Both non-quarantined clients accepted; the pre-fix engine commits
@@ -199,7 +198,7 @@ func TestQuarantineBarrierDeadlineStillTrumps(t *testing.T) {
 		validator:  v,
 		sink:       sink,
 	}
-	_, err := runEngine(t, e, func(events chan<- event) {
+	err := runEngine(t, e, func(events chan<- event) {
 		events <- event{id: 0, upd: &UpdateMsg{Round: 0, Payload: []float64{2, 2}, Weight: 1}}
 		events <- event{id: 1, upd: &UpdateMsg{Round: 0, Payload: []float64{4, 4}, Weight: 1}}
 		// Client 2 stays mute; only the deadline can close the round.
@@ -218,7 +217,7 @@ func TestQuarantineBarrierDeadlineStillTrumps(t *testing.T) {
 func TestEngineSparseMetaCommitted(t *testing.T) {
 	sink := &testSink{}
 	e := &roundEngine{clients: 2, rounds: 1, sink: sink}
-	_, err := runEngine(t, e, func(events chan<- event) {
+	err := runEngine(t, e, func(events chan<- event) {
 		events <- event{id: 0, upd: &UpdateMsg{Round: 0, Payload: []float64{1, 1}, Weight: 1, MaskHash: 0xfeed}, maskGen: 3}
 		events <- event{id: 1, upd: &UpdateMsg{Round: 0, Payload: []float64{3, 3}, Weight: 1, MaskHash: 0xfeed}, maskGen: 3}
 	})
@@ -235,12 +234,68 @@ func TestEngineSparseMetaCommitted(t *testing.T) {
 // positional aggregation can mis-average.
 func TestEngineMaskGenDivergence(t *testing.T) {
 	e := &roundEngine{clients: 2, rounds: 1, sink: &testSink{}}
-	_, err := runEngine(t, e, func(events chan<- event) {
+	err := runEngine(t, e, func(events chan<- event) {
 		events <- event{id: 0, upd: &UpdateMsg{Round: 0, Payload: []float64{1, 1}, Weight: 1, MaskHash: 5}, maskGen: 1}
 		events <- event{id: 1, upd: &UpdateMsg{Round: 0, Payload: []float64{3, 3}, Weight: 1, MaskHash: 5}, maskGen: 2}
 	})
 	if !errors.Is(err, ErrMaskDivergence) {
 		t.Fatalf("got %v, want ErrMaskDivergence", err)
+	}
+}
+
+// TestEngineAdmissionGuards pins the cross-update checks a flat round
+// applies before anything folds: a payload length disagreeing with an
+// admitted one is a protocol violation, a negative or NaN weight is a
+// non-finite contribution, and disagreeing mask hashes are the typed
+// divergence — each fatal under the strict barrier, with nothing
+// committed. Under a deadline a refused weight is only rejected, and the
+// round commits without the absent slot as a partial round.
+func TestEngineAdmissionGuards(t *testing.T) {
+	good := &UpdateMsg{Round: 0, Payload: []float64{1, 2}, Weight: 1, MaskHash: 7}
+	second := func(payload []float64, weight float64, hash uint64) *UpdateMsg {
+		return &UpdateMsg{Round: 0, Payload: payload, Weight: weight, MaskHash: hash}
+	}
+	for _, tc := range []struct {
+		name     string
+		deadline time.Duration
+		second   *UpdateMsg
+		want     error // nil: the round commits
+	}{
+		{"length mismatch", 0, second([]float64{1}, 1, 7), errProtocol},
+		{"negative weight", 0, second([]float64{3, 4}, -1, 7), fl.ErrNonFinite},
+		{"NaN weight", 0, second([]float64{3, 4}, math.NaN(), 7), fl.ErrNonFinite},
+		{"mask hash divergence", 0, second([]float64{3, 4}, 1, 8), ErrMaskDivergence},
+		{"rejected weight leaves an absent slot", 20 * time.Millisecond, second([]float64{3, 4}, -1, 7), nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sink := &testSink{}
+			e := &roundEngine{clients: 2, rounds: 1, deadline: tc.deadline, minClients: 1, sink: sink}
+			err := runEngine(t, e, func(events chan<- event) {
+				events <- event{id: 0, upd: good, maskGen: -1}
+				events <- event{id: 1, upd: tc.second, maskGen: -1}
+			})
+			if tc.want != nil {
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("got %v, want %v", err, tc.want)
+				}
+				if len(sink.commits) != 0 {
+					t.Fatal("a refused round committed")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			if len(sink.rejected) != 1 || sink.rejected[0] != 1 {
+				t.Errorf("rejected %v, want client 1", sink.rejected)
+			}
+			if len(sink.commits) != 1 || !sink.partials[0] || sink.commits[0].Participants != 1 {
+				t.Fatalf("commits = %+v partial %v, want one partial round of 1", sink.commits, sink.partials)
+			}
+			if got := sink.commits[0].Payload; got[0] != 1 || got[1] != 2 {
+				t.Errorf("committed %v, want client 0's payload alone", got)
+			}
+		})
 	}
 }
 
@@ -273,7 +328,7 @@ func TestEnginePartialTier(t *testing.T) {
 	weights := []float64{1, 2, 3, 4}
 	pa := partialOf(t, 0, 0xabc, contribs[:2], weights[:2])
 	pb := partialOf(t, 0, 0xabc, contribs[2:], weights[2:])
-	global, err := runEngine(t, e, func(events chan<- event) {
+	err := runEngine(t, e, func(events chan<- event) {
 		events <- event{id: 0, part: pa}
 		events <- event{id: 0, part: pa} // reconnect re-send: stale, dropped
 		events <- event{id: 1, part: pb}
@@ -297,6 +352,7 @@ func TestEnginePartialTier(t *testing.T) {
 	if _, ok := flat.Reduce(want); !ok {
 		t.Fatal("flat reduce failed")
 	}
+	global := sink.commits[0].Payload
 	for j := range want {
 		if global[j] != want[j] {
 			t.Fatalf("global[%d] = %v, want flat oracle %v (bit-exact)", j, global[j], want[j])
@@ -311,7 +367,7 @@ func TestEnginePartialTier(t *testing.T) {
 // hashes abort the round, exactly as divergent clients do on the flat tier.
 func TestEnginePartialTierMaskDivergence(t *testing.T) {
 	e := &roundEngine{clients: 2, rounds: 1, sink: &testSink{}, partialTier: true}
-	_, err := runEngine(t, e, func(events chan<- event) {
+	err := runEngine(t, e, func(events chan<- event) {
 		events <- event{id: 0, part: partialOf(t, 0, 0x111, [][]float64{{1, 1}}, []float64{1})}
 		events <- event{id: 1, part: partialOf(t, 0, 0x222, [][]float64{{2, 2}}, []float64{1})}
 	})
@@ -326,7 +382,7 @@ func TestEnginePartialTierMaskDivergence(t *testing.T) {
 func TestEngineQuantizeCommit(t *testing.T) {
 	sink := &testSink{}
 	e := &roundEngine{clients: 1, rounds: 1, sink: sink, quantizeCommit: true}
-	_, err := runEngine(t, e, func(events chan<- event) {
+	err := runEngine(t, e, func(events chan<- event) {
 		events <- event{id: 0, upd: &UpdateMsg{Round: 0, Payload: []float64{0.1, 1.0 / 3.0}, Weight: 1}}
 	})
 	if err != nil {

@@ -240,7 +240,7 @@ func TestServerContextCancelDuringRegistration(t *testing.T) {
 func TestFlushWaitsOutInflightAfterDetach(t *testing.T) {
 	t.Parallel()
 	s := &Server{}
-	s.history = make([]GlobalMsg, 1)
+	s.ledger.commit(&GlobalMsg{Round: 0})
 
 	// Delivered-but-unbookkept: conn gone, inflight still set; the writer
 	// clears it a moment later, as after a successful write.

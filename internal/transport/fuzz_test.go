@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"apf/internal/checkpoint"
 	"apf/internal/core"
@@ -33,15 +34,21 @@ func encodeAll(msgs ...wire.Msg) []byte {
 }
 
 // FuzzServerDecode drives the server's inbound decode path — a JoinMsg
-// followed by UpdateMsgs — with arbitrary bytes, then pushes every decoded
-// update through the same validation the round loop applies. Nothing here
-// may panic, however malformed the stream.
+// followed by UpdateMsgs — with arbitrary bytes, then hands every decoded
+// update to the round engine's admission (roundEngine.handleUpdate on the
+// engine tests' in-process sink, validator armed, fault-tolerant so a
+// refused update is rejected rather than fatal). Every update must be
+// classified — admitted, rejected, dropped as stale, or refused with a
+// typed error — and nothing may panic, however malformed the stream.
 func FuzzServerDecode(f *testing.F) {
 	f.Add(seedJoinUpdates())
 	f.Add(encodeAll(fixtureResumeJoin))
 	f.Add([]byte("not a wire frame at all"))
 	f.Add([]byte{})
 
+	const clients = 3
+	agg := fl.NewAggregator(1)
+	f.Cleanup(agg.Close)
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) > 64<<10 {
 			t.Skip("oversized input")
@@ -53,6 +60,13 @@ func FuzzServerDecode(f *testing.F) {
 		if _, ok := m.(*JoinMsg); !ok {
 			return
 		}
+		e := &roundEngine{clients: clients, rounds: 1, deadline: time.Hour, minClients: 1, sink: &testSink{},
+			validator: NewValidator(ValidatorConfig{Clients: clients, Dim: 3, MaxNormMult: 4, MinHistory: 1,
+				CosineFloor: -0.5, CosineMinHistory: 1})}
+		st := &roundState{}
+		st.reset(0, clients)
+		agg.Open(0, clients)
+		defer agg.Discard()
 		for i := 0; i < 16; i++ {
 			m, next, err := wire.Decode(rest, modelPayloadLimit(3))
 			if err != nil {
@@ -63,10 +77,9 @@ func FuzzServerDecode(f *testing.F) {
 			if !ok {
 				continue
 			}
-			// The round loop's validation must tolerate anything that
-			// decodes: reject or accept, never panic.
-			_ = checkUpdates(u.Round, []*UpdateMsg{u})
-			_ = checkUpdates(u.Round, []*UpdateMsg{nil, u, {Payload: u.Payload, Weight: 1}})
+			if e.handleUpdate(event{id: i % clients, upd: u, maskGen: -1}, st, agg) != nil {
+				return // a typed refusal the engine aborts the round on
+			}
 		}
 	})
 }

@@ -180,7 +180,9 @@ func (r *Relay) Run(ctx context.Context) ([]float64, error) {
 		return nil, err
 	}
 
-	srv, err := NewServer(ServerConfig{
+	// The downward engine hands each closed round to reduceRound instead of
+	// reducing locally.
+	srv, err := newServer(ServerConfig{
 		Listener:      r.ln,
 		NumClients:    r.cfg.NumClients,
 		Rounds:        welcome.Rounds,
@@ -196,16 +198,11 @@ func (r *Relay) Run(ctx context.Context) ([]float64, error) {
 		Shadow:        r.cfg.Shadow,
 		Metrics:       r.cfg.Metrics,
 		Log:           r.cfg.Log,
-	})
+	}, r)
 	if err != nil {
 		return nil, err
 	}
 	r.srv = srv
-	// The downward engine streams contributions into the exact accumulator
-	// and hands each closed round to reduceRound instead of reducing
-	// locally. Set before Run starts the engine; never touched after.
-	srv.reducer = r
-	srv.streaming = true
 
 	// A recovered downward checkpoint already holds a prefix of the root's
 	// history; the engine resumes after it, and the first reduceRound skips
@@ -220,32 +217,33 @@ func (r *Relay) Run(ctx context.Context) ([]float64, error) {
 // reduceRound implements roundReducer: export the closed round's exact
 // partial sum, stream it to the root, and return the root's aggregate —
 // which the downward server then commits and broadcasts exactly as a flat
-// coordinator commits its local reduction.
-func (r *Relay) reduceRound(ctx context.Context, round int, agg *fl.Aggregator, meta roundMeta) (*GlobalMsg, error) {
+// coordinator commits its local reduction (or, with the snapshot it came
+// from, as a jump).
+func (r *Relay) reduceRound(ctx context.Context, round int, agg *fl.Aggregator, meta roundMeta) (*GlobalMsg, *wire.SnapshotMsg, error) {
 	count, ok := agg.ExportPartial(&r.partial)
 	if !ok {
-		return nil, protocolErrorf("round %d: no open round to export", round)
+		return nil, nil, protocolErrorf("round %d: no open round to export", round)
 	}
 	if r.partial.Poisoned() {
 		// Overflowing the 128-bit accumulator takes ~2^63 unit-weight
 		// clients of unit-scale updates; if it happens, the round's sum is
 		// gone and no re-collection can restore it.
-		return nil, fmt.Errorf("transport: round %d: %w", round, fl.ErrAccumOverflow)
+		return nil, nil, fmt.Errorf("transport: round %d: %w", round, fl.ErrAccumOverflow)
 	}
 	if r.relayM != nil {
 		r.relayM.sessions.Set(float64(r.srv.Sessions()))
 	}
-	g := r.resolved(round, count)
+	g, snap := r.resolved(round, count)
 	if g == nil {
 		r.inflight = wire.Append(r.inflight[:0],
 			&PartialUpdateMsg{Round: round, MaskHash: meta.maskHash, Sum: r.partial})
 		start := time.Now()
 		err := r.up.retry(ctx, &r.applied, func() (err error) {
-			g, err = r.exchange(ctx, round, count)
+			g, snap, err = r.exchange(ctx, round, count)
 			return err
 		})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if r.relayM != nil {
 			r.relayM.partials.Inc()
@@ -254,27 +252,26 @@ func (r *Relay) reduceRound(ctx context.Context, round int, agg *fl.Aggregator, 
 		}
 	}
 	r.applied = g.Round // g.Round == round, unless the relay jumped ahead
-	return g, nil
+	return g, snap, nil
 }
 
 // resolved returns the root's aggregate for round when the relay already
-// holds it — a snapshot jump at or past the round, or a round the root
-// committed while the relay was away — and nil when the round must be
-// exchanged. A resolved round drops the local partial: those client
-// updates missed the root's round, the documented cost of a relay away
-// mid-round, and the root's aggregate is re-committed verbatim so the
+// holds it — a snapshot jump at or past the round (with the snapshot), or
+// a round the root committed while the relay was away — and nil when the
+// round must be exchanged. A resolved round drops the local partial: those
+// client updates missed the root's round, the documented cost of a relay
+// away mid-round, and the root's aggregate is re-committed verbatim so the
 // downward trajectory stays identical to the root's.
-func (r *Relay) resolved(round, count int) *GlobalMsg {
+func (r *Relay) resolved(round, count int) (*GlobalMsg, *wire.SnapshotMsg) {
 	if snap := r.pendingJump; snap != nil {
 		// A pending jump is due at the first round reduced after the join
 		// that adopted it, unless a recovered checkpoint already covers it.
-		// It is staged on the downward server and returned as a round
-		// discontinuity, which the engine commits via commitJump.
+		// Past the round it is a discontinuity, which the engine commits
+		// via commitJump.
 		r.pendingJump = nil
 		if snap.Round >= round {
-			r.srv.jumpSnap = snap
 			r.log.Info("jumping to root snapshot", "from_round", round, "round", snap.Round, "dropped_clients", count)
-			return &GlobalMsg{Round: snap.Round, Payload: snap.Payload}
+			return &GlobalMsg{Round: snap.Round, Payload: snap.Payload}, snap
 		}
 	}
 	for len(r.adopted) > 0 && r.adopted[0].Round < round {
@@ -282,38 +279,38 @@ func (r *Relay) resolved(round, count int) *GlobalMsg {
 	}
 	if len(r.adopted) > 0 && r.adopted[0].Round == round {
 		r.log.Info("adopted root-committed round", "round", round, "dropped_clients", count)
-		return &r.adopted[0]
+		return &r.adopted[0], nil
 	}
-	return nil
+	return nil, nil
 }
 
 // exchange runs one upstream attempt: rejoin when the connection is gone
 // (the resume may already resolve the round), push the in-flight partial,
 // and read the round's global.
-func (r *Relay) exchange(ctx context.Context, round, count int) (*GlobalMsg, error) {
+func (r *Relay) exchange(ctx context.Context, round, count int) (*GlobalMsg, *wire.SnapshotMsg, error) {
 	conn := r.up.current()
 	if conn == nil {
 		var err error
 		if conn, _, err = r.join(ctx); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		if g := r.resolved(round, count); g != nil {
-			return g, nil
+		if g, snap := r.resolved(round, count); g != nil {
+			return g, snap, nil
 		}
 	}
 	markRound(conn, round)
 	if err := writeFrame(conn, r.up.ioTimeout, r.inflight, r.up.wireM, wire.KindPartialUpdate); err != nil {
-		return nil, fmt.Errorf("push partial: %w", err)
+		return nil, nil, fmt.Errorf("push partial: %w", err)
 	}
 	m, err := readMsg(conn, r.up.ioTimeout, modelPayloadLimit(r.dim), r.up.wireM)
 	if err != nil {
-		return nil, fmt.Errorf("pull aggregate: %w", err)
+		return nil, nil, fmt.Errorf("pull aggregate: %w", err)
 	}
 	g, ok := m.(*GlobalMsg)
 	if !ok {
-		return nil, protocolErrorf("round %d: expected a global frame upstream, got %s", round, m.WireKind())
+		return nil, nil, protocolErrorf("round %d: expected a global frame upstream, got %s", round, m.WireKind())
 	}
-	return g, checkGlobal(g, round, r.dim, false)
+	return g, nil, checkGlobal(g, round, r.dim, false)
 }
 
 // join dials the root and joins (or resumes) the relay session. Rounds

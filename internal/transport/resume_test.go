@@ -91,8 +91,8 @@ func TestHistoryEvictionBounded(t *testing.T) {
 		t.Fatalf("committed %d rounds, want %d", got, rounds)
 	}
 	srv.mu.Lock()
-	histLen, histCap, base := len(srv.history), cap(srv.history), srv.histBase
-	capture := srv.captureLocked()
+	histLen, histCap, base := len(srv.ledger.history), cap(srv.ledger.history), srv.ledger.base
+	capture := srv.ledger.capture()
 	srv.mu.Unlock()
 	if histLen != window || base != rounds-window {
 		t.Errorf("retained %d rounds from base %d, want %d from %d",

@@ -33,8 +33,10 @@
 // updates received once the round deadline passes (weighted partial
 // FedAvg), and lets a disconnected client resume its session: the client
 // redials with the same SessionKey and the last round it applied, and the
-// server replies with every GlobalMsg payload it missed, which the client
-// replays through its manager to rebuild model and mask state exactly.
+// Welcome carries every GlobalMsg payload it missed, which the client
+// replays through its manager to rebuild model and mask state exactly —
+// or, past the retained window (ServerConfig.HistoryRounds), opens the
+// catch-up conversation (catchup.go), which reaches the same state.
 // Clients reconnect with seeded exponential backoff plus jitter, bounded
 // by MaxRetries, and re-send the in-flight UpdateMsg idempotently (the
 // server drops duplicates and stale rounds).
@@ -44,7 +46,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"sync"
 	"time"
@@ -246,50 +247,6 @@ func checkGlobal(g *GlobalMsg, expectRound, dim int, compactOK bool) error {
 	}
 	if len(g.Payload) != dim {
 		return protocolErrorf("round %d payload length %d, want %d", g.Round, len(g.Payload), dim)
-	}
-	return nil
-}
-
-// checkUpdates validates one round's received updates before aggregation:
-// consistent payload lengths, finite non-negative weights, and agreeing
-// mask hashes. Updates may contain nil entries (absent clients under
-// partial aggregation). Shared by the server and the protocol fuzz targets.
-func checkUpdates(round int, updates []*UpdateMsg) error {
-	n := -1
-	first := -1
-	for i, u := range updates {
-		if u == nil {
-			continue
-		}
-		if math.IsNaN(u.Weight) || math.IsInf(u.Weight, 0) || u.Weight < 0 {
-			return protocolErrorf("round %d: invalid weight %v from client %d", round, u.Weight, i)
-		}
-		if n < 0 {
-			n, first = len(u.Payload), i
-			continue
-		}
-		if len(u.Payload) != n {
-			return protocolErrorf("round %d: payload length mismatch: client %d sent %d, client %d sent %d",
-				round, first, n, i, len(u.Payload))
-		}
-	}
-	if n < 0 {
-		return protocolErrorf("round %d: no updates", round)
-	}
-	var hash uint64
-	hashFrom := -1
-	for i, u := range updates {
-		if u == nil {
-			continue
-		}
-		if hashFrom < 0 {
-			hash, hashFrom = u.MaskHash, i
-			continue
-		}
-		if u.MaskHash != hash {
-			return fmt.Errorf("%w: round %d: client %d mask hash %016x, client %d mask hash %016x",
-				ErrMaskDivergence, round, hashFrom, hash, i, u.MaskHash)
-		}
 	}
 	return nil
 }

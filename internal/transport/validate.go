@@ -35,7 +35,7 @@ type ValidatorConfig struct {
 	// Dim is the dense model dimension; payloads longer than it (or empty)
 	// are rejected. Compact (mask-elided) payloads are shorter by design,
 	// so only the upper bound is enforced here — cross-client length
-	// agreement stays with checkUpdates.
+	// agreement stays with fl.Aggregator.Add.
 	Dim int
 	// MaxNormMult rejects an update whose L2 norm exceeds this multiple of
 	// the median norm of recently accepted updates (0 disables the gate;
