@@ -1,7 +1,13 @@
 package apf_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/scanner"
+	"go/token"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
@@ -36,5 +42,96 @@ func TestCIWorkflowMatchesMakeCI(t *testing.T) {
 	sort.Strings(remote)
 	if strings.Join(local, " ") != strings.Join(remote, " ") {
 		t.Errorf("`make ci` and the CI workflow run different targets:\n  make ci:  %v\n  workflow: %v", local, remote)
+	}
+}
+
+// TestNoUnreferencedExports fails on an exported func, method, type, var or
+// const declared in a non-test file under internal/ whose name appears as an
+// identifier token nowhere in the checkout's Go files (bench/ and tests
+// included) but in its declarations. Names match by token, not by
+// resolution, so the guard can miss dead code that shares a live name, but
+// it never flags live code. Methods the standard library calls through its
+// own interfaces (sort, container/heap, error, fmt, io, net/http,
+// encoding/json) are live without a caller in the checkout and are exempt.
+func TestNoUnreferencedExports(t *testing.T) {
+	stdlibCalled := map[string]bool{"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
+		"Error": true, "Unwrap": true, "Is": true, "As": true, "String": true, "Format": true,
+		"Read": true, "Write": true, "Close": true, "ServeHTTP": true, "MarshalJSON": true, "UnmarshalJSON": true}
+	uses := map[string]int{}     // identifier tokens, declarations included
+	declared := map[string]int{} // exported declarations under internal/
+	var decls []*ast.Ident
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		var s scanner.Scanner
+		s.Init(fset.AddFile(path, -1, len(src)), src, nil, 0)
+		for {
+			_, tok, lit := s.Scan()
+			if tok == token.EOF {
+				break
+			}
+			if tok == token.IDENT {
+				uses[lit]++
+			}
+		}
+		if !strings.HasPrefix(filepath.ToSlash(path), "internal/") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		add := func(id *ast.Ident) {
+			if id.IsExported() {
+				declared[id.Name]++
+				decls = append(decls, id)
+			}
+		}
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				if decl.Recv == nil || !stdlibCalled[decl.Name.Name] {
+					add(decl.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						add(spec.Name)
+					case *ast.ValueSpec:
+						for _, id := range spec.Names {
+							add(id)
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(decls) == 0 {
+		t.Fatal("no exported declarations found under internal/")
+	}
+	for _, id := range decls {
+		if uses[id.Name] <= declared[id.Name] {
+			t.Errorf("%s: exported %s is referenced nowhere in the checkout; delete it", fset.Position(id.Pos()), id.Name)
+		}
 	}
 }

@@ -60,9 +60,6 @@ func (b *BitSet) IterateClear(fn func(i int)) {
 	}
 }
 
-// WordCount returns the number of backing words.
-func (b *BitSet) WordCount() int { return len(b.words) }
-
 // AnyInWord reports whether backing word wi contains any set bit.
 func (b *BitSet) AnyInWord(wi int) bool { return b.words[wi] != 0 }
 

@@ -86,9 +86,6 @@ func Open(dir string) (*Store, error) {
 	return &Store{dir: dir, rounds: -1}, nil
 }
 
-// Dir returns the store directory.
-func (s *Store) Dir() string { return s.dir }
-
 func (s *Store) snapPath(rounds int) string {
 	return filepath.Join(s.dir, fmt.Sprintf("%s%08d%s", snapPrefix, rounds, snapSuffix))
 }

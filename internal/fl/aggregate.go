@@ -211,9 +211,6 @@ func (a *Aggregator) SetStreaming(on bool) {
 	a.stream = on
 }
 
-// Streaming reports whether streaming collection is enabled.
-func (a *Aggregator) Streaming() bool { return a.stream }
-
 // Open begins incremental collection of one round with n client slots,
 // discarding any round still in flight. Slot buffers are reused across
 // rounds.

@@ -157,9 +157,6 @@ func (s *Sequential) backwardParams(grad *tensor.Tensor) {
 // Params returns the concatenated parameters of all layers in order.
 func (s *Sequential) Params() []*Param { return s.params }
 
-// Layers exposes the composed layers (read-only use).
-func (s *Sequential) Layers() []Layer { return s.layers }
-
 // LastStep selects the final time step of a sequence tensor:
 // [N, T, H] → [N, H]. It is used to read out the last hidden state of an
 // LSTM stack for classification.

@@ -27,7 +27,7 @@ import (
 // NetworkSpec declares one network model applied to a trial through
 // chaos faults generated from netsim schedules.
 type NetworkSpec struct {
-	// Name labels the model in reports ("clean", "flaky", "jittery").
+	// Name labels the model in reports ("clean", "flaky").
 	Name string `json:"name"`
 	// DropRate is the per-(round, client) probability that the client's
 	// connection is severed at that round's mark (netsim.DropoutSchedule).
@@ -52,11 +52,6 @@ func CleanNetwork() NetworkSpec { return NetworkSpec{Name: "clean"} }
 
 // FlakyNetwork severs a quarter of (round, client) cells.
 func FlakyNetwork() NetworkSpec { return NetworkSpec{Name: "flaky", DropRate: 0.25} }
-
-// JitteryNetwork combines moderate severs with write stalls.
-func JitteryNetwork() NetworkSpec {
-	return NetworkSpec{Name: "jittery", DropRate: 0.15, DelayRate: 0.3, Delay: 30 * time.Millisecond}
-}
 
 // Config declares one cell of the scenario matrix.
 type Config struct {

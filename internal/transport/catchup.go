@@ -176,16 +176,14 @@ func (s *Server) catchupSession(sess *session, gen int, cc *countingConn, cap *c
 	start := time.Now()
 	r0, w0 := cc.Counts()
 	mode, err := s.runCatchup(cc, cap)
-	if s.metrics != nil {
-		r1, w1 := cc.Counts()
-		s.metrics.catchupBytes.Observe(float64((r1 - r0) + (w1 - w0)))
-		s.metrics.catchupSeconds.Observe(time.Since(start).Seconds())
-		switch mode {
-		case "sketch":
-			s.metrics.resumeSketch.Inc()
-		case "snapshot":
-			s.metrics.resumeSnapshot.Inc()
-		}
+	r1, w1 := cc.Counts()
+	s.metrics.catchupBytes.Observe(float64((r1 - r0) + (w1 - w0)))
+	s.metrics.catchupSeconds.Observe(time.Since(start).Seconds())
+	switch mode {
+	case "sketch":
+		s.metrics.resumeSketch.Inc()
+	case "snapshot":
+		s.metrics.resumeSnapshot.Inc()
 	}
 	if err != nil {
 		s.log.Warn("catch-up failed", "client", sess.id, "name", sess.name,
@@ -204,7 +202,7 @@ func (s *Server) catchupSession(sess *session, gen int, cc *countingConn, cap *c
 // mode. Returns the mode actually served ("sketch"/"snapshot") for
 // accounting; mode is best-effort on errors.
 func (s *Server) runCatchup(cc *countingConn, cap *catchupCapture) (string, error) {
-	m, err := readMsg(cc, s.cfg.IOTimeout, modelPayloadLimit(len(s.cfg.Init)), s.wireM)
+	m, err := readMsg(cc, s.cfg.IOTimeout, modelPayloadLimit(len(s.cfg.Init)), &s.wireM)
 	if err != nil {
 		return "", err
 	}
@@ -233,7 +231,7 @@ func (s *Server) sendSnapshot(cc *countingConn, cap *catchupCapture) error {
 	if cap.state != nil {
 		msg.Manager = checkpoint.EncodeManager(cap.state)
 	}
-	return writeMsg(cc, s.cfg.IOTimeout, msg, s.wireM)
+	return writeMsg(cc, s.cfg.IOTimeout, msg, &s.wireM)
 }
 
 // serveSketch streams coded cells over the capture's (word, generation)
@@ -268,11 +266,11 @@ func (s *Server) serveSketch(cc *countingConn, cap *catchupCapture) (string, err
 		for i := range sm.Cells {
 			sm.Cells[i] = enc.Next()
 		}
-		if err := writeMsg(cc, s.cfg.IOTimeout, sm, s.wireM); err != nil {
+		if err := writeMsg(cc, s.cfg.IOTimeout, sm, &s.wireM); err != nil {
 			return "sketch", err
 		}
 		sent += n
-		m, err := readMsg(cc, s.cfg.IOTimeout, limit, s.wireM)
+		m, err := readMsg(cc, s.cfg.IOTimeout, limit, &s.wireM)
 		if err != nil {
 			return "sketch", err
 		}
@@ -320,7 +318,7 @@ func (s *Server) sendDelta(cc *countingConn, cap *catchupCapture, words []int) e
 		seen[w] = true
 		d.Words = append(d.Words, mgr.ExportWordBlock(w, cap.x))
 	}
-	return writeMsg(cc, s.cfg.IOTimeout, d, s.wireM)
+	return writeMsg(cc, s.cfg.IOTimeout, d, &s.wireM)
 }
 
 // catchUp is the requesting side of the conversation, entered when the
@@ -353,12 +351,12 @@ func (u *uplink) catchUp(conn *countingConn, w *WelcomeMsg, applied, dim int, ma
 			dec.AddLocal(recon.PackWordGen(wi, g))
 		}
 	}
-	if err := writeMsg(conn, u.ioTimeout, offer, u.wireM); err != nil {
+	if err := writeMsg(conn, u.ioTimeout, offer, &u.wireM); err != nil {
 		return nil, nil, fmt.Errorf("transport: catch-up offer: %w", err)
 	}
 	budget := 2*((dim+63)/64) + 64
 	for {
-		m, err := readMsg(conn, u.ioTimeout, snapshotPayloadLimit(dim), u.wireM)
+		m, err := readMsg(conn, u.ioTimeout, snapshotPayloadLimit(dim), &u.wireM)
 		if err != nil {
 			return nil, nil, fmt.Errorf("transport: catch-up: %w", err)
 		}
@@ -389,7 +387,7 @@ func (u *uplink) catchUp(conn *countingConn, w *WelcomeMsg, applied, dim int, ma
 			default:
 				reply.NeedMore = true
 			}
-			if err := writeMsg(conn, u.ioTimeout, reply, u.wireM); err != nil {
+			if err := writeMsg(conn, u.ioTimeout, reply, &u.wireM); err != nil {
 				return nil, nil, fmt.Errorf("transport: catch-up reply: %w", err)
 			}
 		case *wire.DeltaMsg:
@@ -482,14 +480,12 @@ func (r *clientRun) finishCatchUp(round, words int, mode string) {
 	from := r.applied
 	r.applied = round
 	r.inflight = nil
-	if r.metrics != nil {
-		r.metrics.round.Set(float64(round))
-		switch mode {
-		case "sketch":
-			r.metrics.catchupSketch.Inc()
-		case "snapshot":
-			r.metrics.catchupSnapshot.Inc()
-		}
+	r.metrics.round.Set(float64(round))
+	switch mode {
+	case "sketch":
+		r.metrics.catchupSketch.Inc()
+	case "snapshot":
+		r.metrics.catchupSnapshot.Inc()
 	}
 	r.log.Info("caught up", "mode", mode, "from", from, "round", round, "diff_words", words)
 	if r.cfg.OnRound != nil {

@@ -106,9 +106,10 @@ type clientRun struct {
 	res *ClientResult
 
 	// up is the connection to the server (with its I/O deadline and wire
-	// metrics); metrics/log are nil-safe instrumentation handles.
+	// metrics); metrics/log are instrumentation handles (no-ops unless
+	// ClientConfig injected a registry or logger).
 	up      *uplink
-	metrics *clientMetrics
+	metrics clientMetrics
 	log     *telemetry.Logger
 
 	// Training state, built on the first Welcome.
@@ -195,9 +196,7 @@ func (r *clientRun) session(ctx context.Context) error {
 	}
 	if welcome.Resumed {
 		r.res.Reconnects++
-		if r.metrics != nil {
-			r.metrics.reconnects.Inc()
-		}
+		r.metrics.reconnects.Inc()
 		r.log.Info("session resumed", "client", r.res.ClientID, "have_round", r.applied)
 	}
 
@@ -225,9 +224,7 @@ func (r *clientRun) session(ctx context.Context) error {
 	// manager state is a deterministic function of the synchronized
 	// trajectory, so replay rebuilds model and freezing mask exactly.
 	if len(welcome.Missed) > 0 {
-		if r.metrics != nil {
-			r.metrics.replayed.Add(int64(len(welcome.Missed)))
-		}
+		r.metrics.replayed.Add(int64(len(welcome.Missed)))
 		r.log.Info("replaying missed aggregates",
 			"from", r.applied+1, "count", len(welcome.Missed))
 	}
@@ -239,19 +236,10 @@ func (r *clientRun) session(ctx context.Context) error {
 
 	for round := r.applied + 1; round < r.rounds; round++ {
 		markRound(conn, round)
-		var roundStart time.Time
-		if r.metrics != nil {
-			roundStart = time.Now()
-		}
+		roundStart := time.Now()
 		if r.inflight == nil || r.inflight.Round != round {
-			var trainStart time.Time
-			if r.metrics != nil {
-				trainStart = time.Now()
-			}
 			r.train(round)
-			if r.metrics != nil {
-				r.metrics.trainSeconds.Observe(time.Since(trainStart).Seconds())
-			}
+			r.metrics.trainSeconds.Observe(time.Since(roundStart).Seconds())
 			contrib, weight, up := r.manager.PrepareUpload(round, r.x)
 			payload := contrib
 			if r.hasCodec {
@@ -280,9 +268,7 @@ func (r *clientRun) session(ctx context.Context) error {
 				quantize.RoundTripSlice(r.inflight.Payload)
 			}
 			r.res.UpBytes += up
-			if r.metrics != nil {
-				r.metrics.upBytes.Add(up)
-			}
+			r.metrics.upBytes.Add(up)
 		}
 		if err := r.push(conn); err != nil {
 			return fmt.Errorf("transport: round %d push: %w", round, err)
@@ -290,7 +276,7 @@ func (r *clientRun) session(ctx context.Context) error {
 		// The limit admits a snapshot frame: a server that adopted its own
 		// upstream's snapshot (relay catch-up) broadcasts it mid-stream in
 		// place of the jumped rounds' globals.
-		m, err := readMsg(conn, r.up.ioTimeout, snapshotPayloadLimit(r.dim), r.up.wireM)
+		m, err := readMsg(conn, r.up.ioTimeout, snapshotPayloadLimit(r.dim), &r.up.wireM)
 		if err != nil {
 			return fmt.Errorf("transport: round %d pull: %w", round, err)
 		}
@@ -299,9 +285,7 @@ func (r *clientRun) session(ctx context.Context) error {
 				return err
 			}
 			round = r.applied // the loop increment resumes at applied+1
-			if r.metrics != nil {
-				r.metrics.roundSeconds.Observe(time.Since(roundStart).Seconds())
-			}
+			r.metrics.roundSeconds.Observe(time.Since(roundStart).Seconds())
 			continue
 		}
 		g, err := r.acceptGlobal(m, round)
@@ -312,9 +296,7 @@ func (r *clientRun) session(ctx context.Context) error {
 			return err
 		}
 		r.inflight = nil
-		if r.metrics != nil {
-			r.metrics.roundSeconds.Observe(time.Since(roundStart).Seconds())
-		}
+		r.metrics.roundSeconds.Observe(time.Since(roundStart).Seconds())
 	}
 	return nil
 }
@@ -327,7 +309,7 @@ func (r *clientRun) session(ctx context.Context) error {
 // the in-flight copy was rounded through binary16 when prepared).
 func (r *clientRun) push(conn *countingConn) error {
 	if r.codecNeg < wire.CodecSparse {
-		return writeMsg(conn, r.up.ioTimeout, r.inflight, r.up.wireM)
+		return writeMsg(conn, r.up.ioTimeout, r.inflight, &r.up.wireM)
 	}
 	sp := &SparseUpdateMsg{
 		Round:    r.inflight.Round,
@@ -338,7 +320,7 @@ func (r *clientRun) push(conn *countingConn) error {
 		Enc:      r.codecNeg.Enc(),
 	}
 	sp.Values, sp.Q = wire.PackSparse(sp.Enc, r.inflight.Payload)
-	return writeMsg(conn, r.up.ioTimeout, sp, r.up.wireM)
+	return writeMsg(conn, r.up.ioTimeout, sp, &r.up.wireM)
 }
 
 // acceptGlobal validates one downloaded frame of the round and returns its
@@ -442,11 +424,9 @@ func (r *clientRun) applyGlobal(g *GlobalMsg) error {
 	r.res.DownBytes += down
 	nn.SetFlat(r.params, r.x)
 	r.applied = g.Round
-	if r.metrics != nil {
-		r.metrics.rounds.Inc()
-		r.metrics.round.Set(float64(g.Round))
-		r.metrics.downBytes.Add(down)
-	}
+	r.metrics.rounds.Inc()
+	r.metrics.round.Set(float64(g.Round))
+	r.metrics.downBytes.Add(down)
 	if r.cfg.OnRound != nil {
 		r.cfg.OnRound(g.Round, r.x)
 	}

@@ -32,13 +32,10 @@ func partialPayloadLimit(dim int) int { return fl.MaxPackedLen(dim) + modelPaylo
 
 // readMsg reads one framed message with the connection's I/O deadline and
 // the given payload limit, accounting the frame (or the decode failure)
-// to wm when instrumentation is attached.
+// to wm.
 func readMsg(c net.Conn, timeout time.Duration, limit int, wm *wireMetrics) (wire.Msg, error) {
 	if err := c.SetReadDeadline(time.Now().Add(timeout)); err != nil {
 		return nil, err
-	}
-	if wm == nil {
-		return wire.ReadMsg(c, limit)
 	}
 	// The metered wrapper measures exactly this call's bytes; the
 	// connection's own counters mix in concurrent writer traffic.

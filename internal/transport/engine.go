@@ -21,8 +21,9 @@ type event struct {
 	upd  *UpdateMsg // nil for a connection failure or a relay partial
 	// maskGen is the sender's mask generation when the update arrived on a
 	// sparse codec (upd then holds its dense-equivalent conversion); -1 for
-	// dense sessions and generation-less managers. The engine cross-checks
-	// it across the round's updates.
+	// dense sessions, generation-less managers and relay partials (which
+	// carry no generation yet). The engine cross-checks it across the
+	// round's contributions.
 	maskGen int
 	// part is a relay's pre-aggregated partial sum (root tier only); the
 	// slot id then identifies the relay, not a client.
@@ -83,17 +84,17 @@ type roundReducer interface {
 	reduceRound(ctx context.Context, round int, agg *fl.Aggregator, meta roundMeta) (*GlobalMsg, *wire.SnapshotMsg, error)
 }
 
-// roundState is one round's compact admission record: who contributed and
-// the round's mask agreement evidence. It replaces retaining every
-// *UpdateMsg until round close — at relay scale (hundreds of thousands of
-// clients per round) the retained payloads dominated memory, and every
-// cross-update consistency check the old post-collect sweep made is either
-// enforced by fl.Aggregator.Add (weights, lengths, finiteness) or checked
-// incrementally here (mask-hash agreement, with the same error text).
+// roundState is one round's compact admission record beside the
+// aggregator, which itself records who contributed (fl.Aggregator.Received
+// and Count change exactly when a contribution is admitted). It replaces
+// retaining every *UpdateMsg until round close — at relay scale (hundreds
+// of thousands of clients per round) the retained payloads dominated
+// memory, and every cross-update consistency check the old post-collect
+// sweep made is either enforced by fl.Aggregator.Add (weights, lengths,
+// finiteness) or checked incrementally by handle (mask-hash agreement,
+// with the same error text).
 type roundState struct {
 	round int
-	recs  []bool // got-a-contribution, by slot id
-	count int
 	// resp marks slots that spoke this round at all — accepted OR
 	// rejected. The deterministic-close rule needs it: a round with
 	// quarantined peers only closes once every slot responded (or the
@@ -111,18 +112,14 @@ type roundState struct {
 
 // reset prepares the state for a new round.
 func (st *roundState) reset(round, n int) {
-	if cap(st.recs) < n {
-		st.recs = make([]bool, n)
+	if cap(st.resp) < n {
 		st.resp = make([]bool, n)
 	}
-	st.recs = st.recs[:n]
 	st.resp = st.resp[:n]
-	for i := range st.recs {
-		st.recs[i] = false
+	for i := range st.resp {
 		st.resp[i] = false
 	}
-	st.round, st.count, st.firstID = round, 0, -1
-	st.respCount = 0
+	st.round, st.respCount, st.firstID = round, 0, -1
 	st.meta = roundMeta{maskGen: -1}
 }
 
@@ -163,10 +160,9 @@ type roundEngine struct {
 	// trimFrac as the per-side trim fraction; see fl.SetReduction.
 	reduction fl.Reduction
 	trimFrac  float64
-	// metrics instruments update classification and phase timings; nil
-	// (the default for in-process engine tests) disables it entirely,
-	// including the clock reads.
-	metrics *engineMetrics
+	// metrics instruments update classification and phase timings; the
+	// zero value (in-process engine tests) records nothing.
+	metrics engineMetrics
 
 	// Per-round accepted (id, norm) pairs feeding the validator's
 	// post-round norm review; reset when a round opens.
@@ -199,10 +195,7 @@ func (e *roundEngine) run(ctx context.Context, startRound int) error {
 	n := e.clients
 	st := &roundState{}
 	for round := startRound; round < e.rounds; round++ {
-		var roundStart time.Time
-		if e.metrics != nil {
-			roundStart = time.Now()
-		}
+		roundStart := time.Now()
 		e.sink.markRound(round)
 
 		st.reset(round, n)
@@ -214,11 +207,8 @@ func (e *roundEngine) run(ctx context.Context, startRound int) error {
 			agg.Discard()
 			return err
 		}
-		var reduceStart time.Time
-		if e.metrics != nil {
-			e.metrics.collectSeconds.Observe(time.Since(roundStart).Seconds())
-			reduceStart = time.Now()
-		}
+		reduceStart := time.Now()
+		e.metrics.collectSeconds.Observe(reduceStart.Sub(roundStart).Seconds())
 		// Post-round norm review: with every norm of the closed round on
 		// the table, strike participants that towered over the round's
 		// median — the round-relative comparison a rolling history cannot
@@ -226,9 +216,7 @@ func (e *roundEngine) run(ctx context.Context, startRound int) error {
 		// any quarantine it trips rides the same snapshot rotation.
 		if e.validator != nil {
 			for _, s := range e.validator.ReviewRound(round, e.acceptedIDs, e.acceptedNorms) {
-				if e.metrics != nil {
-					e.metrics.reviewStrikes.Inc()
-				}
+				e.metrics.reviewStrikes.Inc()
 				e.sink.strikeClient(s.ID, round, s.Err)
 			}
 		}
@@ -267,10 +255,8 @@ func (e *roundEngine) run(ctx context.Context, startRound int) error {
 			if _, ok := agg.Reduce(out); !ok {
 				return protocolErrorf("round %d: all contributions withheld (total weight 0)", round)
 			}
-			if e.metrics != nil {
-				if k, m := agg.LastTrim(); m > 0 {
-					e.metrics.trimmedFraction.Set(float64(2*k) / float64(m))
-				}
+			if k, m := agg.LastTrim(); m > 0 {
+				e.metrics.trimmedFraction.Set(float64(2*k) / float64(m))
 			}
 			if e.quantizeCommit {
 				quantize.RoundTripSlice(out)
@@ -278,24 +264,20 @@ func (e *roundEngine) run(ctx context.Context, startRound int) error {
 			msg = &GlobalMsg{Round: round, Payload: out, Participants: participants}
 		}
 
-		var commitStart time.Time
-		if e.metrics != nil {
-			e.metrics.reduceSeconds.Observe(time.Since(reduceStart).Seconds())
-			commitStart = time.Now()
-		}
+		commitStart := time.Now()
+		e.metrics.reduceSeconds.Observe(commitStart.Sub(reduceStart).Seconds())
 		if err := e.sink.commitRound(msg, st.meta, count < n); err != nil {
 			return err
 		}
-		if e.metrics != nil {
-			e.metrics.commitSeconds.Observe(time.Since(commitStart).Seconds())
-			e.metrics.roundSeconds.Observe(time.Since(roundStart).Seconds())
-		}
+		end := time.Now()
+		e.metrics.commitSeconds.Observe(end.Sub(commitStart).Seconds())
+		e.metrics.roundSeconds.Observe(end.Sub(roundStart).Seconds())
 	}
 	return nil
 }
 
-// collect gathers round contributions into st (slot occupancy, mask
-// evidence) and the aggregator until every eligible peer reported or, in
+// collect gathers round contributions into the aggregator (and their mask
+// evidence into st) until every eligible peer reported or, in
 // fault-tolerant mode, the round deadline passed with at least minClients
 // contributions. Quarantined clients are not waited for. Every accepted
 // contribution passes the sanitization hook (when configured) and the
@@ -320,7 +302,7 @@ func (e *roundEngine) collect(ctx context.Context, st *roundState, agg *fl.Aggre
 	for {
 		// Quarantine can trip mid-round, so the target is re-derived each
 		// iteration: a poisoned client must not hold the barrier hostage.
-		needed := len(st.recs)
+		needed := e.clients
 		quarantined := 0
 		if e.validator != nil {
 			quarantined = e.validator.QuarantinedCount()
@@ -333,7 +315,8 @@ func (e *roundEngine) collect(ctx context.Context, st *roundState, agg *fl.Aggre
 		if floor > needed {
 			floor = needed
 		}
-		if st.count >= needed {
+		count := agg.Count()
+		if count >= needed {
 			// With quarantined peers excluded from the target, "everyone
 			// else accepted" is an instant that races the excluded peer's
 			// own push (a reconnect re-send lands before or after it purely
@@ -342,11 +325,11 @@ func (e *roundEngine) collect(ctx context.Context, st *roundState, agg *fl.Aggre
 			// until every slot spoke this round (accepted or rejected) or
 			// the deadline fires, which bounds a mute quarantined peer by
 			// the same budget as any honest straggler.
-			if quarantined == 0 || !e.faultTolerant() || expired || st.respCount >= len(st.recs) {
-				return st.count, nil
+			if quarantined == 0 || !e.faultTolerant() || expired || st.respCount >= e.clients {
+				return count, nil
 			}
-		} else if expired && st.count >= floor {
-			return st.count, nil
+		} else if expired && count >= floor {
+			return count, nil
 		}
 		select {
 		case <-ctx.Done():
@@ -354,8 +337,8 @@ func (e *roundEngine) collect(ctx context.Context, st *roundState, agg *fl.Aggre
 		case <-deadline:
 			deadline = nil
 			expired = true
-			if st.count >= floor {
-				return st.count, nil
+			if count >= floor {
+				return count, nil
 			}
 			// Below the aggregation floor: keep waiting for stragglers
 			// or reconnecting clients; ctx bounds the overall run.
@@ -370,52 +353,51 @@ func (e *roundEngine) collect(ctx context.Context, st *roundState, agg *fl.Aggre
 				return 0, fmt.Errorf("transport: round %d recv from %s %d (%s): %w",
 					round, e.peer(), ev.id, ev.name, ev.err)
 			}
-			var err error
-			if e.partialTier {
-				err = e.handlePartial(ev, st, agg)
-			} else {
-				err = e.handleUpdate(ev, st, agg)
-			}
-			if err != nil {
+			if err := e.handle(ev, st, agg); err != nil {
 				return 0, err
 			}
 		}
 	}
 }
 
-// handleUpdate classifies and admits one client update event: stale and
-// duplicate copies are dropped, refused updates reject (fault-tolerant) or
-// abort (strict), and an admitted update must attest the round's agreed
-// mask hash — checked incrementally against the first accepted update, a
-// fatal divergence in either mode exactly as the old post-collect sweep
-// was.
-func (e *roundEngine) handleUpdate(ev event, st *roundState, agg *fl.Aggregator) error {
+// handle classifies and admits one contribution — a client update, or a
+// relay's pre-aggregated partial sum on the root tier — in one order for
+// both tiers: stale and duplicate copies are dropped, a future round is a
+// protocol violation, the mask generation (when the contribution carries
+// one) is the cheap first tripwire, refused contributions reject
+// (fault-tolerant) or abort (strict), and an admitted one must attest the
+// round's agreed mask hash — checked incrementally against the first
+// accepted contribution, a fatal divergence in either mode. Every client
+// folded into a relay's partial attested the hash its relay carries
+// upstream, so the agreement check spans relays exactly as it spans
+// clients. The tier decides only how admit folds.
+func (e *roundEngine) handle(ev event, st *roundState, agg *fl.Aggregator) error {
 	round := st.round
-	u := ev.upd
-	if u == nil {
-		return protocolErrorf("round %d: client %d sent a relay partial on the client tier", round, ev.id)
+	var at int
+	var hash uint64
+	switch {
+	case e.partialTier && ev.part != nil:
+		at, hash = ev.part.Round, ev.part.MaskHash
+	case !e.partialTier && ev.upd != nil:
+		at, hash = ev.upd.Round, ev.upd.MaskHash
+	default:
+		return protocolErrorf("round %d: %s %d sent another tier's contribution", round, e.peer(), ev.id)
 	}
 	// received counts before classification; the accepted/rejected/stale
 	// split below sums to it at quiescence.
-	if e.metrics != nil {
-		e.metrics.received.Inc()
-	}
-	if u.Round < round {
-		if e.metrics != nil {
-			e.metrics.stale.Inc()
-		}
+	e.metrics.received.Inc()
+	if at < round {
+		e.metrics.stale.Inc()
 		return nil // stale re-send of an already-aggregated round
 	}
-	if u.Round > round {
-		return protocolErrorf("client %d sent round %d during round %d", ev.id, u.Round, round)
+	if at > round {
+		return protocolErrorf("%s %d sent round %d during round %d", e.peer(), ev.id, at, round)
 	}
 	st.respond(ev.id)
-	if st.recs[ev.id] {
+	if agg.Received(ev.id) {
 		// An idempotent duplicate (reconnect re-send) is a stale copy of
-		// an already-counted update.
-		if e.metrics != nil {
-			e.metrics.stale.Inc()
-		}
+		// an already-counted contribution.
+		e.metrics.stale.Inc()
 		return nil
 	}
 	// The mask hash proves the bitsets agree; the generation is the
@@ -423,20 +405,18 @@ func (e *roundEngine) handleUpdate(ev event, st *roundState, agg *fl.Aggregator)
 	// match a sparse global against their local mask history.
 	if ev.maskGen >= 0 {
 		if st.meta.maskGen >= 0 && ev.maskGen != st.meta.maskGen {
-			return fmt.Errorf("%w: round %d: client %d mask generation %d, round generation %d",
-				ErrMaskDivergence, round, ev.id, ev.maskGen, st.meta.maskGen)
+			return fmt.Errorf("%w: round %d: %s %d mask generation %d, round generation %d",
+				ErrMaskDivergence, round, e.peer(), ev.id, ev.maskGen, st.meta.maskGen)
 		}
 		st.meta.maskGen = ev.maskGen
 	}
-	if err := e.admit(ev.id, round, u, agg); err != nil {
+	if err := e.admit(ev, round, agg); err != nil {
 		if !e.faultTolerant() {
-			// The strict barrier cannot complete without this client, so a
-			// poisoned update aborts the run.
+			// The strict barrier cannot complete without this peer, so a
+			// poisoned contribution aborts the run.
 			return fmt.Errorf("transport: round %d: %w", round, err)
 		}
-		if e.metrics != nil {
-			e.metrics.rejected.Inc()
-		}
+		e.metrics.rejected.Inc()
 		e.sink.rejectUpdate(ev.id, round, err)
 		return nil
 	}
@@ -444,90 +424,35 @@ func (e *roundEngine) handleUpdate(ev event, st *roundState, agg *fl.Aggregator)
 	// participant froze the same coordinates; disagreement is fatal in
 	// both modes — a round that mixed masks must never commit.
 	if st.firstID < 0 {
-		st.firstID, st.meta.maskHash = ev.id, u.MaskHash
-	} else if u.MaskHash != st.meta.maskHash {
-		return fmt.Errorf("%w: round %d: client %d mask hash %016x, client %d mask hash %016x",
-			ErrMaskDivergence, round, st.firstID, st.meta.maskHash, ev.id, u.MaskHash)
+		st.firstID, st.meta.maskHash = ev.id, hash
+	} else if hash != st.meta.maskHash {
+		return fmt.Errorf("%w: round %d: %s %d mask hash %016x, %s %d mask hash %016x",
+			ErrMaskDivergence, round, e.peer(), st.firstID, st.meta.maskHash, e.peer(), ev.id, hash)
 	}
-	st.recs[ev.id] = true
-	st.count++
-	if e.metrics != nil {
-		e.metrics.accepted.Inc()
-	}
+	e.metrics.accepted.Inc()
 	return nil
 }
 
-// handlePartial is handleUpdate's root-tier counterpart: one relay's
-// pre-aggregated partial sum. Admission is the exact merge, straight from
-// the packed section of the frame the partial arrived in
+// admit folds one contribution into the round. A relay partial is the
+// exact merge, straight from the packed section of the frame it arrived in
 // (fl.Aggregator.AddPartial validates dimensions, counts, weight sign,
-// poison); the mask-hash agreement check spans relays exactly as it spans
-// clients — every client folded into any partial attested the hash its
-// relay carries upstream.
-func (e *roundEngine) handlePartial(ev event, st *roundState, agg *fl.Aggregator) error {
-	round := st.round
-	p := ev.part
-	if p == nil {
-		return protocolErrorf("round %d: relay %d sent a client update on the root tier", round, ev.id)
-	}
-	if e.metrics != nil {
-		e.metrics.received.Inc()
-	}
-	if p.Round < round {
-		if e.metrics != nil {
-			e.metrics.stale.Inc()
-		}
-		return nil // stale re-send of an already-aggregated round
-	}
-	if p.Round > round {
-		return protocolErrorf("relay %d sent round %d during round %d", ev.id, p.Round, round)
-	}
-	st.respond(ev.id)
-	if st.recs[ev.id] {
-		if e.metrics != nil {
-			e.metrics.stale.Inc()
-		}
-		return nil
-	}
-	if err := agg.AddPartial(ev.id, &p.Sum); err != nil {
-		if !e.faultTolerant() {
-			return fmt.Errorf("transport: round %d: %w", round, err)
-		}
-		if e.metrics != nil {
-			e.metrics.rejected.Inc()
-		}
-		e.sink.rejectUpdate(ev.id, round, err)
-		return nil
-	}
-	if st.firstID < 0 {
-		st.firstID, st.meta.maskHash = ev.id, p.MaskHash
-	} else if p.MaskHash != st.meta.maskHash {
-		return fmt.Errorf("%w: round %d: relay %d mask hash %016x, relay %d mask hash %016x",
-			ErrMaskDivergence, round, st.firstID, st.meta.maskHash, ev.id, p.MaskHash)
-	}
-	st.recs[ev.id] = true
-	st.count++
-	if e.metrics != nil {
-		e.metrics.accepted.Inc()
-	}
-	return nil
-}
-
-// admit runs one update through the sanitization hook and the
-// aggregator's independent guards. The validator (when configured) is the
+// poison). A client update runs through the sanitization hook and the
+// aggregator's independent guards: the validator (when configured) is the
 // first line — typed rejections, strikes, quarantine; fl.Aggregator.Add
 // re-checks finiteness, weight validity, and cross-client payload-length
 // agreement regardless, so even with sanitization disabled a poisoned
 // contribution cannot fold into the round.
-func (e *roundEngine) admit(id, round int, u *UpdateMsg, agg *fl.Aggregator) error {
+func (e *roundEngine) admit(ev event, round int, agg *fl.Aggregator) error {
+	if e.partialTier {
+		return agg.AddPartial(ev.id, &ev.part.Sum)
+	}
+	id, u := ev.id, ev.upd
 	var norm float64
 	if e.validator != nil {
 		var err error
 		norm, err = e.validator.Check(id, round, u.Payload, u.Weight)
-		if e.metrics != nil {
-			if cos, ok := e.validator.LastCosine(); ok {
-				e.metrics.cosine.Observe(cos)
-			}
+		if cos, ok := e.validator.LastCosine(); ok {
+			e.metrics.cosine.Observe(cos)
 		}
 		if err != nil {
 			return err
@@ -537,7 +462,7 @@ func (e *roundEngine) admit(id, round int, u *UpdateMsg, agg *fl.Aggregator) err
 		if errors.Is(err, fl.ErrLengthMismatch) {
 			// Cross-client geometry disagreement is a protocol violation
 			// (misaligned compact payloads), not a sanitization matter.
-			return protocolErrorf("client %d: %v", id, err)
+			return protocolErrorf("%s %d: %v", e.peer(), id, err)
 		}
 		if e.validator != nil && errors.Is(err, fl.ErrNonFinite) {
 			// Validator enabled but bypassed (e.g. gate raced a decode

@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"apf/internal/fl"
 	"apf/internal/quantize"
+	"apf/internal/telemetry"
 	"apf/internal/wire"
 )
 
@@ -19,8 +21,9 @@ type testSink struct {
 	commits  []GlobalMsg
 	metas    []roundMeta
 	partials []bool
-	rejected []int // client ids whose updates were rejected, in order
-	struck   []int // client ids struck by the post-round review, in order
+	rejected []int    // client ids whose updates were rejected, in order
+	reasons  []string // the rejections' error texts, in order
+	struck   []int    // client ids struck by the post-round review, in order
 }
 
 func (s *testSink) markRound(int) {}
@@ -29,6 +32,7 @@ func (s *testSink) rejectUpdate(id, round int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.rejected = append(s.rejected, id)
+	s.reasons = append(s.reasons, err.Error())
 }
 
 func (s *testSink) strikeClient(id, round int, err error) {
@@ -395,5 +399,144 @@ func TestEngineQuantizeCommit(t *testing.T) {
 	}
 	if sink.commits[0].Payload[0] == 0.1 {
 		t.Error("0.1 survived unrounded: quantizeCommit did nothing")
+	}
+}
+
+// TestEngineHandleBothTiers drives the one classifier, roundEngine.handle,
+// through the same steps on both tiers — client updates on a flat engine,
+// relay partials on a root engine — fault-tolerant, with a live registry
+// and no sockets. Each step moves exactly one classification counter, or
+// none when it is fatal (the run would abort there), so accepted +
+// rejected + stale + fatal == received after every step; every error text
+// is pinned. The flat arm runs once more on a zero-value (uninstrumented)
+// engine and must reach the identical round: the same refusals, the same
+// mask evidence, and the same aggregate, bit for bit.
+func TestEngineHandleBothTiers(t *testing.T) {
+	const clients, collecting = 4, 1
+	type step struct {
+		name    string
+		id      int
+		round   int // the contribution's round; the engine collects round 1
+		hash    uint64
+		refused bool   // a non-finite update, or a wrong-dimension partial
+		moves   string // the counter the step moves; "" for a fatal step
+		err     string // a fatal step's error text; %[1]s is the tier's peer
+	}
+	steps := []step{
+		{name: "admitted", id: 0, round: 1, hash: 0x5eed, moves: "accepted"},
+		{name: "stale older round", id: 1, round: 0, hash: 0x5eed, moves: "stale"},
+		{name: "duplicate", id: 0, round: 1, hash: 0x5eed, moves: "stale"},
+		{name: "future round", id: 3, round: 2, hash: 0x5eed,
+			err: "transport: protocol violation: %[1]s 3 sent round 2 during round 1"},
+		{name: "refused", id: 1, round: 1, hash: 0x5eed, refused: true, moves: "rejected"},
+		{name: "admitted after a refusal", id: 2, round: 1, hash: 0x5eed, moves: "accepted"},
+		{name: "hash divergence", id: 3, round: 1, hash: 0xbad,
+			err: "transport: freezing mask divergence: round 1: %[1]s 0 mask hash 0000000000005eed, %[1]s 3 mask hash 0000000000000bad"},
+	}
+	payload := func(id int) []float64 { return []float64{float64(id) + 1, 2*float64(id) - 1, 0.5} }
+	type tier struct {
+		name, peer string
+		partial    bool
+		refusal    string // the refused step's rejection text
+		event      func(s step) event
+	}
+	tiers := []tier{
+		{
+			name: "flat", peer: "client",
+			refusal: "fl: non-finite contribution: round 1 client 1 scalar 0 is NaN",
+			event: func(s step) event {
+				p := payload(s.id)
+				if s.refused {
+					p[0] = math.NaN()
+				}
+				return event{id: s.id, upd: &UpdateMsg{Round: s.round, Weight: 1, MaskHash: s.hash, Payload: p}, maskGen: -1}
+			},
+		},
+		{
+			name: "root", peer: "relay", partial: true,
+			refusal: "round 1 relay 1: fl: payload length mismatch: partial dim 3, source dim 2",
+			event: func(s step) event {
+				p := payload(s.id)
+				if s.refused {
+					p = p[:2]
+				}
+				return event{id: s.id, part: partialOf(t, s.round, s.hash, [][]float64{p}, []float64{1}), maskGen: -1}
+			},
+		},
+	}
+
+	// runArm classifies every step on a fresh round and returns what the
+	// round would commit: its aggregate and its mask evidence.
+	runArm := func(t *testing.T, tr tier, reg *telemetry.Registry) ([]float64, roundMeta) {
+		sink := &testSink{}
+		e := &roundEngine{clients: clients, rounds: collecting + 1, deadline: time.Hour, minClients: 1,
+			sink: sink, partialTier: tr.partial, metrics: newEngineMetrics(reg)}
+		agg := fl.NewAggregator(0)
+		defer agg.Close()
+		agg.SetStreaming(tr.partial)
+		agg.Open(collecting, clients)
+		st := &roundState{}
+		st.reset(collecting, clients)
+		m := &e.metrics
+		counts := func() map[string]int64 {
+			return map[string]int64{"received": m.received.Value(), "accepted": m.accepted.Value(),
+				"rejected": m.rejected.Value(), "stale": m.stale.Value()}
+		}
+		fatal := int64(0)
+		for _, s := range steps {
+			before := counts()
+			err := e.handle(tr.event(s), st, agg)
+			after := counts()
+			switch {
+			case s.err != "":
+				fatal++
+				if want := fmt.Sprintf(s.err, tr.peer); err == nil || err.Error() != want {
+					t.Fatalf("%s: got %v, want %q", s.name, err, want)
+				}
+			case err != nil:
+				t.Fatalf("%s: %v", s.name, err)
+			}
+			if reg == nil {
+				continue
+			}
+			for _, c := range []string{"accepted", "rejected", "stale"} {
+				want := before[c]
+				if c == s.moves {
+					want++
+				}
+				if after[c] != want {
+					t.Errorf("%s: %s = %d, want %d", s.name, c, after[c], want)
+				}
+			}
+			if after["received"] != before["received"]+1 {
+				t.Errorf("%s: received moved %d, want 1", s.name, after["received"]-before["received"])
+			}
+			if sum := after["accepted"] + after["rejected"] + after["stale"] + fatal; sum != after["received"] {
+				t.Errorf("%s: accepted+rejected+stale+fatal = %d, received %d", s.name, sum, after["received"])
+			}
+		}
+		if len(sink.rejected) != 1 || sink.rejected[0] != 1 || sink.reasons[0] != tr.refusal {
+			t.Errorf("rejections %v %q, want %s 1 refused with %q", sink.rejected, sink.reasons, tr.peer, tr.refusal)
+		}
+		out := make([]float64, 3)
+		if _, ok := agg.Reduce(out); !ok {
+			t.Fatal("the round aggregates nothing")
+		}
+		return out, st.meta
+	}
+
+	for _, tr := range tiers {
+		t.Run(tr.name, func(t *testing.T) {
+			out, meta := runArm(t, tr, telemetry.New())
+			if meta.maskHash != 0x5eed || meta.maskGen != -1 {
+				t.Errorf("mask evidence %+v, want hash 5eed and no generation", meta)
+			}
+			if !tr.partial {
+				bare, bareMeta := runArm(t, tr, nil)
+				if !sameBits(bare, out) || bareMeta != meta {
+					t.Errorf("uninstrumented engine folded %v %+v, instrumented %v %+v", bare, bareMeta, out, meta)
+				}
+			}
+		})
 	}
 }

@@ -42,8 +42,7 @@ func joinPipe(t *testing.T, srv *Server, join *JoinMsg) (net.Conn, *WelcomeMsg) 
 	t.Helper()
 	server, peer := net.Pipe()
 	t.Cleanup(func() { closeQuietly(peer) })
-	cc := &countingConn{Conn: server}
-	srv.track(cc)
+	cc := srv.track(server)
 	go srv.handleJoin(cc, join)
 	m, err := readMsg(peer, 5*time.Second, wire.MaxPayload, nil)
 	if err != nil {

@@ -15,6 +15,7 @@ import (
 	"apf/internal/core"
 	"apf/internal/fl"
 	"apf/internal/perturb"
+	"apf/internal/telemetry"
 	"apf/internal/wire"
 )
 
@@ -33,22 +34,27 @@ func encodeAll(msgs ...wire.Msg) []byte {
 	return buf
 }
 
-// FuzzServerDecode drives the server's inbound decode path — a JoinMsg
-// followed by UpdateMsgs — with arbitrary bytes, then hands every decoded
-// update to the round engine's admission (roundEngine.handleUpdate on the
-// engine tests' in-process sink, validator armed, fault-tolerant so a
-// refused update is rejected rather than fatal). Every update must be
-// classified — admitted, rejected, dropped as stale, or refused with a
-// typed error — and nothing may panic, however malformed the stream.
+// FuzzServerDecode drives the server's inbound decode path with arbitrary
+// bytes on both tiers — a JoinMsg followed by UpdateMsgs (flat, validator
+// armed), or a RelayJoinMsg followed by PartialUpdateMsgs (root) — and hands
+// every decoded contribution to the round engine's one classifier
+// (roundEngine.handle on the engine tests' in-process sink, fault-tolerant so
+// a refused contribution is rejected rather than fatal). Every contribution
+// must be classified — admitted, rejected, dropped as stale, or refused with
+// a typed error — each classification moving exactly one counter, and
+// nothing may panic, however malformed the stream.
 func FuzzServerDecode(f *testing.F) {
 	f.Add(seedJoinUpdates())
+	f.Add(seedRelayJoinPartials())
 	f.Add(encodeAll(fixtureResumeJoin))
 	f.Add([]byte("not a wire frame at all"))
 	f.Add([]byte{})
 
-	const clients = 3
-	agg := fl.NewAggregator(1)
-	f.Cleanup(agg.Close)
+	const peers, dim = 3, 3
+	flatAgg, rootAgg := fl.NewAggregator(1), fl.NewAggregator(1)
+	rootAgg.SetStreaming(true)
+	f.Cleanup(flatAgg.Close)
+	f.Cleanup(rootAgg.Close)
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) > 64<<10 {
 			t.Skip("oversized input")
@@ -57,28 +63,46 @@ func FuzzServerDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if _, ok := m.(*JoinMsg); !ok {
+		e := &roundEngine{clients: peers, rounds: 1, deadline: time.Hour, minClients: 1, sink: &testSink{},
+			metrics: newEngineMetrics(telemetry.New())}
+		agg, limit := flatAgg, modelPayloadLimit(dim)
+		switch m.(type) {
+		case *JoinMsg:
+			e.validator = NewValidator(ValidatorConfig{Clients: peers, Dim: dim, MaxNormMult: 4, MinHistory: 1,
+				CosineFloor: -0.5, CosineMinHistory: 1})
+		case *RelayJoinMsg:
+			e.partialTier = true
+			agg, limit = rootAgg, partialPayloadLimit(dim)
+		default:
 			return
 		}
-		e := &roundEngine{clients: clients, rounds: 1, deadline: time.Hour, minClients: 1, sink: &testSink{},
-			validator: NewValidator(ValidatorConfig{Clients: clients, Dim: 3, MaxNormMult: 4, MinHistory: 1,
-				CosineFloor: -0.5, CosineMinHistory: 1})}
 		st := &roundState{}
-		st.reset(0, clients)
-		agg.Open(0, clients)
+		st.reset(0, peers)
+		agg.Open(0, peers)
 		defer agg.Discard()
+		em := &e.metrics
 		for i := 0; i < 16; i++ {
-			m, next, err := wire.Decode(rest, modelPayloadLimit(3))
+			m, next, err := wire.Decode(rest, limit)
 			if err != nil {
 				return
 			}
 			rest = next
-			u, ok := m.(*UpdateMsg)
-			if !ok {
+			ev := event{id: i % peers, maskGen: -1}
+			switch c := m.(type) {
+			case *UpdateMsg:
+				ev.upd = c
+			case *PartialUpdateMsg:
+				ev.part = c
+			default:
 				continue
 			}
-			if e.handleUpdate(event{id: i % clients, upd: u, maskGen: -1}, st, agg) != nil {
+			classified := em.accepted.Value() + em.rejected.Value() + em.stale.Value()
+			if e.handle(ev, st, agg) != nil {
 				return // a typed refusal the engine aborts the round on
+			}
+			if got := em.accepted.Value() + em.rejected.Value() + em.stale.Value(); got != classified+1 ||
+				got != em.received.Value() {
+				t.Fatalf("contribution %d: classified %d → %d, received %d", i, classified, got, em.received.Value())
 			}
 		}
 	})
@@ -144,6 +168,23 @@ var (
 func seedJoinUpdates() []byte {
 	return encodeAll(fixtureJoin, fixtureUpdate,
 		&UpdateMsg{Round: 1, Payload: []float64{4, 5, 6}, Weight: 3, MaskHash: 42})
+}
+
+// seedRelayJoinPartials is the server-side root-tier stream seed: a relay
+// join and two rounds of that relay's partial sums.
+func seedRelayJoinPartials() []byte {
+	partial := func(round int, contribs ...[]float64) *PartialUpdateMsg {
+		var p fl.Partial
+		for _, c := range contribs {
+			if err := p.Fold(c, 2); err != nil {
+				panic(err)
+			}
+		}
+		return &PartialUpdateMsg{Round: round, MaskHash: 42, Sum: p}
+	}
+	return encodeAll(&RelayJoinMsg{Name: "edge-0", SessionKey: "edge-0", HaveRound: -1, Clients: 2},
+		partial(0, []float64{1, 2, 3}, []float64{-0.5, 0.25, 8}),
+		partial(1, []float64{4, 5, 6}, []float64{1e-3, -7, 0}))
 }
 
 // seedWelcomeGlobals is the client-side stream seed: a fresh welcome and
@@ -243,8 +284,9 @@ func corpusFixtures() map[string][]byte {
 		wireDir + "bad-crc":              patched(global, len(global)-1, global[len(global)-1]^0xff),
 		wireDir + "truncated-frame":      update[:len(update)-4],
 
-		serverDir + "valid-join-updates": seedJoinUpdates(),
-		serverDir + "valid-resume-join":  encodeAll(fixtureResumeJoin),
+		serverDir + "valid-join-updates":        seedJoinUpdates(),
+		serverDir + "valid-relay-join-partials": seedRelayJoinPartials(),
+		serverDir + "valid-resume-join":         encodeAll(fixtureResumeJoin),
 
 		clientDir + "valid-welcome-globals": seedWelcomeGlobals(),
 		clientDir + "valid-resume-welcome":  encodeAll(fixtureResumeWelcome),

@@ -25,7 +25,7 @@ type ledger struct {
 	denseRound int
 	// shadow replicates the clients' manager state (nil unless configured).
 	shadow  *shadow
-	metrics *serverMetrics
+	metrics serverMetrics
 }
 
 // done returns how many rounds have been committed; eviction does not
@@ -48,14 +48,10 @@ func (l *ledger) commit(g *GlobalMsg) {
 	if drop := len(l.history) - l.keep; l.keep > 0 && drop > 0 {
 		l.base += drop
 		l.history = append(make([]GlobalMsg, 0, l.keep), l.history[drop:]...)
-		if l.metrics != nil {
-			l.metrics.evictedRounds.Add(int64(drop))
-		}
+		l.metrics.evictedRounds.Add(int64(drop))
 	}
-	if l.metrics != nil {
-		l.metrics.committedRounds.Set(float64(l.done()))
-		l.metrics.historyLen.Set(float64(len(l.history)))
-	}
+	l.metrics.committedRounds.Set(float64(l.done()))
+	l.metrics.historyLen.Set(float64(len(l.history)))
 }
 
 // jump replaces the log with an upstream snapshot's state (a relay that

@@ -8,12 +8,12 @@ import (
 	"apf/internal/wire"
 )
 
-// This file owns the transport's metric handles. Each struct is built
-// once at setup from an optional telemetry.Registry; with a nil registry
-// the constructors return nil and every record below is a nil-safe no-op,
-// so the uninstrumented paths pay one branch. Metric names follow
-// Prometheus conventions: apf_ prefix, _total counters, _seconds
-// histograms, base units.
+// This file owns the transport's metric handles. Each set is a value built
+// once at setup from an optional telemetry.Registry and held by value by
+// its owner. A nil registry hands out nil handles, and so does a set's
+// zero value; records on nil handles are no-ops, so every record site
+// instruments unconditionally. Metric names follow Prometheus conventions:
+// apf_ prefix, _total counters, _seconds histograms, base units.
 
 // Directions for the wire tables.
 const (
@@ -37,11 +37,8 @@ type wireMetrics struct {
 	errTooLarge    *telemetry.Counter
 }
 
-func newWireMetrics(reg *telemetry.Registry) *wireMetrics {
-	if reg == nil {
-		return nil
-	}
-	wm := &wireMetrics{}
+func newWireMetrics(reg *telemetry.Registry) wireMetrics {
+	var wm wireMetrics
 	const (
 		framesHelp = "Wire frames exchanged, by message kind and direction."
 		bytesHelp  = "Wire bytes exchanged (full frames), by message kind and direction."
@@ -62,7 +59,9 @@ func newWireMetrics(reg *telemetry.Registry) *wireMetrics {
 	return wm
 }
 
-// recordFrame accounts one complete frame of n bytes.
+// recordFrame accounts one complete frame of n bytes. It and
+// recordReadErr are the only records that check their receiver: the
+// raw-socket test peers read and write frames with no set at all.
 func (wm *wireMetrics) recordFrame(dir int, kind wire.Kind, n int) {
 	if wm == nil || kind < wire.KindJoin || int(kind) >= wireKinds {
 		return
@@ -150,12 +149,9 @@ type serverMetrics struct {
 	historyLen     *telemetry.Gauge
 }
 
-func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
-	if reg == nil {
-		return nil
-	}
+func newServerMetrics(reg *telemetry.Registry) serverMetrics {
 	const rejHelp = "Updates refused by sanitization/aggregation guards, by reason."
-	m := &serverMetrics{
+	m := serverMetrics{
 		round: reg.Gauge("apf_round",
 			"Round the server is currently collecting."),
 		committedRounds: reg.Gauge("apf_committed_rounds",
@@ -212,9 +208,6 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 
 // recordRejection classifies one refused update by its typed cause.
 func (m *serverMetrics) recordRejection(err error) {
-	if m == nil {
-		return
-	}
 	switch {
 	case errors.Is(err, ErrQuarantined):
 		m.rejQuarantine.Inc()
@@ -257,15 +250,12 @@ type engineMetrics struct {
 	reviewStrikes   *telemetry.Counter
 }
 
-func newEngineMetrics(reg *telemetry.Registry) *engineMetrics {
-	if reg == nil {
-		return nil
-	}
+func newEngineMetrics(reg *telemetry.Registry) engineMetrics {
 	const (
 		updHelp   = "Updates received from clients, by classification."
 		phaseHelp = "Duration of one round phase, by phase."
 	)
-	return &engineMetrics{
+	return engineMetrics{
 		received: reg.Counter("apf_updates_received_total",
 			"Updates received from clients, before classification."),
 		accepted: reg.Counter("apf_updates_total", updHelp, "result", "accepted"),
@@ -302,11 +292,8 @@ type relayMetrics struct {
 	reconnects        *telemetry.Counter
 }
 
-func newRelayMetrics(reg *telemetry.Registry) *relayMetrics {
-	if reg == nil {
-		return nil
-	}
-	return &relayMetrics{
+func newRelayMetrics(reg *telemetry.Registry) relayMetrics {
+	return relayMetrics{
 		partials: reg.Counter("apf_relay_partials_total",
 			"Partial sums shipped to the root coordinator."),
 		partialSavedBytes: reg.Counter("apf_relay_partial_bytes_saved_total",
@@ -339,12 +326,9 @@ type clientMetrics struct {
 	catchupSnapshot *telemetry.Counter
 }
 
-func newClientMetrics(reg *telemetry.Registry) *clientMetrics {
-	if reg == nil {
-		return nil
-	}
+func newClientMetrics(reg *telemetry.Registry) clientMetrics {
 	const payloadHelp = "Manager-reported payload bytes (the scheme's accounting model), by direction."
-	return &clientMetrics{
+	return clientMetrics{
 		round: reg.Gauge("apf_client_round",
 			"Last round whose aggregate this client applied."),
 		rounds: reg.Counter("apf_client_rounds_total",

@@ -87,7 +87,7 @@ type Relay struct {
 	srv *Server
 	up  *uplink
 
-	relayM *relayMetrics
+	relayM relayMetrics
 	log    *telemetry.Logger
 
 	// Upstream session state, owned by the engine goroutine (reduceRound is
@@ -139,11 +139,8 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 	r.up = newUplink(&uplink{
 		peer: "upstream", addr: cfg.Upstream, dial: cfg.Dial, ioTimeout: cfg.IOTimeout,
 		maxRetries: cfg.MaxRetries, jitter: jitterStream(cfg.Seed, 5_000_000, cfg.SessionKey, cfg.Name),
-		wireM: newWireMetrics(cfg.Metrics), log: r.log,
+		failures: r.relayM.reconnects, wireM: newWireMetrics(cfg.Metrics), log: r.log,
 	})
-	if r.relayM != nil {
-		r.up.failures = r.relayM.reconnects
-	}
 	return r, nil
 }
 
@@ -230,9 +227,7 @@ func (r *Relay) reduceRound(ctx context.Context, round int, agg *fl.Aggregator, 
 		// gone and no re-collection can restore it.
 		return nil, nil, fmt.Errorf("transport: round %d: %w", round, fl.ErrAccumOverflow)
 	}
-	if r.relayM != nil {
-		r.relayM.sessions.Set(float64(r.srv.Sessions()))
-	}
+	r.relayM.sessions.Set(float64(r.srv.Sessions()))
 	g, snap := r.resolved(round, count)
 	if g == nil {
 		r.inflight = wire.Append(r.inflight[:0],
@@ -245,11 +240,9 @@ func (r *Relay) reduceRound(ctx context.Context, round int, agg *fl.Aggregator, 
 		if err != nil {
 			return nil, nil, err
 		}
-		if r.relayM != nil {
-			r.relayM.partials.Inc()
-			r.relayM.partialSavedBytes.Add(int64(16*r.partial.Dim() - wire.PartialSectionLen(r.inflight)))
-			r.relayM.upstreamSeconds.Observe(time.Since(start).Seconds())
-		}
+		r.relayM.partials.Inc()
+		r.relayM.partialSavedBytes.Add(int64(16*r.partial.Dim() - wire.PartialSectionLen(r.inflight)))
+		r.relayM.upstreamSeconds.Observe(time.Since(start).Seconds())
 	}
 	r.applied = g.Round // g.Round == round, unless the relay jumped ahead
 	return g, snap, nil
@@ -299,10 +292,10 @@ func (r *Relay) exchange(ctx context.Context, round, count int) (*GlobalMsg, *wi
 		}
 	}
 	markRound(conn, round)
-	if err := writeFrame(conn, r.up.ioTimeout, r.inflight, r.up.wireM, wire.KindPartialUpdate); err != nil {
+	if err := writeFrame(conn, r.up.ioTimeout, r.inflight, &r.up.wireM, wire.KindPartialUpdate); err != nil {
 		return nil, nil, fmt.Errorf("push partial: %w", err)
 	}
-	m, err := readMsg(conn, r.up.ioTimeout, modelPayloadLimit(r.dim), r.up.wireM)
+	m, err := readMsg(conn, r.up.ioTimeout, modelPayloadLimit(r.dim), &r.up.wireM)
 	if err != nil {
 		return nil, nil, fmt.Errorf("pull aggregate: %w", err)
 	}

@@ -797,7 +797,7 @@ func TestCatchUpFutureGenerationRejected(t *testing.T) {
 			defer closeQuietly(end)
 			peerErr := make(chan error, 1)
 			go func() { peerErr <- drive(peer) }()
-			_, err := srv.runCatchup(&countingConn{Conn: end}, cap)
+			_, err := srv.runCatchup(srv.track(end), cap)
 			if perr := <-peerErr; perr != nil {
 				t.Fatalf("peer: %v", perr)
 			}

@@ -25,7 +25,7 @@ func TestCommittedFrameNotRetained(t *testing.T) {
 		server, peer := net.Pipe()
 		t.Cleanup(func() { closeQuietly(server); closeQuietly(peer) })
 		sess := newSession(id, "", "queue-only")
-		sess.conn, sess.gen, sess.codec = &countingConn{Conn: server}, 1, codec
+		sess.conn, sess.gen, sess.codec = srv.track(server), 1, codec
 		sessions = append(sessions, sess)
 	}
 	srv.sessions = sessions

@@ -112,8 +112,7 @@ type ServerConfig struct {
 	Shadow *core.Config
 	// Metrics, when non-nil, receives runtime metrics from every layer of
 	// the server (rounds, updates, wire traffic, durability, validation).
-	// Nil keeps the server metric-free at the cost of one branch per
-	// record site.
+	// Nil keeps the server metric-free.
 	Metrics *telemetry.Registry
 	// Log, when non-nil, receives structured events (round commits,
 	// rejections, resumes, recovery). Nil keeps the server silent.
@@ -166,11 +165,15 @@ type Server struct {
 	// exchange); nil on the flat coordinator and the root.
 	reducer roundReducer
 
-	// metrics/wireM/log are nil-safe instrumentation handles (no-ops
-	// unless ServerConfig injected a registry or logger).
-	metrics *serverMetrics
-	wireM   *wireMetrics
+	// metrics/wireM/log are instrumentation handles (no-ops unless
+	// ServerConfig injected a registry or logger).
+	metrics serverMetrics
+	wireM   wireMetrics
 	log     *telemetry.Logger
+
+	// bytes totals every client connection's traffic, counted at each
+	// Read and Write (countingConn).
+	bytes byteCount
 
 	mu            sync.Mutex
 	round         int // round currently being collected
@@ -179,8 +182,6 @@ type Server struct {
 	byKey         map[string]*session
 	conns         map[*countingConn]struct{} // live, un-absorbed connections
 	regDone       bool
-	bytesRead     int64
-	bytesSent     int64
 	partialRounds int
 	rejected      int // updates refused by validation/aggregation guards
 }
@@ -334,10 +335,8 @@ func (s *Server) openStore() error {
 	s.round = s.startRound
 	s.regDone = true
 	close(s.regReady)
-	if s.metrics != nil {
-		s.metrics.recoveries.Inc()
-		s.metrics.recoveredRound.Set(float64(s.startRound))
-	}
+	s.metrics.recoveries.Inc()
+	s.metrics.recoveredRound.Set(float64(s.startRound))
 	s.log.Info("run recovered from checkpoint",
 		"start_round", s.startRound, "sessions", len(s.sessions),
 		"partial_rounds", s.partialRounds)
@@ -382,17 +381,7 @@ func (s *Server) Addr() net.Addr { return s.ln.Addr() }
 func (s *Server) faultTolerant() bool { return s.cfg.RoundDeadline > 0 }
 
 // WireBytes returns the total bytes received from and sent to clients.
-func (s *Server) WireBytes() (read, sent int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	read, sent = s.bytesRead, s.bytesSent
-	for cc := range s.conns {
-		r, w := cc.Counts()
-		read += r
-		sent += w
-	}
-	return read, sent
-}
+func (s *Server) WireBytes() (read, sent int64) { return s.bytes.load() }
 
 // PartialRounds returns how many rounds aggregated fewer than NumClients
 // updates (always 0 in strict mode).
@@ -559,9 +548,7 @@ func (s *Server) markRound(round int) {
 	s.round = round
 	sessions := append([]*session(nil), s.sessions...)
 	s.mu.Unlock()
-	if s.metrics != nil {
-		s.metrics.round.Set(float64(round))
-	}
+	s.metrics.round.Set(float64(round))
 	s.log.Debug("collecting round", "round", round)
 	for _, sess := range sessions {
 		sess.mu.Lock()
@@ -578,7 +565,7 @@ func (s *Server) rejectUpdate(id, round int, err error) {
 	s.rejected++
 	s.mu.Unlock()
 	s.metrics.recordRejection(err)
-	if s.metrics != nil && s.validator != nil {
+	if s.validator != nil {
 		// The validator is owned by the round loop, which is the only
 		// caller here, so the read is race-free.
 		s.metrics.quarantined.Set(float64(s.validator.QuarantinedCount()))
@@ -590,7 +577,7 @@ func (s *Server) rejectUpdate(id, round int, err error) {
 // strike against an already-aggregated update. No rejection is counted —
 // the update did fold into the round — but the quarantine gauge may move.
 func (s *Server) strikeClient(id, round int, err error) {
-	if s.metrics != nil && s.validator != nil {
+	if s.validator != nil {
 		s.metrics.quarantined.Set(float64(s.validator.QuarantinedCount()))
 	}
 	s.log.Warn("post-round review strike", "client", id, "round", round, "err", err)
@@ -617,11 +604,9 @@ func (s *Server) commitRound(g *GlobalMsg, meta roundMeta, partial bool) error {
 		s.partialRounds++
 	}
 	s.mu.Unlock()
-	if s.metrics != nil {
-		s.metrics.roundsTotal.Inc()
-		if partial {
-			s.metrics.partialRounds.Inc()
-		}
+	s.metrics.roundsTotal.Inc()
+	if partial {
+		s.metrics.partialRounds.Inc()
 	}
 	s.log.Info("round committed",
 		"round", g.Round, "participants", g.Participants, "partial", partial)

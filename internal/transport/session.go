@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"fmt"
+	"net"
 	"sync"
 	"time"
 
@@ -150,47 +151,40 @@ func (s *Server) enqueue(sess *session, from int, rf *roundFrames) {
 	frame := rf.frame(sess.codec)
 	sess.queue = append(sess.queue, frame)
 	sess.sent = round + 1
-	if s.metrics != nil {
-		s.metrics.queueFrames.Add(1)
-		if wire.FrameKind(frame) == wire.KindSparseGlobal {
-			// What this broadcast would have cost on a dense session of the
-			// same round. Lossless sparse frames usually cost a few metadata
-			// bytes MORE (the scalars are identical — dense payloads are
-			// already mask-compacted); the quantized codec is where the wire
-			// actually shrinks.
-			if saved := len(rf.frame(wire.CodecDense)) - len(frame); saved > 0 {
-				s.metrics.sparseSavedBytes.Add(int64(saved))
-			}
+	s.metrics.queueFrames.Add(1)
+	if wire.FrameKind(frame) == wire.KindSparseGlobal {
+		// What this broadcast would have cost on a dense session of the
+		// same round. Lossless sparse frames usually cost a few metadata
+		// bytes MORE (the scalars are identical — dense payloads are
+		// already mask-compacted); the quantized codec is where the wire
+		// actually shrinks.
+		if saved := len(rf.frame(wire.CodecDense)) - len(frame); saved > 0 {
+			s.metrics.sparseSavedBytes.Add(int64(saved))
 		}
 	}
 	sess.cond.Broadcast()
 	sess.mu.Unlock()
 }
 
-// track registers a live connection for byte accounting.
-func (s *Server) track(cc *countingConn) {
+// track wraps an accepted connection so its bytes count into the server
+// totals, and registers it as live.
+func (s *Server) track(conn net.Conn) *countingConn {
+	cc := &countingConn{Conn: conn, total: &s.bytes}
 	s.mu.Lock()
 	s.conns[cc] = struct{}{}
 	s.mu.Unlock()
-	if s.metrics != nil {
-		s.metrics.connsTotal.Inc()
-		s.metrics.connsActive.Add(1)
-	}
+	s.metrics.connsTotal.Inc()
+	s.metrics.connsActive.Add(1)
+	return cc
 }
 
-// absorb folds a connection's byte counts into the server totals exactly
-// once and closes it.
+// absorb forgets a live connection exactly once and closes it.
 func (s *Server) absorb(cc *countingConn) {
 	s.mu.Lock()
 	_, live := s.conns[cc]
-	if live {
-		delete(s.conns, cc)
-		r, w := cc.Counts()
-		s.bytesRead += r
-		s.bytesSent += w
-	}
+	delete(s.conns, cc)
 	s.mu.Unlock()
-	if live && s.metrics != nil {
+	if live {
 		s.metrics.connsActive.Add(-1)
 	}
 	closeQuietly(cc)
@@ -208,9 +202,7 @@ func (s *Server) detach(sess *session, gen int) {
 	sess.conn = nil
 	sess.cond.Broadcast()
 	sess.mu.Unlock()
-	if s.metrics != nil {
-		s.metrics.writerDetaches.Inc()
-	}
+	s.metrics.writerDetaches.Inc()
 	s.log.Warn("session detached", "client", sess.id, "name", sess.name)
 	s.absorb(cc)
 }
@@ -241,11 +233,9 @@ func (s *Server) writer(sess *session, gen int) {
 		sess.inflight = true
 		cc := sess.conn
 		sess.mu.Unlock()
-		if s.metrics != nil {
-			s.metrics.queueFrames.Add(-1)
-		}
+		s.metrics.queueFrames.Add(-1)
 
-		err := writeFrame(cc, s.cfg.IOTimeout, frame, s.wireM, wire.FrameKind(frame))
+		err := writeFrame(cc, s.cfg.IOTimeout, frame, &s.wireM, wire.FrameKind(frame))
 
 		sess.mu.Lock()
 		sess.inflight = false
@@ -337,9 +327,8 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed: shutdown or cancellation
 		}
-		cc := &countingConn{Conn: conn}
-		s.track(cc)
-		m, err := readMsg(cc, s.cfg.IOTimeout, joinPayloadLimit, s.wireM)
+		cc := s.track(conn)
+		m, err := readMsg(cc, s.cfg.IOTimeout, joinPayloadLimit, &s.wireM)
 		var join *JoinMsg
 		if err == nil {
 			switch j := m.(type) {
@@ -410,9 +399,7 @@ func (s *Server) handleJoin(cc *countingConn, join *JoinMsg) {
 		close(s.regReady)
 	}
 	s.mu.Unlock()
-	if s.metrics != nil {
-		s.metrics.codecSessions[sess.codec].Add(1)
-	}
+	s.metrics.codecSessions[sess.codec].Add(1)
 	s.log.Info("session negotiated", "client", sess.id, "name", sess.name,
 		"codec", sess.codec.String())
 
@@ -514,14 +501,12 @@ func (s *Server) resume(sess *session, cc *countingConn, join *JoinMsg) {
 	sess.cond.Broadcast() // release the old connection's writer
 	sess.mu.Unlock()
 	s.mu.Unlock()
-	if s.metrics != nil {
-		s.metrics.resumes.Inc()
-		s.metrics.replayedGlobals.Add(int64(len(missed)))
-		s.metrics.queueFrames.Add(float64(-dropped))
-		s.metrics.codecSessions[codec].Add(1)
-		if cap == nil {
-			s.metrics.resumeReplay.Inc()
-		}
+	s.metrics.resumes.Inc()
+	s.metrics.replayedGlobals.Add(int64(len(missed)))
+	s.metrics.queueFrames.Add(float64(-dropped))
+	s.metrics.codecSessions[codec].Add(1)
+	if cap == nil {
+		s.metrics.resumeReplay.Inc()
 	}
 	s.log.Info("session resumed", "client", sess.id, "name", sess.name,
 		"have_round", join.HaveRound, "replayed", len(missed), "catch_up", cap != nil)
@@ -554,7 +539,7 @@ func (s *Server) sendWelcome(sess *session, gen int, w *WelcomeMsg) error {
 		return fmt.Errorf("connection replaced")
 	}
 	sess.mu.Unlock()
-	return writeMsg(cc, s.cfg.IOTimeout, w, s.wireM)
+	return writeMsg(cc, s.cfg.IOTimeout, w, &s.wireM)
 }
 
 // reader decodes one connection's updates into the event stream until the
@@ -567,7 +552,7 @@ func (s *Server) reader(sess *session, gen int, cc *countingConn) {
 	}
 	limit := modelPayloadLimit(len(s.cfg.Init))
 	for {
-		m, err := readMsg(cc, s.cfg.IOTimeout, limit, s.wireM)
+		m, err := readMsg(cc, s.cfg.IOTimeout, limit, &s.wireM)
 		if err == nil {
 			switch u := m.(type) {
 			case *UpdateMsg:
@@ -606,11 +591,11 @@ func (s *Server) reader(sess *session, gen int, cc *countingConn) {
 func (s *Server) relayReader(sess *session, gen int, cc *countingConn) {
 	limit := partialPayloadLimit(len(s.cfg.Init))
 	for {
-		m, err := readMsg(cc, s.cfg.IOTimeout, limit, s.wireM)
+		m, err := readMsg(cc, s.cfg.IOTimeout, limit, &s.wireM)
 		if err == nil {
 			if p, ok := m.(*PartialUpdateMsg); ok {
 				if p.Sum.Dim() == len(s.cfg.Init) {
-					s.post(event{id: sess.id, name: sess.name, part: p})
+					s.post(event{id: sess.id, name: sess.name, part: p, maskGen: -1})
 					continue
 				}
 				err = protocolErrorf("relay %d partial carries %d coordinates, model has %d",

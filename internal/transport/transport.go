@@ -47,7 +47,7 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"apf/internal/wire"
@@ -130,38 +130,41 @@ func markRound(c net.Conn, round int) {
 	}
 }
 
-// countingConn wraps a connection and counts bytes in both directions.
+// byteCount is a pair of running byte counters, safe for concurrent use.
+type byteCount struct{ read, written atomic.Int64 }
+
+// load returns the bytes read and written so far.
+func (b *byteCount) load() (read, written int64) { return b.read.Load(), b.written.Load() }
+
+// countingConn wraps a connection and counts bytes in both directions,
+// twice: into its own counters and into its owner's running total over
+// every connection it ever held. Bytes are counted at the Read or Write
+// that moved them and never folded later, so a Write that returns after
+// its connection was closed and forgotten still reaches the total.
 type countingConn struct {
 	net.Conn
-	mu      sync.Mutex
-	read    int64
-	written int64
+	own   byteCount
+	total *byteCount
 }
 
 // Read implements io.Reader with byte counting.
 func (c *countingConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
-	c.mu.Lock()
-	c.read += int64(n)
-	c.mu.Unlock()
+	c.own.read.Add(int64(n))
+	c.total.read.Add(int64(n))
 	return n, err
 }
 
 // Write implements io.Writer with byte counting.
 func (c *countingConn) Write(p []byte) (int, error) {
 	n, err := c.Conn.Write(p)
-	c.mu.Lock()
-	c.written += int64(n)
-	c.mu.Unlock()
+	c.own.written.Add(int64(n))
+	c.total.written.Add(int64(n))
 	return n, err
 }
 
-// Counts returns the bytes read and written so far.
-func (c *countingConn) Counts() (read, written int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.read, c.written
-}
+// Counts returns the bytes this connection read and wrote so far.
+func (c *countingConn) Counts() (read, written int64) { return c.own.load() }
 
 // errProtocol wraps protocol violations distinguishable from I/O errors.
 var errProtocol = errors.New("transport: protocol violation")

@@ -2,8 +2,10 @@ package transport
 
 import (
 	"context"
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -15,6 +17,7 @@ import (
 	"apf/internal/nn"
 	"apf/internal/opt"
 	"apf/internal/stats"
+	"apf/internal/wire"
 )
 
 // tinyModel builds a small model over flattened 6×6 images.
@@ -33,6 +36,12 @@ func tinySGD(p []*nn.Param) opt.Optimizer { return opt.NewSGD(p, 0.3, 0, 0) }
 // per-client results and the server.
 func runCluster(t *testing.T, clients, rounds int, mf fl.ManagerFactory) ([]*ClientResult, *Server, []float64) {
 	t.Helper()
+	return runClusterOn(t, nil, clients, rounds, mf)
+}
+
+// runClusterOn is runCluster on a given listener (nil binds loopback).
+func runClusterOn(t *testing.T, ln net.Listener, clients, rounds int, mf fl.ManagerFactory) ([]*ClientResult, *Server, []float64) {
+	t.Helper()
 	ds := data.SynthImages(data.ImageConfig{Classes: 3, Channels: 1, Size: 6, Samples: 90, NoiseStd: 0.5, Seed: 5})
 	rng := stats.SplitRNG(5, 50)
 	parts := data.PartitionIID(rng, ds.Len(), clients)
@@ -42,6 +51,7 @@ func runCluster(t *testing.T, clients, rounds int, mf fl.ManagerFactory) ([]*Cli
 
 	srv, err := NewServer(ServerConfig{
 		Addr:       "127.0.0.1:0",
+		Listener:   ln,
 		NumClients: clients,
 		Rounds:     rounds,
 		Init:       init,
@@ -155,6 +165,71 @@ func TestTCPClusterWithAPFSavesWireBytes(t *testing.T) {
 		if apfResults[0].FinalModel[j] != apfResults[1].FinalModel[j] {
 			t.Fatal("APF clients diverged over the real transport")
 		}
+	}
+}
+
+// closeGatedListener accepts connections whose Write of the GlobalMsg of
+// one round — recognised by the frame's kind byte and the round in its
+// first 8 body bytes — returns only once the connection has been closed:
+// the peer has read the frame, hung up, and the server has already
+// forgotten the connection when the Write that carried it returns.
+type closeGatedListener struct {
+	net.Listener
+	round int
+}
+
+func (l closeGatedListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &closeGatedConn{Conn: c, round: uint64(l.round), closed: make(chan struct{})}, nil
+}
+
+type closeGatedConn struct {
+	net.Conn
+	round  uint64
+	once   sync.Once
+	closed chan struct{}
+}
+
+func (c *closeGatedConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	const body = 10 // the wire header's length
+	if err == nil && wire.FrameKind(p) == wire.KindGlobal && len(p) >= body+8 &&
+		binary.LittleEndian.Uint64(p[body:]) == c.round {
+		<-c.closed
+	}
+	return n, err
+}
+
+func (c *closeGatedConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return c.Conn.Close()
+}
+
+// TestWireBytesCountLastFrame is the regression test for Server.WireBytes
+// losing the last frame of a peer that closes fast: the server totals used
+// to fold a connection's counters in when it forgot the connection, so a
+// Write returning after that fold was never counted. Every client's final
+// aggregate is written under exactly that schedule here; the server's
+// totals must still equal what the clients measured from the other end.
+func TestWireBytesCountLastFrame(t *testing.T) {
+	const clients, rounds = 2, 3
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mf := func(clientID, dim int) fl.SyncManager { return fl.NewPassthroughManager(4) }
+	results, srv, _ := runClusterOn(t, closeGatedListener{Listener: ln, round: rounds - 1}, clients, rounds, mf)
+	var read, written int64
+	for _, r := range results {
+		read += r.WireRead
+		written += r.WireWritten
+	}
+	srvRead, srvSent := srv.WireBytes()
+	if srvSent != read || srvRead != written {
+		t.Fatalf("server sent %d B and read %d B; its clients read %d B and wrote %d B", srvSent, srvRead, read, written)
 	}
 }
 

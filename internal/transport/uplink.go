@@ -51,7 +51,7 @@ type uplink struct {
 	retryBase, retryMax time.Duration
 	jitter              *rand.Rand
 	failures            *telemetry.Counter
-	wireM               *wireMetrics
+	wireM               wireMetrics
 	log                 *telemetry.Logger
 
 	// first keeps the identity, geometry, and codec of the first accepted
@@ -61,11 +61,11 @@ type uplink struct {
 	// at the last failure, so progress past it refills the budget.
 	fails, mark int
 
-	// conn is the live connection; read/written fold in the byte counts of
-	// every dropped one. Guarded for the cancellation watcher.
-	mu            sync.Mutex
-	conn          *countingConn
-	read, written int64
+	// conn is the live connection, guarded for the cancellation watcher;
+	// total counts the bytes of every connection, live or dropped.
+	mu    sync.Mutex
+	conn  *countingConn
+	total byteCount
 }
 
 // newUplink applies the defaults to a configured uplink.
@@ -119,19 +119,19 @@ func (u *uplink) connect(ctx context.Context, join wire.Msg, accept func(*Welcom
 	if err != nil {
 		return nil, nil, fmt.Errorf("transport: dial %s %s: %w", u.peer, u.addr, err)
 	}
-	conn := &countingConn{Conn: raw}
+	conn := &countingConn{Conn: raw, total: &u.total}
 	u.mu.Lock()
 	u.conn = conn
 	u.mu.Unlock()
 	if ctx.Err() != nil {
 		return nil, nil, ctx.Err() // the watcher may have missed this connection
 	}
-	if err := writeMsg(conn, u.ioTimeout, join, u.wireM); err != nil {
+	if err := writeMsg(conn, u.ioTimeout, join, &u.wireM); err != nil {
 		return nil, nil, fmt.Errorf("transport: join: %w", err)
 	}
 	// The welcome carries the init model plus every missed aggregate, so
 	// its bound is the format ceiling rather than the model geometry.
-	m, err := readMsg(conn, u.ioTimeout, wire.MaxPayload, u.wireM)
+	m, err := readMsg(conn, u.ioTimeout, wire.MaxPayload, &u.wireM)
 	if err != nil {
 		return nil, nil, fmt.Errorf("transport: welcome: %w", err)
 	}
@@ -162,30 +162,19 @@ func (u *uplink) current() *countingConn {
 	return u.conn
 }
 
-// drop closes the live connection (if any) and folds its byte counts
-// into the totals.
+// drop closes the live connection (if any).
 func (u *uplink) drop() {
 	u.mu.Lock()
 	conn := u.conn
 	u.conn = nil
-	if conn != nil {
-		read, written := conn.Counts()
-		u.read += read
-		u.written += written
-	}
 	u.mu.Unlock()
 	if conn != nil {
 		closeQuietly(conn)
 	}
 }
 
-// bytes returns the bytes read and written across every dropped
-// connection.
-func (u *uplink) bytes() (read, written int64) {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return u.read, u.written
-}
+// bytes returns the bytes read and written across every connection.
+func (u *uplink) bytes() (read, written int64) { return u.total.load() }
 
 // retry runs attempt until it succeeds, dropping the connection after
 // every failure and reconnecting with jittered exponential backoff.
