@@ -27,6 +27,7 @@ import (
 	"apf/internal/telemetry"
 	"apf/internal/telemetry/hooks"
 	"apf/internal/tensor"
+	"apf/internal/wire"
 )
 
 // benchExperiment runs one registered experiment per iteration.
@@ -174,26 +175,77 @@ func BenchmarkManagerRound(b *testing.B) {
 	}
 }
 
-// BenchmarkAggregate measures the server-side weighted aggregation over
-// 10 client contributions through the sharded worker-pool reduction the
-// engine uses.
+// BenchmarkAggregate measures the server-side weighted aggregation
+// through the sharded worker-pool reduction the engine uses: 10 synthetic
+// clients at 10k and 1M scalars, and one dense-256k round (4 clients'
+// dense256k models, weight 1). ns/scalar divides by dim × clients, as
+// bench/'s fl.reduce_ns_per_scalar does.
 func BenchmarkAggregate(b *testing.B) {
 	for _, dim := range []int{10_000, 1_000_000} {
 		contribs, weights := newAggregateInput(dim)
-		b.Run(fmt.Sprintf("dim=%d", dim), func(b *testing.B) {
-			agg := fl.NewAggregator(0)
-			defer agg.Close()
-			dst := make([]float64, dim)
-			if !agg.WeightedMean(dst, contribs, weights) {
-				b.Fatal("nothing aggregated")
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				agg.WeightedMean(dst, contribs, weights)
-			}
-		})
+		b.Run(fmt.Sprintf("dim=%d", dim), func(b *testing.B) { benchWeightedMean(b, contribs, weights) })
 	}
+	contribs, weights := dense256kUpdates(4)
+	b.Run(fmt.Sprintf("dim=%d/clients=%d", len(contribs[0]), len(contribs)), func(b *testing.B) {
+		benchWeightedMean(b, contribs, weights)
+	})
+}
+
+func benchWeightedMean(b *testing.B, contribs [][]float64, weights []float64) {
+	agg := fl.NewAggregator(0)
+	defer agg.Close()
+	dst := make([]float64, len(contribs[0]))
+	if !agg.WeightedMean(dst, contribs, weights) {
+		b.Fatal("nothing aggregated")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		agg.WeightedMean(dst, contribs, weights)
+	}
+	reportPerScalar(b, len(dst)*len(contribs))
+}
+
+// BenchmarkPartialFold measures the exact streaming fold of one dense-256k
+// round (4 clients into one fl.Partial): the relay's per-update cost,
+// bench/'s fl.fold_ns_per_scalar.
+func BenchmarkPartialFold(b *testing.B) {
+	contribs, weights := dense256kUpdates(4)
+	var p fl.Partial
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Reset()
+		for k, c := range contribs {
+			if err := p.Fold(c, weights[k]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	reportPerScalar(b, len(contribs[0])*len(contribs))
+}
+
+// BenchmarkWireDense measures the encode and decode of one dense-256k
+// update frame into a reused buffer, bench/'s wire.*_ns_per_scalar.
+func BenchmarkWireDense(b *testing.B) {
+	contribs, weights := dense256kUpdates(1)
+	msg := &wire.UpdateMsg{Round: 7, Weight: weights[0], Payload: contribs[0]}
+	buf := wire.Encode(msg)
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = wire.Append(buf[:0], msg)
+		if _, _, err := wire.Decode(buf, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportPerScalar(b, len(msg.Payload))
+}
+
+// reportPerScalar adds the benchmark's time per scalar of work per op.
+func reportPerScalar(b *testing.B, scalars int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(scalars), "ns/scalar")
 }
 
 // BenchmarkTrainStep measures one steady-state local training step

@@ -8,7 +8,9 @@
 // the other half of a client round: a steady-state local step allocates
 // nothing, and its float trajectory is bit-identical to the recorded one.
 // The coordinator's durable commit — one WAL append — allocates nothing
-// either.
+// either. The exact reduction's bits are pinned through every pipeline
+// that produces a global (flat, streamed, relayed), and the dense codec's
+// allocations are pinned at the dense-256k model size.
 //
 // The fixtures use only public core APIs: a Manager is driven through one
 // real warm-up window so that an exact, configurable fraction of the model
@@ -20,14 +22,18 @@ package apf_test
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime/debug"
+	"strings"
 	"testing"
 
 	"apf/internal/checkpoint"
 	"apf/internal/core"
 	"apf/internal/data"
+	"apf/internal/fl"
 	"apf/internal/models"
 	"apf/internal/nn"
 	"apf/internal/opt"
@@ -35,6 +41,7 @@ import (
 	"apf/internal/telemetry"
 	"apf/internal/telemetry/hooks"
 	"apf/internal/tensor"
+	"apf/internal/wire"
 )
 
 // roundCase is one point of the hot-path benchmark grid.
@@ -131,6 +138,19 @@ func newAggregateInput(dim int) (contribs [][]float64, weights []float64) {
 		}
 		contribs[c] = v
 		weights[c] = 1 + float64(c%3)
+	}
+	return contribs, weights
+}
+
+// dense256kUpdates returns the dense-256k workload's round as the server
+// sees it: the flattened dense256k models of the given number of clients
+// (seeds 1, 2, ...), each weighted 1 as the passthrough manager weights
+// its uploads.
+func dense256kUpdates(clients int) (contribs [][]float64, weights []float64) {
+	for c := 0; c < clients; c++ {
+		f := dense256kFixture(int64(c + 1))
+		contribs = append(contribs, nn.FlattenParams(f.net.Params(), nil))
+		weights = append(weights, 1)
 	}
 	return contribs, weights
 }
@@ -359,5 +379,202 @@ func TestSteadyStateRoundAcrossCheckBoundary(t *testing.T) {
 	want := float64(9_500) / 10_000
 	if got := m.FrozenRatio(); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("frozen ratio %v after crossing check boundaries, want %v", m.FrozenRatio(), want)
+	}
+}
+
+// ---- Exact reduction: pinned bits; dense codec: pinned allocations ----
+
+// reductionInput is one seeded round of 4 clients over 2,001 coordinates
+// built to reach every branch of the exact fold. Random columns mix
+// products below and above ½ in magnitude, so the float→fixed conversion
+// takes both of its paths, and column sums on both sides of ±½, so the
+// fixed→float conversion does too. Fixed columns add conversion ties
+// (odd multiples of 2^-65), a column sum tied between two floats, sums of
+// exactly +½ and −½, and — last — a column whose sum overflows the
+// accumulator (2^62 + 1.5·2^62 ≥ 2^63) although each product converts.
+func reductionInput() (contribs [][]float64, weights []float64) {
+	const dim = 2001
+	rng := rand.New(rand.NewSource(31))
+	weights = []float64{0.25, 1, 3, 1.5}
+	contribs = make([][]float64, len(weights))
+	for k := range contribs {
+		c := make([]float64, dim)
+		for j := range c {
+			c[j] = math.Ldexp(rng.NormFloat64(), rng.Intn(14)-12)
+		}
+		contribs[k] = c
+	}
+	set := func(j int, byClient ...float64) {
+		for k := range contribs {
+			contribs[k][j] = byClient[k]
+		}
+	}
+	set(0, 0, 0x3p-65, 0, 0)        // 1.5 units: ties to 2
+	set(1, 0, -0x5p-65, 0, 0)       // −2.5 units: ties to −2
+	set(2, 0x1p-8, 0x1p-63, 0, 0)   // 2^54 + 2 units: ties to 2^54 on the way back
+	set(3, 0, 0.25, 0x1p-3, -0.25)  // +½ exactly
+	set(4, 0, -0.25, -0x1p-3, 0.25) // −½ exactly
+	set(dim-1, 0, 0x1p62, 0, 0x1p62)
+	return contribs, weights
+}
+
+// hashFloats fingerprints a float vector (FNV-1a over the bits).
+func hashFloats(v []float64) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, x := range v {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
+		h.Write(buf[:])
+	}
+	return h.Sum64()
+}
+
+// TestExactReductionPinned pins the bits of the exact weighted mean — the
+// Q64.64 conversions, the carry verdicts and the overflow handling — on
+// reductionInput, through the flat one-shot mean on 1 and 4 workers, a
+// streamed Partial.Fold, and the relay hop (two relays' exported partials
+// packed, parsed and merged at a root). The constants were recorded with
+// the bit-by-bit conversions, before their hardware fast paths; every
+// pipeline must reproduce them, and the overflowing column must come out
+// NaN (flat) or poison the fold at its coordinate (streamed).
+func TestExactReductionPinned(t *testing.T) {
+	const (
+		wantMean uint64 = 0xedd3b464cedf0170 // first 2,000 coordinates of the mean, any pipeline
+		wantNaN  uint64 = 0x7d2c4a04e58e4d54 // the flat mean with its overflowing last column
+		wantSums uint64 = 0xef8161743460f1ce // the two relays' packed Q64.64 column sums
+	)
+	contribs, weights := reductionInput()
+	dim := len(contribs[0])
+	clean := make([][]float64, len(contribs))
+	for k, c := range contribs {
+		clean[k] = c[:dim-1]
+	}
+	// The input reaches both paths of both conversions.
+	var bigProducts, bigSums int
+	for j := 0; j < dim-1; j++ {
+		var sum float64
+		for k, c := range clean {
+			if math.Abs(weights[k]*c[j]) >= 0.5 {
+				bigProducts++
+			}
+			sum += weights[k] * c[j]
+		}
+		if math.Abs(sum) >= 0.5 {
+			bigSums++
+		}
+	}
+	if n := len(clean) * (dim - 1); bigProducts < n/10 || bigProducts > n*9/10 || bigSums < dim/10 || bigSums > dim*9/10 {
+		t.Fatalf("input does not mix magnitudes: %d of %d products and %d of %d column sums are ≥ ½", bigProducts, n, bigSums, dim-1)
+	}
+
+	for _, workers := range []int{1, 4} {
+		agg := fl.NewAggregator(workers)
+		dst := make([]float64, dim)
+		ok := agg.WeightedMean(dst, contribs, weights)
+		agg.Close()
+		if !ok {
+			t.Fatalf("%d worker(s): nothing aggregated", workers)
+		}
+		if !math.IsNaN(dst[dim-1]) {
+			t.Errorf("%d worker(s): overflowing column = %v, want NaN", workers, dst[dim-1])
+		}
+		if got := hashFloats(dst); got != wantNaN {
+			t.Errorf("%d worker(s): WeightedMean hashes to %#016x, want %#016x", workers, got, wantNaN)
+		}
+		if got := hashFloats(dst[:dim-1]); got != wantMean {
+			t.Errorf("%d worker(s): WeightedMean's clean columns hash to %#016x, want %#016x", workers, got, wantMean)
+		}
+	}
+
+	var poisoned fl.Partial
+	var err error
+	for k, c := range contribs {
+		if err = poisoned.Fold(c, weights[k]); err != nil {
+			break
+		}
+	}
+	if !errors.Is(err, fl.ErrAccumOverflow) || !strings.HasSuffix(err.Error(), "coordinate 2000") || !poisoned.Poisoned() {
+		t.Errorf("fold over the overflowing column: err = %v, poisoned = %v; want overflow at coordinate 2000", err, poisoned.Poisoned())
+	}
+	var flat fl.Partial
+	for k, c := range clean {
+		if err := flat.Fold(c, weights[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mean := make([]float64, dim-1)
+	if !flat.Mean(mean) {
+		t.Fatal("streamed partial did not aggregate")
+	}
+	if got := hashFloats(mean); got != wantMean {
+		t.Errorf("Partial.Fold → Mean hashes to %#016x, want %#016x", got, wantMean)
+	}
+
+	var root fl.Partial
+	h := fnv.New64a()
+	for _, group := range [][]int{{0, 1}, {2, 3}} {
+		relay := fl.NewAggregator(1)
+		relay.SetStreaming(true)
+		relay.Open(0, len(clean))
+		for _, k := range group {
+			if err := relay.Add(k, clean[k], weights[k]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var part fl.Partial
+		relay.ExportPartial(&part)
+		relay.Close()
+		packed := part.AppendPacked(nil)
+		h.Write(packed)
+		cols, err := fl.ParsePacked(dim-1, packed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := root.Merge(&fl.Partial{Count: part.Count, WeightLo: part.WeightLo, WeightHi: part.WeightHi, Packed: cols}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := h.Sum64(); got != wantSums {
+		t.Errorf("relays' packed sums hash to %#016x, want %#016x", got, wantSums)
+	}
+	if !root.Mean(mean) {
+		t.Fatal("merged partial did not aggregate")
+	}
+	if got := hashFloats(mean); got != wantMean {
+		t.Errorf("ExportPartial → AppendPacked → ParsePacked → Merge → Mean hashes to %#016x, want %#016x", got, wantMean)
+	}
+}
+
+// TestDenseCodecAllocations pins the dense codec's memory discipline at
+// the dense-256k model size: encoding a dense update or global into a
+// fresh frame is one allocation (the frame, grown once — never a chain of
+// doubling copies), re-framing into a buffer already large enough is
+// none, and decoding a dense slice is one (the slice). The collector is
+// held off while counting: each cycle makes wire's framer pool rebuild
+// its per-CPU slots, one small allocation per cycle rather than per frame.
+func TestDenseCodecAllocations(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	contribs, _ := dense256kUpdates(1)
+	payload := contribs[0]
+	update := &wire.UpdateMsg{Round: 3, Weight: 1, MaskHash: 7, Payload: payload}
+	global := &wire.GlobalMsg{Round: 3, Participants: 4, Payload: payload}
+	for name, m := range map[string]wire.Msg{"update": update, "global": global} {
+		if n := testing.AllocsPerRun(5, func() { wire.Encode(m) }); n != 1 {
+			t.Errorf("Encode(%s) allocates %v times, want 1", name, n)
+		}
+		buf := wire.Encode(m)
+		if n := testing.AllocsPerRun(5, func() { buf = wire.Append(buf[:0], m) }); n != 0 {
+			t.Errorf("Append(%s) into a large enough buffer allocates %v times, want 0", name, n)
+		}
+	}
+	w := checkpoint.NewWriter(nil)
+	w.F64s(payload)
+	body := w.Bytes()
+	if n := testing.AllocsPerRun(5, func() {
+		if got := checkpoint.NewReader(body).F64s(); len(got) != len(payload) {
+			t.Fatalf("decoded %d scalars, want %d", len(got), len(payload))
+		}
+	}); n != 1 {
+		t.Errorf("Reader.F64s allocates %v times, want 1", n)
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 )
 
 // Version is the on-disk format version stamped into every frame.
@@ -188,27 +189,42 @@ func (w *Writer) Bool(v bool) {
 // F64 appends one float64 as its bit pattern.
 func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 
+// words extends the encoding by a length prefix and n 8-byte words and
+// returns the words' span for the caller to fill. The buffer grows at most
+// once, with room for a frame's checksum trailer behind the span, so a
+// model-sized slice costs one allocation and the trailer none.
+func (w *Writer) words(n int) []byte {
+	size := 8 + 8*n
+	if cap(w.buf)-len(w.buf) < size {
+		w.buf = slices.Grow(w.buf, size+frameTrailLen)
+	}
+	at := len(w.buf)
+	w.buf = w.buf[:at+size]
+	binary.LittleEndian.PutUint64(w.buf[at:], uint64(n))
+	return w.buf[at+8:]
+}
+
 // F64s appends a length-prefixed []float64.
 func (w *Writer) F64s(v []float64) {
-	w.Int(len(v))
-	for _, x := range v {
-		w.F64(x)
+	b := w.words(len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
 	}
 }
 
 // Ints appends a length-prefixed []int.
 func (w *Writer) Ints(v []int) {
-	w.Int(len(v))
-	for _, x := range v {
-		w.Int(x)
+	b := w.words(len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], uint64(int64(x)))
 	}
 }
 
 // U64s appends a length-prefixed []uint64.
 func (w *Writer) U64s(v []uint64) {
-	w.Int(len(v))
-	for _, x := range v {
-		w.U64(x)
+	b := w.words(len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], x)
 	}
 }
 
@@ -327,41 +343,51 @@ func (r *Reader) length(elemSize int) int {
 	return n
 }
 
-// F64s reads a length-prefixed []float64 (nil when empty).
-func (r *Reader) F64s() []float64 {
+// words reads a slice length and consumes that many 8-byte words in one
+// step, returning their span (nil when empty or after a failure).
+func (r *Reader) words() []byte {
 	n := r.length(8)
 	if r.err != nil || n == 0 {
 		return nil
 	}
-	out := make([]float64, n)
+	return r.take(8 * n)
+}
+
+// F64s reads a length-prefixed []float64 (nil when empty).
+func (r *Reader) F64s() []float64 {
+	b := r.words()
+	if b == nil {
+		return nil
+	}
+	out := make([]float64, len(b)/8)
 	for i := range out {
-		out[i] = r.F64()
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return out
 }
 
 // Ints reads a length-prefixed []int (nil when empty).
 func (r *Reader) Ints() []int {
-	n := r.length(8)
-	if r.err != nil || n == 0 {
+	b := r.words()
+	if b == nil {
 		return nil
 	}
-	out := make([]int, n)
+	out := make([]int, len(b)/8)
 	for i := range out {
-		out[i] = r.Int()
+		out[i] = int(int64(binary.LittleEndian.Uint64(b[8*i:])))
 	}
 	return out
 }
 
 // U64s reads a length-prefixed []uint64 (nil when empty).
 func (r *Reader) U64s() []uint64 {
-	n := r.length(8)
-	if r.err != nil || n == 0 {
+	b := r.words()
+	if b == nil {
 		return nil
 	}
-	out := make([]uint64, n)
+	out := make([]uint64, len(b)/8)
 	for i := range out {
-		out[i] = r.U64()
+		out[i] = binary.LittleEndian.Uint64(b[8*i:])
 	}
 	return out
 }

@@ -145,7 +145,9 @@ func (a *Aggregator) WeightedMean(dst []float64, contribs [][]float64, weights [
 // runChunk reduces one shard [ci·chunk, min(dim, (ci+1)·chunk)). Each
 // coordinate's column is summed exactly in 128-bit fixed point; because
 // integer addition is associative the shard boundaries (and the worker
-// schedule) cannot affect the bits.
+// schedule) cannot affect the bits. The conversion and carry verdicts are
+// ANDed down the column and tested once: a failed column becomes NaN
+// whatever the wrapped sum holds.
 func (a *Aggregator) runChunk(ci int) {
 	base := ci * a.chunk
 	end := base + a.chunk
@@ -161,13 +163,14 @@ func (a *Aggregator) runChunk(ci int) {
 			if w == 0 {
 				continue
 			}
-			var plo, phi uint64
-			if plo, phi, ok = fixFromFloat(w * c[base+j]); ok {
-				slo, shi, ok = fixAdd(slo, shi, plo, phi)
+			x := w * c[base+j]
+			plo, phi, pok := fixFromHalf(x) // fixFromFloat, inlined
+			if !pok {
+				plo, phi, pok = fixFromFloatWide(x)
 			}
-			if !ok {
-				break
-			}
+			var sok bool
+			slo, shi, sok = fixAdd(slo, shi, plo, phi)
+			ok = ok && pok && sok
 		}
 		if !ok {
 			dst[j] = math.NaN()

@@ -32,6 +32,18 @@ import (
 // (53-bit mantissa above the 2^-64 grid); the accumulator holds sums up
 // to |Σ| < 2^63, far beyond any sane model geometry — overflow is
 // detected and poisons the aggregate loudly rather than wrapping.
+//
+// Both conversions have a fast path for values below ½ in magnitude, the
+// range model parameters and their means live in. The hardware does it
+// in a few instructions, with the same bits as the bit-by-bit code, for
+// three reasons: x·2^64 is exact (a power-of-two scale of a value that
+// stays inside the int64 range); math.RoundToEven of it is the same
+// ties-to-even rule; and Go's int64→float64 conversion rounds to nearest
+// even by the language spec, after which the ·2^-64 scale is exact again.
+// Larger values, NaN and infinities take the bit-by-bit code
+// (fixFromFloatWide, fixToFloatWide). The overflow verdict of fixAdd is
+// bit arithmetic rather than a branch on operand signs, so a fold loop
+// tests one verdict per coordinate and never mispredicts on the data.
 
 // ErrAccumOverflow is returned (wrapped) when an exact accumulator
 // overflows its ±2^63 range. A mid-fold overflow poisons the partial
@@ -43,6 +55,29 @@ var ErrAccumOverflow = errors.New("fl: exact accumulator overflow")
 // two's-complement 128-bit (lo, hi) pair. ok is false when x is
 // non-finite or |x| ≥ 2^63 (outside the accumulator's range).
 func fixFromFloat(x float64) (lo, hi uint64, ok bool) {
+	if lo, hi, ok = fixFromHalf(x); !ok {
+		lo, hi, ok = fixFromFloatWide(x)
+	}
+	return lo, hi, ok
+}
+
+// fixFromHalf is fixFromFloat's hardware path for |x| < ½: |x·2^64| <
+// 2^63, so the scale is exact and the rounded value fits an int64, whose
+// sign extension is the upper word. ok is false for any other x (NaN
+// included), which the caller passes to fixFromFloatWide. Unlike
+// fixFromFloat it is small enough to inline, so the fold loops call the
+// two in turn themselves and keep their state in registers.
+func fixFromHalf(x float64) (lo, hi uint64, ok bool) {
+	if !(math.Abs(x) < 0.5) {
+		return 0, 0, false
+	}
+	v := int64(math.RoundToEven(x * 0x1p64))
+	return uint64(v), uint64(v >> 63), true
+}
+
+// fixFromFloatWide is fixFromFloat for any x, bit by bit from the IEEE
+// fields.
+func fixFromFloatWide(x float64) (lo, hi uint64, ok bool) {
 	b := math.Float64bits(x)
 	exp := int(b >> 52 & 0x7ff)
 	mant := b & (1<<52 - 1)
@@ -88,19 +123,31 @@ func negate128(lo, hi uint64) (uint64, uint64) {
 	return nlo, nhi
 }
 
-// fixAdd adds two signed 128-bit values. ok is false on signed overflow
-// (operands share a sign the result lost).
+// fixAdd adds two signed 128-bit values. ok is false on signed overflow:
+// the operands share a sign (top bit of ^(ahi^bhi)) that the result lost
+// (top bit of ahi^hi), computed without a branch.
 func fixAdd(alo, ahi, blo, bhi uint64) (lo, hi uint64, ok bool) {
 	var c uint64
 	lo, c = bits.Add64(alo, blo, 0)
 	hi, _ = bits.Add64(ahi, bhi, c)
-	return lo, hi, (ahi^bhi)>>63 != 0 || (ahi^hi)>>63 == 0
+	return lo, hi, (^(ahi^bhi)&(ahi^hi))>>63 == 0
 }
 
 // fixToFloat converts a signed 128-bit fixed-point value (64 fractional
 // bits) to the nearest float64, ties to even. The rounding decision sees
 // the full 128-bit magnitude, so the conversion is correctly rounded.
 func fixToFloat(lo, hi uint64) float64 {
+	// The value fits an int64 (hi is lo's sign extension): the hardware
+	// conversion rounds to nearest even, and the scale by 2^-64 is exact.
+	if hi == uint64(int64(lo)>>63) {
+		return float64(int64(lo)) * 0x1p-64
+	}
+	return fixToFloatWide(lo, hi)
+}
+
+// fixToFloatWide is fixToFloat for any value, rounding by hand from the
+// full 128-bit magnitude.
+func fixToFloatWide(lo, hi uint64) float64 {
 	neg := int64(hi) < 0
 	if neg {
 		lo, hi = negate128(lo, hi)
@@ -239,12 +286,17 @@ func (p *Partial) Fold(contrib []float64, weight float64) error {
 	if len(p.Cols) == 0 && len(contrib) > 0 {
 		p.adopt(len(contrib))
 	}
+	cols := p.Cols[:2*len(contrib)]
 	for j, v := range contrib {
-		plo, phi, ok := fixFromFloat(weight * v)
-		if ok {
-			p.Cols[2*j], p.Cols[2*j+1], ok = fixAdd(p.Cols[2*j], p.Cols[2*j+1], plo, phi)
+		x := weight * v
+		plo, phi, pok := fixFromHalf(x) // fixFromFloat, inlined
+		if !pok {
+			plo, phi, pok = fixFromFloatWide(x)
 		}
-		if !ok {
+		c := cols[2*j : 2*j+2 : 2*j+2]
+		var sok bool
+		c[0], c[1], sok = fixAdd(c[0], c[1], plo, phi)
+		if !(pok && sok) {
 			p.poisoned = true
 			return fmt.Errorf("%w: coordinate %d", ErrAccumOverflow, j)
 		}
@@ -311,9 +363,10 @@ func (p *Partial) Merge(q *Partial) error {
 // at. A signed overflow poisons p.
 func (p *Partial) addCols(at int, src []uint64) error {
 	dst := p.Cols[at : at+len(src)]
-	var ok bool
-	for j := 0; j < len(src); j += 2 {
-		if dst[j], dst[j+1], ok = fixAdd(dst[j], dst[j+1], src[j], src[j+1]); !ok {
+	for j := 0; j+1 < len(src); j += 2 {
+		d, s := dst[j:j+2:j+2], src[j:j+2:j+2]
+		var ok bool
+		if d[0], d[1], ok = fixAdd(d[0], d[1], s[0], s[1]); !ok {
 			p.poisoned = true
 			return fmt.Errorf("%w: coordinate %d", ErrAccumOverflow, (at+j)/2)
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/big"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -90,9 +91,8 @@ func TestFixAddMatchesBig(t *testing.T) {
 		}
 		return lo, hi
 	}
-	for i := 0; i < 50000; i++ {
-		alo, ahi := randFix()
-		blo, bhi := randFix()
+	check := func(alo, ahi, blo, bhi uint64) {
+		t.Helper()
 		lo, hi, ok := fixAdd(alo, ahi, blo, bhi)
 		want := new(big.Int).Add(fixToBig(alo, ahi), fixToBig(blo, bhi))
 		fits := want.Cmp(lim) < 0 && want.Cmp(negLim) >= 0
@@ -103,6 +103,27 @@ func TestFixAddMatchesBig(t *testing.T) {
 		if ok && fixToBig(lo, hi).Cmp(want) != 0 {
 			t.Fatalf("fixAdd = %v, want %v", fixToBig(lo, hi), want)
 		}
+	}
+	for i := 0; i < 50000; i++ {
+		alo, ahi := randFix()
+		blo, bhi := randFix()
+		check(alo, ahi, blo, bhi)
+		// Operands of equal sign, the only ones that can overflow: the
+		// verdict is the top bit of ^(ahi^bhi) & (ahi^hi).
+		check(alo, ahi, blo, bhi&^(1<<63)|ahi&(1<<63))
+	}
+	const maxHi, minHi = 1<<63 - 1, 1 << 63
+	for _, c := range [][4]uint64{
+		{^uint64(0), maxHi, 1, 0},                // max + 1 unit
+		{^uint64(0), maxHi, 0, 0},                // max + 0
+		{0, minHi, ^uint64(0), ^uint64(0)},       // min − 1 unit
+		{0, minHi, 0, minHi},                     // min + min
+		{0, minHi, ^uint64(0), maxHi},            // min + max = −1 unit
+		{1 << 63, 1<<62 - 1, 1 << 63, 1<<62 - 1}, // just below the top, doubled
+		{0, 1 << 62, 0, 1 << 62},                 // 2^126 + 2^126 = 2^127
+		{0, 3 << 62, 0, 3 << 62},                 // −2^126 − 2^126 = −2^127
+	} {
+		check(c[0], c[1], c[2], c[3])
 	}
 }
 
@@ -368,5 +389,200 @@ func TestPartialRejections(t *testing.T) {
 	}
 	if err := q.Fold(good, 2); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refFixFromFloat and refFixToFloat are the bit-by-bit conversions as
+// they stood before the hardware fast paths, kept verbatim as the
+// reference those paths must match bit for bit.
+func refFixFromFloat(x float64) (lo, hi uint64, ok bool) {
+	b := math.Float64bits(x)
+	exp := int(b >> 52 & 0x7ff)
+	mant := b & (1<<52 - 1)
+	if exp == 0x7ff { // NaN or ±Inf
+		return 0, 0, false
+	}
+	if exp == 0 {
+		// ±0, or a subnormal (|x| < 2^-1022) whose scaled magnitude is
+		// far below half a unit: rounds to zero.
+		return 0, 0, true
+	}
+	mant |= 1 << 52
+	shift := exp - 1011 // x·2^64 = ±mant·2^shift, mant ∈ [2^52, 2^53)
+	switch {
+	case shift >= 75:
+		return 0, 0, false // |x| ≥ 2^63
+	case shift >= 64:
+		hi = mant << (shift - 64)
+	case shift >= 0:
+		hi = mant >> (64 - shift)
+		lo = mant << shift
+	case shift >= -53:
+		// Fractional tail dropped: round to nearest, ties to even.
+		s := uint(-shift)
+		r := mant >> s
+		if mant>>(s-1)&1 == 1 && (mant&(1<<(s-1)-1) != 0 || r&1 == 1) {
+			r++
+		}
+		lo = r
+	default:
+		// mant·2^shift < 1/2 strictly: rounds to zero.
+	}
+	if b>>63 == 1 {
+		lo, hi = negate128(lo, hi)
+	}
+	return lo, hi, true
+}
+
+func refFixToFloat(lo, hi uint64) float64 {
+	neg := int64(hi) < 0
+	if neg {
+		lo, hi = negate128(lo, hi)
+	}
+	if hi == 0 && lo == 0 {
+		return 0
+	}
+	var nbits int
+	if hi != 0 {
+		nbits = 128 - bits.LeadingZeros64(hi)
+	} else {
+		nbits = 64 - bits.LeadingZeros64(lo)
+	}
+	mant := lo // nbits ≤ 53 implies hi == 0: the value is already exact
+	e2 := 0
+	if s := uint(nbits - 53); nbits > 53 {
+		var rb, sticky uint64
+		switch {
+		case s < 64:
+			mant = hi<<(64-s) | lo>>s
+			rb = lo >> (s - 1) & 1
+			sticky = lo & (1<<(s-1) - 1)
+		case s == 64:
+			mant = hi
+			rb = lo >> 63
+			sticky = lo &^ (1 << 63)
+		default: // 64 < s ≤ 74
+			t := s - 64
+			mant = hi >> t
+			rb = hi >> (t - 1) & 1
+			sticky = hi&(1<<(t-1)-1) | lo
+		}
+		if rb == 1 && (sticky != 0 || mant&1 == 1) {
+			mant++
+		}
+		e2 = int(s)
+		if mant == 1<<53 { // carry out of the 53-bit mantissa
+			mant >>= 1
+			e2++
+		}
+	}
+	f := math.Ldexp(float64(mant), e2-64)
+	if neg {
+		return -f
+	}
+	return f
+}
+
+// TestFixFromFloatMatchesReference drives fixFromFloat and the reference
+// over every exponent band (random mantissas and signs), raw random bit
+// patterns, and a boundary table, requiring identical words and verdicts.
+// Representable boundary values are also checked against exact rational
+// arithmetic.
+func TestFixFromFloatMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	check := func(x float64) {
+		t.Helper()
+		lo, hi, ok := fixFromFloat(x)
+		rlo, rhi, rok := refFixFromFloat(x)
+		if lo != rlo || hi != rhi || ok != rok {
+			t.Fatalf("fixFromFloat(%v [%#016x]) = (%#x, %#x, %v), reference (%#x, %#x, %v)",
+				x, math.Float64bits(x), lo, hi, ok, rlo, rhi, rok)
+		}
+	}
+	// Every biased exponent 0..2046, so each conversion path and both
+	// sides of the ½ fast-path bound see random mantissas.
+	const perBand = 500
+	for exp := uint64(0); exp < 0x7ff; exp++ {
+		for i := 0; i < perBand; i++ {
+			check(math.Float64frombits(rng.Uint64()&(1<<63|1<<52-1) | exp<<52))
+		}
+	}
+	for i := 0; i < 1_000_000; i++ {
+		check(math.Float64frombits(rng.Uint64()))
+	}
+
+	half := 0.5
+	belowHalf := math.Nextafter(half, 0)
+	exact := []float64{
+		0, math.Copysign(0, -1),
+		belowHalf, -belowHalf, half, -half,
+		0x1p-65, -0x1p-65, 0x3p-65, -0x3p-65, 0x5p-65, -0x5p-65, // ties at odd multiples of 2^-65
+		0x1fffffffffffffp-65, -0x1fffffffffffffp-65, // 53-bit odd multiple of 2^-65 below ½
+		5e-324, -5e-324, // smallest subnormal
+		math.Nextafter(0x1p63, 0), -math.Nextafter(0x1p63, 0),
+	}
+	for _, x := range exact {
+		check(x)
+		lo, hi, ok := fixFromFloat(x)
+		if !ok {
+			t.Fatalf("fixFromFloat(%v) refused a representable value", x)
+		}
+		want := new(big.Rat).Mul(new(big.Rat).SetFloat64(x), new(big.Rat).SetInt(new(big.Int).Lsh(big.NewInt(1), 64)))
+		got := new(big.Rat).SetInt(fixToBig(lo, hi))
+		d := new(big.Rat).Abs(new(big.Rat).Sub(want, got))
+		if c := d.Cmp(big.NewRat(1, 2)); c > 0 || c == 0 && fixToBig(lo, hi).Bit(0) != 0 {
+			t.Fatalf("fixFromFloat(%v) = %v, not x·2^64 rounded to nearest even", x, fixToBig(lo, hi))
+		}
+	}
+	for _, x := range []float64{0x1p63, -0x1p63, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		check(x)
+		if _, _, ok := fixFromFloat(x); ok {
+			t.Fatalf("fixFromFloat(%v) accepted an unrepresentable value", x)
+		}
+	}
+}
+
+// TestFixToFloatMatchesReference drives fixToFloat and the reference over
+// random words on both sides of the int64 fast path — sign-extended
+// values of every bit length, near-sign-extended ones, and raw pairs —
+// plus the pairs that straddle the sign-extension test, requiring
+// identical bits (and the big.Float rounding for the boundary pairs).
+func TestFixToFloatMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	check := func(lo, hi uint64) {
+		t.Helper()
+		got, want := fixToFloat(lo, hi), refFixToFloat(lo, hi)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("fixToFloat(%#x, %#x) = %v, reference %v", lo, hi, got, want)
+		}
+	}
+	for i := 0; i < 1_000_000; i++ {
+		v := int64(rng.Uint64()) >> rng.Intn(64) // every bit length
+		switch i % 4 {
+		case 0, 1:
+			check(uint64(v), uint64(v>>63)) // fits an int64: the fast path
+		case 2:
+			check(uint64(v), uint64(v>>63)^1) // one bit off sign extension
+		default:
+			check(rng.Uint64(), rng.Uint64())
+		}
+	}
+	for _, c := range [][2]uint64{
+		{1 << 63, 0},                     // +½: sign bit of lo set, hi 0 — the general path
+		{1<<63 - 1, ^uint64(0)},          // lo positive under a negative hi — the general path
+		{0, 1},                           // +1
+		{1 << 63, ^uint64(0)},            // −½ fits an int64 — the fast path
+		{1<<63 - 1, 0},                   // ½ − 2^-64 — the fast path
+		{1<<54 + 2, 0},                   // tie between 2^54 and 2^54+4 units: to even
+		{1<<54 + 6, 0},                   // tie rounding up to even
+		{^uint64(1<<54 + 1), ^uint64(0)}, // negative tie
+		{0, 0}, {^uint64(0), ^uint64(0)},
+	} {
+		check(c[0], c[1])
+		bf := new(big.Float).SetPrec(200).SetInt(fixToBig(c[0], c[1]))
+		want, _ := bf.SetMantExp(bf, -64).Float64()
+		if got := fixToFloat(c[0], c[1]); got != want {
+			t.Fatalf("fixToFloat(%#x, %#x) = %v, want %v", c[0], c[1], got, want)
+		}
 	}
 }

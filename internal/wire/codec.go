@@ -1,10 +1,12 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 
 	"apf/internal/checkpoint"
 )
@@ -107,6 +109,18 @@ func ReadGlobalBody(r *checkpoint.Reader) GlobalMsg {
 // appendBody serializes a GlobalMsg body.
 func (m *GlobalMsg) appendBody(w *checkpoint.Writer) { AppendGlobalBody(w, m) }
 
+// framer is the state one framing reuses across calls: the Writer a body
+// encoder fills — reached through the Msg interface, a Writer made per
+// call would escape to the heap — and the prefix Encode starts a fresh
+// frame in, so the fields ahead of a message's payload cost no allocation
+// of their own.
+type framer struct {
+	w      checkpoint.Writer
+	prefix [256]byte
+}
+
+var framers = sync.Pool{New: func() any { return new(framer) }}
+
 // Append frames m and appends the frame to dst, returning the extended
 // slice. The body is serialized in place behind the header — a message is
 // copied exactly once, and a caller that hands back the same buffer
@@ -114,10 +128,18 @@ func (m *GlobalMsg) appendBody(w *checkpoint.Writer) { AppendGlobalBody(w, m) }
 // immutable once built: broadcast paths encode a message once and hand the
 // same frame to every connection.
 func Append(dst []byte, m Msg) []byte {
+	f := framers.Get().(*framer)
+	dst = f.append(dst, m)
+	framers.Put(f)
+	return dst
+}
+
+func (f *framer) append(dst []byte, m Msg) []byte {
 	start := len(dst)
-	w := checkpoint.NewWriter(append(dst, make([]byte, headerLen)...))
-	m.appendBody(w)
-	dst = w.Bytes()
+	f.w = *checkpoint.NewWriter(append(dst, make([]byte, headerLen)...))
+	m.appendBody(&f.w)
+	dst = f.w.Bytes()
+	f.w = checkpoint.Writer{} // the pool must not keep the caller's buffer
 	n := len(dst) - start - headerLen
 	if n > MaxPayload {
 		panic(fmt.Sprintf("wire: message payload %d exceeds MaxPayload", n))
@@ -130,8 +152,19 @@ func Append(dst []byte, m Msg) []byte {
 	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
 }
 
-// Encode frames m into a fresh buffer.
-func Encode(m Msg) []byte { return Append(nil, m) }
+// Encode frames m into a fresh buffer with one allocation. The frame is
+// begun in the framer's prefix: a payload slice's single growth moves it
+// out (checkpoint.Writer grows once per slice, leaving room for the
+// trailer), and a frame that never outgrows the prefix is copied out.
+func Encode(m Msg) []byte {
+	f := framers.Get().(*framer)
+	frame := f.append(f.prefix[:0], m)
+	if cap(frame) == len(f.prefix) {
+		frame = bytes.Clone(frame)
+	}
+	framers.Put(f)
+	return frame
+}
 
 // checkHeader validates a frame header against limit, returning the kind
 // and payload length.
