@@ -94,7 +94,7 @@ func TestFacadeExtensions(t *testing.T) {
 		}
 		q.ApplyDownload(round, x, contrib)
 	}
-	if q.FrozenRatio() < 0 || q.FrozenRatio() > 1 {
-		t.Errorf("frozen ratio out of range: %v", q.FrozenRatio())
+	if mgr.FrozenRatio() < 0 || mgr.FrozenRatio() > 1 {
+		t.Errorf("frozen ratio out of range: %v", mgr.FrozenRatio())
 	}
 }

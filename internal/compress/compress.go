@@ -320,45 +320,6 @@ func (m *Quantized) ApplyDownload(round int, x, global []float64) int64 {
 	return m.inner.ApplyDownload(round, x, q) / 2
 }
 
-// CompactUpload delegates mask-elided payload extraction to the wrapped
-// manager (values are already quantized by PrepareUpload).
-func (m *Quantized) CompactUpload(round int, contrib []float64) []float64 {
-	if cc, ok := m.inner.(fl.CompactCodec); ok {
-		return cc.CompactUpload(round, contrib)
-	}
-	return append([]float64(nil), contrib...)
-}
-
-// ExpandDownload delegates compact-payload expansion to the wrapped
-// manager.
-func (m *Quantized) ExpandDownload(round int, compact []float64) []float64 {
-	if cc, ok := m.inner.(fl.CompactCodec); ok {
-		return cc.ExpandDownload(round, compact)
-	}
-	return append([]float64(nil), compact...)
-}
-
-// CompactLen delegates the compact payload length when the wrapped manager
-// reports it; -1 means unknown.
-func (m *Quantized) CompactLen(round int) int {
-	if cl, ok := m.inner.(interface{ CompactLen(round int) int }); ok {
-		return cl.CompactLen(round)
-	}
-	return -1
-}
-
-// FrozenRatio delegates when the wrapped manager freezes parameters.
-func (m *Quantized) FrozenRatio() float64 {
-	if fr, ok := m.inner.(fl.FrozenRatioReporter); ok {
-		return fr.FrozenRatio()
-	}
-	return 0
-}
-
-// MaskWords delegates when the wrapped manager exposes a mask.
-func (m *Quantized) MaskWords() []uint64 {
-	if mr, ok := m.inner.(fl.MaskReporter); ok {
-		return mr.MaskWords()
-	}
-	return nil
-}
+// Unwrap returns the wrapped manager, whose optional capabilities fl.As
+// finds through the wrapper.
+func (m *Quantized) Unwrap() fl.SyncManager { return m.inner }

@@ -210,16 +210,16 @@ func TestQuantizedWrapsPassthrough(t *testing.T) {
 
 func TestQuantizedDelegatesReporting(t *testing.T) {
 	q := NewQuantized(fl.NewPassthroughManager(4))
-	if q.FrozenRatio() != 0 {
+	if _, ok := fl.As[fl.FrozenRatioReporter](q); ok {
 		t.Error("passthrough has no frozen params")
 	}
-	if q.MaskWords() != nil {
+	if _, ok := fl.As[fl.MaskReporter](q); ok {
 		t.Error("passthrough exposes no mask")
 	}
 
 	p := NewQuantized(NewPartialSync(4, 1, 0.5, 0.5, 4))
-	if p.MaskWords() == nil {
-		t.Error("mask should delegate to PartialSync")
+	if mr, ok := fl.As[fl.MaskReporter](p); !ok || mr.MaskWords() == nil {
+		t.Error("mask should be found on PartialSync through the wrapper")
 	}
 }
 

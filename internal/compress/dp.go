@@ -56,18 +56,6 @@ func (m *DPNoise) ApplyDownload(round int, x, global []float64) int64 {
 	return m.inner.ApplyDownload(round, x, global)
 }
 
-// FrozenRatio delegates when the wrapped manager freezes parameters.
-func (m *DPNoise) FrozenRatio() float64 {
-	if fr, ok := m.inner.(fl.FrozenRatioReporter); ok {
-		return fr.FrozenRatio()
-	}
-	return 0
-}
-
-// MaskWords delegates when the wrapped manager exposes a mask.
-func (m *DPNoise) MaskWords() []uint64 {
-	if mr, ok := m.inner.(fl.MaskReporter); ok {
-		return mr.MaskWords()
-	}
-	return nil
-}
+// Unwrap returns the wrapped manager, whose optional capabilities fl.As
+// finds through the wrapper.
+func (m *DPNoise) Unwrap() fl.SyncManager { return m.inner }

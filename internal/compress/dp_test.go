@@ -71,13 +71,14 @@ func TestDPNoiseValidates(t *testing.T) {
 
 func TestDPNoiseDelegatesReporting(t *testing.T) {
 	m := NewDPNoise(NewPartialSync(4, 1, 0.5, 0.5, 4), 0.1, 1)
-	if m.MaskWords() == nil {
-		t.Error("mask should delegate")
+	if mr, ok := fl.As[fl.MaskReporter](m); !ok || mr.MaskWords() == nil {
+		t.Error("mask should be found through the wrapper")
 	}
-	if m.FrozenRatio() != 0 {
+	if fr, ok := fl.As[fl.FrozenRatioReporter](m); !ok || fr.FrozenRatio() != 0 {
 		t.Error("fresh PartialSync should report 0 frozen")
 	}
-	if n := NewDPNoise(fl.NewPassthroughManager(4), 0.1, 1); n.MaskWords() != nil || n.FrozenRatio() != 0 {
-		t.Error("passthrough delegation wrong")
+	n := NewDPNoise(fl.NewPassthroughManager(4), 0.1, 1)
+	if _, ok := fl.As[fl.MaskReporter](n); ok {
+		t.Error("passthrough exposes no mask")
 	}
 }

@@ -66,21 +66,9 @@ func (m *StochasticQuantized) ApplyDownload(round int, x, global []float64) int6
 	return m.wireBytes(m.inner.ApplyDownload(round, x, g))
 }
 
-// FrozenRatio delegates when the wrapped manager freezes parameters.
-func (m *StochasticQuantized) FrozenRatio() float64 {
-	if fr, ok := m.inner.(fl.FrozenRatioReporter); ok {
-		return fr.FrozenRatio()
-	}
-	return 0
-}
-
-// MaskWords delegates when the wrapped manager exposes a mask.
-func (m *StochasticQuantized) MaskWords() []uint64 {
-	if mr, ok := m.inner.(fl.MaskReporter); ok {
-		return mr.MaskWords()
-	}
-	return nil
-}
+// Unwrap returns the wrapped manager, whose optional capabilities fl.As
+// finds through the wrapper.
+func (m *StochasticQuantized) Unwrap() fl.SyncManager { return m.inner }
 
 // String describes the wrapper for logs.
 func (m *StochasticQuantized) String() string {

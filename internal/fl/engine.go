@@ -270,7 +270,7 @@ func (e *Engine) Run() *Result {
 			m.DownBytes += c.down
 			m.PerClientUpBytes[i] = c.up
 			m.PerClientDownBytes[i] = c.down
-			if fr, ok := c.manager.(FrozenRatioReporter); ok {
+			if fr, ok := As[FrozenRatioReporter](c.manager); ok {
 				frozenSum += fr.FrozenRatio()
 			}
 			if len(e.cfg.TrackParams) > 0 {

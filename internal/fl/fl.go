@@ -95,6 +95,27 @@ type MaskGenerationReporter interface {
 	MaskGeneration() int
 }
 
+// As returns the first manager, m itself or one it wraps, that is a T. A
+// wrapper (quantization, DP noise, an adversary) exposes the manager it
+// wraps through Unwrap() SyncManager, so the optional capabilities of the
+// innermost manager — compact codec, mask, snapshot restore, sketch
+// reconciliation — are found through any stack of wrappers without each
+// wrapper forwarding them.
+func As[T any](m SyncManager) (T, bool) {
+	for m != nil {
+		if t, ok := m.(T); ok {
+			return t, true
+		}
+		w, ok := m.(interface{ Unwrap() SyncManager })
+		if !ok {
+			break
+		}
+		m = w.Unwrap()
+	}
+	var zero T
+	return zero, false
+}
+
 // ModelFactory builds one model replica. The engine seeds every replica
 // with the same initial parameter vector regardless of the factory's rng.
 type ModelFactory func(rng *rand.Rand) *nn.Network

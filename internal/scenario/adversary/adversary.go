@@ -116,10 +116,10 @@ func cellRNG(seed int64, client, round int) *rand.Rand {
 
 // Wrap returns inner with the spec's poisoning applied to every attacked
 // round's upload. client is the wrapped client's index (seeds the attack
-// draws). The wrapper forwards the compact-codec and mask interfaces, so
-// a poisoned APF client still negotiates sparse sessions; poisoning
-// happens on the dense contribution before compaction, exactly where a
-// compromised client would inject it.
+// draws). Its Unwrap exposes the inner manager's compact-codec, mask and
+// catch-up interfaces to fl.As, so a poisoned APF client still negotiates
+// sparse sessions; poisoning happens on the dense contribution before
+// compaction, exactly where a compromised client would inject it.
 func Wrap(inner fl.SyncManager, spec Spec, seed int64, client int) fl.SyncManager {
 	if !spec.Active() {
 		return inner
@@ -202,52 +202,6 @@ func norm2(v []float64) float64 {
 	return math.Sqrt(sum)
 }
 
-// CompactUpload delegates mask-elided extraction; it receives whatever
-// contribution PrepareUpload returned, so poisoned values flow through.
-func (m *manager) CompactUpload(round int, contrib []float64) []float64 {
-	if cc, ok := m.inner.(fl.CompactCodec); ok {
-		return cc.CompactUpload(round, contrib)
-	}
-	return append([]float64(nil), contrib...)
-}
-
-// ExpandDownload delegates compact-payload expansion.
-func (m *manager) ExpandDownload(round int, compact []float64) []float64 {
-	if cc, ok := m.inner.(fl.CompactCodec); ok {
-		return cc.ExpandDownload(round, compact)
-	}
-	return append([]float64(nil), compact...)
-}
-
-// CompactLen delegates the compact payload length; -1 means unknown.
-func (m *manager) CompactLen(round int) int {
-	if cl, ok := m.inner.(interface{ CompactLen(round int) int }); ok {
-		return cl.CompactLen(round)
-	}
-	return -1
-}
-
-// FrozenRatio delegates when the wrapped manager freezes parameters.
-func (m *manager) FrozenRatio() float64 {
-	if fr, ok := m.inner.(fl.FrozenRatioReporter); ok {
-		return fr.FrozenRatio()
-	}
-	return 0
-}
-
-// MaskWords delegates when the wrapped manager exposes a mask.
-func (m *manager) MaskWords() []uint64 {
-	if mr, ok := m.inner.(fl.MaskReporter); ok {
-		return mr.MaskWords()
-	}
-	return nil
-}
-
-// MaskGeneration delegates when the wrapped manager versions its mask;
-// -1 means none.
-func (m *manager) MaskGeneration() int {
-	if mg, ok := m.inner.(fl.MaskGenerationReporter); ok {
-		return mg.MaskGeneration()
-	}
-	return -1
-}
+// Unwrap returns the wrapped manager, whose optional capabilities fl.As
+// finds through the wrapper.
+func (m *manager) Unwrap() fl.SyncManager { return m.inner }

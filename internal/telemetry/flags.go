@@ -3,6 +3,7 @@ package telemetry
 import (
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 )
 
@@ -12,7 +13,7 @@ import (
 // process logger and Metrics the registry to instrument with.
 type Flags struct {
 	// Log writes to stderr at the requested level and format.
-	Log *Logger
+	Log *slog.Logger
 	// Metrics only exists when something serves it: with -metrics-addr
 	// unset it is nil and every instrumented path degrades to the
 	// registry's nil-safe no-ops.
@@ -52,11 +53,9 @@ func (f *Flags) Resolve() error {
 	if err != nil {
 		return fmt.Errorf("-log-level: %w", err)
 	}
-	format, err := ParseFormat(*f.logFormat)
-	if err != nil {
+	if f.Log, err = NewLogger(os.Stderr, level, *f.logFormat); err != nil {
 		return fmt.Errorf("-log-format: %w", err)
 	}
-	f.Log = NewLogger(os.Stderr, level, format)
 	if *f.metricsAddr != "" {
 		f.Metrics = New()
 		RegisterBuildInfo(f.Metrics)
@@ -67,7 +66,7 @@ func (f *Flags) Resolve() error {
 // Serve starts the observability endpoint on -metrics-addr with health
 // behind /healthz and returns the function that stops it; with the flag
 // unset it starts nothing and the stop function is a no-op.
-func (f *Flags) Serve(health HealthFunc) (stop func(), err error) {
+func (f *Flags) Serve(health func() []any) (stop func(), err error) {
 	if *f.metricsAddr == "" {
 		return func() {}, nil
 	}

@@ -9,6 +9,7 @@
 package hooks
 
 import (
+	"log/slog"
 	"time"
 
 	"apf/internal/checkpoint"
@@ -74,7 +75,7 @@ func (o *managerObserver) ThresholdDecayed(threshold float64) {
 
 // storeObserver implements checkpoint.Observer against metric handles.
 type storeObserver struct {
-	log *telemetry.Logger
+	log *slog.Logger
 
 	appends       *telemetry.Counter
 	appendSeconds *telemetry.Histogram
@@ -91,12 +92,12 @@ type storeObserver struct {
 
 // Store builds a checkpoint.Observer recording durability metrics on reg
 // and logging snapshot/recovery milestones on log (either may be nil).
-func Store(reg *telemetry.Registry, log *telemetry.Logger) checkpoint.Observer {
+func Store(reg *telemetry.Registry, log *slog.Logger) checkpoint.Observer {
 	if reg == nil && log == nil {
 		return nil
 	}
 	return &storeObserver{
-		log: log.With("component", "checkpoint"),
+		log: telemetry.With(log, "component", "checkpoint"),
 		appends: reg.Counter("apf_wal_appends_total",
 			"Durable (fsync'd) WAL record appends."),
 		appendSeconds: reg.Histogram("apf_wal_append_seconds",

@@ -1,60 +1,40 @@
 package telemetry
 
 import (
+	"encoding/json"
 	"errors"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
-	"strings"
 )
-
-// Health is polled by the /healthz endpoint on every request. Implement
-// it with cheap accessors — it is called on the scrape path.
-type Health interface {
-	// Healthz returns alternating key/value pairs describing live state
-	// (round, committed rounds, recovery status, ...). The endpoint
-	// renders them as a flat JSON object alongside "status":"ok".
-	Healthz() []any
-}
-
-// HealthFunc adapts a closure to the Health interface.
-type HealthFunc func() []any
-
-// Healthz implements Health.
-func (f HealthFunc) Healthz() []any { return f() }
 
 // Handler builds the observability mux: Prometheus text metrics on
 // /metrics, liveness + state on /healthz, and the standard runtime
 // profiles under /debug/pprof/. The pprof handlers are mounted explicitly
 // on this private mux — importing net/http/pprof for its side effect
 // would pollute http.DefaultServeMux for every binary linking this
-// package. health may be nil (the endpoint then reports only status).
-func Handler(reg *Registry, health Health) http.Handler {
+// package. health is polled on every /healthz request for alternating
+// key/value pairs of live state (round, committed rounds, recovery
+// status, ...), rendered as one JSON object alongside "status":"ok"; keep
+// it cheap. It may be nil (the endpoint then reports only status).
+func Handler(reg *Registry, health func() []any) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		reg.WriteText(w)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		var b strings.Builder
-		b.WriteString(`{"status":"ok"`)
+		body := map[string]any{"status": "ok"}
 		if health != nil {
-			kv := health.Healthz()
+			kv := health()
 			for i := 0; i+1 < len(kv); i += 2 {
-				key, ok := kv[i].(string)
-				if !ok {
-					continue
+				if key, ok := kv[i].(string); ok {
+					body[key] = kv[i+1]
 				}
-				b.WriteByte(',')
-				b.WriteString(jsonString(key))
-				b.WriteByte(':')
-				writeHealthValue(&b, kv[i+1])
 			}
 		}
-		b.WriteString("}\n")
-		w.Write([]byte(b.String()))
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(body)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -62,21 +42,6 @@ func Handler(reg *Registry, health Health) http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
-}
-
-func writeHealthValue(b *strings.Builder, v any) {
-	switch x := v.(type) {
-	case int:
-		b.WriteString(strconv.Itoa(x))
-	case int64:
-		b.WriteString(strconv.FormatInt(x, 10))
-	case bool:
-		b.WriteString(strconv.FormatBool(x))
-	case float64:
-		b.WriteString(strconv.FormatFloat(x, 'g', -1, 64))
-	default:
-		b.WriteString(jsonString(renderValue(v)))
-	}
 }
 
 // Serve listens on addr and serves the observability handler until the

@@ -3,289 +3,51 @@ package telemetry
 import (
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
-	"strconv"
 	"strings"
-	"sync"
-	"time"
 )
 
-// Level is a log severity. Events below the logger's configured level are
-// dropped before any formatting work happens.
-type Level int32
-
-const (
-	LevelDebug Level = iota
-	LevelInfo
-	LevelWarn
-	LevelError
-)
-
-// String returns the lowercase level name.
-func (l Level) String() string {
-	switch l {
-	case LevelDebug:
-		return "debug"
-	case LevelInfo:
-		return "info"
-	case LevelWarn:
-		return "warn"
-	case LevelError:
-		return "error"
-	}
-	return fmt.Sprintf("level(%d)", int32(l))
-}
-
-// ParseLevel maps a flag value to a Level; unknown names are an error so
-// binaries can reject bad -log-level the way they reject bad -io-timeout.
-func ParseLevel(s string) (Level, error) {
+// ParseLevel maps a flag value to a slog level; unknown names are an error
+// so binaries can reject bad -log-level the way they reject bad -io-timeout.
+func ParseLevel(s string) (slog.Level, error) {
 	switch strings.ToLower(s) {
 	case "debug":
-		return LevelDebug, nil
+		return slog.LevelDebug, nil
 	case "info":
-		return LevelInfo, nil
+		return slog.LevelInfo, nil
 	case "warn", "warning":
-		return LevelWarn, nil
+		return slog.LevelWarn, nil
 	case "error":
-		return LevelError, nil
+		return slog.LevelError, nil
 	}
 	return 0, fmt.Errorf("invalid log level %q (want debug, info, warn, or error)", s)
 }
 
-// Format selects the event encoding.
-type Format int32
-
-const (
-	// FormatText renders `ts level msg k=v ...` lines for humans.
-	FormatText Format = iota
-	// FormatJSON renders one JSON object per line (JSONL) for machines.
-	FormatJSON
-)
-
-// ParseFormat maps a flag value to a Format, rejecting unknown names.
-func ParseFormat(s string) (Format, error) {
-	switch strings.ToLower(s) {
+// NewLogger builds a logger writing events at or above level to w, one
+// line per event: key=value pairs for format "text", a JSON object for
+// "json". Any other format is an error.
+func NewLogger(w io.Writer, level slog.Level, format string) (*slog.Logger, error) {
+	opts := &slog.HandlerOptions{Level: level}
+	switch strings.ToLower(format) {
 	case "text":
-		return FormatText, nil
+		return slog.New(slog.NewTextHandler(w, opts)), nil
 	case "json":
-		return FormatJSON, nil
+		return slog.New(slog.NewJSONHandler(w, opts)), nil
 	}
-	return 0, fmt.Errorf("invalid log format %q (want text or json)", s)
+	return nil, fmt.Errorf("invalid log format %q (want text or json)", format)
 }
 
-// Logger writes leveled structured events to a sink. A nil *Logger is the
-// nop logger: every method is a cheap no-op, so libraries log
-// unconditionally and stay silent unless a sink is injected. Loggers are
-// safe for concurrent use; each event is written in a single Write call.
-type Logger struct {
-	// mu is shared by every logger derived via With so interleaved events
-	// from sibling loggers land on the sink one whole line at a time.
-	mu     *sync.Mutex
-	w      io.Writer
-	level  Level
-	format Format
-	// attrs are pre-rendered key/value pairs attached to every event
-	// (component bindings from With).
-	attrs []attr
-	// now is stubbed in tests for deterministic timestamps.
-	now func() time.Time
-}
+// silent enables no level, so its events are dropped at the level check,
+// before a record is built or anything formatted.
+var silent = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 
-type attr struct {
-	key string
-	val any
-}
-
-// NewLogger builds a logger writing events at or above level to w in the
-// given format.
-func NewLogger(w io.Writer, level Level, format Format) *Logger {
-	return &Logger{mu: &sync.Mutex{}, w: w, level: level, format: format, now: time.Now}
-}
-
-// With returns a logger that attaches the given alternating key/value
-// pairs to every event. Nil receivers stay nil.
-func (l *Logger) With(kv ...any) *Logger {
-	if l == nil || len(kv) == 0 {
-		return l
+// With returns l with args attached to every event. A nil l yields the
+// silent logger, so a component handed no logger logs unconditionally
+// and stays quiet.
+func With(l *slog.Logger, args ...any) *slog.Logger {
+	if l == nil {
+		return silent
 	}
-	child := &Logger{mu: l.mu, w: l.w, level: l.level, format: l.format, now: l.now}
-	child.attrs = append(append([]attr(nil), l.attrs...), toAttrs(kv)...)
-	return child
-}
-
-// Enabled reports whether events at level would be emitted.
-func (l *Logger) Enabled(level Level) bool {
-	return l != nil && level >= l.level
-}
-
-// Debug emits a debug-level event.
-func (l *Logger) Debug(msg string, kv ...any) { l.log(LevelDebug, msg, kv) }
-
-// Info emits an info-level event.
-func (l *Logger) Info(msg string, kv ...any) { l.log(LevelInfo, msg, kv) }
-
-// Warn emits a warn-level event.
-func (l *Logger) Warn(msg string, kv ...any) { l.log(LevelWarn, msg, kv) }
-
-// Error emits an error-level event.
-func (l *Logger) Error(msg string, kv ...any) { l.log(LevelError, msg, kv) }
-
-func (l *Logger) log(level Level, msg string, kv []any) {
-	if l == nil || level < l.level || l.w == nil {
-		return
-	}
-	attrs := toAttrs(kv)
-	var b strings.Builder
-	ts := l.now().UTC()
-	switch l.format {
-	case FormatJSON:
-		b.WriteString(`{"ts":"`)
-		b.WriteString(ts.Format(time.RFC3339Nano))
-		b.WriteString(`","level":"`)
-		b.WriteString(level.String())
-		b.WriteString(`","msg":`)
-		b.WriteString(jsonString(msg))
-		for _, a := range l.attrs {
-			writeJSONAttr(&b, a)
-		}
-		for _, a := range attrs {
-			writeJSONAttr(&b, a)
-		}
-		b.WriteString("}\n")
-	default:
-		b.WriteString(ts.Format("2006-01-02T15:04:05.000Z"))
-		b.WriteByte(' ')
-		b.WriteString(level.String())
-		b.WriteByte(' ')
-		b.WriteString(msg)
-		for _, a := range l.attrs {
-			writeTextAttr(&b, a)
-		}
-		for _, a := range attrs {
-			writeTextAttr(&b, a)
-		}
-		b.WriteByte('\n')
-	}
-	l.mu.Lock()
-	l.w.Write([]byte(b.String()))
-	l.mu.Unlock()
-}
-
-// toAttrs pairs up alternating key/value arguments; a trailing odd value
-// is recorded under "!BADKEY" rather than dropped, matching slog.
-func toAttrs(kv []any) []attr {
-	if len(kv) == 0 {
-		return nil
-	}
-	attrs := make([]attr, 0, (len(kv)+1)/2)
-	for i := 0; i < len(kv); i += 2 {
-		key, ok := "", false
-		if i < len(kv) {
-			key, ok = kv[i].(string)
-		}
-		if !ok {
-			attrs = append(attrs, attr{key: "!BADKEY", val: kv[i]})
-			continue
-		}
-		if i+1 < len(kv) {
-			attrs = append(attrs, attr{key: key, val: kv[i+1]})
-		} else {
-			attrs = append(attrs, attr{key: "!BADKEY", val: key})
-		}
-	}
-	return attrs
-}
-
-func writeTextAttr(b *strings.Builder, a attr) {
-	b.WriteByte(' ')
-	b.WriteString(a.key)
-	b.WriteByte('=')
-	s := renderValue(a.val)
-	if strings.ContainsAny(s, " \"\n") {
-		b.WriteString(strconv.Quote(s))
-	} else {
-		b.WriteString(s)
-	}
-}
-
-func writeJSONAttr(b *strings.Builder, a attr) {
-	b.WriteByte(',')
-	b.WriteString(jsonString(a.key))
-	b.WriteByte(':')
-	switch v := a.val.(type) {
-	case int:
-		b.WriteString(strconv.Itoa(v))
-	case int64:
-		b.WriteString(strconv.FormatInt(v, 10))
-	case uint64:
-		b.WriteString(strconv.FormatUint(v, 10))
-	case bool:
-		b.WriteString(strconv.FormatBool(v))
-	case float64:
-		if math.IsInf(v, 0) || math.IsNaN(v) {
-			b.WriteString(jsonString(renderValue(v)))
-		} else {
-			b.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
-		}
-	default:
-		b.WriteString(jsonString(renderValue(a.val)))
-	}
-}
-
-// renderValue stringifies an attribute value without reflection-heavy
-// formatting for the common types.
-func renderValue(v any) string {
-	switch x := v.(type) {
-	case string:
-		return x
-	case int:
-		return strconv.Itoa(x)
-	case int64:
-		return strconv.FormatInt(x, 10)
-	case uint64:
-		return strconv.FormatUint(x, 10)
-	case bool:
-		return strconv.FormatBool(x)
-	case float64:
-		return strconv.FormatFloat(x, 'g', -1, 64)
-	case time.Duration:
-		return x.String()
-	case error:
-		return x.Error()
-	case fmt.Stringer:
-		return x.String()
-	case nil:
-		return "<nil>"
-	default:
-		return fmt.Sprint(x)
-	}
-}
-
-// jsonString renders s as a JSON string literal, escaping per RFC 8259.
-func jsonString(s string) string {
-	var b strings.Builder
-	b.Grow(len(s) + 2)
-	b.WriteByte('"')
-	for _, r := range s {
-		switch r {
-		case '"':
-			b.WriteString(`\"`)
-		case '\\':
-			b.WriteString(`\\`)
-		case '\n':
-			b.WriteString(`\n`)
-		case '\r':
-			b.WriteString(`\r`)
-		case '\t':
-			b.WriteString(`\t`)
-		default:
-			if r < 0x20 {
-				fmt.Fprintf(&b, `\u%04x`, r)
-			} else {
-				b.WriteRune(r)
-			}
-		}
-	}
-	b.WriteByte('"')
-	return b.String()
+	return l.With(args...)
 }

@@ -1,7 +1,7 @@
 // Package telemetry is the runtime observability plane: a zero-dependency
 // metrics registry (counters, gauges, fixed-bucket histograms), a
-// Prometheus text-exposition endpoint with pprof and health mounts, and a
-// leveled structured event logger.
+// Prometheus text-exposition endpoint with pprof and health mounts, and
+// the construction of the log/slog event log the daemons write.
 //
 // Design constraints, in order:
 //
@@ -12,8 +12,8 @@
 //   - Everything is nil-safe. A nil *Registry hands out nil metric
 //     handles, and every method on a nil handle is a no-op, so library
 //     code instruments unconditionally and stays silent (and nearly free:
-//     one nil check) unless a registry is injected. The same holds for
-//     *Logger. There is no global state to configure or leak.
+//     one nil check) unless a registry is injected. There is no global
+//     state to configure or leak.
 //   - Exposition is Prometheus text format version 0.0.4 — counters and
 //     gauges one sample line each, histograms as cumulative buckets with
 //     `le` labels ending in `+Inf` plus `_sum`/`_count` — so any scraper

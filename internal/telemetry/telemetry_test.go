@@ -1,9 +1,11 @@
 package telemetry
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"io"
+	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -74,14 +76,11 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil registry reads must be nil")
 	}
 
-	var log *Logger
+	log := With(nil, "a", 1)
 	log.Info("silent", "k", "v")
 	log.Error("silent")
-	if log.With("a", 1) != nil {
-		t.Fatal("nil With must stay nil")
-	}
-	if log.Enabled(LevelError) {
-		t.Fatal("nil logger enables nothing")
+	if log.Enabled(context.Background(), slog.LevelError) {
+		t.Fatal("With(nil) must enable no level")
 	}
 }
 
@@ -226,37 +225,38 @@ func TestConcurrentRecordAndScrape(t *testing.T) {
 }
 
 func TestParseLevelAndFormat(t *testing.T) {
-	for in, want := range map[string]Level{
-		"debug": LevelDebug, "info": LevelInfo, "warn": LevelWarn,
-		"warning": LevelWarn, "error": LevelError, "WARN": LevelWarn,
+	for in, want := range map[string]slog.Level{
+		"debug": slog.LevelDebug, "info": slog.LevelInfo, "warn": slog.LevelWarn,
+		"warning": slog.LevelWarn, "error": slog.LevelError, "WARN": slog.LevelWarn,
 	} {
 		got, err := ParseLevel(in)
 		if err != nil || got != want {
 			t.Errorf("ParseLevel(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	if _, err := ParseLevel("loud"); err == nil {
-		t.Error("ParseLevel must reject unknown levels")
+	if _, err := ParseLevel("loud"); err == nil || err.Error() != `invalid log level "loud" (want debug, info, warn, or error)` {
+		t.Errorf("ParseLevel(loud) = %v", err)
 	}
-	if f, err := ParseFormat("json"); err != nil || f != FormatJSON {
-		t.Errorf("ParseFormat(json) = %v, %v", f, err)
+	for _, format := range []string{"text", "json", "JSON"} {
+		if _, err := NewLogger(io.Discard, slog.LevelInfo, format); err != nil {
+			t.Errorf("NewLogger(%q): %v", format, err)
+		}
 	}
-	if f, err := ParseFormat("text"); err != nil || f != FormatText {
-		t.Errorf("ParseFormat(text) = %v, %v", f, err)
-	}
-	if _, err := ParseFormat("xml"); err == nil {
-		t.Error("ParseFormat must reject unknown formats")
+	if _, err := NewLogger(io.Discard, slog.LevelInfo, "xml"); err == nil || err.Error() != `invalid log format "xml" (want text or json)` {
+		t.Errorf("NewLogger(xml) = %v", err)
 	}
 }
 
 func TestLoggerJSON(t *testing.T) {
 	var buf strings.Builder
-	log := NewLogger(&buf, LevelInfo, FormatJSON)
-	log.now = func() time.Time { return time.Date(2026, 8, 5, 1, 2, 3, 0, time.UTC) }
+	log, err := NewLogger(&buf, slog.LevelInfo, "json")
+	if err != nil {
+		t.Fatal(err)
+	}
 	log.Debug("dropped below level")
 	log = log.With("component", "server")
 	log.Info("round committed", "round", 7, "clients", int64(3), "frac", 0.25,
-		"partial", true, "err", io.EOF)
+		"partial", true, "err", io.EOF, "took", 250*time.Millisecond)
 	out := buf.String()
 	if strings.Contains(out, "dropped") {
 		t.Fatalf("debug must be filtered at info level: %s", out)
@@ -265,10 +265,10 @@ func TestLoggerJSON(t *testing.T) {
 	if err := json.Unmarshal([]byte(out), &ev); err != nil {
 		t.Fatalf("event is not valid JSON: %v\n%s", err, out)
 	}
-	if ev["level"] != "info" || ev["msg"] != "round committed" ||
+	if _, ok := ev["time"].(string); !ok || ev["level"] != "INFO" || ev["msg"] != "round committed" ||
 		ev["component"] != "server" || ev["round"] != float64(7) ||
 		ev["clients"] != float64(3) || ev["frac"] != 0.25 ||
-		ev["partial"] != true || ev["err"] != "EOF" {
+		ev["partial"] != true || ev["err"] != "EOF" || ev["took"] != float64(250*time.Millisecond) {
 		t.Fatalf("bad event fields: %#v", ev)
 	}
 	if !strings.HasSuffix(out, "\n") || strings.Count(out, "\n") != 1 {
@@ -278,7 +278,10 @@ func TestLoggerJSON(t *testing.T) {
 
 func TestLoggerJSONEscaping(t *testing.T) {
 	var buf strings.Builder
-	log := NewLogger(&buf, LevelDebug, FormatJSON)
+	log, err := NewLogger(&buf, slog.LevelDebug, "json")
+	if err != nil {
+		t.Fatal(err)
+	}
 	log.Debug("quote \" slash \\ newline \n tab \t", "k", "v\"w")
 	var ev map[string]any
 	if err := json.Unmarshal([]byte(buf.String()), &ev); err != nil {
@@ -287,26 +290,36 @@ func TestLoggerJSONEscaping(t *testing.T) {
 	if ev["msg"] != "quote \" slash \\ newline \n tab \t" || ev["k"] != `v"w` {
 		t.Fatalf("escaping mangled content: %#v", ev)
 	}
+	if strings.Count(buf.String(), "\n") != 1 {
+		t.Fatalf("an escaped event must stay on one line: %q", buf.String())
+	}
 }
 
 func TestLoggerText(t *testing.T) {
 	var buf strings.Builder
-	log := NewLogger(&buf, LevelWarn, FormatText)
+	log, err := NewLogger(&buf, slog.LevelWarn, "text")
+	if err != nil {
+		t.Fatal(err)
+	}
 	log.Info("hidden")
 	log.Warn("slow append", "latency", 250*time.Millisecond, "path", "/tmp/a b")
 	out := buf.String()
 	if strings.Contains(out, "hidden") {
 		t.Fatalf("info must be filtered at warn level: %s", out)
 	}
-	if !strings.Contains(out, "warn slow append latency=250ms") ||
-		!strings.Contains(out, `path="/tmp/a b"`) {
+	if !strings.HasPrefix(out, "time=") ||
+		!strings.Contains(out, ` level=WARN msg="slow append" latency=250ms path="/tmp/a b"`+"\n") {
 		t.Fatalf("bad text line: %q", out)
 	}
 }
 
 func TestLoggerEnabled(t *testing.T) {
-	log := NewLogger(io.Discard, LevelWarn, FormatText)
-	if log.Enabled(LevelInfo) || !log.Enabled(LevelWarn) || !log.Enabled(LevelError) {
+	log, err := NewLogger(io.Discard, slog.LevelWarn, "text")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if log.Enabled(ctx, slog.LevelInfo) || !log.Enabled(ctx, slog.LevelWarn) || !log.Enabled(ctx, slog.LevelError) {
 		t.Fatal("Enabled must respect the configured level")
 	}
 }
@@ -314,9 +327,9 @@ func TestLoggerEnabled(t *testing.T) {
 func TestHandlerEndpoints(t *testing.T) {
 	reg := New()
 	reg.Counter("apf_handler_total", "h").Add(9)
-	health := HealthFunc(func() []any {
-		return []any{"round", 12, "recovered", true, "committed_rounds", int64(12)}
-	})
+	health := func() []any {
+		return []any{"round", 12, "recovered", true, "committed_rounds", int64(12), "note", "say \"hi\"\nbye"}
+	}
 	srv := httptest.NewServer(Handler(reg, health))
 	defer srv.Close()
 
@@ -341,13 +354,10 @@ func TestHandlerEndpoints(t *testing.T) {
 		t.Errorf("metrics content type = %q", ctype)
 	}
 
+	// One compact JSON object, keys sorted, the quote and newline escaped.
 	healthz, _ := get("/healthz")
-	var hv map[string]any
-	if err := json.Unmarshal([]byte(healthz), &hv); err != nil {
-		t.Fatalf("healthz not JSON: %v\n%s", err, healthz)
-	}
-	if hv["status"] != "ok" || hv["round"] != float64(12) || hv["recovered"] != true {
-		t.Errorf("bad healthz: %#v", hv)
+	if want := `{"committed_rounds":12,"note":"say \"hi\"\nbye","recovered":true,"round":12,"status":"ok"}` + "\n"; healthz != want {
+		t.Errorf("healthz = %q, want %q", healthz, want)
 	}
 
 	pprofIdx, _ := get("/debug/pprof/")
@@ -400,8 +410,9 @@ func TestFlags(t *testing.T) {
 	if err := off.Resolve(); err != nil {
 		t.Fatal(err)
 	}
-	if off.Metrics != nil || off.Log.Enabled(LevelInfo) || !off.Log.Enabled(LevelWarn) {
-		t.Fatalf("defaults: want no registry and a warn-level logger, got %v, info=%v", off.Metrics, off.Log.Enabled(LevelInfo))
+	ctx := context.Background()
+	if off.Metrics != nil || off.Log.Enabled(ctx, slog.LevelInfo) || !off.Log.Enabled(ctx, slog.LevelWarn) {
+		t.Fatalf("defaults: want no registry and a warn-level logger, got %v, info=%v", off.Metrics, off.Log.Enabled(ctx, slog.LevelInfo))
 	}
 	health := func() []any { return []any{"round", 3} }
 	stop, err := off.Serve(health)
@@ -414,7 +425,7 @@ func TestFlags(t *testing.T) {
 	if err := on.Resolve(); err != nil {
 		t.Fatal(err)
 	}
-	if !on.Log.Enabled(LevelDebug) {
+	if !on.Log.Enabled(ctx, slog.LevelDebug) {
 		t.Error("-log-level debug not applied")
 	}
 	if names := on.Metrics.Names(); len(names) != 1 || names[0] != "apf_build_info" {

@@ -331,10 +331,10 @@ func (s *Server) sendDelta(cc *countingConn, cap *catchupCapture, words []int) e
 // snapshot or a delta, for the caller to validate and apply.
 func (u *uplink) catchUp(conn *countingConn, w *WelcomeMsg, applied, dim int, manager fl.SyncManager) (*wire.SnapshotMsg, *wire.DeltaMsg, error) {
 	own := -1
-	if g, ok := manager.(fl.MaskGenerationReporter); ok {
+	if g, ok := fl.As[fl.MaskGenerationReporter](manager); ok {
 		own = g.MaskGeneration()
 	}
-	rm, _ := manager.(reconManager)
+	rm, _ := fl.As[reconManager](manager)
 	if own > w.MaskGen {
 		// The server cannot reproduce freezing state this peer already
 		// holds (rolled-back server, or a stateless server behind stateful
@@ -430,7 +430,7 @@ func diffWords(dec *recon.Decoder) []int {
 // generations are bit-identical by the replica-identity invariant, so
 // the untouched remainder of the local state is already the server's.
 func (r *clientRun) applyDelta(d *wire.DeltaMsg) error {
-	rm := r.manager.(reconManager) // catchUp accepts a delta only then
+	rm, _ := fl.As[reconManager](r.manager) // catchUp accepts a delta only then
 	if d.Round <= r.applied {
 		return protocolErrorf("catch-up delta for round %d at applied round %d", d.Round, r.applied)
 	}
@@ -454,7 +454,7 @@ func (r *clientRun) applySnapshot(sm *wire.SnapshotMsg) error {
 	if err := checkSnapshot(sm, r.applied, r.dim); err != nil {
 		return err
 	}
-	if sr, ok := r.manager.(snapshotRestorer); ok {
+	if sr, ok := fl.As[snapshotRestorer](r.manager); ok {
 		if len(sm.Manager) == 0 {
 			return protocolErrorf("snapshot carries no manager state for a stateful manager")
 		}

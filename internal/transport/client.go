@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"time"
 
 	"apf/internal/data"
@@ -65,8 +66,9 @@ type ClientConfig struct {
 	// (wire.CodecDense requests the dense kinds). Its capability bits go
 	// out in the Join; the server's Welcome answers with the negotiated
 	// codec, never stronger than offered. Sparse codecs require a manager
-	// implementing fl.CompactCodec and fl.MaskReporter — negotiation
-	// completing sparse without them fails the run with a typed error.
+	// implementing fl.CompactCodec and fl.MaskReporter, itself or behind
+	// wrappers (fl.As) — negotiation completing sparse without them fails
+	// the run with a typed error.
 	Codec wire.Codec
 	// OnRound, when non-nil, is called after each round's aggregate is
 	// applied (including resume replay), with the round number and the
@@ -79,7 +81,7 @@ type ClientConfig struct {
 	Metrics *telemetry.Registry
 	// Log, when non-nil, receives structured events (connection attempts,
 	// resumes, round application). Nil keeps the client silent.
-	Log *telemetry.Logger
+	Log *slog.Logger
 }
 
 // ClientResult summarizes one client's run.
@@ -110,7 +112,7 @@ type clientRun struct {
 	// ClientConfig injected a registry or logger).
 	up      *uplink
 	metrics clientMetrics
-	log     *telemetry.Logger
+	log     *slog.Logger
 
 	// Training state, built on the first Welcome.
 	net0     *nn.Network
@@ -153,7 +155,7 @@ func RunClient(ctx context.Context, cfg ClientConfig) (*ClientResult, error) {
 		res:     &ClientResult{ClientID: -1},
 		applied: -1,
 		metrics: newClientMetrics(cfg.Metrics),
-		log:     cfg.Log.With("component", "client", "name", cfg.Name),
+		log:     telemetry.With(cfg.Log, "component", "client", "name", cfg.Name),
 	}
 	r.up = newUplink(&uplink{
 		peer: "server", addr: cfg.Addr, offer: cfg.Codec, dial: cfg.Dial, ioTimeout: cfg.IOTimeout,
@@ -178,7 +180,7 @@ func RunClient(ctx context.Context, cfg ClientConfig) (*ClientResult, error) {
 // violation.
 func (r *clientRun) session(ctx context.Context) error {
 	caps := r.cfg.Codec.Caps()
-	if _, ok := r.manager.(reconManager); ok {
+	if _, ok := fl.As[reconManager](r.manager); ok {
 		// The manager tracks per-word generations, so a catch-up resume can
 		// use sketch reconciliation. (Nil before the first Welcome builds the
 		// manager — a fresh join has no state to reconcile anyway.)
@@ -246,7 +248,7 @@ func (r *clientRun) session(ctx context.Context) error {
 				payload = r.codec.CompactUpload(round, contrib)
 			}
 			var hash uint64
-			if mr, ok := r.manager.(fl.MaskReporter); ok {
+			if mr, ok := fl.As[fl.MaskReporter](r.manager); ok {
 				hash = HashMaskWords(mr.MaskWords())
 			}
 			// Copy out of the manager-owned scratch: the update must
@@ -340,7 +342,7 @@ func (r *clientRun) acceptGlobal(m wire.Msg, round int) (*GlobalMsg, error) {
 			return nil, protocolErrorf("round %d: sparse global dimension %d, model has %d",
 				round, g.Dim, r.dim)
 		}
-		if mr, ok := r.manager.(fl.MaskReporter); ok {
+		if mr, ok := fl.As[fl.MaskReporter](r.manager); ok {
 			if local := HashMaskWords(mr.MaskWords()); g.MaskHash != local {
 				return nil, fmt.Errorf("%w: round %d: server mask hash %016x, local mask hash %016x",
 					ErrMaskDivergence, round, g.MaskHash, local)
@@ -372,14 +374,14 @@ func (r *clientRun) acceptWelcome(w *WelcomeMsg) error {
 	r.batcher = data.NewBatcher(r.cfg.Data, r.cfg.Indices, r.cfg.BatchSize,
 		stats.SplitRNG(r.cfg.Seed, int64(3_000_000+w.ClientID)))
 	r.manager = r.cfg.Manager(w.ClientID, w.Dim)
-	r.codec, r.hasCodec = r.manager.(fl.CompactCodec)
+	r.codec, r.hasCodec = fl.As[fl.CompactCodec](r.manager)
 	r.codecNeg = w.Codec
-	r.maskGenR, _ = r.manager.(fl.MaskGenerationReporter)
+	r.maskGenR, _ = fl.As[fl.MaskGenerationReporter](r.manager)
 	if r.codecNeg >= wire.CodecSparse {
 		// Sparse framing is positional against the freezing mask; without a
 		// mask-reporting compact manager the client can neither produce nor
 		// verify it. This is a configuration error, not a retryable fault.
-		if _, hasMask := r.manager.(fl.MaskReporter); !r.hasCodec || !hasMask {
+		if _, hasMask := fl.As[fl.MaskReporter](r.manager); !r.hasCodec || !hasMask {
 			return protocolErrorf("codec %s negotiated, but the manager reports no freezing mask", r.codecNeg)
 		}
 	}
@@ -413,7 +415,7 @@ func (r *clientRun) applyGlobal(g *GlobalMsg) error {
 	}
 	dense := g.Payload
 	if r.hasCodec {
-		if cl, ok := r.manager.(compactLener); ok {
+		if cl, ok := fl.As[compactLener](r.manager); ok {
 			if want := cl.CompactLen(g.Round); want >= 0 && len(g.Payload) != want {
 				return protocolErrorf("round %d compact payload length %d, want %d", g.Round, len(g.Payload), want)
 			}

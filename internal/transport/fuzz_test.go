@@ -46,11 +46,12 @@ func encodeAll(msgs ...wire.Msg) []byte {
 func FuzzServerDecode(f *testing.F) {
 	f.Add(seedJoinUpdates())
 	f.Add(seedRelayJoinPartials())
+	f.Add(seedArmedGates())
 	f.Add(encodeAll(fixtureResumeJoin))
 	f.Add([]byte("not a wire frame at all"))
 	f.Add([]byte{})
 
-	const peers, dim = 3, 3
+	const peers, dim = 4, 3
 	flatAgg, rootAgg := fl.NewAggregator(1), fl.NewAggregator(1)
 	rootAgg.SetStreaming(true)
 	f.Cleanup(flatAgg.Close)
@@ -68,8 +69,7 @@ func FuzzServerDecode(f *testing.F) {
 		agg, limit := flatAgg, modelPayloadLimit(dim)
 		switch m.(type) {
 		case *JoinMsg:
-			e.validator = NewValidator(ValidatorConfig{Clients: peers, Dim: dim, MaxNormMult: 4, MinHistory: 1,
-				CosineFloor: -0.5, CosineMinHistory: 1})
+			e.validator = NewValidator(ValidatorConfig{Clients: peers, Dim: dim, MaxNormMult: 4, CosineFloor: -0.5})
 		case *RelayJoinMsg:
 			e.partialTier = true
 			agg, limit = rootAgg, partialPayloadLimit(dim)
@@ -168,6 +168,18 @@ var (
 func seedJoinUpdates() []byte {
 	return encodeAll(fixtureJoin, fixtureUpdate,
 		&UpdateMsg{Round: 1, Payload: []float64{4, 5, 6}, Weight: 3, MaskHash: 42})
+}
+
+// seedArmedGates is the server-side stream seed that reaches both armed
+// validator gates: a join, enough aligned round-0 updates to arm the norm
+// and the cosine gate, then an inverted update of the same norm, which the
+// norm gate passes and the cosine gate rejects.
+func seedArmedGates() []byte {
+	msgs := []wire.Msg{fixtureJoin}
+	for i := 0; i < max(normMinHistory, cosineMinHistory); i++ {
+		msgs = append(msgs, fixtureUpdate)
+	}
+	return encodeAll(append(msgs, &UpdateMsg{Round: 0, Payload: []float64{-1, -2, -3}, Weight: 3, MaskHash: 42})...)
 }
 
 // seedRelayJoinPartials is the server-side root-tier stream seed: a relay
@@ -285,6 +297,7 @@ func corpusFixtures() map[string][]byte {
 		wireDir + "truncated-frame":      update[:len(update)-4],
 
 		serverDir + "valid-join-updates":        seedJoinUpdates(),
+		serverDir + "valid-join-armed-gates":    seedArmedGates(),
 		serverDir + "valid-relay-join-partials": seedRelayJoinPartials(),
 		serverDir + "valid-resume-join":         encodeAll(fixtureResumeJoin),
 

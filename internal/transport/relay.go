@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"net"
 	"time"
 
@@ -73,7 +74,7 @@ type RelayConfig struct {
 	// Metrics/Log instrument both faces plus the relay-specific handles
 	// (apf_relay_*). Nil disables.
 	Metrics *telemetry.Registry
-	Log     *telemetry.Logger
+	Log     *slog.Logger
 }
 
 // Relay is one edge pre-aggregator. Its downward face is a full *Server
@@ -88,7 +89,7 @@ type Relay struct {
 	up  *uplink
 
 	relayM relayMetrics
-	log    *telemetry.Logger
+	log    *slog.Logger
 
 	// Upstream session state, owned by the engine goroutine (reduceRound is
 	// called synchronously per round). dim is the root's model dimension.
@@ -133,7 +134,7 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 		cfg:     cfg,
 		ln:      ln,
 		relayM:  newRelayMetrics(cfg.Metrics),
-		log:     cfg.Log.With("component", "relay", "name", cfg.Name),
+		log:     telemetry.With(cfg.Log, "component", "relay", "name", cfg.Name),
 		applied: -1,
 	}
 	r.up = newUplink(&uplink{

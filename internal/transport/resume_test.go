@@ -21,6 +21,7 @@ import (
 
 	"apf/internal/chaos"
 	"apf/internal/checkpoint"
+	"apf/internal/compress"
 	"apf/internal/core"
 	"apf/internal/data"
 	"apf/internal/fl"
@@ -282,8 +283,12 @@ type resumeTwinOpts struct {
 	absent   int
 	history  int
 	deadline time.Duration
-	factory  fl.ManagerFactory // nil = apfChaosFactory, with a server shadow
+	factory  fl.ManagerFactory // nil = apfChaosFactory; the server shadows its configuration
 	kill     bool
+	// finish lets the shard train on to the end after it reconciles instead
+	// of holding it there; its final model is then returned after the
+	// actives'.
+	finish bool
 }
 
 // resumeRecord is what the severed shard saw at reconciliation.
@@ -350,10 +355,8 @@ func runResumeTwin(t *testing.T, o resumeTwinOpts) (resumeRecord, [][]float64, *
 	parts := data.PartitionIID(stats.SplitRNG(5, 50), ds.Len(), 3)
 	init := nn.FlattenParams(tinyModel(stats.SplitRNG(5, 99)).Params(), nil)
 	factory := o.factory
-	var shadow *core.Config
 	if factory == nil {
 		factory = apfChaosFactory
-		shadow = resumeShadowConfig()
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
@@ -385,7 +388,7 @@ func runResumeTwin(t *testing.T, o resumeTwinOpts) (resumeRecord, [][]float64, *
 			MinClients:    2,
 			Codec:         o.codec,
 			HistoryRounds: o.history,
-			Shadow:        shadow,
+			Shadow:        resumeShadowConfig(),
 			CheckpointDir: dir,
 			SnapshotEvery: 3,
 			Metrics:       reg,
@@ -457,7 +460,9 @@ func runResumeTwin(t *testing.T, o resumeTwinOpts) (resumeRecord, [][]float64, *
 						rec = resumeRecord{round: round, model: append([]float64(nil), model...)}
 						close(caught)
 					})
-					<-release
+					if !o.finish {
+						<-release
+					}
 				}
 			}
 			go func() {
@@ -497,6 +502,14 @@ func runResumeTwin(t *testing.T, o resumeTwinOpts) (resumeRecord, [][]float64, *
 	if err := <-srv1Err; err != nil {
 		t.Fatalf("server: %v", err)
 	}
+	finals := [][]float64{results[0].FinalModel, results[1].FinalModel}
+	if o.finish {
+		<-shardDone
+		if errs[2] != nil {
+			t.Fatalf("severed shard: %v", errs[2])
+		}
+		finals = append(finals, results[2].FinalModel)
+	}
 	select {
 	case <-caught:
 	default:
@@ -506,7 +519,7 @@ func runResumeTwin(t *testing.T, o resumeTwinOpts) (resumeRecord, [][]float64, *
 	close(release)
 	<-shardDone
 
-	return rec, [][]float64{results[0].FinalModel, results[1].FinalModel}, reg
+	return rec, finals, reg
 }
 
 // counterValue reads a labeled counter out of a registry (registration
@@ -572,6 +585,26 @@ func TestResumeLongPartitionMatrix(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestResumeWrappedManagerCatchUp: an APF manager behind a wrapper (the
+// paper's APF+Q stack, compress.Quantized) catches up like a bare one —
+// fl.As finds its sketch and snapshot methods through Unwrap — and then
+// trains on in lockstep with the actives, ending on their model. It stays
+// on sparse-q16: Quantized re-rounds every global through binary16 before
+// its inner manager sees it, which the server's unwrapped shadow follows
+// only when commits are already binary16.
+func TestResumeWrappedManagerCatchUp(t *testing.T) {
+	quantized := func(clientID, dim int) fl.SyncManager {
+		return compress.NewQuantized(apfChaosFactory(clientID, dim))
+	}
+	_, finals, reg := runResumeTwin(t, resumeTwinOpts{codec: wire.CodecSparseQ16, absent: 5, history: 2,
+		deadline: 120 * time.Millisecond, factory: quantized, finish: true})
+	requireSameModel(t, "active 1 vs active 0", finals[1], finals[0])
+	requireSameModel(t, "severed shard vs active 0", finals[2], finals[0])
+	if v := counterValue(reg, "apf_resume_mode_total", "mode", "sketch"); v < 1 {
+		t.Errorf("wrapped manager resumed by sketch %d times, want >= 1", v)
 	}
 }
 

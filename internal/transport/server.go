@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"net"
 	"sync"
 	"time"
@@ -116,7 +117,7 @@ type ServerConfig struct {
 	Metrics *telemetry.Registry
 	// Log, when non-nil, receives structured events (round commits,
 	// rejections, resumes, recovery). Nil keeps the server silent.
-	Log *telemetry.Logger
+	Log *slog.Logger
 }
 
 // peers returns the size of the tier the server terminates: relays on the
@@ -169,7 +170,7 @@ type Server struct {
 	// ServerConfig injected a registry or logger).
 	metrics serverMetrics
 	wireM   wireMetrics
-	log     *telemetry.Logger
+	log     *slog.Logger
 
 	// bytes totals every client connection's traffic, counted at each
 	// Read and Write (countingConn).
@@ -255,7 +256,7 @@ func newServer(cfg ServerConfig, reducer roundReducer) (*Server, error) {
 		conns:    make(map[*countingConn]struct{}),
 		metrics:  newServerMetrics(cfg.Metrics),
 		wireM:    newWireMetrics(cfg.Metrics),
-		log:      cfg.Log.With("component", "server"),
+		log:      telemetry.With(cfg.Log, "component", "server"),
 	}
 	s.ledger = ledger{dim: len(cfg.Init), keep: cfg.HistoryRounds, metrics: s.metrics}
 	if cfg.Shadow != nil {

@@ -2,9 +2,12 @@ package transport
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -275,4 +278,115 @@ func TestRecoveryMetrics(t *testing.T) {
 	// Second run against the same checkpoint dir: a recovery, visible
 	// before the first client connects.
 	run(telemetry.New())
+}
+
+// lockedBuffer is a log sink read while the cluster's goroutines may
+// still write to it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestEventLogWiring runs a small durable cluster whose server and clients
+// share one JSON logger: every event of the server, client and checkpoint
+// layers is one JSON object tagged with its component, and the server
+// logs each commit exactly once.
+func TestEventLogWiring(t *testing.T) {
+	const clients, rounds = 2, 4
+	ds := data.SynthImages(data.ImageConfig{Classes: 3, Channels: 1, Size: 6, Samples: 60, NoiseStd: 0.5, Seed: 5})
+	parts := data.PartitionIID(stats.SplitRNG(5, 50), ds.Len(), clients)
+	init := nn.FlattenParams(tinyModel(stats.SplitRNG(5, 99)).Params(), nil)
+	var sink lockedBuffer
+	log, err := telemetry.NewLogger(&sink, slog.LevelDebug, "json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer(ServerConfig{
+		Addr:          "127.0.0.1:0",
+		NumClients:    clients,
+		Rounds:        rounds,
+		Init:          init,
+		CheckpointDir: t.TempDir(),
+		SnapshotEvery: 2,
+		Log:           log,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	serverErr := make(chan error, 1)
+	go func() {
+		_, err := srv.Run(ctx)
+		serverErr <- err
+	}()
+	var wg sync.WaitGroup
+	errs := make([]error, clients)
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = RunClient(ctx, ClientConfig{
+				Addr: srv.Addr().String(), Name: fmt.Sprintf("c%d", i),
+				Model: tinyModel, Optimizer: tinySGD,
+				Manager: func(clientID, dim int) fl.SyncManager { return fl.NewPassthroughManager(4) },
+				Data:    ds, Indices: parts[i], LocalIters: 2, BatchSize: 10, Seed: 5,
+				Log: log,
+			})
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("client %d: %v", i, err)
+		}
+	}
+	if err := <-serverErr; err != nil {
+		t.Fatalf("server: %v", err)
+	}
+
+	events := map[string]int{}
+	commits := map[float64]int{}
+	for _, line := range strings.Split(strings.TrimSuffix(sink.String(), "\n"), "\n") {
+		var ev map[string]any
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("log line is not one JSON object: %v\n%s", err, line)
+		}
+		component, _ := ev["component"].(string)
+		switch component {
+		case "server", "client", "checkpoint":
+			events[component]++
+		default:
+			t.Fatalf("log line without a known component: %s", line)
+		}
+		if ev["msg"] == "round committed" {
+			round, _ := ev["round"].(float64)
+			commits[round]++
+		}
+	}
+	for _, component := range []string{"server", "client", "checkpoint"} {
+		if events[component] == 0 {
+			t.Errorf("no %s events logged", component)
+		}
+	}
+	for r := 0; r < rounds; r++ {
+		if commits[float64(r)] != 1 {
+			t.Errorf("round %d committed %d times in the log, want 1", r, commits[float64(r)])
+		}
+	}
+	if len(commits) != rounds {
+		t.Errorf("log commits rounds %v, want 0..%d", commits, rounds-1)
+	}
 }

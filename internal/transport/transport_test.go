@@ -312,7 +312,7 @@ func TestWeightedMean(t *testing.T) {
 
 func TestTCPClusterWithQuantizedAPF(t *testing.T) {
 	// APF wrapped in fp16 quantization must still ride the compact codec
-	// (the wrapper delegates CompactUpload/ExpandDownload) and keep the
+	// (fl.As finds the codec through the wrapper's Unwrap) and keep the
 	// clients consistent.
 	mf := func(clientID, dim int) fl.SyncManager {
 		return compress.NewQuantized(core.NewManager(core.Config{

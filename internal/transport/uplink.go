@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"log/slog"
 	"math/rand"
 	"net"
 	"sync"
@@ -52,7 +53,7 @@ type uplink struct {
 	jitter              *rand.Rand
 	failures            *telemetry.Counter
 	wireM               wireMetrics
-	log                 *telemetry.Logger
+	log                 *slog.Logger
 
 	// first keeps the identity, geometry, and codec of the first accepted
 	// Welcome (nil before it); every later Welcome must resume it.

@@ -28,6 +28,19 @@ var (
 	ErrQuarantined = errors.New("transport: client quarantined")
 )
 
+// Gate tuning, the same for every deployment: the norm gate's median runs
+// over the last normWindow accepted norms and arms once normMinHistory are
+// on record; the cosine gate's reference decays by cosineDecay per
+// committed update (smaller tracks drift faster but averages fewer honest
+// directions) and arms after cosineMinHistory commits at its current
+// geometry.
+const (
+	normWindow       = 64
+	normMinHistory   = 3
+	cosineDecay      = 0.9
+	cosineMinHistory = 3
+)
+
 // ValidatorConfig parameterizes update sanitization.
 type ValidatorConfig struct {
 	// Clients is the cluster size (strike counters are per client id).
@@ -39,17 +52,11 @@ type ValidatorConfig struct {
 	Dim int
 	// MaxNormMult rejects an update whose L2 norm exceeds this multiple of
 	// the median norm of recently accepted updates (0 disables the gate;
-	// the gate also stays silent until MinHistory norms are on record).
+	// the gate also stays silent until normMinHistory norms are on record).
 	MaxNormMult float64
 	// StrikeLimit quarantines a client after this many violations
 	// (default 3). Quarantined clients' updates are rejected outright.
 	StrikeLimit int
-	// NormWindow is the rolling accepted-norm history length feeding the
-	// median (default 64).
-	NormWindow int
-	// MinHistory is the minimum number of accepted norms before the norm
-	// gate arms (default 3).
-	MinHistory int
 	// CosineFloor rejects an update whose cosine similarity against the
 	// decayed reference direction falls below this value (0 disables the
 	// gate; negative floors are meaningful — e.g. -0.5 rejects only
@@ -57,16 +64,8 @@ type ValidatorConfig struct {
 	// updates' unit directions over the unfrozen coordinates, so the gate
 	// composes with mask-compacted payloads; it resets whenever the
 	// payload geometry changes (mask refresh) and stays silent until
-	// CosineMinHistory commits rebuild it.
+	// cosineMinHistory commits rebuild it.
 	CosineFloor float64
-	// CosineDecay is the exponential decay applied to the reference
-	// direction per committed update (default 0.9). Smaller values track
-	// model drift faster but average fewer honest directions.
-	CosineDecay float64
-	// CosineMinHistory is the minimum number of committed updates folded
-	// into the reference (at its current geometry) before the cosine gate
-	// arms (default 3).
-	CosineMinHistory int
 	// RoundNormMult arms the post-round norm review: after a round
 	// closes, any accepted update whose norm exceeded this multiple of
 	// the round's median norm earns a strike (0 disables; requires at
@@ -122,25 +121,13 @@ func NewValidator(cfg ValidatorConfig) *Validator {
 	if cfg.StrikeLimit <= 0 {
 		cfg.StrikeLimit = 3
 	}
-	if cfg.NormWindow <= 0 {
-		cfg.NormWindow = 64
-	}
-	if cfg.MinHistory <= 0 {
-		cfg.MinHistory = 3
-	}
-	if cfg.CosineDecay <= 0 || cfg.CosineDecay >= 1 {
-		cfg.CosineDecay = 0.9
-	}
-	if cfg.CosineMinHistory <= 0 {
-		cfg.CosineMinHistory = 3
-	}
 	v := &Validator{
 		cfg:       cfg,
 		strikes:   make([]int, cfg.Clients),
 		quar:      make([]bool, cfg.Clients),
 		quarRound: make([]int, cfg.Clients),
-		norms:     make([]float64, cfg.NormWindow),
-		sorted:    make([]float64, 0, cfg.NormWindow),
+		norms:     make([]float64, normWindow),
+		sorted:    make([]float64, 0, normWindow),
 	}
 	for i := range v.quarRound {
 		v.quarRound[i] = -1
@@ -187,13 +174,13 @@ func (v *Validator) Check(id, round int, payload []float64, weight float64) (flo
 		return 0, v.strike(id, round, fmt.Errorf("%w: round %d: client %d norm overflow", ErrNonFiniteUpdate, round, id))
 	}
 	norm := math.Sqrt(sum)
-	if v.cfg.MaxNormMult > 0 && v.filled >= v.cfg.MinHistory {
+	if v.cfg.MaxNormMult > 0 && v.filled >= normMinHistory {
 		if med := v.median(); med > 0 && norm > v.cfg.MaxNormMult*med {
 			return 0, v.strike(id, round, fmt.Errorf("%w: round %d: client %d norm %.6g exceeds %gx median %.6g",
 				ErrNormOutlier, round, id, norm, v.cfg.MaxNormMult, med))
 		}
 	}
-	if v.cfg.CosineFloor != 0 && v.refCount >= v.cfg.CosineMinHistory &&
+	if v.cfg.CosineFloor != 0 && v.refCount >= cosineMinHistory &&
 		len(payload) == len(v.ref) && norm > 0 && v.refNorm > 0 {
 		dot := 0.0
 		for j, x := range payload {
@@ -221,7 +208,7 @@ func (v *Validator) LastCosine() (float64, bool) { return v.lastCos, v.lastCosOK
 // every later guard (the aggregator's) also accepted the update. A
 // payload length different from the reference's signals a mask refresh:
 // the reference restarts at the new geometry and the cosine gate holds
-// fire until CosineMinHistory fresh commits rebuild it.
+// fire until cosineMinHistory fresh commits rebuild it.
 func (v *Validator) Commit(norm float64, payload []float64) {
 	v.norms[v.next] = norm
 	v.next = (v.next + 1) % len(v.norms)
@@ -241,7 +228,7 @@ func (v *Validator) Commit(norm float64, payload []float64) {
 		}
 		v.refCount = 0
 	}
-	decay, inv := v.cfg.CosineDecay, 1/norm
+	decay, inv := cosineDecay, 1/norm
 	sum := 0.0
 	for j, x := range payload {
 		r := decay*v.ref[j] + x*inv
@@ -339,8 +326,8 @@ func (v *Validator) snapshotState() *validatorState {
 }
 
 // restoreState loads a snapshotState capture. The norm history replays
-// oldest-first; if the configured window shrank across the restart, only
-// the newest norms are kept.
+// oldest-first; a capture longer than the window (damaged or hostile
+// checkpoint input) keeps only the newest norms.
 func (v *Validator) restoreState(st *validatorState) error {
 	if len(st.Strikes) != v.cfg.Clients || len(st.Quar) != v.cfg.Clients || len(st.QuarRound) != v.cfg.Clients {
 		return fmt.Errorf("transport: checkpoint validator state covers %d/%d/%d clients, cluster has %d",

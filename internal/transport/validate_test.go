@@ -56,19 +56,19 @@ func TestValidatorTypedRejections(t *testing.T) {
 
 // TestValidatorNormGate arms the median gate and checks a 100x-norm
 // update is rejected while same-scale updates keep flowing; the gate
-// stays silent until MinHistory norms are recorded.
+// stays silent until normMinHistory norms are recorded.
 func TestValidatorNormGate(t *testing.T) {
-	v := NewValidator(ValidatorConfig{Clients: 3, Dim: 4, MaxNormMult: 10, MinHistory: 3, StrikeLimit: 100})
+	v := NewValidator(ValidatorConfig{Clients: 3, Dim: 4, MaxNormMult: 10, StrikeLimit: 100})
 	base := []float64{1, 1, 1, 1}
 	huge := []float64{100, 100, 100, 100}
 
-	// Before MinHistory accepted norms, even a wild update passes (there
+	// Before normMinHistory accepted norms, even a wild update passes (there
 	// is no reference scale yet).
 	if err := accept(t, v, 0, 0, base, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := accept(t, v, 1, 0, huge, 1); err != nil {
-		t.Fatalf("gate fired before MinHistory: %v", err)
+		t.Fatalf("gate fired before normMinHistory: %v", err)
 	}
 	if err := accept(t, v, 2, 0, base, 1); err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestValidatorNormGate(t *testing.T) {
 // median gate — otherwise rejected updates could skew the reference
 // scale.
 func TestCheckAloneDoesNotRecordNorms(t *testing.T) {
-	v := NewValidator(ValidatorConfig{Clients: 2, Dim: 2, MaxNormMult: 2, MinHistory: 1, StrikeLimit: 100})
+	v := NewValidator(ValidatorConfig{Clients: 2, Dim: 2, MaxNormMult: 2, StrikeLimit: 100})
 	base := []float64{1, 1}
 	huge := []float64{100, 100}
 
@@ -108,11 +108,13 @@ func TestCheckAloneDoesNotRecordNorms(t *testing.T) {
 		t.Fatalf("gate armed from un-committed norms: %v", err)
 	}
 
-	// One committed norm arms it (MinHistory 1) at the base scale.
-	if err := accept(t, v, 0, 6, base, 1); err != nil {
-		t.Fatal(err)
+	// normMinHistory committed norms arm it at the base scale.
+	for i := 0; i < normMinHistory; i++ {
+		if err := accept(t, v, 0, 6+i, base, 1); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := v.Check(1, 7, huge, 1); !errors.Is(err, ErrNormOutlier) {
+	if _, err := v.Check(1, 6+normMinHistory, huge, 1); !errors.Is(err, ErrNormOutlier) {
 		t.Fatalf("outlier err = %v, want ErrNormOutlier", err)
 	}
 }
@@ -150,21 +152,21 @@ func TestValidatorQuarantine(t *testing.T) {
 // TestValidatorRollingWindow fills the norm window past capacity and
 // checks the median tracks the recent scale, not the whole run.
 func TestValidatorRollingWindow(t *testing.T) {
-	v := NewValidator(ValidatorConfig{Clients: 1, Dim: 1, MaxNormMult: 4, NormWindow: 4, MinHistory: 2, StrikeLimit: 100})
+	v := NewValidator(ValidatorConfig{Clients: 1, Dim: 1, MaxNormMult: 4, StrikeLimit: 100})
 	// Old scale ~1, then the model converges and updates shrink to ~0.1.
-	for i := 0; i < 4; i++ {
+	for i := 0; i < normWindow; i++ {
 		if err := accept(t, v, 0, i, []float64{1}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 4; i < 8; i++ {
+	for i := normWindow; i < 2*normWindow; i++ {
 		if err := accept(t, v, 0, i, []float64{0.1}, 1); err != nil {
 			t.Fatalf("shrinking update %d rejected: %v", i, err)
 		}
 	}
 	// Window now holds only the small norms; an old-scale update is 10x
 	// the median and must trip the 4x gate.
-	if err := accept(t, v, 0, 8, []float64{1}, 1); !errors.Is(err, ErrNormOutlier) {
+	if err := accept(t, v, 0, 2*normWindow, []float64{1}, 1); !errors.Is(err, ErrNormOutlier) {
 		t.Fatalf("stale-scale update err = %v, want ErrNormOutlier", err)
 	}
 }
@@ -173,9 +175,9 @@ func TestValidatorRollingWindow(t *testing.T) {
 // quarantined, gate armed), round-trips it through the server snapshot
 // codec, restores it into a fresh validator, and checks both defenses
 // survive: the quarantine holds and the norm gate fires immediately,
-// without waiting for MinHistory fresh norms.
+// without waiting for normMinHistory fresh norms.
 func TestValidatorStateRoundTrip(t *testing.T) {
-	cfg := ValidatorConfig{Clients: 3, Dim: 2, MaxNormMult: 4, NormWindow: 4, MinHistory: 3, StrikeLimit: 2}
+	cfg := ValidatorConfig{Clients: 3, Dim: 2, MaxNormMult: 4, StrikeLimit: 2}
 	v := NewValidator(cfg)
 	poison := []float64{math.NaN(), 0}
 	for i := 0; i < 2; i++ {
@@ -186,9 +188,9 @@ func TestValidatorStateRoundTrip(t *testing.T) {
 	if !v.Quarantined(2) {
 		t.Fatal("client 2 not quarantined")
 	}
-	// Arm the gate at scale ~1, overflowing the 4-slot window once so the
-	// chronological export of a wrapped ring is exercised.
-	for i := 0; i < 6; i++ {
+	// Arm the gate at scale ~1, overflowing the window so the chronological
+	// export of a wrapped ring is exercised.
+	for i := 0; i < normWindow+2; i++ {
 		if err := accept(t, v, i%2, i, []float64{1, 1}, 1); err != nil {
 			t.Fatal(err)
 		}
@@ -219,10 +221,10 @@ func TestValidatorStateRoundTrip(t *testing.T) {
 	}
 	// The gate is armed from the restored history: a 100x update is
 	// rejected on the very first post-restart check.
-	if _, err := v2.Check(0, 6, []float64{100, 100}, 1); !errors.Is(err, ErrNormOutlier) {
+	if _, err := v2.Check(0, normWindow+2, []float64{100, 100}, 1); !errors.Is(err, ErrNormOutlier) {
 		t.Fatalf("post-restart outlier err = %v, want ErrNormOutlier", err)
 	}
-	if err := accept(t, v2, 1, 6, []float64{1, 1}, 1); err != nil {
+	if err := accept(t, v2, 1, normWindow+2, []float64{1, 1}, 1); err != nil {
 		t.Fatalf("post-restart in-scale update rejected: %v", err)
 	}
 
@@ -298,7 +300,7 @@ func TestCosineGate(t *testing.T) {
 	honest := []float64{1, 2, 0, -1}
 	flipped := []float64{-1, -2, 0, 1}
 
-	// Unarmed (fewer than CosineMinHistory commits): even an inverted
+	// Unarmed (fewer than cosineMinHistory commits): even an inverted
 	// update passes — there is no reference to judge against yet.
 	for i := 0; i < 3; i++ {
 		if err := accept(t, v, 0, i, honest, 1); err != nil {
@@ -327,7 +329,7 @@ func TestCosineGate(t *testing.T) {
 
 // TestCosineGateGeometryReset: a payload-length change (mask refresh)
 // restarts the reference — the gate holds fire at the new geometry until
-// CosineMinHistory fresh commits rebuild it, then arms again.
+// cosineMinHistory fresh commits rebuild it, then arms again.
 func TestCosineGateGeometryReset(t *testing.T) {
 	v := NewValidator(ValidatorConfig{Clients: 2, Dim: 8, CosineFloor: 0.2, StrikeLimit: 100})
 	wide := []float64{1, 1, 1, 1, 1, 1, 1, 1}
