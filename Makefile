@@ -46,6 +46,7 @@ race:
 fuzz:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime 10s
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzSparseDecode$$' -fuzztime 10s
+	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzFrameReader$$' -fuzztime 10s
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz '^FuzzServerDecode$$' -fuzztime 10s
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz '^FuzzClientDecode$$' -fuzztime 10s
 	$(GO) test ./internal/checkpoint/ -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime 10s
@@ -76,7 +77,7 @@ crashtest:
 # (`bash bench/run.sh --trace 1`); what these paths must never do (allocate
 # at steady state) is pinned in tier-1.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkManagerRound$$|BenchmarkAggregate$$|BenchmarkPartialFold$$|BenchmarkWireDense$$|BenchmarkTrainStep$$' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkManagerRound$$|BenchmarkAggregate$$|BenchmarkPartialFold$$|BenchmarkWireDense$$|BenchmarkFrameRead$$|BenchmarkAggregatorAdd$$|BenchmarkTrainStep$$' -benchmem .
 
 # Scenario smoke: the CI subset of the adversary × network × data matrix,
 # race-enabled, over the real TCP transport. The run enforces the

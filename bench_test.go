@@ -13,6 +13,7 @@
 package apf_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -241,6 +242,45 @@ func BenchmarkWireDense(b *testing.B) {
 		}
 	}
 	reportPerScalar(b, len(msg.Payload))
+}
+
+// BenchmarkFrameRead measures the streaming decode of one dense-256k
+// update frame off a reader into a reused vector: what a server connection
+// reader does per update.
+func BenchmarkFrameRead(b *testing.B) {
+	contribs, weights := dense256kUpdates(1)
+	frame := wire.Encode(&wire.UpdateMsg{Round: 7, Weight: weights[0], Payload: contribs[0]})
+	dst := make([]float64, len(contribs[0]))
+	fr := wire.FrameReader{Alloc: func(n int) []float64 { return dst[:n] }}
+	var rd bytes.Reader
+	b.SetBytes(int64(len(frame)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rd.Reset(frame)
+		if _, err := fr.Read(&rd, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportPerScalar(b, len(dst))
+}
+
+// BenchmarkAggregatorAdd measures fl.Aggregator.Add of one dense-256k
+// update into a mean round: its guards, the finiteness pass above all,
+// since the slot only stores the slice.
+func BenchmarkAggregatorAdd(b *testing.B) {
+	contribs, weights := dense256kUpdates(1)
+	agg := fl.NewAggregator(1)
+	defer agg.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		agg.Open(i, 1)
+		if err := agg.Add(0, contribs[0], weights[0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportPerScalar(b, len(contribs[0]))
 }
 
 // reportPerScalar adds the benchmark's time per scalar of work per op.

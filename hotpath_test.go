@@ -21,6 +21,7 @@
 package apf_test
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/fnv"
@@ -576,5 +577,59 @@ func TestDenseCodecAllocations(t *testing.T) {
 		}
 	}); n != 1 {
 		t.Errorf("Reader.F64s allocates %v times, want 1", n)
+	}
+}
+
+// TestFrameReadAllocations pins the streaming decode at the dense-256k
+// model size: once its chunk is built, a FrameReader reading a dense
+// update into a vector its Alloc supplies allocates the message and
+// nothing else — no body buffer, no payload slice — and hands back the
+// frame's floats bit for bit.
+func TestFrameReadAllocations(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	contribs, _ := dense256kUpdates(1)
+	frame := wire.Encode(&wire.UpdateMsg{Round: 3, Weight: 1, MaskHash: 7, Payload: contribs[0]})
+	dst := make([]float64, len(contribs[0]))
+	fr := wire.FrameReader{Alloc: func(n int) []float64 { return dst[:n] }}
+	var rd bytes.Reader
+	read := func() {
+		rd.Reset(frame)
+		m, err := fr.Read(&rd, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if u := m.(*wire.UpdateMsg); &u.Payload[0] != &dst[0] {
+			t.Fatal("payload not streamed into the supplied vector")
+		}
+	}
+	read() // build the chunk
+	if hashFloats(dst) != hashFloats(contribs[0]) {
+		t.Fatal("streamed payload differs from the encoded one")
+	}
+	if n := testing.AllocsPerRun(5, read); n > 1 {
+		t.Errorf("FrameReader.Read of a dense update allocates %v times, want ≤ 1 (the message)", n)
+	}
+}
+
+// TestBoundFlatIsAllocationFree pins what binding buys the client: once
+// nn.BindFlat made the parameters views of x, FlattenParams into x and
+// SetFlat from x allocate nothing and copy nothing — a sentinel written
+// through x is what the parameter holds, and neither call overwrites it
+// with a stale copy.
+func TestBoundFlatIsAllocationFree(t *testing.T) {
+	params := dense256kFixture(1).net.Params()
+	x := make([]float64, nn.ParamCount(params))
+	nn.BindFlat(params, x)
+	const sentinel = -1234.5
+	x[len(x)-1] = sentinel
+	if n := testing.AllocsPerRun(5, func() {
+		x = nn.FlattenParams(params, x)
+		nn.SetFlat(params, x)
+	}); n != 0 {
+		t.Errorf("FlattenParams/SetFlat over a bound vector allocate %v times, want 0", n)
+	}
+	last := params[len(params)-1].Data.Data
+	if x[len(x)-1] != sentinel || last[len(last)-1] != sentinel {
+		t.Errorf("sentinel reads %v in x and %v in the parameter, want %v in both", x[len(x)-1], last[len(last)-1], sentinel)
 	}
 }

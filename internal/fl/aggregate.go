@@ -193,6 +193,28 @@ func (a *Aggregator) Close() {
 // and every downstream stability statistic.
 var ErrNonFinite = errors.New("fl: non-finite contribution")
 
+// firstNonFinite returns the index of v's first NaN or ±Inf, or -1. The
+// scan ORs one exponent-is-all-ones flag down the slice without a branch
+// and tests it once; only a slice that holds a non-finite scalar is
+// scanned again to name it.
+func firstNonFinite(v []float64) int {
+	var bad uint64
+	for _, x := range v {
+		// The biased exponent is 0x7FF exactly when adding 1 carries into
+		// bit 11.
+		bad |= (math.Float64bits(x)>>52&0x7FF + 1) >> 11
+	}
+	if bad == 0 {
+		return -1
+	}
+	for j, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return j
+		}
+	}
+	return -1
+}
+
 // ErrLengthMismatch is returned (wrapped) by Add when a contribution's
 // length disagrees with one already stored for the round — positionally
 // aligned averaging is meaningless across different geometries.
@@ -295,10 +317,8 @@ func (a *Aggregator) Add(id int, contrib []float64, weight float64) error {
 				ErrLengthMismatch, a.round, id, len(contrib), i, len(a.slots[i]))
 		}
 	}
-	for j, v := range contrib {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("%w: round %d client %d scalar %d is %v", ErrNonFinite, a.round, id, j, v)
-		}
+	if j := firstNonFinite(contrib); j >= 0 {
+		return fmt.Errorf("%w: round %d client %d scalar %d is %v", ErrNonFinite, a.round, id, j, contrib[j])
 	}
 	a.slots[id] = contrib
 	a.slotW[id] = weight

@@ -603,3 +603,36 @@ func TestRelayMergePropertyRandomPartitions(t *testing.T) {
 		}
 	}
 }
+
+// TestFirstNonFiniteMatchesScan pins the flag pass to the per-scalar
+// IsNaN/IsInf scan on every IEEE class at every position, finite extremes
+// (largest, subnormal, negative zero) included.
+func TestFirstNonFiniteMatchesScan(t *testing.T) {
+	finite := []float64{0, math.Copysign(0, -1), 1, -2.5, math.MaxFloat64, -math.MaxFloat64,
+		math.SmallestNonzeroFloat64, math.Float64frombits(0x7FEFFFFFFFFFFFFF), math.Float64frombits(0x000FFFFFFFFFFFFF)}
+	bad := []float64{math.NaN(), -math.NaN(), math.Inf(1), math.Inf(-1), math.Float64frombits(0x7FF0000000000001),
+		math.Float64frombits(0xFFFFFFFFFFFFFFFF)}
+	scan := func(v []float64) int {
+		for j, x := range v {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return j
+			}
+		}
+		return -1
+	}
+	if got := firstNonFinite(finite); got != -1 {
+		t.Fatalf("finite slice: index %d flagged", got)
+	}
+	if got := firstNonFinite(nil); got != -1 {
+		t.Fatalf("empty slice: index %d flagged", got)
+	}
+	for _, b := range bad {
+		for at := 0; at <= len(finite); at++ {
+			v := append(append(append([]float64(nil), finite[:at]...), b), finite[at:]...)
+			v = append(v, bad[0]) // a later bad scalar must not be the one named
+			if got, want := firstNonFinite(v), scan(v); got != want {
+				t.Fatalf("%v at %d: firstNonFinite = %d, scan = %d", b, at, got, want)
+			}
+		}
+	}
+}

@@ -274,10 +274,8 @@ func (p *Partial) Fold(contrib []float64, weight float64) error {
 		return fmt.Errorf("%w: payload length %d, partial holds %d",
 			ErrLengthMismatch, len(contrib), p.Dim())
 	}
-	for j, v := range contrib {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("%w: scalar %d is %v", ErrNonFinite, j, v)
-		}
+	if j := firstNonFinite(contrib); j >= 0 {
+		return fmt.Errorf("%w: scalar %d is %v", ErrNonFinite, j, contrib[j])
 	}
 	wlo, whi, ok := fixFromFloat(weight)
 	if !ok {

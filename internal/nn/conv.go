@@ -23,7 +23,10 @@ type Conv2D struct {
 	dcols     *tensor.Tensor // one sample's column gradient
 	dw        *tensor.Tensor // one sample's kernel-gradient product
 
-	wMat, dwMat *tensor.Tensor // [outC, inC·k·k] views of the kernel and its gradient
+	// [outC, inC·k·k] views of the kernel and its gradient. wMat is
+	// re-pointed at the kernel on every pass: the kernel's storage may move
+	// (nn.BindFlat).
+	wMat, dwMat *tensor.Tensor
 	// Headers re-pointed at one sample's slice of cols, out and the
 	// incoming gradient.
 	colsMat, yMat, dyMat *tensor.Tensor
@@ -46,7 +49,6 @@ func NewConv2D(rng *rand.Rand, name string, inC, outC, k, stride, pad int) *Conv
 		b:      newParam(name+".b", outC),
 	}
 	heNormal(rng, c.w.Data, inC*k*k)
-	c.wMat = c.w.Data.Reshape(outC, inC*k*k)
 	c.dwMat = c.w.Grad.Reshape(outC, inC*k*k)
 	return c
 }
@@ -142,6 +144,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	c.lastInput = x
 	c.cols = ensure(c.cols, n, rows, oh*ow)
 	c.out = ensure(c.out, n, c.outC, oh, ow)
+	c.wMat = view(c.wMat, c.w.Data.Data, c.outC, rows)
 
 	sampleIn := c.inC * h * w
 	sampleCols := rows * oh * ow
@@ -182,6 +185,7 @@ func (c *Conv2D) backward(grad *tensor.Tensor, wantDx bool) *tensor.Tensor {
 	oh, ow := grad.Shape[2], grad.Shape[3]
 	rows := c.inC * c.k * c.k
 	c.dw = ensure(c.dw, c.outC, rows)
+	c.wMat = view(c.wMat, c.w.Data.Data, c.outC, rows)
 	if wantDx {
 		c.dx = ensure(c.dx, x.Shape...)
 		clear(c.dx.Data) // col2im accumulates

@@ -36,7 +36,8 @@ func Spans(params []*Param) []Span {
 }
 
 // FlattenParams copies all parameter values into dst (allocated when nil or of
-// the wrong length) and returns it.
+// the wrong length) and returns it. A span of dst the parameter already
+// views (BindFlat) is left as it is.
 func FlattenParams(params []*Param, dst []float64) []float64 {
 	n := ParamCount(params)
 	if len(dst) != n {
@@ -44,23 +45,51 @@ func FlattenParams(params []*Param, dst []float64) []float64 {
 	}
 	off := 0
 	for _, p := range params {
-		copy(dst[off:], p.Data.Data)
+		copyUnaliased(dst[off:off+p.Data.Size()], p.Data.Data)
 		off += p.Data.Size()
 	}
 	return dst
 }
 
 // SetFlat writes src back into the parameter tensors. len(src) must equal
-// ParamCount(params).
+// ParamCount(params). A parameter that views its span of src (BindFlat)
+// already holds it.
 func SetFlat(params []*Param, src []float64) {
 	if len(src) != ParamCount(params) {
 		panic(fmt.Sprintf("nn: SetFlat length %d does not match parameter count %d", len(src), ParamCount(params)))
 	}
 	off := 0
 	for _, p := range params {
-		copy(p.Data.Data, src[off:off+p.Data.Size()])
+		copyUnaliased(p.Data.Data, src[off:off+p.Data.Size()])
 		off += p.Data.Size()
 	}
+}
+
+// BindFlat makes x the storage of the model: it copies the parameter values
+// into x (len(x) must equal ParamCount(params)) and re-points every
+// parameter's Data at its span of x, so writes through either side are
+// seen by the other and FlattenParams/SetFlat over x move nothing. Layers
+// read Param.Data afresh on every pass, never through a view kept from
+// construction, which is what makes the re-pointing safe.
+func BindFlat(params []*Param, x []float64) {
+	if len(x) != ParamCount(params) {
+		panic(fmt.Sprintf("nn: BindFlat length %d does not match parameter count %d", len(x), ParamCount(params)))
+	}
+	FlattenParams(params, x)
+	off := 0
+	for _, p := range params {
+		n := p.Data.Size()
+		p.Data.Data = x[off : off+n : off+n]
+		off += n
+	}
+}
+
+// copyUnaliased copies src into dst unless both are the same span.
+func copyUnaliased(dst, src []float64) {
+	if len(dst) > 0 && &dst[0] == &src[0] {
+		return
+	}
+	copy(dst, src)
 }
 
 // FlattenGrads copies all gradient values into dst (allocated when nil or

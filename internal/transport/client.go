@@ -10,7 +10,6 @@ import (
 	"apf/internal/fl"
 	"apf/internal/nn"
 	"apf/internal/opt"
-	"apf/internal/quantize"
 	"apf/internal/stats"
 	"apf/internal/telemetry"
 	"apf/internal/wire"
@@ -132,13 +131,18 @@ type clientRun struct {
 	maskGenR fl.MaskGenerationReporter
 
 	// applied is the last round whose aggregate has been merged (-1 none);
-	// inflight is the prepared-but-unacknowledged UpdateMsg, re-sent
-	// idempotently after a reconnect so local training runs exactly once
-	// per round. inflightGen is the mask generation captured when inflight
-	// was prepared (-1 unknown), stamped on its sparse framing.
-	applied     int
-	inflight    *UpdateMsg
-	inflightGen int
+	// inflight is the encoded frame of round inflightRound's prepared but
+	// unacknowledged update (empty when none), re-sent verbatim after a
+	// reconnect so local training runs exactly once per round. Its buffer
+	// is reused every round.
+	applied       int
+	inflight      []byte
+	inflightRound int
+
+	// frames reads the round loop's downloads; dense globals stream into
+	// down, one vector reused every round.
+	frames wire.FrameReader
+	down   []float64
 }
 
 // RunClient connects to the server, trains for the announced number of
@@ -156,6 +160,12 @@ func RunClient(ctx context.Context, cfg ClientConfig) (*ClientResult, error) {
 		applied: -1,
 		metrics: newClientMetrics(cfg.Metrics),
 		log:     telemetry.With(cfg.Log, "component", "client", "name", cfg.Name),
+	}
+	r.frames.Alloc = func(n int) []float64 {
+		if cap(r.down) < n {
+			r.down = make([]float64, n)
+		}
+		return r.down[:n]
 	}
 	r.up = newUplink(&uplink{
 		peer: "server", addr: cfg.Addr, offer: cfg.Codec, dial: cfg.Dial, ioTimeout: cfg.IOTimeout,
@@ -239,7 +249,7 @@ func (r *clientRun) session(ctx context.Context) error {
 	for round := r.applied + 1; round < r.rounds; round++ {
 		markRound(conn, round)
 		roundStart := time.Now()
-		if r.inflight == nil || r.inflight.Round != round {
+		if len(r.inflight) == 0 || r.inflightRound != round {
 			r.train(round)
 			r.metrics.trainSeconds.Observe(time.Since(roundStart).Seconds())
 			contrib, weight, up := r.manager.PrepareUpload(round, r.x)
@@ -247,38 +257,17 @@ func (r *clientRun) session(ctx context.Context) error {
 			if r.hasCodec {
 				payload = r.codec.CompactUpload(round, contrib)
 			}
-			var hash uint64
-			if mr, ok := fl.As[fl.MaskReporter](r.manager); ok {
-				hash = HashMaskWords(mr.MaskWords())
-			}
-			// Copy out of the manager-owned scratch: the update must
-			// survive re-sends across reconnects.
-			r.inflight = &UpdateMsg{
-				Round:    round,
-				Payload:  append([]float64(nil), payload...),
-				Weight:   weight,
-				MaskHash: hash,
-			}
-			r.inflightGen = -1
-			if r.maskGenR != nil {
-				r.inflightGen = r.maskGenR.MaskGeneration()
-			}
-			if r.codecNeg == wire.CodecSparseQ16 {
-				// Round the local copy through binary16 now, so the values
-				// this client keeps equal the values the server decodes and
-				// a reconnect re-send re-quantizes losslessly.
-				quantize.RoundTripSlice(r.inflight.Payload)
-			}
+			r.prepare(round, payload, weight)
 			r.res.UpBytes += up
 			r.metrics.upBytes.Add(up)
 		}
-		if err := r.push(conn); err != nil {
+		if err := writeFrame(conn, r.up.ioTimeout, r.inflight, &r.up.wireM, wire.FrameKind(r.inflight)); err != nil {
 			return fmt.Errorf("transport: round %d push: %w", round, err)
 		}
 		// The limit admits a snapshot frame: a server that adopted its own
 		// upstream's snapshot (relay catch-up) broadcasts it mid-stream in
 		// place of the jumped rounds' globals.
-		m, err := readMsg(conn, r.up.ioTimeout, snapshotPayloadLimit(r.dim), &r.up.wireM)
+		m, err := readFrom(&r.frames, conn, r.up.ioTimeout, snapshotPayloadLimit(r.dim), &r.up.wireM)
 		if err != nil {
 			return fmt.Errorf("transport: round %d pull: %w", round, err)
 		}
@@ -297,32 +286,37 @@ func (r *clientRun) session(ctx context.Context) error {
 		if err := r.applyGlobal(g); err != nil {
 			return err
 		}
-		r.inflight = nil
+		r.inflight = r.inflight[:0]
 		r.metrics.roundSeconds.Observe(time.Since(roundStart).Seconds())
 	}
 	return nil
 }
 
-// push writes the round's in-flight update on the session's negotiated
-// codec: verbatim on dense sessions, wrapped into a SparseUpdateMsg on
+// prepare encodes round's update into the in-flight frame on the session's
+// negotiated codec: an UpdateMsg on dense sessions, a SparseUpdateMsg on
 // sparse ones. The compact payload is already the unfrozen sub-vector
 // (fl.CompactCodec), so sparse framing adds only the mask metadata — and,
-// under sparse-q16, halves the scalars to binary16 (lossless here, because
-// the in-flight copy was rounded through binary16 when prepared).
-func (r *clientRun) push(conn *countingConn) error {
-	if r.codecNeg < wire.CodecSparse {
-		return writeMsg(conn, r.up.ioTimeout, r.inflight, &r.up.wireM)
+// under sparse-q16, halves the scalars to binary16. The payload is the
+// manager's scratch and is encoded at once; a re-send after a reconnect
+// writes the same bytes, which stay valid because the rejoin check pins
+// the codec across resumes.
+func (r *clientRun) prepare(round int, payload []float64, weight float64) {
+	var hash uint64
+	if mr, ok := fl.As[fl.MaskReporter](r.manager); ok {
+		hash = HashMaskWords(mr.MaskWords())
 	}
-	sp := &SparseUpdateMsg{
-		Round:    r.inflight.Round,
-		Weight:   r.inflight.Weight,
-		MaskHash: r.inflight.MaskHash,
-		MaskGen:  r.inflightGen,
-		Dim:      r.dim,
-		Enc:      r.codecNeg.Enc(),
+	var m wire.Msg = &UpdateMsg{Round: round, Payload: payload, Weight: weight, MaskHash: hash}
+	if r.codecNeg >= wire.CodecSparse {
+		gen := -1
+		if r.maskGenR != nil {
+			gen = r.maskGenR.MaskGeneration()
+		}
+		sp := &SparseUpdateMsg{Round: round, Weight: weight, MaskHash: hash, MaskGen: gen, Dim: r.dim, Enc: r.codecNeg.Enc()}
+		sp.Values, sp.Q = wire.PackSparse(sp.Enc, payload)
+		m = sp
 	}
-	sp.Values, sp.Q = wire.PackSparse(sp.Enc, r.inflight.Payload)
-	return writeMsg(conn, r.up.ioTimeout, sp, &r.up.wireM)
+	r.inflight = wire.Append(r.inflight[:0], m)
+	r.inflightRound = round
 }
 
 // acceptGlobal validates one downloaded frame of the round and returns its
@@ -369,6 +363,10 @@ func (r *clientRun) acceptWelcome(w *WelcomeMsg) error {
 		return err
 	}
 	nn.SetFlat(params, w.Init)
+	// The parameters become views of the flat model: training writes x, and
+	// a download written into x is the model the next step reads.
+	r.x = make([]float64, w.Dim)
+	nn.BindFlat(params, r.x)
 	r.net0, r.params, r.dim, r.rounds = net0, params, w.Dim, w.Rounds
 	r.optim = r.cfg.Optimizer(params)
 	r.batcher = data.NewBatcher(r.cfg.Data, r.cfg.Indices, r.cfg.BatchSize,
@@ -385,7 +383,6 @@ func (r *clientRun) acceptWelcome(w *WelcomeMsg) error {
 			return protocolErrorf("codec %s negotiated, but the manager reports no freezing mask", r.codecNeg)
 		}
 	}
-	r.x = make([]float64, w.Dim)
 	r.res.ClientID = w.ClientID
 	r.res.Rounds = w.Rounds
 	r.log.Info("joined cluster", "client", w.ClientID, "rounds", w.Rounds,

@@ -8,7 +8,7 @@ import (
 	"apf/internal/wire"
 )
 
-// Inbound payload limits, enforced by wire.ReadMsg from the frame header
+// Inbound payload limits, enforced by wire.FrameReader from the frame header
 // before any payload is read: a hostile peer cannot drive an allocation
 // past these.
 const (
@@ -34,13 +34,20 @@ func partialPayloadLimit(dim int) int { return fl.MaxPackedLen(dim) + modelPaylo
 // the given payload limit, accounting the frame (or the decode failure)
 // to wm.
 func readMsg(c net.Conn, timeout time.Duration, limit int, wm *wireMetrics) (wire.Msg, error) {
+	var fr wire.FrameReader
+	return readFrom(&fr, c, timeout, limit, wm)
+}
+
+// readFrom is readMsg through a caller-owned frame reader, whose Alloc
+// supplies the vectors dense payloads stream into.
+func readFrom(fr *wire.FrameReader, c net.Conn, timeout time.Duration, limit int, wm *wireMetrics) (wire.Msg, error) {
 	if err := c.SetReadDeadline(time.Now().Add(timeout)); err != nil {
 		return nil, err
 	}
 	// The metered wrapper measures exactly this call's bytes; the
 	// connection's own counters mix in concurrent writer traffic.
 	mr := meteredReader{r: c}
-	m, err := wire.ReadMsg(&mr, limit)
+	m, err := fr.Read(&mr, limit)
 	if err != nil {
 		wm.recordReadErr(err)
 		return nil, err

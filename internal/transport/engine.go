@@ -163,6 +163,12 @@ type roundEngine struct {
 	// metrics instruments update classification and phase timings; the
 	// zero value (in-process engine tests) records nothing.
 	metrics engineMetrics
+	// payloads takes back each update's vector once nothing holds it: at
+	// once when the update is dropped or folded (streaming), after Reduce
+	// or Discard when the aggregator kept it (held). nil hands nothing
+	// back.
+	payloads *payloadPool
+	held     [][]float64
 
 	// Per-round accepted (id, norm) pairs feeding the validator's
 	// post-round norm review; reset when a round opens.
@@ -172,6 +178,26 @@ type roundEngine struct {
 
 // faultTolerant reports whether partial aggregation is enabled.
 func (e *roundEngine) faultTolerant() bool { return e.deadline > 0 }
+
+// streaming reports whether the aggregator folds each contribution on
+// arrival instead of keeping it until Reduce: on the relay face (its
+// reducer exports the exact sum) and the root (partial merges).
+func (e *roundEngine) streaming() bool { return e.reducer != nil || e.partialTier }
+
+// discard drops the open round and hands back the vectors it held.
+func (e *roundEngine) discard(agg *fl.Aggregator) {
+	agg.Discard()
+	e.release()
+}
+
+// release hands back every vector the closed round's aggregator held.
+func (e *roundEngine) release() {
+	for i, v := range e.held {
+		e.payloads.put(v)
+		e.held[i] = nil
+	}
+	e.held = e.held[:0]
+}
 
 // peer names the engine's contributors in error messages: clients on the
 // flat/edge tier, relays on the root tier.
@@ -188,9 +214,7 @@ func (e *roundEngine) run(ctx context.Context, startRound int) error {
 	agg := fl.NewAggregator(0)
 	defer agg.Close()
 	agg.SetReduction(e.reduction, e.trimFrac)
-	if e.reducer != nil || e.partialTier {
-		agg.SetStreaming(true)
-	}
+	agg.SetStreaming(e.streaming())
 
 	n := e.clients
 	st := &roundState{}
@@ -204,7 +228,7 @@ func (e *roundEngine) run(ctx context.Context, startRound int) error {
 		agg.Open(round, n)
 		count, err := e.collect(ctx, st, agg)
 		if err != nil {
-			agg.Discard()
+			e.discard(agg)
 			return err
 		}
 		reduceStart := time.Now()
@@ -229,7 +253,7 @@ func (e *roundEngine) run(ctx context.Context, startRound int) error {
 			var snap *wire.SnapshotMsg
 			msg, snap, err = e.reducer.reduceRound(ctx, round, agg, st.meta)
 			if err != nil {
-				agg.Discard()
+				e.discard(agg)
 				return err
 			}
 			if msg.Round > round {
@@ -237,7 +261,7 @@ func (e *roundEngine) run(ctx context.Context, startRound int) error {
 				// round's collected contributions are void — the upstream tier
 				// committed past them without this relay — and collection
 				// resumes after the jumped round.
-				agg.Discard()
+				e.discard(agg)
 				if err := e.sink.commitJump(msg, snap); err != nil {
 					return err
 				}
@@ -252,7 +276,9 @@ func (e *roundEngine) run(ctx context.Context, startRound int) error {
 				dim = 0
 			}
 			out := make([]float64, dim)
-			if _, ok := agg.Reduce(out); !ok {
+			_, ok := agg.Reduce(out)
+			e.release()
+			if !ok {
 				return protocolErrorf("round %d: all contributions withheld (total weight 0)", round)
 			}
 			if k, m := agg.LastTrim(); m > 0 {
@@ -372,6 +398,14 @@ func (e *roundEngine) collect(ctx context.Context, st *roundState, agg *fl.Aggre
 // upstream, so the agreement check spans relays exactly as it spans
 // clients. The tier decides only how admit folds.
 func (e *roundEngine) handle(ev event, st *roundState, agg *fl.Aggregator) error {
+	// An update's vector goes back as soon as it is handled, unless the
+	// aggregator kept it (admitted into a round that reduces later).
+	kept := false
+	defer func() {
+		if ev.upd != nil && !kept {
+			e.payloads.put(ev.upd.Payload)
+		}
+	}()
 	round := st.round
 	var at int
 	var hash uint64
@@ -419,6 +453,10 @@ func (e *roundEngine) handle(ev event, st *roundState, agg *fl.Aggregator) error
 		e.metrics.rejected.Inc()
 		e.sink.rejectUpdate(ev.id, round, err)
 		return nil
+	}
+	if ev.upd != nil && !e.streaming() {
+		e.held = append(e.held, ev.upd.Payload)
+		kept = true
 	}
 	// Positional averaging of compact payloads is only sound when every
 	// participant froze the same coordinates; disagreement is fatal in

@@ -540,3 +540,152 @@ func TestEngineHandleBothTiers(t *testing.T) {
 		})
 	}
 }
+
+// exportReducer is a relay face without an upstream: it exports the
+// round's exact partial and commits its mean, or jumps to round jumpTo.
+type exportReducer struct{ jumpTo int }
+
+func (r *exportReducer) reduceRound(_ context.Context, round int, agg *fl.Aggregator, _ roundMeta) (*GlobalMsg, *wire.SnapshotMsg, error) {
+	var p fl.Partial
+	count, _ := agg.ExportPartial(&p)
+	if r.jumpTo > round {
+		return &GlobalMsg{Round: r.jumpTo}, &wire.SnapshotMsg{Round: r.jumpTo}, nil
+	}
+	out := make([]float64, p.Dim())
+	p.Mean(out)
+	return &GlobalMsg{Round: round, Payload: out, Participants: count}, nil, nil
+}
+
+// recycled drains the pool and fails unless it handed back exactly the
+// given vectors, each once.
+func recycled(t *testing.T, p *payloadPool, want ...[]float64) {
+	t.Helper()
+	seen := map[*float64]int{}
+	for len(p.free) > 0 {
+		v := <-p.free
+		seen[&v[0]]++
+	}
+	for i, v := range want {
+		if seen[&v[0]] != 1 {
+			t.Errorf("vector %d handed back %d time(s), want once", i, seen[&v[0]])
+		}
+		delete(seen, &v[0])
+	}
+	if len(seen) != 0 {
+		t.Errorf("%d vector(s) handed back that no update carried", len(seen))
+	}
+}
+
+// TestEngineRecyclesEveryPayload: on every path an update can take through
+// the engine — stale, duplicate, rejected, streamed by a relay face,
+// reduced, discarded by a jump, aborted — its vector goes back to the pool
+// exactly once, and the vector of a kept update only after the aggregator
+// let go of it.
+func TestEngineRecyclesEveryPayload(t *testing.T) {
+	const dim = 2
+	vec := func(a, b float64) []float64 { v := make([]float64, dim); v[0], v[1] = a, b; return v }
+	upd := func(round int, v []float64, weight float64, hash uint64) *UpdateMsg {
+		return &UpdateMsg{Round: round, Payload: v, Weight: weight, MaskHash: hash}
+	}
+	type fed struct {
+		id  int
+		upd *UpdateMsg
+	}
+	for _, tc := range []struct {
+		name     string
+		engine   roundEngine
+		rounds   int
+		events   func(v [][]float64) []fed
+		vectors  int
+		wantErr  error
+		canceled bool
+	}{
+		{"reduced and stale", roundEngine{clients: 2}, 2, func(v [][]float64) []fed {
+			return []fed{{0, upd(0, v[0], 1, 0)}, {1, upd(0, v[1], 1, 0)},
+				{0, upd(0, v[2], 1, 0)}, // a re-send of the committed round
+				{0, upd(1, v[3], 1, 0)}, {1, upd(1, v[4], 1, 0)}}
+		}, 5, nil, false},
+		{"duplicate", roundEngine{clients: 2}, 1, func(v [][]float64) []fed {
+			return []fed{{0, upd(0, v[0], 1, 0)}, {0, upd(0, v[1], 1, 0)}, {1, upd(0, v[2], 1, 0)}}
+		}, 3, nil, false},
+		{"rejected", roundEngine{clients: 2, deadline: 20 * time.Millisecond, minClients: 1}, 1, func(v [][]float64) []fed {
+			return []fed{{0, upd(0, v[0], 1, 0)}, {1, upd(0, v[1], math.NaN(), 0)}}
+		}, 2, nil, false},
+		{"relay-streamed", roundEngine{clients: 2, reducer: &exportReducer{}}, 1, func(v [][]float64) []fed {
+			return []fed{{0, upd(0, v[0], 1, 0)}, {1, upd(0, v[1], 2, 0)}}
+		}, 2, nil, false},
+		{"discarded by a jump", roundEngine{clients: 2, reducer: &exportReducer{jumpTo: 3}}, 1, func(v [][]float64) []fed {
+			return []fed{{0, upd(0, v[0], 1, 0)}, {1, upd(0, v[1], 1, 0)}}
+		}, 2, nil, false},
+		{"aborted after admission", roundEngine{clients: 3}, 1, func(v [][]float64) []fed {
+			return []fed{{0, upd(0, v[0], 1, 5)}, {1, upd(0, v[1], 1, 6)}}
+		}, 2, ErrMaskDivergence, false},
+		{"aborted by cancellation", roundEngine{clients: 3}, 1, func(v [][]float64) []fed {
+			return []fed{{0, upd(0, v[0], 1, 0)}, {1, upd(0, v[1], 1, 0)}}
+		}, 2, context.Canceled, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pool := newPayloadPool(dim, 16)
+			vs := make([][]float64, tc.vectors)
+			for i := range vs {
+				vs[i] = vec(float64(i), float64(2*i))
+			}
+			reg := telemetry.New()
+			e := tc.engine
+			e.rounds, e.sink, e.payloads, e.metrics = tc.rounds, &testSink{}, pool, newEngineMetrics(reg)
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			events := make(chan event, 16)
+			e.events = events
+			done := make(chan error, 1)
+			go func() { done <- e.run(ctx, 0) }()
+			for _, f := range tc.events(vs) {
+				events <- event{id: f.id, upd: f.upd, maskGen: -1}
+			}
+			if tc.canceled {
+				for reg.Snapshot()[`apf_updates_total{result="accepted"}`] < 2 {
+					time.Sleep(time.Millisecond)
+				}
+				if len(pool.free) != 0 {
+					t.Fatal("a kept vector went back before the round closed")
+				}
+				cancel()
+			}
+			if err := <-done; !errors.Is(err, tc.wantErr) {
+				t.Fatalf("run: %v, want %v", err, tc.wantErr)
+			}
+			recycled(t, pool, vs...)
+		})
+	}
+}
+
+// TestEngineDuplicateNeverSharesAVector: a second update for the same
+// round on one connection goes back at once, while the admitted one stays
+// with the aggregator — so the next vector a reader takes is the
+// duplicate's, never the admitted slot's.
+func TestEngineDuplicateNeverSharesAVector(t *testing.T) {
+	pool := newPayloadPool(2, 2)
+	admitted, dup := pool.get(2), pool.get(2)
+	admitted[0], admitted[1], dup[0], dup[1] = 1, 2, 7, 9
+	sink := &testSink{}
+	e := &roundEngine{clients: 2, rounds: 1, sink: sink, payloads: pool}
+	err := runEngine(t, e, func(events chan<- event) {
+		events <- event{id: 0, upd: &UpdateMsg{Round: 0, Payload: admitted, Weight: 1}, maskGen: -1}
+		events <- event{id: 0, upd: &UpdateMsg{Round: 0, Payload: dup, Weight: 1}, maskGen: -1}
+		for len(pool.free) == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		next := pool.get(2)
+		if &next[0] != &dup[0] {
+			t.Error("the reader's next vector is not the duplicate's")
+		}
+		next[0], next[1] = 3, 4 // the next update overwrites it
+		events <- event{id: 1, upd: &UpdateMsg{Round: 0, Payload: next, Weight: 1}, maskGen: -1}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sink.commits[0].Payload; got[0] != 2 || got[1] != 3 {
+		t.Errorf("committed %v, want the mean of [1 2] and [3 4]", got)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"net"
 	"sync"
 	"testing"
@@ -22,7 +23,28 @@ import (
 // simulator (package fl) and through a real TCP cluster must produce the
 // bit-identical global model — every RNG stream, aggregation order, and
 // APF decision lines up.
+//
+// It runs twice: over tinyModel (dense layers only) and over a model with a
+// convolution, whose kernel the client reads through its flat model
+// (nn.BindFlat) — a layer that kept a view of its kernel from construction
+// would train on a stale copy and leave the simulator here.
 func TestTCPMatchesSimulatorBitExact(t *testing.T) {
+	for name, model := range map[string]fl.ModelFactory{"dense": tinyModel, "conv": tinyConvModel} {
+		t.Run(name, func(t *testing.T) { tcpMatchesSimulator(t, model) })
+	}
+}
+
+// tinyConvModel is tinyModel with a convolution in front of its head.
+func tinyConvModel(rng *rand.Rand) *nn.Network {
+	return nn.NewNetwork(
+		nn.NewConv2D(rng, "conv", 1, 2, 3, 1, 0),
+		nn.NewReLU(),
+		nn.NewFlatten(),
+		nn.NewDense(rng, "fc", 2*4*4, 3),
+	)
+}
+
+func tcpMatchesSimulator(t *testing.T, model fl.ModelFactory) {
 	const (
 		seed    = 61
 		clients = 3
@@ -59,13 +81,13 @@ func TestTCPMatchesSimulatorBitExact(t *testing.T) {
 		LocalIters: iters,
 		BatchSize:  batch,
 		Seed:       seed,
-	}, tinyModel, tinySGD, apfFactory(false), ds, parts, nil)
+	}, model, tinySGD, apfFactory(false), ds, parts, nil)
 	engine.Run()
 	simGlobal := engine.Global()
 
 	// Arm 2: a real TCP cluster with the identical configuration. The
 	// server starts from the same canonical init the engine derives.
-	initNet := tinyModel(stats.SplitRNG(seed, 1_000_000))
+	initNet := model(stats.SplitRNG(seed, 1_000_000))
 	init := nn.FlattenParams(initNet.Params(), nil)
 	srv, err := NewServer(ServerConfig{
 		Addr:       "127.0.0.1:0",
@@ -97,7 +119,7 @@ func TestTCPMatchesSimulatorBitExact(t *testing.T) {
 			results[i], errs[i] = RunClient(ctx, ClientConfig{
 				Addr:       srv.Addr().String(),
 				Name:       "eq",
-				Model:      tinyModel,
+				Model:      model,
 				Optimizer:  tinySGD,
 				Manager:    apfFactory(true),
 				Data:       ds,

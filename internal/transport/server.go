@@ -165,6 +165,10 @@ type Server struct {
 	// reducer replaces the engine's local reduction (the relay's upstream
 	// exchange); nil on the flat coordinator and the root.
 	reducer roundReducer
+	// payloads recycles the vectors client updates are decoded into
+	// (readers take, the engine hands back); nil on the root, whose peers
+	// send partial sums.
+	payloads *payloadPool
 
 	// metrics/wireM/log are instrumentation handles (no-ops unless
 	// ServerConfig injected a registry or logger).
@@ -259,6 +263,9 @@ func newServer(cfg ServerConfig, reducer roundReducer) (*Server, error) {
 		log:      telemetry.With(cfg.Log, "component", "server"),
 	}
 	s.ledger = ledger{dim: len(cfg.Init), keep: cfg.HistoryRounds, metrics: s.metrics}
+	if !cfg.root() {
+		s.payloads = newPayloadPool(len(cfg.Init), cfg.peers())
+	}
 	if cfg.Shadow != nil {
 		scfg := *cfg.Shadow
 		if scfg.Dim == 0 {
@@ -519,6 +526,7 @@ func (s *Server) Run(ctx context.Context) ([]float64, error) {
 		// reduction with the upstream exchange.
 		partialTier: s.cfg.root(),
 		reducer:     s.reducer,
+		payloads:    s.payloads,
 		// Config-driven, not negotiation-driven: a q16-capable server
 		// quantizes commits whether or not any client negotiated q16, so
 		// the committed trajectory never depends on who happens to be

@@ -542,17 +542,61 @@ func (s *Server) sendWelcome(sess *session, gen int, w *WelcomeMsg) error {
 	return writeMsg(cc, s.cfg.IOTimeout, w, &s.wireM)
 }
 
+// payloadPool is the free list of model-sized vectors that connection
+// readers decode updates into and the round engine hands back once the
+// aggregator no longer holds them. It keeps at most one vector per peer —
+// a round's worth; a vector handed back beyond that (a flood of re-sends)
+// goes to the collector. A reader asks only once a frame's header has
+// arrived, so an idle connection holds no vector.
+type payloadPool struct {
+	dim  int
+	free chan []float64
+}
+
+func newPayloadPool(dim, peers int) *payloadPool {
+	return &payloadPool{dim: dim, free: make(chan []float64, peers)}
+}
+
+// get returns a vector of n ≤ dim scalars, recycled when one is free; its
+// contents are undefined.
+func (p *payloadPool) get(n int) []float64 {
+	if n > p.dim {
+		return make([]float64, n)
+	}
+	select {
+	case v := <-p.free:
+		return v[:n]
+	default:
+		return make([]float64, n, p.dim)
+	}
+}
+
+// put hands a vector back for reuse. Nothing may touch it afterwards. A
+// nil pool (in-process engines) and vectors of another capacity are
+// ignored.
+func (p *payloadPool) put(v []float64) {
+	if p == nil || cap(v) != p.dim {
+		return
+	}
+	select {
+	case p.free <- v[:p.dim]:
+	default:
+	}
+}
+
 // reader decodes one connection's updates into the event stream until the
 // connection fails; then it detaches the session (a resumed connection has
-// a newer generation and is left alone).
+// a newer generation and is left alone). Dense payloads stream into the
+// server's recycled vectors, and so do sparse ones' dense expansions.
 func (s *Server) reader(sess *session, gen int, cc *countingConn) {
 	if s.cfg.root() {
 		s.relayReader(sess, gen, cc)
 		return
 	}
 	limit := modelPayloadLimit(len(s.cfg.Init))
+	fr := wire.FrameReader{Alloc: s.payloads.get}
 	for {
-		m, err := readMsg(cc, s.cfg.IOTimeout, limit, &s.wireM)
+		m, err := readFrom(&fr, cc, s.cfg.IOTimeout, limit, &s.wireM)
 		if err == nil {
 			switch u := m.(type) {
 			case *UpdateMsg:
@@ -567,7 +611,7 @@ func (s *Server) reader(sess *session, gen int, cc *countingConn) {
 						Round:    u.Round,
 						Weight:   u.Weight,
 						MaskHash: u.MaskHash,
-						Payload:  u.Floats(nil),
+						Payload:  u.Floats(s.payloads.get(0)),
 					}
 					s.post(event{id: sess.id, name: sess.name, upd: dense, maskGen: u.MaskGen})
 					continue

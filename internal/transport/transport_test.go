@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"math"
@@ -337,5 +338,112 @@ func TestTCPClusterWithQuantizedAPF(t *testing.T) {
 	full := int64(len(results[0].FinalModel) * 4 * 16)
 	if results[0].UpBytes >= full/2+1 {
 		t.Errorf("reported up bytes %d not below fp16 ceiling %d", results[0].UpBytes, full/2)
+	}
+}
+
+// TestServerFloodCannotGrowPayloadPool: a client flooding one round with
+// copies of its update makes the server decode every copy into a pooled
+// vector and hand each straight back, yet the free list never holds more
+// than one vector per peer, and the round commits the first copy.
+func TestServerFloodCannotGrowPayloadPool(t *testing.T) {
+	srv := startServer(t, 2, 1)
+	done := make(chan error, 1)
+	var final []float64
+	go func() {
+		var err error
+		final, err = srv.Run(context.Background())
+		done <- err
+	}()
+	a, b := dialRaw(t, srv.Addr().String()), dialRaw(t, srv.Addr().String())
+	defer a.conn.Close()
+	defer b.conn.Close()
+	a.send(&JoinMsg{Name: "flooder"})
+	a.welcome()
+	b.send(&JoinMsg{Name: "honest"})
+	b.welcome()
+	for i := 0; i < 40; i++ {
+		a.send(&UpdateMsg{Round: 0, Payload: []float64{1, 2, float64(3 + i)}, Weight: 1})
+		if n, c := len(srv.payloads.free), cap(srv.payloads.free); n > c || c != 2 {
+			t.Fatalf("free list holds %d of capacity %d, want at most one per peer (2)", n, c)
+		}
+	}
+	b.send(&UpdateMsg{Round: 0, Payload: []float64{3, 4, 5}, Weight: 1})
+	a.global()
+	b.global()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if final[0] != 2 || final[1] != 3 || final[2] != 4 {
+		t.Errorf("final model %v, want the mean of the first copy and the honest update", final)
+	}
+	if n := len(srv.payloads.free); n > 2 {
+		t.Errorf("free list holds %d vectors after the run, want at most 2", n)
+	}
+}
+
+// severFirstUpdate fails a connection's first update write, as a socket
+// dying under the push would, and records every update frame written: its
+// first byte's address and a copy of its bytes.
+type severFirstUpdate struct {
+	net.Conn
+	mu     *sync.Mutex
+	at     *[]*byte
+	frames *[][]byte
+}
+
+func (c *severFirstUpdate) Write(b []byte) (int, error) {
+	if wire.FrameKind(b) == wire.KindUpdate {
+		c.mu.Lock()
+		first := len(*c.at) == 0
+		*c.at = append(*c.at, &b[0])
+		*c.frames = append(*c.frames, append([]byte(nil), b...))
+		c.mu.Unlock()
+		if first {
+			c.Conn.Close()
+			return 0, net.ErrClosed
+		}
+	}
+	return c.Conn.Write(b)
+}
+
+// TestClientResendWritesSameFrame pins the client's upload: the in-flight
+// update is kept as its encoded frame, so the re-send after a reconnect
+// writes the very same buffer — same address, same bytes — without
+// training or encoding again.
+func TestClientResendWritesSameFrame(t *testing.T) {
+	ds := data.SynthImages(data.ImageConfig{Classes: 3, Channels: 1, Size: 6, Samples: 30, NoiseStd: 0.5, Seed: 5})
+	init := nn.FlattenParams(tinyModel(stats.SplitRNG(5, 99)).Params(), nil)
+	srv, err := NewServer(ServerConfig{Addr: "127.0.0.1:0", NumClients: 1, Rounds: 1, Init: init, RoundDeadline: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	serverErr := make(chan error, 1)
+	go func() {
+		_, err := srv.Run(ctx)
+		serverErr <- err
+	}()
+	var mu sync.Mutex
+	var at []*byte
+	var frames [][]byte
+	cfg := passthroughClient(srv.Addr().String(), ds, []int{0, 1, 2, 3})
+	cfg.SessionKey, cfg.MaxRetries, cfg.RetryBaseDelay = "resender", 3, time.Millisecond
+	cfg.Dial = func(network, addr string) (net.Conn, error) {
+		conn, err := net.DialTimeout(network, addr, 5*time.Second)
+		return &severFirstUpdate{Conn: conn, mu: &mu, at: &at, frames: &frames}, err
+	}
+	res, err := RunClient(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-serverErr; err != nil {
+		t.Fatal(err)
+	}
+	if res.Reconnects != 1 || len(at) != 2 {
+		t.Fatalf("%d reconnect(s), %d update write(s); want one severed push and its re-send", res.Reconnects, len(at))
+	}
+	if at[1] != at[0] || !bytes.Equal(frames[1], frames[0]) {
+		t.Error("the re-send wrote another frame than the severed push")
 	}
 }

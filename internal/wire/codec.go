@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"sync"
 
 	"apf/internal/checkpoint"
@@ -265,36 +266,151 @@ func WriteMsg(w io.Writer, m Msg) error {
 	return err
 }
 
-// ReadMsg reads exactly one frame from r and decodes it. limit bounds the
+// ReadMsg reads exactly one frame from r and decodes it: the zero
+// FrameReader's Read, whose dense payloads are freshly allocated.
+func ReadMsg(r io.Reader, limit int) (Msg, error) {
+	var fr FrameReader
+	return fr.Read(r, limit)
+}
+
+// frameChunk is the span of a dense payload a FrameReader holds at once.
+const frameChunk = 64 << 10
+
+// Fixed body fields ahead of a dense payload's float count: round, weight
+// and mask hash of an update; round and participants of a global.
+const (
+	updatePrefixLen = 24
+	globalPrefixLen = 16
+)
+
+// FrameReader reads frames off a stream. The dense kinds (KindUpdate,
+// KindGlobal) stream their floats through one reused 64 KiB chunk straight
+// into a destination the caller supplies, so a model-sized frame costs no
+// model-sized body buffer; every other kind is read whole and decoded as
+// Decode does. Errors are Decode's, with truncation reported as a
+// truncated header or frame. A FrameReader serves one stream at a time.
+type FrameReader struct {
+	// Alloc returns the destination for a dense payload of n floats (n > 0),
+	// called once the frame's header and fixed fields have arrived; nil
+	// allocates. The vector is filled before the checksum is verified: on
+	// any failure it is dropped, never handed out in a message.
+	Alloc func(n int) []float64
+
+	// head holds a frame's header, a dense kind's fixed fields and float
+	// count, and (last) its trailer; chunk is the span the floats stream
+	// through.
+	head  [headerLen + updatePrefixLen + 8 + trailerLen]byte
+	chunk []byte
+}
+
+// Read reads exactly one frame from r and decodes it. limit bounds the
 // declared payload length (≤ 0 means MaxPayload): an oversized header
 // fails with ErrTooLarge before any payload is read or allocated, so a
 // hostile peer cannot drive allocations past the caller's bound. An EOF
 // before the first header byte is io.EOF (clean connection shutdown); a
 // connection dying mid-frame surfaces as the underlying read error.
-func ReadMsg(r io.Reader, limit int) (Msg, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+func (fr *FrameReader) Read(r io.Reader, limit int) (Msg, error) {
+	hdr := fr.head[:]
+	if _, err := io.ReadFull(r, hdr[:headerLen]); err != nil {
 		if err == io.ErrUnexpectedEOF {
 			return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
 		}
 		return nil, err
 	}
-	kind, n, err := checkHeader(hdr[:], limit)
+	kind, n, err := checkHeader(hdr[:headerLen], limit)
 	if err != nil {
 		return nil, err
 	}
-	body := make([]byte, n+trailerLen)
-	if _, err := io.ReadFull(r, body); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("%w: truncated frame", ErrCorrupt)
-		}
-		return nil, err
+	prefix := 0
+	switch kind {
+	case KindUpdate:
+		prefix = updatePrefixLen
+	case KindGlobal:
+		prefix = globalPrefixLen
 	}
-	want := binary.LittleEndian.Uint32(body[n:])
-	sum := crc32.ChecksumIEEE(hdr[:])
-	sum = crc32.Update(sum, crc32.IEEETable, body[:n])
-	if sum != want {
+	if prefix == 0 || n < prefix+8 {
+		return readWhole(r, kind, n, hdr[:headerLen])
+	}
+	head := hdr[:headerLen+prefix+8]
+	if _, err := io.ReadFull(r, head[headerLen:]); err != nil {
+		return nil, truncated(err)
+	}
+	count := binary.LittleEndian.Uint64(head[len(head)-8:])
+	if uint64(n-prefix-8)/8 != count || (n-prefix-8)%8 != 0 {
+		// The count does not fill the body: the whole-body path names the
+		// damage exactly as Decode does.
+		return readWhole(r, kind, n, head)
+	}
+	sum := crc32.ChecksumIEEE(head)
+	var payload []float64
+	if count > 0 {
+		if payload, sum, err = fr.readFloats(r, int(count), sum); err != nil {
+			return nil, err
+		}
+	}
+	trailer := hdr[len(hdr)-trailerLen:]
+	if _, err := io.ReadFull(r, trailer); err != nil {
+		return nil, truncated(err)
+	}
+	if sum != binary.LittleEndian.Uint32(trailer) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	return decodeBody(kind, body[:n])
+	// The fixed fields, in readUpdate's and ReadGlobalBody's order.
+	fixed := checkpoint.NewReader(head[headerLen : len(head)-8])
+	if kind == KindGlobal {
+		return &GlobalMsg{Round: fixed.Int(), Participants: fixed.Int(), Payload: payload}, nil
+	}
+	return &UpdateMsg{Round: fixed.Int(), Weight: fixed.F64(), MaskHash: fixed.U64(), Payload: payload}, nil
+}
+
+// readFloats streams count little-endian float64s from r through the
+// chunk into a vector from Alloc, folding their bytes into the running
+// checksum sum.
+func (fr *FrameReader) readFloats(r io.Reader, count int, sum uint32) ([]float64, uint32, error) {
+	if want := min(8*count, frameChunk); len(fr.chunk) < want {
+		fr.chunk = make([]byte, want)
+	}
+	var dst []float64
+	if fr.Alloc != nil {
+		dst = fr.Alloc(count)
+	} else {
+		dst = make([]float64, count)
+	}
+	for rest := dst[:count]; len(rest) > 0; {
+		b := fr.chunk[:8*min(len(rest), len(fr.chunk)/8)]
+		if _, err := io.ReadFull(r, b); err != nil {
+			return nil, 0, truncated(err)
+		}
+		sum = crc32.Update(sum, crc32.IEEETable, b)
+		for i := range len(b) / 8 {
+			rest[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+		rest = rest[len(b)/8:]
+	}
+	return dst[:count], sum, nil
+}
+
+// readWhole reads the rest of a frame whose first len(head) bytes (the
+// header, maybe more) are already in head, verifies the checksum and
+// decodes the body.
+func readWhole(r io.Reader, kind Kind, n int, head []byte) (Msg, error) {
+	frame := make([]byte, headerLen+n+trailerLen)
+	copy(frame, head)
+	if _, err := io.ReadFull(r, frame[len(head):]); err != nil {
+		return nil, truncated(err)
+	}
+	end := headerLen + n
+	if crc32.ChecksumIEEE(frame[:end]) != binary.LittleEndian.Uint32(frame[end:]) {
+		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
+	}
+	return decodeBody(kind, frame[headerLen:end])
+}
+
+// truncated maps an end of stream inside a frame to ErrCorrupt and passes
+// any other read error through.
+func truncated(err error) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return fmt.Errorf("%w: truncated frame", ErrCorrupt)
+	}
+	return err
 }
