@@ -27,6 +27,13 @@
 //     ThresholdDecayFrac (§6.1, "stability threshold decay").
 //   - APF# and APF++ additionally freeze random unstable scalars
 //     (§5), with a fixed or a growing probability/length respectively.
+//
+// Because the freezing state is a pure function of the synchronized
+// trajectory, a server can hold it too without training anything. Follower
+// is the one replica that does: a Manager fed only committed aggregates.
+// Transport catch-up serves its captures (exported word by word from the
+// captured State, see recon.go), and the §9 server-side mask placement
+// (MaskServer) ships its mask.
 package core
 
 import (

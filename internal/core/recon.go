@@ -6,8 +6,8 @@ import (
 )
 
 // This file is the manager's reconciliation surface: exact per-word
-// generation tracking plus word-granular state export/import. A "word"
-// is 64 consecutive scalars (the freezing bitmap's word layout); the
+// generation tracking plus word-granular state export (from a State
+// snapshot) and import (into a live Manager). A "word" is 64 consecutive scalars (the freezing bitmap's word layout); the
 // generation of a word is round+1 of the last round that mutated any
 // synchronized state inside it (0 = never touched). Two deterministic
 // replicas of the same trajectory hold bit-identical word state
@@ -62,26 +62,20 @@ type SyncHeader struct {
 	LastRound   int
 }
 
-// Words returns the mask-word count of the model.
-func (m *Manager) Words() int { return len(m.wordGen) }
-
-// wordWidth returns how many scalars word w actually holds.
-func (m *Manager) wordWidth(w int) int {
-	n := m.cfg.Dim - w*64
+// wordWidth returns how many scalars word w of a dim-scalar model holds.
+func wordWidth(dim, w int) int {
+	n := dim - w*64
 	if n > 64 {
 		n = 64
 	}
 	return n
 }
 
-// fullWordBits returns the frozen-bitmap value meaning "every scalar
-// of word w is frozen" (trailing partial words keep their invalid high
-// bits zero).
-func (m *Manager) fullWordBits(w int) uint64 {
-	if n := m.wordWidth(w); n < 64 {
-		return 1<<uint(n) - 1
-	}
-	return ^uint64(0)
+// fullWordBits returns the bitmap word with one bit set for each scalar
+// word w holds: the frozen-bitmap value meaning "every scalar of word w is
+// frozen" (trailing partial words keep their invalid high bits zero).
+func fullWordBits(dim, w int) uint64 {
+	return ^uint64(0) >> uint(64-wordWidth(dim, w))
 }
 
 // touchUnfrozenWords stamps round's generation on every word with at
@@ -90,7 +84,7 @@ func (m *Manager) fullWordBits(w int) uint64 {
 func (m *Manager) touchUnfrozenWords(round int) {
 	g := uint32(round + 1)
 	for w, bits := range m.mask.Words() {
-		if bits != m.fullWordBits(w) {
+		if bits != fullWordBits(m.cfg.Dim, w) {
 			m.wordGen[w] = g
 		}
 	}
@@ -101,36 +95,33 @@ func (m *Manager) WordGens() []uint32 {
 	return append([]uint32(nil), m.wordGen...)
 }
 
-// ExportWordBlock copies word w's full synchronized state out of the
-// manager and the caller's canonical model vector x (which must be the
-// post-ApplyDownload model this manager last observed).
-func (m *Manager) ExportWordBlock(w int, x []float64) WordBlock {
-	m.checkDim(x)
-	if w < 0 || w >= len(m.wordGen) {
-		panic(fmt.Sprintf("core: word %d out of %d", w, len(m.wordGen)))
+// WordBlock copies word w's full synchronized state out of a snapshot and
+// the canonical model vector x it was taken with (the post-ApplyDownload
+// model of the same round). Catch-up exports a delta this way from a
+// captured state, without a live manager.
+func (s *State) WordBlock(w int, x []float64) WordBlock {
+	if len(x) != s.Dim {
+		panic(fmt.Sprintf("core: vector length %d does not match model dimension %d", len(x), s.Dim))
+	}
+	if w < 0 || w >= len(s.WordGen) {
+		panic(fmt.Sprintf("core: word %d out of %d", w, len(s.WordGen)))
 	}
 	lo := w * 64
-	n := m.wordWidth(w)
-	b := WordBlock{
+	n := wordWidth(s.Dim, w)
+	hi := lo + n
+	return WordBlock{
 		Word:        w,
-		Gen:         m.wordGen[w],
-		X:           append([]float64(nil), x[lo:lo+n]...),
-		Ref:         append([]float64(nil), m.ref[lo:lo+n]...),
-		LastCheck:   append([]float64(nil), m.lastCheck[lo:lo+n]...),
-		E:           make([]float64, n),
-		A:           make([]float64, n),
-		Period:      append([]float64(nil), m.period[lo:lo+n]...),
-		UnfreezeAt:  append([]int(nil), m.unfreezeAt[lo:lo+n]...),
-		RandomUntil: append([]int(nil), m.randomUntil[lo:lo+n]...),
+		Gen:         s.WordGen[w],
+		Seeded:      s.Tracker.Seeded[w] & fullWordBits(s.Dim, w),
+		X:           append([]float64(nil), x[lo:hi]...),
+		Ref:         append([]float64(nil), s.Ref[lo:hi]...),
+		LastCheck:   append([]float64(nil), s.LastCheck[lo:hi]...),
+		E:           append([]float64(nil), s.Tracker.E[lo:hi]...),
+		A:           append([]float64(nil), s.Tracker.A[lo:hi]...),
+		Period:      append([]float64(nil), s.Period[lo:hi]...),
+		UnfreezeAt:  append([]int(nil), s.UnfreezeAt[lo:hi]...),
+		RandomUntil: append([]int(nil), s.RandomUntil[lo:hi]...),
 	}
-	for k := 0; k < n; k++ {
-		e, a, seeded := m.tracker.ScalarState(lo + k)
-		b.E[k], b.A[k] = e, a
-		if seeded {
-			b.Seeded |= 1 << uint(k)
-		}
-	}
-	return b
 }
 
 // ApplyWordBlock overwrites word w's state from a block exported by a
@@ -142,7 +133,7 @@ func (m *Manager) ApplyWordBlock(b WordBlock, x []float64) error {
 	if b.Word < 0 || b.Word >= len(m.wordGen) {
 		return fmt.Errorf("core: word block %d out of %d words", b.Word, len(m.wordGen))
 	}
-	n := m.wordWidth(b.Word)
+	n := wordWidth(m.cfg.Dim, b.Word)
 	for name, l := range map[string]int{
 		"X": len(b.X), "Ref": len(b.Ref), "LastCheck": len(b.LastCheck),
 		"E": len(b.E), "A": len(b.A), "Period": len(b.Period),
@@ -167,15 +158,15 @@ func (m *Manager) ApplyWordBlock(b WordBlock, x []float64) error {
 	return nil
 }
 
-// SyncHeader exports the manager-global scalars.
-func (m *Manager) SyncHeader() SyncHeader {
+// SyncHeader exports the snapshot's manager-global scalars.
+func (s *State) SyncHeader() SyncHeader {
 	return SyncHeader{
-		Threshold:   m.threshold,
-		CheckCount:  m.checkCount,
-		Seen:        m.tracker.Seen(),
-		Initialized: m.initialized,
-		InitRound:   m.initRound,
-		LastRound:   m.lastRound,
+		Threshold:   s.Threshold,
+		CheckCount:  s.CheckCount,
+		Seen:        s.Tracker.Seen,
+		Initialized: s.Initialized,
+		InitRound:   s.InitRound,
+		LastRound:   s.LastRound,
 	}
 }
 

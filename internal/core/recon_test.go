@@ -66,14 +66,15 @@ func TestWordGenInvariant(t *testing.T) {
 		xb := make([]float64, dim)
 		driveRounds(behind, xb, 0, stop)
 		ga, gb := ahead.WordGens(), behind.WordGens()
+		sa, sb := ahead.Snapshot(), behind.Snapshot()
 		same := 0
 		for w := range ga {
 			if ga[w] != gb[w] {
 				continue
 			}
 			same++
-			ba := ahead.ExportWordBlock(w, xa)
-			bb := behind.ExportWordBlock(w, xb)
+			ba := sa.WordBlock(w, xa)
+			bb := sb.WordBlock(w, xb)
 			if !reflect.DeepEqual(ba, bb) {
 				t.Fatalf("stop %d: word %d has equal gen %d but different state", stop, w, ga[w])
 			}
@@ -101,10 +102,11 @@ func TestWordBlockDeltaRestoresReplica(t *testing.T) {
 	driveRounds(behind, xb, 0, stop)
 
 	ga, gb := ahead.WordGens(), behind.WordGens()
+	src := ahead.Snapshot()
 	moved := 0
 	for w := range ga {
 		if ga[w] != gb[w] {
-			if err := behind.ApplyWordBlock(ahead.ExportWordBlock(w, xa), xb); err != nil {
+			if err := behind.ApplyWordBlock(src.WordBlock(w, xa), xb); err != nil {
 				t.Fatalf("apply word block %d: %v", w, err)
 			}
 			moved++
@@ -113,7 +115,7 @@ func TestWordBlockDeltaRestoresReplica(t *testing.T) {
 	if moved == 0 {
 		t.Fatalf("trajectories at rounds %d vs %d share every word generation", rounds, stop)
 	}
-	if err := behind.ApplySyncHeader(ahead.SyncHeader()); err != nil {
+	if err := behind.ApplySyncHeader(src.SyncHeader()); err != nil {
 		t.Fatalf("apply sync header: %v", err)
 	}
 
@@ -181,14 +183,15 @@ func TestWordGenRandomizedStops(t *testing.T) {
 		xb := make([]float64, dim)
 		driveRounds(behind, xb, 0, stop)
 		ga, gb := ahead.WordGens(), behind.WordGens()
+		src := ahead.Snapshot()
 		for w := range ga {
 			if ga[w] != gb[w] {
-				if err := behind.ApplyWordBlock(ahead.ExportWordBlock(w, xa), xb); err != nil {
+				if err := behind.ApplyWordBlock(src.WordBlock(w, xa), xb); err != nil {
 					t.Fatalf("stop %d: apply word block %d: %v", stop, w, err)
 				}
 			}
 		}
-		if err := behind.ApplySyncHeader(ahead.SyncHeader()); err != nil {
+		if err := behind.ApplySyncHeader(src.SyncHeader()); err != nil {
 			t.Fatalf("stop %d: apply sync header: %v", stop, err)
 		}
 		if !reflect.DeepEqual(ahead.Snapshot(), behind.Snapshot()) {

@@ -2,20 +2,23 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
+
+	"apf/internal/bitset"
 )
 
 // Server-side mask placement (§9, "Placement of freezing mask
 // computation"): when client compute is the scarce resource (IoT devices),
 // the stability checking can run once on the FL server instead of N times
-// on the clients. The server drives a single Manager with the global model
-// trajectory — which is exactly the synchronized state every client-side
-// manager would observe, so the resulting masks are bit-identical to the
+// on the clients. The server follows the global model trajectory with a
+// Follower — exactly the synchronized state every client-side manager
+// would observe, so the resulting masks are bit-identical to the
 // client-side placement — and ships each client the *changes* to the mask
 // (§9: "instead of transmitting the full mask vector, we can otherwise
 // transfer a dense representation including change-indexes").
 //
-// MaskServer owns the manager; MaskClient is the thin per-client
+// MaskServer owns the follower; MaskClient is the thin per-client
 // SyncManager that applies rollbacks and accounts for the mask-delta
 // downlink bytes.
 
@@ -24,68 +27,54 @@ import (
 type MaskServer struct {
 	mu sync.Mutex
 
-	manager *Manager
-	x       []float64 // server-side replica of the synchronized state
+	follower *Follower
 
 	lastRound   int
-	lastChanged []int  // indices whose frozen bit flipped at lastRound
-	lastFrozen  []bool // full mask after lastRound
+	lastChanged int      // scalars whose frozen bit flipped at lastRound
+	lastWords   []uint64 // mask words governing lastRound+1
 }
 
 // NewMaskServer constructs the central mask computer with the same Config
 // an equivalent client-side Manager would use.
 func NewMaskServer(cfg Config) *MaskServer {
-	m := NewManager(cfg)
+	f := NewFollower(cfg)
 	return &MaskServer{
-		manager:   m,
-		x:         make([]float64, m.cfg.Dim),
+		follower:  f,
 		lastRound: -1,
+		lastWords: make([]uint64, (f.Dim()+63)/64),
 	}
 }
 
-// observe folds the round's aggregated global vector into the manager
-// (idempotently — the first caller for a round performs the work, the
-// remaining clients reuse the result) and returns the mask delta and the
-// full mask for the *next* round.
-func (s *MaskServer) observe(round int, global []float64) (changed []int, frozen []bool) {
+// observe folds the round's aggregated global vector into the follower
+// (once per round: the first caller performs the work, the remaining
+// clients reuse the result), copies the mask for the *next* round into
+// frozen, and returns how many scalars' frozen bit flipped. Rounds must
+// arrive in order from 0; a regression or a skipped round panics.
+func (s *MaskServer) observe(round int, global []float64, frozen *bitset.BitSet) (changed int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if round == s.lastRound {
-		return s.lastChanged, s.lastFrozen
-	}
 	if round < s.lastRound {
 		panic(fmt.Sprintf("core: mask server observed round %d after round %d", round, s.lastRound))
 	}
-
-	prev := s.lastFrozen
-	// Drive the embedded manager exactly like a client whose local state
-	// is the synchronized state: rollback is a no-op on it, and the
-	// stability check sees the same deltas every client-side manager
-	// would.
-	s.manager.PostIterate(round, s.x)
-	s.manager.ApplyDownload(round, s.x, global)
-
-	next := make([]bool, s.manager.cfg.Dim)
-	s.manager.refreshMask(round + 1)
-	for j := 0; j < s.manager.cfg.Dim; j++ {
-		next[j] = s.manager.mask.Get(j)
-	}
-
-	var delta []int
-	for j := range next {
-		was := prev != nil && prev[j]
-		if next[j] != was {
-			delta = append(delta, j)
+	if round > s.lastRound {
+		if err := s.follower.Observe(round, global); err != nil {
+			panic(fmt.Sprintf("core: mask server: %v", err))
 		}
+		s.lastChanged = 0
+		for i, w := range s.follower.NextMask().Words() {
+			s.lastChanged += bits.OnesCount64(w ^ s.lastWords[i])
+			s.lastWords[i] = w
+		}
+		s.lastRound = round
 	}
-	s.lastRound = round
-	s.lastChanged = delta
-	s.lastFrozen = next
-	return delta, next
+	for i, w := range s.lastWords {
+		frozen.SetWord(i, w)
+	}
+	return s.lastChanged
 }
 
 // Dim returns the model dimension.
-func (s *MaskServer) Dim() int { return s.manager.cfg.Dim }
+func (s *MaskServer) Dim() int { return s.follower.Dim() }
 
 // MaskClient is the client-side counterpart of a MaskServer: it freezes
 // and elides parameters exactly like a full Manager, but receives its mask
@@ -95,9 +84,8 @@ type MaskClient struct {
 	srv           *MaskServer
 	bytesPerValue int64
 
-	frozen []bool
+	frozen *bitset.BitSet
 	ref    []float64
-	// maskBytes accumulated into the next ApplyDownload's accounting.
 }
 
 // NewMaskClient constructs a client attached to srv.
@@ -108,80 +96,46 @@ func NewMaskClient(srv *MaskServer, bytesPerValue int) *MaskClient {
 	return &MaskClient{
 		srv:           srv,
 		bytesPerValue: int64(bytesPerValue),
-		frozen:        make([]bool, srv.Dim()),
+		frozen:        bitset.New(srv.Dim()),
 		ref:           make([]float64, srv.Dim()),
 	}
 }
 
+// unfrozenBytes is the wire cost of the scalars the current mask leaves
+// unfrozen.
+func (c *MaskClient) unfrozenBytes() int64 {
+	return int64(c.frozen.Len()-c.frozen.Count()) * c.bytesPerValue
+}
+
 // PostIterate rolls frozen scalars back to their reference values.
 func (c *MaskClient) PostIterate(_ int, x []float64) {
-	for j, f := range c.frozen {
-		if f {
-			x[j] = c.ref[j]
-		}
-	}
+	c.frozen.ApplyMasked(x, c.ref)
 }
 
 // PrepareUpload pushes the unfrozen scalars.
 func (c *MaskClient) PrepareUpload(_ int, x []float64) ([]float64, float64, int64) {
 	contrib := append([]float64(nil), x...)
-	unfrozen := 0
-	for j, f := range c.frozen {
-		if f {
-			contrib[j] = c.ref[j]
-		} else {
-			unfrozen++
-		}
-	}
-	return contrib, 1, int64(unfrozen) * c.bytesPerValue
+	c.frozen.ApplyMasked(contrib, c.ref)
+	return contrib, 1, c.unfrozenBytes()
 }
 
 // ApplyDownload pulls the unfrozen scalars, then fetches the round's mask
 // delta from the server; the delta's transfer cost (4 bytes per changed
-// index) is charged to the downlink, as §9 prescribes.
+// index) is charged to the downlink, as §9 prescribes. Afterwards x and
+// ref agree at every index, so a scalar the new mask freezes is pinned at
+// the value it just synchronized.
 func (c *MaskClient) ApplyDownload(round int, x, global []float64) int64 {
-	unfrozen := 0
-	for j, f := range c.frozen {
-		if f {
-			x[j] = c.ref[j]
-		} else {
-			x[j] = global[j]
-			c.ref[j] = global[j]
-			unfrozen++
-		}
-	}
-
-	changed, frozen := c.srv.observe(round, global)
-	copy(c.frozen, frozen)
-	for _, j := range changed {
-		if c.frozen[j] {
-			c.ref[j] = x[j] // value pinned while frozen
-		}
-	}
-	return int64(unfrozen)*c.bytesPerValue + int64(len(changed))*4
+	down := c.unfrozenBytes()
+	c.frozen.ApplyMasked(x, c.ref)
+	c.frozen.ApplyUnmasked(x, global)
+	c.frozen.ApplyUnmasked(c.ref, global)
+	changed := c.srv.observe(round, global, c.frozen)
+	return down + int64(changed)*4
 }
 
 // FrozenRatio reports the frozen fraction of the current mask.
-func (c *MaskClient) FrozenRatio() float64 {
-	n := 0
-	for _, f := range c.frozen {
-		if f {
-			n++
-		}
-	}
-	if len(c.frozen) == 0 {
-		return 0
-	}
-	return float64(n) / float64(len(c.frozen))
-}
+func (c *MaskClient) FrozenRatio() float64 { return c.frozen.Ratio() }
 
-// MaskWords renders the mask in bitset word layout for consistency tests.
-func (c *MaskClient) MaskWords() []uint64 {
-	words := make([]uint64, (len(c.frozen)+63)/64)
-	for j, f := range c.frozen {
-		if f {
-			words[j/64] |= 1 << (j % 64)
-		}
-	}
-	return words
-}
+// MaskWords returns the mask's bitset words (read-only) for consistency
+// tests.
+func (c *MaskClient) MaskWords() []uint64 { return c.frozen.Words() }

@@ -76,13 +76,31 @@ func TestMaskServerRejectsRoundRegression(t *testing.T) {
 	srv := NewMaskServer(Config{Dim: 2, CheckEveryRounds: 1})
 	c := NewMaskClient(srv, 4)
 	x := []float64{0, 0}
-	c.ApplyDownload(3, x, []float64{1, 1})
+	for round := 0; round <= 3; round++ {
+		c.ApplyDownload(round, x, []float64{1, 1})
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("round regression did not panic")
 		}
 	}()
 	c.ApplyDownload(1, x, []float64{1, 1})
+}
+
+// TestMaskServerRejectsRoundGap pins that the server's mask is a function
+// of the whole trajectory: a skipped round panics instead of shipping a
+// mask no client-side manager would hold.
+func TestMaskServerRejectsRoundGap(t *testing.T) {
+	srv := NewMaskServer(Config{Dim: 2, CheckEveryRounds: 1})
+	c := NewMaskClient(srv, 4)
+	x := []float64{0, 0}
+	c.ApplyDownload(0, x, []float64{1, 1})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("round gap did not panic")
+		}
+	}()
+	c.ApplyDownload(2, x, []float64{1, 1})
 }
 
 func TestMaskClientValidation(t *testing.T) {

@@ -214,16 +214,9 @@ func (t *EMATracker) Perturbation(j int) float64 {
 	return ratio(t.e[j], t.a[j])
 }
 
-// ScalarState returns scalar j's raw averages and seeded flag — the
-// per-scalar slice of the tracker state, used by O(diff) state
-// reconciliation to export only the scalars that actually changed.
-func (t *EMATracker) ScalarState(j int) (e, a float64, seeded bool) {
-	return t.e[j], t.a[j], t.seeded.Get(j)
-}
-
 // RestoreScalarState overwrites scalar j's averages and seeded flag,
-// keeping the seeded-count cache consistent. The counterpart of
-// ScalarState for importing a reconciliation delta.
+// keeping the seeded-count cache consistent: the per-scalar import of a
+// reconciliation delta.
 func (t *EMATracker) RestoreScalarState(j int, e, a float64, seeded bool) {
 	t.e[j] = e
 	t.a[j] = a
@@ -249,9 +242,8 @@ type EMAState struct {
 	A     []float64
 	Seen  int
 	// Seeded marks the scalars whose averages hold at least one genuine
-	// observation, in bitset word layout. A nil Seeded (a snapshot taken
-	// before per-scalar seeding existed) is interpreted with the old
-	// semantics: every scalar counts as seeded once anything was seen.
+	// observation, in bitset word layout; a restore refuses a bitmap of
+	// the wrong length, nil included.
 	Seeded []uint64
 }
 
@@ -278,20 +270,12 @@ func RestoreEMATracker(s EMAState) (*EMATracker, error) {
 	copy(t.e, s.E)
 	copy(t.a, s.A)
 	t.seen = s.Seen
-	switch {
-	case s.Seeded != nil:
-		seeded, err := bitset.FromWords(len(s.E), s.Seeded)
-		if err != nil {
-			return nil, fmt.Errorf("perturb: restore seeded bitmap: %w", err)
-		}
-		t.seeded = seeded
-		t.nseed = seeded.Count()
-	case s.Seen > 0:
-		for j := range t.e {
-			t.seeded.Set(j)
-		}
-		t.nseed = len(t.e)
+	seeded, err := bitset.FromWords(len(s.E), s.Seeded)
+	if err != nil {
+		return nil, fmt.Errorf("perturb: restore seeded bitmap: %w", err)
 	}
+	t.seeded = seeded
+	t.nseed = seeded.Count()
 	return t, nil
 }
 

@@ -238,6 +238,9 @@ func TestRestoreEMATrackerValidation(t *testing.T) {
 	if _, err := RestoreEMATracker(EMAState{Alpha: 1.5, E: []float64{1}, A: []float64{1}}); err == nil {
 		t.Error("accepted invalid alpha")
 	}
+	if _, err := RestoreEMATracker(EMAState{Alpha: 0.5, E: []float64{1}, A: []float64{1}, Seen: 1}); err == nil {
+		t.Error("accepted a snapshot without its seeded bitmap")
+	}
 }
 
 func TestWindowPerturbationAllMatchesScalar(t *testing.T) {

@@ -2,19 +2,22 @@ package transport
 
 // O(diff) resume: when a client's round has fallen off the server's
 // bounded replay history (ServerConfig.HistoryRounds), the
-// catch-up sub-protocol replaces the full-history replay. The server
-// keeps a shadow replica of the clients' deterministic manager state —
-// the manager is a pure function of the committed global trajectory, so
-// observing each commit reproduces every client's post-apply state bit
-// for bit — and a returning client reconciles against it in one of two
-// modes, chosen by its opening ResumeOffer:
+// catch-up sub-protocol replaces the full-history replay. With
+// ServerConfig.Shadow set, the ledger feeds every commit to a
+// core.Follower, the server's replica of the clients' deterministic
+// manager state — the manager is a pure function of the committed global
+// trajectory, so observing each commit reproduces every client's
+// post-apply state bit for bit. A resume takes a capture of it (model plus
+// manager snapshot), and the returning client reconciles against that
+// capture in one of two modes, chosen by its opening ResumeOffer:
 //
 //   - sketch (O(diff) bytes): the server streams rateless-IBLT cells
 //     coded over its (mask-word, generation) set until the client's
 //     decoder peels the symmetric difference; the client answers with
 //     the diff word indices and receives exactly those words' state
-//     (DeltaMsg). Cost scales with how much state actually changed,
-//     not with the absence length or the model size.
+//     (DeltaMsg), exported word by word from the captured snapshot.
+//     Cost scales with how much state actually changed, not with the
+//     absence length or the model size.
 //   - snapshot (O(dim) bytes): the full current model plus the
 //     checkpoint-encoded manager snapshot in one bounded frame.
 //     Cost is flat in the absence length; the fallback for stateless
@@ -24,7 +27,8 @@ package transport
 // Either mode ends with the client bit-identical to a never-severed
 // twin, because both rebuild the exact replica state the replay would
 // have produced. Server memory stays O(dim + sessions): the bounded
-// history plus one shadow manager.
+// history plus one follower (and the captures of conversations in
+// flight).
 
 import (
 	"errors"
@@ -61,15 +65,13 @@ const (
 	sketchBatchMax   = 1024
 )
 
-// reconManager is the manager surface sketch reconciliation needs:
-// per-word generation tracking plus word-granular state import/export
+// reconManager is the client manager surface sketch reconciliation
+// needs: per-word generation tracking plus word-granular state import
 // (core.Manager implements it). Structural, so transport carries no
 // hard dependency on the concrete manager.
 type reconManager interface {
 	WordGens() []uint32
-	ExportWordBlock(w int, x []float64) core.WordBlock
 	ApplyWordBlock(b core.WordBlock, x []float64) error
-	SyncHeader() core.SyncHeader
 	ApplySyncHeader(h core.SyncHeader) error
 }
 
@@ -81,89 +83,18 @@ type snapshotRestorer interface {
 	RestoreSnapshot(s *core.State) error
 }
 
-// shadow is the server-side replica of the clients' manager state,
-// advanced at every commit. The ledger owns it, so it is guarded by
-// Server.mu and a capture can never be ahead of or behind the committed
-// history.
-type shadow struct {
-	cfg core.Config
-	mgr *core.Manager
-	x   []float64
-	// round is the last committed round folded in (-1 none).
-	round int
-	// broken marks a replica that desynced (a committed payload it could
-	// not expand); captures then fall back to the stateless path.
-	broken bool
-}
-
-// newShadow builds the replica from the same core.Config every client
-// manager was built with (Seed included — random freezing draws from it).
-func newShadow(cfg core.Config) *shadow {
-	return &shadow{
-		cfg:   cfg,
-		mgr:   core.NewManager(cfg),
-		x:     make([]float64, cfg.Dim),
-		round: -1,
-	}
-}
-
-// observe folds one committed aggregate into the replica, exactly as
-// every client folds it: rollback on the synchronized state (a no-op
-// that refreshes the mask), compact-payload expansion when the commit
-// was mask-elided, then the download application that runs the
-// stability checking. Commits must arrive in round order with no gaps;
-// anything else desyncs the replica and marks it broken rather than
-// serving wrong state.
-func (sh *shadow) observe(g *GlobalMsg) {
-	if sh.broken || g.Round <= sh.round {
-		return
-	}
-	if g.Round != sh.round+1 {
-		sh.broken = true
-		return
-	}
-	sh.mgr.PostIterate(g.Round, sh.x)
-	dense := g.Payload
-	if len(dense) != len(sh.x) {
-		if sh.mgr.CompactLen(g.Round) != len(dense) {
-			sh.broken = true
-			return
-		}
-		dense = sh.mgr.ExpandDownload(g.Round, dense)
-	}
-	sh.mgr.ApplyDownload(g.Round, sh.x, dense)
-	sh.round = g.Round
-}
-
-// restore overwrites the replica from a snapshot frame (a relay
-// adopting the root's state after its own catch-up).
-func (sh *shadow) restore(round int, payload []float64, manager []byte) error {
-	st, err := checkpoint.DecodeManager(manager)
-	if err != nil {
-		return err
-	}
-	if err := sh.mgr.RestoreSnapshot(st); err != nil {
-		return err
-	}
-	copy(sh.x, payload)
-	sh.round = round
-	sh.broken = false
-	return nil
-}
-
 // catchupCapture is one atomic cut of the server's catch-up state
 // (ledger.capture), taken under Server.mu at resume time and then served
 // without locks: the conversation never blocks the round loop, and
 // commits that land meanwhile reach the client through its (already
 // positioned) writer queue.
 type catchupCapture struct {
-	cfg   core.Config
 	round int
 	// gen is the captured mask generation (-1 for the stateless path).
 	gen int
 	x   []float64
-	// state is the manager snapshot; nil on the stateless path, where
-	// only Round and x ship.
+	// state is the follower's manager snapshot; nil on the stateless path,
+	// where only Round and x ship. Sketch deltas are exported from it.
 	state *core.State
 }
 
@@ -296,27 +227,23 @@ func (s *Server) serveSketch(cc *countingConn, cap *catchupCapture) (string, err
 }
 
 // sendDelta closes a decoded sketch: the manager-global header plus the
-// full state of exactly the requested words, exported from a private
-// restore of the captured snapshot (the shared shadow keeps advancing
-// meanwhile). Indices are validated and deduplicated before any export,
-// so a hostile word list cannot amplify the response past one model.
+// full state of exactly the requested words, exported from the captured
+// snapshot (the follower keeps advancing meanwhile). Indices are validated
+// and deduplicated before any export, so a hostile word list cannot
+// amplify the response past one model.
 func (s *Server) sendDelta(cc *countingConn, cap *catchupCapture, words []int) error {
-	mgr, err := core.Restore(cap.cfg, cap.state)
-	if err != nil {
-		return fmt.Errorf("transport: restore capture for delta: %w", err)
-	}
-	total := mgr.Words()
+	total := len(cap.state.WordGen)
 	if len(words) > total {
 		return protocolErrorf("delta requests %d words, model has %d", len(words), total)
 	}
-	d := &wire.DeltaMsg{Round: cap.round, MaskGen: cap.gen, Header: mgr.SyncHeader()}
+	d := &wire.DeltaMsg{Round: cap.round, MaskGen: cap.gen, Header: cap.state.SyncHeader()}
 	seen := make(map[int]bool, len(words))
 	for _, w := range words {
 		if w < 0 || w >= total || seen[w] {
 			return protocolErrorf("delta word index %d out of range or duplicated", w)
 		}
 		seen[w] = true
-		d.Words = append(d.Words, mgr.ExportWordBlock(w, cap.x))
+		d.Words = append(d.Words, cap.state.WordBlock(w, cap.x))
 	}
 	return writeMsg(cc, s.cfg.IOTimeout, d, &s.wireM)
 }
@@ -479,7 +406,7 @@ func (r *clientRun) finishCatchUp(round, words int, mode string) {
 	nn.SetFlat(r.params, r.x)
 	from := r.applied
 	r.applied = round
-	r.inflight = nil
+	r.inflight = r.inflight[:0]
 	r.metrics.round.Set(float64(round))
 	switch mode {
 	case "sketch":

@@ -43,8 +43,8 @@ type serverState struct {
 	// strikes charged since the last rotation are lost with the crash.
 	Validator *validatorState
 	// HistoryBase is the round of History[0]; ShadowRound/Shadow/ShadowX
-	// persist the catch-up shadow replica (round -1 and empty when none was
-	// usable at snapshot time).
+	// persist the catch-up follower's round, manager state and model (round
+	// -1 and empty when it had nothing to capture at snapshot time).
 	HistoryBase int
 	ShadowRound int
 	Shadow      []byte

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"apf/internal/checkpoint"
+	"apf/internal/core"
 	"apf/internal/wire"
 )
 
@@ -23,22 +24,26 @@ type ledger struct {
 	// nil: none yet), for the stateless catch-up fallback and Run's result.
 	dense      []float64
 	denseRound int
-	// shadow replicates the clients' manager state (nil unless configured).
-	shadow  *shadow
-	metrics serverMetrics
+	// follower replicates the clients' manager state (nil unless
+	// ServerConfig.Shadow is set).
+	follower *core.Follower
+	metrics  serverMetrics
 }
 
 // done returns how many rounds have been committed; eviction does not
 // shrink it.
 func (l *ledger) done() int { return l.base + len(l.history) }
 
-// commit appends one committed aggregate, advancing the shadow replica and
+// commit appends one committed aggregate, advancing the follower and
 // evicting rounds beyond the retention window (and the log's gauges).
 // Evicting reallocates, so the dropped payloads actually become
 // collectable instead of staying pinned by the backing array.
 func (l *ledger) commit(g *GlobalMsg) {
-	if l.shadow != nil {
-		l.shadow.observe(g)
+	if f := l.follower; f != nil && g.Round > f.Round() {
+		// A commit the follower cannot fold (a gap, a compacted payload of
+		// the wrong length) desyncs it; captures then take the stateless
+		// path until a restore.
+		_ = f.Observe(g.Round, g.Payload)
 	}
 	if len(g.Payload) == l.dim {
 		l.dense = append(l.dense[:0], g.Payload...)
@@ -56,29 +61,33 @@ func (l *ledger) commit(g *GlobalMsg) {
 
 // jump replaces the log with an upstream snapshot's state (a relay that
 // fell off the root's history): rounds between the last commit and
-// g.Round never existed on this tier. The shadow adopts the snapshot's
-// manager state, or is marked broken when it carries none.
+// g.Round never existed on this tier. The follower adopts the snapshot's
+// manager state; a snapshot without (valid) manager state leaves it
+// desynced.
 func (l *ledger) jump(g *GlobalMsg, snap *wire.SnapshotMsg) {
-	if sh := l.shadow; sh != nil && (len(snap.Manager) == 0 || sh.restore(snap.Round, snap.Payload, snap.Manager) != nil) {
-		sh.broken = true
+	if f := l.follower; f != nil {
+		// Undecodable or absent manager state leaves st nil, and the failed
+		// Restore is what records the desync: captures go stateless.
+		st, _ := checkpoint.DecodeManager(snap.Manager)
+		_ = f.Restore(snap.Round, snap.Payload, st)
 	}
 	l.history, l.base = nil, g.Round
 	l.commit(g)
 }
 
 // restore rebuilds the log from a recovered checkpoint (snapshot history
-// plus WAL tail). The shadow comes back from its persisted state when one
-// exists and otherwise replays the history, which is only complete on an
-// unevicted log — a shadow that cannot see round 0 is marked broken rather
-// than desynced silently.
+// plus WAL tail). The follower comes back from its persisted state when
+// one exists and otherwise replays the history, which is only complete on
+// an unevicted log: a history that starts past round 0 is a gap, which
+// desyncs the follower rather than leaving it silently wrong.
 func (l *ledger) restore(st *serverState) error {
-	if sh := l.shadow; sh != nil {
-		if st.ShadowRound >= 0 && len(st.Shadow) > 0 {
-			if err := sh.restore(st.ShadowRound, st.ShadowX, st.Shadow); err != nil {
-				return fmt.Errorf("transport: restore shadow replica: %w", err)
-			}
-		} else if st.HistoryBase > 0 {
-			sh.broken = true
+	if f := l.follower; f != nil && st.ShadowRound >= 0 && len(st.Shadow) > 0 {
+		ms, err := checkpoint.DecodeManager(st.Shadow)
+		if err == nil {
+			err = f.Restore(st.ShadowRound, st.ShadowX, ms)
+		}
+		if err != nil {
+			return fmt.Errorf("transport: restore shadow replica: %w", err)
 		}
 	}
 	l.history, l.base = nil, st.HistoryBase
@@ -99,7 +108,7 @@ func (l *ledger) missed(have int) ([]GlobalMsg, bool) {
 	return l.history[have+1-l.base:], true
 }
 
-// capture cuts the current catch-up state: the shadow replica when it is
+// capture cuts the current catch-up state: the follower's when it is
 // current, else the newest dense commit when it is the last round. Nil
 // when neither exists, in which case a resume past the window is refused.
 func (l *ledger) capture() *catchupCapture {
@@ -107,13 +116,9 @@ func (l *ledger) capture() *catchupCapture {
 	if last < 0 {
 		return nil
 	}
-	if sh := l.shadow; sh != nil && !sh.broken && sh.round == last {
-		return &catchupCapture{
-			cfg:   sh.cfg,
-			round: last,
-			gen:   sh.mgr.MaskGeneration(),
-			x:     append([]float64(nil), sh.x...),
-			state: sh.mgr.Snapshot(),
+	if f := l.follower; f != nil && f.Round() == last {
+		if x, st, ok := f.Capture(); ok {
+			return &catchupCapture{round: last, gen: f.MaskGeneration(), x: x, state: st}
 		}
 	}
 	if l.dense != nil && l.denseRound == last {
@@ -137,9 +142,11 @@ func (l *ledger) persist(st *serverState) {
 	st.History = append([]GlobalMsg(nil), l.history...)
 	st.HistoryBase = l.base
 	st.ShadowRound = -1
-	if sh := l.shadow; sh != nil && !sh.broken && sh.round >= 0 {
-		st.ShadowRound = sh.round
-		st.Shadow = checkpoint.EncodeManager(sh.mgr.Snapshot())
-		st.ShadowX = append([]float64(nil), sh.x...)
+	if f := l.follower; f != nil {
+		if x, ms, ok := f.Capture(); ok {
+			st.ShadowRound = f.Round()
+			st.Shadow = checkpoint.EncodeManager(ms)
+			st.ShadowX = x
+		}
 	}
 }

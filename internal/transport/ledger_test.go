@@ -61,7 +61,7 @@ func (n *naiveLog) dense() ([]float64, int) {
 }
 
 // twinReplica is the state a client applying every commit holds — what a
-// healthy shadow must capture.
+// following follower must capture.
 type twinReplica struct {
 	mgr *core.Manager
 	x   []float64
@@ -75,13 +75,17 @@ func newTwin() *twinReplica {
 
 func (tw *twinReplica) apply(g *GlobalMsg) {
 	tw.mgr.PostIterate(g.Round, tw.x)
-	tw.mgr.ApplyDownload(g.Round, tw.x, g.Payload)
+	dense := g.Payload
+	if len(dense) != ledgerDim {
+		dense = tw.mgr.ExpandDownload(g.Round, dense)
+	}
+	tw.mgr.ApplyDownload(g.Round, tw.x, dense)
 }
 
 // checkLedger compares the ledger with its naive specification: done, the
 // missed replay for every cursor, the newest dense payload, and the
-// catch-up capture — the twin replica's state when the shadow must be
-// healthy (tw non-nil), else the stateless fallback.
+// catch-up capture — the twin replica's state when the follower must be
+// following (tw non-nil), else the stateless fallback.
 func checkLedger(t *testing.T, step string, l *ledger, n *naiveLog, tw *twinReplica) {
 	t.Helper()
 	if l.done() != n.done() {
@@ -148,13 +152,13 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
-// newTestLedger builds a ledger with an optional shadow replica.
+// newTestLedger builds a ledger with an optional follower.
 func newTestLedger(keep int, withShadow bool) *ledger {
 	l := &ledger{dim: ledgerDim, keep: keep}
 	if withShadow {
 		cfg := *resumeShadowConfig()
 		cfg.Dim = ledgerDim
-		l.shadow = newShadow(cfg)
+		l.follower = core.NewFollower(cfg)
 	}
 	return l
 }
@@ -192,8 +196,8 @@ func TestLedgerCommitEviction(t *testing.T) {
 
 // TestLedgerJump commits four rounds, jumps to an upstream snapshot of
 // round 8, and commits four more. A snapshot carrying manager state
-// restores the shadow to the upstream replica; one without it breaks the
-// shadow, and captures fall back to the newest dense commit.
+// restores the follower to the upstream replica; one without it desyncs
+// the follower, and captures fall back to the newest dense commit.
 func TestLedgerJump(t *testing.T) {
 	for _, tc := range []struct {
 		name                 string
@@ -242,8 +246,8 @@ func TestLedgerJump(t *testing.T) {
 				tw = up
 			case tc.withShadow:
 				tw = nil
-				if l.shadow == nil || !l.shadow.broken {
-					t.Fatal("a stateless snapshot left the shadow unbroken")
+				if _, _, ok := l.follower.Capture(); ok {
+					t.Fatal("a stateless snapshot left the follower following")
 				}
 			}
 			checkLedger(t, "jump to 8", l, n, tw)
@@ -256,9 +260,9 @@ func TestLedgerJump(t *testing.T) {
 
 // TestLedgerRestore persists a live ledger at round 5, commits a WAL tail
 // of rounds 6…9, and restores a fresh ledger from snapshot + tail, as
-// recovery does. The shadow comes back from its persisted state, or —
+// recovery does. The follower comes back from its persisted state, or —
 // when none was persisted — by replaying the history from round 0, or is
-// broken when eviction dropped round 0. The restored ledger must then
+// desynced when eviction dropped round 0. The restored ledger must then
 // keep matching its specification through further commits.
 func TestLedgerRestore(t *testing.T) {
 	for _, tc := range []struct {
@@ -266,7 +270,7 @@ func TestLedgerRestore(t *testing.T) {
 		keep          int
 		withShadow    bool
 		persistShadow bool
-		healthy       bool // the restored shadow must capture the twin
+		healthy       bool // the restored follower must capture the twin
 	}{
 		{"no shadow", 3, false, false, false},
 		{"persisted shadow", 3, true, true, true},
@@ -317,6 +321,84 @@ func TestLedgerRestore(t *testing.T) {
 					tw.apply(g)
 				}
 				checkLedger(t, fmt.Sprintf("commit %d after restore", r), restored, n, tw)
+			}
+		})
+	}
+}
+
+// TestLedgerFollowerDesync feeds the follower what it cannot fold — a
+// compacted commit of the wrong length, or a recovered history that starts
+// past round 0 (a gap) — and checks that captures turn stateless and stay
+// so through later commits, until a jump to a snapshot carrying manager
+// state restores the follower, after which they match the upstream twin
+// bit for bit again.
+func TestLedgerFollowerDesync(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		start func(l *ledger, n *naiveLog)
+	}{
+		{"wrong-length compacted commit", func(l *ledger, n *naiveLog) {
+			tw := newTwin()
+			for r := 0; r < 6; r++ {
+				g := &GlobalMsg{Round: r, Participants: 2, Payload: ledgerPayload(r, false)}
+				l.commit(g)
+				tw.apply(g)
+				n.all = append(n.all, *g)
+			}
+			bad := tw.mgr.CompactLen(6) + 1 // neither the round's compacted length nor dense
+			if bad == ledgerDim {
+				bad -= 2
+			}
+			g := &GlobalMsg{Round: 6, Participants: 2, Payload: make([]float64, bad)}
+			l.commit(g)
+			n.all = append(n.all, *g)
+		}},
+		{"gap", func(l *ledger, n *naiveLog) {
+			st := serverState{HistoryBase: 3, ShadowRound: -1}
+			for r := 3; r < 7; r++ {
+				st.History = append(st.History, GlobalMsg{Round: r, Participants: 2, Payload: ledgerPayload(r, false)})
+			}
+			if err := l.restore(&st); err != nil {
+				t.Fatal(err)
+			}
+			n.start, n.all = 3, append([]GlobalMsg(nil), st.History...)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := newTestLedger(0, true)
+			n := &naiveLog{}
+			tc.start(l, n)
+			checkLedger(t, "desynced", l, n, nil)
+			for r := 7; r < 9; r++ {
+				g := &GlobalMsg{Round: r, Participants: 2, Payload: ledgerPayload(r, false)}
+				l.commit(g)
+				n.all = append(n.all, *g)
+				checkLedger(t, fmt.Sprintf("commit %d while desynced", r), l, n, nil)
+				if cap := l.capture(); cap.state != nil {
+					t.Fatalf("commit %d: desynced follower served a stateful capture", r)
+				}
+			}
+
+			up := newTwin()
+			for r := 0; r <= 12; r++ {
+				up.apply(&GlobalMsg{Round: r, Payload: ledgerPayload(100+r, false)})
+			}
+			snap := &wire.SnapshotMsg{Round: 12, MaskGen: up.mgr.MaskGeneration(),
+				Payload: append([]float64(nil), up.x...), Manager: checkpoint.EncodeManager(up.mgr.Snapshot())}
+			g := &GlobalMsg{Round: snap.Round, Payload: snap.Payload}
+			l.jump(g, snap)
+			n.start, n.all = snap.Round, []GlobalMsg{*g}
+			checkLedger(t, "jump to 12", l, n, up)
+			for r := 13; r < 16; r++ {
+				p := ledgerPayload(r, false)
+				if r == 14 { // compacted against the mask every replica holds
+					p = append([]float64(nil), up.mgr.CompactUpload(r, p)...)
+				}
+				g := &GlobalMsg{Round: r, Participants: 2, Payload: p}
+				l.commit(g)
+				n.all = append(n.all, *g)
+				up.apply(g)
+				checkLedger(t, fmt.Sprintf("commit %d after the jump", r), l, n, up)
 			}
 		})
 	}

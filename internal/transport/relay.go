@@ -52,7 +52,7 @@ type RelayConfig struct {
 	CheckpointDir string
 	SnapshotEvery int
 	// HistoryRounds/Shadow configure the downward face's bounded replay
-	// history and catch-up shadow replica, exactly as on ServerConfig. A
+	// history and catch-up follower, exactly as on ServerConfig. A
 	// relay that falls off the ROOT's history catches up through the same
 	// protocol (always snapshot mode — the relay leg carries no manager
 	// state of its own) and propagates the adopted snapshot downstream.

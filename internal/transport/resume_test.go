@@ -816,7 +816,6 @@ func TestCatchUpFutureGenerationRejected(t *testing.T) {
 		cfg.Dim = 128
 		mgr := core.NewManager(cfg)
 		cap := &catchupCapture{
-			cfg:   cfg,
 			round: 10,
 			gen:   mgr.MaskGeneration(),
 			x:     make([]float64, cfg.Dim),

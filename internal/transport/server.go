@@ -105,8 +105,8 @@ type ServerConfig struct {
 	HistoryRounds int
 	// Shadow, when non-nil, is the core manager configuration every
 	// client was built with (Dim may be left 0; it is filled from Init).
-	// The server then maintains a shadow replica of the deterministic
-	// manager state — advanced at every commit — which powers the
+	// The server then feeds every commit to a core.Follower, a replica of
+	// the clients' deterministic manager state, which powers the
 	// stateful catch-up modes: sketch reconciliation and manager-carrying
 	// snapshots. Nil restricts catch-up to the stateless snapshot (model
 	// payload only), which suffices for stateless clients and relays.
@@ -276,7 +276,7 @@ func newServer(cfg ServerConfig, reducer roundReducer) (*Server, error) {
 			return nil, fmt.Errorf("transport: shadow dimension %d conflicts with model dimension %d",
 				scfg.Dim, len(cfg.Init))
 		}
-		s.ledger.shadow = newShadow(scfg)
+		s.ledger.follower = core.NewFollower(scfg)
 	}
 	if cfg.Validator != nil {
 		vcfg := *cfg.Validator

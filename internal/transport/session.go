@@ -454,7 +454,7 @@ func (s *Server) resume(sess *session, cc *countingConn, join *JoinMsg) {
 	if !replay {
 		if cap = s.ledger.capture(); cap == nil {
 			// Evicted past the client's round and no consistent capture to
-			// serve (broken shadow, no dense commit): refuse the resume.
+			// serve (desynced follower, no dense commit): refuse the resume.
 			s.mu.Unlock()
 			s.log.Warn("catch-up refused: no capture", "client", sess.id, "name", sess.name,
 				"have_round", join.HaveRound)
