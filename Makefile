@@ -77,7 +77,7 @@ crashtest:
 # (`bash bench/run.sh --trace 1`); what these paths must never do (allocate
 # at steady state) is pinned in tier-1.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkManagerRound$$|BenchmarkAggregate$$|BenchmarkPartialFold$$|BenchmarkWireDense$$|BenchmarkFrameRead$$|BenchmarkAggregatorAdd$$|BenchmarkTrainStep$$' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkManagerRound$$|BenchmarkAggregate$$|BenchmarkPartialFold$$|BenchmarkWireDense$$|BenchmarkFrameRead$$|BenchmarkAggregatorAdd$$|BenchmarkTrainStep$$|BenchmarkEngineRound$$' -benchmem .
 
 # Scenario smoke: the CI subset of the adversary × network × data matrix,
 # race-enabled, over the real TCP transport. The run enforces the

@@ -24,6 +24,7 @@ import (
 	"apf/internal/fl"
 	"apf/internal/nn"
 	"apf/internal/perturb"
+	"apf/internal/preset"
 	"apf/internal/quantize"
 	"apf/internal/telemetry"
 	"apf/internal/telemetry/hooks"
@@ -368,35 +369,31 @@ func BenchmarkHalfRoundTrip(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineRound measures one full federated round (3 clients, MLP)
-// through the public facade.
+// BenchmarkEngineRound measures one round of the in-process simulator
+// (fl.Engine) at converge's shape: the lenet preset, 4 clients with an APF
+// manager, 8 local iterations of batch 20. One op is one round of a single
+// long run, so the replicas are built once, outside the timer; the time is
+// dominated by the simulator's local step.
 func BenchmarkEngineRound(b *testing.B) {
 	const seed = 6
-	pool := apf.SynthImages(apf.ImageConfig{
-		Classes: 4, Channels: 1, Size: 8, Samples: 240, NoiseStd: 0.6, Seed: seed,
-	})
-	parts := [][]int{{}, {}, {}}
-	for i := 0; i < pool.Len(); i++ {
-		parts[i%3] = append(parts[i%3], i)
+	p, err := preset.Load("lenet", seed)
+	if err != nil {
+		b.Fatal(err)
 	}
-	model := func(rng *rand.Rand) *apf.Network {
-		return apf.NewNetwork(
-			apf.NewFlatten(),
-			apf.NewDense(rng, "fc1", 64, 24),
-			apf.NewTanh(),
-			apf.NewDense(rng, "fc2", 24, 4),
-		)
+	parts := make([][]int, 4)
+	for i := 0; i < p.Data.Len(); i++ {
+		parts[i%4] = append(parts[i%4], i)
 	}
-	optimizer := func(p []*apf.Param) apf.Optimizer { return apf.NewSGD(p, 0.3, 0, 0) }
+	mf := func(_, dim int) fl.SyncManager {
+		c := preset.APFConfig(seed)
+		c.Dim = dim
+		return core.NewManager(c)
+	}
+	cfg := fl.Config{Rounds: b.N, LocalIters: 8, BatchSize: p.Batch, Seed: seed}
+	e := fl.New(cfg, p.Model, p.Optimizer, mf, p.Data, parts, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg := apf.EngineConfig{Rounds: 1, LocalIters: 4, BatchSize: 16, Seed: seed}
-		e := apf.NewEngine(cfg, model, optimizer,
-			apf.ManagerFactoryFor(apf.ManagerConfig{CheckEveryRounds: 2, Seed: seed}),
-			pool, parts, nil)
-		e.Run()
-	}
+	e.Run()
 }
 
 // BenchmarkDenseForwardBackward measures a 256→128 dense layer pass.

@@ -3,6 +3,7 @@ package fl
 import (
 	"fmt"
 	"math"
+	"math/rand"
 
 	"apf/internal/data"
 	"apf/internal/nn"
@@ -119,20 +120,14 @@ func (r *Result) EvaluatedRounds() []RoundMetrics {
 	return out
 }
 
-// client is one simulated edge device.
+// client is one simulated edge device: its replica plus the round's
+// outputs, read by the server between barriers.
 type client struct {
-	id      int
-	net     *nn.Network
-	params  []*nn.Param
-	optim   opt.Optimizer
-	batcher *data.Batcher
-	manager SyncManager
+	*Replica
+	id    int
+	iters int  // local iterations per round (fewer for a straggler)
+	drop  bool // a straggler excluded from aggregation
 
-	x          []float64 // flat model scratch
-	roundStart []float64 // round-start snapshot for FedProx
-	work       float64
-
-	// Per-round outputs, read by the server between barriers.
 	contrib []float64
 	weight  float64
 	up      int64
@@ -167,32 +162,25 @@ func New(cfg Config, model ModelFactory, optimizer OptimizerFactory, mf ManagerF
 		panic("fl: need at least one client")
 	}
 
-	// One canonical initialization shared by every replica.
-	initNet := model(stats.SplitRNG(cfg.Seed, 1_000_000))
-	initVec := nn.FlattenParams(initNet.Params(), nil)
+	// One canonical initialization shared by every replica. The eval
+	// network's parameters are overwritten before every evaluation.
+	initVec := InitVector(model, cfg.Seed)
 	dim := len(initVec)
 
 	e := &Engine{cfg: cfg, test: test, dim: dim}
 	e.global = append([]float64(nil), initVec...)
-	e.evalNet = initNet
+	e.evalNet = model(rand.New(rand.NewSource(cfg.Seed)))
 
 	for i, indices := range parts {
-		net := model(stats.SplitRNG(cfg.Seed, int64(2_000_000+i)))
-		params := net.Params()
-		nn.SetFlat(params, initVec)
-		work := 1.0
-		if len(cfg.WorkFractions) > 0 {
-			work = cfg.WorkFractions[i]
+		rep, err := NewReplica(i, cfg.Seed, initVec, model, optimizer, mf, train, indices, cfg.BatchSize)
+		if err != nil {
+			panic("fl: " + err.Error())
 		}
-		c := &client{
-			id:      i,
-			net:     net,
-			params:  params,
-			optim:   optimizer(params),
-			batcher: data.NewBatcher(train, indices, cfg.BatchSize, stats.SplitRNG(cfg.Seed, int64(3_000_000+i))),
-			manager: mf(i, dim),
-			x:       make([]float64, dim),
-			work:    work,
+		rep.prox, rep.schedule = cfg.Prox, cfg.LRSchedule
+		c := &client{Replica: rep, id: i, iters: cfg.LocalIters}
+		if len(cfg.WorkFractions) > 0 && cfg.WorkFractions[i] < 1 {
+			c.iters = max(1, int(math.Round(cfg.WorkFractions[i]*float64(cfg.LocalIters))))
+			c.drop = cfg.DropStragglers
 		}
 		e.clients = append(e.clients, c)
 	}
@@ -226,13 +214,7 @@ func (e *Engine) Run() *Result {
 
 	for round := 0; round < e.cfg.Rounds; round++ {
 		active := e.activeSet(round)
-		e.parallel(func(c *client) {
-			if active[c.id] {
-				e.localPhase(c, round)
-			} else {
-				e.idlePhase(c, round)
-			}
-		})
+		e.parallel(func(c *client) { e.localPhase(c, round, active[c.id]) })
 
 		// Server aggregation: weighted mean of the contributions, sharded
 		// over the pool and double-buffered (aggBuf holds the previous
@@ -247,14 +229,13 @@ func (e *Engine) Run() *Result {
 		}
 
 		e.parallel(func(c *client) {
-			c.down = c.manager.ApplyDownload(round, c.x, e.global)
+			c.down = c.Manager.ApplyDownload(round, c.X, e.global)
 			if !active[c.id] {
 				// An inactive client's manager observes the broadcast for
 				// state continuity, but no bytes cross its link this
 				// round (it pulls the latest state when it rejoins).
 				c.down = 0
 			}
-			nn.SetFlat(c.params, c.x)
 		})
 
 		m := RoundMetrics{
@@ -270,7 +251,7 @@ func (e *Engine) Run() *Result {
 			m.DownBytes += c.down
 			m.PerClientUpBytes[i] = c.up
 			m.PerClientDownBytes[i] = c.down
-			if fr, ok := As[FrozenRatioReporter](c.manager); ok {
+			if fr, ok := As[FrozenRatioReporter](c.Manager); ok {
 				frozenSum += fr.FrozenRatio()
 			}
 			if len(e.cfg.TrackParams) > 0 {
@@ -322,82 +303,30 @@ func (e *Engine) activeSet(round int) []bool {
 	return active
 }
 
-// idlePhase is the round body of a non-participating client: no training,
-// no upload; the local flat vector is refreshed so managers and trackers
-// see consistent state.
-func (e *Engine) idlePhase(c *client, round int) {
-	c.x = nn.FlattenParams(c.params, c.x)
-	if n := len(e.cfg.TrackParams); n > 0 {
-		c.tracked = make([]float64, n)
-		for t, j := range e.cfg.TrackParams {
-			c.tracked[t] = c.x[j]
-		}
-	}
-	c.contrib, c.weight, c.up = nil, 0, 0
-}
-
 // parallel runs fn for every client across the run's worker pool and waits.
 func (e *Engine) parallel(fn func(c *client)) {
 	e.pool.Do(len(e.clients), func(i int) { fn(e.clients[i]) })
 }
 
-// localPhase runs one client's local iterations and prepares its upload.
-func (e *Engine) localPhase(c *client, round int) {
-	iters := e.cfg.LocalIters
-	if c.work < 1 {
-		iters = int(math.Round(c.work * float64(e.cfg.LocalIters)))
-		if iters < 1 {
-			iters = 1
-		}
+// localPhase runs one client's round before aggregation: its local
+// iterations and upload when it is active, and the values of
+// Config.TrackParams it ends the phase with either way.
+func (e *Engine) localPhase(c *client, round int, active bool) {
+	c.contrib, c.weight, c.up = nil, 0, 0
+	if active {
+		c.Train(round, c.iters, round*e.cfg.LocalIters)
 	}
-
-	if e.cfg.Prox > 0 {
-		c.roundStart = nn.FlattenParams(c.params, c.roundStart)
-	}
-
-	for i := 0; i < iters; i++ {
-		k := round*e.cfg.LocalIters + i
-		if e.cfg.LRSchedule != nil {
-			c.optim.SetLR(e.cfg.LRSchedule.LRAt(k))
-		}
-		xb, yb := c.batcher.Next()
-		nn.ZeroGrads(c.params)
-		c.net.LossGrad(xb, yb)
-		if e.cfg.Prox > 0 {
-			e.addProximal(c)
-		}
-		c.optim.Step()
-
-		c.x = nn.FlattenParams(c.params, c.x)
-		c.manager.PostIterate(round, c.x)
-		nn.SetFlat(c.params, c.x)
-	}
-
 	if n := len(e.cfg.TrackParams); n > 0 {
 		c.tracked = make([]float64, n)
 		for t, j := range e.cfg.TrackParams {
-			c.tracked[t] = c.x[j]
+			c.tracked[t] = c.X[j]
 		}
 	}
-
-	contrib, weight, up := c.manager.PrepareUpload(round, c.x)
-	if e.cfg.DropStragglers && c.work < 1 {
-		weight = 0
-	}
-	c.contrib, c.weight, c.up = contrib, weight, up
-}
-
-// addProximal adds μ(x − x_round) to the gradients (FedProx, §7.7).
-func (e *Engine) addProximal(c *client) {
-	off := 0
-	for _, p := range c.params {
-		n := p.Data.Size()
-		if p.Trainable {
-			for j := 0; j < n; j++ {
-				p.Grad.Data[j] += e.cfg.Prox * (p.Data.Data[j] - c.roundStart[off+j])
-			}
+	if active {
+		c.contrib, c.weight, c.up = c.Manager.PrepareUpload(round, c.X)
+		if c.drop {
+			c.weight = 0
 		}
-		off += n
 	}
 }
 

@@ -75,12 +75,11 @@ func Load(name string, seed int64) (Preset, error) {
 	}
 }
 
-// InitVector returns the canonical initial flat model for (preset, seed):
-// the server distributes exactly this vector, so every deployment starts
-// from the same point.
+// InitVector returns the canonical initial flat model for (preset, seed),
+// fl.InitVector's: the server distributes it, so every deployment starts
+// where the simulator starts at the same seed.
 func (p Preset) InitVector(seed int64) []float64 {
-	net := p.Model(rand.New(rand.NewSource(seed)))
-	return nn.FlattenParams(net.Params(), nil)
+	return fl.InitVector(p.Model, seed)
 }
 
 // APFConfig is the APF manager configuration of a deployment: every

@@ -2,7 +2,10 @@ package preset
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
+
+	"apf/internal/fl"
 )
 
 func TestLoadAllPresets(t *testing.T) {
@@ -86,5 +89,21 @@ func TestPresetDataShared(t *testing.T) {
 		if a.Data.X.Data[i] != b.Data.X.Data[i] {
 			t.Fatal("preset data not deterministic")
 		}
+	}
+}
+
+// TestInitVectorMatchesSimulator: a deployment seeded s (apf-server -seed s)
+// starts from the model the simulator starts from at seed s.
+func TestInitVectorMatchesSimulator(t *testing.T) {
+	const seed = 3
+	p, err := Load("lenet", seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	passthrough := func(int, int) fl.SyncManager { return fl.NewPassthroughManager(8) }
+	e := fl.New(fl.Config{Rounds: 1, LocalIters: 1, BatchSize: p.Batch, Seed: seed},
+		p.Model, p.Optimizer, passthrough, p.Data, [][]int{{0, 1}}, nil)
+	if !slices.Equal(p.InitVector(seed), e.Global()) {
+		t.Fatal("preset init differs from the simulator's initial global model")
 	}
 }

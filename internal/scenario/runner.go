@@ -251,8 +251,7 @@ func RunTrial(cfgIn Config, trial int) (*TrialResult, error) {
 	faults, severs := buildFaults(cfg, tseed)
 	script := chaos.NewScript(tseed, faults...)
 
-	initNet := tinyNet(stats.SplitRNG(tseed, 1_000_000))
-	init := nn.FlattenParams(initNet.Params(), nil)
+	init := fl.InitVector(tinyNet, tseed)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
@@ -521,8 +520,8 @@ func oracleApplies(cfg Config) bool {
 }
 
 // runOracle replays the trial through the fl simulator and requires the
-// TCP final model to match bit-exactly (modulo the usual FMA-free
-// float64 path, which in practice means every scalar identical).
+// TCP final model to match bit for bit: both arms train the same fl.Replica
+// and fold with the same exact mean.
 func runOracle(cfg Config, tseed int64, w scenarioWorkload, tcpFinal []float64) error {
 	engine := fl.New(fl.Config{
 		Rounds:     cfg.Rounds,
@@ -535,20 +534,10 @@ func runOracle(cfg Config, tseed int64, w scenarioWorkload, tcpFinal []float64) 
 	if len(sim) != len(tcpFinal) {
 		return fmt.Errorf("oracle: simulator dim %d, tcp dim %d", len(sim), len(tcpFinal))
 	}
-	exact := 0
 	for i := range sim {
-		if math.Float64bits(sim[i]) == math.Float64bits(tcpFinal[i]) {
-			exact++
-			continue
-		}
-		diff := math.Abs(sim[i] - tcpFinal[i])
-		scale := math.Max(math.Abs(sim[i]), math.Abs(tcpFinal[i]))
-		if diff > 1e-12*math.Max(scale, 1) {
+		if math.Float64bits(sim[i]) != math.Float64bits(tcpFinal[i]) {
 			return fmt.Errorf("oracle: scalar %d diverged: sim %v, tcp %v", i, sim[i], tcpFinal[i])
 		}
-	}
-	if frac := float64(exact) / float64(len(sim)); frac < 0.9 {
-		return fmt.Errorf("oracle: only %.1f%% of scalars bit-exact", 100*frac)
 	}
 	return nil
 }

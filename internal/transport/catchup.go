@@ -39,7 +39,6 @@ import (
 	"apf/internal/checkpoint"
 	"apf/internal/core"
 	"apf/internal/fl"
-	"apf/internal/nn"
 	"apf/internal/recon"
 	"apf/internal/wire"
 )
@@ -357,12 +356,12 @@ func diffWords(dec *recon.Decoder) []int {
 // generations are bit-identical by the replica-identity invariant, so
 // the untouched remainder of the local state is already the server's.
 func (r *clientRun) applyDelta(d *wire.DeltaMsg) error {
-	rm, _ := fl.As[reconManager](r.manager) // catchUp accepts a delta only then
+	rm, _ := fl.As[reconManager](r.rep.Manager) // catchUp accepts a delta only then
 	if d.Round <= r.applied {
 		return protocolErrorf("catch-up delta for round %d at applied round %d", d.Round, r.applied)
 	}
 	for i := range d.Words {
-		if err := rm.ApplyWordBlock(d.Words[i], r.x); err != nil {
+		if err := rm.ApplyWordBlock(d.Words[i], r.rep.X); err != nil {
 			return protocolErrorf("catch-up delta word %d: %v", d.Words[i].Word, err)
 		}
 	}
@@ -381,7 +380,7 @@ func (r *clientRun) applySnapshot(sm *wire.SnapshotMsg) error {
 	if err := checkSnapshot(sm, r.applied, r.dim); err != nil {
 		return err
 	}
-	if sr, ok := fl.As[snapshotRestorer](r.manager); ok {
+	if sr, ok := fl.As[snapshotRestorer](r.rep.Manager); ok {
 		if len(sm.Manager) == 0 {
 			return protocolErrorf("snapshot carries no manager state for a stateful manager")
 		}
@@ -393,17 +392,16 @@ func (r *clientRun) applySnapshot(sm *wire.SnapshotMsg) error {
 			return protocolErrorf("snapshot manager state: %v", err)
 		}
 	}
-	copy(r.x, sm.Payload)
+	copy(r.rep.X, sm.Payload)
 	r.finishCatchUp(sm.Round, 0, "snapshot")
 	return nil
 }
 
-// finishCatchUp installs the reconciled state as the applied round:
-// model parameters, round cursor, in-flight update (now superseded),
-// accounting, and the OnRound callback — the same post-apply surface
-// applyGlobal presents.
+// finishCatchUp installs the reconciled state, already written into the
+// replica's model, as the applied round: round cursor, in-flight update
+// (now superseded), accounting, and the OnRound callback — the same
+// post-apply surface applyGlobal presents.
 func (r *clientRun) finishCatchUp(round, words int, mode string) {
-	nn.SetFlat(r.params, r.x)
 	from := r.applied
 	r.applied = round
 	r.inflight = r.inflight[:0]
@@ -416,6 +414,6 @@ func (r *clientRun) finishCatchUp(round, words int, mode string) {
 	}
 	r.log.Info("caught up", "mode", mode, "from", from, "round", round, "diff_words", words)
 	if r.cfg.OnRound != nil {
-		r.cfg.OnRound(round, r.x)
+		r.cfg.OnRound(round, r.rep.X)
 	}
 }

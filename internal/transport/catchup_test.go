@@ -8,9 +8,8 @@ import (
 
 	"apf/internal/checkpoint"
 	"apf/internal/core"
-	"apf/internal/nn"
+	"apf/internal/fl"
 	"apf/internal/telemetry"
-	"apf/internal/tensor"
 	"apf/internal/wire"
 )
 
@@ -19,9 +18,9 @@ import (
 const catchupDim = 150
 
 // newCatchupRun builds the slice of a client run that applying a catch-up
-// frame touches: an APF manager at no applied round, the flat model and
-// one parameter tensor it is bound to, and an upload frame left over from
-// an earlier round (length 10, capacity 4096).
+// frame touches: a replica's flat model and APF manager at no applied
+// round, and an upload frame left over from an earlier round (length 10,
+// capacity 4096).
 func newCatchupRun(t *testing.T) *clientRun {
 	t.Helper()
 	cfg := *resumeShadowConfig()
@@ -29,10 +28,8 @@ func newCatchupRun(t *testing.T) *clientRun {
 	return &clientRun{
 		metrics:  newClientMetrics(nil),
 		log:      telemetry.With(nil),
-		params:   []*nn.Param{{Name: "w", Data: tensor.New(catchupDim), Grad: tensor.New(catchupDim)}},
-		manager:  core.NewManager(cfg),
+		rep:      &fl.Replica{X: make([]float64, catchupDim), Manager: core.NewManager(cfg)},
 		dim:      catchupDim,
-		x:        make([]float64, catchupDim),
 		applied:  -1,
 		inflight: make([]byte, 10, 4096),
 	}
@@ -79,10 +76,10 @@ func TestCatchUpKeepsUploadFrame(t *testing.T) {
 	check := func(t *testing.T, r *clientRun) {
 		t.Helper()
 		requireInflightKept(t, r)
-		if r.applied != f.Round() || !sameBits(r.x, x) {
-			t.Fatalf("caught up to round %d (model equal %v), want round %d", r.applied, sameBits(r.x, x), f.Round())
+		if r.applied != f.Round() || !sameBits(r.rep.X, x) {
+			t.Fatalf("caught up to round %d (model equal %v), want round %d", r.applied, sameBits(r.rep.X, x), f.Round())
 		}
-		if !reflect.DeepEqual(r.manager.(*core.Manager).Snapshot(), st) {
+		if !reflect.DeepEqual(r.rep.Manager.(*core.Manager).Snapshot(), st) {
 			t.Fatal("client manager differs from the captured state")
 		}
 	}

@@ -8,9 +8,6 @@ import (
 
 	"apf/internal/data"
 	"apf/internal/fl"
-	"apf/internal/nn"
-	"apf/internal/opt"
-	"apf/internal/stats"
 	"apf/internal/telemetry"
 	"apf/internal/wire"
 )
@@ -33,8 +30,8 @@ type ClientConfig struct {
 	// Empty disables resume: a lost connection is fatal after retries.
 	// Keys must be unique per client within a run.
 	SessionKey string
-	// Model/Optimizer/Manager mirror the simulator factories; the model
-	// is re-initialized from the server's Welcome payload.
+	// Model/Optimizer/Manager build the same fl.Replica the simulator
+	// trains; its model starts from the server's Welcome payload.
 	Model     fl.ModelFactory
 	Optimizer fl.OptimizerFactory
 	Manager   fl.ManagerFactory
@@ -113,17 +110,14 @@ type clientRun struct {
 	metrics clientMetrics
 	log     *slog.Logger
 
-	// Training state, built on the first Welcome.
-	net0     *nn.Network
-	params   []*nn.Param
-	optim    opt.Optimizer
-	batcher  *data.Batcher
-	manager  fl.SyncManager
+	// Training state, built on the first Welcome: the replica (model bound
+	// to its flat vector, optimizer, batcher, manager) and the manager's
+	// compact codec.
+	rep      *fl.Replica
 	codec    fl.CompactCodec
 	hasCodec bool
 	dim      int
 	rounds   int
-	x        []float64
 	// codecNeg is the payload codec the server negotiated for this session;
 	// maskGenR reports the manager's mask generation (nil when the manager
 	// has none — sparse updates then carry generation -1).
@@ -180,7 +174,7 @@ func RunClient(ctx context.Context, cfg ClientConfig) (*ClientResult, error) {
 		return nil, err
 	}
 	r.res.WireRead, r.res.WireWritten = r.up.bytes()
-	r.res.FinalModel = append([]float64(nil), r.x...)
+	r.res.FinalModel = append([]float64(nil), r.rep.X...)
 	return r.res, nil
 }
 
@@ -190,11 +184,13 @@ func RunClient(ctx context.Context, cfg ClientConfig) (*ClientResult, error) {
 // violation.
 func (r *clientRun) session(ctx context.Context) error {
 	caps := r.cfg.Codec.Caps()
-	if _, ok := fl.As[reconManager](r.manager); ok {
-		// The manager tracks per-word generations, so a catch-up resume can
-		// use sketch reconciliation. (Nil before the first Welcome builds the
-		// manager — a fresh join has no state to reconcile anyway.)
-		caps |= wire.CapRecon
+	if r.rep != nil {
+		if _, ok := fl.As[reconManager](r.rep.Manager); ok {
+			// The manager tracks per-word generations, so a catch-up resume
+			// can use sketch reconciliation. (A fresh join, before the first
+			// Welcome builds the replica, has no state to reconcile.)
+			caps |= wire.CapRecon
+		}
 	}
 	join := &JoinMsg{
 		Name:       r.cfg.Name,
@@ -218,7 +214,7 @@ func (r *clientRun) session(ctx context.Context) error {
 	// track word generations, snapshot otherwise). Either way the client
 	// lands bit-identical to the replayed trajectory.
 	if welcome.CatchUp {
-		snap, delta, err := r.up.catchUp(conn, welcome, r.applied, r.dim, r.manager)
+		snap, delta, err := r.up.catchUp(conn, welcome, r.applied, r.dim, r.rep.Manager)
 		if err != nil {
 			return err
 		}
@@ -250,9 +246,9 @@ func (r *clientRun) session(ctx context.Context) error {
 		markRound(conn, round)
 		roundStart := time.Now()
 		if len(r.inflight) == 0 || r.inflightRound != round {
-			r.train(round)
+			r.rep.Train(round, r.cfg.LocalIters, round*r.cfg.LocalIters)
 			r.metrics.trainSeconds.Observe(time.Since(roundStart).Seconds())
-			contrib, weight, up := r.manager.PrepareUpload(round, r.x)
+			contrib, weight, up := r.rep.Manager.PrepareUpload(round, r.rep.X)
 			payload := contrib
 			if r.hasCodec {
 				payload = r.codec.CompactUpload(round, contrib)
@@ -302,7 +298,7 @@ func (r *clientRun) session(ctx context.Context) error {
 // the codec across resumes.
 func (r *clientRun) prepare(round int, payload []float64, weight float64) {
 	var hash uint64
-	if mr, ok := fl.As[fl.MaskReporter](r.manager); ok {
+	if mr, ok := fl.As[fl.MaskReporter](r.rep.Manager); ok {
 		hash = HashMaskWords(mr.MaskWords())
 	}
 	var m wire.Msg = &UpdateMsg{Round: round, Payload: payload, Weight: weight, MaskHash: hash}
@@ -336,7 +332,7 @@ func (r *clientRun) acceptGlobal(m wire.Msg, round int) (*GlobalMsg, error) {
 			return nil, protocolErrorf("round %d: sparse global dimension %d, model has %d",
 				round, g.Dim, r.dim)
 		}
-		if mr, ok := fl.As[fl.MaskReporter](r.manager); ok {
+		if mr, ok := fl.As[fl.MaskReporter](r.rep.Manager); ok {
 			if local := HashMaskWords(mr.MaskWords()); g.MaskHash != local {
 				return nil, fmt.Errorf("%w: round %d: server mask hash %016x, local mask hash %016x",
 					ErrMaskDivergence, round, g.MaskHash, local)
@@ -351,35 +347,27 @@ func (r *clientRun) acceptGlobal(m wire.Msg, round int) (*GlobalMsg, error) {
 	return nil, protocolErrorf("round %d: expected a global frame, got %s", round, m.WireKind())
 }
 
-// acceptWelcome validates the first WelcomeMsg and builds the training
-// state (model, optimizer, batcher, manager) from it.
+// acceptWelcome validates the first WelcomeMsg and builds the replica from
+// it: the same fl.Replica the in-process engine trains, so a TCP deployment
+// reproduces the simulator bit for bit.
 func (r *clientRun) acceptWelcome(w *WelcomeMsg) error {
-	// RNG stream ids match the in-process engine (fl.New) exactly, so a
-	// TCP deployment reproduces the simulator's training bit for bit —
-	// the equivalence test in this package depends on it.
-	net0 := r.cfg.Model(stats.SplitRNG(r.cfg.Seed, int64(2_000_000+w.ClientID)))
-	params := net0.Params()
-	if err := checkWelcome(w, nn.ParamCount(params)); err != nil {
+	if err := checkWelcome(w); err != nil {
 		return err
 	}
-	nn.SetFlat(params, w.Init)
-	// The parameters become views of the flat model: training writes x, and
-	// a download written into x is the model the next step reads.
-	r.x = make([]float64, w.Dim)
-	nn.BindFlat(params, r.x)
-	r.net0, r.params, r.dim, r.rounds = net0, params, w.Dim, w.Rounds
-	r.optim = r.cfg.Optimizer(params)
-	r.batcher = data.NewBatcher(r.cfg.Data, r.cfg.Indices, r.cfg.BatchSize,
-		stats.SplitRNG(r.cfg.Seed, int64(3_000_000+w.ClientID)))
-	r.manager = r.cfg.Manager(w.ClientID, w.Dim)
-	r.codec, r.hasCodec = fl.As[fl.CompactCodec](r.manager)
+	rep, err := fl.NewReplica(w.ClientID, r.cfg.Seed, w.Init, r.cfg.Model, r.cfg.Optimizer, r.cfg.Manager,
+		r.cfg.Data, r.cfg.Indices, r.cfg.BatchSize)
+	if err != nil {
+		return protocolErrorf("welcome: %v", err)
+	}
+	r.rep, r.dim, r.rounds = rep, w.Dim, w.Rounds
+	r.codec, r.hasCodec = fl.As[fl.CompactCodec](rep.Manager)
 	r.codecNeg = w.Codec
-	r.maskGenR, _ = fl.As[fl.MaskGenerationReporter](r.manager)
+	r.maskGenR, _ = fl.As[fl.MaskGenerationReporter](rep.Manager)
 	if r.codecNeg >= wire.CodecSparse {
 		// Sparse framing is positional against the freezing mask; without a
 		// mask-reporting compact manager the client can neither produce nor
 		// verify it. This is a configuration error, not a retryable fault.
-		if _, hasMask := fl.As[fl.MaskReporter](r.manager); !r.hasCodec || !hasMask {
+		if _, hasMask := fl.As[fl.MaskReporter](rep.Manager); !r.hasCodec || !hasMask {
 			return protocolErrorf("codec %s negotiated, but the manager reports no freezing mask", r.codecNeg)
 		}
 	}
@@ -388,19 +376,6 @@ func (r *clientRun) acceptWelcome(w *WelcomeMsg) error {
 	r.log.Info("joined cluster", "client", w.ClientID, "rounds", w.Rounds,
 		"dim", w.Dim, "codec", w.Codec.String())
 	return nil
-}
-
-// train runs one round's local iterations.
-func (r *clientRun) train(round int) {
-	for i := 0; i < r.cfg.LocalIters; i++ {
-		xb, yb := r.batcher.Next()
-		nn.ZeroGrads(r.params)
-		r.net0.LossGrad(xb, yb)
-		r.optim.Step()
-		r.x = nn.FlattenParams(r.params, r.x)
-		r.manager.PostIterate(round, r.x)
-		nn.SetFlat(r.params, r.x)
-	}
 }
 
 // applyGlobal validates one aggregate in the sequential download stream and
@@ -412,22 +387,21 @@ func (r *clientRun) applyGlobal(g *GlobalMsg) error {
 	}
 	dense := g.Payload
 	if r.hasCodec {
-		if cl, ok := fl.As[compactLener](r.manager); ok {
+		if cl, ok := fl.As[compactLener](r.rep.Manager); ok {
 			if want := cl.CompactLen(g.Round); want >= 0 && len(g.Payload) != want {
 				return protocolErrorf("round %d compact payload length %d, want %d", g.Round, len(g.Payload), want)
 			}
 		}
 		dense = r.codec.ExpandDownload(g.Round, g.Payload)
 	}
-	down := r.manager.ApplyDownload(g.Round, r.x, dense)
+	down := r.rep.Manager.ApplyDownload(g.Round, r.rep.X, dense)
 	r.res.DownBytes += down
-	nn.SetFlat(r.params, r.x)
 	r.applied = g.Round
 	r.metrics.rounds.Inc()
 	r.metrics.round.Set(float64(g.Round))
 	r.metrics.downBytes.Add(down)
 	if r.cfg.OnRound != nil {
-		r.cfg.OnRound(g.Round, r.x)
+		r.cfg.OnRound(g.Round, r.rep.X)
 	}
 	return nil
 }

@@ -612,8 +612,7 @@ func TestPoisonedClientQuarantinedTrajectoryUnchanged(t *testing.T) {
 	engine.Run()
 	simGlobal := engine.Global()
 
-	initNet := tinyModel(stats.SplitRNG(seed, 1_000_000))
-	init := nn.FlattenParams(initNet.Params(), nil)
+	init := fl.InitVector(tinyModel, seed)
 	srv, err := NewServer(ServerConfig{
 		Addr:          "127.0.0.1:0",
 		NumClients:    clients,

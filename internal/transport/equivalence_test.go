@@ -87,8 +87,7 @@ func tcpMatchesSimulator(t *testing.T, model fl.ModelFactory) {
 
 	// Arm 2: a real TCP cluster with the identical configuration. The
 	// server starts from the same canonical init the engine derives.
-	initNet := model(stats.SplitRNG(seed, 1_000_000))
-	init := nn.FlattenParams(initNet.Params(), nil)
+	init := fl.InitVector(model, seed)
 	srv, err := NewServer(ServerConfig{
 		Addr:       "127.0.0.1:0",
 		NumClients: clients,
@@ -224,8 +223,7 @@ func TestTCPUnderChaosMatchesSimulatorBitExact(t *testing.T) {
 		chaos.Fault{Peer: "eq-1", Round: 9, Kind: chaos.Sever},
 	)
 
-	initNet := tinyModel(stats.SplitRNG(seed, 1_000_000))
-	init := nn.FlattenParams(initNet.Params(), nil)
+	init := fl.InitVector(tinyModel, seed)
 	srv, err := NewServer(ServerConfig{
 		Addr:          "127.0.0.1:0",
 		NumClients:    clients,
@@ -357,8 +355,7 @@ func TestTCPKillRestartMatchesSimulatorBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	initNet := tinyModel(stats.SplitRNG(seed, 1_000_000))
-	init := nn.FlattenParams(initNet.Params(), nil)
+	init := fl.InitVector(tinyModel, seed)
 	mkServer := func(ln net.Listener, addr string) *Server {
 		t.Helper()
 		srv, err := NewServer(ServerConfig{

@@ -128,8 +128,7 @@ func FuzzClientDecode(f *testing.F) {
 		if !ok {
 			return
 		}
-		_ = checkWelcome(w, 3)
-		_ = checkWelcome(w, w.Dim)
+		_ = checkWelcome(w)
 		expect := 0
 		for i := 0; i < 16; i++ {
 			m, next, err := wire.Decode(rest, modelPayloadLimit(3))

@@ -322,7 +322,7 @@ func (r *Relay) join(ctx context.Context) (*countingConn, *WelcomeMsg, error) {
 	// The first welcome fixes the upstream geometry; the relay leg offers
 	// no codec capabilities, so it is always dense.
 	conn, w, err := r.up.connect(ctx, join, func(w *WelcomeMsg) error {
-		if err := checkWelcome(w, w.Dim); err != nil {
+		if err := checkWelcome(w); err != nil {
 			return err
 		}
 		r.dim = w.Dim

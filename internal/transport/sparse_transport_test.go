@@ -14,7 +14,6 @@ import (
 	"apf/internal/core"
 	"apf/internal/data"
 	"apf/internal/fl"
-	"apf/internal/nn"
 	"apf/internal/stats"
 	"apf/internal/telemetry"
 	"apf/internal/wire"
@@ -44,8 +43,7 @@ func newSparseFixture() *sparseFixture {
 	})
 	rng := stats.SplitRNG(sparseSeed, 50)
 	parts := data.PartitionIID(rng, ds.Len(), sparseClients)
-	initNet := tinyModel(stats.SplitRNG(sparseSeed, 1_000_000))
-	init := nn.FlattenParams(initNet.Params(), nil)
+	init := fl.InitVector(tinyModel, sparseSeed)
 	factory := func(clientID, dim int) fl.SyncManager {
 		return core.NewManager(core.Config{
 			Dim:              dim,

@@ -182,12 +182,12 @@ func protocolErrorf(format string, args ...any) error {
 // closeQuietly closes c, ignoring errors (shutdown paths).
 func closeQuietly(c io.Closer) { _ = c.Close() }
 
-// checkWelcome validates a peer's first WelcomeMsg against the model
-// dimension it expects. Shared by the client, the relay (which takes the
-// dimension from the welcome), and the protocol fuzz targets.
-func checkWelcome(w *WelcomeMsg, wantDim int) error {
-	if w.Dim != wantDim || w.Dim <= 0 {
-		return protocolErrorf("server model dimension %d, local model has %d", w.Dim, wantDim)
+// checkWelcome validates the geometry of a peer's first WelcomeMsg. Shared
+// by the client (whose fl.Replica then checks the init against its model),
+// the relay, and the protocol fuzz targets.
+func checkWelcome(w *WelcomeMsg) error {
+	if w.Dim <= 0 {
+		return protocolErrorf("server model dimension %d", w.Dim)
 	}
 	if w.Rounds <= 0 || w.NumClients <= 0 || w.ClientID < 0 || w.ClientID >= w.NumClients {
 		return protocolErrorf("invalid welcome geometry clients=%d rounds=%d id=%d",
