@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"apf/internal/chaos"
-	"apf/internal/checkpoint"
 	"apf/internal/core"
 	"apf/internal/data"
 	"apf/internal/fl"
@@ -128,7 +127,7 @@ func run(args []string) error {
 			if apfManager == nil || (round+1)%every != 0 {
 				return
 			}
-			buf := checkpoint.EncodeManager(apfManager.Snapshot())
+			buf := core.EncodeState(apfManager.Snapshot())
 			path := filepath.Join(*ckptDir, fmt.Sprintf("manager-%08d.ckpt", round+1))
 			tmp := path + ".tmp"
 			if err := os.WriteFile(tmp, buf, 0o644); err == nil {

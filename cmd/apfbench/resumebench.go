@@ -265,8 +265,9 @@ func measureResume(rep *resumebenchReport) error {
 	// long fully-frozen spans; the sever and the whole absence land inside
 	// one span (rounds 42..53 under this schedule), so no mask word's
 	// generation moves while the client is away and the rejoin reconciles
-	// in O(diff) — here a handful of sketch cells and a header-only delta
-	// instead of the full state.
+	// in O(diff) — here a handful of sketch cells and a snapshot covering
+	// no mask word (the manager-global scalars only) instead of the full
+	// state.
 	shadow := &core.Config{CheckEveryRounds: 2, Threshold: 1e6, ThresholdDecayFrac: -1, EMAAlpha: 0.85, Seed: resumebenchSeed}
 	const (
 		sketchAbsence = 6

@@ -105,7 +105,8 @@ func (b *BitSet) Equal(o *BitSet) bool {
 	return true
 }
 
-// Words exposes the raw backing words (read-only use, e.g. serialization).
+// Words exposes the raw backing words (serialization; a caller writing
+// through it keeps the bits beyond Len clear).
 func (b *BitSet) Words() []uint64 { return b.words }
 
 // FromWords reconstructs a bitmap of n bits from raw words. Bits beyond n

@@ -5,7 +5,10 @@
 // with bits.TrailingZeros64 — instead of testing scalars one by one.
 package bitset
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // allOnes is a fully set word.
 const allOnes = ^uint64(0)
@@ -217,5 +220,40 @@ func (b *BitSet) Fill(pred func(i int) bool) {
 			}
 		}
 		b.words[wi] = w
+	}
+}
+
+// A word list names 64-scalar blocks of an n-scalar vector in the bitmap's
+// word layout. Its packed form lays the listed blocks back to back, so
+// block i starts at 64·i; only the last can be short (the vector's trailing
+// partial word).
+
+// CheckWords returns how many scalars of an n-scalar vector words covers,
+// or an error unless words ascends strictly through the vector's words.
+func CheckWords(n int, words []int) (int, error) {
+	covered, prev := 0, -1
+	for _, w := range words {
+		if w <= prev || w >= (n+wordBits-1)/wordBits {
+			return 0, fmt.Errorf("bitset: word %d out of order, repeated or beyond %d words", w, (n+wordBits-1)/wordBits)
+		}
+		covered += min(wordBits, n-w*wordBits)
+		prev = w
+	}
+	return covered, nil
+}
+
+// GatherWords returns the packed form of the listed words of v.
+func GatherWords[T any](v []T, words []int) []T {
+	out := make([]T, 0, len(words)*wordBits)
+	for _, w := range words {
+		out = append(out, v[w*wordBits:min((w+1)*wordBits, len(v))]...)
+	}
+	return out
+}
+
+// ScatterWords writes packed, the packed form of the listed words, into v.
+func ScatterWords[T any](v, packed []T, words []int) {
+	for i, w := range words {
+		copy(v[w*wordBits:min((w+1)*wordBits, len(v))], packed[i*wordBits:])
 	}
 }

@@ -208,3 +208,42 @@ func TestFillMatchesSet(t *testing.T) {
 		}
 	}
 }
+
+// TestWordLists pins the word-list helpers on a 130-scalar vector (words
+// 0 and 1 full, word 2 the 2-scalar tail): the covered count, the packed
+// layout, the round trip, and the refusal of unordered, repeated or
+// out-of-range lists.
+func TestWordLists(t *testing.T) {
+	const n = 130
+	v := make([]int, n)
+	for i := range v {
+		v[i] = i
+	}
+	words := []int{0, 2}
+	if got, err := CheckWords(n, words); err != nil || got != 66 {
+		t.Fatalf("CheckWords(%v) = %d, %v; want 66", words, got, err)
+	}
+	packed := GatherWords(v, words)
+	if len(packed) != 66 || packed[63] != 63 || packed[64] != 128 || packed[65] != 129 {
+		t.Fatalf("packed form %v", packed)
+	}
+	dst := make([]int, n)
+	ScatterWords(dst, packed, words)
+	for i, x := range dst {
+		want := 0
+		if i < 64 || i >= 128 {
+			want = i
+		}
+		if x != want {
+			t.Fatalf("scattered scalar %d = %d, want %d", i, x, want)
+		}
+	}
+	if got, err := CheckWords(n, []int{}); err != nil || got != 0 {
+		t.Fatalf("empty list: %d, %v", got, err)
+	}
+	for _, bad := range [][]int{{1, 0}, {1, 1}, {-1}, {3}} {
+		if _, err := CheckWords(n, bad); err == nil {
+			t.Errorf("CheckWords accepted %v", bad)
+		}
+	}
+}

@@ -4,9 +4,10 @@
 //     (Frame/ReadFrame), plus little-endian Writer/Reader primitives that
 //     encode float64s via their IEEE-754 bit patterns, so a decoded
 //     snapshot is bit-identical to the encoded state;
-//   - a codec for the APF manager snapshot (core.State — EMAs, freezing
-//     periods, AIMD state, threshold, round/check counters, per-word
-//     generations);
+//   - the frame kind of the APF manager snapshot (KindManager; package
+//     core encodes core.State — EMAs, freezing periods, AIMD state,
+//     threshold, round/check counters, per-word generations, word
+//     coverage — into it with these primitives);
 //   - a Store that persists a coordinator as an atomically rotated
 //     snapshot plus an fsync'd write-ahead log of generation-stamped
 //     records, recycles the retired generation's files instead of freeing
@@ -32,7 +33,7 @@ import (
 
 // Version is the on-disk format version stamped into every frame.
 // Decoders reject frames stamped with any other.
-const Version = 3
+const Version = 4
 
 // frame layout: magic(4) version(2) kind(2) length(4) payload CRC32(4).
 const (
@@ -48,7 +49,7 @@ const (
 
 // Frame kinds. Store callers may define further kinds above KindUser.
 const (
-	// KindManager frames a core.State manager snapshot.
+	// KindManager frames a core.State manager snapshot (core.EncodeState).
 	KindManager uint16 = 1
 	// KindUser is the first kind value free for embedding packages
 	// (the transport's server snapshot and WAL records live here).

@@ -11,9 +11,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"apf/internal/core"
-	"apf/internal/perturb"
 )
 
 // TestFrameRoundTrip encodes frames of several kinds back to back and
@@ -157,87 +154,12 @@ func TestReaderGuards(t *testing.T) {
 	}
 }
 
-func testManagerState() *core.State {
-	return &core.State{
-		Dim:       4,
-		Ref:       []float64{1, -2.5, 0, 3.25},
-		LastCheck: []float64{0.5, 0, -1, 2},
-		Tracker: perturb.EMAState{
-			Alpha:  0.85,
-			E:      []float64{0.1, -0.2, 0.3, 0},
-			A:      []float64{0.4, 0.5, 0, 0.6},
-			Seen:   9,
-			Seeded: []uint64{^uint64(0), 0, 5, 0},
-		},
-		Period:      []float64{1, 2, 4, 8},
-		UnfreezeAt:  []int{3, 0, 12, 7},
-		RandomUntil: []int{0, 0, 15, 0},
-		Threshold:   0.3,
-		CheckCount:  4,
-		Initialized: true,
-		InitRound:   1,
-		LastRound:   11,
-		WordGen:     []uint32{12},
-	}
-}
-
-// TestManagerCodecRoundTrip checks the manager snapshot codec is
-// bit-exact and feeds core.Restore.
-func TestManagerCodecRoundTrip(t *testing.T) {
-	s := testManagerState()
-	got, err := DecodeManager(EncodeManager(s))
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !reflect.DeepEqual(got, s) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, s)
-	}
-}
-
-// TestManagerCodecRejectsDamage flips bytes across the encoded manager
-// frame; every damaged copy must fail to decode.
-func TestManagerCodecRejectsDamage(t *testing.T) {
-	buf := EncodeManager(testManagerState())
-	for i := 0; i < len(buf); i += 7 {
-		bad := append([]byte(nil), buf...)
-		bad[i] ^= 0x10
-		if _, err := DecodeManager(bad); err == nil {
-			t.Fatalf("flip byte %d: damaged manager frame decoded", i)
-		}
-	}
-	if _, err := DecodeManager(append(buf, 0)); err == nil {
-		t.Fatalf("trailing byte after manager frame accepted")
-	}
-}
-
 // previousVersionFrame re-stamps a frame with the previous format version
 // (the version check precedes the checksum, so the CRC is left alone).
 func previousVersionFrame(frame []byte) []byte {
 	old := append([]byte(nil), frame...)
 	binary.LittleEndian.PutUint16(old[4:], Version-1)
 	return old
-}
-
-// TestOldFormatRefused: a frame stamped with the previous format version
-// is refused with ErrVersion, and a manager payload that stops where that
-// format did (before the word generations) is corrupt — never decoded
-// with the missing fields defaulted.
-func TestOldFormatRefused(t *testing.T) {
-	frame := EncodeManager(testManagerState())
-	old := previousVersionFrame(frame)
-	if _, _, _, err := ReadFrame(old); !errors.Is(err, ErrVersion) {
-		t.Fatalf("version-1 frame: err = %v, want ErrVersion", err)
-	}
-	if _, err := DecodeManager(old); !errors.Is(err, ErrVersion) {
-		t.Fatalf("version-1 manager frame: err = %v, want ErrVersion", err)
-	}
-
-	payload := frame[frameHeaderLen : len(frame)-frameTrailLen]
-	tailLen := 8 + 8*len(testManagerState().WordGen) // Ints: count + elements
-	short := AppendFrame(nil, KindManager, payload[:len(payload)-tailLen])
-	if _, err := DecodeManager(short); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("manager payload without word generations: err = %v, want ErrCorrupt", err)
-	}
 }
 
 // TestStoreRoundTrip writes a snapshot plus WAL records, reloads with a

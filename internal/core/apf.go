@@ -31,9 +31,9 @@
 // Because the freezing state is a pure function of the synchronized
 // trajectory, a server can hold it too without training anything. Follower
 // is the one replica that does: a Manager fed only committed aggregates.
-// Transport catch-up serves its captures (exported word by word from the
-// captured State, see recon.go), and the §9 server-side mask placement
-// (MaskServer) ships its mask.
+// Transport catch-up serves its captures (whole, or restricted to the
+// mask words a sketch found different: State.Select), and the §9
+// server-side mask placement (MaskServer) ships its mask.
 package core
 
 import (

@@ -73,8 +73,9 @@ func (f *Follower) Observe(round int, payload []float64) error {
 }
 
 // Restore overwrites the replica with round's synchronized model x and
-// manager state s, and follows again from there. On error the follower is
-// left desynced, so a nil s records state the caller could not adopt.
+// full manager state s, and follows again from there. On error the
+// follower is left desynced, so a nil s records state the caller could not
+// adopt.
 func (f *Follower) Restore(round int, x []float64, s *State) error {
 	f.desync = f.restore(round, x, s)
 	return f.desync
@@ -83,6 +84,9 @@ func (f *Follower) Restore(round int, x []float64, s *State) error {
 func (f *Follower) restore(round int, x []float64, s *State) error {
 	if len(x) != len(f.x) {
 		return fmt.Errorf("core: follower restore with a %d-scalar model, want %d", len(x), len(f.x))
+	}
+	if s != nil && s.Words != nil {
+		return fmt.Errorf("core: follower restore needs a full state, got one covering %d words", len(s.Words))
 	}
 	if err := f.mgr.RestoreSnapshot(s); err != nil {
 		return err

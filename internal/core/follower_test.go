@@ -77,8 +77,9 @@ func requireFollows(t *testing.T, step string, f *Follower, client *Manager, x [
 // TestFollowerTracksClientManager drives a follower and an APF# client
 // manager with the same commits, dense and compacted mixed, and compares
 // them after every round; then checks that a gap and a compacted payload
-// of the wrong length each desync the follower, and that Restore from the
-// client's state resumes following bit for bit.
+// of the wrong length each desync the follower, that Restore refuses a
+// missing or word-restricted state, and that Restore from the client's
+// full state resumes following bit for bit.
 func TestFollowerTracksClientManager(t *testing.T) {
 	cfg := reconTestConfig(followerDim) // APF# random freezing, aggressive threshold
 	client := NewManager(cfg)
@@ -133,6 +134,11 @@ func TestFollowerTracksClientManager(t *testing.T) {
 	short := desync("wrong-length compacted payload", 40, make([]float64, bad))
 	if err := short.Restore(39, x, nil); err == nil {
 		t.Fatal("restore without a manager state succeeded")
+	}
+	if part, err := client.Snapshot().Select([]int{0, 1}); err != nil {
+		t.Fatal(err)
+	} else if err := short.Restore(39, x, part); err == nil {
+		t.Fatal("restore from a word-restricted state succeeded")
 	}
 
 	// Both resume from the client's state at round 39 and follow it.

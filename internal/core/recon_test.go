@@ -4,7 +4,10 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
+
+	"apf/internal/bitset"
 )
 
 // driveRounds advances a manager through rounds [from, to) the way the
@@ -50,6 +53,69 @@ func reconTestConfig(dim int) Config {
 	}
 }
 
+// diffWords lists the words whose generations differ, ascending.
+func diffWords(a, b []uint32) []int {
+	words := []int{}
+	for w := range a {
+		if a[w] != b[w] {
+			words = append(words, w)
+		}
+	}
+	return words
+}
+
+// catchUpWords applies the sketch delta for words: the source replica's
+// state restricted to them, through the codec, plus their model scalars —
+// what transport catch-up ships and a client installs.
+func catchUpWords(t *testing.T, dst *Manager, xd []float64, src *State, xs []float64, words []int) {
+	t.Helper()
+	part, err := src.Select(words)
+	if err != nil {
+		t.Fatalf("select %v: %v", words, err)
+	}
+	if part, err = DecodeState(EncodeState(part)); err != nil {
+		t.Fatalf("codec: %v", err)
+	}
+	if err := dst.RestoreSnapshot(part); err != nil {
+		t.Fatalf("restore %v: %v", words, err)
+	}
+	bitset.ScatterWords(xd, bitset.GatherWords(xs, words), words)
+}
+
+// perWord returns the words' share of a replica: the model scalars and the
+// word-restricted state with the manager-global scalars cleared.
+func perWord(t *testing.T, s *State, x []float64, words []int) (*State, []float64) {
+	t.Helper()
+	p, err := s.Select(words)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Threshold, p.CheckCount, p.Tracker.Seen = 0, 0, 0
+	p.Initialized, p.InitRound, p.LastRound = false, 0, 0
+	return p, bitset.GatherWords(x, words)
+}
+
+// sameBits reports whether two vectors are bit-identical.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// requireReplica fails unless got is want bit for bit: model, snapshot
+// (EMAs, periods, deadlines, generations, header scalars), mask words and
+// mask generation.
+func requireReplica(t *testing.T, step string, want *Manager, xw []float64, got *Manager, xg []float64) {
+	t.Helper()
+	if !sameBits(xw, xg) {
+		t.Fatalf("%s: model differs", step)
+	}
+	if !reflect.DeepEqual(want.Snapshot(), got.Snapshot()) {
+		t.Fatalf("%s: manager state differs", step)
+	}
+	if !slices.Equal(want.MaskWords(), got.MaskWords()) || want.MaskGeneration() != got.MaskGeneration() {
+		t.Fatalf("%s: freezing mask differs", step)
+	}
+}
+
 // TestWordGenInvariant pins the replica-identity invariant behind the
 // sketch catch-up: for two replicas of the same deterministic
 // trajectory at different rounds, every word whose generations agree
@@ -73,9 +139,9 @@ func TestWordGenInvariant(t *testing.T) {
 				continue
 			}
 			same++
-			ba := sa.WordBlock(w, xa)
-			bb := sb.WordBlock(w, xb)
-			if !reflect.DeepEqual(ba, bb) {
+			ba, bxa := perWord(t, sa, xa, []int{w})
+			bb, bxb := perWord(t, sb, xb, []int{w})
+			if !reflect.DeepEqual(ba, bb) || !sameBits(bxa, bxb) {
 				t.Fatalf("stop %d: word %d has equal gen %d but different state", stop, w, ga[w])
 			}
 		}
@@ -86,53 +152,117 @@ func TestWordGenInvariant(t *testing.T) {
 	}
 }
 
-// TestWordBlockDeltaRestoresReplica pins the delta import: applying
-// the ahead replica's differing word blocks plus its sync header to a
-// behind replica reproduces the ahead state bit-exactly, including all
-// future behaviour.
-func TestWordBlockDeltaRestoresReplica(t *testing.T) {
-	const dim, stop, rounds = 517, 23, 60
+// TestSelectRestoresReplica is the property behind the sketch delta. For
+// a word set S — empty, every word, the trailing partial word alone, or
+// random — restoring the live replica's state restricted to S onto a stale
+// replica installs S's words and the manager-global scalars and leaves
+// every other word as it was; restoring S plus the words whose generations
+// differ makes the stale replica the live one bit for bit, and it stays so
+// in later rounds.
+func TestSelectRestoresReplica(t *testing.T) {
+	const dim, rounds = 517, 60 // word 8 holds the 5 trailing scalars
 	cfg := reconTestConfig(dim)
-	ahead := NewManager(cfg)
-	xa := make([]float64, dim)
-	driveRounds(ahead, xa, 0, rounds)
-
-	behind := NewManager(cfg)
-	xb := make([]float64, dim)
-	driveRounds(behind, xb, 0, stop)
-
-	ga, gb := ahead.WordGens(), behind.WordGens()
-	src := ahead.Snapshot()
+	live := NewManager(cfg)
+	xl := make([]float64, dim)
+	driveRounds(live, xl, 0, rounds)
+	src := live.Snapshot()
+	nw := len(live.WordGens())
+	all := make([]int, nw)
+	for w := range all {
+		all[w] = w
+	}
+	stale := func(stop int) (*Manager, []float64) {
+		m := NewManager(cfg)
+		x := make([]float64, dim)
+		driveRounds(m, x, 0, stop)
+		return m, x
+	}
+	rng := rand.New(rand.NewSource(9))
 	moved := 0
-	for w := range ga {
-		if ga[w] != gb[w] {
-			if err := behind.ApplyWordBlock(src.WordBlock(w, xa), xb); err != nil {
-				t.Fatalf("apply word block %d: %v", w, err)
+	for trial := 0; trial < 12; trial++ {
+		var words []int
+		switch trial {
+		case 0:
+			words = []int{}
+		case 1:
+			words = all
+		case 2:
+			words = []int{nw - 1}
+		default:
+			words = []int{}
+			for w := range all {
+				if rng.Intn(2) == 0 {
+					words = append(words, w)
+				}
 			}
-			moved++
+		}
+		stop := 1 + rng.Intn(rounds-1)
+
+		// S alone: S's words and the header come from the live replica.
+		m, x := stale(stop)
+		before, xBefore := m.Snapshot(), append([]float64(nil), x...)
+		catchUpWords(t, m, x, src, xl, words)
+		got, want := m.Snapshot(), src
+		if p, q := must(got.Select(words)), must(want.Select(words)); !reflect.DeepEqual(p, q) {
+			t.Fatalf("trial %d (stop %d, words %v): restored words or header differ from the live replica", trial, stop, words)
+		}
+		others := slices.DeleteFunc(slices.Clone(all), func(w int) bool { return slices.Contains(words, w) })
+		gp, gx := perWord(t, got, x, others)
+		bp, bx := perWord(t, before, xBefore, others)
+		if !reflect.DeepEqual(gp, bp) || !sameBits(gx, bx) {
+			t.Fatalf("trial %d (stop %d): a word outside %v changed", trial, stop, words)
+		}
+
+		// S plus the differing words: the live replica.
+		m, x = stale(stop)
+		diff := diffWords(live.WordGens(), m.WordGens())
+		moved += len(diff)
+		union := append(slices.Clone(words), diff...)
+		slices.Sort(union)
+		union = slices.Compact(union)
+		catchUpWords(t, m, x, src, xl, union)
+		requireReplica(t, "restored", live, xl, m, x)
+		if trial == 11 {
+			driveRounds(live, xl, rounds, rounds+20)
+			driveRounds(m, x, rounds, rounds+20)
+			requireReplica(t, "20 rounds after the restore", live, xl, m, x)
 		}
 	}
 	if moved == 0 {
-		t.Fatalf("trajectories at rounds %d vs %d share every word generation", rounds, stop)
+		t.Fatal("no stale replica differed from the live one")
 	}
-	if err := behind.ApplySyncHeader(src.SyncHeader()); err != nil {
-		t.Fatalf("apply sync header: %v", err)
-	}
+}
 
-	sa, sb := ahead.Snapshot(), behind.Snapshot()
-	if !reflect.DeepEqual(sa, sb) {
-		t.Fatalf("delta import did not reproduce the ahead state")
+// must returns v, panicking on err.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
 	}
-	for j := range xa {
-		if math.Float64bits(xa[j]) != math.Float64bits(xb[j]) {
-			t.Fatalf("model scalar %d differs after delta import", j)
+	return v
+}
+
+// TestSelectValidation: Select takes only strictly ascending in-range word
+// lists from a full state, and RestoreSnapshot refuses a state whose
+// arrays do not match its coverage.
+func TestSelectValidation(t *testing.T) {
+	s := NewManager(reconTestConfig(130)).Snapshot() // words 0, 1 and a 2-scalar word 2
+	for _, words := range [][]int{{1, 0}, {0, 0}, {-1}, {3}, {0, 1, 2, 3}} {
+		if _, err := s.Select(words); err == nil {
+			t.Errorf("selected words %v", words)
 		}
 	}
-	// The repaired replica must stay bit-exact through future rounds.
-	driveRounds(ahead, xa, rounds, rounds+20)
-	driveRounds(behind, xb, rounds, rounds+20)
-	if !reflect.DeepEqual(ahead.Snapshot(), behind.Snapshot()) {
-		t.Fatalf("repaired replica diverged in later rounds")
+	part := must(s.Select([]int{0, 2}))
+	if _, err := part.Select([]int{0}); err == nil {
+		t.Error("selected from a word-restricted state")
+	}
+	m := NewManager(reconTestConfig(130))
+	bad := *part
+	bad.Words = []int{0}
+	if err := m.RestoreSnapshot(&bad); err == nil {
+		t.Error("restored a state whose arrays overrun its coverage")
+	}
+	if err := m.RestoreSnapshot(part); err != nil {
+		t.Errorf("restore of words 0 and 2: %v", err)
 	}
 }
 
@@ -182,18 +312,7 @@ func TestWordGenRandomizedStops(t *testing.T) {
 		behind := NewManager(cfg)
 		xb := make([]float64, dim)
 		driveRounds(behind, xb, 0, stop)
-		ga, gb := ahead.WordGens(), behind.WordGens()
-		src := ahead.Snapshot()
-		for w := range ga {
-			if ga[w] != gb[w] {
-				if err := behind.ApplyWordBlock(src.WordBlock(w, xa), xb); err != nil {
-					t.Fatalf("stop %d: apply word block %d: %v", stop, w, err)
-				}
-			}
-		}
-		if err := behind.ApplySyncHeader(src.SyncHeader()); err != nil {
-			t.Fatalf("stop %d: apply sync header: %v", stop, err)
-		}
+		catchUpWords(t, behind, xb, ahead.Snapshot(), xa, diffWords(ahead.WordGens(), behind.WordGens()))
 		if !reflect.DeepEqual(ahead.Snapshot(), behind.Snapshot()) {
 			t.Fatalf("stop %d: delta import did not reproduce the ahead state", stop)
 		}

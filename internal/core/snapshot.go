@@ -2,17 +2,29 @@ package core
 
 import (
 	"fmt"
+	"math"
 
+	"apf/internal/bitset"
+	"apf/internal/checkpoint"
 	"apf/internal/perturb"
 )
 
 // State is a serializable snapshot of a Manager (all fields exported for
-// codecs; package checkpoint frames it in binary), enabling client
+// codecs; EncodeState frames it in binary), enabling client
 // checkpoint/restart in real deployments: a restored manager continues the
 // freezing protocol exactly where the original left off, preserving
 // cross-client mask consistency.
+//
+// A state may cover only some 64-scalar mask words (Select): sketch
+// catch-up ships exactly the words whose generations differ. The
+// per-scalar arrays, the tracker's averages and seeded bits, and WordGen
+// then hold the covered words' entries in packed form (bitset.GatherWords),
+// while the manager-global scalars are always whole.
 type State struct {
-	Dim         int
+	Dim int
+	// Words lists the covered mask words, strictly ascending; nil covers
+	// every word (a full state).
+	Words       []int
 	Ref         []float64
 	LastCheck   []float64
 	Tracker     perturb.EMAState
@@ -52,12 +64,43 @@ func (m *Manager) Snapshot() *State {
 	}
 }
 
-// Restore reconstructs a manager from cfg and a snapshot taken from a
+// Select returns the full state s restricted to words, a strictly
+// ascending list of mask words. Catch-up exports a sketch delta this way
+// from a captured state, without a live manager.
+func (s *State) Select(words []int) (*State, error) {
+	if s.Words != nil {
+		return nil, fmt.Errorf("core: select from a state covering %d words, want a full state", len(s.Words))
+	}
+	if _, err := bitset.CheckWords(s.Dim, words); err != nil {
+		return nil, fmt.Errorf("core: select: %w", err)
+	}
+	part := *s
+	part.Words = append([]int{}, words...)
+	part.Ref = bitset.GatherWords(s.Ref, words)
+	part.LastCheck = bitset.GatherWords(s.LastCheck, words)
+	part.Tracker.E = bitset.GatherWords(s.Tracker.E, words)
+	part.Tracker.A = bitset.GatherWords(s.Tracker.A, words)
+	part.Period = bitset.GatherWords(s.Period, words)
+	part.UnfreezeAt = bitset.GatherWords(s.UnfreezeAt, words)
+	part.RandomUntil = bitset.GatherWords(s.RandomUntil, words)
+	part.Tracker.Seeded = make([]uint64, len(words))
+	part.WordGen = make([]uint32, len(words))
+	for i, w := range words {
+		part.Tracker.Seeded[i] = s.Tracker.Seeded[w]
+		part.WordGen[i] = s.WordGen[w]
+	}
+	return &part, nil
+}
+
+// Restore reconstructs a manager from cfg and a full snapshot taken from a
 // manager built with an identical cfg.
 func Restore(cfg Config, s *State) (*Manager, error) {
 	cfg = cfg.withDefaults()
 	if s == nil {
 		return nil, fmt.Errorf("core: nil snapshot")
+	}
+	if s.Words != nil {
+		return nil, fmt.Errorf("core: restore needs a full state, got one covering %d words", len(s.Words))
 	}
 	if cfg.Dim == 0 {
 		cfg.Dim = s.Dim
@@ -72,11 +115,13 @@ func Restore(cfg Config, s *State) (*Manager, error) {
 	return m, nil
 }
 
-// RestoreSnapshot overwrites the manager's full protocol state in
-// place from a snapshot of a manager built with an identical Config.
-// It is the snapshot-catch-up entry point: a returning client adopts
-// the coordinator's shadow state wholesale instead of replaying every
-// missed round.
+// RestoreSnapshot overwrites the manager's protocol state in place from a
+// snapshot of a manager built with an identical Config (the same EMA α
+// included): every covered word's state plus the manager-global scalars.
+// It is the catch-up entry point: a returning client adopts the
+// coordinator's replica wholesale (a full state) or just the words a
+// sketch found different (a word-restricted state). On error the manager
+// is unchanged.
 func (m *Manager) RestoreSnapshot(s *State) error {
 	if s == nil {
 		return fmt.Errorf("core: nil snapshot")
@@ -84,40 +129,136 @@ func (m *Manager) RestoreSnapshot(s *State) error {
 	if s.Dim != m.cfg.Dim {
 		return fmt.Errorf("core: snapshot dimension %d does not match manager dimension %d", s.Dim, m.cfg.Dim)
 	}
-	for name, n := range map[string]int{
+	words := s.Words
+	if words == nil {
+		words = make([]int, len(m.wordGen))
+		for w := range words {
+			words[w] = w
+		}
+	}
+	n, err := bitset.CheckWords(s.Dim, words)
+	if err != nil {
+		return fmt.Errorf("core: snapshot coverage: %w", err)
+	}
+	for name, l := range map[string]int{
 		"Ref":         len(s.Ref),
 		"LastCheck":   len(s.LastCheck),
 		"Period":      len(s.Period),
 		"UnfreezeAt":  len(s.UnfreezeAt),
 		"RandomUntil": len(s.RandomUntil),
 	} {
-		if n != s.Dim {
-			return fmt.Errorf("core: snapshot field %s has length %d, want %d", name, n, s.Dim)
+		if l != n {
+			return fmt.Errorf("core: snapshot field %s has length %d, want %d", name, l, n)
 		}
 	}
-	if len(s.WordGen) != len(m.wordGen) {
-		return fmt.Errorf("core: snapshot word-gen length %d, want %d", len(s.WordGen), len(m.wordGen))
+	if len(s.WordGen) != len(words) {
+		return fmt.Errorf("core: snapshot word-gen length %d, want %d", len(s.WordGen), len(words))
 	}
-	tracker, err := perturb.RestoreEMATracker(s.Tracker)
-	if err != nil {
+	if math.IsNaN(s.Threshold) {
+		return fmt.Errorf("core: snapshot threshold NaN")
+	}
+	if err := m.tracker.Restore(s.Tracker, words); err != nil {
 		return fmt.Errorf("core: restore tracker: %w", err)
 	}
-	if tracker.Dim() != s.Dim {
-		return fmt.Errorf("core: snapshot tracker dimension %d, want %d", tracker.Dim(), s.Dim)
-	}
 
-	copy(m.ref, s.Ref)
-	copy(m.lastCheck, s.LastCheck)
-	m.tracker = tracker
-	copy(m.period, s.Period)
-	copy(m.unfreezeAt, s.UnfreezeAt)
-	copy(m.randomUntil, s.RandomUntil)
+	bitset.ScatterWords(m.ref, s.Ref, words)
+	bitset.ScatterWords(m.lastCheck, s.LastCheck, words)
+	bitset.ScatterWords(m.period, s.Period, words)
+	bitset.ScatterWords(m.unfreezeAt, s.UnfreezeAt, words)
+	bitset.ScatterWords(m.randomUntil, s.RandomUntil, words)
+	for i, w := range words {
+		m.wordGen[w] = s.WordGen[i]
+	}
 	m.threshold = s.Threshold
 	m.checkCount = s.CheckCount
 	m.initialized = s.Initialized
 	m.initRound = s.InitRound
 	m.lastRound = s.LastRound
-	copy(m.wordGen, s.WordGen)
 	m.maskRound = -1
 	return nil
+}
+
+// EncodeState frames a manager snapshot as a checkpoint.KindManager frame:
+// the one encoding of manager state, on disk and on the wire. It is
+// bit-exact: every float64 round-trips through its IEEE-754 bits, so a
+// restored manager continues the freezing protocol from the identical
+// EMAs, periods, and threshold.
+func EncodeState(s *State) []byte {
+	var w checkpoint.Writer
+	w.Int(s.Dim)
+	w.Bool(s.Words != nil)
+	if s.Words != nil {
+		w.Ints(s.Words)
+	}
+	w.F64s(s.Ref)
+	w.F64s(s.LastCheck)
+	w.F64(s.Tracker.Alpha)
+	w.F64s(s.Tracker.E)
+	w.F64s(s.Tracker.A)
+	w.Int(s.Tracker.Seen)
+	w.U64s(s.Tracker.Seeded)
+	w.F64s(s.Period)
+	w.Ints(s.UnfreezeAt)
+	w.Ints(s.RandomUntil)
+	w.F64(s.Threshold)
+	w.Int(s.CheckCount)
+	w.Bool(s.Initialized)
+	w.Int(s.InitRound)
+	w.Int(s.LastRound)
+	gens := make([]int, len(s.WordGen))
+	for i, g := range s.WordGen {
+		gens[i] = int(g)
+	}
+	w.Ints(gens)
+	return checkpoint.AppendFrame(nil, checkpoint.KindManager, w.Bytes())
+}
+
+// DecodeState reads an EncodeState frame back into a State, verifying
+// checksum, version, kind, and structure. Errors wrap checkpoint.ErrCorrupt
+// or checkpoint.ErrVersion; array lengths are checked by the restore.
+func DecodeState(buf []byte) (*State, error) {
+	kind, payload, rest, err := checkpoint.ReadFrame(buf)
+	if err != nil {
+		return nil, err
+	}
+	if kind != checkpoint.KindManager {
+		return nil, fmt.Errorf("%w: frame kind %d, want manager (%d)", checkpoint.ErrCorrupt, kind, checkpoint.KindManager)
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%w: %d bytes after manager frame", checkpoint.ErrCorrupt, len(rest))
+	}
+	r := checkpoint.NewReader(payload)
+	s := &State{Dim: r.Int()}
+	if r.Bool() {
+		s.Words = append([]int{}, r.Ints()...)
+	}
+	s.Ref = r.F64s()
+	s.LastCheck = r.F64s()
+	s.Tracker = perturb.EMAState{
+		Alpha:  r.F64(),
+		E:      r.F64s(),
+		A:      r.F64s(),
+		Seen:   r.Int(),
+		Seeded: r.U64s(),
+	}
+	s.Period = r.F64s()
+	s.UnfreezeAt = r.Ints()
+	s.RandomUntil = r.Ints()
+	s.Threshold = r.F64()
+	s.CheckCount = r.Int()
+	s.Initialized = r.Bool()
+	s.InitRound = r.Int()
+	s.LastRound = r.Int()
+	gens := r.Ints()
+	if err := r.Done(); err != nil {
+		return nil, err
+	}
+	s.WordGen = make([]uint32, len(gens))
+	for i, g := range gens {
+		if g < 0 || g > 1<<32-1 {
+			return nil, fmt.Errorf("%w: word generation %d out of range", checkpoint.ErrCorrupt, g)
+		}
+		s.WordGen[i] = uint32(g)
+	}
+	return s, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -96,6 +97,7 @@ func TestRestoreValidation(t *testing.T) {
 			return s
 		}, cfg},
 		{"bad alpha", func(s *State) *State { s.Tracker.Alpha = 2; return s }, cfg},
+		{"word-restricted", func(s *State) *State { return must(s.Select([]int{0})) }, cfg},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -111,5 +113,28 @@ func TestRestoreValidation(t *testing.T) {
 	m, err := Restore(Config{CheckEveryRounds: 1}, good)
 	if err != nil || m == nil {
 		t.Fatalf("Restore with inferred dim failed: %v", err)
+	}
+}
+
+// TestRestoreSnapshotRefusesOtherEMAAlpha: a snapshot taken under another
+// EMA smoothing factor is refused with the manager unchanged, never
+// adopted — the manager would otherwise smooth every later observation
+// with an α its configuration does not name, and drift from the replicas
+// built from the same Config.
+func TestRestoreSnapshotRefusesOtherEMAAlpha(t *testing.T) {
+	cfg := Config{Dim: 10, CheckEveryRounds: 1, Threshold: 0.3, EMAAlpha: 0.9, Seed: 4}
+	src := NewManager(cfg)
+	runRounds(src, make([]float64, 10), 0, 6, rand.New(rand.NewSource(1)))
+	s := src.Snapshot()
+	s.Tracker.Alpha = 0.5
+
+	dst := NewManager(cfg)
+	runRounds(dst, make([]float64, 10), 0, 3, rand.New(rand.NewSource(2)))
+	before := dst.Snapshot()
+	if err := dst.RestoreSnapshot(s); err == nil {
+		t.Fatal("restored a snapshot with EMA alpha 0.5 into a manager configured with 0.9")
+	}
+	if after := dst.Snapshot(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("refused restore changed the manager (tracker alpha now %v)", after.Tracker.Alpha)
 	}
 }

@@ -121,15 +121,6 @@ func (d *DropoutSchedule) Active(round, client int) bool {
 	return true
 }
 
-// ActiveSet returns the round's participation mask, one entry per client.
-func (d *DropoutSchedule) ActiveSet(round int) []bool {
-	out := make([]bool, d.clients)
-	for c := range out {
-		out[c] = d.Active(round, c)
-	}
-	return out
-}
-
 // draw returns the uniform [0,1) variate for one (round, client) cell.
 func (d *DropoutSchedule) draw(round, client int) float64 {
 	return cellRNG(d.seed, round, client).Float64()
@@ -195,38 +186,6 @@ func (d *DelaySchedule) DelayAt(round, client int) time.Duration {
 // delayStream decorrelates DelaySchedule draws from DropoutSchedule draws
 // that share a seed.
 const delayStream = 0x64656c6179 // "delay"
-
-// PartialRoundTime is RoundTime for a fault-tolerant round: only active
-// clients are waited for, and whenever any client sits out the server
-// still waits out its round deadline before aggregating, so the round
-// never finishes earlier than that. Stragglers are assumed to land within
-// the deadline; slower ones would be dropped, making this an upper bound.
-func PartialRoundTime(profiles []LinkProfile, iters []int, upBytes, downBytes []int64, active []bool, deadline time.Duration) time.Duration {
-	if len(profiles) != len(iters) || len(profiles) != len(upBytes) ||
-		len(profiles) != len(downBytes) || len(profiles) != len(active) {
-		panic(fmt.Sprintf("netsim: mismatched lengths profiles=%d iters=%d up=%d down=%d active=%d",
-			len(profiles), len(iters), len(upBytes), len(downBytes), len(active)))
-	}
-	var worst time.Duration
-	absent := false
-	for i, p := range profiles {
-		if !active[i] {
-			absent = true
-			continue
-		}
-		t := time.Duration(iters[i])*p.ComputePerIter +
-			p.TransferUp(upBytes[i]) +
-			p.TransferDown(downBytes[i]) +
-			p.RTT
-		if t > worst {
-			worst = t
-		}
-	}
-	if absent && worst < deadline {
-		worst = deadline
-	}
-	return worst
-}
 
 // UniformProfiles returns n copies of profile.
 func UniformProfiles(n int, profile LinkProfile) []LinkProfile {

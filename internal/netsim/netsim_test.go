@@ -100,15 +100,10 @@ func TestDropoutScheduleRates(t *testing.T) {
 	// client per round so the server can always aggregate.
 	empty := NewDropoutSchedule(1, 4, 1)
 	for r := 0; r < 20; r++ {
-		active := empty.ActiveSet(r)
-		count := 0
-		for _, on := range active {
-			if on {
-				count++
+		for c := 0; c < 4; c++ {
+			if empty.Active(r, c) != (c == r%4) {
+				t.Fatalf("rate-1 round %d: client %d active %v, want only the fallback slot", r, c, empty.Active(r, c))
 			}
-		}
-		if count != 1 || !active[r%4] {
-			t.Fatalf("rate-1 round %d active set %v, want only the fallback slot", r, active)
 		}
 	}
 	// A middling rate drops someone eventually.
@@ -124,46 +119,6 @@ func TestDropoutScheduleRates(t *testing.T) {
 	if !dropped {
 		t.Error("rate-0.4 schedule never dropped anyone in 40 rounds")
 	}
-}
-
-func TestPartialRoundTime(t *testing.T) {
-	profiles := UniformProfiles(3, LinkProfile{
-		UpBitsPerSec:   8e6,
-		DownBitsPerSec: 8e6,
-		ComputePerIter: time.Millisecond,
-	})
-	iters := UniformIters(3, 10)
-	up := []int64{1000, 1e6, 1000} // client 1 pushes 1MB
-	down := []int64{1000, 1000, 1000}
-
-	// Everyone active: identical to the strict barrier.
-	allOn := []bool{true, true, true}
-	if got, want := PartialRoundTime(profiles, iters, up, down, allOn, 30*time.Second),
-		RoundTime(profiles, iters, up, down); got != want {
-		t.Errorf("full participation: %v, want RoundTime %v", got, want)
-	}
-
-	// The slow client sits out: the deadline dominates the fast ones.
-	slowOff := []bool{true, false, true}
-	deadline := 5 * time.Second
-	if got := PartialRoundTime(profiles, iters, up, down, slowOff, deadline); got != deadline {
-		t.Errorf("partial round took %v, want the %v deadline", got, deadline)
-	}
-
-	// An active straggler slower than the deadline still bounds the round.
-	if got := PartialRoundTime(profiles, iters, up, down, slowOff, time.Millisecond); got < 12*time.Millisecond {
-		t.Errorf("partial round %v shorter than its slowest active client", got)
-	}
-}
-
-func TestPartialRoundTimeValidatesLengths(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on mismatched active length")
-		}
-	}()
-	PartialRoundTime(UniformProfiles(2, GlobalInternet()), UniformIters(2, 1),
-		[]int64{1, 2}, []int64{1, 2}, []bool{true}, time.Second)
 }
 
 // TestDropoutScheduleMarginalRate is the property test for the dropout
@@ -198,8 +153,8 @@ func TestDropoutScheduleNeverEmpty(t *testing.T) {
 		d := NewDropoutSchedule(3, 6, rate)
 		for r := 0; r < 500; r++ {
 			any := false
-			for _, on := range d.ActiveSet(r) {
-				any = any || on
+			for c := 0; c < 6; c++ {
+				any = any || d.Active(r, c)
 			}
 			if !any {
 				t.Fatalf("rate %.1f: round %d has no active client", rate, r)

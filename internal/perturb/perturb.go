@@ -214,27 +214,6 @@ func (t *EMATracker) Perturbation(j int) float64 {
 	return ratio(t.e[j], t.a[j])
 }
 
-// RestoreScalarState overwrites scalar j's averages and seeded flag,
-// keeping the seeded-count cache consistent: the per-scalar import of a
-// reconciliation delta.
-func (t *EMATracker) RestoreScalarState(j int, e, a float64, seeded bool) {
-	t.e[j] = e
-	t.a[j] = a
-	if t.seeded.Get(j) != seeded {
-		t.seeded.SetTo(j, seeded)
-		if seeded {
-			t.nseed++
-		} else {
-			t.nseed--
-		}
-	}
-}
-
-// RestoreSeen overwrites the tracker-global observation count (it is
-// not derivable from any per-scalar state, so delta imports set it
-// from the header).
-func (t *EMATracker) RestoreSeen(n int) { t.seen = n }
-
 // EMAState is a serializable snapshot of an EMATracker.
 type EMAState struct {
 	Alpha float64
@@ -258,25 +237,35 @@ func (t *EMATracker) Snapshot() EMAState {
 	}
 }
 
-// RestoreEMATracker reconstructs a tracker from a snapshot.
-func RestoreEMATracker(s EMAState) (*EMATracker, error) {
-	if len(s.E) != len(s.A) || len(s.E) == 0 {
-		return nil, fmt.Errorf("perturb: inconsistent snapshot (|E|=%d |A|=%d)", len(s.E), len(s.A))
+// Restore overwrites the tracker in place from a snapshot of a tracker
+// with the same α. words lists the 64-scalar words the snapshot holds
+// (strictly ascending; see bitset.CheckWords), and s holds their averages
+// and seeded bits in packed form (bitset.GatherWords); only those words
+// change. The observation count is tracker-global and always adopted. On
+// error the tracker is unchanged.
+func (t *EMATracker) Restore(s EMAState, words []int) error {
+	if s.Alpha != t.alpha {
+		return fmt.Errorf("perturb: snapshot alpha %v, tracker alpha %v", s.Alpha, t.alpha)
 	}
-	if s.Alpha < 0 || s.Alpha >= 1 {
-		return nil, fmt.Errorf("perturb: snapshot alpha %v out of [0,1)", s.Alpha)
-	}
-	t := NewEMATracker(len(s.E), s.Alpha)
-	copy(t.e, s.E)
-	copy(t.a, s.A)
-	t.seen = s.Seen
-	seeded, err := bitset.FromWords(len(s.E), s.Seeded)
+	n, err := bitset.CheckWords(len(t.e), words)
 	if err != nil {
-		return nil, fmt.Errorf("perturb: restore seeded bitmap: %w", err)
+		return fmt.Errorf("perturb: restore: %w", err)
 	}
-	t.seeded = seeded
-	t.nseed = seeded.Count()
-	return t, nil
+	if len(s.E) != n || len(s.A) != n {
+		return fmt.Errorf("perturb: snapshot holds %d/%d averages, want %d", len(s.E), len(s.A), n)
+	}
+	seeded, err := bitset.FromWords(n, s.Seeded)
+	if err != nil {
+		return fmt.Errorf("perturb: restore seeded bitmap: %w", err)
+	}
+	bitset.ScatterWords(t.e, s.E, words)
+	bitset.ScatterWords(t.a, s.A, words)
+	for i, w := range words {
+		t.seeded.Words()[w] = seeded.Words()[i]
+	}
+	t.nseed = t.seeded.Count()
+	t.seen = s.Seen
+	return nil
 }
 
 // PerturbationAll fills dst (allocated when nil or mis-sized) with every

@@ -203,8 +203,8 @@ func TestEMASnapshotRestore(t *testing.T) {
 	e.Observe([]float64{-1, 2, -3})
 	s := e.Snapshot()
 
-	r, err := RestoreEMATracker(s)
-	if err != nil {
+	r := NewEMATracker(3, 0.9)
+	if err := r.Restore(s, []int{0}); err != nil {
 		t.Fatal(err)
 	}
 	if r.Seen() != e.Seen() || r.Dim() != e.Dim() {
@@ -229,17 +229,28 @@ func TestEMASnapshotRestore(t *testing.T) {
 }
 
 func TestRestoreEMATrackerValidation(t *testing.T) {
-	if _, err := RestoreEMATracker(EMAState{Alpha: 0.5, E: []float64{1}, A: []float64{1, 2}}); err == nil {
-		t.Error("accepted mismatched lengths")
+	seeded := []uint64{1}
+	for _, tc := range []struct {
+		name string
+		s    EMAState
+	}{
+		{"mismatched lengths", EMAState{Alpha: 0.5, E: []float64{1}, A: []float64{1, 2}, Seeded: seeded}},
+		{"empty snapshot", EMAState{Alpha: 0.5}},
+		{"invalid alpha", EMAState{Alpha: 1.5, E: []float64{1}, A: []float64{1}, Seeded: seeded}},
+		{"other alpha", EMAState{Alpha: 0.9, E: []float64{1}, A: []float64{1}, Seeded: seeded}},
+		{"no seeded bitmap", EMAState{Alpha: 0.5, E: []float64{1}, A: []float64{1}, Seen: 1}},
+	} {
+		tr := NewEMATracker(1, 0.5)
+		tr.Observe([]float64{3})
+		if err := tr.Restore(tc.s, []int{0}); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+		if tr.Seen() != 1 || tr.Perturbation(0) != 1 {
+			t.Errorf("%s: a refused restore changed the tracker", tc.name)
+		}
 	}
-	if _, err := RestoreEMATracker(EMAState{Alpha: 0.5}); err == nil {
-		t.Error("accepted empty snapshot")
-	}
-	if _, err := RestoreEMATracker(EMAState{Alpha: 1.5, E: []float64{1}, A: []float64{1}}); err == nil {
-		t.Error("accepted invalid alpha")
-	}
-	if _, err := RestoreEMATracker(EMAState{Alpha: 0.5, E: []float64{1}, A: []float64{1}, Seen: 1}); err == nil {
-		t.Error("accepted a snapshot without its seeded bitmap")
+	if err := NewEMATracker(65, 0.5).Restore(EMAState{Alpha: 0.5}, []int{1, 0}); err == nil {
+		t.Error("accepted an unordered word list")
 	}
 }
 
@@ -311,8 +322,8 @@ func TestObserveUnfrozenMatchesObserveMasked(t *testing.T) {
 func TestSnapshotPreservesPartialSeeding(t *testing.T) {
 	orig := NewEMATracker(3, 0.9)
 	orig.ObserveMasked([]float64{7, 7, 7}, func(j int) bool { return j == 1 })
-	restored, err := RestoreEMATracker(orig.Snapshot())
-	if err != nil {
+	restored := NewEMATracker(3, 0.9)
+	if err := restored.Restore(orig.Snapshot(), []int{0}); err != nil {
 		t.Fatal(err)
 	}
 	// Scalar 1 sees its first genuine update after the restore; both

@@ -14,15 +14,15 @@ package transport
 //   - sketch (O(diff) bytes): the server streams rateless-IBLT cells
 //     coded over its (mask-word, generation) set until the client's
 //     decoder peels the symmetric difference; the client answers with
-//     the diff word indices and receives exactly those words' state
-//     (DeltaMsg), exported word by word from the captured snapshot.
-//     Cost scales with how much state actually changed, not with the
-//     absence length or the model size.
-//   - snapshot (O(dim) bytes): the full current model plus the
-//     checkpoint-encoded manager snapshot in one bounded frame.
-//     Cost is flat in the absence length; the fallback for stateless
-//     managers, relays (always-dense tier), non-converging sketches,
-//     and clients that lost their local state entirely.
+//     the diff word indices and receives a snapshot of exactly those
+//     words: the captured state restricted to them (core.State.Select)
+//     and their model scalars. Cost scales with how much state actually
+//     changed, not with the absence length or the model size.
+//   - snapshot (O(dim) bytes): the full current model plus the encoded
+//     manager snapshot in one bounded frame. Cost is flat in the
+//     absence length; the fallback for stateless managers, relays
+//     (always-dense tier), non-converging sketches, and clients that
+//     lost their local state entirely.
 //
 // Either mode ends with the client bit-identical to a never-severed
 // twin, because both rebuild the exact replica state the replay would
@@ -33,10 +33,11 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
-	"apf/internal/checkpoint"
+	"apf/internal/bitset"
 	"apf/internal/core"
 	"apf/internal/fl"
 	"apf/internal/recon"
@@ -50,10 +51,12 @@ import (
 // connection.
 var ErrFutureGeneration = errors.New("transport: mask generation ahead of the server")
 
-// snapshotPayloadLimit bounds a catch-up frame (SnapshotMsg, DeltaMsg):
-// the manager snapshot carries ~8 dim-length arrays (64 B/scalar) and a
-// delta word block peaks near 66 B/scalar, so 80·dim plus slack admits
-// both while still rejecting hostile length fields before allocation.
+// snapshotPayloadLimit bounds a SnapshotMsg frame: the model plus the
+// manager state's seven per-scalar arrays are 64 B/scalar, and its per-word
+// generations, seeded bits and (word-restricted) word list under 0.4
+// B/scalar, so 80·dim plus slack admits every snapshot, full or
+// word-restricted, while still rejecting hostile length fields before
+// allocation.
 func snapshotPayloadLimit(dim int) int { return dim*80 + 4096 }
 
 // Sketch batches double from 16 cells up to 1024 per round trip: tiny
@@ -64,22 +67,20 @@ const (
 	sketchBatchMax   = 1024
 )
 
-// reconManager is the client manager surface sketch reconciliation
-// needs: per-word generation tracking plus word-granular state import
-// (core.Manager implements it). Structural, so transport carries no
-// hard dependency on the concrete manager.
-type reconManager interface {
-	WordGens() []uint32
-	ApplyWordBlock(b core.WordBlock, x []float64) error
-	ApplySyncHeader(h core.SyncHeader) error
-}
-
-// snapshotRestorer is the manager surface snapshot catch-up needs
-// (core.Manager implements it). A stateful manager without it cannot
-// adopt a snapshot, which is a configuration error surfaced as a
-// protocol violation.
+// snapshotRestorer is the manager surface snapshot catch-up needs: the
+// import of a full or word-restricted state (core.Manager implements it).
+// A stateful manager without it cannot adopt a snapshot, which is a
+// configuration error surfaced as a protocol violation.
 type snapshotRestorer interface {
 	RestoreSnapshot(s *core.State) error
+}
+
+// reconManager is the client manager surface sketch reconciliation
+// needs: per-word generation tracking plus the state import. Structural,
+// so transport carries no hard dependency on the concrete manager.
+type reconManager interface {
+	WordGens() []uint32
+	snapshotRestorer
 }
 
 // catchupCapture is one atomic cut of the server's catch-up state
@@ -93,7 +94,8 @@ type catchupCapture struct {
 	gen int
 	x   []float64
 	// state is the follower's manager snapshot; nil on the stateless path,
-	// where only Round and x ship. Sketch deltas are exported from it.
+	// where only Round and x ship. A decoded sketch's words are selected
+	// from it.
 	state *core.State
 }
 
@@ -159,17 +161,17 @@ func (s *Server) runCatchup(cc *countingConn, cap *catchupCapture) (string, erro
 func (s *Server) sendSnapshot(cc *countingConn, cap *catchupCapture) error {
 	msg := &wire.SnapshotMsg{Round: cap.round, MaskGen: cap.gen, Payload: cap.x}
 	if cap.state != nil {
-		msg.Manager = checkpoint.EncodeManager(cap.state)
+		msg.Manager = core.EncodeState(cap.state)
 	}
 	return writeMsg(cc, s.cfg.IOTimeout, msg, &s.wireM)
 }
 
 // serveSketch streams coded cells over the capture's (word, generation)
 // set in doubling batches, lockstep with the client's offers, until the
-// client reports the decoded diff (answered with a DeltaMsg) or either
-// side gives up (answered with the snapshot). The total cell budget
-// bounds a hostile or hopeless decoder: past ~2 cells per word the
-// sketch cannot beat the snapshot it is trying to avoid.
+// client reports the decoded diff (answered with a snapshot of those
+// words) or either side gives up (answered with the full snapshot). The
+// total cell budget bounds a hostile or hopeless decoder: past ~2 cells
+// per word the sketch cannot beat the snapshot it is trying to avoid.
 func (s *Server) serveSketch(cc *countingConn, cap *catchupCapture) (string, error) {
 	enc := recon.NewEncoder()
 	for w, g := range cap.state.WordGen {
@@ -213,7 +215,16 @@ func (s *Server) serveSketch(cc *countingConn, cap *catchupCapture) (string, err
 			return "sketch", fmt.Errorf("%w: client offers generation %d, server captured %d",
 				ErrFutureGeneration, offer.MaskGen, cap.gen)
 		case offer.Words != nil:
-			return "sketch", s.sendDelta(cc, cap, offer.Words)
+			// The capture restricted to the decoded words: their state and
+			// model scalars. Select takes only a strictly ascending list
+			// within the model, so a hostile one cannot amplify the reply
+			// past one model.
+			state, err := cap.state.Select(offer.Words)
+			if err != nil {
+				return "sketch", protocolErrorf("catch-up word list: %v", err)
+			}
+			return "sketch", s.sendSnapshot(cc, &catchupCapture{round: cap.round, gen: cap.gen,
+				x: bitset.GatherWords(cap.x, offer.Words), state: state})
 		case offer.NeedMore:
 			continue
 		case offer.MaskGen < 0:
@@ -225,37 +236,16 @@ func (s *Server) serveSketch(cc *countingConn, cap *catchupCapture) (string, err
 	}
 }
 
-// sendDelta closes a decoded sketch: the manager-global header plus the
-// full state of exactly the requested words, exported from the captured
-// snapshot (the follower keeps advancing meanwhile). Indices are validated
-// and deduplicated before any export, so a hostile word list cannot
-// amplify the response past one model.
-func (s *Server) sendDelta(cc *countingConn, cap *catchupCapture, words []int) error {
-	total := len(cap.state.WordGen)
-	if len(words) > total {
-		return protocolErrorf("delta requests %d words, model has %d", len(words), total)
-	}
-	d := &wire.DeltaMsg{Round: cap.round, MaskGen: cap.gen, Header: cap.state.SyncHeader()}
-	seen := make(map[int]bool, len(words))
-	for _, w := range words {
-		if w < 0 || w >= total || seen[w] {
-			return protocolErrorf("delta word index %d out of range or duplicated", w)
-		}
-		seen[w] = true
-		d.Words = append(d.Words, cap.state.WordBlock(w, cap.x))
-	}
-	return writeMsg(cc, s.cfg.IOTimeout, d, &s.wireM)
-}
-
 // catchUp is the requesting side of the conversation, entered when the
 // resume Welcome w carries CatchUp; applied and dim are the peer's round
 // cursor and model dimension. With a manager tracking word generations it
 // opens in sketch mode when the server has a stateful capture to
 // reconcile against; otherwise (a stateless manager, or a relay, whose
 // upstream leg carries no manager state: manager nil) it requests the
-// snapshot outright. It returns the frame that closes the conversation, a
-// snapshot or a delta, for the caller to validate and apply.
-func (u *uplink) catchUp(conn *countingConn, w *WelcomeMsg, applied, dim int, manager fl.SyncManager) (*wire.SnapshotMsg, *wire.DeltaMsg, error) {
+// snapshot outright. It returns the snapshot that closes the conversation,
+// for the caller to validate and apply, and the word list this peer sent
+// (nil if none), the only coverage a word-restricted snapshot may have.
+func (u *uplink) catchUp(conn *countingConn, w *WelcomeMsg, applied, dim int, manager fl.SyncManager) (*wire.SnapshotMsg, []int, error) {
 	own := -1
 	if g, ok := fl.As[fl.MaskGenerationReporter](manager); ok {
 		own = g.MaskGeneration()
@@ -269,6 +259,7 @@ func (u *uplink) catchUp(conn *countingConn, w *WelcomeMsg, applied, dim int, ma
 			ErrFutureGeneration, own, w.MaskGen)
 	}
 	var dec *recon.Decoder
+	var words []int
 	offer := &wire.ResumeOfferMsg{Round: applied, MaskGen: -1}
 	if rm != nil && applied >= 0 && w.MaskGen >= 0 {
 		offer.MaskGen = own
@@ -304,7 +295,8 @@ func (u *uplink) catchUp(conn *countingConn, w *WelcomeMsg, applied, dim int, ma
 			reply := &wire.ResumeOfferMsg{Round: applied, MaskGen: own}
 			switch {
 			case dec.Decoded():
-				reply.Words = diffWords(dec)
+				words = diffWords(dec)
+				reply.Words = words
 			case dec.Cells() >= budget:
 				// Not converging (heavy diff): bail to the snapshot, which
 				// this conversation's next frame will be.
@@ -316,15 +308,10 @@ func (u *uplink) catchUp(conn *countingConn, w *WelcomeMsg, applied, dim int, ma
 			if err := writeMsg(conn, u.ioTimeout, reply, &u.wireM); err != nil {
 				return nil, nil, fmt.Errorf("transport: catch-up reply: %w", err)
 			}
-		case *wire.DeltaMsg:
-			if rm == nil || dec != nil && !dec.Decoded() {
-				return nil, nil, protocolErrorf("delta before the sketch decoded")
-			}
-			return nil, msg, nil
 		case *wire.SnapshotMsg:
-			// The server may force the snapshot at any point (budget
+			// The server may force the full snapshot at any point (budget
 			// exhausted, stateless capture).
-			return msg, nil, nil
+			return msg, words, nil
 		default:
 			return nil, nil, protocolErrorf("catch-up: unexpected %s frame", m.WireKind())
 		}
@@ -351,46 +338,44 @@ func diffWords(dec *recon.Decoder) []int {
 	return words
 }
 
-// applyDelta merges a sketch-mode delta: the full state of exactly the
-// differing words, plus the manager-global header. Words with equal
-// generations are bit-identical by the replica-identity invariant, so
-// the untouched remainder of the local state is already the server's.
-func (r *clientRun) applyDelta(d *wire.DeltaMsg) error {
-	rm, _ := fl.As[reconManager](r.rep.Manager) // catchUp accepts a delta only then
-	if d.Round <= r.applied {
-		return protocolErrorf("catch-up delta for round %d at applied round %d", d.Round, r.applied)
-	}
-	for i := range d.Words {
-		if err := rm.ApplyWordBlock(d.Words[i], r.rep.X); err != nil {
-			return protocolErrorf("catch-up delta word %d: %v", d.Words[i].Word, err)
-		}
-	}
-	if err := rm.ApplySyncHeader(d.Header); err != nil {
-		return protocolErrorf("catch-up delta header: %v", err)
-	}
-	r.finishCatchUp(d.Round, len(d.Words), "sketch")
-	return nil
-}
-
 // applySnapshot adopts a snapshot frame: model payload, and — for
-// stateful managers — the manager snapshot. Also the handler for a
-// mid-run snapshot broadcast (the server jumped its history forward
-// after its own upstream catch-up).
-func (r *clientRun) applySnapshot(sm *wire.SnapshotMsg) error {
-	if err := checkSnapshot(sm, r.applied, r.dim); err != nil {
-		return err
-	}
-	if sr, ok := fl.As[snapshotRestorer](r.rep.Manager); ok {
+// stateful managers — the manager state. words is the word list this
+// client sent (nil if none): a word-restricted snapshot must cover exactly
+// it, and installs just those words; every other frame must be full. Also
+// the handler for a mid-run snapshot broadcast (the server jumped its
+// history forward after its own upstream catch-up).
+func (r *clientRun) applySnapshot(sm *wire.SnapshotMsg, words []int) error {
+	sr, stateful := fl.As[snapshotRestorer](r.rep.Manager)
+	var st *core.State
+	if stateful {
 		if len(sm.Manager) == 0 {
 			return protocolErrorf("snapshot carries no manager state for a stateful manager")
 		}
-		st, err := checkpoint.DecodeManager(sm.Manager)
-		if err != nil {
+		var err error
+		if st, err = core.DecodeState(sm.Manager); err != nil {
 			return protocolErrorf("snapshot manager state: %v", err)
 		}
+	}
+	part := st != nil && st.Words != nil
+	n := r.dim
+	if part {
+		if words == nil || !slices.Equal(st.Words, words) {
+			return protocolErrorf("snapshot covers %d words, %d requested", len(st.Words), len(words))
+		}
+		n = len(st.Ref)
+	}
+	if err := checkSnapshot(sm, r.applied, n); err != nil {
+		return err
+	}
+	if stateful {
 		if err := sr.RestoreSnapshot(st); err != nil {
 			return protocolErrorf("snapshot manager state: %v", err)
 		}
+	}
+	if part {
+		bitset.ScatterWords(r.rep.X, sm.Payload, st.Words)
+		r.finishCatchUp(sm.Round, len(st.Words), "sketch")
+		return nil
 	}
 	copy(r.rep.X, sm.Payload)
 	r.finishCatchUp(sm.Round, 0, "snapshot")

@@ -214,16 +214,11 @@ func (r *clientRun) session(ctx context.Context) error {
 	// track word generations, snapshot otherwise). Either way the client
 	// lands bit-identical to the replayed trajectory.
 	if welcome.CatchUp {
-		snap, delta, err := r.up.catchUp(conn, welcome, r.applied, r.dim, r.rep.Manager)
+		snap, words, err := r.up.catchUp(conn, welcome, r.applied, r.dim, r.rep.Manager)
 		if err != nil {
 			return err
 		}
-		if snap != nil {
-			err = r.applySnapshot(snap)
-		} else {
-			err = r.applyDelta(delta)
-		}
-		if err != nil {
+		if err := r.applySnapshot(snap, words); err != nil {
 			return err
 		}
 	}
@@ -268,7 +263,7 @@ func (r *clientRun) session(ctx context.Context) error {
 			return fmt.Errorf("transport: round %d pull: %w", round, err)
 		}
 		if sm, ok := m.(*wire.SnapshotMsg); ok {
-			if err := r.applySnapshot(sm); err != nil {
+			if err := r.applySnapshot(sm, nil); err != nil {
 				return err
 			}
 			round = r.applied // the loop increment resumes at applied+1

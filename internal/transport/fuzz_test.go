@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"apf/internal/core"
 	"apf/internal/fl"
 	"apf/internal/perturb"
+	"apf/internal/recon"
 	"apf/internal/telemetry"
 	"apf/internal/wire"
 )
@@ -109,12 +111,18 @@ func FuzzServerDecode(f *testing.F) {
 }
 
 // FuzzClientDecode drives the client's inbound decode path — a WelcomeMsg
-// followed by GlobalMsgs — with arbitrary bytes, then pushes the decoded
-// messages through the client-side validators.
+// followed by GlobalMsgs, or a catch-up WelcomeMsg followed by the
+// snapshots closing the conversation — with arbitrary bytes, then pushes
+// the decoded messages through the client-side validators. Each snapshot
+// is applied to a fresh client run with a real APF manager, once as a
+// client that sent no word list and once as one that asked for word 0:
+// whatever the frame, the run either adopts it (at its round, the manager
+// holding the state the frame carries) or refuses it unchanged.
 func FuzzClientDecode(f *testing.F) {
 	f.Add(seedWelcomeGlobals())
 	f.Add(encodeAll(fixtureResumeWelcome))
 	f.Add([]byte{0xff, 0xfe, 0x00})
+	f.Add(seedCatchUpSnapshots())
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) > 64<<10 {
@@ -129,6 +137,10 @@ func FuzzClientDecode(f *testing.F) {
 			return
 		}
 		_ = checkWelcome(w)
+		if w.CatchUp {
+			fuzzCatchUpSnapshots(t, rest)
+			return
+		}
 		expect := 0
 		for i := 0; i < 16; i++ {
 			m, next, err := wire.Decode(rest, modelPayloadLimit(3))
@@ -145,6 +157,37 @@ func FuzzClientDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzCatchUpSnapshots applies every snapshot in a catch-up stream to
+// fresh client runs of the fixtures' dimension (FuzzClientDecode).
+func fuzzCatchUpSnapshots(t *testing.T, rest []byte) {
+	for i := 0; i < 4; i++ {
+		m, next, err := wire.Decode(rest, snapshotPayloadLimit(fixtureDim))
+		if err != nil {
+			return
+		}
+		rest = next
+		sm, ok := m.(*SnapshotMsg)
+		if !ok {
+			continue
+		}
+		for _, words := range [][]int{nil, {0}} {
+			r := newCatchupRun(fixtureDim)
+			mgr := r.rep.Manager.(*core.Manager)
+			before := mgr.Snapshot()
+			if err := r.applySnapshot(sm, words); err != nil {
+				if r.applied != -1 || !reflect.DeepEqual(mgr.Snapshot(), before) {
+					t.Fatalf("refused snapshot (%v) changed the client", err)
+				}
+				continue
+			}
+			st, err := core.DecodeState(sm.Manager)
+			if err != nil || r.applied != sm.Round || mgr.Snapshot().LastRound != st.LastRound {
+				t.Fatalf("adopted snapshot for round %d: client at round %d", sm.Round, r.applied)
+			}
+		}
+	}
 }
 
 // The messages behind the checked-in wire-format seeds. The fuzz targets
@@ -196,6 +239,33 @@ func seedRelayJoinPartials() []byte {
 	return encodeAll(&RelayJoinMsg{Name: "edge-0", SessionKey: "edge-0", HaveRound: -1, Clients: 2},
 		partial(0, []float64{1, 2, 3}, []float64{-0.5, 0.25, 8}),
 		partial(1, []float64{4, 5, 6}, []float64{1e-3, -7, 0}))
+}
+
+// fixtureDim is the model dimension of the catch-up fixtures: one
+// trailing partial mask word.
+const fixtureDim = 3
+
+// fixtureCatchUp is the server side of the catch-up fixtures: a follower's
+// capture at dimension fixtureDim after rounds 0…5, framed as the full
+// snapshot and as the snapshot of word 0 that closes a decoded sketch.
+func fixtureCatchUp() (full, words *SnapshotMsg) {
+	f := catchupFollower(fixtureDim)
+	x, st, _ := f.Capture()
+	part, err := st.Select([]int{0})
+	if err != nil {
+		panic(err)
+	}
+	full = &SnapshotMsg{Round: f.Round(), MaskGen: f.MaskGeneration(), Payload: x, Manager: core.EncodeState(st)}
+	words = &SnapshotMsg{Round: f.Round(), MaskGen: f.MaskGeneration(), Payload: x, Manager: core.EncodeState(part)}
+	return full, words
+}
+
+// seedCatchUpSnapshots is the client-side catch-up stream seed: a
+// catch-up welcome, then the full and the word-restricted snapshot.
+func seedCatchUpSnapshots() []byte {
+	full, words := fixtureCatchUp()
+	return encodeAll(&WelcomeMsg{ClientID: 1, NumClients: 2, Rounds: 8, Dim: fixtureDim,
+		Round: full.Round, Resumed: true, CatchUp: true, MaskGen: full.MaskGen}, full, words)
 }
 
 // seedWelcomeGlobals is the client-side stream seed: a fresh welcome and
@@ -274,6 +344,7 @@ func corpusFixtures() map[string][]byte {
 		out[at] = b
 		return out
 	}
+	fullSnap, wordSnap := fixtureCatchUp()
 	const wireDir, serverDir, clientDir, checkpointDir = "../wire/testdata/fuzz/FuzzWireDecode/",
 		"testdata/fuzz/FuzzServerDecode/", "testdata/fuzz/FuzzClientDecode/",
 		"../checkpoint/testdata/fuzz/FuzzCheckpointDecode/"
@@ -289,6 +360,11 @@ func corpusFixtures() map[string][]byte {
 		wireDir + "valid-relay-join": encodeAll(&RelayJoinMsg{Name: "edge-0", SessionKey: "edge-0",
 			HaveRound: -1, Clients: 128}),
 		wireDir + "valid-partial-update": encodeAll(fixturePartial()),
+		wireDir + "valid-resume-offer":   encodeAll(&ResumeOfferMsg{Round: 5, MaskGen: 2, Words: []int{0, 3, 7}}),
+		wireDir + "valid-sketch": encodeAll(&SketchMsg{Round: 8, MaskGen: 2, Start: 16, Cells: []recon.Cell{
+			{Sum: recon.PackWordGen(3, 9), Hash: 0xfeedface, Count: 1}, {Sum: 0, Hash: 0, Count: -2}}}),
+		wireDir + "valid-snapshot":       encodeAll(fullSnap),
+		wireDir + "valid-snapshot-words": encodeAll(wordSnap),
 		wireDir + "two-frame-stream":     encodeAll(fixtureJoin, fixtureUpdate),
 		wireDir + "unknown-version":      patched(join, 4, 0x7f),
 		wireDir + "unknown-kind":         patched(join, 5, 0xee),
@@ -300,10 +376,11 @@ func corpusFixtures() map[string][]byte {
 		serverDir + "valid-relay-join-partials": seedRelayJoinPartials(),
 		serverDir + "valid-resume-join":         encodeAll(fixtureResumeJoin),
 
-		clientDir + "valid-welcome-globals": seedWelcomeGlobals(),
-		clientDir + "valid-resume-welcome":  encodeAll(fixtureResumeWelcome),
+		clientDir + "valid-welcome-globals":   seedWelcomeGlobals(),
+		clientDir + "valid-resume-welcome":    encodeAll(fixtureResumeWelcome),
+		clientDir + "valid-catchup-snapshots": seedCatchUpSnapshots(),
 
-		checkpointDir + "valid-manager":             checkpoint.EncodeManager(fixtureManager()),
+		checkpointDir + "valid-manager":             core.EncodeState(fixtureManager()),
 		checkpointDir + "valid-snapshot-wal-stream": seedSnapshotWAL(),
 	}
 }
@@ -352,9 +429,14 @@ func TestFuzzCorporaLive(t *testing.T) {
 
 	wireStream := func(buf []byte) error {
 		for len(buf) > 0 {
-			_, rest, err := wire.Decode(buf, 0)
+			m, rest, err := wire.Decode(buf, 0)
 			if err != nil {
 				return err
+			}
+			if sm, ok := m.(*SnapshotMsg); ok && len(sm.Manager) > 0 {
+				if _, err := core.DecodeState(sm.Manager); err != nil {
+					return err
+				}
 			}
 			buf = rest
 		}
@@ -368,7 +450,7 @@ func TestFuzzCorporaLive(t *testing.T) {
 			}
 			switch kind {
 			case checkpoint.KindManager:
-				_, err = checkpoint.DecodeManager(buf[:len(buf)-len(rest)])
+				_, err = core.DecodeState(buf[:len(buf)-len(rest)])
 			case kindServerSnap:
 				_, err = decodeServerState(payload)
 			case kindWALGlobal:

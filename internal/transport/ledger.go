@@ -3,7 +3,6 @@ package transport
 import (
 	"fmt"
 
-	"apf/internal/checkpoint"
 	"apf/internal/core"
 	"apf/internal/wire"
 )
@@ -68,7 +67,7 @@ func (l *ledger) jump(g *GlobalMsg, snap *wire.SnapshotMsg) {
 	if f := l.follower; f != nil {
 		// Undecodable or absent manager state leaves st nil, and the failed
 		// Restore is what records the desync: captures go stateless.
-		st, _ := checkpoint.DecodeManager(snap.Manager)
+		st, _ := core.DecodeState(snap.Manager)
 		_ = f.Restore(snap.Round, snap.Payload, st)
 	}
 	l.history, l.base = nil, g.Round
@@ -82,7 +81,7 @@ func (l *ledger) jump(g *GlobalMsg, snap *wire.SnapshotMsg) {
 // desyncs the follower rather than leaving it silently wrong.
 func (l *ledger) restore(st *serverState) error {
 	if f := l.follower; f != nil && st.ShadowRound >= 0 && len(st.Shadow) > 0 {
-		ms, err := checkpoint.DecodeManager(st.Shadow)
+		ms, err := core.DecodeState(st.Shadow)
 		if err == nil {
 			err = f.Restore(st.ShadowRound, st.ShadowX, ms)
 		}
@@ -145,7 +144,7 @@ func (l *ledger) persist(st *serverState) {
 	if f := l.follower; f != nil {
 		if x, ms, ok := f.Capture(); ok {
 			st.ShadowRound = f.Round()
-			st.Shadow = checkpoint.EncodeManager(ms)
+			st.Shadow = core.EncodeState(ms)
 			st.ShadowX = x
 		}
 	}

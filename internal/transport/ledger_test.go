@@ -6,7 +6,6 @@ import (
 	"math"
 	"testing"
 
-	"apf/internal/checkpoint"
 	"apf/internal/core"
 	"apf/internal/wire"
 )
@@ -134,7 +133,7 @@ func checkLedger(t *testing.T, step string, l *ledger, n *naiveLog, tw *twinRepl
 			step, got.round, got.gen, want.round, want.gen)
 	}
 	if (got.state == nil) != (want.state == nil) ||
-		want.state != nil && !bytes.Equal(checkpoint.EncodeManager(got.state), checkpoint.EncodeManager(want.state)) {
+		want.state != nil && !bytes.Equal(core.EncodeState(got.state), core.EncodeState(want.state)) {
 		t.Fatalf("%s: captured manager state differs from the twin replica's", step)
 	}
 }
@@ -236,7 +235,7 @@ func TestLedgerJump(t *testing.T) {
 			snap := &wire.SnapshotMsg{Round: 8, MaskGen: -1, Payload: append([]float64(nil), up.x...)}
 			if tc.carryMgr {
 				snap.MaskGen = up.mgr.MaskGeneration()
-				snap.Manager = checkpoint.EncodeManager(up.mgr.Snapshot())
+				snap.Manager = core.EncodeState(up.mgr.Snapshot())
 			}
 			g := &GlobalMsg{Round: snap.Round, Payload: snap.Payload}
 			l.jump(g, snap)
@@ -326,6 +325,30 @@ func TestLedgerRestore(t *testing.T) {
 	}
 }
 
+// TestLedgerRestoreRefusesWordRestrictedShadow: recovery refuses a
+// persisted follower whose state covers only some mask words — the
+// follower must be whole — instead of following from a partial replica.
+func TestLedgerRestoreRefusesWordRestrictedShadow(t *testing.T) {
+	live := newTestLedger(3, true)
+	for r := 0; r < 6; r++ {
+		live.commit(&GlobalMsg{Round: r, Participants: 2, Payload: ledgerPayload(r, false)})
+	}
+	var st serverState
+	live.persist(&st)
+	full, err := core.DecodeState(st.Shadow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := full.Select([]int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Shadow = core.EncodeState(part)
+	if err := newTestLedger(3, true).restore(&st); err == nil {
+		t.Fatal("restored a ledger from a word-restricted follower state")
+	}
+}
+
 // TestLedgerFollowerDesync feeds the follower what it cannot fold — a
 // compacted commit of the wrong length, or a recovered history that starts
 // past round 0 (a gap) — and checks that captures turn stateless and stay
@@ -384,7 +407,7 @@ func TestLedgerFollowerDesync(t *testing.T) {
 				up.apply(&GlobalMsg{Round: r, Payload: ledgerPayload(100+r, false)})
 			}
 			snap := &wire.SnapshotMsg{Round: 12, MaskGen: up.mgr.MaskGeneration(),
-				Payload: append([]float64(nil), up.x...), Manager: checkpoint.EncodeManager(up.mgr.Snapshot())}
+				Payload: append([]float64(nil), up.x...), Manager: core.EncodeState(up.mgr.Snapshot())}
 			g := &GlobalMsg{Round: snap.Round, Payload: snap.Payload}
 			l.jump(g, snap)
 			n.start, n.all = snap.Round, []GlobalMsg{*g}

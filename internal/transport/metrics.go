@@ -23,7 +23,7 @@ const (
 
 // wireKinds is the number of entries in the per-kind tables (kinds are
 // 1-based, index 0 unused).
-const wireKinds = int(wire.KindDelta) + 1
+const wireKinds = int(wire.KindSnapshot) + 1
 
 // wireMetrics counts frames and bytes crossing the socket per message
 // kind and direction, plus decode failures by type.
@@ -45,7 +45,7 @@ func newWireMetrics(reg *telemetry.Registry) wireMetrics {
 		errsHelp   = "Inbound frames refused by the wire decoder, by failure type."
 	)
 	for d, dir := range [2]string{"in", "out"} {
-		for k := wire.KindJoin; k <= wire.KindDelta; k++ {
+		for k := wire.KindJoin; k <= wire.KindSnapshot; k++ {
 			wm.frames[d][k] = reg.Counter("apf_wire_frames_total", framesHelp,
 				"kind", k.String(), "dir", dir)
 			wm.bytes[d][k] = reg.Counter("apf_wire_bytes_total", bytesHelp,

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"apf/internal/chaos"
-	"apf/internal/checkpoint"
 	"apf/internal/compress"
 	"apf/internal/core"
 	"apf/internal/data"
@@ -129,8 +128,8 @@ func TestHistoryEvictionBounded(t *testing.T) {
 		t.Errorf("capture generation %d, twin %d", capture.gen, twin.MaskGeneration())
 	}
 	requireSameModel(t, "capture model vs twin replica", capture.x, tx)
-	got := checkpoint.EncodeManager(capture.state)
-	want := checkpoint.EncodeManager(twin.Snapshot())
+	got := core.EncodeState(capture.state)
+	want := core.EncodeState(twin.Snapshot())
 	if !bytes.Equal(got, want) {
 		t.Error("captured manager snapshot differs from the twin replica's")
 	}
@@ -261,7 +260,7 @@ func TestSnapshotResumeAfterEviction(t *testing.T) {
 	if snap.MaskGen != oracle.MaskGeneration() {
 		t.Errorf("snapshot generation %d, oracle %d", snap.MaskGen, oracle.MaskGeneration())
 	}
-	if !bytes.Equal(snap.Manager, checkpoint.EncodeManager(oracle.Snapshot())) {
+	if !bytes.Equal(snap.Manager, core.EncodeState(oracle.Snapshot())) {
 		t.Error("snapshot manager state differs from the replay oracle's")
 	}
 	if v := srv.metrics.resumeSnapshot.Value(); v != 1 {

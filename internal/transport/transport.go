@@ -80,11 +80,9 @@ type (
 	ResumeOfferMsg = wire.ResumeOfferMsg
 	// SketchMsg carries a batch of rateless-IBLT cells.
 	SketchMsg = wire.SketchMsg
-	// SnapshotMsg carries the full current state for O(dim) catch-up.
+	// SnapshotMsg carries the current state for catch-up: all of it, or
+	// just the diverged mask words after sketch reconciliation.
 	SnapshotMsg = wire.SnapshotMsg
-	// DeltaMsg carries only the diverged mask words after sketch
-	// reconciliation.
-	DeltaMsg = wire.DeltaMsg
 )
 
 // HashMaskWords returns the FNV-1a hash of a freezing mask's backing words
@@ -221,14 +219,15 @@ func checkRejoin(first, w *WelcomeMsg) error {
 }
 
 // checkSnapshot validates a snapshot frame — a catch-up answer or a
-// mid-stream jump — against the receiver's applied round and model
-// dimension.
-func checkSnapshot(sm *wire.SnapshotMsg, applied, dim int) error {
+// mid-stream jump — against the receiver's applied round and the number of
+// model scalars it must carry (the model dimension, or the scalars of the
+// words a word-restricted snapshot covers).
+func checkSnapshot(sm *wire.SnapshotMsg, applied, scalars int) error {
 	if sm.Round <= applied {
 		return protocolErrorf("snapshot for round %d at applied round %d", sm.Round, applied)
 	}
-	if len(sm.Payload) != dim {
-		return protocolErrorf("snapshot payload length %d, model has %d", len(sm.Payload), dim)
+	if len(sm.Payload) != scalars {
+		return protocolErrorf("snapshot payload length %d, want %d", len(sm.Payload), scalars)
 	}
 	return nil
 }

@@ -177,7 +177,7 @@ func checkHeader(hdr []byte, limit int) (Kind, int, error) {
 		return 0, 0, fmt.Errorf("%w: frame version %d, this build speaks %d", ErrVersion, version, Version)
 	}
 	kind := Kind(hdr[5])
-	if kind < KindJoin || kind > KindDelta {
+	if kind < KindJoin || kind > KindSnapshot {
 		return 0, 0, fmt.Errorf("%w: kind %d", ErrUnknownKind, uint8(kind))
 	}
 	if limit <= 0 || limit > MaxPayload {
@@ -219,8 +219,6 @@ func decodeBody(kind Kind, payload []byte) (Msg, error) {
 		m = readSketch(r)
 	case KindSnapshot:
 		m = readSnapshot(r)
-	case KindDelta:
-		m = readDelta(r)
 	}
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("%w: %s body: %v", ErrCorrupt, kind, err)
@@ -256,21 +254,6 @@ func Decode(buf []byte, limit int) (Msg, []byte, error) {
 		return nil, nil, err
 	}
 	return m, buf[end+trailerLen:], nil
-}
-
-// WriteMsg frames m and writes it to w in a single Write call, so a frame
-// is never interleaved with another writer's output and torn-write faults
-// (package chaos) tear at most one message.
-func WriteMsg(w io.Writer, m Msg) error {
-	_, err := w.Write(Encode(m))
-	return err
-}
-
-// ReadMsg reads exactly one frame from r and decodes it: the zero
-// FrameReader's Read, whose dense payloads are freshly allocated.
-func ReadMsg(r io.Reader, limit int) (Msg, error) {
-	var fr FrameReader
-	return fr.Read(r, limit)
 }
 
 // frameChunk is the span of a dense payload a FrameReader holds at once.

@@ -7,7 +7,6 @@ import (
 	"math"
 	"testing"
 
-	"apf/internal/core"
 	"apf/internal/fl"
 	"apf/internal/recon"
 )
@@ -55,7 +54,7 @@ func FuzzWireDecode(f *testing.F) {
 	} {
 		f.Add(Encode(m))
 	}
-	// v4 catch-up forms: sketch-cell and delta word-block counts are
+	// Catch-up forms: sketch-cell and offered-word counts are
 	// length-bounded, the catch-up Welcome is the canonical-versioning
 	// target, and truncated snapshot frames must fail typed.
 	for _, m := range []Msg{
@@ -72,14 +71,7 @@ func FuzzWireDecode(f *testing.F) {
 		&SnapshotMsg{Round: 8, MaskGen: 2, Payload: []float64{1, math.NaN()},
 			Manager: []byte{0xde, 0xad, 0x00, 0xef}},
 		&SnapshotMsg{Round: 0, MaskGen: -1, Payload: []float64{0}},
-		&DeltaMsg{Round: 8, MaskGen: 2,
-			Header: core.SyncHeader{Threshold: 0.05, CheckCount: 2, Seen: 2, Initialized: true, InitRound: 0, LastRound: 8},
-			Words: []core.WordBlock{{
-				Word: 1, Gen: 9, Seeded: ^uint64(0),
-				X: []float64{1}, Ref: []float64{2}, LastCheck: []float64{3},
-				E: []float64{4}, A: []float64{5}, Period: []float64{6},
-				UnfreezeAt: []int{7}, RandomUntil: []int{0},
-			}}},
+		&SnapshotMsg{Round: 8, MaskGen: 2, Manager: []byte{0x43, 0x46}},
 	} {
 		f.Add(Encode(m))
 	}
@@ -109,12 +101,12 @@ func FuzzWireDecode(f *testing.F) {
 			t.Fatalf("decode/encode not canonical:\n in  %x\n out %x", frame, got)
 		}
 		// The streaming reader must agree with the in-memory decoder.
-		m2, err := ReadMsg(bytes.NewReader(in), 0)
+		m2, err := new(FrameReader).Read(bytes.NewReader(in), 0)
 		if err != nil {
-			t.Fatalf("ReadMsg failed on a frame Decode accepted: %v", err)
+			t.Fatalf("FrameReader failed on a frame Decode accepted: %v", err)
 		}
 		if !bytes.Equal(Encode(m2), frame) {
-			t.Fatal("ReadMsg and Decode disagree")
+			t.Fatal("FrameReader and Decode disagree")
 		}
 	})
 }

@@ -53,7 +53,7 @@ type PartialUpdateMsg struct {
 	// and per-coordinate sums. A sender supplies the sums in Sum.Cols and
 	// the encoder packs them straight into the frame; a decoded message
 	// carries them as Sum.Packed, a validated view ALIASING the buffer the
-	// frame was decoded from (Decode's input, or the body ReadMsg
+	// frame was decoded from (Decode's input, or the body FrameReader.Read
 	// allocated), which fl.Partial.Merge folds in without ever
 	// materializing the columns.
 	Sum fl.Partial

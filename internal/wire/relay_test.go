@@ -55,9 +55,9 @@ func TestRelayRoundTrip(t *testing.T) {
 		}
 		sameMsg(t, m, got)
 		// The streaming reader must agree.
-		got2, err := ReadMsg(bytes.NewReader(frame), 0)
+		got2, err := new(FrameReader).Read(bytes.NewReader(frame), 0)
 		if err != nil {
-			t.Fatalf("%s: ReadMsg: %v", m.WireKind(), err)
+			t.Fatalf("%s: FrameReader: %v", m.WireKind(), err)
 		}
 		sameMsg(t, m, got2)
 	}

@@ -1,10 +1,7 @@
 package wire
 
 import (
-	"fmt"
-
 	"apf/internal/checkpoint"
-	"apf/internal/core"
 	"apf/internal/recon"
 )
 
@@ -18,9 +15,9 @@ import (
 //	ResumeOffer{NeedMore}        →                        (not decoded yet)
 //	                             ←  Sketch{Cells...}
 //	ResumeOffer{Words: [...]}    →                        (decoded)
-//	                             ←  Delta{Header, Words}
+//	                             ←  Snapshot{Payload, Manager} (those words)
 //	— or —
-//	                             ←  Snapshot{Payload, Manager}
+//	                             ←  Snapshot{Payload, Manager} (every word)
 //
 // A ResumeOffer with MaskGen -1 requests the snapshot mode outright
 // (managers without reconciliation state, and relays adopting the
@@ -28,7 +25,7 @@ import (
 
 // CapRecon is the capability bit a client advertises in JoinMsg.Caps
 // when its manager supports sketch reconciliation (per-word generation
-// tracking and word-block import).
+// tracking and the import of a word-restricted manager state).
 const CapRecon uint64 = 1 << 2
 
 // ResumeOfferMsg is the client's catch-up move. Exactly one of three
@@ -56,28 +53,22 @@ type SketchMsg struct {
 	Cells   []recon.Cell
 }
 
-// SnapshotMsg ships the server's full current state in one bounded
-// frame: the canonical post-round model plus (for stateful managers)
-// the manager snapshot in its durable encoding. Cost is O(dim)
-// regardless of how long the client was away.
+// SnapshotMsg ships the server's current state in one bounded frame: the
+// canonical post-round model plus (for stateful managers) the manager
+// state in its durable encoding. A full snapshot costs O(dim) regardless
+// of how long the client was away; the one closing a decoded sketch
+// covers exactly the mask words the client's ResumeOffer listed, and
+// costs O(diff).
 type SnapshotMsg struct {
 	Round   int
 	MaskGen int
-	// Payload is the canonical post-ApplyDownload model at Round.
+	// Payload is the canonical post-ApplyDownload model at Round, or its
+	// scalars in the words the manager state covers, packed.
 	Payload []float64
-	// Manager is the checkpoint-encoded core manager state
-	// (checkpoint.EncodeManager); empty for stateless managers, which
+	// Manager is the encoded core manager state (core.EncodeState), whose
+	// word coverage Payload follows; empty for stateless managers, which
 	// need only Round and Payload.
 	Manager []byte
-}
-
-// DeltaMsg closes sketch mode: the manager-global header plus the full
-// state of exactly the words the client's ResumeOffer listed.
-type DeltaMsg struct {
-	Round   int
-	MaskGen int
-	Header  core.SyncHeader
-	Words   []core.WordBlock
 }
 
 // WireKind implements Msg.
@@ -88,9 +79,6 @@ func (*SketchMsg) WireKind() Kind { return KindSketch }
 
 // WireKind implements Msg.
 func (*SnapshotMsg) WireKind() Kind { return KindSnapshot }
-
-// WireKind implements Msg.
-func (*DeltaMsg) WireKind() Kind { return KindDelta }
 
 func (m *ResumeOfferMsg) appendBody(w *checkpoint.Writer) {
 	w.Int(m.Round)
@@ -159,83 +147,6 @@ func readSnapshot(r *checkpoint.Reader) *SnapshotMsg {
 	m := &SnapshotMsg{Round: r.Int(), MaskGen: r.Int(), Payload: r.F64s()}
 	if s := r.String(); s != "" {
 		m.Manager = []byte(s)
-	}
-	return m
-}
-
-// wordBlockMinLen is the encoded size of a WordBlock with empty slices
-// (word + gen + seeded + six float-slice prefixes + two int-slice
-// prefixes, 8 bytes each); it bounds hostile word counts before
-// allocation.
-const wordBlockMinLen = 88
-
-func appendWordBlock(w *checkpoint.Writer, b *core.WordBlock) {
-	w.Int(b.Word)
-	w.U64(uint64(b.Gen))
-	w.U64(b.Seeded)
-	w.F64s(b.X)
-	w.F64s(b.Ref)
-	w.F64s(b.LastCheck)
-	w.F64s(b.E)
-	w.F64s(b.A)
-	w.F64s(b.Period)
-	w.Ints(b.UnfreezeAt)
-	w.Ints(b.RandomUntil)
-}
-
-func readWordBlock(r *checkpoint.Reader) core.WordBlock {
-	b := core.WordBlock{Word: r.Int()}
-	gen := r.U64()
-	if r.Err() == nil && gen > 1<<32-1 {
-		r.Fail(fmt.Sprintf("word generation %d out of range", gen))
-		return b
-	}
-	b.Gen = uint32(gen)
-	b.Seeded = r.U64()
-	b.X = r.F64s()
-	b.Ref = r.F64s()
-	b.LastCheck = r.F64s()
-	b.E = r.F64s()
-	b.A = r.F64s()
-	b.Period = r.F64s()
-	b.UnfreezeAt = r.Ints()
-	b.RandomUntil = r.Ints()
-	return b
-}
-
-func (m *DeltaMsg) appendBody(w *checkpoint.Writer) {
-	w.Int(m.Round)
-	w.Int(m.MaskGen)
-	w.F64(m.Header.Threshold)
-	w.Int(m.Header.CheckCount)
-	w.Int(m.Header.Seen)
-	w.Bool(m.Header.Initialized)
-	w.Int(m.Header.InitRound)
-	w.Int(m.Header.LastRound)
-	w.Int(len(m.Words))
-	for i := range m.Words {
-		appendWordBlock(w, &m.Words[i])
-	}
-}
-
-func readDelta(r *checkpoint.Reader) *DeltaMsg {
-	m := &DeltaMsg{Round: r.Int(), MaskGen: r.Int()}
-	m.Header.Threshold = r.F64()
-	m.Header.CheckCount = r.Int()
-	m.Header.Seen = r.Int()
-	m.Header.Initialized = r.Bool()
-	m.Header.InitRound = r.Int()
-	m.Header.LastRound = r.Int()
-	n := r.Int()
-	if r.Err() != nil {
-		return m
-	}
-	if n < 0 || n > r.Remaining()/wordBlockMinLen {
-		r.Fail("delta word count overruns frame")
-		return m
-	}
-	for i := 0; i < n && r.Err() == nil; i++ {
-		m.Words = append(m.Words, readWordBlock(r))
 	}
 	return m
 }

@@ -74,13 +74,13 @@ func TestVersionRange(t *testing.T) {
 		if good[4] != Version {
 			t.Fatalf("%s stamped version %d, want %d", m.WireKind(), good[4], Version)
 		}
-		for _, v := range []uint8{0, 1, 2, 3, 4, 5, Version + 1, 200} {
+		for _, v := range []uint8{0, 1, 2, 3, 4, 5, 6, Version + 1, 200} {
 			bad := reframe(good, v)
 			if _, _, err := Decode(bad, 0); !errors.Is(err, ErrVersion) {
 				t.Errorf("%s stamped v%d: Decode got %v, want ErrVersion", m.WireKind(), v, err)
 			}
-			if _, err := ReadMsg(bytes.NewReader(bad), 0); !errors.Is(err, ErrVersion) {
-				t.Errorf("%s stamped v%d: ReadMsg got %v, want ErrVersion", m.WireKind(), v, err)
+			if _, err := new(FrameReader).Read(bytes.NewReader(bad), 0); !errors.Is(err, ErrVersion) {
+				t.Errorf("%s stamped v%d: FrameReader got %v, want ErrVersion", m.WireKind(), v, err)
 			}
 		}
 	}
@@ -92,8 +92,8 @@ func TestVersionRange(t *testing.T) {
 			t.Errorf("the sweep has no %s sample", k)
 		}
 	}
-	if k <= KindDelta {
-		t.Fatalf("kind enumeration stopped at %d, before KindDelta", k)
+	if k <= KindSnapshot {
+		t.Fatalf("kind enumeration stopped at %d, before KindSnapshot", k)
 	}
 }
 

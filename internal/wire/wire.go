@@ -22,7 +22,7 @@
 //	offset  size  field
 //	0       4     magic "APFW" (0x57465041 little-endian)
 //	4       1     protocol version (Version)
-//	5       1     message kind (KindJoin … KindDelta)
+//	5       1     message kind (KindJoin … KindSnapshot)
 //	6       4     payload length, little-endian
 //	10      n     payload (checkpoint.Writer encoding of the message body)
 //	10+n    4     CRC-32 (IEEE) over header + payload
@@ -46,7 +46,7 @@ import (
 
 // Version is the protocol version stamped on every frame and the only one
 // decoded.
-const Version = 6
+const Version = 7
 
 // Frame geometry.
 const (
@@ -55,8 +55,8 @@ const (
 	trailerLen = 4
 	// MaxPayload is the hard upper bound on a frame payload; hostile
 	// length fields beyond it are rejected before any allocation. Callers
-	// reading from a network usually pass ReadMsg a much tighter limit
-	// derived from the model geometry.
+	// reading from a network usually pass FrameReader.Read a much tighter
+	// limit derived from the model geometry.
 	MaxPayload = 1 << 30
 )
 
@@ -87,8 +87,6 @@ const (
 	KindSketch Kind = 10
 	// KindSnapshot frames a SnapshotMsg (server → client).
 	KindSnapshot Kind = 11
-	// KindDelta frames a DeltaMsg (server → client).
-	KindDelta Kind = 12
 )
 
 // String names the kind for error messages.
@@ -116,8 +114,6 @@ func (k Kind) String() string {
 		return "sketch"
 	case KindSnapshot:
 		return "snapshot"
-	case KindDelta:
-		return "delta"
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
@@ -140,8 +136,8 @@ var (
 
 // Msg is one protocol message. The implementations are JoinMsg,
 // WelcomeMsg, UpdateMsg, GlobalMsg, SparseUpdateMsg, SparseGlobalMsg,
-// RelayJoinMsg, PartialUpdateMsg, ResumeOfferMsg, SketchMsg,
-// SnapshotMsg, and DeltaMsg.
+// RelayJoinMsg, PartialUpdateMsg, ResumeOfferMsg, SketchMsg, and
+// SnapshotMsg.
 type Msg interface {
 	// WireKind returns the frame kind this message serializes under.
 	WireKind() Kind

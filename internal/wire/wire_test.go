@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"testing"
 
-	"apf/internal/core"
 	"apf/internal/recon"
 )
 
@@ -52,16 +51,7 @@ func sampleMsgs() []Msg {
 			Payload: []float64{math.NaN(), math.Inf(-1), -0.0},
 			Manager: []byte{0x00, 0xff, 0x7f}},
 		&SnapshotMsg{Round: 0, MaskGen: -1, Payload: []float64{4}},
-		&DeltaMsg{Round: 61, MaskGen: 17,
-			Header: core.SyncHeader{Threshold: 0.22, CheckCount: 12, Seen: 3,
-				Initialized: true, InitRound: 0, LastRound: 61},
-			Words: []core.WordBlock{{
-				Word: 3, Gen: 62, Seeded: 0x8000000000000001,
-				X: []float64{1, math.NaN()}, Ref: []float64{2, 0}, LastCheck: []float64{3, -0.0},
-				E: []float64{4, 0.5}, A: []float64{5, 0.25}, Period: []float64{6, 1},
-				UnfreezeAt: []int{7, -1}, RandomUntil: []int{0, 9},
-			}}},
-		&DeltaMsg{Round: 61, MaskGen: 17},
+		&SnapshotMsg{Round: 61, MaskGen: 17, Manager: []byte{0x43}},
 	}
 }
 
@@ -97,18 +87,17 @@ func TestRoundTripStream(t *testing.T) {
 	var buf bytes.Buffer
 	msgs := sampleMsgs()
 	for _, m := range msgs {
-		if err := WriteMsg(&buf, m); err != nil {
-			t.Fatalf("WriteMsg: %v", err)
-		}
+		buf.Write(Encode(m))
 	}
+	var fr FrameReader
 	for _, want := range msgs {
-		got, err := ReadMsg(&buf, 0)
+		got, err := fr.Read(&buf, 0)
 		if err != nil {
-			t.Fatalf("%s: ReadMsg: %v", want.WireKind(), err)
+			t.Fatalf("%s: FrameReader: %v", want.WireKind(), err)
 		}
 		sameMsg(t, want, got)
 	}
-	if _, err := ReadMsg(&buf, 0); err != io.EOF {
+	if _, err := fr.Read(&buf, 0); err != io.EOF {
 		t.Fatalf("EOF after last frame: got %v", err)
 	}
 }
@@ -147,8 +136,8 @@ func TestTruncatedFrames(t *testing.T) {
 		if _, _, err := Decode(frame[:n], 0); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("Decode of %d/%d bytes: got %v, want ErrCorrupt", n, len(frame), err)
 		}
-		if _, err := ReadMsg(bytes.NewReader(frame[:n]), 0); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("ReadMsg of %d/%d bytes: got %v, want ErrCorrupt", n, len(frame), err)
+		if _, err := new(FrameReader).Read(bytes.NewReader(frame[:n]), 0); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("FrameReader on %d/%d bytes: got %v, want ErrCorrupt", n, len(frame), err)
 		}
 	}
 }
@@ -178,8 +167,8 @@ func TestUnknownVersion(t *testing.T) {
 	if _, _, err := Decode(frame, 0); !errors.Is(err, ErrVersion) {
 		t.Fatalf("got %v, want ErrVersion", err)
 	}
-	if _, err := ReadMsg(bytes.NewReader(frame), 0); !errors.Is(err, ErrVersion) {
-		t.Fatalf("ReadMsg: got %v, want ErrVersion", err)
+	if _, err := new(FrameReader).Read(bytes.NewReader(frame), 0); !errors.Is(err, ErrVersion) {
+		t.Fatalf("FrameReader: got %v, want ErrVersion", err)
 	}
 }
 
@@ -196,8 +185,8 @@ func TestPayloadOverLimit(t *testing.T) {
 	if _, _, err := Decode(frame, 32); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("Decode under tight limit: got %v, want ErrTooLarge", err)
 	}
-	if _, err := ReadMsg(bytes.NewReader(frame), 32); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("ReadMsg under tight limit: got %v, want ErrTooLarge", err)
+	if _, err := new(FrameReader).Read(bytes.NewReader(frame), 32); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("FrameReader under tight limit: got %v, want ErrTooLarge", err)
 	}
 	// The same frame decodes under the default limit.
 	if _, _, err := Decode(frame, 0); err != nil {
@@ -231,11 +220,12 @@ func TestTrailingGarbageInBody(t *testing.T) {
 	}
 }
 
-// TestHostileCatchUpCounts feeds the sketch and delta decoders bodies
-// whose element counts claim 2^40 entries backed by no bytes; both must
-// reject before allocating.
+// TestHostileCatchUpCounts feeds the catch-up decoders bodies whose final
+// count — sketch cells, offered words, snapshot manager bytes — claims
+// 2^40 entries backed by no bytes; each must reject before allocating.
 func TestHostileCatchUpCounts(t *testing.T) {
-	for _, m := range []Msg{&SketchMsg{Round: 1, MaskGen: 1}, &DeltaMsg{Round: 1, MaskGen: 1}} {
+	for _, m := range []Msg{&SketchMsg{Round: 1, MaskGen: 1},
+		&ResumeOfferMsg{Round: 1, MaskGen: 1, Words: []int{}}, &SnapshotMsg{Round: 1, MaskGen: 1}} {
 		frame := Encode(m)
 		body := append([]byte(nil), frame[headerLen:len(frame)-trailerLen]...)
 		// The final 8 bytes are the element count (0); overwrite with 2^40.
@@ -247,23 +237,13 @@ func TestHostileCatchUpCounts(t *testing.T) {
 			t.Fatalf("%s: hostile count: got %v, want ErrCorrupt", m.WireKind(), err)
 		}
 	}
-	// A word generation beyond 2^32-1 is structural damage, not data.
-	frame := Encode(&DeltaMsg{Round: 1, MaskGen: 1, Words: []core.WordBlock{{Word: 0, Gen: 1}}})
-	body := append([]byte(nil), frame[headerLen:len(frame)-trailerLen]...)
-	// The empty word block is the final wordBlockMinLen bytes of the
-	// body: word(8) gen(8) ... — flip the generation's high byte.
-	genOff := len(body) - wordBlockMinLen + 8 + 7
-	body[genOff] = 0xff
-	if _, err := decodeBody(KindDelta, body); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("oversized word generation: got %v, want ErrCorrupt", err)
-	}
 }
 
 func TestKindString(t *testing.T) {
 	for k, want := range map[Kind]string{
 		KindJoin: "join", KindWelcome: "welcome", KindUpdate: "update", KindGlobal: "global",
 		KindResumeOffer: "resume-offer", KindSketch: "sketch", KindSnapshot: "snapshot",
-		KindDelta: "delta", Kind(99): "Kind(99)",
+		Kind(12): "Kind(12)", Kind(99): "Kind(99)",
 	} {
 		if got := k.String(); got != want {
 			t.Fatalf("Kind(%d).String() = %q, want %q", uint8(k), got, want)
