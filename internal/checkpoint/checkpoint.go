@@ -33,7 +33,7 @@ import (
 
 // Version is the on-disk format version stamped into every frame.
 // Decoders reject frames stamped with any other.
-const Version = 4
+const Version = 5
 
 // frame layout: magic(4) version(2) kind(2) length(4) payload CRC32(4).
 const (

@@ -45,17 +45,17 @@ func clientApply(m *Manager, x []float64, round int, payload []float64) {
 }
 
 // requireFollows fails unless f holds exactly the client's state after the
-// same commits: model, snapshot, word generations, mask generation, and the
-// mask governing the next round.
+// same commits: the captured state (whose Ref must be the client's model
+// bit for bit), word generations, and the mask governing the next round.
 func requireFollows(t *testing.T, step string, f *Follower, client *Manager, x []float64) {
 	t.Helper()
-	fx, st, ok := f.Capture()
+	st, ok := f.Capture()
 	if !ok {
 		t.Fatalf("%s: follower captured nothing", step)
 	}
 	for j := range x {
-		if math.Float64bits(fx[j]) != math.Float64bits(x[j]) {
-			t.Fatalf("%s: model scalar %d: follower %v, client %v", step, j, fx[j], x[j])
+		if math.Float64bits(st.Ref[j]) != math.Float64bits(x[j]) {
+			t.Fatalf("%s: model scalar %d: follower %v, client %v", step, j, st.Ref[j], x[j])
 		}
 	}
 	if !reflect.DeepEqual(st, client.Snapshot()) {
@@ -64,13 +64,52 @@ func requireFollows(t *testing.T, step string, f *Follower, client *Manager, x [
 	if !reflect.DeepEqual(f.mgr.WordGens(), client.WordGens()) {
 		t.Fatalf("%s: word generations differ", step)
 	}
-	if f.MaskGeneration() != client.MaskGeneration() {
-		t.Fatalf("%s: mask generation %d, client %d", step, f.MaskGeneration(), client.MaskGeneration())
-	}
 	next := f.Round() + 1
 	client.CompactLen(next) // make the client's mask current for round next
 	if !reflect.DeepEqual(f.NextMask().Words(), client.MaskWords()) {
 		t.Fatalf("%s: mask for round %d differs", step, next)
+	}
+}
+
+// TestModelIsRefAfterDownload pins the invariant the follower and every
+// stateful catch-up rest on: right after each ApplyDownload a client's
+// model equals the manager's rollback vector bit for bit, so State.Ref is
+// the synchronized model. It covers every freezing policy, plain APF, APF#
+// and APF++, threshold decay, and mask-compacted pulls, with a local
+// training step between the downloads.
+func TestModelIsRefAfterDownload(t *testing.T) {
+	policies := []FreezePolicy{AIMD{}, PureAdditive{}, PureMultiplicative{}, Fixed{Checks: 3}, Permanent{}}
+	randoms := []RandomFreeze{{}, {Mode: RandomFixed, Prob: 0.3}, {Mode: RandomGrowing, ProbGrowth: 0.01, LenGrowth: 0.05}}
+	decayed := false
+	for _, policy := range policies {
+		for _, random := range randoms {
+			cfg := reconTestConfig(followerDim)
+			cfg.Policy, cfg.Random, cfg.ThresholdDecayFrac = policy, random, 0.3
+			m := NewManager(cfg)
+			x := make([]float64, followerDim)
+			frozen, compacted := false, 0
+			for round := 0; round < 120; round++ {
+				p := followerCommit(m, round)
+				if len(p) != followerDim {
+					compacted++
+				}
+				clientApply(m, x, round, p)
+				for j := range x {
+					if math.Float64bits(x[j]) != math.Float64bits(m.ref[j]) {
+						t.Fatalf("%T/%v round %d: model scalar %d is %v, ref %v",
+							policy, random.Mode, round, j, x[j], m.ref[j])
+					}
+				}
+				frozen = frozen || m.FrozenRatio() > 0
+			}
+			if !frozen || compacted == 0 {
+				t.Fatalf("%T/%v: trajectory froze %v, %d compacted pulls", policy, random.Mode, frozen, compacted)
+			}
+			decayed = decayed || m.Threshold() < cfg.Threshold
+		}
+	}
+	if !decayed {
+		t.Fatal("no configuration decayed its threshold")
 	}
 }
 
@@ -85,7 +124,7 @@ func TestFollowerTracksClientManager(t *testing.T) {
 	client := NewManager(cfg)
 	x := make([]float64, followerDim)
 	f := NewFollower(cfg)
-	if _, _, ok := f.Capture(); ok {
+	if _, ok := f.Capture(); ok {
 		t.Fatal("a fresh follower captured state")
 	}
 	commits := make([][]float64, 0, 60)
@@ -118,7 +157,7 @@ func TestFollowerTracksClientManager(t *testing.T) {
 		if err := d.Observe(round, payload); err == nil {
 			t.Fatalf("%s: observed without error", name)
 		}
-		if _, _, ok := d.Capture(); ok {
+		if _, ok := d.Capture(); ok {
 			t.Fatalf("%s: desynced follower still captures", name)
 		}
 		if err := d.Observe(40, followerCommit(client, 40)); err == nil {
@@ -132,18 +171,18 @@ func TestFollowerTracksClientManager(t *testing.T) {
 		bad -= 2
 	}
 	short := desync("wrong-length compacted payload", 40, make([]float64, bad))
-	if err := short.Restore(39, x, nil); err == nil {
+	if err := short.Restore(39, nil); err == nil {
 		t.Fatal("restore without a manager state succeeded")
 	}
 	if part, err := client.Snapshot().Select([]int{0, 1}); err != nil {
 		t.Fatal(err)
-	} else if err := short.Restore(39, x, part); err == nil {
+	} else if err := short.Restore(39, part); err == nil {
 		t.Fatal("restore from a word-restricted state succeeded")
 	}
 
 	// Both resume from the client's state at round 39 and follow it.
 	for _, d := range []*Follower{gap, short} {
-		if err := d.Restore(39, x, client.Snapshot()); err != nil {
+		if err := d.Restore(39, client.Snapshot()); err != nil {
 			t.Fatal(err)
 		}
 		requireFollows(t, "restored", d, client, x)

@@ -12,9 +12,10 @@ package core
 // difference) and then ship only the differing words' state.
 //
 // The tracked state per word is everything a word-restricted State
-// carries for it plus the model: x (the canonical post-ApplyDownload
-// model), ref, lastCheck, the tracker's per-scalar averages/seeded bits,
-// period, unfreezeAt, and randomUntil. Manager-global scalars (threshold,
+// carries for it: ref (which is also the canonical post-ApplyDownload
+// model x: the two agree bit for bit after every download), lastCheck,
+// the tracker's per-scalar averages/seeded bits, period, unfreezeAt, and
+// randomUntil. Manager-global scalars (threshold,
 // check count, the tracker's observation count, init/last round) ride
 // whole in every State instead. Touch sites:
 //

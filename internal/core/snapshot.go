@@ -20,6 +20,11 @@ import (
 // per-scalar arrays, the tracker's averages and seeded bits, and WordGen
 // then hold the covered words' entries in packed form (bitset.GatherWords),
 // while the manager-global scalars are always whole.
+//
+// Right after an ApplyDownload, Ref is the synchronized model bit for bit
+// (frozen scalars sit at their last synchronized value, the pull
+// overwrites every other one) and CheckCount its mask generation, so
+// catch-up frames and the durable follower carry neither twice.
 type State struct {
 	Dim int
 	// Words lists the covered mask words, strictly ascending; nil covers

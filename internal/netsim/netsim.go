@@ -6,11 +6,10 @@
 package netsim
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"math/rand"
 	"time"
+
+	"apf/internal/stats"
 )
 
 // LinkProfile describes one client's connectivity and compute speed.
@@ -123,20 +122,7 @@ func (d *DropoutSchedule) Active(round, client int) bool {
 
 // draw returns the uniform [0,1) variate for one (round, client) cell.
 func (d *DropoutSchedule) draw(round, client int) float64 {
-	return cellRNG(d.seed, round, client).Float64()
-}
-
-// cellRNG derives the deterministic RNG of one (seed, round, client)
-// cell, so every schedule decision is a pure function of the seed and
-// simulator and testbed runs can share one schedule.
-func cellRNG(seed int64, round, client int) *rand.Rand {
-	h := fnv.New64a()
-	var buf [24]byte
-	binary.LittleEndian.PutUint64(buf[0:], uint64(seed))
-	binary.LittleEndian.PutUint64(buf[8:], uint64(round))
-	binary.LittleEndian.PutUint64(buf[16:], uint64(client))
-	h.Write(buf[:])
-	return rand.New(rand.NewSource(int64(h.Sum64())))
+	return stats.CellRNG(d.seed, round, client).Float64()
 }
 
 // DelaySchedule deterministically decides which clients suffer an extra
@@ -175,7 +161,7 @@ func NewDelaySchedule(seed int64, clients int, rate float64, delay time.Duration
 // [delay/2, delay). The dropout and delay draws are decorrelated by
 // seeding the delay cells from a distinct stream.
 func (d *DelaySchedule) DelayAt(round, client int) time.Duration {
-	rng := cellRNG(d.seed^delayStream, round, client)
+	rng := stats.CellRNG(d.seed^delayStream, round, client)
 	if rng.Float64() >= d.rate || d.delay == 0 {
 		return 0
 	}

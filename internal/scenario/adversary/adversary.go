@@ -7,13 +7,11 @@
 package adversary
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
-	"math/rand"
 
 	"apf/internal/fl"
+	"apf/internal/stats"
 )
 
 // Strategy names one poisoning behavior.
@@ -99,19 +97,7 @@ func (s Spec) Attacks(seed int64, client, round int) bool {
 	if s.AttackRate <= 0 || s.AttackRate >= 1 {
 		return true
 	}
-	return cellRNG(seed, client, round).Float64() < s.AttackRate
-}
-
-// cellRNG derives the deterministic RNG of one (seed, client, round)
-// attack cell (the netsim schedule idiom).
-func cellRNG(seed int64, client, round int) *rand.Rand {
-	h := fnv.New64a()
-	var buf [24]byte
-	binary.LittleEndian.PutUint64(buf[0:], uint64(seed))
-	binary.LittleEndian.PutUint64(buf[8:], uint64(client))
-	binary.LittleEndian.PutUint64(buf[16:], uint64(round))
-	h.Write(buf[:])
-	return rand.New(rand.NewSource(int64(h.Sum64())))
+	return stats.CellRNG(seed, client, round).Float64() < s.AttackRate
 }
 
 // Wrap returns inner with the spec's poisoning applied to every attacked
@@ -175,7 +161,7 @@ func (m *manager) poison(round int, v []float64) {
 		}
 	case Noise:
 		sigma := m.spec.factor() * honest / math.Sqrt(float64(len(v)))
-		rng := cellRNG(m.seed^noiseStream, m.client, round)
+		rng := stats.CellRNG(m.seed^noiseStream, m.client, round)
 		for i := range v {
 			v[i] += sigma * rng.NormFloat64()
 		}

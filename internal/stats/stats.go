@@ -4,7 +4,9 @@
 package stats
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"sort"
@@ -143,4 +145,18 @@ func SplitRNG(seed int64, stream int64) *rand.Rand {
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31
 	return rand.New(rand.NewSource(int64(z)))
+}
+
+// CellRNG derives the deterministic RNG of one cell of a seeded grid, so
+// every per-cell decision is a pure function of the seed: it hashes the
+// seed and the cell's two coordinates, in the order the caller passes them
+// (netsim's (round, client), the adversary's (client, round)), with FNV-1a.
+func CellRNG(seed int64, a, b int) *rand.Rand {
+	var buf [24]byte
+	binary.LittleEndian.PutUint64(buf[0:], uint64(seed))
+	binary.LittleEndian.PutUint64(buf[8:], uint64(a))
+	binary.LittleEndian.PutUint64(buf[16:], uint64(b))
+	h := fnv.New64a()
+	h.Write(buf[:])
+	return rand.New(rand.NewSource(int64(h.Sum64())))
 }

@@ -7,22 +7,23 @@ package transport
 // core.Follower, the server's replica of the clients' deterministic
 // manager state — the manager is a pure function of the committed global
 // trajectory, so observing each commit reproduces every client's
-// post-apply state bit for bit. A resume takes a capture of it (model plus
-// manager snapshot), and the returning client reconciles against that
-// capture in one of two modes, chosen by its opening ResumeOffer:
+// post-apply state bit for bit. A resume takes a capture of it (the
+// manager snapshot, whose Ref is the model), and the returning client
+// reconciles against that capture in one of two modes, chosen by its
+// opening ResumeOffer:
 //
 //   - sketch (O(diff) bytes): the server streams rateless-IBLT cells
 //     coded over its (mask-word, generation) set until the client's
 //     decoder peels the symmetric difference; the client answers with
 //     the diff word indices and receives a snapshot of exactly those
-//     words: the captured state restricted to them (core.State.Select)
-//     and their model scalars. Cost scales with how much state actually
+//     words: the captured state restricted to them (core.State.Select),
+//     model scalars included. Cost scales with how much state actually
 //     changed, not with the absence length or the model size.
-//   - snapshot (O(dim) bytes): the full current model plus the encoded
-//     manager snapshot in one bounded frame. Cost is flat in the
-//     absence length; the fallback for stateless managers, relays
-//     (always-dense tier), non-converging sketches, and clients that
-//     lost their local state entirely.
+//   - snapshot (O(dim) bytes): the encoded manager snapshot in one
+//     bounded frame, or the model alone when the capture is stateless.
+//     Cost is flat in the absence length; the fallback for stateless
+//     managers, relays (always-dense tier), non-converging sketches, and
+//     clients that lost their local state entirely.
 //
 // Either mode ends with the client bit-identical to a never-severed
 // twin, because both rebuild the exact replica state the replay would
@@ -33,7 +34,6 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"time"
 
@@ -51,13 +51,13 @@ import (
 // connection.
 var ErrFutureGeneration = errors.New("transport: mask generation ahead of the server")
 
-// snapshotPayloadLimit bounds a SnapshotMsg frame: the model plus the
-// manager state's seven per-scalar arrays are 64 B/scalar, and its per-word
-// generations, seeded bits and (word-restricted) word list under 0.4
-// B/scalar, so 80·dim plus slack admits every snapshot, full or
-// word-restricted, while still rejecting hostile length fields before
-// allocation.
-func snapshotPayloadLimit(dim int) int { return dim*80 + 4096 }
+// snapshotPayloadLimit bounds a SnapshotMsg frame: the manager state's
+// seven per-scalar arrays (its Ref is the model, which the frame does not
+// repeat) are 56 B/scalar, and its per-word generations, seeded bits and
+// (word-restricted) word list under 0.4 B/scalar, so 64·dim plus slack
+// admits every snapshot, full, word-restricted or stateless (8 B/scalar),
+// while still rejecting hostile length fields before allocation.
+func snapshotPayloadLimit(dim int) int { return dim*64 + 4096 }
 
 // Sketch batches double from 16 cells up to 1024 per round trip: tiny
 // diffs decode from the first batch, large ones converge in a few
@@ -66,6 +66,11 @@ const (
 	sketchBatchStart = 16
 	sketchBatchMax   = 1024
 )
+
+// sketchBudget is the cell count at which both sides of a sketch over
+// words mask words fall back to the snapshot: past ~2 cells per word the
+// sketch cannot beat the snapshot it is trying to avoid.
+func sketchBudget(words int) int { return 2*words + 64 }
 
 // snapshotRestorer is the manager surface snapshot catch-up needs: the
 // import of a full or word-restricted state (core.Manager implements it).
@@ -90,13 +95,19 @@ type reconManager interface {
 // positioned) writer queue.
 type catchupCapture struct {
 	round int
-	// gen is the captured mask generation (-1 for the stateless path).
-	gen int
-	x   []float64
-	// state is the follower's manager snapshot; nil on the stateless path,
-	// where only Round and x ship. A decoded sketch's words are selected
-	// from it.
+	// state is the follower's manager snapshot (its Ref is the model, its
+	// CheckCount the mask generation); a sketch's words are selected from
+	// it. Nil on the stateless path, where only round and the model x ship.
 	state *core.State
+	x     []float64
+}
+
+// maskGen returns the captured mask generation, -1 on the stateless path.
+func (c *catchupCapture) maskGen() int {
+	if c.state == nil {
+		return -1
+	}
+	return c.state.CheckCount
 }
 
 // catchupSession drives one catch-up conversation to completion and
@@ -146,9 +157,9 @@ func (s *Server) runCatchup(cc *countingConn, cap *catchupCapture) (string, erro
 		return "", protocolErrorf("catch-up opened mid-conversation (need-more=%v, %d words)",
 			offer.NeedMore, len(offer.Words))
 	}
-	if offer.MaskGen > cap.gen {
+	if offer.MaskGen > cap.maskGen() {
 		return "", fmt.Errorf("%w: client offers generation %d, server captured %d",
-			ErrFutureGeneration, offer.MaskGen, cap.gen)
+			ErrFutureGeneration, offer.MaskGen, cap.maskGen())
 	}
 	if offer.MaskGen < 0 || cap.state == nil || len(cap.state.WordGen) == 0 {
 		return "snapshot", s.sendSnapshot(cc, cap)
@@ -156,10 +167,11 @@ func (s *Server) runCatchup(cc *countingConn, cap *catchupCapture) (string, erro
 	return s.serveSketch(cc, cap)
 }
 
-// sendSnapshot ships the captured state in one frame: the canonical
-// post-round model, plus the manager snapshot when the capture has one.
+// sendSnapshot ships the captured state in one frame: the manager
+// snapshot, which carries the model as its Ref, or on the stateless path
+// the canonical post-round model alone.
 func (s *Server) sendSnapshot(cc *countingConn, cap *catchupCapture) error {
-	msg := &wire.SnapshotMsg{Round: cap.round, MaskGen: cap.gen, Payload: cap.x}
+	msg := &wire.SnapshotMsg{Round: cap.round, Payload: cap.x}
 	if cap.state != nil {
 		msg.Manager = core.EncodeState(cap.state)
 	}
@@ -170,15 +182,14 @@ func (s *Server) sendSnapshot(cc *countingConn, cap *catchupCapture) error {
 // set in doubling batches, lockstep with the client's offers, until the
 // client reports the decoded diff (answered with a snapshot of those
 // words) or either side gives up (answered with the full snapshot). The
-// total cell budget bounds a hostile or hopeless decoder: past ~2 cells
-// per word the sketch cannot beat the snapshot it is trying to avoid.
+// total cell budget (sketchBudget) bounds a hostile or hopeless decoder.
 func (s *Server) serveSketch(cc *countingConn, cap *catchupCapture) (string, error) {
 	enc := recon.NewEncoder()
 	for w, g := range cap.state.WordGen {
 		enc.Add(recon.PackWordGen(w, g))
 	}
-	words := len(cap.state.WordGen)
-	budget := 2*words + 128
+	budget := sketchBudget(len(cap.state.WordGen))
+	gen := cap.maskGen()
 	limit := modelPayloadLimit(len(s.cfg.Init))
 	sent := 0
 	batch := sketchBatchStart
@@ -193,8 +204,7 @@ func (s *Server) serveSketch(cc *countingConn, cap *catchupCapture) (string, err
 		if n <= 0 {
 			return "snapshot", s.sendSnapshot(cc, cap)
 		}
-		sm := &wire.SketchMsg{Round: cap.round, MaskGen: cap.gen, Start: sent,
-			Cells: make([]recon.Cell, n)}
+		sm := &wire.SketchMsg{Round: cap.round, Start: sent, Cells: make([]recon.Cell, n)}
 		for i := range sm.Cells {
 			sm.Cells[i] = enc.Next()
 		}
@@ -211,20 +221,19 @@ func (s *Server) serveSketch(cc *countingConn, cap *catchupCapture) (string, err
 			return "sketch", protocolErrorf("expected a resume offer, got %s", m.WireKind())
 		}
 		switch {
-		case offer.MaskGen > cap.gen:
+		case offer.MaskGen > gen:
 			return "sketch", fmt.Errorf("%w: client offers generation %d, server captured %d",
-				ErrFutureGeneration, offer.MaskGen, cap.gen)
+				ErrFutureGeneration, offer.MaskGen, gen)
 		case offer.Words != nil:
-			// The capture restricted to the decoded words: their state and
-			// model scalars. Select takes only a strictly ascending list
-			// within the model, so a hostile one cannot amplify the reply
-			// past one model.
+			// The capture restricted to the decoded words, model scalars
+			// included. Select takes only a strictly ascending list within
+			// the model, so a hostile one cannot amplify the reply past one
+			// full snapshot.
 			state, err := cap.state.Select(offer.Words)
 			if err != nil {
 				return "sketch", protocolErrorf("catch-up word list: %v", err)
 			}
-			return "sketch", s.sendSnapshot(cc, &catchupCapture{round: cap.round, gen: cap.gen,
-				x: bitset.GatherWords(cap.x, offer.Words), state: state})
+			return "sketch", s.sendSnapshot(cc, &catchupCapture{round: cap.round, state: state})
 		case offer.NeedMore:
 			continue
 		case offer.MaskGen < 0:
@@ -271,7 +280,7 @@ func (u *uplink) catchUp(conn *countingConn, w *WelcomeMsg, applied, dim int, ma
 	if err := writeMsg(conn, u.ioTimeout, offer, &u.wireM); err != nil {
 		return nil, nil, fmt.Errorf("transport: catch-up offer: %w", err)
 	}
-	budget := 2*((dim+63)/64) + 64
+	budget := sketchBudget((dim + 63) / 64)
 	for {
 		m, err := readMsg(conn, u.ioTimeout, snapshotPayloadLimit(dim), &u.wireM)
 		if err != nil {
@@ -338,46 +347,31 @@ func diffWords(dec *recon.Decoder) []int {
 	return words
 }
 
-// applySnapshot adopts a snapshot frame: model payload, and — for
-// stateful managers — the manager state. words is the word list this
+// applySnapshot adopts a snapshot frame: the manager state for stateful
+// managers, and the model (checkSnapshot). words is the word list this
 // client sent (nil if none): a word-restricted snapshot must cover exactly
 // it, and installs just those words; every other frame must be full. Also
 // the handler for a mid-run snapshot broadcast (the server jumped its
 // history forward after its own upstream catch-up).
 func (r *clientRun) applySnapshot(sm *wire.SnapshotMsg, words []int) error {
-	sr, stateful := fl.As[snapshotRestorer](r.rep.Manager)
-	var st *core.State
-	if stateful {
-		if len(sm.Manager) == 0 {
-			return protocolErrorf("snapshot carries no manager state for a stateful manager")
-		}
-		var err error
-		if st, err = core.DecodeState(sm.Manager); err != nil {
-			return protocolErrorf("snapshot manager state: %v", err)
-		}
-	}
-	part := st != nil && st.Words != nil
-	n := r.dim
-	if part {
-		if words == nil || !slices.Equal(st.Words, words) {
-			return protocolErrorf("snapshot covers %d words, %d requested", len(st.Words), len(words))
-		}
-		n = len(st.Ref)
-	}
-	if err := checkSnapshot(sm, r.applied, n); err != nil {
+	st, model, err := checkSnapshot(sm, r.applied, r.dim, words)
+	if err != nil {
 		return err
 	}
-	if stateful {
+	if sr, ok := fl.As[snapshotRestorer](r.rep.Manager); ok {
+		if st == nil {
+			return protocolErrorf("snapshot carries no manager state for a stateful manager")
+		}
 		if err := sr.RestoreSnapshot(st); err != nil {
 			return protocolErrorf("snapshot manager state: %v", err)
 		}
 	}
-	if part {
-		bitset.ScatterWords(r.rep.X, sm.Payload, st.Words)
+	if st != nil && st.Words != nil {
+		bitset.ScatterWords(r.rep.X, model, st.Words)
 		r.finishCatchUp(sm.Round, len(st.Words), "sketch")
 		return nil
 	}
-	copy(r.rep.X, sm.Payload)
+	copy(r.rep.X, model)
 	r.finishCatchUp(sm.Round, 0, "snapshot")
 	return nil
 }

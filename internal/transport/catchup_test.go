@@ -74,15 +74,19 @@ func requireInflightKept(t *testing.T, r *clientRun) {
 var allWords = []int{0, 1, 2}
 
 // wordSnapshot is the frame closing a decoded sketch: the capture
-// restricted to words, with their model scalars.
-func wordSnapshot(t *testing.T, round, gen int, x []float64, st *core.State, words []int) *wire.SnapshotMsg {
+// restricted to words, model scalars included in its Ref.
+func wordSnapshot(t *testing.T, round int, st *core.State, words []int) *wire.SnapshotMsg {
 	t.Helper()
 	part, err := st.Select(words)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &wire.SnapshotMsg{Round: round, MaskGen: gen, Payload: bitset.GatherWords(x, words),
-		Manager: core.EncodeState(part)}
+	return &wire.SnapshotMsg{Round: round, Manager: core.EncodeState(part)}
+}
+
+// fullSnapshot is the frame of a full stateful capture.
+func fullSnapshot(round int, st *core.State) *wire.SnapshotMsg {
+	return &wire.SnapshotMsg{Round: round, Manager: core.EncodeState(st)}
 }
 
 // TestCatchUpKeepsUploadFrame applies a full snapshot and the snapshot of
@@ -91,10 +95,11 @@ func wordSnapshot(t *testing.T, round, gen int, x []float64, st *core.State, wor
 // dropping its buffer.
 func TestCatchUpKeepsUploadFrame(t *testing.T) {
 	f := catchupFollower(catchupDim)
-	x, st, ok := f.Capture()
+	st, ok := f.Capture()
 	if !ok {
 		t.Fatal("follower captured nothing")
 	}
+	x := st.Ref
 	check := func(t *testing.T, r *clientRun) {
 		t.Helper()
 		requireInflightKept(t, r)
@@ -107,16 +112,14 @@ func TestCatchUpKeepsUploadFrame(t *testing.T) {
 	}
 	t.Run("snapshot", func(t *testing.T) {
 		r := newCatchupRun(catchupDim)
-		sm := &wire.SnapshotMsg{Round: f.Round(), MaskGen: f.MaskGeneration(), Payload: x,
-			Manager: core.EncodeState(st)}
-		if err := r.applySnapshot(sm, nil); err != nil {
+		if err := r.applySnapshot(fullSnapshot(f.Round(), st), nil); err != nil {
 			t.Fatal(err)
 		}
 		check(t, r)
 	})
 	t.Run("sketch", func(t *testing.T) {
 		r := newCatchupRun(catchupDim)
-		if err := r.applySnapshot(wordSnapshot(t, f.Round(), f.MaskGeneration(), x, st, allWords), allWords); err != nil {
+		if err := r.applySnapshot(wordSnapshot(t, f.Round(), st, allWords), allWords); err != nil {
 			t.Fatal(err)
 		}
 		check(t, r)
@@ -129,11 +132,10 @@ func TestCatchUpKeepsUploadFrame(t *testing.T) {
 // "everything seeded" tracker.
 func TestApplySnapshotRefusesUnseededTracker(t *testing.T) {
 	f := catchupFollower(catchupDim)
-	x, st, _ := f.Capture()
+	st, _ := f.Capture()
 	st.Tracker.Seeded = nil
 	r := newCatchupRun(catchupDim)
-	err := r.applySnapshot(&wire.SnapshotMsg{Round: f.Round(), MaskGen: f.MaskGeneration(), Payload: x,
-		Manager: core.EncodeState(st)}, nil)
+	err := r.applySnapshot(fullSnapshot(f.Round(), st), nil)
 	if !errors.Is(err, errProtocol) {
 		t.Fatalf("snapshot without a seeded bitmap: got %v, want a protocol error", err)
 	}
@@ -150,10 +152,10 @@ func TestApplySnapshotRefusesUnseededTracker(t *testing.T) {
 // leaves every other word alone.
 func TestApplySnapshotCoverage(t *testing.T) {
 	f := catchupFollower(catchupDim)
-	x, st, _ := f.Capture()
-	round, gen := f.Round(), f.MaskGeneration()
+	st, _ := f.Capture()
+	x, round := st.Ref, f.Round()
 	fresh := newCatchupRun(catchupDim).rep.Manager.(*core.Manager).Snapshot()
-	modelSized := wordSnapshot(t, round, gen, x, st, []int{0, 2})
+	modelSized := wordSnapshot(t, round, st, []int{0, 2})
 	modelSized.Payload = x
 	for _, tc := range []struct {
 		name  string
@@ -161,15 +163,14 @@ func TestApplySnapshotCoverage(t *testing.T) {
 		frame *wire.SnapshotMsg
 		ok    bool
 	}{
-		{"word-restricted mid-stream", nil, wordSnapshot(t, round, gen, x, st, []int{0, 2}), false},
-		{"every word, none requested", nil, wordSnapshot(t, round, gen, x, st, allWords), false},
-		{"other words", []int{0, 1}, wordSnapshot(t, round, gen, x, st, []int{0, 2}), false},
-		{"fewer words", allWords, wordSnapshot(t, round, gen, x, st, []int{0, 2}), false},
+		{"word-restricted mid-stream", nil, wordSnapshot(t, round, st, []int{0, 2}), false},
+		{"every word, none requested", nil, wordSnapshot(t, round, st, allWords), false},
+		{"other words", []int{0, 1}, wordSnapshot(t, round, st, []int{0, 2}), false},
+		{"fewer words", allWords, wordSnapshot(t, round, st, []int{0, 2}), false},
 		{"payload of the whole model", []int{0, 2}, modelSized, false},
-		{"requested words", []int{0, 2}, wordSnapshot(t, round, gen, x, st, []int{0, 2}), true},
-		{"no word", []int{}, wordSnapshot(t, round, gen, x, st, []int{}), true},
-		{"full after words", []int{0, 2}, &wire.SnapshotMsg{Round: round, MaskGen: gen, Payload: x,
-			Manager: core.EncodeState(st)}, true},
+		{"requested words", []int{0, 2}, wordSnapshot(t, round, st, []int{0, 2}), true},
+		{"no word", []int{}, wordSnapshot(t, round, st, []int{}), true},
+		{"full after words", []int{0, 2}, fullSnapshot(round, st), true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newCatchupRun(catchupDim)
@@ -216,9 +217,9 @@ func TestApplySnapshotCoverage(t *testing.T) {
 // refuses it.
 func TestCatchUpSnapshotModeRefusesPartial(t *testing.T) {
 	f := catchupFollower(catchupDim)
-	x, st, _ := f.Capture()
+	st, _ := f.Capture()
 	r := newCatchupRun(catchupDim) // no applied round: the offer requests the snapshot
-	reply := wordSnapshot(t, f.Round(), f.MaskGeneration(), x, st, []int{1})
+	reply := wordSnapshot(t, f.Round(), st, []int{1})
 	peer, end := net.Pipe()
 	defer closeQuietly(peer)
 	defer closeQuietly(end)
@@ -236,7 +237,7 @@ func TestCatchUpSnapshotModeRefusesPartial(t *testing.T) {
 		}()
 	}()
 	u := &uplink{ioTimeout: 2 * time.Second}
-	w := &WelcomeMsg{Round: f.Round(), Resumed: true, CatchUp: true, MaskGen: f.MaskGeneration()}
+	w := &WelcomeMsg{Round: f.Round(), Resumed: true, CatchUp: true, MaskGen: st.CheckCount}
 	snap, words, err := u.catchUp(&countingConn{Conn: end, total: new(byteCount)}, w, r.applied, catchupDim, r.rep.Manager)
 	if perr := <-peerErr; perr != nil {
 		t.Fatalf("scripted server: %v", perr)
@@ -261,8 +262,8 @@ func TestCatchUpWordListRejected(t *testing.T) {
 	srv := startServer(t, 1, 1)
 	defer closeQuietly(srv.ln)
 	f := catchupFollower(catchupDim)
-	x, st, _ := f.Capture()
-	cap := &catchupCapture{round: f.Round(), gen: f.MaskGeneration(), x: x, state: st}
+	st, _ := f.Capture()
+	cap := &catchupCapture{round: f.Round(), state: st}
 	for _, tc := range []struct {
 		name  string
 		words []int
@@ -283,13 +284,13 @@ func TestCatchUpWordListRejected(t *testing.T) {
 			peerErr := make(chan error, 1)
 			go func() {
 				peerErr <- func() error {
-					if err := writeMsg(peer, 2*time.Second, &ResumeOfferMsg{Round: 3, MaskGen: cap.gen}, nil); err != nil {
+					if err := writeMsg(peer, 2*time.Second, &ResumeOfferMsg{Round: 3, MaskGen: cap.maskGen()}, nil); err != nil {
 						return err
 					}
 					if _, err := readMsg(peer, 2*time.Second, wire.MaxPayload, nil); err != nil {
 						return err
 					}
-					if err := writeMsg(peer, 2*time.Second, &ResumeOfferMsg{Round: 3, MaskGen: cap.gen, Words: tc.words}, nil); err != nil {
+					if err := writeMsg(peer, 2*time.Second, &ResumeOfferMsg{Round: 3, MaskGen: cap.maskGen(), Words: tc.words}, nil); err != nil {
 						return err
 					}
 					if m, err := readMsg(peer, 2*time.Second, wire.MaxPayload, nil); err == nil {
@@ -321,8 +322,10 @@ func TestCatchUpWordListRejected(t *testing.T) {
 				t.Fatal("valid word list not answered with a snapshot")
 			}
 			part, err := core.DecodeState(sm.Manager)
-			if err != nil || !slices.Equal(part.Words, tc.words) || !sameBits(sm.Payload, bitset.GatherWords(x, tc.words)) {
-				t.Fatalf("reply covers %v (decode error %v), want words %v and their scalars", part.Words, err, tc.words)
+			if err != nil || len(sm.Payload) != 0 || !slices.Equal(part.Words, tc.words) ||
+				!sameBits(part.Ref, bitset.GatherWords(st.Ref, tc.words)) {
+				t.Fatalf("reply covers %v (decode error %v, %d-scalar payload), want words %v and their scalars in its Ref",
+					part.Words, err, len(sm.Payload), tc.words)
 			}
 		})
 	}
@@ -364,7 +367,7 @@ func TestClientRefusesWordRestrictedSnapshotMidStream(t *testing.T) {
 			if _, err := readMsg(conn, ioT, wire.MaxPayload, nil); err != nil {
 				return fmt.Errorf("update: %w", err)
 			}
-			sm := &SnapshotMsg{Round: 2, MaskGen: 0, Payload: init[:64], Manager: core.EncodeState(part)}
+			sm := &SnapshotMsg{Round: 2, Manager: core.EncodeState(part)}
 			if err := writeMsg(conn, ioT, sm, nil); err != nil {
 				return fmt.Errorf("snapshot: %w", err)
 			}
@@ -388,4 +391,140 @@ func TestClientRefusesWordRestrictedSnapshotMidStream(t *testing.T) {
 	if err := <-serverErr; err != nil {
 		t.Fatalf("scripted server: %v", err)
 	}
+}
+
+// TestSnapshotCarriesModelOnce pins the one-copy rule on every receiver of
+// a snapshot frame — a client with a stateful manager, one with a
+// stateless manager, and a relay adopting the root's state: a stateful
+// frame (full or word-restricted) carries the model only as its state's
+// Ref and an empty payload, a stateless frame exactly one model. Frames
+// breaking the rule are protocol errors that change nothing; a valid one
+// leaves the receiver's model equal to the frame's.
+func TestSnapshotCarriesModelOnce(t *testing.T) {
+	f := catchupFollower(catchupDim)
+	st, _ := f.Capture()
+	round, model := f.Round(), st.Ref
+	withPayload := func(sm *wire.SnapshotMsg, p []float64) *wire.SnapshotMsg {
+		sm.Payload = p
+		return sm
+	}
+	stateless := func(p []float64) *wire.SnapshotMsg { return &wire.SnapshotMsg{Round: round, Payload: p} }
+	sent := []int{0, 2}
+	const (
+		stateful = 1 << iota
+		statelessClient
+		relay
+	)
+	for _, tc := range []struct {
+		name  string
+		frame *wire.SnapshotMsg
+		sent  []int
+		// adopts is the set of receivers that accept the frame.
+		adopts int
+	}{
+		{"stateful full, model repeated", withPayload(fullSnapshot(round, st), model), nil, 0},
+		{"stateful full, one payload scalar", withPayload(fullSnapshot(round, st), model[:1]), nil, 0},
+		{"word-restricted, scalars repeated",
+			withPayload(wordSnapshot(t, round, st, sent), bitset.GatherWords(model, sent)), sent, 0},
+		{"stateless, one scalar short", stateless(model[:catchupDim-1]), nil, 0},
+		{"stateless, one scalar long", stateless(append(slices.Clone(model), 1)), nil, 0},
+		{"stateless, no payload", stateless(nil), nil, 0},
+		{"stateful full", fullSnapshot(round, st), nil, stateful | statelessClient | relay},
+		{"stateless", stateless(model), nil, statelessClient | relay},
+	} {
+		t.Run(tc.name+"/stateful client", func(t *testing.T) {
+			r := newCatchupRun(catchupDim)
+			requireSnapshotOutcome(t, r, r.applySnapshot(tc.frame, tc.sent), tc.adopts&stateful != 0, model)
+		})
+		t.Run(tc.name+"/stateless client", func(t *testing.T) {
+			r := newCatchupRun(catchupDim)
+			r.rep.Manager = fl.NewPassthroughManager(4)
+			requireSnapshotOutcome(t, r, r.applySnapshot(tc.frame, tc.sent), tc.adopts&statelessClient != 0, model)
+		})
+		t.Run(tc.name+"/relay", func(t *testing.T) {
+			g, err := relayCatchUp(t, tc.frame, st.CheckCount)
+			if tc.adopts&relay == 0 {
+				if !errors.Is(err, errProtocol) || g != nil {
+					t.Fatalf("got %v (jump pending %v), want a protocol error", err, g != nil)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g == nil || g.Round != round || !sameBits(g.Payload, model) {
+				t.Fatal("the relay's pending jump is not the snapshot's round and model")
+			}
+		})
+	}
+}
+
+// requireSnapshotOutcome fails unless a client run adopted a snapshot at
+// round 5 with model model (adopted), or refused it with a protocol error
+// and kept its model and round.
+func requireSnapshotOutcome(t *testing.T, r *clientRun, err error, adopted bool, model []float64) {
+	t.Helper()
+	if !adopted {
+		if !errors.Is(err, errProtocol) {
+			t.Fatalf("got %v, want a protocol error", err)
+		}
+		if r.applied != -1 || !sameBits(r.rep.X, make([]float64, len(model))) {
+			t.Fatal("a refused snapshot changed the client")
+		}
+		return
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.applied != 5 || !sameBits(r.rep.X, model) {
+		t.Fatalf("adopted snapshot: client at round %d, model equal %v", r.applied, sameBits(r.rep.X, model))
+	}
+}
+
+// relayCatchUp joins a relay that has applied round 1 to a scripted root
+// whose resume Welcome (mask generation gen) demands catch-up and which
+// answers the relay's offer with frame. It returns the relay's pending
+// jump and the join's error.
+func relayCatchUp(t *testing.T, frame *wire.SnapshotMsg, gen int) (*GlobalMsg, error) {
+	t.Helper()
+	const ioT = 5 * time.Second
+	peer, end := net.Pipe()
+	defer closeQuietly(peer)
+	rel, err := NewRelay(RelayConfig{
+		Addr: "127.0.0.1:0", Upstream: "scripted-root", Name: "edge", SessionKey: "edge",
+		NumClients: 1, IOTimeout: ioT,
+		Dial: func(string, string) (net.Conn, error) { return end, nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeQuietly(rel.ln)
+	defer rel.up.drop()
+	rel.applied = 1
+	rootErr := make(chan error, 1)
+	go func() {
+		rootErr <- func() error {
+			if _, err := readMsg(peer, ioT, wire.MaxPayload, nil); err != nil {
+				return fmt.Errorf("join: %w", err)
+			}
+			w := &WelcomeMsg{ClientID: 0, NumClients: 1, Rounds: 8, Dim: catchupDim,
+				Init: make([]float64, catchupDim), Round: 6, Resumed: true, CatchUp: true, MaskGen: gen}
+			if err := writeMsg(peer, ioT, w, nil); err != nil {
+				return fmt.Errorf("welcome: %w", err)
+			}
+			m, err := readMsg(peer, ioT, wire.MaxPayload, nil)
+			if err != nil {
+				return fmt.Errorf("offer: %w", err)
+			}
+			if o, ok := m.(*ResumeOfferMsg); !ok || o.MaskGen != -1 {
+				return fmt.Errorf("expected a snapshot-mode offer, got %#v", m)
+			}
+			return writeMsg(peer, ioT, frame, nil)
+		}()
+	}()
+	_, _, err = rel.join(context.Background())
+	if rerr := <-rootErr; rerr != nil {
+		t.Fatalf("scripted root: %v", rerr)
+	}
+	return rel.pendingJump, err
 }

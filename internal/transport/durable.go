@@ -42,13 +42,13 @@ type serverState struct {
 	// gate armed across a restart; granularity is the snapshot cadence —
 	// strikes charged since the last rotation are lost with the crash.
 	Validator *validatorState
-	// HistoryBase is the round of History[0]; ShadowRound/Shadow/ShadowX
-	// persist the catch-up follower's round, manager state and model (round
-	// -1 and empty when it had nothing to capture at snapshot time).
+	// HistoryBase is the round of History[0]; ShadowRound/Shadow persist
+	// the catch-up follower's round and manager state, whose Ref is the
+	// model (round -1 and empty when it had nothing to capture at snapshot
+	// time).
 	HistoryBase int
 	ShadowRound int
 	Shadow      []byte
-	ShadowX     []float64
 }
 
 // validatorState is the durable slice of a Validator: strike counters,
@@ -96,7 +96,6 @@ func encodeServerState(s *serverState) []byte {
 	w.Int(s.HistoryBase)
 	w.Int(s.ShadowRound)
 	w.String(string(s.Shadow))
-	w.F64s(s.ShadowX)
 	return w.Bytes()
 }
 
@@ -143,7 +142,6 @@ func decodeServerState(payload []byte) (*serverState, error) {
 	if b := r.String(); b != "" {
 		s.Shadow = []byte(b)
 	}
-	s.ShadowX = r.F64s()
 	if err := r.Done(); err != nil {
 		return nil, err
 	}

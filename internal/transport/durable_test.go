@@ -26,7 +26,8 @@ import (
 
 // TestServerStateCodecRoundTrip round-trips the server snapshot and the
 // WAL commit record bit-exactly, and refuses a snapshot payload that stops
-// short of the full layout.
+// short of the full layout or still ends with the follower's model, as
+// checkpoint version 4 laid it out.
 func TestServerStateCodecRoundTrip(t *testing.T) {
 	st := &serverState{
 		NumClients:    3,
@@ -47,6 +48,8 @@ func TestServerStateCodecRoundTrip(t *testing.T) {
 			RefCount:  7,
 			QuarRound: []int{-1, -1, 4},
 		},
+		ShadowRound: 1,
+		Shadow:      []byte("encoded follower state"),
 	}
 	got, err := decodeServerState(encodeServerState(st))
 	if err != nil {
@@ -73,6 +76,11 @@ func TestServerStateCodecRoundTrip(t *testing.T) {
 		if _, err := decodeServerState(full[:n]); !errors.Is(err, checkpoint.ErrCorrupt) {
 			t.Fatalf("server state cut to %d/%d bytes: err = %v, want ErrCorrupt", n, len(full), err)
 		}
+	}
+	var model checkpoint.Writer
+	model.F64s([]float64{1, 2, 3})
+	if _, err := decodeServerState(append(full, model.Bytes()...)); !errors.Is(err, checkpoint.ErrCorrupt) {
+		t.Fatalf("server state with a trailing follower model: err = %v, want ErrCorrupt", err)
 	}
 
 	g := &GlobalMsg{Round: 4, Participants: 3, Payload: []float64{9, 8, 7}}

@@ -117,12 +117,14 @@ func FuzzServerDecode(f *testing.F) {
 // is applied to a fresh client run with a real APF manager, once as a
 // client that sent no word list and once as one that asked for word 0:
 // whatever the frame, the run either adopts it (at its round, the manager
-// holding the state the frame carries) or refuses it unchanged.
+// holding the state the frame carries and the model its Ref) or refuses it
+// unchanged.
 func FuzzClientDecode(f *testing.F) {
 	f.Add(seedWelcomeGlobals())
 	f.Add(encodeAll(fixtureResumeWelcome))
 	f.Add([]byte{0xff, 0xfe, 0x00})
 	f.Add(seedCatchUpSnapshots())
+	f.Add(seedHostileSnapshots())
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) > 64<<10 {
@@ -177,14 +179,17 @@ func fuzzCatchUpSnapshots(t *testing.T, rest []byte) {
 			mgr := r.rep.Manager.(*core.Manager)
 			before := mgr.Snapshot()
 			if err := r.applySnapshot(sm, words); err != nil {
-				if r.applied != -1 || !reflect.DeepEqual(mgr.Snapshot(), before) {
+				if r.applied != -1 || !reflect.DeepEqual(mgr.Snapshot(), before) || !sameBits(r.rep.X, make([]float64, fixtureDim)) {
 					t.Fatalf("refused snapshot (%v) changed the client", err)
 				}
 				continue
 			}
 			st, err := core.DecodeState(sm.Manager)
-			if err != nil || r.applied != sm.Round || mgr.Snapshot().LastRound != st.LastRound {
+			if err != nil || len(sm.Payload) != 0 || r.applied != sm.Round || mgr.Snapshot().LastRound != st.LastRound {
 				t.Fatalf("adopted snapshot for round %d: client at round %d", sm.Round, r.applied)
+			}
+			if got := mgr.Snapshot(); !sameBits(r.rep.X, got.Ref) {
+				t.Fatal("adopted snapshot left the model apart from the manager's Ref")
 			}
 		}
 	}
@@ -247,25 +252,45 @@ const fixtureDim = 3
 
 // fixtureCatchUp is the server side of the catch-up fixtures: a follower's
 // capture at dimension fixtureDim after rounds 0…5, framed as the full
-// snapshot and as the snapshot of word 0 that closes a decoded sketch.
-func fixtureCatchUp() (full, words *SnapshotMsg) {
+// snapshot and as the snapshot of word 0 that closes a decoded sketch
+// (neither with a payload: the state's Ref is the model), and the
+// capture itself.
+func fixtureCatchUp() (full, words *SnapshotMsg, st *core.State) {
 	f := catchupFollower(fixtureDim)
-	x, st, _ := f.Capture()
+	st, _ = f.Capture()
 	part, err := st.Select([]int{0})
 	if err != nil {
 		panic(err)
 	}
-	full = &SnapshotMsg{Round: f.Round(), MaskGen: f.MaskGeneration(), Payload: x, Manager: core.EncodeState(st)}
-	words = &SnapshotMsg{Round: f.Round(), MaskGen: f.MaskGeneration(), Payload: x, Manager: core.EncodeState(part)}
-	return full, words
+	full = &SnapshotMsg{Round: f.Round(), Manager: core.EncodeState(st)}
+	words = &SnapshotMsg{Round: f.Round(), Manager: core.EncodeState(part)}
+	return full, words, st
+}
+
+// catchUpWelcome is the Welcome opening the catch-up fixtures'
+// conversation, carrying the capture's mask generation.
+func catchUpWelcome(st *core.State) *WelcomeMsg {
+	return &WelcomeMsg{ClientID: 1, NumClients: 2, Rounds: 8, Dim: fixtureDim,
+		Round: 5, Resumed: true, CatchUp: true, MaskGen: st.CheckCount}
 }
 
 // seedCatchUpSnapshots is the client-side catch-up stream seed: a
 // catch-up welcome, then the full and the word-restricted snapshot.
 func seedCatchUpSnapshots() []byte {
-	full, words := fixtureCatchUp()
-	return encodeAll(&WelcomeMsg{ClientID: 1, NumClients: 2, Rounds: 8, Dim: fixtureDim,
-		Round: full.Round, Resumed: true, CatchUp: true, MaskGen: full.MaskGen}, full, words)
+	full, words, st := fixtureCatchUp()
+	return encodeAll(catchUpWelcome(st), full, words)
+}
+
+// seedHostileSnapshots is a client-side catch-up stream of snapshots that
+// break the one-copy rule: the full and the word-restricted state each
+// with the model repeated as a payload, and stateless frames one scalar
+// short and one long. The client refuses all four.
+func seedHostileSnapshots() []byte {
+	full, words, st := fixtureCatchUp()
+	full.Payload, words.Payload = st.Ref, st.Ref[:1]
+	return encodeAll(catchUpWelcome(st), full, words,
+		&SnapshotMsg{Round: full.Round, Payload: st.Ref[:fixtureDim-1]},
+		&SnapshotMsg{Round: full.Round, Payload: append(st.Ref, 1)})
 }
 
 // seedWelcomeGlobals is the client-side stream seed: a fresh welcome and
@@ -344,7 +369,7 @@ func corpusFixtures() map[string][]byte {
 		out[at] = b
 		return out
 	}
-	fullSnap, wordSnap := fixtureCatchUp()
+	fullSnap, wordSnap, _ := fixtureCatchUp()
 	const wireDir, serverDir, clientDir, checkpointDir = "../wire/testdata/fuzz/FuzzWireDecode/",
 		"testdata/fuzz/FuzzServerDecode/", "testdata/fuzz/FuzzClientDecode/",
 		"../checkpoint/testdata/fuzz/FuzzCheckpointDecode/"
@@ -361,7 +386,7 @@ func corpusFixtures() map[string][]byte {
 			HaveRound: -1, Clients: 128}),
 		wireDir + "valid-partial-update": encodeAll(fixturePartial()),
 		wireDir + "valid-resume-offer":   encodeAll(&ResumeOfferMsg{Round: 5, MaskGen: 2, Words: []int{0, 3, 7}}),
-		wireDir + "valid-sketch": encodeAll(&SketchMsg{Round: 8, MaskGen: 2, Start: 16, Cells: []recon.Cell{
+		wireDir + "valid-sketch": encodeAll(&SketchMsg{Round: 8, Start: 16, Cells: []recon.Cell{
 			{Sum: recon.PackWordGen(3, 9), Hash: 0xfeedface, Count: 1}, {Sum: 0, Hash: 0, Count: -2}}}),
 		wireDir + "valid-snapshot":       encodeAll(fullSnap),
 		wireDir + "valid-snapshot-words": encodeAll(wordSnap),

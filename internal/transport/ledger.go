@@ -68,7 +68,7 @@ func (l *ledger) jump(g *GlobalMsg, snap *wire.SnapshotMsg) {
 		// Undecodable or absent manager state leaves st nil, and the failed
 		// Restore is what records the desync: captures go stateless.
 		st, _ := core.DecodeState(snap.Manager)
-		_ = f.Restore(snap.Round, snap.Payload, st)
+		_ = f.Restore(snap.Round, st)
 	}
 	l.history, l.base = nil, g.Round
 	l.commit(g)
@@ -83,7 +83,7 @@ func (l *ledger) restore(st *serverState) error {
 	if f := l.follower; f != nil && st.ShadowRound >= 0 && len(st.Shadow) > 0 {
 		ms, err := core.DecodeState(st.Shadow)
 		if err == nil {
-			err = f.Restore(st.ShadowRound, st.ShadowX, ms)
+			err = f.Restore(st.ShadowRound, ms)
 		}
 		if err != nil {
 			return fmt.Errorf("transport: restore shadow replica: %w", err)
@@ -116,12 +116,12 @@ func (l *ledger) capture() *catchupCapture {
 		return nil
 	}
 	if f := l.follower; f != nil && f.Round() == last {
-		if x, st, ok := f.Capture(); ok {
-			return &catchupCapture{round: last, gen: f.MaskGeneration(), x: x, state: st}
+		if st, ok := f.Capture(); ok {
+			return &catchupCapture{round: last, state: st}
 		}
 	}
 	if l.dense != nil && l.denseRound == last {
-		return &catchupCapture{round: last, gen: -1, x: append([]float64(nil), l.dense...)}
+		return &catchupCapture{round: last, x: append([]float64(nil), l.dense...)}
 	}
 	return nil
 }
@@ -142,10 +142,9 @@ func (l *ledger) persist(st *serverState) {
 	st.HistoryBase = l.base
 	st.ShadowRound = -1
 	if f := l.follower; f != nil {
-		if x, ms, ok := f.Capture(); ok {
+		if ms, ok := f.Capture(); ok {
 			st.ShadowRound = f.Round()
 			st.Shadow = core.EncodeState(ms)
-			st.ShadowX = x
 		}
 	}
 }

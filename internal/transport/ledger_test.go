@@ -83,8 +83,9 @@ func (tw *twinReplica) apply(g *GlobalMsg) {
 
 // checkLedger compares the ledger with its naive specification: done, the
 // missed replay for every cursor, the newest dense payload, and the
-// catch-up capture — the twin replica's state when the follower must be
-// following (tw non-nil), else the stateless fallback.
+// catch-up capture — the twin replica's state, whose Ref must be the
+// twin's model, when the follower must be following (tw non-nil), else the
+// stateless fallback.
 func checkLedger(t *testing.T, step string, l *ledger, n *naiveLog, tw *twinReplica) {
 	t.Helper()
 	if l.done() != n.done() {
@@ -118,9 +119,12 @@ func checkLedger(t *testing.T, step string, l *ledger, n *naiveLog, tw *twinRepl
 	case last < 0:
 		// nothing committed: nothing to catch up to
 	case tw != nil:
-		want = &catchupCapture{round: last, gen: tw.mgr.MaskGeneration(), x: tw.x, state: tw.mgr.Snapshot()}
+		want = &catchupCapture{round: last, state: tw.mgr.Snapshot()}
+		if !sameBits(want.state.Ref, tw.x) {
+			t.Fatalf("%s: the twin's model is not its manager's Ref", step)
+		}
 	case dense != nil && denseRound == last:
-		want = &catchupCapture{round: last, gen: -1, x: dense}
+		want = &catchupCapture{round: last, x: dense}
 	}
 	if (got == nil) != (want == nil) {
 		t.Fatalf("%s: capture %v, want %v", step, got != nil, want != nil)
@@ -128,9 +132,9 @@ func checkLedger(t *testing.T, step string, l *ledger, n *naiveLog, tw *twinRepl
 	if want == nil {
 		return
 	}
-	if got.round != want.round || got.gen != want.gen || !sameBits(got.x, want.x) {
+	if got.round != want.round || got.maskGen() != want.maskGen() || !sameBits(got.x, want.x) {
 		t.Fatalf("%s: capture round %d gen %d, want round %d gen %d (or model differs)",
-			step, got.round, got.gen, want.round, want.gen)
+			step, got.round, got.maskGen(), want.round, want.maskGen())
 	}
 	if (got.state == nil) != (want.state == nil) ||
 		want.state != nil && !bytes.Equal(core.EncodeState(got.state), core.EncodeState(want.state)) {
@@ -232,12 +236,11 @@ func TestLedgerJump(t *testing.T) {
 			for r := 0; r <= 8; r++ {
 				up.apply(&GlobalMsg{Round: r, Payload: ledgerPayload(100+r, false)})
 			}
-			snap := &wire.SnapshotMsg{Round: 8, MaskGen: -1, Payload: append([]float64(nil), up.x...)}
+			snap := &wire.SnapshotMsg{Round: 8, Payload: append([]float64(nil), up.x...)}
 			if tc.carryMgr {
-				snap.MaskGen = up.mgr.MaskGeneration()
-				snap.Manager = core.EncodeState(up.mgr.Snapshot())
+				snap.Payload, snap.Manager = nil, core.EncodeState(up.mgr.Snapshot())
 			}
-			g := &GlobalMsg{Round: snap.Round, Payload: snap.Payload}
+			g := &GlobalMsg{Round: snap.Round, Payload: append([]float64(nil), up.x...)}
 			l.jump(g, snap)
 			n.start, n.all = snap.Round, []GlobalMsg{*g}
 			switch {
@@ -245,7 +248,7 @@ func TestLedgerJump(t *testing.T) {
 				tw = up
 			case tc.withShadow:
 				tw = nil
-				if _, _, ok := l.follower.Capture(); ok {
+				if _, ok := l.follower.Capture(); ok {
 					t.Fatal("a stateless snapshot left the follower following")
 				}
 			}
@@ -297,7 +300,7 @@ func TestLedgerRestore(t *testing.T) {
 				}
 			}
 			if !tc.persistShadow {
-				st.ShadowRound, st.Shadow, st.ShadowX = -1, nil, nil
+				st.ShadowRound, st.Shadow = -1, nil
 			} else if st.ShadowRound != 5 {
 				t.Fatalf("persisted shadow round %d, want 5", st.ShadowRound)
 			}
@@ -406,9 +409,8 @@ func TestLedgerFollowerDesync(t *testing.T) {
 			for r := 0; r <= 12; r++ {
 				up.apply(&GlobalMsg{Round: r, Payload: ledgerPayload(100+r, false)})
 			}
-			snap := &wire.SnapshotMsg{Round: 12, MaskGen: up.mgr.MaskGeneration(),
-				Payload: append([]float64(nil), up.x...), Manager: core.EncodeState(up.mgr.Snapshot())}
-			g := &GlobalMsg{Round: snap.Round, Payload: snap.Payload}
+			snap := &wire.SnapshotMsg{Round: 12, Manager: core.EncodeState(up.mgr.Snapshot())}
+			g := &GlobalMsg{Round: snap.Round, Payload: append([]float64(nil), up.x...)}
 			l.jump(g, snap)
 			n.start, n.all = snap.Round, []GlobalMsg{*g}
 			checkLedger(t, "jump to 12", l, n, up)

@@ -105,10 +105,12 @@ type Relay struct {
 	adopted  []GlobalMsg
 	partial  fl.Partial
 	inflight []byte
-	// pendingJump holds a snapshot adopted from the root's catch-up
-	// conversation (this relay fell off the root's replay history); the
-	// next reduceRound commits it as a round discontinuity.
-	pendingJump *wire.SnapshotMsg
+	// pendingJump holds the root's aggregate adopted from its catch-up
+	// conversation (this relay fell off the root's replay history), and
+	// jumpSnap the snapshot frame it came from; the next reduceRound
+	// commits them as a round discontinuity.
+	pendingJump *GlobalMsg
+	jumpSnap    *wire.SnapshotMsg
 }
 
 // NewRelay binds the downward listener. Call Run to serve; the upstream
@@ -257,15 +259,15 @@ func (r *Relay) reduceRound(ctx context.Context, round int, agg *fl.Aggregator, 
 // away mid-round, and the root's aggregate is re-committed verbatim so the
 // downward trajectory stays identical to the root's.
 func (r *Relay) resolved(round, count int) (*GlobalMsg, *wire.SnapshotMsg) {
-	if snap := r.pendingJump; snap != nil {
+	if g := r.pendingJump; g != nil {
 		// A pending jump is due at the first round reduced after the join
 		// that adopted it, unless a recovered checkpoint already covers it.
 		// Past the round it is a discontinuity, which the engine commits
 		// via commitJump.
 		r.pendingJump = nil
-		if snap.Round >= round {
-			r.log.Info("jumping to root snapshot", "from_round", round, "round", snap.Round, "dropped_clients", count)
-			return &GlobalMsg{Round: snap.Round, Payload: snap.Payload}, snap
+		if g.Round >= round {
+			r.log.Info("jumping to root snapshot", "from_round", round, "round", g.Round, "dropped_clients", count)
+			return g, r.jumpSnap
 		}
 	}
 	for len(r.adopted) > 0 && r.adopted[0].Round < round {
@@ -335,13 +337,14 @@ func (r *Relay) join(ctx context.Context) (*countingConn, *WelcomeMsg, error) {
 	r.adopted = w.Missed
 	if w.CatchUp {
 		snap, _, err := r.up.catchUp(conn, w, r.applied, r.dim, nil)
+		var model []float64
 		if err == nil {
-			err = checkSnapshot(snap, r.applied, r.dim)
+			_, model, err = checkSnapshot(snap, r.applied, r.dim, nil)
 		}
 		if err != nil {
 			return nil, nil, err
 		}
-		r.pendingJump = snap
+		r.pendingJump, r.jumpSnap = &GlobalMsg{Round: snap.Round, Payload: model}, snap
 		r.log.Info("adopted root snapshot", "round", snap.Round, "applied", r.applied)
 	}
 	return conn, w, nil

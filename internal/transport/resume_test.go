@@ -124,10 +124,10 @@ func TestHistoryEvictionBounded(t *testing.T) {
 	if capture.round != rounds-1 {
 		t.Errorf("capture round %d, want %d", capture.round, rounds-1)
 	}
-	if capture.gen != twin.MaskGeneration() {
-		t.Errorf("capture generation %d, twin %d", capture.gen, twin.MaskGeneration())
+	if capture.maskGen() != twin.MaskGeneration() {
+		t.Errorf("capture generation %d, twin %d", capture.maskGen(), twin.MaskGeneration())
 	}
-	requireSameModel(t, "capture model vs twin replica", capture.x, tx)
+	requireSameModel(t, "capture model vs twin replica", capture.state.Ref, tx)
 	got := core.EncodeState(capture.state)
 	want := core.EncodeState(twin.Snapshot())
 	if !bytes.Equal(got, want) {
@@ -228,8 +228,16 @@ func TestSnapshotResumeAfterEviction(t *testing.T) {
 	if !ok {
 		t.Fatal("expected a snapshot frame")
 	}
-	if snap.Round < 19 || snap.MaskGen != w.MaskGen || len(snap.Manager) == 0 {
-		t.Fatalf("snapshot round=%d gen=%d manager=%dB", snap.Round, snap.MaskGen, len(snap.Manager))
+	if snap.Round < 19 || len(snap.Payload) != 0 || len(snap.Manager) == 0 {
+		t.Fatalf("snapshot round=%d payload=%d manager=%dB, want a stateful snapshot past round 18",
+			snap.Round, len(snap.Payload), len(snap.Manager))
+	}
+	st, err := core.DecodeState(snap.Manager)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CheckCount != w.MaskGen {
+		t.Errorf("snapshot generation %d, welcome %d", st.CheckCount, w.MaskGen)
 	}
 	// The same connection's sequential stream continues right after the
 	// snapshot round.
@@ -256,10 +264,7 @@ func TestSnapshotResumeAfterEviction(t *testing.T) {
 		oracle.PostIterate(r, ox)
 		oracle.ApplyDownload(r, ox, globals[r])
 	}
-	requireSameModel(t, "snapshot vs replay oracle", snap.Payload, ox)
-	if snap.MaskGen != oracle.MaskGeneration() {
-		t.Errorf("snapshot generation %d, oracle %d", snap.MaskGen, oracle.MaskGeneration())
-	}
+	requireSameModel(t, "snapshot vs replay oracle", st.Ref, ox)
 	if !bytes.Equal(snap.Manager, core.EncodeState(oracle.Snapshot())) {
 		t.Error("snapshot manager state differs from the replay oracle's")
 	}
@@ -814,12 +819,7 @@ func TestCatchUpFutureGenerationRejected(t *testing.T) {
 		cfg := *resumeShadowConfig()
 		cfg.Dim = 128
 		mgr := core.NewManager(cfg)
-		cap := &catchupCapture{
-			round: 10,
-			gen:   mgr.MaskGeneration(),
-			x:     make([]float64, cfg.Dim),
-			state: mgr.Snapshot(),
-		}
+		cap := &catchupCapture{round: 10, state: mgr.Snapshot()}
 
 		exchange := func(drive func(peer net.Conn) error) error {
 			t.Helper()
@@ -837,7 +837,7 @@ func TestCatchUpFutureGenerationRejected(t *testing.T) {
 
 		// Ahead at the opening offer.
 		err := exchange(func(peer net.Conn) error {
-			return writeMsg(peer, 2*time.Second, &ResumeOfferMsg{Round: 3, MaskGen: cap.gen + 1}, nil)
+			return writeMsg(peer, 2*time.Second, &ResumeOfferMsg{Round: 3, MaskGen: cap.maskGen() + 1}, nil)
 		})
 		if !errors.Is(err, ErrFutureGeneration) {
 			t.Errorf("opening offer ahead: got %v, want ErrFutureGeneration", err)
@@ -846,7 +846,7 @@ func TestCatchUpFutureGenerationRejected(t *testing.T) {
 		// Ahead mid-sketch: open honestly, then claim a future generation
 		// in the continuation offer.
 		err = exchange(func(peer net.Conn) error {
-			if err := writeMsg(peer, 2*time.Second, &ResumeOfferMsg{Round: 3, MaskGen: cap.gen}, nil); err != nil {
+			if err := writeMsg(peer, 2*time.Second, &ResumeOfferMsg{Round: 3, MaskGen: cap.maskGen()}, nil); err != nil {
 				return err
 			}
 			m, err := readMsg(peer, 2*time.Second, wire.MaxPayload, nil)
@@ -857,7 +857,7 @@ func TestCatchUpFutureGenerationRejected(t *testing.T) {
 				return fmt.Errorf("expected sketch cells, got %s", m.WireKind())
 			}
 			return writeMsg(peer, 2*time.Second,
-				&ResumeOfferMsg{Round: 3, MaskGen: cap.gen + 7, NeedMore: true}, nil)
+				&ResumeOfferMsg{Round: 3, MaskGen: cap.maskGen() + 7, NeedMore: true}, nil)
 		})
 		if !errors.Is(err, ErrFutureGeneration) {
 			t.Errorf("mid-sketch offer ahead: got %v, want ErrFutureGeneration", err)

@@ -108,8 +108,9 @@ type ServerConfig struct {
 	// The server then feeds every commit to a core.Follower, a replica of
 	// the clients' deterministic manager state, which powers the
 	// stateful catch-up modes: sketch reconciliation and manager-carrying
-	// snapshots. Nil restricts catch-up to the stateless snapshot (model
-	// payload only), which suffices for stateless clients and relays.
+	// snapshots (whose state's Ref is the model). Nil restricts catch-up
+	// to the stateless snapshot (model payload only), which suffices for
+	// stateless clients and relays.
 	Shadow *core.Config
 	// Metrics, when non-nil, receives runtime metrics from every layer of
 	// the server (rounds, updates, wire traffic, durability, validation).

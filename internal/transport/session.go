@@ -484,7 +484,7 @@ func (s *Server) resume(sess *session, cc *countingConn, join *JoinMsg) {
 	}
 	if cap != nil {
 		w.CatchUp = true
-		w.MaskGen = cap.gen
+		w.MaskGen = cap.maskGen()
 	}
 
 	sess.mu.Lock()

@@ -47,9 +47,11 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync/atomic"
 	"time"
 
+	"apf/internal/core"
 	"apf/internal/wire"
 )
 
@@ -219,17 +221,37 @@ func checkRejoin(first, w *WelcomeMsg) error {
 }
 
 // checkSnapshot validates a snapshot frame — a catch-up answer or a
-// mid-stream jump — against the receiver's applied round and the number of
-// model scalars it must carry (the model dimension, or the scalars of the
-// words a word-restricted snapshot covers).
-func checkSnapshot(sm *wire.SnapshotMsg, applied, scalars int) error {
+// mid-stream jump — against the receiver's applied round and model
+// dimension, and returns its decoded manager state (nil when stateless)
+// and the model scalars it carries, once: a stateful frame's are its
+// state's Ref (packed, when word-restricted), so its payload must be
+// empty; a stateless frame's payload is the whole model. words is the
+// word list the receiver sent (nil if none), the only coverage a
+// word-restricted state may have; the restore checks its array lengths.
+func checkSnapshot(sm *wire.SnapshotMsg, applied, dim int, words []int) (*core.State, []float64, error) {
 	if sm.Round <= applied {
-		return protocolErrorf("snapshot for round %d at applied round %d", sm.Round, applied)
+		return nil, nil, protocolErrorf("snapshot for round %d at applied round %d", sm.Round, applied)
 	}
-	if len(sm.Payload) != scalars {
-		return protocolErrorf("snapshot payload length %d, want %d", len(sm.Payload), scalars)
+	if len(sm.Manager) == 0 {
+		if len(sm.Payload) != dim {
+			return nil, nil, protocolErrorf("stateless snapshot payload length %d, want %d", len(sm.Payload), dim)
+		}
+		return nil, sm.Payload, nil
 	}
-	return nil
+	if len(sm.Payload) != 0 {
+		return nil, nil, protocolErrorf("stateful snapshot carries a %d-scalar payload", len(sm.Payload))
+	}
+	st, err := core.DecodeState(sm.Manager)
+	if err != nil {
+		return nil, nil, protocolErrorf("snapshot manager state: %v", err)
+	}
+	if st.Words != nil && (words == nil || !slices.Equal(st.Words, words)) {
+		return nil, nil, protocolErrorf("snapshot covers %d words, %d requested", len(st.Words), len(words))
+	}
+	if st.Dim != dim || (st.Words == nil && len(st.Ref) != dim) {
+		return nil, nil, protocolErrorf("snapshot state holds %d of %d model scalars, want %d", len(st.Ref), st.Dim, dim)
+	}
+	return st, st.Ref, nil
 }
 
 // checkGlobal validates one GlobalMsg in a client's strictly sequential

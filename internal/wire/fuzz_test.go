@@ -64,19 +64,19 @@ func FuzzWireDecode(f *testing.F) {
 		&ResumeOfferMsg{Round: 5, MaskGen: 2, NeedMore: true},
 		&ResumeOfferMsg{Round: 5, MaskGen: 2, Words: []int{0, 3, 7}},
 		&ResumeOfferMsg{Round: -1, MaskGen: -1},
-		&SketchMsg{Round: 8, MaskGen: 2, Start: 32, Cells: []recon.Cell{
+		&SketchMsg{Round: 8, Start: 32, Cells: []recon.Cell{
 			{Sum: 0x300000001, Hash: 0xfeedface, Count: 1},
 			{Sum: 0, Hash: 0, Count: -2},
 		}},
-		&SnapshotMsg{Round: 8, MaskGen: 2, Payload: []float64{1, math.NaN()},
+		&SnapshotMsg{Round: 8, Payload: []float64{1, math.NaN()},
 			Manager: []byte{0xde, 0xad, 0x00, 0xef}},
-		&SnapshotMsg{Round: 0, MaskGen: -1, Payload: []float64{0}},
-		&SnapshotMsg{Round: 8, MaskGen: 2, Manager: []byte{0x43, 0x46}},
+		&SnapshotMsg{Round: 0, Payload: []float64{0}},
+		&SnapshotMsg{Round: 8, Manager: []byte{0x43, 0x46}},
 	} {
 		f.Add(Encode(m))
 	}
 	// A snapshot frame truncated mid-payload.
-	snap := Encode(&SnapshotMsg{Round: 3, MaskGen: 1, Payload: []float64{1, 2, 3, 4}})
+	snap := Encode(&SnapshotMsg{Round: 3, Payload: []float64{1, 2, 3, 4}})
 	f.Add(snap[:len(snap)-11])
 	// Two frames back to back: Decode must return the remainder intact.
 	f.Add(append(Encode(&JoinMsg{Name: "a"}), Encode(&GlobalMsg{Round: 0})...))

@@ -15,13 +15,16 @@ import (
 //	ResumeOffer{NeedMore}        →                        (not decoded yet)
 //	                             ←  Sketch{Cells...}
 //	ResumeOffer{Words: [...]}    →                        (decoded)
-//	                             ←  Snapshot{Payload, Manager} (those words)
+//	                             ←  Snapshot{Manager}     (those words)
 //	— or —
-//	                             ←  Snapshot{Payload, Manager} (every word)
+//	                             ←  Snapshot{Manager}     (every word)
+//	                                or Snapshot{Payload}  (stateless)
 //
 // A ResumeOffer with MaskGen -1 requests the snapshot mode outright
 // (managers without reconciliation state, and relays adopting the
-// root's round).
+// root's round). The server's mask generation travels once, in the
+// Welcome that opens the conversation; every frame here leads its body
+// with Round.
 
 // CapRecon is the capability bit a client advertises in JoinMsg.Caps
 // when its manager supports sketch reconciliation (per-word generation
@@ -47,27 +50,26 @@ type ResumeOfferMsg struct {
 // SketchMsg streams one batch of rateless coded cells over the
 // server's (word, generation) set, starting at stream index Start.
 type SketchMsg struct {
-	Round   int
-	MaskGen int
-	Start   int
-	Cells   []recon.Cell
+	Round int
+	Start int
+	Cells []recon.Cell
 }
 
-// SnapshotMsg ships the server's current state in one bounded frame: the
-// canonical post-round model plus (for stateful managers) the manager
-// state in its durable encoding. A full snapshot costs O(dim) regardless
-// of how long the client was away; the one closing a decoded sketch
-// covers exactly the mask words the client's ResumeOffer listed, and
-// costs O(diff).
+// SnapshotMsg ships the server's state at Round in one bounded frame:
+// the manager state in its durable encoding for stateful managers, the
+// canonical post-round model for stateless ones. The model is never sent
+// twice: a stateful snapshot's model is its state's Ref, which equals the
+// synchronized model after every download, so its Payload is empty. A
+// full snapshot costs O(dim) regardless of how long the client was away;
+// the one closing a decoded sketch covers exactly the mask words the
+// client's ResumeOffer listed, and costs O(diff).
 type SnapshotMsg struct {
-	Round   int
-	MaskGen int
-	// Payload is the canonical post-ApplyDownload model at Round, or its
-	// scalars in the words the manager state covers, packed.
+	Round int
+	// Payload is the canonical post-ApplyDownload model at Round on a
+	// stateless snapshot, and empty on a stateful one.
 	Payload []float64
-	// Manager is the encoded core manager state (core.EncodeState), whose
-	// word coverage Payload follows; empty for stateless managers, which
-	// need only Round and Payload.
+	// Manager is the encoded core manager state (core.EncodeState), full
+	// or word-restricted; empty on a stateless snapshot.
 	Manager []byte
 }
 
@@ -106,7 +108,6 @@ const cellLen = 24
 
 func (m *SketchMsg) appendBody(w *checkpoint.Writer) {
 	w.Int(m.Round)
-	w.Int(m.MaskGen)
 	w.Int(m.Start)
 	w.Int(len(m.Cells))
 	for _, c := range m.Cells {
@@ -117,7 +118,7 @@ func (m *SketchMsg) appendBody(w *checkpoint.Writer) {
 }
 
 func readSketch(r *checkpoint.Reader) *SketchMsg {
-	m := &SketchMsg{Round: r.Int(), MaskGen: r.Int(), Start: r.Int()}
+	m := &SketchMsg{Round: r.Int(), Start: r.Int()}
 	n := r.Int()
 	if r.Err() != nil {
 		return m
@@ -138,13 +139,12 @@ func readSketch(r *checkpoint.Reader) *SketchMsg {
 
 func (m *SnapshotMsg) appendBody(w *checkpoint.Writer) {
 	w.Int(m.Round)
-	w.Int(m.MaskGen)
 	w.F64s(m.Payload)
 	w.String(string(m.Manager))
 }
 
 func readSnapshot(r *checkpoint.Reader) *SnapshotMsg {
-	m := &SnapshotMsg{Round: r.Int(), MaskGen: r.Int(), Payload: r.F64s()}
+	m := &SnapshotMsg{Round: r.Int(), Payload: r.F64s()}
 	if s := r.String(); s != "" {
 		m.Manager = []byte(s)
 	}

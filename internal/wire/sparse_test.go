@@ -74,7 +74,7 @@ func TestVersionRange(t *testing.T) {
 		if good[4] != Version {
 			t.Fatalf("%s stamped version %d, want %d", m.WireKind(), good[4], Version)
 		}
-		for _, v := range []uint8{0, 1, 2, 3, 4, 5, 6, Version + 1, 200} {
+		for _, v := range []uint8{0, 1, 2, 3, 4, 5, 6, 7, Version + 1, 200} {
 			bad := reframe(good, v)
 			if _, _, err := Decode(bad, 0); !errors.Is(err, ErrVersion) {
 				t.Errorf("%s stamped v%d: Decode got %v, want ErrVersion", m.WireKind(), v, err)

@@ -46,7 +46,7 @@ import (
 
 // Version is the protocol version stamped on every frame and the only one
 // decoded.
-const Version = 7
+const Version = 8
 
 // Frame geometry.
 const (

@@ -42,16 +42,16 @@ func sampleMsgs() []Msg {
 		&ResumeOfferMsg{Round: 60, MaskGen: 17, Words: []int{0, 5, 63}},
 		&ResumeOfferMsg{Round: 60, MaskGen: 17, Words: []int{}},
 		&ResumeOfferMsg{Round: -1, MaskGen: -1},
-		&SketchMsg{Round: 61, MaskGen: 17, Start: 128, Cells: []recon.Cell{
+		&SketchMsg{Round: 61, Start: 128, Cells: []recon.Cell{
 			{Sum: recon.PackWordGen(5, 18), Hash: 0xfeedface, Count: 1},
 			{Sum: 0, Hash: 0, Count: -3},
 		}},
-		&SketchMsg{Round: 61, MaskGen: 17},
-		&SnapshotMsg{Round: 61, MaskGen: 17,
+		&SketchMsg{Round: 61},
+		&SnapshotMsg{Round: 61,
 			Payload: []float64{math.NaN(), math.Inf(-1), -0.0},
 			Manager: []byte{0x00, 0xff, 0x7f}},
-		&SnapshotMsg{Round: 0, MaskGen: -1, Payload: []float64{4}},
-		&SnapshotMsg{Round: 61, MaskGen: 17, Manager: []byte{0x43}},
+		&SnapshotMsg{Round: 0, Payload: []float64{4}},
+		&SnapshotMsg{Round: 61, Manager: []byte{0x43}},
 	}
 }
 
@@ -224,8 +224,8 @@ func TestTrailingGarbageInBody(t *testing.T) {
 // count — sketch cells, offered words, snapshot manager bytes — claims
 // 2^40 entries backed by no bytes; each must reject before allocating.
 func TestHostileCatchUpCounts(t *testing.T) {
-	for _, m := range []Msg{&SketchMsg{Round: 1, MaskGen: 1},
-		&ResumeOfferMsg{Round: 1, MaskGen: 1, Words: []int{}}, &SnapshotMsg{Round: 1, MaskGen: 1}} {
+	for _, m := range []Msg{&SketchMsg{Round: 1},
+		&ResumeOfferMsg{Round: 1, MaskGen: 1, Words: []int{}}, &SnapshotMsg{Round: 1}} {
 		frame := Encode(m)
 		body := append([]byte(nil), frame[headerLen:len(frame)-trailerLen]...)
 		// The final 8 bytes are the element count (0); overwrite with 2^40.
