@@ -52,6 +52,7 @@ fuzz:
 	$(GO) test ./internal/checkpoint/ -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime 10s
 	$(GO) test ./internal/recon/ -run '^$$' -fuzz '^FuzzReconDecode$$' -fuzztime 10s
 	$(GO) test ./internal/fl/ -run '^$$' -fuzz '^FuzzParsePacked$$' -fuzztime 10s
+	$(GO) test ./internal/bitset/ -run '^$$' -fuzz '^FuzzFromWords$$' -fuzztime 10s
 
 # Re-stamp the checked-in fixture-backed fuzz seeds (internal/wire and
 # internal/transport testdata: valid-*, two-frame-stream, and the damaged

@@ -150,10 +150,9 @@ func resumebenchCell(absence, sever int, shadow *core.Config) (mode string, byte
 		return c, err
 	}
 
-	errs := make([]error, 3)
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		cfg := transport.ClientConfig{
+	cfgs := make([]transport.ClientConfig, 3)
+	for i := range cfgs {
+		cfgs[i] = transport.ClientConfig{
 			Addr:           srv.Addr().String(),
 			Name:           fmt.Sprintf("bench-%d", i),
 			SessionKey:     fmt.Sprintf("bench-%d", i),
@@ -169,25 +168,18 @@ func resumebenchCell(absence, sever int, shadow *core.Config) (mode string, byte
 			RetryBaseDelay: 10 * time.Millisecond,
 			RetryMaxDelay:  100 * time.Millisecond,
 		}
-		if i == 2 {
-			cfg.Dial = dial
-			cfg.OnRound = func(round int, _ []float64) {
-				if round == sever {
-					connMu.Lock()
-					if shardConn != nil {
-						shardConn.Close()
-					}
-					connMu.Unlock()
-				}
-			}
-		}
-		wg.Add(1)
-		go func(i int, cfg transport.ClientConfig) {
-			defer wg.Done()
-			_, errs[i] = transport.RunClient(ctx, cfg)
-		}(i, cfg)
 	}
-	wg.Wait()
+	cfgs[2].Dial = dial
+	cfgs[2].OnRound = func(round int, _ []float64) {
+		if round == sever {
+			connMu.Lock()
+			if shardConn != nil {
+				shardConn.Close()
+			}
+			connMu.Unlock()
+		}
+	}
+	_, errs := transport.RunClients(ctx, cfgs)
 	if err := <-serverErr; err != nil {
 		return "", 0, fmt.Errorf("server: %w", err)
 	}

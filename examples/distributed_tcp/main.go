@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"sync"
 	"time"
 
 	"apf/internal/core"
@@ -108,27 +107,22 @@ func runCluster(pool *data.Dataset, parts [][]int, model fl.ModelFactory, optimi
 		serverErr <- err
 	}()
 
-	var wg sync.WaitGroup
-	errs := make([]error, clients)
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = transport.RunClient(ctx, transport.ClientConfig{
-				Addr:       srv.Addr().String(),
-				Name:       fmt.Sprintf("client-%d", i),
-				Model:      model,
-				Optimizer:  optimizer,
-				Manager:    mf,
-				Data:       pool,
-				Indices:    parts[i],
-				LocalIters: 3,
-				BatchSize:  16,
-				Seed:       seed,
-			})
-		}(i)
+	cfgs := make([]transport.ClientConfig, clients)
+	for i := range cfgs {
+		cfgs[i] = transport.ClientConfig{
+			Addr:       srv.Addr().String(),
+			Name:       fmt.Sprintf("client-%d", i),
+			Model:      model,
+			Optimizer:  optimizer,
+			Manager:    mf,
+			Data:       pool,
+			Indices:    parts[i],
+			LocalIters: 3,
+			BatchSize:  16,
+			Seed:       seed,
+		}
 	}
-	wg.Wait()
+	_, errs := transport.RunClients(ctx, cfgs)
 	for i, e := range errs {
 		if e != nil {
 			return 0, 0, fmt.Errorf("client %d: %w", i, e)

@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"net"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"apf/internal/chaos"
@@ -33,8 +32,8 @@ type RoundEval struct {
 }
 
 // ClientOutcome is one client's detection record, indexed by the
-// server-assigned id (equal to the launch index — the runner staggers
-// registration so ids are deterministic).
+// server-assigned id (equal to the launch slot: transport.RunClients
+// starts the clients in slot order).
 type ClientOutcome struct {
 	Client    int  `json:"client"`
 	Adversary bool `json:"adversary"`
@@ -195,7 +194,7 @@ func rebalance(parts [][]int) {
 
 // buildFaults converts the cell's network spec into a deterministic
 // chaos fault list. Severs and delays start at round 1: round 0 carries
-// session registration, whose ordering the runner pins separately.
+// session registration, whose ordering transport.RunClients pins.
 func buildFaults(cfg Config, tseed int64) ([]chaos.Fault, []int) {
 	var faults []chaos.Fault
 	severs := make([]int, cfg.Clients)
@@ -294,21 +293,14 @@ func RunTrial(cfgIn Config, trial int) (*TrialResult, error) {
 		done <- serverDone{err}
 	}()
 
-	// Launch clients one by one, gating each on the previous session's
-	// registration, so server-assigned ids equal launch slots and every
-	// RNG stream keyed by client id is deterministic.
-	results := make([]*transport.ClientResult, cfg.Clients)
-	errs := make([]error, cfg.Clients)
+	// RunClients starts each client once the previous one holds its
+	// Welcome, so server-assigned ids equal launch slots and every RNG
+	// stream keyed by client id is deterministic.
 	snapshots := make([][]float64, cfg.Rounds)
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.Clients; i++ {
-		if err := waitSessions(ctx, srv, i); err != nil {
-			srvCancel()
-			wg.Wait()
-			return nil, fmt.Errorf("scenario %s: client %d registration: %w", cfg.Name, i, err)
-		}
+	cfgs := make([]transport.ClientConfig, cfg.Clients)
+	for i := range cfgs {
 		name := clientName(i)
-		ccfg := transport.ClientConfig{
+		cfgs[i] = transport.ClientConfig{
 			Addr:       addr,
 			Name:       name,
 			SessionKey: name,
@@ -330,30 +322,30 @@ func RunTrial(cfgIn Config, trial int) (*TrialResult, error) {
 				return net.DialTimeout(network, addr, 5*time.Second)
 			})),
 		}
-		if i == 0 {
-			ccfg.OnRound = func(round int, model []float64) {
-				if round >= 0 && round < len(snapshots) {
-					snapshots[round] = append([]float64(nil), model...)
-				}
-			}
-		}
-		wg.Add(1)
-		go func(i int, ccfg transport.ClientConfig) {
-			defer wg.Done()
-			results[i], errs[i] = transport.RunClient(ctx, ccfg)
-		}(i, ccfg)
 	}
+	cfgs[0].OnRound = func(round int, model []float64) {
+		if round >= 0 && round < len(snapshots) {
+			snapshots[round] = append([]float64(nil), model...)
+		}
+	}
+	var results []*transport.ClientResult
+	var errs []error
+	clientsDone := make(chan struct{})
+	go func() {
+		defer close(clientsDone)
+		results, errs = transport.RunClients(ctx, cfgs)
+	}()
 
 	finalSrv := srv
 	if cfg.Network.Kill {
 		d := <-done
 		if d.err == nil {
-			wg.Wait()
+			<-clientsDone
 			return nil, fmt.Errorf("scenario %s: kill fault never fired", cfg.Name)
 		}
 		srv2, err := rebindServer(ctx, scfg, addr)
 		if err != nil {
-			wg.Wait()
+			<-clientsDone
 			return nil, fmt.Errorf("scenario %s: restart: %w", cfg.Name, err)
 		}
 		finalSrv = srv2
@@ -362,12 +354,12 @@ func RunTrial(cfgIn Config, trial int) (*TrialResult, error) {
 			_, err := srv2.Run(ctx)
 			done2 <- serverDone{err}
 		}()
-		wg.Wait()
+		<-clientsDone
 		if d2 := <-done2; d2.err != nil {
 			return nil, fmt.Errorf("scenario %s: restarted server: %w", cfg.Name, d2.err)
 		}
 	} else {
-		wg.Wait()
+		<-clientsDone
 		if d := <-done; d.err != nil {
 			return nil, fmt.Errorf("scenario %s: server: %w", cfg.Name, d.err)
 		}
@@ -387,8 +379,8 @@ func RunTrial(cfgIn Config, trial int) (*TrialResult, error) {
 	}
 
 	// Detection outcomes, indexed by server-assigned id (== launch slot
-	// thanks to the registration stagger; the mapping below stays correct
-	// even if they ever diverged).
+	// when every client joined; the mapping below stays correct even if
+	// they ever diverged).
 	v := finalSrv.Validator()
 	res.Clients = make([]ClientOutcome, cfg.Clients)
 	for i, r := range results {
@@ -470,22 +462,6 @@ func managerFactory(w scenarioWorkload, cfg Config, tseed int64, slot int, isAdv
 		}
 		return inner
 	}
-}
-
-// waitSessions blocks until the server has registered at least n
-// sessions, pinning the join order of staggered client launches.
-func waitSessions(ctx context.Context, srv *transport.Server, n int) error {
-	deadline := time.Now().Add(15 * time.Second)
-	for srv.Sessions() < n {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("timed out waiting for %d registered sessions (have %d)", n, srv.Sessions())
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-	return nil
 }
 
 // rebindServer reconstructs the coordinator on its previous address,

@@ -13,10 +13,7 @@ import (
 
 	"apf/internal/bitset"
 	"apf/internal/core"
-	"apf/internal/data"
 	"apf/internal/fl"
-	"apf/internal/nn"
-	"apf/internal/stats"
 	"apf/internal/telemetry"
 	"apf/internal/wire"
 )
@@ -336,8 +333,8 @@ func TestCatchUpWordListRejected(t *testing.T) {
 // place of the round's global: the round loop sent no word list, so the
 // client stops with a protocol error instead of adopting a partial replica.
 func TestClientRefusesWordRestrictedSnapshotMidStream(t *testing.T) {
-	ds := data.SynthImages(data.ImageConfig{Classes: 3, Channels: 1, Size: 6, Samples: 30, NoiseStd: 0.5, Seed: 5})
-	init := nn.FlattenParams(tinyModel(stats.SplitRNG(5, 99)).Params(), nil)
+	task := newTinyTask(30, 1)
+	ds, init := task.ds, task.init
 	dim := len(init)
 	part, err := apfChaosFactory(0, dim).(*core.Manager).Snapshot().Select([]int{0})
 	if err != nil {

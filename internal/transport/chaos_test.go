@@ -5,13 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
 	"apf/internal/chaos"
 	"apf/internal/core"
-	"apf/internal/data"
 	"apf/internal/fl"
 	"apf/internal/nn"
 	"apf/internal/stats"
@@ -39,15 +37,9 @@ type chaosOpts struct {
 }
 
 // runChaosCluster runs a fault-tolerant cluster to completion, failing the
-// test on any client or server error. Clients dial sequentially with a
-// head start so client i deterministically gets server id i — required for
-// bit-exact comparison across runs with per-shard data partitions.
+// test on any client or server error.
 func runChaosCluster(t *testing.T, mf fl.ManagerFactory, o chaosOpts) ([]*ClientResult, *Server, []float64) {
 	t.Helper()
-	ds := data.SynthImages(data.ImageConfig{Classes: 3, Channels: 1, Size: 6, Samples: 90, NoiseStd: 0.5, Seed: 5})
-	parts := data.PartitionIID(stats.SplitRNG(5, 50), ds.Len(), o.clients)
-	init := nn.FlattenParams(tinyModel(stats.SplitRNG(5, 99)).Params(), nil)
-
 	var ln net.Listener
 	if o.serverScript != nil {
 		inner, err := net.Listen("tcp", "127.0.0.1:0")
@@ -56,51 +48,16 @@ func runChaosCluster(t *testing.T, mf fl.ManagerFactory, o chaosOpts) ([]*Client
 		}
 		ln = o.serverScript.Listener(inner)
 	}
-	srv, err := NewServer(ServerConfig{
-		Addr:          "127.0.0.1:0",
+	return runClusterWith(t, ServerConfig{
 		Listener:      ln,
 		NumClients:    o.clients,
 		Rounds:        o.rounds,
-		Init:          init,
 		IOTimeout:     5 * time.Second,
 		RoundDeadline: o.deadline,
 		MinClients:    o.minClients,
 		Metrics:       o.metrics,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	var serverGlobal []float64
-	serverErr := make(chan error, 1)
-	go func() {
-		g, err := srv.Run(ctx)
-		serverGlobal = g
-		serverErr <- err
-	}()
-
-	results := make([]*ClientResult, o.clients)
-	errs := make([]error, o.clients)
-	var wg sync.WaitGroup
-	for i := 0; i < o.clients; i++ {
-		name := fmt.Sprintf("shard-%d", i)
-		cfg := ClientConfig{
-			Addr:       srv.Addr().String(),
-			Name:       name,
-			SessionKey: name,
-			Model:      tinyModel,
-			Optimizer:  tinySGD,
-			Manager:    mf,
-			Data:       ds,
-			Indices:    parts[i],
-			LocalIters: 3,
-			BatchSize:  10,
-			Seed:       5,
-			MaxRetries: o.retries,
-			Metrics:    o.cmetrics,
-		}
+	}, mf, func(i int, cfg *ClientConfig) {
+		cfg.MaxRetries, cfg.Metrics = o.retries, o.cmetrics
 		cfg.RetryBaseDelay, cfg.RetryMaxDelay = 10*time.Millisecond, 100*time.Millisecond
 		if o.backoff != nil {
 			if base, max := o.backoff(i); base > 0 {
@@ -108,27 +65,11 @@ func runChaosCluster(t *testing.T, mf fl.ManagerFactory, o chaosOpts) ([]*Client
 			}
 		}
 		if o.clientScript != nil {
-			cfg.Dial = DialFunc(o.clientScript.Dialer(name, func(network, addr string) (net.Conn, error) {
+			cfg.Dial = DialFunc(o.clientScript.Dialer(cfg.Name, func(network, addr string) (net.Conn, error) {
 				return net.DialTimeout(network, addr, 5*time.Second)
 			}))
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = RunClient(ctx, cfg)
-		}(i)
-		time.Sleep(100 * time.Millisecond)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("client %d: %v", i, err)
-		}
-	}
-	if err := <-serverErr; err != nil {
-		t.Fatalf("server: %v", err)
-	}
-	return results, srv, serverGlobal
+	})
 }
 
 func apfChaosFactory(clientID, dim int) fl.SyncManager {
@@ -237,10 +178,9 @@ func TestChaosSeverDuringBroadcast(t *testing.T) {
 // evalAccuracy scores a dense model vector on the shared synthetic task.
 func evalAccuracy(t *testing.T, model []float64) float64 {
 	t.Helper()
-	ds := data.SynthImages(data.ImageConfig{Classes: 3, Channels: 1, Size: 6, Samples: 90, NoiseStd: 0.5, Seed: 5})
 	net := tinyModel(stats.SplitRNG(5, 99))
 	nn.SetFlat(net.Params(), model)
-	_, acc := fl.EvaluateModel(net, ds, 30)
+	_, acc := fl.EvaluateModel(net, newTinyTask(90, 1).ds, 30)
 	return acc
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"sync"
 	"time"
 
 	"apf/internal/data"
@@ -102,6 +103,9 @@ type ClientResult struct {
 type clientRun struct {
 	cfg ClientConfig
 	res *ClientResult
+	// joined, when non-nil, is called once the first Welcome is accepted
+	// (RunClients' launch gate).
+	joined func()
 
 	// up is the connection to the server (with its I/O deadline and wire
 	// metrics); metrics/log are instrumentation handles (no-ops unless
@@ -145,12 +149,47 @@ type clientRun struct {
 // reconnects with exponential backoff plus jitter, replays any aggregates
 // it missed, and re-sends the in-flight update.
 func RunClient(ctx context.Context, cfg ClientConfig) (*ClientResult, error) {
+	return runClient(ctx, cfg, nil)
+}
+
+// RunClients runs one client per config and returns once every one of them
+// has returned, with results and errors indexed by slot. It starts client
+// i+1 only after client i holds its first Welcome, or has returned. A tier
+// above — flat server, root or relay — numbers sessions in registration
+// order, so when every client joins, slot i gets id i: the id that keys
+// fl.Replica's RNG streams, and so the trajectory a simulator or a twin
+// cluster reproduces.
+func RunClients(ctx context.Context, cfgs []ClientConfig) ([]*ClientResult, []error) {
+	results := make([]*ClientResult, len(cfgs))
+	errs := make([]error, len(cfgs))
+	var wg sync.WaitGroup
+	for i := range cfgs {
+		joined, returned := make(chan struct{}), make(chan struct{})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer close(returned)
+			results[i], errs[i] = runClient(ctx, cfgs[i], func() { close(joined) })
+		}()
+		select {
+		case <-joined:
+		case <-returned:
+		}
+	}
+	wg.Wait()
+	return results, errs
+}
+
+// runClient is RunClient with a hook called once the first Welcome is
+// accepted (nil: none).
+func runClient(ctx context.Context, cfg ClientConfig, joined func()) (*ClientResult, error) {
 	if cfg.LocalIters <= 0 || cfg.BatchSize <= 0 {
 		return nil, fmt.Errorf("transport: invalid client config iters=%d batch=%d", cfg.LocalIters, cfg.BatchSize)
 	}
 	r := &clientRun{
 		cfg:     cfg,
 		res:     &ClientResult{ClientID: -1},
+		joined:  joined,
 		applied: -1,
 		metrics: newClientMetrics(cfg.Metrics),
 		log:     telemetry.With(cfg.Log, "component", "client", "name", cfg.Name),
@@ -183,20 +222,11 @@ func RunClient(ctx context.Context, cfg ClientConfig) (*ClientResult, error) {
 // completed; any other error is retryable unless it is a protocol
 // violation.
 func (r *clientRun) session(ctx context.Context) error {
-	caps := r.cfg.Codec.Caps()
-	if r.rep != nil {
-		if _, ok := fl.As[reconManager](r.rep.Manager); ok {
-			// The manager tracks per-word generations, so a catch-up resume
-			// can use sketch reconciliation. (A fresh join, before the first
-			// Welcome builds the replica, has no state to reconcile.)
-			caps |= wire.CapRecon
-		}
-	}
 	join := &JoinMsg{
 		Name:       r.cfg.Name,
 		SessionKey: r.cfg.SessionKey,
 		HaveRound:  r.applied,
-		Caps:       caps,
+		Caps:       r.cfg.Codec.Caps(),
 	}
 	conn, welcome, err := r.up.connect(ctx, join, r.acceptWelcome)
 	if err != nil {
@@ -370,6 +400,9 @@ func (r *clientRun) acceptWelcome(w *WelcomeMsg) error {
 	r.res.Rounds = w.Rounds
 	r.log.Info("joined cluster", "client", w.ClientID, "rounds", w.Rounds,
 		"dim", w.Dim, "codec", w.Codec.String())
+	if r.joined != nil {
+		r.joined()
+	}
 	return nil
 }
 

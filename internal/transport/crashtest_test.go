@@ -113,12 +113,10 @@ func TestCrashRealSIGKILL(t *testing.T) {
 			}
 		}
 
-		results := make([]*ClientResult, clients)
-		errs := make([]error, clients)
-		var wg sync.WaitGroup
-		for i := 0; i < clients; i++ {
+		cfgs := make([]ClientConfig, clients)
+		for i := range cfgs {
 			cname := fmt.Sprintf("shard-%d", i)
-			cfg := ClientConfig{
+			cfgs[i] = ClientConfig{
 				Addr:       addr,
 				Name:       cname,
 				SessionKey: cname,
@@ -146,13 +144,8 @@ func TestCrashRealSIGKILL(t *testing.T) {
 					}
 				},
 			}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				results[i], errs[i] = RunClient(ctx, cfg)
-			}(i)
-			time.Sleep(150 * time.Millisecond)
 		}
+		wait := startClients(ctx, t, cfgs)
 
 		if killRound >= 0 {
 			// The chaos fault SIGKILLs the server at the scripted round.
@@ -187,12 +180,7 @@ func TestCrashRealSIGKILL(t *testing.T) {
 			release()
 		}
 
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				t.Fatalf("%s: client %d: %v", name, i, err)
-			}
-		}
+		results := wait()
 		if err := <-srvDone; err != nil {
 			t.Fatalf("%s: server: %v", name, err)
 		}
@@ -256,16 +244,14 @@ func TestCrashTwoTierBinaries(t *testing.T) {
 	// trains on one sample: its trajectory then does not depend on the id
 	// its server assigns, which a relay numbers locally and the flat twin
 	// globally.
-	runClients := func(addr func(i int) string) [][]float64 {
-		models := make([][]float64, clients)
-		errs := make([]error, clients)
-		var wg sync.WaitGroup
-		for i := 0; i < clients; i++ {
+	runShards := func(addr func(i int) string) [][]float64 {
+		cfgs := make([]ClientConfig, clients)
+		for i := range cfgs {
 			name := fmt.Sprintf("shard-%d", i)
-			cfg := ClientConfig{
+			cfgs[i] = ClientConfig{
 				Addr: addr(i), Name: name, SessionKey: name,
 				Model: p.Model, Optimizer: p.Optimizer,
-				Manager:    func(int, int) fl.SyncManager { return fl.NewPassthroughManager(4) },
+				Manager:    passthrough,
 				Data:       p.Data,
 				Indices:    []int{i},
 				LocalIters: 4,
@@ -276,20 +262,10 @@ func TestCrashTwoTierBinaries(t *testing.T) {
 				RetryBaseDelay: 20 * time.Millisecond,
 				RetryMaxDelay:  300 * time.Millisecond,
 			}
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				res, err := RunClient(ctx, cfg)
-				if errs[i] = err; err == nil {
-					models[i] = res.FinalModel
-				}
-			}(i)
 		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				t.Fatalf("client %d: %v", i, err)
-			}
+		models := make([][]float64, clients)
+		for i, res := range runClients(ctx, t, cfgs) {
+			models[i] = res.FinalModel
 		}
 		return models
 	}
@@ -307,7 +283,7 @@ func TestCrashTwoTierBinaries(t *testing.T) {
 	}
 
 	flat, flatDone := serve(ServerConfig{Addr: "127.0.0.1:0", NumClients: clients, Rounds: rounds, Init: init})
-	want := runClients(func(int) string { return flat.Addr().String() })
+	want := runShards(func(int) string { return flat.Addr().String() })
 	if err := <-flatDone; err != nil {
 		t.Fatalf("flat twin: %v", err)
 	}
@@ -333,7 +309,7 @@ func TestCrashTwoTierBinaries(t *testing.T) {
 		relayDone[i] = make(chan error, 1)
 		go func(i int) { relayDone[i] <- rel.Wait() }(i)
 	}
-	got := runClients(func(i int) string { return relayAddrs[i/(clients/2)] })
+	got := runShards(func(i int) string { return relayAddrs[i/(clients/2)] })
 	for i, done := range relayDone {
 		if err := <-done; err != nil {
 			t.Fatalf("apf-relay %d: %v", i, err)

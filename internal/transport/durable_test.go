@@ -11,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sync"
 	"testing"
 	"time"
 
@@ -19,7 +18,6 @@ import (
 	"apf/internal/core"
 	"apf/internal/data"
 	"apf/internal/fl"
-	"apf/internal/nn"
 	"apf/internal/stats"
 	"apf/internal/telemetry"
 )
@@ -379,54 +377,13 @@ func TestKillRestartWALHoldsOnlyCommits(t *testing.T) {
 func TestRestartAfterCompletionReturnsFinalModel(t *testing.T) {
 	const clients, rounds = 2, 6
 	dir := t.TempDir()
-	ds := data.SynthImages(data.ImageConfig{Classes: 3, Channels: 1, Size: 6, Samples: 60, NoiseStd: 0.5, Seed: 5})
-	parts := data.PartitionIID(stats.SplitRNG(5, 50), ds.Len(), clients)
-	initNet := tinyModel(stats.SplitRNG(5, 99))
-	init := nn.FlattenParams(initNet.Params(), nil)
-
-	srv, err := NewServer(ServerConfig{
-		Addr:          "127.0.0.1:0",
+	init := newTinyTask(90, clients).init
+	_, _, firstGlobal := runClusterWith(t, ServerConfig{
 		NumClients:    clients,
 		Rounds:        rounds,
-		Init:          init,
 		CheckpointDir: dir,
 		SnapshotEvery: 4, // the tail rounds live only in the WAL
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	var firstGlobal []float64
-	serverErr := make(chan error, 1)
-	go func() {
-		g, err := srv.Run(ctx)
-		firstGlobal = g
-		serverErr <- err
-	}()
-	var wg sync.WaitGroup
-	errs := make([]error, clients)
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = RunClient(ctx, ClientConfig{
-				Addr: srv.Addr().String(), Name: "c", SessionKey: fmt.Sprintf("c%d", i),
-				Model: tinyModel, Optimizer: tinySGD,
-				Manager: func(clientID, dim int) fl.SyncManager { return fl.NewPassthroughManager(4) },
-				Data:    ds, Indices: parts[i], LocalIters: 2, BatchSize: 10, Seed: 5,
-			})
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("client %d: %v", i, err)
-		}
-	}
-	if err := <-serverErr; err != nil {
-		t.Fatalf("server: %v", err)
-	}
+	}, passthrough, nil)
 
 	srv2, err := NewServer(ServerConfig{
 		Addr:          "127.0.0.1:0",
@@ -441,6 +398,8 @@ func TestRestartAfterCompletionReturnsFinalModel(t *testing.T) {
 	if srv2.StartRound() != rounds {
 		t.Fatalf("restarted StartRound = %d, want %d", srv2.StartRound(), rounds)
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
 	second, err := srv2.Run(ctx)
 	if err != nil {
 		t.Fatalf("restarted server: %v", err)
@@ -471,10 +430,8 @@ func TestRestartAfterCompletionReturnsFinalModel(t *testing.T) {
 // uninterrupted cluster.
 func TestRecoverFromGenerationZeroCheckpoint(t *testing.T) {
 	const clients, rounds = 2, 5
-	ds := data.SynthImages(data.ImageConfig{Classes: 3, Channels: 1, Size: 6, Samples: 60, NoiseStd: 0.5, Seed: 5})
-	parts := data.PartitionIID(stats.SplitRNG(5, 50), ds.Len(), clients)
-	initNet := tinyModel(stats.SplitRNG(5, 99))
-	init := nn.FlattenParams(initNet.Params(), nil)
+	task := newTinyTask(60, clients)
+	init := task.init
 
 	runArm := func(name, dir string) []float64 {
 		srv, err := NewServer(ServerConfig{
@@ -503,23 +460,7 @@ func TestRecoverFromGenerationZeroCheckpoint(t *testing.T) {
 			_, err := srv.Run(ctx)
 			serverErr <- err
 		}()
-		results := make([]*ClientResult, clients)
-		errs := make([]error, clients)
-		var wg sync.WaitGroup
-		for i := 0; i < clients; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				results[i], errs[i] = RunClient(ctx, ClientConfig{
-					Addr: srv.Addr().String(), Name: fmt.Sprintf("c%d", i), SessionKey: fmt.Sprintf("c%d", i),
-					Model: tinyModel, Optimizer: tinySGD,
-					Manager: func(clientID, dim int) fl.SyncManager { return fl.NewPassthroughManager(4) },
-					Data:    ds, Indices: parts[i], LocalIters: 2, BatchSize: 10, Seed: 5,
-				})
-			}(i)
-			time.Sleep(100 * time.Millisecond) // registration order = shard order
-		}
-		wg.Wait()
+		results, errs := RunClients(ctx, task.clients(srv.Addr().String(), passthrough))
 		for i, err := range errs {
 			if err != nil {
 				t.Fatalf("%s: client %d: %v", name, i, err)
@@ -544,8 +485,8 @@ func TestRecoverFromGenerationZeroCheckpoint(t *testing.T) {
 		NumClients: clients,
 		Rounds:     rounds,
 		Init:       init,
-		Keys:       []string{"c0", "c1"},
-		Names:      []string{"c0", "c1"},
+		Keys:       []string{"shard-0", "shard-1"},
+		Names:      []string{"shard-0", "shard-1"},
 	}
 	if err := store.WriteSnapshot(0, kindServerSnap, encodeServerState(base)); err != nil {
 		t.Fatal(err)
@@ -641,29 +582,21 @@ func TestPoisonedClientQuarantinedTrajectoryUnchanged(t *testing.T) {
 		serverErr <- err
 	}()
 
-	results := make([]*ClientResult, clients)
-	errs := make([]error, clients)
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
+	cfgs := make([]ClientConfig, clients)
+	for i := range cfgs {
 		mf := func(clientID, dim int) fl.SyncManager { return newAPF(dim) }
 		if i == clients-1 {
 			mf = func(clientID, dim int) fl.SyncManager {
 				return &poisonManager{Manager: newAPF(dim)}
 			}
 		}
-		cfg := ClientConfig{
+		cfgs[i] = ClientConfig{
 			Addr: srv.Addr().String(), Name: fmt.Sprintf("p-%d", i), SessionKey: fmt.Sprintf("p-%d", i),
 			Model: tinyModel, Optimizer: tinySGD, Manager: mf,
 			Data: ds, Indices: parts[i], LocalIters: iters, BatchSize: batch, Seed: seed,
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = RunClient(ctx, cfg)
-		}(i)
-		time.Sleep(100 * time.Millisecond) // accept order = shard order
 	}
-	wg.Wait()
+	results, errs := RunClients(ctx, cfgs)
 	for i := 0; i < good; i++ {
 		if errs[i] != nil {
 			t.Fatalf("good client %d: %v", i, errs[i])
@@ -704,16 +637,13 @@ func TestPoisonedClientQuarantinedTrajectoryUnchanged(t *testing.T) {
 // sanitization error instead of hanging the barrier.
 func TestStrictModePoisonAborts(t *testing.T) {
 	const clients, rounds = 2, 4
-	ds := data.SynthImages(data.ImageConfig{Classes: 3, Channels: 1, Size: 6, Samples: 60, NoiseStd: 0.5, Seed: 5})
-	parts := data.PartitionIID(stats.SplitRNG(5, 50), ds.Len(), clients)
-	initNet := tinyModel(stats.SplitRNG(5, 99))
-	init := nn.FlattenParams(initNet.Params(), nil)
+	task := newTinyTask(60, clients)
 
 	srv, err := NewServer(ServerConfig{
 		Addr:       "127.0.0.1:0",
 		NumClients: clients,
 		Rounds:     rounds,
-		Init:       init,
+		Init:       task.init,
 		Validator:  &ValidatorConfig{MaxNormMult: 10},
 	})
 	if err != nil {
@@ -727,33 +657,19 @@ func TestStrictModePoisonAborts(t *testing.T) {
 		serverErr <- err
 	}()
 
-	newAPF := func(dim int) *core.Manager {
-		return core.NewManager(core.Config{
-			Dim: dim, CheckEveryRounds: 2, Threshold: 0.3, EMAAlpha: 0.85, Seed: 5,
-		})
+	cfgs := task.clients(srv.Addr().String(), apfChaosFactory)
+	cfgs[1].Manager = func(clientID, dim int) fl.SyncManager {
+		return &poisonManager{Manager: apfChaosFactory(clientID, dim).(*core.Manager)}
 	}
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		mf := func(clientID, dim int) fl.SyncManager { return newAPF(dim) }
-		if i == 1 {
-			mf = func(clientID, dim int) fl.SyncManager { return &poisonManager{Manager: newAPF(dim)} }
-		}
-		cfg := ClientConfig{
-			Addr: srv.Addr().String(), Name: fmt.Sprintf("s-%d", i),
-			Model: tinyModel, Optimizer: tinySGD, Manager: mf,
-			Data: ds, Indices: parts[i], LocalIters: 2, BatchSize: 10, Seed: 5,
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, _ = RunClient(ctx, cfg) // fails when the server aborts
-		}()
-		time.Sleep(50 * time.Millisecond)
-	}
+	clientsDone := make(chan struct{})
+	go func() {
+		defer close(clientsDone)
+		RunClients(ctx, cfgs) // fail when the server aborts
+	}()
 	err = <-serverErr
 	if !errors.Is(err, ErrNonFiniteUpdate) {
 		t.Fatalf("strict server err = %v, want ErrNonFiniteUpdate", err)
 	}
 	cancel() // release the clients
-	wg.Wait()
+	<-clientsDone
 }

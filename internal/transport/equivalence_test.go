@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -16,6 +15,8 @@ import (
 	"apf/internal/fl"
 	"apf/internal/nn"
 	"apf/internal/stats"
+	"apf/internal/telemetry"
+	"apf/internal/wire"
 )
 
 // TestTCPMatchesSimulatorBitExact is the transport's strongest correctness
@@ -44,103 +45,255 @@ func tinyConvModel(rng *rand.Rand) *nn.Network {
 	)
 }
 
-func tcpMatchesSimulator(t *testing.T, model fl.ModelFactory) {
-	const (
-		seed    = 61
-		clients = 3
-		rounds  = 12
-		iters   = 3
-		batch   = 10
-	)
-	ds := data.SynthImages(data.ImageConfig{
-		Classes: 3, Channels: 1, Size: 6, Samples: 90, NoiseStd: 0.5, Seed: seed,
-	})
-	rng := stats.SplitRNG(seed, 50)
-	parts := data.PartitionIID(rng, ds.Len(), clients)
+// simFixture is the shared configuration of the simulator-equivalence
+// tests, dense and sparse: one synthetic task, its shards, the model's
+// canonical init and the APF hyperparameters, so any divergence between
+// two arms is attributable to the transport or the codec.
+type simFixture struct {
+	model   fl.ModelFactory
+	ds      *data.Dataset
+	parts   [][]int
+	init    []float64
+	factory fl.ManagerFactory
+}
 
-	var tcpManagers []*core.Manager
-	apfFactory := func(capture bool) fl.ManagerFactory {
-		return func(clientID, dim int) fl.SyncManager {
-			m := core.NewManager(core.Config{
-				Dim:              dim,
-				CheckEveryRounds: 2,
-				Threshold:        0.3,
-				EMAAlpha:         0.85,
-				Seed:             seed,
-			})
-			if capture {
-				tcpManagers = append(tcpManagers, m)
-			}
-			return m
+const (
+	simSeed    = 61
+	simClients = 3
+	simRounds  = 12
+	simIters   = 3
+	simBatch   = 10
+)
+
+func newSimFixture(model fl.ModelFactory) *simFixture {
+	ds := data.SynthImages(data.ImageConfig{
+		Classes: 3, Channels: 1, Size: 6, Samples: 90, NoiseStd: 0.5, Seed: simSeed,
+	})
+	factory := func(clientID, dim int) fl.SyncManager {
+		return core.NewManager(core.Config{
+			Dim:              dim,
+			CheckEveryRounds: 2,
+			Threshold:        0.3,
+			EMAAlpha:         0.85,
+			Seed:             simSeed,
+		})
+	}
+	return &simFixture{
+		model:   model,
+		ds:      ds,
+		parts:   data.PartitionIID(stats.SplitRNG(simSeed, 50), ds.Len(), simClients),
+		init:    fl.InitVector(model, simSeed),
+		factory: factory,
+	}
+}
+
+// simGlobal runs the in-process simulator over the fixture and returns its
+// dense global — the bit-exactness oracle for every lossless codec.
+func (f *simFixture) simGlobal() []float64 {
+	engine := fl.New(fl.Config{
+		Rounds:     simRounds,
+		LocalIters: simIters,
+		BatchSize:  simBatch,
+		Seed:       simSeed,
+	}, f.model, tinySGD, f.factory, f.ds, f.parts, nil)
+	engine.Run()
+	return engine.Global()
+}
+
+// clients returns one config per shard against addr: client i is named
+// and session-keyed "eq-i" and offers codec.
+func (f *simFixture) clients(addr string, codec wire.Codec) []ClientConfig {
+	cfgs := make([]ClientConfig, simClients)
+	for i := range cfgs {
+		name := fmt.Sprintf("eq-%d", i)
+		cfgs[i] = ClientConfig{
+			Addr:       addr,
+			Name:       name,
+			SessionKey: name,
+			Model:      f.model,
+			Optimizer:  tinySGD,
+			Manager:    f.factory,
+			Data:       f.ds,
+			Indices:    f.parts[i],
+			LocalIters: simIters,
+			BatchSize:  simBatch,
+			Seed:       simSeed,
+			Codec:      codec,
 		}
 	}
+	return cfgs
+}
 
-	// Arm 1: the in-process simulator.
-	engine := fl.New(fl.Config{
-		Rounds:     rounds,
-		LocalIters: iters,
-		BatchSize:  batch,
-		Seed:       seed,
-	}, model, tinySGD, apfFactory(false), ds, parts, nil)
-	engine.Run()
-	simGlobal := engine.Global()
+// faultyClients is clients dialling through script, with a reconnect
+// budget of retries and backoff capped at maxDelay.
+func (f *simFixture) faultyClients(addr string, codec wire.Codec, script *chaos.Script, retries int, maxDelay time.Duration) []ClientConfig {
+	cfgs := f.clients(addr, codec)
+	for i := range cfgs {
+		cfg := &cfgs[i]
+		cfg.MaxRetries, cfg.RetryBaseDelay, cfg.RetryMaxDelay = retries, 10*time.Millisecond, maxDelay
+		cfg.Dial = DialFunc(script.Dialer(cfg.Name, func(network, addr string) (net.Conn, error) {
+			return net.DialTimeout(network, addr, 5*time.Second)
+		}))
+	}
+	return cfgs
+}
 
-	// Arm 2: a real TCP cluster with the identical configuration. The
-	// server starts from the same canonical init the engine derives.
-	init := fl.InitVector(model, seed)
-	srv, err := NewServer(ServerConfig{
-		Addr:       "127.0.0.1:0",
-		NumClients: clients,
-		Rounds:     rounds,
-		Init:       init,
-	})
+// runCluster runs one TCP cluster over the fixture. codecs[i] is client
+// i's offered codec; srvCfg customizes the server beyond the fixture
+// defaults. Returns the per-client results and the finished server (its
+// metrics registry stays readable).
+func (f *simFixture) runCluster(t *testing.T, srvCfg ServerConfig, codecs []wire.Codec) ([]*ClientResult, *Server) {
+	t.Helper()
+	srvCfg.Addr = "127.0.0.1:0"
+	srvCfg.NumClients = simClients
+	srvCfg.Rounds = simRounds
+	srvCfg.Init = f.init
+	srvCfg.Metrics = telemetry.New() // the tests read codec/bytes-saved counters
+	srv, err := NewServer(srvCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	serverErr := make(chan error, 1)
 	go func() {
 		_, err := srv.Run(ctx)
 		serverErr <- err
 	}()
-
-	// Dial sequentially (with a registration head start per client) so
-	// the accept order — and therefore each client's server-assigned id —
-	// matches the shard it trains, exactly as in the simulator.
-	results := make([]*ClientResult, clients)
-	errs := make([]error, clients)
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = RunClient(ctx, ClientConfig{
-				Addr:       srv.Addr().String(),
-				Name:       "eq",
-				Model:      model,
-				Optimizer:  tinySGD,
-				Manager:    apfFactory(true),
-				Data:       ds,
-				Indices:    parts[i],
-				LocalIters: iters,
-				BatchSize:  batch,
-				Seed:       seed,
-			})
-		}(i)
-		time.Sleep(100 * time.Millisecond)
+	cfgs := f.clients(srv.Addr().String(), wire.CodecDense)
+	for i := range cfgs {
+		cfgs[i].Codec = codecs[i]
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("client %d: %v", i, err)
-		}
-	}
+	results := runClients(ctx, t, cfgs)
 	if err := <-serverErr; err != nil {
 		t.Fatalf("server: %v", err)
 	}
+	return results, srv
+}
 
-	if len(tcpManagers) != clients {
+// runUnderChaos runs the fixture's cluster on codec with a generous round
+// deadline while two clients are severed mid-run (one of them twice, once
+// by a torn update).
+func (f *simFixture) runUnderChaos(t *testing.T, codec wire.Codec) ([]*ClientResult, *Server) {
+	t.Helper()
+	script := chaos.NewScript(29,
+		chaos.Fault{Peer: "eq-0", Round: 2, Kind: chaos.Sever},
+		chaos.Fault{Peer: "eq-1", Round: 5, Kind: chaos.PartialWrite},
+		chaos.Fault{Peer: "eq-1", Round: 9, Kind: chaos.Sever},
+	)
+	srv, err := NewServer(ServerConfig{
+		Addr:          "127.0.0.1:0",
+		NumClients:    simClients,
+		Rounds:        simRounds,
+		Init:          f.init,
+		RoundDeadline: 5 * time.Second,
+		Codec:         codec,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	serverErr := make(chan error, 1)
+	go func() {
+		_, err := srv.Run(ctx)
+		serverErr <- err
+	}()
+	results := runClients(ctx, t, f.faultyClients(srv.Addr().String(), codec, script, 8, 100*time.Millisecond))
+	if err := <-serverErr; err != nil {
+		t.Fatalf("server: %v", err)
+	}
+	return results, srv
+}
+
+// runKillRestart runs the fixture's cluster on codec against a durable
+// server that a scripted fault crashes when round 7 is announced (rounds
+// 0..6 committed; round 7's partials die with it), on top of a client
+// sever at round 3, so session resume and checkpoint recovery compose. A
+// fresh server recovers from the checkpoint directory on the same address
+// and the clients ride through on their reconnect budget.
+func (f *simFixture) runKillRestart(t *testing.T, codec wire.Codec) []*ClientResult {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+
+	dir := t.TempDir()
+	script := chaos.NewScript(29,
+		chaos.Fault{Peer: "eq-1", Round: 3, Kind: chaos.Sever},
+		chaos.Fault{Round: 7, Kind: chaos.KillServer},
+	)
+	srvCtx, kill := context.WithCancel(ctx)
+	defer kill()
+	script.SetOnKill(kill) // in-process kill -9: tear down listener + conns
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mkServer := func(ln net.Listener, addr string) *Server {
+		t.Helper()
+		srv, err := NewServer(ServerConfig{
+			Addr:          addr,
+			Listener:      ln,
+			NumClients:    simClients,
+			Rounds:        simRounds,
+			Init:          f.init,
+			RoundDeadline: 5 * time.Second,
+			CheckpointDir: dir,
+			SnapshotEvery: 3,
+			Codec:         codec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv
+	}
+	srv1 := mkServer(script.Listener(inner), "")
+	addr := srv1.Addr().String()
+	srv1Err := make(chan error, 1)
+	go func() {
+		_, err := srv1.Run(srvCtx)
+		srv1Err <- err
+	}()
+	wait := startClients(ctx, t, f.faultyClients(addr, codec, script, 60, 250*time.Millisecond))
+
+	// Wait for the crash, then bring up the replacement on the same
+	// address with the same checkpoint directory.
+	if err := <-srv1Err; err == nil {
+		t.Fatal("server 1 finished the run; the kill fault never fired")
+	}
+	srv2 := mkServer(nil, addr)
+	if got := srv2.StartRound(); got != 7 {
+		t.Fatalf("recovered server resumes at round %d, want 7 (rounds 0..6 committed)", got)
+	}
+	srv2Err := make(chan error, 1)
+	go func() {
+		_, err := srv2.Run(ctx)
+		srv2Err <- err
+	}()
+	results := wait()
+	if err := <-srv2Err; err != nil {
+		t.Fatalf("server 2: %v", err)
+	}
+	return results
+}
+
+func tcpMatchesSimulator(t *testing.T, model fl.ModelFactory) {
+	// Arm 1: the in-process simulator.
+	f := newSimFixture(model)
+	simGlobal := f.simGlobal()
+
+	// Arm 2: a real TCP cluster with the identical configuration. The
+	// server starts from the same canonical init the engine derives.
+	var tcpManagers []fl.SyncManager
+	apf := f.factory
+	f.factory = func(clientID, dim int) fl.SyncManager {
+		m := apf(clientID, dim)
+		tcpManagers = append(tcpManagers, m)
+		return m
+	}
+	results, _ := f.runCluster(t, ServerConfig{}, []wire.Codec{wire.CodecDense, wire.CodecDense, wire.CodecDense})
+
+	if len(tcpManagers) != simClients {
 		t.Fatalf("captured %d managers", len(tcpManagers))
 	}
 	requireMatchesSimulator(t, results, simGlobal)
@@ -186,102 +339,9 @@ func requireMatchesSimulator(t *testing.T, results []*ClientResult, simGlobal []
 // in-flight update, so every client still participates in every round —
 // and the result must STILL be bit-identical to the in-process simulator.
 func TestTCPUnderChaosMatchesSimulatorBitExact(t *testing.T) {
-	const (
-		seed    = 61
-		clients = 3
-		rounds  = 12
-		iters   = 3
-		batch   = 10
-	)
-	ds := data.SynthImages(data.ImageConfig{
-		Classes: 3, Channels: 1, Size: 6, Samples: 90, NoiseStd: 0.5, Seed: seed,
-	})
-	rng := stats.SplitRNG(seed, 50)
-	parts := data.PartitionIID(rng, ds.Len(), clients)
-	apfFactory := func(clientID, dim int) fl.SyncManager {
-		return core.NewManager(core.Config{
-			Dim:              dim,
-			CheckEveryRounds: 2,
-			Threshold:        0.3,
-			EMAAlpha:         0.85,
-			Seed:             seed,
-		})
-	}
-
-	engine := fl.New(fl.Config{
-		Rounds:     rounds,
-		LocalIters: iters,
-		BatchSize:  batch,
-		Seed:       seed,
-	}, tinyModel, tinySGD, apfFactory, ds, parts, nil)
-	engine.Run()
-	simGlobal := engine.Global()
-
-	script := chaos.NewScript(29,
-		chaos.Fault{Peer: "eq-0", Round: 2, Kind: chaos.Sever},
-		chaos.Fault{Peer: "eq-1", Round: 5, Kind: chaos.PartialWrite},
-		chaos.Fault{Peer: "eq-1", Round: 9, Kind: chaos.Sever},
-	)
-
-	init := fl.InitVector(tinyModel, seed)
-	srv, err := NewServer(ServerConfig{
-		Addr:          "127.0.0.1:0",
-		NumClients:    clients,
-		Rounds:        rounds,
-		Init:          init,
-		RoundDeadline: 5 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	serverErr := make(chan error, 1)
-	go func() {
-		_, err := srv.Run(ctx)
-		serverErr <- err
-	}()
-
-	results := make([]*ClientResult, clients)
-	errs := make([]error, clients)
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		name := fmt.Sprintf("eq-%d", i)
-		cfg := ClientConfig{
-			Addr:           srv.Addr().String(),
-			Name:           name,
-			SessionKey:     name,
-			Model:          tinyModel,
-			Optimizer:      tinySGD,
-			Manager:        apfFactory,
-			Data:           ds,
-			Indices:        parts[i],
-			LocalIters:     iters,
-			BatchSize:      batch,
-			Seed:           seed,
-			MaxRetries:     8,
-			RetryBaseDelay: 10 * time.Millisecond,
-			RetryMaxDelay:  100 * time.Millisecond,
-			Dial: DialFunc(script.Dialer(name, func(network, addr string) (net.Conn, error) {
-				return net.DialTimeout(network, addr, 5*time.Second)
-			})),
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = RunClient(ctx, cfg)
-		}(i)
-		time.Sleep(100 * time.Millisecond)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("client %d: %v", i, err)
-		}
-	}
-	if err := <-serverErr; err != nil {
-		t.Fatalf("server: %v", err)
-	}
+	f := newSimFixture(tinyModel)
+	simGlobal := f.simGlobal()
+	results, srv := f.runUnderChaos(t, wire.CodecDense)
 
 	reconnects := 0
 	for _, r := range results {
@@ -306,143 +366,15 @@ func TestTCPUnderChaosMatchesSimulatorBitExact(t *testing.T) {
 // rebuild every client's freezing mask exactly; the per-round mask-hash
 // cross-check would abort the run on any divergence.
 func TestTCPKillRestartMatchesSimulatorBitExact(t *testing.T) {
-	const (
-		seed    = 61
-		clients = 3
-		rounds  = 12
-		iters   = 3
-		batch   = 10
-	)
-	ds := data.SynthImages(data.ImageConfig{
-		Classes: 3, Channels: 1, Size: 6, Samples: 90, NoiseStd: 0.5, Seed: seed,
-	})
-	rng := stats.SplitRNG(seed, 50)
-	parts := data.PartitionIID(rng, ds.Len(), clients)
-	apfFactory := func(clientID, dim int) fl.SyncManager {
-		return core.NewManager(core.Config{
-			Dim:              dim,
-			CheckEveryRounds: 2,
-			Threshold:        0.3,
-			EMAAlpha:         0.85,
-			Seed:             seed,
-		})
-	}
-
-	engine := fl.New(fl.Config{
-		Rounds:     rounds,
-		LocalIters: iters,
-		BatchSize:  batch,
-		Seed:       seed,
-	}, tinyModel, tinySGD, apfFactory, ds, parts, nil)
-	engine.Run()
-	simGlobal := engine.Global()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
-
-	// Server 1: durable, crashed by the chaos script when round 7 is
-	// announced (rounds 0..6 committed; round 7's partials die with it).
-	// A client sever at round 3 composes session resume with recovery.
-	dir := t.TempDir()
-	script := chaos.NewScript(29,
-		chaos.Fault{Peer: "kr-1", Round: 3, Kind: chaos.Sever},
-		chaos.Fault{Round: 7, Kind: chaos.KillServer},
-	)
-	srvCtx, kill := context.WithCancel(ctx)
-	defer kill()
-	script.SetOnKill(kill) // in-process kill -9: tear down listener + conns
-	inner, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	init := fl.InitVector(tinyModel, seed)
-	mkServer := func(ln net.Listener, addr string) *Server {
-		t.Helper()
-		srv, err := NewServer(ServerConfig{
-			Addr:          addr,
-			Listener:      ln,
-			NumClients:    clients,
-			Rounds:        rounds,
-			Init:          init,
-			RoundDeadline: 5 * time.Second,
-			CheckpointDir: dir,
-			SnapshotEvery: 3,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return srv
-	}
-	srv1 := mkServer(script.Listener(inner), "")
-	addr := srv1.Addr().String()
-	srv1Err := make(chan error, 1)
-	go func() {
-		_, err := srv1.Run(srvCtx)
-		srv1Err <- err
-	}()
-
-	results := make([]*ClientResult, clients)
-	errs := make([]error, clients)
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		name := fmt.Sprintf("kr-%d", i)
-		cfg := ClientConfig{
-			Addr:           addr,
-			Name:           name,
-			SessionKey:     name,
-			Model:          tinyModel,
-			Optimizer:      tinySGD,
-			Manager:        apfFactory,
-			Data:           ds,
-			Indices:        parts[i],
-			LocalIters:     iters,
-			BatchSize:      batch,
-			Seed:           seed,
-			MaxRetries:     60,
-			RetryBaseDelay: 10 * time.Millisecond,
-			RetryMaxDelay:  250 * time.Millisecond,
-			Dial: DialFunc(script.Dialer(name, func(network, addr string) (net.Conn, error) {
-				return net.DialTimeout(network, addr, 5*time.Second)
-			})),
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = RunClient(ctx, cfg)
-		}(i)
-		time.Sleep(100 * time.Millisecond)
-	}
-
-	// Wait for the crash, then bring up the replacement on the same
-	// address with the same checkpoint directory.
-	if err := <-srv1Err; err == nil {
-		t.Fatal("server 1 finished the run; the kill fault never fired")
-	}
-	srv2 := mkServer(nil, addr)
-	if got := srv2.StartRound(); got != 7 {
-		t.Fatalf("recovered server resumes at round %d, want 7 (rounds 0..6 committed)", got)
-	}
-	srv2Err := make(chan error, 1)
-	go func() {
-		_, err := srv2.Run(ctx)
-		srv2Err <- err
-	}()
-
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("client %d: %v", i, err)
-		}
-	}
-	if err := <-srv2Err; err != nil {
-		t.Fatalf("server 2: %v", err)
-	}
+	f := newSimFixture(tinyModel)
+	simGlobal := f.simGlobal()
+	results := f.runKillRestart(t, wire.CodecDense)
 
 	reconnects := 0
 	for _, r := range results {
 		reconnects += r.Reconnects
 	}
-	if reconnects < clients {
+	if reconnects < simClients {
 		t.Errorf("every client should have resumed onto the restarted server; %d resumptions", reconnects)
 	}
 	requireMatchesSimulator(t, results, simGlobal)

@@ -1,17 +1,12 @@
 package transport
 
 import (
-	"context"
-	"fmt"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"apf/internal/chaos"
-	"apf/internal/data"
-	"apf/internal/nn"
-	"apf/internal/stats"
 	"apf/internal/wire"
 )
 
@@ -98,16 +93,12 @@ func TestBroadcastNoHeadOfLineBlocking(t *testing.T) {
 		fastBound = 1 * time.Second
 	)
 
-	ds := data.SynthImages(data.ImageConfig{Classes: 3, Channels: 1, Size: 6, Samples: 90, NoiseStd: 0.5, Seed: 5})
-	parts := data.PartitionIID(stats.SplitRNG(5, 50), ds.Len(), clients)
-	init := nn.FlattenParams(tinyModel(stats.SplitRNG(5, 99)).Params(), nil)
-
-	// The clients dial sequentially with a head start, so client i is the
-	// i-th accepted connection: "accept:0" is client 0. Deliveries are
-	// asynchronous, so the delay armed at round slowRound's mark bites
-	// whichever write to client 0 comes first afterwards — the tail of the
-	// previous aggregate or round slowRound's; either way only client 0's
-	// stream may stall.
+	// The launcher starts client i+1 once client i holds its Welcome, so
+	// client i is the i-th accepted connection: "accept:0" is client 0.
+	// Deliveries are asynchronous, so the delay armed at round slowRound's
+	// mark bites whichever write to client 0 comes first afterwards — the
+	// tail of the previous aggregate or round slowRound's; either way only
+	// client 0's stream may stall.
 	script := chaos.NewScript(11, chaos.Fault{
 		Peer: "accept:0", Round: slowRound, Kind: chaos.Delay, Op: chaos.OnWrite, Delay: writeDelay,
 	})
@@ -115,68 +106,21 @@ func TestBroadcastNoHeadOfLineBlocking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(ServerConfig{
+	// applied[i][r] is when client i finished applying round r.
+	applied := make([][]time.Time, clients)
+	results, srv, _ := runClusterWith(t, ServerConfig{
 		Listener:      script.Listener(inner),
 		NumClients:    clients,
 		Rounds:        rounds,
-		Init:          init,
 		IOTimeout:     10 * time.Second,
 		RoundDeadline: deadline,
 		MinClients:    clients - 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	serverErr := make(chan error, 1)
-	go func() {
-		_, err := srv.Run(ctx)
-		serverErr <- err
-	}()
-
-	// applied[i][r] is when client i finished applying round r.
-	applied := make([][]time.Time, clients)
-	results := make([]*ClientResult, clients)
-	errs := make([]error, clients)
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		i := i
+	}, apfChaosFactory, func(i int, cfg *ClientConfig) {
 		applied[i] = make([]time.Time, rounds)
-		name := fmt.Sprintf("shard-%d", i)
-		cfg := ClientConfig{
-			Addr:       srv.Addr().String(),
-			Name:       name,
-			SessionKey: name,
-			Model:      tinyModel,
-			Optimizer:  tinySGD,
-			Manager:    apfChaosFactory,
-			Data:       ds,
-			Indices:    parts[i],
-			LocalIters: 3,
-			BatchSize:  10,
-			Seed:       5,
-			OnRound: func(round int, model []float64) {
-				applied[i][round] = time.Now()
-			},
+		cfg.OnRound = func(round int, model []float64) {
+			applied[i][round] = time.Now()
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			results[i], errs[i] = RunClient(ctx, cfg)
-		}()
-		time.Sleep(100 * time.Millisecond)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("client %d: %v", i, err)
-		}
-	}
-	if err := <-serverErr; err != nil {
-		t.Fatalf("server: %v", err)
-	}
+	})
 	for i, res := range results {
 		if res.Rounds != rounds {
 			t.Fatalf("client %d finished %d of %d rounds", i, res.Rounds, rounds)

@@ -20,7 +20,8 @@ type ledger struct {
 	history []GlobalMsg
 	base    int
 	// dense/denseRound keep the newest full-length committed payload (dense
-	// nil: none yet), for the stateless catch-up fallback and Run's result.
+	// nil: none yet), for the stateless catch-up fallback and, without a
+	// current follower, Run's result.
 	dense      []float64
 	denseRound int
 	// follower replicates the clients' manager state (nil unless
@@ -126,10 +127,16 @@ func (l *ledger) capture() *catchupCapture {
 	return nil
 }
 
-// model returns a copy of the newest full-length committed payload, or of
-// init when no round committed one (compact, mask-elided aggregates only
-// update the transmitted positions on the clients).
+// model returns a copy of the synchronized model after the last commit:
+// the follower's when it is current. Otherwise it is the newest
+// full-length committed payload, or init when no round committed one —
+// stale once a compact, mask-elided aggregate committed after it.
 func (l *ledger) model(init []float64) []float64 {
+	if f := l.follower; f != nil && f.Round() == l.done()-1 {
+		if st, ok := f.Capture(); ok {
+			return st.Ref
+		}
+	}
 	if l.dense != nil {
 		init = l.dense
 	}

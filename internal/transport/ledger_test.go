@@ -82,8 +82,9 @@ func (tw *twinReplica) apply(g *GlobalMsg) {
 }
 
 // checkLedger compares the ledger with its naive specification: done, the
-// missed replay for every cursor, the newest dense payload, and the
-// catch-up capture — the twin replica's state, whose Ref must be the
+// missed replay for every cursor, the model (the twin's while the follower
+// must be following, else the newest dense payload), and the catch-up
+// capture — the twin replica's state, whose Ref must be the
 // twin's model, when the follower must be following (tw non-nil), else the
 // stateless fallback.
 func checkLedger(t *testing.T, step string, l *ledger, n *naiveLog, tw *twinReplica) {
@@ -105,12 +106,15 @@ func checkLedger(t *testing.T, step string, l *ledger, n *naiveLog, tw *twinRepl
 	}
 	init := make([]float64, ledgerDim)
 	dense, denseRound := n.dense()
-	wantModel := init
-	if dense != nil {
-		wantModel = dense
+	wantModel, what := init, "init"
+	switch {
+	case tw != nil && n.done() > 0:
+		wantModel, what = tw.x, "the twin's model"
+	case dense != nil:
+		wantModel, what = dense, fmt.Sprintf("the newest dense payload (round %d)", denseRound)
 	}
 	if !sameBits(l.model(init), wantModel) {
-		t.Fatalf("%s: model is not the newest dense payload (round %d)", step, denseRound)
+		t.Fatalf("%s: model is not %s", step, what)
 	}
 
 	got := l.capture()

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -38,27 +37,14 @@ func singleSampleSetup(clients int) (*data.Dataset, [][]int, []float64) {
 	return ds, parts, init
 }
 
-// runClientsAgainst drives one RunClient per partition slice against addr
-// and returns the results, failing the test on any client error.
-func runClientsAgainst(ctx context.Context, t *testing.T, addr string, ds *data.Dataset, parts [][]int) []*ClientResult {
-	t.Helper()
-	results := make([]*ClientResult, len(parts))
-	errs := make([]error, len(parts))
-	var wg sync.WaitGroup
+// passthroughClients is one passthroughClient per partition, client i
+// against addr(i).
+func passthroughClients(addr func(i int) string, ds *data.Dataset, parts [][]int) []ClientConfig {
+	cfgs := make([]ClientConfig, len(parts))
 	for i := range parts {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = RunClient(ctx, passthroughClient(addr, ds, parts[i]))
-		}(i)
+		cfgs[i] = passthroughClient(addr(i), ds, parts[i])
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("client %d: %v", i, err)
-		}
-	}
-	return results
+	return cfgs
 }
 
 // passthroughClient is the single-sample passthrough trainer the two-tier
@@ -69,7 +55,7 @@ func passthroughClient(addr string, ds *data.Dataset, part []int) ClientConfig {
 		Name:       "client",
 		Model:      tinyModel,
 		Optimizer:  tinySGD,
-		Manager:    func(clientID, dim int) fl.SyncManager { return fl.NewPassthroughManager(4) },
+		Manager:    passthrough,
 		Data:       ds,
 		Indices:    part,
 		LocalIters: 3,
@@ -154,7 +140,7 @@ func twoTierVsFlat(t *testing.T, init []float64, rounds int) int64 {
 		flatGlobal = g
 		flatErr <- err
 	}()
-	flatResults := runClientsAgainst(ctx, t, flatSrv.Addr().String(), ds, parts)
+	flatResults := runClients(ctx, t, passthroughClients(func(int) string { return flatSrv.Addr().String() }, ds, parts))
 	if err := <-flatErr; err != nil {
 		t.Fatalf("flat server: %v", err)
 	}
@@ -200,16 +186,7 @@ func twoTierVsFlat(t *testing.T, init []float64, rounds int) int64 {
 		}(i)
 	}
 
-	var wg sync.WaitGroup
-	tierResults := make([][]*ClientResult, 2)
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			tierResults[i] = runClientsAgainst(ctx, t, relays[i].Addr().String(), ds, parts[i*perRelay:(i+1)*perRelay])
-		}(i)
-	}
-	wg.Wait()
+	tierResults := runClients(ctx, t, passthroughClients(func(i int) string { return relays[i/perRelay].Addr().String() }, ds, parts))
 	for i := 0; i < 2; i++ {
 		if err := <-relayErrs; err != nil {
 			t.Fatalf("relay %d: %v", i, err)
@@ -235,17 +212,15 @@ func twoTierVsFlat(t *testing.T, init []float64, rounds int) int64 {
 			}
 		}
 	}
-	for i := 0; i < 2; i++ {
-		for c, res := range tierResults[i] {
-			flat := flatResults[i*perRelay+c]
-			for j := range flat.FinalModel {
-				if res.FinalModel[j] != flat.FinalModel[j] {
-					t.Fatalf("relay %d client %d model differs from flat client at %d", i, c, j)
-				}
+	for i, res := range tierResults {
+		flat := flatResults[i]
+		for j := range flat.FinalModel {
+			if res.FinalModel[j] != flat.FinalModel[j] {
+				t.Fatalf("relay %d client %d model differs from flat client at %d", i/perRelay, i%perRelay, j)
 			}
-			if res.Rounds != rounds {
-				t.Errorf("relay %d client %d rounds = %d, want %d", i, c, res.Rounds, rounds)
-			}
+		}
+		if res.Rounds != rounds {
+			t.Errorf("relay %d client %d rounds = %d, want %d", i/perRelay, i%perRelay, res.Rounds, rounds)
 		}
 	}
 

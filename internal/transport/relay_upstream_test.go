@@ -155,33 +155,24 @@ func runAwayCluster(t *testing.T, historyRounds, cutAt, backAt int) *awayCluster
 	}
 
 	var cutOnce, backOnce sync.Once
-	for i := range parts {
-		cfg := passthroughClient(relays[i/2].Addr().String(), ds, parts[i])
-		switch i {
-		case 0:
-			cfg.OnRound = func(round int, _ []float64) {
-				if round == backAt {
-					backOnce.Do(gate.release)
-				}
-			}
-		case 2:
-			cfg.OnRound = func(round int, _ []float64) {
-				if round == cutAt {
-					cutOnce.Do(gate.cut)
-				}
-			}
+	cfgs := passthroughClients(func(i int) string { return relays[i/2].Addr().String() }, ds, parts)
+	cfgs[0].OnRound = func(round int, _ []float64) {
+		if round == backAt {
+			backOnce.Do(gate.release)
 		}
-		if i >= 2 {
-			cfg.Metrics = out.clientRegs[i-2]
+	}
+	cfgs[2].OnRound = func(round int, _ []float64) {
+		if round == cutAt {
+			cutOnce.Do(gate.cut)
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var err error
-			if out.clients[i], err = RunClient(ctx, cfg); err != nil {
-				errs <- fmt.Errorf("client %d: %w", i, err)
-			}
-		}(i)
+	}
+	cfgs[2].Metrics, cfgs[3].Metrics = out.clientRegs[0], out.clientRegs[1]
+	results, clientErrs := RunClients(ctx, cfgs)
+	copy(out.clients[:], results)
+	for i, err := range clientErrs {
+		if err != nil {
+			errs <- fmt.Errorf("client %d: %w", i, err)
+		}
 	}
 	wg.Wait()
 	close(errs)

@@ -22,10 +22,7 @@ import (
 	"apf/internal/chaos"
 	"apf/internal/compress"
 	"apf/internal/core"
-	"apf/internal/data"
 	"apf/internal/fl"
-	"apf/internal/nn"
-	"apf/internal/stats"
 	"apf/internal/telemetry"
 	"apf/internal/wire"
 )
@@ -355,9 +352,7 @@ func runResumeTwin(t *testing.T, o resumeTwinOpts) (resumeRecord, [][]float64, *
 	rounds := gate + 2
 	recordAt := gate - 1
 
-	ds := data.SynthImages(data.ImageConfig{Classes: 3, Channels: 1, Size: 6, Samples: 90, NoiseStd: 0.5, Seed: 5})
-	parts := data.PartitionIID(stats.SplitRNG(5, 50), ds.Len(), 3)
-	init := nn.FlattenParams(tinyModel(stats.SplitRNG(5, 99)).Params(), nil)
+	task := newTinyTask(90, 3)
 	factory := o.factory
 	if factory == nil {
 		factory = apfChaosFactory
@@ -386,7 +381,7 @@ func runResumeTwin(t *testing.T, o resumeTwinOpts) (resumeRecord, [][]float64, *
 			Listener:      ln,
 			NumClients:    3,
 			Rounds:        rounds,
-			Init:          init,
+			Init:          task.init,
 			IOTimeout:     5 * time.Second,
 			RoundDeadline: o.deadline,
 			MinClients:    2,
@@ -421,67 +416,54 @@ func runResumeTwin(t *testing.T, o resumeTwinOpts) (resumeRecord, [][]float64, *
 		srv1Err <- err
 	}()
 
-	shardCtx, shardCancel := context.WithCancel(ctx)
-	defer shardCancel()
-	gd := &gatedDialer{ctx: shardCtx, gate: func() bool { return cur.Load().CommittedRounds() >= gate }}
+	// The actives' last OnRound is their last act before returning: once
+	// both fired (actives closed), cancelling clientCtx stops only the
+	// parked shard.
+	clientCtx, stopClients := context.WithCancel(ctx)
+	defer stopClients()
+	actives := make(chan struct{})
+	var activesLeft atomic.Int32
+	activesLeft.Store(2)
+	gd := &gatedDialer{ctx: clientCtx, gate: func() bool { return cur.Load().CommittedRounds() >= gate }}
 	var rec resumeRecord
 	var once sync.Once
 	caught := make(chan struct{})
 	release := make(chan struct{})
 
-	results := make([]*ClientResult, 3)
-	errs := make([]error, 3)
-	var wg sync.WaitGroup
-	shardDone := make(chan struct{})
-	for i := 0; i < 3; i++ {
-		name := fmt.Sprintf("rsm-%d", i)
-		cfg := ClientConfig{
-			Addr:           addr,
-			Name:           name,
-			SessionKey:     name,
-			Model:          tinyModel,
-			Optimizer:      tinySGD,
-			Manager:        factory,
-			Data:           ds,
-			Indices:        parts[i],
-			LocalIters:     3,
-			BatchSize:      10,
-			Seed:           5,
-			Codec:          o.codec,
-			MaxRetries:     60,
-			RetryBaseDelay: 10 * time.Millisecond,
-			RetryMaxDelay:  100 * time.Millisecond,
-		}
-		if i == 2 {
-			cfg.Dial = gd.dial
-			cfg.OnRound = func(round int, model []float64) {
-				if round == resumeSeverRound {
-					gd.kill()
-					return
-				}
-				if round >= recordAt {
-					once.Do(func() {
-						rec = resumeRecord{round: round, model: append([]float64(nil), model...)}
-						close(caught)
-					})
-					if !o.finish {
-						<-release
-					}
-				}
+	cfgs := task.clients(addr, factory)
+	for i := range cfgs {
+		cfg := &cfgs[i]
+		cfg.Codec, cfg.MaxRetries = o.codec, 60
+		cfg.RetryBaseDelay, cfg.RetryMaxDelay = 10*time.Millisecond, 100*time.Millisecond
+		cfg.OnRound = func(round int, _ []float64) {
+			if round == rounds-1 && activesLeft.Add(-1) == 0 {
+				close(actives)
 			}
-			go func() {
-				defer close(shardDone)
-				results[2], errs[2] = RunClient(shardCtx, cfg)
-			}()
-		} else {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				results[i], errs[i] = RunClient(ctx, cfg)
-			}(i)
 		}
-		time.Sleep(100 * time.Millisecond)
 	}
+	cfgs[2].Dial = gd.dial
+	cfgs[2].OnRound = func(round int, model []float64) {
+		if round == resumeSeverRound {
+			gd.kill()
+			return
+		}
+		if round >= recordAt {
+			once.Do(func() {
+				rec = resumeRecord{round: round, model: append([]float64(nil), model...)}
+				close(caught)
+			})
+			if !o.finish {
+				<-release
+			}
+		}
+	}
+	var results []*ClientResult
+	var errs []error
+	clientsDone := make(chan struct{})
+	go func() {
+		defer close(clientsDone)
+		results, errs = RunClients(clientCtx, cfgs)
+	}()
 
 	if o.kill {
 		if err := <-srv1Err; err == nil {
@@ -497,7 +479,15 @@ func runResumeTwin(t *testing.T, o resumeTwinOpts) (resumeRecord, [][]float64, *
 		}()
 	}
 
-	wg.Wait()
+	if !o.finish {
+		select {
+		case <-actives:
+		case <-ctx.Done():
+		}
+		stopClients()
+		close(release)
+	}
+	<-clientsDone
 	for i := 0; i < 2; i++ {
 		if errs[i] != nil {
 			t.Fatalf("active client %d: %v", i, errs[i])
@@ -508,7 +498,6 @@ func runResumeTwin(t *testing.T, o resumeTwinOpts) (resumeRecord, [][]float64, *
 	}
 	finals := [][]float64{results[0].FinalModel, results[1].FinalModel}
 	if o.finish {
-		<-shardDone
 		if errs[2] != nil {
 			t.Fatalf("severed shard: %v", errs[2])
 		}
@@ -519,10 +508,6 @@ func runResumeTwin(t *testing.T, o resumeTwinOpts) (resumeRecord, [][]float64, *
 	default:
 		t.Fatal("severed shard never reconciled")
 	}
-	shardCancel()
-	close(release)
-	<-shardDone
-
 	return rec, finals, reg
 }
 
@@ -628,9 +613,8 @@ func TestResumeLongPartitionSnapshot500(t *testing.T) {
 	recordAt := gate - 1
 	d := 10 * time.Millisecond
 
-	ds := data.SynthImages(data.ImageConfig{Classes: 3, Channels: 1, Size: 6, Samples: 90, NoiseStd: 0.5, Seed: 5})
-	parts := data.PartitionIID(stats.SplitRNG(5, 50), ds.Len(), 3)
-	init := nn.FlattenParams(tinyModel(stats.SplitRNG(5, 99)).Params(), nil)
+	task := newTinyTask(90, 3)
+	ds, parts, init := task.ds, task.parts, task.init
 	dim := len(init)
 	pay := func(i, r int) []float64 {
 		p := make([]float64, dim)
@@ -679,10 +663,10 @@ func TestResumeLongPartitionSnapshot500(t *testing.T) {
 			peer := dialRaw(t, srv.Addr().String())
 			defer closeQuietly(peer.conn)
 			peer.send(&JoinMsg{Name: fmt.Sprintf("raw-%d", i), SessionKey: fmt.Sprintf("raw-%d", i)})
+			peer.welcome() // registered before the next peer joins
 			wg.Add(1)
 			go func(i int, peer *rawPeer) {
 				defer wg.Done()
-				peer.welcome()
 				for r := 0; r < rounds; r++ {
 					if r <= resumeSeverRound {
 						for accepted.Value() < int64(3*r+1) {
@@ -706,7 +690,6 @@ func TestResumeLongPartitionSnapshot500(t *testing.T) {
 					trajectories[i] = append(trajectories[i], append([]float64(nil), g.Payload...))
 				}
 			}(i, peer)
-			time.Sleep(100 * time.Millisecond)
 		}
 
 		shardCtx, shardCancel := context.WithCancel(ctx)
@@ -870,9 +853,8 @@ func TestCatchUpFutureGenerationRejected(t *testing.T) {
 		// must refuse it with the typed error instead of adopting a
 		// regressed replica. The server side is scripted: serve two honest
 		// rounds, sever, then resume with a catch-up welcome at gen -1.
-		ds := data.SynthImages(data.ImageConfig{Classes: 3, Channels: 1, Size: 6, Samples: 90, NoiseStd: 0.5, Seed: 5})
-		parts := data.PartitionIID(stats.SplitRNG(5, 50), ds.Len(), 3)
-		init := nn.FlattenParams(tinyModel(stats.SplitRNG(5, 99)).Params(), nil)
+		task := newTinyTask(90, 3)
+		ds, parts, init := task.ds, task.parts, task.init
 		dim := len(init)
 
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -1035,7 +1017,7 @@ func TestFreshProcessResumeBitExact(t *testing.T) {
 		cfg := ClientConfig{
 			Addr: srv.Addr().String(), Name: "fp", SessionKey: "fp",
 			Model: tinyModel, Optimizer: tinySGD,
-			Manager: func(clientID, dim int) fl.SyncManager { return fl.NewPassthroughManager(4) },
+			Manager: passthrough,
 			Data:    ds, Indices: parts[0], LocalIters: 3, BatchSize: 1, Seed: 5,
 		}
 		if restart {

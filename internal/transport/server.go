@@ -440,8 +440,7 @@ func (s *Server) CommittedRounds() int {
 }
 
 // Sessions returns how many client sessions have registered so far. Safe
-// to call while the server runs; harnesses use it to stagger client
-// launches so server-assigned ids follow a deterministic join order.
+// to call while the server runs.
 func (s *Server) Sessions() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -449,7 +448,11 @@ func (s *Server) Sessions() int {
 }
 
 // Run accepts clients, drives all rounds, and returns the final global
-// model. It honours ctx cancellation by tearing down the listener and all
+// model: the catch-up follower's model when ServerConfig.Shadow is set and
+// the follower kept up with every commit, bit-equal to every client's;
+// otherwise the newest full-length commit (or Init when none), which
+// misses whatever compacted, mask-elided commits updated after it. It
+// honours ctx cancellation by tearing down the listener and all
 // connections.
 func (s *Server) Run(ctx context.Context) ([]float64, error) {
 	defer close(s.done)

@@ -17,10 +17,6 @@ import (
 	"time"
 
 	"apf/internal/chaos"
-	"apf/internal/data"
-	"apf/internal/fl"
-	"apf/internal/nn"
-	"apf/internal/stats"
 	"apf/internal/telemetry"
 )
 
@@ -205,16 +201,14 @@ func TestMetricsConsistencyUnderChaosScrape(t *testing.T) {
 func TestRecoveryMetrics(t *testing.T) {
 	const clients, rounds = 2, 6
 	dir := t.TempDir()
-	ds := data.SynthImages(data.ImageConfig{Classes: 3, Channels: 1, Size: 6, Samples: 60, NoiseStd: 0.5, Seed: 5})
-	parts := data.PartitionIID(stats.SplitRNG(5, 50), ds.Len(), clients)
-	init := nn.FlattenParams(tinyModel(stats.SplitRNG(5, 99)).Params(), nil)
+	task := newTinyTask(60, clients)
 
 	run := func(reg *telemetry.Registry) {
 		srv, err := NewServer(ServerConfig{
 			Addr:          "127.0.0.1:0",
 			NumClients:    clients,
 			Rounds:        rounds,
-			Init:          init,
+			Init:          task.init,
 			CheckpointDir: dir,
 			SnapshotEvery: 4,
 			Metrics:       reg,
@@ -242,26 +236,7 @@ func TestRecoveryMetrics(t *testing.T) {
 				t.Errorf("apf_committed_rounds = %v, want %v", got, srv.CommittedRounds())
 			}
 		} else {
-			var wg sync.WaitGroup
-			errs := make([]error, clients)
-			for i := 0; i < clients; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					_, errs[i] = RunClient(ctx, ClientConfig{
-						Addr: srv.Addr().String(), Name: "c", SessionKey: fmt.Sprintf("c%d", i),
-						Model: tinyModel, Optimizer: tinySGD,
-						Manager: func(clientID, dim int) fl.SyncManager { return fl.NewPassthroughManager(4) },
-						Data:    ds, Indices: parts[i], LocalIters: 2, BatchSize: 10, Seed: 5,
-					})
-				}(i)
-			}
-			wg.Wait()
-			for i, err := range errs {
-				if err != nil {
-					t.Fatalf("client %d: %v", i, err)
-				}
-			}
+			runClients(ctx, t, task.clients(srv.Addr().String(), passthrough))
 		}
 		if err := <-serverErr; err != nil {
 			t.Fatalf("server: %v", err)
@@ -305,57 +280,18 @@ func (b *lockedBuffer) String() string {
 // logs each commit exactly once.
 func TestEventLogWiring(t *testing.T) {
 	const clients, rounds = 2, 4
-	ds := data.SynthImages(data.ImageConfig{Classes: 3, Channels: 1, Size: 6, Samples: 60, NoiseStd: 0.5, Seed: 5})
-	parts := data.PartitionIID(stats.SplitRNG(5, 50), ds.Len(), clients)
-	init := nn.FlattenParams(tinyModel(stats.SplitRNG(5, 99)).Params(), nil)
 	var sink lockedBuffer
 	log, err := telemetry.NewLogger(&sink, slog.LevelDebug, "json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(ServerConfig{
-		Addr:          "127.0.0.1:0",
+	runClusterWith(t, ServerConfig{
 		NumClients:    clients,
 		Rounds:        rounds,
-		Init:          init,
 		CheckpointDir: t.TempDir(),
 		SnapshotEvery: 2,
 		Log:           log,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	serverErr := make(chan error, 1)
-	go func() {
-		_, err := srv.Run(ctx)
-		serverErr <- err
-	}()
-	var wg sync.WaitGroup
-	errs := make([]error, clients)
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = RunClient(ctx, ClientConfig{
-				Addr: srv.Addr().String(), Name: fmt.Sprintf("c%d", i),
-				Model: tinyModel, Optimizer: tinySGD,
-				Manager: func(clientID, dim int) fl.SyncManager { return fl.NewPassthroughManager(4) },
-				Data:    ds, Indices: parts[i], LocalIters: 2, BatchSize: 10, Seed: 5,
-				Log: log,
-			})
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("client %d: %v", i, err)
-		}
-	}
-	if err := <-serverErr; err != nil {
-		t.Fatalf("server: %v", err)
-	}
+	}, passthrough, func(_ int, cfg *ClientConfig) { cfg.Log = log })
 
 	events := map[string]int{}
 	commits := map[float64]int{}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"net"
@@ -33,35 +34,90 @@ func tinyModel(rng *rand.Rand) *nn.Network {
 
 func tinySGD(p []*nn.Param) opt.Optimizer { return opt.NewSGD(p, 0.3, 0, 0) }
 
-// runCluster spins up a server and clients over loopback and returns the
-// per-client results and the server.
-func runCluster(t *testing.T, clients, rounds int, mf fl.ManagerFactory) ([]*ClientResult, *Server, []float64) {
-	t.Helper()
-	return runClusterOn(t, nil, clients, rounds, mf)
+func passthrough(clientID, dim int) fl.SyncManager { return fl.NewPassthroughManager(4) }
+
+// tinyTask is the small synthetic task most cluster tests train: 3-class
+// 6×6 images (seed 5), IID shards, and tinyModel's seed-5 init vector.
+type tinyTask struct {
+	ds    *data.Dataset
+	parts [][]int
+	init  []float64
 }
 
-// runClusterOn is runCluster on a given listener (nil binds loopback).
-func runClusterOn(t *testing.T, ln net.Listener, clients, rounds int, mf fl.ManagerFactory) ([]*ClientResult, *Server, []float64) {
+func newTinyTask(samples, clients int) tinyTask {
+	ds := data.SynthImages(data.ImageConfig{Classes: 3, Channels: 1, Size: 6, Samples: samples, NoiseStd: 0.5, Seed: 5})
+	return tinyTask{
+		ds:    ds,
+		parts: data.PartitionIID(stats.SplitRNG(5, 50), ds.Len(), clients),
+		init:  nn.FlattenParams(tinyModel(stats.SplitRNG(5, 99)).Params(), nil),
+	}
+}
+
+// clients returns one config per shard against addr: client i, named and
+// session-keyed "shard-i", trains tinyModel with tinySGD and mf's manager
+// for three local iterations of batch 10 per round, seed 5.
+func (k tinyTask) clients(addr string, mf fl.ManagerFactory) []ClientConfig {
+	cfgs := make([]ClientConfig, len(k.parts))
+	for i := range cfgs {
+		name := fmt.Sprintf("shard-%d", i)
+		cfgs[i] = ClientConfig{
+			Addr: addr, Name: name, SessionKey: name,
+			Model: tinyModel, Optimizer: tinySGD, Manager: mf,
+			Data: k.ds, Indices: k.parts[i], LocalIters: 3, BatchSize: 10, Seed: 5,
+		}
+	}
+	return cfgs
+}
+
+// startClients runs cfgs through RunClients in the background. wait blocks
+// until every client has returned and fails the test on any client error.
+func startClients(ctx context.Context, t *testing.T, cfgs []ClientConfig) (wait func() []*ClientResult) {
+	var results []*ClientResult
+	var errs []error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		results, errs = RunClients(ctx, cfgs)
+	}()
+	return func() []*ClientResult {
+		t.Helper()
+		<-done
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("client %d: %v", i, err)
+			}
+		}
+		return results
+	}
+}
+
+// runClients runs cfgs through RunClients, failing the test on any client
+// error.
+func runClients(ctx context.Context, t *testing.T, cfgs []ClientConfig) []*ClientResult {
 	t.Helper()
-	ds := data.SynthImages(data.ImageConfig{Classes: 3, Channels: 1, Size: 6, Samples: 90, NoiseStd: 0.5, Seed: 5})
-	rng := stats.SplitRNG(5, 50)
-	parts := data.PartitionIID(rng, ds.Len(), clients)
+	return startClients(ctx, t, cfgs)()
+}
 
-	initNet := tinyModel(stats.SplitRNG(5, 99))
-	init := nn.FlattenParams(initNet.Params(), nil)
+// runCluster spins up a server and clients over loopback and returns the
+// per-client results, the server and its final model.
+func runCluster(t *testing.T, clients, rounds int, mf fl.ManagerFactory) ([]*ClientResult, *Server, []float64) {
+	t.Helper()
+	return runClusterWith(t, ServerConfig{NumClients: clients, Rounds: rounds}, mf, nil)
+}
 
-	srv, err := NewServer(ServerConfig{
-		Addr:       "127.0.0.1:0",
-		Listener:   ln,
-		NumClients: clients,
-		Rounds:     rounds,
-		Init:       init,
-	})
+// runClusterWith is runCluster on a server configured by cfg beyond the
+// task's init model (no Listener binds loopback), with edit, when non-nil,
+// applied to each client's config.
+func runClusterWith(t *testing.T, cfg ServerConfig, mf fl.ManagerFactory, edit func(i int, c *ClientConfig)) ([]*ClientResult, *Server, []float64) {
+	t.Helper()
+	task := newTinyTask(90, cfg.NumClients)
+	cfg.Addr, cfg.Init = "127.0.0.1:0", task.init
+	srv, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
 	var serverGlobal []float64
@@ -72,36 +128,13 @@ func runClusterOn(t *testing.T, ln net.Listener, clients, rounds int, mf fl.Mana
 		serverErr <- err
 	}()
 
-	results := make([]*ClientResult, clients)
-	var wg sync.WaitGroup
-	errs := make([]error, clients)
-	for i := 0; i < clients; i++ {
-		for srv.Sessions() < i {
-			time.Sleep(time.Millisecond) // join order = shard order: ids, and so trajectories, repeat
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = RunClient(ctx, ClientConfig{
-				Addr:       srv.Addr().String(),
-				Name:       "client",
-				Model:      tinyModel,
-				Optimizer:  tinySGD,
-				Manager:    mf,
-				Data:       ds,
-				Indices:    parts[i],
-				LocalIters: 3,
-				BatchSize:  10,
-				Seed:       5,
-			})
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("client %d: %v", i, err)
+	cfgs := task.clients(srv.Addr().String(), mf)
+	for i := range cfgs {
+		if edit != nil {
+			edit(i, &cfgs[i])
 		}
 	}
+	results := runClients(ctx, t, cfgs)
 	if err := <-serverErr; err != nil {
 		t.Fatalf("server: %v", err)
 	}
@@ -109,8 +142,7 @@ func runClusterOn(t *testing.T, ln net.Listener, clients, rounds int, mf fl.Mana
 }
 
 func TestTCPClusterWithPassthrough(t *testing.T) {
-	mf := func(clientID, dim int) fl.SyncManager { return fl.NewPassthroughManager(4) }
-	results, _, global := runCluster(t, 3, 5, mf)
+	results, _, global := runCluster(t, 3, 5, passthrough)
 
 	// All clients end with the identical final model, equal to the
 	// server's last aggregate.
@@ -144,8 +176,7 @@ func TestTCPClusterWithAPFSavesWireBytes(t *testing.T) {
 	}
 	apfResults, apfSrv, _ := runCluster(t, clients, rounds, apfFactory)
 
-	baseFactory := func(clientID, dim int) fl.SyncManager { return fl.NewPassthroughManager(4) }
-	baseResults, baseSrv, _ := runCluster(t, clients, rounds, baseFactory)
+	baseResults, baseSrv, _ := runCluster(t, clients, rounds, passthrough)
 
 	// Manager-reported accounting must show savings...
 	if apfResults[0].UpBytes >= baseResults[0].UpBytes {
@@ -166,6 +197,20 @@ func TestTCPClusterWithAPFSavesWireBytes(t *testing.T) {
 		if apfResults[0].FinalModel[j] != apfResults[1].FinalModel[j] {
 			t.Fatal("APF clients diverged over the real transport")
 		}
+	}
+}
+
+// TestRunReturnsSyncedModelUnderAPF: once APF freezes anything, every
+// commit is mask-compacted and the newest full-length commit goes stale.
+// With a shadow follower, Run still returns the model every client ends on.
+func TestRunReturnsSyncedModelUnderAPF(t *testing.T) {
+	const rounds = 12
+	results, srv, global := runClusterWith(t, ServerConfig{NumClients: 3, Rounds: rounds, Shadow: resumeShadowConfig()}, apfChaosFactory, nil)
+	if srv.ledger.dense != nil && srv.ledger.denseRound == rounds-1 {
+		t.Fatal("the last commit is full-length: nothing froze, so nothing was elided")
+	}
+	for c, r := range results {
+		requireSameModel(t, fmt.Sprintf("Run's model vs client %d", c), global, r.FinalModel)
 	}
 }
 
@@ -221,8 +266,9 @@ func TestWireBytesCountLastFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mf := func(clientID, dim int) fl.SyncManager { return fl.NewPassthroughManager(4) }
-	results, srv, _ := runClusterOn(t, closeGatedListener{Listener: ln, round: rounds - 1}, clients, rounds, mf)
+	results, srv, _ := runClusterWith(t, ServerConfig{
+		Listener: closeGatedListener{Listener: ln, round: rounds - 1}, NumClients: clients, Rounds: rounds,
+	}, passthrough, nil)
 	var read, written int64
 	for _, r := range results {
 		read += r.WireRead
@@ -274,7 +320,7 @@ func TestClientContextCancellation(t *testing.T) {
 			Addr:       srv.Addr().String(),
 			Model:      tinyModel,
 			Optimizer:  tinySGD,
-			Manager:    func(int, int) fl.SyncManager { return fl.NewPassthroughManager(4) },
+			Manager:    passthrough,
 			Data:       ds,
 			Indices:    []int{0, 1, 2},
 			LocalIters: 1,
@@ -411,8 +457,8 @@ func (c *severFirstUpdate) Write(b []byte) (int, error) {
 // writes the very same buffer — same address, same bytes — without
 // training or encoding again.
 func TestClientResendWritesSameFrame(t *testing.T) {
-	ds := data.SynthImages(data.ImageConfig{Classes: 3, Channels: 1, Size: 6, Samples: 30, NoiseStd: 0.5, Seed: 5})
-	init := nn.FlattenParams(tinyModel(stats.SplitRNG(5, 99)).Params(), nil)
+	task := newTinyTask(30, 1)
+	ds, init := task.ds, task.init
 	srv, err := NewServer(ServerConfig{Addr: "127.0.0.1:0", NumClients: 1, Rounds: 1, Init: init, RoundDeadline: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)

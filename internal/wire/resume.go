@@ -26,11 +26,6 @@ import (
 // Welcome that opens the conversation; every frame here leads its body
 // with Round.
 
-// CapRecon is the capability bit a client advertises in JoinMsg.Caps
-// when its manager supports sketch reconciliation (per-word generation
-// tracking and the import of a word-restricted manager state).
-const CapRecon uint64 = 1 << 2
-
 // ResumeOfferMsg is the client's catch-up move. Exactly one of three
 // forms: the opening offer (NeedMore false, Words nil), a request for
 // more sketch cells (NeedMore true), or the decoded diff (Words set to

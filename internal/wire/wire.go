@@ -159,7 +159,7 @@ type JoinMsg struct {
 	// (HaveRound+1 … current-1).
 	HaveRound int
 	// Caps advertises the client's codec capabilities (CapSparse,
-	// CapQuantized, CapRecon). 0 requests the dense codec.
+	// CapQuantized). 0 requests the dense codec.
 	Caps uint64
 }
 
@@ -189,8 +189,9 @@ type WelcomeMsg struct {
 	Codec Codec
 	// CatchUp tells a resuming client that replay history no
 	// longer reaches its round: Missed is empty and the client must run
-	// the catch-up sub-protocol (ResumeOffer → Sketch/Delta or
-	// Snapshot) before normal rounds resume.
+	// the catch-up sub-protocol (ResumeOffer → Sketch, then a
+	// word-restricted Snapshot; or a full Snapshot) before normal rounds
+	// resume.
 	CatchUp bool
 	// MaskGen (meaningful only with CatchUp) is the server-side
 	// mask generation, letting the client detect a generation *ahead*
