@@ -41,8 +41,10 @@ lint:
 race:
 	$(GO) test -race ./internal/fl/ ./internal/transport/ ./internal/chaos/ ./internal/wire/ ./internal/telemetry/
 
-# Fuzz smoke: a short randomized pass over each decode target on top of
-# the checked-in corpus (go only runs one -fuzz target per invocation).
+# Fuzz smoke: a short randomized pass over each decode target, and over
+# the binary16 round trip whose idempotence sparse-q16 commit rounding
+# relies on, on top of the checked-in corpus (go only runs one -fuzz
+# target per invocation).
 fuzz:
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime 10s
 	$(GO) test ./internal/wire/ -run '^$$' -fuzz '^FuzzSparseDecode$$' -fuzztime 10s
@@ -53,6 +55,7 @@ fuzz:
 	$(GO) test ./internal/recon/ -run '^$$' -fuzz '^FuzzReconDecode$$' -fuzztime 10s
 	$(GO) test ./internal/fl/ -run '^$$' -fuzz '^FuzzParsePacked$$' -fuzztime 10s
 	$(GO) test ./internal/bitset/ -run '^$$' -fuzz '^FuzzFromWords$$' -fuzztime 10s
+	$(GO) test ./internal/quantize/ -run '^$$' -fuzz '^FuzzHalfValue$$' -fuzztime 10s
 
 # Re-stamp the checked-in fixture-backed fuzz seeds (internal/wire and
 # internal/transport testdata: valid-*, two-frame-stream, and the damaged

@@ -49,7 +49,7 @@ func run(args []string) error {
 		shards    = fs.Int("shards", 3, "total number of shards (= clients)")
 		iters     = fs.Int("iters", 4, "local iterations per round (Fs)")
 		scheme    = fs.String("scheme", "apf", "sync scheme: apf | none")
-		codec     = fs.String("codec", "dense", "strongest payload codec to offer the server: dense | sparse | sparse-q16 (sparse codecs need -scheme apf)")
+		codec     = fs.String("codec", "dense", "the cluster's payload codec, which must match the server's -codec: dense | sparse | sparse-q16 (sparse codecs need -scheme apf)")
 		alpha     = fs.Float64("dirichlet", 1.0, "Dirichlet concentration for the non-IID split")
 		ioTimeout = fs.Duration("io-timeout", 30*time.Second, "per-message network read/write deadline")
 		retries   = fs.Int("retries", 0, "reconnect attempts after a connection failure (0 = fail fast)")
@@ -83,14 +83,14 @@ func run(args []string) error {
 	// pick their own shard.
 	parts := data.PartitionDirichlet(stats.SplitRNG(*seed, 1), p.Data.Labels, p.Data.Classes, *shards, *alpha)
 
-	offer, err := wire.ParseCodec(*codec)
+	clusterCodec, err := wire.ParseCodec(*codec)
 	if err != nil {
 		return fmt.Errorf("-codec: %w", err)
 	}
-	if offer != wire.CodecDense && *scheme != "apf" {
+	if clusterCodec != wire.CodecDense && *scheme != "apf" {
 		// Sparse framing is positional against the freezing mask; only the
 		// APF manager exposes one. Fail here rather than at the handshake.
-		return fmt.Errorf("-codec %s requires -scheme apf (sparse payloads encode against the freezing mask)", offer)
+		return fmt.Errorf("-codec %s requires -scheme apf (sparse payloads encode against the freezing mask)", clusterCodec)
 	}
 
 	var manager fl.ManagerFactory
@@ -180,7 +180,7 @@ func run(args []string) error {
 		BatchSize:  p.Batch,
 		Seed:       *seed + int64(*shard),
 		IOTimeout:  *ioTimeout,
-		Codec:      offer,
+		Codec:      clusterCodec,
 		MaxRetries: *retries,
 		Dial:       dial,
 		OnRound:    onRound,

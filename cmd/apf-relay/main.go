@@ -1,8 +1,7 @@
 // Command apf-relay runs one edge pre-aggregator of the two-tier
 // topology. Downward it is a full aggregation server — clients connect
 // with apf-client exactly as they would to a flat apf-server, with the
-// same codec negotiation, sanitization, durability, and fault-tolerance
-// options. Upward it joins an apf-server started with -relays, streams
+// same codec, sanitization, durability, and fault-tolerance options. Upward it joins an apf-server started with -relays, streams
 // one exact fixed-point partial sum per round, and re-broadcasts the
 // root's committed aggregate, so the training trajectory is bit-identical
 // to a flat deployment over the same clients.

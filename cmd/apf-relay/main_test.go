@@ -1,10 +1,26 @@
 package main
 
 import (
+	"net"
 	"testing"
+	"time"
 )
 
+// silentRoot listens like a root but never accepts: the kernel completes
+// a relay's dial and buffers its join, so a relay that accepts its flags
+// blocks on the Welcome instead of failing on the dial.
+func silentRoot(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	return ln.Addr().String()
+}
+
 func TestRelayRejectsBadFlags(t *testing.T) {
+	root := silentRoot(t)
 	tests := []struct {
 		name string
 		args []string
@@ -19,11 +35,21 @@ func TestRelayRejectsBadFlags(t *testing.T) {
 		{"bad log level", []string{"-log-level", "loud"}},
 		{"bad log format", []string{"-log-format", "xml"}},
 		{"bad metrics address", []string{"-addr", "127.0.0.1:0", "-metrics-addr", "256.256.256.256:99999"}},
+		{"zero snapshot interval", []string{"-addr", "127.0.0.1:0", "-upstream", root, "-snapshot-every", "0"}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if err := run(tt.args); err == nil {
-				t.Error("expected error")
+			// A relay that accepts its flags joins the root and waits:
+			// give up on it rather than hang the suite.
+			errc := make(chan error, 1)
+			go func() { errc <- run(tt.args) }()
+			select {
+			case err := <-errc:
+				if err == nil {
+					t.Error("expected error")
+				}
+			case <-time.After(10 * time.Second):
+				t.Error("flags accepted: the relay is waiting on the root")
 			}
 		})
 	}

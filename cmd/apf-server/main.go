@@ -63,6 +63,16 @@ func run(args []string) error {
 	if err := obs.Resolve(); err != nil {
 		return err
 	}
+	reduction, err := fl.ParseReduction(*aggregator)
+	if err != nil {
+		return fmt.Errorf("-aggregator: %w", err)
+	}
+	if *trimFrac < 0 || *trimFrac >= 0.5 {
+		return fmt.Errorf("-trim-frac %g outside [0, 0.5)", *trimFrac)
+	}
+	if *trimFrac != 0 && reduction != fl.ReduceTrimmed {
+		return fmt.Errorf("-trim-frac needs -aggregator trimmed")
+	}
 
 	p, err := preset.Load(*model, *seed)
 	if err != nil {
@@ -92,13 +102,6 @@ func run(args []string) error {
 		fmt.Printf("apf-server: chaos script armed with %d fault(s)\n", len(faults))
 	}
 
-	reduction, err := fl.ParseReduction(*aggregator)
-	if err != nil {
-		return fmt.Errorf("-aggregator: %w", err)
-	}
-	if *trimFrac < 0 || *trimFrac >= 0.5 {
-		return fmt.Errorf("-trim-frac %g outside [0, 0.5)", *trimFrac)
-	}
 	srv, err := transport.NewServer(transport.ServerConfig{
 		Addr:          *addr,
 		Listener:      ln,

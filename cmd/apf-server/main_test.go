@@ -2,6 +2,7 @@ package main
 
 import (
 	"testing"
+	"time"
 )
 
 func TestServerRejectsBadFlags(t *testing.T) {
@@ -18,11 +19,23 @@ func TestServerRejectsBadFlags(t *testing.T) {
 		{"bad log level", []string{"-log-level", "loud"}},
 		{"bad log format", []string{"-log-format", "xml"}},
 		{"bad metrics address", []string{"-addr", "127.0.0.1:0", "-metrics-addr", "256.256.256.256:99999"}},
+		{"trim fraction without trimmed aggregator", []string{"-addr", "127.0.0.1:0", "-trim-frac", "0.3", "-aggregator", "mean"}},
+		{"zero snapshot interval", []string{"-addr", "127.0.0.1:0", "-snapshot-every", "0"}},
+		{"negative snapshot interval", []string{"-addr", "127.0.0.1:0", "-snapshot-every", "-3"}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if err := run(tt.args); err == nil {
-				t.Error("expected error")
+			// A server that accepts its flags binds and waits for clients:
+			// give up on it rather than hang the suite.
+			errc := make(chan error, 1)
+			go func() { errc <- run(tt.args) }()
+			select {
+			case err := <-errc:
+				if err == nil {
+					t.Error("expected error")
+				}
+			case <-time.After(10 * time.Second):
+				t.Error("flags accepted: the server is waiting for clients")
 			}
 		})
 	}

@@ -143,7 +143,9 @@ func FuzzHalfBits(f *testing.F) {
 }
 
 // FuzzHalfValue checks that arbitrary float64 inputs never panic and
-// always produce a representable (or saturated) result.
+// always produce a representable (or saturated) result: RoundTrip is
+// idempotent. Sparse-q16 commit rounding relies on it — the committed
+// value must equal what a q16 client decodes from its sparse global.
 func FuzzHalfValue(f *testing.F) {
 	for _, seed := range []float64{0, 1, -1, 0.1, 65504, 65520, 1e-8, -1e300, math.Inf(1)} {
 		f.Add(seed)

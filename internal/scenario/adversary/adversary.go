@@ -103,8 +103,8 @@ func (s Spec) Attacks(seed int64, client, round int) bool {
 // Wrap returns inner with the spec's poisoning applied to every attacked
 // round's upload. client is the wrapped client's index (seeds the attack
 // draws). Its Unwrap exposes the inner manager's compact-codec, mask and
-// catch-up interfaces to fl.As, so a poisoned APF client still negotiates
-// sparse sessions; poisoning happens on the dense contribution before
+// catch-up interfaces to fl.As, so a poisoned APF client still speaks the
+// sparse codecs; poisoning happens on the dense contribution before
 // compaction, exactly where a compromised client would inject it.
 func Wrap(inner fl.SyncManager, spec Spec, seed int64, client int) fl.SyncManager {
 	if !spec.Active() {

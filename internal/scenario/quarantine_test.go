@@ -30,7 +30,7 @@ func outcomes(t *testing.T, cfg Config) []ClientOutcome {
 
 // TestBlatantPoisonerQuarantinedIdenticallyAcrossCodecs: the same scale
 // attack must produce identical strikes, quarantine flags, and
-// quarantine rounds whether the session negotiated dense, sparse, or
+// quarantine rounds whether the cluster speaks dense, sparse, or
 // sparse-q16 framing — the validator sees through the codec.
 func TestBlatantPoisonerQuarantinedIdenticallyAcrossCodecs(t *testing.T) {
 	spec := adversary.Spec{Strategy: adversary.Scale, Count: 1, Onset: 3}

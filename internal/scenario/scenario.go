@@ -69,7 +69,7 @@ type Config struct {
 	// IID shards.
 	Alpha float64 `json:"alpha"`
 
-	// Codec selects the negotiated wire codec (dense | sparse | sparse-q16).
+	// Codec selects the cluster's wire codec (dense | sparse | sparse-q16).
 	Codec wire.Codec `json:"-"`
 
 	// Adversary poisons the highest Adversary.Count client indices.

@@ -49,7 +49,7 @@ func Bind(fs *flag.FlagSet) *Flags {
 	fs.Float64Var(&f.maxNorm, "max-norm-mult", 0, "arm the update sanitization pipeline (non-finite and dimension checks plus the norm gate), striking updates whose L2 norm exceeds this multiple of the rolling median (0 = sanitization off); in a hierarchy it runs on the relays, never the root")
 	fs.Float64Var(&f.cosFloor, "cosine-floor", 0, "with sanitization armed, also strike updates whose cosine against the decayed reference direction falls below this floor (0 = direction gate off; negative floors are meaningful)")
 	fs.Float64Var(&f.roundNorm, "round-norm-mult", 0, "with sanitization armed, also strike accepted updates after the round when their norm exceeds this multiple of the round median (0 = post-round review off)")
-	fs.StringVar(&f.codec, "codec", "dense", "strongest payload codec to offer client sessions: dense | sparse | sparse-q16 (each client negotiates down to what it supports; behind a sparse-q16 relay, start the root with the same -codec so its commits stay lossless)")
+	fs.StringVar(&f.codec, "codec", "dense", "the cluster's payload codec: dense | sparse | sparse-q16 (every client, relay and root of one cluster must set the same -codec; a peer refuses a tier that announces another)")
 	return f
 }
 
@@ -74,6 +74,9 @@ func (f *Flags) Resolve(seed int64) error {
 		return fmt.Errorf("-codec: %w", err)
 	}
 	f.Codec = codec
+	if f.SnapshotEvery <= 0 {
+		return fmt.Errorf("-snapshot-every must be positive, got %d", f.SnapshotEvery)
+	}
 	if f.HistoryRounds < 0 {
 		return fmt.Errorf("-history-rounds must be non-negative, got %d", f.HistoryRounds)
 	}

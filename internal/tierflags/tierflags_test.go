@@ -64,6 +64,8 @@ func TestResolveErrors(t *testing.T) {
 		{[]string{"-round-norm-mult", "2"}, "-cosine-floor and -round-norm-mult need -max-norm-mult to arm sanitization"},
 		{[]string{"-codec", "zip"}, `-codec: wire: unknown codec "zip" (want dense, sparse, or sparse-q16)`},
 		{[]string{"-history-rounds", "-1"}, "-history-rounds must be non-negative, got -1"},
+		{[]string{"-snapshot-every", "0"}, "-snapshot-every must be positive, got 0"},
+		{[]string{"-snapshot-every", "-2"}, "-snapshot-every must be positive, got -2"},
 	} {
 		if _, err := resolve(t, 1, tt.args...); err == nil || err.Error() != tt.want {
 			t.Errorf("%v: err = %v, want %q", tt.args, err, tt.want)

@@ -59,13 +59,11 @@ type ClientConfig struct {
 	// timeout) — the hook for fault-injecting wrappers (package chaos). It
 	// must enforce its own connect timeout.
 	Dial DialFunc
-	// Codec is the strongest payload codec this client offers
-	// (wire.CodecDense requests the dense kinds). Its capability bits go
-	// out in the Join; the server's Welcome answers with the negotiated
-	// codec, never stronger than offered. Sparse codecs require a manager
-	// implementing fl.CompactCodec and fl.MaskReporter, itself or behind
-	// wrappers (fl.As) — negotiation completing sparse without them fails
-	// the run with a typed error.
+	// Codec is the cluster's payload codec (wire.CodecDense selects the
+	// dense kinds). The client refuses, with a protocol error, any Welcome
+	// announcing another. Sparse codecs require a manager implementing
+	// fl.CompactCodec and fl.MaskReporter, itself or behind wrappers
+	// (fl.As); without them the first Welcome is refused the same way.
 	Codec wire.Codec
 	// OnRound, when non-nil, is called after each round's aggregate is
 	// applied (including resume replay), with the round number and the
@@ -122,10 +120,8 @@ type clientRun struct {
 	hasCodec bool
 	dim      int
 	rounds   int
-	// codecNeg is the payload codec the server negotiated for this session;
 	// maskGenR reports the manager's mask generation (nil when the manager
 	// has none — sparse updates then carry generation -1).
-	codecNeg wire.Codec
 	maskGenR fl.MaskGenerationReporter
 
 	// applied is the last round whose aggregate has been merged (-1 none);
@@ -201,7 +197,7 @@ func runClient(ctx context.Context, cfg ClientConfig, joined func()) (*ClientRes
 		return r.down[:n]
 	}
 	r.up = newUplink(&uplink{
-		peer: "server", addr: cfg.Addr, offer: cfg.Codec, dial: cfg.Dial, ioTimeout: cfg.IOTimeout,
+		peer: "server", addr: cfg.Addr, codec: cfg.Codec, dial: cfg.Dial, ioTimeout: cfg.IOTimeout,
 		maxRetries: cfg.MaxRetries, retryBase: cfg.RetryBaseDelay, retryMax: cfg.RetryMaxDelay,
 		jitter: jitterStream(cfg.Seed, 4_000_000, cfg.SessionKey, cfg.Name),
 		wireM:  newWireMetrics(cfg.Metrics), log: r.log,
@@ -226,7 +222,6 @@ func (r *clientRun) session(ctx context.Context) error {
 		Name:       r.cfg.Name,
 		SessionKey: r.cfg.SessionKey,
 		HaveRound:  r.applied,
-		Caps:       r.cfg.Codec.Caps(),
 	}
 	conn, welcome, err := r.up.connect(ctx, join, r.acceptWelcome)
 	if err != nil {
@@ -313,26 +308,26 @@ func (r *clientRun) session(ctx context.Context) error {
 	return nil
 }
 
-// prepare encodes round's update into the in-flight frame on the session's
-// negotiated codec: an UpdateMsg on dense sessions, a SparseUpdateMsg on
-// sparse ones. The compact payload is already the unfrozen sub-vector
+// prepare encodes round's update into the in-flight frame in the
+// cluster's codec: an UpdateMsg on a dense cluster, a SparseUpdateMsg on a
+// sparse one. The compact payload is already the unfrozen sub-vector
 // (fl.CompactCodec), so sparse framing adds only the mask metadata — and,
 // under sparse-q16, halves the scalars to binary16. The payload is the
 // manager's scratch and is encoded at once; a re-send after a reconnect
-// writes the same bytes, which stay valid because the rejoin check pins
-// the codec across resumes.
+// writes the same bytes, which stay valid because every Welcome announces
+// the same codec.
 func (r *clientRun) prepare(round int, payload []float64, weight float64) {
 	var hash uint64
 	if mr, ok := fl.As[fl.MaskReporter](r.rep.Manager); ok {
 		hash = HashMaskWords(mr.MaskWords())
 	}
 	var m wire.Msg = &UpdateMsg{Round: round, Payload: payload, Weight: weight, MaskHash: hash}
-	if r.codecNeg >= wire.CodecSparse {
+	if r.cfg.Codec >= wire.CodecSparse {
 		gen := -1
 		if r.maskGenR != nil {
 			gen = r.maskGenR.MaskGeneration()
 		}
-		sp := &SparseUpdateMsg{Round: round, Weight: weight, MaskHash: hash, MaskGen: gen, Dim: r.dim, Enc: r.codecNeg.Enc()}
+		sp := &SparseUpdateMsg{Round: round, Weight: weight, MaskHash: hash, MaskGen: gen, Dim: r.dim, Enc: r.cfg.Codec.Enc()}
 		sp.Values, sp.Q = wire.PackSparse(sp.Enc, payload)
 		m = sp
 	}
@@ -341,17 +336,17 @@ func (r *clientRun) prepare(round int, payload []float64, weight float64) {
 }
 
 // acceptGlobal validates one downloaded frame of the round and returns its
-// dense-payload form. Dense globals are accepted on every session (the
+// dense-payload form. Dense globals are accepted in every codec (the
 // server falls back to them when a round lacks mask-agreement evidence);
-// sparse globals are only legal on sparse sessions and must match the
+// sparse globals are only legal on a sparse cluster and must match the
 // client's own mask state before they are expanded.
 func (r *clientRun) acceptGlobal(m wire.Msg, round int) (*GlobalMsg, error) {
 	switch g := m.(type) {
 	case *GlobalMsg:
 		return g, nil
 	case *SparseGlobalMsg:
-		if r.codecNeg < wire.CodecSparse {
-			return nil, protocolErrorf("round %d: sparse global on a %s session", round, r.codecNeg)
+		if r.cfg.Codec < wire.CodecSparse {
+			return nil, protocolErrorf("round %d: sparse global on a %s cluster", round, r.cfg.Codec)
 		}
 		if g.Dim != r.dim {
 			return nil, protocolErrorf("round %d: sparse global dimension %d, model has %d",
@@ -386,14 +381,13 @@ func (r *clientRun) acceptWelcome(w *WelcomeMsg) error {
 	}
 	r.rep, r.dim, r.rounds = rep, w.Dim, w.Rounds
 	r.codec, r.hasCodec = fl.As[fl.CompactCodec](rep.Manager)
-	r.codecNeg = w.Codec
 	r.maskGenR, _ = fl.As[fl.MaskGenerationReporter](rep.Manager)
-	if r.codecNeg >= wire.CodecSparse {
+	if r.cfg.Codec >= wire.CodecSparse {
 		// Sparse framing is positional against the freezing mask; without a
 		// mask-reporting compact manager the client can neither produce nor
 		// verify it. This is a configuration error, not a retryable fault.
 		if _, hasMask := fl.As[fl.MaskReporter](rep.Manager); !r.hasCodec || !hasMask {
-			return protocolErrorf("codec %s negotiated, but the manager reports no freezing mask", r.codecNeg)
+			return protocolErrorf("codec %s, but the manager reports no freezing mask", r.cfg.Codec)
 		}
 	}
 	r.res.ClientID = w.ClientID

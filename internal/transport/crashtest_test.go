@@ -299,7 +299,7 @@ func TestCrashTwoTierBinaries(t *testing.T) {
 			// run's trajectory unchanged.
 			"-io-timeout", "30s", "-deadline", "30s", "-min-clients", "2",
 			"-checkpoint-dir", t.TempDir(), "-snapshot-every", "2",
-			"-history-rounds", "3", "-shadow", "-codec", "sparse",
+			"-history-rounds", "3", "-shadow", "-codec", "dense",
 			"-max-norm-mult", "10", "-cosine-floor", "-1", "-round-norm-mult", "10",
 			"-log-level", "info")
 		rel.Stdout, rel.Stderr = os.Stderr, os.Stderr

@@ -150,11 +150,14 @@ type roundEngine struct {
 	// and events carry PartialUpdateMsg instead of UpdateMsg. Implies
 	// streaming collection (partial merge needs the exact accumulator).
 	partialTier bool
-	// quantizeCommit rounds every committed aggregate through binary16
-	// (quantize.RoundTripSlice) before it is logged or distributed. Set when
-	// any session negotiated the sparse-q16 codec: the committed value then
-	// equals what a q16 client decodes from its sparse global, so mixed
-	// dense/q16 clusters and WAL replay stay bit-identical.
+	// quantizeCommit rounds every locally reduced aggregate through
+	// binary16 (quantize.RoundTripSlice) before it is logged or
+	// distributed. Set from the config when the cluster's codec is
+	// sparse-q16: the committed value then equals what a q16 client
+	// decodes from its sparse global, so the dense frames of rounds
+	// without mask evidence, resume replay and WAL recovery stay
+	// bit-identical to the quantized stream. A relay commits its root's
+	// aggregates verbatim; a sparse-q16 root has already rounded them.
 	quantizeCommit bool
 	// reduction selects the aggregator's fold (mean or trimmed) with
 	// trimFrac as the per-side trim fraction; see fl.SetReduction.

@@ -101,7 +101,7 @@ func (f *simFixture) simGlobal() []float64 {
 }
 
 // clients returns one config per shard against addr: client i is named
-// and session-keyed "eq-i" and offers codec.
+// and session-keyed "eq-i" and speaks codec.
 func (f *simFixture) clients(addr string, codec wire.Codec) []ClientConfig {
 	cfgs := make([]ClientConfig, simClients)
 	for i := range cfgs {
@@ -138,17 +138,17 @@ func (f *simFixture) faultyClients(addr string, codec wire.Codec, script *chaos.
 	return cfgs
 }
 
-// runCluster runs one TCP cluster over the fixture. codecs[i] is client
-// i's offered codec; srvCfg customizes the server beyond the fixture
+// runCluster runs one TCP cluster over the fixture, every client on the
+// server's codec; srvCfg customizes the server beyond the fixture
 // defaults. Returns the per-client results and the finished server (its
 // metrics registry stays readable).
-func (f *simFixture) runCluster(t *testing.T, srvCfg ServerConfig, codecs []wire.Codec) ([]*ClientResult, *Server) {
+func (f *simFixture) runCluster(t *testing.T, srvCfg ServerConfig) ([]*ClientResult, *Server) {
 	t.Helper()
 	srvCfg.Addr = "127.0.0.1:0"
 	srvCfg.NumClients = simClients
 	srvCfg.Rounds = simRounds
 	srvCfg.Init = f.init
-	srvCfg.Metrics = telemetry.New() // the tests read codec/bytes-saved counters
+	srvCfg.Metrics = telemetry.New() // the tests read the wire frame counters
 	srv, err := NewServer(srvCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -160,11 +160,7 @@ func (f *simFixture) runCluster(t *testing.T, srvCfg ServerConfig, codecs []wire
 		_, err := srv.Run(ctx)
 		serverErr <- err
 	}()
-	cfgs := f.clients(srv.Addr().String(), wire.CodecDense)
-	for i := range cfgs {
-		cfgs[i].Codec = codecs[i]
-	}
-	results := runClients(ctx, t, cfgs)
+	results := runClients(ctx, t, f.clients(srv.Addr().String(), srvCfg.Codec))
 	if err := <-serverErr; err != nil {
 		t.Fatalf("server: %v", err)
 	}
@@ -291,7 +287,7 @@ func tcpMatchesSimulator(t *testing.T, model fl.ModelFactory) {
 		tcpManagers = append(tcpManagers, m)
 		return m
 	}
-	results, _ := f.runCluster(t, ServerConfig{}, []wire.Codec{wire.CodecDense, wire.CodecDense, wire.CodecDense})
+	results, _ := f.runCluster(t, ServerConfig{})
 
 	if len(tcpManagers) != simClients {
 		t.Fatalf("captured %d managers", len(tcpManagers))

@@ -31,6 +31,21 @@ func newFanoutServer(t *testing.T) *Server {
 	return srv
 }
 
+// queueSessions attaches n queue-only sessions to srv: each holds one end
+// of an in-memory pipe and no writer, so committed frames stay queued for
+// the test to inspect.
+func queueSessions(t *testing.T, srv *Server, n int) []*session {
+	t.Helper()
+	for id := 0; id < n; id++ {
+		server, peer := net.Pipe()
+		t.Cleanup(func() { closeQuietly(server); closeQuietly(peer) })
+		sess := newSession(id, "", "queue-only")
+		sess.conn, sess.gen = srv.track(server), 1
+		srv.sessions = append(srv.sessions, sess)
+	}
+	return srv.sessions
+}
+
 // fanoutPayload is round r's committed aggregate in the fan-out tests.
 func fanoutPayload(r int) []float64 {
 	return []float64{float64(r) + 0.125, -float64(r), 1.0 / float64(r+3), 7}

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -11,61 +10,63 @@ import (
 )
 
 // TestRoundFramesEncodeOnce is the structural form of "broadcast encode
-// cost stays flat as clients grow": for one committed round, every session
-// writer asking for a codec's frame gets the same backing array, however
-// many ask at once; sparse variants are built on first request, one codec
-// at a time; and a round without mask agreement (maskHash 0) serves the
-// dense frame to sparse sessions too, encoding nothing.
+// cost stays flat as clients grow": commitRound encodes each round once,
+// into one frame that every session queue shares — the same backing
+// array, however many sessions — in the cluster's codec. The frame is
+// sparse only when the codec is sparse and the round carries mask
+// evidence; it is dense without that evidence, and always dense on the
+// root tier, whose relays read dense globals.
 func TestRoundFramesEncodeOnce(t *testing.T) {
-	g := &GlobalMsg{Round: 4, Participants: 3, Payload: []float64{1.5, -2, 0.25, 8}}
-	rf := newRoundFrames(g, roundMeta{maskHash: 0xfeed, maskGen: 2}, 16)
-	if rf.encoded[wire.CodecDense] == nil || rf.encoded[wire.CodecSparse] != nil || rf.encoded[wire.CodecSparseQ16] != nil {
-		t.Fatal("at commit exactly the dense frame must exist")
-	}
-
-	const callers = 16
-	kinds := map[wire.Codec]wire.Kind{
-		wire.CodecDense:     wire.KindGlobal,
-		wire.CodecSparse:    wire.KindSparseGlobal,
-		wire.CodecSparseQ16: wire.KindSparseGlobal,
-	}
-	first := map[wire.Codec]*byte{}
-	for _, c := range []wire.Codec{wire.CodecDense, wire.CodecSparse, wire.CodecSparseQ16} {
-		got := make([][]byte, callers)
-		var wg sync.WaitGroup
-		for i := range got {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				got[i] = rf.frame(c)
-			}(i)
-		}
-		wg.Wait()
-		for i, f := range got {
-			if &f[0] != &got[0][0] || len(f) != len(got[0]) {
-				t.Fatalf("%s: caller %d got its own frame, want the one shared encoding", c, i)
+	evidence := roundMeta{maskHash: 0xfeed, maskGen: 2}
+	for _, tt := range []struct {
+		name  string
+		codec wire.Codec
+		root  bool
+		meta  roundMeta
+		want  wire.Kind
+	}{
+		{"dense", wire.CodecDense, false, evidence, wire.KindGlobal},
+		{"sparse", wire.CodecSparse, false, evidence, wire.KindSparseGlobal},
+		{"sparse-q16", wire.CodecSparseQ16, false, evidence, wire.KindSparseGlobal},
+		{"sparse-without-mask-evidence", wire.CodecSparse, false, roundMeta{maskGen: -1}, wire.KindGlobal},
+		{"sparse-q16-root", wire.CodecSparseQ16, true, evidence, wire.KindGlobal},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			srv := newFanoutServer(t)
+			srv.cfg.Codec = tt.codec
+			if tt.root {
+				srv.cfg.Relays = 2
 			}
-		}
-		if k := wire.FrameKind(got[0]); k != kinds[c] {
-			t.Errorf("%s sessions are served a %s frame, want %s", c, k, kinds[c])
-		}
-		first[c] = &got[0][0]
-		if c == wire.CodecSparse && rf.encoded[wire.CodecSparseQ16] != nil {
-			t.Error("serving the sparse codec also built the sparse-q16 frame")
-		}
-	}
-	if first[wire.CodecDense] == first[wire.CodecSparse] || first[wire.CodecSparse] == first[wire.CodecSparseQ16] {
-		t.Error("distinct codecs share one frame")
-	}
-
-	bare := newRoundFrames(g, roundMeta{maskGen: -1}, 16)
-	for _, c := range []wire.Codec{wire.CodecSparse, wire.CodecSparseQ16} {
-		if f := bare.frame(c); &f[0] != &bare.encoded[wire.CodecDense][0] {
-			t.Errorf("%s without mask agreement: got a frame of its own, want the dense frame", c)
-		}
-		if bare.encoded[c] != nil {
-			t.Errorf("%s without mask agreement: a sparse frame was encoded", c)
-		}
+			sessions := queueSessions(t, srv, 16)
+			g := &GlobalMsg{Round: 0, Participants: 3, Payload: fanoutPayload(0)}
+			if err := srv.commitRound(g, tt.meta, false); err != nil {
+				t.Fatal(err)
+			}
+			frame := sessions[0].queue[0]
+			for i, sess := range sessions {
+				if len(sess.queue) != 1 {
+					t.Fatalf("session %d queued %d frames, want 1", i, len(sess.queue))
+				}
+				if f := sess.queue[0]; &f[0] != &frame[0] || len(f) != len(frame) {
+					t.Fatalf("session %d queued its own frame, want the one shared encoding", i)
+				}
+			}
+			if k := wire.FrameKind(frame); k != tt.want {
+				t.Fatalf("round framed as %s, want %s", k, tt.want)
+			}
+			m, _, err := wire.Decode(frame, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sg, ok := m.(*SparseGlobalMsg); ok {
+				if sg.Enc != tt.codec.Enc() || sg.MaskHash != tt.meta.maskHash || sg.Dim != len(srv.cfg.Init) {
+					t.Errorf("sparse frame %+v, want encoding %s, mask hash %x, dim %d",
+						sg, tt.codec.Enc(), tt.meta.maskHash, len(srv.cfg.Init))
+				}
+			} else if dg := m.(*GlobalMsg); !sameBits(dg.Payload, g.Payload) {
+				t.Errorf("dense frame payload %v, want %v", dg.Payload, g.Payload)
+			}
+		})
 	}
 }
 

@@ -129,13 +129,6 @@ type serverMetrics struct {
 	rejQuarantine *telemetry.Counter
 	rejOther      *telemetry.Counter
 
-	// codecSessions counts negotiated sessions per payload codec (resumes
-	// renegotiate and count again); sparseSavedBytes accumulates the wire
-	// bytes sparse broadcast frames saved against the same round's dense
-	// frame, counted as frames are queued.
-	codecSessions    [int(wire.CodecSparseQ16) + 1]*telemetry.Counter
-	sparseSavedBytes *telemetry.Counter
-
 	// Resume-path accounting: how reconnecting clients were brought
 	// current (replay from retained history, sketch-reconciled delta, or
 	// full snapshot), what each catch-up cost, and how the bounded
@@ -184,8 +177,6 @@ func newServerMetrics(reg *telemetry.Registry) serverMetrics {
 		rejCosine:     reg.Counter("apf_update_rejections_total", rejHelp, "reason", "direction_outlier"),
 		rejQuarantine: reg.Counter("apf_update_rejections_total", rejHelp, "reason", "quarantined"),
 		rejOther:      reg.Counter("apf_update_rejections_total", rejHelp, "reason", "other"),
-		sparseSavedBytes: reg.Counter("apf_sparse_bytes_saved_total",
-			"Wire bytes sparse broadcast frames saved against the same round's dense frame."),
 	}
 	const modeHelp = "Resuming sessions brought current, by catch-up mode."
 	m.resumeReplay = reg.Counter("apf_resume_mode_total", modeHelp, "mode", "replay")
@@ -199,10 +190,6 @@ func newServerMetrics(reg *telemetry.Registry) serverMetrics {
 		"Aggregate-history rounds dropped by the retention cap.")
 	m.historyLen = reg.Gauge("apf_history_rounds",
 		"Aggregate-history rounds currently retained for replay.")
-	for c := wire.CodecDense; c <= wire.CodecSparseQ16; c++ {
-		m.codecSessions[c] = reg.Counter("apf_codec_sessions_total",
-			"Sessions negotiated, by payload codec.", "codec", c.String())
-	}
 	return m
 }
 

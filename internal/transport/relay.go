@@ -14,9 +14,9 @@ import (
 )
 
 // RelayConfig parameterizes one edge relay: a full aggregation server on
-// its downward face (client sessions, codec negotiation, sanitization,
-// durability) that, instead of reducing locally, exports each round's
-// exact fixed-point partial sum and streams it to the root coordinator.
+// its downward face (client sessions, sanitization, durability) that,
+// instead of reducing locally, exports each round's exact fixed-point
+// partial sum and streams it to the root coordinator.
 type RelayConfig struct {
 	// Addr is the downward listen address for client sessions.
 	Addr string
@@ -40,12 +40,12 @@ type RelayConfig struct {
 	// tolerance, exactly as on ServerConfig.
 	RoundDeadline time.Duration
 	MinClients    int
-	// Codec is the strongest payload codec negotiated with clients. The
-	// upstream leg is always full-dimension — partial sums are exact
-	// integer columns (width-packed on the wire), not payloads. With
-	// CodecSparseQ16 here, configure the root
-	// with the same codec so its commits are binary16-representable and
-	// the relay's quantized downward framing stays lossless.
+	// Codec is the cluster's payload codec, spoken with the relay's clients.
+	// The root must announce the same codec: the relay refuses its Welcome
+	// otherwise, so a sparse-q16 relay only ever frames commits the root
+	// already rounded through binary16. The upstream leg itself is always
+	// full-dimension — partial sums are exact integer columns (width-packed
+	// on the wire), and the root's globals are dense.
 	Codec wire.Codec
 	// CheckpointDir/SnapshotEvery make the relay's downward face durable,
 	// exactly as on ServerConfig.
@@ -140,7 +140,7 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 		applied: -1,
 	}
 	r.up = newUplink(&uplink{
-		peer: "upstream", addr: cfg.Upstream, dial: cfg.Dial, ioTimeout: cfg.IOTimeout,
+		peer: "upstream", addr: cfg.Upstream, codec: cfg.Codec, dial: cfg.Dial, ioTimeout: cfg.IOTimeout,
 		maxRetries: cfg.MaxRetries, jitter: jitterStream(cfg.Seed, 5_000_000, cfg.SessionKey, cfg.Name),
 		failures: r.relayM.reconnects, wireM: newWireMetrics(cfg.Metrics), log: r.log,
 	})
@@ -321,8 +321,7 @@ func (r *Relay) join(ctx context.Context) (*countingConn, *WelcomeMsg, error) {
 		HaveRound:  r.applied,
 		Clients:    r.cfg.NumClients,
 	}
-	// The first welcome fixes the upstream geometry; the relay leg offers
-	// no codec capabilities, so it is always dense.
+	// The first welcome fixes the upstream geometry.
 	conn, w, err := r.up.connect(ctx, join, func(w *WelcomeMsg) error {
 		if err := checkWelcome(w); err != nil {
 			return err

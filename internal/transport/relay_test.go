@@ -387,6 +387,48 @@ func TestRelayResendIsByteIdentical(t *testing.T) {
 	}
 }
 
+// TestRelayRefusesForeignCodec: a cluster speaks one codec, and the root
+// announces its own to relays too. A sparse-q16 relay under a dense root
+// would frame the root's full-precision commits as binary16 while its log
+// kept them exact; it refuses the root's Welcome instead — Run returns a
+// protocol error before the downward face is built (so before any client
+// joins) and spends no upstream retries.
+func TestRelayRefusesForeignCodec(t *testing.T) {
+	root, err := NewServer(ServerConfig{Addr: "127.0.0.1:0", Relays: 1, Rounds: 2,
+		Init: []float64{0, 0, 0}, Metrics: telemetry.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	rootDone := make(chan struct{})
+	go func() {
+		defer close(rootDone)
+		_, _ = root.Run(ctx)
+	}()
+	defer func() { cancel(); <-rootDone }()
+
+	rel, err := NewRelay(RelayConfig{
+		Addr: "127.0.0.1:0", Upstream: root.Addr().String(), Name: "edge", SessionKey: "edge",
+		NumClients: 1, Codec: wire.CodecSparseQ16, MaxRetries: 3, Metrics: telemetry.New(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rel.Run(ctx); !errors.Is(err, errProtocol) {
+		t.Fatalf("sparse-q16 relay under a dense root: got %v, want a protocol error", err)
+	}
+	if rel.Server() != nil {
+		t.Error("the relay built its downward face after refusing the root")
+	}
+	if n := rel.relayM.reconnects.Value(); n != 0 {
+		t.Errorf("the refusal spent %d upstream retries, want none", n)
+	}
+	if n := root.metrics.connsTotal.Value(); n != 1 {
+		t.Errorf("root accepted %d connections, want 1", n)
+	}
+}
+
 // TestRootRejectsWrongDimPartial: a well-formed, CRC-valid partial whose
 // coordinate count is not the model's is a protocol violation raised by
 // the connection layer — the typed error aborts the strict run, and the

@@ -5,7 +5,6 @@
 package transport
 
 import (
-	"net"
 	"runtime"
 	"testing"
 	"weak"
@@ -15,45 +14,45 @@ import (
 
 // TestCommittedFrameNotRetained pins that the server keeps no encoded
 // frame past its commit: with HistoryRounds 0 (every round retained in the
-// ledger), each committed round's frames — the dense one and a lazily
-// built sparse variant — become unreachable as soon as the session queues
-// holding them drain. Only the ledger's payloads outlive a round.
+// ledger), each committed round's one frame — shared by every session
+// queue, sparse only on the rounds with mask evidence — becomes
+// unreachable as soon as the queues holding it drain. Only the ledger's
+// payloads outlive a round.
 func TestCommittedFrameNotRetained(t *testing.T) {
 	srv := newFanoutServer(t)
-	var sessions []*session
-	for id, codec := range []wire.Codec{wire.CodecDense, wire.CodecSparseQ16} {
-		server, peer := net.Pipe()
-		t.Cleanup(func() { closeQuietly(server); closeQuietly(peer) })
-		sess := newSession(id, "", "queue-only")
-		sess.conn, sess.gen, sess.codec = srv.track(server), 1, codec
-		sessions = append(sessions, sess)
-	}
-	srv.sessions = sessions
+	srv.cfg.Codec = wire.CodecSparseQ16
+	sessions := queueSessions(t, srv, 2)
 
-	kinds := []wire.Kind{wire.KindGlobal, wire.KindSparseGlobal}
+	const rounds = 4
 	var frames []weak.Pointer[byte]
-	for r := 0; r < 3; r++ {
+	for r := 0; r < rounds; r++ {
+		meta, kind := roundMeta{maskGen: -1}, wire.KindGlobal
+		if r%2 == 0 {
+			meta, kind = roundMeta{maskHash: 0xfeed, maskGen: 1}, wire.KindSparseGlobal
+		}
 		g := &GlobalMsg{Round: r, Participants: 2, Payload: fanoutPayload(r)}
-		if err := srv.commitRound(g, roundMeta{maskHash: 0xfeed, maskGen: 1}, false); err != nil {
+		if err := srv.commitRound(g, meta, false); err != nil {
 			t.Fatal(err)
 		}
+		frame := sessions[0].queue[0]
 		for i, sess := range sessions {
 			sess.mu.Lock()
-			if len(sess.queue) != 1 || wire.FrameKind(sess.queue[0]) != kinds[i] {
-				t.Fatalf("round %d: session %d queued %d frames, want one %s", r, i, len(sess.queue), kinds[i])
+			if len(sess.queue) != 1 || &sess.queue[0][0] != &frame[0] || wire.FrameKind(frame) != kind {
+				t.Fatalf("round %d: session %d queued %d frames, want the round's one shared %s frame",
+					r, i, len(sess.queue), kind)
 			}
-			frames = append(frames, weak.Make(&sess.queue[0][0]))
 			sess.queue = nil // the writer's pop
 			sess.mu.Unlock()
 		}
+		frames = append(frames, weak.Make(&frame[0]))
 	}
 	runtime.GC()
-	for i, f := range frames {
+	for r, f := range frames {
 		if f.Value() != nil {
-			t.Errorf("round %d's frame for session %d is still reachable after its queue drained", i/2, i%2)
+			t.Errorf("round %d's frame is still reachable after its queues drained", r)
 		}
 	}
-	if got := srv.CommittedRounds(); got != 3 {
-		t.Fatalf("committed %d rounds, want 3", got)
+	if got := srv.CommittedRounds(); got != rounds {
+		t.Fatalf("committed %d rounds, want %d", got, rounds)
 	}
 }

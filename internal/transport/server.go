@@ -60,12 +60,12 @@ type ServerConfig struct {
 	// deadline may fire the aggregation (default 1). The deadline never
 	// aggregates fewer; the round keeps waiting instead.
 	MinClients int
-	// Codec is the strongest payload codec the server will negotiate per
-	// session (wire.NegotiateCodec caps it by each client's advertised
-	// capabilities). CodecDense — the zero value — keeps every session on
-	// the dense kinds. CodecSparseQ16 additionally rounds every
-	// committed aggregate through binary16, so dense and quantized sessions
-	// of one cluster observe bit-identical models.
+	// Codec is the cluster's payload codec. The server announces it in
+	// every Welcome, and a client or relay configured with another refuses
+	// the session. CodecDense — the zero value — keeps every session on
+	// the dense kinds. CodecSparseQ16 additionally rounds every committed
+	// aggregate through binary16, so the dense frames of rounds without
+	// mask evidence carry exactly the values a quantized frame would.
 	Codec wire.Codec
 	// CheckpointDir makes the coordinator durable: the server persists a
 	// snapshot plus write-ahead log under this directory and, when it
@@ -531,10 +531,8 @@ func (s *Server) Run(ctx context.Context) ([]float64, error) {
 		partialTier: s.cfg.root(),
 		reducer:     s.reducer,
 		payloads:    s.payloads,
-		// Config-driven, not negotiation-driven: a q16-capable server
-		// quantizes commits whether or not any client negotiated q16, so
-		// the committed trajectory never depends on who happens to be
-		// connected (or on recovery timing).
+		// Config-driven: the committed trajectory never depends on who
+		// happens to be connected (or on recovery timing).
 		quantizeCommit: s.cfg.Codec == wire.CodecSparseQ16,
 		reduction:      s.cfg.Reduction,
 		trimFrac:       s.cfg.TrimFraction,
@@ -599,16 +597,17 @@ func (s *Server) strikeClient(id, round int, err error) {
 // commitRound implements roundSink. Commit before broadcast: once any
 // client observes round R, a restarted server must still know it, or
 // resume would refuse the client for claiming rounds the server never
-// produced. The aggregate is encoded into a single frame shared by every
-// session's outbound queue, so serialization cost is O(1) in client count
-// and delivery never blocks the round loop; no frame outlives its queues.
+// produced. The aggregate is encoded once, into a single frame shared by
+// every session's outbound queue, so serialization cost is O(1) in client
+// count and delivery never blocks the round loop; no frame outlives its
+// queues.
 func (s *Server) commitRound(g *GlobalMsg, meta roundMeta, partial bool) error {
 	if s.store != nil {
 		if err := s.store.Append(kindWALGlobal, encodeWALGlobal(&s.walEnc, g)); err != nil {
 			return err
 		}
 	}
-	rf := newRoundFrames(g, meta, len(s.cfg.Init))
+	frame := s.roundFrame(g, meta)
 	s.mu.Lock()
 	// Inside the critical section, so a concurrent resume's missed list or
 	// capture always matches its cursor.
@@ -628,8 +627,30 @@ func (s *Server) commitRound(g *GlobalMsg, meta roundMeta, partial bool) error {
 			return err
 		}
 	}
-	s.fanOut(g.Round, rf)
+	s.fanOut(g.Round, g.Round, frame)
 	return nil
+}
+
+// roundFrame encodes a committed aggregate in the cluster's codec: sparse
+// when the codec is sparse and the round proved mask agreement (every
+// participant attested the same non-zero hash, which the receiver
+// re-checks against its own mask before expanding), dense otherwise. The
+// root tier always frames dense: relays read dense globals.
+func (s *Server) roundFrame(g *GlobalMsg, meta roundMeta) []byte {
+	c := s.cfg.Codec
+	if c < wire.CodecSparse || meta.maskHash == 0 || s.cfg.root() {
+		return wire.Encode(g)
+	}
+	sg := &SparseGlobalMsg{
+		Round:        g.Round,
+		Participants: g.Participants,
+		MaskHash:     meta.maskHash,
+		MaskGen:      meta.maskGen,
+		Dim:          len(s.cfg.Init),
+		Enc:          c.Enc(),
+	}
+	sg.Values, sg.Q = wire.PackSparse(c.Enc(), g.Payload)
+	return wire.Encode(sg)
 }
 
 // commitJump implements roundSink: a relay adopting the root's state
@@ -640,10 +661,7 @@ func (s *Server) commitRound(g *GlobalMsg, meta roundMeta, partial bool) error {
 // Commit-before-broadcast still holds: the jumped state reaches the
 // checkpoint store before any session can observe it.
 func (s *Server) commitJump(g *GlobalMsg, snap *wire.SnapshotMsg) error {
-	// Without mask evidence (maskHash 0) the one snapshot frame serves
-	// every codec.
-	rf := &roundFrames{g: *g, meta: roundMeta{maskGen: -1}}
-	rf.encoded[wire.CodecDense] = wire.Encode(snap)
+	frame := wire.Encode(snap)
 	s.mu.Lock()
 	s.ledger.jump(g, snap)
 	s.round = g.Round + 1
@@ -652,6 +670,6 @@ func (s *Server) commitJump(g *GlobalMsg, snap *wire.SnapshotMsg) error {
 	if err := s.rotate(g.Round + 1); err != nil {
 		return err
 	}
-	s.fanOut(0, rf)
+	s.fanOut(0, g.Round, frame)
 	return nil
 }

@@ -29,14 +29,11 @@ type session struct {
 	key  string
 	name string
 
-	mu sync.Mutex
-	// codec is the payload codec negotiated at the session's latest join
-	// (wire.NegotiateCodec of the server's cap and the client's Caps).
-	codec wire.Codec
-	cond  *sync.Cond    // signalled on queue/conn/inflight changes
-	conn  *countingConn // nil while disconnected
-	gen   int           // bumps per attached connection; stale readers detach no-one
-	sent  int           // next round whose GlobalMsg this connection needs
+	mu   sync.Mutex
+	cond *sync.Cond    // signalled on queue/conn/inflight changes
+	conn *countingConn // nil while disconnected
+	gen  int           // bumps per attached connection; stale readers detach no-one
+	sent int           // next round whose GlobalMsg this connection needs
 	// queue holds encoded frames awaiting the writer goroutine; inflight
 	// marks a frame popped but not yet written; sendErr is the sticky
 	// write failure of the current connection.
@@ -52,78 +49,27 @@ func newSession(id int, key, name string) *session {
 	return sess
 }
 
-// roundFrames caches the encoded forms of the round being committed — at
-// most one immutable frame per codec, shared by every session writer, so
-// encode cost stays O(1) in client count per codec actually in use. The
-// dense frame is built eagerly at commit; sparse variants are built on the
-// first session that needs them. Nothing keeps the cache past its commit:
-// a frame lives exactly as long as some queue holds it.
-type roundFrames struct {
-	g    GlobalMsg
-	meta roundMeta
-	dim  int // dense model dimension (sparse frame metadata)
-
-	mu      sync.Mutex
-	encoded [int(wire.CodecSparseQ16) + 1][]byte
-}
-
-// newRoundFrames builds the cache for one committed aggregate with its
-// dense frame pre-encoded.
-func newRoundFrames(g *GlobalMsg, meta roundMeta, dim int) *roundFrames {
-	rf := &roundFrames{g: *g, meta: meta, dim: dim}
-	rf.encoded[wire.CodecDense] = wire.Encode(g)
-	return rf
-}
-
-// frame returns the round's frame for a session codec, encoding it on
-// first request. A sparse frame is only sound when the round proved mask
-// agreement (every participant attested the same non-zero hash, which the
-// receiver re-checks against its own mask before expanding); rounds
-// without that evidence fall back to the dense frame, which sparse
-// sessions accept as well.
-func (rf *roundFrames) frame(c wire.Codec) []byte {
-	if c <= wire.CodecDense || int(c) >= len(rf.encoded) || rf.meta.maskHash == 0 {
-		return rf.encoded[wire.CodecDense]
-	}
-	rf.mu.Lock()
-	defer rf.mu.Unlock()
-	if rf.encoded[c] == nil {
-		sg := &SparseGlobalMsg{
-			Round:        rf.g.Round,
-			Participants: rf.g.Participants,
-			MaskHash:     rf.meta.maskHash,
-			MaskGen:      rf.meta.maskGen,
-			Dim:          rf.dim,
-			Enc:          c.Enc(),
-		}
-		sg.Values, sg.Q = wire.PackSparse(c.Enc(), rf.g.Payload)
-		rf.encoded[c] = wire.Encode(sg)
-	}
-	return rf.encoded[c]
-}
-
-// fanOut queues one committed round's frames on every session.
-func (s *Server) fanOut(from int, rf *roundFrames) {
+// fanOut queues one committed round's frame on every session. The frame
+// is shared, never copied: every queue holds the same backing array.
+func (s *Server) fanOut(from, round int, frame []byte) {
 	s.mu.Lock()
 	sessions := append([]*session(nil), s.sessions...)
 	s.mu.Unlock()
 	for _, sess := range sessions {
-		s.enqueue(sess, from, rf)
+		s.enqueue(sess, from, round, frame)
 	}
 }
 
-// enqueue queues round rf.g.Round's frame, in the variant of the session's
-// codec, on its writer. The frame brings a connection whose cursor lies in
-// [from, round] to round+1: a GlobalMsg frame only the cursor at its own
-// round (from == round), a jump's snapshot frame any cursor (from 0). A
-// cursor past the round already received it in its resume Welcome. The
-// behind-cursor rule: no frame but the one being committed is kept, so a
-// cursor behind from cannot be served from the queue — like a connection
-// whose queue overflowed, it is detached and the peer resumes through the
-// Welcome (in fault-tolerant mode; in strict mode the posted failure
-// aborts the run).
-func (s *Server) enqueue(sess *session, from int, rf *roundFrames) {
-	round := rf.g.Round
+// enqueue queues round's frame on a session's writer. The frame brings a
+// connection whose cursor lies in [from, round] to round+1: a GlobalMsg
+// frame only the cursor at its own round (from == round), a jump's
+// snapshot frame any cursor (from 0). A cursor past the round already
+// received it in its resume Welcome. The behind-cursor rule: no frame but
+// the one being committed is kept, so a cursor behind from cannot be
+// served from the queue — like a connection whose queue overflowed, it is
+// detached and the peer resumes through the Welcome (in fault-tolerant
+// mode; in strict mode the posted failure aborts the run).
+func (s *Server) enqueue(sess *session, from, round int, frame []byte) {
 	sess.mu.Lock()
 	if sess.conn == nil || sess.sent > round {
 		sess.mu.Unlock()
@@ -148,20 +94,9 @@ func (s *Server) enqueue(sess *session, from int, rf *roundFrames) {
 		s.post(event{id: sess.id, name: sess.name, err: err})
 		return
 	}
-	frame := rf.frame(sess.codec)
 	sess.queue = append(sess.queue, frame)
 	sess.sent = round + 1
 	s.metrics.queueFrames.Add(1)
-	if wire.FrameKind(frame) == wire.KindSparseGlobal {
-		// What this broadcast would have cost on a dense session of the
-		// same round. Lossless sparse frames usually cost a few metadata
-		// bytes MORE (the scalars are identical — dense payloads are
-		// already mask-compacted); the quantized codec is where the wire
-		// actually shrinks.
-		if saved := len(rf.frame(wire.CodecDense)) - len(frame); saved > 0 {
-			s.metrics.sparseSavedBytes.Add(int64(saved))
-		}
-	}
 	sess.cond.Broadcast()
 	sess.mu.Unlock()
 }
@@ -342,11 +277,9 @@ func (s *Server) acceptLoop() {
 				if !s.cfg.root() {
 					err = protocolErrorf("relay join on a flat coordinator")
 				} else {
-					// A relay session is a join with no codec capabilities:
-					// the upstream leg is always dense (the relay folds
-					// whatever its clients negotiated into exact fixed-point
-					// columns), so the shared registration, resume, and
-					// replay machinery applies unchanged.
+					// A relay session is a plain join: the shared
+					// registration, resume, and replay machinery applies
+					// unchanged.
 					join = &JoinMsg{Name: j.Name, SessionKey: j.SessionKey, HaveRound: j.HaveRound}
 					s.log.Info("relay joining", "relay", j.Name, "clients", j.Clients)
 				}
@@ -389,7 +322,6 @@ func (s *Server) handleJoin(cc *countingConn, join *JoinMsg) {
 	sess := newSession(len(s.sessions), join.SessionKey, join.Name)
 	sess.conn = cc
 	sess.gen = 1
-	sess.codec = wire.NegotiateCodec(s.cfg.Codec, join.Caps)
 	s.sessions = append(s.sessions, sess)
 	if sess.key != "" {
 		s.byKey[sess.key] = sess
@@ -399,9 +331,7 @@ func (s *Server) handleJoin(cc *countingConn, join *JoinMsg) {
 		close(s.regReady)
 	}
 	s.mu.Unlock()
-	s.metrics.codecSessions[sess.codec].Add(1)
-	s.log.Info("session negotiated", "client", sess.id, "name", sess.name,
-		"codec", sess.codec.String())
+	s.log.Info("session registered", "client", sess.id, "name", sess.name)
 
 	w := WelcomeMsg{
 		ClientID:   sess.id,
@@ -409,7 +339,7 @@ func (s *Server) handleJoin(cc *countingConn, join *JoinMsg) {
 		Rounds:     s.cfg.Rounds,
 		Dim:        len(s.cfg.Init),
 		Init:       s.cfg.Init,
-		Codec:      sess.codec,
+		Codec:      s.cfg.Codec,
 	}
 	// The welcome is written directly: the session's writer goroutine only
 	// starts afterwards, so queued aggregate frames cannot overtake it.
@@ -462,10 +392,6 @@ func (s *Server) resume(sess *session, cc *countingConn, join *JoinMsg) {
 			return
 		}
 	}
-	// Renegotiate from the fresh Caps: the session's codec tracks what the
-	// currently attached client actually speaks. The missed replay above
-	// stays dense regardless, so resume reconstruction is codec-independent.
-	codec := wire.NegotiateCodec(s.cfg.Codec, join.Caps)
 	w := WelcomeMsg{
 		ClientID:   sess.id,
 		NumClients: s.cfg.peers(),
@@ -474,7 +400,7 @@ func (s *Server) resume(sess *session, cc *countingConn, join *JoinMsg) {
 		Round:      round,
 		Resumed:    true,
 		Missed:     missed,
-		Codec:      codec,
+		Codec:      s.cfg.Codec,
 	}
 	if join.HaveRound < 0 {
 		// A peer with no applied round may be a fresh process re-attaching
@@ -492,7 +418,6 @@ func (s *Server) resume(sess *session, cc *countingConn, join *JoinMsg) {
 	sess.gen++
 	gen := sess.gen
 	sess.conn = cc
-	sess.codec = codec
 	sess.sent = done
 	dropped := len(sess.queue)
 	sess.queue = nil
@@ -504,7 +429,6 @@ func (s *Server) resume(sess *session, cc *countingConn, join *JoinMsg) {
 	s.metrics.resumes.Inc()
 	s.metrics.replayedGlobals.Add(int64(len(missed)))
 	s.metrics.queueFrames.Add(float64(-dropped))
-	s.metrics.codecSessions[codec].Add(1)
 	if cap == nil {
 		s.metrics.resumeReplay.Inc()
 	}
@@ -654,19 +578,16 @@ func (s *Server) relayReader(sess *session, gen int, cc *countingConn) {
 	}
 }
 
-// checkSparseUpdate validates a sparse update against the session's
-// negotiated codec: the kind is only legal on sparse sessions, the scalar
-// encoding must be the negotiated one, and the declared dense dimension
-// must be the run's.
+// checkSparseUpdate validates a sparse update against the cluster's
+// codec: the kind is only legal on a sparse cluster, the scalar encoding
+// must be the codec's, and the declared dense dimension must be the run's.
 func (s *Server) checkSparseUpdate(sess *session, u *SparseUpdateMsg) error {
-	sess.mu.Lock()
-	codec := sess.codec
-	sess.mu.Unlock()
+	codec := s.cfg.Codec
 	if codec <= wire.CodecDense {
-		return protocolErrorf("client %d sent a sparse update on a %s session", sess.id, codec)
+		return protocolErrorf("client %d sent a sparse update on a %s cluster", sess.id, codec)
 	}
 	if u.Enc != codec.Enc() {
-		return protocolErrorf("client %d sparse update encoding %s, session negotiated %s",
+		return protocolErrorf("client %d sparse update encoding %s, cluster codec %s",
 			sess.id, u.Enc, codec.Enc())
 	}
 	if u.Dim != len(s.cfg.Init) {

@@ -1,29 +1,35 @@
 package transport
 
 import (
+	"context"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
+	"time"
 
+	"apf/internal/telemetry"
 	"apf/internal/wire"
 )
 
 // TestTCPSparseLosslessMatchesSimulatorBitExact is the sparse codec's
-// keystone: the identical run through the simulator and through a TCP
-// cluster negotiating sparse-lossless must produce the same model the
-// dense transport would — positional sparse framing and dense framing are
-// interchangeable representations, and the sparse wire is strictly
-// smaller once freezing sets in.
+// keystone: the identical run through the simulator and through a sparse
+// TCP cluster must produce the same model the dense transport would —
+// positional sparse framing and dense framing are interchangeable
+// representations, and the sparse wire is strictly smaller once freezing
+// sets in.
 func TestTCPSparseLosslessMatchesSimulatorBitExact(t *testing.T) {
 	f := newSimFixture(tinyModel)
 	sim := f.simGlobal()
 
-	sparse := []wire.Codec{wire.CodecSparse, wire.CodecSparse, wire.CodecSparse}
-	results, srv := f.runCluster(t, ServerConfig{Codec: wire.CodecSparse}, sparse)
+	results, srv := f.runCluster(t, ServerConfig{Codec: wire.CodecSparse})
 	requireMatchesSimulator(t, results, sim)
 
-	if n := srv.metrics.codecSessions[wire.CodecSparse].Value(); n != simClients {
-		t.Errorf("sparse sessions negotiated = %d, want %d", n, simClients)
+	// Every update crossed the wire sparse.
+	in := srv.wireM.frames[dirIn]
+	if n, dense := in[wire.KindSparseUpdate].Value(), in[wire.KindUpdate].Value(); n != simClients*simRounds || dense != 0 {
+		t.Errorf("server read %d sparse and %d dense updates, want %d sparse and none dense",
+			n, dense, simClients*simRounds)
 	}
 
 	// The dense control arm: same fixture, dense codec, same bit-exact
@@ -31,8 +37,7 @@ func TestTCPSparseLosslessMatchesSimulatorBitExact(t *testing.T) {
 	// framing carries the identical scalars plus a fixed metadata overhead
 	// (mask hash, generation, dim, encoding tag) per frame — bounded here
 	// at 48 bytes per update/broadcast pair per client-round.
-	dense := []wire.Codec{wire.CodecDense, wire.CodecDense, wire.CodecDense}
-	denseResults, _ := f.runCluster(t, ServerConfig{}, dense)
+	denseResults, _ := f.runCluster(t, ServerConfig{})
 	requireMatchesSimulator(t, denseResults, sim)
 	var sparseWire, denseWire int64
 	for i := range results {
@@ -46,53 +51,63 @@ func TestTCPSparseLosslessMatchesSimulatorBitExact(t *testing.T) {
 	}
 }
 
-// TestTCPMixedCodecClusterBitExact runs one dense client alongside two
-// sparse ones under a sparse-capable server: negotiation is per-session,
-// the broadcast cache frames each round once per codec, and the cluster
-// still converges bit-identically to the simulator.
-func TestTCPMixedCodecClusterBitExact(t *testing.T) {
+// TestClientRefusesForeignCodec: a cluster speaks one codec. A dense
+// client joining a sparse server refuses the Welcome with a protocol
+// error, at once, without spending its reconnect budget.
+func TestClientRefusesForeignCodec(t *testing.T) {
 	f := newSimFixture(tinyModel)
-	sim := f.simGlobal()
-	mixed := []wire.Codec{wire.CodecDense, wire.CodecSparse, wire.CodecSparse}
-	results, srv := f.runCluster(t, ServerConfig{Codec: wire.CodecSparse}, mixed)
-	requireMatchesSimulator(t, results, sim)
-	if n := srv.metrics.codecSessions[wire.CodecDense].Value(); n != 1 {
-		t.Errorf("dense sessions = %d, want 1", n)
+	srv, err := NewServer(ServerConfig{
+		Addr: "127.0.0.1:0", NumClients: simClients, Rounds: simRounds, Init: f.init,
+		Codec: wire.CodecSparse, Metrics: telemetry.New(),
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := srv.metrics.codecSessions[wire.CodecSparse].Value(); n != 2 {
-		t.Errorf("sparse sessions = %d, want 2", n)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	serverDone := make(chan struct{})
+	go func() {
+		defer close(serverDone)
+		_, _ = srv.Run(ctx)
+	}()
+	defer func() { cancel(); <-serverDone }()
+
+	cfg := f.clients(srv.Addr().String(), wire.CodecDense)[0]
+	cfg.MaxRetries = 3
+	if _, err := RunClient(ctx, cfg); !errors.Is(err, errProtocol) {
+		t.Fatalf("dense client on a sparse server: got %v, want a protocol error", err)
+	}
+	if n := srv.metrics.connsTotal.Value(); n != 1 {
+		t.Errorf("server accepted %d connections, want 1: the refusal spent retries", n)
 	}
 }
 
 // TestTCPQ16ClusterConsistent checks the quantized codec's consistency
 // contract rather than simulator equality (binary16 changes the
-// trajectory by design): with the server quantizing every commit, a mixed
-// dense/q16 cluster must end with every client holding the identical
-// model — the dense client reads full-precision frames of quantized
-// commits, the q16 clients decode half-precision frames, and both see the
-// same values.
+// trajectory by design): with the server quantizing every commit, an
+// all-q16 cluster must end with every client holding the identical model
+// — whether a round reached it as a half-precision sparse frame or, for
+// rounds without mask evidence, as a full-precision dense frame of the
+// quantized commit.
 func TestTCPQ16ClusterConsistent(t *testing.T) {
 	f := newSimFixture(tinyModel)
-	mixed := []wire.Codec{wire.CodecDense, wire.CodecSparseQ16, wire.CodecSparseQ16}
-	results, srv := f.runCluster(t, ServerConfig{Codec: wire.CodecSparseQ16}, mixed)
+	results, _ := f.runCluster(t, ServerConfig{Codec: wire.CodecSparseQ16})
 	for c := 1; c < len(results); c++ {
 		if !reflect.DeepEqual(results[c].FinalModel, results[0].FinalModel) {
 			t.Fatalf("client %d's final model diverged from client 0's", c)
 		}
 	}
-	if n := srv.metrics.codecSessions[wire.CodecSparseQ16].Value(); n != 2 {
-		t.Errorf("q16 sessions = %d, want 2", n)
+	// The q16 cluster's measured wire traffic stays well under a dense
+	// run of the same fixture: every unfrozen scalar crosses at 2 bytes
+	// instead of 8.
+	denseResults, _ := f.runCluster(t, ServerConfig{})
+	var q16Wire, denseWire int64
+	for i := range results {
+		q16Wire += results[i].WireRead + results[i].WireWritten
+		denseWire += denseResults[i].WireRead + denseResults[i].WireWritten
 	}
-	// Half-precision broadcasts beat the dense frames of the same rounds.
-	if saved := srv.metrics.sparseSavedBytes.Value(); saved <= 0 {
-		t.Errorf("q16 broadcasts saved %d bytes vs dense frames; want > 0", saved)
-	}
-	// And the q16 clients' measured wire traffic stays well under the dense
-	// client's: every scalar crosses at 2 bytes instead of 8.
-	q16Wire := results[1].WireRead + results[1].WireWritten
-	denseWire := results[0].WireRead + results[0].WireWritten
 	if q16Wire >= denseWire {
-		t.Errorf("q16 client moved %d wire bytes, dense client %d; quantization must shrink the wire",
+		t.Errorf("q16 cluster moved %d wire bytes, dense cluster %d; quantization must shrink the wire",
 			q16Wire, denseWire)
 	}
 	// The final model must not be the all-dense trajectory: quantized
@@ -105,9 +120,10 @@ func TestTCPQ16ClusterConsistent(t *testing.T) {
 }
 
 // TestTCPSparseUnderChaosMatchesSimulatorBitExact severs sparse sessions
-// mid-run: each reconnect renegotiates the codec, re-sends the in-flight
-// update as a sparse frame, and the run must still match the simulator
-// bit for bit — the acceptance bar for sparse-lossless under chaos.
+// mid-run: each reconnect checks the Welcome's codec again, re-sends the
+// in-flight update as a sparse frame, and the run must still match the
+// simulator bit for bit — the acceptance bar for sparse-lossless under
+// chaos.
 func TestTCPSparseUnderChaosMatchesSimulatorBitExact(t *testing.T) {
 	f := newSimFixture(tinyModel)
 	sim := f.simGlobal()

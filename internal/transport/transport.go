@@ -214,9 +214,6 @@ func checkRejoin(first, w *WelcomeMsg) error {
 	if !w.Resumed {
 		return protocolErrorf("server restarted the session instead of resuming it")
 	}
-	if w.Codec != first.Codec {
-		return protocolErrorf("resume welcome changed codec %s→%s", first.Codec, w.Codec)
-	}
 	return nil
 }
 

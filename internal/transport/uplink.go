@@ -36,11 +36,11 @@ const (
 // retry loop — while the round protocol on top (training and updates, or
 // partial sums) stays with the caller.
 type uplink struct {
-	// peer names the tier above in errors ("server", "upstream"); offer is
-	// the strongest codec the join offers, which no Welcome may exceed.
+	// peer names the tier above in errors ("server", "upstream"); codec is
+	// this peer's payload codec, which every Welcome must announce.
 	peer  string
 	addr  string
-	offer wire.Codec
+	codec wire.Codec
 	// dial nil selects a TCP dialer with dialTimeout; ioTimeout 0 selects
 	// defaultIOTimeout.
 	dial      DialFunc
@@ -55,8 +55,8 @@ type uplink struct {
 	wireM               wireMetrics
 	log                 *slog.Logger
 
-	// first keeps the identity, geometry, and codec of the first accepted
-	// Welcome (nil before it); every later Welcome must resume it.
+	// first keeps the identity and geometry of the first accepted Welcome
+	// (nil before it); every later Welcome must resume it.
 	first *WelcomeMsg
 	// fails counts consecutive failed attempts; mark is the applied round
 	// at the last failure, so progress past it refills the budget.
@@ -109,9 +109,9 @@ func (u *uplink) watch(ctx context.Context) (stop func()) {
 }
 
 // connect dials the tier above, writes join, and reads the Welcome,
-// leaving the connection installed. The first Welcome must not exceed the
-// offered codec and goes to accept; every later one must resume it
-// (checkRejoin).
+// leaving the connection installed. Every Welcome must announce the
+// peer's own codec; the first goes to accept, and every later one must
+// resume it (checkRejoin).
 func (u *uplink) connect(ctx context.Context, join wire.Msg, accept func(*WelcomeMsg) error) (*countingConn, *WelcomeMsg, error) {
 	if ctx.Err() != nil {
 		return nil, nil, ctx.Err()
@@ -140,19 +140,19 @@ func (u *uplink) connect(ctx context.Context, join wire.Msg, accept func(*Welcom
 	if !ok {
 		return nil, nil, protocolErrorf("expected a welcome frame, got %s", m.WireKind())
 	}
+	if w.Codec != u.codec {
+		return nil, nil, protocolErrorf("%s speaks codec %s, this peer %s", u.peer, w.Codec, u.codec)
+	}
 	if u.first != nil {
 		if err := checkRejoin(u.first, w); err != nil {
 			return nil, nil, err
 		}
 		return conn, w, nil
 	}
-	if w.Codec > u.offer {
-		return nil, nil, protocolErrorf("server negotiated codec %s, stronger than the offered %s", w.Codec, u.offer)
-	}
 	if err := accept(w); err != nil {
 		return nil, nil, err
 	}
-	u.first = &WelcomeMsg{ClientID: w.ClientID, Rounds: w.Rounds, Dim: w.Dim, Codec: w.Codec}
+	u.first = &WelcomeMsg{ClientID: w.ClientID, Rounds: w.Rounds, Dim: w.Dim}
 	return conn, w, nil
 }
 

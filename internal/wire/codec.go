@@ -17,12 +17,11 @@ func (m *JoinMsg) appendBody(w *checkpoint.Writer) {
 	w.String(m.Name)
 	w.String(m.SessionKey)
 	w.Int(m.HaveRound)
-	w.U64(m.Caps)
 }
 
 // readJoin decodes a JoinMsg body.
 func readJoin(r *checkpoint.Reader) *JoinMsg {
-	return &JoinMsg{Name: r.String(), SessionKey: r.String(), HaveRound: r.Int(), Caps: r.U64()}
+	return &JoinMsg{Name: r.String(), SessionKey: r.String(), HaveRound: r.Int()}
 }
 
 // appendBody serializes a WelcomeMsg body.
@@ -72,7 +71,7 @@ func readWelcome(r *checkpoint.Reader) *WelcomeMsg {
 	}
 	c := r.U16()
 	if r.Err() == nil && c > uint16(CodecSparseQ16) {
-		r.Fail(fmt.Sprintf("unknown negotiated codec %d", c))
+		r.Fail(fmt.Sprintf("unknown codec %d", c))
 	}
 	m.Codec = Codec(c)
 	m.CatchUp = r.Bool()

@@ -31,7 +31,7 @@ func FuzzWireDecode(f *testing.F) {
 	// v2 handshake and sparse forms: the canonical-versioning rule makes
 	// these the interesting mutation targets (version byte vs body shape).
 	for _, m := range []Msg{
-		&JoinMsg{Name: "shard-1", Caps: CapSparse | CapQuantized},
+		&JoinMsg{Name: "shard-1", SessionKey: "k", HaveRound: 3},
 		&WelcomeMsg{ClientID: 0, NumClients: 1, Rounds: 1, Dim: 2, Init: []float64{0, 0}, Codec: CodecSparseQ16},
 		&SparseUpdateMsg{Round: 2, Weight: 4, MaskHash: 0xabad1dea, MaskGen: 3, Dim: 6,
 			Enc: EncF64, Values: []float64{1.5, -2.25}},

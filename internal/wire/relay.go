@@ -9,9 +9,9 @@ import (
 // session. It is the relay-tier analogue of JoinMsg: the root answers with
 // the same WelcomeMsg a client would get (geometry, init model, missed
 // rounds), but the session collects PartialUpdateMsg pushes instead of
-// per-client updates. Relay↔root traffic is always full-dimension — a relay
-// folds whatever its clients negotiated back into exact fixed-point columns
-// — so the message advertises no codec capabilities.
+// per-client updates. Relay↔root traffic is always full-dimension: a relay
+// folds its clients' payloads, whatever the codec, back into exact
+// fixed-point columns.
 type RelayJoinMsg struct {
 	Name string
 	// SessionKey identifies a resumable relay session, exactly as on

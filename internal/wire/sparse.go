@@ -7,13 +7,12 @@ import (
 	"apf/internal/quantize"
 )
 
-// Codec identifies a per-session payload codec, negotiated at the
-// Join/Welcome handshake: the client advertises capability bits (Caps),
-// the server picks the strongest codec both sides support, bounded by its
-// own configured maximum.
+// Codec identifies a cluster's payload codec. Every tier of one cluster
+// speaks the same codec: the server announces its own in each
+// WelcomeMsg, and a peer configured with another refuses the session.
 type Codec uint8
 
-// The negotiable codecs, weakest to strongest.
+// The payload codecs, weakest to strongest.
 const (
 	// CodecDense frames every payload as dense UpdateMsg/GlobalMsg.
 	CodecDense Codec = 0
@@ -23,17 +22,6 @@ const (
 	// CodecSparseQ16 additionally quantizes the unfrozen scalars to IEEE
 	// binary16 (4x fewer payload bytes than CodecSparse; lossy).
 	CodecSparseQ16 Codec = 2
-)
-
-// Capability bits a client advertises in JoinMsg.Caps. Unknown bits are
-// ignored by the server (forward compatibility).
-const (
-	// CapSparse: the client can frame its unfrozen scalars as sparse
-	// messages and expand sparse globals (requires a mask-reporting
-	// compact manager).
-	CapSparse uint64 = 1 << 0
-	// CapQuantized: the client additionally speaks binary16 payloads.
-	CapQuantized uint64 = 1 << 1
 )
 
 // String names the codec for flags, metrics, and errors.
@@ -62,40 +50,12 @@ func ParseCodec(s string) (Codec, error) {
 	return 0, fmt.Errorf("wire: unknown codec %q (want dense, sparse, or sparse-q16)", s)
 }
 
-// Caps returns the capability bits a client must advertise to obtain this
-// codec.
-func (c Codec) Caps() uint64 {
-	switch c {
-	case CodecSparse:
-		return CapSparse
-	case CodecSparseQ16:
-		return CapSparse | CapQuantized
-	}
-	return 0
-}
-
 // Enc returns the payload scalar encoding this codec puts on the wire.
 func (c Codec) Enc() Enc {
 	if c == CodecSparseQ16 {
 		return EncF16
 	}
 	return EncF64
-}
-
-// NegotiateCodec picks the strongest codec allowed by both the server's
-// configured maximum and the client's advertised capability bits. Missing
-// capabilities degrade gracefully toward dense; the result never exceeds
-// what the client asked for, so a client advertising no capabilities
-// always gets a dense session.
-func NegotiateCodec(max Codec, caps uint64) Codec {
-	c := CodecDense
-	if max >= CodecSparse && caps&CapSparse != 0 {
-		c = CodecSparse
-	}
-	if max >= CodecSparseQ16 && caps&CapSparse != 0 && caps&CapQuantized != 0 {
-		c = CodecSparseQ16
-	}
-	return c
 }
 
 // Enc identifies the scalar encoding of a sparse payload.

@@ -175,47 +175,18 @@ func TestHostileHalfCount(t *testing.T) {
 	}
 }
 
-func TestNegotiateCodec(t *testing.T) {
-	cases := []struct {
-		max  Codec
-		caps uint64
-		want Codec
-	}{
-		{CodecDense, 0, CodecDense},
-		{CodecDense, CapSparse | CapQuantized, CodecDense},
-		{CodecSparse, 0, CodecDense},
-		{CodecSparse, CapSparse, CodecSparse},
-		{CodecSparse, CapSparse | CapQuantized, CodecSparse},
-		{CodecSparseQ16, CapSparse, CodecSparse},
-		{CodecSparseQ16, CapSparse | CapQuantized, CodecSparseQ16},
-		// Quantization without sparsity is not a codec: degrade to dense.
-		{CodecSparseQ16, CapQuantized, CodecDense},
-		// Unknown future bits are ignored.
-		{CodecSparseQ16, CapSparse | CapQuantized | 1<<40, CodecSparseQ16},
-	}
-	for _, tt := range cases {
-		if got := NegotiateCodec(tt.max, tt.caps); got != tt.want {
-			t.Errorf("NegotiateCodec(%v, %b) = %v, want %v", tt.max, tt.caps, got, tt.want)
-		}
-	}
-}
-
-func TestCodecStringsAndCaps(t *testing.T) {
+func TestCodecStrings(t *testing.T) {
 	for _, tt := range []struct {
-		c    Codec
-		s    string
-		caps uint64
-		enc  Enc
+		c   Codec
+		s   string
+		enc Enc
 	}{
-		{CodecDense, "dense", 0, EncF64},
-		{CodecSparse, "sparse", CapSparse, EncF64},
-		{CodecSparseQ16, "sparse-q16", CapSparse | CapQuantized, EncF16},
+		{CodecDense, "dense", EncF64},
+		{CodecSparse, "sparse", EncF64},
+		{CodecSparseQ16, "sparse-q16", EncF16},
 	} {
 		if tt.c.String() != tt.s {
 			t.Errorf("%d.String() = %q, want %q", tt.c, tt.c.String(), tt.s)
-		}
-		if tt.c.Caps() != tt.caps {
-			t.Errorf("%v.Caps() = %b, want %b", tt.c, tt.c.Caps(), tt.caps)
 		}
 		if tt.c.Enc() != tt.enc {
 			t.Errorf("%v.Enc() = %v, want %v", tt.c, tt.c.Enc(), tt.enc)
@@ -276,9 +247,10 @@ func TestFrameKind(t *testing.T) {
 	}
 }
 
-// TestHandshakeRoundTrip covers Caps/Codec surviving the wire.
+// TestHandshakeRoundTrip covers the join and the Welcome's codec
+// surviving the wire.
 func TestHandshakeRoundTrip(t *testing.T) {
-	j := &JoinMsg{Name: "c1", SessionKey: "k", HaveRound: 4, Caps: CapSparse | CapQuantized}
+	j := &JoinMsg{Name: "c1", SessionKey: "k", HaveRound: 4}
 	got, _, err := Decode(Encode(j), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -296,7 +268,7 @@ func TestHandshakeRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, w) {
 		t.Fatalf("welcome round trip: %+v", got)
 	}
-	// An out-of-range negotiated codec is corrupt.
+	// An out-of-range codec is corrupt.
 	frame := Encode(w)
 	body := append([]byte(nil), frame[headerLen:len(frame)-trailerLen]...)
 	body[len(body)-11] = 9 // codec u16 low byte, before catch-up flag + mask generation

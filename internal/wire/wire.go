@@ -46,7 +46,7 @@ import (
 
 // Version is the protocol version stamped on every frame and the only one
 // decoded.
-const Version = 8
+const Version = 9
 
 // Frame geometry.
 const (
@@ -158,9 +158,6 @@ type JoinMsg struct {
 	// none); on resume the server replies with the missed payloads
 	// (HaveRound+1 … current-1).
 	HaveRound int
-	// Caps advertises the client's codec capabilities (CapSparse,
-	// CapQuantized). 0 requests the dense codec.
-	Caps uint64
 }
 
 // WelcomeMsg tells a client its identity and the run geometry.
@@ -180,11 +177,11 @@ type WelcomeMsg struct {
 	Resumed bool
 	// Missed carries the GlobalMsg payloads for rounds HaveRound+1 … Round-1
 	// so a resuming client can replay them and rebuild its mask state.
-	// Replay frames stay dense/lossless regardless of the negotiated
-	// codec, so resume reconstruction is bit-exact by construction.
+	// Replay frames stay dense/lossless whatever the cluster's codec, so
+	// resume reconstruction is bit-exact by construction.
 	Missed []GlobalMsg
-	// Codec is the server's pick for this session given the client's
-	// advertised Caps (never stronger than them). CodecDense keeps the
+	// Codec is the server's own payload codec, the cluster's; a peer
+	// configured with another refuses the session. CodecDense keeps the
 	// session on the dense Update/Global kinds.
 	Codec Codec
 	// CatchUp tells a resuming client that replay history no
