@@ -56,6 +56,7 @@ fuzz:
 	$(GO) test ./internal/fl/ -run '^$$' -fuzz '^FuzzParsePacked$$' -fuzztime 10s
 	$(GO) test ./internal/bitset/ -run '^$$' -fuzz '^FuzzFromWords$$' -fuzztime 10s
 	$(GO) test ./internal/quantize/ -run '^$$' -fuzz '^FuzzHalfValue$$' -fuzztime 10s
+	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzStabilityCheckMatchesReference$$' -fuzztime 10s
 
 # Re-stamp the checked-in fixture-backed fuzz seeds (internal/wire and
 # internal/transport testdata: valid-*, two-frame-stream, and the damaged

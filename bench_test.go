@@ -152,10 +152,20 @@ func BenchmarkEMATrackerObserve(b *testing.B) {
 // BenchmarkManagerRound measures one full steady-state client round
 // (rollback + upload + compact codec + download/check) over the
 // Dim × frozen-ratio grid. The /telemetry variants attach a live
-// telemetry registry through the manager's observer hook. For working
-// measurements only: the tracked timings of these paths are bench/'s
-// core.*_ms and trace.overhead_frac rows.
+// telemetry registry through the manager's observer hook. The apf#
+// variant is sparse-q16-durable's manager: dim 264,970, a stability check
+// and a 0.9 APF# draw every round, after a local step over every scalar.
+// For working measurements only: the tracked timings of these paths are
+// bench/'s core.*_ms and trace.overhead_frac rows.
 func BenchmarkManagerRound(b *testing.B) {
+	b.Run("apf#/dim=264970/check=1", func(b *testing.B) {
+		m, x, start := newRandomManagerAt(264_970)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			driftRound(m, start+i, x)
+		}
+	})
 	for _, c := range roundCases() {
 		b.Run(fmt.Sprintf("dim=%d/frozen=%.2f", c.Dim, c.Frozen), func(b *testing.B) {
 			m, x, start := newManagerAt(c.Dim, c.Frozen, nil)

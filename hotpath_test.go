@@ -123,6 +123,30 @@ func steadyRound(m *core.Manager, round int, x []float64) {
 	m.ApplyDownload(round, x, dense)
 }
 
+// newRandomManagerAt returns an APF# manager in sparse-q16-durable's shape
+// (a check every round, each unstable scalar frozen with probability 0.9
+// for one round) over dim scalars, warmed past its first checks, with its
+// model and the next round to drive through driftRound.
+func newRandomManagerAt(dim int) (*core.Manager, []float64, int) {
+	m := core.NewManager(core.Config{Dim: dim, Seed: 1, CheckEveryRounds: 1,
+		Random: core.RandomFreeze{Mode: core.RandomFixed, Prob: 0.9}})
+	x := make([]float64, dim)
+	for round := 0; round < 4; round++ {
+		driftRound(m, round, x)
+	}
+	return m, x, 4
+}
+
+// driftRound is steadyRound after a local step that moves every scalar the
+// same way, so no scalar ever turns stable and the mask stays APF#'s fresh
+// draw.
+func driftRound(m *core.Manager, round int, x []float64) {
+	for j := range x {
+		x[j] += 0x1p-10
+	}
+	steadyRound(m, round, x)
+}
+
 // aggregateClients is the client count of the aggregation benchmark (the
 // paper's testbed size).
 const aggregateClients = 10
@@ -370,16 +394,37 @@ func TestTrainTrajectoryPinned(t *testing.T) {
 }
 
 // TestSteadyStateRoundAcrossCheckBoundary confirms rounds that trigger the
-// periodic stability check still work from the benchmark fixture (the check
-// itself may allocate; it runs once every CheckEveryRounds).
+// periodic stability check work from the benchmark fixture and allocate
+// nothing, the check included: the fixture's check every 64 rounds, and an
+// APF# manager that checks and draws every round.
 func TestSteadyStateRoundAcrossCheckBoundary(t *testing.T) {
-	m, x, start := newManagerAt(10_000, 0.95, nil)
-	for i := 0; i < 2*warmupRounds; i++ {
-		steadyRound(m, start+i, x)
-	}
+	m, x, round := newManagerAt(10_000, 0.95, nil)
+	avg := testing.AllocsPerRun(2*warmupRounds, func() {
+		steadyRound(m, round, x)
+		round++
+	})
 	want := float64(9_500) / 10_000
 	if got := m.FrozenRatio(); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("frozen ratio %v after crossing check boundaries, want %v", m.FrozenRatio(), want)
+	}
+	if avg != 0 {
+		t.Errorf("rounds across check boundaries allocate %v times per round, want 0", avg)
+	}
+
+	r, xr, round := newRandomManagerAt(10_000)
+	checks := r.Checks()
+	avg = testing.AllocsPerRun(50, func() {
+		driftRound(r, round, xr)
+		round++
+	})
+	if got := r.Checks() - checks; got != 51 {
+		t.Fatalf("APF# manager ran %d checks in 51 rounds, want 51", got)
+	}
+	if got := r.FrozenRatio(); math.Abs(got-0.9) > 0.02 {
+		t.Fatalf("APF# frozen ratio %v, want about 0.9", got)
+	}
+	if avg != 0 {
+		t.Errorf("APF# rounds, each with a check, allocate %v times per round, want 0", avg)
 	}
 }
 

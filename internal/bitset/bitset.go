@@ -46,15 +46,6 @@ func (b *BitSet) Clear(i int) {
 	b.words[i/wordBits] &^= 1 << (i % wordBits)
 }
 
-// SetTo sets bit i to v.
-func (b *BitSet) SetTo(i int, v bool) {
-	if v {
-		b.Set(i)
-	} else {
-		b.Clear(i)
-	}
-}
-
 // Get reports bit i.
 func (b *BitSet) Get(i int) bool {
 	b.check(i)

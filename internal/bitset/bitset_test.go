@@ -24,11 +24,6 @@ func TestSetGetClear(t *testing.T) {
 	if b.Get(64) || b.Count() != 7 {
 		t.Error("Clear failed")
 	}
-	b.SetTo(64, true)
-	b.SetTo(0, false)
-	if !b.Get(64) || b.Get(0) {
-		t.Error("SetTo failed")
-	}
 }
 
 func TestOutOfRangePanics(t *testing.T) {

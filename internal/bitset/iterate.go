@@ -1,4 +1,4 @@
-// Word-level iteration and gather/scatter over the freezing bitmap. The
+// Word-level copy, blend and gather/scatter over the freezing bitmap. The
 // APF hot path touches every model scalar several times per round; these
 // helpers process the mask 64 bits at a time — skipping all-clear words
 // outright, bulk-copying through all-set words, and walking mixed words
@@ -12,59 +12,6 @@ import (
 
 // allOnes is a fully set word.
 const allOnes = ^uint64(0)
-
-// NextSet returns the index of the first set bit at or after i, or -1 when
-// no set bit remains.
-func (b *BitSet) NextSet(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	if i >= b.n {
-		return -1
-	}
-	wi := i / wordBits
-	// Mask off the bits below i in the first candidate word.
-	w := b.words[wi] >> (i % wordBits)
-	if w != 0 {
-		return i + bits.TrailingZeros64(w)
-	}
-	for wi++; wi < len(b.words); wi++ {
-		if w := b.words[wi]; w != 0 {
-			return wi*wordBits + bits.TrailingZeros64(w)
-		}
-	}
-	return -1
-}
-
-// IterateSet calls fn for every set bit in ascending order.
-func (b *BitSet) IterateSet(fn func(i int)) {
-	for wi, w := range b.words {
-		base := wi * wordBits
-		for w != 0 {
-			fn(base + bits.TrailingZeros64(w))
-			w &= w - 1 // clear the lowest set bit
-		}
-	}
-}
-
-// IterateClear calls fn for every clear bit in ascending order.
-func (b *BitSet) IterateClear(fn func(i int)) {
-	for wi, w := range b.words {
-		tail := b.tailMask(wi)
-		if w == tail {
-			continue
-		}
-		base := wi * wordBits
-		inv := ^w & tail
-		for inv != 0 {
-			fn(base + bits.TrailingZeros64(inv))
-			inv &= inv - 1
-		}
-	}
-}
-
-// AnyInWord reports whether backing word wi contains any set bit.
-func (b *BitSet) AnyInWord(wi int) bool { return b.words[wi] != 0 }
 
 // SetWord overwrites backing word wi. Bits beyond Len in the final word
 // must be zero; they are cleared defensively.
@@ -101,10 +48,7 @@ func (b *BitSet) ApplyMasked(dst, src []float64) {
 		}
 		base := wi * wordBits
 		if w == b.tailMask(wi) {
-			end := base + wordBits
-			if end > b.n {
-				end = b.n
-			}
+			end := min(base+wordBits, b.n)
 			copy(dst[base:end], src[base:end])
 			continue
 		}
@@ -127,10 +71,7 @@ func (b *BitSet) ApplyUnmasked(dst, src []float64) {
 		}
 		base := wi * wordBits
 		if w == 0 {
-			end := base + wordBits
-			if end > b.n {
-				end = b.n
-			}
+			end := min(base+wordBits, b.n)
 			copy(dst[base:end], src[base:end])
 			continue
 		}
@@ -139,6 +80,30 @@ func (b *BitSet) ApplyUnmasked(dst, src []float64) {
 			j := base + bits.TrailingZeros64(inv)
 			dst[j] = src[j]
 			inv &= inv - 1
+		}
+	}
+}
+
+// Blend writes set[j] into dst[j] for every set bit j and clear[j] for
+// every clear bit j: ApplyUnmasked(dst, clear) then ApplyMasked(dst, set)
+// in one pass. Each word copies its majority side wholesale and patches
+// the minority bits, so dst must alias neither source.
+func (b *BitSet) Blend(dst, set, clear []float64) {
+	b.checkLen(dst)
+	b.checkLen(set)
+	b.checkLen(clear)
+	for wi, w := range b.words {
+		base := wi * wordBits
+		end := min(base+wordBits, b.n)
+		from, patch, minority := set, clear, ^w&b.tailMask(wi)
+		if 2*bits.OnesCount64(w) < end-base {
+			from, patch, minority = clear, set, w
+		}
+		copy(dst[base:end], from[base:end])
+		for minority != 0 {
+			j := base + bits.TrailingZeros64(minority)
+			dst[j] = patch[j]
+			minority &= minority - 1
 		}
 	}
 }
@@ -154,10 +119,7 @@ func (b *BitSet) GatherUnmasked(dst, src []float64) []float64 {
 		}
 		base := wi * wordBits
 		if w == 0 {
-			end := base + wordBits
-			if end > b.n {
-				end = b.n
-			}
+			end := min(base+wordBits, b.n)
 			dst = append(dst, src[base:end]...)
 			continue
 		}
@@ -179,10 +141,7 @@ func (b *BitSet) ScatterUnmasked(dst, compact, fill []float64) int {
 	i := 0
 	for wi, w := range b.words {
 		base := wi * wordBits
-		end := base + wordBits
-		if end > b.n {
-			end = b.n
-		}
+		end := min(base+wordBits, b.n)
 		tail := b.tailMask(wi)
 		switch w {
 		case 0:
@@ -190,14 +149,10 @@ func (b *BitSet) ScatterUnmasked(dst, compact, fill []float64) int {
 		case tail:
 			copy(dst[base:end], fill[base:end])
 		default:
-			for k := base; k < end; k++ {
-				if w&1 != 0 {
-					dst[k] = fill[k]
-				} else {
-					dst[k] = compact[i]
-					i++
-				}
-				w >>= 1
+			copy(dst[base:end], fill[base:end])
+			for inv := ^w & tail; inv != 0; inv &= inv - 1 {
+				dst[base+bits.TrailingZeros64(inv)] = compact[i]
+				i++
 			}
 		}
 	}
@@ -209,10 +164,7 @@ func (b *BitSet) ScatterUnmasked(dst, compact, fill []float64) int {
 func (b *BitSet) Fill(pred func(i int) bool) {
 	for wi := range b.words {
 		base := wi * wordBits
-		end := base + wordBits
-		if end > b.n {
-			end = b.n
-		}
+		end := min(base+wordBits, b.n)
 		var w uint64
 		for k := base; k < end; k++ {
 			if pred(k) {

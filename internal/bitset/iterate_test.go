@@ -1,6 +1,7 @@
 package bitset
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -22,88 +23,6 @@ func randomSet(t *testing.T, rng *rand.Rand, n int, p float64) (*BitSet, []bool)
 
 // lengths exercises word boundaries: sub-word, aligned, and ragged tails.
 var lengths = []int{0, 1, 63, 64, 65, 127, 128, 130, 1000}
-
-func TestNextSet(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, n := range lengths {
-		for _, p := range []float64{0, 0.03, 0.5, 1} {
-			b, ref := randomSet(t, rng, n, p)
-			for i := 0; i <= n; i++ {
-				want := -1
-				for j := i; j < n; j++ {
-					if ref[j] {
-						want = j
-						break
-					}
-				}
-				if got := b.NextSet(i); got != want {
-					t.Fatalf("n=%d p=%v NextSet(%d) = %d, want %d", n, p, i, got, want)
-				}
-			}
-			if got := b.NextSet(-5); got != b.NextSet(0) {
-				t.Fatalf("NextSet(-5) = %d, want NextSet(0) = %d", got, b.NextSet(0))
-			}
-		}
-	}
-}
-
-func TestIterateSet(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, n := range lengths {
-		b, ref := randomSet(t, rng, n, 0.4)
-		var got []int
-		b.IterateSet(func(i int) { got = append(got, i) })
-		var want []int
-		for j, set := range ref {
-			if set {
-				want = append(want, j)
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("n=%d IterateSet visited %d bits, want %d", n, len(got), len(want))
-		}
-		for k := range got {
-			if got[k] != want[k] {
-				t.Fatalf("n=%d IterateSet[%d] = %d, want %d", n, k, got[k], want[k])
-			}
-		}
-	}
-}
-
-func TestIterateClear(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for _, n := range lengths {
-		for _, p := range []float64{0, 0.5, 1} {
-			b, ref := randomSet(t, rng, n, p)
-			var got []int
-			b.IterateClear(func(i int) { got = append(got, i) })
-			var want []int
-			for j, set := range ref {
-				if !set {
-					want = append(want, j)
-				}
-			}
-			if len(got) != len(want) {
-				t.Fatalf("n=%d p=%v IterateClear visited %d bits, want %d", n, p, len(got), len(want))
-			}
-			for k := range got {
-				if got[k] != want[k] {
-					t.Fatalf("n=%d IterateClear[%d] = %d, want %d", n, k, got[k], want[k])
-				}
-			}
-		}
-	}
-}
-
-func TestAnyInWord(t *testing.T) {
-	b := New(130)
-	b.Set(70)
-	for wi, want := range []bool{false, true, false} {
-		if got := b.AnyInWord(wi); got != want {
-			t.Fatalf("AnyInWord(%d) = %v, want %v", wi, got, want)
-		}
-	}
-}
 
 func TestSetWordClampsTail(t *testing.T) {
 	b := New(70)
@@ -142,6 +61,37 @@ func TestApplyMaskedUnmasked(t *testing.T) {
 				}
 				if dstU[j] != wantU {
 					t.Fatalf("n=%d p=%v ApplyUnmasked[%d] = %v, want %v", n, p, j, dstU[j], wantU)
+				}
+			}
+		}
+	}
+}
+
+// TestBlend pins the one-pass blend against its per-bit definition at
+// every density, including words split exactly in half.
+func TestBlend(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for _, n := range lengths {
+		for _, p := range []float64{0, 0.1, 0.5, 0.9, 1} {
+			b, ref := randomSet(t, rng, n, p)
+			if p == 0.5 && n >= 64 {
+				b.words[0], ref = 0xffff_0000_ffff_0000, append(ref[:0:0], ref...)
+				for j := 0; j < 64; j++ {
+					ref[j] = b.words[0]&(1<<j) != 0
+				}
+			}
+			set, clear, dst := make([]float64, n), make([]float64, n), make([]float64, n)
+			for j := range set {
+				set[j], clear[j], dst[j] = rng.NormFloat64(), rng.NormFloat64(), math.NaN()
+			}
+			b.Blend(dst, set, clear)
+			for j, isSet := range ref {
+				want := clear[j]
+				if isSet {
+					want = set[j]
+				}
+				if dst[j] != want {
+					t.Fatalf("n=%d p=%v Blend[%d] = %v, want %v", n, p, j, dst[j], want)
 				}
 			}
 		}

@@ -39,6 +39,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"apf/internal/bitset"
 	"apf/internal/perturb"
@@ -177,6 +178,10 @@ type Manager struct {
 	// invariant it maintains.
 	wordGen []uint32
 
+	// rng is the random-freezing draw stream, re-seeded in place by every
+	// check that draws (nil until the first).
+	rng *stats.SplitStream
+
 	threshold   float64
 	checkCount  int
 	initialized bool
@@ -242,18 +247,13 @@ func (m *Manager) refreshMask(round int) {
 	count := 0
 	validUntil := math.MaxInt
 	m.mask.Fill(func(j int) bool {
-		u, r := m.unfreezeAt[j], m.randomUntil[j]
-		if round < u || round < r {
-			count++
-			if u < r {
-				u = r
-			}
-			if u < validUntil {
-				validUntil = u // scalar j unfreezes at round u
-			}
-			return true
+		until := max(m.unfreezeAt[j], m.randomUntil[j]) // j unfreezes at round until
+		if round >= until {
+			return false
 		}
-		return false
+		count++
+		validUntil = min(validUntil, until)
+		return true
 	})
 	m.maskRound = round
 	m.maskCount = count
@@ -284,10 +284,7 @@ func (m *Manager) PrepareUpload(round int, x []float64) ([]float64, float64, int
 	if m.contribBuf == nil {
 		m.contribBuf = make([]float64, m.cfg.Dim)
 	}
-	m.mask.ApplyUnmasked(m.contribBuf, x)
-	if m.maskCount > 0 {
-		m.mask.ApplyMasked(m.contribBuf, m.ref)
-	}
+	m.mask.Blend(m.contribBuf, m.ref, x)
 	unfrozen := m.cfg.Dim - m.maskCount
 	return m.contribBuf, 1, int64(unfrozen) * int64(m.cfg.BytesPerValue)
 }
@@ -300,15 +297,17 @@ func (m *Manager) ApplyDownload(round int, x, global []float64) int64 {
 	m.checkDim(global)
 	m.refreshMask(round)
 	m.lastRound = round
-	m.mask.ApplyUnmasked(x, global)
+	// Pull into ref, then hand the model ref whole: frozen scalars sit at
+	// their synchronized values, the rest take the aggregate. The
+	// follower's model is ref itself.
 	m.mask.ApplyUnmasked(m.ref, global)
-	if m.maskCount > 0 {
-		m.mask.ApplyMasked(x, m.ref)
+	if &x[0] != &m.ref[0] {
+		copy(x, m.ref)
 	}
 	unfrozen := m.cfg.Dim - m.maskCount
 	if m.cfg.Observer != nil {
 		// Report the mask that governed this round now: the stability
-		// check below may invalidate it (maskRound = -1) for lazy rebuild.
+		// check below replaces it with the next round's.
 		m.cfg.Observer.RoundApplied(round, m.maskCount, m.cfg.Dim)
 	}
 	if !m.initialized {
@@ -343,108 +342,127 @@ func (m *Manager) ApplyDownload(round int, x, global []float64) int64 {
 // stabilityCheck implements Alg. 1's StabilityCheck with the Fig. 8
 // semantics: only scalars that trained since the last check are
 // re-assessed; stable ones are (re-)frozen with policy-controlled periods,
-// and the random-freezing extensions add their masks on top.
+// and the random-freezing extensions add their masks on top. It is one
+// sweep over the round's mask words, in ascending scalar order, that also
+// refreshes the check baseline, counts the stability-frozen scalars and
+// builds the next round's mask, so the next PostIterate rebuilds nothing.
 func (m *Manager) stabilityCheck(round int, x []float64) {
 	m.checkCount++
-	// The caller (ApplyDownload) refreshed the mask for this round, so the
-	// bitmap is exactly the frozen-now set; every loop below iterates it
-	// word-level instead of re-deriving per-scalar freezing.
-	m.tracker.ObserveUnfrozen(x, m.lastCheck, m.mask)
-
+	next := round + 1
+	draws, prob, span := m.randomFreezing(round)
+	growing := m.cfg.Random.Mode == RandomGrowing
 	step := float64(m.cfg.CheckEveryRounds)
-	m.mask.IterateClear(func(j int) {
-		p := m.tracker.Perturbation(j)
-		stable := p < m.threshold
-		m.period[j] = m.cfg.Policy.NextPeriod(m.period[j], stable, step)
-		if stable && m.period[j] >= 1 {
-			m.unfreezeAt[j] = round + 1 + int(m.period[j])
-			m.ref[j] = x[j]
-		} else {
-			m.unfreezeAt[j] = 0
+	gen := uint32(next)
+	rng, lastCheck, ref := m.rng, m.lastCheck, m.ref
+	period, unfreezeAt, randomUntil := m.period, m.unfreezeAt, m.randomUntil
+	words := m.mask.Words()
+	frozen, count, validUntil := 0, 0, math.MaxInt
+	for w, frozenNow := range words {
+		base := w * 64
+		end := base + wordWidth(m.cfg.Dim, w)
+		// The mask governing round is exactly the frozen-now set: its
+		// clear bits are the scalars that trained since the last check.
+		for clear := ^frozenNow & fullWordBits(m.cfg.Dim, w); clear != 0; clear &= clear - 1 {
+			j := base + bits.TrailingZeros64(clear)
+			p := m.tracker.Fold(j, x[j]-lastCheck[j])
+			stable := p < m.threshold
+			period[j] = m.cfg.Policy.NextPeriod(period[j], stable, step)
+			if stable && period[j] >= 1 {
+				unfreezeAt[j] = next + int(period[j])
+				ref[j] = x[j]
+			} else {
+				unfreezeAt[j] = 0
+			}
 		}
-	})
-
-	m.applyRandomFreezing(round)
-	// Refresh the check baseline, tracking which words it actually
-	// changes bit-wise: frozen rollback can move lastCheck inside words
-	// that are fully frozen this round (a randomly-frozen scalar whose
-	// x rolled back to ref since the last check), which the unfrozen
-	// touch above cannot see.
-	gen := uint32(round + 1)
-	for j := range x {
-		if math.Float64bits(m.lastCheck[j]) != math.Float64bits(x[j]) {
-			m.lastCheck[j] = x[j]
-			m.wordGen[j>>6] = gen
+		touched := false
+		var nextBits uint64
+		for j := base; j < end; j++ {
+			u := unfreezeAt[j]
+			switch {
+			case next < u:
+				// Frozen by stability: no draw (§5 freezes unstable
+				// scalars), and counted for threshold decay.
+				frozen++
+			case !draws || rng.Float64() >= prob:
+				// No draw, or the draw leaves j training.
+			default:
+				length := 1
+				if growing {
+					length = 1 + int(rng.Float64()*span)
+				}
+				randomUntil[j] = next + length
+				// Random freezing can hit otherwise fully-frozen words.
+				touched = true
+			}
+			// Refresh the check baseline, tracking which words it
+			// actually changes bit-wise: frozen rollback can move
+			// lastCheck inside words that are fully frozen this round (a
+			// randomly-frozen scalar whose x rolled back to ref since the
+			// last check), which ApplyDownload's unfrozen touch cannot see.
+			if math.Float64bits(lastCheck[j]) != math.Float64bits(x[j]) {
+				lastCheck[j] = x[j]
+				touched = true
+			}
+			if until := max(u, randomUntil[j]); next < until {
+				nextBits |= 1 << (j - base)
+				count++
+				validUntil = min(validUntil, until)
+			}
+		}
+		words[w] = nextBits
+		if touched {
+			m.wordGen[w] = gen
 		}
 	}
+	m.tracker.CountObservation()
+	m.maskRound, m.maskCount, m.maskValidUntil = next, count, validUntil-1
 
 	// Threshold decay (§6.1): halve once most parameters are frozen by
 	// *stability*. Randomly frozen scalars (APF#/APF++) say nothing about
 	// stability — under APF++ the freezing probability approaches 1, so
 	// counting them would fire the decay on nearly every check and drive
 	// the threshold to zero regardless of actual parameter maturity.
-	// The observer wants the same stability-frozen count, so one pass
-	// serves both.
-	if m.cfg.ThresholdDecayFrac > 0 || m.cfg.Observer != nil {
-		frozen := 0
-		for j := 0; j < m.cfg.Dim; j++ {
-			if round+1 < m.unfreezeAt[j] {
-				frozen++
-			}
-		}
-		if m.cfg.ThresholdDecayFrac > 0 &&
-			float64(frozen) >= m.cfg.ThresholdDecayFrac*float64(m.cfg.Dim) {
-			m.threshold /= 2
-			if m.cfg.Observer != nil {
-				m.cfg.Observer.ThresholdDecayed(m.threshold)
-			}
-		}
+	if m.cfg.ThresholdDecayFrac > 0 &&
+		float64(frozen) >= m.cfg.ThresholdDecayFrac*float64(m.cfg.Dim) {
+		m.threshold /= 2
 		if m.cfg.Observer != nil {
-			m.cfg.Observer.StabilityChecked(m.checkCount, round, frozen)
+			m.cfg.Observer.ThresholdDecayed(m.threshold)
 		}
 	}
-	m.maskRound = -1 // mask changed; recompute lazily
+	if m.cfg.Observer != nil {
+		m.cfg.Observer.StabilityChecked(m.checkCount, round, frozen)
+	}
 }
 
-// applyRandomFreezing implements APF# / APF++ (§5). Decisions derive from
-// (Seed, checkCount) only, so every client freezes the same scalars.
-func (m *Manager) applyRandomFreezing(round int) {
+// randomFreezing sets up the check's APF# / APF++ draws (§5): whether
+// there are any, the freezing probability, and APF++'s length span. The
+// draws come from the stream of (Seed, checkCount) only, so every client
+// freezes the same scalars.
+func (m *Manager) randomFreezing(round int) (draws bool, prob, span float64) {
 	rf := m.cfg.Random
-	if rf.Mode == RandomOff {
-		return
-	}
-	var prob float64
 	switch rf.Mode {
+	case RandomOff:
+		return false, 0, 0
 	case RandomFixed:
 		prob = rf.Prob
 	case RandomGrowing:
 		prob = rf.ProbGrowth * float64(round+1)
+		maxLen := 1 + rf.LenGrowth*float64(round+1)
+		span = math.Max(0, maxLen-1)
 	default:
 		panic(fmt.Sprintf("core: unknown random freeze mode %d", rf.Mode))
 	}
 	if prob <= 0 {
-		return
+		return false, 0, 0
 	}
 	if prob > 1 {
 		prob = 1
 	}
-	rng := stats.SplitRNG(m.cfg.Seed, int64(m.checkCount))
-	for j := 0; j < m.cfg.Dim; j++ {
-		if round+1 < m.unfreezeAt[j] {
-			continue // already frozen by stability or a previous draw
-		}
-		if rng.Float64() >= prob {
-			continue
-		}
-		length := 1
-		if rf.Mode == RandomGrowing {
-			maxLen := 1 + rf.LenGrowth*float64(round+1)
-			length = 1 + int(rng.Float64()*math.Max(0, maxLen-1))
-		}
-		m.randomUntil[j] = round + 1 + length
-		// Random freezing can hit otherwise fully-frozen words.
-		m.wordGen[j>>6] = uint32(round + 1)
+	if m.rng == nil {
+		m.rng = new(stats.SplitStream)
 	}
+	m.rng.Reset(m.cfg.Seed, int64(m.checkCount))
+	return true, prob, span
 }
 
 // CompactUpload extracts the unfrozen scalars of a dense contribution, in
@@ -492,39 +510,23 @@ func (m *Manager) CompactLen(round int) int {
 
 // FrozenRatio returns the fraction of scalars frozen in the most recently
 // observed round.
-func (m *Manager) FrozenRatio() float64 {
-	if m.maskRound < 0 {
-		m.refreshMask(m.lastKnownRound())
-	}
-	return m.mask.Ratio()
-}
-
-// lastKnownRound picks a round for lazy mask refreshes triggered outside
-// the engine's call sequence (FrozenRatio/MaskWords right after a check
-// reset the mask). The mask then in force is the one governing the round
-// after the synchronization ApplyDownload last actually observed — the
-// same mask the §9 server placement ships to its clients. It is derived
-// from that observed round, NOT guessed as checkCount·CheckEveryRounds:
-// the guess undercounts whenever the first check was delayed past
-// initRound (e.g. a client joining late under partial participation) and
-// then reports freezing deadlines that have in fact already expired.
-func (m *Manager) lastKnownRound() int {
-	if m.maskRound >= 0 {
-		return m.maskRound
-	}
-	if m.lastRound >= 0 {
-		return m.lastRound + 1
-	}
-	return 0
-}
+func (m *Manager) FrozenRatio() float64 { return m.currentMask().Ratio() }
 
 // MaskWords exposes the freezing bitmap for cross-client consistency
 // checks.
-func (m *Manager) MaskWords() []uint64 {
+func (m *Manager) MaskWords() []uint64 { return m.currentMask().Words() }
+
+// currentMask returns the mask in force. Only a restore leaves the manager
+// without one; it then rebuilds the mask governing the round after the
+// synchronization ApplyDownload last observed (round 0 before any) — the
+// mask the §9 server placement ships. That round is never guessed as
+// checkCount·CheckEveryRounds, which undercounts whenever the first check
+// came late (a client joining late under partial participation).
+func (m *Manager) currentMask() *bitset.BitSet {
 	if m.maskRound < 0 {
-		m.refreshMask(m.lastKnownRound())
+		m.refreshMask(max(m.lastRound+1, 0))
 	}
-	return m.mask.Words()
+	return m.mask
 }
 
 // Threshold returns the current (possibly decayed) stability threshold.

@@ -24,12 +24,12 @@ package core
 //     the initializing download (the check baseline seeds everywhere).
 //   - stabilityCheck's re-assessment writes (tracker averages, period,
 //     unfreezeAt, ref) hit only scalars unfrozen in the same round, so
-//     the ApplyDownload touch already covers them; the baseline
-//     refresh (lastCheck ← x) is tracked bit-exactly per word because
-//     it can silently change words that are fully frozen (a
-//     randomly-frozen scalar's x rolls back to ref between checks).
-//   - applyRandomFreezing touches the word of every randomUntil write,
-//     which may land in otherwise fully-frozen words.
+//     the ApplyDownload touch already covers them. The same sweep
+//     touches the word of every APF#/APF++ randomUntil write, which may
+//     land in otherwise fully-frozen words, and tracks the baseline
+//     refresh (lastCheck ← x) bit-exactly per word, because it can
+//     silently change words that are fully frozen (a randomly-frozen
+//     scalar's x rolls back to ref between checks).
 
 // wordWidth returns how many scalars word w of a dim-scalar model holds.
 func wordWidth(dim, w int) int {

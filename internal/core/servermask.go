@@ -114,8 +114,8 @@ func (c *MaskClient) PostIterate(_ int, x []float64) {
 
 // PrepareUpload pushes the unfrozen scalars.
 func (c *MaskClient) PrepareUpload(_ int, x []float64) ([]float64, float64, int64) {
-	contrib := append([]float64(nil), x...)
-	c.frozen.ApplyMasked(contrib, c.ref)
+	contrib := make([]float64, len(x))
+	c.frozen.Blend(contrib, c.ref, x)
 	return contrib, 1, c.unfrozenBytes()
 }
 
@@ -126,9 +126,8 @@ func (c *MaskClient) PrepareUpload(_ int, x []float64) ([]float64, float64, int6
 // the value it just synchronized.
 func (c *MaskClient) ApplyDownload(round int, x, global []float64) int64 {
 	down := c.unfrozenBytes()
-	c.frozen.ApplyMasked(x, c.ref)
-	c.frozen.ApplyUnmasked(x, global)
 	c.frozen.ApplyUnmasked(c.ref, global)
+	copy(x, c.ref)
 	changed := c.srv.observe(round, global, c.frozen)
 	return down + int64(changed)*4
 }

@@ -79,3 +79,70 @@ func TestEngineTrajectoryPinned(t *testing.T) {
 		t.Errorf("per-round bytes\nup   %v\ndown %v\nwant\nup   %v\ndown %v", up, down, wantUp, wantDown)
 	}
 }
+
+// TestEngineRandomFreezingPinned pins the simulator's trajectory under the
+// §5 random-freezing extensions, whose draws no other pin reaches: APF#
+// (a fixed probability, one draw per unstable scalar) and APF++ (a growing
+// probability and a second draw for the length) on a check every round.
+// The constants were recorded with the multi-pass stability check and
+// math/rand's Float64 stream; every client's manager must hold the same
+// final mask, and a draw out of order moves the mask, the bytes and the
+// model.
+func TestEngineRandomFreezingPinned(t *testing.T) {
+	for _, c := range []struct {
+		name                 string
+		random               core.RandomFreeze
+		wantGlobal, wantMask uint64
+		wantUp               []int64
+	}{
+		{"apf#", core.RandomFreeze{Mode: core.RandomFixed, Prob: 0.5},
+			0x8ed97c3b1d1d86a8, 0x5a46612ce7617b59,
+			[]int64{26560, 26560, 13520, 13168, 13296, 12768, 12912, 13152, 13008, 13152, 13120, 12560, 12688, 13328}},
+		{"apf++", core.RandomFreeze{Mode: core.RandomGrowing, ProbGrowth: 0.06, LenGrowth: 0.4},
+			0x8fdfe058c1637d00, 0x901a19a8ad379700,
+			[]int64{26560, 26560, 23648, 21392, 19168, 16432, 13968, 11392, 9264, 6768, 5184, 3952, 2448, 2112}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			train, test := splitDataset(240, 40, 36)
+			parts := data.PartitionIID(stats.SplitRNG(36, 0), train.Len(), 4)
+			cfg := Config{Rounds: 14, LocalIters: 3, BatchSize: 12, Seed: 36, EvalEvery: 7}
+			var managers []*core.Manager
+			mf := func(_, dim int) SyncManager {
+				m := core.NewManager(core.Config{Dim: dim, CheckEveryRounds: 1, Threshold: 0.3, EMAAlpha: 0.8,
+					Seed: 36, Random: c.random})
+				managers = append(managers, m)
+				return m
+			}
+			e := New(cfg, mlpFactory, sgdFactory(0.3), mf, train, parts, test)
+			res := e.Run()
+
+			var up, down []int64
+			for _, m := range res.Rounds {
+				up = append(up, m.UpBytes)
+				down = append(down, m.DownBytes)
+			}
+			global := fnv.New64a()
+			hashFloats(global, e.Global())
+			mask := fnv.New64a()
+			var buf [8]byte
+			for _, w := range managers[0].MaskWords() {
+				binary.LittleEndian.PutUint64(buf[:], w)
+				mask.Write(buf[:])
+			}
+			for i, m := range managers[1:] {
+				if !slices.Equal(m.MaskWords(), managers[0].MaskWords()) {
+					t.Fatalf("client %d ends on a different mask than client 0", i+1)
+				}
+			}
+			if got := global.Sum64(); got != c.wantGlobal {
+				t.Errorf("final global hashes to %#016x, want %#016x", got, c.wantGlobal)
+			}
+			if got := mask.Sum64(); got != c.wantMask {
+				t.Errorf("final mask hashes to %#016x, want %#016x", got, c.wantMask)
+			}
+			if !slices.Equal(up, c.wantUp) || !slices.Equal(down, c.wantUp) {
+				t.Errorf("per-round bytes\nup   %v\ndown %v\nwant %v", up, down, c.wantUp)
+			}
+		})
+	}
+}

@@ -140,22 +140,28 @@ func (t *EMATracker) Dim() int { return len(t.e) }
 // Seen returns how many updates have been observed.
 func (t *EMATracker) Seen() int { return t.seen }
 
-// observeOne folds scalar j's update v into its averages, seeding on the
-// scalar's first genuine observation.
-func (t *EMATracker) observeOne(j int, v float64) {
-	if !t.seeded.Get(j) {
+// Fold folds scalar j's update v into its averages, seeding on the
+// scalar's first genuine observation, and returns j's new effective
+// perturbation. A caller that streams one observation through Fold, scalar
+// by scalar, counts it once with CountObservation.
+func (t *EMATracker) Fold(j int, v float64) float64 {
+	if seeded := t.seeded.Words(); t.nseed < len(t.e) && seeded[j>>6]&(1<<(j&63)) == 0 {
 		// Seed the averages with the first observation rather than zero,
 		// so early perturbation values are meaningful.
 		t.e[j] = v
 		t.a[j] = math.Abs(v)
-		t.seeded.Set(j)
+		seeded[j>>6] |= 1 << (j & 63)
 		t.nseed++
-		return
+	} else {
+		a, b := t.alpha, 1-t.alpha
+		t.e[j] = a*t.e[j] + b*v
+		t.a[j] = a*t.a[j] + b*math.Abs(v)
 	}
-	a, b := t.alpha, 1-t.alpha
-	t.e[j] = a*t.e[j] + b*v
-	t.a[j] = a*t.a[j] + b*math.Abs(v)
+	return ratio(t.e[j], t.a[j])
 }
+
+// CountObservation counts one observation folded scalar by scalar.
+func (t *EMATracker) CountObservation() { t.seen++ }
 
 // Observe folds one cumulative-update vector Δ into the moving averages.
 func (t *EMATracker) Observe(delta []float64) {
@@ -171,7 +177,7 @@ func (t *EMATracker) Observe(delta []float64) {
 		}
 	} else {
 		for j, v := range delta {
-			t.observeOne(j, v)
+			t.Fold(j, v)
 		}
 	}
 	t.seen++
@@ -189,23 +195,8 @@ func (t *EMATracker) ObserveMasked(delta []float64, skip func(j int) bool) {
 		if skip != nil && skip(j) {
 			continue
 		}
-		t.observeOne(j, v)
+		t.Fold(j, v)
 	}
-	t.seen++
-}
-
-// ObserveUnfrozen folds Δ = x − base into the averages at every clear bit
-// of frozen — the bitmap form of ObserveMasked, iterated word-level so the
-// APF stability check skips 64 frozen scalars at a time, and computing Δ
-// only where it is folded, so no dim-length Δ vector exists.
-func (t *EMATracker) ObserveUnfrozen(x, base []float64, frozen *bitset.BitSet) {
-	if len(x) != len(t.e) || len(base) != len(t.e) {
-		panic(fmt.Sprintf("perturb: update lengths %d/%d, want %d", len(x), len(base), len(t.e)))
-	}
-	if frozen == nil || frozen.Len() != len(t.e) {
-		panic("perturb: frozen bitmap does not match tracker dimension")
-	}
-	frozen.IterateClear(func(j int) { t.observeOne(j, x[j]-base[j]) })
 	t.seen++
 }
 
@@ -266,18 +257,6 @@ func (t *EMATracker) Restore(s EMAState, words []int) error {
 	t.nseed = t.seeded.Count()
 	t.seen = s.Seen
 	return nil
-}
-
-// PerturbationAll fills dst (allocated when nil or mis-sized) with every
-// scalar's effective perturbation.
-func (t *EMATracker) PerturbationAll(dst []float64) []float64 {
-	if len(dst) != len(t.e) {
-		dst = make([]float64, len(t.e))
-	}
-	for j := range dst {
-		dst[j] = ratio(t.e[j], t.a[j])
-	}
-	return dst
 }
 
 // ratio computes |num|/den with the 0/0 → 0 convention and clamping into

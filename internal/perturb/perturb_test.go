@@ -3,6 +3,7 @@ package perturb
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -293,7 +294,11 @@ func TestMaskedSeedingMatchesUnmaskedStream(t *testing.T) {
 	}
 }
 
-func TestObserveUnfrozenMatchesObserveMasked(t *testing.T) {
+// TestFoldMatchesObserveMasked pins the scalar-by-scalar form of a masked
+// observation: Fold at every unmasked scalar plus one CountObservation
+// leaves the averages, seeding and count exactly as ObserveMasked does, and
+// each Fold returns the scalar's new perturbation.
+func TestFoldMatchesObserveMasked(t *testing.T) {
 	const dim = 200
 	rng := rand.New(rand.NewSource(11))
 	a := NewEMATracker(dim, 0.95)
@@ -306,16 +311,28 @@ func TestObserveUnfrozenMatchesObserveMasked(t *testing.T) {
 			x[j], base[j] = rng.NormFloat64(), rng.NormFloat64()
 			delta[j] = x[j] - base[j]
 		}
-		a.ObserveUnfrozen(x, base, frozen)
 		b.ObserveMasked(delta, frozen.Get)
+		for j := 0; j < dim; j++ {
+			if frozen.Get(j) {
+				continue
+			}
+			if p := a.Fold(j, x[j]-base[j]); p != b.Perturbation(j) {
+				t.Fatalf("round %d: Fold(%d) returned %v, want %v", round, j, p, b.Perturbation(j))
+			}
+		}
+		a.CountObservation()
 	}
 	if a.Seen() != b.Seen() {
 		t.Fatalf("Seen diverged: %d vs %d", a.Seen(), b.Seen())
 	}
+	sa, sb := a.Snapshot(), b.Snapshot()
 	for j := 0; j < dim; j++ {
-		if a.Perturbation(j) != b.Perturbation(j) {
-			t.Fatalf("perturbation diverged at scalar %d: %v vs %v", j, a.Perturbation(j), b.Perturbation(j))
+		if math.Float64bits(sa.E[j]) != math.Float64bits(sb.E[j]) || math.Float64bits(sa.A[j]) != math.Float64bits(sb.A[j]) {
+			t.Fatalf("averages diverged at scalar %d", j)
 		}
+	}
+	if !slices.Equal(sa.Seeded, sb.Seeded) {
+		t.Fatal("seeded bits diverged")
 	}
 }
 

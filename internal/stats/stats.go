@@ -139,12 +139,88 @@ func Dirichlet(rng *rand.Rand, alpha float64, dim int) []float64 {
 // and a stream index, so that clients, data generators, and managers can be
 // seeded reproducibly without sharing rand.Rand state across goroutines.
 func SplitRNG(seed int64, stream int64) *rand.Rand {
-	// SplitMix64-style mixing of (seed, stream) into a child seed.
+	return rand.New(rand.NewSource(splitSeed(seed, stream)))
+}
+
+// splitSeed is SplitRNG's SplitMix64-style mixing of (seed, stream) into a
+// child seed.
+func splitSeed(seed, stream int64) int64 {
 	z := uint64(seed) + 0x9e3779b97f4a7c15*uint64(stream+1)
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	z ^= z >> 31
-	return rand.New(rand.NewSource(int64(z)))
+	return int64(z)
+}
+
+// The lags of math/rand's additive lagged-Fibonacci source: from its
+// lagLen-th output on, output n is out[n−lagLen] + out[n−lagTap] mod 2⁶⁴.
+const (
+	lagLen = 607
+	lagTap = 273
+)
+
+// SplitStream yields SplitRNG(seed, stream).Float64()'s sequence bit for
+// bit without a rand.Rand per stream: it reads the source's first lagLen
+// outputs once per Reset and continues the source's recurrence itself, a
+// block of lagLen outputs at a time, converting each block to its Float64
+// values up front. Reset re-seeds the one retained source in place, so a
+// SplitStream allocates only on its first Reset.
+type SplitStream struct {
+	src  rand.Source64
+	buf  [lagLen]uint64  // the current block of source outputs
+	vals [lagLen]float64 // the block's Float64 values, vals[:n]
+	n    int
+	next int // next unread index of vals
+}
+
+// Reset restarts the stream at SplitRNG(seed, stream)'s first value.
+func (s *SplitStream) Reset(seed, stream int64) {
+	if s.src == nil {
+		s.src = rand.NewSource(0).(rand.Source64)
+	}
+	s.src.Seed(splitSeed(seed, stream))
+	for i := range s.buf {
+		s.buf[i] = s.src.Uint64()
+	}
+	s.convert()
+}
+
+// Float64 returns the next value in [0, 1).
+func (s *SplitStream) Float64() float64 {
+	if s.next == s.n {
+		s.nextBlock()
+	}
+	f := s.vals[s.next]
+	s.next++
+	return f
+}
+
+// nextBlock overwrites buf with the following lagLen outputs, in place:
+// ascending, buf[i+lagLen−lagTap] still holds the old block's output when
+// i < lagTap, and buf[i−lagTap] already the new block's when i ≥ lagTap.
+func (s *SplitStream) nextBlock() {
+	for i := 0; i < lagTap; i++ {
+		s.buf[i] += s.buf[i+lagLen-lagTap]
+	}
+	for i := lagTap; i < lagLen; i++ {
+		s.buf[i] += s.buf[i-lagTap]
+	}
+	s.convert()
+}
+
+// convert maps buf to Float64 values exactly as rand.Rand.Float64 does: an
+// output's low 63 bits over 2⁶³, dropping the output when that rounds to 1
+// (rand.Rand draws again).
+func (s *SplitStream) convert() {
+	n := 0
+	for _, v := range s.buf {
+		f := float64(int64(v&(1<<63-1))) / (1 << 63)
+		s.vals[n] = f
+		if f < 1 {
+			n++
+		}
+	}
+	s.n, s.next = n, 0
 }
 
 // CellRNG derives the deterministic RNG of one cell of a seeded grid, so

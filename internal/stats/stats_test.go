@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -146,6 +147,71 @@ func TestSplitRNGIndependence(t *testing.T) {
 	}
 	if diff < 99 {
 		t.Error("different streams should diverge")
+	}
+}
+
+// TestSplitStreamMatchesSplitRNG pins SplitStream to the math/rand stream
+// it reproduces: one stream, re-seeded in place, yields
+// SplitRNG(seed, stream).Float64()'s values bit for bit for 60 (seed,
+// stream) pairs, far past the source's first lagged block, and again after
+// each pair's short re-seed.
+func TestSplitStreamMatchesSplitRNG(t *testing.T) {
+	var s SplitStream
+	for _, seed := range []int64{-1 << 62, -1, 0, 1, 2, 7, 11, 35, 123_456_789, 1 << 40} {
+		for _, stream := range []int64{0, 1, 2, 5, 100, 1 << 33} {
+			for _, n := range []int{200_000, 3} {
+				s.Reset(seed, stream)
+				want := SplitRNG(seed, stream)
+				for i := 0; i < n; i++ {
+					if got, w := s.Float64(), want.Float64(); math.Float64bits(got) != math.Float64bits(w) {
+						t.Fatalf("seed %d stream %d: draw %d is %v, want %v", seed, stream, i, got, w)
+					}
+				}
+			}
+		}
+	}
+}
+
+// wordSource is a rand.Source replaying fixed outputs.
+type wordSource []uint64
+
+func (w *wordSource) Int63() int64 {
+	v := (*w)[0]
+	*w = (*w)[1:]
+	return int64(v & (1<<63 - 1))
+}
+
+func (w *wordSource) Seed(int64) {}
+
+// TestSplitStreamResamplesOne pins math/rand's one quirk that SplitStream
+// must keep: an output whose low 63 bits round to 2⁶³ would give 1, so it
+// is skipped and the next output drawn, also at the end of a block.
+func TestSplitStreamResamplesOne(t *testing.T) {
+	words := []uint64{1<<63 - 1, ^uint64(0), 1<<63 - 1<<9, 1<<63 - 1<<10, 1 << 62, 3}
+	var s SplitStream
+	s.Reset(1, 1)
+	copy(s.buf[:], words)
+	s.convert()
+	src := wordSource(words)
+	want := rand.New(&src)
+	for i := 0; i < 3; i++ {
+		if got, w := s.Float64(), want.Float64(); got != w || got >= 1 {
+			t.Fatalf("draw %d is %v, want %v", i, got, w)
+		}
+	}
+	if len(src) != 0 || s.n != lagLen-3 {
+		t.Fatalf("the block keeps %d of %d outputs, want all but the three that round to 1", s.n, lagLen)
+	}
+
+	s.Reset(1, 1)
+	s.buf[lagLen-1] = 1<<63 - 1
+	s.convert()
+	next := s.buf[0] + s.buf[lagLen-lagTap]
+	for i := 0; i < lagLen-1; i++ {
+		s.Float64()
+	}
+	if got, w := s.Float64(), float64(int64(next&(1<<63-1)))/(1<<63); got != w {
+		t.Fatalf("draw after a block ending in 1 is %v, want the next block's first %v", got, w)
 	}
 }
 
