@@ -115,8 +115,12 @@ scalereport:
 # loopback for a client absent past the aggregate-history window. The
 # run itself enforces the cost gates — snapshot O(dim) flat across a 20x
 # absence spread, sketch reconciliation under the snapshot's cost when
-# the freezing-mask diff is small.
+# the freezing-mask diff is small. The byte counts are exact, so the
+# regenerated report must equal the tracked one outside its machine
+# header: a change that moves them fails here until the report is
+# committed with it.
 resumebench:
 	$(GO) run ./cmd/apfbench -resume BENCH_resume.json
+	git diff --exit-code -I'"go_version"' -I'"gomaxprocs"' -- BENCH_resume.json
 
 ci: tier1 benchtest vet lint race fuzz crashtest scenarios scalebench scenariobench scalereport resumebench

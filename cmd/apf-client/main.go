@@ -14,7 +14,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -53,8 +52,6 @@ func run(args []string) error {
 		alpha     = fs.Float64("dirichlet", 1.0, "Dirichlet concentration for the non-IID split")
 		ioTimeout = fs.Duration("io-timeout", 30*time.Second, "per-message network read/write deadline")
 		retries   = fs.Int("retries", 0, "reconnect attempts after a connection failure (0 = fail fast)")
-		ckptDir   = fs.String("checkpoint-dir", "", "directory for periodic APF manager state exports (empty = none)")
-		snapEvery = fs.Int("snapshot-every", 5, "export the manager state every K applied rounds")
 		chaosSpec = fs.String("chaos", "", "fault-injection script, e.g. 'sever@3;delay@7:500ms' (testing)")
 		chaosSeed = fs.Int64("chaos-seed", 1, "seed for randomized chaos choices")
 	)
@@ -70,6 +67,9 @@ func run(args []string) error {
 	}
 	if *ioTimeout <= 0 {
 		return fmt.Errorf("-io-timeout must be positive, got %v", *ioTimeout)
+	}
+	if !(*alpha > 0) {
+		return fmt.Errorf("-dirichlet must be positive, got %v", *alpha)
 	}
 	if err := obs.Resolve(); err != nil {
 		return err
@@ -94,50 +94,17 @@ func run(args []string) error {
 	}
 
 	var manager fl.ManagerFactory
-	var apfManager *core.Manager // captured for -checkpoint-dir exports
 	switch *scheme {
 	case "apf":
 		manager = func(clientID, dim int) fl.SyncManager {
 			cfg := preset.APFConfig(*seed)
 			cfg.Dim, cfg.Observer = dim, hooks.Manager(obs.Metrics)
-			m := core.NewManager(cfg)
-			apfManager = m
-			return m
+			return core.NewManager(cfg)
 		}
 	case "none":
 		manager = func(clientID, dim int) fl.SyncManager { return fl.NewPassthroughManager(4) }
 	default:
 		return fmt.Errorf("unknown scheme %q (want apf or none)", *scheme)
-	}
-
-	// Periodic manager export: every K applied rounds the freezing state
-	// (EMAs, periods, mask) is framed to disk, so an operator can inspect
-	// or archive a client's APF trajectory. Best-effort: an export failure
-	// warns but never aborts training.
-	var onRound func(round int, model []float64)
-	if *ckptDir != "" {
-		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
-			return err
-		}
-		every := *snapEvery
-		if every <= 0 {
-			every = 5
-		}
-		onRound = func(round int, model []float64) {
-			if apfManager == nil || (round+1)%every != 0 {
-				return
-			}
-			buf := core.EncodeState(apfManager.Snapshot())
-			path := filepath.Join(*ckptDir, fmt.Sprintf("manager-%08d.ckpt", round+1))
-			tmp := path + ".tmp"
-			if err := os.WriteFile(tmp, buf, 0o644); err == nil {
-				err = os.Rename(tmp, path)
-				if err == nil {
-					return
-				}
-			}
-			fmt.Fprintf(os.Stderr, "apf-client: checkpoint export for round %d failed\n", round)
-		}
 	}
 
 	name := fmt.Sprintf("shard-%d", *shard)
@@ -183,7 +150,6 @@ func run(args []string) error {
 		Codec:      clusterCodec,
 		MaxRetries: *retries,
 		Dial:       dial,
-		OnRound:    onRound,
 		Metrics:    obs.Metrics,
 		Log:        obs.Log,
 	})

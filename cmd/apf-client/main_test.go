@@ -3,6 +3,8 @@ package main
 import (
 	"testing"
 	"time"
+
+	"apf/internal/flagdoc"
 )
 
 func TestClientRejectsBadFlags(t *testing.T) {
@@ -18,6 +20,8 @@ func TestClientRejectsBadFlags(t *testing.T) {
 		{"bad log level", []string{"-log-level", "loud", "-addr", "127.0.0.1:1"}},
 		{"bad log format", []string{"-log-format", "xml", "-addr", "127.0.0.1:1"}},
 		{"bad metrics address", []string{"-metrics-addr", "256.256.256.256:99999", "-addr", "127.0.0.1:1"}},
+		{"zero dirichlet", []string{"-dirichlet", "0", "-addr", "127.0.0.1:1", "-model", "mlp", "-shard", "0", "-shards", "1"}},
+		{"negative dirichlet", []string{"-dirichlet", "-1", "-addr", "127.0.0.1:1", "-model", "mlp", "-shard", "0", "-shards", "1"}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -43,4 +47,10 @@ func TestClientVersionFlag(t *testing.T) {
 	if err := run([]string{"-version"}); err != nil {
 		t.Fatalf("-version: %v", err)
 	}
+}
+
+// TestReadmeFlagTable: every README flag-table row naming apf-client names a
+// flag it registers.
+func TestReadmeFlagTable(t *testing.T) {
+	flagdoc.Check(t, "client", "../../README.md", run)
 }

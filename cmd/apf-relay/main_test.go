@@ -4,6 +4,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"apf/internal/flagdoc"
 )
 
 // silentRoot listens like a root but never accepts: the kernel completes
@@ -59,4 +61,10 @@ func TestRelayVersionFlag(t *testing.T) {
 	if err := run([]string{"-version"}); err != nil {
 		t.Fatalf("-version: %v", err)
 	}
+}
+
+// TestReadmeFlagTable: every README flag-table row naming apf-relay names a
+// flag it registers.
+func TestReadmeFlagTable(t *testing.T) {
+	flagdoc.Check(t, "relay", "../../README.md", run)
 }

@@ -19,7 +19,6 @@ import (
 	"syscall"
 
 	"apf/internal/chaos"
-	"apf/internal/fl"
 	"apf/internal/metrics"
 	"apf/internal/preset"
 	"apf/internal/telemetry"
@@ -38,16 +37,15 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("apf-server", flag.ContinueOnError)
 	var (
-		addr       = fs.String("addr", ":7070", "listen address")
-		clients    = fs.Int("clients", 3, "number of clients to wait for")
-		relays     = fs.Int("relays", 0, "run as the hierarchy's root tier over this many apf-relay edge pre-aggregators instead of direct clients (0 = flat coordinator; incompatible with -aggregator trimmed and sanitization, which need per-client payloads)")
-		rounds     = fs.Int("rounds", 50, "aggregation rounds")
-		model      = fs.String("model", "lenet", "workload preset: lenet | lstm | mlp")
-		seed       = fs.Int64("seed", 42, "shared seed (must match the clients)")
-		aggregator = fs.String("aggregator", "mean", "aggregation reduction: mean | trimmed (coordinate-wise trimmed mean)")
-		trimFrac   = fs.Float64("trim-frac", 0, "per-side trim fraction for -aggregator trimmed, in [0, 0.5); 0 = default 0.25")
-		chaosSpec  = fs.String("chaos", "", "fault-injection script, e.g. 'accept:1/sever-write@5;kill-server@7' (testing)")
-		chaosSeed  = fs.Int64("chaos-seed", 1, "seed for randomized chaos choices")
+		addr      = fs.String("addr", ":7070", "listen address")
+		clients   = fs.Int("clients", 3, "number of clients to wait for")
+		relays    = fs.Int("relays", 0, "run as the hierarchy's root tier over this many apf-relay edge pre-aggregators instead of direct clients (0 = flat coordinator; incompatible with a nonzero -trim-frac and sanitization, which need per-client payloads)")
+		rounds    = fs.Int("rounds", 50, "aggregation rounds")
+		model     = fs.String("model", "lenet", "workload preset: lenet | lstm | mlp")
+		seed      = fs.Int64("seed", 42, "shared seed (must match the clients)")
+		trimFrac  = fs.Float64("trim-frac", 0, "per-side trim fraction of the coordinate-wise trimmed mean, in [0, 0.5); 0 = the weighted mean")
+		chaosSpec = fs.String("chaos", "", "fault-injection script, e.g. 'accept:1/sever-write@5;kill-server@7' (testing)")
+		chaosSeed = fs.Int64("chaos-seed", 1, "seed for randomized chaos choices")
 	)
 	tier := tierflags.Bind(fs)
 	obs := telemetry.BindFlags(fs)
@@ -63,15 +61,8 @@ func run(args []string) error {
 	if err := obs.Resolve(); err != nil {
 		return err
 	}
-	reduction, err := fl.ParseReduction(*aggregator)
-	if err != nil {
-		return fmt.Errorf("-aggregator: %w", err)
-	}
-	if *trimFrac < 0 || *trimFrac >= 0.5 {
+	if !(*trimFrac >= 0 && *trimFrac < 0.5) {
 		return fmt.Errorf("-trim-frac %g outside [0, 0.5)", *trimFrac)
-	}
-	if *trimFrac != 0 && reduction != fl.ReduceTrimmed {
-		return fmt.Errorf("-trim-frac needs -aggregator trimmed")
 	}
 
 	p, err := preset.Load(*model, *seed)
@@ -118,7 +109,6 @@ func run(args []string) error {
 		Shadow:        tier.Shadow,
 		Validator:     tier.Validator,
 		Codec:         tier.Codec,
-		Reduction:     reduction,
 		TrimFraction:  *trimFrac,
 		Metrics:       obs.Metrics,
 		Log:           obs.Log,

@@ -3,6 +3,8 @@ package main
 import (
 	"testing"
 	"time"
+
+	"apf/internal/flagdoc"
 )
 
 func TestServerRejectsBadFlags(t *testing.T) {
@@ -19,7 +21,8 @@ func TestServerRejectsBadFlags(t *testing.T) {
 		{"bad log level", []string{"-log-level", "loud"}},
 		{"bad log format", []string{"-log-format", "xml"}},
 		{"bad metrics address", []string{"-addr", "127.0.0.1:0", "-metrics-addr", "256.256.256.256:99999"}},
-		{"trim fraction without trimmed aggregator", []string{"-addr", "127.0.0.1:0", "-trim-frac", "0.3", "-aggregator", "mean"}},
+		{"negative trim fraction", []string{"-addr", "127.0.0.1:0", "-trim-frac", "-0.1"}},
+		{"trim fraction of one half", []string{"-addr", "127.0.0.1:0", "-trim-frac", "0.5"}},
 		{"zero snapshot interval", []string{"-addr", "127.0.0.1:0", "-snapshot-every", "0"}},
 		{"negative snapshot interval", []string{"-addr", "127.0.0.1:0", "-snapshot-every", "-3"}},
 	}
@@ -50,10 +53,16 @@ func TestServerVersionFlag(t *testing.T) {
 func TestServerRootTierFlagGuards(t *testing.T) {
 	// The root tier never sees per-client payloads: the trimmed reduction
 	// and inbound sanitization must be refused up front.
-	if err := run([]string{"-addr", "127.0.0.1:0", "-relays", "2", "-aggregator", "trimmed"}); err == nil {
-		t.Error("-relays with -aggregator trimmed was accepted")
+	if err := run([]string{"-addr", "127.0.0.1:0", "-relays", "2", "-trim-frac", "0.25"}); err == nil {
+		t.Error("-relays with -trim-frac 0.25 was accepted")
 	}
 	if err := run([]string{"-addr", "127.0.0.1:0", "-relays", "2", "-max-norm-mult", "4"}); err == nil {
 		t.Error("-relays with sanitization armed was accepted")
 	}
+}
+
+// TestReadmeFlagTable: every README flag-table row naming apf-server names a
+// flag it registers.
+func TestReadmeFlagTable(t *testing.T) {
+	flagdoc.Check(t, "server", "../../README.md", run)
 }

@@ -3,11 +3,10 @@
 //   - a versioned, checksummed binary framing for protocol-state blobs
 //     (Frame/ReadFrame), plus little-endian Writer/Reader primitives that
 //     encode float64s via their IEEE-754 bit patterns, so a decoded
-//     snapshot is bit-identical to the encoded state;
-//   - the frame kind of the APF manager snapshot (KindManager; package
-//     core encodes core.State — EMAs, freezing periods, AIMD state,
-//     threshold, round/check counters, per-word generations, word
-//     coverage — into it with these primitives);
+//     snapshot is bit-identical to the encoded state (package core
+//     encodes core.State — EMAs, freezing periods, AIMD state, threshold,
+//     round/check counters, per-word generations, word coverage — with
+//     these primitives, unframed: whatever carries it frames it);
 //   - a Store that persists a coordinator as an atomically rotated
 //     snapshot plus an fsync'd write-ahead log of generation-stamped
 //     records, recycles the retired generation's files instead of freeing
@@ -33,7 +32,7 @@ import (
 
 // Version is the on-disk format version stamped into every frame.
 // Decoders reject frames stamped with any other.
-const Version = 5
+const Version = 6
 
 // frame layout: magic(4) version(2) kind(2) length(4) payload CRC32(4).
 const (
@@ -47,14 +46,9 @@ const (
 	MaxFramePayload = 1 << 30
 )
 
-// Frame kinds. Store callers may define further kinds above KindUser.
-const (
-	// KindManager frames a core.State manager snapshot (core.EncodeState).
-	KindManager uint16 = 1
-	// KindUser is the first kind value free for embedding packages
-	// (the transport's server snapshot and WAL records live here).
-	KindUser uint16 = 64
-)
+// KindUser is the first frame kind free for embedding packages (the
+// transport's server snapshot and WAL records live here).
+const KindUser uint16 = 64
 
 // Typed decode failures, distinguishable with errors.Is.
 var (

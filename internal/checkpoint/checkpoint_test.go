@@ -17,7 +17,7 @@ import (
 // reads them off again.
 func TestFrameRoundTrip(t *testing.T) {
 	payloads := [][]byte{[]byte("hello"), nil, {0, 1, 2, 255}, make([]byte, 1000)}
-	kinds := []uint16{KindManager, KindUser, KindUser + 1, KindUser + 7}
+	kinds := []uint16{1, KindUser, KindUser + 1, KindUser + 7}
 	var buf []byte
 	for i, p := range payloads {
 		buf = AppendFrame(buf, kinds[i], p)
@@ -48,7 +48,7 @@ func TestFrameRoundTrip(t *testing.T) {
 // TestFrameCorruption flips every byte of an encoded frame in turn; each
 // damaged copy must be rejected, never silently decoded.
 func TestFrameCorruption(t *testing.T) {
-	frame := AppendFrame(nil, KindManager, []byte("state bytes"))
+	frame := AppendFrame(nil, KindUser, []byte("state bytes"))
 	for i := range frame {
 		bad := append([]byte(nil), frame...)
 		bad[i] ^= 0x40

@@ -9,20 +9,22 @@ import (
 )
 
 // FuzzCheckpointDecode throws arbitrary bytes at every decode surface of
-// the package: the frame reader, the WAL replay, and the manager frame
-// (core.EncodeState).
+// the package: the frame reader, the WAL replay, and the manager state
+// encoding (core.EncodeState).
 // Invariants: no panic, no over-allocation (the length guards bound slices
 // by the payload), and anything that decodes successfully must re-encode
-// to the bytes it was read from (WAL records) or to a frame that decodes
-// to the same state (manager).
+// to the bytes it was read from (WAL records) or to an encoding that
+// decodes to the same state (manager).
 func FuzzCheckpointDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(checkpoint.AppendFrame(nil, checkpoint.KindUser, []byte("payload")))
 	f.Add(core.EncodeState(testManagerState()))
-	f.Add(checkpoint.PreviousVersionFrame(core.EncodeState(testManagerState()))) // the version-reject arm
+	f.Add(checkpoint.PreviousVersionFrame(checkpoint.AppendFrame(nil, checkpoint.KindUser, []byte("payload")))) // the version-reject arm
 	var w checkpoint.Writer
-	w.Int(1 << 50) // absurd length claim: must be bounded, not allocated
-	f.Add(checkpoint.AppendFrame(nil, checkpoint.KindManager, w.Bytes()))
+	w.Int(4)
+	w.Bool(false)
+	w.Int(1 << 50) // absurd Ref length claim: must be bounded, not allocated
+	f.Add(w.Bytes())
 	// A recycled log: live records of generation 7 in front of a stale one.
 	f.Add(checkpoint.AppendRecord(checkpoint.AppendRecord(checkpoint.AppendRecord(nil, 7, checkpoint.KindUser, []byte("live")), 7, checkpoint.KindUser, nil), 4, checkpoint.KindUser, []byte("stale")))
 

@@ -1,8 +1,12 @@
 package checkpoint_test
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"apf/internal/checkpoint"
@@ -35,8 +39,8 @@ func testManagerState() *core.State {
 }
 
 // TestManagerCodecRoundTrip checks the manager snapshot codec
-// (core.EncodeState, a KindManager frame) is bit-exact for a full state,
-// a word-restricted one and one covering no word.
+// (core.EncodeState) is bit-exact for a full state, a word-restricted one
+// and one covering no word.
 func TestManagerCodecRoundTrip(t *testing.T) {
 	part := testManagerState()
 	part.Dim, part.Words, part.WordGen = 260, []int{4}, []uint32{7}
@@ -57,40 +61,54 @@ func TestManagerCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestManagerCodecRejectsDamage flips bytes across the encoded manager
-// frame; every damaged copy must fail to decode.
+// TestManagerCodecRejectsDamage: the encoding has no frame of its own
+// (its carriers checksum it), so the decoder alone must refuse a
+// structurally damaged body with checkpoint.ErrCorrupt — every proper
+// prefix, a trailing byte, an array length that is negative or overruns
+// the body, and a word generation past 32 bits.
 func TestManagerCodecRejectsDamage(t *testing.T) {
 	buf := core.EncodeState(testManagerState())
-	for i := 0; i < len(buf); i += 7 {
-		bad := append([]byte(nil), buf...)
-		bad[i] ^= 0x10
-		if _, err := core.DecodeState(bad); err == nil {
-			t.Fatalf("flip byte %d: damaged manager frame decoded", i)
+	refused := func(what string, bad []byte) {
+		t.Helper()
+		if _, err := core.DecodeState(bad); !errors.Is(err, checkpoint.ErrCorrupt) {
+			t.Fatalf("%s: err = %v, want ErrCorrupt", what, err)
 		}
 	}
-	if _, err := core.DecodeState(append(buf, 0)); err == nil {
-		t.Fatalf("trailing byte after manager frame accepted")
+	for n := 0; n < len(buf); n++ {
+		refused(fmt.Sprintf("%d-byte prefix", n), buf[:n])
+	}
+	refused("one trailing byte", append(slices.Clone(buf), 0))
+
+	// The Ref length follows the dimension (8 bytes) and the coverage
+	// flag (1 byte).
+	const refLenAt = 9
+	for _, n := range []int64{-1, math.MinInt64, int64(len(buf)), 1 << 50} {
+		bad := slices.Clone(buf)
+		binary.LittleEndian.PutUint64(bad[refLenAt:], uint64(n))
+		refused(fmt.Sprintf("Ref length %d", n), bad)
+	}
+
+	// The word generations are the last array: one word, its value in the
+	// final 8 bytes.
+	for _, g := range []int64{1 << 32, -1} {
+		bad := slices.Clone(buf)
+		binary.LittleEndian.PutUint64(bad[len(bad)-8:], uint64(g))
+		refused(fmt.Sprintf("word generation %d", g), bad)
 	}
 }
 
 // TestOldFormatRefused: a frame stamped with the previous format version
-// is refused with ErrVersion, and a manager payload laid out as that
-// format did (no coverage flag after the dimension) is corrupt — never
-// decoded with the missing field defaulted.
+// is refused with ErrVersion, and a manager blob in that format — a frame
+// of its own around the body — is corrupt, never decoded.
 func TestOldFormatRefused(t *testing.T) {
-	frame := core.EncodeState(testManagerState())
-	old := checkpoint.PreviousVersionFrame(frame)
+	body := core.EncodeState(testManagerState())
+	old := checkpoint.PreviousVersionFrame(checkpoint.AppendFrame(nil, checkpoint.KindUser, body))
 	if _, _, _, err := checkpoint.ReadFrame(old); !errors.Is(err, checkpoint.ErrVersion) {
 		t.Fatalf("previous-version frame: err = %v, want ErrVersion", err)
 	}
-	if _, err := core.DecodeState(old); !errors.Is(err, checkpoint.ErrVersion) {
-		t.Fatalf("previous-version manager frame: err = %v, want ErrVersion", err)
-	}
-
-	payload := frame[checkpoint.FrameHeaderLen : len(frame)-checkpoint.FrameTrailLen]
-	const flagAt = 8 // the coverage flag follows the dimension
-	oldLayout := append(append([]byte(nil), payload[:flagAt]...), payload[flagAt+1:]...)
-	if _, err := core.DecodeState(checkpoint.AppendFrame(nil, checkpoint.KindManager, oldLayout)); !errors.Is(err, checkpoint.ErrCorrupt) {
-		t.Fatalf("manager payload without the coverage flag: err = %v, want ErrCorrupt", err)
+	const previousManagerKind = 1
+	framed := checkpoint.PreviousVersionFrame(checkpoint.AppendFrame(nil, previousManagerKind, body))
+	if _, err := core.DecodeState(framed); !errors.Is(err, checkpoint.ErrCorrupt) {
+		t.Fatalf("previous-format manager frame: err = %v, want ErrCorrupt", err)
 	}
 }

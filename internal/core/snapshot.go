@@ -10,8 +10,8 @@ import (
 )
 
 // State is a serializable snapshot of a Manager (all fields exported for
-// codecs; EncodeState frames it in binary), enabling client
-// checkpoint/restart in real deployments: a restored manager continues the
+// codecs; EncodeState encodes it in binary), carried by catch-up snapshots
+// and the server's durable shadow: a restored manager continues the
 // freezing protocol exactly where the original left off, preserving
 // cross-client mask consistency.
 //
@@ -183,11 +183,13 @@ func (m *Manager) RestoreSnapshot(s *State) error {
 	return nil
 }
 
-// EncodeState frames a manager snapshot as a checkpoint.KindManager frame:
-// the one encoding of manager state, on disk and on the wire. It is
-// bit-exact: every float64 round-trips through its IEEE-754 bits, so a
-// restored manager continues the freezing protocol from the identical
-// EMAs, periods, and threshold.
+// EncodeState encodes a manager snapshot with the checkpoint.Writer
+// primitives: the one encoding of manager state, on disk and on the wire.
+// It is unframed — each carrier (a catch-up SnapshotMsg, the durable
+// shadow inside a server snapshot) already frames and checksums what it
+// holds. It is bit-exact: every float64 round-trips through its IEEE-754
+// bits, so a restored manager continues the freezing protocol from the
+// identical EMAs, periods, and threshold.
 func EncodeState(s *State) []byte {
 	var w checkpoint.Writer
 	w.Int(s.Dim)
@@ -215,24 +217,16 @@ func EncodeState(s *State) []byte {
 		gens[i] = int(g)
 	}
 	w.Ints(gens)
-	return checkpoint.AppendFrame(nil, checkpoint.KindManager, w.Bytes())
+	return w.Bytes()
 }
 
-// DecodeState reads an EncodeState frame back into a State, verifying
-// checksum, version, kind, and structure. Errors wrap checkpoint.ErrCorrupt
-// or checkpoint.ErrVersion; array lengths are checked by the restore.
+// DecodeState reads an EncodeState encoding back into a State, verifying
+// its structure: a truncation, a trailing byte, an array length that
+// overruns the buffer or a word generation past 32 bits is refused with an
+// error wrapping checkpoint.ErrCorrupt. Array lengths against Dim are
+// checked by the restore.
 func DecodeState(buf []byte) (*State, error) {
-	kind, payload, rest, err := checkpoint.ReadFrame(buf)
-	if err != nil {
-		return nil, err
-	}
-	if kind != checkpoint.KindManager {
-		return nil, fmt.Errorf("%w: frame kind %d, want manager (%d)", checkpoint.ErrCorrupt, kind, checkpoint.KindManager)
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d bytes after manager frame", checkpoint.ErrCorrupt, len(rest))
-	}
-	r := checkpoint.NewReader(payload)
+	r := checkpoint.NewReader(buf)
 	s := &State{Dim: r.Int()}
 	if r.Bool() {
 		s.Words = append([]int{}, r.Ints()...)

@@ -46,10 +46,10 @@ type Aggregator struct {
 
 	runFn func(int) // bound once so Do allocates nothing per call
 
-	// Reduction mode (SetReduction) plus the trimmed path's job state and
-	// per-chunk scratch columns — reused across rounds like the mean
-	// path's buffers, so the steady state stays allocation-free.
-	reduction            Reduction
+	// Per-side trim fraction (SetTrimFraction; 0 = weighted mean) plus the
+	// trimmed path's job state and per-chunk scratch columns — reused
+	// across rounds like the mean path's buffers, so the steady state
+	// stays allocation-free.
 	trimFrac             float64
 	tContribs            [][]float64
 	tWeights             []float64
@@ -230,7 +230,7 @@ func (a *Aggregator) SetStreaming(on bool) {
 	if a.open {
 		panic("fl: SetStreaming inside an open round")
 	}
-	if on && a.reduction == ReduceTrimmed {
+	if on && a.trimFrac > 0 {
 		panic("fl: streaming aggregation cannot apply a trimmed reduction")
 	}
 	a.stream = on
@@ -402,11 +402,11 @@ func (a *Aggregator) Dim() int {
 }
 
 // Reduce closes the open round and folds the stored contributions through
-// the configured reduction into dst. In ReduceMean mode the result is
+// the configured reduction into dst. At trim fraction 0 the result is
 // bit-identical to a one-shot WeightedMean over the same
 // (contribs, weights) — and, in streaming or partial-merge rounds, to a
 // flat aggregation of every underlying client (the sums are exact, so
-// grouping cannot change the bits). ReduceTrimmed applies the
+// grouping cannot change the bits). A positive trim fraction applies the
 // coordinate-wise trimmed mean instead (which itself degrades bit-exactly
 // to the mean when fewer than 3 contributions arrive). Returns the
 // direct contribution count (Adds, or relay partials — see ClientCount
@@ -425,7 +425,7 @@ func (a *Aggregator) Reduce(dst []float64) (int, bool) {
 	if a.stream {
 		a.lastTrimK, a.lastTrimM = 0, count
 		ok = a.psum.Mean(dst)
-	} else if a.reduction == ReduceTrimmed {
+	} else if a.trimFrac > 0 {
 		ok = a.TrimmedMean(dst, a.slots, a.slotW, a.trimFrac)
 	} else {
 		a.lastTrimK, a.lastTrimM = 0, count

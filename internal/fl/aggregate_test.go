@@ -380,13 +380,13 @@ func TestStreamingAddValidation(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("SetReduction(trimmed) on a streaming aggregator did not panic")
+				t.Fatal("SetTrimFraction(0.25) on a streaming aggregator did not panic")
 			}
 		}()
 		c := NewAggregator(1)
 		defer c.Close()
 		c.SetStreaming(true)
-		c.SetReduction(ReduceTrimmed, 0.25)
+		c.SetTrimFraction(0.25)
 	}()
 	func() {
 		defer func() {
@@ -396,7 +396,7 @@ func TestStreamingAddValidation(t *testing.T) {
 		}()
 		c := NewAggregator(1)
 		defer c.Close()
-		c.SetReduction(ReduceTrimmed, 0.25)
+		c.SetTrimFraction(0.25)
 		c.SetStreaming(true)
 	}()
 }

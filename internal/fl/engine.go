@@ -25,8 +25,6 @@ type Config struct {
 	// EvalEvery evaluates the global model on the test set every this
 	// many rounds (and always on the final round). 0 disables evaluation.
 	EvalEvery int
-	// EvalBatch is the test-set forward batch size (default 256).
-	EvalBatch int
 	// Prox, when positive, adds the FedProx proximal term
 	// μ/2·‖x − x_round‖² to every client objective (§7.7).
 	Prox float64
@@ -43,10 +41,6 @@ type Config struct {
 	// TrackParams lists flat-vector indices whose per-client local values
 	// are recorded each round (used for the parameter-trajectory figures).
 	TrackParams []int
-	// OnRound, when set, is invoked after every completed round with its
-	// metrics — progress reporting for long runs. It runs on the engine
-	// goroutine; keep it fast.
-	OnRound func(m RoundMetrics)
 	// Participation, when in (0, 1), activates only that fraction of
 	// clients (rounded up, at least one) in each round — the partial
 	// participation of production FL (the paper's footnote 5: inactive
@@ -57,13 +51,9 @@ type Config struct {
 	Participation float64
 }
 
-// withDefaults fills unset optional fields.
-func (c Config) withDefaults() Config {
-	if c.EvalBatch <= 0 {
-		c.EvalBatch = 256
-	}
-	return c
-}
+// evalBatch is the test-set forward batch size of Engine.Evaluate, and of
+// EvaluateModel when given none.
+const evalBatch = 256
 
 // validate panics on nonsensical configurations (programmer error).
 func (c Config) validate(clients int) {
@@ -156,7 +146,6 @@ type Engine struct {
 // New assembles an engine. parts[i] lists the training-set indices owned by
 // client i; managers are built per client via mf.
 func New(cfg Config, model ModelFactory, optimizer OptimizerFactory, mf ManagerFactory, train *data.Dataset, parts [][]int, test *data.Dataset) *Engine {
-	cfg = cfg.withDefaults()
 	cfg.validate(len(parts))
 	if len(parts) == 0 {
 		panic("fl: need at least one client")
@@ -273,9 +262,6 @@ func (e *Engine) Run() *Result {
 		}
 		m.BestAcc = best
 		res.Rounds = append(res.Rounds, m)
-		if e.cfg.OnRound != nil {
-			e.cfg.OnRound(m)
-		}
 	}
 	res.BestAcc = best
 	return res
@@ -333,7 +319,7 @@ func (e *Engine) localPhase(c *client, round int, active bool) {
 // Evaluate scores the current global model on the test set.
 func (e *Engine) Evaluate() (loss, acc float64) {
 	nn.SetFlat(e.evalNet.Params(), e.global)
-	return EvaluateModel(e.evalNet, e.test, e.cfg.EvalBatch)
+	return EvaluateModel(e.evalNet, e.test, evalBatch)
 }
 
 // EvaluateModel computes mean loss and accuracy of net over ds in batches.
@@ -342,7 +328,7 @@ func EvaluateModel(net *nn.Network, ds *data.Dataset, batch int) (loss, acc floa
 		return math.NaN(), math.NaN()
 	}
 	if batch <= 0 {
-		batch = 256
+		batch = evalBatch
 	}
 	n := ds.Len()
 	totalLoss, totalCorrect := 0.0, 0.0

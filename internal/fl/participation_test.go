@@ -114,18 +114,3 @@ func TestParticipationOneMeansEveryone(t *testing.T) {
 		}
 	}
 }
-
-func TestOnRoundCallback(t *testing.T) {
-	train := testDataset(60, 24)
-	rng := stats.SplitRNG(24, 0)
-	parts := data.PartitionIID(rng, train.Len(), 2)
-	cfg := baseConfig()
-	cfg.Rounds = 4
-	cfg.EvalEvery = 0
-	var seen []int
-	cfg.OnRound = func(m RoundMetrics) { seen = append(seen, m.Round) }
-	New(cfg, mlpFactory, sgdFactory(0.1), passthroughFactory, train, parts, nil).Run()
-	if len(seen) != 4 || seen[0] != 0 || seen[3] != 3 {
-		t.Errorf("OnRound calls = %v, want [0 1 2 3]", seen)
-	}
-}

@@ -2,74 +2,27 @@ package fl
 
 import "fmt"
 
-// Reduction selects how an Aggregator folds a round's contributions into
-// the committed aggregate.
-type Reduction int
-
-const (
-	// ReduceMean is the classic weighted FedAvg: every accepted
-	// contribution participates with weight w/ΣW. The default.
-	ReduceMean Reduction = iota
-	// ReduceTrimmed is the coordinate-wise trimmed mean: on each
-	// coordinate the k lowest and k highest values are dropped and the
-	// survivors are weighted-averaged. It bounds the influence any single
-	// (or any k) Byzantine contribution can exert on any coordinate —
-	// including attacks a magnitude gate cannot see, like sign flips and
-	// norm-matched scalers. With one survivor per coordinate it degrades
-	// to the coordinate-wise median.
-	ReduceTrimmed
-)
-
-// String renders the reduction as its flag spelling.
-func (r Reduction) String() string {
-	switch r {
-	case ReduceMean:
-		return "mean"
-	case ReduceTrimmed:
-		return "trimmed"
-	default:
-		return fmt.Sprintf("reduction(%d)", int(r))
+// SetTrimFraction selects the reduction Reduce applies to subsequent
+// rounds by its per-side trim fraction. 0 (the default) is the classic
+// weighted FedAvg: every accepted contribution participates with weight
+// w/ΣW. A fraction in (0, 0.5) is the coordinate-wise trimmed mean: on
+// each coordinate the k lowest and k highest values are dropped and the
+// survivors are weighted-averaged. It bounds the influence any single (or
+// any k) Byzantine contribution can exert on any coordinate — including
+// attacks a magnitude gate cannot see, like sign flips and norm-matched
+// scalers. With one survivor per coordinate it degrades to the
+// coordinate-wise median. Trimming half or more from each side would
+// leave no survivors, and a streaming aggregator holds no per-client
+// values to trim, so both panic.
+func (a *Aggregator) SetTrimFraction(frac float64) {
+	if !(frac >= 0 && frac < 0.5) {
+		panic(fmt.Sprintf("fl: trim fraction %v outside [0, 0.5)", frac))
 	}
-}
-
-// ParseReduction parses the -aggregator flag spelling.
-func ParseReduction(s string) (Reduction, error) {
-	switch s {
-	case "mean", "":
-		return ReduceMean, nil
-	case "trimmed":
-		return ReduceTrimmed, nil
-	default:
-		return 0, fmt.Errorf("fl: unknown aggregator %q (want mean or trimmed)", s)
+	if frac > 0 && a.stream {
+		panic("fl: streaming aggregation cannot apply a trimmed reduction")
 	}
+	a.trimFrac = frac
 }
-
-// DefaultTrimFraction is the per-side trim fraction used when
-// ReduceTrimmed is selected without an explicit fraction.
-const DefaultTrimFraction = 0.25
-
-// SetReduction selects the reduction Reduce applies to subsequent rounds.
-// trimFrac is the per-side trim fraction for ReduceTrimmed (<= 0 takes
-// DefaultTrimFraction); it must stay below 0.5 — trimming half or more
-// from each side would leave no survivors.
-func (a *Aggregator) SetReduction(r Reduction, trimFrac float64) {
-	if r == ReduceTrimmed {
-		if a.stream {
-			panic("fl: streaming aggregation cannot apply a trimmed reduction")
-		}
-		if trimFrac <= 0 {
-			trimFrac = DefaultTrimFraction
-		}
-		if trimFrac >= 0.5 {
-			panic(fmt.Sprintf("fl: trim fraction %v leaves no survivors", trimFrac))
-		}
-	}
-	a.reduction = r
-	a.trimFrac = trimFrac
-}
-
-// Reduction returns the configured reduction mode.
-func (a *Aggregator) Reduction() Reduction { return a.reduction }
 
 // LastTrim reports the per-side trim depth k and participant count m of
 // the most recent trimmed reduction (k = 0 when the last reduction was a

@@ -185,7 +185,7 @@ func TestReduceTrimmedMatchesOneShot(t *testing.T) {
 
 	inc := NewAggregator(3)
 	defer inc.Close()
-	inc.SetReduction(ReduceTrimmed, 0.25)
+	inc.SetTrimFraction(0.25)
 	inc.Open(0, 6)
 	for id := range contribs {
 		if err := inc.Add(id, contribs[id], weights[id]); err != nil {
@@ -228,19 +228,53 @@ func TestTrimmedSmallClusters(t *testing.T) {
 	}
 }
 
-// TestParseReduction pins the flag spellings.
-func TestParseReduction(t *testing.T) {
+// TestSetTrimFraction: the fraction alone selects the reduction. Outside
+// [0, 0.5) it panics; set back to 0 after a trimmed round, Reduce is the
+// exact weighted mean again, bit for bit, with no trim recorded.
+func TestSetTrimFraction(t *testing.T) {
 	t.Parallel()
-	for s, want := range map[string]Reduction{"mean": ReduceMean, "": ReduceMean, "trimmed": ReduceTrimmed} {
-		got, err := ParseReduction(s)
-		if err != nil || got != want {
-			t.Errorf("ParseReduction(%q) = (%v, %v), want %v", s, got, err, want)
+	agg := NewAggregator(2)
+	defer agg.Close()
+	for _, frac := range []float64{-0.1, 0.5, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SetTrimFraction(%v) did not panic", frac)
+				}
+			}()
+			agg.SetTrimFraction(frac)
+		}()
+	}
+
+	contribs, weights := randFixture(5, 5, 120, false)
+	want := make([]float64, 120)
+	agg.WeightedMean(want, contribs, weights)
+	for _, frac := range []float64{0.25, 0} {
+		agg.SetTrimFraction(frac)
+		agg.Open(0, len(contribs))
+		for id := range contribs {
+			if err := agg.Add(id, contribs[id], weights[id]); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if _, err := ParseReduction("krum"); err == nil {
-		t.Error("ParseReduction accepted an unknown mode")
-	}
-	if ReduceTrimmed.String() != "trimmed" || ReduceMean.String() != "mean" {
-		t.Error("Reduction.String does not round-trip the flag spellings")
+		got := make([]float64, 120)
+		if _, ok := agg.Reduce(got); !ok {
+			t.Fatalf("fraction %v: Reduce aggregated nothing", frac)
+		}
+		k, _ := agg.LastTrim()
+		if frac > 0 {
+			if k != 1 {
+				t.Errorf("fraction %v: trim depth %d, want 1", frac, k)
+			}
+			continue
+		}
+		if k != 0 {
+			t.Errorf("fraction 0: trim depth %d, want 0", k)
+		}
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("fraction 0: scalar %d: %v != mean %v", j, got[j], want[j])
+			}
+		}
 	}
 }

@@ -28,7 +28,6 @@ type CellKey struct {
 	// omitted so pre-defense reports stay readable.
 	CosineFloor   float64 `json:"cosineFloor,omitempty"`
 	RoundNormMult float64 `json:"roundNormMult,omitempty"`
-	Aggregator    string  `json:"aggregator,omitempty"`
 	TrimFraction  float64 `json:"trimFraction,omitempty"`
 	// MinTPR is the per-cell TPR floor override (> 0 floor, < 0 exempt,
 	// 0 defer to the matrix gates).
@@ -66,7 +65,6 @@ func (c Config) key() CellKey {
 		Seed:          c.Seed,
 		CosineFloor:   c.CosineFloor,
 		RoundNormMult: c.RoundNormMult,
-		Aggregator:    c.Aggregator,
 		TrimFraction:  c.TrimFraction,
 	}
 }

@@ -263,7 +263,6 @@ func RunTrial(cfgIn Config, trial int) (*TrialResult, error) {
 		RoundDeadline: cfg.RoundDeadline,
 		MinClients:    1,
 		Codec:         cfg.Codec,
-		Reduction:     cfg.reduction(),
 		TrimFraction:  cfg.TrimFraction,
 		Validator: &transport.ValidatorConfig{
 			MaxNormMult:   cfg.MaxNormMult,
@@ -492,7 +491,7 @@ func oracleApplies(cfg Config) bool {
 		!cfg.Adversary.Active() &&
 		cfg.Network.DropRate == 0 && cfg.Network.DelayRate == 0 && !cfg.Network.Kill &&
 		cfg.Codec != wire.CodecSparseQ16 &&
-		cfg.reduction() == fl.ReduceMean
+		cfg.TrimFraction == 0
 }
 
 // runOracle replays the trial through the fl simulator and requires the

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 	"time"
 
@@ -188,6 +189,19 @@ func TestMatrixShape(t *testing.T) {
 	}
 	if len(codecs) != 3 {
 		t.Errorf("matrix covers %d codecs, want 3", len(codecs))
+	}
+}
+
+// TestValidateRefusesTrimFraction: the trim fraction alone selects the
+// reduction, so a cell refuses one outside [0, 0.5) up front.
+func TestValidateRefusesTrimFraction(t *testing.T) {
+	t.Parallel()
+	for _, frac := range []float64{-0.1, 0.5, math.NaN()} {
+		c := DefenseMatrix(1, 1)[0]
+		c.TrimFraction = frac
+		if err := c.validate(); err == nil {
+			t.Errorf("trim fraction %v accepted", frac)
+		}
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"time"
 
-	"apf/internal/fl"
 	"apf/internal/scenario/adversary"
 	"apf/internal/stats"
 	"apf/internal/wire"
@@ -104,10 +103,8 @@ type Config struct {
 	// after the round. 0 leaves the review off.
 	RoundNormMult float64 `json:"roundNormMult,omitempty"`
 
-	// Aggregator selects the server reduction ("", "mean", or "trimmed").
-	Aggregator string `json:"aggregator,omitempty"`
-	// TrimFraction is the per-side trim fraction when Aggregator is
-	// "trimmed"; 0 takes the fl default.
+	// TrimFraction selects the server reduction: 0 the weighted mean, a
+	// per-side fraction in (0, 0.5) the coordinate-wise trimmed mean.
 	TrimFraction float64 `json:"trimFraction,omitempty"`
 
 	// MinTPR overrides the matrix-wide TPR floor for this cell: > 0 is
@@ -197,23 +194,10 @@ func (c Config) validate() error {
 	if c.Codec < wire.CodecDense || c.Codec > wire.CodecSparseQ16 {
 		return fmt.Errorf("scenario %s: unknown codec %d", c.Name, c.Codec)
 	}
-	if _, err := fl.ParseReduction(c.Aggregator); err != nil {
-		return fmt.Errorf("scenario %s: %w", c.Name, err)
-	}
-	if c.TrimFraction < 0 || c.TrimFraction >= 0.5 {
+	if !(c.TrimFraction >= 0 && c.TrimFraction < 0.5) {
 		return fmt.Errorf("scenario %s: trim fraction %g outside [0, 0.5)", c.Name, c.TrimFraction)
 	}
 	return nil
-}
-
-// reduction resolves the Aggregator string; validate() has already
-// rejected unknown names.
-func (c Config) reduction() fl.Reduction {
-	r, err := fl.ParseReduction(c.Aggregator)
-	if err != nil {
-		return fl.ReduceMean
-	}
-	return r
 }
 
 // TrialSeed derives the seed of one trial from the cell's base seed. It
@@ -339,7 +323,7 @@ func DefenseMatrix(seed int64, trials int) []Config {
 		{"trimmed", func(c *Config) {
 			c.CosineFloor = matrixCosineFloor
 			c.RoundNormMult = matrixRoundNormMult
-			c.Aggregator = "trimmed"
+			c.TrimFraction = 0.25
 		}},
 	}
 	var out []Config

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -453,6 +454,28 @@ func TestSnapshotCarriesModelOnce(t *testing.T) {
 				t.Fatal("the relay's pending jump is not the snapshot's round and model")
 			}
 		})
+	}
+}
+
+// TestSnapshotManagerFlipRefused: manager state travels unframed, so the
+// SnapshotMsg frame's CRC is what catches its damage. A bit flipped in any
+// byte of a full snapshot's encoded state is refused as wire.ErrCorrupt
+// before any state is decoded.
+func TestSnapshotManagerFlipRefused(t *testing.T) {
+	f := catchupFollower(catchupDim)
+	st, _ := f.Capture()
+	frame := wire.Append(nil, fullSnapshot(f.Round(), st))
+	state := core.EncodeState(st)
+	at := bytes.Index(frame, state)
+	if at < 0 {
+		t.Fatal("the encoded state is not in the frame verbatim")
+	}
+	for i := at; i < at+len(state); i++ {
+		bad := slices.Clone(frame)
+		bad[i] ^= 0x10
+		if _, _, err := wire.Decode(bad, 0); !errors.Is(err, wire.ErrCorrupt) {
+			t.Fatalf("flip in manager byte %d: err = %v, want wire.ErrCorrupt", i-at, err)
+		}
 	}
 }
 

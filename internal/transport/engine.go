@@ -159,10 +159,9 @@ type roundEngine struct {
 	// bit-identical to the quantized stream. A relay commits its root's
 	// aggregates verbatim; a sparse-q16 root has already rounded them.
 	quantizeCommit bool
-	// reduction selects the aggregator's fold (mean or trimmed) with
-	// trimFrac as the per-side trim fraction; see fl.SetReduction.
-	reduction fl.Reduction
-	trimFrac  float64
+	// trimFrac selects the aggregator's fold: 0 the weighted mean, else
+	// the per-side fraction of the trimmed mean; see fl.SetTrimFraction.
+	trimFrac float64
 	// metrics instruments update classification and phase timings; the
 	// zero value (in-process engine tests) records nothing.
 	metrics engineMetrics
@@ -216,7 +215,7 @@ func (e *roundEngine) peer() string {
 func (e *roundEngine) run(ctx context.Context, startRound int) error {
 	agg := fl.NewAggregator(0)
 	defer agg.Close()
-	agg.SetReduction(e.reduction, e.trimFrac)
+	agg.SetTrimFraction(e.trimFrac)
 	agg.SetStreaming(e.streaming())
 
 	n := e.clients

@@ -474,8 +474,6 @@ func TestFuzzCorporaLive(t *testing.T) {
 				return err
 			}
 			switch kind {
-			case checkpoint.KindManager:
-				_, err = core.DecodeState(buf[:len(buf)-len(rest)])
 			case kindServerSnap:
 				_, err = decodeServerState(payload)
 			case kindWALGlobal:
@@ -511,7 +509,12 @@ func TestFuzzCorporaLive(t *testing.T) {
 			if !ok {
 				continue // structured-argument seed
 			}
-			if err := corpus.decode(seed); err != nil {
+			decode := corpus.decode
+			if filepath.Base(p) == "valid-manager" {
+				// The manager state is unframed: its carriers frame it.
+				decode = func(buf []byte) error { _, err := core.DecodeState(buf); return err }
+			}
+			if err := decode(seed); err != nil {
 				t.Errorf("%s no longer decodes on the current format: %v", p, err)
 			}
 			checked++

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"apf/internal/data"
-	"apf/internal/fl"
 	"apf/internal/nn"
 	"apf/internal/stats"
 	"apf/internal/telemetry"
@@ -464,7 +463,7 @@ func TestRootRejectsWrongDimPartial(t *testing.T) {
 func TestRootRejectsTrimmedReduction(t *testing.T) {
 	_, err := NewServer(ServerConfig{
 		Addr: "127.0.0.1:0", Relays: 2, Rounds: 1, Init: []float64{0, 0},
-		Reduction: fl.ReduceTrimmed,
+		TrimFraction: 0.25,
 	})
 	if err == nil || !strings.Contains(err.Error(), "does not decompose") {
 		t.Fatalf("trimmed reduction on the root tier: err = %v, want non-decomposability rejection", err)

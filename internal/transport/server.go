@@ -10,7 +10,6 @@ import (
 
 	"apf/internal/checkpoint"
 	"apf/internal/core"
-	"apf/internal/fl"
 	"apf/internal/telemetry"
 	"apf/internal/telemetry/hooks"
 	"apf/internal/wire"
@@ -38,8 +37,8 @@ type ServerConfig struct {
 	// partitioning. The trimmed reduction does not decompose over partial
 	// sums (it needs every per-client value) and inbound sanitization runs
 	// where the per-client payloads are (the relays), so NewServer rejects
-	// Relays > 0 combined with fl.ReduceTrimmed or a Validator. 0 keeps the
-	// flat coordinator.
+	// Relays > 0 combined with a nonzero TrimFraction or a Validator. 0
+	// keeps the flat coordinator.
 	Relays int
 	// Rounds is the number of aggregation rounds to run.
 	Rounds int
@@ -87,14 +86,12 @@ type ServerConfig struct {
 	// norm-evasive scalers. Clients and Dim are filled from the server
 	// config.
 	Validator *ValidatorConfig
-	// Reduction selects how accepted contributions fold into the committed
-	// aggregate: fl.ReduceMean (the zero value) is classic weighted
-	// FedAvg; fl.ReduceTrimmed is the coordinate-wise trimmed mean, which
-	// bounds the influence of any single contribution on any coordinate —
-	// including attacks no inbound gate rejects. TrimFraction is its
-	// per-side trim fraction (0 takes fl.DefaultTrimFraction; must stay
-	// below 0.5).
-	Reduction    fl.Reduction
+	// TrimFraction selects how accepted contributions fold into the
+	// committed aggregate: 0 (the zero value) is classic weighted FedAvg; a
+	// per-side fraction in (0, 0.5) is the coordinate-wise trimmed mean,
+	// which bounds the influence of any single contribution on any
+	// coordinate — including attacks no inbound gate rejects. NewServer
+	// refuses a fraction outside [0, 0.5).
 	TrimFraction float64
 	// HistoryRounds bounds the in-memory aggregate history to the most
 	// recent K committed rounds (0 keeps every round). Eviction bounds
@@ -209,12 +206,15 @@ func newServer(cfg ServerConfig, reducer roundReducer) (*Server, error) {
 		// inbound sanitization likewise needs the per-client payloads, which
 		// only the relays see. Both belong on a flat topology (or, for
 		// sanitization, on the relays themselves).
-		if cfg.Reduction == fl.ReduceTrimmed {
+		if cfg.TrimFraction != 0 {
 			return nil, fmt.Errorf("transport: the trimmed reduction does not decompose over relay partial sums; run it on a flat topology")
 		}
 		if cfg.Validator != nil {
 			return nil, fmt.Errorf("transport: inbound sanitization needs per-client payloads, which the root tier never sees; configure the validator on the relays")
 		}
+	}
+	if !(cfg.TrimFraction >= 0 && cfg.TrimFraction < 0.5) {
+		return nil, fmt.Errorf("transport: trim fraction %v outside [0, 0.5)", cfg.TrimFraction)
 	}
 	if cfg.IOTimeout <= 0 {
 		cfg.IOTimeout = defaultIOTimeout
@@ -240,10 +240,6 @@ func newServer(cfg ServerConfig, reducer roundReducer) (*Server, error) {
 		closeQuietly(ln)
 		return nil, fmt.Errorf("transport: validator clients %d conflicts with cluster size %d",
 			cfg.Validator.Clients, cfg.NumClients)
-	}
-	if cfg.Reduction == fl.ReduceTrimmed && cfg.TrimFraction >= 0.5 {
-		closeQuietly(ln)
-		return nil, fmt.Errorf("transport: trim fraction %v leaves no survivors (must be < 0.5)", cfg.TrimFraction)
 	}
 	if cfg.HistoryRounds < 0 {
 		closeQuietly(ln)
@@ -534,7 +530,6 @@ func (s *Server) Run(ctx context.Context) ([]float64, error) {
 		// Config-driven: the committed trajectory never depends on who
 		// happens to be connected (or on recovery timing).
 		quantizeCommit: s.cfg.Codec == wire.CodecSparseQ16,
-		reduction:      s.cfg.Reduction,
 		trimFrac:       s.cfg.TrimFraction,
 		metrics:        newEngineMetrics(s.cfg.Metrics),
 	}

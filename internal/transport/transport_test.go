@@ -290,6 +290,11 @@ func TestServerConfigValidation(t *testing.T) {
 	if _, err := NewServer(ServerConfig{NumClients: 1, Rounds: 1}); err == nil {
 		t.Error("accepted empty init model")
 	}
+	for _, frac := range []float64{-0.1, 0.5, math.NaN()} {
+		if _, err := NewServer(ServerConfig{Addr: "127.0.0.1:0", NumClients: 3, Rounds: 1, Init: []float64{1}, TrimFraction: frac}); err == nil {
+			t.Errorf("accepted trim fraction %v", frac)
+		}
+	}
 }
 
 func TestClientConfigValidation(t *testing.T) {

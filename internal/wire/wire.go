@@ -46,7 +46,7 @@ import (
 
 // Version is the protocol version stamped on every frame and the only one
 // decoded.
-const Version = 9
+const Version = 10
 
 // Frame geometry.
 const (
