@@ -94,9 +94,13 @@ scenarios:
 
 # Regenerate the tracked full-matrix scenario report (60 matrix cells +
 # 9 defense-ablation cells, 2 trials; same-seed deterministic in every
-# scored quantity — see EXPERIMENTS.md for the one wire-byte caveat).
+# scored quantity — see EXPERIMENTS.md for the one wire-byte caveat), then
+# fail if it differs from the git index: the report has no
+# machine-dependent fields, so a change that moves a number must `git add`
+# the regenerated report.
 scenariobench:
 	$(GO) run ./cmd/apfbench -scenarios BENCH_scenarios.json -matrix full -trials 2
+	git diff --exit-code -- BENCH_scenarios.json
 
 # Scale smoke: 100k simulated clients through the real two-tier
 # aggregation and wire-codec paths (discrete-event swarm, no sockets),

@@ -9,7 +9,6 @@ import (
 	"apf/internal/core"
 	"apf/internal/fl"
 	"apf/internal/metrics"
-	"apf/internal/netsim"
 	"apf/internal/nn"
 	"apf/internal/stats"
 )
@@ -146,15 +145,10 @@ func runTable3(scale Scale, seed int64) (*Output, error) {
 	var notes []string
 	for _, s := range setups {
 		compute := measureIterCost(s.w, seed)
-		profile := netsim.GlobalInternet()
-		profile.ComputePerIter = compute
-		profiles := netsim.UniformProfiles(s.clients, profile)
-		iters := netsim.UniformIters(s.clients, s.iters)
-
 		avg := func(res *fl.Result) time.Duration {
 			var total time.Duration
 			for _, m := range res.Rounds {
-				total += netsim.RoundTime(profiles, iters, m.PerClientUpBytes, m.PerClientDownBytes)
+				total += table3RoundTime(compute, s.iters, m.PerClientUpBytes, m.PerClientDownBytes)
 			}
 			return total / time.Duration(len(res.Rounds))
 		}
@@ -164,6 +158,28 @@ func runTable3(scale Scale, seed int64) (*Output, error) {
 		notes = append(notes, fmt.Sprintf("%s: measured compute %.1fms/iter", s.w.name, float64(compute)/1e6))
 	}
 	return &Output{ID: "table3", Title: Title("table3"), Tables: []*metrics.Table{tbl}, Notes: notes}, nil
+}
+
+// table3RoundTime is one synchronous round on the paper's §7.1 edge links
+// (3 Mbps up, 9 Mbps down, 50 ms RTT): the slowest client's compute +
+// push + pull + RTT, since the aggregation barrier waits for every client.
+// up[i] and down[i] are client i's payload bytes.
+func table3RoundTime(perIter time.Duration, iters int, up, down []int64) time.Duration {
+	var worst time.Duration
+	for i := range up {
+		t := time.Duration(iters)*perIter +
+			linkTime(up[i], 3e6) +
+			linkTime(down[i], 9e6) +
+			50*time.Millisecond
+		worst = max(worst, t)
+	}
+	return worst
+}
+
+// linkTime is the time to send bytes over a link of bitsPerSec.
+func linkTime(bytes int64, bitsPerSec float64) time.Duration {
+	seconds := float64(bytes*8) / bitsPerSec
+	return time.Duration(seconds * float64(time.Second))
 }
 
 // measureIterCost times one local training iteration of the workload.

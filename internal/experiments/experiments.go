@@ -110,7 +110,6 @@ var registry = map[string]Runner{
 	"ext-ema":       runExtEMA,
 	"ext-dp":        runExtDP,
 	"ext-baselines": runExtBaselines,
-	"ext-scenarios": runExtScenarios,
 }
 
 // titles maps experiment ids to human-readable descriptions.
@@ -143,7 +142,6 @@ var titles = map[string]string{
 	"ext-ema":       "Extension: windowed vs EMA effective perturbation (§6.1 validation)",
 	"ext-dp":        "Extension: APF under differential-privacy noise (§9)",
 	"ext-baselines": "Extension: APF vs Top-K and stochastic quantization (§2.2 families)",
-	"ext-scenarios": "Extension: adversary × network × data scenario matrix with detection scoring",
 }
 
 // Get returns the runner for id.

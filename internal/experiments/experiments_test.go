@@ -3,6 +3,7 @@ package experiments
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -12,7 +13,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig11", "table1", "table2", "table3", "table4",
 		"fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18",
 		"fig19", "fig20", "fig21", "fig22",
-		"ext-ema", "ext-dp", "ext-baselines", "ext-scenarios",
+		"ext-ema", "ext-dp", "ext-baselines",
 	}
 	for _, id := range want {
 		if _, ok := Get(id); !ok {
@@ -39,6 +40,55 @@ func TestScaleString(t *testing.T) {
 	}
 	if !strings.Contains(Scale(9).String(), "9") {
 		t.Error("unknown scale should render its number")
+	}
+}
+
+// table3RTT is the round-trip latency table3RoundTime adds once per round.
+const table3RTT = 50 * time.Millisecond
+
+// TestTransferTimes pins the bytes-over-bandwidth arithmetic: 1 MB is
+// 8·10⁶ bits, 1 s at 8 Mbps and 0.5 s at 16 Mbps.
+func TestTransferTimes(t *testing.T) {
+	if got := linkTime(1e6, 8e6); got != time.Second {
+		t.Errorf("1MB over 8Mbps = %v, want 1s", got)
+	}
+	if got := linkTime(1e6, 16e6); got != 500*time.Millisecond {
+		t.Errorf("1MB over 16Mbps = %v, want 0.5s", got)
+	}
+}
+
+// TestGlobalInternetProfile pins table3's links to the paper's §7.1
+// profile on hand-computed inputs: 125,000 B is 10⁶ bits, 1/3 s on the
+// 3 Mbps uplink; 1,125,000 B is 9·10⁶ bits, 1 s on the 9 Mbps downlink;
+// an empty round costs one RTT; and equal payloads take 3× longer up.
+func TestGlobalInternetProfile(t *testing.T) {
+	if got := table3RoundTime(0, 0, []int64{0}, []int64{0}); got != table3RTT {
+		t.Errorf("empty round: %v, want one RTT %v", got, table3RTT)
+	}
+	if got, want := table3RoundTime(0, 0, []int64{125_000}, []int64{0}), 333_333_333*time.Nanosecond+table3RTT; got != want {
+		t.Errorf("125,000 B up: %v, want %v", got, want)
+	}
+	if got, want := table3RoundTime(0, 0, []int64{0}, []int64{1_125_000}), time.Second+table3RTT; got != want {
+		t.Errorf("1,125,000 B down: %v, want %v", got, want)
+	}
+	// Asymmetry: uploads of equal size take 3× longer (allow for
+	// nanosecond truncation in the Duration conversion).
+	up := table3RoundTime(0, 0, []int64{3e5}, []int64{0}) - table3RTT
+	down := table3RoundTime(0, 0, []int64{0}, []int64{3e5}) - table3RTT
+	if diff := up - 3*down; diff < -3 || diff > 3 {
+		t.Errorf("up %v should be 3× down %v", up, down)
+	}
+}
+
+// TestRoundTimeTakesSlowestClient: the aggregation barrier waits for the
+// slowest client, so the round time is the straggler's, not the mean.
+func TestRoundTimeTakesSlowestClient(t *testing.T) {
+	// Client 1 pushes the most and is the round's straggler: 10 × 1 ms of
+	// compute, 1/3 s up, 1 s down and one RTT.
+	up := []int64{1_000, 125_000, 0}
+	down := []int64{1_125_000, 1_125_000, 1_125_000}
+	if got, want := table3RoundTime(time.Millisecond, 10, up, down), 10*time.Millisecond+333_333_333*time.Nanosecond+time.Second+table3RTT; got != want {
+		t.Errorf("round time %v, want %v (the slowest client)", got, want)
 	}
 }
 

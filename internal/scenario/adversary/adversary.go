@@ -1,9 +1,8 @@
 // Package adversary wraps fl.SyncManagers with model-poisoning behavior
 // for the scenario harness: a compromised client trains honestly but
-// corrupts the contribution it uploads. Every attack decision is a pure
-// function of (seed, client, round), so adversarial trials replay
-// bit-identically across runs and across the TCP transport and the
-// in-process simulator.
+// corrupts the contribution it uploads. Every attack is a pure function
+// of (seed, client, round), so adversarial trials replay bit-identically
+// across runs and across the TCP transport and the in-process simulator.
 package adversary
 
 import (
@@ -20,15 +19,15 @@ type Strategy string
 const (
 	// None leaves the client honest.
 	None Strategy = "none"
-	// Scale multiplies the contribution by Factor (a blatant magnitude
-	// attack — the norm gate's home turf).
+	// Scale multiplies the contribution by 8 (a blatant magnitude attack —
+	// the norm gate's home turf).
 	Scale Strategy = "scale"
 	// SignFlip negates the contribution. Its L2 norm is unchanged, so a
 	// pure norm gate cannot see it; the harness keeps it in the matrix to
 	// measure that blind spot honestly.
 	SignFlip Strategy = "sign-flip"
-	// Noise adds Gaussian noise with per-scalar sigma
-	// Factor·‖contrib‖/√dim, inflating the norm by about √(1+Factor²).
+	// Noise adds Gaussian noise with per-scalar sigma 4·‖contrib‖/√dim,
+	// inflating the norm by about √17.
 	Noise Strategy = "noise"
 )
 
@@ -39,16 +38,10 @@ type Spec struct {
 	// Count is how many clients are adversarial. The harness assigns the
 	// highest client indices.
 	Count int `json:"count,omitempty"`
-	// AttackRate is the per-round probability an adversary attacks once
-	// past Onset (seeded draw; 0 means always).
-	AttackRate float64 `json:"attackRate,omitempty"`
-	// Onset is the first round eligible for attack. Leaving the earliest
-	// rounds honest lets the validator's norm history arm first, which is
-	// also what a stealthy adversary would do.
+	// Onset is the first attacked round; every later round is attacked
+	// too. Leaving the earliest rounds honest lets the validator's norm
+	// history arm first, which is also what a stealthy adversary would do.
 	Onset int `json:"onset,omitempty"`
-	// Factor scales the attack magnitude (default 8 for Scale, 4 for
-	// Noise; unused by SignFlip).
-	Factor float64 `json:"factor,omitempty"`
 	// Evasion, when > 0, rescales every poisoned contribution's L2 norm to
 	// Evasion × the honest norm. An evasion factor under the validator's
 	// MaxNormMult slips beneath the gate while still steering the average.
@@ -60,17 +53,13 @@ func (s Spec) Active() bool {
 	return s.Strategy != None && s.Strategy != "" && s.Count > 0
 }
 
-// factor returns the attack magnitude with per-strategy defaults.
+// factor returns the attack magnitude: 4 for Noise, 8 for Scale (unused
+// by SignFlip).
 func (s Spec) factor() float64 {
-	if s.Factor > 0 {
-		return s.Factor
-	}
-	switch s.Strategy {
-	case Noise:
+	if s.Strategy == Noise {
 		return 4
-	default:
-		return 8
 	}
+	return 8
 }
 
 // Validate rejects specs the harness cannot honor.
@@ -80,28 +69,20 @@ func (s Spec) Validate() error {
 	default:
 		return fmt.Errorf("adversary: unknown strategy %q", s.Strategy)
 	}
-	if s.Count < 0 || s.AttackRate < 0 || s.AttackRate > 1 || s.Onset < 0 || s.Factor < 0 || s.Evasion < 0 {
+	if s.Count < 0 || s.Onset < 0 || s.Evasion < 0 {
 		return fmt.Errorf("adversary: invalid spec %+v", s)
 	}
 	return nil
 }
 
-// Attacks reports whether the adversary on client attacks in round: the
-// round is past onset and the seeded (seed, client, round) draw clears
-// the attack rate. Pure function, shared by the runner for ground truth
-// and by the wrapper for the attack itself.
-func (s Spec) Attacks(seed int64, client, round int) bool {
-	if !s.Active() || round < s.Onset {
-		return false
-	}
-	if s.AttackRate <= 0 || s.AttackRate >= 1 {
-		return true
-	}
-	return stats.CellRNG(seed, client, round).Float64() < s.AttackRate
+// Attacks reports whether an adversary under the spec attacks in round:
+// the spec is active and the round is past onset.
+func (s Spec) Attacks(round int) bool {
+	return s.Active() && round >= s.Onset
 }
 
 // Wrap returns inner with the spec's poisoning applied to every attacked
-// round's upload. client is the wrapped client's index (seeds the attack
+// round's upload. client is the wrapped client's index (seeds the noise
 // draws). Its Unwrap exposes the inner manager's compact-codec, mask and
 // catch-up interfaces to fl.As, so a poisoned APF client still speaks the
 // sparse codecs; poisoning happens on the dense contribution before
@@ -133,7 +114,7 @@ func (m *manager) PostIterate(round int, x []float64) { m.inner.PostIterate(roun
 // mutated behind its back.
 func (m *manager) PrepareUpload(round int, x []float64) ([]float64, float64, int64) {
 	contrib, w, up := m.inner.PrepareUpload(round, x)
-	if !m.spec.Attacks(m.seed, m.client, round) {
+	if !m.spec.Attacks(round) {
 		return contrib, w, up
 	}
 	m.buf = append(m.buf[:0], contrib...)
@@ -176,7 +157,8 @@ func (m *manager) poison(round int, v []float64) {
 	}
 }
 
-// noiseStream decorrelates the noise draws from the attack-rate draws.
+// noiseStream keys the noise draws apart from other streams sharing the
+// trial seed.
 const noiseStream = 0x6e6f697365 // "noise"
 
 // norm2 returns the L2 norm of v.

@@ -45,30 +45,17 @@ func TestAttacksOnsetAndDeterminism(t *testing.T) {
 	t.Parallel()
 	s := Spec{Strategy: Scale, Count: 1, Onset: 3}
 	for r := 0; r < 3; r++ {
-		if s.Attacks(7, 0, r) {
+		if s.Attacks(r) {
 			t.Errorf("attacked round %d before onset", r)
 		}
 	}
 	for r := 3; r < 8; r++ {
-		if !s.Attacks(7, 0, r) {
-			t.Errorf("rate-1 spec skipped round %d", r)
+		if !s.Attacks(r) {
+			t.Errorf("skipped round %d past onset", r)
 		}
 	}
-	// A fractional rate draws deterministically and hits its marginal.
-	s.AttackRate = 0.3
-	hits, total := 0, 5000
-	for r := 3; r < 3+total; r++ {
-		a := s.Attacks(7, 0, r)
-		if a != s.Attacks(7, 0, r) {
-			t.Fatal("attack draw is not deterministic")
-		}
-		if a {
-			hits++
-		}
-	}
-	got := float64(hits) / float64(total)
-	if got < 0.27 || got > 0.33 {
-		t.Errorf("attack rate 0.3: empirical %.3f", got)
+	if (Spec{Strategy: Scale, Onset: 3}).Attacks(5) {
+		t.Error("a zero-count spec attacked")
 	}
 }
 
@@ -76,7 +63,7 @@ func TestScalePoisonsOnlyAttackedRounds(t *testing.T) {
 	t.Parallel()
 	base := []float64{1, -2, 3}
 	inner := &fixedManager{contrib: append([]float64(nil), base...)}
-	m := Wrap(inner, Spec{Strategy: Scale, Count: 1, Onset: 2, Factor: 8}, 1, 0)
+	m := Wrap(inner, Spec{Strategy: Scale, Count: 1, Onset: 2}, 1, 0)
 
 	contrib, w, up := m.PrepareUpload(1, nil) // before onset: pass-through
 	if w != 1 || up != 12 {
@@ -122,7 +109,7 @@ func TestEvasionRescalesToHonestMultiple(t *testing.T) {
 	t.Parallel()
 	base := []float64{3, 4} // norm 5
 	inner := &fixedManager{contrib: append([]float64(nil), base...)}
-	m := Wrap(inner, Spec{Strategy: Scale, Count: 1, Factor: 100, Evasion: 1.5}, 1, 0)
+	m := Wrap(inner, Spec{Strategy: Scale, Count: 1, Evasion: 1.5}, 1, 0)
 	poisoned, _, _ := m.PrepareUpload(0, nil)
 	if got, want := norm(poisoned), 1.5*5.0; math.Abs(got-want) > 1e-12 {
 		t.Errorf("evasive norm = %v, want %v", got, want)
@@ -136,12 +123,12 @@ func TestNoiseInflatesNormDeterministically(t *testing.T) {
 		base[i] = 0.1
 	}
 	inner := &fixedManager{contrib: append([]float64(nil), base...)}
-	m := Wrap(inner, Spec{Strategy: Noise, Count: 1, Factor: 4}, 9, 0)
+	m := Wrap(inner, Spec{Strategy: Noise, Count: 1}, 9, 0)
 	a, _, _ := m.PrepareUpload(0, nil)
 	first := append([]float64(nil), a...)
 
 	inner2 := &fixedManager{contrib: append([]float64(nil), base...)}
-	m2 := Wrap(inner2, Spec{Strategy: Noise, Count: 1, Factor: 4}, 9, 0)
+	m2 := Wrap(inner2, Spec{Strategy: Noise, Count: 1}, 9, 0)
 	b, _, _ := m2.PrepareUpload(0, nil)
 	for i := range first {
 		if first[i] != b[i] {
@@ -160,7 +147,7 @@ func TestSpecValidate(t *testing.T) {
 	good := []Spec{
 		{},
 		{Strategy: None},
-		{Strategy: Scale, Count: 1, AttackRate: 0.5, Onset: 2, Factor: 8, Evasion: 1.5},
+		{Strategy: Scale, Count: 1, Onset: 2, Evasion: 1.5},
 	}
 	for _, s := range good {
 		if err := s.Validate(); err != nil {
@@ -170,7 +157,7 @@ func TestSpecValidate(t *testing.T) {
 	bad := []Spec{
 		{Strategy: "volt-typo"},
 		{Strategy: Scale, Count: -1},
-		{Strategy: Scale, AttackRate: 1.5},
+		{Strategy: Scale, Onset: -1},
 		{Strategy: Scale, Evasion: -1},
 	}
 	for _, s := range bad {

@@ -2,7 +2,6 @@ package scenario
 
 import (
 	"fmt"
-	"time"
 
 	"apf/internal/scenario/adversary"
 	"apf/internal/stats"
@@ -19,7 +18,7 @@ type CellKey struct {
 	Alpha      float64        `json:"alpha"`
 	Codec      string         `json:"codec"`
 	Adversary  adversary.Spec `json:"adversary"`
-	Network    networkKey     `json:"network"`
+	Network    NetworkSpec    `json:"network"`
 	Trials     int            `json:"trials"`
 	Seed       int64          `json:"seed"`
 	MinAcc     float64        `json:"minAcc,omitempty"`
@@ -34,33 +33,18 @@ type CellKey struct {
 	MinTPR float64 `json:"minTPR,omitempty"`
 }
 
-// networkKey flattens NetworkSpec with the delay in integer milliseconds
-// so the JSON never carries locale- or precision-dependent duration
-// strings.
-type networkKey struct {
-	Name      string  `json:"name"`
-	DropRate  float64 `json:"dropRate,omitempty"`
-	DelayRate float64 `json:"delayRate,omitempty"`
-	DelayMs   int64   `json:"delayMs,omitempty"`
-}
-
 // key derives the cell identity from a (defaulted) config.
 func (c Config) key() CellKey {
 	return CellKey{
-		Name:       c.Name,
-		Clients:    c.Clients,
-		Rounds:     c.Rounds,
-		LocalIters: c.LocalIters,
-		BatchSize:  c.BatchSize,
-		Alpha:      c.Alpha,
-		Codec:      c.Codec.String(),
-		Adversary:  c.Adversary,
-		Network: networkKey{
-			Name:      c.Network.Name,
-			DropRate:  c.Network.DropRate,
-			DelayRate: c.Network.DelayRate,
-			DelayMs:   int64(c.Network.Delay / time.Millisecond),
-		},
+		Name:          c.Name,
+		Clients:       c.Clients,
+		Rounds:        c.Rounds,
+		LocalIters:    c.LocalIters,
+		BatchSize:     c.BatchSize,
+		Alpha:         c.Alpha,
+		Codec:         c.Codec.String(),
+		Adversary:     c.Adversary,
+		Network:       c.Network,
 		Trials:        c.Trials,
 		Seed:          c.Seed,
 		CosineFloor:   c.CosineFloor,

@@ -15,7 +15,6 @@ import (
 	"apf/internal/core"
 	"apf/internal/data"
 	"apf/internal/fl"
-	"apf/internal/netsim"
 	"apf/internal/nn"
 	"apf/internal/opt"
 	"apf/internal/scenario/adversary"
@@ -193,28 +192,17 @@ func rebalance(parts [][]int) {
 }
 
 // buildFaults converts the cell's network spec into a deterministic
-// chaos fault list. Severs and delays start at round 1: round 0 carries
-// session registration, whose ordering transport.RunClients pins.
+// chaos fault list. Severs start at round 1: round 0 carries session
+// registration, whose ordering transport.RunClients pins.
 func buildFaults(cfg Config, tseed int64) ([]chaos.Fault, []int) {
 	var faults []chaos.Fault
 	severs := make([]int, cfg.Clients)
 	if cfg.Network.DropRate > 0 {
-		sched := netsim.NewDropoutSchedule(tseed, cfg.Clients, cfg.Network.DropRate)
 		for r := 1; r < cfg.Rounds; r++ {
 			for c := 0; c < cfg.Clients; c++ {
-				if !sched.Active(r, c) {
+				if dropped(tseed, cfg.Clients, cfg.Network.DropRate, r, c) {
 					faults = append(faults, chaos.Fault{Peer: clientName(c), Round: r, Kind: chaos.Sever})
 					severs[c]++
-				}
-			}
-		}
-	}
-	if cfg.Network.DelayRate > 0 && cfg.Network.Delay > 0 {
-		sched := netsim.NewDelaySchedule(tseed, cfg.Clients, cfg.Network.DelayRate, cfg.Network.Delay)
-		for r := 1; r < cfg.Rounds; r++ {
-			for c := 0; c < cfg.Clients; c++ {
-				if d := sched.DelayAt(r, c); d > 0 {
-					faults = append(faults, chaos.Fault{Peer: clientName(c), Round: r, Kind: chaos.Delay, Delay: d})
 				}
 			}
 		}
@@ -223,6 +211,27 @@ func buildFaults(cfg Config, tseed int64) ([]chaos.Fault, []int) {
 		faults = append(faults, chaos.Fault{Round: cfg.Network.KillRound, Kind: chaos.KillServer})
 	}
 	return faults, severs
+}
+
+// dropped reports whether client is severed in round: each (round,
+// client) cell draws independently and severs with probability rate, a
+// pure function of the seed. The fallback slot, client round mod
+// clients, stays connected when every other client drew a sever, so no
+// round is left without a live client.
+func dropped(seed int64, clients int, rate float64, round, client int) bool {
+	severs := func(c int) bool { return stats.CellRNG(seed, round, c).Float64() < rate }
+	if !severs(client) {
+		return false
+	}
+	if client != round%clients {
+		return true
+	}
+	for c := 0; c < clients; c++ {
+		if c != client && !severs(c) {
+			return true
+		}
+	}
+	return false
 }
 
 // clientName is the stable chaos/session identity of a launch slot.
@@ -489,7 +498,7 @@ func rebindServer(ctx context.Context, scfg transport.ServerConfig, addr string)
 func oracleApplies(cfg Config) bool {
 	return cfg.Oracle &&
 		!cfg.Adversary.Active() &&
-		cfg.Network.DropRate == 0 && cfg.Network.DelayRate == 0 && !cfg.Network.Kill &&
+		cfg.Network.DropRate == 0 && !cfg.Network.Kill &&
 		cfg.Codec != wire.CodecSparseQ16 &&
 		cfg.TrimFraction == 0
 }

@@ -9,8 +9,8 @@
 // regression gates.
 //
 // Every trial is a pure function of (Config.Seed, trial index): data,
-// partitions, model init, dropout/delay schedules, and attack draws all
-// derive from the trial seed, so two runs of the same cell are
+// partitions, model init, sever schedules, and attack draws all derive
+// from the trial seed, so two runs of the same cell are
 // byte-identical in JSON output.
 package scenario
 
@@ -23,21 +23,17 @@ import (
 	"apf/internal/wire"
 )
 
-// NetworkSpec declares one network model applied to a trial through
-// chaos faults generated from netsim schedules.
+// NetworkSpec declares one network model applied to a trial as a seeded
+// list of chaos faults (buildFaults). It is also the network half of the
+// reported cell identity.
 type NetworkSpec struct {
 	// Name labels the model in reports ("clean", "flaky").
 	Name string `json:"name"`
 	// DropRate is the per-(round, client) probability that the client's
-	// connection is severed at that round's mark (netsim.DropoutSchedule).
-	// Severed clients resume their session and re-send, so participation
-	// is preserved — the cost is reconnects and re-sent wire bytes.
+	// connection is severed at that round's mark (dropped). Severed
+	// clients resume their session and re-send, so participation is
+	// preserved — the cost is reconnects and re-sent wire bytes.
 	DropRate float64 `json:"dropRate,omitempty"`
-	// DelayRate and Delay drive a netsim.DelaySchedule: with probability
-	// DelayRate a client's first write of the round stalls for a jittered
-	// duration up to Delay.
-	DelayRate float64       `json:"delayRate,omitempty"`
-	Delay     time.Duration `json:"delay,omitempty"`
 	// Kill crashes the coordinator when the first client reaches
 	// KillRound and restarts it from its checkpoint directory. Test-only:
 	// kill cells are excluded from benchmark matrices because in-flight
@@ -188,8 +184,8 @@ func (c Config) validate() error {
 	if c.Network.Kill && c.CheckpointDir == "" {
 		return fmt.Errorf("scenario %s: kill cells need a CheckpointDir", c.Name)
 	}
-	if c.Network.DropRate < 0 || c.Network.DropRate > 1 || c.Network.DelayRate < 0 || c.Network.DelayRate > 1 {
-		return fmt.Errorf("scenario %s: invalid network rates %+v", c.Name, c.Network)
+	if c.Network.DropRate < 0 || c.Network.DropRate > 1 {
+		return fmt.Errorf("scenario %s: drop rate %g outside [0, 1]", c.Name, c.Network.DropRate)
 	}
 	if c.Codec < wire.CodecDense || c.Codec > wire.CodecSparseQ16 {
 		return fmt.Errorf("scenario %s: unknown codec %d", c.Name, c.Codec)
@@ -283,7 +279,7 @@ func buildMatrix(seed int64, trials int, advs []adversary.Spec, nets []NetworkSp
 						// Clean honest cells must actually learn; the floor
 						// is far under the ~0.9 these cells reach, so it only
 						// trips on real convergence regressions.
-						MinAcc: accFloor(a, n),
+						MinAcc: accFloor(a),
 					}
 					out = append(out, cfg.withDefaults())
 				}
@@ -348,10 +344,9 @@ func DefenseMatrix(seed int64, trials int) []Config {
 // accFloor assigns the per-cell CI accuracy floor. Only honest arms are
 // gated: poisoned-cell accuracy is a measurement (how much damage gets
 // through), not an invariant.
-func accFloor(a adversary.Spec, n NetworkSpec) float64 {
+func accFloor(a adversary.Spec) float64 {
 	if a.Active() {
 		return 0
 	}
-	_ = n
 	return 0.5
 }

@@ -226,7 +226,8 @@ func (s *SplitStream) convert() {
 // CellRNG derives the deterministic RNG of one cell of a seeded grid, so
 // every per-cell decision is a pure function of the seed: it hashes the
 // seed and the cell's two coordinates, in the order the caller passes them
-// (netsim's (round, client), the adversary's (client, round)), with FNV-1a.
+// (the scenario harness's sever draws use (round, client), the adversary's
+// noise (client, round)), with FNV-1a.
 func CellRNG(seed int64, a, b int) *rand.Rand {
 	var buf [24]byte
 	binary.LittleEndian.PutUint64(buf[0:], uint64(seed))

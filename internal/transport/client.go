@@ -21,7 +21,8 @@ type compactLener interface {
 	CompactLen(round int) int
 }
 
-// ClientConfig parameterizes one trainer client.
+// ClientConfig parameterizes one trainer client. RunClient refuses a
+// negative duration or count; zero selects the documented default.
 type ClientConfig struct {
 	// Addr is the server address.
 	Addr string
@@ -67,8 +68,8 @@ type ClientConfig struct {
 	Codec wire.Codec
 	// OnRound, when non-nil, is called after each round's aggregate is
 	// applied (including resume replay), with the round number and the
-	// client's current dense model. cmd/apf-client uses it to export
-	// periodic manager checkpoints. The model slice is live client state;
+	// client's current dense model; the scenario harness samples its
+	// accuracy curve from it. The model slice is live client state;
 	// callbacks must not retain or mutate it.
 	OnRound func(round int, model []float64)
 	// Metrics, when non-nil, receives runtime metrics (rounds, training
@@ -181,6 +182,10 @@ func RunClients(ctx context.Context, cfgs []ClientConfig) ([]*ClientResult, []er
 func runClient(ctx context.Context, cfg ClientConfig, joined func()) (*ClientResult, error) {
 	if cfg.LocalIters <= 0 || cfg.BatchSize <= 0 {
 		return nil, fmt.Errorf("transport: invalid client config iters=%d batch=%d", cfg.LocalIters, cfg.BatchSize)
+	}
+	if cfg.IOTimeout < 0 || cfg.MaxRetries < 0 || cfg.RetryBaseDelay < 0 || cfg.RetryMaxDelay < 0 {
+		return nil, fmt.Errorf("transport: negative setting in client config io-timeout=%v retries=%d retry-base=%v retry-max=%v",
+			cfg.IOTimeout, cfg.MaxRetries, cfg.RetryBaseDelay, cfg.RetryMaxDelay)
 	}
 	r := &clientRun{
 		cfg:     cfg,

@@ -116,6 +116,7 @@ type Relay struct {
 // NewRelay binds the downward listener. Call Run to serve; the upstream
 // session and the downward server are built there, because the run's
 // geometry (rounds, dimension, init model) arrives in the root's welcome.
+// Everything else is checked here, before the relay dials the root.
 func NewRelay(cfg RelayConfig) (*Relay, error) {
 	if cfg.NumClients <= 0 || cfg.Upstream == "" {
 		return nil, fmt.Errorf("transport: invalid relay config clients=%d upstream=%q",
@@ -123,6 +124,13 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 	}
 	if cfg.SessionKey == "" {
 		return nil, fmt.Errorf("transport: relay requires a session key (upstream resume)")
+	}
+	if cfg.MaxRetries < 0 {
+		return nil, fmt.Errorf("transport: negative relay retry budget %d", cfg.MaxRetries)
+	}
+	down := cfg.downward()
+	if err := down.check(); err != nil {
+		return nil, err
 	}
 	ln := cfg.Listener
 	if ln == nil {
@@ -145,6 +153,25 @@ func NewRelay(cfg RelayConfig) (*Relay, error) {
 		failures: r.relayM.reconnects, wireM: newWireMetrics(cfg.Metrics), log: r.log,
 	})
 	return r, nil
+}
+
+// downward is the server config of the relay's downward face, short of
+// the listener and the geometry the root's Welcome announces.
+func (cfg *RelayConfig) downward() ServerConfig {
+	return ServerConfig{
+		NumClients:    cfg.NumClients,
+		IOTimeout:     cfg.IOTimeout,
+		RoundDeadline: cfg.RoundDeadline,
+		MinClients:    cfg.MinClients,
+		Codec:         cfg.Codec,
+		CheckpointDir: cfg.CheckpointDir,
+		SnapshotEvery: cfg.SnapshotEvery,
+		Validator:     cfg.Validator,
+		HistoryRounds: cfg.HistoryRounds,
+		Shadow:        cfg.Shadow,
+		Metrics:       cfg.Metrics,
+		Log:           cfg.Log,
+	}
 }
 
 // Addr returns the bound downward listen address (useful with ":0").
@@ -182,23 +209,9 @@ func (r *Relay) Run(ctx context.Context) ([]float64, error) {
 
 	// The downward engine hands each closed round to reduceRound instead of
 	// reducing locally.
-	srv, err := newServer(ServerConfig{
-		Listener:      r.ln,
-		NumClients:    r.cfg.NumClients,
-		Rounds:        welcome.Rounds,
-		Init:          welcome.Init,
-		IOTimeout:     r.cfg.IOTimeout,
-		RoundDeadline: r.cfg.RoundDeadline,
-		MinClients:    r.cfg.MinClients,
-		Codec:         r.cfg.Codec,
-		CheckpointDir: r.cfg.CheckpointDir,
-		SnapshotEvery: r.cfg.SnapshotEvery,
-		Validator:     r.cfg.Validator,
-		HistoryRounds: r.cfg.HistoryRounds,
-		Shadow:        r.cfg.Shadow,
-		Metrics:       r.cfg.Metrics,
-		Log:           r.cfg.Log,
-	}, r)
+	down := r.cfg.downward()
+	down.Listener, down.Rounds, down.Init = r.ln, welcome.Rounds, welcome.Init
+	srv, err := newServer(down, r)
 	if err != nil {
 		return nil, err
 	}

@@ -492,4 +492,23 @@ func TestNewRelayValidation(t *testing.T) {
 	if _, err := NewRelay(RelayConfig{Upstream: "127.0.0.1:1", NumClients: 2}); err == nil {
 		t.Error("NewRelay accepted an empty session key")
 	}
+	// What the downward server would refuse, the constructor refuses
+	// itself, before the relay joins the root and takes a relay slot.
+	bad := map[string]func(*RelayConfig){
+		"negative io timeout":     func(c *RelayConfig) { c.IOTimeout = -time.Second },
+		"negative round deadline": func(c *RelayConfig) { c.RoundDeadline = -time.Millisecond },
+		"negative min clients":    func(c *RelayConfig) { c.MinClients = -1 },
+		"negative snapshot every": func(c *RelayConfig) { c.SnapshotEvery = -1 },
+		"negative history rounds": func(c *RelayConfig) { c.HistoryRounds = -1 },
+		"negative max retries":    func(c *RelayConfig) { c.MaxRetries = -1 },
+		"validator size conflict": func(c *RelayConfig) { c.Validator = &ValidatorConfig{Clients: 3} },
+	}
+	for name, set := range bad {
+		cfg := RelayConfig{Addr: "127.0.0.1:0", Upstream: "127.0.0.1:1", SessionKey: "r", NumClients: 2}
+		set(&cfg)
+		if r, err := NewRelay(cfg); err == nil {
+			r.ln.Close()
+			t.Errorf("NewRelay accepted a config with %s", name)
+		}
+	}
 }

@@ -15,7 +15,8 @@ import (
 	"apf/internal/wire"
 )
 
-// ServerConfig parameterizes an aggregation server.
+// ServerConfig parameterizes an aggregation server. NewServer refuses a
+// negative duration or count; zero selects the documented default.
 type ServerConfig struct {
 	// Addr is the listen address (e.g. "127.0.0.1:0").
 	Addr string
@@ -127,6 +128,43 @@ func (cfg *ServerConfig) peers() int {
 	return cfg.NumClients
 }
 
+// check refuses a config the server cannot honour, short of the run's
+// geometry (Rounds, Init), which a relay learns only from the root's
+// Welcome. Zero selects a setting's documented default; a negative
+// duration or count has no meaning, so it is refused rather than read as
+// zero.
+func (cfg *ServerConfig) check() error {
+	if cfg.NumClients < 0 || cfg.Relays < 0 || cfg.MinClients < 0 || cfg.SnapshotEvery < 0 || cfg.HistoryRounds < 0 {
+		return fmt.Errorf("transport: negative count in server config clients=%d relays=%d min-clients=%d snapshot-every=%d history-rounds=%d",
+			cfg.NumClients, cfg.Relays, cfg.MinClients, cfg.SnapshotEvery, cfg.HistoryRounds)
+	}
+	if cfg.IOTimeout < 0 || cfg.RoundDeadline < 0 {
+		return fmt.Errorf("transport: negative duration in server config io-timeout=%v round-deadline=%v",
+			cfg.IOTimeout, cfg.RoundDeadline)
+	}
+	if cfg.root() {
+		// The trimmed reduction inspects every per-client value per
+		// coordinate, which an exact partial sum has already folded away;
+		// inbound sanitization likewise needs the per-client payloads, which
+		// only the relays see. Both belong on a flat topology (or, for
+		// sanitization, on the relays themselves).
+		if cfg.TrimFraction != 0 {
+			return fmt.Errorf("transport: the trimmed reduction does not decompose over relay partial sums; run it on a flat topology")
+		}
+		if cfg.Validator != nil {
+			return fmt.Errorf("transport: inbound sanitization needs per-client payloads, which the root tier never sees; configure the validator on the relays")
+		}
+	}
+	if !(cfg.TrimFraction >= 0 && cfg.TrimFraction < 0.5) {
+		return fmt.Errorf("transport: trim fraction %v outside [0, 0.5)", cfg.TrimFraction)
+	}
+	if cfg.Validator != nil && cfg.Validator.Clients != 0 && cfg.Validator.Clients != cfg.NumClients {
+		return fmt.Errorf("transport: validator clients %d conflicts with cluster size %d",
+			cfg.Validator.Clients, cfg.NumClients)
+	}
+	return nil
+}
+
 // root reports whether the server is the hierarchy's root tier.
 func (cfg *ServerConfig) root() bool { return cfg.Relays > 0 }
 
@@ -200,32 +238,19 @@ func newServer(cfg ServerConfig, reducer roundReducer) (*Server, error) {
 		return nil, fmt.Errorf("transport: invalid server config peers=%d rounds=%d dim=%d",
 			cfg.peers(), cfg.Rounds, len(cfg.Init))
 	}
-	if cfg.root() {
-		// The trimmed reduction inspects every per-client value per
-		// coordinate, which an exact partial sum has already folded away;
-		// inbound sanitization likewise needs the per-client payloads, which
-		// only the relays see. Both belong on a flat topology (or, for
-		// sanitization, on the relays themselves).
-		if cfg.TrimFraction != 0 {
-			return nil, fmt.Errorf("transport: the trimmed reduction does not decompose over relay partial sums; run it on a flat topology")
-		}
-		if cfg.Validator != nil {
-			return nil, fmt.Errorf("transport: inbound sanitization needs per-client payloads, which the root tier never sees; configure the validator on the relays")
-		}
+	if err := cfg.check(); err != nil {
+		return nil, err
 	}
-	if !(cfg.TrimFraction >= 0 && cfg.TrimFraction < 0.5) {
-		return nil, fmt.Errorf("transport: trim fraction %v outside [0, 0.5)", cfg.TrimFraction)
-	}
-	if cfg.IOTimeout <= 0 {
+	if cfg.IOTimeout == 0 {
 		cfg.IOTimeout = defaultIOTimeout
 	}
-	if cfg.MinClients <= 0 {
+	if cfg.MinClients == 0 {
 		cfg.MinClients = 1
 	}
 	if cfg.MinClients > cfg.peers() {
 		cfg.MinClients = cfg.peers()
 	}
-	if cfg.SnapshotEvery <= 0 {
+	if cfg.SnapshotEvery == 0 {
 		cfg.SnapshotEvery = 5
 	}
 	ln := cfg.Listener
@@ -235,15 +260,6 @@ func newServer(cfg ServerConfig, reducer roundReducer) (*Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("transport: listen %s: %w", cfg.Addr, err)
 		}
-	}
-	if cfg.Validator != nil && cfg.Validator.Clients != 0 && cfg.Validator.Clients != cfg.NumClients {
-		closeQuietly(ln)
-		return nil, fmt.Errorf("transport: validator clients %d conflicts with cluster size %d",
-			cfg.Validator.Clients, cfg.NumClients)
-	}
-	if cfg.HistoryRounds < 0 {
-		closeQuietly(ln)
-		return nil, fmt.Errorf("transport: negative history bound %d", cfg.HistoryRounds)
 	}
 	s := &Server{
 		cfg:      cfg,

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -295,12 +296,48 @@ func TestServerConfigValidation(t *testing.T) {
 			t.Errorf("accepted trim fraction %v", frac)
 		}
 	}
+	// A negative duration or count is refused, never read as its default
+	// (or, for RoundDeadline, as the strict barrier).
+	negative := map[string]func(*ServerConfig){
+		"io timeout":     func(c *ServerConfig) { c.IOTimeout = -time.Second },
+		"round deadline": func(c *ServerConfig) { c.RoundDeadline = -time.Millisecond },
+		"min clients":    func(c *ServerConfig) { c.MinClients = -1 },
+		"snapshot every": func(c *ServerConfig) { c.SnapshotEvery = -1 },
+		"relays":         func(c *ServerConfig) { c.Relays = -1 },
+	}
+	for name, set := range negative {
+		cfg := ServerConfig{Addr: "127.0.0.1:0", NumClients: 3, Rounds: 1, Init: []float64{1}}
+		set(&cfg)
+		srv, err := NewServer(cfg)
+		if err == nil {
+			srv.ln.Close()
+			t.Errorf("accepted a negative %s", name)
+		} else if !strings.Contains(err.Error(), "negative") {
+			t.Errorf("negative %s: err = %v, want a negative-setting error", name, err)
+		}
+	}
 }
 
 func TestClientConfigValidation(t *testing.T) {
 	_, err := RunClient(context.Background(), ClientConfig{LocalIters: 0, BatchSize: 1})
 	if err == nil {
 		t.Error("accepted zero local iters")
+	}
+	// Each row would dial a closed port if the config were accepted; the
+	// refusal must come first and name the negative setting.
+	negative := map[string]func(*ClientConfig){
+		"io timeout":       func(c *ClientConfig) { c.IOTimeout = -time.Second },
+		"max retries":      func(c *ClientConfig) { c.MaxRetries = -1 },
+		"retry base delay": func(c *ClientConfig) { c.RetryBaseDelay = -time.Millisecond },
+		"retry max delay":  func(c *ClientConfig) { c.RetryMaxDelay = -time.Millisecond },
+	}
+	for name, set := range negative {
+		cfg := ClientConfig{Addr: "127.0.0.1:1", LocalIters: 1, BatchSize: 1}
+		set(&cfg)
+		_, err := RunClient(context.Background(), cfg)
+		if err == nil || !strings.Contains(err.Error(), "negative") {
+			t.Errorf("negative %s: err = %v, want a negative-setting error", name, err)
+		}
 	}
 }
 
