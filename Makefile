@@ -111,9 +111,13 @@ scalebench:
 
 # Regenerate the tracked two-tier scaling report at 100k and 1M simulated
 # clients. The run itself enforces the flatness gate and the flat-oracle
-# bit-identity at both scales.
+# bit-identity at both scales. Everything but the CPU and wall-clock
+# timings and the machine header is exact, so the regenerated report must
+# equal the tracked one outside those lines: a change that moves a count
+# fails here until the report is committed with it.
 scalereport:
 	$(GO) run ./cmd/apfbench -scaling BENCH_scale.json
+	git diff --exit-code -I'cpu' -I'"wall_seconds"' -I'"go_version"' -I'"gomaxprocs"' -- BENCH_scale.json
 
 # Regenerate the tracked resume-cost report: end-to-end catch-up over
 # loopback for a client absent past the aggregate-history window. The

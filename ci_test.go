@@ -10,8 +10,11 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
+
+	"apf/internal/checkpoint"
 )
 
 // TestCIWorkflowMatchesMakeCI holds the Makefile to its own header: the
@@ -42,6 +45,31 @@ func TestCIWorkflowMatchesMakeCI(t *testing.T) {
 	sort.Strings(remote)
 	if strings.Join(local, " ") != strings.Join(remote, " ") {
 		t.Errorf("`make ci` and the CI workflow run different targets:\n  make ci:  %v\n  workflow: %v", local, remote)
+	}
+}
+
+// TestDocsNameCurrentVersion fails when README.md or DESIGN.md names a
+// protocol or format version other than checkpoint.Version, the one
+// version every frame, on the socket and on disk, is stamped with — or
+// names none at all. A documented number that no test reads goes stale
+// with the next format bump.
+func TestDocsNameCurrentVersion(t *testing.T) {
+	named := regexp.MustCompile(`(?i)\bversions?\W{0,4}(?:currently\s+)?\(?v?(\d+)`)
+	want := strconv.Itoa(checkpoint.Version)
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := named.FindAllSubmatch(src, -1)
+		if len(found) == 0 {
+			t.Errorf("%s names no format version; it is checkpoint.Version = %s", doc, want)
+		}
+		for _, m := range found {
+			if string(m[1]) != want {
+				t.Errorf("%s: %q names version %s, but checkpoint.Version is %s", doc, m[0], m[1], want)
+			}
+		}
 	}
 }
 

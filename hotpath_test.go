@@ -255,12 +255,12 @@ func TestWALAppendIsAllocationFree(t *testing.T) {
 	}
 	defer st.Close()
 	st.SetObserver(hooks.Store(telemetry.New(), nil))
-	if err := st.WriteSnapshot(0, checkpoint.KindUser, []byte("base")); err != nil {
+	if err := st.WriteSnapshot(0, []byte("base")); err != nil {
 		t.Fatal(err)
 	}
 	record := make([]byte, 4096)
 	appendRecord := func() {
-		if err := st.Append(checkpoint.KindUser, record); err != nil {
+		if err := st.Append(record); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,12 +1,16 @@
-// Package checkpoint makes the coordinator durable. It provides
+// Package checkpoint makes the coordinator durable and owns the one frame
+// format every APF byte stream uses. It provides
 //
-//   - a versioned, checksummed binary framing for protocol-state blobs
-//     (Frame/ReadFrame), plus little-endian Writer/Reader primitives that
-//     encode float64s via their IEEE-754 bit patterns, so a decoded
-//     snapshot is bit-identical to the encoded state (package core
-//     encodes core.State — EMAs, freezing periods, AIMD state, threshold,
-//     round/check counters, per-word generations, word coverage — with
-//     these primitives, unframed: whatever carries it frames it);
+//   - the frame: a versioned, length-prefixed, CRC-checked envelope
+//     (SealFrame, ParseHeader, ReadFrame) that package wire wraps around
+//     every protocol message and Store around every snapshot and log
+//     record, with one Version, one MaxPayload and one set of errors;
+//   - little-endian Writer/Reader primitives that encode float64s via
+//     their IEEE-754 bit patterns, so a decoded snapshot is bit-identical
+//     to the encoded state (package core encodes core.State — EMAs,
+//     freezing periods, AIMD state, threshold, round/check counters,
+//     per-word generations, word coverage — with these primitives,
+//     unframed: whatever carries it frames it);
 //   - a Store that persists a coordinator as an atomically rotated
 //     snapshot plus an fsync'd write-ahead log of generation-stamped
 //     records, recycles the retired generation's files instead of freeing
@@ -18,6 +22,17 @@
 // coordinator that loses them cannot be reconstructed by the clients;
 // persisting the trajectory (the emitted aggregates) and replaying it is
 // what makes a restart bit-exact.
+//
+// # Frame layout
+//
+//	offset  size  field
+//	0       4     magic "APFW" (0x57465041 little-endian)
+//	4       1     format version (Version)
+//	5       1     kind: 1–11 are package wire's messages, 0x80 and 0x81
+//	              the Store's snapshot and log record
+//	6       4     payload length n, little-endian
+//	10      n     payload
+//	10+n    4     CRC-32 (IEEE) over header + payload
 package checkpoint
 
 import (
@@ -30,112 +45,100 @@ import (
 	"slices"
 )
 
-// Version is the on-disk format version stamped into every frame.
-// Decoders reject frames stamped with any other.
-const Version = 6
+// Version is the format version stamped on every frame, on the socket and
+// on disk, and the only one decoded.
+const Version = 11
 
-// frame layout: magic(4) version(2) kind(2) length(4) payload CRC32(4).
+// Frame geometry.
 const (
-	frameMagic     = 0x41504643 // "APFC"
-	frameHeaderLen = 12
-	frameTrailLen  = 4
-	// recordStampLen is the generation stamp leading a WAL record's payload.
-	recordStampLen = 8
-	// MaxFramePayload bounds a frame so corrupt length fields cannot drive
-	// giant allocations during recovery or fuzzing.
-	MaxFramePayload = 1 << 30
+	frameMagic = 0x57465041 // "APFW" little-endian
+	// HeaderLen is the size of a frame's header: magic, version, kind and
+	// payload length.
+	HeaderLen = 10
+	// TrailerLen is the size of a frame's CRC trailer.
+	TrailerLen = 4
+	// MaxPayload is the hard upper bound on a frame payload; a declared
+	// length beyond it is refused from the header alone, before any
+	// allocation. Readers of a network stream usually pass a much tighter
+	// limit derived from the model geometry.
+	MaxPayload = 1 << 30
 )
-
-// KindUser is the first frame kind free for embedding packages (the
-// transport's server snapshot and WAL records live here).
-const KindUser uint16 = 64
 
 // Typed decode failures, distinguishable with errors.Is.
 var (
-	// ErrCorrupt marks a frame whose checksum, magic, or structure is
-	// damaged (torn writes, bit rot, truncation mid-frame).
-	ErrCorrupt = errors.New("checkpoint: corrupt frame")
-	// ErrVersion marks a frame written by an incompatible format version.
-	ErrVersion = errors.New("checkpoint: unsupported format version")
+	// ErrCorrupt marks a frame whose magic, checksum, or body structure is
+	// damaged (torn writes, bit rot, truncation, trailing garbage).
+	ErrCorrupt = errors.New("corrupt frame")
+	// ErrVersion marks a frame stamped with another format version.
+	ErrVersion = errors.New("unsupported format version")
+	// ErrTooLarge marks a frame whose declared payload exceeds the
+	// reader's limit; it is detected from the header alone, before the
+	// payload is read or allocated.
+	ErrTooLarge = errors.New("frame exceeds payload limit")
 )
 
-// AppendFrame appends one checksummed frame of the given kind to dst and
-// returns the extended slice. The CRC covers the header and the payload,
-// so a torn header is as detectable as a torn payload.
-func AppendFrame(dst []byte, kind uint16, payload []byte) []byte {
-	start := len(dst)
-	dst = append(appendFrameHeader(dst, kind, len(payload)), payload...)
-	return appendFrameTrail(dst, start)
-}
-
-// AppendRecord appends one write-ahead-log record: a frame whose payload is
-// the generation stamp gen (8 bytes, little-endian) followed by payload, so
-// the checksum covers both. A recycled log file keeps the frames of earlier
-// generations behind the live ones; their stamps are what replay stops at.
-func AppendRecord(dst []byte, gen uint64, kind uint16, payload []byte) []byte {
-	start := len(dst)
-	dst = binary.LittleEndian.AppendUint64(appendFrameHeader(dst, kind, recordStampLen+len(payload)), gen)
-	dst = append(dst, payload...)
-	return appendFrameTrail(dst, start)
-}
-
-func appendFrameHeader(dst []byte, kind uint16, n int) []byte {
-	if n > MaxFramePayload {
-		panic(fmt.Sprintf("checkpoint: frame payload %d exceeds limit", n))
+// SealFrame completes the frame that begins at dst[start:] — HeaderLen
+// bytes reserved there, the payload behind them — by writing its header
+// for kind and appending the CRC over header and payload. It returns the
+// extended slice and panics on a payload over MaxPayload.
+func SealFrame(dst []byte, start int, kind byte) []byte {
+	n := len(dst) - start - HeaderLen
+	if n > MaxPayload {
+		panic(fmt.Sprintf("checkpoint: frame payload %d exceeds MaxPayload", n))
 	}
-	dst = binary.LittleEndian.AppendUint32(dst, frameMagic)
-	dst = binary.LittleEndian.AppendUint16(dst, Version)
-	dst = binary.LittleEndian.AppendUint16(dst, kind)
-	return binary.LittleEndian.AppendUint32(dst, uint32(n))
-}
-
-// appendFrameTrail checksums the frame that begins at dst[start:].
-func appendFrameTrail(dst []byte, start int) []byte {
+	hdr := dst[start:]
+	binary.LittleEndian.PutUint32(hdr, frameMagic)
+	hdr[4] = Version
+	hdr[5] = kind
+	binary.LittleEndian.PutUint32(hdr[6:], uint32(n))
 	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
 }
 
-// ReadRecord decodes the AppendRecord frame at the front of buf, returning
-// its generation stamp, kind, payload (aliasing buf, stamp removed) and the
-// remaining bytes. Errors are ReadFrame's, plus ErrCorrupt for a frame too
-// short to carry a stamp.
-func ReadRecord(buf []byte) (gen uint64, kind uint16, payload, rest []byte, err error) {
-	kind, payload, rest, err = ReadFrame(buf)
-	if err != nil {
-		return 0, 0, nil, nil, err
+// ParseHeader validates a frame header's magic, version and declared
+// payload length, returning the kind (unchecked: its meaning is the
+// caller's) and the length. limit bounds the length (≤ 0 means
+// MaxPayload); the bound is applied to the unsigned field, so no declared
+// length reaches an int unbounded.
+func ParseHeader(hdr []byte, limit int) (kind byte, n int, err error) {
+	if binary.LittleEndian.Uint32(hdr) != frameMagic {
+		return 0, 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	if len(payload) < recordStampLen {
-		return 0, 0, nil, nil, fmt.Errorf("%w: %d-byte record has no generation stamp", ErrCorrupt, len(payload))
+	if v := hdr[4]; v != Version {
+		return 0, 0, fmt.Errorf("%w: frame version %d, this build reads %d", ErrVersion, v, Version)
 	}
-	return binary.LittleEndian.Uint64(payload), kind, payload[recordStampLen:], rest, nil
+	if limit <= 0 || limit > MaxPayload {
+		limit = MaxPayload
+	}
+	size := binary.LittleEndian.Uint32(hdr[6:])
+	if uint64(size) > uint64(limit) {
+		return 0, 0, fmt.Errorf("%w: declared payload %d over limit %d", ErrTooLarge, size, limit)
+	}
+	return hdr[5], int(size), nil
 }
 
-// ReadFrame decodes the frame at the front of buf, returning its kind,
-// payload (aliasing buf), and the remaining bytes. io.EOF is returned on
-// an empty buffer; ErrCorrupt on any damage, including a truncated tail.
-func ReadFrame(buf []byte) (kind uint16, payload, rest []byte, err error) {
+// ReadFrame checks the frame at the front of buf whole — header, length
+// and checksum — and returns its kind, payload (aliasing buf) and the
+// remaining bytes. io.EOF is returned on an empty buffer; any damage,
+// including a truncated tail, is a typed error. limit is ParseHeader's.
+func ReadFrame(buf []byte, limit int) (kind byte, payload, rest []byte, err error) {
 	if len(buf) == 0 {
 		return 0, nil, nil, io.EOF
 	}
-	if len(buf) < frameHeaderLen+frameTrailLen {
+	if len(buf) < HeaderLen+TrailerLen {
 		return 0, nil, nil, fmt.Errorf("%w: %d-byte tail shorter than a frame", ErrCorrupt, len(buf))
 	}
-	if binary.LittleEndian.Uint32(buf[0:]) != frameMagic {
-		return 0, nil, nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	kind, n, err := ParseHeader(buf, limit)
+	if err != nil {
+		return 0, nil, nil, err
 	}
-	if v := binary.LittleEndian.Uint16(buf[4:]); v != Version {
-		return 0, nil, nil, fmt.Errorf("%w: frame version %d, this build reads %d", ErrVersion, v, Version)
+	end := HeaderLen + n
+	if len(buf)-TrailerLen < end {
+		return 0, nil, nil, fmt.Errorf("%w: payload length %d overruns buffer", ErrCorrupt, n)
 	}
-	kind = binary.LittleEndian.Uint16(buf[6:])
-	n := int(binary.LittleEndian.Uint32(buf[8:]))
-	if n > MaxFramePayload || len(buf) < frameHeaderLen+n+frameTrailLen {
-		return 0, nil, nil, fmt.Errorf("%w: frame payload length %d overruns buffer", ErrCorrupt, n)
-	}
-	end := frameHeaderLen + n
-	want := binary.LittleEndian.Uint32(buf[end:])
-	if crc32.ChecksumIEEE(buf[:end]) != want {
+	if crc32.ChecksumIEEE(buf[:end]) != binary.LittleEndian.Uint32(buf[end:]) {
 		return 0, nil, nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	return kind, buf[frameHeaderLen:end], buf[end+frameTrailLen:], nil
+	return kind, buf[HeaderLen:end], buf[end+TrailerLen:], nil
 }
 
 // Writer serializes scalars and slices little-endian into a growing
@@ -191,7 +194,7 @@ func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 func (w *Writer) words(n int) []byte {
 	size := 8 + 8*n
 	if cap(w.buf)-len(w.buf) < size {
-		w.buf = slices.Grow(w.buf, size+frameTrailLen)
+		w.buf = slices.Grow(w.buf, size+TrailerLen)
 	}
 	at := len(w.buf)
 	w.buf = w.buf[:at+size]

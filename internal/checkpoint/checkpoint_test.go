@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,61 +10,88 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// TestFrameRoundTrip encodes frames of several kinds back to back and
-// reads them off again.
+// TestFrameRoundTrip seals frames of several kinds — wire messages and
+// the store's own — back to back and reads them off again.
 func TestFrameRoundTrip(t *testing.T) {
 	payloads := [][]byte{[]byte("hello"), nil, {0, 1, 2, 255}, make([]byte, 1000)}
-	kinds := []uint16{1, KindUser, KindUser + 1, KindUser + 7}
+	kinds := []byte{1, 11, kindSnapshot, kindRecord}
 	var buf []byte
 	for i, p := range payloads {
-		buf = AppendFrame(buf, kinds[i], p)
+		buf = appendFrame(buf, kinds[i], p)
 	}
 	for i, want := range payloads {
-		kind, payload, rest, err := ReadFrame(buf)
+		kind, payload, rest, err := ReadFrame(buf, 0)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		if kind != kinds[i] {
 			t.Fatalf("frame %d: kind %d, want %d", i, kind, kinds[i])
 		}
-		if len(payload) != len(want) {
-			t.Fatalf("frame %d: payload length %d, want %d", i, len(payload), len(want))
-		}
-		for j := range want {
-			if payload[j] != want[j] {
-				t.Fatalf("frame %d: payload[%d] = %d, want %d", i, j, payload[j], want[j])
-			}
+		if !bytes.Equal(payload, want) {
+			t.Fatalf("frame %d: payload %v, want %v", i, payload, want)
 		}
 		buf = rest
 	}
-	if _, _, _, err := ReadFrame(buf); err != io.EOF {
+	if _, _, _, err := ReadFrame(buf, 0); err != io.EOF {
 		t.Fatalf("after last frame: err = %v, want io.EOF", err)
 	}
 }
 
-// TestFrameCorruption flips every byte of an encoded frame in turn; each
-// damaged copy must be rejected, never silently decoded.
+// TestFrameCorruption holds ReadFrame — the one whole-frame check behind
+// wire.Decode and Store.Load — to a typed refusal of every damaged frame,
+// never a payload: every bit flip anywhere, every truncation, another
+// version, and a declared length over the limit, which is refused from
+// the header alone (0xFFFFFFF0 included, a length that must never reach
+// an int unbounded). The same frame reads under the default limit.
 func TestFrameCorruption(t *testing.T) {
-	frame := AppendFrame(nil, KindUser, []byte("state bytes"))
-	for i := range frame {
-		bad := append([]byte(nil), frame...)
-		bad[i] ^= 0x40
-		_, _, _, err := ReadFrame(bad)
-		if err == nil {
-			t.Fatalf("flip byte %d: frame still decoded", i)
-		}
-		if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersion) {
-			t.Fatalf("flip byte %d: err = %v, want ErrCorrupt or ErrVersion", i, err)
+	payload := []byte("state bytes")
+	frame := appendFrame(nil, 4, payload)
+	refused := func(what string, bad []byte, limit int, want error) {
+		t.Helper()
+		kind, p, rest, err := ReadFrame(bad, limit)
+		if !errors.Is(err, want) || kind != 0 || p != nil || rest != nil {
+			t.Fatalf("%s: (%d, %q, %q, %v), want only %v", what, kind, p, rest, err, want)
 		}
 	}
-	for n := 1; n < len(frame); n++ {
-		if _, _, _, err := ReadFrame(frame[:n]); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("truncate to %d bytes: err = %v, want ErrCorrupt", n, err)
+	for i := range frame {
+		for bit := 0; bit < 8; bit++ {
+			bad := slices.Clone(frame)
+			bad[i] ^= 1 << bit
+			_, _, _, err := ReadFrame(bad, 0)
+			if err == nil {
+				t.Fatalf("flip bit %d of byte %d: frame still decoded", bit, i)
+			}
+			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersion) && !errors.Is(err, ErrTooLarge) {
+				t.Fatalf("flip bit %d of byte %d: untyped error %v", bit, i, err)
+			}
 		}
+	}
+	if _, _, _, err := ReadFrame(nil, 0); err != io.EOF {
+		t.Fatalf("empty buffer: err = %v, want io.EOF", err)
+	}
+	for n := 1; n < len(frame); n++ {
+		refused(fmt.Sprintf("truncated to %d bytes", n), frame[:n], 0, ErrCorrupt)
+	}
+	for _, v := range []byte{Version - 1, Version + 1} {
+		bad := slices.Clone(frame)
+		bad[4] = v
+		refused(fmt.Sprintf("version %d", v), bad, 0, ErrVersion)
+	}
+	refused("payload one byte over the limit", frame, len(payload)-1, ErrTooLarge)
+	for _, limit := range []int{0, len(payload), MaxPayload + 1} {
+		if _, p, _, err := ReadFrame(frame, limit); err != nil || !bytes.Equal(p, payload) {
+			t.Fatalf("limit %d: (%q, %v), want the payload", limit, p, err)
+		}
+	}
+	huge := slices.Clone(frame)
+	binary.LittleEndian.PutUint32(huge[6:], 0xFFFFFFF0)
+	for _, limit := range []int{0, 64} {
+		refused(fmt.Sprintf("declared length 0xFFFFFFF0, limit %d", limit), huge, limit, ErrTooLarge)
 	}
 }
 
@@ -157,8 +185,8 @@ func TestReaderGuards(t *testing.T) {
 // previousVersionFrame re-stamps a frame with the previous format version
 // (the version check precedes the checksum, so the CRC is left alone).
 func previousVersionFrame(frame []byte) []byte {
-	old := append([]byte(nil), frame...)
-	binary.LittleEndian.PutUint16(old[4:], Version-1)
+	old := slices.Clone(frame)
+	old[4] = Version - 1
 	return old
 }
 
@@ -171,19 +199,19 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, _, found, err := st.Load(); err != nil || found {
+	if _, _, _, found, err := st.Load(); err != nil || found {
 		t.Fatalf("empty store Load: found=%v err=%v", found, err)
 	}
-	if err := st.Append(KindUser, []byte("early")); err == nil {
+	if err := st.Append([]byte("early")); err == nil {
 		t.Fatalf("append before any snapshot succeeded")
 	}
-	if err := st.WriteSnapshot(0, KindUser, []byte("base")); err != nil {
+	if err := st.WriteSnapshot(0, []byte("base")); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Append(KindUser+1, []byte("rec0")); err != nil {
+	if err := st.Append([]byte("rec0")); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Append(KindUser+2, []byte("rec1")); err != nil {
+	if err := st.Append([]byte("rec1")); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -192,19 +220,19 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rounds, kind, payload, wal, found, err := st2.Load()
+	rounds, payload, wal, found, err := st2.Load()
 	if err != nil || !found {
 		t.Fatalf("Load: found=%v err=%v", found, err)
 	}
-	if rounds != 0 || kind != KindUser || string(payload) != "base" {
-		t.Fatalf("snapshot = (%d, %d, %q)", rounds, kind, payload)
+	if rounds != 0 || string(payload) != "base" {
+		t.Fatalf("snapshot = (%d, %q)", rounds, payload)
 	}
-	if len(wal) != 2 || string(wal[0].Payload) != "rec0" || string(wal[1].Payload) != "rec1" {
+	if len(wal) != 2 || string(wal[0]) != "rec0" || string(wal[1]) != "rec1" {
 		t.Fatalf("wal = %v", wal)
 	}
 
 	// Append continues the recovered generation's log.
-	if err := st2.Append(KindUser+3, []byte("rec2")); err != nil {
+	if err := st2.Append([]byte("rec2")); err != nil {
 		t.Fatal(err)
 	}
 	st2.Close()
@@ -213,11 +241,11 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st3.Close()
-	_, _, _, wal, _, err = st3.Load()
+	_, _, wal, _, err = st3.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(wal) != 3 || string(wal[2].Payload) != "rec2" {
+	if len(wal) != 3 || string(wal[2]) != "rec2" {
 		t.Fatalf("wal after continued append = %v", wal)
 	}
 }
@@ -233,11 +261,11 @@ func openStore(t *testing.T, dir string) *Store {
 	return st
 }
 
-// mustAppend appends one KindUser record per payload.
+// mustAppend appends one record per payload.
 func mustAppend(t *testing.T, st *Store, payloads ...string) {
 	t.Helper()
 	for _, p := range payloads {
-		if err := st.Append(KindUser, []byte(p)); err != nil {
+		if err := st.Append([]byte(p)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -248,13 +276,13 @@ func mustAppend(t *testing.T, st *Store, payloads ...string) {
 func mustLoad(t *testing.T, dir string) (*Store, int, string, []string) {
 	t.Helper()
 	st := openStore(t, dir)
-	rounds, _, payload, wal, found, err := st.Load()
+	rounds, payload, wal, found, err := st.Load()
 	if err != nil || !found {
 		t.Fatalf("Load: found=%v err=%v", found, err)
 	}
 	var recs []string
 	for _, r := range wal {
-		recs = append(recs, string(r.Payload))
+		recs = append(recs, string(r))
 	}
 	return st, rounds, string(payload), recs
 }
@@ -280,12 +308,12 @@ func TestStoreRotationBounded(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
 	for i := 0; i < 10; i++ {
-		if err := st.WriteSnapshot(3*i, KindUser, []byte(fmt.Sprintf("gen%d", 3*i))); err != nil {
+		if err := st.WriteSnapshot(3*i, []byte(fmt.Sprintf("gen%d", 3*i))); err != nil {
 			t.Fatal(err)
 		}
 		mustAppend(t, st, "a", "b", "c")
 	}
-	if err := st.WriteSnapshot(27, KindUser, []byte("again")); err == nil {
+	if err := st.WriteSnapshot(27, []byte("again")); err == nil {
 		t.Fatalf("non-increasing snapshot accepted")
 	}
 	want := []string{"snap-00000027.ckpt", "snap.spare", "wal-00000027.log"}
@@ -304,11 +332,11 @@ func TestStoreRotationBounded(t *testing.T) {
 func TestStoreStaleRecordsNotReplayed(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
-	if err := st.WriteSnapshot(0, KindUser, []byte("gen0")); err != nil {
+	if err := st.WriteSnapshot(0, []byte("gen0")); err != nil {
 		t.Fatal(err)
 	}
 	mustAppend(t, st, "old-0", "old-1", "old-2", "old-3")
-	if err := st.WriteSnapshot(4, KindUser, []byte("gen4")); err != nil {
+	if err := st.WriteSnapshot(4, []byte("gen4")); err != nil {
 		t.Fatal(err)
 	}
 	mustAppend(t, st, "new-0", "new-1")
@@ -316,7 +344,7 @@ func TestStoreStaleRecordsNotReplayed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if recLen := len(AppendRecord(nil, 4, KindUser, []byte("new-0"))); fi.Size() != int64(4*recLen) {
+	if recLen := len(appendRecord(nil, 4, []byte("new-0"))); fi.Size() != int64(4*recLen) {
 		t.Fatalf("recycled wal is %d bytes, want the four %d-byte records it held", fi.Size(), recLen)
 	}
 	st.Close()
@@ -333,7 +361,7 @@ func TestStoreRecycledSnapshotLongerThanFrame(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
 	for i, p := range []string{strings.Repeat("x", 4096), "small", "tiny"} {
-		if err := st.WriteSnapshot(i, KindUser, []byte(p)); err != nil {
+		if err := st.WriteSnapshot(i, []byte(p)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -341,7 +369,7 @@ func TestStoreRecycledSnapshotLongerThanFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if frame := len(AppendFrame(nil, KindUser, []byte("tiny"))); fi.Size() <= int64(frame) {
+	if frame := len(appendFrame(nil, kindSnapshot, []byte("tiny"))); fi.Size() <= int64(frame) {
 		t.Fatalf("snapshot file is %d bytes for a %d-byte frame; it was not written over the large one", fi.Size(), frame)
 	}
 	st.Close()
@@ -356,15 +384,15 @@ func TestStoreRecycledSnapshotLongerThanFrame(t *testing.T) {
 func TestStoreCrashWhileOverwritingSpare(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
-	if err := st.WriteSnapshot(0, KindUser, []byte("gen0")); err != nil {
+	if err := st.WriteSnapshot(0, []byte("gen0")); err != nil {
 		t.Fatal(err)
 	}
 	mustAppend(t, st, "r0")
-	if err := st.WriteSnapshot(3, KindUser, []byte("gen3")); err != nil {
+	if err := st.WriteSnapshot(3, []byte("gen3")); err != nil {
 		t.Fatal(err)
 	}
 	mustAppend(t, st, "r3", "r4")
-	next := AppendFrame(nil, KindUser, []byte("the generation-6 snapshot"))
+	next := appendFrame(nil, kindSnapshot, []byte("the generation-6 snapshot"))
 	f, err := os.OpenFile(filepath.Join(dir, spareName), os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -379,7 +407,7 @@ func TestStoreCrashWhileOverwritingSpare(t *testing.T) {
 	if rounds != 3 || payload != "gen3" || !reflect.DeepEqual(recs, []string{"r3", "r4"}) {
 		t.Fatalf("recovered (%d, %q, %v), want (3, \"gen3\", [r3 r4])", rounds, payload, recs)
 	}
-	if err := st2.WriteSnapshot(6, KindUser, []byte("gen6")); err != nil {
+	if err := st2.WriteSnapshot(6, []byte("gen6")); err != nil {
 		t.Fatalf("rotation after the crash: %v", err)
 	}
 	mustAppend(t, st2, "r6")
@@ -401,10 +429,10 @@ func TestStoreFinishesInterruptedRotation(t *testing.T) {
 	for _, walMoved := range []bool{false, true} {
 		dir := t.TempDir()
 		st := openStore(t, dir)
-		if err := st.WriteSnapshot(0, KindUser, []byte("gen0")); err != nil {
+		if err := st.WriteSnapshot(0, []byte("gen0")); err != nil {
 			t.Fatal(err)
 		}
-		if err := st.WriteSnapshot(3, KindUser, []byte("gen3")); err != nil {
+		if err := st.WriteSnapshot(3, []byte("gen3")); err != nil {
 			t.Fatal(err)
 		}
 		mustAppend(t, st, "r3")
@@ -412,7 +440,7 @@ func TestStoreFinishesInterruptedRotation(t *testing.T) {
 		// The rotation to 6 published its snapshot from the spare, and
 		// recycled the log only when walMoved.
 		spare := filepath.Join(dir, spareName)
-		if err := os.WriteFile(spare, AppendFrame(nil, KindUser, []byte("gen6")), 0o644); err != nil {
+		if err := os.WriteFile(spare, appendFrame(nil, kindSnapshot, []byte("gen6")), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.Rename(spare, filepath.Join(dir, "snap-00000006.ckpt")); err != nil {
@@ -445,7 +473,7 @@ func TestStoreFinishesInterruptedRotation(t *testing.T) {
 func TestStoreRefusesOtherVersion(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
-	if err := st.WriteSnapshot(0, KindUser, []byte("base")); err != nil {
+	if err := st.WriteSnapshot(0, []byte("base")); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -457,107 +485,74 @@ func TestStoreRefusesOtherVersion(t *testing.T) {
 	if err := os.WriteFile(path, previousVersionFrame(buf), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, _, _, found, err := openStore(t, dir).Load()
+	_, _, _, found, err := openStore(t, dir).Load()
 	if !errors.Is(err, ErrVersion) || found {
 		t.Fatalf("Load over a version-%d snapshot: found=%v err=%v, want ErrVersion", Version-1, found, err)
 	}
 }
 
-// TestStoreTornTail simulates kill -9 mid-append: garbage (and a valid
-// prefix of a frame) after the last good record must truncate the replay,
-// not fail it.
+// TestStoreTornTail simulates kill -9 mid-append: a tail behind the last
+// good record — a frame cut short, or a header declaring 0xFFFFFFF0 bytes
+// — must end the replay, not fail it.
 func TestStoreTornTail(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.WriteSnapshot(0, KindUser, []byte("base")); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Append(KindUser, []byte("good")); err != nil {
-		t.Fatal(err)
-	}
-	st.Close()
+	huge := appendRecord(nil, 0, []byte("torn-away"))
+	binary.LittleEndian.PutUint32(huge[6:], 0xFFFFFFF0)
+	full := appendRecord(nil, 0, []byte("torn-away"))
+	for name, tail := range map[string][]byte{"cut short": full[:len(full)-3], "0xFFFFFFF0 declared": huge} {
+		dir := t.TempDir()
+		st := openStore(t, dir)
+		if err := st.WriteSnapshot(0, []byte("base")); err != nil {
+			t.Fatal(err)
+		}
+		mustAppend(t, st, "good")
+		st.Close()
 
-	walPath := filepath.Join(dir, "wal-00000000.log")
-	torn := AppendFrame(nil, KindUser, []byte("torn-away"))
-	f, err := os.OpenFile(walPath, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(torn[:len(torn)-3]); err != nil { // frame cut short
-		t.Fatal(err)
-	}
-	f.Close()
+		f, err := os.OpenFile(filepath.Join(dir, "wal-00000000.log"), os.O_APPEND|os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(tail); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
 
-	st2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	_, _, _, wal, found, err := st2.Load()
-	if err != nil || !found {
-		t.Fatalf("Load: found=%v err=%v", found, err)
-	}
-	if len(wal) != 1 || string(wal[0].Payload) != "good" {
-		t.Fatalf("replay over torn tail = %v, want the one good record", wal)
-	}
-
-	// Double-crash: appending after a torn-tail recovery must land where
-	// the next recovery can read it — the torn bytes are trimmed, not
-	// appended past.
-	if err := st2.Append(KindUser, []byte("after-recovery")); err != nil {
-		t.Fatal(err)
-	}
-	st2.Close()
-	st3, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st3.Close()
-	_, _, _, wal, found, err = st3.Load()
-	if err != nil || !found {
-		t.Fatalf("second Load: found=%v err=%v", found, err)
-	}
-	if len(wal) != 2 || string(wal[1].Payload) != "after-recovery" {
-		t.Fatalf("replay after torn-tail append = %v, want [good after-recovery]", wal)
+		st2, _, _, recs := mustLoad(t, dir)
+		if !reflect.DeepEqual(recs, []string{"good"}) {
+			t.Fatalf("%s: replay over the torn tail = %v, want the one good record", name, recs)
+		}
+		// Double-crash: appending after a torn-tail recovery must land where
+		// the next recovery can read it — the torn bytes are trimmed, not
+		// appended past.
+		mustAppend(t, st2, "after-recovery")
+		st2.Close()
+		if _, _, _, recs := mustLoad(t, dir); !reflect.DeepEqual(recs, []string{"good", "after-recovery"}) {
+			t.Fatalf("%s: replay after torn-tail append = %v, want [good after-recovery]", name, recs)
+		}
 	}
 }
 
 // TestStoreDamagedSnapshotFallsBack plants two generations by hand and
-// corrupts the newer snapshot; Load must recover the older one.
+// damages the newer snapshot — a flipped payload byte, a header declaring
+// 0xFFFFFFF0 bytes, or an intact frame of a wire message's kind in its
+// place; Load must recover the older one.
 func TestStoreDamagedSnapshotFallsBack(t *testing.T) {
-	dir := t.TempDir()
-	writeGen := func(rounds int, payload string) {
-		frame := AppendFrame(nil, KindUser, []byte(payload))
-		name := filepath.Join(dir, "snap-0000000"+string(rune('0'+rounds))+".ckpt")
-		if err := os.WriteFile(name, frame, 0o644); err != nil {
+	good := appendFrame(nil, kindSnapshot, []byte("new"))
+	flipped := slices.Clone(good)
+	flipped[len(flipped)/2] ^= 0xff
+	huge := slices.Clone(good)
+	binary.LittleEndian.PutUint32(huge[6:], 0xFFFFFFF0)
+	const kindGlobal = 4 // the wire's dense global
+	for name, newer := range map[string][]byte{"flipped": flipped, "0xFFFFFFF0 declared": huge,
+		"wire frame": appendFrame(nil, kindGlobal, []byte("new"))} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "snap-00000000.ckpt"), appendFrame(nil, kindSnapshot, []byte("old")), 0o644); err != nil {
 			t.Fatal(err)
 		}
-	}
-	writeGen(0, "old")
-	writeGen(5, "new")
-	newSnap := filepath.Join(dir, "snap-00000005.ckpt")
-	buf, err := os.ReadFile(newSnap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf[len(buf)/2] ^= 0xff
-	if err := os.WriteFile(newSnap, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	st, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	rounds, _, payload, _, found, err := st.Load()
-	if err != nil || !found {
-		t.Fatalf("Load: found=%v err=%v", found, err)
-	}
-	if rounds != 0 || string(payload) != "old" {
-		t.Fatalf("recovered (%d, %q), want the older intact generation", rounds, payload)
+		if err := os.WriteFile(filepath.Join(dir, "snap-00000005.ckpt"), newer, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, rounds, payload, _ := mustLoad(t, dir); rounds != 0 || payload != "old" {
+			t.Fatalf("%s: recovered (%d, %q), want the older intact generation", name, rounds, payload)
+		}
 	}
 }

@@ -4,6 +4,9 @@ package checkpoint
 // which exercises the manager state encoding through package core, and
 // core imports this package.
 var (
+	AppendFrame          = appendFrame
+	AppendRecord         = appendRecord
+	KindSnapshot         = kindSnapshot
 	ReplayRecords        = replayRecords
 	PreviousVersionFrame = previousVersionFrame
 )

@@ -2,6 +2,7 @@ package checkpoint_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"apf/internal/checkpoint"
@@ -17,22 +18,22 @@ import (
 // decodes to the same state (manager).
 func FuzzCheckpointDecode(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(checkpoint.AppendFrame(nil, checkpoint.KindUser, []byte("payload")))
+	f.Add(checkpoint.AppendFrame(nil, checkpoint.KindSnapshot, []byte("payload")))
 	f.Add(core.EncodeState(testManagerState()))
-	f.Add(checkpoint.PreviousVersionFrame(checkpoint.AppendFrame(nil, checkpoint.KindUser, []byte("payload")))) // the version-reject arm
+	f.Add(checkpoint.PreviousVersionFrame(checkpoint.AppendFrame(nil, checkpoint.KindSnapshot, []byte("payload")))) // the version-reject arm
 	var w checkpoint.Writer
 	w.Int(4)
 	w.Bool(false)
 	w.Int(1 << 50) // absurd Ref length claim: must be bounded, not allocated
 	f.Add(w.Bytes())
 	// A recycled log: live records of generation 7 in front of a stale one.
-	f.Add(checkpoint.AppendRecord(checkpoint.AppendRecord(checkpoint.AppendRecord(nil, 7, checkpoint.KindUser, []byte("live")), 7, checkpoint.KindUser, nil), 4, checkpoint.KindUser, []byte("stale")))
+	f.Add(checkpoint.AppendRecord(checkpoint.AppendRecord(checkpoint.AppendRecord(nil, 7, []byte("live")), 7, nil), 4, []byte("stale")))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Frame stream: walk every frame.
 		buf := data
 		for i := 0; i < 1000; i++ {
-			_, payload, rest, err := checkpoint.ReadFrame(buf)
+			_, payload, rest, err := checkpoint.ReadFrame(buf, 0)
 			if err != nil {
 				break
 			}
@@ -43,16 +44,18 @@ func FuzzCheckpointDecode(f *testing.F) {
 		}
 
 		// WAL replay, as Store.Load does, of the generation the first
-		// record is stamped with: the live records are exactly the bytes
-		// they span, and none carries another stamp.
-		if gen, _, _, _, err := checkpoint.ReadRecord(data); err == nil {
-			records, live := checkpoint.ReplayRecords(data, gen)
-			var again []byte
-			for _, r := range records {
-				again = checkpoint.AppendRecord(again, gen, r.Kind, r.Payload)
-			}
-			if !bytes.Equal(again, data[:live]) {
-				t.Fatalf("%d records replayed at generation %d do not re-encode to their %d-byte live prefix", len(records), gen, live)
+		// frame's payload opens with: the live records are exactly the
+		// bytes they span, and none carries another stamp.
+		if _, first, _, err := checkpoint.ReadFrame(data, 0); err == nil && len(first) >= 8 {
+			gen := binary.LittleEndian.Uint64(first)
+			if records, live, err := checkpoint.ReplayRecords(data, gen); err == nil {
+				var again []byte
+				for _, r := range records {
+					again = checkpoint.AppendRecord(again, gen, r)
+				}
+				if !bytes.Equal(again, data[:live]) {
+					t.Fatalf("%d records replayed at generation %d do not re-encode to their %d-byte live prefix", len(records), gen, live)
+				}
 			}
 		}
 

@@ -102,8 +102,8 @@ func TestManagerCodecRejectsDamage(t *testing.T) {
 // of its own around the body — is corrupt, never decoded.
 func TestOldFormatRefused(t *testing.T) {
 	body := core.EncodeState(testManagerState())
-	old := checkpoint.PreviousVersionFrame(checkpoint.AppendFrame(nil, checkpoint.KindUser, body))
-	if _, _, _, err := checkpoint.ReadFrame(old); !errors.Is(err, checkpoint.ErrVersion) {
+	old := checkpoint.PreviousVersionFrame(checkpoint.AppendFrame(nil, checkpoint.KindSnapshot, body))
+	if _, _, _, err := checkpoint.ReadFrame(old, 0); !errors.Is(err, checkpoint.ErrVersion) {
 		t.Fatalf("previous-version frame: err = %v, want ErrVersion", err)
 	}
 	const previousManagerKind = 1

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -14,11 +15,15 @@ import (
 
 // Store persists a coordinator under one directory as a generation of
 //
-//	snap-<rounds>.ckpt   one frame: state after <rounds> completed rounds
-//	wal-<rounds>.log     records appended since that snapshot, each
+//	snap-<rounds>.ckpt   one snapshot frame: state after <rounds>
+//	                     completed rounds
+//	wal-<rounds>.log     record frames appended since that snapshot, each
 //	                     stamped with <rounds>
 //
-// next to snap.spare, the retired snapshot file kept for reuse.
+// next to snap.spare, the retired snapshot file kept for reuse. Both are
+// frames of the package's one format, under the two kinds the store owns,
+// which no wire message uses: a snapshot file or log record handed to the
+// wire decoder is an unknown kind, and a wire frame in a store is damage.
 //
 // WriteSnapshot is atomic: the frame is written over the spare, fsync'd,
 // renamed to its snap-* name, and the directory fsync'd. The previous
@@ -72,7 +77,29 @@ const (
 	// spareName is outside the snap-*.ckpt namespace, so recovery never
 	// reads it; the next snapshot is written into it in place.
 	spareName = "snap.spare"
+
+	// The frame kinds the store writes, outside the wire's message kinds.
+	kindSnapshot byte = 0x80
+	kindRecord   byte = 0x81
+	// recordStampLen is the generation stamp leading a record's payload.
+	recordStampLen = 8
 )
+
+// appendFrame appends a frame of kind around payload to dst.
+func appendFrame(dst []byte, kind byte, payload []byte) []byte {
+	start := len(dst)
+	return SealFrame(append(append(dst, make([]byte, HeaderLen)...), payload...), start, kind)
+}
+
+// appendRecord appends one log record: a frame whose payload is the
+// generation stamp gen (8 bytes, little-endian) followed by payload, so the
+// checksum covers both. A recycled log file keeps the records of earlier
+// generations behind the live ones; their stamps are what replay stops at.
+func appendRecord(dst []byte, gen uint64, payload []byte) []byte {
+	start := len(dst)
+	dst = binary.LittleEndian.AppendUint64(append(dst, make([]byte, HeaderLen)...), gen)
+	return SealFrame(append(dst, payload...), start, kindRecord)
+}
 
 // Open prepares a store in dir, creating it when missing. No files are
 // written until the first WriteSnapshot.
@@ -134,7 +161,7 @@ func (s *Store) syncDir() error {
 // snapshot file are recycled as the new log and the spare. rounds is the
 // number of completed rounds the snapshot captures and must increase
 // across calls.
-func (s *Store) WriteSnapshot(rounds int, kind uint16, payload []byte) error {
+func (s *Store) WriteSnapshot(rounds int, payload []byte) error {
 	if rounds < 0 {
 		return fmt.Errorf("checkpoint: negative snapshot round %d", rounds)
 	}
@@ -145,7 +172,7 @@ func (s *Store) WriteSnapshot(rounds int, kind uint16, payload []byte) error {
 	if s.obs != nil {
 		start = time.Now()
 	}
-	frame := AppendFrame(nil, kind, payload)
+	frame := appendFrame(nil, kindSnapshot, payload)
 	if err := overwriteSync(s.sparePath(), frame); err != nil {
 		return fmt.Errorf("checkpoint: write snapshot: %w", err)
 	}
@@ -190,7 +217,7 @@ func (s *Store) WriteSnapshot(rounds int, kind uint16, payload []byte) error {
 // Append durably appends one record to the current generation's WAL. It
 // must follow a WriteSnapshot (or a Load that found one), and allocates
 // nothing once its buffer has grown to the record size.
-func (s *Store) Append(kind uint16, payload []byte) error {
+func (s *Store) Append(payload []byte) error {
 	if s.wal == nil {
 		return fmt.Errorf("checkpoint: append without a snapshot generation")
 	}
@@ -198,7 +225,7 @@ func (s *Store) Append(kind uint16, payload []byte) error {
 	if s.obs != nil {
 		start = time.Now()
 	}
-	s.buf = AppendRecord(s.buf[:0], uint64(s.rounds), kind, payload)
+	s.buf = appendRecord(s.buf[:0], uint64(s.rounds), payload)
 	if _, err := s.wal.WriteAt(s.buf, s.off); err != nil {
 		return fmt.Errorf("checkpoint: append wal: %w", err)
 	}
@@ -212,27 +239,22 @@ func (s *Store) Append(kind uint16, payload []byte) error {
 	return nil
 }
 
-// Record is one replayed WAL entry.
-type Record struct {
-	Kind    uint16
-	Payload []byte
-}
-
 // Load recovers the newest consistent generation: it returns the snapshot
-// round count, kind and payload, and the WAL records appended after it,
-// stopping the replay at the first corrupt frame (torn tail) or stale
-// record. found is false when the store holds no usable snapshot (fresh
-// start); a snapshot written by another format version is an error
-// wrapping ErrVersion, never a fresh start. After a successful Load,
-// Append continues the recovered generation's WAL.
-func (s *Store) Load() (rounds int, kind uint16, payload []byte, wal []Record, found bool, err error) {
+// round count and payload, and the payloads of the WAL records appended
+// after it, stopping the replay at the first damaged frame (torn tail) or
+// stale record. found is false when the store holds no usable snapshot
+// (fresh start); a snapshot written by another format version is an error
+// wrapping ErrVersion, never a fresh start, and so is a checksummed frame
+// in the WAL that is no log record (ErrCorrupt), which no build writes.
+// After a successful Load, Append continues the recovered generation's WAL.
+func (s *Store) Load() (rounds int, payload []byte, wal [][]byte, found bool, err error) {
 	var start time.Time
 	if s.obs != nil {
 		start = time.Now()
 	}
 	gens, err := s.generations()
 	if err != nil {
-		return 0, 0, nil, nil, false, err
+		return 0, nil, nil, false, err
 	}
 	for i := len(gens) - 1; i >= 0; i-- {
 		r := gens[i]
@@ -242,33 +264,33 @@ func (s *Store) Load() (rounds int, kind uint16, payload []byte, wal []Record, f
 		}
 		// A recycled snapshot file can be longer than its frame; the
 		// bytes behind the frame are a retired snapshot's.
-		k, p, _, ferr := ReadFrame(buf)
+		kind, p, _, ferr := ReadFrame(buf, 0)
 		if errors.Is(ferr, ErrVersion) {
-			return 0, 0, nil, nil, false, fmt.Errorf("checkpoint: snapshot %s: %w", filepath.Base(s.snapPath(r)), ferr)
+			return 0, nil, nil, false, fmt.Errorf("checkpoint: snapshot %s: %w", filepath.Base(s.snapPath(r)), ferr)
 		}
-		if ferr != nil {
+		if ferr != nil || kind != kindSnapshot {
 			continue // damaged snapshot: fall back to the previous generation
 		}
 		if i > 0 {
 			// A crash between publishing snapshot r and retiring its
 			// predecessor left that generation behind: finish the rotation.
 			if err := s.retire(gens[i-1], r); err != nil {
-				return 0, 0, nil, nil, false, fmt.Errorf("checkpoint: retire generation %d: %w", gens[i-1], err)
+				return 0, nil, nil, false, fmt.Errorf("checkpoint: retire generation %d: %w", gens[i-1], err)
 			}
 		}
 		records, err := s.reopenWAL(r)
 		if err != nil {
-			return 0, 0, nil, nil, false, err
+			return 0, nil, nil, false, err
 		}
 		if s.obs != nil {
 			s.obs.LoadDone(true, r, len(records), time.Since(start))
 		}
-		return r, k, p, records, true, nil
+		return r, p, records, true, nil
 	}
 	if s.obs != nil {
 		s.obs.LoadDone(false, 0, 0, time.Since(start))
 	}
-	return 0, 0, nil, nil, false, nil
+	return 0, nil, nil, false, nil
 }
 
 // retire completes what WriteSnapshot does once snapshot r is durable:
@@ -297,15 +319,28 @@ func renameOnto(from, to string) error {
 
 // reopenWAL replays generation r's log and makes it the append target,
 // positioned after the replayed records.
-func (s *Store) reopenWAL(r int) ([]Record, error) {
+func (s *Store) reopenWAL(r int) ([][]byte, error) {
 	buf, err := os.ReadFile(s.walPath(r))
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+	missing := errors.Is(err, fs.ErrNotExist)
+	if err != nil && !missing {
 		return nil, fmt.Errorf("checkpoint: read wal: %w", err)
 	}
-	records, live := replayRecords(buf, uint64(r))
+	records, live, err := replayRecords(buf, uint64(r))
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: replay %s: %w", filepath.Base(s.walPath(r)), err)
+	}
 	f, err := os.OpenFile(s.walPath(r), os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: reopen wal: %w", err)
+	}
+	if missing {
+		// A crash between publishing the snapshot and creating its log:
+		// the log created here must outlive a power loss with the rounds
+		// committed to it.
+		if err := s.syncDir(); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("checkpoint: sync store: %w", err)
+		}
 	}
 	// Cut off everything behind the live records once, here: a torn frame
 	// left in place could otherwise be partly overwritten by a shorter
@@ -321,19 +356,27 @@ func (s *Store) reopenWAL(r int) ([]Record, error) {
 	return records, nil
 }
 
-// replayRecords reads generation gen's records from the front of a log,
-// stopping at the first damaged frame or the first record stamped with
-// another generation, and returns them with the byte length they span.
-// Payloads alias buf.
-func replayRecords(buf []byte, gen uint64) (records []Record, live int) {
+// replayRecords reads generation gen's record payloads from the front of
+// a log, stopping at the first damaged frame or the first record stamped
+// with another generation, and returns them with the byte length they
+// span. Payloads alias buf. A checksummed frame of another kind is no
+// torn tail: it fails the replay, rather than being cut off with every
+// record behind it.
+func replayRecords(buf []byte, gen uint64) (records [][]byte, live int, err error) {
 	for {
-		g, kind, payload, rest, err := ReadRecord(buf[live:])
-		if err != nil || g != gen {
-			// io.EOF: clean end; ErrCorrupt/ErrVersion: torn tail or the
-			// middle of a stale frame; another stamp: a stale record.
-			return records, live
+		kind, payload, rest, err := ReadFrame(buf[live:], 0)
+		if err != nil {
+			// io.EOF: clean end; ErrCorrupt/ErrVersion/ErrTooLarge: torn
+			// tail or the middle of a stale frame.
+			return records, live, nil
 		}
-		records = append(records, Record{Kind: kind, Payload: payload})
+		if kind != kindRecord {
+			return nil, 0, fmt.Errorf("%w: frame of kind %d at log offset %d", ErrCorrupt, kind, live)
+		}
+		if len(payload) < recordStampLen || binary.LittleEndian.Uint64(payload) != gen {
+			return records, live, nil // a stale (or stampless) record
+		}
+		records = append(records, payload[recordStampLen:])
 		live = len(buf) - len(rest)
 	}
 }

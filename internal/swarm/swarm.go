@@ -280,7 +280,7 @@ func Run(cfg Config) (*Result, error) {
 			// straight from the frame.
 			rs := &relays[e.who]
 			rootStart := time.Now()
-			m, rest, err := wire.Decode(rs.frame, wire.MaxPayload)
+			m, rest, err := wire.Decode(rs.frame, 0)
 			if err != nil || len(rest) != 0 {
 				return nil, fmt.Errorf("swarm: round %d relay %d partial decode: %v", round, e.who, err)
 			}
@@ -313,7 +313,7 @@ func Run(cfg Config) (*Result, error) {
 				return nil, fmt.Errorf("swarm: round %d relay %d got two globals", round, e.who)
 			}
 			edgeStart := time.Now()
-			m, rest, err := wire.Decode(globalFrame, wire.MaxPayload)
+			m, rest, err := wire.Decode(globalFrame, 0)
 			res.EdgeCPUSeconds += time.Since(edgeStart).Seconds()
 			if err != nil || len(rest) != 0 {
 				return nil, fmt.Errorf("swarm: round %d relay %d global decode: %v", round, e.who, err)

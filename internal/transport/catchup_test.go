@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"apf/internal/bitset"
+	"apf/internal/checkpoint"
 	"apf/internal/core"
 	"apf/internal/fl"
 	"apf/internal/telemetry"
@@ -224,7 +225,7 @@ func TestCatchUpSnapshotModeRefusesPartial(t *testing.T) {
 	peerErr := make(chan error, 1)
 	go func() {
 		peerErr <- func() error {
-			m, err := readMsg(peer, 2*time.Second, wire.MaxPayload, nil)
+			m, err := readMsg(peer, 2*time.Second, checkpoint.MaxPayload, nil)
 			if err != nil {
 				return err
 			}
@@ -285,13 +286,13 @@ func TestCatchUpWordListRejected(t *testing.T) {
 					if err := writeMsg(peer, 2*time.Second, &ResumeOfferMsg{Round: 3, MaskGen: cap.maskGen()}, nil); err != nil {
 						return err
 					}
-					if _, err := readMsg(peer, 2*time.Second, wire.MaxPayload, nil); err != nil {
+					if _, err := readMsg(peer, 2*time.Second, checkpoint.MaxPayload, nil); err != nil {
 						return err
 					}
 					if err := writeMsg(peer, 2*time.Second, &ResumeOfferMsg{Round: 3, MaskGen: cap.maskGen(), Words: tc.words}, nil); err != nil {
 						return err
 					}
-					if m, err := readMsg(peer, 2*time.Second, wire.MaxPayload, nil); err == nil {
+					if m, err := readMsg(peer, 2*time.Second, checkpoint.MaxPayload, nil); err == nil {
 						reply <- m
 					}
 					return nil
@@ -355,14 +356,14 @@ func TestClientRefusesWordRestrictedSnapshotMidStream(t *testing.T) {
 				return err
 			}
 			defer closeQuietly(conn)
-			if _, err := readMsg(conn, ioT, wire.MaxPayload, nil); err != nil {
+			if _, err := readMsg(conn, ioT, checkpoint.MaxPayload, nil); err != nil {
 				return fmt.Errorf("join: %w", err)
 			}
 			w := &WelcomeMsg{ClientID: 0, NumClients: 1, Rounds: 5, Dim: dim, Init: init}
 			if err := writeMsg(conn, ioT, w, nil); err != nil {
 				return fmt.Errorf("welcome: %w", err)
 			}
-			if _, err := readMsg(conn, ioT, wire.MaxPayload, nil); err != nil {
+			if _, err := readMsg(conn, ioT, checkpoint.MaxPayload, nil); err != nil {
 				return fmt.Errorf("update: %w", err)
 			}
 			sm := &SnapshotMsg{Round: 2, Manager: core.EncodeState(part)}
@@ -370,7 +371,7 @@ func TestClientRefusesWordRestrictedSnapshotMidStream(t *testing.T) {
 				return fmt.Errorf("snapshot: %w", err)
 			}
 			// The client must hang up rather than push round 3.
-			if m, err := readMsg(conn, ioT, wire.MaxPayload, nil); err == nil {
+			if m, err := readMsg(conn, ioT, checkpoint.MaxPayload, nil); err == nil {
 				return fmt.Errorf("client sent %s after a word-restricted snapshot", m.WireKind())
 			}
 			return nil
@@ -524,7 +525,7 @@ func relayCatchUp(t *testing.T, frame *wire.SnapshotMsg, gen int) (*GlobalMsg, e
 	rootErr := make(chan error, 1)
 	go func() {
 		rootErr <- func() error {
-			if _, err := readMsg(peer, ioT, wire.MaxPayload, nil); err != nil {
+			if _, err := readMsg(peer, ioT, checkpoint.MaxPayload, nil); err != nil {
 				return fmt.Errorf("join: %w", err)
 			}
 			w := &WelcomeMsg{ClientID: 0, NumClients: 1, Rounds: 8, Dim: catchupDim,
@@ -532,7 +533,7 @@ func relayCatchUp(t *testing.T, frame *wire.SnapshotMsg, gen int) (*GlobalMsg, e
 			if err := writeMsg(peer, ioT, w, nil); err != nil {
 				return fmt.Errorf("welcome: %w", err)
 			}
-			m, err := readMsg(peer, ioT, wire.MaxPayload, nil)
+			m, err := readMsg(peer, ioT, checkpoint.MaxPayload, nil)
 			if err != nil {
 				return fmt.Errorf("offer: %w", err)
 			}

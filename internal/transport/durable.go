@@ -7,24 +7,15 @@ import (
 	"apf/internal/wire"
 )
 
-// Checkpoint frame kinds used by the server, in the KindUser space of
-// package checkpoint. These are the only two records a coordinator writes:
-// the masks, EMAs and freezing periods are a pure function of the
-// committed trajectory, so the committed aggregates are all there is to
-// persist.
-const (
-	// kindServerSnap frames a full server snapshot: geometry, session
-	// table, aggregate history, accounting.
-	kindServerSnap = checkpoint.KindUser + iota
-	// kindWALGlobal records one emitted GlobalMsg — the commit record of
-	// its round. A round is durable exactly when its global record is.
-	kindWALGlobal
-)
-
 // serverState is the decoded form of a server snapshot: everything a
 // restarted coordinator needs to resume the run bit-exactly (the session
 // table keeps client ids stable across the restart; the history feeds
-// both resume replay and the round counter).
+// both resume replay and the round counter). A coordinator persists two
+// things only, this snapshot and one WAL record per emitted GlobalMsg
+// (its round's commit: a round is durable exactly when its record is).
+// The masks, EMAs and freezing periods are a pure function of the
+// committed trajectory, so the committed aggregates are all there is to
+// persist.
 type serverState struct {
 	// NumClients is the size of the tier this server terminates: clients
 	// on a flat coordinator, relays on the hierarchy's root.
@@ -64,8 +55,8 @@ type validatorState struct {
 	QuarRound []int
 }
 
-// encodeServerState frames the snapshot payload (without the outer frame;
-// checkpoint.Store adds it).
+// encodeServerState encodes the snapshot payload (checkpoint.Store frames
+// it).
 func encodeServerState(s *serverState) []byte {
 	var w checkpoint.Writer
 	w.Int(s.NumClients)
@@ -183,25 +174,19 @@ func decodeWALGlobal(payload []byte) (*GlobalMsg, error) {
 // so the comparison is meaningless there (the live commit path records the
 // flag correctly either way).
 func recoverState(store *checkpoint.Store, rootTier bool) (*serverState, error) {
-	_, kind, payload, wal, found, err := store.Load()
+	_, payload, wal, found, err := store.Load()
 	if err != nil {
 		return nil, err
 	}
 	if !found {
 		return nil, nil
 	}
-	if kind != kindServerSnap {
-		return nil, fmt.Errorf("%w: snapshot frame kind %d, want %d", checkpoint.ErrCorrupt, kind, kindServerSnap)
-	}
 	st, err := decodeServerState(payload)
 	if err != nil {
 		return nil, fmt.Errorf("transport: decode snapshot: %w", err)
 	}
 	for _, rec := range wal {
-		if rec.Kind != kindWALGlobal {
-			return nil, fmt.Errorf("%w: wal record kind %d, want %d", checkpoint.ErrCorrupt, rec.Kind, kindWALGlobal)
-		}
-		g, err := decodeWALGlobal(rec.Payload)
+		g, err := decodeWALGlobal(rec)
 		if err != nil {
 			return nil, fmt.Errorf("transport: decode wal global: %w", err)
 		}

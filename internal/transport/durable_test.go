@@ -20,6 +20,7 @@ import (
 	"apf/internal/fl"
 	"apf/internal/stats"
 	"apf/internal/telemetry"
+	"apf/internal/wire"
 )
 
 // TestServerStateCodecRoundTrip round-trips the server snapshot and the
@@ -116,10 +117,23 @@ func TestNewServerRefusesOtherFormatVersion(t *testing.T) {
 	defer ln.Close()
 	cfg := ServerConfig{Listener: ln, NumClients: 1, Rounds: 3, Init: []float64{1, 2}, CheckpointDir: dir}
 	base := &serverState{NumClients: 1, Rounds: 3, Init: cfg.Init, Keys: []string{"k"}, Names: []string{"c"}, ShadowRound: -1}
-	frame := checkpoint.AppendFrame(nil, kindServerSnap, encodeServerState(base))
-	binary.LittleEndian.PutUint16(frame[4:], checkpoint.Version-1)
+	store, err := checkpoint.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.WriteSnapshot(0, encodeServerState(base)); err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+	// Re-stamp the snapshot frame with the previous version, checksum intact.
+	path := filepath.Join(dir, "snap-00000000.ckpt")
+	frame, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame[4] = checkpoint.Version - 1
 	binary.LittleEndian.PutUint32(frame[len(frame)-4:], crc32.ChecksumIEEE(frame[:len(frame)-4]))
-	if err := os.WriteFile(filepath.Join(dir, "snap-00000000.ckpt"), frame, 0o644); err != nil {
+	if err := os.WriteFile(path, frame, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := NewServer(cfg); !errors.Is(err, checkpoint.ErrVersion) {
@@ -129,10 +143,11 @@ func TestNewServerRefusesOtherFormatVersion(t *testing.T) {
 
 // TestRecoverStateReplaysWAL builds a store by hand and checks recovery
 // semantics: committed globals extend the history in order, replays are
-// skipped, and a record of any other kind fails recovery with a typed
-// corruption error.
+// skipped, and a checksummed frame that is no log record fails recovery
+// with a typed corruption error.
 func TestRecoverStateReplaysWAL(t *testing.T) {
-	store, err := checkpoint.Open(t.TempDir())
+	dir := t.TempDir()
+	store, err := checkpoint.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,20 +161,20 @@ func TestRecoverStateReplaysWAL(t *testing.T) {
 		Names:      []string{"c0", "c1"},
 		History:    []GlobalMsg{{Round: 0, Participants: 2, Payload: []float64{3, 4}}},
 	}
-	if err := store.WriteSnapshot(1, kindServerSnap, encodeServerState(base)); err != nil {
+	if err := store.WriteSnapshot(1, encodeServerState(base)); err != nil {
 		t.Fatal(err)
 	}
-	append_ := func(kind uint16, payload []byte) {
+	append_ := func(payload []byte) {
 		t.Helper()
-		if err := store.Append(kind, payload); err != nil {
+		if err := store.Append(payload); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Round 1 committed; round 2 was in flight at the crash and left
 	// nothing behind.
-	append_(kindWALGlobal, encodeWALGlobal(new(checkpoint.Writer), &GlobalMsg{Round: 1, Participants: 1, Payload: []float64{6, 7}}))
+	append_(encodeWALGlobal(new(checkpoint.Writer), &GlobalMsg{Round: 1, Participants: 1, Payload: []float64{6, 7}}))
 	// A replayed commit of round 1 (already in history) must be skipped.
-	append_(kindWALGlobal, encodeWALGlobal(new(checkpoint.Writer), &GlobalMsg{Round: 1, Participants: 2, Payload: []float64{0, 0}}))
+	append_(encodeWALGlobal(new(checkpoint.Writer), &GlobalMsg{Round: 1, Participants: 2, Payload: []float64{0, 0}}))
 
 	st, err := recoverState(store, false)
 	if err != nil {
@@ -193,11 +208,19 @@ func TestRecoverStateReplaysWAL(t *testing.T) {
 		}
 	}
 
-	// A CRC-valid record of an unassigned kind is not something any build
-	// of this format writes: recovery must refuse it, not skip it.
-	append_(kindWALGlobal+1, encodeWALGlobal(new(checkpoint.Writer), &GlobalMsg{Round: 2, Participants: 2, Payload: []float64{1, 1}}))
+	// A CRC-valid frame of another kind — here the wire's global — is not
+	// something any build of this format writes into a WAL: recovery must
+	// refuse it, not cut it off as a torn tail.
+	wal, err := os.OpenFile(filepath.Join(dir, "wal-00000001.log"), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wal.Write(wire.Encode(&GlobalMsg{Round: 2, Participants: 2, Payload: []float64{1, 1}})); err != nil {
+		t.Fatal(err)
+	}
+	wal.Close()
 	if _, err := recoverState(store, false); !errors.Is(err, checkpoint.ErrCorrupt) {
-		t.Fatalf("unknown wal record kind: err = %v, want ErrCorrupt", err)
+		t.Fatalf("wire frame in the wal: err = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -218,19 +241,15 @@ func TestWALPartialRecords(t *testing.T) {
 		Keys:       []string{"edge-a", "edge-b"},
 		Names:      []string{"edge-a", "edge-b"},
 	}
-	if err := store.WriteSnapshot(0, kindServerSnap, encodeServerState(base)); err != nil {
+	if err := store.WriteSnapshot(0, encodeServerState(base)); err != nil {
 		t.Fatal(err)
-	}
-	append_ := func(kind uint16, payload []byte) {
-		t.Helper()
-		if err := store.Append(kind, payload); err != nil {
-			t.Fatal(err)
-		}
 	}
 	// Round 0 committed with one of two relays reporting: Participants
 	// carries the client count (1 here), which must NOT feed the
 	// partial-round counter on the root tier.
-	append_(kindWALGlobal, encodeWALGlobal(new(checkpoint.Writer), &GlobalMsg{Round: 0, Participants: 1, Payload: []float64{1, 2}}))
+	if err := store.Append(encodeWALGlobal(new(checkpoint.Writer), &GlobalMsg{Round: 0, Participants: 1, Payload: []float64{1, 2}})); err != nil {
+		t.Fatal(err)
+	}
 
 	st, err := recoverState(store, true)
 	if err != nil {
@@ -256,13 +275,13 @@ func requireCommitsOnly(t *testing.T, when, dir string, n int) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	_, _, _, wal, _, err := store.Load()
+	_, _, wal, _, err := store.Load()
 	if err != nil || len(wal) != n {
 		t.Fatalf("%s: WAL holds %d records (err %v), want %d commits", when, len(wal), err, n)
 	}
 	for _, rec := range wal {
-		if rec.Kind != kindWALGlobal {
-			t.Fatalf("%s: WAL holds a record of kind %d, want only commits (%d)", when, rec.Kind, kindWALGlobal)
+		if _, err := decodeWALGlobal(rec); err != nil {
+			t.Fatalf("%s: WAL holds a record that is no commit: %v", when, err)
 		}
 	}
 }
@@ -488,7 +507,7 @@ func TestRecoverFromGenerationZeroCheckpoint(t *testing.T) {
 		Keys:       []string{"shard-0", "shard-1"},
 		Names:      []string{"shard-0", "shard-1"},
 	}
-	if err := store.WriteSnapshot(0, kindServerSnap, encodeServerState(base)); err != nil {
+	if err := store.WriteSnapshot(0, encodeServerState(base)); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.Close(); err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"apf/internal/checkpoint"
 	"apf/internal/wire"
 )
 
@@ -36,7 +37,7 @@ func (p *rawPeer) send(m wire.Msg) {
 
 func (p *rawPeer) recv() wire.Msg {
 	p.t.Helper()
-	m, err := readMsg(p.conn, 5*time.Second, wire.MaxPayload, nil)
+	m, err := readMsg(p.conn, 5*time.Second, checkpoint.MaxPayload, nil)
 	if err != nil {
 		p.t.Fatal(err)
 	}

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"apf/internal/wire"
+	"apf/internal/checkpoint"
 )
 
 // newFanoutServer builds a fault-tolerant single-session server that the
@@ -59,7 +59,7 @@ func joinPipe(t *testing.T, srv *Server, join *JoinMsg) (net.Conn, *WelcomeMsg) 
 	t.Cleanup(func() { closeQuietly(peer) })
 	cc := srv.track(server)
 	go srv.handleJoin(cc, join)
-	m, err := readMsg(peer, 5*time.Second, wire.MaxPayload, nil)
+	m, err := readMsg(peer, 5*time.Second, checkpoint.MaxPayload, nil)
 	if err != nil {
 		t.Fatalf("join %q: %v", join.SessionKey, err)
 	}
@@ -74,7 +74,7 @@ func joinPipe(t *testing.T, srv *Server, join *JoinMsg) (net.Conn, *WelcomeMsg) 
 // bit for bit.
 func readGlobal(t *testing.T, peer net.Conn, g *GlobalMsg) {
 	t.Helper()
-	m, err := readMsg(peer, 5*time.Second, wire.MaxPayload, nil)
+	m, err := readMsg(peer, 5*time.Second, checkpoint.MaxPayload, nil)
 	if err != nil {
 		t.Fatalf("read round %d: %v", g.Round, err)
 	}
@@ -120,7 +120,7 @@ func TestBehindCursorDetachesAndResumes(t *testing.T) {
 
 	g2 := commit(2)
 	readGlobal(t, other, g2)
-	if m, err := readMsg(peer, 5*time.Second, wire.MaxPayload, nil); err == nil {
+	if m, err := readMsg(peer, 5*time.Second, checkpoint.MaxPayload, nil); err == nil {
 		t.Fatalf("a behind-cursor connection was served %s %+v instead of detached", m.WireKind(), m)
 	}
 	if ev := <-srv.events; ev.err == nil || ev.id != 0 {

@@ -2,8 +2,10 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"flag"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -130,7 +132,7 @@ func FuzzClientDecode(f *testing.F) {
 		if len(in) > 64<<10 {
 			t.Skip("oversized input")
 		}
-		m, rest, err := wire.Decode(in, wire.MaxPayload)
+		m, rest, err := wire.Decode(in, checkpoint.MaxPayload)
 		if err != nil {
 			return
 		}
@@ -340,9 +342,9 @@ func fixtureManager() *core.State {
 
 // seedSnapshotWAL is the checkpoint corpus's stream seed: a coordinator
 // snapshot after round 0 (validator armed), then the WAL record that
-// commits round 1, stamped with the snapshot's generation as
-// checkpoint.Store writes it.
-func seedSnapshotWAL() []byte {
+// commits round 1, stamped with the snapshot's generation — the snapshot
+// file and the log a checkpoint.Store writes for them, back to back.
+func seedSnapshotWAL(t *testing.T) []byte {
 	st := &serverState{
 		NumClients: 2, Rounds: 4, Init: []float64{1, 2},
 		Keys: []string{"k0", "k1"}, Names: []string{"c0", "c1"},
@@ -352,7 +354,27 @@ func seedSnapshotWAL() []byte {
 		ShadowRound: -1,
 	}
 	commit := encodeWALGlobal(new(checkpoint.Writer), &GlobalMsg{Round: 1, Payload: []float64{5, 6}, Participants: 2})
-	return checkpoint.AppendRecord(checkpoint.AppendFrame(nil, kindServerSnap, encodeServerState(st)), 1, kindWALGlobal, commit)
+	dir := t.TempDir()
+	store, err := checkpoint.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if err := store.WriteSnapshot(1, encodeServerState(st)); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Append(commit); err != nil {
+		t.Fatal(err)
+	}
+	var seed []byte
+	for _, name := range []string{"snap-00000001.ckpt", "wal-00000001.log"} {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed = append(seed, b...)
+	}
+	return seed
 }
 
 // corpusFixtures maps every fixture-backed seed file (relative to this
@@ -360,7 +382,7 @@ func seedSnapshotWAL() []byte {
 // seeds are derived from valid frames, so a format bump moves them too and
 // each keeps dying at the defect it is named for rather than at the
 // version check.
-func corpusFixtures() map[string][]byte {
+func corpusFixtures(t *testing.T) map[string][]byte {
 	join := encodeAll(fixtureJoin)
 	update := encodeAll(fixtureUpdate)
 	global := encodeAll(fixtureGlobal)
@@ -368,6 +390,13 @@ func corpusFixtures() map[string][]byte {
 		out := append([]byte(nil), frame...)
 		out[at] = b
 		return out
+	}
+	// resealed repairs the checksum of a patched frame: a decoder reads
+	// the kind only from a frame whose checksum holds.
+	resealed := func(frame []byte) []byte {
+		end := len(frame) - checkpoint.TrailerLen
+		binary.LittleEndian.PutUint32(frame[end:], crc32.ChecksumIEEE(frame[:end]))
+		return frame
 	}
 	fullSnap, wordSnap, _ := fixtureCatchUp()
 	const wireDir, serverDir, clientDir, checkpointDir = "../wire/testdata/fuzz/FuzzWireDecode/",
@@ -392,7 +421,7 @@ func corpusFixtures() map[string][]byte {
 		wireDir + "valid-snapshot-words": encodeAll(wordSnap),
 		wireDir + "two-frame-stream":     encodeAll(fixtureJoin, fixtureUpdate),
 		wireDir + "unknown-version":      patched(join, 4, 0x7f),
-		wireDir + "unknown-kind":         patched(join, 5, 0xee),
+		wireDir + "unknown-kind":         resealed(patched(join, 5, 0xee)),
 		wireDir + "bad-crc":              patched(global, len(global)-1, global[len(global)-1]^0xff),
 		wireDir + "truncated-frame":      update[:len(update)-4],
 
@@ -406,7 +435,7 @@ func corpusFixtures() map[string][]byte {
 		clientDir + "valid-catchup-snapshots": seedCatchUpSnapshots(),
 
 		checkpointDir + "valid-manager":             core.EncodeState(fixtureManager()),
-		checkpointDir + "valid-snapshot-wal-stream": seedSnapshotWAL(),
+		checkpointDir + "valid-snapshot-wal-stream": seedSnapshotWAL(t),
 	}
 }
 
@@ -439,7 +468,7 @@ func readSeed(t *testing.T, path string) (seed []byte, ok bool) {
 // encode through the current format inside their target and need no
 // check.)
 func TestFuzzCorporaLive(t *testing.T) {
-	for path, want := range corpusFixtures() {
+	for path, want := range corpusFixtures(t) {
 		if *updateCorpora {
 			content := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", want)
 			if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
@@ -467,22 +496,21 @@ func TestFuzzCorporaLive(t *testing.T) {
 		}
 		return nil
 	}
+	// A snapshot frame, then WAL records: each a generation stamp and a
+	// commit.
 	checkpointStream := func(buf []byte) error {
-		for len(buf) > 0 {
-			kind, payload, rest, err := checkpoint.ReadFrame(buf)
+		for first := true; len(buf) > 0; first = false {
+			_, payload, rest, err := checkpoint.ReadFrame(buf, 0)
 			if err != nil {
 				return err
 			}
-			switch kind {
-			case kindServerSnap:
+			switch {
+			case first:
 				_, err = decodeServerState(payload)
-			case kindWALGlobal:
-				// A WAL record: the body follows the generation stamp.
-				if _, _, body, _, rerr := checkpoint.ReadRecord(buf); rerr != nil {
-					err = rerr
-				} else {
-					_, err = decodeWALGlobal(body)
-				}
+			case len(payload) < 8:
+				err = fmt.Errorf("%d-byte record has no generation stamp", len(payload))
+			default:
+				_, err = decodeWALGlobal(payload[8:])
 			}
 			if err != nil {
 				return err

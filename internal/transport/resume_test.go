@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"apf/internal/chaos"
+	"apf/internal/checkpoint"
 	"apf/internal/compress"
 	"apf/internal/core"
 	"apf/internal/fl"
@@ -832,7 +833,7 @@ func TestCatchUpFutureGenerationRejected(t *testing.T) {
 			if err := writeMsg(peer, 2*time.Second, &ResumeOfferMsg{Round: 3, MaskGen: cap.maskGen()}, nil); err != nil {
 				return err
 			}
-			m, err := readMsg(peer, 2*time.Second, wire.MaxPayload, nil)
+			m, err := readMsg(peer, 2*time.Second, checkpoint.MaxPayload, nil)
 			if err != nil {
 				return err
 			}
@@ -871,7 +872,7 @@ func TestCatchUpFutureGenerationRejected(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				if _, err := readMsg(conn, ioT, wire.MaxPayload, nil); err != nil {
+				if _, err := readMsg(conn, ioT, checkpoint.MaxPayload, nil); err != nil {
 					return fmt.Errorf("join 1: %w", err)
 				}
 				w := &WelcomeMsg{ClientID: 0, NumClients: 1, Rounds: 20, Dim: dim, Init: init}
@@ -879,7 +880,7 @@ func TestCatchUpFutureGenerationRejected(t *testing.T) {
 					return fmt.Errorf("welcome 1: %w", err)
 				}
 				for r := 0; r < 2; r++ {
-					if _, err := readMsg(conn, ioT, wire.MaxPayload, nil); err != nil {
+					if _, err := readMsg(conn, ioT, checkpoint.MaxPayload, nil); err != nil {
 						return fmt.Errorf("update %d: %w", r, err)
 					}
 					g := &GlobalMsg{Round: r, Payload: init, Participants: 1}
@@ -889,7 +890,7 @@ func TestCatchUpFutureGenerationRejected(t *testing.T) {
 				}
 				// Wait for the round-2 push so the client has demonstrably
 				// applied round 1, then sever.
-				if _, err := readMsg(conn, ioT, wire.MaxPayload, nil); err != nil {
+				if _, err := readMsg(conn, ioT, checkpoint.MaxPayload, nil); err != nil {
 					return fmt.Errorf("update 2: %w", err)
 				}
 				closeQuietly(conn)
@@ -899,7 +900,7 @@ func TestCatchUpFutureGenerationRejected(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				m, err := readMsg(conn, ioT, wire.MaxPayload, nil)
+				m, err := readMsg(conn, ioT, checkpoint.MaxPayload, nil)
 				if err != nil {
 					return fmt.Errorf("join 2: %w", err)
 				}
@@ -916,7 +917,7 @@ func TestCatchUpFutureGenerationRejected(t *testing.T) {
 				}
 				// The client must fail fast without opening the catch-up
 				// conversation: the next read sees only the hangup.
-				if m, err := readMsg(conn, ioT, wire.MaxPayload, nil); err == nil {
+				if m, err := readMsg(conn, ioT, checkpoint.MaxPayload, nil); err == nil {
 					return fmt.Errorf("client sent %s instead of failing fast", m.WireKind())
 				}
 				closeQuietly(conn)

@@ -392,7 +392,7 @@ func (s *Server) rotate(gen int) error {
 	if s.store == nil {
 		return nil
 	}
-	return s.store.WriteSnapshot(gen, kindServerSnap, encodeServerState(s.snapshotState()))
+	return s.store.WriteSnapshot(gen, encodeServerState(s.snapshotState()))
 }
 
 // Addr returns the bound listen address (useful with ":0").
@@ -614,7 +614,7 @@ func (s *Server) strikeClient(id, round int, err error) {
 // queues.
 func (s *Server) commitRound(g *GlobalMsg, meta roundMeta, partial bool) error {
 	if s.store != nil {
-		if err := s.store.Append(kindWALGlobal, encodeWALGlobal(&s.walEnc, g)); err != nil {
+		if err := s.store.Append(encodeWALGlobal(&s.walEnc, g)); err != nil {
 			return err
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"apf/internal/checkpoint"
 	"apf/internal/stats"
 	"apf/internal/telemetry"
 	"apf/internal/wire"
@@ -132,7 +133,7 @@ func (u *uplink) connect(ctx context.Context, join wire.Msg, accept func(*Welcom
 	}
 	// The welcome carries the init model plus every missed aggregate, so
 	// its bound is the format ceiling rather than the model geometry.
-	m, err := readMsg(conn, u.ioTimeout, wire.MaxPayload, &u.wireM)
+	m, err := readMsg(conn, u.ioTimeout, checkpoint.MaxPayload, &u.wireM)
 	if err != nil {
 		return nil, nil, fmt.Errorf("transport: welcome: %w", err)
 	}

@@ -136,20 +136,11 @@ func Append(dst []byte, m Msg) []byte {
 
 func (f *framer) append(dst []byte, m Msg) []byte {
 	start := len(dst)
-	f.w = *checkpoint.NewWriter(append(dst, make([]byte, headerLen)...))
+	f.w = *checkpoint.NewWriter(append(dst, make([]byte, checkpoint.HeaderLen)...))
 	m.appendBody(&f.w)
 	dst = f.w.Bytes()
 	f.w = checkpoint.Writer{} // the pool must not keep the caller's buffer
-	n := len(dst) - start - headerLen
-	if n > MaxPayload {
-		panic(fmt.Sprintf("wire: message payload %d exceeds MaxPayload", n))
-	}
-	hdr := dst[start:]
-	binary.LittleEndian.PutUint32(hdr[0:], frameMagic)
-	hdr[4] = Version
-	hdr[5] = byte(m.WireKind())
-	binary.LittleEndian.PutUint32(hdr[6:], uint32(n))
-	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
+	return checkpoint.SealFrame(dst, start, byte(m.WireKind()))
 }
 
 // Encode frames m into a fresh buffer with one allocation. The frame is
@@ -166,31 +157,8 @@ func Encode(m Msg) []byte {
 	return frame
 }
 
-// checkHeader validates a frame header against limit, returning the kind
-// and payload length.
-func checkHeader(hdr []byte, limit int) (Kind, int, error) {
-	if binary.LittleEndian.Uint32(hdr[0:]) != frameMagic {
-		return 0, 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	if version := hdr[4]; version != Version {
-		return 0, 0, fmt.Errorf("%w: frame version %d, this build speaks %d", ErrVersion, version, Version)
-	}
-	kind := Kind(hdr[5])
-	if kind < KindJoin || kind > KindSnapshot {
-		return 0, 0, fmt.Errorf("%w: kind %d", ErrUnknownKind, uint8(kind))
-	}
-	if limit <= 0 || limit > MaxPayload {
-		limit = MaxPayload
-	}
-	n := int(binary.LittleEndian.Uint32(hdr[6:]))
-	if n > limit {
-		return 0, 0, fmt.Errorf("%w: declared payload %d over limit %d", ErrTooLarge, n, limit)
-	}
-	return kind, n, nil
-}
-
-// decodeBody dispatches a validated payload to its body decoder and
-// requires it to consume the payload exactly.
+// decodeBody dispatches a checksummed payload to its kind's body decoder
+// and requires it to consume the payload exactly.
 func decodeBody(kind Kind, payload []byte) (Msg, error) {
 	r := checkpoint.NewReader(payload)
 	var m Msg
@@ -218,6 +186,8 @@ func decodeBody(kind Kind, payload []byte) (Msg, error) {
 		m = readSketch(r)
 	case KindSnapshot:
 		m = readSnapshot(r)
+	default:
+		return nil, fmt.Errorf("%w: kind %d", ErrUnknownKind, uint8(kind))
 	}
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("%w: %s body: %v", ErrCorrupt, kind, err)
@@ -228,31 +198,17 @@ func decodeBody(kind Kind, payload []byte) (Msg, error) {
 // Decode reads the frame at the front of buf, returning the decoded
 // message and the remaining bytes. io.EOF is returned on an empty buffer;
 // every form of damage maps to a typed error. limit bounds the payload
-// length (≤ 0 means MaxPayload).
+// length (≤ 0 means checkpoint.MaxPayload).
 func Decode(buf []byte, limit int) (Msg, []byte, error) {
-	if len(buf) == 0 {
-		return nil, nil, io.EOF
-	}
-	if len(buf) < headerLen+trailerLen {
-		return nil, nil, fmt.Errorf("%w: %d-byte tail shorter than a frame", ErrCorrupt, len(buf))
-	}
-	kind, n, err := checkHeader(buf[:headerLen], limit)
+	kind, payload, rest, err := checkpoint.ReadFrame(buf, limit)
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(buf) < headerLen+n+trailerLen {
-		return nil, nil, fmt.Errorf("%w: payload length %d overruns buffer", ErrCorrupt, n)
-	}
-	end := headerLen + n
-	want := binary.LittleEndian.Uint32(buf[end:])
-	if crc32.ChecksumIEEE(buf[:end]) != want {
-		return nil, nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-	}
-	m, err := decodeBody(kind, buf[headerLen:end])
+	m, err := decodeBody(Kind(kind), payload)
 	if err != nil {
 		return nil, nil, err
 	}
-	return m, buf[end+trailerLen:], nil
+	return m, rest, nil
 }
 
 // frameChunk is the span of a dense payload a FrameReader holds at once.
@@ -281,29 +237,29 @@ type FrameReader struct {
 	// head holds a frame's header, a dense kind's fixed fields and float
 	// count, and (last) its trailer; chunk is the span the floats stream
 	// through.
-	head  [headerLen + updatePrefixLen + 8 + trailerLen]byte
+	head  [checkpoint.HeaderLen + updatePrefixLen + 8 + checkpoint.TrailerLen]byte
 	chunk []byte
 }
 
 // Read reads exactly one frame from r and decodes it. limit bounds the
-// declared payload length (≤ 0 means MaxPayload): an oversized header
-// fails with ErrTooLarge before any payload is read or allocated, so a
-// hostile peer cannot drive allocations past the caller's bound. An EOF
+// declared payload length (≤ 0 means checkpoint.MaxPayload): an oversized
+// header fails with ErrTooLarge before any payload is read or allocated,
+// so a hostile peer cannot drive allocations past the caller's bound. An EOF
 // before the first header byte is io.EOF (clean connection shutdown); a
 // connection dying mid-frame surfaces as the underlying read error.
 func (fr *FrameReader) Read(r io.Reader, limit int) (Msg, error) {
 	hdr := fr.head[:]
-	if _, err := io.ReadFull(r, hdr[:headerLen]); err != nil {
+	if _, err := io.ReadFull(r, hdr[:checkpoint.HeaderLen]); err != nil {
 		if err == io.ErrUnexpectedEOF {
 			return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
 		}
 		return nil, err
 	}
-	kind, n, err := checkHeader(hdr[:headerLen], limit)
+	k, n, err := checkpoint.ParseHeader(hdr, limit)
 	if err != nil {
 		return nil, err
 	}
-	prefix := 0
+	kind, prefix := Kind(k), 0
 	switch kind {
 	case KindUpdate:
 		prefix = updatePrefixLen
@@ -311,17 +267,17 @@ func (fr *FrameReader) Read(r io.Reader, limit int) (Msg, error) {
 		prefix = globalPrefixLen
 	}
 	if prefix == 0 || n < prefix+8 {
-		return readWhole(r, kind, n, hdr[:headerLen])
+		return readWhole(r, n, hdr[:checkpoint.HeaderLen])
 	}
-	head := hdr[:headerLen+prefix+8]
-	if _, err := io.ReadFull(r, head[headerLen:]); err != nil {
+	head := hdr[:checkpoint.HeaderLen+prefix+8]
+	if _, err := io.ReadFull(r, head[checkpoint.HeaderLen:]); err != nil {
 		return nil, truncated(err)
 	}
 	count := binary.LittleEndian.Uint64(head[len(head)-8:])
 	if uint64(n-prefix-8)/8 != count || (n-prefix-8)%8 != 0 {
 		// The count does not fill the body: the whole-body path names the
 		// damage exactly as Decode does.
-		return readWhole(r, kind, n, head)
+		return readWhole(r, n, head)
 	}
 	sum := crc32.ChecksumIEEE(head)
 	var payload []float64
@@ -330,7 +286,7 @@ func (fr *FrameReader) Read(r io.Reader, limit int) (Msg, error) {
 			return nil, err
 		}
 	}
-	trailer := hdr[len(hdr)-trailerLen:]
+	trailer := hdr[len(hdr)-checkpoint.TrailerLen:]
 	if _, err := io.ReadFull(r, trailer); err != nil {
 		return nil, truncated(err)
 	}
@@ -338,7 +294,7 @@ func (fr *FrameReader) Read(r io.Reader, limit int) (Msg, error) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
 	// The fixed fields, in readUpdate's and ReadGlobalBody's order.
-	fixed := checkpoint.NewReader(head[headerLen : len(head)-8])
+	fixed := checkpoint.NewReader(head[checkpoint.HeaderLen : len(head)-8])
 	if kind == KindGlobal {
 		return &GlobalMsg{Round: fixed.Int(), Participants: fixed.Int(), Payload: payload}, nil
 	}
@@ -372,20 +328,17 @@ func (fr *FrameReader) readFloats(r io.Reader, count int, sum uint32) ([]float64
 	return dst[:count], sum, nil
 }
 
-// readWhole reads the rest of a frame whose first len(head) bytes (the
-// header, maybe more) are already in head, verifies the checksum and
-// decodes the body.
-func readWhole(r io.Reader, kind Kind, n int, head []byte) (Msg, error) {
-	frame := make([]byte, headerLen+n+trailerLen)
+// readWhole reads the rest of a frame of an n-byte payload whose first
+// len(head) bytes (the header, maybe more) are already in head, and
+// decodes it as Decode does.
+func readWhole(r io.Reader, n int, head []byte) (Msg, error) {
+	frame := make([]byte, checkpoint.HeaderLen+n+checkpoint.TrailerLen)
 	copy(frame, head)
 	if _, err := io.ReadFull(r, frame[len(head):]); err != nil {
 		return nil, truncated(err)
 	}
-	end := headerLen + n
-	if crc32.ChecksumIEEE(frame[:end]) != binary.LittleEndian.Uint32(frame[end:]) {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-	}
-	return decodeBody(kind, frame[headerLen:end])
+	m, _, err := Decode(frame, 0)
+	return m, err
 }
 
 // truncated maps an end of stream inside a frame to ErrCorrupt and passes

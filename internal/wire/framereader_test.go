@@ -12,6 +12,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"apf/internal/checkpoint"
 )
 
 // corpusSeeds returns the byte seeds of the checked-in frame corpora: this
@@ -89,11 +91,11 @@ func agreeWithDecode(t *testing.T, in []byte, limit int) {
 			t.Fatalf("FrameReader returned %T with error %v", got, gerr)
 		}
 		wantErr := werr
-		if len(rest) > 0 && (len(rest) < headerLen+trailerLen || strings.HasSuffix(werr.Error(), "overruns buffer")) {
+		if len(rest) > 0 && (len(rest) < checkpoint.HeaderLen+checkpoint.TrailerLen || strings.HasSuffix(werr.Error(), "overruns buffer")) {
 			wantErr = fmt.Errorf("%w: truncated frame", ErrCorrupt)
-			if len(rest) < headerLen {
+			if len(rest) < checkpoint.HeaderLen {
 				wantErr = fmt.Errorf("%w: truncated header", ErrCorrupt)
-			} else if _, _, herr := checkHeader(rest[:headerLen], limit); herr != nil {
+			} else if _, _, herr := checkpoint.ParseHeader(rest, limit); herr != nil {
 				wantErr = herr
 			}
 		}
@@ -148,8 +150,9 @@ func FuzzFrameReader(f *testing.F) {
 }
 
 // TestFrameReaderTruncatedAndFlipped: a dense frame cut at any byte fails
-// as a truncated header or frame, a flipped bit anywhere behind the header
-// as a checksum mismatch, and neither hands out a message.
+// as a truncated header or frame (Decode: as corrupt), a flipped bit
+// anywhere behind the header as a checksum mismatch, a flipped bit in the
+// header as one of the typed failures, and none hands out a message.
 func TestFrameReaderTruncatedAndFlipped(t *testing.T) {
 	small := denseFrames(300)
 	large := denseFrames(frameChunk/8 + 40) // two chunks
@@ -159,38 +162,56 @@ func TestFrameReaderTruncatedAndFlipped(t *testing.T) {
 		if m != nil {
 			t.Fatalf("message %T handed out with error %v", m, err)
 		}
+		if dm, _, derr := Decode(b, 0); dm != nil || (derr == nil) != (err == nil) {
+			t.Fatalf("Decode returned (%T, %v) where FrameReader failed with %v", dm, derr, err)
+		}
 		return err
+	}
+	typed := func(err error) bool {
+		return errors.Is(err, ErrCorrupt) || errors.Is(err, ErrVersion) || errors.Is(err, ErrUnknownKind) || errors.Is(err, ErrTooLarge)
 	}
 	for name, frame := range small {
 		for at := range frame {
-			want := "wire: corrupt frame: truncated frame"
+			want := "corrupt frame: truncated frame"
 			switch {
 			case at == 0:
 				want = io.EOF.Error()
-			case at < headerLen:
-				want = "wire: corrupt frame: truncated header"
+			case at < checkpoint.HeaderLen:
+				want = "corrupt frame: truncated header"
 			}
 			if err := read(frame[:at]); err == nil || err.Error() != want {
 				t.Fatalf("%s cut at %d: %v, want %s", name, at, err, want)
+			}
+			if _, _, err := Decode(frame[:at], 0); at > 0 && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Decode of %s cut at %d: %v, want ErrCorrupt", name, at, err)
 			}
 		}
 		flip := func(f []byte, i int) {
 			flipped := append([]byte(nil), f...)
 			flipped[i] ^= 1 << (i % 8)
-			if err := read(flipped); err == nil || err.Error() != "wire: corrupt frame: checksum mismatch" {
+			if err := read(flipped); err == nil || err.Error() != "corrupt frame: checksum mismatch" {
 				t.Fatalf("%s with byte %d of %d flipped: %v, want checksum mismatch", name, i, len(f), err)
 			}
 		}
-		for i := headerLen; i < len(frame); i++ {
+		for i := checkpoint.HeaderLen; i < len(frame); i++ {
 			flip(frame, i)
+		}
+		for i := range checkpoint.HeaderLen {
+			for bit := range 8 {
+				flipped := append([]byte(nil), frame...)
+				flipped[i] ^= 1 << bit
+				if err := read(flipped); !typed(err) {
+					t.Fatalf("%s with bit %d of header byte %d flipped: %v, want a typed failure", name, bit, i, err)
+				}
+			}
 		}
 		// Around the fixed fields, the count, the chunk boundary and the
 		// trailer of a frame that streams through two chunks.
 		big := large[name]
-		floats := len(big) - trailerLen - 8*(frameChunk/8+40) // the first float's offset
-		for _, at := range []int{headerLen + 8, floats - 1, floats, floats + frameChunk - 1, floats + frameChunk,
-			floats + frameChunk + 1, len(big) - trailerLen, len(big) - 1} {
-			if err := read(big[:at]); err == nil || err.Error() != "wire: corrupt frame: truncated frame" {
+		floats := len(big) - checkpoint.TrailerLen - 8*(frameChunk/8+40) // the first float's offset
+		for _, at := range []int{checkpoint.HeaderLen + 8, floats - 1, floats, floats + frameChunk - 1, floats + frameChunk,
+			floats + frameChunk + 1, len(big) - checkpoint.TrailerLen, len(big) - 1} {
+			if err := read(big[:at]); err == nil || err.Error() != "corrupt frame: truncated frame" {
 				t.Errorf("%s (two chunks) cut at %d: %v, want truncated frame", name, at, err)
 			}
 			flip(big, at)
@@ -198,23 +219,87 @@ func TestFrameReaderTruncatedAndFlipped(t *testing.T) {
 	}
 }
 
-// TestFrameReaderLimitBeforeAlloc: an over-limit header fails with
-// ErrTooLarge before the destination is asked for, and a frame within the
-// limit asks exactly once, for its float count.
+// TestFrameReaderLimitBeforeAlloc: an over-limit header — one payload
+// byte over the caller's limit, or 0xFFFFFFF0 bytes under any limit —
+// fails with ErrTooLarge before the destination is asked for, as Decode
+// refuses it, and a frame within the limit asks exactly once, for its
+// float count.
 func TestFrameReaderLimitBeforeAlloc(t *testing.T) {
 	calls := 0
 	fr := FrameReader{Alloc: func(n int) []float64 {
 		calls++
 		return make([]float64, n)
 	}}
-	for name, frame := range denseFrames(500) {
+	tooLarge := func(what string, frame []byte, limit int) {
+		t.Helper()
 		calls = 0
-		n := int(binary.LittleEndian.Uint32(frame[6:]))
-		if _, err := fr.Read(bytes.NewReader(frame), n-1); !errors.Is(err, ErrTooLarge) || calls != 0 {
-			t.Errorf("%s over limit: err %v after %d Alloc call(s), want ErrTooLarge before any", name, err, calls)
+		if _, err := fr.Read(bytes.NewReader(frame), limit); !errors.Is(err, ErrTooLarge) || calls != 0 {
+			t.Errorf("%s: err %v after %d Alloc call(s), want ErrTooLarge before any", what, err, calls)
 		}
+		if _, _, err := Decode(frame, limit); !errors.Is(err, ErrTooLarge) {
+			t.Errorf("%s: Decode err %v, want ErrTooLarge", what, err)
+		}
+	}
+	for name, frame := range denseFrames(500) {
+		n := int(binary.LittleEndian.Uint32(frame[6:]))
+		tooLarge(name+" over limit", frame, n-1)
+		huge := append([]byte(nil), frame...)
+		binary.LittleEndian.PutUint32(huge[6:], 0xFFFFFFF0)
+		for _, limit := range []int{0, n} {
+			tooLarge(fmt.Sprintf("%s declaring 0xFFFFFFF0 bytes, limit %d", name, limit), huge, limit)
+		}
+		calls = 0
 		if _, err := fr.Read(bytes.NewReader(frame), n); err != nil || calls != 1 {
 			t.Errorf("%s at limit: err %v after %d Alloc call(s), want one", name, err, calls)
 		}
+		if _, _, err := Decode(frame, n); err != nil {
+			t.Errorf("%s at limit: Decode err %v", name, err)
+		}
+	}
+}
+
+// TestStoreAndWireFramesDoNotMix: the checkpoint store writes the wire's
+// frame under kinds no message uses, so its snapshot file and its log
+// record are each refused by both decoders as an unknown kind, and a wire
+// frame in a store's snapshot file is damage that recovery falls back
+// past.
+func TestStoreAndWireFramesDoNotMix(t *testing.T) {
+	dir := t.TempDir()
+	st, err := checkpoint.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.WriteSnapshot(1, []byte("snapshot")); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append(Encode(&JoinMsg{Name: "a record"})); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	for _, name := range []string{"snap-00000001.ckpt", "wal-00000001.log"} {
+		frame, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Decode(frame, 0); !errors.Is(err, ErrUnknownKind) {
+			t.Errorf("%s: Decode err %v, want ErrUnknownKind", name, err)
+		}
+		if _, err := new(FrameReader).Read(bytes.NewReader(frame), 0); !errors.Is(err, ErrUnknownKind) {
+			t.Errorf("%s: FrameReader err %v, want ErrUnknownKind", name, err)
+		}
+	}
+
+	// A newer generation whose snapshot file holds a wire frame.
+	if err := os.WriteFile(filepath.Join(dir, "snap-00000002.ckpt"), Encode(&GlobalMsg{Round: 2, Payload: []float64{1}}), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err = checkpoint.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	rounds, payload, wal, found, err := st.Load()
+	if err != nil || !found || rounds != 1 || string(payload) != "snapshot" || len(wal) != 1 {
+		t.Fatalf("Load past a wire frame: (%d, %q, %d records, %v, %v), want generation 1 with its record", rounds, payload, len(wal), found, err)
 	}
 }

@@ -135,5 +135,5 @@ func readPartialUpdate(r *checkpoint.Reader) *PartialUpdateMsg {
 // an encoded PartialUpdateMsg frame — what the relay compares against the
 // raw 16 bytes/coordinate when it accounts the bytes packing saved.
 func PartialSectionLen(frame []byte) int {
-	return len(frame) - headerLen - trailerLen - partialFixedLen
+	return len(frame) - checkpoint.HeaderLen - checkpoint.TrailerLen - partialFixedLen
 }

@@ -91,7 +91,7 @@ func TestPartialDecodeAliasesFrame(t *testing.T) {
 		}
 	}
 	// Scribbling on the frame's packed section shows through the view.
-	frame[headerLen+partialFixedLen+1] ^= 0x55
+	frame[checkpoint.HeaderLen+partialFixedLen+1] ^= 0x55
 	merged.Reset()
 	if err := merged.Merge(&p.Sum); err != nil {
 		t.Fatal(err)

@@ -298,14 +298,14 @@ func validateSparse(r *checkpoint.Reader, dim, gen, scalars int) {
 // masking, the baseline against which sparse bytes-saved accounting and
 // the wire benchmark measure.
 func DenseGlobalFrameSize(dim int) int {
-	return headerLen + trailerLen + 3*8 + 8*dim
+	return checkpoint.HeaderLen + checkpoint.TrailerLen + 3*8 + 8*dim
 }
 
 // FrameKind reports the kind byte of an already-encoded frame without
 // decoding it (no validation beyond the header length); broadcast paths
 // use it to account pre-encoded frames they fan out.
 func FrameKind(frame []byte) Kind {
-	if len(frame) < headerLen {
+	if len(frame) < checkpoint.HeaderLen {
 		return 0
 	}
 	return Kind(frame[5])

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"apf/internal/checkpoint"
 	"apf/internal/quantize"
 )
 
@@ -18,8 +19,8 @@ import (
 func reframe(frame []byte, version uint8) []byte {
 	f := append([]byte(nil), frame...)
 	f[4] = version
-	sum := crc32.ChecksumIEEE(f[:len(f)-trailerLen])
-	binary.LittleEndian.PutUint32(f[len(f)-trailerLen:], sum)
+	sum := crc32.ChecksumIEEE(f[:len(f)-checkpoint.TrailerLen])
+	binary.LittleEndian.PutUint32(f[len(f)-checkpoint.TrailerLen:], sum)
 	return f
 }
 
@@ -71,10 +72,14 @@ func TestVersionRange(t *testing.T) {
 	for _, m := range msgs {
 		swept[m.WireKind()] = true
 		good := Encode(m)
-		if good[4] != Version {
-			t.Fatalf("%s stamped version %d, want %d", m.WireKind(), good[4], Version)
+		if good[4] != checkpoint.Version {
+			t.Fatalf("%s stamped version %d, want %d", m.WireKind(), good[4], checkpoint.Version)
 		}
-		for _, v := range []uint8{0, 1, 2, 3, 4, 5, 6, 7, Version + 1, 200} {
+		versions := []uint8{checkpoint.Version + 1, 200}
+		for v := uint8(0); v < checkpoint.Version; v++ {
+			versions = append(versions, v)
+		}
+		for _, v := range versions {
 			bad := reframe(good, v)
 			if _, _, err := Decode(bad, 0); !errors.Is(err, ErrVersion) {
 				t.Errorf("%s stamped v%d: Decode got %v, want ErrVersion", m.WireKind(), v, err)
@@ -164,7 +169,7 @@ func TestHostileSparseBodies(t *testing.T) {
 func TestHostileHalfCount(t *testing.T) {
 	m := &SparseUpdateMsg{Dim: 1 << 41, Enc: EncF16}
 	frame := Encode(m)
-	body := append([]byte(nil), frame[headerLen:len(frame)-trailerLen]...)
+	body := append([]byte(nil), frame[checkpoint.HeaderLen:len(frame)-checkpoint.TrailerLen]...)
 	// The final 8 bytes are the scalar count (0); overwrite with 1<<40.
 	for i := len(body) - 8; i < len(body); i++ {
 		body[i] = 0
@@ -270,7 +275,7 @@ func TestHandshakeRoundTrip(t *testing.T) {
 	}
 	// An out-of-range codec is corrupt.
 	frame := Encode(w)
-	body := append([]byte(nil), frame[headerLen:len(frame)-trailerLen]...)
+	body := append([]byte(nil), frame[checkpoint.HeaderLen:len(frame)-checkpoint.TrailerLen]...)
 	body[len(body)-11] = 9 // codec u16 low byte, before catch-up flag + mask generation
 	if _, err := decodeBody(KindWelcome, body); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("hostile codec value: got %v, want ErrCorrupt", err)

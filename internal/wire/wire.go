@@ -1,6 +1,7 @@
-// Package wire is the federated protocol's binary wire format: a
-// versioned, length-prefixed, CRC-checked framing plus codecs for the
-// protocol messages, designed so that
+// Package wire is the federated protocol's binary wire format: the codecs
+// for the protocol messages, each carried in one frame of package
+// checkpoint's format (the same frame the checkpoint store writes to disk),
+// designed so that
 //
 //   - a message is serialized exactly once into an immutable frame that
 //     can be fanned out to any number of connections (encode-once
@@ -15,26 +16,19 @@
 //     (ErrCorrupt, ErrVersion, ErrUnknownKind, ErrTooLarge) rather than
 //     panics or giant allocations.
 //
-// # Frame layout
+// # Frames
 //
-// Every message is one frame:
-//
-//	offset  size  field
-//	0       4     magic "APFW" (0x57465041 little-endian)
-//	4       1     protocol version (Version)
-//	5       1     message kind (KindJoin … KindSnapshot)
-//	6       4     payload length, little-endian
-//	10      n     payload (checkpoint.Writer encoding of the message body)
-//	10+n    4     CRC-32 (IEEE) over header + payload
-//
-// # Versioning
-//
-// There is one protocol version. Every frame is stamped with Version and
-// every body always carries all of its fields; a frame stamped with
-// anything else fails with ErrVersion before any of its payload is
-// interpreted, so incompatible peers part ways at the first message
-// instead of mis-decoding each other. Decoding then encoding is the
-// identity on accepted frames — the fuzz oracle.
+// Every message is one frame: a 10-byte header (magic "APFW", the format
+// version checkpoint.Version, the message kind KindJoin … KindSnapshot,
+// the payload length), the checkpoint.Writer encoding of the message body,
+// and a CRC-32 over header and body. There is one format version, shared
+// with the disk: every frame is stamped with it and every body always
+// carries all of its fields; a frame stamped with anything else fails with
+// ErrVersion before any of its payload is interpreted, so incompatible
+// peers part ways at the first message instead of mis-decoding each other.
+// A checksummed frame of a kind no message uses — a checkpoint snapshot or
+// log record among them — fails with ErrUnknownKind. Decoding then
+// encoding is the identity on accepted frames — the fuzz oracle.
 package wire
 
 import (
@@ -42,22 +36,6 @@ import (
 	"fmt"
 
 	"apf/internal/checkpoint"
-)
-
-// Version is the protocol version stamped on every frame and the only one
-// decoded.
-const Version = 10
-
-// Frame geometry.
-const (
-	frameMagic = 0x57465041 // "APFW" little-endian
-	headerLen  = 10
-	trailerLen = 4
-	// MaxPayload is the hard upper bound on a frame payload; hostile
-	// length fields beyond it are rejected before any allocation. Callers
-	// reading from a network usually pass FrameReader.Read a much tighter
-	// limit derived from the model geometry.
-	MaxPayload = 1 << 30
 )
 
 // Kind identifies a protocol message within a frame.
@@ -118,20 +96,22 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// Typed decode failures, distinguishable with errors.Is.
+// Typed decode failures, distinguishable with errors.Is. ErrCorrupt,
+// ErrVersion and ErrTooLarge are package checkpoint's frame errors, which
+// the socket and the disk share.
 var (
 	// ErrCorrupt marks a frame whose magic, checksum, or body structure is
 	// damaged (torn writes, truncation, trailing garbage).
-	ErrCorrupt = errors.New("wire: corrupt frame")
-	// ErrVersion marks a frame from an incompatible protocol version.
-	ErrVersion = errors.New("wire: unsupported protocol version")
+	ErrCorrupt = checkpoint.ErrCorrupt
+	// ErrVersion marks a frame stamped with another format version.
+	ErrVersion = checkpoint.ErrVersion
 	// ErrUnknownKind marks a structurally valid frame whose kind this
 	// build does not understand.
 	ErrUnknownKind = errors.New("wire: unknown message kind")
 	// ErrTooLarge marks a frame whose declared payload exceeds the
 	// caller's limit; it is detected from the header alone, before the
 	// payload is read or allocated.
-	ErrTooLarge = errors.New("wire: frame exceeds payload limit")
+	ErrTooLarge = checkpoint.ErrTooLarge
 )
 
 // Msg is one protocol message. The implementations are JoinMsg,

@@ -2,12 +2,15 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math"
 	"reflect"
 	"testing"
 
+	"apf/internal/checkpoint"
 	"apf/internal/recon"
 )
 
@@ -146,7 +149,8 @@ func TestBadCRC(t *testing.T) {
 	frame := Encode(&GlobalMsg{Round: 1, Payload: []float64{9}, Participants: 4})
 	// Flip one bit in every byte position in turn; all must be detected as
 	// one of the typed failures (header damage may surface as bad
-	// magic/version/kind/length instead of a checksum mismatch).
+	// magic/version/length instead of a checksum mismatch), and a flip
+	// behind the header as a checksum mismatch.
 	for i := range frame {
 		bad := append([]byte(nil), frame...)
 		bad[i] ^= 0x10
@@ -158,25 +162,25 @@ func TestBadCRC(t *testing.T) {
 			!errors.Is(err, ErrUnknownKind) && !errors.Is(err, ErrTooLarge) {
 			t.Fatalf("bit flip at byte %d: untyped error %v", i, err)
 		}
+		if _, ferr := new(FrameReader).Read(bytes.NewReader(bad), 0); ferr == nil {
+			t.Fatalf("FrameReader: bit flip at byte %d went undetected", i)
+		}
+		if i >= checkpoint.HeaderLen && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("bit flip at byte %d behind the header: %v, want ErrCorrupt", i, err)
+		}
 	}
 }
 
 func TestUnknownVersion(t *testing.T) {
 	frame := Encode(&JoinMsg{Name: "v2-client"})
-	frame[4] = Version + 1
-	if _, _, err := Decode(frame, 0); !errors.Is(err, ErrVersion) {
-		t.Fatalf("got %v, want ErrVersion", err)
-	}
-	if _, err := new(FrameReader).Read(bytes.NewReader(frame), 0); !errors.Is(err, ErrVersion) {
-		t.Fatalf("FrameReader: got %v, want ErrVersion", err)
-	}
-}
-
-func TestUnknownKind(t *testing.T) {
-	frame := Encode(&JoinMsg{Name: "x"})
-	frame[5] = 0x7f
-	if _, _, err := Decode(frame, 0); !errors.Is(err, ErrUnknownKind) {
-		t.Fatalf("got %v, want ErrUnknownKind", err)
+	for _, v := range []byte{0, checkpoint.Version - 1, checkpoint.Version + 1, 0xff} {
+		frame[4] = v
+		if _, _, err := Decode(frame, 0); !errors.Is(err, ErrVersion) {
+			t.Fatalf("version %d: got %v, want ErrVersion", v, err)
+		}
+		if _, err := new(FrameReader).Read(bytes.NewReader(frame), 0); !errors.Is(err, ErrVersion) {
+			t.Fatalf("FrameReader, version %d: got %v, want ErrVersion", v, err)
+		}
 	}
 }
 
@@ -192,6 +196,34 @@ func TestPayloadOverLimit(t *testing.T) {
 	if _, _, err := Decode(frame, 0); err != nil {
 		t.Fatalf("Decode under default limit: %v", err)
 	}
+	// A declared length of 0xFFFFFFF0 is over every limit, bounded before
+	// it is converted to int.
+	binary.LittleEndian.PutUint32(frame[6:], 0xFFFFFFF0)
+	if _, _, err := Decode(frame, 0); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("Decode of a 0xFFFFFFF0-byte header: got %v, want ErrTooLarge", err)
+	}
+	if _, err := new(FrameReader).Read(bytes.NewReader(frame), 0); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("FrameReader on a 0xFFFFFFF0-byte header: got %v, want ErrTooLarge", err)
+	}
+}
+
+// TestUnknownKind: a checksummed frame of a kind no message uses is
+// ErrUnknownKind (with a stale checksum it is corrupt first: the kind is
+// read only from a frame whose checksum holds).
+func TestUnknownKind(t *testing.T) {
+	frame := Encode(&JoinMsg{Name: "x"})
+	frame[5] = 0x7f
+	if _, _, err := Decode(frame, 0); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("stale checksum: got %v, want ErrCorrupt", err)
+	}
+	end := len(frame) - checkpoint.TrailerLen
+	binary.LittleEndian.PutUint32(frame[end:], crc32.ChecksumIEEE(frame[:end]))
+	if _, _, err := Decode(frame, 0); !errors.Is(err, ErrUnknownKind) {
+		t.Fatalf("got %v, want ErrUnknownKind", err)
+	}
+	if _, err := new(FrameReader).Read(bytes.NewReader(frame), 0); !errors.Is(err, ErrUnknownKind) {
+		t.Fatalf("FrameReader: got %v, want ErrUnknownKind", err)
+	}
 }
 
 // TestHostileMissedCount feeds the Welcome decoder a body whose missed
@@ -200,7 +232,7 @@ func TestPayloadOverLimit(t *testing.T) {
 func TestHostileMissedCount(t *testing.T) {
 	var m WelcomeMsg
 	frame := Encode(&m)
-	body := append([]byte(nil), frame[headerLen:len(frame)-trailerLen]...)
+	body := append([]byte(nil), frame[checkpoint.HeaderLen:len(frame)-checkpoint.TrailerLen]...)
 	// The missed count (0) sits just before the 11-byte codec/catch-up
 	// tail; overwrite it with 1<<40.
 	body[len(body)-11-3] = 1 // little-endian byte 5 → 2^40
@@ -213,7 +245,7 @@ func TestTrailingGarbageInBody(t *testing.T) {
 	good := Encode(&JoinMsg{Name: "a"})
 	// Rebuild the frame with one extra payload byte and a fixed-up CRC: the
 	// body decoder must reject the leftovers.
-	body := append([]byte(nil), good[headerLen:len(good)-trailerLen]...)
+	body := append([]byte(nil), good[checkpoint.HeaderLen:len(good)-checkpoint.TrailerLen]...)
 	body = append(body, 0)
 	if _, err := decodeBody(KindJoin, body); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("trailing byte in body: got %v, want ErrCorrupt", err)
@@ -227,7 +259,7 @@ func TestHostileCatchUpCounts(t *testing.T) {
 	for _, m := range []Msg{&SketchMsg{Round: 1},
 		&ResumeOfferMsg{Round: 1, MaskGen: 1, Words: []int{}}, &SnapshotMsg{Round: 1}} {
 		frame := Encode(m)
-		body := append([]byte(nil), frame[headerLen:len(frame)-trailerLen]...)
+		body := append([]byte(nil), frame[checkpoint.HeaderLen:len(frame)-checkpoint.TrailerLen]...)
 		// The final 8 bytes are the element count (0); overwrite with 2^40.
 		for i := len(body) - 8; i < len(body); i++ {
 			body[i] = 0
