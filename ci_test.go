@@ -73,6 +73,44 @@ func TestDocsNameCurrentVersion(t *testing.T) {
 	}
 }
 
+// TestDesignInventoryNamesEveryPackage fails when a directory under cmd/
+// or internal/ that holds non-test Go is not named, in backticks, in
+// DESIGN.md's "System inventory" table: the inventory is the map a reader
+// starts from, and a package missing from it is invisible there.
+func TestDesignInventoryNamesEveryPackage(t *testing.T) {
+	src, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := regexp.MustCompile(`(?s)\n## System inventory[^\n]*\n(.*?)\n## `).FindSubmatch(src)
+	if table == nil {
+		t.Fatal("DESIGN.md has no System inventory section")
+	}
+	pkgs := map[string]bool{}
+	for _, root := range []string{"cmd", "internal"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+				pkgs[filepath.ToSlash(filepath.Dir(path))] = true
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var missing []string
+	for pkg := range pkgs {
+		if !strings.Contains(string(table[1]), "`"+pkg+"`") {
+			missing = append(missing, pkg)
+		}
+	}
+	sort.Strings(missing)
+	if len(missing) > 0 {
+		t.Errorf("DESIGN.md's System inventory does not name %d package(s): %s",
+			len(missing), strings.Join(missing, ", "))
+	}
+}
+
 // TestNoUnreferencedExports fails on an exported func, method, type, var or
 // const declared in a non-test file under internal/ whose name appears as an
 // identifier token nowhere in the checkout's Go files (bench/ and tests

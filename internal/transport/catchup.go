@@ -110,12 +110,10 @@ func (c *catchupCapture) maskGen() int {
 	return c.state.CheckCount
 }
 
-// catchupSession drives one catch-up conversation to completion and
-// then promotes the connection to a normal session (writer + reader).
-// It runs on its own goroutine; the session's writer is not started
-// until the conversation ends, so queued aggregate frames can never
-// interleave with catch-up frames.
-func (s *Server) catchupSession(sess *session, gen int, cc *countingConn, cap *catchupCapture) {
+// catchup drives one catch-up conversation to completion on the
+// connection's own goroutine, before the session's writer starts, so
+// queued aggregate frames can never interleave with catch-up frames.
+func (s *Server) catchup(sess *session, cc *countingConn, cap *catchupCapture) error {
 	start := time.Now()
 	r0, w0 := cc.Counts()
 	mode, err := s.runCatchup(cc, cap)
@@ -131,14 +129,11 @@ func (s *Server) catchupSession(sess *session, gen int, cc *countingConn, cap *c
 	if err != nil {
 		s.log.Warn("catch-up failed", "client", sess.id, "name", sess.name,
 			"mode", mode, "err", err)
-		s.detach(sess, gen)
-		s.post(event{id: sess.id, name: sess.name, err: err})
-		return
+		return err
 	}
 	s.log.Info("catch-up complete", "client", sess.id, "name", sess.name,
 		"mode", mode, "round", cap.round, "seconds", time.Since(start).Seconds())
-	go s.writer(sess, gen)
-	go s.reader(sess, gen, cc)
+	return nil
 }
 
 // runCatchup reads the client's opening offer and serves the chosen

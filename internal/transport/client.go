@@ -48,7 +48,7 @@ type ClientConfig struct {
 	// IOTimeout bounds each message exchange (default 30s).
 	IOTimeout time.Duration
 	// MaxRetries bounds consecutive reconnection attempts after a
-	// connection failure (0 = fail immediately, the pre-resume behaviour).
+	// connection failure (0 = fail immediately).
 	// The budget refills whenever a round is successfully applied.
 	MaxRetries int
 	// RetryBaseDelay/RetryMaxDelay shape the exponential backoff between

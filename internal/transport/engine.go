@@ -86,13 +86,12 @@ type roundReducer interface {
 
 // roundState is one round's compact admission record beside the
 // aggregator, which itself records who contributed (fl.Aggregator.Received
-// and Count change exactly when a contribution is admitted). It replaces
-// retaining every *UpdateMsg until round close — at relay scale (hundreds
-// of thousands of clients per round) the retained payloads dominated
-// memory, and every cross-update consistency check the old post-collect
-// sweep made is either enforced by fl.Aggregator.Add (weights, lengths,
-// finiteness) or checked incrementally by handle (mask-hash agreement,
-// with the same error text).
+// and Count change exactly when a contribution is admitted). No update is
+// retained until round close — at relay scale (hundreds of thousands of
+// clients per round) retained payloads would dominate memory — so every
+// cross-update consistency check is either enforced by fl.Aggregator.Add
+// (weights, lengths, finiteness) or checked incrementally by handle
+// (mask-hash agreement).
 type roundState struct {
 	round int
 	// resp marks slots that spoke this round at all — accepted OR
@@ -104,8 +103,7 @@ type roundState struct {
 	respCount int
 	// firstID is the slot of the round's first accepted contribution (-1
 	// until one lands); its attested mask hash seeds meta.maskHash and
-	// names the reference side of a divergence error, exactly as the old
-	// lowest-index sweep did for agreeing rounds.
+	// names the reference side of a divergence error.
 	firstID int
 	meta    roundMeta
 }

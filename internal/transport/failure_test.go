@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"net"
+	"os"
 	"testing"
 	"time"
 
 	"apf/internal/checkpoint"
+	"apf/internal/telemetry"
 	"apf/internal/wire"
 )
 
@@ -158,14 +160,30 @@ func TestServerRejectsMismatchedPayloadLengths(t *testing.T) {
 	}
 }
 
-// TestServerRejectsMalformedFrame feeds the registration path raw garbage:
-// in strict mode the decode failure must abort the run with a typed wire
-// error rather than hang or crash.
-func TestServerRejectsMalformedFrame(t *testing.T) {
-	srv := startServer(t, 1, 1)
+// strayThenJoin runs a one-client, one-round strict-barrier server under a
+// 200 ms I/O timeout, opens a stray connection that stray drives and waits
+// until the server has closed it, then registers a real raw peer. The
+// stray never becomes a session, so it must not decide the run: the peer's
+// round commits and Run returns nil. It returns the server's registry.
+func strayThenJoin(t *testing.T, stray func(net.Conn)) *telemetry.Registry {
+	t.Helper()
+	reg := telemetry.New()
+	srv, err := NewServer(ServerConfig{
+		Addr:       "127.0.0.1:0",
+		NumClients: 1,
+		Rounds:     1,
+		Init:       []float64{1, 2, 3},
+		IOTimeout:  200 * time.Millisecond,
+		Metrics:    reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := srv.Run(context.Background())
+		_, err := srv.Run(ctx)
 		done <- err
 	}()
 
@@ -174,40 +192,49 @@ func TestServerRejectsMalformedFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write([]byte("this is not a frame, not even close")); err != nil {
-		t.Fatal(err)
+	stray(conn)
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatal("server kept the stray connection open past its I/O timeout")
 	}
-	select {
-	case err := <-done:
-		if !errors.Is(err, wire.ErrCorrupt) {
-			t.Errorf("expected wire.ErrCorrupt, got %v", err)
+
+	// Join and update back to back: the server's reads then never wait on
+	// this peer, whatever the scheduler does under the short I/O timeout.
+	peer := dialRaw(t, srv.Addr().String())
+	defer peer.conn.Close()
+	peer.send(&JoinMsg{Name: "real"})
+	peer.send(&UpdateMsg{Round: 0, Payload: []float64{1, 2, 3}, Weight: 1})
+	if w := peer.welcome(); w.ClientID != 0 {
+		t.Fatalf("real peer welcomed as client %d, want 0", w.ClientID)
+	}
+	if g := peer.global(); g.Round != 0 {
+		t.Fatalf("real peer got round %d, want 0", g.Round)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("a connection that never joined ended the run: %v", err)
+	}
+	return reg
+}
+
+// TestServerRejectsMalformedFrame feeds the registration path raw garbage:
+// the decode failure is refused and counted as one corrupt frame, and the
+// strict-barrier run goes on to register the real peer.
+func TestServerRejectsMalformedFrame(t *testing.T) {
+	reg := strayThenJoin(t, func(conn net.Conn) {
+		if _, err := conn.Write([]byte("this is not a frame, not even close")); err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("server hung on a malformed join frame")
+	})
+	if n := counterValue(reg, "apf_wire_errors_total", "type", "corrupt"); n != 1 {
+		t.Errorf("apf_wire_errors_total{type=\"corrupt\"} = %d, want 1", n)
 	}
 }
 
+// TestServerRegistrationTimesOut opens a connection that never sends its
+// join: the server's read deadline refuses it, and the strict-barrier run
+// goes on to register the real peer.
 func TestServerRegistrationTimesOut(t *testing.T) {
-	srv := startServer(t, 1, 1)
-	done := make(chan error, 1)
-	go func() {
-		_, err := srv.Run(context.Background())
-		done <- err
-	}()
-	// Connect but never send Join: the server's read deadline must fire.
-	conn, err := net.DialTimeout("tcp", srv.Addr().String(), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Error("server accepted a silent registration")
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("server hung waiting for Join past its IO timeout")
-	}
+	strayThenJoin(t, func(net.Conn) {})
 }
 
 func TestServerContextCancelDuringRegistration(t *testing.T) {

@@ -57,8 +57,10 @@ func joinPipe(t *testing.T, srv *Server, join *JoinMsg) (net.Conn, *WelcomeMsg) 
 	t.Helper()
 	server, peer := net.Pipe()
 	t.Cleanup(func() { closeQuietly(peer) })
-	cc := srv.track(server)
-	go srv.handleJoin(cc, join)
+	go srv.serveConn(srv.track(server))
+	if err := writeMsg(peer, 5*time.Second, join, nil); err != nil {
+		t.Fatalf("join %q: %v", join.SessionKey, err)
+	}
 	m, err := readMsg(peer, 5*time.Second, checkpoint.MaxPayload, nil)
 	if err != nil {
 		t.Fatalf("join %q: %v", join.SessionKey, err)

@@ -1,11 +1,14 @@
 package transport
 
 import (
+	"context"
 	"net"
 	"testing"
 	"time"
 
 	"apf/internal/chaos"
+	"apf/internal/checkpoint"
+	"apf/internal/telemetry"
 	"apf/internal/wire"
 )
 
@@ -153,5 +156,81 @@ func TestBroadcastNoHeadOfLineBlocking(t *testing.T) {
 			t.Errorf("head-of-line blocking: client %d's largest inter-round gap is %v (stalled peer delay %v)",
 				i, gap, writeDelay)
 		}
+	}
+}
+
+// TestSilentConnectionDoesNotDelayJoin pins that the accept loop does no
+// I/O: two connections that never send their join, held open under a
+// 10 s I/O timeout, must not hold up a fresh registration or the resume
+// of a registered session. Each Welcome must arrive within a 2 s read
+// deadline; the run then completes without waiting out any timer. Only
+// the resume counts as one, and Run's teardown closes and uncounts the
+// silent connections.
+func TestSilentConnectionDoesNotDelayJoin(t *testing.T) {
+	reg := telemetry.New()
+	srv, err := NewServer(ServerConfig{
+		Addr:          "127.0.0.1:0",
+		NumClients:    1,
+		Rounds:        1,
+		Init:          []float64{1, 2, 3},
+		IOTimeout:     10 * time.Second,
+		RoundDeadline: 5 * time.Second,
+		Metrics:       reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := srv.Run(ctx)
+		done <- err
+	}()
+	for i := 0; i < 2; i++ {
+		silent, err := net.DialTimeout("tcp", srv.Addr().String(), 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer silent.Close()
+	}
+
+	welcome := func(join *JoinMsg) (*rawPeer, *WelcomeMsg) {
+		t.Helper()
+		peer := dialRaw(t, srv.Addr().String())
+		t.Cleanup(func() { peer.conn.Close() })
+		peer.send(join)
+		m, err := readMsg(peer.conn, 2*time.Second, checkpoint.MaxPayload, nil)
+		if err != nil {
+			t.Fatalf("join behind two silent connections: %v", err)
+		}
+		w, ok := m.(*WelcomeMsg)
+		if !ok {
+			t.Fatalf("got %s, want a welcome", m.WireKind())
+		}
+		return peer, w
+	}
+	if _, w := welcome(&JoinMsg{Name: "p", SessionKey: "p", HaveRound: -1}); w.Resumed {
+		t.Fatalf("fresh join welcomed as a resume: %+v", w)
+	}
+	if n := counterValue(reg, "apf_sessions_resumed_total"); n != 0 {
+		t.Fatalf("a registration counted %d resume(s)", n)
+	}
+	peer, w := welcome(&JoinMsg{Name: "p", SessionKey: "p", HaveRound: -1})
+	if !w.Resumed || w.ClientID != 0 {
+		t.Fatalf("rejoin welcome %+v, want a resume of session 0", w)
+	}
+	peer.send(&UpdateMsg{Round: 0, Payload: []float64{1, 2, 3}, Weight: 1})
+	peer.global()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	resumed := counterValue(reg, "apf_sessions_resumed_total")
+	replayed := counterValue(reg, "apf_resume_mode_total", "mode", "replay")
+	if resumed != 1 || replayed != 1 {
+		t.Errorf("counted %d resume(s), %d by replay; want the one rejoin", resumed, replayed)
+	}
+	if n := reg.Gauge("apf_connections_active", "").Value(); n != 0 {
+		t.Errorf("apf_connections_active = %v after Run returned, want 0", n)
 	}
 }

@@ -12,6 +12,9 @@ import (
 // trajectory, so resume replay, catch-up captures, snapshots and Run's
 // result are all read from here. It changes through exactly three
 // mutators — commit, jump and restore — and is guarded by Server.mu.
+// A committed payload is held, never copied: the history and the newest
+// dense model alias it, so its owner must never recycle or mutate it
+// afterwards (a buffer reused across rounds must be copied before commit).
 type ledger struct {
 	dim  int
 	keep int // retained rounds (ServerConfig.HistoryRounds; 0 keeps all)
@@ -46,7 +49,7 @@ func (l *ledger) commit(g *GlobalMsg) {
 		_ = f.Observe(g.Round, g.Payload)
 	}
 	if len(g.Payload) == l.dim {
-		l.dense = append(l.dense[:0], g.Payload...)
+		l.dense = g.Payload
 		l.denseRound = g.Round
 	}
 	l.history = append(l.history, *g)

@@ -179,8 +179,6 @@ type Server struct {
 	done chan struct{}
 	// events carries decoded updates and connection failures to the engine.
 	events chan event
-	// regErr carries a fatal registration failure (strict mode).
-	regErr chan error
 	// regReady is closed once all NumClients sessions registered.
 	regReady chan struct{}
 
@@ -221,7 +219,7 @@ type Server struct {
 	ledger        ledger
 	sessions      []*session // by client id, registration order
 	byKey         map[string]*session
-	conns         map[*countingConn]struct{} // live, un-absorbed connections
+	conns         map[*countingConn]struct{} // live, un-absorbed connections; nil once Run returns
 	regDone       bool
 	partialRounds int
 	rejected      int // updates refused by validation/aggregation guards
@@ -266,7 +264,6 @@ func newServer(cfg ServerConfig, reducer roundReducer) (*Server, error) {
 		ln:       ln,
 		done:     make(chan struct{}),
 		events:   make(chan event, cfg.peers()*4),
-		regErr:   make(chan error, 1),
 		regReady: make(chan struct{}),
 		reducer:  reducer,
 		byKey:    make(map[string]*session),
@@ -479,7 +476,9 @@ func (s *Server) Run(ctx context.Context) ([]float64, error) {
 		for cc := range s.conns {
 			live = append(live, cc)
 		}
+		s.conns = nil // track closes connections accepted from now on
 		s.mu.Unlock()
+		s.metrics.connsActive.Add(-float64(len(live)))
 		// Release every writer goroutine before closing its socket.
 		for _, sess := range sessions {
 			sess.mu.Lock()
@@ -488,7 +487,7 @@ func (s *Server) Run(ctx context.Context) ([]float64, error) {
 			sess.mu.Unlock()
 		}
 		for _, cc := range live {
-			s.absorb(cc)
+			closeQuietly(cc)
 		}
 	}()
 
@@ -508,11 +507,6 @@ func (s *Server) Run(ctx context.Context) ([]float64, error) {
 	// round 0 (reconnects of registered sessions are fine meanwhile).
 	select {
 	case <-s.regReady:
-	case err := <-s.regErr:
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, err
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}

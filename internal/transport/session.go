@@ -90,8 +90,7 @@ func (s *Server) enqueue(sess *session, from, round int, frame []byte) {
 		}
 		sess.cond.Broadcast()
 		sess.mu.Unlock()
-		s.detach(sess, gen)
-		s.post(event{id: sess.id, name: sess.name, err: err})
+		s.retire(sess, gen, err)
 		return
 	}
 	sess.queue = append(sess.queue, frame)
@@ -102,10 +101,16 @@ func (s *Server) enqueue(sess *session, from, round int, frame []byte) {
 }
 
 // track wraps an accepted connection so its bytes count into the server
-// totals, and registers it as live.
+// totals, and registers it as live. A connection accepted while Run tears
+// down is closed instead (nil).
 func (s *Server) track(conn net.Conn) *countingConn {
 	cc := &countingConn{Conn: conn, total: &s.bytes}
 	s.mu.Lock()
+	if s.conns == nil {
+		s.mu.Unlock()
+		closeQuietly(conn)
+		return nil
+	}
 	s.conns[cc] = struct{}{}
 	s.mu.Unlock()
 	s.metrics.connsTotal.Inc()
@@ -140,6 +145,15 @@ func (s *Server) detach(sess *session, gen int) {
 	s.metrics.writerDetaches.Inc()
 	s.log.Warn("session detached", "client", sess.id, "name", sess.name)
 	s.absorb(cc)
+}
+
+// retire ends a session's connection of generation gen on a failure —
+// enqueue overflow, writer, reader, catch-up or Welcome write: it detaches
+// the session and posts the failure to the round engine, which alone
+// decides by mode whether the run aborts.
+func (s *Server) retire(sess *session, gen int, err error) {
+	s.detach(sess, gen)
+	s.post(event{id: sess.id, name: sess.name, err: err})
 }
 
 // post delivers an event to the round loop unless Run already returned.
@@ -180,8 +194,7 @@ func (s *Server) writer(sess *session, gen int) {
 		sess.cond.Broadcast()
 		sess.mu.Unlock()
 		if err != nil {
-			s.detach(sess, gen)
-			s.post(event{id: sess.id, name: sess.name, err: err})
+			s.retire(sess, gen, err)
 			return
 		}
 	}
@@ -190,8 +203,7 @@ func (s *Server) writer(sess *session, gen int) {
 // flush waits until every session's outbound queue has drained or its
 // connection has died. Each pending write is bounded by the I/O deadline
 // (and by the cancellation watcher closing the sockets), so the wait
-// terminates. In strict mode an undelivered aggregate fails the run — the
-// old synchronous broadcast aborted on the same condition, just earlier.
+// terminates. In strict mode an undelivered aggregate fails the run.
 func (s *Server) flush(ctx context.Context) error {
 	s.mu.Lock()
 	sessions := append([]*session(nil), s.sessions...)
@@ -254,169 +266,158 @@ func (s *Server) flush(ctx context.Context) error {
 	return firstErr
 }
 
-// acceptLoop serves joins — registrations and session resumes — for the
-// whole run.
+// acceptLoop accepts connections for the whole run. It does no I/O on
+// them: each gets its own goroutine (serveConn) from its join to its
+// close, so a peer that stalls its handshake delays no one else's.
 func (s *Server) acceptLoop() {
 	for {
 		conn, err := s.ln.Accept()
 		if err != nil {
 			return // listener closed: shutdown or cancellation
 		}
-		cc := s.track(conn)
-		m, err := readMsg(cc, s.cfg.IOTimeout, joinPayloadLimit, &s.wireM)
-		var join *JoinMsg
-		if err == nil {
-			switch j := m.(type) {
-			case *JoinMsg:
-				if s.cfg.root() {
-					err = protocolErrorf("expected a relay join on the root tier, got %s", m.WireKind())
-				} else {
-					join = j
-				}
-			case *RelayJoinMsg:
-				if !s.cfg.root() {
-					err = protocolErrorf("relay join on a flat coordinator")
-				} else {
-					// A relay session is a plain join: the shared
-					// registration, resume, and replay machinery applies
-					// unchanged.
-					join = &JoinMsg{Name: j.Name, SessionKey: j.SessionKey, HaveRound: j.HaveRound}
-					s.log.Info("relay joining", "relay", j.Name, "clients", j.Clients)
-				}
-			default:
-				err = protocolErrorf("expected a join frame, got %s", m.WireKind())
-			}
+		if cc := s.track(conn); cc != nil {
+			go s.serveConn(cc)
 		}
-		if err != nil {
-			s.mu.Lock()
-			reg := s.regDone
-			s.mu.Unlock()
-			s.absorb(cc)
-			if !reg && !s.faultTolerant() {
-				// Strict registration keeps the hard barrier semantics: a
-				// client that fails to join aborts the run.
-				select {
-				case s.regErr <- fmt.Errorf("transport: registration: %w", err):
-				default:
-				}
-			}
-			continue
-		}
-		s.handleJoin(cc, join)
 	}
 }
 
-// handleJoin registers a fresh session or resumes an existing one.
-func (s *Server) handleJoin(cc *countingConn, join *JoinMsg) {
-	s.mu.Lock()
-	if sess, ok := s.byKey[join.SessionKey]; ok && join.SessionKey != "" {
-		s.resume(sess, cc, join)
-		return // resume unlocks
+// serveConn owns one connection from its join to its close: it reads the
+// join, attaches the connection to its session, writes the Welcome, runs
+// any catch-up conversation, starts the session's writer and becomes its
+// reader. The writer starts only after the Welcome and the conversation,
+// so queued aggregate frames can overtake neither. A connection that never
+// becomes a session is refused and never decides the run; every later
+// failure retires the session.
+func (s *Server) serveConn(cc *countingConn) {
+	join, err := s.readJoin(cc)
+	var a *attachment
+	if err == nil {
+		a, err = s.attach(cc, join)
 	}
-	if s.regDone || len(s.sessions) >= s.cfg.peers() {
-		// Unknown sessions cannot join a running cluster.
-		s.mu.Unlock()
+	if err != nil {
+		s.log.Warn("connection refused", "remote", cc.RemoteAddr().String(), "err", err)
 		s.absorb(cc)
 		return
 	}
-	sess := newSession(len(s.sessions), join.SessionKey, join.Name)
-	sess.conn = cc
-	sess.gen = 1
-	s.sessions = append(s.sessions, sess)
-	if sess.key != "" {
-		s.byKey[sess.key] = sess
+	sess, gen := a.sess, a.gen
+	err = writeMsg(cc, s.cfg.IOTimeout, &a.welcome, &s.wireM)
+	if err == nil && a.cap != nil {
+		err = s.catchup(sess, cc, a.cap)
 	}
-	if len(s.sessions) == s.cfg.peers() {
-		s.regDone = true
-		close(s.regReady)
-	}
-	s.mu.Unlock()
-	s.log.Info("session registered", "client", sess.id, "name", sess.name)
-
-	w := WelcomeMsg{
-		ClientID:   sess.id,
-		NumClients: s.cfg.peers(),
-		Rounds:     s.cfg.Rounds,
-		Dim:        len(s.cfg.Init),
-		Init:       s.cfg.Init,
-		Codec:      s.cfg.Codec,
-	}
-	// The welcome is written directly: the session's writer goroutine only
-	// starts afterwards, so queued aggregate frames cannot overtake it.
-	if err := s.sendWelcome(sess, 1, &w); err != nil {
-		s.detach(sess, 1)
-		if !s.faultTolerant() {
-			// Run may be at the registration barrier or already in the
-			// round loop; feed whichever stage is listening.
-			werr := fmt.Errorf("transport: welcome client %d: %w", sess.id, err)
-			select {
-			case s.regErr <- werr:
-			default:
-			}
-			s.post(event{id: sess.id, name: sess.name, err: err})
-		}
+	if err != nil {
+		s.retire(sess, gen, err)
 		return
 	}
-	go s.writer(sess, 1)
-	go s.reader(sess, 1, cc)
+	go s.writer(sess, gen)
+	s.reader(sess, gen, cc)
 }
 
-// resume re-attaches a reconnecting client to its session. When the
-// ledger still retains its round, it receives the aggregates it missed
-// (HaveRound+1 … latest) for replay; when eviction dropped them, the
-// Welcome instead carries CatchUp and the connection enters the catch-up
-// conversation (sketch reconciliation or snapshot). Either way this
-// connection's sequential GlobalMsg stream continues after the latest
-// committed round. Called with s.mu held; unlocks it. Holding s.mu across
-// the session swap keeps the missed list (or the catch-up capture) and the
-// writer cursor (sent) consistent: no round can commit between computing
-// one and setting the other.
-func (s *Server) resume(sess *session, cc *countingConn, join *JoinMsg) {
-	done := s.ledger.done() // rounds aggregated so far
-	round := s.round
-	if join.HaveRound < -1 || join.HaveRound >= done {
-		s.mu.Unlock()
-		s.absorb(cc) // claims rounds the server never produced
-		return
+// readJoin reads a connection's opening frame: a client join on a flat
+// coordinator, a relay join on the root tier. A relay session is a plain
+// join: registration, resume and replay apply unchanged.
+func (s *Server) readJoin(cc *countingConn) (*JoinMsg, error) {
+	m, err := readMsg(cc, s.cfg.IOTimeout, joinPayloadLimit, &s.wireM)
+	if err != nil {
+		return nil, err
 	}
-	missed, replay := s.ledger.missed(join.HaveRound)
-	var cap *catchupCapture
-	if !replay {
-		if cap = s.ledger.capture(); cap == nil {
-			// Evicted past the client's round and no consistent capture to
-			// serve (desynced follower, no dense commit): refuse the resume.
-			s.mu.Unlock()
-			s.log.Warn("catch-up refused: no capture", "client", sess.id, "name", sess.name,
-				"have_round", join.HaveRound)
-			s.absorb(cc)
-			return
+	switch j := m.(type) {
+	case *JoinMsg:
+		if !s.cfg.root() {
+			return j, nil
 		}
+		return nil, protocolErrorf("expected a relay join on the root tier, got %s", m.WireKind())
+	case *RelayJoinMsg:
+		if s.cfg.root() {
+			s.log.Info("relay joining", "relay", j.Name, "clients", j.Clients)
+			return &JoinMsg{Name: j.Name, SessionKey: j.SessionKey, HaveRound: j.HaveRound}, nil
+		}
+		return nil, protocolErrorf("relay join on a flat coordinator")
 	}
-	w := WelcomeMsg{
+	return nil, protocolErrorf("expected a join frame, got %s", m.WireKind())
+}
+
+// attachment is a connection attached to a session: the generation it
+// holds, its Welcome, and the capture its catch-up conversation serves
+// (nil when the Welcome replays every missed round).
+type attachment struct {
+	sess    *session
+	gen     int
+	welcome WelcomeMsg
+	cap     *catchupCapture
+}
+
+// attach binds a joining connection to its session. A join naming a known
+// session key resumes that session from the join's HaveRound; any other
+// join registers a fresh session while registration is open, which is the
+// attach of a new session from round -1 whatever HaveRound it carries, and
+// takes the next id in join arrival order. When the ledger still retains
+// the rounds after the cursor, the Welcome replays them (none for a fresh
+// session); when eviction dropped them, it carries CatchUp and the
+// connection enters the catch-up conversation (sketch reconciliation or
+// snapshot). Either way the connection's sequential GlobalMsg stream
+// continues after the latest committed round. Holding s.mu across the
+// attach keeps the missed list (or the capture) and the writer cursor
+// consistent: no round can commit between computing one and setting the
+// other.
+func (s *Server) attach(cc *countingConn, join *JoinMsg) (*attachment, error) {
+	s.mu.Lock()
+	have := join.HaveRound
+	sess, known := s.byKey[join.SessionKey]
+	if !known {
+		if s.regDone {
+			s.mu.Unlock()
+			return nil, protocolErrorf("unknown session %q joined a running cluster", join.SessionKey)
+		}
+		sess = newSession(len(s.sessions), join.SessionKey, join.Name)
+		s.sessions = append(s.sessions, sess)
+		if sess.key != "" {
+			s.byKey[sess.key] = sess
+		}
+		if len(s.sessions) == s.cfg.peers() {
+			s.regDone = true
+			close(s.regReady)
+		}
+		have = -1
+	}
+	done := s.ledger.done() // rounds aggregated so far
+	if have < -1 || have >= done {
+		s.mu.Unlock()
+		return nil, protocolErrorf("client %d (%s) claims round %d, server committed %d",
+			sess.id, sess.name, have, done)
+	}
+	missed, replay := s.ledger.missed(have)
+	a := &attachment{sess: sess, welcome: WelcomeMsg{
 		ClientID:   sess.id,
 		NumClients: s.cfg.peers(),
 		Rounds:     s.cfg.Rounds,
 		Dim:        len(s.cfg.Init),
-		Round:      round,
-		Resumed:    true,
+		Round:      s.round,
+		Resumed:    known,
 		Missed:     missed,
 		Codec:      s.cfg.Codec,
+	}}
+	if !replay {
+		if a.cap = s.ledger.capture(); a.cap == nil {
+			// Evicted past the cursor and no consistent capture to serve
+			// (desynced follower, no dense commit).
+			s.mu.Unlock()
+			return nil, fmt.Errorf("client %d (%s) catch-up from round %d: no capture", sess.id, sess.name, have)
+		}
+		a.welcome.CatchUp = true
+		a.welcome.MaskGen = a.cap.maskGen()
 	}
-	if join.HaveRound < 0 {
-		// A peer with no applied round may be a fresh process re-attaching
-		// to its session key (client or relay restart) and still needs the
-		// initial model; one that has applied a round never reads it.
-		w.Init = s.cfg.Init
-	}
-	if cap != nil {
-		w.CatchUp = true
-		w.MaskGen = cap.maskGen()
+	if have < 0 {
+		// A peer with no applied round is a fresh session or a fresh
+		// process re-attaching to its session key (client or relay
+		// restart) and needs the initial model; one that has applied a
+		// round never reads it.
+		a.welcome.Init = s.cfg.Init
 	}
 
 	sess.mu.Lock()
 	old := sess.conn
 	sess.gen++
-	gen := sess.gen
+	a.gen = sess.gen
 	sess.conn = cc
 	sess.sent = done
 	dropped := len(sess.queue)
@@ -426,44 +427,22 @@ func (s *Server) resume(sess *session, cc *countingConn, join *JoinMsg) {
 	sess.cond.Broadcast() // release the old connection's writer
 	sess.mu.Unlock()
 	s.mu.Unlock()
+	if !known {
+		s.log.Info("session registered", "client", sess.id, "name", sess.name)
+		return a, nil
+	}
 	s.metrics.resumes.Inc()
 	s.metrics.replayedGlobals.Add(int64(len(missed)))
 	s.metrics.queueFrames.Add(float64(-dropped))
-	if cap == nil {
+	if a.cap == nil {
 		s.metrics.resumeReplay.Inc()
 	}
 	s.log.Info("session resumed", "client", sess.id, "name", sess.name,
-		"have_round", join.HaveRound, "replayed", len(missed), "catch_up", cap != nil)
+		"have_round", have, "replayed", len(missed), "catch_up", a.cap != nil)
 	if old != nil {
 		s.absorb(old)
 	}
-
-	if err := s.sendWelcome(sess, gen, &w); err != nil {
-		s.detach(sess, gen)
-		return
-	}
-	if cap != nil {
-		// The writer starts only after the conversation: queued aggregate
-		// frames must not interleave with catch-up frames.
-		go s.catchupSession(sess, gen, cc, cap)
-		return
-	}
-	go s.writer(sess, gen)
-	go s.reader(sess, gen, cc)
-}
-
-// sendWelcome writes the welcome frame on a session's current connection
-// if it still is the given generation. The write happens outside sess.mu
-// so a slow handshake never blocks the round loop's enqueues.
-func (s *Server) sendWelcome(sess *session, gen int, w *WelcomeMsg) error {
-	sess.mu.Lock()
-	cc := sess.conn
-	if sess.gen != gen || cc == nil {
-		sess.mu.Unlock()
-		return fmt.Errorf("connection replaced")
-	}
-	sess.mu.Unlock()
-	return writeMsg(cc, s.cfg.IOTimeout, w, &s.wireM)
+	return a, nil
 }
 
 // payloadPool is the free list of model-sized vectors that connection
@@ -509,8 +488,8 @@ func (p *payloadPool) put(v []float64) {
 }
 
 // reader decodes one connection's updates into the event stream until the
-// connection fails; then it detaches the session (a resumed connection has
-// a newer generation and is left alone). Dense payloads stream into the
+// connection fails; then it retires the session (a resumed connection has
+// a newer generation and stays attached). Dense payloads stream into the
 // server's recycled vectors, and so do sparse ones' dense expansions.
 func (s *Server) reader(sess *session, gen int, cc *countingConn) {
 	if s.cfg.root() {
@@ -544,8 +523,7 @@ func (s *Server) reader(sess *session, gen int, cc *countingConn) {
 				err = protocolErrorf("expected an update frame, got %s", m.WireKind())
 			}
 		}
-		s.detach(sess, gen)
-		s.post(event{id: sess.id, name: sess.name, err: err})
+		s.retire(sess, gen, err)
 		return
 	}
 }
@@ -572,8 +550,7 @@ func (s *Server) relayReader(sess *session, gen int, cc *countingConn) {
 				err = protocolErrorf("expected a partial-update frame, got %s", m.WireKind())
 			}
 		}
-		s.detach(sess, gen)
-		s.post(event{id: sess.id, name: sess.name, err: err})
+		s.retire(sess, gen, err)
 		return
 	}
 }

@@ -7,9 +7,11 @@
 // an actual transport, with measured wire bytes.
 //
 // The stack is three layers. Package wire owns framing and message codecs;
-// this package's connection layer owns sockets — framed reads with payload
-// limits, per-session writer goroutines fanning out shared pre-encoded
-// frames, reconnect/resume — and the round engine (roundEngine) owns the
+// this package's connection layer owns sockets — one goroutine per
+// accepted connection from its join to its close (join, attach, Welcome,
+// any catch-up, then reading), framed reads with payload limits,
+// per-session writer goroutines fanning out shared pre-encoded frames,
+// reconnect/resume — and the round engine (roundEngine) owns the
 // protocol state machine (collect/admit/deadline/partial-aggregate/
 // commit), driven purely through an event channel and a roundSink, so the
 // same engine runs under TCP and under in-process tests without sockets.
@@ -27,6 +29,11 @@
 // every UpdateMsg carries an FNV-1a hash of the sender's freezing mask and
 // the server refuses to average updates whose hashes disagree
 // (ErrMaskDivergence) instead of silently mis-averaging.
+//
+// Strict mode (ServerConfig.RoundDeadline == 0) aborts the run on the
+// failure of any session. A connection that never becomes a session —
+// garbage, silence past the I/O timeout, a refused join — is closed and
+// logged, and never decides the run in either mode.
 //
 // Fault tolerance (ServerConfig.RoundDeadline > 0): the server keeps
 // accepting connections for the whole run, aggregates with the K ≤ N

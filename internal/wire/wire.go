@@ -130,9 +130,9 @@ type Msg interface {
 type JoinMsg struct {
 	Name string
 	// SessionKey identifies a resumable session. Empty disables resume:
-	// the connection registers a fresh anonymous session (pre-resume
-	// behaviour). Reconnecting with a known key re-attaches to that
-	// session instead of being rejected.
+	// the connection registers a fresh anonymous session. Reconnecting
+	// with a known key re-attaches to that session instead of being
+	// rejected.
 	SessionKey string
 	// HaveRound is the last round the client has applied (-1 when it has
 	// none); on resume the server replies with the missed payloads
