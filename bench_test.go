@@ -27,7 +27,6 @@ import (
 	"apf/internal/preset"
 	"apf/internal/quantize"
 	"apf/internal/telemetry"
-	"apf/internal/telemetry/hooks"
 	"apf/internal/tensor"
 	"apf/internal/wire"
 )
@@ -176,7 +175,7 @@ func BenchmarkManagerRound(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("dim=%d/frozen=%.2f/telemetry", c.Dim, c.Frozen), func(b *testing.B) {
-			obs := hooks.Manager(telemetry.New())
+			obs := telemetry.ManagerObserver(telemetry.New())
 			m, x, start := newManagerAt(c.Dim, c.Frozen, obs)
 			b.ReportAllocs()
 			b.ResetTimer()

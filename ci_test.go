@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -75,8 +76,11 @@ func TestDocsNameCurrentVersion(t *testing.T) {
 
 // TestDesignInventoryNamesEveryPackage fails when a directory under cmd/
 // or internal/ that holds non-test Go is not named, in backticks, in
-// DESIGN.md's "System inventory" table: the inventory is the map a reader
-// starts from, and a package missing from it is invisible there.
+// DESIGN.md's "System inventory" table, and when the table names, in
+// backticks, a cmd/ or internal/ path that holds no non-test Go: the
+// inventory is the map a reader starts from, and a package missing from it
+// is invisible there, while a row for a deleted one sends the reader to
+// nothing.
 func TestDesignInventoryNamesEveryPackage(t *testing.T) {
 	src, err := os.ReadFile("DESIGN.md")
 	if err != nil {
@@ -108,6 +112,16 @@ func TestDesignInventoryNamesEveryPackage(t *testing.T) {
 	if len(missing) > 0 {
 		t.Errorf("DESIGN.md's System inventory does not name %d package(s): %s",
 			len(missing), strings.Join(missing, ", "))
+	}
+	var stale []string
+	for _, m := range regexp.MustCompile("`((?:cmd|internal)/[^`]*)`").FindAllSubmatch(table[1], -1) {
+		if path := string(m[1]); !pkgs[path] && !slices.Contains(stale, path) {
+			stale = append(stale, path)
+		}
+	}
+	if len(stale) > 0 {
+		t.Errorf("DESIGN.md's System inventory names %d path(s) with no non-test Go: %s",
+			len(stale), strings.Join(stale, ", "))
 	}
 }
 

@@ -25,7 +25,6 @@ import (
 	"apf/internal/preset"
 	"apf/internal/stats"
 	"apf/internal/telemetry"
-	"apf/internal/telemetry/hooks"
 	"apf/internal/transport"
 	"apf/internal/wire"
 )
@@ -98,7 +97,7 @@ func run(args []string) error {
 	case "apf":
 		manager = func(clientID, dim int) fl.SyncManager {
 			cfg := preset.APFConfig(*seed)
-			cfg.Dim, cfg.Observer = dim, hooks.Manager(obs.Metrics)
+			cfg.Dim, cfg.Observer = dim, telemetry.ManagerObserver(obs.Metrics)
 			return core.NewManager(cfg)
 		}
 	case "none":

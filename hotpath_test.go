@@ -40,7 +40,6 @@ import (
 	"apf/internal/opt"
 	"apf/internal/preset"
 	"apf/internal/telemetry"
-	"apf/internal/telemetry/hooks"
 	"apf/internal/tensor"
 	"apf/internal/wire"
 )
@@ -226,7 +225,7 @@ func TestSteadyStateRoundIsAllocationFree(t *testing.T) {
 // allocation per round.
 func TestInstrumentedRoundIsAllocationFree(t *testing.T) {
 	reg := telemetry.New()
-	m, x, start := newManagerAt(10_000, 0.5, hooks.Manager(reg))
+	m, x, start := newManagerAt(10_000, 0.5, telemetry.ManagerObserver(reg))
 	round := start
 	steadyRound(m, round, x) // warm the scratch buffers
 	round++
@@ -246,21 +245,19 @@ func TestInstrumentedRoundIsAllocationFree(t *testing.T) {
 // TestWALAppendIsAllocationFree pins the durable commit's memory
 // discipline: once the store's record buffer has grown to the record size,
 // a steady-state Append — stamp, frame and checksum built in that buffer,
-// written in place, fsync'd, observed by live telemetry — allocates
-// nothing.
+// written in place, fsync'd — allocates nothing.
 func TestWALAppendIsAllocationFree(t *testing.T) {
 	st, err := checkpoint.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	st.SetObserver(hooks.Store(telemetry.New(), nil))
-	if err := st.WriteSnapshot(0, []byte("base")); err != nil {
+	if _, err := st.WriteSnapshot(0, []byte("base")); err != nil {
 		t.Fatal(err)
 	}
 	record := make([]byte, 4096)
 	appendRecord := func() {
-		if err := st.Append(record); err != nil {
+		if _, err := st.Append(record); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -435,37 +435,3 @@ func parseFault(part string) (Fault, error) {
 	}
 	return f, nil
 }
-
-// FormatSpec renders faults back into ParseSpec syntax; parsing the
-// result reproduces the faults (the round-trip is tested). Faults with
-// anchors or kinds the flag syntax cannot express come out closest-match
-// (e.g. an OnRead delay formats as a plain delay).
-func FormatSpec(faults []Fault) string {
-	parts := make([]string, 0, len(faults))
-	for _, f := range faults {
-		var b strings.Builder
-		if f.Peer != "" {
-			b.WriteString(f.Peer)
-			b.WriteByte('/')
-		}
-		switch {
-		case f.Kind == Sever && f.Op == OnWrite:
-			b.WriteString("sever-write")
-		case f.Kind == Sever && f.Op == OnRead:
-			b.WriteString("sever-read")
-		default:
-			b.WriteString(f.Kind.String())
-		}
-		fmt.Fprintf(&b, "@%d", f.Round)
-		switch f.Kind {
-		case Delay:
-			fmt.Fprintf(&b, ":%s", f.Delay)
-		case PartialWrite:
-			if f.Bytes > 0 {
-				fmt.Fprintf(&b, ":%d", f.Bytes)
-			}
-		}
-		parts = append(parts, b.String())
-	}
-	return strings.Join(parts, ";")
-}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -21,18 +22,47 @@ func TestParseSpec(t *testing.T) {
 		{Peer: "accept:1", Round: 5, Kind: Sever, Op: OnWrite},
 		{Round: 1, Kind: Sever, Op: OnRead},
 	}
-	if len(faults) != len(want) {
-		t.Fatalf("parsed %d faults, want %d", len(faults), len(want))
-	}
-	for i, f := range faults {
-		if f != want[i] {
-			t.Errorf("fault %d = %+v, want %+v", i, f, want[i])
-		}
+	if !slices.Equal(faults, want) {
+		t.Errorf("parsed %+v, want %+v", faults, want)
 	}
 
 	for _, bad := range []string{"", "sever", "sever@x", "sever@-1", "delay@3", "delay@3:xyz", "partial@3:-2", "flip@1", ";;", "sever@3:junk", "kill-server@2:5"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)
+		}
+	}
+}
+
+// TestSpecRoundTrip checks each spec string parses back to exactly the
+// faults it spells out: the table covers every kind, both explicit
+// anchors, peers, arguments, and a multi-fault script.
+func TestSpecRoundTrip(t *testing.T) {
+	cases := []struct {
+		spec string
+		want []Fault
+	}{
+		{"sever@3", []Fault{{Round: 3, Kind: Sever}}},
+		{"sever-write@5", []Fault{{Round: 5, Kind: Sever, Op: OnWrite}}},
+		{"sever-read@1", []Fault{{Round: 1, Kind: Sever, Op: OnRead}}},
+		{"delay@4:500ms", []Fault{{Round: 4, Kind: Delay, Delay: 500 * time.Millisecond}}},
+		{"partial@2:16", []Fault{{Round: 2, Kind: PartialWrite, Bytes: 16}}},
+		{"partial@2", []Fault{{Round: 2, Kind: PartialWrite}}},
+		{"kill-server@7", []Fault{{Round: 7, Kind: KillServer}}},
+		{"accept:1/sever-write@5", []Fault{{Peer: "accept:1", Round: 5, Kind: Sever, Op: OnWrite}}},
+		{"eq-0/sever@1;delay@3:20ms;kill-server@6", []Fault{
+			{Peer: "eq-0", Round: 1, Kind: Sever},
+			{Round: 3, Kind: Delay, Delay: 20 * time.Millisecond},
+			{Round: 6, Kind: KillServer},
+		}},
+	}
+	for _, tc := range cases {
+		faults, err := ParseSpec(tc.spec)
+		if err != nil {
+			t.Errorf("ParseSpec(%q): %v", tc.spec, err)
+			continue
+		}
+		if !slices.Equal(faults, tc.want) {
+			t.Errorf("ParseSpec(%q) = %+v, want %+v", tc.spec, faults, tc.want)
 		}
 	}
 }
@@ -58,55 +88,6 @@ func TestParseSpecErrorsNamePosition(t *testing.T) {
 		for _, sub := range tc.wantSubstr {
 			if !strings.Contains(err.Error(), sub) {
 				t.Errorf("ParseSpec(%q) error %q missing %q", tc.spec, err, sub)
-			}
-		}
-	}
-}
-
-// TestSpecRoundTrip formats faults back to spec syntax and re-parses
-// them: the table covers every kind, both explicit anchors, peers, and
-// arguments.
-func TestSpecRoundTrip(t *testing.T) {
-	cases := []struct {
-		name   string
-		faults []Fault
-		spec   string // expected FormatSpec output
-	}{
-		{"sever at mark", []Fault{{Round: 3, Kind: Sever}}, "sever@3"},
-		{"sever on write", []Fault{{Round: 5, Kind: Sever, Op: OnWrite}}, "sever-write@5"},
-		{"sever on read", []Fault{{Round: 1, Kind: Sever, Op: OnRead}}, "sever-read@1"},
-		{"delay", []Fault{{Round: 4, Kind: Delay, Delay: 500 * time.Millisecond}}, "delay@4:500ms"},
-		{"partial sized", []Fault{{Round: 2, Kind: PartialWrite, Bytes: 16}}, "partial@2:16"},
-		{"partial random", []Fault{{Round: 2, Kind: PartialWrite}}, "partial@2"},
-		{"kill server", []Fault{{Round: 7, Kind: KillServer}}, "kill-server@7"},
-		{"peered", []Fault{{Peer: "accept:1", Round: 5, Kind: Sever, Op: OnWrite}}, "accept:1/sever-write@5"},
-		{
-			"mixed script",
-			[]Fault{
-				{Peer: "eq-0", Round: 1, Kind: Sever},
-				{Round: 3, Kind: Delay, Delay: 20 * time.Millisecond},
-				{Round: 6, Kind: KillServer},
-			},
-			"eq-0/sever@1;delay@3:20ms;kill-server@6",
-		},
-	}
-	for _, tc := range cases {
-		spec := FormatSpec(tc.faults)
-		if spec != tc.spec {
-			t.Errorf("%s: FormatSpec = %q, want %q", tc.name, spec, tc.spec)
-		}
-		parsed, err := ParseSpec(spec)
-		if err != nil {
-			t.Errorf("%s: re-parse %q: %v", tc.name, spec, err)
-			continue
-		}
-		if len(parsed) != len(tc.faults) {
-			t.Errorf("%s: round trip produced %d faults, want %d", tc.name, len(parsed), len(tc.faults))
-			continue
-		}
-		for i := range parsed {
-			if parsed[i] != tc.faults[i] {
-				t.Errorf("%s: fault %d round-tripped to %+v, want %+v", tc.name, i, parsed[i], tc.faults[i])
 			}
 		}
 	}

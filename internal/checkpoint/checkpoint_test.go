@@ -202,19 +202,35 @@ func TestStoreRoundTrip(t *testing.T) {
 	if _, _, _, found, err := st.Load(); err != nil || found {
 		t.Fatalf("empty store Load: found=%v err=%v", found, err)
 	}
-	if err := st.Append([]byte("early")); err == nil {
+	if _, err := st.Append([]byte("early")); err == nil {
 		t.Fatalf("append before any snapshot succeeded")
 	}
-	if err := st.WriteSnapshot(0, []byte("base")); err != nil {
+	// The lengths the writes return are the bytes they put on disk.
+	snapN, err := st.WriteSnapshot(0, []byte("base"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Append([]byte("rec0")); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Append([]byte("rec1")); err != nil {
-		t.Fatal(err)
+	walN := 0
+	for _, p := range []string{"rec0", "rec1"} {
+		n, err := st.Append([]byte(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		walN += n
 	}
 	st.Close()
+	for name, want := range map[string]int{"snap-00000000.ckpt": snapN, "wal-00000000.log": walN} {
+		fi, err := os.Stat(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() != int64(want) {
+			t.Fatalf("%s holds %d bytes, the writes returned %d", name, fi.Size(), want)
+		}
+	}
+	if want := 2 * (HeaderLen + recordStampLen + len("rec0") + TrailerLen); walN != want {
+		t.Fatalf("two 4-byte records returned %d bytes, want %d", walN, want)
+	}
 
 	st2, err := Open(dir)
 	if err != nil {
@@ -232,7 +248,7 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 
 	// Append continues the recovered generation's log.
-	if err := st2.Append([]byte("rec2")); err != nil {
+	if _, err := st2.Append([]byte("rec2")); err != nil {
 		t.Fatal(err)
 	}
 	st2.Close()
@@ -265,7 +281,7 @@ func openStore(t *testing.T, dir string) *Store {
 func mustAppend(t *testing.T, st *Store, payloads ...string) {
 	t.Helper()
 	for _, p := range payloads {
-		if err := st.Append([]byte(p)); err != nil {
+		if _, err := st.Append([]byte(p)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -308,12 +324,12 @@ func TestStoreRotationBounded(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
 	for i := 0; i < 10; i++ {
-		if err := st.WriteSnapshot(3*i, []byte(fmt.Sprintf("gen%d", 3*i))); err != nil {
+		if _, err := st.WriteSnapshot(3*i, []byte(fmt.Sprintf("gen%d", 3*i))); err != nil {
 			t.Fatal(err)
 		}
 		mustAppend(t, st, "a", "b", "c")
 	}
-	if err := st.WriteSnapshot(27, []byte("again")); err == nil {
+	if _, err := st.WriteSnapshot(27, []byte("again")); err == nil {
 		t.Fatalf("non-increasing snapshot accepted")
 	}
 	want := []string{"snap-00000027.ckpt", "snap.spare", "wal-00000027.log"}
@@ -332,11 +348,11 @@ func TestStoreRotationBounded(t *testing.T) {
 func TestStoreStaleRecordsNotReplayed(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
-	if err := st.WriteSnapshot(0, []byte("gen0")); err != nil {
+	if _, err := st.WriteSnapshot(0, []byte("gen0")); err != nil {
 		t.Fatal(err)
 	}
 	mustAppend(t, st, "old-0", "old-1", "old-2", "old-3")
-	if err := st.WriteSnapshot(4, []byte("gen4")); err != nil {
+	if _, err := st.WriteSnapshot(4, []byte("gen4")); err != nil {
 		t.Fatal(err)
 	}
 	mustAppend(t, st, "new-0", "new-1")
@@ -361,7 +377,7 @@ func TestStoreRecycledSnapshotLongerThanFrame(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
 	for i, p := range []string{strings.Repeat("x", 4096), "small", "tiny"} {
-		if err := st.WriteSnapshot(i, []byte(p)); err != nil {
+		if _, err := st.WriteSnapshot(i, []byte(p)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -384,11 +400,11 @@ func TestStoreRecycledSnapshotLongerThanFrame(t *testing.T) {
 func TestStoreCrashWhileOverwritingSpare(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
-	if err := st.WriteSnapshot(0, []byte("gen0")); err != nil {
+	if _, err := st.WriteSnapshot(0, []byte("gen0")); err != nil {
 		t.Fatal(err)
 	}
 	mustAppend(t, st, "r0")
-	if err := st.WriteSnapshot(3, []byte("gen3")); err != nil {
+	if _, err := st.WriteSnapshot(3, []byte("gen3")); err != nil {
 		t.Fatal(err)
 	}
 	mustAppend(t, st, "r3", "r4")
@@ -407,7 +423,7 @@ func TestStoreCrashWhileOverwritingSpare(t *testing.T) {
 	if rounds != 3 || payload != "gen3" || !reflect.DeepEqual(recs, []string{"r3", "r4"}) {
 		t.Fatalf("recovered (%d, %q, %v), want (3, \"gen3\", [r3 r4])", rounds, payload, recs)
 	}
-	if err := st2.WriteSnapshot(6, []byte("gen6")); err != nil {
+	if _, err := st2.WriteSnapshot(6, []byte("gen6")); err != nil {
 		t.Fatalf("rotation after the crash: %v", err)
 	}
 	mustAppend(t, st2, "r6")
@@ -429,10 +445,10 @@ func TestStoreFinishesInterruptedRotation(t *testing.T) {
 	for _, walMoved := range []bool{false, true} {
 		dir := t.TempDir()
 		st := openStore(t, dir)
-		if err := st.WriteSnapshot(0, []byte("gen0")); err != nil {
+		if _, err := st.WriteSnapshot(0, []byte("gen0")); err != nil {
 			t.Fatal(err)
 		}
-		if err := st.WriteSnapshot(3, []byte("gen3")); err != nil {
+		if _, err := st.WriteSnapshot(3, []byte("gen3")); err != nil {
 			t.Fatal(err)
 		}
 		mustAppend(t, st, "r3")
@@ -473,7 +489,7 @@ func TestStoreFinishesInterruptedRotation(t *testing.T) {
 func TestStoreRefusesOtherVersion(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
-	if err := st.WriteSnapshot(0, []byte("base")); err != nil {
+	if _, err := st.WriteSnapshot(0, []byte("base")); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
@@ -501,7 +517,7 @@ func TestStoreTornTail(t *testing.T) {
 	for name, tail := range map[string][]byte{"cut short": full[:len(full)-3], "0xFFFFFFF0 declared": huge} {
 		dir := t.TempDir()
 		st := openStore(t, dir)
-		if err := st.WriteSnapshot(0, []byte("base")); err != nil {
+		if _, err := st.WriteSnapshot(0, []byte("base")); err != nil {
 			t.Fatal(err)
 		}
 		mustAppend(t, st, "good")

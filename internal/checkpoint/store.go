@@ -10,7 +10,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Store persists a coordinator under one directory as a generation of
@@ -48,26 +47,7 @@ type Store struct {
 	wal    *os.File // open WAL of that generation
 	off    int64    // WAL offset of the next record
 	buf    []byte   // record being appended, reused across Appends
-	obs    Observer // nil disables instrumentation
 }
-
-// Observer receives durability events from a Store. checkpoint defines
-// the interface itself and carries no telemetry dependency — the metrics
-// adapter is injected with SetObserver. Implementations must be cheap;
-// they run synchronously on the append path.
-type Observer interface {
-	// AppendDone fires after each durable (fsync'd) WAL append.
-	AppendDone(bytes int, d time.Duration)
-	// SnapshotDone fires after each durable snapshot rotation.
-	SnapshotDone(rounds, bytes int, d time.Duration)
-	// LoadDone fires after recovery: whether a usable snapshot was found,
-	// at how many completed rounds, and how many WAL records replayed.
-	LoadDone(found bool, rounds, walRecords int, d time.Duration)
-}
-
-// SetObserver installs (or, with nil, removes) the store's event hook.
-// Call it before the store is shared across goroutines.
-func (s *Store) SetObserver(obs Observer) { s.obs = obs }
 
 const (
 	snapPrefix = "snap-"
@@ -160,27 +140,23 @@ func (s *Store) syncDir() error {
 // payload is published atomically, and the previous generation's log and
 // snapshot file are recycled as the new log and the spare. rounds is the
 // number of completed rounds the snapshot captures and must increase
-// across calls.
-func (s *Store) WriteSnapshot(rounds int, payload []byte) error {
+// across calls. n is the length of the snapshot frame written.
+func (s *Store) WriteSnapshot(rounds int, payload []byte) (n int, err error) {
 	if rounds < 0 {
-		return fmt.Errorf("checkpoint: negative snapshot round %d", rounds)
+		return 0, fmt.Errorf("checkpoint: negative snapshot round %d", rounds)
 	}
 	if rounds <= s.rounds {
-		return fmt.Errorf("checkpoint: snapshot rounds %d not beyond current generation %d", rounds, s.rounds)
-	}
-	var start time.Time
-	if s.obs != nil {
-		start = time.Now()
+		return 0, fmt.Errorf("checkpoint: snapshot rounds %d not beyond current generation %d", rounds, s.rounds)
 	}
 	frame := appendFrame(nil, kindSnapshot, payload)
 	if err := overwriteSync(s.sparePath(), frame); err != nil {
-		return fmt.Errorf("checkpoint: write snapshot: %w", err)
+		return 0, fmt.Errorf("checkpoint: write snapshot: %w", err)
 	}
 	if err := os.Rename(s.sparePath(), s.snapPath(rounds)); err != nil {
-		return fmt.Errorf("checkpoint: publish snapshot: %w", err)
+		return 0, fmt.Errorf("checkpoint: publish snapshot: %w", err)
 	}
 	if err := s.syncDir(); err != nil {
-		return fmt.Errorf("checkpoint: sync store: %w", err)
+		return 0, fmt.Errorf("checkpoint: sync store: %w", err)
 	}
 
 	// The snapshot is durable: retire the previous generation. Its
@@ -188,55 +164,47 @@ func (s *Store) WriteSnapshot(rounds int, payload []byte) error {
 	// at the first of them that the appends have not yet overwritten.
 	if s.wal != nil {
 		if err := os.Rename(s.walPath(s.rounds), s.walPath(rounds)); err != nil {
-			return fmt.Errorf("checkpoint: recycle wal: %w", err)
+			return 0, fmt.Errorf("checkpoint: recycle wal: %w", err)
 		}
 	} else {
 		// The first generation of this Store. A log left under this name
 		// could carry this very stamp, so it is emptied, not recycled.
 		wal, err := os.OpenFile(s.walPath(rounds), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 		if err != nil {
-			return fmt.Errorf("checkpoint: open wal: %w", err)
+			return 0, fmt.Errorf("checkpoint: open wal: %w", err)
 		}
 		s.wal = wal
 	}
 	if s.rounds >= 0 {
 		if err := os.Rename(s.snapPath(s.rounds), s.sparePath()); err != nil {
-			return fmt.Errorf("checkpoint: recycle snapshot: %w", err)
+			return 0, fmt.Errorf("checkpoint: recycle snapshot: %w", err)
 		}
 	}
 	s.rounds, s.off = rounds, 0
 	if err := s.syncDir(); err != nil {
-		return fmt.Errorf("checkpoint: sync store: %w", err)
+		return 0, fmt.Errorf("checkpoint: sync store: %w", err)
 	}
-	if s.obs != nil {
-		s.obs.SnapshotDone(rounds, len(frame), time.Since(start))
-	}
-	return nil
+	return len(frame), nil
 }
 
-// Append durably appends one record to the current generation's WAL. It
-// must follow a WriteSnapshot (or a Load that found one), and allocates
-// nothing once its buffer has grown to the record size.
-func (s *Store) Append(payload []byte) error {
+// Append durably appends one record to the current generation's WAL and
+// returns the length of the record frame written (header, generation
+// stamp, payload, trailer). It must follow a WriteSnapshot (or a Load that
+// found one), and allocates nothing once its buffer has grown to the
+// record size.
+func (s *Store) Append(payload []byte) (n int, err error) {
 	if s.wal == nil {
-		return fmt.Errorf("checkpoint: append without a snapshot generation")
-	}
-	var start time.Time
-	if s.obs != nil {
-		start = time.Now()
+		return 0, fmt.Errorf("checkpoint: append without a snapshot generation")
 	}
 	s.buf = appendRecord(s.buf[:0], uint64(s.rounds), payload)
 	if _, err := s.wal.WriteAt(s.buf, s.off); err != nil {
-		return fmt.Errorf("checkpoint: append wal: %w", err)
+		return 0, fmt.Errorf("checkpoint: append wal: %w", err)
 	}
 	if err := s.wal.Sync(); err != nil {
-		return fmt.Errorf("checkpoint: sync wal: %w", err)
+		return 0, fmt.Errorf("checkpoint: sync wal: %w", err)
 	}
 	s.off += int64(len(s.buf))
-	if s.obs != nil {
-		s.obs.AppendDone(len(s.buf), time.Since(start))
-	}
-	return nil
+	return len(s.buf), nil
 }
 
 // Load recovers the newest consistent generation: it returns the snapshot
@@ -248,10 +216,6 @@ func (s *Store) Append(payload []byte) error {
 // in the WAL that is no log record (ErrCorrupt), which no build writes.
 // After a successful Load, Append continues the recovered generation's WAL.
 func (s *Store) Load() (rounds int, payload []byte, wal [][]byte, found bool, err error) {
-	var start time.Time
-	if s.obs != nil {
-		start = time.Now()
-	}
 	gens, err := s.generations()
 	if err != nil {
 		return 0, nil, nil, false, err
@@ -282,13 +246,7 @@ func (s *Store) Load() (rounds int, payload []byte, wal [][]byte, found bool, er
 		if err != nil {
 			return 0, nil, nil, false, err
 		}
-		if s.obs != nil {
-			s.obs.LoadDone(true, r, len(records), time.Since(start))
-		}
 		return r, p, records, true, nil
-	}
-	if s.obs != nil {
-		s.obs.LoadDone(false, 0, 0, time.Since(start))
 	}
 	return 0, nil, nil, false, nil
 }

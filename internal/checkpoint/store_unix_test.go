@@ -34,7 +34,7 @@ func TestStoreRotationReusesInodes(t *testing.T) {
 	st := openStore(t, dir)
 	var pinned []uint64
 	for i := 0; i < 10; i++ {
-		if err := st.WriteSnapshot(3*i, []byte("snapshot")); err != nil {
+		if _, err := st.WriteSnapshot(3*i, []byte("snapshot")); err != nil {
 			t.Fatal(err)
 		}
 		mustAppend(t, st, "a", "b")

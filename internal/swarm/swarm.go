@@ -25,6 +25,10 @@ import (
 	"apf/internal/wire"
 )
 
+// meanLatencySeconds is the mean of the exponential per-hop network
+// latency.
+const meanLatencySeconds = 0.03
+
 // Config parameterizes one simulated deployment.
 type Config struct {
 	// Clients is the total simulated client population, spread round-robin
@@ -39,9 +43,6 @@ type Config struct {
 	// Seed drives every pseudo-random stream: client contributions,
 	// weights, and network latencies.
 	Seed int64
-	// MeanLatencySeconds is the mean of the exponential per-hop network
-	// latency (default 30ms).
-	MeanLatencySeconds float64
 	// Oracle, when set, re-aggregates every round through a flat
 	// fl.Aggregator over all clients and requires the root's committed
 	// global to match bit for bit. Roughly doubles the simulation cost.
@@ -175,9 +176,6 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Clients < cfg.Relays {
 		return nil, fmt.Errorf("swarm: %d clients cannot cover %d relays", cfg.Clients, cfg.Relays)
 	}
-	if cfg.MeanLatencySeconds <= 0 {
-		cfg.MeanLatencySeconds = 0.03
-	}
 	wallStart := time.Now()
 	res := &Result{Clients: cfg.Clients, Relays: cfg.Relays, Dim: cfg.Dim, Rounds: cfg.Rounds}
 
@@ -211,7 +209,7 @@ func Run(cfg Config) (*Result, error) {
 		if u == 0 {
 			u = 0.5
 		}
-		return -cfg.MeanLatencySeconds * math.Log(u)
+		return -meanLatencySeconds * math.Log(u)
 	}
 
 	q := make(eventQueue, 0, cfg.Clients+2*cfg.Relays)

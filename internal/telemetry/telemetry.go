@@ -1,7 +1,8 @@
 // Package telemetry is the runtime observability plane: a zero-dependency
 // metrics registry (counters, gauges, fixed-bucket histograms), a
-// Prometheus text-exposition endpoint with pprof and health mounts, and
-// the construction of the log/slog event log the daemons write.
+// Prometheus text-exposition endpoint with pprof and health mounts, the
+// construction of the log/slog event log the daemons write, and the
+// adapter that records core.Observer's freezing-state events.
 //
 // Design constraints, in order:
 //

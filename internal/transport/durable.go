@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"time"
 
 	"apf/internal/checkpoint"
 	"apf/internal/wire"
@@ -164,23 +165,74 @@ func decodeWALGlobal(payload []byte) (*GlobalMsg, error) {
 	return &g, nil
 }
 
-// recoverState loads the newest consistent snapshot from the store and
-// rolls its WAL forward: global records extend the aggregate history in
-// round order. Nothing of the round left open by the crash was logged — it
-// re-opens and the idempotent client (or relay) re-send repopulates it.
-// Returns nil state when the store is empty. rootTier disables the
-// partial-round re-derivation for rolled-forward globals: on the root tier
-// Participants counts underlying clients while NumClients counts relays,
-// so the comparison is meaningless there (the live commit path records the
-// flag correctly either way).
-func recoverState(store *checkpoint.Store, rootTier bool) (*serverState, error) {
-	_, payload, wal, found, err := store.Load()
+// loadStore loads the newest consistent generation from store, timing the
+// load, and rolls it forward with recoverState. Returns nil state when the
+// store is empty.
+func (s *Server) loadStore(store *checkpoint.Store) (*serverState, error) {
+	start := time.Now()
+	rounds, payload, wal, found, err := store.Load()
 	if err != nil {
 		return nil, err
 	}
+	took := time.Since(start)
+	s.storeM.loads.Inc()
 	if !found {
+		s.storeLog.Info("no checkpoint found, fresh start", "took", took)
 		return nil, nil
 	}
+	s.storeM.loadsFound.Inc()
+	s.storeM.replayRecords.Add(int64(len(wal)))
+	s.storeLog.Info("checkpoint recovered", "rounds", rounds, "wal_records", len(wal), "took", took)
+	return recoverState(payload, wal, s.cfg.root())
+}
+
+// appendCommit durably logs committed round g (a no-op without a store).
+func (s *Server) appendCommit(g *GlobalMsg) error {
+	if s.store == nil {
+		return nil
+	}
+	rec := encodeWALGlobal(&s.walEnc, g)
+	start := time.Now()
+	n, err := s.store.Append(rec)
+	if err != nil {
+		return err
+	}
+	s.storeM.appends.Inc()
+	s.storeM.walBytes.Add(int64(n))
+	s.storeM.appendSeconds.Observe(time.Since(start).Seconds())
+	return nil
+}
+
+// rotate writes snapshot generation gen (a no-op without a store): the
+// base snapshot once registration completes, then every SnapshotEvery
+// commits and after every jump.
+func (s *Server) rotate(gen int) error {
+	if s.store == nil {
+		return nil
+	}
+	snap := encodeServerState(s.snapshotState())
+	start := time.Now()
+	n, err := s.store.WriteSnapshot(gen, snap)
+	if err != nil {
+		return err
+	}
+	took := time.Since(start)
+	s.storeM.snapshots.Inc()
+	s.storeM.snapshotRounds.Set(float64(gen))
+	s.storeM.snapshotSeconds.Observe(took.Seconds())
+	s.storeLog.Info("snapshot rotated", "rounds", gen, "bytes", n, "took", took)
+	return nil
+}
+
+// recoverState decodes a loaded snapshot payload and rolls its WAL records
+// forward: global records extend the aggregate history in round order.
+// Nothing of the round left open by the crash was logged — it re-opens and
+// the idempotent client (or relay) re-send repopulates it. rootTier
+// disables the partial-round re-derivation for rolled-forward globals: on
+// the root tier Participants counts underlying clients while NumClients
+// counts relays, so the comparison is meaningless there (the live commit
+// path records the flag correctly either way).
+func recoverState(payload []byte, wal [][]byte, rootTier bool) (*serverState, error) {
 	st, err := decodeServerState(payload)
 	if err != nil {
 		return nil, fmt.Errorf("transport: decode snapshot: %w", err)

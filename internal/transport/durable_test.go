@@ -121,7 +121,7 @@ func TestNewServerRefusesOtherFormatVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.WriteSnapshot(0, encodeServerState(base)); err != nil {
+	if _, err := store.WriteSnapshot(0, encodeServerState(base)); err != nil {
 		t.Fatal(err)
 	}
 	store.Close()
@@ -161,12 +161,12 @@ func TestRecoverStateReplaysWAL(t *testing.T) {
 		Names:      []string{"c0", "c1"},
 		History:    []GlobalMsg{{Round: 0, Participants: 2, Payload: []float64{3, 4}}},
 	}
-	if err := store.WriteSnapshot(1, encodeServerState(base)); err != nil {
+	if _, err := store.WriteSnapshot(1, encodeServerState(base)); err != nil {
 		t.Fatal(err)
 	}
 	append_ := func(payload []byte) {
 		t.Helper()
-		if err := store.Append(payload); err != nil {
+		if _, err := store.Append(payload); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -176,7 +176,7 @@ func TestRecoverStateReplaysWAL(t *testing.T) {
 	// A replayed commit of round 1 (already in history) must be skipped.
 	append_(encodeWALGlobal(new(checkpoint.Writer), &GlobalMsg{Round: 1, Participants: 2, Payload: []float64{0, 0}}))
 
-	st, err := recoverState(store, false)
+	st, err := loadState(store, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,9 +219,18 @@ func TestRecoverStateReplaysWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	wal.Close()
-	if _, err := recoverState(store, false); !errors.Is(err, checkpoint.ErrCorrupt) {
+	if _, err := loadState(store, false); !errors.Is(err, checkpoint.ErrCorrupt) {
 		t.Fatalf("wire frame in the wal: err = %v, want ErrCorrupt", err)
 	}
+}
+
+// loadState recovers store the way openStore does, uninstrumented.
+func loadState(store *checkpoint.Store, rootTier bool) (*serverState, error) {
+	_, payload, wal, found, err := store.Load()
+	if err != nil || !found {
+		return nil, err
+	}
+	return recoverState(payload, wal, rootTier)
 }
 
 // TestWALPartialRecords pins the root tier's WAL semantics for rounds that
@@ -241,17 +250,17 @@ func TestWALPartialRecords(t *testing.T) {
 		Keys:       []string{"edge-a", "edge-b"},
 		Names:      []string{"edge-a", "edge-b"},
 	}
-	if err := store.WriteSnapshot(0, encodeServerState(base)); err != nil {
+	if _, err := store.WriteSnapshot(0, encodeServerState(base)); err != nil {
 		t.Fatal(err)
 	}
 	// Round 0 committed with one of two relays reporting: Participants
 	// carries the client count (1 here), which must NOT feed the
 	// partial-round counter on the root tier.
-	if err := store.Append(encodeWALGlobal(new(checkpoint.Writer), &GlobalMsg{Round: 0, Participants: 1, Payload: []float64{1, 2}})); err != nil {
+	if _, err := store.Append(encodeWALGlobal(new(checkpoint.Writer), &GlobalMsg{Round: 0, Participants: 1, Payload: []float64{1, 2}})); err != nil {
 		t.Fatal(err)
 	}
 
-	st, err := recoverState(store, true)
+	st, err := loadState(store, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,7 +516,7 @@ func TestRecoverFromGenerationZeroCheckpoint(t *testing.T) {
 		Keys:       []string{"shard-0", "shard-1"},
 		Names:      []string{"shard-0", "shard-1"},
 	}
-	if err := store.WriteSnapshot(0, encodeServerState(base)); err != nil {
+	if _, err := store.WriteSnapshot(0, encodeServerState(base)); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.Close(); err != nil {

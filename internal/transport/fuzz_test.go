@@ -360,10 +360,10 @@ func seedSnapshotWAL(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	if err := store.WriteSnapshot(1, encodeServerState(st)); err != nil {
+	if _, err := store.WriteSnapshot(1, encodeServerState(st)); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Append(commit); err != nil {
+	if _, err := store.Append(commit); err != nil {
 		t.Fatal(err)
 	}
 	var seed []byte

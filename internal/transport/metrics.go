@@ -104,7 +104,8 @@ func (m *meteredReader) Read(p []byte) (int, error) {
 }
 
 // serverMetrics are the aggregation server's connection- and
-// durability-layer handles (the round engine has its own set).
+// recovery-layer handles (the round engine and the checkpoint store have
+// their own sets).
 type serverMetrics struct {
 	round           *telemetry.Gauge
 	committedRounds *telemetry.Gauge
@@ -191,6 +192,47 @@ func newServerMetrics(reg *telemetry.Registry) serverMetrics {
 	m.historyLen = reg.Gauge("apf_history_rounds",
 		"Aggregate-history rounds currently retained for replay.")
 	return m
+}
+
+// storeMetrics time the checkpoint store at its one caller: each WAL
+// append and snapshot rotation, fsyncs included, and the recovery load.
+// openStore builds the set, so a server without a store registers none of
+// its families.
+type storeMetrics struct {
+	appends       *telemetry.Counter
+	appendSeconds *telemetry.Histogram
+	walBytes      *telemetry.Counter
+
+	snapshots       *telemetry.Counter
+	snapshotSeconds *telemetry.Histogram
+	snapshotRounds  *telemetry.Gauge
+
+	loads         *telemetry.Counter
+	loadsFound    *telemetry.Counter
+	replayRecords *telemetry.Counter
+}
+
+func newStoreMetrics(reg *telemetry.Registry) storeMetrics {
+	return storeMetrics{
+		appends: reg.Counter("apf_wal_appends_total",
+			"Durable (fsync'd) WAL record appends."),
+		appendSeconds: reg.Histogram("apf_wal_append_seconds",
+			"Latency of one WAL append including fsync.", nil),
+		walBytes: reg.Counter("apf_wal_bytes_total",
+			"Framed bytes appended to the WAL."),
+		snapshots: reg.Counter("apf_snapshots_total",
+			"Durable snapshot rotations."),
+		snapshotSeconds: reg.Histogram("apf_snapshot_seconds",
+			"Latency of one snapshot rotation (write, fsync, rename, recycle).", nil),
+		snapshotRounds: reg.Gauge("apf_snapshot_rounds",
+			"Completed rounds captured by the current snapshot generation."),
+		loads: reg.Counter("apf_checkpoint_loads_total",
+			"Recovery attempts via Store.Load."),
+		loadsFound: reg.Counter("apf_checkpoint_loads_found_total",
+			"Recovery attempts that found a usable snapshot generation."),
+		replayRecords: reg.Counter("apf_wal_replayed_records_total",
+			"WAL records replayed during recoveries."),
+	}
 }
 
 // recordRejection classifies one refused update by its typed cause.

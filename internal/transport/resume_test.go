@@ -671,6 +671,10 @@ func TestResumeLongPartitionSnapshot500(t *testing.T) {
 				for r := 0; r < rounds; r++ {
 					if r <= resumeSeverRound {
 						for accepted.Value() < int64(3*r+1) {
+							if ctx.Err() != nil {
+								t.Errorf("raw-%d: run ended waiting for round %d's shard update: %v", i, r, ctx.Err())
+								return
+							}
 							time.Sleep(time.Millisecond)
 						}
 					}

@@ -11,7 +11,6 @@ import (
 	"apf/internal/checkpoint"
 	"apf/internal/core"
 	"apf/internal/telemetry"
-	"apf/internal/telemetry/hooks"
 	"apf/internal/wire"
 )
 
@@ -205,10 +204,13 @@ type Server struct {
 	payloads *payloadPool
 
 	// metrics/wireM/log are instrumentation handles (no-ops unless
-	// ServerConfig injected a registry or logger).
-	metrics serverMetrics
-	wireM   wireMetrics
-	log     *slog.Logger
+	// ServerConfig injected a registry or logger); storeM and storeLog
+	// are set by openStore.
+	metrics  serverMetrics
+	wireM    wireMetrics
+	log      *slog.Logger
+	storeM   storeMetrics
+	storeLog *slog.Logger
 
 	// bytes totals every client connection's traffic, counted at each
 	// Read and Write (countingConn).
@@ -314,10 +316,9 @@ func (s *Server) openStore() error {
 	if err != nil {
 		return err
 	}
-	// Attach durability instrumentation before recovery so the recovery
-	// Load itself is observed.
-	store.SetObserver(hooks.Store(s.cfg.Metrics, s.cfg.Log))
-	st, err := recoverState(store, s.cfg.root())
+	s.storeM = newStoreMetrics(s.cfg.Metrics)
+	s.storeLog = telemetry.With(s.cfg.Log, "component", "checkpoint")
+	st, err := s.loadStore(store)
 	if err != nil {
 		store.Close()
 		return fmt.Errorf("transport: recover checkpoint: %w", err)
@@ -380,16 +381,6 @@ func (s *Server) snapshotState() *serverState {
 		st.Validator = s.validator.snapshotState()
 	}
 	return st
-}
-
-// rotate writes snapshot generation gen (a no-op without a store): the
-// base snapshot once registration completes, then every SnapshotEvery
-// commits and after every jump.
-func (s *Server) rotate(gen int) error {
-	if s.store == nil {
-		return nil
-	}
-	return s.store.WriteSnapshot(gen, encodeServerState(s.snapshotState()))
 }
 
 // Addr returns the bound listen address (useful with ":0").
@@ -607,10 +598,8 @@ func (s *Server) strikeClient(id, round int, err error) {
 // count and delivery never blocks the round loop; no frame outlives its
 // queues.
 func (s *Server) commitRound(g *GlobalMsg, meta roundMeta, partial bool) error {
-	if s.store != nil {
-		if err := s.store.Append(encodeWALGlobal(&s.walEnc, g)); err != nil {
-			return err
-		}
+	if err := s.appendCommit(g); err != nil {
+		return err
 	}
 	frame := s.roundFrame(g, meta)
 	s.mu.Lock()

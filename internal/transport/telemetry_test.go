@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"apf/internal/chaos"
+	"apf/internal/checkpoint"
 	"apf/internal/telemetry"
 )
 
@@ -253,6 +254,81 @@ func TestRecoveryMetrics(t *testing.T) {
 	// Second run against the same checkpoint dir: a recovery, visible
 	// before the first client connects.
 	run(telemetry.New())
+}
+
+// TestStoreMetrics pins the durability series to exact values: a durable
+// run of 8 rounds at SnapshotEvery 3 logs 8 framed commits and rotates
+// generations 0, 3 and 6; a restart over its directory loads generation 6
+// and replays its 2 records; a server without a store registers none of
+// the families.
+func TestStoreMetrics(t *testing.T) {
+	const clients, rounds, every = 2, 8, 3
+	dir := t.TempDir()
+	cfg := ServerConfig{
+		NumClients:    clients,
+		Rounds:        rounds,
+		CheckpointDir: dir,
+		SnapshotEvery: every,
+		Metrics:       telemetry.New(),
+	}
+	_, srv, _ := runClusterWith(t, cfg, passthrough, nil)
+
+	// A record frame: header, 8-byte generation stamp, the commit's
+	// encoding, trailer.
+	walBytes := 0
+	for r := 0; r < rounds; r++ {
+		g := &GlobalMsg{Round: r, Participants: clients, Payload: make([]float64, len(srv.cfg.Init))}
+		walBytes += checkpoint.HeaderLen + 8 + len(encodeWALGlobal(new(checkpoint.Writer), g)) + checkpoint.TrailerLen
+	}
+	check := func(run string, reg *telemetry.Registry, want map[string]float64) {
+		t.Helper()
+		snap := reg.Snapshot()
+		for name, v := range want {
+			if got, ok := snap[name]; !ok || got != v {
+				t.Errorf("%s: %s = %v (registered %v), want %v", run, name, got, ok, v)
+			}
+		}
+	}
+	check("durable run", cfg.Metrics, map[string]float64{
+		"apf_wal_appends_total":            rounds,
+		"apf_wal_append_seconds":           rounds,
+		"apf_wal_bytes_total":              float64(walBytes),
+		"apf_snapshots_total":              3,
+		"apf_snapshot_seconds":             3,
+		"apf_snapshot_rounds":              6,
+		"apf_checkpoint_loads_total":       1,
+		"apf_checkpoint_loads_found_total": 0,
+		"apf_wal_replayed_records_total":   0,
+	})
+	if snap := cfg.Metrics.Snapshot(); snap["apf_wal_append_seconds_sum"] <= 0 || snap["apf_snapshot_seconds_sum"] <= 0 {
+		t.Errorf("append/snapshot latency sums %v/%v, want > 0",
+			snap["apf_wal_append_seconds_sum"], snap["apf_snapshot_seconds_sum"])
+	}
+
+	// The restart finds every round committed, so Run returns at once.
+	cfg.Init, cfg.Metrics = srv.cfg.Init, telemetry.New()
+	restarted, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := restarted.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	check("restart", cfg.Metrics, map[string]float64{
+		"apf_wal_appends_total":            0,
+		"apf_snapshots_total":              0,
+		"apf_checkpoint_loads_total":       1,
+		"apf_checkpoint_loads_found_total": 1,
+		"apf_wal_replayed_records_total":   rounds - 6,
+	})
+
+	plain := telemetry.New()
+	runClusterWith(t, ServerConfig{NumClients: clients, Rounds: 2, Metrics: plain}, passthrough, nil)
+	for _, name := range plain.Names() {
+		if strings.HasPrefix(name, "apf_wal_") || strings.HasPrefix(name, "apf_snapshot") || strings.HasPrefix(name, "apf_checkpoint_") {
+			t.Errorf("server without a store registered %s", name)
+		}
+	}
 }
 
 // lockedBuffer is a log sink read while the cluster's goroutines may

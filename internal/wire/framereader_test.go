@@ -269,10 +269,10 @@ func TestStoreAndWireFramesDoNotMix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.WriteSnapshot(1, []byte("snapshot")); err != nil {
+	if _, err := st.WriteSnapshot(1, []byte("snapshot")); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Append(Encode(&JoinMsg{Name: "a record"})); err != nil {
+	if _, err := st.Append(Encode(&JoinMsg{Name: "a record"})); err != nil {
 		t.Fatal(err)
 	}
 	st.Close()

@@ -193,12 +193,23 @@ func TestPartialFrameSteadyStateAllocs(t *testing.T) {
 			}
 		}
 		run() // size root's columns
-		const runs = 10
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		allocs = testing.AllocsPerRun(runs, run)
-		runtime.ReadMemStats(&after)
-		return allocs, (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+		// TotalAlloc is process-wide: each repeat starts from a collected
+		// heap, and the smallest of the repeats is the one the fewest
+		// allocations outside run leaked into.
+		const runs, repeats = 10, 3
+		for k := 0; k < repeats; k++ {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			a := testing.AllocsPerRun(runs, run)
+			runtime.ReadMemStats(&after)
+			b := (after.TotalAlloc - before.TotalAlloc) / (runs + 1)
+			if k == 0 {
+				allocs, bytesPerRun = a, b
+			}
+			allocs, bytesPerRun = min(allocs, a), min(bytesPerRun, b)
+		}
+		return allocs, bytesPerRun
 	}
 	smallAllocs, smallBytes := measure(64)
 	bigAllocs, bigBytes := measure(64 << 10)
