@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: tier1 benchtest vet lint race fuzz corpora crashtest bench scenarios scenariobench scalebench scalereport resumebench ci
+.PHONY: tier1 benchtest vet lint race fuzz corpora crashtest examples bench scenarios scenariobench scalebench scalereport resumebench ci
 
 # Tier-1 verify (see ROADMAP.md): must stay green on every commit.
 # -shuffle=on randomizes test order so hidden inter-test coupling fails
@@ -77,6 +77,11 @@ corpora:
 crashtest:
 	APF_CRASHTEST=1 $(GO) test ./internal/transport/ -run '^TestCrash(RealSIGKILL|TwoTierBinaries)$$' -v -timeout 8m
 
+# Run every example program end to end (~45s on 2 cores); any non-zero
+# exit fails the target.
+examples:
+	set -e; for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d; done
+
 # Quick look at the round-critical benchmarks while working on them. Not a
 # tracked number: timings are measured end to end and per layer by bench/
 # (`bash bench/run.sh --trace 1`); what these paths must never do (allocate
@@ -131,4 +136,4 @@ resumebench:
 	$(GO) run ./cmd/apfbench -resume BENCH_resume.json
 	git diff --exit-code -I'"go_version"' -I'"gomaxprocs"' -- BENCH_resume.json
 
-ci: tier1 benchtest vet lint race fuzz crashtest scenarios scalebench scenariobench scalereport resumebench
+ci: tier1 benchtest vet lint race fuzz crashtest examples scenarios scalebench scenariobench scalereport resumebench

@@ -17,11 +17,10 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"net"
 	"os"
-	"sync"
 	"time"
 
+	"apf/internal/chaos"
 	"apf/internal/core"
 	"apf/internal/data"
 	"apf/internal/fl"
@@ -102,58 +101,14 @@ func resumebenchCell(absence, sever int, shadow *core.Config) (mode string, byte
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
 	reg := telemetry.New()
-	srv, err := transport.NewServer(transport.ServerConfig{
-		Addr:          "127.0.0.1:0",
-		NumClients:    3,
-		Rounds:        rounds,
-		Init:          init,
-		IOTimeout:     30 * time.Second,
-		RoundDeadline: resumebenchDeadline,
-		MinClients:    2,
-		HistoryRounds: resumebenchHistory,
-		Shadow:        shadow,
-		Metrics:       reg,
-	})
-	if err != nil {
-		return "", 0, err
-	}
-	serverErr := make(chan error, 1)
-	go func() {
-		_, err := srv.Run(ctx)
-		serverErr <- err
-	}()
 
 	// The severed client's dialer: the first dial connects immediately;
-	// re-dials block until the scripted absence has elapsed on the server.
-	var connMu sync.Mutex
-	var shardConn net.Conn
-	dials := 0
-	dial := func(network, addr string) (net.Conn, error) {
-		connMu.Lock()
-		n := dials
-		dials++
-		connMu.Unlock()
-		if n > 0 {
-			for srv.CommittedRounds() < gate {
-				if ctx.Err() != nil {
-					return nil, ctx.Err()
-				}
-				time.Sleep(2 * time.Millisecond)
-			}
-		}
-		c, err := net.Dial(network, addr)
-		if err == nil {
-			connMu.Lock()
-			shardConn = c
-			connMu.Unlock()
-		}
-		return c, err
-	}
-
+	// re-dials after the sever wait until the scripted absence has elapsed
+	// on the server.
+	shard := chaos.NewGate(ctx)
 	cfgs := make([]transport.ClientConfig, 3)
 	for i := range cfgs {
 		cfgs[i] = transport.ClientConfig{
-			Addr:           srv.Addr().String(),
 			Name:           fmt.Sprintf("bench-%d", i),
 			SessionKey:     fmt.Sprintf("bench-%d", i),
 			Model:          resumebenchModel,
@@ -169,24 +124,32 @@ func resumebenchCell(absence, sever int, shadow *core.Config) (mode string, byte
 			RetryMaxDelay:  100 * time.Millisecond,
 		}
 	}
-	cfgs[2].Dial = dial
+	cfgs[2].Dial = shard.Dial
 	cfgs[2].OnRound = func(round int, _ []float64) {
 		if round == sever {
-			connMu.Lock()
-			if shardConn != nil {
-				shardConn.Close()
-			}
-			connMu.Unlock()
+			shard.Cut()
 		}
 	}
-	_, errs := transport.RunClients(ctx, cfgs)
-	if err := <-serverErr; err != nil {
-		return "", 0, fmt.Errorf("server: %w", err)
+	run, err := transport.StartCluster(ctx, transport.Cluster{
+		Root: transport.ServerConfig{
+			NumClients:    3,
+			Rounds:        rounds,
+			Init:          init,
+			IOTimeout:     30 * time.Second,
+			RoundDeadline: resumebenchDeadline,
+			MinClients:    2,
+			HistoryRounds: resumebenchHistory,
+			Shadow:        shadow,
+			Metrics:       reg,
+		},
+		Clients: cfgs,
+	})
+	if err != nil {
+		return "", 0, err
 	}
-	for i, err := range errs {
-		if err != nil {
-			return "", 0, fmt.Errorf("client %d: %w", i, err)
-		}
+	shard.OpenWhen(func() bool { return run.Root().CommittedRounds() >= gate })
+	if _, err := run.Wait(); err != nil {
+		return "", 0, err
 	}
 
 	h := reg.Histogram("apf_catchup_bytes", "", nil)

@@ -89,28 +89,9 @@ func runCluster(pool *data.Dataset, parts [][]int, model fl.ModelFactory, optimi
 	initNet := model(stats.SplitRNG(seed, 1000))
 	init := nn.FlattenParams(initNet.Params(), nil)
 
-	srv, err := transport.NewServer(transport.ServerConfig{
-		Addr:       "127.0.0.1:0",
-		NumClients: clients,
-		Rounds:     rounds,
-		Init:       init,
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-
-	serverErr := make(chan error, 1)
-	go func() {
-		_, err := srv.Run(ctx)
-		serverErr <- err
-	}()
-
 	cfgs := make([]transport.ClientConfig, clients)
 	for i := range cfgs {
 		cfgs[i] = transport.ClientConfig{
-			Addr:       srv.Addr().String(),
 			Name:       fmt.Sprintf("client-%d", i),
 			Model:      model,
 			Optimizer:  optimizer,
@@ -122,15 +103,15 @@ func runCluster(pool *data.Dataset, parts [][]int, model fl.ModelFactory, optimi
 			Seed:       seed,
 		}
 	}
-	_, errs := transport.RunClients(ctx, cfgs)
-	for i, e := range errs {
-		if e != nil {
-			return 0, 0, fmt.Errorf("client %d: %w", i, e)
-		}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	res, err := transport.RunCluster(ctx, transport.Cluster{
+		Root:    transport.ServerConfig{NumClients: clients, Rounds: rounds, Init: init},
+		Clients: cfgs,
+	})
+	if err != nil {
+		return 0, 0, err
 	}
-	if e := <-serverErr; e != nil {
-		return 0, 0, fmt.Errorf("server: %w", e)
-	}
-	read, sent = srv.WireBytes()
+	read, sent = res.Root.WireBytes()
 	return read, sent, nil
 }

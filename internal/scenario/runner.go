@@ -7,7 +7,6 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
-	"net"
 	"path/filepath"
 	"time"
 
@@ -31,7 +30,7 @@ type RoundEval struct {
 }
 
 // ClientOutcome is one client's detection record, indexed by the
-// server-assigned id (equal to the launch slot: transport.RunClients
+// server-assigned id (equal to the launch slot: transport.RunCluster
 // starts the clients in slot order).
 type ClientOutcome struct {
 	Client    int  `json:"client"`
@@ -193,7 +192,7 @@ func rebalance(parts [][]int) {
 
 // buildFaults converts the cell's network spec into a deterministic
 // chaos fault list. Severs start at round 1: round 0 carries session
-// registration, whose ordering transport.RunClients pins.
+// registration, whose ordering transport.RunCluster pins.
 func buildFaults(cfg Config, tseed int64) ([]chaos.Fault, []int) {
 	var faults []chaos.Fault
 	severs := make([]int, cfg.Clients)
@@ -257,7 +256,6 @@ func RunTrial(cfgIn Config, trial int) (*TrialResult, error) {
 	}
 
 	faults, severs := buildFaults(cfg, tseed)
-	script := chaos.NewScript(tseed, faults...)
 
 	init := fl.InitVector(tinyNet, tseed)
 
@@ -265,7 +263,6 @@ func RunTrial(cfgIn Config, trial int) (*TrialResult, error) {
 	defer cancel()
 
 	scfg := transport.ServerConfig{
-		Addr:          "127.0.0.1:0",
 		NumClients:    cfg.Clients,
 		Rounds:        cfg.Rounds,
 		Init:          init,
@@ -285,31 +282,14 @@ func RunTrial(cfgIn Config, trial int) (*TrialResult, error) {
 		scfg.SnapshotEvery = 1
 	}
 
-	srv, err := transport.NewServer(scfg)
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: server: %w", cfg.Name, err)
-	}
-	addr := srv.Addr().String()
-	srvCtx, srvCancel := context.WithCancel(ctx)
-	defer srvCancel()
-	script.SetOnKill(srvCancel)
-
-	type serverDone struct{ err error }
-	done := make(chan serverDone, 1)
-	go func() {
-		_, err := srv.Run(srvCtx)
-		done <- serverDone{err}
-	}()
-
-	// RunClients starts each client once the previous one holds its
-	// Welcome, so server-assigned ids equal launch slots and every RNG
-	// stream keyed by client id is deterministic.
+	// The cluster launches clients in slot order, so server-assigned ids
+	// equal launch slots and every RNG stream keyed by client id is
+	// deterministic.
 	snapshots := make([][]float64, cfg.Rounds)
 	cfgs := make([]transport.ClientConfig, cfg.Clients)
 	for i := range cfgs {
 		name := clientName(i)
 		cfgs[i] = transport.ClientConfig{
-			Addr:       addr,
 			Name:       name,
 			SessionKey: name,
 			Model:      w.model,
@@ -326,9 +306,6 @@ func RunTrial(cfgIn Config, trial int) (*TrialResult, error) {
 			MaxRetries:     severs[i] + 24,
 			RetryBaseDelay: 10 * time.Millisecond,
 			RetryMaxDelay:  100 * time.Millisecond,
-			Dial: transport.DialFunc(script.Dialer(name, func(network, addr string) (net.Conn, error) {
-				return net.DialTimeout(network, addr, 5*time.Second)
-			})),
 		}
 	}
 	cfgs[0].OnRound = func(round int, model []float64) {
@@ -336,47 +313,18 @@ func RunTrial(cfgIn Config, trial int) (*TrialResult, error) {
 			snapshots[round] = append([]float64(nil), model...)
 		}
 	}
-	var results []*transport.ClientResult
-	var errs []error
-	clientsDone := make(chan struct{})
-	go func() {
-		defer close(clientsDone)
-		results, errs = transport.RunClients(ctx, cfgs)
-	}()
-
-	finalSrv := srv
-	if cfg.Network.Kill {
-		d := <-done
-		if d.err == nil {
-			<-clientsDone
-			return nil, fmt.Errorf("scenario %s: kill fault never fired", cfg.Name)
-		}
-		srv2, err := rebindServer(ctx, scfg, addr)
-		if err != nil {
-			<-clientsDone
-			return nil, fmt.Errorf("scenario %s: restart: %w", cfg.Name, err)
-		}
-		finalSrv = srv2
-		done2 := make(chan serverDone, 1)
-		go func() {
-			_, err := srv2.Run(ctx)
-			done2 <- serverDone{err}
-		}()
-		<-clientsDone
-		if d2 := <-done2; d2.err != nil {
-			return nil, fmt.Errorf("scenario %s: restarted server: %w", cfg.Name, d2.err)
-		}
-	} else {
-		<-clientsDone
-		if d := <-done; d.err != nil {
-			return nil, fmt.Errorf("scenario %s: server: %w", cfg.Name, d.err)
-		}
+	run, err := transport.RunCluster(ctx, transport.Cluster{
+		Root:    scfg,
+		Clients: cfgs,
+		Chaos:   chaos.NewScript(tseed, faults...),
+	})
+	if err != nil {
+		return nil, fmt.Errorf("scenario %s: %w", cfg.Name, err)
 	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("scenario %s: client %d: %w", cfg.Name, i, err)
-		}
+	if cfg.Network.Kill && run.Restarts == 0 {
+		return nil, fmt.Errorf("scenario %s: kill fault never fired", cfg.Name)
 	}
+	finalSrv, results := run.Root, run.Clients
 
 	res := &TrialResult{
 		Trial:           trial,
@@ -470,25 +418,6 @@ func managerFactory(w scenarioWorkload, cfg Config, tseed int64, slot int, isAdv
 		}
 		return inner
 	}
-}
-
-// rebindServer reconstructs the coordinator on its previous address,
-// retrying while the OS releases the old listener.
-func rebindServer(ctx context.Context, scfg transport.ServerConfig, addr string) (*transport.Server, error) {
-	scfg.Addr = addr
-	var lastErr error
-	for attempt := 0; attempt < 200; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		srv, err := transport.NewServer(scfg)
-		if err == nil {
-			return srv, nil
-		}
-		lastErr = err
-		time.Sleep(10 * time.Millisecond)
-	}
-	return nil, lastErr
 }
 
 // oracleApplies reports whether the in-process simulator reproduces the

@@ -34,8 +34,8 @@ type NetworkSpec struct {
 	// clients resume their session and re-send, so participation is
 	// preserved — the cost is reconnects and re-sent wire bytes.
 	DropRate float64 `json:"dropRate,omitempty"`
-	// Kill crashes the coordinator when the first client reaches
-	// KillRound and restarts it from its checkpoint directory. Test-only:
+	// Kill crashes the coordinator when KillRound is first marked on a
+	// connection and restarts it from its checkpoint directory. Test-only:
 	// kill cells are excluded from benchmark matrices because in-flight
 	// byte counts at the kill point are scheduling-dependent.
 	Kill      bool `json:"kill,omitempty"`

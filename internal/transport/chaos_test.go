@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"testing"
 	"time"
 
@@ -17,15 +16,13 @@ import (
 )
 
 // chaosOpts parameterizes a fault-tolerant cluster run under a chaos
-// script. Client i is named and session-keyed "shard-i"; its dialer is
-// instrumented when clientScript is set, the server listener when
-// serverScript is set.
+// script. Client i is named and session-keyed "shard-i"; the script, when
+// set, instruments every client's dialer and the server's listener.
 type chaosOpts struct {
 	clients, rounds int
 	deadline        time.Duration
 	minClients      int
-	clientScript    *chaos.Script
-	serverScript    *chaos.Script
+	script          *chaos.Script
 	retries         int
 	// backoff optionally overrides (base, max) per client; nil entries and
 	// nil func keep fast defaults (10ms, 100ms) so tests stay quick.
@@ -40,23 +37,10 @@ type chaosOpts struct {
 // test on any client or server error.
 func runChaosCluster(t *testing.T, mf fl.ManagerFactory, o chaosOpts) ([]*ClientResult, *Server, []float64) {
 	t.Helper()
-	var ln net.Listener
-	if o.serverScript != nil {
-		inner, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ln = o.serverScript.Listener(inner)
-	}
-	return runClusterWith(t, ServerConfig{
-		Listener:      ln,
-		NumClients:    o.clients,
-		Rounds:        o.rounds,
-		IOTimeout:     5 * time.Second,
-		RoundDeadline: o.deadline,
-		MinClients:    o.minClients,
-		Metrics:       o.metrics,
-	}, mf, func(i int, cfg *ClientConfig) {
+	task := newTinyTask(90, o.clients)
+	cfgs := task.clients(mf)
+	for i := range cfgs {
+		cfg := &cfgs[i]
 		cfg.MaxRetries, cfg.Metrics = o.retries, o.cmetrics
 		cfg.RetryBaseDelay, cfg.RetryMaxDelay = 10*time.Millisecond, 100*time.Millisecond
 		if o.backoff != nil {
@@ -64,12 +48,21 @@ func runChaosCluster(t *testing.T, mf fl.ManagerFactory, o chaosOpts) ([]*Client
 				cfg.RetryBaseDelay, cfg.RetryMaxDelay = base, max
 			}
 		}
-		if o.clientScript != nil {
-			cfg.Dial = DialFunc(o.clientScript.Dialer(cfg.Name, func(network, addr string) (net.Conn, error) {
-				return net.DialTimeout(network, addr, 5*time.Second)
-			}))
-		}
+	}
+	res := runSpec(t, Cluster{
+		Root: ServerConfig{
+			NumClients:    o.clients,
+			Rounds:        o.rounds,
+			Init:          task.init,
+			IOTimeout:     5 * time.Second,
+			RoundDeadline: o.deadline,
+			MinClients:    o.minClients,
+			Metrics:       o.metrics,
+		},
+		Clients: cfgs,
+		Chaos:   o.script,
 	})
+	return res.Clients, res.Root, res.Global
 }
 
 func apfChaosFactory(clientID, dim int) fl.SyncManager {
@@ -105,7 +98,7 @@ func TestChaosKillAndReconnectBitExact(t *testing.T) {
 	cleanResults, _, cleanGlobal := runChaosCluster(t, apfChaosFactory, base)
 
 	faulty := base
-	faulty.clientScript = chaos.NewScript(7,
+	faulty.script = chaos.NewScript(7,
 		chaos.Fault{Peer: "shard-1", Round: 3, Kind: chaos.Sever},
 		chaos.Fault{Peer: "shard-2", Round: 7, Kind: chaos.Sever},
 	)
@@ -135,7 +128,7 @@ func TestChaosPartialWriteTornUpdate(t *testing.T) {
 	_, _, cleanGlobal := runChaosCluster(t, apfChaosFactory, base)
 
 	faulty := base
-	faulty.clientScript = chaos.NewScript(11,
+	faulty.script = chaos.NewScript(11,
 		chaos.Fault{Peer: "shard-0", Round: 2, Kind: chaos.PartialWrite},
 	)
 	results, srv, chaosGlobal := runChaosCluster(t, apfChaosFactory, faulty)
@@ -157,7 +150,7 @@ func TestChaosSeverDuringBroadcast(t *testing.T) {
 	_, _, cleanGlobal := runChaosCluster(t, apfChaosFactory, base)
 
 	faulty := base
-	faulty.serverScript = chaos.NewScript(13,
+	faulty.script = chaos.NewScript(13,
 		chaos.Fault{Peer: "accept:1", Round: 4, Kind: chaos.Sever, Op: chaos.OnWrite},
 	)
 	results, srv, chaosGlobal := runChaosCluster(t, apfChaosFactory, faulty)
@@ -199,7 +192,7 @@ func TestChaosStragglerPartialAggregation(t *testing.T) {
 		deadline:   150 * time.Millisecond,
 		minClients: 1,
 		retries:    4,
-		clientScript: chaos.NewScript(17,
+		script: chaos.NewScript(17,
 			chaos.Fault{Peer: "shard-2", Round: 3, Kind: chaos.Delay, Delay: 500 * time.Millisecond},
 		),
 	}
@@ -238,12 +231,12 @@ func TestChaosScriptedAcceptanceRun(t *testing.T) {
 		append([]chaos.Fault{{Peer: "shard-1", Round: 3, Kind: chaos.Sever}},
 			stragglerFaults(3, rounds, 4)...)...)
 	o := chaosOpts{
-		clients:      3,
-		rounds:       rounds,
-		deadline:     150 * time.Millisecond,
-		minClients:   1,
-		retries:      8,
-		clientScript: script,
+		clients:    3,
+		rounds:     rounds,
+		deadline:   150 * time.Millisecond,
+		minClients: 1,
+		retries:    8,
+		script:     script,
 		backoff: func(i int) (time.Duration, time.Duration) {
 			if i == 1 {
 				// Slow reconnect: shard-1 sits out a couple of rounds and

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"sync"
 	"time"
 
 	"apf/internal/data"
@@ -103,7 +102,7 @@ type clientRun struct {
 	cfg ClientConfig
 	res *ClientResult
 	// joined, when non-nil, is called once the first Welcome is accepted
-	// (RunClients' launch gate).
+	// (launchClients' slot gate).
 	joined func()
 
 	// up is the connection to the server (with its I/O deadline and wire
@@ -147,34 +146,6 @@ type clientRun struct {
 // it missed, and re-sends the in-flight update.
 func RunClient(ctx context.Context, cfg ClientConfig) (*ClientResult, error) {
 	return runClient(ctx, cfg, nil)
-}
-
-// RunClients runs one client per config and returns once every one of them
-// has returned, with results and errors indexed by slot. It starts client
-// i+1 only after client i holds its first Welcome, or has returned. A tier
-// above — flat server, root or relay — numbers sessions in registration
-// order, so when every client joins, slot i gets id i: the id that keys
-// fl.Replica's RNG streams, and so the trajectory a simulator or a twin
-// cluster reproduces.
-func RunClients(ctx context.Context, cfgs []ClientConfig) ([]*ClientResult, []error) {
-	results := make([]*ClientResult, len(cfgs))
-	errs := make([]error, len(cfgs))
-	var wg sync.WaitGroup
-	for i := range cfgs {
-		joined, returned := make(chan struct{}), make(chan struct{})
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer close(returned)
-			results[i], errs[i] = runClient(ctx, cfgs[i], func() { close(joined) })
-		}()
-		select {
-		case <-joined:
-		case <-returned:
-		}
-	}
-	wg.Wait()
-	return results, errs
 }
 
 // runClient is RunClient with a hook called once the first Welcome is

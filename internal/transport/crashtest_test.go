@@ -244,51 +244,41 @@ func TestCrashTwoTierBinaries(t *testing.T) {
 	// trains on one sample: its trajectory then does not depend on the id
 	// its server assigns, which a relay numbers locally and the flat twin
 	// globally.
-	runShards := func(addr func(i int) string) [][]float64 {
-		cfgs := make([]ClientConfig, clients)
-		for i := range cfgs {
-			name := fmt.Sprintf("shard-%d", i)
-			cfgs[i] = ClientConfig{
-				Addr: addr(i), Name: name, SessionKey: name,
-				Model: p.Model, Optimizer: p.Optimizer,
-				Manager:    passthrough,
-				Data:       p.Data,
-				Indices:    []int{i},
-				LocalIters: 4,
-				BatchSize:  1,
-				Seed:       seed + int64(i),
-				// A relay process may still be starting: refused dials retry.
-				MaxRetries:     100,
-				RetryBaseDelay: 20 * time.Millisecond,
-				RetryMaxDelay:  300 * time.Millisecond,
-			}
+	cfgs := make([]ClientConfig, clients)
+	for i := range cfgs {
+		name := fmt.Sprintf("shard-%d", i)
+		cfgs[i] = ClientConfig{
+			Name: name, SessionKey: name,
+			Model: p.Model, Optimizer: p.Optimizer,
+			Manager:    passthrough,
+			Data:       p.Data,
+			Indices:    []int{i},
+			LocalIters: 4,
+			BatchSize:  1,
+			Seed:       seed + int64(i),
+			// A relay process may still be starting: refused dials retry.
+			MaxRetries:     100,
+			RetryBaseDelay: 20 * time.Millisecond,
+			RetryMaxDelay:  300 * time.Millisecond,
 		}
-		models := make([][]float64, clients)
-		for i, res := range runClients(ctx, t, cfgs) {
-			models[i] = res.FinalModel
-		}
-		return models
 	}
-	serve := func(cfg ServerConfig) (*Server, <-chan error) {
-		srv, err := NewServer(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		done := make(chan error, 1)
-		go func() {
-			_, err := srv.Run(ctx)
-			done <- err
-		}()
-		return srv, done
-	}
-
-	flat, flatDone := serve(ServerConfig{Addr: "127.0.0.1:0", NumClients: clients, Rounds: rounds, Init: init})
-	want := runShards(func(int) string { return flat.Addr().String() })
-	if err := <-flatDone; err != nil {
+	flat, err := RunCluster(ctx, Cluster{
+		Root:    ServerConfig{NumClients: clients, Rounds: rounds, Init: init},
+		Clients: cfgs,
+	})
+	if err != nil {
 		t.Fatalf("flat twin: %v", err)
 	}
 
-	root, rootDone := serve(ServerConfig{Addr: "127.0.0.1:0", Relays: 2, Rounds: rounds, Init: init})
+	root, err := NewServer(ServerConfig{Addr: "127.0.0.1:0", Relays: 2, Rounds: rounds, Init: init})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rootDone := make(chan error, 1)
+	go func() {
+		_, err := root.Run(ctx)
+		rootDone <- err
+	}()
 	relayAddrs := []string{freeAddr(t), freeAddr(t)}
 	relayDone := make([]chan error, len(relayAddrs))
 	for i, name := range []string{"edge-a", "edge-b"} {
@@ -309,7 +299,10 @@ func TestCrashTwoTierBinaries(t *testing.T) {
 		relayDone[i] = make(chan error, 1)
 		go func(i int) { relayDone[i] <- rel.Wait() }(i)
 	}
-	got := runShards(func(i int) string { return relayAddrs[i/(clients/2)] })
+	for i := range cfgs {
+		cfgs[i].Addr = relayAddrs[i/(clients/2)]
+	}
+	got := startClients(ctx, t, cfgs)()
 	for i, done := range relayDone {
 		if err := <-done; err != nil {
 			t.Fatalf("apf-relay %d: %v", i, err)
@@ -318,13 +311,36 @@ func TestCrashTwoTierBinaries(t *testing.T) {
 	if err := <-rootDone; err != nil {
 		t.Fatalf("root: %v", err)
 	}
-	for i := range want {
-		for j := range want[i] {
-			if got[i][j] != want[i][j] {
+	for i, want := range flat.Clients {
+		for j := range want.FinalModel {
+			if got[i].FinalModel[j] != want.FinalModel[j] {
 				t.Fatalf("client %d: two-tier final model differs from the flat twin's at %d: %v vs %v",
-					i, j, got[i][j], want[i][j])
+					i, j, got[i].FinalModel[j], want.FinalModel[j])
 			}
 		}
+	}
+}
+
+// startClients launches cfgs in slot order in the background, against
+// tiers that run as processes of their own. wait blocks until every
+// client has returned and fails the test on any client error.
+func startClients(ctx context.Context, t *testing.T, cfgs []ClientConfig) (wait func() []*ClientResult) {
+	var results []*ClientResult
+	var errs []error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		results, errs = launchClients(ctx, cfgs)
+	}()
+	return func() []*ClientResult {
+		t.Helper()
+		<-done
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("client %d: %v", i, err)
+			}
+		}
+		return results
 	}
 }
 

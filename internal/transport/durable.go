@@ -181,6 +181,7 @@ func (s *Server) loadStore(store *checkpoint.Store) (*serverState, error) {
 		return nil, nil
 	}
 	s.storeM.loadsFound.Inc()
+	s.storeM.snapshotRounds.Set(float64(rounds))
 	s.storeM.replayRecords.Add(int64(len(wal)))
 	s.storeLog.Info("checkpoint recovered", "rounds", rounds, "wal_records", len(wal), "took", took)
 	return recoverState(payload, wal, s.cfg.root())

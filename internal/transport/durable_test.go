@@ -462,42 +462,25 @@ func TestRecoverFromGenerationZeroCheckpoint(t *testing.T) {
 	init := task.init
 
 	runArm := func(name, dir string) []float64 {
-		srv, err := NewServer(ServerConfig{
-			Addr:          "127.0.0.1:0",
-			NumClients:    clients,
-			Rounds:        rounds,
-			Init:          init,
-			RoundDeadline: 5 * time.Second,
-			MinClients:    clients, // never aggregate partially: keep both arms deterministic
-			CheckpointDir: dir,
+		res := runSpec(t, Cluster{
+			Root: ServerConfig{
+				NumClients:    clients,
+				Rounds:        rounds,
+				Init:          init,
+				RoundDeadline: 5 * time.Second,
+				MinClients:    clients, // never aggregate partially: keep both arms deterministic
+				CheckpointDir: dir,
+			},
+			Clients: task.clients(passthrough),
 		})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if srv.StartRound() != 0 {
-			t.Fatalf("%s: StartRound = %d, want 0", name, srv.StartRound())
+		if res.Root.StartRound() != 0 {
+			t.Fatalf("%s: StartRound = %d, want 0", name, res.Root.StartRound())
 		}
 		// Only the arm handed the pre-populated store may report recovery.
-		if srv.Recovered() != (dir != "") {
-			t.Fatalf("%s: Recovered = %v with dir %q", name, srv.Recovered(), dir)
+		if res.Root.Recovered() != (dir != "") {
+			t.Fatalf("%s: Recovered = %v with dir %q", name, res.Root.Recovered(), dir)
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		defer cancel()
-		serverErr := make(chan error, 1)
-		go func() {
-			_, err := srv.Run(ctx)
-			serverErr <- err
-		}()
-		results, errs := RunClients(ctx, task.clients(srv.Addr().String(), passthrough))
-		for i, err := range errs {
-			if err != nil {
-				t.Fatalf("%s: client %d: %v", name, i, err)
-			}
-		}
-		if err := <-serverErr; err != nil {
-			t.Fatalf("%s: server: %v", name, err)
-		}
-		return results[0].FinalModel
+		return res.Clients[0].FinalModel
 	}
 
 	clean := runArm("clean", "")
@@ -590,26 +573,6 @@ func TestPoisonedClientQuarantinedTrajectoryUnchanged(t *testing.T) {
 	simGlobal := engine.Global()
 
 	init := fl.InitVector(tinyModel, seed)
-	srv, err := NewServer(ServerConfig{
-		Addr:          "127.0.0.1:0",
-		NumClients:    clients,
-		Rounds:        rounds,
-		Init:          init,
-		RoundDeadline: 700 * time.Millisecond,
-		MinClients:    good,
-		Validator:     &ValidatorConfig{MaxNormMult: 10, StrikeLimit: 3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	serverErr := make(chan error, 1)
-	go func() {
-		_, err := srv.Run(ctx)
-		serverErr <- err
-	}()
-
 	cfgs := make([]ClientConfig, clients)
 	for i := range cfgs {
 		mf := func(clientID, dim int) fl.SyncManager { return newAPF(dim) }
@@ -619,23 +582,24 @@ func TestPoisonedClientQuarantinedTrajectoryUnchanged(t *testing.T) {
 			}
 		}
 		cfgs[i] = ClientConfig{
-			Addr: srv.Addr().String(), Name: fmt.Sprintf("p-%d", i), SessionKey: fmt.Sprintf("p-%d", i),
+			Name: fmt.Sprintf("p-%d", i), SessionKey: fmt.Sprintf("p-%d", i),
 			Model: tinyModel, Optimizer: tinySGD, Manager: mf,
 			Data: ds, Indices: parts[i], LocalIters: iters, BatchSize: batch, Seed: seed,
 		}
 	}
-	results, errs := RunClients(ctx, cfgs)
-	for i := 0; i < good; i++ {
-		if errs[i] != nil {
-			t.Fatalf("good client %d: %v", i, errs[i])
-		}
-	}
-	if errs[clients-1] != nil {
-		t.Fatalf("poisoned client should still complete (it receives aggregates): %v", errs[clients-1])
-	}
-	if err := <-serverErr; err != nil {
-		t.Fatalf("server: %v", err)
-	}
+	// The poisoned client completes too: it still receives aggregates.
+	res := runSpec(t, Cluster{
+		Root: ServerConfig{
+			NumClients:    clients,
+			Rounds:        rounds,
+			Init:          init,
+			RoundDeadline: 700 * time.Millisecond,
+			MinClients:    good,
+			Validator:     &ValidatorConfig{MaxNormMult: 10, StrikeLimit: 3},
+		},
+		Clients: cfgs,
+	})
+	srv, results := res.Root, res.Clients
 
 	v := srv.Validator()
 	if !v.Quarantined(clients - 1) {
@@ -667,37 +631,25 @@ func TestStrictModePoisonAborts(t *testing.T) {
 	const clients, rounds = 2, 4
 	task := newTinyTask(60, clients)
 
-	srv, err := NewServer(ServerConfig{
-		Addr:       "127.0.0.1:0",
-		NumClients: clients,
-		Rounds:     rounds,
-		Init:       task.init,
-		Validator:  &ValidatorConfig{MaxNormMult: 10},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	serverErr := make(chan error, 1)
-	go func() {
-		_, err := srv.Run(ctx)
-		serverErr <- err
-	}()
-
-	cfgs := task.clients(srv.Addr().String(), apfChaosFactory)
+	cfgs := task.clients(apfChaosFactory)
 	cfgs[1].Manager = func(clientID, dim int) fl.SyncManager {
 		return &poisonManager{Manager: apfChaosFactory(clientID, dim).(*core.Manager)}
 	}
-	clientsDone := make(chan struct{})
-	go func() {
-		defer close(clientsDone)
-		RunClients(ctx, cfgs) // fail when the server aborts
-	}()
-	err = <-serverErr
-	if !errors.Is(err, ErrNonFiniteUpdate) {
-		t.Fatalf("strict server err = %v, want ErrNonFiniteUpdate", err)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	res, err := RunCluster(ctx, Cluster{
+		Root: ServerConfig{
+			NumClients: clients,
+			Rounds:     rounds,
+			Init:       task.init,
+			Validator:  &ValidatorConfig{MaxNormMult: 10},
+		},
+		Clients: cfgs, // fail when the server aborts
+	})
+	if res == nil {
+		t.Fatal(err)
 	}
-	cancel() // release the clients
-	<-clientsDone
+	if !errors.Is(res.RootErr, ErrNonFiniteUpdate) {
+		t.Fatalf("strict server err = %v, want ErrNonFiniteUpdate", res.RootErr)
+	}
 }

@@ -1,11 +1,9 @@
 package transport
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
-	"net"
 	"testing"
 	"time"
 
@@ -100,14 +98,13 @@ func (f *simFixture) simGlobal() []float64 {
 	return engine.Global()
 }
 
-// clients returns one config per shard against addr: client i is named
-// and session-keyed "eq-i" and speaks codec.
-func (f *simFixture) clients(addr string, codec wire.Codec) []ClientConfig {
+// clients returns one config per shard: client i is named and
+// session-keyed "eq-i" and speaks codec.
+func (f *simFixture) clients(codec wire.Codec) []ClientConfig {
 	cfgs := make([]ClientConfig, simClients)
 	for i := range cfgs {
 		name := fmt.Sprintf("eq-%d", i)
 		cfgs[i] = ClientConfig{
-			Addr:       addr,
 			Name:       name,
 			SessionKey: name,
 			Model:      f.model,
@@ -124,18 +121,16 @@ func (f *simFixture) clients(addr string, codec wire.Codec) []ClientConfig {
 	return cfgs
 }
 
-// faultyClients is clients dialling through script, with a reconnect
-// budget of retries and backoff capped at maxDelay.
-func (f *simFixture) faultyClients(addr string, codec wire.Codec, script *chaos.Script, retries int, maxDelay time.Duration) []ClientConfig {
-	cfgs := f.clients(addr, codec)
+// faultyCluster is the fixture's cluster on codec under script, each
+// client with a reconnect budget of retries and backoff capped at
+// maxDelay; srvCfg customizes the server beyond the fixture defaults.
+func (f *simFixture) faultyCluster(srvCfg ServerConfig, script *chaos.Script, retries int, maxDelay time.Duration) Cluster {
+	srvCfg.NumClients, srvCfg.Rounds, srvCfg.Init = simClients, simRounds, f.init
+	cfgs := f.clients(srvCfg.Codec)
 	for i := range cfgs {
-		cfg := &cfgs[i]
-		cfg.MaxRetries, cfg.RetryBaseDelay, cfg.RetryMaxDelay = retries, 10*time.Millisecond, maxDelay
-		cfg.Dial = DialFunc(script.Dialer(cfg.Name, func(network, addr string) (net.Conn, error) {
-			return net.DialTimeout(network, addr, 5*time.Second)
-		}))
+		cfgs[i].MaxRetries, cfgs[i].RetryBaseDelay, cfgs[i].RetryMaxDelay = retries, 10*time.Millisecond, maxDelay
 	}
-	return cfgs
+	return Cluster{Root: srvCfg, Clients: cfgs, Chaos: script}
 }
 
 // runCluster runs one TCP cluster over the fixture, every client on the
@@ -144,27 +139,9 @@ func (f *simFixture) faultyClients(addr string, codec wire.Codec, script *chaos.
 // metrics registry stays readable).
 func (f *simFixture) runCluster(t *testing.T, srvCfg ServerConfig) ([]*ClientResult, *Server) {
 	t.Helper()
-	srvCfg.Addr = "127.0.0.1:0"
-	srvCfg.NumClients = simClients
-	srvCfg.Rounds = simRounds
-	srvCfg.Init = f.init
 	srvCfg.Metrics = telemetry.New() // the tests read the wire frame counters
-	srv, err := NewServer(srvCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	serverErr := make(chan error, 1)
-	go func() {
-		_, err := srv.Run(ctx)
-		serverErr <- err
-	}()
-	results := runClients(ctx, t, f.clients(srv.Addr().String(), srvCfg.Codec))
-	if err := <-serverErr; err != nil {
-		t.Fatalf("server: %v", err)
-	}
-	return results, srv
+	res := runSpec(t, f.faultyCluster(srvCfg, nil, 0, 0))
+	return res.Clients, res.Root
 }
 
 // runUnderChaos runs the fixture's cluster on codec with a generous round
@@ -177,100 +154,36 @@ func (f *simFixture) runUnderChaos(t *testing.T, codec wire.Codec) ([]*ClientRes
 		chaos.Fault{Peer: "eq-1", Round: 5, Kind: chaos.PartialWrite},
 		chaos.Fault{Peer: "eq-1", Round: 9, Kind: chaos.Sever},
 	)
-	srv, err := NewServer(ServerConfig{
-		Addr:          "127.0.0.1:0",
-		NumClients:    simClients,
-		Rounds:        simRounds,
-		Init:          f.init,
-		RoundDeadline: 5 * time.Second,
-		Codec:         codec,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	serverErr := make(chan error, 1)
-	go func() {
-		_, err := srv.Run(ctx)
-		serverErr <- err
-	}()
-	results := runClients(ctx, t, f.faultyClients(srv.Addr().String(), codec, script, 8, 100*time.Millisecond))
-	if err := <-serverErr; err != nil {
-		t.Fatalf("server: %v", err)
-	}
-	return results, srv
+	res := runSpec(t, f.faultyCluster(ServerConfig{RoundDeadline: 5 * time.Second, Codec: codec}, script, 8, 100*time.Millisecond))
+	return res.Clients, res.Root
 }
 
 // runKillRestart runs the fixture's cluster on codec against a durable
 // server that a scripted fault crashes when round 7 is announced (rounds
 // 0..6 committed; round 7's partials die with it), on top of a client
-// sever at round 3, so session resume and checkpoint recovery compose. A
-// fresh server recovers from the checkpoint directory on the same address
-// and the clients ride through on their reconnect budget.
+// sever at round 3, so session resume and checkpoint recovery compose.
+// The cluster rebinds a fresh server on the same address, which recovers
+// from the checkpoint directory, and the clients ride through on their
+// reconnect budget.
 func (f *simFixture) runKillRestart(t *testing.T, codec wire.Codec) []*ClientResult {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
-
-	dir := t.TempDir()
 	script := chaos.NewScript(29,
 		chaos.Fault{Peer: "eq-1", Round: 3, Kind: chaos.Sever},
 		chaos.Fault{Round: 7, Kind: chaos.KillServer},
 	)
-	srvCtx, kill := context.WithCancel(ctx)
-	defer kill()
-	script.SetOnKill(kill) // in-process kill -9: tear down listener + conns
-	inner, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	res := runSpec(t, f.faultyCluster(ServerConfig{
+		RoundDeadline: 5 * time.Second,
+		CheckpointDir: t.TempDir(),
+		SnapshotEvery: 3,
+		Codec:         codec,
+	}, script, 60, 250*time.Millisecond))
+	if res.Restarts != 1 {
+		t.Fatalf("server restarted %d times, want 1: the kill fault never fired", res.Restarts)
 	}
-	mkServer := func(ln net.Listener, addr string) *Server {
-		t.Helper()
-		srv, err := NewServer(ServerConfig{
-			Addr:          addr,
-			Listener:      ln,
-			NumClients:    simClients,
-			Rounds:        simRounds,
-			Init:          f.init,
-			RoundDeadline: 5 * time.Second,
-			CheckpointDir: dir,
-			SnapshotEvery: 3,
-			Codec:         codec,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return srv
-	}
-	srv1 := mkServer(script.Listener(inner), "")
-	addr := srv1.Addr().String()
-	srv1Err := make(chan error, 1)
-	go func() {
-		_, err := srv1.Run(srvCtx)
-		srv1Err <- err
-	}()
-	wait := startClients(ctx, t, f.faultyClients(addr, codec, script, 60, 250*time.Millisecond))
-
-	// Wait for the crash, then bring up the replacement on the same
-	// address with the same checkpoint directory.
-	if err := <-srv1Err; err == nil {
-		t.Fatal("server 1 finished the run; the kill fault never fired")
-	}
-	srv2 := mkServer(nil, addr)
-	if got := srv2.StartRound(); got != 7 {
+	if got := res.Root.StartRound(); got != 7 {
 		t.Fatalf("recovered server resumes at round %d, want 7 (rounds 0..6 committed)", got)
 	}
-	srv2Err := make(chan error, 1)
-	go func() {
-		_, err := srv2.Run(ctx)
-		srv2Err <- err
-	}()
-	results := wait()
-	if err := <-srv2Err; err != nil {
-		t.Fatalf("server 2: %v", err)
-	}
-	return results
+	return res.Clients
 }
 
 func tcpMatchesSimulator(t *testing.T, model fl.ModelFactory) {

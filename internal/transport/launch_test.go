@@ -82,45 +82,34 @@ func TestRunClientsLaunchesInSlotOrder(t *testing.T) {
 // and returns once the rest of the cluster has run.
 func TestRunClientsPassesClientThatNeverJoins(t *testing.T) {
 	task := newTinyTask(60, 3)
-	srv, err := NewServer(ServerConfig{Addr: "127.0.0.1:0", NumClients: 2, Rounds: 2, Init: task.init})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	serverErr := make(chan error, 1)
-	go func() {
-		_, err := srv.Run(ctx)
-		serverErr <- err
-	}()
 	unreachable := errors.New("unreachable")
-	cfgs := task.clients(srv.Addr().String(), passthrough)
+	cfgs := task.clients(passthrough)
 	cfgs[1].Dial = func(string, string) (net.Conn, error) { return nil, unreachable }
 
-	var results []*ClientResult
-	var errs []error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		results, errs = RunClients(ctx, cfgs)
-	}()
-	select {
-	case <-done:
-	case <-time.After(20 * time.Second):
-		t.Fatal("RunClients hung behind a client that never joined")
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	res, err := RunCluster(ctx, Cluster{
+		Root:    ServerConfig{NumClients: 2, Rounds: 2, Init: task.init},
+		Clients: cfgs,
+	})
+	if res == nil {
+		t.Fatal(err)
 	}
-	if !errors.Is(errs[1], unreachable) || results[1] != nil {
-		t.Errorf("slot 1: result %v, error %v; want no result and the dial error", results[1], errs[1])
+	if ctx.Err() != nil {
+		t.Fatal("the launcher hung behind a client that never joined")
+	}
+	if !errors.Is(res.ClientErrs[1], unreachable) || res.Clients[1] != nil {
+		t.Errorf("slot 1: result %v, error %v; want no result and the dial error", res.Clients[1], res.ClientErrs[1])
 	}
 	for _, i := range []int{0, 2} {
-		if errs[i] != nil {
-			t.Fatalf("slot %d: %v", i, errs[i])
+		if res.ClientErrs[i] != nil {
+			t.Fatalf("slot %d: %v", i, res.ClientErrs[i])
 		}
 	}
-	if results[0].ClientID != 0 || results[2].ClientID != 1 {
-		t.Errorf("slots 0 and 2 got ids %d and %d, want 0 and 1", results[0].ClientID, results[2].ClientID)
+	if res.Clients[0].ClientID != 0 || res.Clients[2].ClientID != 1 {
+		t.Errorf("slots 0 and 2 got ids %d and %d, want 0 and 1", res.Clients[0].ClientID, res.Clients[2].ClientID)
 	}
-	if err := <-serverErr; err != nil {
-		t.Fatalf("server: %v", err)
+	if res.RootErr != nil {
+		t.Fatalf("server: %v", res.RootErr)
 	}
 }

@@ -36,12 +36,12 @@ func singleSampleSetup(clients int) (*data.Dataset, [][]int, []float64) {
 	return ds, parts, init
 }
 
-// passthroughClients is one passthroughClient per partition, client i
-// against addr(i).
-func passthroughClients(addr func(i int) string, ds *data.Dataset, parts [][]int) []ClientConfig {
+// passthroughClients is one passthroughClient per partition, for a
+// cluster to address.
+func passthroughClients(ds *data.Dataset, parts [][]int) []ClientConfig {
 	cfgs := make([]ClientConfig, len(parts))
 	for i := range parts {
-		cfgs[i] = passthroughClient(addr(i), ds, parts[i])
+		cfgs[i] = passthroughClient("", ds, parts[i])
 	}
 	return cfgs
 }
@@ -122,78 +122,26 @@ func twoTierVsFlat(t *testing.T, init []float64, rounds int) int64 {
 	)
 	ds, parts, _ := singleSampleSetup(clients)
 
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-
 	// Flat reference run.
-	flatSrv, err := NewServer(ServerConfig{
-		Addr: "127.0.0.1:0", NumClients: clients, Rounds: rounds, Init: init,
+	flat := runSpec(t, Cluster{
+		Root:    ServerConfig{NumClients: clients, Rounds: rounds, Init: init},
+		Clients: passthroughClients(ds, parts),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var flatGlobal []float64
-	flatErr := make(chan error, 1)
-	go func() {
-		g, err := flatSrv.Run(ctx)
-		flatGlobal = g
-		flatErr <- err
-	}()
-	flatResults := runClients(ctx, t, passthroughClients(func(int) string { return flatSrv.Addr().String() }, ds, parts))
-	if err := <-flatErr; err != nil {
-		t.Fatalf("flat server: %v", err)
-	}
+	flatGlobal, flatResults := flat.Global, flat.Clients
 
 	// Two-tier run: root over two relays, two clients each.
 	rootReg := telemetry.New()
-	root, err := NewServer(ServerConfig{
-		Addr: "127.0.0.1:0", Relays: 2, Rounds: rounds, Init: init, Metrics: rootReg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rootGlobal []float64
-	rootErr := make(chan error, 1)
-	go func() {
-		g, err := root.Run(ctx)
-		rootGlobal = g
-		rootErr <- err
-	}()
-
 	relayRegs := [2]*telemetry.Registry{telemetry.New(), telemetry.New()}
-	relays := make([]*Relay, 2)
-	relayGlobals := make([][]float64, 2)
-	relayErrs := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		rel, err := NewRelay(RelayConfig{
-			Addr:       "127.0.0.1:0",
-			Upstream:   root.Addr().String(),
-			Name:       []string{"edge-a", "edge-b"}[i],
-			SessionKey: []string{"edge-a", "edge-b"}[i],
-			NumClients: perRelay,
-			Seed:       5,
-			Metrics:    relayRegs[i],
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		relays[i] = rel
-		go func(i int) {
-			g, err := rel.Run(ctx)
-			relayGlobals[i] = g
-			relayErrs <- err
-		}(i)
+	relayCfgs := make([]RelayConfig, 2)
+	for i, name := range []string{"edge-a", "edge-b"} {
+		relayCfgs[i] = RelayConfig{Name: name, SessionKey: name, NumClients: perRelay, Seed: 5, Metrics: relayRegs[i]}
 	}
-
-	tierResults := runClients(ctx, t, passthroughClients(func(i int) string { return relays[i/perRelay].Addr().String() }, ds, parts))
-	for i := 0; i < 2; i++ {
-		if err := <-relayErrs; err != nil {
-			t.Fatalf("relay %d: %v", i, err)
-		}
-	}
-	if err := <-rootErr; err != nil {
-		t.Fatalf("root: %v", err)
-	}
+	tier := runSpec(t, Cluster{
+		Root:    ServerConfig{Rounds: rounds, Init: init, Metrics: rootReg},
+		Relays:  relayCfgs,
+		Clients: passthroughClients(ds, parts),
+	})
+	rootGlobal, relayGlobals, relays, tierResults := tier.Global, tier.RelayGlobals, tier.Relays, tier.Clients
 
 	// Bit-exactness across the whole hierarchy.
 	if len(rootGlobal) != len(flatGlobal) {
@@ -393,37 +341,31 @@ func TestRelayResendIsByteIdentical(t *testing.T) {
 // protocol error before the downward face is built (so before any client
 // joins) and spends no upstream retries.
 func TestRelayRefusesForeignCodec(t *testing.T) {
-	root, err := NewServer(ServerConfig{Addr: "127.0.0.1:0", Relays: 1, Rounds: 2,
-		Init: []float64{0, 0, 0}, Metrics: telemetry.New()})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	rootDone := make(chan struct{})
-	go func() {
-		defer close(rootDone)
-		_, _ = root.Run(ctx)
-	}()
-	defer func() { cancel(); <-rootDone }()
-
-	rel, err := NewRelay(RelayConfig{
-		Addr: "127.0.0.1:0", Upstream: root.Addr().String(), Name: "edge", SessionKey: "edge",
-		NumClients: 1, Codec: wire.CodecSparseQ16, MaxRetries: 3, Metrics: telemetry.New(),
+	res, err := RunCluster(ctx, Cluster{
+		Root: ServerConfig{Rounds: 2, Init: []float64{0, 0, 0}, Metrics: telemetry.New()},
+		Relays: []RelayConfig{{Name: "edge", SessionKey: "edge", NumClients: 1,
+			Codec: wire.CodecSparseQ16, MaxRetries: 3, Metrics: telemetry.New()}},
 	})
-	if err != nil {
+	if res == nil {
 		t.Fatal(err)
 	}
-	if _, err := rel.Run(ctx); !errors.Is(err, errProtocol) {
-		t.Fatalf("sparse-q16 relay under a dense root: got %v, want a protocol error", err)
+	// The cluster reports the refusal against the relay's tier.
+	if !errors.Is(res.RelayErrs[0], errProtocol) {
+		t.Fatalf("sparse-q16 relay under a dense root: got %v, want a protocol error", res.RelayErrs[0])
 	}
+	if errors.Is(res.RootErr, errProtocol) {
+		t.Errorf("the root reported the relay's refusal as its own: %v", res.RootErr)
+	}
+	rel := res.Relays[0]
 	if rel.Server() != nil {
 		t.Error("the relay built its downward face after refusing the root")
 	}
 	if n := rel.relayM.reconnects.Value(); n != 0 {
 		t.Errorf("the refusal spent %d upstream retries, want none", n)
 	}
-	if n := root.metrics.connsTotal.Value(); n != 1 {
+	if n := res.Root.metrics.connsTotal.Value(); n != 1 {
 		t.Errorf("root accepted %d connections, want 1", n)
 	}
 }

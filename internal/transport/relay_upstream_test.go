@@ -10,78 +10,16 @@ import (
 	"testing"
 	"time"
 
+	"apf/internal/chaos"
 	"apf/internal/telemetry"
 )
 
 // The relay's upward side under faults. Each fault is driven through
 // RelayConfig.Dial and gated on OnRound hooks, never on sleeps.
 
-// errRootDown is what upstreamGate's dial returns once the root is gone.
+// errRootDown is what a refusing gate's dial returns once the root is
+// gone.
 var errRootDown = errors.New("root is down")
-
-// upstreamGate is a relay's upstream dialer that a test steers: cut
-// closes the live connection and holds every later dial until release
-// (once); kill makes every later dial fail with errRootDown.
-type upstreamGate struct {
-	ctx      context.Context
-	released chan struct{}
-	mu       sync.Mutex
-	conn     net.Conn
-	dials    int
-	held     bool
-	down     bool
-}
-
-func newUpstreamGate(ctx context.Context) *upstreamGate {
-	return &upstreamGate{ctx: ctx, released: make(chan struct{})}
-}
-
-func (g *upstreamGate) dial(network, addr string) (net.Conn, error) {
-	g.mu.Lock()
-	g.dials++
-	held, down := g.held, g.down
-	g.mu.Unlock()
-	if down {
-		return nil, errRootDown
-	}
-	if held {
-		select {
-		case <-g.released:
-		case <-g.ctx.Done():
-			return nil, g.ctx.Err()
-		}
-	}
-	c, err := net.DialTimeout(network, addr, 5*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	g.mu.Lock()
-	g.conn = c
-	g.mu.Unlock()
-	return c, nil
-}
-
-func (g *upstreamGate) cut() {
-	g.mu.Lock()
-	g.held = true
-	c := g.conn
-	g.mu.Unlock()
-	_ = c.Close()
-}
-
-func (g *upstreamGate) release() { close(g.released) }
-
-func (g *upstreamGate) kill() {
-	g.mu.Lock()
-	g.down = true
-	g.mu.Unlock()
-}
-
-func (g *upstreamGate) dialCount() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.dials
-}
 
 // awayCluster is the outcome of runAwayCluster.
 type awayCluster struct {
@@ -110,75 +48,40 @@ func runAwayCluster(t *testing.T, historyRounds, cutAt, backAt int) *awayCluster
 
 	out := &awayCluster{rootReg: telemetry.New(), edgeReg: telemetry.New(),
 		clientRegs: [2]*telemetry.Registry{telemetry.New(), telemetry.New()}}
-	root, err := NewServer(ServerConfig{
-		Addr: "127.0.0.1:0", Relays: 2, Rounds: rounds, Init: init,
-		RoundDeadline: 300 * time.Millisecond, MinClients: 1,
-		HistoryRounds: historyRounds, Metrics: out.rootReg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	errs := make(chan error, 7)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		var err error
-		if out.root, err = root.Run(ctx); err != nil {
-			errs <- fmt.Errorf("root: %w", err)
-		}
-	}()
-
-	gate := newUpstreamGate(ctx)
-	relays := make([]*Relay, 2)
+	gate := chaos.NewGate(ctx)
+	relays := make([]RelayConfig, 2)
 	for i, name := range []string{"edge-a", "edge-b"} {
-		cfg := RelayConfig{
-			Addr: "127.0.0.1:0", Upstream: root.Addr().String(),
-			Name: name, SessionKey: name, NumClients: 2, MaxRetries: 3, Seed: 5,
-		}
-		if i == 1 {
-			cfg.Dial, cfg.Metrics = gate.dial, out.edgeReg
-		}
-		rel, err := NewRelay(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		relays[i] = rel
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var err error
-			if out.relays[i], err = rel.Run(ctx); err != nil {
-				errs <- fmt.Errorf("relay %d: %w", i, err)
-			}
-		}(i)
+		relays[i] = RelayConfig{Name: name, SessionKey: name, NumClients: 2, MaxRetries: 3, Seed: 5}
 	}
+	relays[1].Dial, relays[1].Metrics = gate.Dial, out.edgeReg
 
 	var cutOnce, backOnce sync.Once
-	cfgs := passthroughClients(func(i int) string { return relays[i/2].Addr().String() }, ds, parts)
+	cfgs := passthroughClients(ds, parts)
 	cfgs[0].OnRound = func(round int, _ []float64) {
 		if round == backAt {
-			backOnce.Do(gate.release)
+			backOnce.Do(gate.Open)
 		}
 	}
 	cfgs[2].OnRound = func(round int, _ []float64) {
 		if round == cutAt {
-			cutOnce.Do(gate.cut)
+			cutOnce.Do(gate.Cut)
 		}
 	}
 	cfgs[2].Metrics, cfgs[3].Metrics = out.clientRegs[0], out.clientRegs[1]
-	results, clientErrs := RunClients(ctx, cfgs)
-	copy(out.clients[:], results)
-	for i, err := range clientErrs {
-		if err != nil {
-			errs <- fmt.Errorf("client %d: %w", i, err)
-		}
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
+	res, err := RunCluster(ctx, Cluster{
+		Root: ServerConfig{
+			Rounds: rounds, Init: init, RoundDeadline: 300 * time.Millisecond, MinClients: 1,
+			HistoryRounds: historyRounds, Metrics: out.rootReg,
+		},
+		Relays:  relays,
+		Clients: cfgs,
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
+	out.root = res.Global
+	copy(out.relays[:], res.RelayGlobals)
+	copy(out.clients[:], res.Clients)
 	return out
 }
 
@@ -258,56 +161,39 @@ func TestRelayUpstreamRetryBudget(t *testing.T) {
 	ds, parts, init := singleSampleSetup(1)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	rootCtx, killRoot := context.WithCancel(ctx)
-	defer killRoot()
-
-	root, err := NewServer(ServerConfig{Addr: "127.0.0.1:0", Relays: 1, Rounds: 4, Init: init})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rootDone := make(chan struct{})
-	go func() {
-		defer close(rootDone)
-		_, _ = root.Run(rootCtx)
-	}()
-
-	gate := newUpstreamGate(ctx)
+	// Once round 1 is applied, before the relay pushes round 2, the root
+	// becomes unreachable: the gate severs the relay's upstream connection
+	// and refuses every redial.
+	gate := chaos.NewGate(ctx)
 	reg := telemetry.New()
-	rel, err := NewRelay(RelayConfig{
-		Addr: "127.0.0.1:0", Upstream: root.Addr().String(),
-		Name: "edge", SessionKey: "edge", NumClients: 1,
-		MaxRetries: retries, Dial: gate.dial, Metrics: reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	relDone := make(chan error, 1)
-	go func() {
-		_, err := rel.Run(ctx)
-		relDone <- err
-	}()
-
-	// The root dies once round 1 is applied, before the relay pushes round 2.
-	cfg := passthroughClient(rel.Addr().String(), ds, parts[0])
+	cfg := passthroughClient("", ds, parts[0])
 	cfg.OnRound = func(round int, _ []float64) {
 		if round == 1 {
-			killRoot()
-			<-rootDone
-			gate.kill()
+			gate.Refuse(errRootDown)
+			gate.Cut()
 		}
 	}
-	if _, err := RunClient(ctx, cfg); err == nil {
+	res, err := RunCluster(ctx, Cluster{
+		Root: ServerConfig{Rounds: 4, Init: init},
+		Relays: []RelayConfig{{Name: "edge", SessionKey: "edge", NumClients: 1,
+			MaxRetries: retries, Dial: gate.Dial, Metrics: reg}},
+		Clients: []ClientConfig{cfg},
+	})
+	if res == nil {
+		t.Fatal(err)
+	}
+	if res.ClientErrs[0] == nil {
 		t.Error("the relay's client finished although the root died mid-run")
 	}
 
-	err = <-relDone
+	err = res.RelayErrs[0]
 	if !errors.Is(err, errRootDown) {
 		t.Fatalf("relay error %v, want the dial error wrapped", err)
 	}
 	if want := fmt.Sprintf("connection failed (after %d reconnect attempt(s))", retries); !strings.Contains(err.Error(), want) {
 		t.Errorf("relay error %q, want it to report %q", err, want)
 	}
-	if got, want := gate.dialCount(), 1+retries; got != want {
+	if got, want := gate.Dials(), 1+retries; got != want {
 		t.Errorf("relay dialed %d times, want %d (the join plus one per reconnect attempt)", got, want)
 	}
 	if got, want := reg.Snapshot()["apf_relay_upstream_reconnects_total"], float64(retries+1); got != want {
@@ -380,10 +266,10 @@ func TestRelayRefusesNonResumedWelcome(t *testing.T) {
 		rootErr <- nil
 	}()
 
-	gate := newUpstreamGate(ctx)
+	gate := chaos.NewGate(ctx)
 	rel, err := NewRelay(RelayConfig{
 		Addr: "127.0.0.1:0", Upstream: rootLn.Addr().String(),
-		Name: "edge", SessionKey: "edge", NumClients: 1, MaxRetries: 3, Dial: gate.dial,
+		Name: "edge", SessionKey: "edge", NumClients: 1, MaxRetries: 3, Dial: gate.Dial,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -414,7 +300,7 @@ func TestRelayRefusesNonResumedWelcome(t *testing.T) {
 	if <-pushedAfterFresh {
 		t.Error("the relay pushed a partial to a root that did not resume its session")
 	}
-	if got := gate.dialCount(); got != 2 {
+	if got := gate.Dials(); got != 2 {
 		t.Errorf("relay dialed %d times, want 2 (no dial after the refused welcome)", got)
 	}
 }

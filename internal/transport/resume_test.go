@@ -301,47 +301,6 @@ type resumeRecord struct {
 
 const resumeSeverRound = 1
 
-// gatedDialer holds a client's re-dial until the gate reports true, and
-// remembers the live connection so the test can sever it on cue.
-type gatedDialer struct {
-	ctx   context.Context
-	gate  func() bool
-	mu    sync.Mutex
-	conn  net.Conn
-	dials int
-}
-
-func (gd *gatedDialer) dial(network, addr string) (net.Conn, error) {
-	gd.mu.Lock()
-	n := gd.dials
-	gd.dials++
-	gd.mu.Unlock()
-	if n > 0 {
-		for !gd.gate() {
-			select {
-			case <-gd.ctx.Done():
-				return nil, gd.ctx.Err()
-			case <-time.After(time.Millisecond):
-			}
-		}
-	}
-	c, err := net.DialTimeout(network, addr, 5*time.Second)
-	if err == nil {
-		gd.mu.Lock()
-		gd.conn = c
-		gd.mu.Unlock()
-	}
-	return c, err
-}
-
-func (gd *gatedDialer) kill() {
-	gd.mu.Lock()
-	defer gd.mu.Unlock()
-	if gd.conn != nil {
-		closeQuietly(gd.conn)
-	}
-}
-
 // runResumeTwin runs one arm and returns the shard's reconciliation
 // record, the two active clients' final models, and the server metrics
 // registry. Absence rounds aggregate exactly the two actives (MinClients
@@ -362,78 +321,40 @@ func runResumeTwin(t *testing.T, o resumeTwinOpts) (resumeRecord, [][]float64, *
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	reg := telemetry.New()
-
-	dir := ""
-	var script *chaos.Script
-	var inner net.Listener
+	spec := Cluster{Root: ServerConfig{
+		NumClients:    3,
+		Rounds:        rounds,
+		Init:          task.init,
+		IOTimeout:     5 * time.Second,
+		RoundDeadline: o.deadline,
+		MinClients:    2,
+		Codec:         o.codec,
+		HistoryRounds: o.history,
+		Shadow:        resumeShadowConfig(),
+		SnapshotEvery: 3,
+		Metrics:       reg,
+	}}
 	if o.kill {
-		dir = t.TempDir()
+		spec.Root.CheckpointDir = t.TempDir()
 		killAt := resumeSeverRound + 1 + o.absent/2
-		script = chaos.NewScript(31, chaos.Fault{Round: killAt, Kind: chaos.KillServer})
-		var err error
-		if inner, err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
-			t.Fatal(err)
-		}
+		spec.Chaos = chaos.NewScript(31, chaos.Fault{Round: killAt, Kind: chaos.KillServer})
 	}
-	mkServer := func(ln net.Listener, addr string) *Server {
-		t.Helper()
-		srv, err := NewServer(ServerConfig{
-			Addr:          addr,
-			Listener:      ln,
-			NumClients:    3,
-			Rounds:        rounds,
-			Init:          task.init,
-			IOTimeout:     5 * time.Second,
-			RoundDeadline: o.deadline,
-			MinClients:    2,
-			Codec:         o.codec,
-			HistoryRounds: o.history,
-			Shadow:        resumeShadowConfig(),
-			CheckpointDir: dir,
-			SnapshotEvery: 3,
-			Metrics:       reg,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return srv
-	}
-
-	var cur atomic.Pointer[Server]
-	var srv *Server
-	srvCtx, killSrv := context.WithCancel(ctx)
-	defer killSrv()
-	if o.kill {
-		script.SetOnKill(killSrv)
-		srv = mkServer(script.Listener(inner), "")
-	} else {
-		srv = mkServer(nil, "127.0.0.1:0")
-	}
-	cur.Store(srv)
-	addr := srv.Addr().String()
-	srv1Err := make(chan error, 1)
-	go func() {
-		_, err := srv.Run(srvCtx)
-		srv1Err <- err
-	}()
 
 	// The actives' last OnRound is their last act before returning: once
-	// both fired (actives closed), cancelling clientCtx stops only the
-	// parked shard.
-	clientCtx, stopClients := context.WithCancel(ctx)
-	defer stopClients()
+	// both fired (actives closed) and the root has returned, cancelling ctx
+	// stops only the parked shard.
 	actives := make(chan struct{})
 	var activesLeft atomic.Int32
 	activesLeft.Store(2)
-	gd := &gatedDialer{ctx: clientCtx, gate: func() bool { return cur.Load().CommittedRounds() >= gate }}
+	shard := chaos.NewGate(ctx)
 	var rec resumeRecord
 	var once sync.Once
 	caught := make(chan struct{})
 	release := make(chan struct{})
 
-	cfgs := task.clients(addr, factory)
-	for i := range cfgs {
-		cfg := &cfgs[i]
+	spec.Clients = task.clients(factory)
+	for i := range spec.Clients {
+		cfg := &spec.Clients[i]
 		cfg.Codec, cfg.MaxRetries = o.codec, 60
 		cfg.RetryBaseDelay, cfg.RetryMaxDelay = 10*time.Millisecond, 100*time.Millisecond
 		cfg.OnRound = func(round int, _ []float64) {
@@ -442,10 +363,10 @@ func runResumeTwin(t *testing.T, o resumeTwinOpts) (resumeRecord, [][]float64, *
 			}
 		}
 	}
-	cfgs[2].Dial = gd.dial
-	cfgs[2].OnRound = func(round int, model []float64) {
+	spec.Clients[2].Dial = shard.Dial
+	spec.Clients[2].OnRound = func(round int, model []float64) {
 		if round == resumeSeverRound {
-			gd.kill()
+			shard.Cut()
 			return
 		}
 		if round >= recordAt {
@@ -458,51 +379,42 @@ func runResumeTwin(t *testing.T, o resumeTwinOpts) (resumeRecord, [][]float64, *
 			}
 		}
 	}
-	var results []*ClientResult
-	var errs []error
-	clientsDone := make(chan struct{})
-	go func() {
-		defer close(clientsDone)
-		results, errs = RunClients(clientCtx, cfgs)
-	}()
-
-	if o.kill {
-		if err := <-srv1Err; err == nil {
-			t.Fatal("server survived the scripted kill")
-		}
-		srv2 := mkServer(nil, addr)
-		cur.Store(srv2)
-		srv = srv2
-		srv1Err = make(chan error, 1)
-		go func() {
-			_, err := srv2.Run(ctx)
-			srv1Err <- err
-		}()
+	run, err := StartCluster(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
 	}
+	shard.OpenWhen(func() bool { return run.Root().CommittedRounds() >= gate })
 
 	if !o.finish {
 		select {
 		case <-actives:
 		case <-ctx.Done():
 		}
-		stopClients()
+		select {
+		case <-run.Root().done:
+		case <-ctx.Done():
+		}
+		cancel()
 		close(release)
 	}
-	<-clientsDone
+	res, _ := run.Wait()
 	for i := 0; i < 2; i++ {
-		if errs[i] != nil {
-			t.Fatalf("active client %d: %v", i, errs[i])
+		if res.ClientErrs[i] != nil {
+			t.Fatalf("active client %d: %v", i, res.ClientErrs[i])
 		}
 	}
-	if err := <-srv1Err; err != nil {
-		t.Fatalf("server: %v", err)
+	if res.RootErr != nil {
+		t.Fatalf("server: %v", res.RootErr)
 	}
-	finals := [][]float64{results[0].FinalModel, results[1].FinalModel}
+	if o.kill && res.Restarts != 1 {
+		t.Fatalf("server restarted %d times, want 1", res.Restarts)
+	}
+	finals := [][]float64{res.Clients[0].FinalModel, res.Clients[1].FinalModel}
 	if o.finish {
-		if errs[2] != nil {
-			t.Fatalf("severed shard: %v", errs[2])
+		if res.ClientErrs[2] != nil {
+			t.Fatalf("severed shard: %v", res.ClientErrs[2])
 		}
-		finals = append(finals, results[2].FinalModel)
+		finals = append(finals, res.Clients[2].FinalModel)
 	}
 	select {
 	case <-caught:
@@ -699,7 +611,8 @@ func TestResumeLongPartitionSnapshot500(t *testing.T) {
 
 		shardCtx, shardCancel := context.WithCancel(ctx)
 		defer shardCancel()
-		gd := &gatedDialer{ctx: shardCtx, gate: func() bool { return srv.CommittedRounds() >= gate }}
+		shard := chaos.NewGate(shardCtx)
+		shard.OpenWhen(func() bool { return srv.CommittedRounds() >= gate })
 		shardDone := make(chan struct{})
 		var shardErr error
 		go func() {
@@ -721,10 +634,10 @@ func TestResumeLongPartitionSnapshot500(t *testing.T) {
 				MaxRetries:     60,
 				RetryBaseDelay: 10 * time.Millisecond,
 				RetryMaxDelay:  100 * time.Millisecond,
-				Dial:           gd.dial,
+				Dial:           shard.Dial,
 				OnRound: func(round int, model []float64) {
 					if round == resumeSeverRound {
-						gd.kill()
+						shard.Cut()
 						return
 					}
 					if round >= recordAt {

@@ -72,8 +72,8 @@ func TestClientRefusesForeignCodec(t *testing.T) {
 	}()
 	defer func() { cancel(); <-serverDone }()
 
-	cfg := f.clients(srv.Addr().String(), wire.CodecDense)[0]
-	cfg.MaxRetries = 3
+	cfg := f.clients(wire.CodecDense)[0]
+	cfg.Addr, cfg.MaxRetries = srv.Addr().String(), 3
 	if _, err := RunClient(ctx, cfg); !errors.Is(err, errProtocol) {
 		t.Fatalf("dense client on a sparse server: got %v, want a protocol error", err)
 	}

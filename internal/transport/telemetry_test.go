@@ -127,7 +127,7 @@ func TestMetricsConsistencyUnderChaosScrape(t *testing.T) {
 	o := chaosOpts{
 		clients: 3, rounds: rounds, deadline: 5 * time.Second, retries: 8,
 		metrics: reg, cmetrics: creg,
-		clientScript: chaos.NewScript(7,
+		script: chaos.NewScript(7,
 			chaos.Fault{Peer: "shard-1", Round: 3, Kind: chaos.Sever},
 			chaos.Fault{Peer: "shard-2", Round: 6, Kind: chaos.Sever},
 		),
@@ -204,56 +204,44 @@ func TestRecoveryMetrics(t *testing.T) {
 	dir := t.TempDir()
 	task := newTinyTask(60, clients)
 
-	run := func(reg *telemetry.Registry) {
-		srv, err := NewServer(ServerConfig{
-			Addr:          "127.0.0.1:0",
-			NumClients:    clients,
-			Rounds:        rounds,
-			Init:          task.init,
-			CheckpointDir: dir,
-			SnapshotEvery: 4,
-			Metrics:       reg,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		serverErr := make(chan error, 1)
-		go func() {
-			_, err := srv.Run(ctx)
-			serverErr <- err
-		}()
-		if srv.Recovered() {
-			// Recovery happened before Run: the gauges already reflect it.
-			snap := reg.Snapshot()
-			if got := snap["apf_recoveries_total"]; got != 1 {
-				t.Errorf("apf_recoveries_total = %v, want 1", got)
-			}
-			if got := snap["apf_recovered_round"]; got != float64(srv.StartRound()) {
-				t.Errorf("apf_recovered_round = %v, want %v", got, srv.StartRound())
-			}
-			if got := snap["apf_committed_rounds"]; got != float64(srv.CommittedRounds()) {
-				t.Errorf("apf_committed_rounds = %v, want %v", got, srv.CommittedRounds())
-			}
-		} else {
-			runClients(ctx, t, task.clients(srv.Addr().String(), passthrough))
-		}
-		if err := <-serverErr; err != nil {
-			t.Fatalf("server: %v", err)
-		}
+	run := func(reg *telemetry.Registry, cfgs []ClientConfig) *Server {
+		return runSpec(t, Cluster{
+			Root: ServerConfig{
+				NumClients:    clients,
+				Rounds:        rounds,
+				Init:          task.init,
+				CheckpointDir: dir,
+				SnapshotEvery: 4,
+				Metrics:       reg,
+			},
+			Clients: cfgs,
+		}).Root
 	}
 
 	// First run: fresh start, no recovery metrics.
 	reg1 := telemetry.New()
-	run(reg1)
+	run(reg1, task.clients(passthrough))
 	if got := reg1.Snapshot()["apf_recoveries_total"]; got != 0 {
 		t.Errorf("fresh start reported %v recoveries, want 0", got)
 	}
 
-	// Second run against the same checkpoint dir: a recovery, visible
-	// before the first client connects.
-	run(telemetry.New())
+	// Second run against the same checkpoint dir: a recovery, which
+	// finds every round committed, so no client is needed.
+	reg2 := telemetry.New()
+	srv := run(reg2, nil)
+	if !srv.Recovered() {
+		t.Fatal("second run did not recover from the checkpoint")
+	}
+	snap := reg2.Snapshot()
+	if got := snap["apf_recoveries_total"]; got != 1 {
+		t.Errorf("apf_recoveries_total = %v, want 1", got)
+	}
+	if got := snap["apf_recovered_round"]; got != float64(srv.StartRound()) {
+		t.Errorf("apf_recovered_round = %v, want %v", got, srv.StartRound())
+	}
+	if got := snap["apf_committed_rounds"]; got != float64(srv.CommittedRounds()) {
+		t.Errorf("apf_committed_rounds = %v, want %v", got, srv.CommittedRounds())
+	}
 }
 
 // TestStoreMetrics pins the durability series to exact values: a durable
@@ -317,6 +305,7 @@ func TestStoreMetrics(t *testing.T) {
 	check("restart", cfg.Metrics, map[string]float64{
 		"apf_wal_appends_total":            0,
 		"apf_snapshots_total":              0,
+		"apf_snapshot_rounds":              6,
 		"apf_checkpoint_loads_total":       1,
 		"apf_checkpoint_loads_found_total": 1,
 		"apf_wal_replayed_records_total":   rounds - 6,

@@ -54,15 +54,15 @@ func newTinyTask(samples, clients int) tinyTask {
 	}
 }
 
-// clients returns one config per shard against addr: client i, named and
+// clients returns one config per shard: client i, named and
 // session-keyed "shard-i", trains tinyModel with tinySGD and mf's manager
 // for three local iterations of batch 10 per round, seed 5.
-func (k tinyTask) clients(addr string, mf fl.ManagerFactory) []ClientConfig {
+func (k tinyTask) clients(mf fl.ManagerFactory) []ClientConfig {
 	cfgs := make([]ClientConfig, len(k.parts))
 	for i := range cfgs {
 		name := fmt.Sprintf("shard-%d", i)
 		cfgs[i] = ClientConfig{
-			Addr: addr, Name: name, SessionKey: name,
+			Name: name, SessionKey: name,
 			Model: tinyModel, Optimizer: tinySGD, Manager: mf,
 			Data: k.ds, Indices: k.parts[i], LocalIters: 3, BatchSize: 10, Seed: 5,
 		}
@@ -70,33 +70,16 @@ func (k tinyTask) clients(addr string, mf fl.ManagerFactory) []ClientConfig {
 	return cfgs
 }
 
-// startClients runs cfgs through RunClients in the background. wait blocks
-// until every client has returned and fails the test on any client error.
-func startClients(ctx context.Context, t *testing.T, cfgs []ClientConfig) (wait func() []*ClientResult) {
-	var results []*ClientResult
-	var errs []error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		results, errs = RunClients(ctx, cfgs)
-	}()
-	return func() []*ClientResult {
-		t.Helper()
-		<-done
-		for i, err := range errs {
-			if err != nil {
-				t.Fatalf("client %d: %v", i, err)
-			}
-		}
-		return results
-	}
-}
-
-// runClients runs cfgs through RunClients, failing the test on any client
-// error.
-func runClients(ctx context.Context, t *testing.T, cfgs []ClientConfig) []*ClientResult {
+// runSpec runs c within a minute, failing the test on any tier's error.
+func runSpec(t *testing.T, c Cluster) *ClusterResult {
 	t.Helper()
-	return startClients(ctx, t, cfgs)()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	res, err := RunCluster(ctx, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // runCluster spins up a server and clients over loopback and returns the
@@ -107,39 +90,20 @@ func runCluster(t *testing.T, clients, rounds int, mf fl.ManagerFactory) ([]*Cli
 }
 
 // runClusterWith is runCluster on a server configured by cfg beyond the
-// task's init model (no Listener binds loopback), with edit, when non-nil,
-// applied to each client's config.
+// task's init model, with edit, when non-nil, applied to each client's
+// config.
 func runClusterWith(t *testing.T, cfg ServerConfig, mf fl.ManagerFactory, edit func(i int, c *ClientConfig)) ([]*ClientResult, *Server, []float64) {
 	t.Helper()
 	task := newTinyTask(90, cfg.NumClients)
-	cfg.Addr, cfg.Init = "127.0.0.1:0", task.init
-	srv, err := NewServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-
-	var serverGlobal []float64
-	serverErr := make(chan error, 1)
-	go func() {
-		g, err := srv.Run(ctx)
-		serverGlobal = g
-		serverErr <- err
-	}()
-
-	cfgs := task.clients(srv.Addr().String(), mf)
+	cfg.Init = task.init
+	cfgs := task.clients(mf)
 	for i := range cfgs {
 		if edit != nil {
 			edit(i, &cfgs[i])
 		}
 	}
-	results := runClients(ctx, t, cfgs)
-	if err := <-serverErr; err != nil {
-		t.Fatalf("server: %v", err)
-	}
-	return results, srv, serverGlobal
+	res := runSpec(t, Cluster{Root: cfg, Clients: cfgs})
+	return res.Clients, res.Root, res.Global
 }
 
 func TestTCPClusterWithPassthrough(t *testing.T) {
