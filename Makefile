@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: tier1 benchtest vet lint race fuzz corpora crashtest examples bench scenarios scenariobench scalebench scalereport resumebench ci
+.PHONY: tier1 benchtest vet endian lint race fuzz corpora crashtest examples bench scenarios scenariobench scalebench scalereport resumebench ci
 
 # Tier-1 verify (see ROADMAP.md): must stay green on every commit.
 # -shuffle=on randomizes test order so hidden inter-test coupling fails
@@ -21,6 +21,13 @@ benchtest:
 
 vet:
 	$(GO) vet ./...
+
+# The frame's byte ↔ float kernel (internal/checkpoint/floats.go) copies
+# memory on little-endian hosts and runs a portable loop elsewhere; vet
+# the packages that use it for a big-endian target so the portable path
+# keeps compiling. Offline: a vet needs no toolchain download.
+endian:
+	GOARCH=s390x $(GO) vet ./internal/checkpoint ./internal/wire
 
 # Static analysis beyond vet. CI installs the pinned staticcheck; locally
 # the target degrades to a notice when the binary is absent so `make ci`
@@ -87,7 +94,7 @@ examples:
 # (`bash bench/run.sh --trace 1`); what these paths must never do (allocate
 # at steady state) is pinned in tier-1.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkManagerRound$$|BenchmarkAggregate$$|BenchmarkPartialFold$$|BenchmarkWireDense$$|BenchmarkFrameRead$$|BenchmarkAggregatorAdd$$|BenchmarkTrainStep$$|BenchmarkEngineRound$$' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkManagerRound$$|BenchmarkAggregate$$|BenchmarkPartialFold$$|BenchmarkWireDense$$|BenchmarkCheckpointF64s$$|BenchmarkFrameRead$$|BenchmarkAggregatorAdd$$|BenchmarkTrainStep$$|BenchmarkEngineRound$$' -benchmem .
 
 # Scenario smoke: the CI subset of the adversary × network × data matrix,
 # race-enabled, over the real TCP transport. The run enforces the
@@ -136,4 +143,4 @@ resumebench:
 	$(GO) run ./cmd/apfbench -resume BENCH_resume.json
 	git diff --exit-code -I'"go_version"' -I'"gomaxprocs"' -- BENCH_resume.json
 
-ci: tier1 benchtest vet lint race fuzz crashtest examples scenarios scalebench scenariobench scalereport resumebench
+ci: tier1 benchtest vet endian lint race fuzz crashtest examples scenarios scalebench scenariobench scalereport resumebench

@@ -19,6 +19,7 @@ import (
 	"testing"
 
 	"apf"
+	"apf/internal/checkpoint"
 	"apf/internal/core"
 	"apf/internal/experiments"
 	"apf/internal/fl"
@@ -252,6 +253,28 @@ func BenchmarkWireDense(b *testing.B) {
 		}
 	}
 	reportPerScalar(b, len(msg.Payload))
+}
+
+// BenchmarkCheckpointF64s measures the byte ↔ float kernel under every
+// dense frame, WAL record and snapshot: one dense-256k vector written by
+// checkpoint.Writer into a reused buffer and read back by
+// checkpoint.Reader into a fresh one.
+func BenchmarkCheckpointF64s(b *testing.B) {
+	contribs, _ := dense256kUpdates(1)
+	v := contribs[0]
+	var w checkpoint.Writer
+	w.F64s(v)
+	b.SetBytes(int64(len(w.Bytes())))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.Reset()
+		w.F64s(v)
+		if r := checkpoint.NewReader(w.Bytes()); len(r.F64s()) != len(v) || r.Done() != nil {
+			b.Fatal("round trip lost the vector")
+		}
+	}
+	reportPerScalar(b, len(v))
 }
 
 // BenchmarkFrameRead measures the streaming decode of one dense-256k

@@ -203,12 +203,7 @@ func (w *Writer) words(n int) []byte {
 }
 
 // F64s appends a length-prefixed []float64.
-func (w *Writer) F64s(v []float64) {
-	b := w.words(len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
-	}
-}
+func (w *Writer) F64s(v []float64) { PutF64s(w.words(len(v)), v) }
 
 // Ints appends a length-prefixed []int.
 func (w *Writer) Ints(v []int) {
@@ -358,9 +353,7 @@ func (r *Reader) F64s() []float64 {
 		return nil
 	}
 	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
+	GetF64s(out, b)
 	return out
 }
 

@@ -142,41 +142,61 @@ func (a *Aggregator) WeightedMean(dst []float64, contribs [][]float64, weights [
 	return true
 }
 
-// runChunk reduces one shard [ci·chunk, min(dim, (ci+1)·chunk)). Each
-// coordinate's column is summed exactly in 128-bit fixed point; because
-// integer addition is associative the shard boundaries (and the worker
-// schedule) cannot affect the bits. The conversion and carry verdicts are
-// ANDed down the column and tested once: a failed column becomes NaN
+// foldBlockLen is how many coordinates the mean folds at a time: their
+// 16-byte columns (8 KiB) stay in L1 while every contribution streams its
+// span of the block (one 4 KiB page) through them.
+const foldBlockLen = 512
+
+// runChunk reduces one shard [ci·chunk, min(dim, (ci+1)·chunk)), a block
+// of coordinates at a time. Each coordinate's column is summed exactly in
+// 128-bit fixed point; because integer addition is associative the shard
+// and block boundaries (and the worker schedule) cannot affect the bits.
+// A column whose conversion or carry verdict fails anywhere becomes NaN
 // whatever the wrapped sum holds.
 func (a *Aggregator) runChunk(ci int) {
 	base := ci * a.chunk
-	end := base + a.chunk
-	if end > len(a.dst) {
-		end = len(a.dst)
+	end := min(base+a.chunk, len(a.dst))
+	var cols [2 * foldBlockLen]uint64
+	var failed [foldBlockLen]bool
+	for at := base; at < end; at += foldBlockLen {
+		n := min(foldBlockLen, end-at)
+		a.foldBlock(a.dst[at:at+n], at, cols[:2*n], failed[:n])
 	}
-	dst := a.dst[base:end]
-	for j := range dst {
-		var slo, shi uint64
-		ok := true
-		for k, c := range a.contribs {
-			w := a.jobW[k]
-			if w == 0 {
+}
+
+// foldBlock folds coordinates [at, at+len(dst)) of every weighted
+// contribution into the zeroed columns cols, contribution by contribution,
+// then converts each column once into dst. Until a contribution's product
+// leaves addHalves' range, every column holds fast-path products alone,
+// and the fold skips their overflow verdict (fresh, see addHalves); from
+// that coordinate on it runs addSpan, which checks every add.
+func (a *Aggregator) foldBlock(dst []float64, at int, cols []uint64, failed []bool) {
+	clear(cols)
+	clear(failed)
+	fresh := true
+	for k, c := range a.contribs {
+		w := a.jobW[k]
+		if w == 0 {
+			continue
+		}
+		c = c[at : at+len(dst)]
+		j := 0
+		if fresh {
+			if j = addHalves(cols, c, w, true); j == len(c) {
 				continue
 			}
-			x := w * c[base+j]
-			plo, phi, pok := fixFromHalf(x) // fixFromFloat, inlined
-			if !pok {
-				plo, phi, pok = fixFromFloatWide(x)
-			}
-			var sok bool
-			slo, shi, sok = fixAdd(slo, shi, plo, phi)
-			ok = ok && pok && sok
+			fresh = false
 		}
-		if !ok {
+		for j = addSpan(cols, c, w, j); j < len(c); j = addSpan(cols, c, w, j+1) {
+			failed[j] = true
+		}
+	}
+	for j := range dst {
+		if failed[j] {
 			dst[j] = math.NaN()
 			continue
 		}
-		dst[j] = fixToFloat(slo, shi) / a.wf
+		dst[j] = fixToFloat(cols[2*j], cols[2*j+1]) / a.wf
 	}
 }
 

@@ -10,9 +10,10 @@ import (
 )
 
 // serialWeightedMean is the unsharded, unpooled reference for the exact
-// reduction: one column at a time, folding fixed-point products with the
-// same primitives the Aggregator shards. Any deviation in the sharded
-// path's chunking or pool scheduling shows up as a bit difference here.
+// reduction: one column at a time, folding fixed-point products with
+// fixFromFloat and fixAdd and ANDing their verdicts down the column (a
+// failed column is NaN). Any deviation in the sharded path's chunking,
+// its block kernel or pool scheduling shows up as a bit difference here.
 func serialWeightedMean(dst []float64, contribs [][]float64, weights []float64) bool {
 	var wlo, whi uint64
 	for _, w := range weights {
@@ -33,12 +34,19 @@ func serialWeightedMean(dst []float64, contribs [][]float64, weights []float64) 
 	wf := fixToFloat(wlo, whi)
 	for j := range dst {
 		var slo, shi uint64
+		ok := true
 		for k, c := range contribs {
 			if weights[k] == 0 {
 				continue
 			}
-			plo, phi, _ := fixFromFloat(weights[k] * c[j])
-			slo, shi, _ = fixAdd(slo, shi, plo, phi)
+			plo, phi, pok := fixFromFloat(weights[k] * c[j])
+			var sok bool
+			slo, shi, sok = fixAdd(slo, shi, plo, phi)
+			ok = ok && pok && sok
+		}
+		if !ok {
+			dst[j] = math.NaN()
+			continue
 		}
 		dst[j] = fixToFloat(slo, shi) / wf
 	}

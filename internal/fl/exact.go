@@ -43,7 +43,15 @@ import (
 // Larger values, NaN and infinities take the bit-by-bit code
 // (fixFromFloatWide, fixToFloatWide). The overflow verdict of fixAdd is
 // bit arithmetic rather than a branch on operand signs, so a fold loop
-// tests one verdict per coordinate and never mispredicts on the data.
+// tests it without mispredicting on the data.
+//
+// The folds run that fast path as one tight loop over a span of
+// coordinates (addHalves), leaving only the coordinates it stops at to the
+// bit-by-bit code one at a time (addSpan). The mean folds a block of a
+// few hundred coordinates at a time into columns on the stack,
+// contribution by contribution, and converts each column once at the
+// end; while a block has seen only fast-path products it skips the
+// overflow verdict, which provably cannot fire there (addHalves).
 
 // ErrAccumOverflow is returned (wrapped) when an exact accumulator
 // overflows its ±2^63 range. A mid-fold overflow poisons the partial
@@ -64,9 +72,7 @@ func fixFromFloat(x float64) (lo, hi uint64, ok bool) {
 // fixFromHalf is fixFromFloat's hardware path for |x| < ½: |x·2^64| <
 // 2^63, so the scale is exact and the rounded value fits an int64, whose
 // sign extension is the upper word. ok is false for any other x (NaN
-// included), which the caller passes to fixFromFloatWide. Unlike
-// fixFromFloat it is small enough to inline, so the fold loops call the
-// two in turn themselves and keep their state in registers.
+// included), which the caller passes to fixFromFloatWide.
 func fixFromHalf(x float64) (lo, hi uint64, ok bool) {
 	if !(math.Abs(x) < 0.5) {
 		return 0, 0, false
@@ -131,6 +137,66 @@ func fixAdd(alo, ahi, blo, bhi uint64) (lo, hi uint64, ok bool) {
 	lo, c = bits.Add64(alo, blo, 0)
 	hi, _ = bits.Add64(ahi, bhi, c)
 	return lo, hi, (^(ahi^bhi)&(ahi^hi))>>63 == 0
+}
+
+// addSpan adds fix(w·c[j]) into column j of cols — lo word at 2j, hi at
+// 2j+1 — for every j from `from` on, and returns the first coordinate
+// whose conversion or sum fails (its column then holds the wrapped sum),
+// or len(c) when none does. A caller that keeps folding past a failure
+// calls it again from the next coordinate.
+//
+// The work runs in addHalves' tight loop; only a coordinate it stops at —
+// a product not below ½, or a carry out of the signed 128-bit range —
+// takes the bit-by-bit conversion here, one coordinate at a time, so a
+// span of wide products costs what it always did and no more.
+func addSpan(cols []uint64, c []float64, w float64, from int) int {
+	for j := from; j < len(c); j++ {
+		x := w * c[j]
+		if math.Abs(x) < 0.5 {
+			if j += addHalves(cols[2*j:], c[j:], w, false); j == len(c) {
+				break
+			}
+			x = w * c[j]
+		}
+		plo, phi, pok := fixFromFloatWide(x)
+		col := cols[2*j : 2*j+2 : 2*j+2]
+		var sok bool
+		if col[0], col[1], sok = fixAdd(col[0], col[1], plo, phi); !(pok && sok) {
+			return j
+		}
+	}
+	return len(c)
+}
+
+// addHalves is the fold's fast path: fixFromHalf and fixAdd written into
+// one loop, which adds fix(w·c[j]) into column j of cols while every
+// product is below ½ in magnitude and no column overflows, and returns how
+// many coordinates it added; the one it stops at is left untouched. Its
+// only call is math.RoundToEven's fallback for hosts without a rounding
+// instruction, so its state stays in registers.
+//
+// fresh drops the overflow verdict. A caller may pass it only while every
+// column holds nothing but addHalves products summed from zero: each is
+// below 2^63 in magnitude (fixFromHalf's range), so fewer than 2^64 of
+// them — any count a slice can hold — stay below 2^127, and the verdict
+// cannot fire.
+func addHalves(cols []uint64, c []float64, w float64, fresh bool) int {
+	cols = cols[:2*len(c)]
+	for j, v := range c {
+		x := w * v
+		if !(math.Abs(x) < 0.5) {
+			return j
+		}
+		p := int64(math.RoundToEven(x * 0x1p64))
+		col := cols[2*j : 2*j+2 : 2*j+2]
+		lo, carry := bits.Add64(col[0], uint64(p), 0)
+		hi := col[1] + uint64(p>>63) + carry
+		if !fresh && (^(col[1]^uint64(p>>63))&(col[1]^hi))>>63 != 0 {
+			return j // fixAdd's overflow verdict
+		}
+		col[0], col[1] = lo, hi
+	}
+	return len(c)
 }
 
 // fixToFloat converts a signed 128-bit fixed-point value (64 fractional
@@ -284,20 +350,9 @@ func (p *Partial) Fold(contrib []float64, weight float64) error {
 	if len(p.Cols) == 0 && len(contrib) > 0 {
 		p.adopt(len(contrib))
 	}
-	cols := p.Cols[:2*len(contrib)]
-	for j, v := range contrib {
-		x := weight * v
-		plo, phi, pok := fixFromHalf(x) // fixFromFloat, inlined
-		if !pok {
-			plo, phi, pok = fixFromFloatWide(x)
-		}
-		c := cols[2*j : 2*j+2 : 2*j+2]
-		var sok bool
-		c[0], c[1], sok = fixAdd(c[0], c[1], plo, phi)
-		if !(pok && sok) {
-			p.poisoned = true
-			return fmt.Errorf("%w: coordinate %d", ErrAccumOverflow, j)
-		}
+	if j := addSpan(p.Cols, contrib, weight, 0); j < len(contrib) {
+		p.poisoned = true
+		return fmt.Errorf("%w: coordinate %d", ErrAccumOverflow, j)
 	}
 	if p.WeightLo, p.WeightHi, ok = fixAdd(p.WeightLo, p.WeightHi, wlo, whi); !ok {
 		p.poisoned = true

@@ -1,0 +1,208 @@
+package fl
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// refFold is Partial.Fold's column loop one coordinate at a time, every
+// product through fixFromFloat and every sum through fixAdd, stopping at
+// the first failure: the reference the fold kernel (addHalves, addSpan)
+// must match bit for bit. It returns the failing coordinate, or -1.
+func refFold(cols []uint64, contrib []float64, w float64) int {
+	for j, v := range contrib {
+		plo, phi, pok := fixFromFloat(w * v)
+		c := cols[2*j : 2*j+2]
+		var sok bool
+		c[0], c[1], sok = fixAdd(c[0], c[1], plo, phi)
+		if !(pok && sok) {
+			return j
+		}
+	}
+	return -1
+}
+
+// foldMix returns n scalars in runs of one kind each, so the fold's fast
+// loop starts and stops at random coordinates on both sides of block and
+// shard edges: model-sized values, integers (every product wide), any
+// magnitude up to 2^62 (column overflow), the edges of fixFromHalf's
+// range, zeros and subnormals, and — unless finite — NaN and ±Inf.
+// Values of 1e300 turn into an infinite product under a large weight.
+func foldMix(rng *rand.Rand, n int, finite bool) []float64 {
+	edges := []float64{0, math.Copysign(0, -1), 0.5, -0.5, math.Nextafter(0.5, 0), math.Nextafter(-0.5, 0),
+		0x1p-1074, -0x1p-1070, 0x1p-65, 3 * 0x1p-66, 1e300}
+	v := make([]float64, n)
+	for i := 0; i < n; {
+		kind := rng.Intn(8)
+		for run := 1 + rng.Intn(300); run > 0 && i < n; run, i = run-1, i+1 {
+			switch kind {
+			case 0, 1, 2:
+				v[i] = rng.NormFloat64() * 0.05
+			case 3:
+				v[i] = float64(rng.Intn(17) - 8)
+			case 4:
+				v[i] = math.Ldexp(rng.Float64()-0.5, rng.Intn(130)-66)
+			case 5:
+				v[i] = edges[rng.Intn(len(edges))]
+			case 6:
+				v[i] = math.Ldexp(float64(rng.Intn(3)-1), 62)
+			case 7:
+				if finite {
+					v[i] = 1e300
+				} else {
+					v[i] = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[rng.Intn(3)]
+				}
+			}
+		}
+	}
+	return v
+}
+
+// foldWeight draws a client weight: zero (a skipped client), the small
+// integers of the synthetic benchmarks, a random fraction, or a weight
+// large enough to widen every product and overflow 1e300 to infinity.
+func foldWeight(rng *rand.Rand) float64 {
+	switch rng.Intn(6) {
+	case 0:
+		return 0
+	case 1, 2:
+		return float64(1 + rng.Intn(3))
+	case 3:
+		return 1e10
+	default:
+		return rng.Float64() * 4
+	}
+}
+
+// overflowAfterWide returns four one-coordinate contributions whose
+// column the wide ones bring within 2^20 of +2^127 — 2^62, 2^62−2^9 and
+// 2^9−2^-44 in fixed point — so the fourth, a fast-path 0.25, overflows
+// it; sign flips the column to −2^127.
+func overflowAfterWide(sign float64) [][]float64 {
+	return [][]float64{{sign * 0x1p62}, {sign * (0x1p62 - 0x1p9)}, {sign * (0x1p9 - 0x1p-44)}, {sign * 0.25}}
+}
+
+// TestWeightedMeanMatchesColumnReference holds the block fold of the mean
+// to serialWeightedMean, one coordinate at a time, bit for bit — NaN
+// columns included — over random mixes at dimensions that cut blocks and
+// shards at every alignment, with 1 and 3 workers.
+func TestWeightedMeanMatchesColumnReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	for _, workers := range []int{1, 3} {
+		a := NewAggregator(workers)
+		for _, dim := range []int{1, foldBlockLen - 1, foldBlockLen, foldBlockLen + 1, minChunk + 300, 60013} {
+			trials := 12
+			if dim > 10_000 {
+				trials = 3
+			}
+			for trial := 0; trial < trials; trial++ {
+				clients := 1 + rng.Intn(6)
+				contribs := make([][]float64, clients)
+				weights := make([]float64, clients)
+				for k := range contribs {
+					if weights[k] = foldWeight(rng); weights[k] != 0 || rng.Intn(2) == 0 {
+						contribs[k] = foldMix(rng, dim, false)
+					}
+				}
+				checkMeanMatches(t, a, fmt.Sprintf("workers=%d dim=%d trial=%d", workers, dim, trial), contribs, weights)
+			}
+		}
+		for _, sign := range []float64{1, -1} {
+			c := overflowAfterWide(sign)
+			checkMeanMatches(t, a, fmt.Sprintf("workers=%d overflow after wide, sign %v", workers, sign), c, []float64{1, 1, 1, 1})
+			dst := make([]float64, 1)
+			if a.WeightedMean(dst, c, []float64{1, 1, 1, 1}); !math.IsNaN(dst[0]) {
+				t.Fatalf("workers=%d: overflowing column folded to %v, want NaN", workers, dst[0])
+			}
+		}
+		a.Close()
+	}
+}
+
+func checkMeanMatches(t *testing.T, a *Aggregator, name string, contribs [][]float64, weights []float64) {
+	t.Helper()
+	dim := 0
+	for _, c := range contribs {
+		dim = max(dim, len(c))
+	}
+	got, want := make([]float64, dim), make([]float64, dim)
+	if g, w := a.WeightedMean(got, contribs, weights), serialWeightedMean(want, contribs, weights); g != w {
+		t.Fatalf("%s: aggregated=%v, reference says %v", name, g, w)
+	}
+	for j := range want {
+		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+			t.Fatalf("%s: coordinate %d = %v (%#x), reference %v (%#x)",
+				name, j, got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
+		}
+	}
+}
+
+// TestPartialFoldMatchesColumnReference holds Partial.Fold to refFold:
+// the same column words after every fold, the same coordinate named when
+// a conversion or a carry fails, and from then on a poisoned partial
+// that refuses further folds. Columns start fresh (zero) on the first
+// fold and from earlier sums on every later one.
+func TestPartialFoldMatchesColumnReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(4848))
+	for _, dim := range []int{1, foldBlockLen - 1, foldBlockLen + 1, minChunk + 300} {
+		for trial := 0; trial < 30; trial++ {
+			var p Partial
+			ref := make([]uint64, 2*dim)
+			for fold := 0; fold < 6; fold++ {
+				contrib, w := foldMix(rng, dim, true), foldWeight(rng)
+				if fold == 0 && trial%3 == 0 {
+					w = 1 // keep fresh folds that fail
+				}
+				name := fmt.Sprintf("dim=%d trial=%d fold=%d", dim, trial, fold)
+				if !checkFoldMatches(t, name, &p, ref, contrib, w) {
+					break
+				}
+			}
+		}
+	}
+	for _, sign := range []float64{1, -1} {
+		var p Partial
+		ref := make([]uint64, 2)
+		for i, c := range overflowAfterWide(sign) {
+			if ok := checkFoldMatches(t, fmt.Sprintf("overflow after wide, sign %v, fold %d", sign, i), &p, ref, c, 1); ok != (i < 3) {
+				t.Fatalf("sign %v fold %d: fold succeeded=%v", sign, i, ok)
+			}
+		}
+	}
+}
+
+// checkFoldMatches folds contrib into p and into the reference columns
+// and fails unless both agree; it reports whether the fold succeeded.
+func checkFoldMatches(t *testing.T, name string, p *Partial, ref []uint64, contrib []float64, w float64) bool {
+	t.Helper()
+	err := p.Fold(contrib, w)
+	bad := refFold(ref, contrib, w)
+	if bad < 0 {
+		if err != nil {
+			t.Fatalf("%s: Fold failed where the reference folds: %v", name, err)
+		}
+	} else {
+		want := fmt.Sprintf("coordinate %d", bad)
+		if !errors.Is(err, ErrAccumOverflow) || err.Error() != fmt.Errorf("%w: %s", ErrAccumOverflow, want).Error() {
+			t.Fatalf("%s: Fold error %v, reference fails at %s", name, err, want)
+		}
+		if !p.Poisoned() {
+			t.Fatalf("%s: failed fold did not poison", name)
+		}
+	}
+	for i := range ref {
+		if p.Cols[i] != ref[i] {
+			t.Fatalf("%s: column word %d = %#x, reference %#x", name, i, p.Cols[i], ref[i])
+		}
+	}
+	if bad >= 0 {
+		if err := p.Fold(contrib, w); !errors.Is(err, ErrAccumOverflow) {
+			t.Fatalf("%s: poisoned partial folded again: %v", name, err)
+		}
+		return false
+	}
+	return true
+}

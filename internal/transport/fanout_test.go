@@ -57,7 +57,8 @@ func joinPipe(t *testing.T, srv *Server, join *JoinMsg) (net.Conn, *WelcomeMsg) 
 	t.Helper()
 	server, peer := net.Pipe()
 	t.Cleanup(func() { closeQuietly(peer) })
-	go srv.serveConn(srv.track(server))
+	cc := srv.track(server)
+	srv.spawn(func() { srv.serveConn(cc) })
 	if err := writeMsg(peer, 5*time.Second, join, nil); err != nil {
 		t.Fatalf("join %q: %v", join.SessionKey, err)
 	}

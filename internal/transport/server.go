@@ -176,6 +176,10 @@ type Server struct {
 
 	// done is closed when Run returns; it unblocks reader goroutines.
 	done chan struct{}
+	// wg counts the goroutines Run starts (spawn) — the accept loop and
+	// each connection's reader and writer — and Run joins them before it
+	// returns.
+	wg sync.WaitGroup
 	// events carries decoded updates and connection failures to the engine.
 	events chan event
 	// regReady is closed once all NumClients sessions registered.
@@ -453,8 +457,11 @@ func (s *Server) Sessions() int {
 // otherwise the newest full-length commit (or Init when none), which
 // misses whatever compacted, mask-elided commits updated after it. It
 // honours ctx cancellation by tearing down the listener and all
-// connections.
+// connections. It returns only once every goroutine it started has ended:
+// done releases those posting an event, the teardown closes every socket
+// the others block on, and wg joins them.
 func (s *Server) Run(ctx context.Context) ([]float64, error) {
+	defer s.wg.Wait()
 	defer close(s.done)
 	defer func() {
 		if s.store != nil {
@@ -483,7 +490,7 @@ func (s *Server) Run(ctx context.Context) ([]float64, error) {
 	}()
 
 	// Tear everything down if the context is cancelled.
-	defer context.AfterFunc(ctx, func() {
+	defer watch(ctx, func() {
 		closeQuietly(s.ln)
 		s.mu.Lock()
 		for cc := range s.conns {
@@ -492,7 +499,7 @@ func (s *Server) Run(ctx context.Context) ([]float64, error) {
 		s.mu.Unlock()
 	})()
 
-	go s.acceptLoop()
+	s.spawn(s.acceptLoop)
 
 	// Registration barrier: all NumClients sessions must exist before
 	// round 0 (reconnects of registered sessions are fine meanwhile).

@@ -266,6 +266,15 @@ func (s *Server) flush(ctx context.Context) error {
 	return firstErr
 }
 
+// spawn runs f in a goroutine that Run joins before it returns.
+func (s *Server) spawn(f func()) {
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		f()
+	}()
+}
+
 // acceptLoop accepts connections for the whole run. It does no I/O on
 // them: each gets its own goroutine (serveConn) from its join to its
 // close, so a peer that stalls its handshake delays no one else's.
@@ -276,7 +285,7 @@ func (s *Server) acceptLoop() {
 			return // listener closed: shutdown or cancellation
 		}
 		if cc := s.track(conn); cc != nil {
-			go s.serveConn(cc)
+			s.spawn(func() { s.serveConn(cc) })
 		}
 	}
 }
@@ -308,7 +317,7 @@ func (s *Server) serveConn(cc *countingConn) {
 		s.retire(sess, gen, err)
 		return
 	}
-	go s.writer(sess, gen)
+	s.spawn(func() { s.writer(sess, gen) })
 	s.reader(sess, gen, cc)
 }
 

@@ -102,10 +102,26 @@ func jitterStream(seed, base int64, key, name string) *rand.Rand {
 // any I/O on it. The returned stop ends the watch and drops whatever
 // connection is still open.
 func (u *uplink) watch(ctx context.Context) (stop func()) {
-	unwatch := context.AfterFunc(ctx, u.drop)
+	unwatch := watch(ctx, u.drop)
 	return func() {
 		unwatch()
 		u.drop()
+	}
+}
+
+// watch runs f in its own goroutine once ctx is cancelled, until the
+// returned stop is called. stop waits for an f that already started, so
+// nothing the watch started outlives it; it must be called once.
+func watch(ctx context.Context, f func()) (stop func()) {
+	done := make(chan struct{})
+	unwatch := context.AfterFunc(ctx, func() {
+		defer close(done)
+		f()
+	})
+	return func() {
+		if !unwatch() {
+			<-done
+		}
 	}
 }
 

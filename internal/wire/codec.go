@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"sync"
 
 	"apf/internal/checkpoint"
@@ -222,8 +221,8 @@ const (
 )
 
 // FrameReader reads frames off a stream. The dense kinds (KindUpdate,
-// KindGlobal) stream their floats through one reused 64 KiB chunk straight
-// into a destination the caller supplies, so a model-sized frame costs no
+// KindGlobal) stream their floats 64 KiB at a time straight into a
+// destination the caller supplies, so a model-sized frame costs no
 // model-sized body buffer; every other kind is read whole and decoded as
 // Decode does. Errors are Decode's, with truncation reported as a
 // truncated header or frame. A FrameReader serves one stream at a time.
@@ -236,7 +235,7 @@ type FrameReader struct {
 
 	// head holds a frame's header, a dense kind's fixed fields and float
 	// count, and (last) its trailer; chunk is the span the floats stream
-	// through.
+	// through on a big-endian host.
 	head  [checkpoint.HeaderLen + updatePrefixLen + 8 + checkpoint.TrailerLen]byte
 	chunk []byte
 }
@@ -301,31 +300,43 @@ func (fr *FrameReader) Read(r io.Reader, limit int) (Msg, error) {
 	return &UpdateMsg{Round: fixed.Int(), Weight: fixed.F64(), MaskHash: fixed.U64(), Payload: payload}, nil
 }
 
-// readFloats streams count little-endian float64s from r through the
-// chunk into a vector from Alloc, folding their bytes into the running
-// checksum sum.
+// readFloats streams count little-endian float64s from r into a vector
+// from Alloc, folding their bytes into the running checksum sum. On a
+// little-endian host the frame's bytes are the vector's memory, so they
+// are read straight into it (checkpoint.F64Bytes) a chunk at a time, and
+// each chunk is checksummed while it is still in cache; elsewhere they
+// pass through the reused chunk buffer and the portable conversion.
 func (fr *FrameReader) readFloats(r io.Reader, count int, sum uint32) ([]float64, uint32, error) {
-	if want := min(8*count, frameChunk); len(fr.chunk) < want {
-		fr.chunk = make([]byte, want)
-	}
 	var dst []float64
 	if fr.Alloc != nil {
-		dst = fr.Alloc(count)
+		dst = fr.Alloc(count)[:count]
 	} else {
 		dst = make([]float64, count)
 	}
-	for rest := dst[:count]; len(rest) > 0; {
+	if b := checkpoint.F64Bytes(dst); b != nil {
+		for len(b) > 0 {
+			n := min(len(b), frameChunk)
+			if _, err := io.ReadFull(r, b[:n]); err != nil {
+				return nil, 0, truncated(err)
+			}
+			sum = crc32.Update(sum, crc32.IEEETable, b[:n])
+			b = b[n:]
+		}
+		return dst, sum, nil
+	}
+	if want := min(8*count, frameChunk); len(fr.chunk) < want {
+		fr.chunk = make([]byte, want)
+	}
+	for rest := dst; len(rest) > 0; {
 		b := fr.chunk[:8*min(len(rest), len(fr.chunk)/8)]
 		if _, err := io.ReadFull(r, b); err != nil {
 			return nil, 0, truncated(err)
 		}
 		sum = crc32.Update(sum, crc32.IEEETable, b)
-		for i := range len(b) / 8 {
-			rest[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-		}
+		checkpoint.GetF64s(rest[:len(b)/8], b)
 		rest = rest[len(b)/8:]
 	}
-	return dst[:count], sum, nil
+	return dst, sum, nil
 }
 
 // readWhole reads the rest of a frame of an n-byte payload whose first

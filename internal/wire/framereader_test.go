@@ -303,3 +303,38 @@ func TestStoreAndWireFramesDoNotMix(t *testing.T) {
 		t.Fatalf("Load past a wire frame: (%d, %q, %d records, %v, %v), want generation 1 with its record", rounds, payload, len(wal), found, err)
 	}
 }
+
+// TestFrameReaderKeepsBitPatterns streams dense frames whose floats are
+// NaN payloads, ±0, subnormals and ±Inf straight into a reused, dirty
+// vector: every scalar arrives bit for bit at lengths 1, odd, and past
+// one chunk, and a stream cut inside the floats is ErrCorrupt.
+func TestFrameReaderKeepsBitPatterns(t *testing.T) {
+	patterns := []uint64{0x7ff8000000000001, 0xfff4000000000abc, 0, 1 << 63, 1, 0x800fffffffffffff,
+		0x7ff0000000000000, 0xfff0000000000000, 0x3fe0000000000000}
+	dst := make([]float64, 3*frameChunk/8)
+	fr := FrameReader{Alloc: func(n int) []float64 { return dst[:n] }}
+	for _, n := range []int{1, 9, frameChunk/8 + 3} {
+		p := make([]float64, n)
+		for i := range p {
+			p[i] = math.Float64frombits(patterns[i%len(patterns)] ^ uint64(i/len(patterns)))
+		}
+		for i := range dst {
+			dst[i] = math.Float64frombits(0x5555555555555555)
+		}
+		frame := Encode(&GlobalMsg{Round: 3, Participants: 2, Payload: p})
+		m, err := fr.Read(bytes.NewReader(frame), 0)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		got := m.(*GlobalMsg).Payload
+		for i := range p {
+			if math.Float64bits(got[i]) != math.Float64bits(p[i]) {
+				t.Fatalf("n=%d scalar %d: read %#x, sent %#x", n, i, math.Float64bits(got[i]), math.Float64bits(p[i]))
+			}
+		}
+		cut := len(frame) - checkpoint.TrailerLen - 8*n + 8*n/2 + 3
+		if _, err := fr.Read(bytes.NewReader(frame[:cut]), 0); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("n=%d cut inside the floats: %v, want ErrCorrupt", n, err)
+		}
+	}
+}
