@@ -153,19 +153,31 @@ func BenchmarkEMATrackerObserve(b *testing.B) {
 // (rollback + upload + compact codec + download/check) over the
 // Dim × frozen-ratio grid. The /telemetry variants attach a live
 // telemetry registry through the manager's observer hook. The apf#
-// variant is sparse-q16-durable's manager: dim 264,970, a stability check
-// and a 0.9 APF# draw every round, after a local step over every scalar.
-// For working measurements only: the tracked timings of these paths are
-// bench/'s core.*_ms and trace.overhead_frac rows.
+// variants are sparse-q16-durable's manager: dim 264,970, a stability
+// check and a 0.9 APF# draw every round, after a local step over every
+// scalar (drift, where no scalar turns stable) or over every other one
+// (settle, where the still half turns stable and the check takes its
+// stability-frozen branch); both report the warm manager's live heap per
+// scalar (B/scalar). For working measurements only: the tracked timings
+// of these paths are bench/'s core.*_ms and trace.overhead_frac rows.
 func BenchmarkManagerRound(b *testing.B) {
-	b.Run("apf#/dim=264970/check=1", func(b *testing.B) {
-		m, x, start := newRandomManagerAt(264_970)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			driftRound(m, start+i, x)
-		}
-	})
+	for _, v := range []struct {
+		name  string
+		drive func(*core.Manager, int, []float64)
+	}{{"drift", driftRound}, {"settle", settleRound}} {
+		b.Run("apf#/dim=264970/check=1/"+v.name, func(b *testing.B) {
+			x := make([]float64, 264_970)
+			var m *core.Manager
+			var start int
+			perScalar := bytesPerScalar(x, func() { m, start = newRandomManagerAt(x, v.drive) })
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v.drive(m, start+i, x)
+			}
+			b.ReportMetric(perScalar, "B/scalar")
+		})
+	}
 	for _, c := range roundCases() {
 		b.Run(fmt.Sprintf("dim=%d/frozen=%.2f", c.Dim, c.Frozen), func(b *testing.B) {
 			m, x, start := newManagerAt(c.Dim, c.Frozen, nil)

@@ -27,6 +27,7 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"testing"
@@ -124,16 +125,33 @@ func steadyRound(m *core.Manager, round int, x []float64) {
 
 // newRandomManagerAt returns an APF# manager in sparse-q16-durable's shape
 // (a check every round, each unstable scalar frozen with probability 0.9
-// for one round) over dim scalars, warmed past its first checks, with its
-// model and the next round to drive through driftRound.
-func newRandomManagerAt(dim int) (*core.Manager, []float64, int) {
-	m := core.NewManager(core.Config{Dim: dim, Seed: 1, CheckEveryRounds: 1,
+// for one round) over the model x, warmed past its first checks by the
+// given round driver (driftRound or settleRound), and the next round to
+// drive.
+func newRandomManagerAt(x []float64, drive func(*core.Manager, int, []float64)) (*core.Manager, int) {
+	const warm = 4
+	m := core.NewManager(core.Config{Dim: len(x), Seed: 1, CheckEveryRounds: 1,
 		Random: core.RandomFreeze{Mode: core.RandomFixed, Prob: 0.9}})
-	x := make([]float64, dim)
-	for round := 0; round < 4; round++ {
-		driftRound(m, round, x)
+	for round := 0; round < warm; round++ {
+		drive(m, round, x)
 	}
-	return m, x, 4
+	return m, warm
+}
+
+// bytesPerScalar measures what build allocates and keeps the way table4
+// measures a manager: the live heap (HeapAlloc after a GC) before and
+// after, per scalar of the model x, which build may drive and which is
+// kept alive through the measurement. Whatever else build uses must be
+// allocated before the call.
+func bytesPerScalar(x []float64, build func()) float64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	build()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(x)
+	return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(len(x))
 }
 
 // driftRound is steadyRound after a local step that moves every scalar the
@@ -141,6 +159,17 @@ func newRandomManagerAt(dim int) (*core.Manager, []float64, int) {
 // draw.
 func driftRound(m *core.Manager, round int, x []float64) {
 	for j := range x {
+		x[j] += 0x1p-10
+	}
+	steadyRound(m, round, x)
+}
+
+// settleRound is driftRound with every other scalar standing still: its
+// checked update is 0, which is perfectly stable, so AIMD freezes it for
+// ever longer periods and the check takes its stability-frozen branch for
+// it, as sparse-q16-durable's check does for the scalars training settles.
+func settleRound(m *core.Manager, round int, x []float64) {
+	for j := 1; j < len(x); j += 2 {
 		x[j] += 0x1p-10
 	}
 	steadyRound(m, round, x)
@@ -239,6 +268,43 @@ func TestInstrumentedRoundIsAllocationFree(t *testing.T) {
 	// The observer really fired: the rounds counter tracks every round.
 	if got := reg.Snapshot()["apf_manager_rounds_total"]; got == 0 {
 		t.Fatal("observer never fired on the instrumented rounds")
+	}
+}
+
+// TestManagerFootprint pins what a warm manager holds at
+// sparse-q16-durable's model size, measured the way table4 measures it.
+// The state is 48 B/scalar (ref, the check baseline, the two EMAs and the
+// period at 8 bytes, the two round deadlines at 4) plus its bitmaps and
+// word generations; the one dim-length scratch adds 8, and the compact
+// buffer 8 per unfrozen scalar and a quarter. That is about 57.5 B/scalar
+// for an APF# manager (0.9 fixed) and about 64.5 for an APF manager with
+// nothing frozen. The limits sit halfway to what a second dim-length
+// scratch would add (8 B/scalar), so that one fails them and the
+// allocator's rounding does not.
+func TestManagerFootprint(t *testing.T) {
+	const dim = 264_970
+	x := make([]float64, dim)
+	var random *core.Manager
+	got := bytesPerScalar(x, func() { random, _ = newRandomManagerAt(x, driftRound) })
+	if r := random.FrozenRatio(); math.Abs(r-0.9) > 0.01 {
+		t.Fatalf("precondition: APF# frozen ratio %v, want about 0.9", r)
+	}
+	t.Logf("warm APF# manager: %.2f B/scalar", got)
+	if got < 48 || got > 61 {
+		t.Errorf("warm APF# manager holds %.1f B/scalar, want 48 to 61", got)
+	}
+	x = make([]float64, dim)
+	var plain *core.Manager
+	got = bytesPerScalar(x, func() {
+		plain = core.NewManager(core.Config{Dim: dim, Seed: 1})
+		steadyRound(plain, 0, x)
+	})
+	if r := plain.FrozenRatio(); r != 0 {
+		t.Fatalf("precondition: APF frozen ratio %v, want 0", r)
+	}
+	t.Logf("warm APF manager, nothing frozen: %.2f B/scalar", got)
+	if got < 48 || got > 68 {
+		t.Errorf("warm APF manager with nothing frozen holds %.1f B/scalar, want 48 to 68", got)
 	}
 }
 
@@ -408,7 +474,8 @@ func TestSteadyStateRoundAcrossCheckBoundary(t *testing.T) {
 		t.Errorf("rounds across check boundaries allocate %v times per round, want 0", avg)
 	}
 
-	r, xr, round := newRandomManagerAt(10_000)
+	xr := make([]float64, 10_000)
+	r, round := newRandomManagerAt(xr, driftRound)
 	checks := r.Checks()
 	avg = testing.AllocsPerRun(50, func() {
 		driftRound(r, round, xr)
@@ -422,6 +489,33 @@ func TestSteadyStateRoundAcrossCheckBoundary(t *testing.T) {
 	}
 	if avg != 0 {
 		t.Errorf("APF# rounds, each with a check, allocate %v times per round, want 0", avg)
+	}
+}
+
+// TestCompactBufferSettles pins the sizing rule of the compact buffer
+// (checkpoint.Refit) over long runs: once warm, 2,000 APF# rounds allocate
+// nothing, both while the unfrozen count is a binomial around a tenth of
+// the model (driftRound) and while it falls and rises as scalars turn
+// stable and thaw (settleRound). A buffer sized exactly to each round's
+// count, or with a sixteenth of headroom, is reallocated at new maxima of
+// drift's binomial; one replaced once the count falls under half its
+// capacity chases settle's count down and back up. All of these fail here.
+func TestCompactBufferSettles(t *testing.T) {
+	for _, d := range []struct {
+		name  string
+		drive func(*core.Manager, int, []float64)
+	}{{"drift", driftRound}, {"settle", settleRound}} {
+		x := make([]float64, 10_000)
+		m, round := newRandomManagerAt(x, d.drive)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for end := round + 2_000; round < end; round++ {
+			d.drive(m, round, x)
+		}
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Errorf("%s: 2,000 warm APF# rounds allocated %d times, want 0", d.name, n)
+		}
 	}
 }
 

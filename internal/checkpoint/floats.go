@@ -29,6 +29,24 @@ func F64Bytes(v []float64) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 8*len(v))
 }
 
+// Refit returns buf emptied for reuse by n scalars, or a new empty vector
+// with room for n and a quarter more (at most limit) when buf's capacity
+// is below n or above 4n. It is the one sizing rule of the recycled
+// vectors a compact (mask-elided) payload goes through: the APF manager's
+// compact upload and a server's decoded sparse updates. The headroom
+// absorbs a compact length that moves from round to round (APF#'s fresh
+// draw); the wide shrink bound drops the model-sized vectors of the
+// full-length first rounds once most scalars freeze, and nothing after:
+// the compact lengths of bench/'s sparse-q16-durable and converge and of
+// the hot-path fixtures (TestCompactBufferSettles) stay inside it. A
+// payload of limit scalars (a dense one) gets exactly limit.
+func Refit(buf []float64, n, limit int) []float64 {
+	if n <= cap(buf) && cap(buf) <= 4*n {
+		return buf[:0]
+	}
+	return make([]float64, 0, min(n+n/4, limit))
+}
+
 // PutF64s writes v into b as little-endian IEEE-754 bit patterns; b must
 // hold 8·len(v) bytes.
 func PutF64s(b []byte, v []float64) {

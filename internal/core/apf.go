@@ -42,6 +42,7 @@ import (
 	"math/bits"
 
 	"apf/internal/bitset"
+	"apf/internal/checkpoint"
 	"apf/internal/perturb"
 	"apf/internal/stats"
 )
@@ -157,9 +158,10 @@ type Manager struct {
 	lastCheck []float64 // values at the previous stability check
 	tracker   *perturb.EMATracker
 
-	period      []float64 // AIMD state, in rounds
-	unfreezeAt  []int     // round at which stability freezing expires
-	randomUntil []int     // round at which random freezing expires
+	period []float64 // AIMD state, in rounds
+	// Freezing deadlines, saturated at math.MaxInt32 (see deadline).
+	unfreezeAt  []int32 // round at which stability freezing expires
+	randomUntil []int32 // round at which random freezing expires
 
 	mask      *bitset.BitSet // frozen scalars for maskRound
 	maskRound int
@@ -191,12 +193,14 @@ type Manager struct {
 	// their round from it rather than guessing from the check count.
 	lastRound int
 
-	// Hot-path scratch, lazily sized to Dim and reused every round so
-	// steady-state rounds allocate nothing. Each buffer backs the return
-	// value of exactly one method; see the method contracts.
-	contribBuf []float64 // PrepareUpload
-	compactBuf []float64 // CompactUpload
-	denseBuf   []float64 // ExpandDownload
+	// Hot-path scratch, allocated on first use and reused every round so
+	// steady-state rounds allocate nothing; see the method contracts.
+	// scratch is Dim long and backs both PrepareUpload's contribution and
+	// ExpandDownload's dense global: no caller holds a contribution
+	// across a download. compact backs CompactUpload and is sized to the
+	// compact length (checkpoint.Refit), not to Dim.
+	scratch []float64
+	compact []float64
 }
 
 // NewManager constructs an APF manager.
@@ -214,8 +218,8 @@ func NewManager(cfg Config) *Manager {
 		lastCheck:      make([]float64, cfg.Dim),
 		tracker:        perturb.NewEMATracker(cfg.Dim, cfg.EMAAlpha),
 		period:         make([]float64, cfg.Dim),
-		unfreezeAt:     make([]int, cfg.Dim),
-		randomUntil:    make([]int, cfg.Dim),
+		unfreezeAt:     make([]int32, cfg.Dim),
+		randomUntil:    make([]int32, cfg.Dim),
 		mask:           bitset.New(cfg.Dim),
 		wordGen:        make([]uint32, (cfg.Dim+63)/64),
 		maskRound:      -1,
@@ -227,9 +231,25 @@ func NewManager(cfg Config) *Manager {
 	return m
 }
 
-// frozenAt reports whether scalar j is frozen during the given round.
-func (m *Manager) frozenAt(j, round int) bool {
-	return round < m.unfreezeAt[j] || round < m.randomUntil[j]
+// deadline returns the round at which a freeze of length rounds that
+// starts at round next expires, saturated at math.MaxInt32. Only
+// Permanent's period reaches the saturation point, and it means "forever"
+// for every round a run can reach; below it the deadline is next +
+// int(length) exactly.
+func deadline(next int, length float64) int32 {
+	if length < float64(math.MaxInt32-next) {
+		return int32(next + int(length))
+	}
+	return math.MaxInt32
+}
+
+// scratchFor returns the manager-owned scratch vector, allocated on first
+// use.
+func (m *Manager) scratchFor() []float64 {
+	if m.scratch == nil {
+		m.scratch = make([]float64, m.cfg.Dim)
+	}
+	return m.scratch
 }
 
 // refreshMask makes the freezing bitmap current for round. Scalars only
@@ -247,7 +267,7 @@ func (m *Manager) refreshMask(round int) {
 	count := 0
 	validUntil := math.MaxInt
 	m.mask.Fill(func(j int) bool {
-		until := max(m.unfreezeAt[j], m.randomUntil[j]) // j unfreezes at round until
+		until := int(max(m.unfreezeAt[j], m.randomUntil[j])) // j unfreezes at round until
 		if round >= until {
 			return false
 		}
@@ -277,16 +297,14 @@ func (m *Manager) PostIterate(round int, x []float64) {
 // bandwidth; only the unfrozen scalars are counted as pushed bytes.
 //
 // The returned slice is a manager-owned scratch buffer, overwritten by the
-// next PrepareUpload call; it never aliases x.
+// next PrepareUpload or ExpandDownload call; it never aliases x.
 func (m *Manager) PrepareUpload(round int, x []float64) ([]float64, float64, int64) {
 	m.checkDim(x)
 	m.refreshMask(round)
-	if m.contribBuf == nil {
-		m.contribBuf = make([]float64, m.cfg.Dim)
-	}
-	m.mask.Blend(m.contribBuf, m.ref, x)
+	contrib := m.scratchFor()
+	m.mask.Blend(contrib, m.ref, x)
 	unfrozen := m.cfg.Dim - m.maskCount
-	return m.contribBuf, 1, int64(unfrozen) * int64(m.cfg.BytesPerValue)
+	return contrib, 1, int64(unfrozen) * int64(m.cfg.BytesPerValue)
 }
 
 // ApplyDownload merges the aggregated unfrozen scalars into the local
@@ -368,7 +386,7 @@ func (m *Manager) stabilityCheck(round int, x []float64) {
 			stable := p < m.threshold
 			period[j] = m.cfg.Policy.NextPeriod(period[j], stable, step)
 			if stable && period[j] >= 1 {
-				unfreezeAt[j] = next + int(period[j])
+				unfreezeAt[j] = deadline(next, period[j])
 				ref[j] = x[j]
 			} else {
 				unfreezeAt[j] = 0
@@ -379,7 +397,7 @@ func (m *Manager) stabilityCheck(round int, x []float64) {
 		for j := base; j < end; j++ {
 			u := unfreezeAt[j]
 			switch {
-			case next < u:
+			case next < int(u):
 				// Frozen by stability: no draw (§5 freezes unstable
 				// scalars), and counted for threshold decay.
 				frozen++
@@ -390,7 +408,7 @@ func (m *Manager) stabilityCheck(round int, x []float64) {
 				if growing {
 					length = 1 + int(rng.Float64()*span)
 				}
-				randomUntil[j] = next + length
+				randomUntil[j] = deadline(next, float64(length))
 				// Random freezing can hit otherwise fully-frozen words.
 				touched = true
 			}
@@ -403,7 +421,7 @@ func (m *Manager) stabilityCheck(round int, x []float64) {
 				lastCheck[j] = x[j]
 				touched = true
 			}
-			if until := max(u, randomUntil[j]); next < until {
+			if until := int(max(u, randomUntil[j])); next < until {
 				nextBits |= 1 << (j - base)
 				count++
 				validUntil = min(validUntil, until)
@@ -469,35 +487,32 @@ func (m *Manager) randomFreezing(round int) (draws bool, prob, span float64) {
 // index order — the compact tensor of Alg. 1 line 4 (masked_select) that
 // actually crosses the wire.
 //
-// The returned slice is a manager-owned scratch buffer, overwritten by the
-// next CompactUpload call.
+// The returned slice is a manager-owned scratch buffer sized to the
+// compact length, overwritten by the next CompactUpload call.
 func (m *Manager) CompactUpload(round int, contrib []float64) []float64 {
 	m.checkDim(contrib)
 	m.refreshMask(round)
-	if cap(m.compactBuf) < m.cfg.Dim {
-		m.compactBuf = make([]float64, 0, m.cfg.Dim)
-	}
-	m.compactBuf = m.mask.GatherUnmasked(m.compactBuf[:0], contrib)
-	return m.compactBuf
+	m.compact = checkpoint.Refit(m.compact, m.cfg.Dim-m.maskCount, m.cfg.Dim)
+	m.compact = m.mask.GatherUnmasked(m.compact, contrib)
+	return m.compact
 }
 
 // ExpandDownload reconstructs the dense global vector from an aggregated
 // compact payload (Alg. 1 line 6, masked_fill), filling frozen entries from
 // the local reference values — which are identical on every client.
 //
-// The returned slice is a manager-owned scratch buffer, overwritten by the
-// next ExpandDownload call.
+// The returned slice is the manager-owned scratch buffer PrepareUpload
+// returns too, overwritten by the next PrepareUpload or ExpandDownload
+// call; compact must not alias it.
 func (m *Manager) ExpandDownload(round int, compact []float64) []float64 {
 	m.refreshMask(round)
 	unfrozen := m.cfg.Dim - m.maskCount
 	if len(compact) != unfrozen {
 		panic(fmt.Sprintf("core: compact payload length %d, want %d unfrozen scalars", len(compact), unfrozen))
 	}
-	if m.denseBuf == nil {
-		m.denseBuf = make([]float64, m.cfg.Dim)
-	}
-	m.mask.ScatterUnmasked(m.denseBuf, compact, m.ref)
-	return m.denseBuf
+	dense := m.scratchFor()
+	m.mask.ScatterUnmasked(dense, compact, m.ref)
+	return dense
 }
 
 // CompactLen returns the compact payload length for the given round (the

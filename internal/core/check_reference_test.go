@@ -18,7 +18,8 @@ import (
 // count, then a lazy Fill rebuild of the mask on the next access; and the
 // three mask passes of the old download. Only the two bitset/tracker
 // helpers the sweep deleted are spelled out per scalar (forEachClear, and
-// ObserveMasked over a Δ vector for the fold).
+// ObserveMasked over a Δ vector for the fold). Deadlines are written in
+// the manager's int32 form, saturated at math.MaxInt32.
 type refManager struct{ *Manager }
 
 // forEachClear calls fn for every scalar unfrozen under m's current mask.
@@ -41,7 +42,7 @@ func (m refManager) refreshMask(round int) {
 	count := 0
 	validUntil := math.MaxInt
 	m.mask.Fill(func(j int) bool {
-		u, r := m.unfreezeAt[j], m.randomUntil[j]
+		u, r := int(m.unfreezeAt[j]), int(m.randomUntil[j])
 		if round < u || round < r {
 			count++
 			if u < r {
@@ -127,7 +128,7 @@ func (m refManager) stabilityCheck(round int, x []float64) {
 		stable := p < m.threshold
 		m.period[j] = m.cfg.Policy.NextPeriod(m.period[j], stable, step)
 		if stable && m.period[j] >= 1 {
-			m.unfreezeAt[j] = round + 1 + int(m.period[j])
+			m.unfreezeAt[j] = int32(min(round+1+int(m.period[j]), math.MaxInt32))
 			m.ref[j] = x[j]
 		} else {
 			m.unfreezeAt[j] = 0
@@ -146,7 +147,7 @@ func (m refManager) stabilityCheck(round int, x []float64) {
 	if m.cfg.ThresholdDecayFrac > 0 || m.cfg.Observer != nil {
 		frozen := 0
 		for j := 0; j < m.cfg.Dim; j++ {
-			if round+1 < m.unfreezeAt[j] {
+			if round+1 < int(m.unfreezeAt[j]) {
 				frozen++
 			}
 		}
@@ -186,7 +187,7 @@ func (m refManager) applyRandomFreezing(round int) {
 	}
 	rng := stats.SplitRNG(m.cfg.Seed, int64(m.checkCount))
 	for j := 0; j < m.cfg.Dim; j++ {
-		if round+1 < m.unfreezeAt[j] {
+		if round+1 < int(m.unfreezeAt[j]) {
 			continue
 		}
 		if rng.Float64() >= prob {
@@ -197,7 +198,7 @@ func (m refManager) applyRandomFreezing(round int) {
 			maxLen := 1 + rf.LenGrowth*float64(round+1)
 			length = 1 + int(rng.Float64()*math.Max(0, maxLen-1))
 		}
-		m.randomUntil[j] = round + 1 + length
+		m.randomUntil[j] = int32(min(round+1+length, math.MaxInt32))
 		m.wordGen[j>>6] = uint32(round + 1)
 	}
 }

@@ -107,7 +107,10 @@ func TestQuickCompactCodecRoundTrip(t *testing.T) {
 				}
 			}
 			m.PostIterate(round, x)
-			contrib, _, _ := m.PrepareUpload(round, x)
+			// The contribution and the expansion share the manager's
+			// scratch, so the contribution is copied before expanding.
+			scratch, _, _ := m.PrepareUpload(round, x)
+			contrib := append([]float64(nil), scratch...)
 
 			compact := m.CompactUpload(round, contrib)
 			expanded := m.ExpandDownload(round, compact)

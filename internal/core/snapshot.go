@@ -58,8 +58,8 @@ func (m *Manager) Snapshot() *State {
 		LastCheck:   append([]float64(nil), m.lastCheck...),
 		Tracker:     m.tracker.Snapshot(),
 		Period:      append([]float64(nil), m.period...),
-		UnfreezeAt:  append([]int(nil), m.unfreezeAt...),
-		RandomUntil: append([]int(nil), m.randomUntil...),
+		UnfreezeAt:  widen(m.unfreezeAt),
+		RandomUntil: widen(m.randomUntil),
 		Threshold:   m.threshold,
 		CheckCount:  m.checkCount,
 		Initialized: m.initialized,
@@ -169,8 +169,8 @@ func (m *Manager) RestoreSnapshot(s *State) error {
 	bitset.ScatterWords(m.ref, s.Ref, words)
 	bitset.ScatterWords(m.lastCheck, s.LastCheck, words)
 	bitset.ScatterWords(m.period, s.Period, words)
-	bitset.ScatterWords(m.unfreezeAt, s.UnfreezeAt, words)
-	bitset.ScatterWords(m.randomUntil, s.RandomUntil, words)
+	bitset.ScatterWords(m.unfreezeAt, narrow(s.UnfreezeAt), words)
+	bitset.ScatterWords(m.randomUntil, narrow(s.RandomUntil), words)
 	for i, w := range words {
 		m.wordGen[w] = s.WordGen[i]
 	}
@@ -181,6 +181,28 @@ func (m *Manager) RestoreSnapshot(s *State) error {
 	m.lastRound = s.LastRound
 	m.maskRound = -1
 	return nil
+}
+
+// widen copies a manager's deadlines into a State's form.
+func widen(d []int32) []int {
+	out := make([]int, len(d))
+	for i, v := range d {
+		out[i] = int(v)
+	}
+	return out
+}
+
+// narrow converts a State's deadlines into the manager's form, saturating
+// at the int32 bounds: a Permanent deadline that a manager with 64-bit
+// deadlines wrote as next + MaxInt32 restores as MaxInt32 (frozen for
+// every reachable round), and every other reachable deadline converts
+// exactly.
+func narrow(d []int) []int32 {
+	out := make([]int32, len(d))
+	for i, v := range d {
+		out[i] = int32(min(max(v, math.MinInt32), math.MaxInt32))
+	}
+	return out
 }
 
 // EncodeState encodes a manager snapshot with the checkpoint.Writer

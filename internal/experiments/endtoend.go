@@ -269,7 +269,7 @@ func runTable4(scale Scale, seed int64) (*Output, error) {
 			fmt.Sprintf("%.1f%% of training footprint", 100*float64(memBytes)/float64(footprint)),
 		)
 	}
-	note := "APF memory is the live heap a manager holds after one warm round: two reference vectors, two EMA vectors, per-scalar periods/deadlines, the 1-bit mask and seeded bitmaps, per-word generations, and the three dim-length scratch buffers a transport round fills; time is a few linear passes per round"
+	note := "APF memory is the live heap a manager holds after one warm round: two reference vectors, two EMA vectors and per-scalar periods (8 bytes each), two int32 round deadlines, the 1-bit mask and seeded bitmaps, per-word generations, the one dim-length scratch vector that holds the upload and the expanded download, and the compact upload buffer, which is dim-length here because nothing is frozen after one round; time is a few linear passes per round"
 	return &Output{ID: "table4", Title: Title("table4"), Tables: []*metrics.Table{tbl}, Notes: []string{note}}, nil
 }
 

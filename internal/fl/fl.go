@@ -40,10 +40,12 @@ type SyncManager interface {
 	// aggregation weight (0 withholds the contribution entirely, as CMFL
 	// does for irrelevant updates), and the bytes pushed on the wire.
 	// The returned slice must not alias x; it may be manager-owned
-	// scratch, valid only until the next PrepareUpload call — callers
-	// that retain it across rounds must copy. (The engine consumes it
-	// before the round's download barrier; the transport encodes it
-	// synchronously.)
+	// scratch, valid only until the next PrepareUpload call — or, for a
+	// CompactCodec, the next ExpandDownload call, which may reuse the same
+	// scratch for the dense global. Callers that retain it must copy. (The
+	// engine consumes it before the round's download barrier and never
+	// expands; the transport encodes it, compacted first on a sparse
+	// cluster, before it reads the round's global.)
 	PrepareUpload(round int, x []float64) (contrib []float64, weight float64, upBytes int64)
 
 	// ApplyDownload merges the aggregated global vector into the local
@@ -67,8 +69,12 @@ type FrozenRatioReporter interface {
 // client's freezing mask is identical (transports guard this with a mask
 // hash per update).
 // Like PrepareUpload's contribution, both returned slices may be
-// manager-owned scratch, valid only until the next call of the same
-// method.
+// manager-owned scratch. CompactUpload's stays valid until the next
+// CompactUpload call. ExpandDownload's stays valid until the next
+// PrepareUpload or ExpandDownload call: it may share PrepareUpload's
+// scratch (core.Manager's does), so a contribution must be compacted, or
+// copied, before the round's global is expanded, and the compact payload
+// handed to ExpandDownload must not alias PrepareUpload's contribution.
 type CompactCodec interface {
 	// CompactUpload extracts the transmitted scalars from a dense
 	// contribution for the given round.

@@ -659,6 +659,43 @@ func TestEngineRecyclesEveryPayload(t *testing.T) {
 	}
 }
 
+// TestPayloadPoolSizesCompactVectors: a dense payload gets a model-sized
+// vector; a compact one a vector sized to it plus a quarter, reused while
+// the compact length moves within that room and a quarter of it; and a
+// vector more than four times a payload goes to the collector, so the
+// model-sized vectors of a sparse cluster's full-length first rounds do
+// not outlive them.
+func TestPayloadPoolSizesCompactVectors(t *testing.T) {
+	const dim = 1000
+	p := newPayloadPool(dim, 1)
+	first := p.get(dim)
+	if len(first) != dim || cap(first) != dim {
+		t.Fatalf("dense vector len %d cap %d, want %d", len(first), cap(first), dim)
+	}
+	p.put(first)
+	compact := p.get(100)
+	if len(compact) != 100 || cap(compact) != 125 || &compact[0] == &first[0] {
+		t.Fatalf("compact vector len %d cap %d (model-sized vector reused: %v), want a new one of cap 125",
+			len(compact), cap(compact), &compact[0] == &first[0])
+	}
+	p.put(compact)
+	for _, n := range []int{125, 32} {
+		if v := p.get(n); &v[0] != &compact[0] {
+			t.Fatalf("a compact length of %d did not reuse the vector of cap 125", n)
+		} else {
+			p.put(v)
+		}
+	}
+	if smaller := p.get(31); cap(smaller) != 38 {
+		t.Fatalf("a compact length under a quarter of the vector's capacity got cap %d, want 38", cap(smaller))
+	} else {
+		p.put(smaller)
+	}
+	if dense := p.get(dim); cap(dense) != dim {
+		t.Fatalf("dense vector cap %d after compact rounds, want %d", cap(dense), dim)
+	}
+}
+
 // TestEngineDuplicateNeverSharesAVector: a second update for the same
 // round on one connection goes back at once, while the admitted one stays
 // with the aggregator — so the next vector a reader takes is the

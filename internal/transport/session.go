@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"apf/internal/checkpoint"
 	"apf/internal/wire"
 )
 
@@ -454,12 +455,13 @@ func (s *Server) attach(cc *countingConn, join *JoinMsg) (*attachment, error) {
 	return a, nil
 }
 
-// payloadPool is the free list of model-sized vectors that connection
-// readers decode updates into and the round engine hands back once the
-// aggregator no longer holds them. It keeps at most one vector per peer —
-// a round's worth; a vector handed back beyond that (a flood of re-sends)
-// goes to the collector. A reader asks only once a frame's header has
-// arrived, so an idle connection holds no vector.
+// payloadPool is the free list of the vectors that connection readers
+// decode updates into and the round engine hands back once the aggregator
+// no longer holds them. It keeps at most one vector per peer — a round's
+// worth; a vector handed back beyond that (a flood of re-sends) goes to
+// the collector. A reader asks only once a frame's header has arrived, so
+// an idle connection holds no vector. Dense payloads get model-sized
+// vectors; compact ones get vectors sized to the payload (see get).
 type payloadPool struct {
 	dim  int
 	free chan []float64
@@ -469,29 +471,33 @@ func newPayloadPool(dim, peers int) *payloadPool {
 	return &payloadPool{dim: dim, free: make(chan []float64, peers)}
 }
 
-// get returns a vector of n ≤ dim scalars, recycled when one is free; its
-// contents are undefined.
+// get returns a vector of n scalars, recycled when a free one fits; its
+// contents are undefined. Vectors are sized by checkpoint.Refit: a dense
+// payload's is model-sized, a compact one's holds it and a quarter more,
+// and a free vector that does not fit goes to the collector, so the
+// model-sized vectors of a sparse cluster's full-length first rounds go
+// once the mask has frozen most scalars.
 func (p *payloadPool) get(n int) []float64 {
 	if n > p.dim {
 		return make([]float64, n)
 	}
+	var v []float64
 	select {
-	case v := <-p.free:
-		return v[:n]
+	case v = <-p.free:
 	default:
-		return make([]float64, n, p.dim)
 	}
+	return checkpoint.Refit(v, n, p.dim)[:n]
 }
 
 // put hands a vector back for reuse. Nothing may touch it afterwards. A
-// nil pool (in-process engines) and vectors of another capacity are
-// ignored.
+// nil pool (in-process engines), empty vectors and vectors larger than
+// the model are ignored.
 func (p *payloadPool) put(v []float64) {
-	if p == nil || cap(v) != p.dim {
+	if p == nil || cap(v) == 0 || cap(v) > p.dim {
 		return
 	}
 	select {
-	case p.free <- v[:p.dim]:
+	case p.free <- v[:cap(v)]:
 	default:
 	}
 }
@@ -499,7 +505,8 @@ func (p *payloadPool) put(v []float64) {
 // reader decodes one connection's updates into the event stream until the
 // connection fails; then it retires the session (a resumed connection has
 // a newer generation and stays attached). Dense payloads stream into the
-// server's recycled vectors, and so do sparse ones' dense expansions.
+// server's recycled vectors, and sparse ones decode into recycled vectors
+// sized to their compact payload.
 func (s *Server) reader(sess *session, gen int, cc *countingConn) {
 	if s.cfg.root() {
 		s.relayReader(sess, gen, cc)
@@ -516,14 +523,14 @@ func (s *Server) reader(sess *session, gen int, cc *countingConn) {
 				continue
 			case *SparseUpdateMsg:
 				if err = s.checkSparseUpdate(sess, u); err == nil {
-					// The engine aggregates the dense-expanded form; the
-					// sender's mask generation rides along for the round's
-					// cross-check.
+					// The engine aggregates the compact payload as float64
+					// scalars; the sender's mask generation rides along for
+					// the round's cross-check.
 					dense := &UpdateMsg{
 						Round:    u.Round,
 						Weight:   u.Weight,
 						MaskHash: u.MaskHash,
-						Payload:  u.Floats(s.payloads.get(0)),
+						Payload:  u.Floats(s.payloads.get(u.Scalars())),
 					}
 					s.post(event{id: sess.id, name: sess.name, upd: dense, maskGen: u.MaskGen})
 					continue
