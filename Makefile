@@ -94,7 +94,7 @@ examples:
 # (`bash bench/run.sh --trace 1`); what these paths must never do (allocate
 # at steady state) is pinned in tier-1.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkManagerRound$$|BenchmarkAggregate$$|BenchmarkPartialFold$$|BenchmarkWireDense$$|BenchmarkCheckpointF64s$$|BenchmarkFrameRead$$|BenchmarkAggregatorAdd$$|BenchmarkTrainStep$$|BenchmarkEngineRound$$' -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkManagerRound$$|BenchmarkStabilityCheck$$|BenchmarkAggregate$$|BenchmarkPartialFold$$|BenchmarkWireDense$$|BenchmarkCheckpointF64s$$|BenchmarkFrameRead$$|BenchmarkAggregatorAdd$$|BenchmarkTrainStep$$|BenchmarkEngineRound$$' -benchmem .
 
 # Scenario smoke: the CI subset of the adversary × network × data matrix,
 # race-enabled, over the real TCP transport. The run enforces the

@@ -199,6 +199,36 @@ func BenchmarkManagerRound(b *testing.B) {
 	}
 }
 
+// BenchmarkStabilityCheck times ApplyDownload on the check rounds of
+// sparse-q16-durable's manager (APF# at 0.9, a check every round), at the
+// benchmark's dim and at one whose state fits in L2, under the drift and
+// settle fixtures of BenchmarkManagerRound; the rest of each round runs
+// off the clock. ns/scalar divides by dim.
+func BenchmarkStabilityCheck(b *testing.B) {
+	for _, dim := range []int{16_384, 264_970} {
+		for _, v := range []struct {
+			name  string
+			step  func([]float64)
+			drive func(*core.Manager, int, []float64)
+		}{{"drift", driftStep, driftRound}, {"settle", settleStep, settleRound}} {
+			b.Run(fmt.Sprintf("dim=%d/%s", dim, v.name), func(b *testing.B) {
+				x := make([]float64, dim)
+				m, start := newRandomManagerAt(x, v.drive)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					v.step(x)
+					global := exchange(m, start+i, x)
+					b.StartTimer()
+					m.ApplyDownload(start+i, x, global)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(dim), "ns/scalar")
+			})
+		}
+	}
+}
+
 // BenchmarkAggregate measures the server-side weighted aggregation
 // through the sharded worker-pool reduction the engine uses: 10 synthetic
 // clients at 10k and 1M scalars, and one dense-256k round (4 clients'

@@ -116,11 +116,16 @@ func newManagerAt(dim int, frozen float64, obs core.Observer) (*core.Manager, []
 // directions, and the download merge (which runs the stability check on
 // boundaries).
 func steadyRound(m *core.Manager, round int, x []float64) {
+	m.ApplyDownload(round, x, exchange(m, round, x))
+}
+
+// exchange is steadyRound up to the download merge: it returns the dense
+// global that round's ApplyDownload takes.
+func exchange(m *core.Manager, round int, x []float64) []float64 {
 	m.PostIterate(round, x)
 	contrib, _, _ := m.PrepareUpload(round, x)
 	compact := m.CompactUpload(round, contrib)
-	dense := m.ExpandDownload(round, compact)
-	m.ApplyDownload(round, x, dense)
+	return m.ExpandDownload(round, compact)
 }
 
 // newRandomManagerAt returns an APF# manager in sparse-q16-durable's shape
@@ -158,10 +163,15 @@ func bytesPerScalar(x []float64, build func()) float64 {
 // same way, so no scalar ever turns stable and the mask stays APF#'s fresh
 // draw.
 func driftRound(m *core.Manager, round int, x []float64) {
+	driftStep(x)
+	steadyRound(m, round, x)
+}
+
+// driftStep is driftRound's local step.
+func driftStep(x []float64) {
 	for j := range x {
 		x[j] += 0x1p-10
 	}
-	steadyRound(m, round, x)
 }
 
 // settleRound is driftRound with every other scalar standing still: its
@@ -169,10 +179,15 @@ func driftRound(m *core.Manager, round int, x []float64) {
 // ever longer periods and the check takes its stability-frozen branch for
 // it, as sparse-q16-durable's check does for the scalars training settles.
 func settleRound(m *core.Manager, round int, x []float64) {
+	settleStep(x)
+	steadyRound(m, round, x)
+}
+
+// settleStep is settleRound's local step.
+func settleStep(x []float64) {
 	for j := 1; j < len(x); j += 2 {
 		x[j] += 0x1p-10
 	}
-	steadyRound(m, round, x)
 }
 
 // aggregateClients is the client count of the aggregation benchmark (the
@@ -507,16 +522,63 @@ func TestCompactBufferSettles(t *testing.T) {
 	}{{"drift", driftRound}, {"settle", settleRound}} {
 		x := make([]float64, 10_000)
 		m, round := newRandomManagerAt(x, d.drive)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for end := round + 2_000; round < end; round++ {
-			d.drive(m, round, x)
-		}
-		runtime.ReadMemStats(&after)
-		if n := after.Mallocs - before.Mallocs; n != 0 {
+		n := moduleMallocs(func() {
+			for end := round + 2_000; round < end; round++ {
+				d.drive(m, round, x)
+			}
+		})
+		if n != 0 {
 			t.Errorf("%s: 2,000 warm APF# rounds allocated %d times, want 0", d.name, n)
 		}
 	}
+}
+
+// moduleMallocs runs f and returns the heap allocations made during it
+// whose stack passes through this module's code. A process-wide count
+// (runtime.MemStats.Mallocs) also sees the runtime's own: a new OS thread
+// for an idle P, or the unique package's cleanup after a GC, allocates a
+// few objects now and then, which failed a zero pin on them about one run
+// in 30. With MemProfileRate at 1 the allocs profile records every
+// allocation with its stack.
+func moduleMallocs(f func()) int64 {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	before := moduleAllocs()
+	f()
+	return moduleAllocs() - before
+}
+
+// moduleAllocs is the allocs profile's count of objects allocated under
+// this module's functions, its own reads of the profile aside.
+func moduleAllocs() int64 {
+	runtime.GC() // the profile publishes what was allocated before a completed cycle
+	var recs []runtime.MemProfileRecord
+	for n, ok := runtime.MemProfile(nil, true); !ok; {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		n, ok = runtime.MemProfile(recs, true)
+		recs = recs[:n]
+	}
+	var total int64
+	for _, r := range recs {
+		module := false
+		frames := runtime.CallersFrames(r.Stack())
+		for more := true; more; {
+			var fr runtime.Frame
+			fr, more = frames.Next()
+			if strings.HasSuffix(fr.Function, ".moduleAllocs") {
+				module = false
+				break
+			}
+			if strings.HasPrefix(fr.Function, "apf/") || strings.HasPrefix(fr.Function, "apf.") ||
+				strings.HasPrefix(fr.Function, "apf_test.") {
+				module = true
+			}
+		}
+		if module {
+			total += r.AllocObjects
+		}
+	}
+	return total
 }
 
 // ---- Exact reduction: pinned bits; dense codec: pinned allocations ----

@@ -364,76 +364,88 @@ func (m *Manager) ApplyDownload(round int, x, global []float64) int64 {
 // sweep over the round's mask words, in ascending scalar order, that also
 // refreshes the check baseline, counts the stability-frozen scalars and
 // builds the next round's mask, so the next PostIterate rebuilds nothing.
+// Past the re-assessment of its clear bits, a word costs a few
+// branch-free passes over its 64 scalars, each yielding a bit per scalar.
 func (m *Manager) stabilityCheck(round int, x []float64) {
 	m.checkCount++
-	next := round + 1
+	next := int64(round + 1)
 	draws, prob, span := m.randomFreezing(round)
 	growing := m.cfg.Random.Mode == RandomGrowing
+	var hitBelow uint64
+	if draws && !growing {
+		hitBelow = stats.Threshold(prob)
+	}
+	oneRound := deadline(int(next), 1)
 	step := float64(m.cfg.CheckEveryRounds)
 	gen := uint32(next)
 	rng, lastCheck, ref := m.rng, m.lastCheck, m.ref
 	period, unfreezeAt, randomUntil := m.period, m.unfreezeAt, m.randomUntil
 	words := m.mask.Words()
-	frozen, count, validUntil := 0, 0, math.MaxInt
+	frozen, count := 0, 0
+	soonest := uint64(math.MaxUint64)
 	for w, frozenNow := range words {
 		base := w * 64
 		end := base + wordWidth(m.cfg.Dim, w)
+		full := fullWordBits(m.cfg.Dim, w)
 		// The mask governing round is exactly the frozen-now set: its
 		// clear bits are the scalars that trained since the last check.
-		for clear := ^frozenNow & fullWordBits(m.cfg.Dim, w); clear != 0; clear &= clear - 1 {
+		for clear := ^frozenNow & full; clear != 0; clear &= clear - 1 {
 			j := base + bits.TrailingZeros64(clear)
 			p := m.tracker.Fold(j, x[j]-lastCheck[j])
 			stable := p < m.threshold
 			period[j] = m.cfg.Policy.NextPeriod(period[j], stable, step)
 			if stable && period[j] >= 1 {
-				unfreezeAt[j] = deadline(next, period[j])
+				unfreezeAt[j] = deadline(int(next), period[j])
 				ref[j] = x[j]
 			} else {
 				unfreezeAt[j] = 0
 			}
 		}
-		touched := false
-		var nextBits uint64
-		for j := base; j < end; j++ {
-			u := unfreezeAt[j]
-			switch {
-			case next < int(u):
-				// Frozen by stability: no draw (§5 freezes unstable
-				// scalars), and counted for threshold decay.
-				frozen++
-			case !draws || rng.Float64() >= prob:
-				// No draw, or the draw leaves j training.
-			default:
-				length := 1
-				if growing {
-					length = 1 + int(rng.Float64()*span)
+		uw, rw := unfreezeAt[base:end], randomUntil[base:end]
+		// Frozen by stability: no draw (§5 freezes unstable scalars), and
+		// counted for threshold decay.
+		stableBits := frozenPast(next, uw)
+		frozen += bits.OnesCount64(stableBits)
+		var hits uint64
+		if draws {
+			cand := full &^ stableBits
+			if growing {
+				// APF++ draws each hit's length right after its hit.
+				for ; cand != 0; cand &= cand - 1 {
+					if rng.Float64() < prob {
+						length := 1 + int(rng.Float64()*span)
+						rw[bits.TrailingZeros64(cand)] = deadline(int(next), float64(length))
+						hits |= cand & -cand
+					}
 				}
-				randomUntil[j] = deadline(next, float64(length))
-				// Random freezing can hit otherwise fully-frozen words.
-				touched = true
-			}
-			// Refresh the check baseline, tracking which words it
-			// actually changes bit-wise: frozen rollback can move
-			// lastCheck inside words that are fully frozen this round (a
-			// randomly-frozen scalar whose x rolled back to ref since the
-			// last check), which ApplyDownload's unfrozen touch cannot see.
-			if math.Float64bits(lastCheck[j]) != math.Float64bits(x[j]) {
-				lastCheck[j] = x[j]
-				touched = true
-			}
-			if until := int(max(u, randomUntil[j])); next < until {
-				nextBits |= 1 << (j - base)
-				count++
-				validUntil = min(validUntil, until)
+			} else {
+				hits = rng.Hits(cand, hitBelow)
+				for set := hits; set != 0; set &= set - 1 {
+					rw[bits.TrailingZeros64(set)] = oneRound
+				}
 			}
 		}
-		words[w] = nextBits
-		if touched {
+		// Refresh the check baseline, tracking whether it changes the word
+		// bit-wise: frozen rollback can move lastCheck inside words that
+		// are fully frozen this round (a randomly-frozen scalar whose x
+		// rolled back to ref since the last check), which ApplyDownload's
+		// unfrozen touch cannot see. Random freezing can also hit
+		// otherwise fully-frozen words.
+		if refreshed(lastCheck[base:end], x[base:end]) || hits != 0 {
 			m.wordGen[w] = gen
 		}
+		nextBits, least := nextMaskWord(next, uw, rw)
+		words[w] = nextBits
+		count += bits.OnesCount64(nextBits)
+		soonest = min(soonest, least)
 	}
 	m.tracker.CountObservation()
-	m.maskRound, m.maskCount, m.maskValidUntil = next, count, validUntil-1
+	// The mask holds through round next + soonest, the last before its
+	// earliest deadline; with nothing frozen, for ever.
+	m.maskRound, m.maskCount, m.maskValidUntil = int(next), count, math.MaxInt-1
+	if count > 0 {
+		m.maskValidUntil = int(next + int64(soonest))
+	}
 
 	// Threshold decay (§6.1): halve once most parameters are frozen by
 	// *stability*. Randomly frozen scalars (APF#/APF++) say nothing about
@@ -450,6 +462,54 @@ func (m *Manager) stabilityCheck(round int, x []float64) {
 	if m.cfg.Observer != nil {
 		m.cfg.Observer.StabilityChecked(m.checkCount, round, frozen)
 	}
+}
+
+// The word passes below are kept out of line on purpose: inlined into
+// stabilityCheck's sweep, which holds more live values than there are
+// registers, their accumulators spill to the stack and every scalar pays a
+// store-to-load round trip; out of line, each runs in registers.
+
+// frozenPast returns the mask word whose bit i is set when next <
+// until[i]. next − until[i] is negative exactly then, for every int32
+// deadline.
+//
+//go:noinline
+func frozenPast(next int64, until []int32) uint64 {
+	var word uint64
+	for i, u := range until {
+		word |= uint64(next-int64(u)) >> 63 << (i & 63)
+	}
+	return word
+}
+
+// refreshed copies src over dst and reports whether that changed any bit.
+//
+//go:noinline
+func refreshed(dst, src []float64) bool {
+	dst = dst[:len(src)]
+	var diff uint64
+	for i, v := range src {
+		diff |= math.Float64bits(dst[i]) ^ math.Float64bits(v)
+	}
+	copy(dst, src)
+	return diff != 0
+}
+
+// nextMaskWord returns the mask word for round next of scalars that stay
+// frozen until max(u[i], r[i]): bit i is set when that lies past next.
+// least is the minimum of until − next − 1 over the set bits, which is
+// below 2⁶³ exactly for them; with no bit set it is 2⁶³ or more.
+//
+//go:noinline
+func nextMaskWord(next int64, u, r []int32) (word, least uint64) {
+	r = r[:len(u)]
+	least = math.MaxUint64
+	for i, v := range u {
+		d := uint64(int64(max(v, r[i])) - next - 1)
+		word |= ^d >> 63 << (i & 63)
+		least = min(least, d)
+	}
+	return word, least
 }
 
 // randomFreezing sets up the check's APF# / APF++ draws (§5): whether

@@ -245,6 +245,8 @@ func referenceConfig(dim, policy, random, every int, decay bool, seed int64) Con
 		{Mode: RandomOff},
 		{Mode: RandomFixed, Prob: 0.5},
 		{Mode: RandomGrowing, ProbGrowth: 0.03, LenGrowth: 0.4},
+		{Mode: RandomFixed, Prob: 0.9}, // sparse-q16-durable's APF#
+		{Mode: RandomFixed, Prob: 1},
 	}
 	cfg := Config{
 		Dim:                dim,
@@ -388,10 +390,11 @@ func checkAgainstReference(t *testing.T, cfg Config, seed int64, steps int) int 
 
 // TestStabilityCheckMatchesReference compares the one-sweep stability
 // check with the multi-pass reference over the five policies, the three
-// random-freezing modes, check intervals 1, 2 and 5, and decay on and off.
+// random-freezing modes (APF# at probabilities 0.5, 0.9 and 1), check
+// intervals 1, 2 and 5, and decay on and off.
 func TestStabilityCheckMatchesReference(t *testing.T) {
 	for policy := 0; policy < 5; policy++ {
-		for random := 0; random < 3; random++ {
+		for random := 0; random < 5; random++ {
 			for _, every := range []int{1, 2, 5} {
 				for _, decay := range []bool{false, true} {
 					seed := int64(policy*100 + random*10 + every)

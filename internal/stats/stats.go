@@ -162,16 +162,23 @@ const (
 // SplitStream yields SplitRNG(seed, stream).Float64()'s sequence bit for
 // bit without a rand.Rand per stream: it reads the source's first lagLen
 // outputs once per Reset and continues the source's recurrence itself, a
-// block of lagLen outputs at a time, converting each block to its Float64
-// values up front. Reset re-seeds the one retained source in place, so a
+// block of lagLen outputs at a time. Its draws read the raw outputs in
+// order: Float64 converts one, Hits compares a run of them with a
+// threshold. Reset re-seeds the one retained source in place, so a
 // SplitStream allocates only on its first Reset.
 type SplitStream struct {
 	src  rand.Source64
-	buf  [lagLen]uint64  // the current block of source outputs
-	vals [lagLen]float64 // the block's Float64 values, vals[:n]
-	n    int
-	next int // next unread index of vals
+	buf  [lagLen]uint64 // the current block of source outputs
+	next int            // next unread index of buf
 }
+
+// The low 63 bits of a source output, which rand.Rand.Float64 divides by
+// 2⁶³; and the least such value that the division rounds to 1, which
+// rand.Rand.Float64 skips by drawing again.
+const (
+	mask63    = 1<<63 - 1
+	roundsTo1 = 1<<63 - 1<<9
+)
 
 // Reset restarts the stream at SplitRNG(seed, stream)'s first value.
 func (s *SplitStream) Reset(seed, stream int64) {
@@ -182,17 +189,71 @@ func (s *SplitStream) Reset(seed, stream int64) {
 	for i := range s.buf {
 		s.buf[i] = s.src.Uint64()
 	}
-	s.convert()
+	s.next = 0
 }
 
 // Float64 returns the next value in [0, 1).
 func (s *SplitStream) Float64() float64 {
-	if s.next == s.n {
-		s.nextBlock()
+	return float64(int64(s.draw())) / (1 << 63)
+}
+
+// draw returns the low 63 bits of the next output that Float64 does not
+// skip.
+func (s *SplitStream) draw() uint64 {
+	for {
+		if s.next == lagLen {
+			s.nextBlock()
+		}
+		v := s.buf[s.next] & mask63
+		s.next++
+		if v < roundsTo1 {
+			return v
+		}
 	}
-	f := s.vals[s.next]
-	s.next++
-	return f
+}
+
+// Threshold returns the number of 63-bit outputs whose Float64 value lies
+// below prob: the integer t with Float64 < prob exactly when the output's
+// low 63 bits are below t. Converting an integer to float64 is monotone,
+// so those outputs are a prefix of [0, 2⁶³); t is found by bisection.
+func Threshold(prob float64) uint64 {
+	lo, hi := uint64(0), uint64(1<<63) // the outputs below lo hit, those from hi on do not
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if float64(int64(mid))/(1<<63) < prob {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// Hits draws one value for each set bit of cand, lowest bit first, and
+// returns the bits whose value falls below the probability that t =
+// Threshold(prob) stands for: bit for bit what testing Float64() < prob
+// bit by bit would set, without converting an output to float64.
+func (s *SplitStream) Hits(cand, t uint64) uint64 {
+	buf, i := &s.buf, s.next
+	var hits uint64
+	for ; cand != 0; cand &= cand - 1 {
+		if i == lagLen {
+			s.nextBlock()
+			i = 0
+		}
+		v := buf[i] & mask63
+		i++
+		if v >= roundsTo1 {
+			// Skipped, as Float64 skips it: draw again for this bit.
+			s.next = i
+			v = s.draw()
+			i = s.next
+		}
+		// v − t is negative exactly when the draw hits.
+		hits |= cand & -cand & uint64(int64(v-t)>>63)
+	}
+	s.next = i
+	return hits
 }
 
 // nextBlock overwrites buf with the following lagLen outputs, in place:
@@ -205,22 +266,7 @@ func (s *SplitStream) nextBlock() {
 	for i := lagTap; i < lagLen; i++ {
 		s.buf[i] += s.buf[i-lagTap]
 	}
-	s.convert()
-}
-
-// convert maps buf to Float64 values exactly as rand.Rand.Float64 does: an
-// output's low 63 bits over 2⁶³, dropping the output when that rounds to 1
-// (rand.Rand draws again).
-func (s *SplitStream) convert() {
-	n := 0
-	for _, v := range s.buf {
-		f := float64(int64(v&(1<<63-1))) / (1 << 63)
-		s.vals[n] = f
-		if f < 1 {
-			n++
-		}
-	}
-	s.n, s.next = n, 0
+	s.next = 0
 }
 
 // CellRNG derives the deterministic RNG of one cell of a seeded grid, so

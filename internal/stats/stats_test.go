@@ -191,7 +191,6 @@ func TestSplitStreamResamplesOne(t *testing.T) {
 	var s SplitStream
 	s.Reset(1, 1)
 	copy(s.buf[:], words)
-	s.convert()
 	src := wordSource(words)
 	want := rand.New(&src)
 	for i := 0; i < 3; i++ {
@@ -199,19 +198,136 @@ func TestSplitStreamResamplesOne(t *testing.T) {
 			t.Fatalf("draw %d is %v, want %v", i, got, w)
 		}
 	}
-	if len(src) != 0 || s.n != lagLen-3 {
-		t.Fatalf("the block keeps %d of %d outputs, want all but the three that round to 1", s.n, lagLen)
+	if len(src) != 0 || s.next != len(words) {
+		t.Fatalf("three draws read %d outputs, want all %d: the three that round to 1 are skipped", s.next, len(words))
 	}
 
 	s.Reset(1, 1)
 	s.buf[lagLen-1] = 1<<63 - 1
-	s.convert()
 	next := s.buf[0] + s.buf[lagLen-lagTap]
 	for i := 0; i < lagLen-1; i++ {
 		s.Float64()
 	}
 	if got, w := s.Float64(), float64(int64(next&(1<<63-1)))/(1<<63); got != w {
 		t.Fatalf("draw after a block ending in 1 is %v, want the next block's first %v", got, w)
+	}
+}
+
+// hitsProbs are the probabilities TestHitsMatchFloat64 draws under: none,
+// the least a 63-bit output can hit, APF#'s paper and benchmark settings,
+// the largest below 1, and 1.
+var hitsProbs = []float64{0, 0x1p-60, 0.5, 0.9, 1 - 0x1p-53, 1}
+
+// floatHits is the reference Hits: one rand.Rand Float64 draw per set bit
+// of cand, lowest first, compared with prob.
+func floatHits(r *rand.Rand, cand uint64, prob float64) uint64 {
+	var hits uint64
+	for ; cand != 0; cand &= cand - 1 {
+		if r.Float64() < prob {
+			hits |= cand & -cand
+		}
+	}
+	return hits
+}
+
+// lagSource is math/rand's lagged-Fibonacci recurrence run forward from a
+// given first block, one output at a time: the reference for a SplitStream
+// whose block was overwritten.
+type lagSource struct {
+	out []uint64
+	n   int
+}
+
+func (l *lagSource) Int63() int64 {
+	if l.n == len(l.out) {
+		l.out = append(l.out, l.out[l.n-lagLen]+l.out[l.n-lagTap])
+	}
+	l.n++
+	return int64(l.out[l.n-1] & (1<<63 - 1))
+}
+
+func (l *lagSource) Seed(int64) {}
+
+// TestHitsMatchFloat64 pins Hits, the integer form of APF#'s draws, to the
+// Float64 comparisons it replaces: for 24 (seed, stream) pairs and every
+// probability of hitsProbs, over empty, full, sparse, high-bit and random
+// candidate words (past several block ends), and with Float64 calls
+// interleaved as APF++ makes them (a length draw right after each hit). It
+// also pins Threshold's boundary and the redraw of outputs that round to
+// 1, at the start and at the end of a block.
+func TestHitsMatchFloat64(t *testing.T) {
+	fixed := []uint64{0, ^uint64(0), 1, 1 << 63, 0x8000_0000_0000_0001, 0x0101_0101_0101_0101, 0xffff_0000_0000_0000}
+	words := rand.New(rand.NewSource(3))
+	var s SplitStream
+	for _, seed := range []int64{-1 << 62, -1, 0, 1, 7, 123_456_789} {
+		for _, stream := range []int64{0, 1, 5, 1 << 33} {
+			for _, prob := range hitsProbs {
+				th := Threshold(prob)
+				s.Reset(seed, stream)
+				want := SplitRNG(seed, stream)
+				for k := 0; k < 64; k++ {
+					cand := words.Uint64()
+					if k%2 == 0 {
+						cand = fixed[k/2%len(fixed)]
+					}
+					if got, w := s.Hits(cand, th), floatHits(want, cand, prob); got != w {
+						t.Fatalf("seed %d stream %d prob %v word %d (%#x): hits %#x, want %#x", seed, stream, prob, k, cand, got, w)
+					}
+					if k%5 == 0 {
+						if got, w := s.Float64(), want.Float64(); got != w {
+							t.Fatalf("seed %d stream %d prob %v: Float64 after word %d is %v, want %v", seed, stream, prob, k, got, w)
+						}
+					}
+				}
+				// APF++: each candidate draws alone, and a hit draws its
+				// length next.
+				for k := 0; k < 700; k++ {
+					got := s.Hits(1, th) != 0
+					if w := want.Float64() < prob; got != w {
+						t.Fatalf("seed %d stream %d prob %v: interleaved draw %d hits %v, want %v", seed, stream, prob, k, got, w)
+					}
+					if got {
+						if l, w := s.Float64(), want.Float64(); l != w {
+							t.Fatalf("seed %d stream %d prob %v: length draw %d is %v, want %v", seed, stream, prob, k, l, w)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	value := func(v uint64) float64 { return float64(int64(v)) / (1 << 63) }
+	for _, prob := range append(hitsProbs, 0x1p-1074, 1e-18, 0.3, 0.75+0x1p-40, 1-0x1p-52) {
+		th := Threshold(prob)
+		if th > 0 && !(value(th-1) < prob) {
+			t.Errorf("Threshold(%v) = %d, but the value of %d, %v, is not below it", prob, th, th-1, value(th-1))
+		}
+		if th < 1<<63 && value(th) < prob {
+			t.Errorf("Threshold(%v) = %d, but its value %v is below it", prob, th, value(th))
+		}
+	}
+	if th := Threshold(1); th != 1<<63-1<<9 {
+		t.Errorf("Threshold(1) = %#x, want the first output that rounds to 1, %#x", th, uint64(1<<63-1<<9))
+	}
+
+	// A block crafted to hold outputs whose value rounds to 1, both where
+	// a word's draws start and where the block ends.
+	crafted := []uint64{1<<63 - 1, ^uint64(0), 1<<63 - 1<<9, 1<<63 - 1<<9 - 1, 1 << 62, 3}
+	for _, prob := range hitsProbs {
+		th := Threshold(prob)
+		s.Reset(9, 9)
+		copy(s.buf[:], crafted)
+		copy(s.buf[lagLen-3:], crafted[:3])
+		want := rand.New(&lagSource{out: append([]uint64(nil), s.buf[:]...)})
+		for k := 0; k < 24; k++ {
+			cand := ^uint64(0) >> (k % 3)
+			if got, w := s.Hits(cand, th), floatHits(want, cand, prob); got != w {
+				t.Fatalf("crafted block, prob %v word %d: hits %#x, want %#x", prob, k, got, w)
+			}
+		}
+		if got, w := s.Float64(), want.Float64(); got != w {
+			t.Fatalf("crafted block, prob %v: the draw after the words is %v, want %v", prob, got, w)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"time"
 
+	"apf/internal/checkpoint"
 	"apf/internal/data"
 	"apf/internal/fl"
 	"apf/internal/telemetry"
@@ -134,9 +135,15 @@ type clientRun struct {
 	inflightRound int
 
 	// frames reads the round loop's downloads; dense globals stream into
-	// down, one vector reused every round.
+	// down, one vector reused every round. A sparse global decodes into
+	// global, whose payload checkpoint.Refit sizes to the round's compact
+	// length; a sparse upload is built in upload, whose binary16 column
+	// is packed in place. Both are reused every round: each is done with
+	// before the next (the upload is encoded at once, the global applied).
 	frames wire.FrameReader
 	down   []float64
+	global GlobalMsg
+	upload SparseUpdateMsg
 }
 
 // RunClient connects to the server, trains for the announced number of
@@ -297,17 +304,19 @@ func (r *clientRun) prepare(round int, payload []float64, weight float64) {
 	if mr, ok := fl.As[fl.MaskReporter](r.rep.Manager); ok {
 		hash = HashMaskWords(mr.MaskWords())
 	}
-	var m wire.Msg = &UpdateMsg{Round: round, Payload: payload, Weight: weight, MaskHash: hash}
-	if r.cfg.Codec >= wire.CodecSparse {
-		gen := -1
-		if r.maskGenR != nil {
-			gen = r.maskGenR.MaskGeneration()
-		}
-		sp := &SparseUpdateMsg{Round: round, Weight: weight, MaskHash: hash, MaskGen: gen, Dim: r.dim, Enc: r.cfg.Codec.Enc()}
-		sp.Values, sp.Q = wire.PackSparse(sp.Enc, payload)
-		m = sp
+	if r.cfg.Codec < wire.CodecSparse {
+		r.inflight = wire.Append(r.inflight[:0], &UpdateMsg{Round: round, Payload: payload, Weight: weight, MaskHash: hash})
+		r.inflightRound = round
+		return
 	}
-	r.inflight = wire.Append(r.inflight[:0], m)
+	gen := -1
+	if r.maskGenR != nil {
+		gen = r.maskGenR.MaskGeneration()
+	}
+	sp := &r.upload
+	*sp = SparseUpdateMsg{Round: round, Weight: weight, MaskHash: hash, MaskGen: gen, Dim: r.dim, Enc: r.cfg.Codec.Enc(), Q: sp.Q}
+	sp.Values, sp.Q = wire.PackSparse(sp.Enc, payload, sp.Q)
+	r.inflight = wire.Append(r.inflight[:0], sp)
 	r.inflightRound = round
 }
 
@@ -338,7 +347,9 @@ func (r *clientRun) acceptGlobal(m wire.Msg, round int) (*GlobalMsg, error) {
 			return nil, fmt.Errorf("%w: round %d: server mask generation %d, local generation %d",
 				ErrMaskDivergence, round, g.MaskGen, r.maskGenR.MaskGeneration())
 		}
-		return &GlobalMsg{Round: g.Round, Participants: g.Participants, Payload: g.Floats(nil)}, nil
+		r.global = GlobalMsg{Round: g.Round, Participants: g.Participants,
+			Payload: g.Floats(checkpoint.Refit(r.global.Payload, g.Scalars(), r.dim))}
+		return &r.global, nil
 	}
 	return nil, protocolErrorf("round %d: expected a global frame, got %s", round, m.WireKind())
 }

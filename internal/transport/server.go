@@ -650,7 +650,7 @@ func (s *Server) roundFrame(g *GlobalMsg, meta roundMeta) []byte {
 		Dim:          len(s.cfg.Init),
 		Enc:          c.Enc(),
 	}
-	sg.Values, sg.Q = wire.PackSparse(c.Enc(), g.Payload)
+	sg.Values, sg.Q = wire.PackSparse(c.Enc(), g.Payload, nil)
 	return wire.Encode(sg)
 }
 

@@ -8,6 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"apf/internal/core"
+	"apf/internal/fl"
+	"apf/internal/quantize"
 	"apf/internal/telemetry"
 	"apf/internal/wire"
 )
@@ -147,4 +150,56 @@ func TestTCPSparseKillRestartBitExact(t *testing.T) {
 	f := newSimFixture(tinyModel)
 	sim := f.simGlobal()
 	requireMatchesSimulator(t, f.runKillRestart(t, wire.CodecSparse), sim)
+}
+
+// TestSparseQ16ClientRoundAllocations pins a warm sparse-q16 client
+// round's memory discipline: the upload packs its halves into the run's
+// buffer and the sparse global decodes into the run's vector (sized by
+// checkpoint.Refit), so neither allocates per round. The manager is
+// sparse-q16-durable's (APF# 0.9, a check every round), and the round's
+// aggregate is the client's own update, echoed back in binary16.
+func TestSparseQ16ClientRoundAllocations(t *testing.T) {
+	const dim = 1000
+	mgr := core.NewManager(core.Config{Dim: dim, Seed: 1, CheckEveryRounds: 1,
+		Random: core.RandomFreeze{Mode: core.RandomFixed, Prob: 0.9}})
+	r := &clientRun{
+		cfg:      ClientConfig{Codec: wire.CodecSparseQ16},
+		res:      &ClientResult{},
+		metrics:  newClientMetrics(nil),
+		log:      telemetry.With(nil),
+		rep:      &fl.Replica{X: make([]float64, dim), Manager: mgr},
+		codec:    mgr,
+		hasCodec: true,
+		maskGenR: mgr,
+		dim:      dim,
+		applied:  -1,
+	}
+	halves := make([]uint16, dim)
+	g := &wire.SparseGlobalMsg{Participants: 1, Dim: dim, Enc: wire.EncF16}
+	round := func() {
+		n := r.applied + 1
+		for j := range r.rep.X {
+			r.rep.X[j] += 0x1p-10
+		}
+		contrib, weight, _ := mgr.PrepareUpload(n, r.rep.X)
+		payload := mgr.CompactUpload(n, contrib)
+		r.prepare(n, payload, weight)
+		g.Round, g.MaskHash, g.MaskGen, g.Q = n, HashMaskWords(mgr.MaskWords()), mgr.MaskGeneration(), halves[:len(payload)]
+		for i, v := range payload {
+			g.Q[i] = quantize.Float64ToHalf(v)
+		}
+		global, err := r.acceptGlobal(g, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.applyGlobal(global); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		round()
+	}
+	if avg := testing.AllocsPerRun(100, round); avg != 0 {
+		t.Fatalf("a warm sparse-q16 client round allocates %v times, want 0", avg)
+	}
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"slices"
 
 	"apf/internal/checkpoint"
 	"apf/internal/quantize"
@@ -156,23 +157,25 @@ func sparseFloats(dst []float64, enc Enc, values []float64, q []uint16) []float6
 	if enc == EncF64 {
 		return append(dst[:0], values...)
 	}
-	dst = dst[:0]
-	for _, h := range q {
-		dst = append(dst, quantize.HalfToFloat64(h))
+	dst = slices.Grow(dst[:0], len(q))[:len(q)]
+	for i, h := range q {
+		dst[i] = quantize.HalfToFloat64(h)
 	}
 	return dst
 }
 
 // PackSparse converts float64 scalars into a sparse message's payload
 // columns under the given encoding: (vals, nil) for EncF64, (nil, halves)
-// for EncF16. The EncF16 column quantizes with round-to-nearest-even; a
-// sender that needs its local copy to match what the receiver decodes
-// should quantize.RoundTripSlice its values first.
-func PackSparse(enc Enc, vals []float64) ([]float64, []uint16) {
+// for EncF16. The EncF16 column is written into buf when it has the
+// capacity (a sender encoding each frame at once reuses one buffer), else
+// into a new slice. It quantizes with round-to-nearest-even; a sender
+// that needs its local copy to match what the receiver decodes should
+// quantize.RoundTripSlice its values first.
+func PackSparse(enc Enc, vals []float64, buf []uint16) ([]float64, []uint16) {
 	if enc == EncF64 {
 		return vals, nil
 	}
-	q := make([]uint16, len(vals))
+	q := slices.Grow(buf[:0], len(vals))[:len(vals)]
 	for i, v := range vals {
 		q[i] = quantize.Float64ToHalf(v)
 	}

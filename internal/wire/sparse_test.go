@@ -125,9 +125,9 @@ func TestFrameLengthClosedForm(t *testing.T) {
 		}
 		for enc, width := range map[Enc]int{EncF64: 8, EncF16: 2} {
 			up := &SparseUpdateMsg{Round: 3, Weight: 30, MaskHash: 7, MaskGen: 4, Dim: dim, Enc: enc}
-			up.Values, up.Q = PackSparse(enc, vals)
+			up.Values, up.Q = PackSparse(enc, vals, nil)
 			down := &SparseGlobalMsg{Round: 3, Participants: 2, MaskHash: 7, MaskGen: 4, Dim: dim, Enc: enc}
-			down.Values, down.Q = PackSparse(enc, vals)
+			down.Values, down.Q = PackSparse(enc, vals, nil)
 			frames = append(frames, sized{up, 64 + width*n}, sized{down, 64 + width*n})
 		}
 		for _, f := range frames {
@@ -215,7 +215,7 @@ func TestCodecStrings(t *testing.T) {
 func TestPackSparseAndFloats(t *testing.T) {
 	vals := []float64{1.5, -0.25, 1024}
 
-	v, q := PackSparse(EncF64, vals)
+	v, q := PackSparse(EncF64, vals, nil)
 	if q != nil || !reflect.DeepEqual(v, vals) {
 		t.Fatalf("EncF64 pack: %v, %v", v, q)
 	}
@@ -224,9 +224,10 @@ func TestPackSparseAndFloats(t *testing.T) {
 		t.Fatalf("EncF64 floats: %v", got)
 	}
 
-	v, q = PackSparse(EncF16, vals)
-	if v != nil || len(q) != len(vals) {
-		t.Fatalf("EncF16 pack: %v, %v", v, q)
+	buf := make([]uint16, 1, 8)
+	v, q = PackSparse(EncF16, vals, buf)
+	if v != nil || len(q) != len(vals) || &q[0] != &buf[0] {
+		t.Fatalf("EncF16 pack: %v, %v (want the halves in the buffer passed)", v, q)
 	}
 	g := &SparseGlobalMsg{Dim: 4, Enc: EncF16, Q: q}
 	want := quantize.RoundTripSlice(append([]float64(nil), vals...))
