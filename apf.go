@@ -76,24 +76,8 @@ const (
 	RandomGrowing = core.RandomGrowing
 )
 
-// MaskServer computes freezing masks centrally (§9's server-side
-// placement for compute-constrained clients); MaskClient is its thin
-// per-client counterpart. The two placements produce bit-identical masks.
-type (
-	MaskServer = core.MaskServer
-	MaskClient = core.MaskClient
-)
-
 // NewManager constructs an APF manager.
 func NewManager(cfg ManagerConfig) *Manager { return core.NewManager(cfg) }
-
-// NewMaskServer constructs the central mask computer (§9 placement).
-func NewMaskServer(cfg ManagerConfig) *MaskServer { return core.NewMaskServer(cfg) }
-
-// NewMaskClient constructs a thin client attached to a MaskServer.
-func NewMaskClient(srv *MaskServer, bytesPerValue int) *MaskClient {
-	return core.NewMaskClient(srv, bytesPerValue)
-}
 
 // ManagerFactoryFor adapts a ManagerConfig into the engine's per-client
 // factory; the flat model dimension is filled in per client.

@@ -61,10 +61,6 @@ func run(args []string) error {
 	if err := obs.Resolve(); err != nil {
 		return err
 	}
-	if !(*trimFrac >= 0 && *trimFrac < 0.5) {
-		return fmt.Errorf("-trim-frac %g outside [0, 0.5)", *trimFrac)
-	}
-
 	p, err := preset.Load(*model, *seed)
 	if err != nil {
 		return err

@@ -40,12 +40,6 @@ func (b *BitSet) Set(i int) {
 	b.words[i/wordBits] |= 1 << (i % wordBits)
 }
 
-// Clear clears bit i.
-func (b *BitSet) Clear(i int) {
-	b.check(i)
-	b.words[i/wordBits] &^= 1 << (i % wordBits)
-}
-
 // Get reports bit i.
 func (b *BitSet) Get(i int) bool {
 	b.check(i)

@@ -13,15 +13,6 @@ import (
 // allOnes is a fully set word.
 const allOnes = ^uint64(0)
 
-// SetWord overwrites backing word wi. Bits beyond Len in the final word
-// must be zero; they are cleared defensively.
-func (b *BitSet) SetWord(wi int, w uint64) {
-	if wi == len(b.words)-1 && b.n%wordBits != 0 {
-		w &= allOnes >> (wordBits - b.n%wordBits)
-	}
-	b.words[wi] = w
-}
-
 // tailMask returns the valid-bit mask of the final word (allOnes when the
 // length is word-aligned).
 func (b *BitSet) tailMask(wi int) uint64 {

@@ -24,17 +24,6 @@ func randomSet(t *testing.T, rng *rand.Rand, n int, p float64) (*BitSet, []bool)
 // lengths exercises word boundaries: sub-word, aligned, and ragged tails.
 var lengths = []int{0, 1, 63, 64, 65, 127, 128, 130, 1000}
 
-func TestSetWordClampsTail(t *testing.T) {
-	b := New(70)
-	b.SetWord(1, allOnes) // only bits 64..69 are valid
-	if got := b.Count(); got != 6 {
-		t.Fatalf("Count after SetWord = %d, want 6", got)
-	}
-	if _, err := FromWords(70, b.Words()); err != nil {
-		t.Fatalf("SetWord left invalid tail bits: %v", err)
-	}
-}
-
 func TestApplyMaskedUnmasked(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range lengths {

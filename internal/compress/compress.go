@@ -218,7 +218,6 @@ type CMFL struct {
 	globalDelta []float64
 	haveDelta   bool
 	initialized bool
-	lastSent    bool
 }
 
 var _ fl.SyncManager = (*CMFL)(nil)
@@ -266,7 +265,6 @@ func (m *CMFL) PrepareUpload(round int, x []float64) ([]float64, float64, int64)
 		}
 		send = float64(agree)/float64(m.dim) >= thr
 	}
-	m.lastSent = send
 	contrib := append([]float64(nil), x...)
 	if !send {
 		return contrib, 0, 0
@@ -284,9 +282,6 @@ func (m *CMFL) ApplyDownload(_ int, x, global []float64) int64 {
 	copy(x, global)
 	return int64(m.dim) * m.bytesPerValue
 }
-
-// LastSent reports whether the previous round's update was pushed.
-func (m *CMFL) LastSent() bool { return m.lastSent }
 
 // Quantized wraps another manager and transmits every value in IEEE
 // binary16 instead of binary32, halving the value bytes in both phases and

@@ -158,9 +158,6 @@ func TestCMFLRelevanceGate(t *testing.T) {
 	if w != 0 || up != 0 {
 		t.Errorf("irrelevant update not withheld: w=%v up=%d", w, up)
 	}
-	if m.LastSent() {
-		t.Error("LastSent should be false")
-	}
 }
 
 func TestCMFLPullsFullModel(t *testing.T) {

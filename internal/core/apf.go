@@ -32,8 +32,7 @@
 // trajectory, a server can hold it too without training anything. Follower
 // is the one replica that does: a Manager fed only committed aggregates.
 // Transport catch-up serves its captures (whole, or restricted to the
-// mask words a sketch found different: State.Select), and the §9
-// server-side mask placement (MaskServer) ships its mask.
+// mask words a sketch found different: State.Select).
 package core
 
 import (
@@ -593,10 +592,10 @@ func (m *Manager) MaskWords() []uint64 { return m.currentMask().Words() }
 
 // currentMask returns the mask in force. Only a restore leaves the manager
 // without one; it then rebuilds the mask governing the round after the
-// synchronization ApplyDownload last observed (round 0 before any) — the
-// mask the §9 server placement ships. That round is never guessed as
-// checkCount·CheckEveryRounds, which undercounts whenever the first check
-// came late (a client joining late under partial participation).
+// synchronization ApplyDownload last observed (round 0 before any). That
+// round is never guessed as checkCount·CheckEveryRounds, which undercounts
+// whenever the first check came late (a client joining late under partial
+// participation).
 func (m *Manager) currentMask() *bitset.BitSet {
 	if m.maskRound < 0 {
 		m.refreshMask(max(m.lastRound+1, 0))

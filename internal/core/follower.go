@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"apf/internal/bitset"
-)
+import "fmt"
 
 // Follower is the server side's one replica of the clients' synchronized
 // APF state: a Manager fed only committed aggregates. The freezing state
@@ -14,8 +10,7 @@ import (
 // client's model equals the manager's rollback vector (frozen scalars sit
 // at their last synchronized value, the pull overwrites every other one),
 // so State.Ref is the synchronized model. Catch-up serves its captures
-// (package transport) and the §9 server-side placement ships its mask
-// (MaskServer).
+// (package transport).
 //
 // A follower never guesses. A gap in the rounds or a compacted payload of
 // the wrong length desyncs it, and a desynced follower observes and
@@ -90,12 +85,4 @@ func (f *Follower) Capture() (s *State, ok bool) {
 		return nil, false
 	}
 	return f.mgr.Snapshot(), true
-}
-
-// NextMask returns the freezing mask governing round Round()+1, the one
-// every client trains under after applying Round(). The bitmap is the
-// manager's own: read-only, valid until the next Observe or Restore.
-func (f *Follower) NextMask() *bitset.BitSet {
-	f.mgr.refreshMask(f.round + 1)
-	return f.mgr.mask
 }

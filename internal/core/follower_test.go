@@ -65,8 +65,10 @@ func requireFollows(t *testing.T, step string, f *Follower, client *Manager, x [
 		t.Fatalf("%s: word generations differ", step)
 	}
 	next := f.Round() + 1
-	client.CompactLen(next) // make the client's mask current for round next
-	if !reflect.DeepEqual(f.NextMask().Words(), client.MaskWords()) {
+	// Make both masks current for round next.
+	f.mgr.CompactLen(next)
+	client.CompactLen(next)
+	if !reflect.DeepEqual(f.mgr.MaskWords(), client.MaskWords()) {
 		t.Fatalf("%s: mask for round %d differs", step, next)
 	}
 }

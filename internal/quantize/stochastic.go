@@ -71,10 +71,3 @@ func (q *StochasticQuantizer) Quantize(xs []float64) (scale float64) {
 	}
 	return scale
 }
-
-// ExpectedError returns the worst-case per-value quantization step for a
-// given scale (half the bucket width bounds the absolute rounding error in
-// expectation-free terms).
-func (q *StochasticQuantizer) ExpectedError(scale float64) float64 {
-	return scale / float64(q.levels)
-}

@@ -47,13 +47,6 @@ func TestStochasticQuantizerValidation(t *testing.T) {
 	}
 }
 
-func TestExpectedError(t *testing.T) {
-	q := NewStochasticQuantizer(8, stats.SplitRNG(2, 0))
-	if got := q.ExpectedError(4); got != 0.5 {
-		t.Errorf("ExpectedError = %v, want 0.5 (scale/levels)", got)
-	}
-}
-
 // Property: quantized values stay within one bucket of the original and
 // within [-scale, scale].
 func TestQuickStochasticBounded(t *testing.T) {

@@ -41,22 +41,6 @@ func (t *Tensor) AddAssign(o *Tensor) {
 	}
 }
 
-// SubAssign subtracts o elementwise from t.
-func (t *Tensor) SubAssign(o *Tensor) {
-	checkSameShape("SubAssign", t, o)
-	for i, v := range o.Data {
-		t.Data[i] -= v
-	}
-}
-
-// MulAssign multiplies t elementwise by o.
-func (t *Tensor) MulAssign(o *Tensor) {
-	checkSameShape("MulAssign", t, o)
-	for i, v := range o.Data {
-		t.Data[i] *= v
-	}
-}
-
 // Scale multiplies every element of t by alpha.
 func (t *Tensor) Scale(alpha float64) {
 	for i := range t.Data {
@@ -88,16 +72,6 @@ func Sub(a, b *Tensor) *Tensor {
 	out := New(a.Shape...)
 	for i := range a.Data {
 		out.Data[i] = a.Data[i] - b.Data[i]
-	}
-	return out
-}
-
-// MulElem returns the elementwise product a*b.
-func MulElem(a, b *Tensor) *Tensor {
-	checkSameShape("MulElem", a, b)
-	out := New(a.Shape...)
-	for i := range a.Data {
-		out.Data[i] = a.Data[i] * b.Data[i]
 	}
 	return out
 }

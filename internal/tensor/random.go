@@ -23,10 +23,3 @@ func Randn(rng *rand.Rand, mean, std float64, shape ...int) *Tensor {
 	t.FillRandn(rng, mean, std)
 	return t
 }
-
-// Uniform returns a new tensor filled with uniform samples in [lo, hi).
-func Uniform(rng *rand.Rand, lo, hi float64, shape ...int) *Tensor {
-	t := New(shape...)
-	t.FillUniform(rng, lo, hi)
-	return t
-}

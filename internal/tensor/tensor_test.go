@@ -123,9 +123,6 @@ func TestElementwiseOps(t *testing.T) {
 	if got := Sub(b, a).Data; got[0] != 9 {
 		t.Errorf("Sub wrong: %v", got)
 	}
-	if got := MulElem(a, b).Data; got[2] != 90 {
-		t.Errorf("MulElem wrong: %v", got)
-	}
 
 	c := a.Clone()
 	c.Axpy(0.5, b)
@@ -402,7 +399,8 @@ func TestFillRandnStatistics(t *testing.T) {
 
 func TestFillUniformRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	x := Uniform(rng, -2, 5, 1000)
+	x := New(1000)
+	x.FillUniform(rng, -2, 5)
 	for _, v := range x.Data {
 		if v < -2 || v >= 5 {
 			t.Fatalf("uniform sample %v out of [-2,5)", v)
@@ -526,15 +524,6 @@ func TestCopyFromFillDim(t *testing.T) {
 	}
 	if a.Dim(0) != 2 || a.Rank() != 2 {
 		t.Fatal("Dim/Rank wrong")
-	}
-	c := a.Clone()
-	c.SubAssign(b)
-	if c.At(0, 0) != 6 {
-		t.Fatal("SubAssign wrong")
-	}
-	c.MulAssign(b)
-	if c.At(0, 1) != 10 {
-		t.Fatalf("MulAssign wrong: %v", c.Data)
 	}
 }
 

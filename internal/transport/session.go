@@ -519,8 +519,14 @@ func (s *Server) reader(sess *session, gen int, cc *countingConn) {
 		if err == nil {
 			switch u := m.(type) {
 			case *UpdateMsg:
-				s.post(event{id: sess.id, name: sess.name, upd: u, maskGen: -1})
-				continue
+				// The mirror of checkSparseUpdate: a full-length update
+				// stored first would make the aggregator refuse every
+				// compact one of the round.
+				if s.cfg.Codec <= wire.CodecDense {
+					s.post(event{id: sess.id, name: sess.name, upd: u, maskGen: -1})
+					continue
+				}
+				err = protocolErrorf("client %d sent a dense update on a %s cluster", sess.id, s.cfg.Codec)
 			case *SparseUpdateMsg:
 				if err = s.checkSparseUpdate(sess, u); err == nil {
 					// The engine aggregates the compact payload as float64

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"math"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -83,6 +85,98 @@ func TestClientRefusesForeignCodec(t *testing.T) {
 	if n := srv.metrics.connsTotal.Value(); n != 1 {
 		t.Errorf("server accepted %d connections, want 1: the refusal spent retries", n)
 	}
+}
+
+// TestServerRefusesDenseUpdateOnSparseCluster: a dense UpdateMsg is legal
+// only on a dense cluster, as a SparseUpdateMsg is only on a sparse one. On
+// a sparse cluster the reader retires its sender before the update reaches
+// the round, so a full-length intruder stored first cannot make the
+// aggregator refuse the round's compact updates as mismatched lengths.
+func TestServerRefusesDenseUpdateOnSparseCluster(t *testing.T) {
+	init := []float64{1, 2, 3, 4}
+	dense := &UpdateMsg{Round: 0, Weight: 1, Payload: []float64{9, 9, 9, 9}}
+	// start runs a one-round sparse-q16 server; join registers a raw peer.
+	start := func(t *testing.T, cfg ServerConfig) (addr string, done chan error) {
+		cfg.Addr, cfg.Rounds, cfg.Init, cfg.Codec, cfg.IOTimeout = "127.0.0.1:0", 1, init, wire.CodecSparseQ16, 2*time.Second
+		srv, err := NewServer(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		done = make(chan error, 1)
+		go func() {
+			defer cancel()
+			_, err := srv.Run(ctx)
+			done <- err
+		}()
+		t.Cleanup(cancel)
+		return srv.Addr().String(), done
+	}
+	join := func(t *testing.T, addr string) *rawPeer {
+		p := dialRaw(t, addr)
+		t.Cleanup(func() { p.conn.Close() })
+		p.send(&JoinMsg{Name: "c"})
+		p.welcome()
+		return p
+	}
+	// closed reports whether the server has closed p's connection.
+	closed := func(p *rawPeer) bool {
+		_ = p.conn.SetReadDeadline(time.Now().Add(10 * time.Millisecond))
+		_, err := p.conn.Read(make([]byte, 1))
+		return err != nil && !errors.Is(err, os.ErrDeadlineExceeded)
+	}
+
+	t.Run("strict", func(t *testing.T) {
+		addr, done := start(t, ServerConfig{NumClients: 1})
+		join(t, addr).send(dense)
+		select {
+		case err := <-done:
+			if !errors.Is(err, errProtocol) || !strings.Contains(err.Error(), "dense update on a sparse-q16 cluster") {
+				t.Fatalf("Run: %v, want a protocol error naming the dense update and the codec", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("server hung on a dense update")
+		}
+	})
+
+	t.Run("fault-tolerant", func(t *testing.T) {
+		reg := telemetry.New()
+		addr, done := start(t, ServerConfig{NumClients: 3, RoundDeadline: 300 * time.Millisecond, Metrics: reg})
+		intruder, honest := join(t, addr), []*rawPeer{join(t, addr), join(t, addr)}
+		intruder.send(dense)
+		// Hold the honest updates until the server has dealt with the
+		// dense one: stored it, or closed its sender.
+		for deadline := time.Now().Add(5 * time.Second); reg.Snapshot()["apf_updates_received_total"] == 0 && !closed(intruder); {
+			if time.Now().After(deadline) {
+				t.Fatal("the server neither stored the dense update nor closed its sender")
+			}
+		}
+		for i, p := range honest {
+			u := &SparseUpdateMsg{Round: 0, Weight: 1, MaskHash: 0xfeed, MaskGen: 1, Dim: len(init), Enc: wire.EncF16}
+			v := float64(2 * i)
+			u.Values, u.Q = wire.PackSparse(u.Enc, []float64{v, v}, nil) // two unfrozen scalars of four
+			p.send(u)
+		}
+		for i, p := range honest {
+			g, ok := p.recv().(*SparseGlobalMsg)
+			if !ok || g.Participants != 2 {
+				t.Fatalf("honest client %d: got %#v, want a sparse global of the two honest updates", i, g)
+			}
+		}
+		if err := <-done; err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		snap := reg.Snapshot()
+		if got := snap[`apf_updates_total{result="rejected"}`]; got != 0 {
+			t.Errorf("%v updates rejected, want 0: the dense update reached the round", got)
+		}
+		if got := snap[`apf_updates_total{result="accepted"}`]; got != 2 {
+			t.Errorf("%v updates accepted, want the 2 honest ones", got)
+		}
+		if !closed(intruder) {
+			t.Error("the server kept the dense sender's connection open")
+		}
+	})
 }
 
 // TestTCPQ16ClusterConsistent checks the quantized codec's consistency

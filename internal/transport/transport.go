@@ -20,9 +20,21 @@
 //
 //	client → server  JoinMsg     (fresh registration or session resume)
 //	server → client  WelcomeMsg  (identity, geometry, missed payloads)
+//	if the Welcome sets CatchUp (a resume past the replay history):
+//	  client → server  ResumeOfferMsg  (round and mask generation)
+//	  sketch mode, until the client has decoded the diff:
+//	    server → client  SketchMsg       (a batch of coded cells)
+//	    client → server  ResumeOfferMsg  (more cells, or the diff's words)
+//	  server → client  SnapshotMsg     (the diff's words, or the whole state)
 //	repeat until the announced rounds complete:
-//	  client → server  UpdateMsg
-//	  server → client  GlobalMsg  (strictly sequential per connection)
+//	  client → server  UpdateMsg   (SparseUpdateMsg on a sparse cluster)
+//	  server → client  GlobalMsg   (SparseGlobalMsg on a sparse cluster once
+//	                                the round's mask hashes agree; strictly
+//	                                sequential per connection)
+//
+// A relay joins its parent with RelayJoinMsg in place of JoinMsg and
+// pushes PartialUpdateMsg in place of UpdateMsg; its catch-up is the
+// snapshot mode alone.
 //
 // The server averages compact payloads positionally, which is sound because
 // deterministic managers produce identical freezing masks on every client;
