@@ -319,25 +319,33 @@ func BenchmarkCheckpointF64s(b *testing.B) {
 	reportPerScalar(b, len(v))
 }
 
-// BenchmarkFrameRead measures the streaming decode of one dense-256k
-// update frame off a reader into a reused vector: what a server connection
-// reader does per update.
+// BenchmarkFrameRead measures the streaming decode of one update frame off
+// a reader into a reused vector: what a server connection reader does per
+// update. The dense arm is a dense-256k update; the sparse-q16 arm is the
+// same update compacted to about 10 % unfrozen, a binary16 column.
+// ns/scalar counts the frame's own scalars.
 func BenchmarkFrameRead(b *testing.B) {
-	contribs, weights := dense256kUpdates(1)
-	frame := wire.Encode(&wire.UpdateMsg{Round: 7, Weight: weights[0], Payload: contribs[0]})
+	contribs, _ := dense256kUpdates(1)
 	dst := make([]float64, len(contribs[0]))
 	fr := wire.FrameReader{Alloc: func(n int) []float64 { return dst[:n] }}
-	var rd bytes.Reader
-	b.SetBytes(int64(len(frame)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rd.Reset(frame)
-		if _, err := fr.Read(&rd, 0); err != nil {
-			b.Fatal(err)
+	for _, c := range frameReadCases(contribs[0]) {
+		if c.name == "sparse" {
+			continue
 		}
+		b.Run(c.name, func(b *testing.B) {
+			var rd bytes.Reader
+			b.SetBytes(int64(len(c.frame)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rd.Reset(c.frame)
+				if _, err := fr.Read(&rd, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportPerScalar(b, len(c.want))
+		})
 	}
-	reportPerScalar(b, len(dst))
 }
 
 // BenchmarkAggregatorAdd measures fl.Aggregator.Add of one dense-256k

@@ -40,6 +40,7 @@ import (
 	"apf/internal/nn"
 	"apf/internal/opt"
 	"apf/internal/preset"
+	"apf/internal/quantize"
 	"apf/internal/telemetry"
 	"apf/internal/tensor"
 	"apf/internal/wire"
@@ -778,34 +779,73 @@ func TestDenseCodecAllocations(t *testing.T) {
 	}
 }
 
+// frameReadCase is one frame a socket reader streams: its name, the frame
+// and the vector its payload decodes to.
+type frameReadCase struct {
+	name  string
+	frame []byte
+	want  []float64
+}
+
+// frameReadCases frames a dense-256k update three ways: dense, and
+// compacted to every tenth scalar (about 10 % unfrozen) as a sparse and a
+// sparse-q16 update.
+func frameReadCases(contrib []float64) []frameReadCase {
+	compact := make([]float64, 0, len(contrib)/10+1)
+	for i := 0; i < len(contrib); i += 10 {
+		compact = append(compact, contrib[i])
+	}
+	sparse := func(enc wire.Enc) []byte {
+		return wire.Encode(&wire.SparseUpdateMsg{Round: 7, Weight: 1, MaskHash: 7, MaskGen: 3,
+			Dim: len(contrib), Enc: enc, Values: compact})
+	}
+	return []frameReadCase{
+		{"dense", wire.Encode(&wire.UpdateMsg{Round: 7, Weight: 1, MaskHash: 7, Payload: contrib}), contrib},
+		{"sparse", sparse(wire.EncF64), compact},
+		{"sparse-q16", sparse(wire.EncF16), quantize.RoundTripSlice(append([]float64(nil), compact...))},
+	}
+}
+
+// payloadOf returns a decoded update's payload vector.
+func payloadOf(m wire.Msg) []float64 {
+	switch u := m.(type) {
+	case *wire.UpdateMsg:
+		return u.Payload
+	case *wire.SparseUpdateMsg:
+		return u.Values
+	}
+	return nil
+}
+
 // TestFrameReadAllocations pins the streaming decode at the dense-256k
-// model size: once its chunk is built, a FrameReader reading a dense
-// update into a vector its Alloc supplies allocates the message and
-// nothing else — no body buffer, no payload slice — and hands back the
-// frame's floats bit for bit.
+// model size: once its chunk is built, a FrameReader reading a dense, a
+// sparse or a sparse-q16 update into a vector its Alloc supplies allocates
+// the message and nothing else — no body buffer, no payload slice — and
+// hands back the frame's scalars bit for bit.
 func TestFrameReadAllocations(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	contribs, _ := dense256kUpdates(1)
-	frame := wire.Encode(&wire.UpdateMsg{Round: 3, Weight: 1, MaskHash: 7, Payload: contribs[0]})
 	dst := make([]float64, len(contribs[0]))
 	fr := wire.FrameReader{Alloc: func(n int) []float64 { return dst[:n] }}
-	var rd bytes.Reader
-	read := func() {
-		rd.Reset(frame)
-		m, err := fr.Read(&rd, 0)
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range frameReadCases(contribs[0]) {
+		var rd bytes.Reader
+		read := func() {
+			rd.Reset(c.frame)
+			m, err := fr.Read(&rd, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p := payloadOf(m); &p[0] != &dst[0] {
+				t.Fatalf("%s: payload not streamed into the supplied vector", c.name)
+			}
 		}
-		if u := m.(*wire.UpdateMsg); &u.Payload[0] != &dst[0] {
-			t.Fatal("payload not streamed into the supplied vector")
+		read() // build the chunk
+		if hashFloats(dst[:len(c.want)]) != hashFloats(c.want) {
+			t.Fatalf("%s: streamed payload differs from the encoded one", c.name)
 		}
-	}
-	read() // build the chunk
-	if hashFloats(dst) != hashFloats(contribs[0]) {
-		t.Fatal("streamed payload differs from the encoded one")
-	}
-	if n := testing.AllocsPerRun(5, read); n > 1 {
-		t.Errorf("FrameReader.Read of a dense update allocates %v times, want ≤ 1 (the message)", n)
+		if n := testing.AllocsPerRun(5, read); n > 1 {
+			t.Errorf("FrameReader.Read of a %s update allocates %v times, want ≤ 1 (the message)", c.name, n)
+		}
 	}
 }
 

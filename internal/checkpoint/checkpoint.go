@@ -283,6 +283,11 @@ func (r *Reader) take(n int) []byte {
 // result aliases the payload the Reader wraps (nil after a failure).
 func (r *Reader) Rest() []byte { return r.take(len(r.buf)) }
 
+// Take consumes and returns the next n bytes without copying, for
+// sections whose layout is owned by another package; fewer than n left
+// fails the Reader (nil after a failure).
+func (r *Reader) Take(n int) []byte { return r.take(n) }
+
 // U16 reads one uint16.
 func (r *Reader) U16() uint16 {
 	b := r.take(2)

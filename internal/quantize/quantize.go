@@ -70,31 +70,21 @@ func Float64ToHalf(v float64) uint16 {
 	}
 }
 
-// HalfToFloat64 decodes a 16-bit IEEE binary16 encoding.
+// HalfToFloat64 decodes a 16-bit IEEE binary16 encoding. Every half but a
+// NaN is exact in float64; a NaN keeps its sign and payload, quieted.
 func HalfToFloat64(h uint16) float64 {
-	sign := uint32(h&0x8000) << 16
-	exp := uint32(h>>10) & 0x1f
-	mant := uint32(h & 0x3ff)
-
-	var bits32 uint32
-	switch {
-	case exp == 0 && mant == 0:
-		bits32 = sign
-	case exp == 0:
-		// Subnormal: normalize.
-		e := uint32(127 - 15 + 1)
-		for mant&0x400 == 0 {
-			mant <<= 1
-			e--
+	e, m := uint64(h>>10)&0x1f, uint64(h&0x3ff)
+	bits := (e+1008)<<52 | m<<42 // normal: rebias the exponent, widen the mantissa
+	switch e {
+	case 0: // ±0 or subnormal: m·2⁻²⁴
+		bits = math.Float64bits(float64(m) * 0x1p-24)
+	case 0x1f: // ±Inf or NaN
+		bits = 0x7ff<<52 | m<<42
+		if m != 0 {
+			bits |= 1 << 51
 		}
-		mant &= 0x3ff
-		bits32 = sign | e<<23 | mant<<13
-	case exp == 0x1f:
-		bits32 = sign | 0xff<<23 | mant<<13
-	default:
-		bits32 = sign | (exp-15+127)<<23 | mant<<13
 	}
-	return float64(math.Float32frombits(bits32))
+	return math.Float64frombits(uint64(h&0x8000)<<48 | bits)
 }
 
 // RoundTrip quantizes v through half precision and back, simulating

@@ -184,6 +184,28 @@ func TestExhaustiveHalfRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHalfToFloat64Exact decodes every finite binary16 pattern to exactly
+// ±(1 + m/1024)·2^(e−15) (normal) or ±m·2^−24 (subnormal).
+func TestHalfToFloat64Exact(t *testing.T) {
+	for i := 0; i < 1<<16; i++ {
+		h := uint16(i)
+		e, m := int(h>>10&0x1f), float64(h&0x3ff)
+		if e == 0x1f {
+			continue
+		}
+		want := math.Ldexp(m, -24)
+		if e > 0 {
+			want = math.Ldexp(1+m/1024, e-15)
+		}
+		if h&0x8000 != 0 {
+			want = -want
+		}
+		if got := HalfToFloat64(h); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("half %#04x decoded to %v (%#x), want %v", h, got, math.Float64bits(got), want)
+		}
+	}
+}
+
 // TestDirectRoundingBoundaries pins inputs near binary16 half-ulp
 // boundaries where rounding through a float32 intermediate double-rounds
 // to the wrong half. These cases fail on the pre-fix converter.

@@ -134,15 +134,13 @@ type clientRun struct {
 	inflight      []byte
 	inflightRound int
 
-	// frames reads the round loop's downloads; dense globals stream into
-	// down, one vector reused every round. A sparse global decodes into
-	// global, whose payload checkpoint.Refit sizes to the round's compact
-	// length; a sparse upload is built in upload, whose binary16 column
-	// is packed in place. Both are reused every round: each is done with
-	// before the next (the upload is encoded at once, the global applied).
+	// frames reads the round loop's downloads; a global's payload, dense
+	// or sparse, streams into down, one vector that checkpoint.Refit sizes
+	// to the round's payload length. A sparse upload is framed from
+	// upload. Both are reused every round: each is done with before the
+	// next (the upload is encoded at once, the global applied).
 	frames wire.FrameReader
 	down   []float64
-	global GlobalMsg
 	upload SparseUpdateMsg
 }
 
@@ -174,10 +172,8 @@ func runClient(ctx context.Context, cfg ClientConfig, joined func()) (*ClientRes
 		log:     telemetry.With(cfg.Log, "component", "client", "name", cfg.Name),
 	}
 	r.frames.Alloc = func(n int) []float64 {
-		if cap(r.down) < n {
-			r.down = make([]float64, n)
-		}
-		return r.down[:n]
+		r.down = checkpoint.Refit(r.down, n, max(n, r.dim))[:n]
+		return r.down
 	}
 	r.up = newUplink(&uplink{
 		peer: "server", addr: cfg.Addr, codec: cfg.Codec, dial: cfg.Dial, ioTimeout: cfg.IOTimeout,
@@ -282,7 +278,7 @@ func (r *clientRun) session(ctx context.Context) error {
 		if err != nil {
 			return err
 		}
-		if err := r.applyGlobal(g); err != nil {
+		if err := r.applyGlobal(&g); err != nil {
 			return err
 		}
 		r.inflight = r.inflight[:0]
@@ -313,10 +309,9 @@ func (r *clientRun) prepare(round int, payload []float64, weight float64) {
 	if r.maskGenR != nil {
 		gen = r.maskGenR.MaskGeneration()
 	}
-	sp := &r.upload
-	*sp = SparseUpdateMsg{Round: round, Weight: weight, MaskHash: hash, MaskGen: gen, Dim: r.dim, Enc: r.cfg.Codec.Enc(), Q: sp.Q}
-	sp.Values, sp.Q = wire.PackSparse(sp.Enc, payload, sp.Q)
-	r.inflight = wire.Append(r.inflight[:0], sp)
+	r.upload = SparseUpdateMsg{Round: round, Weight: weight, MaskHash: hash, MaskGen: gen, Dim: r.dim,
+		Enc: r.cfg.Codec.Enc(), Values: payload}
+	r.inflight = wire.Append(r.inflight[:0], &r.upload)
 	r.inflightRound = round
 }
 
@@ -325,33 +320,31 @@ func (r *clientRun) prepare(round int, payload []float64, weight float64) {
 // server falls back to them when a round lacks mask-agreement evidence);
 // sparse globals are only legal on a sparse cluster and must match the
 // client's own mask state before they are expanded.
-func (r *clientRun) acceptGlobal(m wire.Msg, round int) (*GlobalMsg, error) {
+func (r *clientRun) acceptGlobal(m wire.Msg, round int) (GlobalMsg, error) {
 	switch g := m.(type) {
 	case *GlobalMsg:
-		return g, nil
+		return *g, nil
 	case *SparseGlobalMsg:
 		if r.cfg.Codec < wire.CodecSparse {
-			return nil, protocolErrorf("round %d: sparse global on a %s cluster", round, r.cfg.Codec)
+			return GlobalMsg{}, protocolErrorf("round %d: sparse global on a %s cluster", round, r.cfg.Codec)
 		}
 		if g.Dim != r.dim {
-			return nil, protocolErrorf("round %d: sparse global dimension %d, model has %d",
+			return GlobalMsg{}, protocolErrorf("round %d: sparse global dimension %d, model has %d",
 				round, g.Dim, r.dim)
 		}
 		if mr, ok := fl.As[fl.MaskReporter](r.rep.Manager); ok {
 			if local := HashMaskWords(mr.MaskWords()); g.MaskHash != local {
-				return nil, fmt.Errorf("%w: round %d: server mask hash %016x, local mask hash %016x",
+				return GlobalMsg{}, fmt.Errorf("%w: round %d: server mask hash %016x, local mask hash %016x",
 					ErrMaskDivergence, round, g.MaskHash, local)
 			}
 		}
 		if g.MaskGen >= 0 && r.maskGenR != nil && g.MaskGen != r.maskGenR.MaskGeneration() {
-			return nil, fmt.Errorf("%w: round %d: server mask generation %d, local generation %d",
+			return GlobalMsg{}, fmt.Errorf("%w: round %d: server mask generation %d, local generation %d",
 				ErrMaskDivergence, round, g.MaskGen, r.maskGenR.MaskGeneration())
 		}
-		r.global = GlobalMsg{Round: g.Round, Participants: g.Participants,
-			Payload: g.Floats(checkpoint.Refit(r.global.Payload, g.Scalars(), r.dim))}
-		return &r.global, nil
+		return GlobalMsg{Round: g.Round, Participants: g.Participants, Payload: g.Values}, nil
 	}
-	return nil, protocolErrorf("round %d: expected a global frame, got %s", round, m.WireKind())
+	return GlobalMsg{}, protocolErrorf("round %d: expected a global frame, got %s", round, m.WireKind())
 }
 
 // acceptWelcome validates the first WelcomeMsg and builds the replica from

@@ -57,9 +57,10 @@ type validatorState struct {
 }
 
 // encodeServerState encodes the snapshot payload (checkpoint.Store frames
-// it).
-func encodeServerState(s *serverState) []byte {
-	var w checkpoint.Writer
+// it) into w, reset first, so a reused Writer re-encodes without growing
+// once it holds a snapshot. The result aliases w.
+func encodeServerState(w *checkpoint.Writer, s *serverState) []byte {
+	w.Reset()
 	w.Int(s.NumClients)
 	w.Int(s.Rounds)
 	w.F64s(s.Init)
@@ -70,7 +71,7 @@ func encodeServerState(s *serverState) []byte {
 	}
 	w.Int(len(s.History))
 	for i := range s.History {
-		wire.AppendGlobalBody(&w, &s.History[i])
+		wire.AppendGlobalBody(w, &s.History[i])
 	}
 	w.Int(s.PartialRounds)
 	w.Bool(s.Validator != nil)
@@ -211,7 +212,7 @@ func (s *Server) rotate(gen int) error {
 	if s.store == nil {
 		return nil
 	}
-	snap := encodeServerState(s.snapshotState())
+	snap := encodeServerState(&s.snapEnc, s.snapshotState())
 	start := time.Now()
 	n, err := s.store.WriteSnapshot(gen, snap)
 	if err != nil {

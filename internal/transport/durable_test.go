@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -50,7 +51,10 @@ func TestServerStateCodecRoundTrip(t *testing.T) {
 		ShadowRound: 1,
 		Shadow:      []byte("encoded follower state"),
 	}
-	got, err := decodeServerState(encodeServerState(st))
+	// One Writer serves every encoding, as the server's rotations reuse
+	// one.
+	var w checkpoint.Writer
+	got, err := decodeServerState(encodeServerState(&w, st))
 	if err != nil {
 		t.Fatalf("decode server state: %v", err)
 	}
@@ -59,9 +63,14 @@ func TestServerStateCodecRoundTrip(t *testing.T) {
 	}
 
 	// Sanitization disabled: the snapshot carries no validator state and
-	// decodes back to nil.
+	// decodes back to nil. The reused Writer's shorter encoding is byte for
+	// byte a fresh Writer's.
 	st.Validator = nil
-	got, err = decodeServerState(encodeServerState(st))
+	reused := encodeServerState(&w, st)
+	if !bytes.Equal(reused, encodeServerState(new(checkpoint.Writer), st)) {
+		t.Fatal("a reused Writer encodes the snapshot differently from a fresh one")
+	}
+	got, err = decodeServerState(reused)
 	if err != nil || got.Validator != nil {
 		t.Fatalf("nil-validator round trip: %+v err=%v", got.Validator, err)
 	}
@@ -70,7 +79,7 @@ func TestServerStateCodecRoundTrip(t *testing.T) {
 	// norm history, before the catch-up fields, …) is corrupt, never
 	// decoded with the missing fields defaulted.
 	st.Validator = &validatorState{Strikes: []int{3, 0, 0}, Quar: []bool{true, false, false}, Norms: []float64{2}}
-	full := encodeServerState(st)
+	full := encodeServerState(new(checkpoint.Writer), st)
 	for n := 0; n < len(full); n++ {
 		if _, err := decodeServerState(full[:n]); !errors.Is(err, checkpoint.ErrCorrupt) {
 			t.Fatalf("server state cut to %d/%d bytes: err = %v, want ErrCorrupt", n, len(full), err)
@@ -121,7 +130,7 @@ func TestNewServerRefusesOtherFormatVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.WriteSnapshot(0, encodeServerState(base)); err != nil {
+	if _, err := store.WriteSnapshot(0, encodeServerState(new(checkpoint.Writer), base)); err != nil {
 		t.Fatal(err)
 	}
 	store.Close()
@@ -161,7 +170,7 @@ func TestRecoverStateReplaysWAL(t *testing.T) {
 		Names:      []string{"c0", "c1"},
 		History:    []GlobalMsg{{Round: 0, Participants: 2, Payload: []float64{3, 4}}},
 	}
-	if _, err := store.WriteSnapshot(1, encodeServerState(base)); err != nil {
+	if _, err := store.WriteSnapshot(1, encodeServerState(new(checkpoint.Writer), base)); err != nil {
 		t.Fatal(err)
 	}
 	append_ := func(payload []byte) {
@@ -250,7 +259,7 @@ func TestWALPartialRecords(t *testing.T) {
 		Keys:       []string{"edge-a", "edge-b"},
 		Names:      []string{"edge-a", "edge-b"},
 	}
-	if _, err := store.WriteSnapshot(0, encodeServerState(base)); err != nil {
+	if _, err := store.WriteSnapshot(0, encodeServerState(new(checkpoint.Writer), base)); err != nil {
 		t.Fatal(err)
 	}
 	// Round 0 committed with one of two relays reporting: Participants
@@ -499,7 +508,7 @@ func TestRecoverFromGenerationZeroCheckpoint(t *testing.T) {
 		Keys:       []string{"shard-0", "shard-1"},
 		Names:      []string{"shard-0", "shard-1"},
 	}
-	if _, err := store.WriteSnapshot(0, encodeServerState(base)); err != nil {
+	if _, err := store.WriteSnapshot(0, encodeServerState(new(checkpoint.Writer), base)); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.Close(); err != nil {

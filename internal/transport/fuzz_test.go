@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -360,7 +361,7 @@ func seedSnapshotWAL(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	if _, err := store.WriteSnapshot(1, encodeServerState(st)); err != nil {
+	if _, err := store.WriteSnapshot(1, encodeServerState(new(checkpoint.Writer), st)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := store.Append(commit); err != nil {
@@ -410,7 +411,7 @@ func corpusFixtures(t *testing.T) map[string][]byte {
 		wireDir + "valid-sparse-update": encodeAll(&SparseUpdateMsg{Round: 3, Weight: 30, MaskHash: 0xfeedface,
 			MaskGen: 4, Dim: 6, Enc: wire.EncF64, Values: []float64{1, -2.5}}),
 		wireDir + "valid-sparse-global": encodeAll(&SparseGlobalMsg{Round: 7, Participants: 2, MaskHash: 0x9e3779b97f4a7c15,
-			MaskGen: 2, Dim: 5, Enc: wire.EncF16, Q: []uint16{0x3c00, 0xfc01, 0x7e33}}),
+			MaskGen: 2, Dim: 5, Enc: wire.EncF16, Values: []float64{1, math.Copysign(math.NaN(), -1), math.NaN()}}),
 		wireDir + "valid-relay-join": encodeAll(&RelayJoinMsg{Name: "edge-0", SessionKey: "edge-0",
 			HaveRound: -1, Clients: 128}),
 		wireDir + "valid-partial-update": encodeAll(fixturePartial()),

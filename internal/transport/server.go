@@ -190,11 +190,12 @@ type Server struct {
 	// fresh start). recovered marks that openStore restored an existing
 	// checkpoint — even one with startRound still 0 (a crash inside round
 	// 0), in which case the base snapshot on disk must not be re-written.
-	// validator is nil unless sanitization is configured. walEnc is the
-	// commit record's encoding buffer, reused by commitRound (engine
-	// goroutine only).
+	// validator is nil unless sanitization is configured. walEnc and
+	// snapEnc are the commit record's and the snapshot's encoding buffers,
+	// reused by commitRound and rotate (engine goroutine only).
 	store      *checkpoint.Store
 	walEnc     checkpoint.Writer
+	snapEnc    checkpoint.Writer
 	startRound int
 	recovered  bool
 	validator  *Validator
@@ -642,16 +643,15 @@ func (s *Server) roundFrame(g *GlobalMsg, meta roundMeta) []byte {
 	if c < wire.CodecSparse || meta.maskHash == 0 || s.cfg.root() {
 		return wire.Encode(g)
 	}
-	sg := &SparseGlobalMsg{
+	return wire.Encode(&SparseGlobalMsg{
 		Round:        g.Round,
 		Participants: g.Participants,
 		MaskHash:     meta.maskHash,
 		MaskGen:      meta.maskGen,
 		Dim:          len(s.cfg.Init),
 		Enc:          c.Enc(),
-	}
-	sg.Values, sg.Q = wire.PackSparse(c.Enc(), g.Payload, nil)
-	return wire.Encode(sg)
+		Values:       g.Payload,
+	})
 }
 
 // commitJump implements roundSink: a relay adopting the root's state

@@ -132,8 +132,8 @@ func (s *Server) absorb(cc *countingConn) {
 }
 
 // detach drops a session's connection if it still is the given
-// generation, waking its writer and any flush waiter.
-func (s *Server) detach(sess *session, gen int) {
+// generation, waking its writer and any flush waiter, and logs why.
+func (s *Server) detach(sess *session, gen int, err error) {
 	sess.mu.Lock()
 	if sess.gen != gen || sess.conn == nil {
 		sess.mu.Unlock()
@@ -144,16 +144,16 @@ func (s *Server) detach(sess *session, gen int) {
 	sess.cond.Broadcast()
 	sess.mu.Unlock()
 	s.metrics.writerDetaches.Inc()
-	s.log.Warn("session detached", "client", sess.id, "name", sess.name)
+	s.log.Warn("session detached", "client", sess.id, "name", sess.name, "err", err)
 	s.absorb(cc)
 }
 
 // retire ends a session's connection of generation gen on a failure —
 // enqueue overflow, writer, reader, catch-up or Welcome write: it detaches
-// the session and posts the failure to the round engine, which alone
-// decides by mode whether the run aborts.
+// the session, logging the failure, and posts the failure to the round
+// engine, which alone decides by mode whether the run aborts.
 func (s *Server) retire(sess *session, gen int, err error) {
-	s.detach(sess, gen)
+	s.detach(sess, gen, err)
 	s.post(event{id: sess.id, name: sess.name, err: err})
 }
 
@@ -504,9 +504,9 @@ func (p *payloadPool) put(v []float64) {
 
 // reader decodes one connection's updates into the event stream until the
 // connection fails; then it retires the session (a resumed connection has
-// a newer generation and stays attached). Dense payloads stream into the
-// server's recycled vectors, and sparse ones decode into recycled vectors
-// sized to their compact payload.
+// a newer generation and stays attached). Payloads, dense or sparse,
+// stream into the server's recycled vectors, a sparse one's sized to its
+// compact length.
 func (s *Server) reader(sess *session, gen int, cc *countingConn) {
 	if s.cfg.root() {
 		s.relayReader(sess, gen, cc)
@@ -532,12 +532,7 @@ func (s *Server) reader(sess *session, gen int, cc *countingConn) {
 					// The engine aggregates the compact payload as float64
 					// scalars; the sender's mask generation rides along for
 					// the round's cross-check.
-					dense := &UpdateMsg{
-						Round:    u.Round,
-						Weight:   u.Weight,
-						MaskHash: u.MaskHash,
-						Payload:  u.Floats(s.payloads.get(u.Scalars())),
-					}
+					dense := &UpdateMsg{Round: u.Round, Weight: u.Weight, MaskHash: u.MaskHash, Payload: u.Values}
 					s.post(event{id: sess.id, name: sess.name, upd: dense, maskGen: u.MaskGen})
 					continue
 				}

@@ -2,7 +2,10 @@ package transport
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"log/slog"
 	"math"
 	"os"
 	"reflect"
@@ -141,7 +144,12 @@ func TestServerRefusesDenseUpdateOnSparseCluster(t *testing.T) {
 
 	t.Run("fault-tolerant", func(t *testing.T) {
 		reg := telemetry.New()
-		addr, done := start(t, ServerConfig{NumClients: 3, RoundDeadline: 300 * time.Millisecond, Metrics: reg})
+		var sink lockedBuffer
+		log, err := telemetry.NewLogger(&sink, slog.LevelDebug, "json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr, done := start(t, ServerConfig{NumClients: 3, RoundDeadline: 300 * time.Millisecond, Metrics: reg, Log: log})
 		intruder, honest := join(t, addr), []*rawPeer{join(t, addr), join(t, addr)}
 		intruder.send(dense)
 		// Hold the honest updates until the server has dealt with the
@@ -152,10 +160,9 @@ func TestServerRefusesDenseUpdateOnSparseCluster(t *testing.T) {
 			}
 		}
 		for i, p := range honest {
-			u := &SparseUpdateMsg{Round: 0, Weight: 1, MaskHash: 0xfeed, MaskGen: 1, Dim: len(init), Enc: wire.EncF16}
 			v := float64(2 * i)
-			u.Values, u.Q = wire.PackSparse(u.Enc, []float64{v, v}, nil) // two unfrozen scalars of four
-			p.send(u)
+			p.send(&SparseUpdateMsg{Round: 0, Weight: 1, MaskHash: 0xfeed, MaskGen: 1, Dim: len(init), Enc: wire.EncF16,
+				Values: []float64{v, v}}) // two unfrozen scalars of four
 		}
 		for i, p := range honest {
 			g, ok := p.recv().(*SparseGlobalMsg)
@@ -175,6 +182,25 @@ func TestServerRefusesDenseUpdateOnSparseCluster(t *testing.T) {
 		}
 		if !closed(intruder) {
 			t.Error("the server kept the dense sender's connection open")
+		}
+		// The run goes on without the intruder, and the log says why it
+		// was dropped.
+		var reasons []string
+		for _, line := range strings.Split(strings.TrimSuffix(sink.String(), "\n"), "\n") {
+			var ev struct {
+				Msg, Name, Err string
+				Client         int
+			}
+			if err := json.Unmarshal([]byte(line), &ev); err != nil {
+				t.Fatalf("log line is not one JSON object: %v\n%s", err, line)
+			}
+			if ev.Msg == "session detached" {
+				reasons = append(reasons, fmt.Sprintf("client %d (%s): %s", ev.Client, ev.Name, ev.Err))
+			}
+		}
+		if len(reasons) != 1 || !strings.Contains(reasons[0], "client 0 (c): ") ||
+			!strings.Contains(reasons[0], "dense update on a sparse-q16 cluster") {
+			t.Errorf("detached sessions logged as %q, want the intruder, client 0, with the refusal", reasons)
 		}
 	})
 }
@@ -247,11 +273,13 @@ func TestTCPSparseKillRestartBitExact(t *testing.T) {
 }
 
 // TestSparseQ16ClientRoundAllocations pins a warm sparse-q16 client
-// round's memory discipline: the upload packs its halves into the run's
-// buffer and the sparse global decodes into the run's vector (sized by
-// checkpoint.Refit), so neither allocates per round. The manager is
+// round's memory discipline: the upload is framed from the run's message
+// into its in-flight buffer, and the sparse global's vector (which the
+// run's FrameReader streams into its down vector) is applied where it
+// lies, so neither allocates per round. The manager is
 // sparse-q16-durable's (APF# 0.9, a check every round), and the round's
-// aggregate is the client's own update, echoed back in binary16.
+// aggregate is the client's own update, rounded to binary16 as the
+// server's commit rounds it.
 func TestSparseQ16ClientRoundAllocations(t *testing.T) {
 	const dim = 1000
 	mgr := core.NewManager(core.Config{Dim: dim, Seed: 1, CheckEveryRounds: 1,
@@ -268,7 +296,7 @@ func TestSparseQ16ClientRoundAllocations(t *testing.T) {
 		dim:      dim,
 		applied:  -1,
 	}
-	halves := make([]uint16, dim)
+	echo := make([]float64, dim)
 	g := &wire.SparseGlobalMsg{Participants: 1, Dim: dim, Enc: wire.EncF16}
 	round := func() {
 		n := r.applied + 1
@@ -278,15 +306,13 @@ func TestSparseQ16ClientRoundAllocations(t *testing.T) {
 		contrib, weight, _ := mgr.PrepareUpload(n, r.rep.X)
 		payload := mgr.CompactUpload(n, contrib)
 		r.prepare(n, payload, weight)
-		g.Round, g.MaskHash, g.MaskGen, g.Q = n, HashMaskWords(mgr.MaskWords()), mgr.MaskGeneration(), halves[:len(payload)]
-		for i, v := range payload {
-			g.Q[i] = quantize.Float64ToHalf(v)
-		}
+		g.Round, g.MaskHash, g.MaskGen = n, HashMaskWords(mgr.MaskWords()), mgr.MaskGeneration()
+		g.Values = quantize.RoundTripSlice(append(echo[:0], payload...))
 		global, err := r.acceptGlobal(g, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := r.applyGlobal(global); err != nil {
+		if err := r.applyGlobal(&global); err != nil {
 			t.Fatal(err)
 		}
 	}

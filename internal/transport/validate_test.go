@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"apf/internal/checkpoint"
 )
 
 // accept drives one update through Check and, when it passes, Commit —
@@ -204,7 +206,7 @@ func TestValidatorStateRoundTrip(t *testing.T) {
 		Names:      []string{"a", "b", "c"},
 		Validator:  v.snapshotState(),
 	}
-	decoded, err := decodeServerState(encodeServerState(st))
+	decoded, err := decodeServerState(encodeServerState(new(checkpoint.Writer), st))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"sync"
 
 	"apf/internal/checkpoint"
@@ -86,11 +87,6 @@ func (m *UpdateMsg) appendBody(w *checkpoint.Writer) {
 	w.F64s(m.Payload)
 }
 
-// readUpdate decodes an UpdateMsg body.
-func readUpdate(r *checkpoint.Reader) *UpdateMsg {
-	return &UpdateMsg{Round: r.Int(), Weight: r.F64(), MaskHash: r.U64(), Payload: r.F64s()}
-}
-
 // AppendGlobalBody serializes a GlobalMsg body without the frame — shared
 // by the socket codec, the WelcomeMsg missed-payload list, and the
 // transport's WAL commit records.
@@ -102,7 +98,79 @@ func AppendGlobalBody(w *checkpoint.Writer, m *GlobalMsg) {
 
 // ReadGlobalBody decodes an AppendGlobalBody encoding.
 func ReadGlobalBody(r *checkpoint.Reader) GlobalMsg {
-	return GlobalMsg{Round: r.Int(), Participants: r.Int(), Payload: r.F64s()}
+	return *readPayload(KindGlobal, r).(*GlobalMsg)
+}
+
+// The payload kinds — KindUpdate, KindGlobal, KindSparseUpdate and
+// KindSparseGlobal — end their bodies in one scalar column: a count, then
+// that many scalars of the message's encoding, 8-byte float64 bit patterns
+// or 2-byte binary16 halves. Everything ahead of the column, the head, is
+// decoded by readHead alone, which both Decode (through readPayload) and
+// FrameReader call.
+
+// head is a payload kind's decoded head: the message with its fixed fields
+// set, where its column goes, the column's encoding and scalar count.
+type head struct {
+	msg Msg
+	col *[]float64
+	enc Enc
+	n   int
+}
+
+// readHead decodes the head of a payload kind's body from r and checks the
+// count before any scalar is read: the column must fit in the bytes r
+// still holds plus beyond more, and a sparse message needs a positive
+// dimension, at most that many scalars (the unfrozen subset cannot exceed
+// the model) and a generation of -1 (unknown) or above. Damage fails r.
+// kind must be a payload kind.
+func readHead(kind Kind, r *checkpoint.Reader, beyond int) head {
+	var h head
+	dim, gen := math.MaxInt, -1 // a dense column's bounds: the frame's alone
+	switch kind {
+	case KindUpdate:
+		m := &UpdateMsg{Round: r.Int(), Weight: r.F64(), MaskHash: r.U64()}
+		h.msg, h.col = m, &m.Payload
+	case KindGlobal:
+		m := &GlobalMsg{Round: r.Int(), Participants: r.Int()}
+		h.msg, h.col = m, &m.Payload
+	case KindSparseUpdate:
+		m := &SparseUpdateMsg{Round: r.Int(), Weight: r.F64(), MaskHash: r.U64(), MaskGen: r.Int(), Dim: r.Int(), Enc: readEnc(r)}
+		h.msg, h.col, h.enc, dim, gen = m, &m.Values, m.Enc, m.Dim, m.MaskGen
+	case KindSparseGlobal:
+		m := &SparseGlobalMsg{Round: r.Int(), Participants: r.Int(), MaskHash: r.U64(), MaskGen: r.Int(), Dim: r.Int(), Enc: readEnc(r)}
+		h.msg, h.col, h.enc, dim, gen = m, &m.Values, m.Enc, m.Dim, m.MaskGen
+	}
+	h.n = r.Int()
+	if r.Err() != nil {
+		return h
+	}
+	switch {
+	case h.n < 0 || h.n > (r.Remaining()+beyond)/h.enc.width():
+		r.Fail("scalar count overruns frame")
+	case dim <= 0:
+		r.Fail(fmt.Sprintf("sparse dense dimension %d not positive", dim))
+	case h.n > dim:
+		r.Fail(fmt.Sprintf("%d sparse scalars exceed dense dimension %d", h.n, dim))
+	case gen < -1:
+		r.Fail(fmt.Sprintf("sparse mask generation %d below -1", gen))
+	}
+	return h
+}
+
+// readPayload decodes a payload kind's body from r, its column into a new
+// vector (nil when empty).
+func readPayload(kind Kind, r *checkpoint.Reader) Msg {
+	h := readHead(kind, r, 0)
+	if b := r.Take(h.n * h.enc.width()); h.n > 0 && b != nil {
+		v := make([]float64, h.n)
+		if h.enc != EncF16 {
+			checkpoint.GetF64s(v, b)
+		} else if !getHalves(v, b) {
+			r.Fail(nonCanonicalHalf)
+		}
+		*h.col = v
+	}
+	return h.msg
 }
 
 // appendBody serializes a GlobalMsg body.
@@ -166,15 +234,8 @@ func decodeBody(kind Kind, payload []byte) (Msg, error) {
 		m = readJoin(r)
 	case KindWelcome:
 		m = readWelcome(r)
-	case KindUpdate:
-		m = readUpdate(r)
-	case KindGlobal:
-		g := ReadGlobalBody(r)
-		m = &g
-	case KindSparseUpdate:
-		m = readSparseUpdate(r)
-	case KindSparseGlobal:
-		m = readSparseGlobal(r)
+	case KindUpdate, KindGlobal, KindSparseUpdate, KindSparseGlobal:
+		m = readPayload(kind, r)
 	case KindRelayJoin:
 		m = readRelayJoin(r)
 	case KindPartialUpdate:
@@ -189,9 +250,14 @@ func decodeBody(kind Kind, payload []byte) (Msg, error) {
 		return nil, fmt.Errorf("%w: kind %d", ErrUnknownKind, uint8(kind))
 	}
 	if err := r.Done(); err != nil {
-		return nil, fmt.Errorf("%w: %s body: %v", ErrCorrupt, kind, err)
+		return nil, bodyError(kind, err)
 	}
 	return m, nil
+}
+
+// bodyError is the error of a kind's body that failed its decoder.
+func bodyError(kind Kind, err error) error {
+	return fmt.Errorf("%w: %s body: %v", ErrCorrupt, kind, err)
 }
 
 // Decode reads the frame at the front of buf, returning the decoded
@@ -210,33 +276,43 @@ func Decode(buf []byte, limit int) (Msg, []byte, error) {
 	return m, rest, nil
 }
 
-// frameChunk is the span of a dense payload a FrameReader holds at once.
+// frameChunk is the span of a payload column a FrameReader holds at once.
 const frameChunk = 64 << 10
 
-// Fixed body fields ahead of a dense payload's float count: round, weight
-// and mask hash of an update; round and participants of a global.
-const (
-	updatePrefixLen = 24
-	globalPrefixLen = 16
-)
+// maxHeadLen bounds the head of every payload kind (a sparse kind's, 50
+// bytes, is the longest).
+const maxHeadLen = 64
 
-// FrameReader reads frames off a stream. The dense kinds (KindUpdate,
-// KindGlobal) stream their floats 64 KiB at a time straight into a
-// destination the caller supplies, so a model-sized frame costs no
+// headLens[k] is the length of payload kind k's head, measured from its
+// encoder as the body of a message with an empty column; 0 for the other
+// kinds.
+var headLens = func() (l [KindSparseGlobal + 1]int) {
+	for _, m := range []Msg{&UpdateMsg{}, &GlobalMsg{}, &SparseUpdateMsg{}, &SparseGlobalMsg{}} {
+		l[m.WireKind()] = len(Encode(m)) - checkpoint.HeaderLen - checkpoint.TrailerLen
+	}
+	return l
+}()
+
+// FrameReader reads frames off a stream. The payload kinds (KindUpdate,
+// KindGlobal, KindSparseUpdate, KindSparseGlobal) stream their column 64
+// KiB at a time straight into a destination the caller supplies, binary16
+// halves converted as they arrive, so a model-sized frame costs no
 // model-sized body buffer; every other kind is read whole and decoded as
 // Decode does. Errors are Decode's, with truncation reported as a
 // truncated header or frame. A FrameReader serves one stream at a time.
 type FrameReader struct {
-	// Alloc returns the destination for a dense payload of n floats (n > 0),
-	// called once the frame's header and fixed fields have arrived; nil
-	// allocates. The vector is filled before the checksum is verified: on
-	// any failure it is dropped, never handed out in a message.
+	// Alloc returns the destination for a column of n scalars (n > 0),
+	// called once the frame's header and head have arrived and passed
+	// Decode's checks (a sparse message's dimension, count and
+	// generation); nil allocates. The vector is filled before the checksum
+	// is verified: on any failure it is dropped, never handed out in a
+	// message.
 	Alloc func(n int) []float64
 
-	// head holds a frame's header, a dense kind's fixed fields and float
-	// count, and (last) its trailer; chunk is the span the floats stream
-	// through on a big-endian host.
-	head  [checkpoint.HeaderLen + updatePrefixLen + 8 + checkpoint.TrailerLen]byte
+	// buf holds a frame's header and a payload kind's head, and (last) its
+	// trailer; chunk is the span a binary16 column, or a float64 one on a
+	// big-endian host, streams through.
+	buf   [checkpoint.HeaderLen + maxHeadLen + checkpoint.TrailerLen]byte
 	chunk []byte
 }
 
@@ -247,8 +323,8 @@ type FrameReader struct {
 // before the first header byte is io.EOF (clean connection shutdown); a
 // connection dying mid-frame surfaces as the underlying read error.
 func (fr *FrameReader) Read(r io.Reader, limit int) (Msg, error) {
-	hdr := fr.head[:]
-	if _, err := io.ReadFull(r, hdr[:checkpoint.HeaderLen]); err != nil {
+	hdr := fr.buf[:checkpoint.HeaderLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		if err == io.ErrUnexpectedEOF {
 			return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
 		}
@@ -258,85 +334,91 @@ func (fr *FrameReader) Read(r io.Reader, limit int) (Msg, error) {
 	if err != nil {
 		return nil, err
 	}
-	kind, prefix := Kind(k), 0
-	switch kind {
-	case KindUpdate:
-		prefix = updatePrefixLen
-	case KindGlobal:
-		prefix = globalPrefixLen
+	kind, hl := Kind(k), 0
+	if int(kind) < len(headLens) {
+		hl = headLens[kind]
 	}
-	if prefix == 0 || n < prefix+8 {
-		return readWhole(r, n, hdr[:checkpoint.HeaderLen])
+	if hl == 0 || n < hl {
+		return readWhole(r, n, hdr)
 	}
-	head := hdr[:checkpoint.HeaderLen+prefix+8]
-	if _, err := io.ReadFull(r, head[checkpoint.HeaderLen:]); err != nil {
+	hdr = fr.buf[:checkpoint.HeaderLen+hl]
+	if _, err := io.ReadFull(r, hdr[checkpoint.HeaderLen:]); err != nil {
 		return nil, truncated(err)
 	}
-	count := binary.LittleEndian.Uint64(head[len(head)-8:])
-	if uint64(n-prefix-8)/8 != count || (n-prefix-8)%8 != 0 {
-		// The count does not fill the body: the whole-body path names the
-		// damage exactly as Decode does.
-		return readWhole(r, n, head)
+	fixed := checkpoint.NewReader(hdr[checkpoint.HeaderLen:])
+	h := readHead(kind, fixed, n-hl)
+	if fixed.Err() != nil || h.n*h.enc.width() != n-hl {
+		// A damaged head, or a column that does not fill the body: the
+		// whole-body path names the damage exactly as Decode does.
+		return readWhole(r, n, hdr)
 	}
-	sum := crc32.ChecksumIEEE(head)
-	var payload []float64
-	if count > 0 {
-		if payload, sum, err = fr.readFloats(r, int(count), sum); err != nil {
+	sum, canonical := crc32.ChecksumIEEE(hdr), true
+	if h.n > 0 {
+		if sum, canonical, err = fr.readColumn(r, &h, sum); err != nil {
 			return nil, err
 		}
 	}
-	trailer := hdr[len(hdr)-checkpoint.TrailerLen:]
+	trailer := fr.buf[len(fr.buf)-checkpoint.TrailerLen:]
 	if _, err := io.ReadFull(r, trailer); err != nil {
 		return nil, truncated(err)
 	}
 	if sum != binary.LittleEndian.Uint32(trailer) {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
 	}
-	// The fixed fields, in readUpdate's and ReadGlobalBody's order.
-	fixed := checkpoint.NewReader(head[checkpoint.HeaderLen : len(head)-8])
-	if kind == KindGlobal {
-		return &GlobalMsg{Round: fixed.Int(), Participants: fixed.Int(), Payload: payload}, nil
+	if !canonical {
+		fixed.Fail(nonCanonicalHalf)
+		return nil, bodyError(kind, fixed.Err())
 	}
-	return &UpdateMsg{Round: fixed.Int(), Weight: fixed.F64(), MaskHash: fixed.U64(), Payload: payload}, nil
+	return h.msg, nil
 }
 
-// readFloats streams count little-endian float64s from r into a vector
-// from Alloc, folding their bytes into the running checksum sum. On a
-// little-endian host the frame's bytes are the vector's memory, so they
-// are read straight into it (checkpoint.F64Bytes) a chunk at a time, and
-// each chunk is checksummed while it is still in cache; elsewhere they
-// pass through the reused chunk buffer and the portable conversion.
-func (fr *FrameReader) readFloats(r io.Reader, count int, sum uint32) ([]float64, uint32, error) {
+// readColumn streams h's n scalars from r into a vector from Alloc, folding
+// their bytes into the running checksum sum, and reports whether every
+// binary16 half was canonical (getHalves). On a little-endian host a
+// float64 column's bytes are the vector's memory, so they are read
+// straight into it (checkpoint.F64Bytes) a chunk at a time, and each chunk
+// is checksummed while it is still in cache; halves, and float64s
+// elsewhere, pass through the reused chunk buffer and are converted from
+// it.
+func (fr *FrameReader) readColumn(r io.Reader, h *head, sum uint32) (uint32, bool, error) {
 	var dst []float64
 	if fr.Alloc != nil {
-		dst = fr.Alloc(count)[:count]
+		dst = fr.Alloc(h.n)[:h.n]
 	} else {
-		dst = make([]float64, count)
+		dst = make([]float64, h.n)
 	}
-	if b := checkpoint.F64Bytes(dst); b != nil {
+	*h.col = dst
+	if b := checkpoint.F64Bytes(dst); b != nil && h.enc != EncF16 {
 		for len(b) > 0 {
 			n := min(len(b), frameChunk)
 			if _, err := io.ReadFull(r, b[:n]); err != nil {
-				return nil, 0, truncated(err)
+				return 0, false, truncated(err)
 			}
 			sum = crc32.Update(sum, crc32.IEEETable, b[:n])
 			b = b[n:]
 		}
-		return dst, sum, nil
+		return sum, true, nil
 	}
-	if want := min(8*count, frameChunk); len(fr.chunk) < want {
+	w := h.enc.width()
+	if want := min(w*h.n, frameChunk); len(fr.chunk) < want {
 		fr.chunk = make([]byte, want)
 	}
+	canonical := true
 	for rest := dst; len(rest) > 0; {
-		b := fr.chunk[:8*min(len(rest), len(fr.chunk)/8)]
+		k := min(len(rest), len(fr.chunk)/w)
+		b := fr.chunk[:w*k]
 		if _, err := io.ReadFull(r, b); err != nil {
-			return nil, 0, truncated(err)
+			return 0, false, truncated(err)
 		}
 		sum = crc32.Update(sum, crc32.IEEETable, b)
-		checkpoint.GetF64s(rest[:len(b)/8], b)
-		rest = rest[len(b)/8:]
+		if h.enc == EncF16 {
+			canonical = getHalves(rest[:k], b) && canonical
+		} else {
+			checkpoint.GetF64s(rest[:k], b)
+		}
+		rest = rest[k:]
 	}
-	return dst, sum, nil
+	return sum, canonical, nil
 }
 
 // readWhole reads the rest of a frame of an n-byte payload whose first

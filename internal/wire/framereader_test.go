@@ -61,6 +61,47 @@ func denseFrames(n int) map[string][]byte {
 	}
 }
 
+// sparseFrames returns a sparse update and a sparse global of n scalars
+// under each encoding, against a dimension of 2n+1, with NaN and
+// signed-zero scalars among them.
+func sparseFrames(n int) map[string][]byte {
+	p := make([]float64, n)
+	for i := range p {
+		p[i] = float64(i%97)/8 - 6
+	}
+	if n > 2 {
+		p[1], p[2] = math.NaN(), math.Copysign(0, -1)
+	}
+	out := map[string][]byte{}
+	for _, enc := range []Enc{EncF64, EncF16} {
+		out["sparse-update-"+enc.String()] = Encode(&SparseUpdateMsg{Round: 5, Weight: 2.5, MaskHash: 0xfeedface,
+			MaskGen: 3, Dim: 2*n + 1, Enc: enc, Values: p})
+		out["sparse-global-"+enc.String()] = Encode(&SparseGlobalMsg{Round: 5, Participants: 3, MaskHash: 0xfeedface,
+			MaskGen: -1, Dim: 2*n + 1, Enc: enc, Values: p})
+	}
+	return out
+}
+
+// hostileSparseFrames returns sparse frames each damaged in one way the
+// stream reader must refuse as Decode does: cut inside the column, a
+// flipped checksum, more scalars than the dimension, and a non-canonical
+// NaN half.
+func hostileSparseFrames() map[string][]byte {
+	out := map[string][]byte{}
+	for name, f := range sparseFrames(40) {
+		out[name+"/cut"] = f[:len(f)-checkpoint.TrailerLen-7]
+		flipped := append([]byte(nil), f...)
+		flipped[len(f)-1] ^= 0x10
+		out[name+"/bad-crc"] = flipped
+	}
+	vals := []float64{1, 2, 3}
+	for _, enc := range []Enc{EncF64, EncF16} {
+		out["count-over-dim-"+enc.String()] = Encode(&SparseUpdateMsg{Dim: 2, Enc: enc, Values: vals})
+	}
+	out["nan-half"] = withHalves(&SparseGlobalMsg{Dim: 4, Enc: EncF16, Values: vals}, 0x3c00, 0x7e01, 0x4000)
+	return out
+}
+
 // agreeWithDecode reads in frame by frame through one FrameReader and
 // through Decode, failing unless both return the same messages, then the
 // same error: the same errors.Is class and text. Where Decode fails for
@@ -112,13 +153,22 @@ func agreeWithDecode(t *testing.T, in []byte, limit int) {
 }
 
 // TestFrameReaderMatchesDecode runs the differential over the checked-in
-// corpora and over dense frames that span several stream chunks.
+// corpora, over dense and sparse frames that span several stream chunks,
+// and over damaged sparse frames.
 func TestFrameReaderMatchesDecode(t *testing.T) {
 	seeds := corpusSeeds(t)
 	for _, n := range []int{0, 1, frameChunk / 8, frameChunk/8 + 1, 3*frameChunk/8 - 5} {
 		for _, f := range denseFrames(n) {
 			seeds = append(seeds, f, append(append([]byte(nil), f...), f...))
 		}
+	}
+	for _, n := range []int{0, 1, frameChunk / 8, frameChunk / 2, frameChunk/2 + 1} {
+		for _, f := range sparseFrames(n) {
+			seeds = append(seeds, f, append(append([]byte(nil), f...), f...))
+		}
+	}
+	for _, f := range hostileSparseFrames() {
+		seeds = append(seeds, f)
 	}
 	for _, in := range seeds {
 		for _, limit := range []int{0, 64, joinLimitForTest} {
@@ -136,6 +186,12 @@ func FuzzFrameReader(f *testing.F) {
 		f.Add(s)
 	}
 	for _, fr := range denseFrames(40) {
+		f.Add(fr)
+	}
+	for _, fr := range sparseFrames(40) {
+		f.Add(fr)
+	}
+	for _, fr := range hostileSparseFrames() {
 		f.Add(fr)
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
@@ -223,7 +279,7 @@ func TestFrameReaderTruncatedAndFlipped(t *testing.T) {
 // byte over the caller's limit, or 0xFFFFFFF0 bytes under any limit —
 // fails with ErrTooLarge before the destination is asked for, as Decode
 // refuses it, and a frame within the limit asks exactly once, for its
-// float count.
+// scalar count.
 func TestFrameReaderLimitBeforeAlloc(t *testing.T) {
 	calls := 0
 	fr := FrameReader{Alloc: func(n int) []float64 {
@@ -240,7 +296,11 @@ func TestFrameReaderLimitBeforeAlloc(t *testing.T) {
 			t.Errorf("%s: Decode err %v, want ErrTooLarge", what, err)
 		}
 	}
-	for name, frame := range denseFrames(500) {
+	frames := denseFrames(500)
+	for name, f := range sparseFrames(500) {
+		frames[name] = f
+	}
+	for name, frame := range frames {
 		n := int(binary.LittleEndian.Uint32(frame[6:]))
 		tooLarge(name+" over limit", frame, n-1)
 		huge := append([]byte(nil), frame...)
@@ -254,6 +314,15 @@ func TestFrameReaderLimitBeforeAlloc(t *testing.T) {
 		}
 		if _, _, err := Decode(frame, n); err != nil {
 			t.Errorf("%s at limit: Decode err %v", name, err)
+		}
+	}
+	// A sparse head that fails Decode's checks — here more scalars than
+	// the dimension — is refused before the destination is asked for.
+	for _, enc := range []Enc{EncF64, EncF16} {
+		calls = 0
+		frame := Encode(&SparseUpdateMsg{Dim: 2, Enc: enc, Values: []float64{1, 2, 3}})
+		if _, err := fr.Read(bytes.NewReader(frame), 0); !errors.Is(err, ErrCorrupt) || calls != 0 {
+			t.Errorf("%s column over its dimension: err %v after %d Alloc call(s), want ErrCorrupt before any", enc, err, calls)
 		}
 	}
 }

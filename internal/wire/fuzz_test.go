@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"apf/internal/fl"
+	"apf/internal/quantize"
 	"apf/internal/recon"
 )
 
@@ -36,14 +37,17 @@ func FuzzWireDecode(f *testing.F) {
 		&SparseUpdateMsg{Round: 2, Weight: 4, MaskHash: 0xabad1dea, MaskGen: 3, Dim: 6,
 			Enc: EncF64, Values: []float64{1.5, -2.25}},
 		&SparseUpdateMsg{Round: 2, Weight: 4, MaskHash: 1, MaskGen: -1, Dim: 6,
-			Enc: EncF16, Q: []uint16{0x3c00, 0xfc01, 0x7e33}},
+			Enc: EncF16, Values: []float64{1, math.Copysign(math.NaN(), -1), math.NaN()}},
 		&SparseGlobalMsg{Round: 9, Participants: 4, MaskHash: 7, MaskGen: 0, Dim: 4,
 			Enc: EncF64, Values: []float64{-0.5}},
 		&SparseGlobalMsg{Round: 9, Participants: 4, MaskHash: 7, MaskGen: 2, Dim: 4,
-			Enc: EncF16, Q: []uint16{0, 0x8000, 0x7bff}},
+			Enc: EncF16, Values: []float64{0, math.Copysign(0, -1), 65504}},
 	} {
 		f.Add(Encode(m))
 	}
+	// Non-canonical NaN halves, which both decoders refuse.
+	f.Add(withHalves(&SparseUpdateMsg{Round: 2, Weight: 4, MaskHash: 1, MaskGen: -1, Dim: 6,
+		Enc: EncF16, Values: []float64{1, 0, 0}}, 0x3c00, 0xfc01, 0x7e33))
 	// Relay forms: the packed accumulator section (width tags, canonical
 	// widths, section length vs declared coordinates) is the mutation
 	// target.
@@ -121,6 +125,8 @@ func FuzzSparseDecode(f *testing.F) {
 	f.Add(int64(7), 1.0, uint64(0xfeedface), int64(-1), int64(2), byte(1), []byte{0x00, 0x3c, 0x01, 0xfc})
 	f.Add(int64(0), 0.0, uint64(0), int64(-2), int64(0), byte(2), []byte{})
 	f.Add(int64(3), 8.0, uint64(5), int64(10), int64(1), byte(1), []byte{1, 2, 3, 4, 5, 6})
+	// The canonical NaN halves 0x7e00 and 0xfe00, which decode.
+	f.Add(int64(4), 1.0, uint64(3), int64(1), int64(8), byte(1), []byte{0x00, 0x3c, 0x00, 0x7e, 0x00, 0xfe})
 
 	f.Fuzz(func(t *testing.T, round int64, weight float64, hash uint64, gen, dim int64, encRaw byte, raw []byte) {
 		if len(raw) > 1<<16 {
@@ -130,9 +136,18 @@ func FuzzSparseDecode(f *testing.F) {
 			Round: int(round), Weight: weight, MaskHash: hash,
 			MaskGen: int(gen), Dim: int(dim), Enc: Enc(encRaw % 2),
 		}
+		// halves are the raw binary16 column, written into the frame as
+		// they are: the encoder would canonicalize a NaN half.
+		var halves []uint16
+		canonical := true
 		if m.Enc == EncF16 {
 			for i := 0; i+1 < len(raw); i += 2 {
-				m.Q = append(m.Q, uint16(raw[i])|uint16(raw[i+1])<<8)
+				h := uint16(raw[i]) | uint16(raw[i+1])<<8
+				halves = append(halves, h)
+				m.Values = append(m.Values, quantize.HalfToFloat64(h))
+				if a := h & 0x7fff; a > 0x7c00 && a != 0x7e00 {
+					canonical = false
+				}
 			}
 		} else {
 			for i := 0; i+7 < len(raw); i += 8 {
@@ -144,19 +159,25 @@ func FuzzSparseDecode(f *testing.F) {
 			}
 		}
 		frame := Encode(m)
+		if m.Enc == EncF16 {
+			frame = withHalves(m, halves...)
+		}
+		// The encoder accepts shapes the decoder's validation refuses
+		// (non-positive dim, scalars > dim, gen < -1, a non-canonical NaN
+		// half); those must fail as corruption, not silently load.
+		valid := m.Dim > 0 && m.Scalars() <= m.Dim && m.MaskGen >= -1 && canonical
 		got, rest, err := Decode(frame, 0)
 		if err != nil {
-			// The encoder accepts shapes the decoder's validation refuses
-			// (non-positive dim, scalars > dim, gen < -1); those must fail
-			// as corruption, not silently load.
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("hostile sparse shape: got %v, want ErrCorrupt", err)
 			}
-			valid := m.Dim > 0 && m.Scalars() <= m.Dim && m.MaskGen >= -1
 			if valid {
 				t.Fatalf("decoder rejected a valid sparse message: %v", err)
 			}
 			return
+		}
+		if !valid {
+			t.Fatalf("decoder accepted a hostile sparse shape: %+v", m)
 		}
 		if len(rest) != 0 {
 			t.Fatalf("%d trailing bytes after a single frame", len(rest))

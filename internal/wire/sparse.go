@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -88,9 +89,14 @@ func (e Enc) String() string {
 // a disagreement surfaces as a typed divergence error instead of a silent
 // mis-expansion.
 //
-// Exactly one of Values/Q is populated, selected by Enc. EncF16 payloads
-// stay raw uint16 in memory so decode→encode is the identity even for
-// non-canonical NaN patterns (the canonical-encoding fuzz oracle).
+// Values holds the scalars as float64 under either encoding: Enc decides
+// only how they cross the wire. Under EncF16 the encoder writes each as
+// its nearest binary16 half (quantize.Float64ToHalf, round to nearest
+// even) and the decoder reads each half back exactly
+// (quantize.HalfToFloat64), so a sender whose local copy must match what
+// the receiver decodes rounds it first (quantize.RoundTripSlice). A
+// decoder refuses a NaN half other than 0x7e00/0xfe00, the only NaNs the
+// encoder writes, which keeps decode→encode the identity.
 type SparseUpdateMsg struct {
 	Round  int
 	Weight float64
@@ -104,14 +110,13 @@ type SparseUpdateMsg struct {
 	// Dim is the dense model dimension the payload expands into.
 	Dim    int
 	Enc    Enc
-	Values []float64 // EncF64 payload
-	Q      []uint16  // EncF16 payload
+	Values []float64
 }
 
 // SparseGlobalMsg is the mask-aware form of GlobalMsg: the aggregate's unfrozen
 // scalars against the round's agreed mask, which the server echoes back
 // via MaskHash/MaskGen so each client can verify its own mask matches
-// before expanding.
+// before expanding. Values and Enc are as in SparseUpdateMsg.
 type SparseGlobalMsg struct {
 	Round        int
 	Participants int
@@ -120,7 +125,6 @@ type SparseGlobalMsg struct {
 	Dim          int
 	Enc          Enc
 	Values       []float64
-	Q            []uint16
 }
 
 // WireKind implements Msg.
@@ -129,58 +133,17 @@ func (*SparseUpdateMsg) WireKind() Kind { return KindSparseUpdate }
 // WireKind implements Msg.
 func (*SparseGlobalMsg) WireKind() Kind { return KindSparseGlobal }
 
-// Scalars returns the number of payload scalars under either encoding.
-func (m *SparseUpdateMsg) Scalars() int { return sparseScalars(m.Enc, m.Values, m.Q) }
+// Scalars returns the number of payload scalars.
+func (m *SparseUpdateMsg) Scalars() int { return len(m.Values) }
 
-// Scalars returns the number of payload scalars under either encoding.
-func (m *SparseGlobalMsg) Scalars() int { return sparseScalars(m.Enc, m.Values, m.Q) }
+// Scalars returns the number of payload scalars.
+func (m *SparseGlobalMsg) Scalars() int { return len(m.Values) }
 
-// Floats expands the payload scalars to float64 into dst (grown as
-// needed): a copy for EncF64, a binary16 decode for EncF16.
-func (m *SparseUpdateMsg) Floats(dst []float64) []float64 {
-	return sparseFloats(dst, m.Enc, m.Values, m.Q)
-}
+// Floats copies the payload scalars into dst (grown as needed).
+func (m *SparseUpdateMsg) Floats(dst []float64) []float64 { return append(dst[:0], m.Values...) }
 
-// Floats expands the payload scalars to float64 into dst.
-func (m *SparseGlobalMsg) Floats(dst []float64) []float64 {
-	return sparseFloats(dst, m.Enc, m.Values, m.Q)
-}
-
-func sparseScalars(enc Enc, values []float64, q []uint16) int {
-	if enc == EncF16 {
-		return len(q)
-	}
-	return len(values)
-}
-
-func sparseFloats(dst []float64, enc Enc, values []float64, q []uint16) []float64 {
-	if enc == EncF64 {
-		return append(dst[:0], values...)
-	}
-	dst = slices.Grow(dst[:0], len(q))[:len(q)]
-	for i, h := range q {
-		dst[i] = quantize.HalfToFloat64(h)
-	}
-	return dst
-}
-
-// PackSparse converts float64 scalars into a sparse message's payload
-// columns under the given encoding: (vals, nil) for EncF64, (nil, halves)
-// for EncF16. The EncF16 column is written into buf when it has the
-// capacity (a sender encoding each frame at once reuses one buffer), else
-// into a new slice. It quantizes with round-to-nearest-even; a sender
-// that needs its local copy to match what the receiver decodes should
-// quantize.RoundTripSlice its values first.
-func PackSparse(enc Enc, vals []float64, buf []uint16) ([]float64, []uint16) {
-	if enc == EncF64 {
-		return vals, nil
-	}
-	q := slices.Grow(buf[:0], len(vals))[:len(vals)]
-	for i, v := range vals {
-		q[i] = quantize.Float64ToHalf(v)
-	}
-	return nil, q
-}
+// Floats copies the payload scalars into dst (grown as needed).
+func (m *SparseGlobalMsg) Floats(dst []float64) []float64 { return append(dst[:0], m.Values...) }
 
 // appendBody serializes a SparseUpdateMsg body.
 func (m *SparseUpdateMsg) appendBody(w *checkpoint.Writer) {
@@ -190,24 +153,7 @@ func (m *SparseUpdateMsg) appendBody(w *checkpoint.Writer) {
 	w.Int(m.MaskGen)
 	w.Int(m.Dim)
 	w.U16(uint16(m.Enc))
-	appendSparseValues(w, m.Enc, m.Values, m.Q)
-}
-
-// readSparseUpdate decodes a SparseUpdateMsg body, validating the
-// hostile-input surface (dimension, generation, scalar count, encoding
-// tag) before any expansion happens.
-func readSparseUpdate(r *checkpoint.Reader) *SparseUpdateMsg {
-	m := &SparseUpdateMsg{
-		Round:    r.Int(),
-		Weight:   r.F64(),
-		MaskHash: r.U64(),
-		MaskGen:  r.Int(),
-		Dim:      r.Int(),
-	}
-	m.Enc = readEnc(r)
-	m.Values, m.Q = readSparseValues(r, m.Enc)
-	validateSparse(r, m.Dim, m.MaskGen, m.Scalars())
-	return m
+	appendColumn(w, m.Enc, m.Values)
 }
 
 // appendBody serializes a SparseGlobalMsg body.
@@ -218,34 +164,54 @@ func (m *SparseGlobalMsg) appendBody(w *checkpoint.Writer) {
 	w.Int(m.MaskGen)
 	w.Int(m.Dim)
 	w.U16(uint16(m.Enc))
-	appendSparseValues(w, m.Enc, m.Values, m.Q)
+	appendColumn(w, m.Enc, m.Values)
 }
 
-// readSparseGlobal decodes a SparseGlobalMsg body.
-func readSparseGlobal(r *checkpoint.Reader) *SparseGlobalMsg {
-	m := &SparseGlobalMsg{
-		Round:        r.Int(),
-		Participants: r.Int(),
-		MaskHash:     r.U64(),
-		MaskGen:      r.Int(),
-		Dim:          r.Int(),
+// width is the size of one scalar on the wire under e.
+func (e Enc) width() int {
+	if e == EncF16 {
+		return 2
 	}
-	m.Enc = readEnc(r)
-	m.Values, m.Q = readSparseValues(r, m.Enc)
-	validateSparse(r, m.Dim, m.MaskGen, m.Scalars())
-	return m
+	return 8
 }
 
-// appendSparseValues writes the payload column selected by enc.
-func appendSparseValues(w *checkpoint.Writer, enc Enc, values []float64, q []uint16) {
-	if enc == EncF16 {
-		w.Int(len(q))
-		for _, h := range q {
-			w.U16(h)
-		}
+// appendColumn writes a payload column under enc: the scalar count, then
+// each scalar as its float64 bits, or under EncF16 as its binary16 half.
+func appendColumn(w *checkpoint.Writer, enc Enc, v []float64) {
+	if enc != EncF16 {
+		w.F64s(v)
 		return
 	}
-	w.F64s(values)
+	w.Int(len(v))
+	w.AppendWith(func(dst []byte) []byte {
+		// One growth, with room for the frame's trailer behind the halves.
+		at := len(dst)
+		dst = slices.Grow(dst, 2*len(v)+checkpoint.TrailerLen)[:at+2*len(v)]
+		for i, x := range v {
+			binary.LittleEndian.PutUint16(dst[at+2*i:], quantize.Float64ToHalf(x))
+		}
+		return dst
+	})
+}
+
+// nonCanonicalHalf is the damage getHalves reports.
+const nonCanonicalHalf = "non-canonical binary16 NaN"
+
+// getHalves fills v from the little-endian binary16 halves in b, which
+// must hold 2·len(v) bytes, and reports whether every half is canonical:
+// a NaN other than 0x7e00/0xfe00 would re-encode as one of those, so a
+// frame carrying it is refused.
+func getHalves(v []float64, b []byte) bool {
+	b = b[:2*len(v)]
+	canonical := true
+	for i := range v {
+		h := uint16(b[2*i]) | uint16(b[2*i+1])<<8
+		if a := h & 0x7fff; a > 0x7c00 && a != 0x7e00 {
+			canonical = false
+		}
+		v[i] = quantize.HalfToFloat64(h)
+	}
+	return canonical
 }
 
 // readEnc decodes and validates the encoding tag.
@@ -255,45 +221,6 @@ func readEnc(r *checkpoint.Reader) Enc {
 		r.Fail(fmt.Sprintf("unknown sparse payload encoding %d", e))
 	}
 	return Enc(e)
-}
-
-// readSparseValues decodes the payload column selected by enc, bounding
-// hostile counts by the remaining frame bytes before allocation.
-func readSparseValues(r *checkpoint.Reader, enc Enc) ([]float64, []uint16) {
-	if enc != EncF16 {
-		return r.F64s(), nil
-	}
-	n := r.Int()
-	if r.Err() != nil {
-		return nil, nil
-	}
-	if n < 0 || n > r.Remaining()/2 {
-		r.Fail("binary16 scalar count overruns frame")
-		return nil, nil
-	}
-	q := make([]uint16, n)
-	for i := range q {
-		q[i] = r.U16()
-	}
-	return nil, q
-}
-
-// validateSparse enforces the structural invariants a sparse message must
-// satisfy regardless of transport context: a positive dense dimension, at
-// most Dim payload scalars (the unfrozen subset cannot exceed the model),
-// and a generation of -1 (unknown) or above.
-func validateSparse(r *checkpoint.Reader, dim, gen, scalars int) {
-	if r.Err() != nil {
-		return
-	}
-	switch {
-	case dim <= 0:
-		r.Fail(fmt.Sprintf("sparse dense dimension %d not positive", dim))
-	case scalars > dim:
-		r.Fail(fmt.Sprintf("%d sparse scalars exceed dense dimension %d", scalars, dim))
-	case gen < -1:
-		r.Fail(fmt.Sprintf("sparse mask generation %d below -1", gen))
-	}
 }
 
 // DenseGlobalFrameSize returns the encoded size of a dense full-dimension

@@ -30,14 +30,58 @@ func sparseSampleMsgs() []Msg {
 		&SparseUpdateMsg{Round: 5, Weight: 30, MaskHash: 0xdeadbeef, MaskGen: 2, Dim: 8,
 			Enc: EncF64, Values: []float64{1.5, -2.25, math.Inf(1), 0}},
 		&SparseUpdateMsg{Round: 0, Weight: 1, MaskHash: 1, MaskGen: -1, Dim: 3,
-			Enc: EncF16, Q: []uint16{0x3c00, 0xfbff}},
+			Enc: EncF16, Values: []float64{1, -65504}},
 		&SparseGlobalMsg{Round: 9, Participants: 4, MaskHash: 7, MaskGen: 0, Dim: 6,
 			Enc: EncF64, Values: []float64{-0.5, 3e300}},
 		&SparseGlobalMsg{Round: 12, Participants: 2, MaskHash: 99, MaskGen: 3, Dim: 4,
-			// Non-canonical NaN patterns: the raw uint16 column must survive
-			// a round trip untouched even though no float64 conversion could
-			// reproduce these bits.
-			Enc: EncF16, Q: []uint16{0x7e33, 0xfe01, 0x7c01}},
+			// Binary16's edges: infinities and the smallest subnormal.
+			Enc: EncF16, Values: []float64{math.Inf(1), math.Inf(-1), 0x1p-24}},
+	}
+}
+
+// withHalves encodes a binary16 sparse message and overwrites its column
+// with the given halves (one per value of m), resealing the checksum: a
+// frame carrying bit patterns the encoder never writes.
+func withHalves(m Msg, halves ...uint16) []byte {
+	f := Encode(m)
+	at := len(f) - checkpoint.TrailerLen - 2*len(halves)
+	for i, h := range halves {
+		binary.LittleEndian.PutUint16(f[at+2*i:], h)
+	}
+	return reframe(f, f[4])
+}
+
+// TestSparseHalfNaNs: a binary16 column's NaNs arrive as float64 NaNs of
+// the same sign and re-encode to the same halves when canonical (0x7e00,
+// 0xfe00, the only NaNs the encoder writes); any other NaN pattern — a
+// payload, a signalling NaN — would re-encode differently, so both decoders
+// refuse its frame as corrupt.
+func TestSparseHalfNaNs(t *testing.T) {
+	m := &SparseGlobalMsg{Round: 12, Participants: 2, MaskHash: 99, MaskGen: 3, Dim: 4,
+		Enc: EncF16, Values: []float64{math.NaN(), math.Copysign(math.NaN(), -1), 1}}
+	frame := Encode(m)
+	if !bytes.Equal(withHalves(m, 0x7e00, 0xfe00, 0x3c00), frame) {
+		t.Fatal("NaNs not encoded as the canonical halves 0x7e00/0xfe00")
+	}
+	got, _, err := Decode(frame, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := got.(*SparseGlobalMsg).Values
+	if !math.IsNaN(v[0]) || math.Signbit(v[0]) || !math.IsNaN(v[1]) || !math.Signbit(v[1]) || v[2] != 1 {
+		t.Fatalf("canonical halves decoded to %v", v)
+	}
+	if !bytes.Equal(Encode(got), frame) {
+		t.Fatal("canonical NaN halves not re-encoded byte for byte")
+	}
+	for _, nan := range []uint16{0x7e33, 0xfe01, 0x7c01, 0xffff} {
+		bad := withHalves(m, 0x7e00, nan, 0x3c00)
+		if _, _, err := Decode(bad, 0); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("half %#04x: Decode got %v, want ErrCorrupt", nan, err)
+		}
+		if _, err := new(FrameReader).Read(bytes.NewReader(bad), 0); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("half %#04x: FrameReader got %v, want ErrCorrupt", nan, err)
+		}
 	}
 }
 
@@ -124,10 +168,8 @@ func TestFrameLengthClosedForm(t *testing.T) {
 			{&UpdateMsg{Round: 3, Weight: 30, MaskHash: 7, Payload: vals}, 46 + 8*n},
 		}
 		for enc, width := range map[Enc]int{EncF64: 8, EncF16: 2} {
-			up := &SparseUpdateMsg{Round: 3, Weight: 30, MaskHash: 7, MaskGen: 4, Dim: dim, Enc: enc}
-			up.Values, up.Q = PackSparse(enc, vals, nil)
-			down := &SparseGlobalMsg{Round: 3, Participants: 2, MaskHash: 7, MaskGen: 4, Dim: dim, Enc: enc}
-			down.Values, down.Q = PackSparse(enc, vals, nil)
+			up := &SparseUpdateMsg{Round: 3, Weight: 30, MaskHash: 7, MaskGen: 4, Dim: dim, Enc: enc, Values: vals}
+			down := &SparseGlobalMsg{Round: 3, Participants: 2, MaskHash: 7, MaskGen: 4, Dim: dim, Enc: enc, Values: vals}
 			frames = append(frames, sized{up, 64 + width*n}, sized{down, 64 + width*n})
 		}
 		for _, f := range frames {
@@ -212,35 +254,32 @@ func TestCodecStrings(t *testing.T) {
 	}
 }
 
-func TestPackSparseAndFloats(t *testing.T) {
-	vals := []float64{1.5, -0.25, 1024}
-
-	v, q := PackSparse(EncF64, vals, nil)
-	if q != nil || !reflect.DeepEqual(v, vals) {
-		t.Fatalf("EncF64 pack: %v, %v", v, q)
-	}
-	m := &SparseUpdateMsg{Dim: 4, Enc: EncF64, Values: v}
-	if got := m.Floats(nil); !reflect.DeepEqual(got, vals) {
-		t.Fatalf("EncF64 floats: %v", got)
-	}
-
-	buf := make([]uint16, 1, 8)
-	v, q = PackSparse(EncF16, vals, buf)
-	if v != nil || len(q) != len(vals) || &q[0] != &buf[0] {
-		t.Fatalf("EncF16 pack: %v, %v (want the halves in the buffer passed)", v, q)
-	}
-	g := &SparseGlobalMsg{Dim: 4, Enc: EncF16, Q: q}
-	want := quantize.RoundTripSlice(append([]float64(nil), vals...))
-	if got := g.Floats(nil); !reflect.DeepEqual(got, want) {
-		t.Fatalf("EncF16 floats: got %v, want %v", got, want)
-	}
-	if g.Scalars() != 3 || m.Scalars() != 3 {
-		t.Fatal("Scalars miscounted")
-	}
-	// Floats reuses dst capacity.
-	dst := make([]float64, 0, 8)
-	if got := g.Floats(dst); &got[0] != &dst[:1][0] {
-		t.Error("Floats did not reuse dst backing array")
+// TestSparseScalarsAndFloats: a sparse message holds float64 scalars under
+// either encoding; Scalars counts them and Floats copies them into a
+// reused vector. Under EncF16 a frame carries each value's nearest half,
+// so what a receiver decodes is quantize.RoundTripSlice of what was sent.
+func TestSparseScalarsAndFloats(t *testing.T) {
+	vals := []float64{1.5, -0.25, 1024, 0.1}
+	for _, enc := range []Enc{EncF64, EncF16} {
+		m := &SparseUpdateMsg{Dim: 4, Enc: enc, Values: vals}
+		if got := m.Floats(nil); !reflect.DeepEqual(got, vals) || m.Scalars() != len(vals) {
+			t.Fatalf("%s: Floats %v, Scalars %d", enc, got, m.Scalars())
+		}
+		dst := make([]float64, 0, 8)
+		if got := m.Floats(dst); &got[0] != &dst[:1][0] {
+			t.Errorf("%s: Floats did not reuse dst backing array", enc)
+		}
+		want := vals
+		if enc == EncF16 {
+			want = quantize.RoundTripSlice(append([]float64(nil), vals...))
+		}
+		got, _, err := Decode(Encode(&SparseGlobalMsg{Dim: 4, Enc: enc, Values: vals}), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g := got.(*SparseGlobalMsg); !reflect.DeepEqual(g.Values, want) || g.Scalars() != len(vals) {
+			t.Fatalf("%s: decoded %v, want %v", enc, g.Values, want)
+		}
 	}
 }
 
