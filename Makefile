@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: tier1 benchtest vet endian lint race fuzz corpora crashtest examples bench scenarios scenariobench scalebench scalereport resumebench ci
+.PHONY: tier1 benchtest vet endian lint race fuzz corpora crashtest examples bench benchsmoke scenarios scenariobench scalebench scalereport resumebench ci
 
 # Tier-1 verify (see ROADMAP.md): must stay green on every commit.
 # -shuffle=on randomizes test order so hidden inter-test coupling fails
@@ -89,12 +89,20 @@ crashtest:
 examples:
 	set -e; for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d; done
 
+# The round-critical benchmarks, one list for bench and benchsmoke.
+BENCHES = 'BenchmarkManagerRound$$|BenchmarkStabilityCheck$$|BenchmarkAggregate$$|BenchmarkPartialFold$$|BenchmarkWireDense$$|BenchmarkCheckpointF64s$$|BenchmarkFrameRead$$|BenchmarkAggregatorAdd$$|BenchmarkTrainStep$$|BenchmarkEngineRound$$'
+
 # Quick look at the round-critical benchmarks while working on them. Not a
 # tracked number: timings are measured end to end and per layer by bench/
 # (`bash bench/run.sh --trace 1`); what these paths must never do (allocate
 # at steady state) is pinned in tier-1.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkManagerRound$$|BenchmarkStabilityCheck$$|BenchmarkAggregate$$|BenchmarkPartialFold$$|BenchmarkWireDense$$|BenchmarkCheckpointF64s$$|BenchmarkFrameRead$$|BenchmarkAggregatorAdd$$|BenchmarkTrainStep$$|BenchmarkEngineRound$$' -benchmem .
+	$(GO) test -run '^$$' -bench $(BENCHES) -benchmem .
+
+# Every benchmark of the bench set, run once (~5-10s on 2 cores): a change
+# that breaks one, which performance changes quote, fails here.
+benchsmoke:
+	$(GO) test -run '^$$' -bench $(BENCHES) -benchtime 1x -benchmem .
 
 # Scenario smoke: the CI subset of the adversary × network × data matrix,
 # race-enabled, over the real TCP transport. The run enforces the
@@ -143,4 +151,4 @@ resumebench:
 	$(GO) run ./cmd/apfbench -resume BENCH_resume.json
 	git diff --exit-code -I'"go_version"' -I'"gomaxprocs"' -- BENCH_resume.json
 
-ci: tier1 benchtest vet endian lint race fuzz crashtest examples scenarios scalebench scenariobench scalereport resumebench
+ci: tier1 benchtest benchsmoke vet endian lint race fuzz crashtest examples scenarios scalebench scenariobench scalereport resumebench

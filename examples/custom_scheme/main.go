@@ -33,13 +33,13 @@ type lazySync struct {
 // PostIterate does nothing: local training is unrestricted.
 func (m *lazySync) PostIterate(int, []float64) {}
 
-// PrepareUpload pushes the full model on even rounds only.
+// PrepareUpload pushes the full model on even rounds only. The
+// contribution may be x itself: callers only read it.
 func (m *lazySync) PrepareUpload(round int, x []float64) ([]float64, float64, int64) {
-	contrib := append([]float64(nil), x...)
 	if round%2 == 1 {
-		return contrib, 0, 0
+		return x, 0, 0
 	}
-	return contrib, 1, int64(len(x)) * m.bytesPerValue
+	return x, 1, int64(len(x)) * m.bytesPerValue
 }
 
 // ApplyDownload pulls the aggregate on even rounds only.

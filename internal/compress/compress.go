@@ -58,11 +58,11 @@ func NewPartialSync(dim, checkEveryRounds int, threshold, emaAlpha float64, byte
 // point of this strawman).
 func (m *PartialSync) PostIterate(int, []float64) {}
 
-// PrepareUpload pushes only the still-synchronized scalars.
+// PrepareUpload pushes only the still-synchronized scalars; the
+// contribution is x itself.
 func (m *PartialSync) PrepareUpload(_ int, x []float64) ([]float64, float64, int64) {
-	contrib := append([]float64(nil), x...)
 	synced := m.dim - m.excluded.Count()
-	return contrib, 1, int64(synced) * m.bytesPerValue
+	return x, 1, int64(synced) * m.bytesPerValue
 }
 
 // ApplyDownload pulls only the still-synchronized scalars, then re-checks
@@ -247,8 +247,8 @@ func (m *CMFL) PostIterate(_ int, x []float64) {
 	}
 }
 
-// PrepareUpload pushes the full update when it is relevant enough, and
-// nothing otherwise.
+// PrepareUpload pushes the full update, x itself, when it is relevant
+// enough, and nothing otherwise.
 func (m *CMFL) PrepareUpload(round int, x []float64) ([]float64, float64, int64) {
 	send := true
 	if m.haveDelta {
@@ -265,11 +265,10 @@ func (m *CMFL) PrepareUpload(round int, x []float64) ([]float64, float64, int64)
 		}
 		send = float64(agree)/float64(m.dim) >= thr
 	}
-	contrib := append([]float64(nil), x...)
 	if !send {
-		return contrib, 0, 0
+		return x, 0, 0
 	}
-	return contrib, 1, int64(m.dim) * m.bytesPerValue
+	return x, 1, int64(m.dim) * m.bytesPerValue
 }
 
 // ApplyDownload pulls the full model and updates the reference direction.
@@ -290,6 +289,10 @@ func (m *CMFL) ApplyDownload(_ int, x, global []float64) int64 {
 // payloads are pure values (true for APF and the passthrough baseline).
 type Quantized struct {
 	inner fl.SyncManager
+	// buf holds the rounded copy of the round's upload, then of its
+	// global: the inner contribution may be the model itself, which this
+	// wrapper must not write.
+	buf []float64
 }
 
 var _ fl.SyncManager = (*Quantized)(nil)
@@ -300,19 +303,19 @@ func NewQuantized(inner fl.SyncManager) *Quantized { return &Quantized{inner: in
 // PostIterate delegates to the wrapped manager.
 func (m *Quantized) PostIterate(round int, x []float64) { m.inner.PostIterate(round, x) }
 
-// PrepareUpload quantizes the inner payload and halves its wire size.
+// PrepareUpload quantizes a copy of the inner payload and halves its wire
+// size. The copy is valid until the next PrepareUpload or ApplyDownload.
 func (m *Quantized) PrepareUpload(round int, x []float64) ([]float64, float64, int64) {
 	contrib, w, up := m.inner.PrepareUpload(round, x)
-	quantize.RoundTripSlice(contrib)
-	return contrib, w, up / 2
+	m.buf = quantize.RoundTripSlice(append(m.buf[:0], contrib...))
+	return m.buf, w, up / 2
 }
 
 // ApplyDownload hands the wrapped manager a half-precision view of the
 // global model and halves the reported pull bytes.
 func (m *Quantized) ApplyDownload(round int, x, global []float64) int64 {
-	q := append([]float64(nil), global...)
-	quantize.RoundTripSlice(q)
-	return m.inner.ApplyDownload(round, x, q) / 2
+	m.buf = quantize.RoundTripSlice(append(m.buf[:0], global...))
+	return m.inner.ApplyDownload(round, x, m.buf) / 2
 }
 
 // Unwrap returns the wrapped manager, whose optional capabilities fl.As

@@ -23,6 +23,9 @@ type DPNoise struct {
 	inner fl.SyncManager
 	sigma float64
 	rng   *rand.Rand
+	// buf holds the noised copy of the upload: the inner contribution may
+	// be the model itself, which this wrapper must not write.
+	buf []float64
 }
 
 var _ fl.SyncManager = (*DPNoise)(nil)
@@ -40,15 +43,18 @@ func NewDPNoise(inner fl.SyncManager, sigma float64, clientSeed int64) *DPNoise 
 // PostIterate delegates to the wrapped manager.
 func (m *DPNoise) PostIterate(round int, x []float64) { m.inner.PostIterate(round, x) }
 
-// PrepareUpload adds Gaussian noise to the inner contribution.
+// PrepareUpload adds Gaussian noise to a copy of the inner contribution,
+// valid until the next PrepareUpload.
 func (m *DPNoise) PrepareUpload(round int, x []float64) ([]float64, float64, int64) {
 	contrib, w, up := m.inner.PrepareUpload(round, x)
-	if m.sigma > 0 {
-		for j := range contrib {
-			contrib[j] += m.sigma * m.rng.NormFloat64()
-		}
+	if m.sigma == 0 {
+		return contrib, w, up
 	}
-	return contrib, w, up
+	m.buf = append(m.buf[:0], contrib...)
+	for j := range m.buf {
+		m.buf[j] += m.sigma * m.rng.NormFloat64()
+	}
+	return m.buf, w, up
 }
 
 // ApplyDownload delegates to the wrapped manager.

@@ -21,6 +21,10 @@ type StochasticQuantized struct {
 	levels     int
 	sharedSeed int64
 	upQ        *quantize.StochasticQuantizer
+	// buf holds the quantized copy of the round's upload, then of its
+	// global: the inner contribution may be the model itself, which this
+	// wrapper must not write.
+	buf []float64
 }
 
 var _ fl.SyncManager = (*StochasticQuantized)(nil)
@@ -50,20 +54,23 @@ func (m *StochasticQuantized) wireBytes(inner int64) int64 {
 	return inner*bits/32 + 8
 }
 
-// PrepareUpload quantizes the inner payload with private randomness.
+// PrepareUpload quantizes a copy of the inner payload with private
+// randomness. The copy is valid until the next PrepareUpload or
+// ApplyDownload.
 func (m *StochasticQuantized) PrepareUpload(round int, x []float64) ([]float64, float64, int64) {
 	contrib, w, up := m.inner.PrepareUpload(round, x)
-	m.upQ.Quantize(contrib)
-	return contrib, w, m.wireBytes(up)
+	m.buf = append(m.buf[:0], contrib...)
+	m.upQ.Quantize(m.buf)
+	return m.buf, w, m.wireBytes(up)
 }
 
 // ApplyDownload quantizes the global model with shared per-round
 // randomness, then delegates.
 func (m *StochasticQuantized) ApplyDownload(round int, x, global []float64) int64 {
 	q := quantize.NewStochasticQuantizer(m.levels, stats.SplitRNG(m.sharedSeed, int64(round)+777))
-	g := append([]float64(nil), global...)
-	q.Quantize(g)
-	return m.wireBytes(m.inner.ApplyDownload(round, x, g))
+	m.buf = append(m.buf[:0], global...)
+	q.Quantize(m.buf)
+	return m.wireBytes(m.inner.ApplyDownload(round, x, m.buf))
 }
 
 // Unwrap returns the wrapped manager, whose optional capabilities fl.As

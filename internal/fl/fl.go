@@ -39,13 +39,17 @@ type SyncManager interface {
 	// should fold into the weighted average for this client, the client's
 	// aggregation weight (0 withholds the contribution entirely, as CMFL
 	// does for irrelevant updates), and the bytes pushed on the wire.
-	// The returned slice must not alias x; it may be manager-owned
-	// scratch, valid only until the next PrepareUpload call — or, for a
-	// CompactCodec, the next ExpandDownload call, which may reuse the same
-	// scratch for the dense global. Callers that retain it must copy. (The
-	// engine consumes it before the round's download barrier and never
-	// expands; the transport encodes it, compacted first on a sparse
-	// cluster, before it reads the round's global.)
+	// It never writes x. The returned slice may be x itself (the
+	// passthrough baseline returns it) or manager-owned scratch, and it is
+	// read-only to every caller: a wrapper that transforms a contribution
+	// (quantization, DP noise, an adversary) copies it into scratch of its
+	// own first. It is valid until the next local step writes x, the next
+	// PrepareUpload or ApplyDownload call, or, for a CompactCodec, the
+	// next ExpandDownload call, which may reuse the same scratch for the
+	// dense global. Callers that retain it longer must copy. (The engine
+	// consumes it before the round's download barrier and never expands;
+	// the transport encodes it, compacted first on a sparse cluster,
+	// before it reads the round's global.)
 	PrepareUpload(round int, x []float64) (contrib []float64, weight float64, upBytes int64)
 
 	// ApplyDownload merges the aggregated global vector into the local
@@ -135,7 +139,8 @@ type ManagerFactory func(clientID, dim int) SyncManager
 
 // PassthroughManager is the no-compression baseline (vanilla FedAvg): the
 // full model crosses the wire in both phases. It also serves as the
-// "w/o APF" arm of every end-to-end comparison.
+// "w/o APF" arm of every end-to-end comparison. Its contribution is the
+// model itself, so its upload costs no model-sized copy.
 type PassthroughManager struct {
 	bytesPerValue int64
 }
@@ -151,10 +156,9 @@ func NewPassthroughManager(bytesPerValue int) *PassthroughManager {
 // PostIterate is a no-op for the baseline.
 func (m *PassthroughManager) PostIterate(int, []float64) {}
 
-// PrepareUpload pushes the full model.
+// PrepareUpload pushes the full model: the contribution is x itself.
 func (m *PassthroughManager) PrepareUpload(_ int, x []float64) ([]float64, float64, int64) {
-	contrib := append([]float64(nil), x...)
-	return contrib, 1, int64(len(x)) * m.bytesPerValue
+	return x, 1, int64(len(x)) * m.bytesPerValue
 }
 
 // ApplyDownload pulls the full model.

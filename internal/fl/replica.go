@@ -89,8 +89,9 @@ func (r *Replica) addProximal() {
 	for _, p := range r.params {
 		n := p.Data.Size()
 		if p.Trainable {
+			g := p.Gradient().Data
 			for j := 0; j < n; j++ {
-				p.Grad.Data[j] += r.prox * (r.X[off+j] - r.roundStart[off+j])
+				g[j] += r.prox * (r.X[off+j] - r.roundStart[off+j])
 			}
 		}
 		off += n

@@ -125,6 +125,7 @@ func (b *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	plane := h * w
 	m := float64(n * plane)
 	dx := tensor.New(x.Shape...)
+	dgamma, dbeta := b.gamma.Gradient().Data, b.beta.Gradient().Data
 
 	for ic := 0; ic < b.c; ic++ {
 		g := b.gamma.Data.Data[ic]
@@ -139,8 +140,8 @@ func (b *BatchNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 				sumDyXHat += dy * b.lastXHat.Data[base+i]
 			}
 		}
-		b.beta.Grad.Data[ic] += sumDy
-		b.gamma.Grad.Data[ic] += sumDyXHat
+		dbeta[ic] += sumDy
+		dgamma[ic] += sumDyXHat
 
 		for in := 0; in < n; in++ {
 			base := (in*b.c + ic) * plane

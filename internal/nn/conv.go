@@ -186,6 +186,8 @@ func (c *Conv2D) backward(grad *tensor.Tensor, wantDx bool) *tensor.Tensor {
 	rows := c.inC * c.k * c.k
 	c.dw = ensure(c.dw, c.outC, rows)
 	c.wMat = view(c.wMat, c.w.Data.Data, c.outC, rows)
+	c.w.Gradient() // dwMat views it: write the zeros a mark stands for
+	db := c.b.Gradient().Data
 	if wantDx {
 		c.dx = ensure(c.dx, x.Shape...)
 		clear(c.dx.Data) // col2im accumulates
@@ -204,7 +206,7 @@ func (c *Conv2D) backward(grad *tensor.Tensor, wantDx bool) *tensor.Tensor {
 			for _, v := range dy[oc*oh*ow : (oc+1)*oh*ow] {
 				s += v
 			}
-			c.b.Grad.Data[oc] += s
+			db[oc] += s
 		}
 		// Kernel: dW += dy · colsᵀ.
 		c.colsMat = view(c.colsMat, c.cols.Data[in*sampleCols:(in+1)*sampleCols], rows, oh*ow)

@@ -61,34 +61,26 @@ func (d *Dense) backwardParams(grad *tensor.Tensor) {
 	if x == nil {
 		panic("nn: Dense.Backward called before Forward")
 	}
-	if allZero(d.w.Grad.Data) {
-		// The usual case, right after ZeroGrads: the product goes straight
-		// into the gradient. Adding it to ±0 would not change a bit (the
-		// kernel sums from +0, so it never yields −0), and a 1024×256
-		// layer's 2 MB scratch is not needed.
+	if d.w.gradZero {
+		// The usual case, right after ZeroGrads: the product is written
+		// straight over the marked gradient, which the kernel clears row
+		// by row as it goes. Neither a 1024×256 layer's 2 MB clear nor its
+		// 2 MB scratch is needed.
 		tensor.MatMulTransAInto(d.w.Grad, x, grad)
+		d.w.gradZero = false
 	} else {
 		d.dw = ensure(d.dw, d.w.Data.Shape...)
 		tensor.MatMulTransAInto(d.dw, x, grad)
 		d.w.Grad.AddAssign(d.dw)
 	}
+	db := d.b.Gradient().Data
 	n, m := grad.Shape[0], grad.Shape[1]
 	for i := 0; i < n; i++ {
 		row := grad.Data[i*m : (i+1)*m]
 		for j := range row {
-			d.b.Grad.Data[j] += row[j]
+			db[j] += row[j]
 		}
 	}
-}
-
-// allZero reports whether every element of v is ±0.
-func allZero(v []float64) bool {
-	for _, x := range v {
-		if x != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Params returns the weight and bias parameters.

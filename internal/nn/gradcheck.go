@@ -76,7 +76,7 @@ func GradCheck(layer Layer, x *tensor.Tensor, scalarLoss func(y *tensor.Tensor) 
 		}
 		// The analytic pass accumulated into p.Grad; snapshot before the
 		// finite-difference passes disturb layer state.
-		grads := append([]float64(nil), p.Grad.Data...)
+		grads := append([]float64(nil), p.Gradient().Data...)
 		if err := check(p.Name, p.Data.Data, grads); err != nil {
 			return res, err
 		}

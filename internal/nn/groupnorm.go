@@ -98,6 +98,7 @@ func (g *GroupNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	chPerGroup := g.c / g.groups
 	m := float64(chPerGroup * plane)
 	dx := tensor.New(grad.Shape...)
+	dgamma, dbeta := g.gamma.Gradient().Data, g.beta.Gradient().Data
 
 	for in := 0; in < n; in++ {
 		for gr := 0; gr < g.groups; gr++ {
@@ -114,8 +115,8 @@ func (g *GroupNorm2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 				for i := 0; i < plane; i++ {
 					dy := grad.Data[off+i]
 					xh := g.lastXHat.Data[off+i]
-					g.beta.Grad.Data[ch] += dy
-					g.gamma.Grad.Data[ch] += dy * xh
+					dbeta[ch] += dy
+					dgamma[ch] += dy * xh
 					dxh := dy * gm
 					sumDxh += dxh
 					sumDxhXh += dxh * xh

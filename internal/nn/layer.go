@@ -69,13 +69,33 @@ type Param struct {
 	Name string
 	// Data holds the current value.
 	Data *tensor.Tensor
-	// Grad accumulates gradients; Backward adds into it and the training
-	// loop zeroes it between steps.
+	// Grad holds the gradient accumulator's storage. ZeroGrads does not
+	// clear it: it marks it zero, and the zeros are written by the first
+	// access through Gradient, which every reader and accumulator uses
+	// (the layers' backward passes, FlattenGrads, the optimizers,
+	// GradCheck). Only Dense's weight gradient skips them: its product is
+	// written straight over a marked Grad. So after ZeroGrads, Grad itself
+	// may hold the previous step's values; read it through Gradient.
 	Grad *tensor.Tensor
 	// Trainable is false for tracked statistics (batch-norm running
 	// mean/var) that are synchronized and freezable like parameters but
 	// never updated by the optimizer.
 	Trainable bool
+
+	// gradZero is ZeroGrads' mark: Grad stands for all zeros, whatever
+	// it holds.
+	gradZero bool
+}
+
+// Gradient returns the gradient accumulator, first writing the zeros a
+// ZeroGrads mark stands for. Backward adds into it, and an optimizer reads
+// it.
+func (p *Param) Gradient() *tensor.Tensor {
+	if p.gradZero {
+		p.Grad.Zero()
+		p.gradZero = false
+	}
+	return p.Grad
 }
 
 // newParam allocates a named trainable parameter of the given shape.
@@ -109,9 +129,11 @@ type Layer interface {
 	Params() []*Param
 }
 
-// ZeroGrads zeroes the gradient of every parameter.
+// ZeroGrads zeroes the gradient of every parameter. It only marks each
+// one zero (see Param.Grad): a step whose backward pass overwrites a
+// gradient never pays for clearing it.
 func ZeroGrads(params []*Param) {
 	for _, p := range params {
-		p.Grad.Zero()
+		p.gradZero = true
 	}
 }

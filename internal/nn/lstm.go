@@ -178,12 +178,13 @@ func (l *LSTM) Backward(grad *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 
-		l.wx.Grad.AddAssign(tensor.MatMulTransA(l.xs[step], dz))
-		l.wh.Grad.AddAssign(tensor.MatMulTransA(hPrev, dz))
+		l.wx.Gradient().AddAssign(tensor.MatMulTransA(l.xs[step], dz))
+		l.wh.Gradient().AddAssign(tensor.MatMulTransA(hPrev, dz))
+		db := l.b.Gradient().Data
 		for i := 0; i < n; i++ {
 			row := dz.Data[i*4*h : (i+1)*4*h]
 			for j := range row {
-				l.b.Grad.Data[j] += row[j]
+				db[j] += row[j]
 			}
 		}
 

@@ -101,7 +101,7 @@ func FlattenGrads(params []*Param, dst []float64) []float64 {
 	}
 	off := 0
 	for _, p := range params {
-		copy(dst[off:], p.Grad.Data)
+		copy(dst[off:], p.Gradient().Data)
 		off += p.Data.Size()
 	}
 	return dst

@@ -134,18 +134,25 @@ func TestWorkspaceReuseMatchesFreshLayers(t *testing.T) {
 	})
 }
 
-// TestDenseGradientAccumulates covers both ways Dense lands dW — straight
-// into a zero gradient, and through its scratch into one that holds a sum
-// already — against Grad + xᵀ·dy with the product rounded first.
+// TestDenseGradientAccumulates covers both ways Dense lands dW — written
+// over a gradient ZeroGrads marked, whatever its storage held, and through
+// its scratch into one that holds a sum already — against xᵀ·dy and
+// Grad + xᵀ·dy with the product rounded first.
 func TestDenseGradientAccumulates(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	d := NewDense(rng, "fc", 5, 3)
 	x, dy := tensor.Randn(rng, 0, 1, 4, 5), tensor.Randn(rng, 0, 1, 4, 3)
 	x.Data[2] = 0 // a skipped term
-	d.w.Grad.Data[0] = math.Copysign(0, -1)
+	// A previous step's values, which the mark stands over.
+	d.w.Grad.Fill(math.NaN())
+	ZeroGrads(d.Params())
 	for pass := 0; pass < 3; pass++ {
-		want := d.w.Grad.Clone()
-		want.AddAssign(tensor.MatMulTransA(x, dy))
+		want := tensor.MatMulTransA(x, dy)
+		if pass > 0 {
+			sum := d.w.Grad.Clone()
+			sum.AddAssign(want)
+			want = sum
+		}
 		d.Forward(x, true)
 		d.Backward(dy)
 		if j := sameBits(d.w.Grad.Data, want.Data); j >= 0 {

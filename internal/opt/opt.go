@@ -54,7 +54,7 @@ func (s *SGD) Step() {
 		if !p.Trainable {
 			continue
 		}
-		data, grad := p.Data.Data, p.Grad.Data
+		data, grad := p.Data.Data, p.Gradient().Data
 		for j := range data {
 			g := grad[j] + s.weightDecay*data[j]
 			if s.velocity != nil {
@@ -117,7 +117,7 @@ func (a *Adam) Step() {
 		if !p.Trainable {
 			continue
 		}
-		data, grad := p.Data.Data, p.Grad.Data
+		data, grad := p.Data.Data, p.Gradient().Data
 		for j := range data {
 			g := grad[j] + a.weightDecay*data[j]
 			a.m[i][j] = a.beta1*a.m[i][j] + (1-a.beta1)*g

@@ -136,12 +136,14 @@ type clientRun struct {
 
 	// frames reads the round loop's downloads; a global's payload, dense
 	// or sparse, streams into down, one vector that checkpoint.Refit sizes
-	// to the round's payload length. A sparse upload is framed from
-	// upload. Both are reused every round: each is done with before the
-	// next (the upload is encoded at once, the global applied).
-	frames wire.FrameReader
-	down   []float64
-	upload SparseUpdateMsg
+	// to the round's payload length. An upload is framed from upload, or
+	// sparseUpload on a sparse cluster. All are reused every round: each
+	// is done with before the next (the upload is encoded at once, the
+	// global applied).
+	frames       wire.FrameReader
+	down         []float64
+	upload       UpdateMsg
+	sparseUpload SparseUpdateMsg
 }
 
 // RunClient connects to the server, trains for the announced number of
@@ -301,7 +303,8 @@ func (r *clientRun) prepare(round int, payload []float64, weight float64) {
 		hash = HashMaskWords(mr.MaskWords())
 	}
 	if r.cfg.Codec < wire.CodecSparse {
-		r.inflight = wire.Append(r.inflight[:0], &UpdateMsg{Round: round, Payload: payload, Weight: weight, MaskHash: hash})
+		r.upload = UpdateMsg{Round: round, Payload: payload, Weight: weight, MaskHash: hash}
+		r.inflight = wire.Append(r.inflight[:0], &r.upload)
 		r.inflightRound = round
 		return
 	}
@@ -309,9 +312,9 @@ func (r *clientRun) prepare(round int, payload []float64, weight float64) {
 	if r.maskGenR != nil {
 		gen = r.maskGenR.MaskGeneration()
 	}
-	r.upload = SparseUpdateMsg{Round: round, Weight: weight, MaskHash: hash, MaskGen: gen, Dim: r.dim,
+	r.sparseUpload = SparseUpdateMsg{Round: round, Weight: weight, MaskHash: hash, MaskGen: gen, Dim: r.dim,
 		Enc: r.cfg.Codec.Enc(), Values: payload}
-	r.inflight = wire.Append(r.inflight[:0], &r.upload)
+	r.inflight = wire.Append(r.inflight[:0], &r.sparseUpload)
 	r.inflightRound = round
 }
 

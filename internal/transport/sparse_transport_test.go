@@ -323,3 +323,47 @@ func TestSparseQ16ClientRoundAllocations(t *testing.T) {
 		t.Fatalf("a warm sparse-q16 client round allocates %v times, want 0", avg)
 	}
 }
+
+// TestDensePassthroughClientRoundAllocations is the dense twin of
+// TestSparseQ16ClientRoundAllocations, on dense-256k's manager: the FedAvg
+// baseline's upload is the model itself, framed at once into the run's
+// in-flight buffer, and the dense global is copied into the model, so a
+// warm round allocates nothing. The round's aggregate is the client's own
+// update.
+func TestDensePassthroughClientRoundAllocations(t *testing.T) {
+	const dim = 1000
+	mgr := fl.NewPassthroughManager(8)
+	r := &clientRun{
+		cfg:     ClientConfig{Codec: wire.CodecDense},
+		res:     &ClientResult{},
+		metrics: newClientMetrics(nil),
+		log:     telemetry.With(nil),
+		rep:     &fl.Replica{X: make([]float64, dim), Manager: mgr},
+		dim:     dim,
+		applied: -1,
+	}
+	echo := make([]float64, dim)
+	g := &GlobalMsg{Participants: 1}
+	round := func() {
+		n := r.applied + 1
+		for j := range r.rep.X {
+			r.rep.X[j] += 0x1p-10
+		}
+		contrib, weight, _ := mgr.PrepareUpload(n, r.rep.X)
+		r.prepare(n, contrib, weight)
+		g.Round, g.Payload = n, append(echo[:0], contrib...)
+		global, err := r.acceptGlobal(g, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.applyGlobal(&global); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		round()
+	}
+	if avg := testing.AllocsPerRun(100, round); avg != 0 {
+		t.Fatalf("a warm dense passthrough client round allocates %v times, want 0", avg)
+	}
+}
