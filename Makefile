@@ -59,7 +59,6 @@ fuzz:
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz '^FuzzServerDecode$$' -fuzztime 10s
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz '^FuzzClientDecode$$' -fuzztime 10s
 	$(GO) test ./internal/checkpoint/ -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime 10s
-	$(GO) test ./internal/recon/ -run '^$$' -fuzz '^FuzzReconDecode$$' -fuzztime 10s
 	$(GO) test ./internal/fl/ -run '^$$' -fuzz '^FuzzParsePacked$$' -fuzztime 10s
 	$(GO) test ./internal/bitset/ -run '^$$' -fuzz '^FuzzFromWords$$' -fuzztime 10s
 	$(GO) test ./internal/quantize/ -run '^$$' -fuzz '^FuzzHalfValue$$' -fuzztime 10s

@@ -10,8 +10,8 @@ package main
 // Gates (the report fails the run when violated):
 //   - snapshot catch-up is O(dim): its cost stays flat as the absence
 //     grows from 10 to 200 rounds;
-//   - sketch catch-up is O(diff): with freezing-mask drift far below the
-//     model dimension it costs a fraction of the snapshot.
+//   - sketch catch-up is O(dim/64 + diff): with freezing-mask drift far
+//     below the model dimension it costs a fraction of the snapshot.
 
 import (
 	"context"
@@ -219,10 +219,10 @@ func measureResume(rep *resumebenchReport) error {
 	// an aggressive stability threshold (decay off), freezing matures into
 	// long fully-frozen spans; the sever and the whole absence land inside
 	// one span (rounds 42..53 under this schedule), so no mask word's
-	// generation moves while the client is away and the rejoin reconciles
-	// in O(diff) — here a handful of sketch cells and a snapshot covering
-	// no mask word (the manager-global scalars only) instead of the full
-	// state.
+	// generation moves while the client is away and the rejoin catches up
+	// in O(dim/64 + diff) — here an offer of 41 word generations and a
+	// snapshot covering no mask word (the manager-global scalars only)
+	// instead of the full state.
 	shadow := &core.Config{CheckEveryRounds: 2, Threshold: 1e6, ThresholdDecayFrac: -1, EMAAlpha: 0.85, Seed: resumebenchSeed}
 	const (
 		sketchAbsence = 6

@@ -28,8 +28,8 @@
 //	offset  size  field
 //	0       4     magic "APFW" (0x57465041 little-endian)
 //	4       1     format version (Version)
-//	5       1     kind: 1–11 are package wire's messages, 0x80 and 0x81
-//	              the Store's snapshot and log record
+//	5       1     kind: 1–11 are package wire's messages (10 retired),
+//	              0x80 and 0x81 the Store's snapshot and log record
 //	6       4     payload length n, little-endian
 //	10      n     payload
 //	10+n    4     CRC-32 (IEEE) over header + payload
@@ -47,7 +47,7 @@ import (
 
 // Version is the format version stamped on every frame, on the socket and
 // on disk, and the only one decoded.
-const Version = 11
+const Version = 12
 
 // Frame geometry.
 const (
@@ -221,6 +221,15 @@ func (w *Writer) U64s(v []uint64) {
 	}
 }
 
+// U32s appends a length-prefixed []uint32 in the Ints layout, one 8-byte
+// word per value.
+func (w *Writer) U32s(v []uint32) {
+	b := w.words(len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
+	}
+}
+
 // String appends a length-prefixed string.
 func (w *Writer) String(s string) {
 	w.Int(len(s))
@@ -384,6 +393,25 @@ func (r *Reader) U64s() []uint64 {
 	out := make([]uint64, len(b)/8)
 	for i := range out {
 		out[i] = binary.LittleEndian.Uint64(b[8*i:])
+	}
+	return out
+}
+
+// U32s reads a U32s-encoded []uint32 (nil when empty); a value past 32
+// bits fails the Reader.
+func (r *Reader) U32s() []uint32 {
+	b := r.words()
+	if b == nil {
+		return nil
+	}
+	out := make([]uint32, len(b)/8)
+	for i := range out {
+		v := binary.LittleEndian.Uint64(b[8*i:])
+		if v > math.MaxUint32 {
+			r.fail("uint32 value out of range")
+			return nil
+		}
+		out[i] = uint32(v)
 	}
 	return out
 }

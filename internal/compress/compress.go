@@ -123,8 +123,10 @@ type Gaia struct {
 	decayEvery    int
 	bytesPerValue int64
 
-	lastGlobal  []float64
-	residual    []float64
+	lastGlobal []float64
+	residual   []float64
+	// contrib is the upload scratch, rewritten by every PrepareUpload.
+	contrib     []float64
 	initialized bool
 	lastPushed  int
 }
@@ -146,6 +148,7 @@ func NewGaia(dim int, threshold float64, decayEvery, bytesPerValue int) *Gaia {
 		bytesPerValue: int64(bytesPerValue),
 		lastGlobal:    make([]float64, dim),
 		residual:      make([]float64, dim),
+		contrib:       make([]float64, dim),
 	}
 }
 
@@ -167,10 +170,11 @@ func (m *Gaia) thresholdAt(round int) float64 {
 
 // PrepareUpload pushes significant components of the accumulated update;
 // the rest stays in the residual. Sparse payloads carry a 4-byte index per
-// transmitted value.
+// transmitted value. The returned contribution is valid until the next
+// PrepareUpload.
 func (m *Gaia) PrepareUpload(round int, x []float64) ([]float64, float64, int64) {
 	thr := m.thresholdAt(round)
-	contrib := append([]float64(nil), m.lastGlobal...)
+	contrib := m.contrib
 	sent := 0
 	const magnitudeFloor = 1e-3 // relative-change denominator floor near zero
 	for j := 0; j < m.dim; j++ {
@@ -184,6 +188,7 @@ func (m *Gaia) PrepareUpload(round int, x []float64) ([]float64, float64, int64)
 			m.residual[j] = 0
 			sent++
 		} else {
+			contrib[j] = m.lastGlobal[j]
 			m.residual[j] = u
 		}
 	}

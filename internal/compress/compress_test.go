@@ -93,12 +93,15 @@ func TestGaiaSignificanceFiltering(t *testing.T) {
 
 	// The withheld update accumulates: repeat small moves until their sum
 	// crosses the threshold.
+	// The contribution is Gaia's scratch, rewritten by the next upload:
+	// keep the value to compare against.
+	held := contrib[1]
 	m.ApplyDownload(0, x, contrib)
 	sent := false
 	for round := 1; round <= 200 && !sent; round++ {
 		x[1] += 0.001
 		c, _, _ := m.PrepareUpload(round, x)
-		sent = c[1] != contrib[1]
+		sent = c[1] != held
 		m.ApplyDownload(round, c, c)
 		copy(x, c)
 	}

@@ -21,6 +21,10 @@ type StochasticQuantized struct {
 	levels     int
 	sharedSeed int64
 	upQ        *quantize.StochasticQuantizer
+	// downQ quantizes every global over down, re-seeded per round from
+	// (sharedSeed, round).
+	downQ *quantize.StochasticQuantizer
+	down  stats.SplitStream
 	// buf holds the quantized copy of the round's upload, then of its
 	// global: the inner contribution may be the model itself, which this
 	// wrapper must not write.
@@ -36,12 +40,14 @@ func NewStochasticQuantized(inner fl.SyncManager, levels int, clientSeed, shared
 	if inner == nil {
 		panic("compress: nil inner manager")
 	}
-	return &StochasticQuantized{
+	m := &StochasticQuantized{
 		inner:      inner,
 		levels:     levels,
 		sharedSeed: sharedSeed,
 		upQ:        quantize.NewStochasticQuantizer(levels, stats.SplitRNG(clientSeed, 555)),
 	}
+	m.downQ = quantize.NewStochasticQuantizer(levels, &m.down)
+	return m
 }
 
 // PostIterate delegates to the wrapped manager.
@@ -67,9 +73,9 @@ func (m *StochasticQuantized) PrepareUpload(round int, x []float64) ([]float64, 
 // ApplyDownload quantizes the global model with shared per-round
 // randomness, then delegates.
 func (m *StochasticQuantized) ApplyDownload(round int, x, global []float64) int64 {
-	q := quantize.NewStochasticQuantizer(m.levels, stats.SplitRNG(m.sharedSeed, int64(round)+777))
+	m.down.Reset(m.sharedSeed, int64(round)+777)
 	m.buf = append(m.buf[:0], global...)
-	q.Quantize(m.buf)
+	m.downQ.Quantize(m.buf)
 	return m.wireBytes(m.inner.ApplyDownload(round, x, m.buf))
 }
 

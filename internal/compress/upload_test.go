@@ -7,7 +7,9 @@ import (
 
 	"apf/internal/core"
 	"apf/internal/fl"
+	"apf/internal/quantize"
 	"apf/internal/scenario/adversary"
+	"apf/internal/stats"
 )
 
 // TestPrepareUploadLeavesModelAndHeldContribution holds every manager
@@ -103,4 +105,46 @@ func firstBitDiff(a, b []float64) int {
 		}
 	}
 	return -1
+}
+
+// TestBaselineRoundsAllocateNothing pins the warm round of the two
+// baselines that keep per-round scratch — Gaia's upload contribution and
+// the stochastic wrapper's re-seeded download quantizer — at zero
+// allocations, and the re-seeded download to the sequence a fresh
+// per-round quantizer over stats.SplitRNG(sharedSeed, round+777) draws.
+func TestBaselineRoundsAllocateNothing(t *testing.T) {
+	const dim = 300
+	rng := rand.New(rand.NewSource(3))
+	x, global := make([]float64, dim), make([]float64, dim)
+	for j := range x {
+		x[j], global[j] = rng.NormFloat64(), rng.NormFloat64()
+	}
+	for name, m := range map[string]fl.SyncManager{
+		"gaia":       NewGaia(dim, 0.01, 5, 4),
+		"stochastic": NewStochasticQuantized(fl.NewPassthroughManager(4), 3, 3, 9),
+	} {
+		round := 0
+		step := func() {
+			m.PostIterate(round, x)
+			m.PrepareUpload(round, x)
+			m.ApplyDownload(round, x, global)
+			round++
+		}
+		step()
+		if n := testing.AllocsPerRun(20, step); n != 0 {
+			t.Errorf("%s: %v allocations per warm round, want 0", name, n)
+		}
+	}
+
+	m := NewStochasticQuantized(fl.NewPassthroughManager(4), 3, 3, 9)
+	for round := 0; round < 3; round++ {
+		want := append([]float64(nil), global...)
+		quantize.NewStochasticQuantizer(3, stats.SplitRNG(9, int64(round)+777)).Quantize(want)
+		m.ApplyDownload(round, x, global)
+		for j := range want {
+			if math.Float64bits(x[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("round %d scalar %d: re-seeded download %v, fresh quantizer %v", round, j, x[j], want[j])
+			}
+		}
+	}
 }

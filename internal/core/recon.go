@@ -8,8 +8,8 @@ package core
 // synchronized state inside it (0 = never touched). Two deterministic
 // replicas of the same trajectory hold bit-identical word state
 // whenever their generations agree, so a returning client and the
-// server can reconcile (word, generation) pairs in O(symmetric
-// difference) and then ship only the differing words' state.
+// server find the words that differ by comparing generation vectors,
+// and then ship only those words' state.
 //
 // The tracked state per word is everything a word-restricted State
 // carries for it: ref (which is also the canonical post-ApplyDownload

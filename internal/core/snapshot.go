@@ -234,11 +234,7 @@ func EncodeState(s *State) []byte {
 	w.Bool(s.Initialized)
 	w.Int(s.InitRound)
 	w.Int(s.LastRound)
-	gens := make([]int, len(s.WordGen))
-	for i, g := range s.WordGen {
-		gens[i] = int(g)
-	}
-	w.Ints(gens)
+	w.U32s(s.WordGen)
 	return w.Bytes()
 }
 
@@ -270,16 +266,12 @@ func DecodeState(buf []byte) (*State, error) {
 	s.Initialized = r.Bool()
 	s.InitRound = r.Int()
 	s.LastRound = r.Int()
-	gens := r.Ints()
+	s.WordGen = r.U32s()
 	if err := r.Done(); err != nil {
 		return nil, err
 	}
-	s.WordGen = make([]uint32, len(gens))
-	for i, g := range gens {
-		if g < 0 || g > 1<<32-1 {
-			return nil, fmt.Errorf("%w: word generation %d out of range", checkpoint.ErrCorrupt, g)
-		}
-		s.WordGen[i] = uint32(g)
+	if s.WordGen == nil {
+		s.WordGen = []uint32{}
 	}
 	return s, nil
 }

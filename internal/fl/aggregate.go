@@ -235,6 +235,36 @@ func firstNonFinite(v []float64) int {
 	return -1
 }
 
+// firstUnfoldable returns the index of v's first scalar the exact fold
+// cannot take at weight w (finite, non-negative), and why: a NaN or ±Inf
+// (ErrNonFinite), or a finite scalar whose weighted product w·v[j] — the
+// product the fold converts — lies outside the accumulator's ±2^63 range
+// (ErrAccumOverflow). It returns -1 and nil when every scalar folds. The
+// scan ORs one out-of-range flag per product down the slice without a
+// branch and tests it once (w·x is NaN or ±Inf whenever x is, so the
+// product alone flags both causes); only a slice that holds such a scalar
+// is scanned again to name it.
+func firstUnfoldable(v []float64, w float64) (int, error) {
+	var bad uint64
+	for _, x := range v {
+		// The biased exponent is at least 1086 (|w·x| ≥ 2^63, NaN and ±Inf
+		// included) exactly when adding 962 carries into bit 11.
+		bad |= (math.Float64bits(w*x)>>52&0x7FF + 962) >> 11
+	}
+	if bad == 0 {
+		return -1, nil
+	}
+	for j, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return j, ErrNonFinite
+		}
+		if !(math.Abs(w*x) < 0x1p63) {
+			return j, ErrAccumOverflow
+		}
+	}
+	return -1, nil
+}
+
 // ErrLengthMismatch is returned (wrapped) by Add when a contribution's
 // length disagrees with one already stored for the round — positionally
 // aligned averaging is meaningless across different geometries.
@@ -289,12 +319,14 @@ func (a *Aggregator) Open(round, n int) {
 
 // Add stores client id's contribution for the open round. It returns a
 // typed error — never panics — on an out-of-range id, a duplicate, a
-// payload whose length disagrees with an already-stored one, or any
+// payload whose length disagrees with an already-stored one, any
 // non-finite scalar or weight (ErrNonFinite, naming the first offending
-// index). In the default mode the slice is stored, not copied; callers
-// must not mutate it until the round is reduced or discarded. In
-// streaming mode the contribution is folded exactly into the round's
-// partial state and the slice is not retained.
+// index), or a finite scalar whose weighted product the exact accumulator
+// cannot hold (ErrAccumOverflow, likewise named); every one of these
+// leaves the round as it was. In the default mode the slice is stored, not
+// copied; callers must not mutate it until the round is reduced or
+// discarded. In streaming mode the contribution is folded exactly into
+// the round's partial state and the slice is not retained.
 func (a *Aggregator) Add(id int, contrib []float64, weight float64) error {
 	if !a.open {
 		return fmt.Errorf("fl: Add outside an open round")
@@ -309,7 +341,13 @@ func (a *Aggregator) Add(id int, contrib []float64, weight float64) error {
 		if a.seen[id] {
 			return fmt.Errorf("fl: duplicate contribution from client %d in round %d", id, a.round)
 		}
-		if err := a.psum.Fold(contrib, weight); err != nil {
+		if err := a.psum.checkFold(contrib, weight); err != nil {
+			return fmt.Errorf("round %d client %d: %w", a.round, id, err)
+		}
+		if j, err := firstUnfoldable(contrib, weight); err != nil {
+			return fmt.Errorf("%w: round %d client %d scalar %d is %v", err, a.round, id, j, contrib[j])
+		}
+		if err := a.psum.fold(contrib, weight); err != nil {
 			return fmt.Errorf("round %d client %d: %w", a.round, id, err)
 		}
 		a.seen[id] = true
@@ -337,14 +375,19 @@ func (a *Aggregator) Add(id int, contrib []float64, weight float64) error {
 				ErrLengthMismatch, a.round, id, len(contrib), i, len(a.slots[i]))
 		}
 	}
-	if j := firstNonFinite(contrib); j >= 0 {
-		return fmt.Errorf("%w: round %d client %d scalar %d is %v", ErrNonFinite, a.round, id, j, contrib[j])
+	if j, err := firstUnfoldable(contrib, weight); err != nil {
+		return fmt.Errorf("%w: round %d client %d scalar %d is %v", err, a.round, id, j, contrib[j])
 	}
 	a.slots[id] = contrib
 	a.slotW[id] = weight
 	a.received++
 	return nil
 }
+
+// Poisoned reports whether the open streaming round's exact partial was
+// poisoned by an accumulator overflow of its running sums: such a round
+// refuses every further Add and never reduces.
+func (a *Aggregator) Poisoned() bool { return a.stream && a.psum.Poisoned() }
 
 // AddPartial folds a relay's exported partial into the open round — the
 // root face of the hierarchy. The aggregator must be in streaming mode,

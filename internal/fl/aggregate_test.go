@@ -409,6 +409,68 @@ func TestStreamingAddValidation(t *testing.T) {
 	}()
 }
 
+// TestAddRefusesUnfoldableScalar: a finite scalar whose weighted product
+// the exact accumulator cannot hold (1e19 at weight 1, past 2^63) is
+// refused by Add with ErrAccumOverflow in both modes, before the round
+// changes — the flat aggregator does not reduce it to NaN, the streaming
+// one is not poisoned by it — and both then reduce the honest rest to the
+// same bits as a round that never saw it.
+func TestAddRefusesUnfoldableScalar(t *testing.T) {
+	honest := [][]float64{{0.5, 0.25}, {-0.125, 0.75}}
+	weights := []float64{1, 3}
+	want := make([]float64, 2)
+	ref := NewAggregator(1)
+	defer ref.Close()
+	if !ref.WeightedMean(want, honest, weights) {
+		t.Fatal("reference mean failed")
+	}
+	for _, stream := range []bool{false, true} {
+		a := NewAggregator(1)
+		defer a.Close()
+		a.SetStreaming(stream)
+		a.Open(0, 3)
+		if err := a.Add(0, honest[0], weights[0]); err != nil {
+			t.Fatal(err)
+		}
+		for _, bad := range []struct {
+			contrib []float64
+			weight  float64
+		}{
+			{[]float64{1e19, 0.25}, 1},
+			{[]float64{0.5, -0x1p63}, 1},
+			{[]float64{0.5, 0x1p62}, 2},
+			{[]float64{0.5, 1e300}, 1e10},
+		} {
+			err := a.Add(2, bad.contrib, bad.weight)
+			if !errors.Is(err, ErrAccumOverflow) || errors.Is(err, ErrNonFinite) {
+				t.Fatalf("stream=%v: Add(%v at weight %v) = %v, want ErrAccumOverflow", stream, bad.contrib, bad.weight, err)
+			}
+			if a.Received(2) || a.Count() != 1 || a.Poisoned() {
+				t.Fatalf("stream=%v: a refused update changed the round", stream)
+			}
+		}
+		// The largest product the accumulator holds still folds.
+		if err := a.Add(2, []float64{0, 0x1p62}, 1.9999999999999998); err != nil {
+			t.Fatalf("stream=%v: in-range product refused: %v", stream, err)
+		}
+		a.Discard()
+		a.Open(1, 3)
+		for id, c := range honest {
+			if err := a.Add(id, c, weights[id]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := a.Add(2, []float64{1e19, 0.25}, 1); !errors.Is(err, ErrAccumOverflow) {
+			t.Fatalf("stream=%v: got %v, want ErrAccumOverflow", stream, err)
+		}
+		got := make([]float64, 2)
+		if n, ok := a.Reduce(got); !ok || n != 2 ||
+			math.Float64bits(got[0]) != math.Float64bits(want[0]) || math.Float64bits(got[1]) != math.Float64bits(want[1]) {
+			t.Fatalf("stream=%v: reduced %v (%d contributions, ok %v), want %v", stream, got, n, ok, want)
+		}
+	}
+}
+
 // TestAddRejectsPoisonedContribution is the poisoned-client regression:
 // NaN and Inf scalars, non-finite weights, duplicates, and length
 // disagreements all get typed errors, and a rejected contribution leaves
@@ -609,6 +671,44 @@ func TestRelayMergePropertyRandomPartitions(t *testing.T) {
 					trial, clients, relays, dim, q16, j, got[j], want[j])
 			}
 		}
+	}
+}
+
+// TestFirstUnfoldableMatchesScan pins Add's flag pass to a per-scalar
+// scan of the fold's own conversion (fixFromFloat of w·x): every IEEE
+// class and the products on either side of 2^63, at every position,
+// under several weights, name the same first scalar and the same cause.
+func TestFirstUnfoldableMatchesScan(t *testing.T) {
+	below := math.Nextafter(0x1p63, 0)
+	vals := []float64{0, math.Copysign(0, -1), 1, -2.5, 0x1p62, -below, below, 0x1p63, -0x1p63, 1e19,
+		math.MaxFloat64, math.SmallestNonzeroFloat64, math.NaN(), math.Inf(1), math.Inf(-1)}
+	scan := func(v []float64, w float64) (int, error) {
+		for j, x := range v {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return j, ErrNonFinite
+			}
+			if _, _, ok := fixFromFloat(w * x); !ok {
+				return j, ErrAccumOverflow
+			}
+		}
+		return -1, nil
+	}
+	for _, w := range []float64{0, 1, 0.5, 2, 1e-300, 1e300} {
+		for _, x := range vals {
+			for at := 0; at < 3; at++ {
+				v := []float64{0.25, -0.5, 0.75}
+				v[at] = x
+				v = append(v, math.NaN()) // a later bad scalar must not be the one named
+				gj, gerr := firstUnfoldable(v, w)
+				wj, werr := scan(v, w)
+				if gj != wj || gerr != werr {
+					t.Fatalf("%v at %d, weight %v: firstUnfoldable = %d, %v; scan = %d, %v", x, at, w, gj, gerr, wj, werr)
+				}
+			}
+		}
+	}
+	if j, err := firstUnfoldable(nil, 1); j != -1 || err != nil {
+		t.Fatalf("empty slice: %d, %v", j, err)
 	}
 }
 

@@ -330,6 +330,19 @@ func (p *Partial) adopt(dim int) {
 // dimension (ErrLengthMismatch) are rejected cleanly. An accumulator
 // overflow mid-fold poisons the partial and returns ErrAccumOverflow.
 func (p *Partial) Fold(contrib []float64, weight float64) error {
+	if err := p.checkFold(contrib, weight); err != nil {
+		return err
+	}
+	if j := firstNonFinite(contrib); j >= 0 {
+		return fmt.Errorf("%w: scalar %d is %v", ErrNonFinite, j, contrib[j])
+	}
+	return p.fold(contrib, weight)
+}
+
+// checkFold is Fold's validation short of the scalar scan: a poisoned
+// partial, a non-finite or negative weight, and a payload length that
+// disagrees with the partial's dimension.
+func (p *Partial) checkFold(contrib []float64, weight float64) error {
 	if p.poisoned {
 		return fmt.Errorf("%w: partial is poisoned", ErrAccumOverflow)
 	}
@@ -340,9 +353,12 @@ func (p *Partial) Fold(contrib []float64, weight float64) error {
 		return fmt.Errorf("%w: payload length %d, partial holds %d",
 			ErrLengthMismatch, len(contrib), p.Dim())
 	}
-	if j := firstNonFinite(contrib); j >= 0 {
-		return fmt.Errorf("%w: scalar %d is %v", ErrNonFinite, j, contrib[j])
-	}
+	return nil
+}
+
+// fold is Fold past its validation, for contributions whose checkFold
+// and scalar scan already passed.
+func (p *Partial) fold(contrib []float64, weight float64) error {
 	wlo, whi, ok := fixFromFloat(weight)
 	if !ok {
 		return fmt.Errorf("%w: weight %v", ErrAccumOverflow, weight)

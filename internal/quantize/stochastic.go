@@ -3,7 +3,6 @@ package quantize
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // StochasticQuantizer implements QSGD-style stochastic uniform quantization
@@ -14,12 +13,19 @@ import (
 // ceil(log2(2·levels+1)) bits plus the shared scale.
 type StochasticQuantizer struct {
 	levels int
-	rng    *rand.Rand
+	rng    Uniform
+}
+
+// Uniform is the randomness a StochasticQuantizer draws: one value in
+// [0, 1) per scalar (a *rand.Rand, or a stats.SplitStream, which a caller
+// can re-seed in place).
+type Uniform interface {
+	Float64() float64
 }
 
 // NewStochasticQuantizer constructs a quantizer with the given number of
 // positive levels (e.g. 1 reproduces TernGrad's {-1, 0, +1} grid).
-func NewStochasticQuantizer(levels int, rng *rand.Rand) *StochasticQuantizer {
+func NewStochasticQuantizer(levels int, rng Uniform) *StochasticQuantizer {
 	if levels < 1 {
 		panic(fmt.Sprintf("quantize: levels must be ≥ 1, got %d", levels))
 	}

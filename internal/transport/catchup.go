@@ -2,45 +2,43 @@ package transport
 
 // O(diff) resume: when a client's round has fallen off the server's
 // bounded replay history (ServerConfig.HistoryRounds), the
-// catch-up sub-protocol replaces the full-history replay. With
+// catch-up exchange replaces the full-history replay. With
 // ServerConfig.Shadow set, the ledger feeds every commit to a
 // core.Follower, the server's replica of the clients' deterministic
 // manager state — the manager is a pure function of the committed global
 // trajectory, so observing each commit reproduces every client's
 // post-apply state bit for bit. A resume takes a capture of it (the
 // manager snapshot, whose Ref is the model), and the returning client
-// reconciles against that capture in one of two modes, chosen by its
-// opening ResumeOffer:
+// catches up against that capture in one exchange: it offers its
+// per-word generation vector (core.Manager.WordGens) and the server
+// answers with one snapshot, in one of two modes:
 //
-//   - sketch (O(diff) bytes): the server streams rateless-IBLT cells
-//     coded over its (mask-word, generation) set until the client's
-//     decoder peels the symmetric difference; the client answers with
-//     the diff word indices and receives a snapshot of exactly those
-//     words: the captured state restricted to them (core.State.Select),
-//     model scalars included. Cost scales with how much state actually
-//     changed, not with the absence length or the model size.
+//   - sketch (O(dim/64 + diff) bytes): the offer's vector, 8 B per
+//     64-scalar mask word, differs from the capture's in exactly the
+//     words whose state differs, and the snapshot is the capture
+//     restricted to those words (core.State.Select), model scalars
+//     included — no word when nothing moved, every word when everything
+//     did. Past the vector, cost scales with how much state actually
+//     changed, not with the absence length.
 //   - snapshot (O(dim) bytes): the encoded manager snapshot in one
 //     bounded frame, or the model alone when the capture is stateless.
-//     Cost is flat in the absence length; the fallback for stateless
-//     managers, relays (always-dense tier), non-converging sketches, and
-//     clients that lost their local state entirely.
+//     Cost is flat in the absence length; the answer to stateless
+//     managers, relays (always-dense tier), and clients that lost their
+//     local state entirely, which offer no vector.
 //
 // Either mode ends with the client bit-identical to a never-severed
 // twin, because both rebuild the exact replica state the replay would
 // have produced. Server memory stays O(dim + sessions): the bounded
-// history plus one follower (and the captures of conversations in
-// flight).
+// history plus one follower (and the captures of exchanges in flight).
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"apf/internal/bitset"
 	"apf/internal/core"
 	"apf/internal/fl"
-	"apf/internal/recon"
 	"apf/internal/wire"
 )
 
@@ -59,19 +57,6 @@ var ErrFutureGeneration = errors.New("transport: mask generation ahead of the se
 // while still rejecting hostile length fields before allocation.
 func snapshotPayloadLimit(dim int) int { return dim*64 + 4096 }
 
-// Sketch batches double from 16 cells up to 1024 per round trip: tiny
-// diffs decode from the first batch, large ones converge in a few
-// exchanges without shipping the worst case up front.
-const (
-	sketchBatchStart = 16
-	sketchBatchMax   = 1024
-)
-
-// sketchBudget is the cell count at which both sides of a sketch over
-// words mask words fall back to the snapshot: past ~2 cells per word the
-// sketch cannot beat the snapshot it is trying to avoid.
-func sketchBudget(words int) int { return 2*words + 64 }
-
 // snapshotRestorer is the manager surface snapshot catch-up needs: the
 // import of a full or word-restricted state (core.Manager implements it).
 // A stateful manager without it cannot adopt a snapshot, which is a
@@ -80,7 +65,7 @@ type snapshotRestorer interface {
 	RestoreSnapshot(s *core.State) error
 }
 
-// reconManager is the client manager surface sketch reconciliation
+// reconManager is the client manager surface a word-restricted catch-up
 // needs: per-word generation tracking plus the state import. Structural,
 // so transport carries no hard dependency on the concrete manager.
 type reconManager interface {
@@ -90,9 +75,9 @@ type reconManager interface {
 
 // catchupCapture is one atomic cut of the server's catch-up state
 // (ledger.capture), taken under Server.mu at resume time and then served
-// without locks: the conversation never blocks the round loop, and
-// commits that land meanwhile reach the client through its (already
-// positioned) writer queue.
+// without locks: the exchange never blocks the round loop, and commits
+// that land meanwhile reach the client through its (already positioned)
+// writer queue.
 type catchupCapture struct {
 	round int
 	// state is the follower's manager snapshot (its Ref is the model, its
@@ -110,9 +95,9 @@ func (c *catchupCapture) maskGen() int {
 	return c.state.CheckCount
 }
 
-// catchup drives one catch-up conversation to completion on the
-// connection's own goroutine, before the session's writer starts, so
-// queued aggregate frames can never interleave with catch-up frames.
+// catchup drives one catch-up exchange to completion on the connection's
+// own goroutine, before the session's writer starts, so queued aggregate
+// frames can never interleave with the snapshot.
 func (s *Server) catchup(sess *session, cc *countingConn, cap *catchupCapture) error {
 	start := time.Now()
 	r0, w0 := cc.Counts()
@@ -136,9 +121,9 @@ func (s *Server) catchup(sess *session, cc *countingConn, cap *catchupCapture) e
 	return nil
 }
 
-// runCatchup reads the client's opening offer and serves the chosen
-// mode. Returns the mode actually served ("sketch"/"snapshot") for
-// accounting; mode is best-effort on errors.
+// runCatchup reads the client's offer and writes the snapshot answering
+// it. Returns the mode served ("sketch"/"snapshot") for accounting; a
+// refused offer serves none.
 func (s *Server) runCatchup(cc *countingConn, cap *catchupCapture) (string, error) {
 	m, err := readMsg(cc, s.cfg.IOTimeout, modelPayloadLimit(len(s.cfg.Init)), &s.wireM)
 	if err != nil {
@@ -148,113 +133,68 @@ func (s *Server) runCatchup(cc *countingConn, cap *catchupCapture) (string, erro
 	if !ok {
 		return "", protocolErrorf("expected a resume offer, got %s", m.WireKind())
 	}
-	if offer.NeedMore || offer.Words != nil {
-		return "", protocolErrorf("catch-up opened mid-conversation (need-more=%v, %d words)",
-			offer.NeedMore, len(offer.Words))
+	mode, reply, err := cap.answer(offer)
+	if err != nil {
+		return "", err
 	}
-	if offer.MaskGen > cap.maskGen() {
-		return "", fmt.Errorf("%w: client offers generation %d, server captured %d",
-			ErrFutureGeneration, offer.MaskGen, cap.maskGen())
-	}
-	if offer.MaskGen < 0 || cap.state == nil || len(cap.state.WordGen) == 0 {
-		return "snapshot", s.sendSnapshot(cc, cap)
-	}
-	return s.serveSketch(cc, cap)
+	return mode, writeMsg(cc, s.cfg.IOTimeout, reply, &s.wireM)
 }
 
-// sendSnapshot ships the captured state in one frame: the manager
-// snapshot, which carries the model as its Ref, or on the stateless path
-// the canonical post-round model alone.
-func (s *Server) sendSnapshot(cc *countingConn, cap *catchupCapture) error {
-	msg := &wire.SnapshotMsg{Round: cap.round, Payload: cap.x}
-	if cap.state != nil {
-		msg.Manager = core.EncodeState(cap.state)
+// answer is the server's side of the exchange: the one snapshot that
+// brings the offering peer level with the capture, and its mode. An offer
+// with a generation vector gets the capture restricted to the words whose
+// generations differ from it (sketch); one without, or any offer against
+// a stateless capture, gets the whole capture (snapshot).
+func (c *catchupCapture) answer(offer *wire.ResumeOfferMsg) (string, *wire.SnapshotMsg, error) {
+	if offer.MaskGen > c.maskGen() {
+		return "", nil, fmt.Errorf("%w: client offers generation %d, server captured %d",
+			ErrFutureGeneration, offer.MaskGen, c.maskGen())
 	}
-	return writeMsg(cc, s.cfg.IOTimeout, msg, &s.wireM)
+	if offer.Gens == nil || c.state == nil {
+		return "snapshot", c.snapshot(c.state), nil
+	}
+	if len(offer.Gens) != len(c.state.WordGen) {
+		return "", nil, protocolErrorf("catch-up offer holds %d word generations, the model has %d words",
+			len(offer.Gens), len(c.state.WordGen))
+	}
+	words := []int{}
+	for w, g := range c.state.WordGen {
+		if offer.Gens[w] != g {
+			words = append(words, w)
+		}
+	}
+	part, err := c.state.Select(words)
+	if err != nil {
+		return "", nil, err
+	}
+	return "sketch", c.snapshot(part), nil
 }
 
-// serveSketch streams coded cells over the capture's (word, generation)
-// set in doubling batches, lockstep with the client's offers, until the
-// client reports the decoded diff (answered with a snapshot of those
-// words) or either side gives up (answered with the full snapshot). The
-// total cell budget (sketchBudget) bounds a hostile or hopeless decoder.
-func (s *Server) serveSketch(cc *countingConn, cap *catchupCapture) (string, error) {
-	enc := recon.NewEncoder()
-	for w, g := range cap.state.WordGen {
-		enc.Add(recon.PackWordGen(w, g))
+// snapshot frames st, a full or word-restricted capture state that
+// carries the model as its Ref, or on the stateless path (st nil) the
+// canonical post-round model alone.
+func (c *catchupCapture) snapshot(st *core.State) *wire.SnapshotMsg {
+	if st == nil {
+		return &wire.SnapshotMsg{Round: c.round, Payload: c.x}
 	}
-	budget := sketchBudget(len(cap.state.WordGen))
-	gen := cap.maskGen()
-	limit := modelPayloadLimit(len(s.cfg.Init))
-	sent := 0
-	batch := sketchBatchStart
-	for {
-		n := batch
-		if batch < sketchBatchMax {
-			batch *= 2
-		}
-		if sent+n > budget {
-			n = budget - sent
-		}
-		if n <= 0 {
-			return "snapshot", s.sendSnapshot(cc, cap)
-		}
-		sm := &wire.SketchMsg{Round: cap.round, Start: sent, Cells: make([]recon.Cell, n)}
-		for i := range sm.Cells {
-			sm.Cells[i] = enc.Next()
-		}
-		if err := writeMsg(cc, s.cfg.IOTimeout, sm, &s.wireM); err != nil {
-			return "sketch", err
-		}
-		sent += n
-		m, err := readMsg(cc, s.cfg.IOTimeout, limit, &s.wireM)
-		if err != nil {
-			return "sketch", err
-		}
-		offer, ok := m.(*wire.ResumeOfferMsg)
-		if !ok {
-			return "sketch", protocolErrorf("expected a resume offer, got %s", m.WireKind())
-		}
-		switch {
-		case offer.MaskGen > gen:
-			return "sketch", fmt.Errorf("%w: client offers generation %d, server captured %d",
-				ErrFutureGeneration, offer.MaskGen, gen)
-		case offer.Words != nil:
-			// The capture restricted to the decoded words, model scalars
-			// included. Select takes only a strictly ascending list within
-			// the model, so a hostile one cannot amplify the reply past one
-			// full snapshot.
-			state, err := cap.state.Select(offer.Words)
-			if err != nil {
-				return "sketch", protocolErrorf("catch-up word list: %v", err)
-			}
-			return "sketch", s.sendSnapshot(cc, &catchupCapture{round: cap.round, state: state})
-		case offer.NeedMore:
-			continue
-		case offer.MaskGen < 0:
-			// The client's decoder gave up; it is now awaiting the snapshot.
-			return "snapshot", s.sendSnapshot(cc, cap)
-		default:
-			return "sketch", protocolErrorf("resume offer neither requests cells nor closes the sketch")
-		}
-	}
+	return &wire.SnapshotMsg{Round: c.round, Manager: core.EncodeState(st)}
 }
 
-// catchUp is the requesting side of the conversation, entered when the
-// resume Welcome w carries CatchUp; applied and dim are the peer's round
-// cursor and model dimension. With a manager tracking word generations it
-// opens in sketch mode when the server has a stateful capture to
-// reconcile against; otherwise (a stateless manager, or a relay, whose
-// upstream leg carries no manager state: manager nil) it requests the
-// snapshot outright. It returns the snapshot that closes the conversation,
-// for the caller to validate and apply, and the word list this peer sent
-// (nil if none), the only coverage a word-restricted snapshot may have.
-func (u *uplink) catchUp(conn *countingConn, w *WelcomeMsg, applied, dim int, manager fl.SyncManager) (*wire.SnapshotMsg, []int, error) {
+// catchUp is the requesting side of the exchange, entered when the resume
+// Welcome w carries CatchUp; applied and dim are the peer's round cursor
+// and model dimension. With a manager tracking word generations it offers
+// its generation vector when the server has a stateful capture to compare
+// against; otherwise (a stateless manager, or a relay, whose upstream leg
+// carries no manager state: manager nil) it offers none, which requests
+// the snapshot outright. It returns the snapshot that answers the offer,
+// for the caller to validate and apply, and the vector it offered (nil if
+// none), which a word-restricted snapshot must differ from in every word
+// it covers.
+func (u *uplink) catchUp(conn *countingConn, w *WelcomeMsg, applied, dim int, manager fl.SyncManager) (*wire.SnapshotMsg, []uint32, error) {
 	own := -1
 	if g, ok := fl.As[fl.MaskGenerationReporter](manager); ok {
 		own = g.MaskGeneration()
 	}
-	rm, _ := fl.As[reconManager](manager)
 	if own > w.MaskGen {
 		// The server cannot reproduce freezing state this peer already
 		// holds (rolled-back server, or a stateless server behind stateful
@@ -262,94 +202,33 @@ func (u *uplink) catchUp(conn *countingConn, w *WelcomeMsg, applied, dim int, ma
 		return nil, nil, fmt.Errorf("%w: local generation %d, server offers %d",
 			ErrFutureGeneration, own, w.MaskGen)
 	}
-	var dec *recon.Decoder
-	var words []int
 	offer := &wire.ResumeOfferMsg{Round: applied, MaskGen: -1}
-	if rm != nil && applied >= 0 && w.MaskGen >= 0 {
-		offer.MaskGen = own
-		dec = recon.NewDecoder()
-		for wi, g := range rm.WordGens() {
-			dec.AddLocal(recon.PackWordGen(wi, g))
-		}
+	if rm, ok := fl.As[reconManager](manager); ok && applied >= 0 && w.MaskGen >= 0 {
+		offer.MaskGen, offer.Gens = own, rm.WordGens()
 	}
 	if err := writeMsg(conn, u.ioTimeout, offer, &u.wireM); err != nil {
 		return nil, nil, fmt.Errorf("transport: catch-up offer: %w", err)
 	}
-	budget := sketchBudget((dim + 63) / 64)
-	for {
-		m, err := readMsg(conn, u.ioTimeout, snapshotPayloadLimit(dim), &u.wireM)
-		if err != nil {
-			return nil, nil, fmt.Errorf("transport: catch-up: %w", err)
-		}
-		switch msg := m.(type) {
-		case *wire.SketchMsg:
-			if dec == nil {
-				return nil, nil, protocolErrorf("sketch cells on a snapshot catch-up")
-			}
-			if len(msg.Cells) == 0 {
-				return nil, nil, protocolErrorf("empty sketch batch")
-			}
-			if msg.Start != dec.Cells() {
-				return nil, nil, protocolErrorf("sketch batch starts at cell %d, decoder expects %d",
-					msg.Start, dec.Cells())
-			}
-			for _, c := range msg.Cells {
-				dec.AddCell(c)
-			}
-			reply := &wire.ResumeOfferMsg{Round: applied, MaskGen: own}
-			switch {
-			case dec.Decoded():
-				words = diffWords(dec)
-				reply.Words = words
-			case dec.Cells() >= budget:
-				// Not converging (heavy diff): bail to the snapshot, which
-				// this conversation's next frame will be.
-				reply.MaskGen = -1
-				dec = nil
-			default:
-				reply.NeedMore = true
-			}
-			if err := writeMsg(conn, u.ioTimeout, reply, &u.wireM); err != nil {
-				return nil, nil, fmt.Errorf("transport: catch-up reply: %w", err)
-			}
-		case *wire.SnapshotMsg:
-			// The server may force the full snapshot at any point (budget
-			// exhausted, stateless capture).
-			return msg, words, nil
-		default:
-			return nil, nil, protocolErrorf("catch-up: unexpected %s frame", m.WireKind())
-		}
+	m, err := readMsg(conn, u.ioTimeout, snapshotPayloadLimit(dim), &u.wireM)
+	if err != nil {
+		return nil, nil, fmt.Errorf("transport: catch-up: %w", err)
 	}
-}
-
-// diffWords maps the decoded symmetric difference to sorted, unique
-// mask-word indices: a word differs if either side holds a generation
-// symbol for it the other lacks.
-func diffWords(dec *recon.Decoder) []int {
-	seen := make(map[int]bool)
-	words := []int{}
-	add := func(ss []recon.Symbol) {
-		for _, s := range ss {
-			if w := s.Word(); !seen[w] {
-				seen[w] = true
-				words = append(words, w)
-			}
-		}
+	sm, ok := m.(*wire.SnapshotMsg)
+	if !ok {
+		return nil, nil, protocolErrorf("catch-up: unexpected %s frame", m.WireKind())
 	}
-	add(dec.Remote())
-	add(dec.Missing())
-	sort.Ints(words)
-	return words
+	return sm, offer.Gens, nil
 }
 
 // applySnapshot adopts a snapshot frame: the manager state for stateful
-// managers, and the model (checkSnapshot). words is the word list this
-// client sent (nil if none): a word-restricted snapshot must cover exactly
-// it, and installs just those words; every other frame must be full. Also
-// the handler for a mid-run snapshot broadcast (the server jumped its
-// history forward after its own upstream catch-up).
-func (r *clientRun) applySnapshot(sm *wire.SnapshotMsg, words []int) error {
-	st, model, err := checkSnapshot(sm, r.applied, r.dim, words)
+// managers, and the model (checkSnapshot). gens is the generation vector
+// this client offered (nil if none): a word-restricted snapshot must
+// cover only words whose generations differ from it, and installs just
+// those words; every other frame must be full. Also the handler for a
+// mid-run snapshot broadcast (the server jumped its history forward
+// after its own upstream catch-up).
+func (r *clientRun) applySnapshot(sm *wire.SnapshotMsg, gens []uint32) error {
+	st, model, err := checkSnapshot(sm, r.applied, r.dim, gens)
 	if err != nil {
 		return err
 	}

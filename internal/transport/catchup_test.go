@@ -43,11 +43,16 @@ func newCatchupRun(dim int) *clientRun {
 
 // catchupFollower is the server side of the tests: a follower of the
 // clients' configuration at dimension dim that has folded rounds 0…5.
-func catchupFollower(dim int) *core.Follower {
+func catchupFollower(dim int) *core.Follower { return followerThrough(dim, 5) }
+
+// followerThrough is a follower of the clients' configuration at
+// dimension dim that has folded rounds 0…last, each aggregate a fixed
+// function of its round.
+func followerThrough(dim, last int) *core.Follower {
 	cfg := *resumeShadowConfig()
 	cfg.Dim = dim
 	f := core.NewFollower(cfg)
-	for r := 0; r <= 5; r++ {
+	for r := 0; r <= last; r++ {
 		p := make([]float64, dim)
 		for j := range p {
 			p[j] = math.Sin(float64(r*dim + j))
@@ -72,8 +77,19 @@ func requireInflightKept(t *testing.T, r *clientRun) {
 // allWords lists every mask word of a catch-up test model.
 var allWords = []int{0, 1, 2}
 
-// wordSnapshot is the frame closing a decoded sketch: the capture
-// restricted to words, model scalars included in its Ref.
+// offerDiffering is a generation vector that differs from st's in exactly
+// words: what a client holding st's state outside those words offers.
+func offerDiffering(st *core.State, words ...int) []uint32 {
+	gens := slices.Clone(st.WordGen)
+	for _, w := range words {
+		gens[w]++
+	}
+	return gens
+}
+
+// wordSnapshot is the frame answering an offer that differs from the
+// capture in words: the capture restricted to them, model scalars
+// included in its Ref.
 func wordSnapshot(t *testing.T, round int, st *core.State, words []int) *wire.SnapshotMsg {
 	t.Helper()
 	part, err := st.Select(words)
@@ -89,9 +105,9 @@ func fullSnapshot(round int, st *core.State) *wire.SnapshotMsg {
 }
 
 // TestCatchUpKeepsUploadFrame applies a full snapshot and the snapshot of
-// every word closing a sketch to a client run holding an upload frame: each
-// installs the server's state and empties the superseded frame without
-// dropping its buffer.
+// every word answering a fresh client's generation offer to a client run
+// holding an upload frame: each installs the server's state and empties
+// the superseded frame without dropping its buffer.
 func TestCatchUpKeepsUploadFrame(t *testing.T) {
 	f := catchupFollower(catchupDim)
 	st, ok := f.Capture()
@@ -118,7 +134,8 @@ func TestCatchUpKeepsUploadFrame(t *testing.T) {
 	})
 	t.Run("sketch", func(t *testing.T) {
 		r := newCatchupRun(catchupDim)
-		if err := r.applySnapshot(wordSnapshot(t, f.Round(), st, allWords), allWords); err != nil {
+		gens := r.rep.Manager.(*core.Manager).WordGens()
+		if err := r.applySnapshot(wordSnapshot(t, f.Round(), st, allWords), gens); err != nil {
 			t.Fatal(err)
 		}
 		check(t, r)
@@ -144,10 +161,11 @@ func TestApplySnapshotRefusesUnseededTracker(t *testing.T) {
 }
 
 // TestApplySnapshotCoverage pins which snapshots a client adopts given the
-// word list it sent: a word-restricted snapshot only as the reply to
-// exactly the words it asked for — never mid-stream, where the round loop
-// sent none — and a full one always. A refused frame changes nothing; an
-// adopted word-restricted one installs its words and the header, and
+// generation vector it offered: a word-restricted snapshot only as the
+// answer to an offer — never mid-stream, where the round loop offered
+// none — and covering only words whose generations differ from the
+// offered ones, and a full one always. A refused frame changes nothing;
+// an adopted word-restricted one installs its words and the header, and
 // leaves every other word alone.
 func TestApplySnapshotCoverage(t *testing.T) {
 	f := catchupFollower(catchupDim)
@@ -157,23 +175,28 @@ func TestApplySnapshotCoverage(t *testing.T) {
 	modelSized := wordSnapshot(t, round, st, []int{0, 2})
 	modelSized.Payload = x
 	for _, tc := range []struct {
-		name  string
-		sent  []int
+		name string
+		// gens is the offered generation vector (nil: none offered).
+		gens  []uint32
 		frame *wire.SnapshotMsg
 		ok    bool
 	}{
 		{"word-restricted mid-stream", nil, wordSnapshot(t, round, st, []int{0, 2}), false},
 		{"every word, none requested", nil, wordSnapshot(t, round, st, allWords), false},
-		{"other words", []int{0, 1}, wordSnapshot(t, round, st, []int{0, 2}), false},
-		{"fewer words", allWords, wordSnapshot(t, round, st, []int{0, 2}), false},
-		{"payload of the whole model", []int{0, 2}, modelSized, false},
-		{"requested words", []int{0, 2}, wordSnapshot(t, round, st, []int{0, 2}), true},
-		{"no word", []int{}, wordSnapshot(t, round, st, []int{}), true},
-		{"full after words", []int{0, 2}, fullSnapshot(round, st), true},
+		{"other words", offerDiffering(st, 0, 1), wordSnapshot(t, round, st, []int{0, 2}), false},
+		{"word already held", offerDiffering(st), wordSnapshot(t, round, st, []int{1}), false},
+		{"word past the offer", offerDiffering(st, 0, 1)[:2], wordSnapshot(t, round, st, []int{2}), false},
+		{"payload of the whole model", offerDiffering(st, 0, 2), modelSized, false},
+		// The client cannot see the server's generations outside the
+		// covered words, so a subset of the differing words is adopted.
+		{"fewer words", offerDiffering(st, allWords...), wordSnapshot(t, round, st, []int{0, 2}), true},
+		{"requested words", offerDiffering(st, 0, 2), wordSnapshot(t, round, st, []int{0, 2}), true},
+		{"no word", offerDiffering(st), wordSnapshot(t, round, st, []int{}), true},
+		{"full after words", offerDiffering(st, 0, 2), fullSnapshot(round, st), true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newCatchupRun(catchupDim)
-			err := r.applySnapshot(tc.frame, tc.sent)
+			err := r.applySnapshot(tc.frame, tc.gens)
 			got := r.rep.Manager.(*core.Manager).Snapshot()
 			if !tc.ok {
 				if !errors.Is(err, errProtocol) {
@@ -190,8 +213,12 @@ func TestApplySnapshotCoverage(t *testing.T) {
 			if r.applied != round || got.LastRound != st.LastRound || got.Tracker.Seen != st.Tracker.Seen {
 				t.Fatalf("applied round %d, last round %d: header not installed", r.applied, got.LastRound)
 			}
-			covered := tc.sent
-			if tc.name == "full after words" {
+			sent, err := core.DecodeState(tc.frame.Manager)
+			if err != nil {
+				t.Fatal(err)
+			}
+			covered := sent.Words
+			if covered == nil {
 				covered = allWords
 			}
 			for _, w := range allWords {
@@ -211,9 +238,9 @@ func TestApplySnapshotCoverage(t *testing.T) {
 }
 
 // TestCatchUpSnapshotModeRefusesPartial scripts a server that answers a
-// snapshot-mode offer — no word list sent — with a word-restricted
-// snapshot: the conversation hands it over with no words, and the client
-// refuses it.
+// snapshot-mode offer — no generation vector sent — with a
+// word-restricted snapshot: the exchange hands it over with no vector, and
+// the client refuses it.
 func TestCatchUpSnapshotModeRefusesPartial(t *testing.T) {
 	f := catchupFollower(catchupDim)
 	st, _ := f.Capture()
@@ -229,7 +256,7 @@ func TestCatchUpSnapshotModeRefusesPartial(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if o, ok := m.(*ResumeOfferMsg); !ok || o.MaskGen != -1 || o.Words != nil {
+			if o, ok := m.(*ResumeOfferMsg); !ok || o.MaskGen != -1 || o.Gens != nil {
 				return fmt.Errorf("expected a snapshot-mode offer, got %#v", m)
 			}
 			return writeMsg(peer, 2*time.Second, reply, nil)
@@ -237,43 +264,47 @@ func TestCatchUpSnapshotModeRefusesPartial(t *testing.T) {
 	}()
 	u := &uplink{ioTimeout: 2 * time.Second}
 	w := &WelcomeMsg{Round: f.Round(), Resumed: true, CatchUp: true, MaskGen: st.CheckCount}
-	snap, words, err := u.catchUp(&countingConn{Conn: end, total: new(byteCount)}, w, r.applied, catchupDim, r.rep.Manager)
+	snap, gens, err := u.catchUp(&countingConn{Conn: end, total: new(byteCount)}, w, r.applied, catchupDim, r.rep.Manager)
 	if perr := <-peerErr; perr != nil {
 		t.Fatalf("scripted server: %v", perr)
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	if words != nil {
-		t.Fatalf("snapshot-mode conversation reports words %v sent", words)
+	if gens != nil {
+		t.Fatalf("snapshot-mode exchange reports generations %v offered", gens)
 	}
-	if err := r.applySnapshot(snap, words); !errors.Is(err, errProtocol) {
+	if err := r.applySnapshot(snap, gens); !errors.Is(err, errProtocol) {
 		t.Fatalf("word-restricted reply to a snapshot-mode offer: got %v, want a protocol error", err)
 	}
 }
 
-// TestCatchUpWordListRejected drives the server's side of a sketch with
-// one table of closing word lists: a list outside the model, one naming a
-// word twice, one out of order and one longer than the model are protocol
-// errors answered with nothing; a valid list is answered with a snapshot
-// covering exactly it.
-func TestCatchUpWordListRejected(t *testing.T) {
+// TestCatchUpOfferGenerations drives the server's side of the exchange
+// with one table of offered generation vectors: a vector shorter or longer
+// than the model's word count is a protocol error answered with nothing;
+// any other is answered with a snapshot covering exactly the words whose
+// generations differ (mode sketch, from no word to every word), and an
+// offer without a vector with the full snapshot (mode snapshot).
+func TestCatchUpOfferGenerations(t *testing.T) {
 	srv := startServer(t, 1, 1)
 	defer closeQuietly(srv.ln)
 	f := catchupFollower(catchupDim)
 	st, _ := f.Capture()
 	cap := &catchupCapture{round: f.Round(), state: st}
 	for _, tc := range []struct {
-		name  string
+		name string
+		gens []uint32
+		// words is the coverage of the answer (nil: the full state).
 		words []int
-		ok    bool
+		mode  string
 	}{
-		{"out of range", []int{0, 3}, false},
-		{"negative", []int{-1}, false},
-		{"duplicate", []int{1, 1}, false},
-		{"out of order", []int{2, 0}, false},
-		{"too many", []int{0, 1, 2, 3, 4}, false},
-		{"valid", []int{0, 2}, true},
+		{"short vector", st.WordGen[:2], nil, ""},
+		{"long vector", append(slices.Clone(st.WordGen), 1), nil, ""},
+		{"empty vector", []uint32{}, nil, ""},
+		{"no word differs", offerDiffering(st), []int{}, "sketch"},
+		{"some words differ", offerDiffering(st, 0, 2), []int{0, 2}, "sketch"},
+		{"every word differs", offerDiffering(st, allWords...), allWords, "sketch"},
+		{"no vector", nil, nil, "snapshot"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			peer, end := net.Pipe()
@@ -283,13 +314,8 @@ func TestCatchUpWordListRejected(t *testing.T) {
 			peerErr := make(chan error, 1)
 			go func() {
 				peerErr <- func() error {
-					if err := writeMsg(peer, 2*time.Second, &ResumeOfferMsg{Round: 3, MaskGen: cap.maskGen()}, nil); err != nil {
-						return err
-					}
-					if _, err := readMsg(peer, 2*time.Second, checkpoint.MaxPayload, nil); err != nil {
-						return err
-					}
-					if err := writeMsg(peer, 2*time.Second, &ResumeOfferMsg{Round: 3, MaskGen: cap.maskGen(), Words: tc.words}, nil); err != nil {
+					offer := &ResumeOfferMsg{Round: 3, MaskGen: cap.maskGen(), Gens: tc.gens}
+					if err := writeMsg(peer, 2*time.Second, offer, nil); err != nil {
 						return err
 					}
 					if m, err := readMsg(peer, 2*time.Second, checkpoint.MaxPayload, nil); err == nil {
@@ -298,31 +324,34 @@ func TestCatchUpWordListRejected(t *testing.T) {
 					return nil
 				}()
 			}()
-			cc := srv.track(end)
-			_, err := srv.runCatchup(cc, cap)
+			mode, err := srv.runCatchup(srv.track(end), cap)
 			closeQuietly(end) // unblocks the peer's read after a refusal
 			if perr := <-peerErr; perr != nil {
 				t.Fatalf("peer: %v", perr)
 			}
-			if !tc.ok {
-				if !errors.Is(err, errProtocol) {
-					t.Fatalf("word list %v: got %v, want a protocol error", tc.words, err)
+			if tc.mode == "" {
+				if !errors.Is(err, errProtocol) || mode != "" {
+					t.Fatalf("%d generations: got mode %q, %v, want a protocol error", len(tc.gens), mode, err)
 				}
 				if len(reply) != 0 {
-					t.Fatalf("word list %v answered with a frame", tc.words)
+					t.Fatalf("%d generations answered with a frame", len(tc.gens))
 				}
 				return
 			}
-			if err != nil {
-				t.Fatal(err)
+			if err != nil || mode != tc.mode {
+				t.Fatalf("got mode %q, %v, want mode %q", mode, err, tc.mode)
 			}
 			sm, ok := (<-reply).(*SnapshotMsg)
 			if !ok {
-				t.Fatal("valid word list not answered with a snapshot")
+				t.Fatal("offer not answered with a snapshot")
 			}
 			part, err := core.DecodeState(sm.Manager)
+			want := st.Ref
+			if tc.words != nil {
+				want = bitset.GatherWords(st.Ref, tc.words)
+			}
 			if err != nil || len(sm.Payload) != 0 || !slices.Equal(part.Words, tc.words) ||
-				!sameBits(part.Ref, bitset.GatherWords(st.Ref, tc.words)) {
+				(part.Words == nil) != (tc.words == nil) || !sameBits(part.Ref, want) {
 				t.Fatalf("reply covers %v (decode error %v, %d-scalar payload), want words %v and their scalars in its Ref",
 					part.Words, err, len(sm.Payload), tc.words)
 			}
@@ -330,10 +359,112 @@ func TestCatchUpWordListRejected(t *testing.T) {
 	}
 }
 
+// recordingConn keeps a copy of every byte written through it; one
+// goroutine writes, and kinds reads only after that writer is done.
+type recordingConn struct {
+	net.Conn
+	wrote []byte
+}
+
+func (c *recordingConn) Write(p []byte) (int, error) {
+	c.wrote = append(c.wrote, p...)
+	return c.Conn.Write(p)
+}
+
+// kinds decodes what was written through c into its frame kinds.
+func (c *recordingConn) kinds(t *testing.T) []wire.Kind {
+	t.Helper()
+	var kinds []wire.Kind
+	for buf := c.wrote; len(buf) > 0; {
+		m, rest, err := wire.Decode(buf, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kinds, buf = append(kinds, m.WireKind()), rest
+	}
+	return kinds
+}
+
+// TestCatchUpOneExchange runs the client's and the server's side of a
+// catch-up against each other: whatever the client holds — its state at an
+// earlier round, the captured state itself, or no manager state — it
+// writes exactly one offer and the server exactly one snapshot, and the
+// client lands bit-identical to the capture, model and manager.
+func TestCatchUpOneExchange(t *testing.T) {
+	srv := startServer(t, 1, 1)
+	defer closeQuietly(srv.ln)
+	f := catchupFollower(catchupDim)
+	st, _ := f.Capture()
+	cap := &catchupCapture{round: f.Round(), state: st}
+	earlier, _ := followerThrough(catchupDim, 2).Capture()
+	for _, tc := range []struct {
+		name string
+		// held is the client manager's state before the exchange (nil: a
+		// stateless manager).
+		held *core.State
+		mode string
+	}{
+		{"earlier round", earlier, "sketch"},
+		{"no word differs", st, "sketch"},
+		{"stateless", nil, "snapshot"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newCatchupRun(catchupDim)
+			r.applied = 2
+			if tc.held == nil {
+				r.rep.Manager = fl.NewPassthroughManager(4)
+			} else {
+				if err := r.rep.Manager.(*core.Manager).RestoreSnapshot(tc.held); err != nil {
+					t.Fatal(err)
+				}
+				copy(r.rep.X, tc.held.Ref)
+			}
+			pipeC, pipeS := net.Pipe()
+			defer closeQuietly(pipeC)
+			defer closeQuietly(pipeS)
+			client, server := &recordingConn{Conn: pipeC}, &recordingConn{Conn: pipeS}
+			type served struct {
+				mode string
+				err  error
+			}
+			done := make(chan served, 1)
+			go func() {
+				mode, err := srv.runCatchup(srv.track(server), cap)
+				done <- served{mode, err}
+			}()
+			u := &uplink{ioTimeout: 2 * time.Second}
+			w := &WelcomeMsg{Round: f.Round(), Resumed: true, CatchUp: true, MaskGen: cap.maskGen()}
+			snap, gens, err := u.catchUp(&countingConn{Conn: client, total: new(byteCount)}, w, r.applied, catchupDim, r.rep.Manager)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := <-done; got.err != nil || got.mode != tc.mode {
+				t.Fatalf("server served mode %q, %v, want mode %q", got.mode, got.err, tc.mode)
+			}
+			if err := r.applySnapshot(snap, gens); err != nil {
+				t.Fatal(err)
+			}
+			if k := client.kinds(t); !slices.Equal(k, []wire.Kind{wire.KindResumeOffer}) {
+				t.Errorf("client wrote %v, want one resume offer", k)
+			}
+			if k := server.kinds(t); !slices.Equal(k, []wire.Kind{wire.KindSnapshot}) {
+				t.Errorf("server wrote %v, want one snapshot", k)
+			}
+			if r.applied != f.Round() || !sameBits(r.rep.X, st.Ref) {
+				t.Fatalf("caught up to round %d (model equal %v), want round %d", r.applied, sameBits(r.rep.X, st.Ref), f.Round())
+			}
+			if m, ok := r.rep.Manager.(*core.Manager); ok && !reflect.DeepEqual(m.Snapshot(), st) {
+				t.Fatal("client manager differs from the captured state")
+			}
+		})
+	}
+}
+
 // TestClientRefusesWordRestrictedSnapshotMidStream scripts a server that
 // answers a client's round-0 update with a word-restricted snapshot in
-// place of the round's global: the round loop sent no word list, so the
-// client stops with a protocol error instead of adopting a partial replica.
+// place of the round's global: the round loop offered no generations, so
+// the client stops with a protocol error instead of adopting a partial
+// replica.
 func TestClientRefusesWordRestrictedSnapshotMidStream(t *testing.T) {
 	task := newTinyTask(30, 1)
 	ds, init := task.ds, task.init
@@ -409,6 +540,7 @@ func TestSnapshotCarriesModelOnce(t *testing.T) {
 	}
 	stateless := func(p []float64) *wire.SnapshotMsg { return &wire.SnapshotMsg{Round: round, Payload: p} }
 	sent := []int{0, 2}
+	offered := offerDiffering(st, sent...)
 	const (
 		stateful = 1 << iota
 		statelessClient
@@ -417,14 +549,14 @@ func TestSnapshotCarriesModelOnce(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		frame *wire.SnapshotMsg
-		sent  []int
+		gens  []uint32
 		// adopts is the set of receivers that accept the frame.
 		adopts int
 	}{
 		{"stateful full, model repeated", withPayload(fullSnapshot(round, st), model), nil, 0},
 		{"stateful full, one payload scalar", withPayload(fullSnapshot(round, st), model[:1]), nil, 0},
 		{"word-restricted, scalars repeated",
-			withPayload(wordSnapshot(t, round, st, sent), bitset.GatherWords(model, sent)), sent, 0},
+			withPayload(wordSnapshot(t, round, st, sent), bitset.GatherWords(model, sent)), offered, 0},
 		{"stateless, one scalar short", stateless(model[:catchupDim-1]), nil, 0},
 		{"stateless, one scalar long", stateless(append(slices.Clone(model), 1)), nil, 0},
 		{"stateless, no payload", stateless(nil), nil, 0},
@@ -433,12 +565,12 @@ func TestSnapshotCarriesModelOnce(t *testing.T) {
 	} {
 		t.Run(tc.name+"/stateful client", func(t *testing.T) {
 			r := newCatchupRun(catchupDim)
-			requireSnapshotOutcome(t, r, r.applySnapshot(tc.frame, tc.sent), tc.adopts&stateful != 0, model)
+			requireSnapshotOutcome(t, r, r.applySnapshot(tc.frame, tc.gens), tc.adopts&stateful != 0, model)
 		})
 		t.Run(tc.name+"/stateless client", func(t *testing.T) {
 			r := newCatchupRun(catchupDim)
 			r.rep.Manager = fl.NewPassthroughManager(4)
-			requireSnapshotOutcome(t, r, r.applySnapshot(tc.frame, tc.sent), tc.adopts&statelessClient != 0, model)
+			requireSnapshotOutcome(t, r, r.applySnapshot(tc.frame, tc.gens), tc.adopts&statelessClient != 0, model)
 		})
 		t.Run(tc.name+"/relay", func(t *testing.T) {
 			g, err := relayCatchUp(t, tc.frame, st.CheckCount)
@@ -537,7 +669,7 @@ func relayCatchUp(t *testing.T, frame *wire.SnapshotMsg, gen int) (*GlobalMsg, e
 			if err != nil {
 				return fmt.Errorf("offer: %w", err)
 			}
-			if o, ok := m.(*ResumeOfferMsg); !ok || o.MaskGen != -1 {
+			if o, ok := m.(*ResumeOfferMsg); !ok || o.MaskGen != -1 || o.Gens != nil {
 				return fmt.Errorf("expected a snapshot-mode offer, got %#v", m)
 			}
 			return writeMsg(peer, ioT, frame, nil)

@@ -216,15 +216,15 @@ func (r *clientRun) session(ctx context.Context) error {
 
 	// The server evicted this client's round from its replay history: the
 	// Welcome carries no Missed list and the connection enters the
-	// catch-up conversation instead (sketch reconciliation when both sides
-	// track word generations, snapshot otherwise). Either way the client
-	// lands bit-identical to the replayed trajectory.
+	// catch-up exchange instead (the words whose generations differ when
+	// both sides track word generations, the whole snapshot otherwise).
+	// Either way the client lands bit-identical to the replayed trajectory.
 	if welcome.CatchUp {
-		snap, words, err := r.up.catchUp(conn, welcome, r.applied, r.dim, r.rep.Manager)
+		snap, gens, err := r.up.catchUp(conn, welcome, r.applied, r.dim, r.rep.Manager)
 		if err != nil {
 			return err
 		}
-		if err := r.applySnapshot(snap, words); err != nil {
+		if err := r.applySnapshot(snap, gens); err != nil {
 			return err
 		}
 	}

@@ -502,10 +502,13 @@ func (e *roundEngine) admit(ev event, round int, agg *fl.Aggregator) error {
 			// (misaligned compact payloads), not a sanitization matter.
 			return protocolErrorf("%s %d: %v", e.peer(), id, err)
 		}
-		if e.validator != nil && errors.Is(err, fl.ErrNonFinite) {
+		if e.validator != nil && (errors.Is(err, fl.ErrNonFinite) ||
+			errors.Is(err, fl.ErrAccumOverflow) && !agg.Poisoned()) {
 			// Validator enabled but bypassed (e.g. gate raced a decode
-			// quirk): still charge the strike so repeat offenders
-			// quarantine.
+			// quirk, or a finite scalar the exact fold cannot hold):
+			// still charge the strike so repeat offenders quarantine. A
+			// round whose partial an earlier sum poisoned refuses every
+			// later update, which is no fault of theirs.
 			e.validator.strike(id, round, err)
 		}
 		return err

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -184,6 +185,40 @@ func TestQuarantineResponseBarrier(t *testing.T) {
 	}
 	if len(sink.commits) != 1 || sink.commits[0].Participants != 2 {
 		t.Fatalf("commits = %+v, want one round with 2 participants", sink.commits)
+	}
+}
+
+// TestEngineStrikesUnfoldableUpdate: an update the validator passes but
+// whose scalar the exact fold cannot hold (1e19 at weight 1) is refused by
+// the aggregator, on a flat and on a streaming (relay) aggregator alike,
+// and charged a strike like a non-finite one; the honest update after it
+// is accepted and the round reduces.
+func TestEngineStrikesUnfoldableUpdate(t *testing.T) {
+	for _, stream := range []bool{false, true} {
+		v := NewValidator(ValidatorConfig{Clients: 2, Dim: 2, StrikeLimit: 100})
+		sink := &testSink{}
+		e := &roundEngine{clients: 2, rounds: 1, deadline: time.Hour, minClients: 1, validator: v,
+			sink: sink, metrics: newEngineMetrics(telemetry.New())}
+		agg := fl.NewAggregator(1)
+		defer agg.Close()
+		agg.SetStreaming(stream)
+		agg.Open(0, 2)
+		st := &roundState{}
+		st.reset(0, 2)
+		for id, p := range [][]float64{{1e19, 0.25}, {0.5, 0.25}} {
+			if err := e.handle(event{id: id, upd: &UpdateMsg{Payload: p, Weight: 1}, maskGen: -1}, st, agg); err != nil {
+				t.Fatalf("stream=%v: %v", stream, err)
+			}
+		}
+		if v.Strikes(0) != 1 || v.Strikes(1) != 0 || len(sink.rejected) != 1 || sink.rejected[0] != 0 ||
+			!strings.Contains(sink.reasons[0], fl.ErrAccumOverflow.Error()) {
+			t.Fatalf("stream=%v: strikes %d/%d, rejections %v %q, want client 0 refused for overflow and struck",
+				stream, v.Strikes(0), v.Strikes(1), sink.rejected, sink.reasons)
+		}
+		out := make([]float64, 2)
+		if n, ok := agg.Reduce(out); !ok || n != 1 || out[0] != 0.5 || out[1] != 0.25 {
+			t.Fatalf("stream=%v: reduced %v (%d, %v), want the honest update alone", stream, out, n, ok)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"flag"
 	"fmt"
 	"hash/crc32"
@@ -10,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -19,7 +21,6 @@ import (
 	"apf/internal/core"
 	"apf/internal/fl"
 	"apf/internal/perturb"
-	"apf/internal/recon"
 	"apf/internal/telemetry"
 	"apf/internal/wire"
 )
@@ -47,7 +48,9 @@ func encodeAll(msgs ...wire.Msg) []byte {
 // a refused contribution is rejected rather than fatal). Every contribution
 // must be classified — admitted, rejected, dropped as stale, or refused with
 // a typed error — each classification moving exactly one counter, and
-// nothing may panic, however malformed the stream.
+// nothing may panic, however malformed the stream. A stream opening with a
+// ResumeOfferMsg is answered from the catch-up fixtures' capture instead
+// (fuzzCatchUpOffer).
 func FuzzServerDecode(f *testing.F) {
 	f.Add(seedJoinUpdates())
 	f.Add(seedRelayJoinPartials())
@@ -55,6 +58,8 @@ func FuzzServerDecode(f *testing.F) {
 	f.Add(encodeAll(fixtureResumeJoin))
 	f.Add([]byte("not a wire frame at all"))
 	f.Add([]byte{})
+	f.Add(seedCatchUpOffer([]uint32{0}))
+	f.Add(seedCatchUpOffer([]uint32{0, 0}))
 
 	const peers, dim = 4, 3
 	flatAgg, rootAgg := fl.NewAggregator(1), fl.NewAggregator(1)
@@ -78,6 +83,9 @@ func FuzzServerDecode(f *testing.F) {
 		case *RelayJoinMsg:
 			e.partialTier = true
 			agg, limit = rootAgg, partialPayloadLimit(dim)
+		case *ResumeOfferMsg:
+			fuzzCatchUpOffer(t, m.(*ResumeOfferMsg))
+			return
 		default:
 			return
 		}
@@ -113,12 +121,56 @@ func FuzzServerDecode(f *testing.F) {
 	})
 }
 
+// fuzzCatchUpOffer answers an offer from the catch-up fixtures' capture
+// (FuzzServerDecode): it is refused with a typed error — a generation
+// ahead of the capture, or a generation vector of another length than the
+// model's word count — or answered with one snapshot covering exactly the
+// words whose generations differ from the offered ones, or every word when
+// the offer carries none.
+func fuzzCatchUpOffer(t *testing.T, offer *ResumeOfferMsg) {
+	_, _, st := fixtureCatchUp()
+	cap := &catchupCapture{round: 5, state: st}
+	mode, sm, err := cap.answer(offer)
+	wrongLength := offer.Gens != nil && len(offer.Gens) != len(st.WordGen)
+	if err != nil {
+		if !errors.Is(err, errProtocol) && !errors.Is(err, ErrFutureGeneration) {
+			t.Fatalf("untyped refusal: %v", err)
+		}
+		if !wrongLength && offer.MaskGen <= st.CheckCount {
+			t.Fatalf("refused a well-formed offer: %v", err)
+		}
+		return
+	}
+	if wrongLength {
+		t.Fatalf("answered an offer of %d generations for %d words", len(offer.Gens), len(st.WordGen))
+	}
+	part, err := core.DecodeState(sm.Manager)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if offer.Gens == nil {
+		if mode != "snapshot" || part.Words != nil {
+			t.Fatalf("an offer without generations got mode %q covering %v, want the full snapshot", mode, part.Words)
+		}
+		return
+	}
+	want := []int{}
+	for w, g := range st.WordGen {
+		if offer.Gens[w] != g {
+			want = append(want, w)
+		}
+	}
+	if mode != "sketch" || part.Words == nil || !slices.Equal(part.Words, want) {
+		t.Fatalf("mode %q covering %v, want sketch covering %v", mode, part.Words, want)
+	}
+}
+
 // FuzzClientDecode drives the client's inbound decode path — a WelcomeMsg
 // followed by GlobalMsgs, or a catch-up WelcomeMsg followed by the
-// snapshots closing the conversation — with arbitrary bytes, then pushes
-// the decoded messages through the client-side validators. Each snapshot
-// is applied to a fresh client run with a real APF manager, once as a
-// client that sent no word list and once as one that asked for word 0:
+// snapshots answering the offer — with arbitrary bytes, then pushes the
+// decoded messages through the client-side validators. Each snapshot is
+// applied to a fresh client run with a real APF manager, once as a client
+// that offered no generations and once as one that offered its own:
 // whatever the frame, the run either adopts it (at its round, the manager
 // holding the state the frame carries and the model its Ref) or refuses it
 // unchanged.
@@ -177,11 +229,15 @@ func fuzzCatchUpSnapshots(t *testing.T, rest []byte) {
 		if !ok {
 			continue
 		}
-		for _, words := range [][]int{nil, {0}} {
+		for _, offered := range []bool{false, true} {
 			r := newCatchupRun(fixtureDim)
 			mgr := r.rep.Manager.(*core.Manager)
 			before := mgr.Snapshot()
-			if err := r.applySnapshot(sm, words); err != nil {
+			var gens []uint32
+			if offered {
+				gens = mgr.WordGens()
+			}
+			if err := r.applySnapshot(sm, gens); err != nil {
 				if r.applied != -1 || !reflect.DeepEqual(mgr.Snapshot(), before) || !sameBits(r.rep.X, make([]float64, fixtureDim)) {
 					t.Fatalf("refused snapshot (%v) changed the client", err)
 				}
@@ -255,8 +311,8 @@ const fixtureDim = 3
 
 // fixtureCatchUp is the server side of the catch-up fixtures: a follower's
 // capture at dimension fixtureDim after rounds 0…5, framed as the full
-// snapshot and as the snapshot of word 0 that closes a decoded sketch
-// (neither with a payload: the state's Ref is the model), and the
+// snapshot and as the snapshot of word 0 that answers an offer differing
+// there (neither with a payload: the state's Ref is the model), and the
 // capture itself.
 func fixtureCatchUp() (full, words *SnapshotMsg, st *core.State) {
 	f := catchupFollower(fixtureDim)
@@ -282,6 +338,16 @@ func catchUpWelcome(st *core.State) *WelcomeMsg {
 func seedCatchUpSnapshots() []byte {
 	full, words, st := fixtureCatchUp()
 	return encodeAll(catchUpWelcome(st), full, words)
+}
+
+// seedCatchUpOffer is the server-side catch-up stream seed: a client's
+// resume offer against the fixtures' capture, carrying the generation
+// vector gens. A fresh client offers []uint32{0}, which differs from the
+// capture in its one word; a vector of another length is a protocol
+// error.
+func seedCatchUpOffer(gens []uint32) []byte {
+	_, _, st := fixtureCatchUp()
+	return encodeAll(&ResumeOfferMsg{Round: 3, MaskGen: st.CheckCount, Gens: gens})
 }
 
 // seedHostileSnapshots is a client-side catch-up stream of snapshots that
@@ -415,14 +481,13 @@ func corpusFixtures(t *testing.T) map[string][]byte {
 		wireDir + "valid-relay-join": encodeAll(&RelayJoinMsg{Name: "edge-0", SessionKey: "edge-0",
 			HaveRound: -1, Clients: 128}),
 		wireDir + "valid-partial-update": encodeAll(fixturePartial()),
-		wireDir + "valid-resume-offer":   encodeAll(&ResumeOfferMsg{Round: 5, MaskGen: 2, Words: []int{0, 3, 7}}),
-		wireDir + "valid-sketch": encodeAll(&SketchMsg{Round: 8, Start: 16, Cells: []recon.Cell{
-			{Sum: recon.PackWordGen(3, 9), Hash: 0xfeedface, Count: 1}, {Sum: 0, Hash: 0, Count: -2}}}),
+		wireDir + "valid-resume-offer":   encodeAll(&ResumeOfferMsg{Round: 5, MaskGen: 2, Gens: []uint32{3, 0, 7}}),
 		wireDir + "valid-snapshot":       encodeAll(fullSnap),
 		wireDir + "valid-snapshot-words": encodeAll(wordSnap),
 		wireDir + "two-frame-stream":     encodeAll(fixtureJoin, fixtureUpdate),
 		wireDir + "unknown-version":      patched(join, 4, 0x7f),
 		wireDir + "unknown-kind":         resealed(patched(join, 5, 0xee)),
+		wireDir + "retired-sketch-kind":  resealed(patched(join, 5, 10)),
 		wireDir + "bad-crc":              patched(global, len(global)-1, global[len(global)-1]^0xff),
 		wireDir + "truncated-frame":      update[:len(update)-4],
 
@@ -430,6 +495,8 @@ func corpusFixtures(t *testing.T) map[string][]byte {
 		serverDir + "valid-join-armed-gates":    seedArmedGates(),
 		serverDir + "valid-relay-join-partials": seedRelayJoinPartials(),
 		serverDir + "valid-resume-join":         encodeAll(fixtureResumeJoin),
+		serverDir + "valid-catchup-offer":       seedCatchUpOffer([]uint32{0}),
+		serverDir + "hostile-offer-gens-length": seedCatchUpOffer([]uint32{0, 0}),
 
 		clientDir + "valid-welcome-globals":   seedWelcomeGlobals(),
 		clientDir + "valid-resume-welcome":    encodeAll(fixtureResumeWelcome),

@@ -97,14 +97,15 @@ type ServerConfig struct {
 	// recent K committed rounds (0 keeps every round). Eviction bounds
 	// server memory to O(dim + sessions) over arbitrarily long runs; a
 	// client whose round fell off the window resumes through the
-	// catch-up protocol (snapshot or sketch reconciliation) instead of
-	// the missed-payload replay, bit-exactly either way.
+	// catch-up exchange (a snapshot of the words whose generations
+	// differ, or of the whole state) instead of the missed-payload
+	// replay, bit-exactly either way.
 	HistoryRounds int
 	// Shadow, when non-nil, is the core manager configuration every
 	// client was built with (Dim may be left 0; it is filled from Init).
 	// The server then feeds every commit to a core.Follower, a replica of
 	// the clients' deterministic manager state, which powers the
-	// stateful catch-up modes: sketch reconciliation and manager-carrying
+	// stateful catch-up modes: word-restricted and full manager-carrying
 	// snapshots (whose state's Ref is the model). Nil restricts catch-up
 	// to the stateless snapshot (model payload only), which suffices for
 	// stateless clients and relays.

@@ -363,7 +363,7 @@ type attachment struct {
 // takes the next id in join arrival order. When the ledger still retains
 // the rounds after the cursor, the Welcome replays them (none for a fresh
 // session); when eviction dropped them, it carries CatchUp and the
-// connection enters the catch-up conversation (sketch reconciliation or
+// connection enters the catch-up exchange (a word-restricted or full
 // snapshot). Either way the connection's sequential GlobalMsg stream
 // continues after the latest committed round. Holding s.mu across the
 // attach keeps the missed list (or the capture) and the writer cursor

@@ -21,11 +21,11 @@
 //	client → server  JoinMsg     (fresh registration or session resume)
 //	server → client  WelcomeMsg  (identity, geometry, missed payloads)
 //	if the Welcome sets CatchUp (a resume past the replay history):
-//	  client → server  ResumeOfferMsg  (round and mask generation)
-//	  sketch mode, until the client has decoded the diff:
-//	    server → client  SketchMsg       (a batch of coded cells)
-//	    client → server  ResumeOfferMsg  (more cells, or the diff's words)
-//	  server → client  SnapshotMsg     (the diff's words, or the whole state)
+//	  client → server  ResumeOfferMsg  (round, mask generation and, from a
+//	                                    stateful client, its per-word
+//	                                    generations)
+//	  server → client  SnapshotMsg     (the words whose generations differ,
+//	                                    or the whole state)
 //	repeat until the announced rounds complete:
 //	  client → server  UpdateMsg   (SparseUpdateMsg on a sparse cluster)
 //	  server → client  GlobalMsg   (SparseGlobalMsg on a sparse cluster once
@@ -66,7 +66,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -97,12 +96,10 @@ type (
 	// PartialUpdateMsg carries a relay's exact pre-aggregated partial sum
 	// upstream.
 	PartialUpdateMsg = wire.PartialUpdateMsg
-	// ResumeOfferMsg opens and steers a catch-up exchange.
+	// ResumeOfferMsg opens a catch-up exchange.
 	ResumeOfferMsg = wire.ResumeOfferMsg
-	// SketchMsg carries a batch of rateless-IBLT cells.
-	SketchMsg = wire.SketchMsg
 	// SnapshotMsg carries the current state for catch-up: all of it, or
-	// just the diverged mask words after sketch reconciliation.
+	// just the mask words whose generations the offer did not match.
 	SnapshotMsg = wire.SnapshotMsg
 )
 
@@ -241,10 +238,12 @@ func checkRejoin(first, w *WelcomeMsg) error {
 // dimension, and returns its decoded manager state (nil when stateless)
 // and the model scalars it carries, once: a stateful frame's are its
 // state's Ref (packed, when word-restricted), so its payload must be
-// empty; a stateless frame's payload is the whole model. words is the
-// word list the receiver sent (nil if none), the only coverage a
-// word-restricted state may have; the restore checks its array lengths.
-func checkSnapshot(sm *wire.SnapshotMsg, applied, dim int, words []int) (*core.State, []float64, error) {
+// empty; a stateless frame's payload is the whole model. gens is the
+// generation vector the receiver offered (nil if none): a word-restricted
+// state may answer only an offer, and may cover only words whose
+// generation differs from the offered one; the restore checks its array
+// lengths.
+func checkSnapshot(sm *wire.SnapshotMsg, applied, dim int, gens []uint32) (*core.State, []float64, error) {
 	if sm.Round <= applied {
 		return nil, nil, protocolErrorf("snapshot for round %d at applied round %d", sm.Round, applied)
 	}
@@ -261,11 +260,21 @@ func checkSnapshot(sm *wire.SnapshotMsg, applied, dim int, words []int) (*core.S
 	if err != nil {
 		return nil, nil, protocolErrorf("snapshot manager state: %v", err)
 	}
-	if st.Words != nil && (words == nil || !slices.Equal(st.Words, words)) {
-		return nil, nil, protocolErrorf("snapshot covers %d words, %d requested", len(st.Words), len(words))
-	}
 	if st.Dim != dim || (st.Words == nil && len(st.Ref) != dim) {
 		return nil, nil, protocolErrorf("snapshot state holds %d of %d model scalars, want %d", len(st.Ref), st.Dim, dim)
+	}
+	if st.Words != nil {
+		if gens == nil {
+			return nil, nil, protocolErrorf("snapshot covers %d words, none offered", len(st.Words))
+		}
+		if len(st.WordGen) != len(st.Words) {
+			return nil, nil, protocolErrorf("snapshot covers %d words with %d generations", len(st.Words), len(st.WordGen))
+		}
+		for i, w := range st.Words {
+			if w < 0 || w >= len(gens) || st.WordGen[i] == gens[w] {
+				return nil, nil, protocolErrorf("snapshot covers word %d, not one whose generation differs from the %d offered", w, len(gens))
+			}
+		}
 	}
 	return st, st.Ref, nil
 }

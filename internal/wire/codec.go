@@ -242,8 +242,6 @@ func decodeBody(kind Kind, payload []byte) (Msg, error) {
 		m = readPartialUpdate(r)
 	case KindResumeOffer:
 		m = readResumeOffer(r)
-	case KindSketch:
-		m = readSketch(r)
 	case KindSnapshot:
 		m = readSnapshot(r)
 	default:

@@ -9,7 +9,6 @@ import (
 
 	"apf/internal/fl"
 	"apf/internal/quantize"
-	"apf/internal/recon"
 )
 
 // FuzzWireDecode throws arbitrary bytes at the frame decoder. Whatever the
@@ -58,20 +57,18 @@ func FuzzWireDecode(f *testing.F) {
 	} {
 		f.Add(Encode(m))
 	}
-	// Catch-up forms: sketch-cell and offered-word counts are
-	// length-bounded, the catch-up Welcome is the canonical-versioning
-	// target, and truncated snapshot frames must fail typed.
+	// Catch-up forms: offered-generation counts are length-bounded and
+	// each generation 32-bit, the catch-up Welcome is the
+	// canonical-versioning target, and truncated snapshot frames must fail
+	// typed.
 	for _, m := range []Msg{
 		&WelcomeMsg{ClientID: 2, NumClients: 4, Rounds: 9, Dim: 2,
 			Init: []float64{1, 2}, Round: 6, Resumed: true, CatchUp: true, MaskGen: 3},
 		&ResumeOfferMsg{Round: 5, MaskGen: 2},
-		&ResumeOfferMsg{Round: 5, MaskGen: 2, NeedMore: true},
-		&ResumeOfferMsg{Round: 5, MaskGen: 2, Words: []int{0, 3, 7}},
+		&ResumeOfferMsg{Round: 5, MaskGen: 2, Gens: []uint32{}},
+		&ResumeOfferMsg{Round: 5, MaskGen: 2, Gens: []uint32{3, 0, 7}},
 		&ResumeOfferMsg{Round: -1, MaskGen: -1},
-		&SketchMsg{Round: 8, Start: 32, Cells: []recon.Cell{
-			{Sum: 0x300000001, Hash: 0xfeedface, Count: 1},
-			{Sum: 0, Hash: 0, Count: -2},
-		}},
+		&ResumeOfferMsg{Round: 8, MaskGen: 3, Gens: []uint32{math.MaxUint32, 1}},
 		&SnapshotMsg{Round: 8, Payload: []float64{1, math.NaN()},
 			Manager: []byte{0xde, 0xad, 0x00, 0xef}},
 		&SnapshotMsg{Round: 0, Payload: []float64{0}},

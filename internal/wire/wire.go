@@ -61,8 +61,9 @@ const (
 	KindPartialUpdate Kind = 8
 	// KindResumeOffer frames a ResumeOfferMsg (client → server).
 	KindResumeOffer Kind = 9
-	// KindSketch frames a SketchMsg (server → client).
-	KindSketch Kind = 10
+	// Kind 10 framed the retired catch-up sketch and is never reused: it
+	// decodes as ErrUnknownKind.
+
 	// KindSnapshot frames a SnapshotMsg (server → client).
 	KindSnapshot Kind = 11
 )
@@ -88,8 +89,6 @@ func (k Kind) String() string {
 		return "partial-update"
 	case KindResumeOffer:
 		return "resume-offer"
-	case KindSketch:
-		return "sketch"
 	case KindSnapshot:
 		return "snapshot"
 	}
@@ -116,8 +115,7 @@ var (
 
 // Msg is one protocol message. The implementations are JoinMsg,
 // WelcomeMsg, UpdateMsg, GlobalMsg, SparseUpdateMsg, SparseGlobalMsg,
-// RelayJoinMsg, PartialUpdateMsg, ResumeOfferMsg, SketchMsg, and
-// SnapshotMsg.
+// RelayJoinMsg, PartialUpdateMsg, ResumeOfferMsg, and SnapshotMsg.
 type Msg interface {
 	// WireKind returns the frame kind this message serializes under.
 	WireKind() Kind
@@ -166,9 +164,8 @@ type WelcomeMsg struct {
 	Codec Codec
 	// CatchUp tells a resuming client that replay history no
 	// longer reaches its round: Missed is empty and the client must run
-	// the catch-up sub-protocol (ResumeOffer → Sketch, then a
-	// word-restricted Snapshot; or a full Snapshot) before normal rounds
-	// resume.
+	// the catch-up exchange (ResumeOffer, answered by a word-restricted
+	// or full Snapshot) before normal rounds resume.
 	CatchUp bool
 	// MaskGen (meaningful only with CatchUp) is the server-side
 	// mask generation, letting the client detect a generation *ahead*

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"apf/internal/checkpoint"
-	"apf/internal/recon"
 )
 
 // sampleMsgs covers all four kinds with awkward values: NaN and ±Inf
@@ -41,15 +40,10 @@ func sampleMsgs() []Msg {
 		&WelcomeMsg{ClientID: 2, NumClients: 4, Rounds: 90, Dim: 2,
 			Init: []float64{1, 2}, Round: 61, Resumed: true, CatchUp: true, MaskGen: 17},
 		&ResumeOfferMsg{Round: 60, MaskGen: 17},
-		&ResumeOfferMsg{Round: 60, MaskGen: 17, NeedMore: true},
-		&ResumeOfferMsg{Round: 60, MaskGen: 17, Words: []int{0, 5, 63}},
-		&ResumeOfferMsg{Round: 60, MaskGen: 17, Words: []int{}},
+		&ResumeOfferMsg{Round: 60, MaskGen: 17, Gens: []uint32{18, 0, 61}},
+		&ResumeOfferMsg{Round: 60, MaskGen: 17, Gens: []uint32{}},
+		&ResumeOfferMsg{Round: 60, MaskGen: 17, Gens: []uint32{math.MaxUint32}},
 		&ResumeOfferMsg{Round: -1, MaskGen: -1},
-		&SketchMsg{Round: 61, Start: 128, Cells: []recon.Cell{
-			{Sum: recon.PackWordGen(5, 18), Hash: 0xfeedface, Count: 1},
-			{Sum: 0, Hash: 0, Count: -3},
-		}},
-		&SketchMsg{Round: 61},
 		&SnapshotMsg{Round: 61,
 			Payload: []float64{math.NaN(), math.Inf(-1), -0.0},
 			Manager: []byte{0x00, 0xff, 0x7f}},
@@ -207,22 +201,25 @@ func TestPayloadOverLimit(t *testing.T) {
 	}
 }
 
-// TestUnknownKind: a checksummed frame of a kind no message uses is
+// TestUnknownKind: a checksummed frame of a kind no message uses — one
+// never assigned, or kind 10, the retired catch-up sketch — is
 // ErrUnknownKind (with a stale checksum it is corrupt first: the kind is
 // read only from a frame whose checksum holds).
 func TestUnknownKind(t *testing.T) {
-	frame := Encode(&JoinMsg{Name: "x"})
-	frame[5] = 0x7f
-	if _, _, err := Decode(frame, 0); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("stale checksum: got %v, want ErrCorrupt", err)
-	}
-	end := len(frame) - checkpoint.TrailerLen
-	binary.LittleEndian.PutUint32(frame[end:], crc32.ChecksumIEEE(frame[:end]))
-	if _, _, err := Decode(frame, 0); !errors.Is(err, ErrUnknownKind) {
-		t.Fatalf("got %v, want ErrUnknownKind", err)
-	}
-	if _, err := new(FrameReader).Read(bytes.NewReader(frame), 0); !errors.Is(err, ErrUnknownKind) {
-		t.Fatalf("FrameReader: got %v, want ErrUnknownKind", err)
+	for _, kind := range []byte{0x7f, 10} {
+		frame := Encode(&JoinMsg{Name: "x"})
+		frame[5] = kind
+		if _, _, err := Decode(frame, 0); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("kind %d, stale checksum: got %v, want ErrCorrupt", kind, err)
+		}
+		end := len(frame) - checkpoint.TrailerLen
+		binary.LittleEndian.PutUint32(frame[end:], crc32.ChecksumIEEE(frame[:end]))
+		if _, _, err := Decode(frame, 0); !errors.Is(err, ErrUnknownKind) {
+			t.Fatalf("kind %d: got %v, want ErrUnknownKind", kind, err)
+		}
+		if _, err := new(FrameReader).Read(bytes.NewReader(frame), 0); !errors.Is(err, ErrUnknownKind) {
+			t.Fatalf("kind %d, FrameReader: got %v, want ErrUnknownKind", kind, err)
+		}
 	}
 }
 
@@ -253,11 +250,17 @@ func TestTrailingGarbageInBody(t *testing.T) {
 }
 
 // TestHostileCatchUpCounts feeds the catch-up decoders bodies whose final
-// count — sketch cells, offered words, snapshot manager bytes — claims
-// 2^40 entries backed by no bytes; each must reject before allocating.
+// count — offered generations, snapshot manager bytes — claims 2^40
+// entries backed by no bytes; each must reject before allocating. An
+// offered generation past 32 bits is corrupt too.
 func TestHostileCatchUpCounts(t *testing.T) {
-	for _, m := range []Msg{&SketchMsg{Round: 1},
-		&ResumeOfferMsg{Round: 1, MaskGen: 1, Words: []int{}}, &SnapshotMsg{Round: 1}} {
+	wide := Encode(&ResumeOfferMsg{Round: 1, MaskGen: 1, Gens: []uint32{7}})
+	body := wide[checkpoint.HeaderLen : len(wide)-checkpoint.TrailerLen]
+	body[len(body)-4] = 1 // the one generation's fifth byte: 2^32 + 7
+	if _, err := decodeBody(KindResumeOffer, body); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("33-bit generation: got %v, want ErrCorrupt", err)
+	}
+	for _, m := range []Msg{&ResumeOfferMsg{Round: 1, MaskGen: 1, Gens: []uint32{}}, &SnapshotMsg{Round: 1}} {
 		frame := Encode(m)
 		body := append([]byte(nil), frame[checkpoint.HeaderLen:len(frame)-checkpoint.TrailerLen]...)
 		// The final 8 bytes are the element count (0); overwrite with 2^40.
@@ -274,8 +277,8 @@ func TestHostileCatchUpCounts(t *testing.T) {
 func TestKindString(t *testing.T) {
 	for k, want := range map[Kind]string{
 		KindJoin: "join", KindWelcome: "welcome", KindUpdate: "update", KindGlobal: "global",
-		KindResumeOffer: "resume-offer", KindSketch: "sketch", KindSnapshot: "snapshot",
-		Kind(12): "Kind(12)", Kind(99): "Kind(99)",
+		KindResumeOffer: "resume-offer", KindSnapshot: "snapshot",
+		Kind(10): "Kind(10)", Kind(12): "Kind(12)", Kind(99): "Kind(99)",
 	} {
 		if got := k.String(); got != want {
 			t.Fatalf("Kind(%d).String() = %q, want %q", uint8(k), got, want)
