@@ -60,6 +60,7 @@ fuzz:
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz '^FuzzClientDecode$$' -fuzztime 10s
 	$(GO) test ./internal/checkpoint/ -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime 10s
 	$(GO) test ./internal/fl/ -run '^$$' -fuzz '^FuzzParsePacked$$' -fuzztime 10s
+	$(GO) test ./internal/fl/ -run '^$$' -fuzz '^FuzzExactVerdictsAgree$$' -fuzztime 10s
 	$(GO) test ./internal/bitset/ -run '^$$' -fuzz '^FuzzFromWords$$' -fuzztime 10s
 	$(GO) test ./internal/quantize/ -run '^$$' -fuzz '^FuzzHalfValue$$' -fuzztime 10s
 	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzStabilityCheckMatchesReference$$' -fuzztime 10s
@@ -89,7 +90,7 @@ examples:
 	set -e; for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d; done
 
 # The round-critical benchmarks, one list for bench and benchsmoke.
-BENCHES = 'BenchmarkManagerRound$$|BenchmarkStabilityCheck$$|BenchmarkAggregate$$|BenchmarkPartialFold$$|BenchmarkWireDense$$|BenchmarkCheckpointF64s$$|BenchmarkFrameRead$$|BenchmarkAggregatorAdd$$|BenchmarkTrainStep$$|BenchmarkEngineRound$$'
+BENCHES = 'BenchmarkManagerRound$$|BenchmarkStabilityCheck$$|BenchmarkAggregate$$|BenchmarkPartialFold$$|BenchmarkPartialMerge$$|BenchmarkWireDense$$|BenchmarkCheckpointF64s$$|BenchmarkFrameRead$$|BenchmarkAggregatorAdd$$|BenchmarkTrainStep$$|BenchmarkEngineRound$$'
 
 # Quick look at the round-critical benchmarks while working on them. Not a
 # tracked number: timings are measured end to end and per layer by bench/

@@ -279,6 +279,35 @@ func BenchmarkPartialFold(b *testing.B) {
 	reportPerScalar(b, len(contribs[0])*len(contribs))
 }
 
+// BenchmarkPartialMerge measures the root's merge of one relay partial
+// straight from its packed wire frame at the dense-256k shape (4 clients
+// folded into the partial): the root's per-relay cost, bench/'s
+// fl.partial_merge_ns_per_scalar.
+func BenchmarkPartialMerge(b *testing.B) {
+	contribs, weights := dense256kUpdates(4)
+	var sum fl.Partial
+	for k, c := range contribs {
+		if err := sum.Fold(c, weights[k]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	m, _, err := wire.Decode(wire.Encode(&wire.PartialUpdateMsg{Sum: sum}), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	part := &m.(*wire.PartialUpdateMsg).Sum
+	var root fl.Partial
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		root.Reset()
+		if err := root.Merge(part); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportPerScalar(b, part.Dim())
+}
+
 // BenchmarkWireDense measures the encode and decode of one dense-256k
 // update frame into a reused buffer, bench/'s wire.*_ns_per_scalar.
 func BenchmarkWireDense(b *testing.B) {

@@ -636,7 +636,8 @@ func hashFloats(v []float64) uint64 {
 // packed, parsed and merged at a root). The constants were recorded with
 // the bit-by-bit conversions, before their hardware fast paths; every
 // pipeline must reproduce them, and the overflowing column must come out
-// NaN (flat) or poison the fold at its coordinate (streamed).
+// NaN (the one-shot mean) or have its contribution refused at that scalar
+// (streamed: 2^62 is past the per-term bound).
 func TestExactReductionPinned(t *testing.T) {
 	const (
 		wantMean uint64 = 0xedd3b464cedf0170 // first 2,000 coordinates of the mean, any pipeline
@@ -686,15 +687,15 @@ func TestExactReductionPinned(t *testing.T) {
 		}
 	}
 
-	var poisoned fl.Partial
+	var refused fl.Partial
 	var err error
 	for k, c := range contribs {
-		if err = poisoned.Fold(c, weights[k]); err != nil {
+		if err = refused.Fold(c, weights[k]); err != nil {
 			break
 		}
 	}
-	if !errors.Is(err, fl.ErrAccumOverflow) || !strings.HasSuffix(err.Error(), "coordinate 2000") || !poisoned.Poisoned() {
-		t.Errorf("fold over the overflowing column: err = %v, poisoned = %v; want overflow at coordinate 2000", err, poisoned.Poisoned())
+	if !errors.Is(err, fl.ErrAccumOverflow) || !strings.Contains(err.Error(), "scalar 2000 is") || refused.Count != 1 {
+		t.Errorf("fold over the overflowing column: err = %v after %d folds; want client 1 refused at scalar 2000", err, refused.Count)
 	}
 	var flat fl.Partial
 	for k, c := range clean {
@@ -726,7 +727,7 @@ func TestExactReductionPinned(t *testing.T) {
 		relay.Close()
 		packed := part.AppendPacked(nil)
 		h.Write(packed)
-		cols, err := fl.ParsePacked(dim-1, packed)
+		cols, err := fl.ParsePacked(dim-1, part.Count, packed)
 		if err != nil {
 			t.Fatal(err)
 		}

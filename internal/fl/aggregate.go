@@ -67,12 +67,11 @@ type Aggregator struct {
 
 	// Streaming / partial-merge state. In streaming mode Add folds into
 	// psum and discards the payload; pMode marks a round collected from
-	// relay partials via AddPartial (pCount sums their client counts).
+	// relay partials via AddPartial.
 	stream bool
 	seen   []bool
 	psum   Partial
 	pMode  bool
-	pCount int
 }
 
 // NewAggregator builds an aggregator over its own pool of the given worker
@@ -213,33 +212,12 @@ func (a *Aggregator) Close() {
 // and every downstream stability statistic.
 var ErrNonFinite = errors.New("fl: non-finite contribution")
 
-// firstNonFinite returns the index of v's first NaN or ±Inf, or -1. The
-// scan ORs one exponent-is-all-ones flag down the slice without a branch
-// and tests it once; only a slice that holds a non-finite scalar is
-// scanned again to name it.
-func firstNonFinite(v []float64) int {
-	var bad uint64
-	for _, x := range v {
-		// The biased exponent is 0x7FF exactly when adding 1 carries into
-		// bit 11.
-		bad |= (math.Float64bits(x)>>52&0x7FF + 1) >> 11
-	}
-	if bad == 0 {
-		return -1
-	}
-	for j, x := range v {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return j
-		}
-	}
-	return -1
-}
-
 // firstUnfoldable returns the index of v's first scalar the exact fold
 // cannot take at weight w (finite, non-negative), and why: a NaN or ±Inf
 // (ErrNonFinite), or a finite scalar whose weighted product w·v[j] — the
-// product the fold converts — lies outside the accumulator's ±2^63 range
-// (ErrAccumOverflow). It returns -1 and nil when every scalar folds. The
+// product the fold converts — is 2^43 or more in magnitude, past the
+// per-term bound that keeps every sum in range (ErrAccumOverflow). It
+// returns -1 and nil when every scalar folds. The
 // scan ORs one out-of-range flag per product down the slice without a
 // branch and tests it once (w·x is NaN or ±Inf whenever x is, so the
 // product alone flags both causes); only a slice that holds such a scalar
@@ -247,9 +225,9 @@ func firstNonFinite(v []float64) int {
 func firstUnfoldable(v []float64, w float64) (int, error) {
 	var bad uint64
 	for _, x := range v {
-		// The biased exponent is at least 1086 (|w·x| ≥ 2^63, NaN and ±Inf
-		// included) exactly when adding 962 carries into bit 11.
-		bad |= (math.Float64bits(w*x)>>52&0x7FF + 962) >> 11
+		// The biased exponent is at least 1066 (|w·x| ≥ 2^43, NaN and ±Inf
+		// included) exactly when adding 982 carries into bit 11.
+		bad |= (math.Float64bits(w*x)>>52&0x7FF + 982) >> 11
 	}
 	if bad == 0 {
 		return -1, nil
@@ -258,7 +236,7 @@ func firstUnfoldable(v []float64, w float64) (int, error) {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
 			return j, ErrNonFinite
 		}
-		if !(math.Abs(w*x) < 0x1p63) {
+		if !(math.Abs(w*x) < maxTerm) {
 			return j, ErrAccumOverflow
 		}
 	}
@@ -288,9 +266,9 @@ func (a *Aggregator) SetStreaming(on bool) {
 
 // Open begins incremental collection of one round with n client slots,
 // discarding any round still in flight. Slot buffers are reused across
-// rounds.
+// rounds. n must lie in [1, MaxContributors].
 func (a *Aggregator) Open(round, n int) {
-	if n <= 0 {
+	if n <= 0 || n > MaxContributors {
 		panic(fmt.Sprintf("fl: invalid client count %d", n))
 	}
 	if a.stream {
@@ -298,35 +276,29 @@ func (a *Aggregator) Open(round, n int) {
 			a.seen = make([]bool, n)
 		}
 		a.seen = a.seen[:n]
-		for i := range a.seen {
-			a.seen[i] = false
-		}
+		clear(a.seen)
 		a.psum.Reset()
 	} else {
 		if cap(a.slots) < n {
 			a.slots = make([][]float64, n)
 			a.slotW = make([]float64, n)
 		}
-		a.slots = a.slots[:n]
-		a.slotW = a.slotW[:n]
-		for i := range a.slots {
-			a.slots[i], a.slotW[i] = nil, 0
-		}
+		a.slots, a.slotW = a.slots[:n], a.slotW[:n]
+		clear(a.slots)
+		clear(a.slotW)
 	}
-	a.open, a.round, a.received = true, round, 0
-	a.pMode, a.pCount = false, 0
+	a.open, a.round, a.received, a.pMode = true, round, 0, false
 }
 
 // Add stores client id's contribution for the open round. It returns a
-// typed error — never panics — on an out-of-range id, a duplicate, a
-// payload whose length disagrees with an already-stored one, any
-// non-finite scalar or weight (ErrNonFinite, naming the first offending
-// index), or a finite scalar whose weighted product the exact accumulator
-// cannot hold (ErrAccumOverflow, likewise named); every one of these
-// leaves the round as it was. In the default mode the slice is stored, not
-// copied; callers must not mutate it until the round is reduced or
-// discarded. In streaming mode the contribution is folded exactly into
-// the round's partial state and the slice is not retained.
+// typed error — never panics — on an out-of-range id, a duplicate, or a
+// contribution checkUpdate refuses (a length disagreeing with the round's,
+// a non-finite scalar or weight, a weight or weighted product of 2^43 or
+// more); every one of these leaves the round as it was, and whether an
+// update is refused depends on that update alone. In the default mode the
+// slice is stored, not copied; callers must not mutate it until the round
+// is reduced or discarded. In streaming mode the contribution is folded
+// exactly into the round's partial state and the slice is not retained.
 func (a *Aggregator) Add(id int, contrib []float64, weight float64) error {
 	if !a.open {
 		return fmt.Errorf("fl: Add outside an open round")
@@ -334,66 +306,41 @@ func (a *Aggregator) Add(id int, contrib []float64, weight float64) error {
 	if a.pMode {
 		return fmt.Errorf("fl: Add into round %d already collecting relay partials", a.round)
 	}
+	n := len(a.slots)
 	if a.stream {
-		if id < 0 || id >= len(a.seen) {
-			return fmt.Errorf("fl: client id %d out of range [0,%d)", id, len(a.seen))
-		}
-		if a.seen[id] {
-			return fmt.Errorf("fl: duplicate contribution from client %d in round %d", id, a.round)
-		}
-		if err := a.psum.checkFold(contrib, weight); err != nil {
-			return fmt.Errorf("round %d client %d: %w", a.round, id, err)
-		}
-		if j, err := firstUnfoldable(contrib, weight); err != nil {
-			return fmt.Errorf("%w: round %d client %d scalar %d is %v", err, a.round, id, j, contrib[j])
-		}
-		if err := a.psum.fold(contrib, weight); err != nil {
-			return fmt.Errorf("round %d client %d: %w", a.round, id, err)
-		}
-		a.seen[id] = true
-		a.received++
-		return nil
+		n = len(a.seen)
 	}
-	if id < 0 || id >= len(a.slots) {
-		return fmt.Errorf("fl: client id %d out of range [0,%d)", id, len(a.slots))
+	if id < 0 || id >= n {
+		return fmt.Errorf("fl: client id %d out of range [0,%d)", id, n)
 	}
-	if a.slots[id] != nil {
+	if a.Received(id) {
 		return fmt.Errorf("fl: duplicate contribution from client %d in round %d", id, a.round)
 	}
-	if contrib == nil {
-		// A fully-frozen round's compact payload is legitimately empty, and
-		// the wire decoder hands it over as nil; the nil slot would read as
-		// an absent client (and a duplicate re-send would slip through).
-		contrib = []float64{}
+	if err := checkUpdate(contrib, weight, a.Dim()); err != nil {
+		return fmt.Errorf("round %d client %d: %w", a.round, id, err)
 	}
-	if math.IsNaN(weight) || math.IsInf(weight, 0) || weight < 0 {
-		return fmt.Errorf("%w: round %d client %d weight %v", ErrNonFinite, a.round, id, weight)
-	}
-	for i := range a.slots {
-		if a.slots[i] != nil && len(a.slots[i]) != len(contrib) {
-			return fmt.Errorf("%w: round %d client %d payload length %d disagrees with client %d's %d",
-				ErrLengthMismatch, a.round, id, len(contrib), i, len(a.slots[i]))
+	if a.stream {
+		a.psum.fold(contrib, weight)
+		a.seen[id] = true
+	} else {
+		if contrib == nil {
+			// A fully-frozen round's compact payload is legitimately empty,
+			// and the wire decoder hands it over as nil; the nil slot would
+			// read as an absent client (and a duplicate re-send would slip
+			// through).
+			contrib = []float64{}
 		}
+		a.slots[id], a.slotW[id] = contrib, weight
 	}
-	if j, err := firstUnfoldable(contrib, weight); err != nil {
-		return fmt.Errorf("%w: round %d client %d scalar %d is %v", err, a.round, id, j, contrib[j])
-	}
-	a.slots[id] = contrib
-	a.slotW[id] = weight
 	a.received++
 	return nil
 }
-
-// Poisoned reports whether the open streaming round's exact partial was
-// poisoned by an accumulator overflow of its running sums: such a round
-// refuses every further Add and never reduces.
-func (a *Aggregator) Poisoned() bool { return a.stream && a.psum.Poisoned() }
 
 // AddPartial folds a relay's exported partial into the open round — the
 // root face of the hierarchy. The aggregator must be in streaming mode,
 // and a round that has seen AddPartial refuses plain Adds (and vice
 // versa): a round is collected from clients or from relays, never both.
-// Validation (dimension, count, weight sign, poison, overflow) is
+// Validation (dimension, count, weight sign, the contribution bound) is
 // Merge's; id-range and duplicate checks mirror Add's.
 func (a *Aggregator) AddPartial(id int, p *Partial) error {
 	if !a.open {
@@ -417,7 +364,6 @@ func (a *Aggregator) AddPartial(id int, p *Partial) error {
 	a.pMode = true
 	a.seen[id] = true
 	a.received++
-	a.pCount += p.Count
 	return nil
 }
 
@@ -441,8 +387,8 @@ func (a *Aggregator) Count() int { return a.received }
 // represents: for a partial-merge round, the sum of the relays' counts;
 // otherwise the number of Adds.
 func (a *Aggregator) ClientCount() int {
-	if a.pMode {
-		return a.pCount
+	if a.stream {
+		return a.psum.Count
 	}
 	return a.received
 }
@@ -498,52 +444,27 @@ func (a *Aggregator) Reduce(dst []float64) (int, bool) {
 }
 
 // ExportPartial closes the open round and copies its exact mergeable
-// state into p — the relay face of the hierarchy. In streaming mode this
-// is a copy of the folded state; otherwise the stored slots are folded
-// in id order (identical bits either way: the sums are exact). Returns
-// the contribution count and false when no round was open; a round with
-// zero contributions exports a valid empty partial.
+// state into p — the relay face of the hierarchy. Like AddPartial it needs
+// a streaming aggregator. Returns the contribution count and false when no
+// round was open; a round with zero contributions exports a valid empty
+// partial.
 func (a *Aggregator) ExportPartial(p *Partial) (int, bool) {
+	if !a.stream {
+		panic("fl: ExportPartial needs a streaming aggregator")
+	}
 	if !a.open {
 		return 0, false
 	}
 	a.open = false
-	count := a.received
-	if a.stream {
-		p.CopyFrom(&a.psum)
-		return count, true
-	}
-	p.Reset()
-	for id, c := range a.slots {
-		if c == nil {
-			continue
-		}
-		if err := p.Fold(c, a.slotW[id]); err != nil {
-			// Stored slots already passed Add's validation; only an
-			// accumulator overflow can surface here, and it poisons p
-			// for the caller to detect.
-			return count, true
-		}
-	}
-	return count, true
+	p.CopyFrom(&a.psum)
+	return a.received, true
 }
 
 // Discard drops the in-flight round without aggregating — the crash-
 // recovery semantics: partials of an uncommitted round are thrown away
 // and the round re-opened, which idempotent client re-sends tolerate.
 func (a *Aggregator) Discard() {
-	if !a.open {
-		return
-	}
-	for i := range a.slots {
-		a.slots[i], a.slotW[i] = nil, 0
-	}
-	if a.stream {
-		for i := range a.seen {
-			a.seen[i] = false
-		}
-		a.psum.Reset()
-	}
-	a.open, a.received = false, 0
-	a.pMode, a.pCount = false, 0
+	clear(a.slots)
+	a.psum.Reset()
+	a.open, a.received, a.pMode = false, 0, false
 }

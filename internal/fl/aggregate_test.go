@@ -3,6 +3,7 @@ package fl
 import (
 	"apf/internal/quantize"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync/atomic"
@@ -295,37 +296,6 @@ func TestStreamingAndPartialModesBitExact(t *testing.T) {
 				t.Fatalf("round %d two-tier element %d = %v, want %v", round, j, got2[j], want[j])
 			}
 		}
-
-		// Non-streaming export folds the stored slots to the same partial.
-		slotted := NewAggregator(1)
-		slotted.Open(round, clients)
-		for k := range contribs {
-			if contribs[k] == nil {
-				continue
-			}
-			if err := slotted.Add(k, contribs[k], weights[k]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var fromSlots, fromStream Partial
-		if _, ok := slotted.ExportPartial(&fromSlots); !ok {
-			t.Fatal("slotted ExportPartial failed")
-		}
-		slotted.Close()
-		for _, p := range parts {
-			if err := fromStream.Merge(&p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if fromSlots.Count != fromStream.Count ||
-			fromSlots.WeightLo != fromStream.WeightLo || fromSlots.WeightHi != fromStream.WeightHi {
-			t.Fatal("slot-fold and stream-fold partials disagree on weight/count")
-		}
-		for i := range fromSlots.Cols {
-			if fromSlots.Cols[i] != fromStream.Cols[i] {
-				t.Fatalf("slot-fold and stream-fold partials disagree at column word %d", i)
-			}
-		}
 	}
 }
 
@@ -383,6 +353,20 @@ func TestStreamingAddValidation(t *testing.T) {
 	if err := b.AddPartial(0, &p); err == nil {
 		t.Fatal("AddPartial accepted on a non-streaming aggregator")
 	}
+	// So does ExportPartial, and Open refuses more slots than a round folds.
+	for name, f := range map[string]func(){
+		"ExportPartial on a non-streaming aggregator": func() { b.ExportPartial(&p) },
+		"Open past MaxContributors":                   func() { b.Open(1, MaxContributors+1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
 
 	// Streaming and trimmed reduction are mutually exclusive, both ways.
 	func() {
@@ -410,11 +394,11 @@ func TestStreamingAddValidation(t *testing.T) {
 }
 
 // TestAddRefusesUnfoldableScalar: a finite scalar whose weighted product
-// the exact accumulator cannot hold (1e19 at weight 1, past 2^63) is
-// refused by Add with ErrAccumOverflow in both modes, before the round
-// changes — the flat aggregator does not reduce it to NaN, the streaming
-// one is not poisoned by it — and both then reduce the honest rest to the
-// same bits as a round that never saw it.
+// is 2^43 or more (1e19 at weight 1, or 2^42 at weight 2), or a weight of
+// 2^43 or more, is refused by Add with ErrAccumOverflow in both modes,
+// before the round changes — the flat aggregator does not reduce it to
+// NaN — and both then reduce the honest rest to the same bits as a round
+// that never saw it.
 func TestAddRefusesUnfoldableScalar(t *testing.T) {
 	honest := [][]float64{{0.5, 0.25}, {-0.125, 0.75}}
 	weights := []float64{1, 3}
@@ -440,17 +424,20 @@ func TestAddRefusesUnfoldableScalar(t *testing.T) {
 			{[]float64{0.5, -0x1p63}, 1},
 			{[]float64{0.5, 0x1p62}, 2},
 			{[]float64{0.5, 1e300}, 1e10},
+			{[]float64{0.5, 0x1p43}, 1},
+			{[]float64{-0x1p42, 0.5}, 2},
+			{[]float64{0.5, 0.25}, 0x1p43},
 		} {
 			err := a.Add(2, bad.contrib, bad.weight)
 			if !errors.Is(err, ErrAccumOverflow) || errors.Is(err, ErrNonFinite) {
 				t.Fatalf("stream=%v: Add(%v at weight %v) = %v, want ErrAccumOverflow", stream, bad.contrib, bad.weight, err)
 			}
-			if a.Received(2) || a.Count() != 1 || a.Poisoned() {
+			if a.Received(2) || a.Count() != 1 {
 				t.Fatalf("stream=%v: a refused update changed the round", stream)
 			}
 		}
-		// The largest product the accumulator holds still folds.
-		if err := a.Add(2, []float64{0, 0x1p62}, 1.9999999999999998); err != nil {
+		// The largest product the bound admits still folds.
+		if err := a.Add(2, []float64{0, 0x1p42}, 1.9999999999999998); err != nil {
 			t.Fatalf("stream=%v: in-range product refused: %v", stream, err)
 		}
 		a.Discard()
@@ -471,11 +458,75 @@ func TestAddRefusesUnfoldableScalar(t *testing.T) {
 	}
 }
 
-// TestAddRejectsPoisonedContribution is the poisoned-client regression:
+// TestSummedOverflowRefusedPerUpdate: four clients each adding 2^61 at
+// weight 1 — every product in the old ±2^63 range, their sum not — are
+// each refused at Add with ErrAccumOverflow in both modes, because each
+// product alone passes the 2^43 bound; the honest fifth client folds, and
+// the flat round, the streaming round and two relays merged at a root all
+// reduce to the same finite bits.
+func TestSummedOverflowRefusedPerUpdate(t *testing.T) {
+	honest := []float64{0.5, 0.25}
+	var means [][]float64
+	for _, stream := range []bool{false, true} {
+		a := NewAggregator(1)
+		defer a.Close()
+		a.SetStreaming(stream)
+		a.Open(0, 5)
+		for id := 0; id < 4; id++ {
+			if err := a.Add(id, []float64{0x1p61, 0.25}, 1); !errors.Is(err, ErrAccumOverflow) {
+				t.Fatalf("stream=%v: client %d: Add = %v, want ErrAccumOverflow", stream, id, err)
+			}
+		}
+		if err := a.Add(4, honest, 1); err != nil {
+			t.Fatalf("stream=%v: honest client refused: %v", stream, err)
+		}
+		got := make([]float64, 2)
+		if n, ok := a.Reduce(got); !ok || n != 1 {
+			t.Fatalf("stream=%v: Reduce = %d, %v", stream, n, ok)
+		}
+		means = append(means, got)
+	}
+	root := NewAggregator(1)
+	defer root.Close()
+	root.SetStreaming(true)
+	root.Open(0, 2)
+	for r, ids := range [][]int{{0, 1, 4}, {2, 3}} {
+		relay := NewAggregator(1)
+		defer relay.Close()
+		relay.SetStreaming(true)
+		relay.Open(0, 5)
+		for _, id := range ids {
+			c, want := []float64{0x1p61, 0.25}, ErrAccumOverflow
+			if id == 4 {
+				c, want = honest, nil
+			}
+			if err := relay.Add(id, c, 1); !errors.Is(err, want) {
+				t.Fatalf("relay %d client %d: Add = %v, want %v", r, id, err, want)
+			}
+		}
+		var p Partial
+		relay.ExportPartial(&p)
+		if err := root.AddPartial(r, &p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([]float64, 2)
+	if _, ok := root.Reduce(got); !ok {
+		t.Fatal("root Reduce failed")
+	}
+	means = append(means, got)
+	for i, m := range means {
+		if math.Float64bits(m[0]) != math.Float64bits(honest[0]) || math.Float64bits(m[1]) != math.Float64bits(honest[1]) {
+			t.Fatalf("path %d reduced %v, want the honest client's %v", i, m, honest)
+		}
+	}
+}
+
+// TestAddRejectsHostileContribution is the poisoned-client regression:
 // NaN and Inf scalars, non-finite weights, duplicates, and length
 // disagreements all get typed errors, and a rejected contribution leaves
 // the round's aggregate unchanged.
-func TestAddRejectsPoisonedContribution(t *testing.T) {
+func TestAddRejectsHostileContribution(t *testing.T) {
 	a := NewAggregator(1)
 	defer a.Close()
 	a.Open(0, 3)
@@ -675,19 +726,22 @@ func TestRelayMergePropertyRandomPartitions(t *testing.T) {
 }
 
 // TestFirstUnfoldableMatchesScan pins Add's flag pass to a per-scalar
-// scan of the fold's own conversion (fixFromFloat of w·x): every IEEE
-// class and the products on either side of 2^63, at every position,
-// under several weights, name the same first scalar and the same cause.
+// scan of the bound it enforces (|w·x| < 2^43): every IEEE class (NaN
+// payloads, finite extremes and subnormals included) and the products on
+// either side of 2^43 and of 2^63, at every position, under several
+// weights, name the same first scalar and the same cause.
 func TestFirstUnfoldableMatchesScan(t *testing.T) {
-	below := math.Nextafter(0x1p63, 0)
-	vals := []float64{0, math.Copysign(0, -1), 1, -2.5, 0x1p62, -below, below, 0x1p63, -0x1p63, 1e19,
-		math.MaxFloat64, math.SmallestNonzeroFloat64, math.NaN(), math.Inf(1), math.Inf(-1)}
+	below := math.Nextafter(0x1p43, 0)
+	vals := []float64{0, math.Copysign(0, -1), 1, -2.5, 0x1p42, -below, below, 0x1p43, -0x1p43,
+		0x1p62, 0x1p63, -0x1p63, 1e19, math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64,
+		math.Float64frombits(0x000FFFFFFFFFFFFF), math.NaN(), -math.NaN(), math.Inf(1), math.Inf(-1),
+		math.Float64frombits(0x7FF0000000000001), math.Float64frombits(0xFFFFFFFFFFFFFFFF)}
 	scan := func(v []float64, w float64) (int, error) {
 		for j, x := range v {
 			if math.IsNaN(x) || math.IsInf(x, 0) {
 				return j, ErrNonFinite
 			}
-			if _, _, ok := fixFromFloat(w * x); !ok {
+			if !(math.Abs(w*x) < 0x1p43) {
 				return j, ErrAccumOverflow
 			}
 		}
@@ -712,35 +766,150 @@ func TestFirstUnfoldableMatchesScan(t *testing.T) {
 	}
 }
 
-// TestFirstNonFiniteMatchesScan pins the flag pass to the per-scalar
-// IsNaN/IsInf scan on every IEEE class at every position, finite extremes
-// (largest, subnormal, negative zero) included.
-func TestFirstNonFiniteMatchesScan(t *testing.T) {
-	finite := []float64{0, math.Copysign(0, -1), 1, -2.5, math.MaxFloat64, -math.MaxFloat64,
-		math.SmallestNonzeroFloat64, math.Float64frombits(0x7FEFFFFFFFFFFFFF), math.Float64frombits(0x000FFFFFFFFFFFFF)}
-	bad := []float64{math.NaN(), -math.NaN(), math.Inf(1), math.Inf(-1), math.Float64frombits(0x7FF0000000000001),
-		math.Float64frombits(0xFFFFFFFFFFFFFFFF)}
-	scan := func(v []float64) int {
-		for j, x := range v {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return j
+// FuzzExactVerdictsAgree holds the flat (stored slots), streaming and
+// two-relay→root paths of the exact fold to one overflow rule. The input
+// draws up to 8 clients — honest ones (weight 0 or 1, scalars below ½) and
+// hostile ones with magnitudes around the 2^43 bound, large and non-finite
+// weights and scalars — an arrival order and a client→relay partition;
+// the relays' partials travel packed and are parsed against their counts
+// (ParsePacked) before the root merges them. Every update must get the
+// same verdict on every path, the one its own weight and products decide;
+// no honest update may be refused; and the committed models must agree
+// (all or none aggregate), be finite, and match bit for bit.
+func FuzzExactVerdictsAgree(f *testing.F) {
+	f.Add([]byte{5, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0})
+	f.Add([]byte{8, 3, 0x81, 4, 43, 0, 0x81, 4, 43, 0, 0x13, 2, 9, 0x82, 1, 44, 0x40, 0x83, 5, 62, 0x97, 6, 0xff, 7})
+	f.Add([]byte{3, 1, 0x80, 3, 42, 0x80, 1, 0x80, 0, 1, 2, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		clients, dim := 1+next()%8, 1+next()%4
+		weightsOf := []float64{1, 0, 0.5, 3, 0x1p42, 0x1p43, math.Nextafter(0x1p43, 0), math.NaN(), -1, math.Inf(1)}
+		contribs := make([][]float64, clients)
+		weights := make([]float64, clients)
+		relayOf := make([]int, clients)
+		honest := make([]bool, clients)
+		for k := range contribs {
+			kind := next()
+			honest[k] = kind&0x80 == 0
+			relayOf[k] = kind >> 6 & 1
+			c := make([]float64, dim)
+			for j := range c {
+				if honest[k] {
+					c[j] = (float64(next()) - 127.5) / 256 // below ½
+					continue
+				}
+				switch b := next(); b % 16 {
+				case 0:
+					c[j] = math.NaN()
+				case 1:
+					c[j] = math.Inf(1 - 2*(b>>4&1))
+				case 2:
+					c[j] = 0x1p61
+				default: // ±(1 + m/256)·2^e, e in [38, 48]
+					c[j] = math.Ldexp(1+float64(next())/256, 38+next()%11)
+					if b&0x10 != 0 {
+						c[j] = -c[j]
+					}
+				}
+			}
+			contribs[k] = c
+			weights[k] = float64(kind & 1)
+			if !honest[k] {
+				weights[k] = weightsOf[kind%len(weightsOf)]
 			}
 		}
-		return -1
-	}
-	if got := firstNonFinite(finite); got != -1 {
-		t.Fatalf("finite slice: index %d flagged", got)
-	}
-	if got := firstNonFinite(nil); got != -1 {
-		t.Fatalf("empty slice: index %d flagged", got)
-	}
-	for _, b := range bad {
-		for at := 0; at <= len(finite); at++ {
-			v := append(append(append([]float64(nil), finite[:at]...), b), finite[at:]...)
-			v = append(v, bad[0]) // a later bad scalar must not be the one named
-			if got, want := firstNonFinite(v), scan(v); got != want {
-				t.Fatalf("%v at %d: firstNonFinite = %d, scan = %d", b, at, got, want)
+		order := make([]int, clients)
+		for i := range order {
+			order[i] = i
+		}
+		for i := clients - 1; i > 0; i-- {
+			j := next() % (i + 1)
+			order[i], order[j] = order[j], order[i]
+		}
+
+		// The verdict the rule gives each update on its own.
+		want := make([]bool, clients)
+		for k, c := range contribs {
+			w := weights[k]
+			want[k] = w >= 0 && w < 0x1p43
+			for _, x := range c {
+				want[k] = want[k] && math.Abs(w*x) < 0x1p43
+			}
+			if honest[k] && !want[k] {
+				t.Fatalf("client %d: honest update %v at weight %v out of bound", k, c, w)
 			}
 		}
-	}
+		check := func(path string, k int, err error) {
+			if (err == nil) != want[k] {
+				t.Fatalf("%s: client %d (%v at weight %v): Add = %v, want admitted %v", path, k, contribs[k], weights[k], err, want[k])
+			}
+			if err != nil && !errors.Is(err, ErrAccumOverflow) && !errors.Is(err, ErrNonFinite) {
+				t.Fatalf("%s: client %d refused with an untyped error: %v", path, k, err)
+			}
+		}
+
+		var means [][]float64
+		var oks []bool
+		for _, stream := range []bool{false, true} {
+			a := NewAggregator(1)
+			a.SetStreaming(stream)
+			a.Open(0, clients)
+			for _, k := range order {
+				check(fmt.Sprintf("stream=%v", stream), k, a.Add(k, contribs[k], weights[k]))
+			}
+			dst := make([]float64, dim)
+			_, ok := a.Reduce(dst)
+			a.Close()
+			means, oks = append(means, dst), append(oks, ok)
+		}
+
+		root := NewAggregator(1)
+		defer root.Close()
+		root.SetStreaming(true)
+		root.Open(0, 2)
+		for r := 0; r < 2; r++ {
+			relay := NewAggregator(1)
+			relay.SetStreaming(true)
+			relay.Open(0, clients)
+			for _, k := range order {
+				if relayOf[k] == r {
+					check(fmt.Sprintf("relay %d", r), k, relay.Add(k, contribs[k], weights[k]))
+				}
+			}
+			var p Partial
+			relay.ExportPartial(&p)
+			relay.Close()
+			view, err := ParsePacked(p.Dim(), p.Count, p.AppendPacked(nil))
+			if err != nil || !SumFits(p.Count, p.WeightLo, p.WeightHi) {
+				t.Fatalf("relay %d: its own partial fails the decoder's checks: %v", r, err)
+			}
+			if err := root.AddPartial(r, &Partial{Count: p.Count, WeightLo: p.WeightLo, WeightHi: p.WeightHi, Packed: view}); err != nil {
+				t.Fatalf("root merge of relay %d: %v", r, err)
+			}
+		}
+		dst := make([]float64, dim)
+		_, ok := root.Reduce(dst)
+		means, oks = append(means, dst), append(oks, ok)
+
+		for i := range means {
+			if oks[i] != oks[0] {
+				t.Fatalf("path %d aggregated=%v, path 0 %v", i, oks[i], oks[0])
+			}
+			if !oks[0] {
+				continue
+			}
+			for j, x := range means[i] {
+				if math.IsNaN(x) || math.IsInf(x, 0) || math.Float64bits(x) != math.Float64bits(means[0][j]) {
+					t.Fatalf("path %d coordinate %d = %v, path 0 %v", i, j, x, means[0][j])
+				}
+			}
+		}
+	})
 }

@@ -29,9 +29,13 @@ import (
 //
 // Range and precision: magnitudes below 2^-1022 scale to well under half
 // a unit and round to zero; products with |p| ≥ 2^-12 convert exactly
-// (53-bit mantissa above the 2^-64 grid); the accumulator holds sums up
-// to |Σ| < 2^63, far beyond any sane model geometry — overflow is
-// detected and poisons the aggregate loudly rather than wrapping.
+// (53-bit mantissa above the 2^-64 grid). No sum can overflow: a round
+// folds at most MaxContributors = 2^20 contributions, each admitted only
+// with its weight and every product below 2^43 (ErrAccumOverflow for that
+// contribution alone), so each term is below 2^107 and any 2^20 of them
+// sum below 2^127. Only the one-shot WeightedMean, whose contributions
+// nothing has checked, still meets terms past that and makes their
+// columns NaN.
 //
 // Both conversions have a fast path for values below ½ in magnitude, the
 // range model parameters and their means live in. The hardware does it
@@ -53,11 +57,18 @@ import (
 // end; while a block has seen only fast-path products it skips the
 // overflow verdict, which provably cannot fire there (addHalves).
 
-// ErrAccumOverflow is returned (wrapped) when an exact accumulator
-// overflows its ±2^63 range. A mid-fold overflow poisons the partial
-// (sticky): the column state is already half-mutated, so the whole
-// aggregate is discarded rather than silently wrong.
+// ErrAccumOverflow is returned (wrapped) for an input past the bound that
+// keeps every exact sum inside the signed 128-bit range: a weight or a
+// weighted product of 2^43 or more, a fold or merge past MaxContributors
+// contributions, or a decoded partial sum past its count (SumFits).
 var ErrAccumOverflow = errors.New("fl: exact accumulator overflow")
+
+// MaxContributors is the most client contributions one round folds,
+// across the whole cluster.
+const MaxContributors = 1 << 20
+
+// maxTerm bounds an admitted weight and weighted product: 2^63 / MaxContributors.
+const maxTerm = 0x1p43
 
 // fixFromFloat converts x into round-to-nearest-even(x·2^64) as a
 // two's-complement 128-bit (lo, hi) pair. ok is false when x is
@@ -287,8 +298,6 @@ type Partial struct {
 	// receiver, Mean) keeps its sums in Cols. At most one of the two is
 	// non-empty.
 	Packed PackedCols
-
-	poisoned bool
 }
 
 // Reset clears the partial for reuse, keeping column capacity.
@@ -296,7 +305,6 @@ func (p *Partial) Reset() {
 	p.Count, p.WeightLo, p.WeightHi = 0, 0, 0
 	p.Cols = p.Cols[:0]
 	p.Packed = PackedCols{}
-	p.poisoned = false
 }
 
 // Dim returns the coordinate count (0 until the first fold).
@@ -307,10 +315,6 @@ func (p *Partial) Dim() int {
 	return len(p.Cols) / 2
 }
 
-// Poisoned reports whether an accumulator overflow invalidated the
-// partial; a poisoned partial refuses further folds and never aggregates.
-func (p *Partial) Poisoned() bool { return p.poisoned }
-
 // adopt sizes the columns for dim coordinates when the partial is still
 // empty, zeroing any reused capacity.
 func (p *Partial) adopt(dim int) {
@@ -319,82 +323,78 @@ func (p *Partial) adopt(dim int) {
 		return
 	}
 	p.Cols = p.Cols[:2*dim]
-	for i := range p.Cols {
-		p.Cols[i] = 0
-	}
+	clear(p.Cols)
 }
 
-// Fold adds one weighted contribution exactly. Validation happens before
-// any state changes: non-finite scalars, non-finite or negative weights
-// (ErrNonFinite), and payload lengths disagreeing with the partial's
-// dimension (ErrLengthMismatch) are rejected cleanly. An accumulator
-// overflow mid-fold poisons the partial and returns ErrAccumOverflow.
+// Fold adds one weighted contribution exactly. Every check runs before
+// any state changes: a partial already holding MaxContributors
+// contributions (ErrAccumOverflow), and whatever checkUpdate refuses.
 func (p *Partial) Fold(contrib []float64, weight float64) error {
-	if err := p.checkFold(contrib, weight); err != nil {
+	if p.Count >= MaxContributors {
+		return fmt.Errorf("%w: partial already holds %d contributions", ErrAccumOverflow, p.Count)
+	}
+	dim := -1
+	if len(p.Cols) != 0 {
+		dim = p.Dim()
+	}
+	if err := checkUpdate(contrib, weight, dim); err != nil {
 		return err
 	}
-	if j := firstNonFinite(contrib); j >= 0 {
-		return fmt.Errorf("%w: scalar %d is %v", ErrNonFinite, j, contrib[j])
-	}
-	return p.fold(contrib, weight)
+	p.fold(contrib, weight)
+	return nil
 }
 
-// checkFold is Fold's validation short of the scalar scan: a poisoned
-// partial, a non-finite or negative weight, and a payload length that
-// disagrees with the partial's dimension.
-func (p *Partial) checkFold(contrib []float64, weight float64) error {
-	if p.poisoned {
-		return fmt.Errorf("%w: partial is poisoned", ErrAccumOverflow)
-	}
+// checkUpdate refuses a contribution the exact fold cannot take into a
+// round whose contributions have length dim (-1 while none is held): a
+// non-finite or negative weight or a non-finite scalar (ErrNonFinite), a
+// weight or weighted product of 2^43 or more (ErrAccumOverflow), and a
+// length other than dim (ErrLengthMismatch).
+func checkUpdate(contrib []float64, weight float64, dim int) error {
 	if math.IsNaN(weight) || math.IsInf(weight, 0) || weight < 0 {
 		return fmt.Errorf("%w: weight %v", ErrNonFinite, weight)
 	}
-	if len(p.Cols) != 0 && 2*len(contrib) != len(p.Cols) {
-		return fmt.Errorf("%w: payload length %d, partial holds %d",
-			ErrLengthMismatch, len(contrib), p.Dim())
+	if weight >= maxTerm {
+		return fmt.Errorf("%w: weight %v", ErrAccumOverflow, weight)
+	}
+	if dim >= 0 && len(contrib) != dim {
+		return fmt.Errorf("%w: payload length %d, round holds %d", ErrLengthMismatch, len(contrib), dim)
+	}
+	if j, err := firstUnfoldable(contrib, weight); err != nil {
+		return fmt.Errorf("%w: scalar %d is %v", err, j, contrib[j])
 	}
 	return nil
 }
 
-// fold is Fold past its validation, for contributions whose checkFold
-// and scalar scan already passed.
-func (p *Partial) fold(contrib []float64, weight float64) error {
-	wlo, whi, ok := fixFromFloat(weight)
-	if !ok {
-		return fmt.Errorf("%w: weight %v", ErrAccumOverflow, weight)
-	}
+// fold adds a contribution checkUpdate admitted into a partial below
+// MaxContributors: its terms are below 2^107, so no conversion or sum can
+// fail.
+func (p *Partial) fold(contrib []float64, weight float64) {
 	if len(p.Cols) == 0 && len(contrib) > 0 {
 		p.adopt(len(contrib))
 	}
-	if j := addSpan(p.Cols, contrib, weight, 0); j < len(contrib) {
-		p.poisoned = true
-		return fmt.Errorf("%w: coordinate %d", ErrAccumOverflow, j)
-	}
-	if p.WeightLo, p.WeightHi, ok = fixAdd(p.WeightLo, p.WeightHi, wlo, whi); !ok {
-		p.poisoned = true
-		return fmt.Errorf("%w: total weight", ErrAccumOverflow)
-	}
+	addSpan(p.Cols, contrib, weight, 0)
+	wlo, whi, _ := fixFromFloat(weight)
+	p.WeightLo, p.WeightHi, _ = fixAdd(p.WeightLo, p.WeightHi, wlo, whi)
 	p.Count++
-	return nil
 }
 
 // Merge folds another partial in exactly. Integer addition makes the
 // result order- and grouping-invariant: merging per-relay partials in any
 // order yields the same bits as folding every underlying contribution
-// into one flat partial. A dimension disagreement (ErrLengthMismatch), a
-// negative count or weight, a poisoned source, or an overflow
-// (ErrAccumOverflow, poisoning) is rejected. The source's sums are read
-// from q.Cols or, block by block, from q.Packed; every structural check
-// runs before the first accumulator word changes.
+// into one flat partial. A negative count or weight, a merge past
+// MaxContributors contributions (ErrAccumOverflow) and a dimension
+// disagreement (ErrLengthMismatch) are refused before the first
+// accumulator word changes. The source's sums are read from q.Cols or,
+// block by block, from q.Packed, and must lie below q.Count·2^107 in
+// magnitude, as those of a folded partial and of a decoded one
+// (ParsePacked) do; the merged sums then cannot overflow.
 func (p *Partial) Merge(q *Partial) error {
-	if p.poisoned {
-		return fmt.Errorf("%w: partial is poisoned", ErrAccumOverflow)
-	}
-	if q.poisoned {
-		return fmt.Errorf("%w: source partial is poisoned", ErrAccumOverflow)
-	}
 	if q.Count < 0 {
 		return fmt.Errorf("fl: merge of partial with negative count %d", q.Count)
+	}
+	if q.Count > MaxContributors-p.Count {
+		return fmt.Errorf("%w: merging %d contributions into %d passes %d",
+			ErrAccumOverflow, q.Count, p.Count, MaxContributors)
 	}
 	if int64(q.WeightHi) < 0 {
 		return fmt.Errorf("%w: negative partial weight", ErrNonFinite)
@@ -410,37 +410,24 @@ func (p *Partial) Merge(q *Partial) error {
 	if len(p.Cols) == 0 && qdim != 0 {
 		p.adopt(qdim)
 	}
-	var err error
 	if q.Packed.dim != 0 {
-		err = p.addPacked(q.Packed)
+		p.addPacked(q.Packed)
 	} else {
-		err = p.addCols(0, q.Cols)
+		p.addCols(0, q.Cols)
 	}
-	if err != nil {
-		return err
-	}
-	var ok bool
-	if p.WeightLo, p.WeightHi, ok = fixAdd(p.WeightLo, p.WeightHi, q.WeightLo, q.WeightHi); !ok {
-		p.poisoned = true
-		return fmt.Errorf("%w: total weight", ErrAccumOverflow)
-	}
+	p.WeightLo, p.WeightHi, _ = fixAdd(p.WeightLo, p.WeightHi, q.WeightLo, q.WeightHi)
 	p.Count += q.Count
 	return nil
 }
 
 // addCols adds src (lo/hi word pairs) into p.Cols starting at word offset
-// at. A signed overflow poisons p.
-func (p *Partial) addCols(at int, src []uint64) error {
+// at.
+func (p *Partial) addCols(at int, src []uint64) {
 	dst := p.Cols[at : at+len(src)]
 	for j := 0; j+1 < len(src); j += 2 {
 		d, s := dst[j:j+2:j+2], src[j:j+2:j+2]
-		var ok bool
-		if d[0], d[1], ok = fixAdd(d[0], d[1], s[0], s[1]); !ok {
-			p.poisoned = true
-			return fmt.Errorf("%w: coordinate %d", ErrAccumOverflow, (at+j)/2)
-		}
+		d[0], d[1], _ = fixAdd(d[0], d[1], s[0], s[1])
 	}
-	return nil
 }
 
 // CopyFrom overwrites p with q's state, reusing column capacity.
@@ -448,18 +435,14 @@ func (p *Partial) CopyFrom(q *Partial) {
 	p.Count, p.WeightLo, p.WeightHi = q.Count, q.WeightLo, q.WeightHi
 	p.Cols = append(p.Cols[:0], q.Cols...)
 	p.Packed = q.Packed
-	p.poisoned = q.poisoned
 }
 
 // Mean writes the exact weighted mean into dst. Returns false with dst
-// untouched when nothing aggregates: zero contributions, a non-positive
-// total weight, or a poisoned partial. dst must match the partial's
-// dimension.
+// untouched when nothing aggregates: zero contributions or zero total
+// weight (Fold and Merge admit no negative one). dst must match the
+// partial's dimension.
 func (p *Partial) Mean(dst []float64) bool {
-	if p.poisoned || p.Count == 0 {
-		return false
-	}
-	if int64(p.WeightHi) < 0 || (p.WeightHi == 0 && p.WeightLo == 0) {
+	if p.Count == 0 || p.WeightHi|p.WeightLo == 0 {
 		return false
 	}
 	if 2*len(dst) != len(p.Cols) {

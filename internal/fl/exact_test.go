@@ -6,6 +6,7 @@ import (
 	"math/big"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -289,9 +290,10 @@ func TestPartialMeanMatchesBig(t *testing.T) {
 	}
 }
 
-// TestPartialRejections pins the validation and poison semantics: clean
-// rejects leave no trace, overflow poisons stickily, and empty or
-// zero-weight partials refuse to aggregate.
+// TestPartialRejections pins the validation semantics: every reject
+// leaves no trace, a contribution is refused for overflow only when its own
+// weight or product reaches 2^43 or the partial already holds
+// MaxContributors, and empty or zero-weight partials refuse to aggregate.
 func TestPartialRejections(t *testing.T) {
 	var p Partial
 	good := []float64{1, 2}
@@ -311,39 +313,35 @@ func TestPartialRejections(t *testing.T) {
 		{"negative weight", good, -1, ErrNonFinite},
 		{"length mismatch", []float64{1}, 1, ErrLengthMismatch},
 		{"huge weight", good, 0x1p70, ErrAccumOverflow},
+		{"weight at the bound", good, 0x1p43, ErrAccumOverflow},
+		{"product at the bound", []float64{0, 0x1p42}, 2, ErrAccumOverflow},
+		{"scalar of -2^61", []float64{-0x1p61, 0}, 1, ErrAccumOverflow},
 	} {
+		cols := slices.Clone(p.Cols)
 		if err := p.Fold(tc.contrib, tc.weight); !errors.Is(err, tc.want) {
 			t.Fatalf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
-		if p.Count != 1 || p.Poisoned() {
-			t.Fatalf("%s: clean reject mutated state (count=%d poisoned=%v)", tc.name, p.Count, p.Poisoned())
+		if p.Count != 1 || !slices.Equal(p.Cols, cols) {
+			t.Fatalf("%s: reject mutated state (count=%d)", tc.name, p.Count)
 		}
+	}
+	below := math.Nextafter(0x1p43, 0)
+	if err := p.Fold([]float64{-1, 1}, below); err != nil {
+		t.Fatalf("weight just below the bound: %v", err)
 	}
 
-	// Column overflow: 2^61-magnitude addends overflow on the fourth fold
-	// (4·2^61 = 2^63) and poison the partial stickily.
-	var q Partial
-	huge := []float64{0x1p61}
-	for i := 0; i < 3; i++ {
-		if err := q.Fold(huge, 1); err != nil {
-			t.Fatalf("fold %d: %v", i, err)
-		}
+	// The contribution bound: a partial holding MaxContributors refuses a
+	// fold, and a merge may not take the count past it.
+	q := Partial{Count: MaxContributors - 1}
+	if err := q.Fold(good, 1); err != nil {
+		t.Fatal(err)
 	}
-	if err := q.Fold(huge, 1); !errors.Is(err, ErrAccumOverflow) {
-		t.Fatalf("overflow fold err = %v", err)
+	if err := q.Fold(good, 1); !errors.Is(err, ErrAccumOverflow) || q.Count != MaxContributors {
+		t.Fatalf("fold past the contribution bound: err = %v, count %d", err, q.Count)
 	}
-	if !q.Poisoned() {
-		t.Fatal("overflow did not poison")
-	}
-	if err := q.Fold(good, 1); !errors.Is(err, ErrAccumOverflow) {
-		t.Fatalf("post-poison fold err = %v", err)
-	}
-	if q.Mean(make([]float64, 1)) {
-		t.Fatal("poisoned partial aggregated")
-	}
-	var r Partial
-	if err := r.Merge(&q); !errors.Is(err, ErrAccumOverflow) {
-		t.Fatalf("merge of poisoned partial err = %v", err)
+	r := Partial{Count: 1}
+	if err := r.Merge(&Partial{Count: MaxContributors}); !errors.Is(err, ErrAccumOverflow) || r.Count != 1 {
+		t.Fatalf("merge past the contribution bound: err = %v, count %d", err, r.Count)
 	}
 
 	// Nothing to aggregate: empty, and zero total weight.
@@ -384,7 +382,7 @@ func TestPartialRejections(t *testing.T) {
 
 	// Reset clears everything for reuse.
 	q.Reset()
-	if q.Poisoned() || q.Count != 0 || len(q.Cols) != 0 {
+	if q.Count != 0 || q.WeightLo|q.WeightHi != 0 || len(q.Cols) != 0 {
 		t.Fatalf("Reset left state: %+v", q)
 	}
 	if err := q.Fold(good, 2); err != nil {

@@ -96,17 +96,20 @@ func appendPackedCols(dst []byte, cols []uint64) []byte {
 }
 
 // ParsePacked validates data as the canonical packed encoding of exactly
-// dim columns and returns a view aliasing it. A width tag outside [1, 16],
-// a tag wider than its block needs, and a section shorter or longer than
-// dim dictates are all errors; nothing is allocated, and the walk is
-// bounded by len(data) however large dim claims to be.
-func ParsePacked(dim int, data []byte) (PackedCols, error) {
+// dim columns summing count contributions, and returns a view aliasing it.
+// A width tag outside [1, 16], a tag wider than its block needs, and a
+// section shorter or longer than dim dictates are all errors; so is a sum
+// that no count admitted contributions can reach (SumFits,
+// ErrAccumOverflow), which only a block tagged wider than fitsWidth bytes,
+// or a nonzero block at count 0 or less, can hold. Nothing is allocated,
+// and the walk is bounded by len(data) however large dim claims to be.
+func ParsePacked(dim, count int, data []byte) (PackedCols, error) {
 	if dim < 0 || dim > len(data) { // every coordinate takes at least a byte
 		return PackedCols{}, fmt.Errorf("fl: packed columns: %d coordinates cannot fit %d bytes", dim, len(data))
 	}
 	rest := data
 	for left := dim; left > 0; {
-		count := min(left, packedBlock)
+		blk := min(left, packedBlock)
 		if len(rest) == 0 {
 			return PackedCols{}, fmt.Errorf("fl: packed columns: truncated before coordinate %d", dim-left)
 		}
@@ -114,19 +117,48 @@ func ParsePacked(dim int, data []byte) (PackedCols, error) {
 		if n < 1 || n > packedMaxWidth {
 			return PackedCols{}, fmt.Errorf("fl: packed columns: width tag %d at coordinate %d", n, dim-left)
 		}
-		if len(rest) < 1+count*n {
+		if len(rest) < 1+blk*n {
 			return PackedCols{}, fmt.Errorf("fl: packed columns: truncated inside the block at coordinate %d", dim-left)
 		}
-		if body := rest[1 : 1+count*n]; n > 1 && !needsWidth(body, n) {
+		body := rest[1 : 1+blk*n]
+		if n > 1 && !needsWidth(body, n) {
 			return PackedCols{}, fmt.Errorf("fl: packed columns: width tag %d at coordinate %d is wider than the block needs", n, dim-left)
 		}
-		rest = rest[1+count*n:]
-		left -= count
+		if n > fitsWidth || count <= 0 {
+			var v [2 * packedBlock]uint64
+			unpackBlock(v[:2*blk], body, n)
+			for j := 0; j < 2*blk; j += 2 {
+				if !SumFits(count, v[j], v[j+1]) {
+					return PackedCols{}, fmt.Errorf("%w: packed sum at coordinate %d is out of reach of %d contributions",
+						ErrAccumOverflow, dim-left+j/2, count)
+				}
+			}
+		}
+		rest = rest[1+blk*n:]
+		left -= blk
 	}
 	if len(rest) != 0 {
 		return PackedCols{}, fmt.Errorf("fl: packed columns: %d bytes trail the last block", len(rest))
 	}
 	return PackedCols{dim: dim, data: data}, nil
+}
+
+// fitsWidth is the widest block tag needing no bound check: 13 bytes hold
+// magnitudes up to 2^103, below what one admitted contribution reaches.
+const fitsWidth = 13
+
+// SumFits reports whether the fixed-point value (lo, hi) can be a sum of
+// count admitted contributions: below count·2^107 in magnitude, and zero
+// at count 0 or less.
+func SumFits(count int, lo, hi uint64) bool {
+	if int64(hi) < 0 {
+		lo, hi = negate128(lo, hi)
+	}
+	if count <= 0 {
+		return lo|hi == 0
+	}
+	// |v| < count·2^107 ⇔ ⌊|v| / 2^107⌋ < count, and |v| ≤ 2^127.
+	return hi>>43 < uint64(count)
 }
 
 // needsWidth reports whether some n-byte value of the block would not
@@ -178,10 +210,9 @@ func (p *Partial) AppendPacked(dst []byte) []byte {
 
 // addPacked adds a packed view's sums into p's materialized columns block
 // by block through a fixed scratch, so no column vector the size of the
-// model is ever built for the source. The view's structure was validated
-// when it was parsed; the only failure left is an accumulator overflow,
-// which poisons p exactly as in Merge.
-func (p *Partial) addPacked(src PackedCols) error {
+// model is ever built for the source. The view was validated when it was
+// parsed, so nothing here can fail.
+func (p *Partial) addPacked(src PackedCols) {
 	var scratch [2 * packedBlock]uint64
 	rest := src.data
 	for at := 0; at < src.dim; at += packedBlock {
@@ -189,10 +220,7 @@ func (p *Partial) addPacked(src PackedCols) error {
 		n := int(rest[0])
 		blk := scratch[:2*count]
 		unpackBlock(blk, rest[1:1+count*n], n)
-		if err := p.addCols(2*at, blk); err != nil {
-			return err
-		}
+		p.addCols(2*at, blk)
 		rest = rest[1+count*n:]
 	}
-	return nil
 }

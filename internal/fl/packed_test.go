@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -72,6 +73,10 @@ func unpacked(t *testing.T, c PackedCols) []uint64 {
 	return p.Cols
 }
 
+// anyCount is a contribution count past MaxContributors, at which SumFits
+// admits every 128-bit sum: the layout tests parse any value through it.
+const anyCount = MaxContributors + 1
+
 // TestPackedRoundTripEveryWidth is the layout's property test: column
 // vectors whose blocks need every width 1–16 (boundary values ±2^(8n−1)
 // included, short tail blocks, dim 0 and 1) pack to blocks tagged with
@@ -116,7 +121,7 @@ func TestPackedRoundTripEveryWidth(t *testing.T) {
 			if len(data) > MaxPackedLen(dim) {
 				t.Fatalf("dim %d: packed %d bytes over the bound %d", dim, len(data), MaxPackedLen(dim))
 			}
-			view, err := ParsePacked(dim, data)
+			view, err := ParsePacked(dim, anyCount, data)
 			if err != nil {
 				t.Fatalf("dim %d: ParsePacked refused the packer's output: %v", dim, err)
 			}
@@ -149,9 +154,10 @@ func TestPackedRoundTripEveryWidth(t *testing.T) {
 }
 
 // TestPackedWidthsOfFoldedMagnitudes ties the widths to real folds: sums
-// of sub-resolution, unit, 2^40 and 2^62 scale updates land in 1-, 9-, 14-
-// and 16-byte blocks, and small-magnitude updates — the common case — in
-// 8 bytes.
+// of sub-resolution, unit and 2^40 scale updates land in 1-, 9- and 14-byte
+// blocks, small-magnitude updates — the common case — in 8 bytes, and no
+// single admitted fold, not even one just below the 2^43 bound, needs more
+// than 14.
 func TestPackedWidthsOfFoldedMagnitudes(t *testing.T) {
 	for _, tt := range []struct {
 		name string
@@ -167,8 +173,8 @@ func TestPackedWidthsOfFoldedMagnitudes(t *testing.T) {
 		{"minus one", -1, 9},
 		{"2^40", math.Ldexp(1, 40), 14},
 		{"-2^40", -math.Ldexp(1, 40), 14},
-		{"2^62", math.Ldexp(1, 62), 16},
-		{"-2^62", -math.Ldexp(1, 62), 16},
+		{"just below 2^43", math.Nextafter(0x1p43, 0), 14},
+		{"just above -2^43", -math.Nextafter(0x1p43, 0), 14},
 	} {
 		var p Partial
 		if err := p.Fold([]float64{tt.v, 0, tt.v}, 1); err != nil {
@@ -183,8 +189,8 @@ func TestPackedWidthsOfFoldedMagnitudes(t *testing.T) {
 
 // TestMergeFromPackedMatchesCols: merging a packed view is the same
 // operation as merging the columns it encodes — same sums, count and
-// weight on success, and on an accumulator overflow the same error, the
-// same poison, and the same half-mutated column state.
+// weight on success, near the bound too, and on a refusal the same error
+// and the same untouched column state.
 func TestMergeFromPackedMatchesCols(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const dim = 3*packedBlock + 11
@@ -198,14 +204,16 @@ func TestMergeFromPackedMatchesCols(t *testing.T) {
 					contrib[j] *= math.Ldexp(1, 40) // widen a few blocks
 				}
 			}
-			if err := p.Fold(contrib, 0.5+rng.Float64()); err != nil {
+			w := 0.5 + rng.Float64()
+			inBound(contrib, w)
+			if err := p.Fold(contrib, w); err != nil {
 				t.Fatal(err)
 			}
 		}
 		return p
 	}
 	packedTwin := func(q *Partial) *Partial {
-		view, err := ParsePacked(q.Dim(), q.AppendPacked(nil))
+		view, err := ParsePacked(q.Dim(), q.Count, q.AppendPacked(nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +222,7 @@ func TestMergeFromPackedMatchesCols(t *testing.T) {
 	same := func(a, b *Partial) {
 		t.Helper()
 		if a.Count != b.Count || a.WeightLo != b.WeightLo || a.WeightHi != b.WeightHi ||
-			a.Poisoned() != b.Poisoned() || len(a.Cols) != len(b.Cols) {
+			len(a.Cols) != len(b.Cols) {
 			t.Fatalf("partials differ: %+v vs %+v", a, b)
 		}
 		for i := range a.Cols {
@@ -251,28 +259,35 @@ func TestMergeFromPackedMatchesCols(t *testing.T) {
 		}
 	}
 
-	// Overflow: park one coordinate of the receiver just under +2^127 and
-	// merge a positive source into it.
-	const hot = 2*packedBlock + 5
-	q = randPartial(0.01)
-	q.Cols[2*hot], q.Cols[2*hot+1] = 0, 1<<62
+	// Sums near the bound fill 14-byte blocks, which ParsePacked checks
+	// value by value; they merge the same from either source.
+	wide := randPartial(0x1p40)
+	if tags := packedTags(t, dim, wide.AppendPacked(nil)); slices.Max(tags) <= fitsWidth {
+		t.Fatalf("near-bound sums packed at most %d bytes wide: the value check is not reached", slices.Max(tags))
+	}
 	viaCols.CopyFrom(base)
 	viaPacked.CopyFrom(base)
-	for _, p := range []*Partial{viaCols, viaPacked} {
-		p.Cols[2*hot], p.Cols[2*hot+1] = 0, 1<<62+1<<61
+	if err := viaCols.Merge(wide); err != nil {
+		t.Fatal(err)
 	}
-	errCols := viaCols.Merge(q)
-	errPacked := viaPacked.Merge(packedTwin(q))
-	if !errors.Is(errCols, ErrAccumOverflow) || !errors.Is(errPacked, ErrAccumOverflow) {
-		t.Fatalf("overflow: cols %v, packed %v, want ErrAccumOverflow from both", errCols, errPacked)
-	}
-	if errCols.Error() != errPacked.Error() {
-		t.Fatalf("overflow reported differently: %q vs %q", errCols, errPacked)
-	}
-	if !viaPacked.Poisoned() {
-		t.Fatal("overflow from a packed source did not poison the receiver")
+	if err := viaPacked.Merge(packedTwin(wide)); err != nil {
+		t.Fatal(err)
 	}
 	same(viaCols, viaPacked)
+
+	// A merge past MaxContributors is refused from either source with the
+	// same error, before any word changes.
+	viaCols.Count, viaPacked.Count = MaxContributors-1, MaxContributors-1
+	before = slices.Clone(viaCols.Cols)
+	errCols := viaCols.Merge(q)
+	errPacked := viaPacked.Merge(packedTwin(q))
+	if !errors.Is(errCols, ErrAccumOverflow) || errCols.Error() != errPacked.Error() {
+		t.Fatalf("merge past the bound: cols %v, packed %v, want the same ErrAccumOverflow", errCols, errPacked)
+	}
+	same(viaCols, viaPacked)
+	if !slices.Equal(viaCols.Cols, before) {
+		t.Fatal("a refused merge changed the columns")
+	}
 }
 
 // TestParsePackedRejects covers the structural damage ParsePacked must
@@ -284,8 +299,24 @@ func TestParsePackedRejects(t *testing.T) {
 		cols[2*j] = uint64(j + 1) // block 0 needs 2 bytes (values up to 256), block 1 too
 	}
 	good := (&Partial{Cols: cols}).AppendPacked(nil)
-	if _, err := ParsePacked(dim, good); err != nil {
+	if _, err := ParsePacked(dim, 1, good); err != nil {
 		t.Fatalf("valid section refused: %v", err)
+	}
+	// one packs a single coordinate holding v·2^64 + lo.
+	one := func(lo, hi uint64) []byte { return (&Partial{Cols: []uint64{lo, hi}}).AppendPacked(nil) }
+	for _, ok := range []struct {
+		count  int
+		lo, hi uint64
+	}{
+		{1, ^uint64(0), 1<<43 - 1},          // 2^107 − 2^-64
+		{1, 1, ^uint64(1<<43 - 1)},          // −2^107 + 2^-64
+		{2, 0, 1 << 43},                     // 2^107 over two contributions
+		{MaxContributors, 0, 1<<63 - 1<<43}, // 2^127 − 2^107
+		{0, 0, 0},
+	} {
+		if _, err := ParsePacked(1, ok.count, one(ok.lo, ok.hi)); err != nil {
+			t.Errorf("sum %#x:%#x at count %d refused: %v", ok.hi, ok.lo, ok.count, err)
+		}
 	}
 	block1 := 1 + 2*packedBlock // offset of the second block's tag
 	mutate := func(f func(b []byte) []byte) []byte { return f(append([]byte(nil), good...)) }
@@ -298,24 +329,31 @@ func TestParsePackedRejects(t *testing.T) {
 		return out
 	}
 	for _, tt := range []struct {
-		name string
-		dim  int
-		data []byte
-		want string
+		name  string
+		dim   int
+		data  []byte
+		want  string
+		count int
 	}{
-		{"tag 0", dim, mutate(func(b []byte) []byte { b[0] = 0; return b }), "width tag 0"},
-		{"tag 17", dim, mutate(func(b []byte) []byte { b[block1] = 17; return b }), "width tag 17"},
-		{"non-minimal tag", dim, widen(good), "wider than the block needs"},
-		{"one byte short", dim, good[:len(good)-1], "truncated"},
-		{"one byte long", dim, append(append([]byte(nil), good...), 0), "trail"},
-		{"ends at a block boundary", dim, good[:block1], "truncated"},
-		{"dim one less than the section", dim - 1, good, "trail"},
-		{"dim one more than the section", dim + 1, good, "truncated"},
-		{"negative dim", -1, good, "cannot fit"},
-		{"huge dim", math.MaxInt64, good, "cannot fit"},
-		{"dim 0 with bytes", 0, []byte{1}, "trail"},
+		{"tag 0", dim, mutate(func(b []byte) []byte { b[0] = 0; return b }), "width tag 0", 1},
+		{"tag 17", dim, mutate(func(b []byte) []byte { b[block1] = 17; return b }), "width tag 17", 1},
+		{"non-minimal tag", dim, widen(good), "wider than the block needs", 1},
+		{"one byte short", dim, good[:len(good)-1], "truncated", 1},
+		{"one byte long", dim, append(append([]byte(nil), good...), 0), "trail", 1},
+		{"ends at a block boundary", dim, good[:block1], "truncated", 1},
+		{"dim one less than the section", dim - 1, good, "trail", 1},
+		{"dim one more than the section", dim + 1, good, "truncated", 1},
+		{"negative dim", -1, good, "cannot fit", 1},
+		{"huge dim", math.MaxInt64, good, "cannot fit", 1},
+		{"dim 0 with bytes", 0, []byte{1}, "trail", 1},
+		{"sum at count·2^107", 1, one(0, 1<<43), "out of reach", 1},
+		{"sum at −count·2^107", 1, one(0, ^uint64(3<<43-1)), "out of reach", 3},
+		{"sum of −2^127 at the contribution bound", 1, one(0, 1<<63), "out of reach", MaxContributors},
+		{"nonzero sum at count 0", 1, one(1, 0), "out of reach", 0},
+		{"wide block at count 0", dim, good, "out of reach", 0},
+		{"negative count", 1, one(1, 0), "out of reach", -1},
 	} {
-		_, err := ParsePacked(tt.dim, tt.data)
+		_, err := ParsePacked(tt.dim, tt.count, tt.data)
 		if err == nil || !strings.Contains(err.Error(), tt.want) {
 			t.Errorf("%s: got %v, want an error mentioning %q", tt.name, err, tt.want)
 		}
@@ -351,7 +389,7 @@ func TestPackedSteadyStateAllocs(t *testing.T) {
 		}
 		buf = exported.AppendPacked(buf[:0])
 		var err error
-		if view, err = ParsePacked(dim, buf); err != nil {
+		if view, err = ParsePacked(dim, exported.Count, buf); err != nil {
 			t.Fatal(err)
 		}
 		root.Open(0, 1)
@@ -367,23 +405,30 @@ func TestPackedSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// FuzzParsePacked throws arbitrary (dim, bytes) at the packed-section
-// parser, which sits behind only a CRC on the root's inbound path. It
-// must never panic, and whatever it accepts must be canonical: unpacked
-// and packed again it is the same bytes.
+// FuzzParsePacked throws arbitrary (dim, count, bytes) at the
+// packed-section parser, which sits behind only a CRC on the root's
+// inbound path. It must never panic, and whatever it accepts must be
+// canonical — unpacked and packed again it is the same bytes — and hold
+// only sums that count contributions can reach (SumFits).
 func FuzzParsePacked(f *testing.F) {
-	f.Add(2, []byte{2, 0x00, 0x01, 0x00, 0xff})
-	f.Add(3, []byte{16, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 0x40})
-	f.Add(0, []byte{})
-	f.Add(packedBlock+1, (&Partial{Cols: make([]uint64, 2*(packedBlock+1))}).AppendPacked(nil))
-	f.Fuzz(func(t *testing.T, dim int, data []byte) {
-		view, err := ParsePacked(dim, data)
+	f.Add(2, 1, []byte{2, 0x00, 0x01, 0x00, 0xff})
+	f.Add(1, 3, []byte{16, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 0x40})
+	f.Add(1, 1, []byte{14, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x08, 0})
+	f.Add(0, 0, []byte{})
+	f.Add(packedBlock+1, 0, (&Partial{Cols: make([]uint64, 2*(packedBlock+1))}).AppendPacked(nil))
+	f.Fuzz(func(t *testing.T, dim, count int, data []byte) {
+		view, err := ParsePacked(dim, count, data)
 		if err != nil {
 			return
 		}
 		p := Partial{Cols: unpacked(t, view)}
 		if again := p.AppendPacked(nil); string(again) != string(data) {
 			t.Fatalf("accepted section is not canonical:\n in  %x\n out %x", data, again)
+		}
+		for j := 0; j < len(p.Cols); j += 2 {
+			if !SumFits(count, p.Cols[j], p.Cols[j+1]) {
+				t.Fatalf("accepted sum %#x:%#x at coordinate %d out of reach of %d contributions", p.Cols[j+1], p.Cols[j], j/2, count)
+			}
 		}
 	})
 }

@@ -176,6 +176,9 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Clients < cfg.Relays {
 		return nil, fmt.Errorf("swarm: %d clients cannot cover %d relays", cfg.Clients, cfg.Relays)
 	}
+	if cfg.Clients > fl.MaxContributors {
+		return nil, fmt.Errorf("swarm: %d clients exceed the %d one round folds", cfg.Clients, fl.MaxContributors)
+	}
 	wallStart := time.Now()
 	res := &Result{Clients: cfg.Clients, Relays: cfg.Relays, Dim: cfg.Dim, Rounds: cfg.Rounds}
 
@@ -261,7 +264,7 @@ func Run(cfg Config) (*Result, error) {
 			if rs.arrived == rs.clients {
 				// Relay round closed: export and frame the partial exactly
 				// as the socket relay would.
-				if _, ok := rs.agg.ExportPartial(&rs.partial); !ok || rs.partial.Poisoned() {
+				if _, ok := rs.agg.ExportPartial(&rs.partial); !ok {
 					return nil, fmt.Errorf("swarm: round %d relay %d export failed", round, k%cfg.Relays)
 				}
 				rs.frame = wire.Append(rs.frame[:0], &wire.PartialUpdateMsg{Round: round, Sum: rs.partial})

@@ -44,8 +44,8 @@ func Bind(fs *flag.FlagSet) *Flags {
 	fs.IntVar(&f.MinClients, "min-clients", 1, "minimum updates before a round deadline may aggregate")
 	fs.StringVar(&f.CheckpointDir, "checkpoint-dir", "", "directory for the durable snapshot + WAL; a restarted process resumes from it bit-exactly (empty = not durable)")
 	fs.IntVar(&f.SnapshotEvery, "snapshot-every", 5, "rotate the checkpoint snapshot every K committed rounds")
-	fs.IntVar(&f.HistoryRounds, "history-rounds", 0, "cap the aggregate replay history to this many rounds, bounding memory; clients absent past the cap catch up via sketch reconciliation or a snapshot instead of replay (0 = unbounded)")
-	fs.BoolVar(&f.shadow, "shadow", false, "maintain a shadow APF replica of the client trajectory (requires clients with -scheme apf and the same -seed), enabling stateful O(diff) sketch catch-up for clients absent past -history-rounds")
+	fs.IntVar(&f.HistoryRounds, "history-rounds", 0, "cap the aggregate replay history to this many rounds, bounding memory; clients absent past the cap catch up in one exchange, a snapshot of the words their offered generations miss or of the whole state, instead of replay (0 = unbounded)")
+	fs.BoolVar(&f.shadow, "shadow", false, "maintain a shadow APF replica of the client trajectory (requires clients with -scheme apf and the same -seed), enabling the stateful catch-up that ships only the words whose generations differ to clients absent past -history-rounds")
 	fs.Float64Var(&f.maxNorm, "max-norm-mult", 0, "arm the update sanitization pipeline (non-finite and dimension checks plus the norm gate), striking updates whose L2 norm exceeds this multiple of the rolling median (0 = sanitization off); in a hierarchy it runs on the relays, never the root")
 	fs.Float64Var(&f.cosFloor, "cosine-floor", 0, "with sanitization armed, also strike updates whose cosine against the decayed reference direction falls below this floor (0 = direction gate off; negative floors are meaningful)")
 	fs.Float64Var(&f.roundNorm, "round-norm-mult", 0, "with sanitization armed, also strike accepted updates after the round when their norm exceeds this multiple of the round median (0 = post-round review off)")

@@ -547,12 +547,12 @@ func (p *poisonManager) PrepareUpload(round int, x []float64) ([]float64, float6
 	return out, weight, up
 }
 
-// TestPoisonedClientQuarantinedTrajectoryUnchanged is the poisoned-update
+// TestQuarantinedAttackerTrajectoryUnchanged is the poisoned-update
 // acceptance scenario: a cluster of 3 good clients plus one poisoned
 // client (NaN and 100x-norm uploads) with sanitization enabled must
 // quarantine the attacker and produce the bit-identical trajectory to an
 // in-process simulator run over only the good clients.
-func TestPoisonedClientQuarantinedTrajectoryUnchanged(t *testing.T) {
+func TestQuarantinedAttackerTrajectoryUnchanged(t *testing.T) {
 	const (
 		seed    = 61
 		good    = 3

@@ -473,8 +473,8 @@ func (e *roundEngine) handle(ev event, st *roundState, agg *fl.Aggregator) error
 
 // admit folds one contribution into the round. A relay partial is the
 // exact merge, straight from the packed section of the frame it arrived in
-// (fl.Aggregator.AddPartial validates dimensions, counts, weight sign,
-// poison). A client update runs through the sanitization hook and the
+// (fl.Aggregator.AddPartial validates dimensions, counts and weight
+// sign). A client update runs through the sanitization hook and the
 // aggregator's independent guards: the validator (when configured) is the
 // first line — typed rejections, strikes, quarantine; fl.Aggregator.Add
 // re-checks finiteness, weight validity, and cross-client payload-length
@@ -502,13 +502,11 @@ func (e *roundEngine) admit(ev event, round int, agg *fl.Aggregator) error {
 			// (misaligned compact payloads), not a sanitization matter.
 			return protocolErrorf("%s %d: %v", e.peer(), id, err)
 		}
-		if e.validator != nil && (errors.Is(err, fl.ErrNonFinite) ||
-			errors.Is(err, fl.ErrAccumOverflow) && !agg.Poisoned()) {
+		if e.validator != nil && (errors.Is(err, fl.ErrNonFinite) || errors.Is(err, fl.ErrAccumOverflow)) {
 			// Validator enabled but bypassed (e.g. gate raced a decode
 			// quirk, or a finite scalar the exact fold cannot hold):
-			// still charge the strike so repeat offenders quarantine. A
-			// round whose partial an earlier sum poisoned refuses every
-			// later update, which is no fault of theirs.
+			// still charge the strike so repeat offenders quarantine.
+			// Either refusal depends on the update alone.
 			e.validator.strike(id, round, err)
 		}
 		return err

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -217,6 +218,57 @@ func TestEngineStrikesUnfoldableUpdate(t *testing.T) {
 		}
 		out := make([]float64, 2)
 		if n, ok := agg.Reduce(out); !ok || n != 1 || out[0] != 0.5 || out[1] != 0.25 {
+			t.Fatalf("stream=%v: reduced %v (%d, %v), want the honest update alone", stream, out, n, ok)
+		}
+	}
+}
+
+// TestEngineStrikesSummedOverflow: four clients each sending 2^61 at
+// weight 1 — products the old ±2^63 range held, a sum it did not — are
+// each refused by the aggregator for overflow and struck, on a flat and on
+// a streaming aggregator alike; the honest fifth client is admitted and
+// unstruck, and both modes commit its update bit for bit.
+func TestEngineStrikesSummedOverflow(t *testing.T) {
+	honest := []float64{0.5, 0.25}
+	for _, stream := range []bool{false, true} {
+		v := NewValidator(ValidatorConfig{Clients: 5, Dim: 2, StrikeLimit: 100})
+		sink := &testSink{}
+		e := &roundEngine{clients: 5, rounds: 1, deadline: time.Hour, minClients: 1, validator: v,
+			sink: sink, metrics: newEngineMetrics(telemetry.New())}
+		agg := fl.NewAggregator(1)
+		defer agg.Close()
+		agg.SetStreaming(stream)
+		agg.Open(0, 5)
+		st := &roundState{}
+		st.reset(0, 5)
+		for id := 0; id < 5; id++ {
+			p := []float64{0x1p61, 0.25}
+			if id == 4 {
+				p = honest
+			}
+			if err := e.handle(event{id: id, upd: &UpdateMsg{Payload: p, Weight: 1}, maskGen: -1}, st, agg); err != nil {
+				t.Fatalf("stream=%v client %d: %v", stream, id, err)
+			}
+		}
+		for id := 0; id < 5; id++ {
+			want := 0
+			if id < 4 {
+				want = 1
+			}
+			if v.Strikes(id) != want {
+				t.Errorf("stream=%v: client %d has %d strikes, want %d", stream, id, v.Strikes(id), want)
+			}
+		}
+		if !slices.Equal(sink.rejected, []int{0, 1, 2, 3}) {
+			t.Errorf("stream=%v: rejected %v, want clients 0-3", stream, sink.rejected)
+		}
+		for _, r := range sink.reasons {
+			if !strings.Contains(r, fl.ErrAccumOverflow.Error()) {
+				t.Errorf("stream=%v: rejection %q is not an overflow", stream, r)
+			}
+		}
+		out := make([]float64, 2)
+		if n, ok := agg.Reduce(out); !ok || n != 1 || !slices.Equal(out, honest) {
 			t.Fatalf("stream=%v: reduced %v (%d, %v), want the honest update alone", stream, out, n, ok)
 		}
 	}
@@ -478,7 +530,7 @@ func TestEngineHandleBothTiers(t *testing.T) {
 	tiers := []tier{
 		{
 			name: "flat", peer: "client",
-			refusal: "fl: non-finite contribution: round 1 client 1 scalar 0 is NaN",
+			refusal: "round 1 client 1: fl: non-finite contribution: scalar 0 is NaN",
 			event: func(s step) event {
 				p := payload(s.id)
 				if s.refused {

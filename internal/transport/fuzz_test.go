@@ -45,10 +45,14 @@ func encodeAll(msgs ...wire.Msg) []byte {
 // armed), or a RelayJoinMsg followed by PartialUpdateMsgs (root) — and hands
 // every decoded contribution to the round engine's one classifier
 // (roundEngine.handle on the engine tests' in-process sink, fault-tolerant so
-// a refused contribution is rejected rather than fatal). Every contribution
-// must be classified — admitted, rejected, dropped as stale, or refused with
-// a typed error — each classification moving exactly one counter, and
-// nothing may panic, however malformed the stream. A stream opening with a
+// a refused contribution is rejected rather than fatal). On the root tier the
+// connection layer's checks run first, as they do on a socket: a relay join
+// declaring more clients than one round folds (checkDeclared) and a partial
+// of the wrong dimension or counting more clients than its relay declared
+// (checkPartial) are refused with a protocol error before any merge. Every
+// contribution must be classified — admitted, rejected, dropped as stale, or
+// refused with a typed error — each classification moving exactly one
+// counter, and nothing may panic, however malformed the stream. A stream opening with a
 // ResumeOfferMsg is answered from the catch-up fixtures' capture instead
 // (fuzzCatchUpOffer).
 func FuzzServerDecode(f *testing.F) {
@@ -60,6 +64,9 @@ func FuzzServerDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(seedCatchUpOffer([]uint32{0}))
 	f.Add(seedCatchUpOffer([]uint32{0, 0}))
+	for _, seed := range seedHostileRelays() {
+		f.Add(seed)
+	}
 
 	const peers, dim = 4, 3
 	flatAgg, rootAgg := fl.NewAggregator(1), fl.NewAggregator(1)
@@ -77,10 +84,18 @@ func FuzzServerDecode(f *testing.F) {
 		e := &roundEngine{clients: peers, rounds: 1, deadline: time.Hour, minClients: 1, sink: &testSink{},
 			metrics: newEngineMetrics(telemetry.New())}
 		agg, limit := flatAgg, modelPayloadLimit(dim)
-		switch m.(type) {
+		declared := 0
+		switch j := m.(type) {
 		case *JoinMsg:
 			e.validator = NewValidator(ValidatorConfig{Clients: peers, Dim: dim, MaxNormMult: 4, CosineFloor: -0.5})
 		case *RelayJoinMsg:
+			if err := checkDeclared(j.Clients, 0); err != nil {
+				if !errors.Is(err, errProtocol) || j.Clients <= fl.MaxContributors {
+					t.Fatalf("relay join declaring %d clients refused: %v", j.Clients, err)
+				}
+				return
+			}
+			declared = j.Clients
 			e.partialTier = true
 			agg, limit = rootAgg, partialPayloadLimit(dim)
 		case *ResumeOfferMsg:
@@ -105,6 +120,12 @@ func FuzzServerDecode(f *testing.F) {
 			case *UpdateMsg:
 				ev.upd = c
 			case *PartialUpdateMsg:
+				if err := checkPartial(c, dim, declared); err != nil {
+					if !errors.Is(err, errProtocol) {
+						t.Fatalf("untyped refusal of a partial: %v", err)
+					}
+					return // the connection layer retires the relay
+				}
 				ev.part = c
 			default:
 				continue
@@ -288,21 +309,44 @@ func seedArmedGates() []byte {
 	return encodeAll(append(msgs, &UpdateMsg{Round: 0, Payload: []float64{-1, -2, -3}, Weight: 3, MaskHash: 42})...)
 }
 
+// relayPartial folds contribs at weight 2 into a round's relay partial.
+func relayPartial(round int, contribs ...[]float64) *PartialUpdateMsg {
+	var p fl.Partial
+	for _, c := range contribs {
+		if err := p.Fold(c, 2); err != nil {
+			panic(err)
+		}
+	}
+	return &PartialUpdateMsg{Round: round, MaskHash: 42, Sum: p}
+}
+
+// relayJoin is the fixtures' relay join, declaring clients.
+func relayJoin(clients int) *RelayJoinMsg {
+	return &RelayJoinMsg{Name: "edge-0", SessionKey: "edge-0", HaveRound: -1, Clients: clients}
+}
+
 // seedRelayJoinPartials is the server-side root-tier stream seed: a relay
 // join and two rounds of that relay's partial sums.
 func seedRelayJoinPartials() []byte {
-	partial := func(round int, contribs ...[]float64) *PartialUpdateMsg {
-		var p fl.Partial
-		for _, c := range contribs {
-			if err := p.Fold(c, 2); err != nil {
-				panic(err)
-			}
-		}
-		return &PartialUpdateMsg{Round: round, MaskHash: 42, Sum: p}
+	return encodeAll(relayJoin(2),
+		relayPartial(0, []float64{1, 2, 3}, []float64{-0.5, 0.25, 8}),
+		relayPartial(1, []float64{4, 5, 6}, []float64{1e-3, -7, 0}))
+}
+
+// seedHostileRelays are the root-tier stream seeds the root refuses before
+// the first accumulator word changes, by fixture name: a partial whose
+// column sum (2^107) no single client reaches, which the wire decoder
+// refuses; a partial counting three clients from a relay that declared
+// two; and a relay join declaring one client more than a round folds.
+func seedHostileRelays() map[string][]byte {
+	past := &PartialUpdateMsg{Round: 0, MaskHash: 42,
+		Sum: fl.Partial{Count: 1, WeightHi: 1, Cols: []uint64{0, 0, 0, 1 << 43, 0, 0}}}
+	honest := relayPartial(0, []float64{1, 2, 3}, []float64{-0.5, 0.25, 8}, []float64{0, 0, 1})
+	return map[string][]byte{
+		"hostile-partial-sum-past-count":      encodeAll(relayJoin(2), past),
+		"hostile-partial-count-past-declared": encodeAll(relayJoin(2), honest),
+		"hostile-relay-join-past-bound":       encodeAll(relayJoin(fl.MaxContributors+1), honest),
 	}
-	return encodeAll(&RelayJoinMsg{Name: "edge-0", SessionKey: "edge-0", HaveRound: -1, Clients: 2},
-		partial(0, []float64{1, 2, 3}, []float64{-0.5, 0.25, 8}),
-		partial(1, []float64{4, 5, 6}, []float64{1e-3, -7, 0}))
 }
 
 // fixtureDim is the model dimension of the catch-up fixtures: one
@@ -469,7 +513,7 @@ func corpusFixtures(t *testing.T) map[string][]byte {
 	const wireDir, serverDir, clientDir, checkpointDir = "../wire/testdata/fuzz/FuzzWireDecode/",
 		"testdata/fuzz/FuzzServerDecode/", "testdata/fuzz/FuzzClientDecode/",
 		"../checkpoint/testdata/fuzz/FuzzCheckpointDecode/"
-	return map[string][]byte{
+	fixtures := map[string][]byte{
 		wireDir + "valid-join":           join,
 		wireDir + "valid-update":         update,
 		wireDir + "valid-global":         global,
@@ -505,6 +549,10 @@ func corpusFixtures(t *testing.T) map[string][]byte {
 		checkpointDir + "valid-manager":             core.EncodeState(fixtureManager()),
 		checkpointDir + "valid-snapshot-wal-stream": seedSnapshotWAL(t),
 	}
+	for name, seed := range seedHostileRelays() {
+		fixtures[serverDir+name] = seed
+	}
+	return fixtures
 }
 
 // readSeed parses a one-argument []byte corpus file; ok is false for a

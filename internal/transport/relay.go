@@ -237,12 +237,6 @@ func (r *Relay) reduceRound(ctx context.Context, round int, agg *fl.Aggregator, 
 	if !ok {
 		return nil, nil, protocolErrorf("round %d: no open round to export", round)
 	}
-	if r.partial.Poisoned() {
-		// Overflowing the 128-bit accumulator takes ~2^63 unit-weight
-		// clients of unit-scale updates; if it happens, the round's sum is
-		// gone and no re-collection can restore it.
-		return nil, nil, fmt.Errorf("transport: round %d: %w", round, fl.ErrAccumOverflow)
-	}
 	r.relayM.sessions.Set(float64(r.srv.Sessions()))
 	g, snap := r.resolved(round, count)
 	if g == nil {

@@ -12,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"apf/internal/checkpoint"
 	"apf/internal/data"
+	"apf/internal/fl"
 	"apf/internal/nn"
 	"apf/internal/stats"
 	"apf/internal/telemetry"
@@ -397,6 +399,97 @@ func TestRootRejectsWrongDimPartial(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("root hung on a wrong-dim partial")
 	}
+}
+
+// TestRootRejectsPartialPastItsCount: a partial holding a column sum no
+// count of admitted clients reaches (the wire decoder's corruption), and a
+// partial counting more clients than its relay declared (the connection
+// layer's protocol violation), each abort the strict run with a typed
+// error before the partial reaches the engine.
+func TestRootRejectsPartialPastItsCount(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		msg  *PartialUpdateMsg
+		want error
+	}{
+		{"sum past count", &PartialUpdateMsg{Sum: fl.Partial{Count: 1, WeightHi: 1, Cols: []uint64{0, 0, 0, 1 << 43, 0, 0}}},
+			wire.ErrCorrupt},
+		{"count past declared", partialOf(t, 0, 0, [][]float64{{1, 2, 3}, {0, 0, 1}}, []float64{1, 1}), errProtocol},
+	} {
+		root, err := NewServer(ServerConfig{Addr: "127.0.0.1:0", Relays: 1, Rounds: 1, Init: []float64{0, 0, 0}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := root.Run(context.Background())
+			done <- err
+		}()
+		peer := dialRaw(t, root.Addr().String())
+		peer.send(&RelayJoinMsg{Name: "edge", SessionKey: "edge", HaveRound: -1, Clients: 1})
+		peer.welcome()
+		peer.send(tc.msg)
+		select {
+		case err := <-done:
+			if !errors.Is(err, tc.want) {
+				t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: root hung", tc.name)
+		}
+		peer.conn.Close()
+	}
+}
+
+// TestRootRefusesDeclarationPastBound: the root refuses a relay join whose
+// declared client count takes the relays' sum past fl.MaxContributors — the
+// connection is closed without a Welcome and the run goes on — while a
+// resuming relay's new declaration replaces its old one rather than adding
+// to it, and a cluster-sized config is refused outright.
+func TestRootRefusesDeclarationPastBound(t *testing.T) {
+	if _, err := NewServer(ServerConfig{Addr: "127.0.0.1:0", NumClients: fl.MaxContributors + 1, Rounds: 1, Init: []float64{0}}); err == nil {
+		t.Fatal("NewServer accepted more clients than one round folds")
+	}
+	root, err := NewServer(ServerConfig{Addr: "127.0.0.1:0", Relays: 2, Rounds: 1, Init: []float64{0, 0, 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := root.Run(ctx)
+		done <- err
+	}()
+	defer func() {
+		cancel()
+		<-done
+	}()
+	join := func(key string, clients int) (*rawPeer, error) {
+		peer := dialRaw(t, root.Addr().String())
+		peer.send(&RelayJoinMsg{Name: key, SessionKey: key, HaveRound: -1, Clients: clients})
+		_, err := readMsg(peer.conn, 5*time.Second, checkpoint.MaxPayload, nil)
+		return peer, err
+	}
+	a, err := join("a", fl.MaxContributors)
+	if err != nil {
+		t.Fatalf("first relay refused: %v", err)
+	}
+	defer a.conn.Close()
+	b, err := join("b", 1)
+	b.conn.Close()
+	if err == nil {
+		t.Fatal("a relay declaring past the bound got a Welcome")
+	}
+	a2, err := join("a", fl.MaxContributors)
+	if err != nil {
+		t.Fatalf("a resuming relay's declaration was added to its own: %v", err)
+	}
+	a2.conn.Close()
+	c, err := join("c", 0)
+	if err != nil {
+		t.Fatalf("a relay declaring within the bound refused: %v", err)
+	}
+	c.conn.Close()
 }
 
 // TestRootRejectsTrimmedReduction pins the documented non-decomposability:

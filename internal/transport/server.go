@@ -10,6 +10,7 @@ import (
 
 	"apf/internal/checkpoint"
 	"apf/internal/core"
+	"apf/internal/fl"
 	"apf/internal/telemetry"
 	"apf/internal/wire"
 )
@@ -137,6 +138,10 @@ func (cfg *ServerConfig) check() error {
 	if cfg.NumClients < 0 || cfg.Relays < 0 || cfg.MinClients < 0 || cfg.SnapshotEvery < 0 || cfg.HistoryRounds < 0 {
 		return fmt.Errorf("transport: negative count in server config clients=%d relays=%d min-clients=%d snapshot-every=%d history-rounds=%d",
 			cfg.NumClients, cfg.Relays, cfg.MinClients, cfg.SnapshotEvery, cfg.HistoryRounds)
+	}
+	if max(cfg.NumClients, cfg.Relays) > fl.MaxContributors {
+		return fmt.Errorf("transport: server config clients=%d relays=%d past the %d contributions one round folds",
+			cfg.NumClients, cfg.Relays, fl.MaxContributors)
 	}
 	if cfg.IOTimeout < 0 || cfg.RoundDeadline < 0 {
 		return fmt.Errorf("transport: negative duration in server config io-timeout=%v round-deadline=%v",

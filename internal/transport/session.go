@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"apf/internal/checkpoint"
+	"apf/internal/fl"
 	"apf/internal/wire"
 )
 
@@ -26,9 +27,10 @@ const maxQueuedFrames = 64
 // queue, so a stalled client blocks only its own writer — never the round
 // loop or another client's delivery.
 type session struct {
-	id   int
-	key  string
-	name string
+	id      int
+	key     string
+	name    string
+	clients int // a relay's latest declared client count (guarded by Server.mu)
 
 	mu   sync.Mutex
 	cond *sync.Cond    // signalled on queue/conn/inflight changes
@@ -299,10 +301,10 @@ func (s *Server) acceptLoop() {
 // becomes a session is refused and never decides the run; every later
 // failure retires the session.
 func (s *Server) serveConn(cc *countingConn) {
-	join, err := s.readJoin(cc)
+	join, clients, err := s.readJoin(cc)
 	var a *attachment
 	if err == nil {
-		a, err = s.attach(cc, join)
+		a, err = s.attach(cc, join, clients)
 	}
 	if err != nil {
 		s.log.Warn("connection refused", "remote", cc.RemoteAddr().String(), "err", err)
@@ -319,31 +321,58 @@ func (s *Server) serveConn(cc *countingConn) {
 		return
 	}
 	s.spawn(func() { s.writer(sess, gen) })
+	if s.cfg.root() {
+		s.relayReader(sess, gen, cc, clients)
+		return
+	}
 	s.reader(sess, gen, cc)
 }
 
 // readJoin reads a connection's opening frame: a client join on a flat
 // coordinator, a relay join on the root tier. A relay session is a plain
-// join: registration, resume and replay apply unchanged.
-func (s *Server) readJoin(cc *countingConn) (*JoinMsg, error) {
+// join — registration, resume and replay apply unchanged — plus the client
+// count the relay declares (0 for a client join).
+func (s *Server) readJoin(cc *countingConn) (*JoinMsg, int, error) {
 	m, err := readMsg(cc, s.cfg.IOTimeout, joinPayloadLimit, &s.wireM)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	switch j := m.(type) {
 	case *JoinMsg:
 		if !s.cfg.root() {
-			return j, nil
+			return j, 0, nil
 		}
-		return nil, protocolErrorf("expected a relay join on the root tier, got %s", m.WireKind())
+		return nil, 0, protocolErrorf("expected a relay join on the root tier, got %s", m.WireKind())
 	case *RelayJoinMsg:
 		if s.cfg.root() {
 			s.log.Info("relay joining", "relay", j.Name, "clients", j.Clients)
-			return &JoinMsg{Name: j.Name, SessionKey: j.SessionKey, HaveRound: j.HaveRound}, nil
+			return &JoinMsg{Name: j.Name, SessionKey: j.SessionKey, HaveRound: j.HaveRound}, j.Clients, nil
 		}
-		return nil, protocolErrorf("relay join on a flat coordinator")
+		return nil, 0, protocolErrorf("relay join on a flat coordinator")
 	}
-	return nil, protocolErrorf("expected a join frame, got %s", m.WireKind())
+	return nil, 0, protocolErrorf("expected a join frame, got %s", m.WireKind())
+}
+
+// checkDeclared refuses a relay declaring clients where the root's other
+// relays declared others: together they may not pass fl.MaxContributors.
+func checkDeclared(clients, others int) error {
+	if clients > fl.MaxContributors-others {
+		return protocolErrorf("relay declares %d clients; the other relays declared %d of the %d one round folds",
+			clients, others, fl.MaxContributors)
+	}
+	return nil
+}
+
+// checkPartial refuses a relay partial whose coordinate count is not the
+// model's dim, or which counts more clients than its relay declared.
+func checkPartial(p *PartialUpdateMsg, dim, declared int) error {
+	if p.Sum.Dim() != dim {
+		return protocolErrorf("partial carries %d coordinates, model has %d", p.Sum.Dim(), dim)
+	}
+	if p.Sum.Count > declared {
+		return protocolErrorf("partial counts %d clients, its relay declared %d", p.Sum.Count, declared)
+	}
+	return nil
 }
 
 // attachment is a connection attached to a session: the generation it
@@ -365,14 +394,28 @@ type attachment struct {
 // session); when eviction dropped them, it carries CatchUp and the
 // connection enters the catch-up exchange (a word-restricted or full
 // snapshot). Either way the connection's sequential GlobalMsg stream
-// continues after the latest committed round. Holding s.mu across the
-// attach keeps the missed list (or the capture) and the writer cursor
-// consistent: no round can commit between computing one and setting the
-// other.
-func (s *Server) attach(cc *countingConn, join *JoinMsg) (*attachment, error) {
+// continues after the latest committed round. On the root tier the relay's
+// declared client count replaces the session's earlier one, and
+// checkDeclared refuses a count the other relays leave no room for.
+// Holding s.mu across the attach keeps the missed list (or the capture)
+// and the writer cursor consistent: no round can commit between computing
+// one and setting the other.
+func (s *Server) attach(cc *countingConn, join *JoinMsg, clients int) (*attachment, error) {
 	s.mu.Lock()
 	have := join.HaveRound
 	sess, known := s.byKey[join.SessionKey]
+	if s.cfg.root() {
+		others := 0
+		for _, o := range s.sessions {
+			if o != sess {
+				others += o.clients
+			}
+		}
+		if err := checkDeclared(clients, others); err != nil {
+			s.mu.Unlock()
+			return nil, err
+		}
+	}
 	if !known {
 		if s.regDone {
 			s.mu.Unlock()
@@ -389,6 +432,7 @@ func (s *Server) attach(cc *countingConn, join *JoinMsg) (*attachment, error) {
 		}
 		have = -1
 	}
+	sess.clients = clients
 	done := s.ledger.done() // rounds aggregated so far
 	if have < -1 || have >= done {
 		s.mu.Unlock()
@@ -508,10 +552,6 @@ func (p *payloadPool) put(v []float64) {
 // stream into the server's recycled vectors, a sparse one's sized to its
 // compact length.
 func (s *Server) reader(sess *session, gen int, cc *countingConn) {
-	if s.cfg.root() {
-		s.relayReader(sess, gen, cc)
-		return
-	}
 	limit := modelPayloadLimit(len(s.cfg.Init))
 	fr := wire.FrameReader{Alloc: s.payloads.get}
 	for {
@@ -549,20 +589,21 @@ func (s *Server) reader(sess *session, gen int, cc *countingConn) {
 // connection's partial sums into the event stream. The payload limit
 // admits the packed accumulator's worst case (16 bytes per coordinate plus
 // block tags; a typical frame is half that); the wire decoder has already
-// validated the packed section, and a coordinate count that disagrees with
-// the model is refused here, before the frame reaches the engine.
-func (s *Server) relayReader(sess *session, gen int, cc *countingConn) {
+// validated the packed section against the partial's count, and
+// checkPartial refuses a coordinate count that disagrees with the model or
+// a count past the clients the connection's join declared, before the
+// frame reaches the engine.
+func (s *Server) relayReader(sess *session, gen int, cc *countingConn, declared int) {
 	limit := partialPayloadLimit(len(s.cfg.Init))
 	for {
 		m, err := readMsg(cc, s.cfg.IOTimeout, limit, &s.wireM)
 		if err == nil {
 			if p, ok := m.(*PartialUpdateMsg); ok {
-				if p.Sum.Dim() == len(s.cfg.Init) {
+				if err = checkPartial(p, len(s.cfg.Init), declared); err == nil {
 					s.post(event{id: sess.id, name: sess.name, part: p, maskGen: -1})
 					continue
 				}
-				err = protocolErrorf("relay %d partial carries %d coordinates, model has %d",
-					sess.id, p.Sum.Dim(), len(s.cfg.Init))
+				err = fmt.Errorf("relay %d: %w", sess.id, err)
 			} else {
 				err = protocolErrorf("expected a partial-update frame, got %s", m.WireKind())
 			}

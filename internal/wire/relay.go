@@ -19,10 +19,10 @@ type RelayJoinMsg struct {
 	SessionKey string
 	// HaveRound is the last round the relay has applied (-1 when none).
 	HaveRound int
-	// Clients is the number of client sessions the relay intends to
-	// terminate — advisory capacity information the root exposes through
-	// telemetry; the authoritative per-round count rides on each
-	// PartialUpdateMsg.
+	// Clients is the number of client sessions the relay terminates. The
+	// root holds the relay to it: a PartialUpdateMsg counting more is
+	// refused, and so is a join taking the relays' sum past
+	// fl.MaxContributors.
 	Clients int
 }
 
@@ -104,9 +104,11 @@ func (m *PartialUpdateMsg) appendBody(w *checkpoint.Writer) {
 
 // readPartialUpdate decodes a PartialUpdateMsg body. The packed section is
 // the rest of the body and is validated in place against the declared
-// coordinate count (fl.ParsePacked: no allocation, walk bounded by the
-// bytes present), so structural damage — like a negative count — fails the
-// reader rather than escaping into the aggregation path.
+// coordinate and contribution counts (fl.ParsePacked: no allocation, walk
+// bounded by the bytes present), so structural damage — a negative count,
+// or a weight or sum no Count admitted contributions can reach
+// (fl.SumFits) — fails the reader rather than escaping into the
+// aggregation path.
 func readPartialUpdate(r *checkpoint.Reader) *PartialUpdateMsg {
 	m := &PartialUpdateMsg{Round: r.Int()}
 	m.Sum.Count = r.Int()
@@ -118,11 +120,11 @@ func readPartialUpdate(r *checkpoint.Reader) *PartialUpdateMsg {
 	if r.Err() != nil {
 		return m
 	}
-	if m.Sum.Count < 0 {
-		r.Fail("negative partial-update count")
+	if m.Sum.Count < 0 || !fl.SumFits(m.Sum.Count, m.Sum.WeightLo, m.Sum.WeightHi) {
+		r.Fail("partial-update count negative or weight out of its reach")
 		return m
 	}
-	packed, err := fl.ParsePacked(dim, section)
+	packed, err := fl.ParsePacked(dim, m.Sum.Count, section)
 	if err != nil {
 		r.Fail(err.Error())
 		return m

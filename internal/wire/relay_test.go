@@ -35,8 +35,8 @@ func relaySampleMsgs() []Msg {
 		&RelayJoinMsg{},
 		&PartialUpdateMsg{
 			Round: 12, MaskHash: 0xfeedface,
-			Sum: fl.Partial{Count: 31250, WeightLo: 0, WeightHi: 31250,
-				Cols: []uint64{0, 1, ^uint64(0), ^uint64(0) >> 1, 42, 7}},
+			Sum: fl.Partial{Count: fl.MaxContributors, WeightLo: 0, WeightHi: 31250,
+				Cols: []uint64{0, 1, ^uint64(0), ^uint64(0) >> 1, 42, 7}}, // the widest sum 2^20 clients reach
 		},
 		&PartialUpdateMsg{Round: 3, Sum: fl.Partial{Count: 2, WeightHi: 2, Cols: mixedWidthCols()}},
 		&PartialUpdateMsg{Round: -1},
@@ -114,10 +114,12 @@ func hostilePartialBody(dim int, section []byte) []byte {
 	return append(w.Bytes(), section...)
 }
 
-// TestHostileRelayBodies: structural invariants the aggregation path
-// depends on — non-negative counts and a packed section that is exactly
-// the canonical encoding of the declared coordinate count — must fail
-// decode as corruption rather than load.
+// TestHostileRelayBodies: invariants the aggregation path depends on —
+// non-negative counts, a weight and sums that the partial's count of
+// admitted contributions can reach (below Count·2^107, zero at Count 0),
+// and a packed section that is exactly the canonical encoding of the
+// declared coordinate count — must fail decode as corruption rather than
+// load.
 func TestHostileRelayBodies(t *testing.T) {
 	for _, tt := range []struct {
 		name string
@@ -125,6 +127,10 @@ func TestHostileRelayBodies(t *testing.T) {
 	}{
 		{"negative relay client count", &RelayJoinMsg{Name: "edge", Clients: -1}},
 		{"negative partial count", &PartialUpdateMsg{Round: 1, Sum: fl.Partial{Count: -7, Cols: []uint64{1, 2}}}},
+		{"weight at count·2^107", &PartialUpdateMsg{Round: 1, Sum: fl.Partial{Count: 1, WeightHi: 1 << 43}}},
+		{"weight at count 0", &PartialUpdateMsg{Round: 1, Sum: fl.Partial{WeightLo: 1}}},
+		{"sum at count·2^107", &PartialUpdateMsg{Round: 1, Sum: fl.Partial{Count: 2, WeightHi: 2, Cols: []uint64{0, 0, 0, 2 << 43}}}},
+		{"sum at count 0", &PartialUpdateMsg{Round: 1, Sum: fl.Partial{Cols: []uint64{0, 0, 1, 0}}}},
 	} {
 		if _, _, err := Decode(Encode(tt.m), 0); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: got %v, want ErrCorrupt", tt.name, err)
@@ -178,7 +184,7 @@ func TestPartialFrameSteadyStateAllocs(t *testing.T) {
 		for j := range cols {
 			cols[j] = uint64(j) * 0x9e3779b97f4a7c15 >> 8
 		}
-		msg := &PartialUpdateMsg{Round: 1, Sum: fl.Partial{Count: 1, WeightHi: 1, Cols: cols}}
+		msg := &PartialUpdateMsg{Round: 1, Sum: fl.Partial{Count: fl.MaxContributors, WeightHi: 1, Cols: cols}}
 		var root fl.Partial
 		frame := Append(nil, msg)
 		run := func() {
