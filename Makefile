@@ -43,10 +43,10 @@ lint:
 # The engine pool, sharded aggregation, transport goroutines (including
 # the per-session broadcast writers), telemetry registry, and chaos
 # harness are the concurrency surface; run them under the race detector
-# (this includes the chaos fault-injection suite and the concurrent
-# /metrics scrape test).
+# (this includes the chaos fault-injection suite, the concurrent /metrics
+# scrape test, and the root package's engine round and hot-path pins).
 race:
-	$(GO) test -race ./internal/fl/ ./internal/transport/ ./internal/chaos/ ./internal/wire/ ./internal/telemetry/
+	$(GO) test -race . ./internal/fl/ ./internal/transport/ ./internal/chaos/ ./internal/wire/ ./internal/telemetry/
 
 # Fuzz smoke: a short randomized pass over each decode target, and over
 # the binary16 round trip whose idempotence sparse-q16 commit rounding

@@ -230,32 +230,44 @@ func BenchmarkStabilityCheck(b *testing.B) {
 }
 
 // BenchmarkAggregate measures the server-side weighted aggregation
-// through the sharded worker-pool reduction the engine uses: 10 synthetic
+// through the sharded worker-pool reduction every tier uses: 10 synthetic
 // clients at 10k and 1M scalars, and one dense-256k round (4 clients'
-// dense256k models, weight 1). ns/scalar divides by dim × clients, as
+// dense256k models, weight 1). Each iteration collects the round through
+// Open and Add off the clock and times Reduce alone (Add's admission pass
+// is BenchmarkAggregatorAdd). ns/scalar divides by dim × clients, as
 // bench/'s fl.reduce_ns_per_scalar does.
 func BenchmarkAggregate(b *testing.B) {
 	for _, dim := range []int{10_000, 1_000_000} {
 		contribs, weights := newAggregateInput(dim)
-		b.Run(fmt.Sprintf("dim=%d", dim), func(b *testing.B) { benchWeightedMean(b, contribs, weights) })
+		b.Run(fmt.Sprintf("dim=%d", dim), func(b *testing.B) { benchReduce(b, contribs, weights) })
 	}
 	contribs, weights := dense256kUpdates(4)
 	b.Run(fmt.Sprintf("dim=%d/clients=%d", len(contribs[0]), len(contribs)), func(b *testing.B) {
-		benchWeightedMean(b, contribs, weights)
+		benchReduce(b, contribs, weights)
 	})
 }
 
-func benchWeightedMean(b *testing.B, contribs [][]float64, weights []float64) {
+func benchReduce(b *testing.B, contribs [][]float64, weights []float64) {
 	agg := fl.NewAggregator(0)
 	defer agg.Close()
 	dst := make([]float64, len(contribs[0]))
-	if !agg.WeightedMean(dst, contribs, weights) {
-		b.Fatal("nothing aggregated")
+	collect := func() {
+		agg.Open(0, len(contribs))
+		for k, c := range contribs {
+			if err := agg.Add(k, c, weights[k]); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		agg.WeightedMean(dst, contribs, weights)
+		b.StopTimer()
+		collect()
+		b.StartTimer()
+		if _, ok := agg.Reduce(dst); !ok {
+			b.Fatal("nothing aggregated")
+		}
 	}
 	reportPerScalar(b, len(dst)*len(contribs))
 }

@@ -74,6 +74,51 @@ func TestDocsNameCurrentVersion(t *testing.T) {
 	}
 }
 
+// TestDocsCiteExistingTests fails when DESIGN.md, README.md or
+// EXPERIMENTS.md names a Test, Fuzz or Benchmark function that no _test.go
+// file of the module, or of the nested bench/ module, declares: a doc that
+// points a reader at a check that was renamed or deleted vouches for
+// nothing.
+func TestDocsCiteExistingTests(t *testing.T) {
+	declared := map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil {
+				declared[fn.Name.Name] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cited := regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9]\w*`)
+	seen := map[string]bool{}
+	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"} {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range cited.FindAllString(string(src), -1) {
+			if !declared[name] && !seen[name] {
+				t.Errorf("%s cites %s, which no _test.go file declares", doc, name)
+			}
+			seen[name] = true
+		}
+	}
+	if len(seen) == 0 {
+		t.Error("the docs cite no test at all")
+	}
+}
+
 // TestDesignInventoryNamesEveryPackage fails when a directory under cmd/
 // or internal/ that holds non-test Go is not named, in backticks, in
 // DESIGN.md's "System inventory" table, and when the table names, in

@@ -630,18 +630,17 @@ func hashFloats(v []float64) uint64 {
 }
 
 // TestExactReductionPinned pins the bits of the exact weighted mean — the
-// Q64.64 conversions, the carry verdicts and the overflow handling — on
-// reductionInput, through the flat one-shot mean on 1 and 4 workers, a
-// streamed Partial.Fold, and the relay hop (two relays' exported partials
-// packed, parsed and merged at a root). The constants were recorded with
-// the bit-by-bit conversions, before their hardware fast paths; every
-// pipeline must reproduce them, and the overflowing column must come out
-// NaN (the one-shot mean) or have its contribution refused at that scalar
-// (streamed: 2^62 is past the per-term bound).
+// Q64.64 conversions and the admission bound — on reductionInput, through
+// the flat collection (Open/Add/Reduce) on 1 and 4 workers, a streamed
+// Partial.Fold, and the relay hop (two relays' exported partials packed,
+// parsed and merged at a root). The constants were recorded with the
+// bit-by-bit conversions, before their hardware fast paths; every pipeline
+// must reproduce them over the clean columns, and every one must refuse
+// client 1's contribution at the overflowing column's scalar (2^62 is past
+// the per-term bound).
 func TestExactReductionPinned(t *testing.T) {
 	const (
 		wantMean uint64 = 0xedd3b464cedf0170 // first 2,000 coordinates of the mean, any pipeline
-		wantNaN  uint64 = 0x7d2c4a04e58e4d54 // the flat mean with its overflowing last column
 		wantSums uint64 = 0xef8161743460f1ce // the two relays' packed Q64.64 column sums
 	)
 	contribs, weights := reductionInput()
@@ -670,20 +669,23 @@ func TestExactReductionPinned(t *testing.T) {
 
 	for _, workers := range []int{1, 4} {
 		agg := fl.NewAggregator(workers)
-		dst := make([]float64, dim)
-		ok := agg.WeightedMean(dst, contribs, weights)
+		agg.Open(0, len(contribs))
+		if err := agg.Add(1, contribs[1], weights[1]); !errors.Is(err, fl.ErrAccumOverflow) || !strings.Contains(err.Error(), "scalar 2000 is") {
+			t.Errorf("%d worker(s): Add of the overflowing column = %v; want client 1 refused at scalar 2000", workers, err)
+		}
+		for k, c := range clean {
+			if err := agg.Add(k, c, weights[k]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dst := make([]float64, dim-1)
+		_, ok := agg.Reduce(dst)
 		agg.Close()
 		if !ok {
 			t.Fatalf("%d worker(s): nothing aggregated", workers)
 		}
-		if !math.IsNaN(dst[dim-1]) {
-			t.Errorf("%d worker(s): overflowing column = %v, want NaN", workers, dst[dim-1])
-		}
-		if got := hashFloats(dst); got != wantNaN {
-			t.Errorf("%d worker(s): WeightedMean hashes to %#016x, want %#016x", workers, got, wantNaN)
-		}
-		if got := hashFloats(dst[:dim-1]); got != wantMean {
-			t.Errorf("%d worker(s): WeightedMean's clean columns hash to %#016x, want %#016x", workers, got, wantMean)
+		if got := hashFloats(dst); got != wantMean {
+			t.Errorf("%d worker(s): Open/Add/Reduce hashes to %#016x, want %#016x", workers, got, wantMean)
 		}
 	}
 
@@ -753,6 +755,8 @@ func TestExactReductionPinned(t *testing.T) {
 // none, and decoding a dense slice is one (the slice). The collector is
 // held off while counting: each cycle makes wire's framer pool rebuild
 // its per-CPU slots, one small allocation per cycle rather than per frame.
+// Under the race detector, which drops pooled objects at random, only the
+// decode count is checked.
 func TestDenseCodecAllocations(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	contribs, _ := dense256kUpdates(1)
@@ -760,6 +764,9 @@ func TestDenseCodecAllocations(t *testing.T) {
 	update := &wire.UpdateMsg{Round: 3, Weight: 1, MaskHash: 7, Payload: payload}
 	global := &wire.GlobalMsg{Round: 3, Participants: 4, Payload: payload}
 	for name, m := range map[string]wire.Msg{"update": update, "global": global} {
+		if raceEnabled {
+			break // both counts rest on wire's framer pool reusing its object
+		}
 		if n := testing.AllocsPerRun(5, func() { wire.Encode(m) }); n != 1 {
 			t.Errorf("Encode(%s) allocates %v times, want 1", name, n)
 		}

@@ -14,12 +14,14 @@ import (
 // scheduling, arrival order, or how the clients are partitioned across
 // relay pre-aggregators.
 //
-// Beyond the one-shot WeightedMean, an Aggregator also collects a round
-// incrementally (Open/Add/Reduce): Add stores each client's in-flight
-// contribution after a finiteness guard — a NaN or Inf scalar yields a
-// typed ErrNonFinite instead of silently corrupting the aggregate — and
-// Reduce folds the stored set through the identical exact reduction, so
-// incremental collection is bit-exact with the one-shot path.
+// A round is collected incrementally (Open/Add/Reduce): Add admits each
+// client's contribution through the one numeric admission rule
+// (checkUpdate) — a NaN or Inf scalar or weight, a weighted product past
+// the exact fold's bound, or a length disagreeing with the round's yields
+// a typed error instead of corrupting the aggregate — and Reduce folds the
+// admitted set through the exact reduction. Every tier collects this way,
+// the in-process simulator (Engine) included, so a contribution is
+// admitted or refused by the same rule wherever it arrives.
 //
 // Two further collection modes serve the hierarchical topology. With
 // SetStreaming(true), Add folds each contribution into exact partial
@@ -30,13 +32,13 @@ import (
 // integers, the root's Reduce is bit-identical to a flat server having
 // collected every client directly.
 //
-// An Aggregator is NOT safe for concurrent WeightedMean calls; it reuses
-// internal job state across calls to keep the steady state allocation-free.
+// An Aggregator is NOT safe for concurrent use; it reuses internal job
+// state across rounds to keep the steady state allocation-free.
 type Aggregator struct {
 	pool    *workerPool
 	ownPool bool
 
-	// Job state for the WeightedMean in flight (published to the workers
+	// Job state for the weightedMean in flight (published to the workers
 	// via the pool's Do barrier).
 	dst      []float64
 	contribs [][]float64
@@ -91,18 +93,12 @@ func newAggregatorOn(pool *workerPool, own bool) *Aggregator {
 // negligible against the arithmetic.
 const minChunk = 4096
 
-// WeightedMean fills dst with the exact weighted mean of the
+// weightedMean fills dst with the exact weighted mean of the admitted
 // contributions: dst[j] = float64(Σ_k fix(w_k·c_k[j])) / float64(Σ_k
-// fix(w_k)), skipping clients with weight 0 (their contrib may be nil —
-// e.g. inactive clients under partial participation). When the exact
-// total weight is not strictly positive, or a weight is non-finite,
-// there is nothing to aggregate: dst is left untouched and false is
-// returned. A coordinate whose column hits a non-finite product or an
-// accumulator overflow becomes NaN.
-func (a *Aggregator) WeightedMean(dst []float64, contribs [][]float64, weights []float64) bool {
-	if len(contribs) != len(weights) {
-		panic(fmt.Sprintf("fl: %d contributions for %d weights", len(contribs), len(weights)))
-	}
+// fix(w_k)), skipping clients with weight 0 (an absent slot is nil with
+// weight 0). When the total weight is 0 there is nothing to aggregate: dst
+// is left untouched and false is returned.
+func (a *Aggregator) weightedMean(dst []float64, contribs [][]float64, weights []float64) bool {
 	var wlo, whi uint64
 	for k, w := range weights {
 		if w == 0 {
@@ -111,15 +107,10 @@ func (a *Aggregator) WeightedMean(dst []float64, contribs [][]float64, weights [
 		if len(contribs[k]) != len(dst) {
 			panic(fmt.Sprintf("fl: contribution %d has length %d, want %d", k, len(contribs[k]), len(dst)))
 		}
-		plo, phi, ok := fixFromFloat(w)
-		if !ok {
-			return false
-		}
-		if wlo, whi, ok = fixAdd(wlo, whi, plo, phi); !ok {
-			return false
-		}
+		plo, phi := fixFromFloat(w)
+		wlo, whi = fixAdd(wlo, whi, plo, phi)
 	}
-	if int64(whi) < 0 || (whi == 0 && wlo == 0) {
+	if whi == 0 && wlo == 0 {
 		return false
 	}
 	a.wf = fixToFloat(wlo, whi)
@@ -150,51 +141,27 @@ const foldBlockLen = 512
 // of coordinates at a time. Each coordinate's column is summed exactly in
 // 128-bit fixed point; because integer addition is associative the shard
 // and block boundaries (and the worker schedule) cannot affect the bits.
-// A column whose conversion or carry verdict fails anywhere becomes NaN
-// whatever the wrapped sum holds.
 func (a *Aggregator) runChunk(ci int) {
 	base := ci * a.chunk
 	end := min(base+a.chunk, len(a.dst))
 	var cols [2 * foldBlockLen]uint64
-	var failed [foldBlockLen]bool
 	for at := base; at < end; at += foldBlockLen {
 		n := min(foldBlockLen, end-at)
-		a.foldBlock(a.dst[at:at+n], at, cols[:2*n], failed[:n])
+		a.foldBlock(a.dst[at:at+n], at, cols[:2*n])
 	}
 }
 
 // foldBlock folds coordinates [at, at+len(dst)) of every weighted
-// contribution into the zeroed columns cols, contribution by contribution,
-// then converts each column once into dst. Until a contribution's product
-// leaves addHalves' range, every column holds fast-path products alone,
-// and the fold skips their overflow verdict (fresh, see addHalves); from
-// that coordinate on it runs addSpan, which checks every add.
-func (a *Aggregator) foldBlock(dst []float64, at int, cols []uint64, failed []bool) {
+// contribution into the columns cols, contribution by contribution, then
+// converts each column once into dst.
+func (a *Aggregator) foldBlock(dst []float64, at int, cols []uint64) {
 	clear(cols)
-	clear(failed)
-	fresh := true
 	for k, c := range a.contribs {
-		w := a.jobW[k]
-		if w == 0 {
-			continue
-		}
-		c = c[at : at+len(dst)]
-		j := 0
-		if fresh {
-			if j = addHalves(cols, c, w, true); j == len(c) {
-				continue
-			}
-			fresh = false
-		}
-		for j = addSpan(cols, c, w, j); j < len(c); j = addSpan(cols, c, w, j+1) {
-			failed[j] = true
+		if w := a.jobW[k]; w != 0 {
+			addSpan(cols, c[at:at+len(dst)], w)
 		}
 	}
 	for j := range dst {
-		if failed[j] {
-			dst[j] = math.NaN()
-			continue
-		}
 		dst[j] = fixToFloat(cols[2*j], cols[2*j+1]) / a.wf
 	}
 }
@@ -411,10 +378,9 @@ func (a *Aggregator) Dim() int {
 }
 
 // Reduce closes the open round and folds the stored contributions through
-// the configured reduction into dst. At trim fraction 0 the result is
-// bit-identical to a one-shot WeightedMean over the same
-// (contribs, weights) — and, in streaming or partial-merge rounds, to a
-// flat aggregation of every underlying client (the sums are exact, so
+// the configured reduction into dst. At trim fraction 0 the result is the
+// exact weighted mean — in streaming or partial-merge rounds bit-identical
+// to a flat collection of every underlying client (the sums are exact, so
 // grouping cannot change the bits). A positive trim fraction applies the
 // coordinate-wise trimmed mean instead (which itself degrades bit-exactly
 // to the mean when fewer than 3 contributions arrive). Returns the
@@ -435,10 +401,10 @@ func (a *Aggregator) Reduce(dst []float64) (int, bool) {
 		a.lastTrimK, a.lastTrimM = 0, count
 		ok = a.psum.Mean(dst)
 	} else if a.trimFrac > 0 {
-		ok = a.TrimmedMean(dst, a.slots, a.slotW, a.trimFrac)
+		ok = a.trimmedMean(dst, a.slots, a.slotW, a.trimFrac)
 	} else {
 		a.lastTrimK, a.lastTrimM = 0, count
-		ok = a.WeightedMean(dst, a.slots, a.slotW)
+		ok = a.weightedMean(dst, a.slots, a.slotW)
 	}
 	return count, ok
 }

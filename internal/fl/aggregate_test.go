@@ -11,43 +11,29 @@ import (
 )
 
 // serialWeightedMean is the unsharded, unpooled reference for the exact
-// reduction: one column at a time, folding fixed-point products with
-// fixFromFloat and fixAdd and ANDing their verdicts down the column (a
-// failed column is NaN). Any deviation in the sharded path's chunking,
-// its block kernel or pool scheduling shows up as a bit difference here.
+// reduction of admitted contributions: one column at a time, folding
+// fixed-point products with fixFromFloat and fixAdd. Any deviation in the
+// sharded path's chunking, its block kernel or pool scheduling shows up as
+// a bit difference here.
 func serialWeightedMean(dst []float64, contribs [][]float64, weights []float64) bool {
 	var wlo, whi uint64
 	for _, w := range weights {
-		if w == 0 {
-			continue
-		}
-		plo, phi, ok := fixFromFloat(w)
-		if !ok {
-			return false
-		}
-		if wlo, whi, ok = fixAdd(wlo, whi, plo, phi); !ok {
-			return false
+		if w != 0 {
+			plo, phi := fixFromFloat(w)
+			wlo, whi = fixAdd(wlo, whi, plo, phi)
 		}
 	}
-	if int64(whi) < 0 || (whi == 0 && wlo == 0) {
+	if whi == 0 && wlo == 0 {
 		return false
 	}
 	wf := fixToFloat(wlo, whi)
 	for j := range dst {
 		var slo, shi uint64
-		ok := true
 		for k, c := range contribs {
-			if weights[k] == 0 {
-				continue
+			if weights[k] != 0 {
+				plo, phi := fixFromFloat(weights[k] * c[j])
+				slo, shi = fixAdd(slo, shi, plo, phi)
 			}
-			plo, phi, pok := fixFromFloat(weights[k] * c[j])
-			var sok bool
-			slo, shi, sok = fixAdd(slo, shi, plo, phi)
-			ok = ok && pok && sok
-		}
-		if !ok {
-			dst[j] = math.NaN()
-			continue
 		}
 		dst[j] = fixToFloat(slo, shi) / wf
 	}
@@ -82,7 +68,7 @@ func TestWeightedMeanMatchesSerial(t *testing.T) {
 				}
 				got := make([]float64, dim)
 				want := make([]float64, dim)
-				if g, w := a.WeightedMean(got, contribs, weights), serialWeightedMean(want, contribs, weights); g != w {
+				if g, w := a.weightedMean(got, contribs, weights), serialWeightedMean(want, contribs, weights); g != w {
 					t.Fatalf("workers=%d dim=%d clients=%d aggregated=%v, serial says %v", workers, dim, clients, g, w)
 				}
 				for j := range want {
@@ -102,8 +88,8 @@ func TestWeightedMeanZeroTotalWeightLeavesDst(t *testing.T) {
 	a := NewAggregator(2)
 	defer a.Close()
 	dst := []float64{1, 2, 3}
-	if a.WeightedMean(dst, [][]float64{nil, nil}, []float64{0, 0}) {
-		t.Fatal("WeightedMean reported aggregation with zero total weight")
+	if a.weightedMean(dst, [][]float64{nil, nil}, []float64{0, 0}) {
+		t.Fatal("weightedMean reported aggregation with zero total weight")
 	}
 	for j, v := range dst {
 		if v != float64(j+1) {
@@ -113,7 +99,7 @@ func TestWeightedMeanZeroTotalWeightLeavesDst(t *testing.T) {
 }
 
 // TestWeightedMeanSteadyStateAllocs pins the reduction's memory
-// discipline: once the accumulators are sized, a one-shot WeightedMean
+// discipline: once the accumulators are sized, weightedMean
 // allocates nothing, on one worker or four, at a dimension that splits
 // into a few shards and one that splits into many.
 func TestWeightedMeanSteadyStateAllocs(t *testing.T) {
@@ -131,15 +117,15 @@ func TestWeightedMeanSteadyStateAllocs(t *testing.T) {
 		dst := make([]float64, dim)
 		for _, workers := range []int{1, 4} {
 			a := NewAggregator(workers)
-			a.WeightedMean(dst, contribs, weights) // size the accumulators
+			a.weightedMean(dst, contribs, weights) // size the accumulators
 			n := testing.AllocsPerRun(5, func() {
-				if !a.WeightedMean(dst, contribs, weights) {
+				if !a.weightedMean(dst, contribs, weights) {
 					t.Fatal("nothing aggregated")
 				}
 			})
 			a.Close()
 			if n != 0 {
-				t.Errorf("dim %d, %d worker(s): steady-state WeightedMean allocates %v objects per call, want 0", dim, workers, n)
+				t.Errorf("dim %d, %d worker(s): steady-state weightedMean allocates %v objects per call, want 0", dim, workers, n)
 			}
 		}
 	}
@@ -147,7 +133,7 @@ func TestWeightedMeanSteadyStateAllocs(t *testing.T) {
 
 // TestStreamingReduceMatchesOneShot collects rounds incrementally in
 // arbitrary arrival order and checks Reduce is bit-exact with the
-// one-shot WeightedMean over the same clients in id order.
+// one-shot weightedMean over the same clients in id order.
 func TestStreamingReduceMatchesOneShot(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	a := NewAggregator(3)
@@ -182,7 +168,7 @@ func TestStreamingReduceMatchesOneShot(t *testing.T) {
 			t.Fatalf("round %d Reduce: count=%d ok=%v", round, count, ok)
 		}
 		want := make([]float64, dim)
-		ref.WeightedMean(want, contribs, weights)
+		ref.weightedMean(want, contribs, weights)
 		for j := range want {
 			if got[j] != want[j] {
 				t.Fatalf("round %d element %d = %v, want %v (not bit-exact)", round, j, got[j], want[j])
@@ -405,7 +391,7 @@ func TestAddRefusesUnfoldableScalar(t *testing.T) {
 	want := make([]float64, 2)
 	ref := NewAggregator(1)
 	defer ref.Close()
-	if !ref.WeightedMean(want, honest, weights) {
+	if !ref.weightedMean(want, honest, weights) {
 		t.Fatal("reference mean failed")
 	}
 	for _, stream := range []bool{false, true} {
@@ -577,7 +563,7 @@ func TestAddRejectsHostileContribution(t *testing.T) {
 	want := make([]float64, 3)
 	ref := NewAggregator(1)
 	defer ref.Close()
-	ref.WeightedMean(want, [][]float64{good0, good2}, []float64{1, 3})
+	ref.weightedMean(want, [][]float64{good0, good2}, []float64{1, 3})
 	for j := range want {
 		if got[j] != want[j] {
 			t.Fatalf("element %d = %v, want %v", j, got[j], want[j])

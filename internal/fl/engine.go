@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -136,11 +137,9 @@ type Engine struct {
 
 	// Run-scoped worker pool driving both the client phases and the
 	// sharded aggregation, plus reusable aggregation scratch.
-	pool     *workerPool
-	agg      *Aggregator
-	aggBuf   []float64
-	contribs [][]float64
-	weights  []float64
+	pool   *workerPool
+	agg    *Aggregator
+	aggBuf []float64
 }
 
 // New assembles an engine. parts[i] lists the training-set indices owned by
@@ -205,15 +204,25 @@ func (e *Engine) Run() *Result {
 		active := e.activeSet(round)
 		e.parallel(func(c *client) { e.localPhase(c, round, active[c.id]) })
 
-		// Server aggregation: weighted mean of the contributions, sharded
-		// over the pool and double-buffered (aggBuf holds the previous
-		// global after the swap, ready to be overwritten next round).
-		e.contribs, e.weights = e.contribs[:0], e.weights[:0]
+		// Server aggregation, collected as a server collects it: every
+		// contribution passes Add's admission rule, and one whose values
+		// it refuses is withheld from the round, as a fault-tolerant
+		// server withholds it. Any other refusal — a length disagreement,
+		// a bad id, a duplicate — is a fault of a manager or of the
+		// engine, not of the data. The weighted mean is sharded over the
+		// pool and double-buffered (aggBuf holds the previous global after
+		// the swap, ready to be overwritten next round).
+		e.agg.Open(round, len(e.clients))
 		for _, c := range e.clients {
-			e.contribs = append(e.contribs, c.contrib)
-			e.weights = append(e.weights, c.weight)
+			if c.weight <= 0 {
+				continue
+			}
+			if err := e.agg.Add(c.id, c.contrib, c.weight); err != nil &&
+				!errors.Is(err, ErrNonFinite) && !errors.Is(err, ErrAccumOverflow) {
+				panic(err)
+			}
 		}
-		if e.agg.WeightedMean(e.aggBuf, e.contribs, e.weights) {
+		if _, ok := e.agg.Reduce(e.aggBuf); ok {
 			e.global, e.aggBuf = e.aggBuf, e.global
 		}
 

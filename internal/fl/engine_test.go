@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -175,6 +176,32 @@ func TestZeroWeightContributionIgnored(t *testing.T) {
 			t.Fatalf("global = %v, want 100 (only client 0 contributes)", v)
 		}
 	}
+}
+
+// TestEnginePanicsOnManagerLengthFault: a contribution whose values Add
+// refuses is withheld, but one of the wrong length is a manager's fault,
+// not the data's, and must not pass as a silently withheld update.
+func TestEnginePanicsOnManagerLengthFault(t *testing.T) {
+	train := testDataset(60, 6)
+	mf := func(clientID, dim int) SyncManager {
+		if clientID == 1 {
+			dim--
+		}
+		return &recordingManager{dim: dim, contrib: 1, weight: 1}
+	}
+	rng := stats.SplitRNG(4, 0)
+	parts := data.PartitionIID(rng, train.Len(), 2)
+	cfg := baseConfig()
+	cfg.Rounds = 1
+	cfg.EvalEvery = 0
+	e := New(cfg, mlpFactory, sgdFactory(0.1), mf, train, parts, nil)
+	defer func() {
+		err, _ := recover().(error)
+		if !errors.Is(err, ErrLengthMismatch) {
+			t.Fatalf("Run recovered %v, want a panic wrapping ErrLengthMismatch", err)
+		}
+	}()
+	e.Run()
 }
 
 func TestStragglersRunFewerIterations(t *testing.T) {

@@ -29,13 +29,13 @@ import (
 //
 // Range and precision: magnitudes below 2^-1022 scale to well under half
 // a unit and round to zero; products with |p| ≥ 2^-12 convert exactly
-// (53-bit mantissa above the 2^-64 grid). No sum can overflow: a round
-// folds at most MaxContributors = 2^20 contributions, each admitted only
-// with its weight and every product below 2^43 (ErrAccumOverflow for that
-// contribution alone), so each term is below 2^107 and any 2^20 of them
-// sum below 2^127. Only the one-shot WeightedMean, whose contributions
-// nothing has checked, still meets terms past that and makes their
-// columns NaN.
+// (53-bit mantissa above the 2^-64 grid). No conversion or sum can fail:
+// a round folds at most MaxContributors = 2^20 contributions, each
+// admitted (checkUpdate) only with its weight and every product finite
+// and below 2^43 (ErrNonFinite, ErrAccumOverflow for that contribution
+// alone), so each term is below 2^107 and any 2^20 of them sum below
+// 2^127. The kernels below take admitted terms only and carry no
+// verdict.
 //
 // Both conversions have a fast path for values below ½ in magnitude, the
 // range model parameters and their means live in. The hardware does it
@@ -44,18 +44,15 @@ import (
 // stays inside the int64 range); math.RoundToEven of it is the same
 // ties-to-even rule; and Go's int64→float64 conversion rounds to nearest
 // even by the language spec, after which the ·2^-64 scale is exact again.
-// Larger values, NaN and infinities take the bit-by-bit code
-// (fixFromFloatWide, fixToFloatWide). The overflow verdict of fixAdd is
-// bit arithmetic rather than a branch on operand signs, so a fold loop
-// tests it without mispredicting on the data.
+// Larger values take the bit-by-bit code (fixFromFloatWide,
+// fixToFloatWide).
 //
 // The folds run that fast path as one tight loop over a span of
 // coordinates (addHalves), leaving only the coordinates it stops at to the
 // bit-by-bit code one at a time (addSpan). The mean folds a block of a
 // few hundred coordinates at a time into columns on the stack,
 // contribution by contribution, and converts each column once at the
-// end; while a block has seen only fast-path products it skips the
-// overflow verdict, which provably cannot fire there (addHalves).
+// end.
 
 // ErrAccumOverflow is returned (wrapped) for an input past the bound that
 // keeps every exact sum inside the signed 128-bit range: a weight or a
@@ -71,13 +68,13 @@ const MaxContributors = 1 << 20
 const maxTerm = 0x1p43
 
 // fixFromFloat converts x into round-to-nearest-even(x·2^64) as a
-// two's-complement 128-bit (lo, hi) pair. ok is false when x is
-// non-finite or |x| ≥ 2^63 (outside the accumulator's range).
-func fixFromFloat(x float64) (lo, hi uint64, ok bool) {
-	if lo, hi, ok = fixFromHalf(x); !ok {
-		lo, hi, ok = fixFromFloatWide(x)
+// two's-complement 128-bit (lo, hi) pair. x must be finite with |x| <
+// 2^63, as every admitted weight and product is.
+func fixFromFloat(x float64) (lo, hi uint64) {
+	if lo, hi, ok := fixFromHalf(x); ok {
+		return lo, hi
 	}
-	return lo, hi, ok
+	return fixFromFloatWide(x)
 }
 
 // fixFromHalf is fixFromFloat's hardware path for |x| < ½: |x·2^64| <
@@ -92,25 +89,20 @@ func fixFromHalf(x float64) (lo, hi uint64, ok bool) {
 	return uint64(v), uint64(v >> 63), true
 }
 
-// fixFromFloatWide is fixFromFloat for any x, bit by bit from the IEEE
-// fields.
-func fixFromFloatWide(x float64) (lo, hi uint64, ok bool) {
+// fixFromFloatWide is fixFromFloat for any x in its range, bit by bit
+// from the IEEE fields.
+func fixFromFloatWide(x float64) (lo, hi uint64) {
 	b := math.Float64bits(x)
 	exp := int(b >> 52 & 0x7ff)
 	mant := b & (1<<52 - 1)
-	if exp == 0x7ff { // NaN or ±Inf
-		return 0, 0, false
-	}
 	if exp == 0 {
 		// ±0, or a subnormal (|x| < 2^-1022) whose scaled magnitude is
 		// far below half a unit: rounds to zero.
-		return 0, 0, true
+		return 0, 0
 	}
 	mant |= 1 << 52
 	shift := exp - 1011 // x·2^64 = ±mant·2^shift, mant ∈ [2^52, 2^53)
 	switch {
-	case shift >= 75:
-		return 0, 0, false // |x| ≥ 2^63
 	case shift >= 64:
 		hi = mant << (shift - 64)
 	case shift >= 0:
@@ -130,7 +122,7 @@ func fixFromFloatWide(x float64) (lo, hi uint64, ok bool) {
 	if b>>63 == 1 {
 		lo, hi = negate128(lo, hi)
 	}
-	return lo, hi, true
+	return lo, hi
 }
 
 // negate128 returns the two's-complement negation of (lo, hi).
@@ -140,58 +132,41 @@ func negate128(lo, hi uint64) (uint64, uint64) {
 	return nlo, nhi
 }
 
-// fixAdd adds two signed 128-bit values. ok is false on signed overflow:
-// the operands share a sign (top bit of ^(ahi^bhi)) that the result lost
-// (top bit of ahi^hi), computed without a branch.
-func fixAdd(alo, ahi, blo, bhi uint64) (lo, hi uint64, ok bool) {
+// fixAdd adds two signed 128-bit values whose sum fits.
+func fixAdd(alo, ahi, blo, bhi uint64) (lo, hi uint64) {
 	var c uint64
 	lo, c = bits.Add64(alo, blo, 0)
 	hi, _ = bits.Add64(ahi, bhi, c)
-	return lo, hi, (^(ahi^bhi)&(ahi^hi))>>63 == 0
+	return lo, hi
 }
 
 // addSpan adds fix(w·c[j]) into column j of cols — lo word at 2j, hi at
-// 2j+1 — for every j from `from` on, and returns the first coordinate
-// whose conversion or sum fails (its column then holds the wrapped sum),
-// or len(c) when none does. A caller that keeps folding past a failure
-// calls it again from the next coordinate.
-//
-// The work runs in addHalves' tight loop; only a coordinate it stops at —
-// a product not below ½, or a carry out of the signed 128-bit range —
-// takes the bit-by-bit conversion here, one coordinate at a time, so a
-// span of wide products costs what it always did and no more.
-func addSpan(cols []uint64, c []float64, w float64, from int) int {
-	for j := from; j < len(c); j++ {
+// 2j+1 — for every j. The work runs in addHalves' tight loop; only a
+// coordinate it stops at, a product not below ½, takes the bit-by-bit
+// conversion here, one coordinate at a time, so a span of wide products
+// costs what it always did and no more.
+func addSpan(cols []uint64, c []float64, w float64) {
+	for j := 0; j < len(c); j++ {
 		x := w * c[j]
 		if math.Abs(x) < 0.5 {
-			if j += addHalves(cols[2*j:], c[j:], w, false); j == len(c) {
+			if j += addHalves(cols[2*j:], c[j:], w); j == len(c) {
 				break
 			}
 			x = w * c[j]
 		}
-		plo, phi, pok := fixFromFloatWide(x)
+		plo, phi := fixFromFloatWide(x)
 		col := cols[2*j : 2*j+2 : 2*j+2]
-		var sok bool
-		if col[0], col[1], sok = fixAdd(col[0], col[1], plo, phi); !(pok && sok) {
-			return j
-		}
+		col[0], col[1] = fixAdd(col[0], col[1], plo, phi)
 	}
-	return len(c)
 }
 
 // addHalves is the fold's fast path: fixFromHalf and fixAdd written into
 // one loop, which adds fix(w·c[j]) into column j of cols while every
-// product is below ½ in magnitude and no column overflows, and returns how
-// many coordinates it added; the one it stops at is left untouched. Its
-// only call is math.RoundToEven's fallback for hosts without a rounding
-// instruction, so its state stays in registers.
-//
-// fresh drops the overflow verdict. A caller may pass it only while every
-// column holds nothing but addHalves products summed from zero: each is
-// below 2^63 in magnitude (fixFromHalf's range), so fewer than 2^64 of
-// them — any count a slice can hold — stay below 2^127, and the verdict
-// cannot fire.
-func addHalves(cols []uint64, c []float64, w float64, fresh bool) int {
+// product is below ½ in magnitude, and returns how many coordinates it
+// added; the one it stops at is left untouched. Its only call is
+// math.RoundToEven's fallback for hosts without a rounding instruction,
+// so its state stays in registers.
+func addHalves(cols []uint64, c []float64, w float64) int {
 	cols = cols[:2*len(c)]
 	for j, v := range c {
 		x := w * v
@@ -201,11 +176,7 @@ func addHalves(cols []uint64, c []float64, w float64, fresh bool) int {
 		p := int64(math.RoundToEven(x * 0x1p64))
 		col := cols[2*j : 2*j+2 : 2*j+2]
 		lo, carry := bits.Add64(col[0], uint64(p), 0)
-		hi := col[1] + uint64(p>>63) + carry
-		if !fresh && (^(col[1]^uint64(p>>63))&(col[1]^hi))>>63 != 0 {
-			return j // fixAdd's overflow verdict
-		}
-		col[0], col[1] = lo, hi
+		col[0], col[1] = lo, col[1]+uint64(p>>63)+carry
 	}
 	return len(c)
 }
@@ -366,15 +337,14 @@ func checkUpdate(contrib []float64, weight float64, dim int) error {
 }
 
 // fold adds a contribution checkUpdate admitted into a partial below
-// MaxContributors: its terms are below 2^107, so no conversion or sum can
-// fail.
+// MaxContributors.
 func (p *Partial) fold(contrib []float64, weight float64) {
 	if len(p.Cols) == 0 && len(contrib) > 0 {
 		p.adopt(len(contrib))
 	}
-	addSpan(p.Cols, contrib, weight, 0)
-	wlo, whi, _ := fixFromFloat(weight)
-	p.WeightLo, p.WeightHi, _ = fixAdd(p.WeightLo, p.WeightHi, wlo, whi)
+	addSpan(p.Cols, contrib, weight)
+	wlo, whi := fixFromFloat(weight)
+	p.WeightLo, p.WeightHi = fixAdd(p.WeightLo, p.WeightHi, wlo, whi)
 	p.Count++
 }
 
@@ -415,7 +385,7 @@ func (p *Partial) Merge(q *Partial) error {
 	} else {
 		p.addCols(0, q.Cols)
 	}
-	p.WeightLo, p.WeightHi, _ = fixAdd(p.WeightLo, p.WeightHi, q.WeightLo, q.WeightHi)
+	p.WeightLo, p.WeightHi = fixAdd(p.WeightLo, p.WeightHi, q.WeightLo, q.WeightHi)
 	p.Count += q.Count
 	return nil
 }
@@ -426,7 +396,7 @@ func (p *Partial) addCols(at int, src []uint64) {
 	dst := p.Cols[at : at+len(src)]
 	for j := 0; j+1 < len(src); j += 2 {
 		d, s := dst[j:j+2:j+2], src[j:j+2:j+2]
-		d[0], d[1], _ = fixAdd(d[0], d[1], s[0], s[1])
+		d[0], d[1] = fixAdd(d[0], d[1], s[0], s[1])
 	}
 }
 

@@ -11,29 +11,24 @@ import (
 )
 
 // refFold is Partial.Fold's column loop one coordinate at a time, every
-// product through fixFromFloat and every sum through fixAdd, stopping at
-// the first failure: the reference the fold kernel (addHalves, addSpan)
-// must match bit for bit. It returns the failing coordinate, or -1.
-func refFold(cols []uint64, contrib []float64, w float64) int {
+// product through fixFromFloat and every sum through fixAdd: the reference
+// the fold kernel (addHalves, addSpan) must match bit for bit on admitted
+// contributions.
+func refFold(cols []uint64, contrib []float64, w float64) {
 	for j, v := range contrib {
-		plo, phi, pok := fixFromFloat(w * v)
+		plo, phi := fixFromFloat(w * v)
 		c := cols[2*j : 2*j+2]
-		var sok bool
-		c[0], c[1], sok = fixAdd(c[0], c[1], plo, phi)
-		if !(pok && sok) {
-			return j
-		}
+		c[0], c[1] = fixAdd(c[0], c[1], plo, phi)
 	}
-	return -1
 }
 
 // foldMix returns n scalars in runs of one kind each, so the fold's fast
 // loop starts and stops at random coordinates on both sides of block and
 // shard edges: model-sized values, integers (every product wide), any
-// magnitude up to 2^62 (column overflow), the edges of fixFromHalf's
-// range, zeros and subnormals, and — unless finite — NaN and ±Inf.
-// Values of 1e300 turn into an infinite product under a large weight.
-func foldMix(rng *rand.Rand, n int, finite bool) []float64 {
+// magnitude up to 2^62, the edges of fixFromHalf's range, zeros and
+// subnormals, and 1e300. The caller pulls them inside the admission bound
+// (inBound) before folding.
+func foldMix(rng *rand.Rand, n int) []float64 {
 	edges := []float64{0, math.Copysign(0, -1), 0.5, -0.5, math.Nextafter(0.5, 0), math.Nextafter(-0.5, 0),
 		0x1p-1074, -0x1p-1070, 0x1p-65, 3 * 0x1p-66, 1e300}
 	v := make([]float64, n)
@@ -52,11 +47,7 @@ func foldMix(rng *rand.Rand, n int, finite bool) []float64 {
 			case 6:
 				v[i] = math.Ldexp(float64(rng.Intn(3)-1), 62)
 			case 7:
-				if finite {
-					v[i] = 1e300
-				} else {
-					v[i] = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[rng.Intn(3)]
-				}
+				v[i] = 1e300
 			}
 		}
 	}
@@ -65,7 +56,7 @@ func foldMix(rng *rand.Rand, n int, finite bool) []float64 {
 
 // foldWeight draws a client weight: zero (a skipped client), the small
 // integers of the synthetic benchmarks, a random fraction, or a weight
-// large enough to widen every product and overflow 1e300 to infinity.
+// large enough to widen every product.
 func foldWeight(rng *rand.Rand) float64 {
 	switch rng.Intn(6) {
 	case 0:
@@ -79,18 +70,11 @@ func foldWeight(rng *rand.Rand) float64 {
 	}
 }
 
-// overflowAfterWide returns four one-coordinate contributions whose
-// column the wide ones bring within 2^20 of +2^127 — 2^62, 2^62−2^9 and
-// 2^9−2^-44 in fixed point — so the fourth, a fast-path 0.25, overflows
-// it; sign flips the column to −2^127.
-func overflowAfterWide(sign float64) [][]float64 {
-	return [][]float64{{sign * 0x1p62}, {sign * (0x1p62 - 0x1p9)}, {sign * (0x1p9 - 0x1p-44)}, {sign * 0.25}}
-}
-
 // TestWeightedMeanMatchesColumnReference holds the block fold of the mean
-// to serialWeightedMean, one coordinate at a time, bit for bit — NaN
-// columns included — over random mixes at dimensions that cut blocks and
-// shards at every alignment, with 1 and 3 workers.
+// to serialWeightedMean, one coordinate at a time, bit for bit, over
+// random admitted mixes (every product below the 2^43 bound, both
+// conversion paths) at dimensions that cut blocks and shards at every
+// alignment, with 1 and 3 workers.
 func TestWeightedMeanMatchesColumnReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
 	for _, workers := range []int{1, 3} {
@@ -106,18 +90,11 @@ func TestWeightedMeanMatchesColumnReference(t *testing.T) {
 				weights := make([]float64, clients)
 				for k := range contribs {
 					if weights[k] = foldWeight(rng); weights[k] != 0 || rng.Intn(2) == 0 {
-						contribs[k] = foldMix(rng, dim, false)
+						contribs[k] = foldMix(rng, dim)
+						inBound(contribs[k], weights[k])
 					}
 				}
 				checkMeanMatches(t, a, fmt.Sprintf("workers=%d dim=%d trial=%d", workers, dim, trial), contribs, weights)
-			}
-		}
-		for _, sign := range []float64{1, -1} {
-			c := overflowAfterWide(sign)
-			checkMeanMatches(t, a, fmt.Sprintf("workers=%d overflow after wide, sign %v", workers, sign), c, []float64{1, 1, 1, 1})
-			dst := make([]float64, 1)
-			if a.WeightedMean(dst, c, []float64{1, 1, 1, 1}); !math.IsNaN(dst[0]) {
-				t.Fatalf("workers=%d: overflowing column folded to %v, want NaN", workers, dst[0])
 			}
 		}
 		a.Close()
@@ -131,7 +108,7 @@ func checkMeanMatches(t *testing.T, a *Aggregator, name string, contribs [][]flo
 		dim = max(dim, len(c))
 	}
 	got, want := make([]float64, dim), make([]float64, dim)
-	if g, w := a.WeightedMean(got, contribs, weights), serialWeightedMean(want, contribs, weights); g != w {
+	if g, w := a.weightedMean(got, contribs, weights), serialWeightedMean(want, contribs, weights); g != w {
 		t.Fatalf("%s: aggregated=%v, reference says %v", name, g, w)
 	}
 	for j := range want {
@@ -156,7 +133,7 @@ func TestPartialFoldMatchesColumnReference(t *testing.T) {
 			var p Partial
 			ref := make([]uint64, 2*dim)
 			for fold := 0; fold < 6; fold++ {
-				contrib, w := foldMix(rng, dim, true), foldWeight(rng)
+				contrib, w := foldMix(rng, dim), foldWeight(rng)
 				if (fold+trial)%2 == 0 {
 					inBound(contrib, w)
 				}
@@ -197,9 +174,7 @@ func checkFoldMatches(t *testing.T, name string, p *Partial, ref []uint64, contr
 	if err != nil {
 		t.Fatalf("%s: Fold refused an admitted contribution: %v", name, err)
 	}
-	if bad := refFold(ref, contrib, w); bad >= 0 {
-		t.Fatalf("%s: the reference fails at coordinate %d inside the bound", name, bad)
-	}
+	refFold(ref, contrib, w)
 	for i := range ref {
 		if p.Cols[i] != ref[i] {
 			t.Fatalf("%s: column word %d = %#x, reference %#x", name, i, p.Cols[i], ref[i])

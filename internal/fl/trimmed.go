@@ -49,20 +49,17 @@ func trimK(m int, frac float64) int {
 // trimPair is one (value, weight) sample of a coordinate's column.
 type trimPair struct{ v, w float64 }
 
-// TrimmedMean fills dst[j] with the coordinate-wise trimmed weighted mean
-// of the contributions: on each coordinate the k lowest and k highest
-// values are dropped (k from trimK of the participant count and frac) and
-// the survivors averaged by their weights. Clients with weight 0 are
-// skipped exactly as in WeightedMean; when no trimming is possible
+// trimmedMean fills dst[j] with the coordinate-wise trimmed weighted mean
+// of the admitted contributions: on each coordinate the k lowest and k
+// highest values are dropped (k from trimK of the participant count and
+// frac) and the survivors averaged by their weights. Clients with weight 0
+// are skipped exactly as in weightedMean; when no trimming is possible
 // (k = 0, i.e. fewer than 3 participants or frac <= 0) the result is
-// bit-identical to WeightedMean over the same inputs — same operations in
+// bit-identical to weightedMean over the same inputs — same operations in
 // the same order. Columns are sorted by (value, weight), so the output is
 // invariant under any permutation of the client order. Returns false when
 // the total weight is 0 (dst untouched).
-func (a *Aggregator) TrimmedMean(dst []float64, contribs [][]float64, weights []float64, frac float64) bool {
-	if len(contribs) != len(weights) {
-		panic(fmt.Sprintf("fl: %d contributions for %d weights", len(contribs), len(weights)))
-	}
+func (a *Aggregator) trimmedMean(dst []float64, contribs [][]float64, weights []float64, frac float64) bool {
 	totalW := 0.0
 	m := 0
 	for k, w := range weights {
@@ -84,9 +81,9 @@ func (a *Aggregator) TrimmedMean(dst []float64, contribs [][]float64, weights []
 	}
 	a.lastTrimK, a.lastTrimM = k, m
 	if k == 0 {
-		// Degenerate case: nothing to trim. Run the exact WeightedMean op
+		// Degenerate case: nothing to trim. Run the exact weightedMean op
 		// sequence so trim-fraction-0 is bit-identical to FedAvg.
-		return a.WeightedMean(dst, contribs, weights)
+		return a.weightedMean(dst, contribs, weights)
 	}
 
 	// Compact the participant list once; the per-coordinate loop then

@@ -47,11 +47,11 @@ func TestTrimmedZeroFractionBitExact(t *testing.T) {
 				contribs[0] = nil
 			}
 			want := make([]float64, dim)
-			if !agg.WeightedMean(want, contribs, weights) {
+			if !agg.weightedMean(want, contribs, weights) {
 				t.Fatalf("seed %d: mean aggregated nothing", seed)
 			}
 			got := make([]float64, dim)
-			if !agg.TrimmedMean(got, contribs, weights, 0) {
+			if !agg.trimmedMean(got, contribs, weights, 0) {
 				t.Fatalf("seed %d: trimmed(0) aggregated nothing", seed)
 			}
 			for j := range want {
@@ -80,7 +80,7 @@ func TestTrimmedPermutationInvariant(t *testing.T) {
 		contribs[n-1] = append([]float64(nil), contribs[0]...)
 		weights[n-1] = weights[0]
 		want := make([]float64, dim)
-		if !agg.TrimmedMean(want, contribs, weights, 0.25) {
+		if !agg.trimmedMean(want, contribs, weights, 0.25) {
 			t.Fatalf("seed %d: aggregated nothing", seed)
 		}
 		rng := rand.New(rand.NewSource(seed + 999))
@@ -92,7 +92,7 @@ func TestTrimmedPermutationInvariant(t *testing.T) {
 				pc[i], pw[i] = contribs[p], weights[p]
 			}
 			got := make([]float64, dim)
-			agg.TrimmedMean(got, pc, pw, 0.25)
+			agg.trimmedMean(got, pc, pw, 0.25)
 			for j := range want {
 				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
 					t.Fatalf("seed %d perm %v: scalar %d: %v != %v", seed, perm, j, got[j], want[j])
@@ -116,7 +116,7 @@ func TestTrimmedMedianDegenerate(t *testing.T) {
 	}
 	weights := []float64{3, 1, 7} // weights must not skew a single survivor
 	got := make([]float64, 3)
-	if !agg.TrimmedMean(got, contribs, weights, 0.34) {
+	if !agg.trimmedMean(got, contribs, weights, 0.34) {
 		t.Fatal("aggregated nothing")
 	}
 	want := []float64{2, -6, 0.2}
@@ -156,7 +156,7 @@ func TestTrimmedBoundsOutlier(t *testing.T) {
 		}
 		poison(contribs[len(contribs)-1])
 		out := make([]float64, 200)
-		if !agg.TrimmedMean(out, contribs, weights, 0.2) {
+		if !agg.trimmedMean(out, contribs, weights, 0.2) {
 			t.Fatalf("%s: aggregated nothing", name)
 		}
 		for j := range out {
@@ -173,7 +173,7 @@ func TestTrimmedBoundsOutlier(t *testing.T) {
 }
 
 // TestReduceTrimmedMatchesOneShot: the incremental Open/Add/Reduce path in
-// trimmed mode is bit-identical to the one-shot TrimmedMean, exactly as
+// trimmed mode is bit-identical to the one-shot trimmedMean, exactly as
 // the mean path's contract.
 func TestReduceTrimmedMatchesOneShot(t *testing.T) {
 	t.Parallel()
@@ -181,7 +181,7 @@ func TestReduceTrimmedMatchesOneShot(t *testing.T) {
 	one := NewAggregator(3)
 	defer one.Close()
 	want := make([]float64, 300)
-	one.TrimmedMean(want, contribs, weights, 0.25)
+	one.trimmedMean(want, contribs, weights, 0.25)
 
 	inc := NewAggregator(3)
 	defer inc.Close()
@@ -215,9 +215,9 @@ func TestTrimmedSmallClusters(t *testing.T) {
 	contribs := [][]float64{{2, 4}, {4, 8}}
 	weights := []float64{1, 3}
 	want := make([]float64, 2)
-	agg.WeightedMean(want, contribs, weights)
+	agg.weightedMean(want, contribs, weights)
 	got := make([]float64, 2)
-	agg.TrimmedMean(got, contribs, weights, 0.25)
+	agg.trimmedMean(got, contribs, weights, 0.25)
 	for j := range want {
 		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
 			t.Fatalf("scalar %d: %v != %v", j, got[j], want[j])
@@ -248,7 +248,7 @@ func TestSetTrimFraction(t *testing.T) {
 
 	contribs, weights := randFixture(5, 5, 120, false)
 	want := make([]float64, 120)
-	agg.WeightedMean(want, contribs, weights)
+	agg.weightedMean(want, contribs, weights)
 	for _, frac := range []float64{0.25, 0} {
 		agg.SetTrimFraction(frac)
 		agg.Open(0, len(contribs))

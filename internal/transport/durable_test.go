@@ -658,7 +658,7 @@ func TestStrictModePoisonAborts(t *testing.T) {
 	if res == nil {
 		t.Fatal(err)
 	}
-	if !errors.Is(res.RootErr, ErrNonFiniteUpdate) {
-		t.Fatalf("strict server err = %v, want ErrNonFiniteUpdate", res.RootErr)
+	if !errors.Is(res.RootErr, fl.ErrNonFinite) {
+		t.Fatalf("strict server err = %v, want fl.ErrNonFinite", res.RootErr)
 	}
 }

@@ -474,12 +474,11 @@ func (e *roundEngine) handle(ev event, st *roundState, agg *fl.Aggregator) error
 // admit folds one contribution into the round. A relay partial is the
 // exact merge, straight from the packed section of the frame it arrived in
 // (fl.Aggregator.AddPartial validates dimensions, counts and weight
-// sign). A client update runs through the sanitization hook and the
-// aggregator's independent guards: the validator (when configured) is the
-// first line — typed rejections, strikes, quarantine; fl.Aggregator.Add
-// re-checks finiteness, weight validity, and cross-client payload-length
-// agreement regardless, so even with sanitization disabled a poisoned
-// contribution cannot fold into the round.
+// sign). A client update is judged by the validator's statistics (when
+// configured) — typed rejections, strikes, quarantine — and admitted by
+// fl.Aggregator.Add, the one numeric rule of every tier: finiteness,
+// weight, the exact fold's bound and cross-client payload-length
+// agreement, with or without a validator in front.
 func (e *roundEngine) admit(ev event, round int, agg *fl.Aggregator) error {
 	if e.partialTier {
 		return agg.AddPartial(ev.id, &ev.part.Sum)
@@ -503,10 +502,9 @@ func (e *roundEngine) admit(ev event, round int, agg *fl.Aggregator) error {
 			return protocolErrorf("%s %d: %v", e.peer(), id, err)
 		}
 		if e.validator != nil && (errors.Is(err, fl.ErrNonFinite) || errors.Is(err, fl.ErrAccumOverflow)) {
-			// Validator enabled but bypassed (e.g. gate raced a decode
-			// quirk, or a finite scalar the exact fold cannot hold):
-			// still charge the strike so repeat offenders quarantine.
-			// Either refusal depends on the update alone.
+			// An update the exact fold cannot take costs its sender a
+			// strike, so repeat offenders quarantine; either refusal
+			// depends on the update alone.
 			e.validator.strike(id, round, err)
 		}
 		return err

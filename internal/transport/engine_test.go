@@ -813,3 +813,132 @@ func TestEngineDuplicateNeverSharesAVector(t *testing.T) {
 		t.Errorf("committed %v, want the mean of [1 2] and [3 4]", got)
 	}
 }
+
+// TestEngineCommitsFullyFrozenRound: when every scalar is frozen, every
+// client's compact payload is empty. With a validator armed (norm and
+// cosine gates past their history) the round still commits — the empty
+// aggregate — with no rejection and no strike, under the strict barrier
+// and under a deadline alike.
+func TestEngineCommitsFullyFrozenRound(t *testing.T) {
+	for _, deadline := range []time.Duration{0, time.Hour} {
+		v := NewValidator(ValidatorConfig{Clients: 2, Dim: 2, MaxNormMult: 4, CosineFloor: 0.5})
+		for i := 0; i < max(normMinHistory, cosineMinHistory); i++ {
+			v.Commit(math.Sqrt2, []float64{1, 1})
+		}
+		sink := &testSink{}
+		e := &roundEngine{clients: 2, rounds: 1, deadline: deadline, minClients: 1, validator: v, sink: sink}
+		err := runEngine(t, e, func(events chan<- event) {
+			for id := 0; id < 2; id++ {
+				events <- event{id: id, upd: &UpdateMsg{Round: 0, Weight: 1, MaskHash: 9}, maskGen: 4}
+			}
+		})
+		if err != nil {
+			t.Fatalf("deadline %v: run: %v", deadline, err)
+		}
+		if len(sink.rejected) != 0 || v.Strikes(0)+v.Strikes(1) != 0 {
+			t.Fatalf("deadline %v: rejected %v %q, strikes %d/%d; want none", deadline, sink.rejected, sink.reasons, v.Strikes(0), v.Strikes(1))
+		}
+		if len(sink.commits) != 1 || sink.commits[0].Participants != 2 || len(sink.commits[0].Payload) != 0 || sink.partials[0] {
+			t.Fatalf("deadline %v: commits %+v, want one full round of 2 with an empty aggregate", deadline, sink.commits)
+		}
+	}
+}
+
+// signalSink is a testSink that signals each commit, so a feed posts round
+// r+1 only once round r has closed (an update for a future round is a
+// protocol violation).
+type signalSink struct {
+	testSink
+	committed chan struct{}
+}
+
+func (s *signalSink) commitRound(g *GlobalMsg, meta roundMeta, partial bool) error {
+	err := s.testSink.commitRound(g, meta, partial)
+	s.committed <- struct{}{}
+	return err
+}
+
+// TestFrozenRoundsLeaveNormGateArmed: the empty payloads of fully frozen
+// rounds carry no statistic, so they must not reach the norm window —
+// enough zeros there would make the median 0 and switch the gate off.
+// After eight such rounds of two clients, an oversized update is still
+// refused by the norm gate and an honest one still passes.
+func TestFrozenRoundsLeaveNormGateArmed(t *testing.T) {
+	const frozen = 8
+	v := NewValidator(ValidatorConfig{Clients: 2, MaxNormMult: 4})
+	for i := 0; i < normMinHistory; i++ {
+		v.Commit(math.Sqrt2, []float64{1, 1})
+	}
+	sink := &signalSink{committed: make(chan struct{}, 1)}
+	e := &roundEngine{clients: 2, rounds: frozen + 1, deadline: 50 * time.Millisecond, minClients: 1, validator: v, sink: sink}
+	err := runEngine(t, e, func(events chan<- event) {
+		for r := 0; r < frozen; r++ {
+			for id := 0; id < 2; id++ {
+				events <- event{id: id, upd: &UpdateMsg{Round: r, Weight: 1}, maskGen: -1}
+			}
+			<-sink.committed
+		}
+		events <- event{id: 0, upd: &UpdateMsg{Round: frozen, Payload: []float64{1, 1}, Weight: 1}, maskGen: -1}
+		events <- event{id: 1, upd: &UpdateMsg{Round: frozen, Payload: []float64{100, 100}, Weight: 1}, maskGen: -1}
+		<-sink.committed
+	})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if !slices.Equal(sink.rejected, []int{1}) || !strings.Contains(sink.reasons[0], ErrNormOutlier.Error()) {
+		t.Fatalf("rejected %v %q, want client 1's oversized update as a norm outlier", sink.rejected, sink.reasons)
+	}
+	if v.Strikes(0) != 0 || v.Strikes(1) != 1 {
+		t.Fatalf("strikes %d/%d, want 0/1", v.Strikes(0), v.Strikes(1))
+	}
+	if last := sink.commits[len(sink.commits)-1]; len(sink.commits) != frozen+1 || last.Participants != 1 {
+		t.Fatalf("%d commits, the last of %d participants; want %d, the last of client 0 alone",
+			len(sink.commits), last.Participants, frozen+1)
+	}
+}
+
+// labelSink is a testSink that also counts each rejection on the server's
+// apf_update_rejections_total family, as Server.rejectUpdate does.
+type labelSink struct {
+	testSink
+	metrics serverMetrics
+}
+
+func (s *labelSink) rejectUpdate(id, round int, err error) {
+	s.testSink.rejectUpdate(id, round, err)
+	s.metrics.recordRejection(err)
+}
+
+// TestRejectionLabelWithAndWithoutValidator: the same NaN update lands on
+// the same apf_update_rejections_total reason, non_finite, whether a
+// validator stands in front of the aggregator or not — one admission rule
+// refuses it either way.
+func TestRejectionLabelWithAndWithoutValidator(t *testing.T) {
+	for _, validate := range []bool{false, true} {
+		reg := telemetry.New()
+		sink := &labelSink{metrics: newServerMetrics(reg)}
+		e := &roundEngine{clients: 2, rounds: 1, deadline: 20 * time.Millisecond, minClients: 1, sink: sink}
+		if validate {
+			e.validator = NewValidator(ValidatorConfig{Clients: 2, Dim: 2})
+		}
+		err := runEngine(t, e, func(events chan<- event) {
+			events <- event{id: 0, upd: &UpdateMsg{Round: 0, Payload: []float64{1, 2}, Weight: 1}, maskGen: -1}
+			events <- event{id: 1, upd: &UpdateMsg{Round: 0, Payload: []float64{math.NaN(), 2}, Weight: 1}, maskGen: -1}
+		})
+		if err != nil {
+			t.Fatalf("validator %v: run: %v", validate, err)
+		}
+		for _, reason := range []string{"non_finite", "dim_mismatch", "norm_outlier", "direction_outlier", "quarantined", "other"} {
+			want := int64(0)
+			if reason == "non_finite" {
+				want = 1
+			}
+			if got := reg.Counter("apf_update_rejections_total", "", "reason", reason).Value(); got != want {
+				t.Errorf("validator %v: reason %q counted %d, want %d", validate, reason, got, want)
+			}
+		}
+		if validate && e.validator.Strikes(1) != 1 {
+			t.Errorf("validator armed: client 1 has %d strikes, want 1", e.validator.Strikes(1))
+		}
+	}
+}

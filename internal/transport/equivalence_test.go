@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -287,4 +288,68 @@ func TestTCPKillRestartMatchesSimulatorBitExact(t *testing.T) {
 		t.Errorf("every client should have resumed onto the restarted server; %d resumptions", reconnects)
 	}
 	requireMatchesSimulator(t, results, simGlobal)
+}
+
+// nanOnceManager wraps an APF manager whose upload of round `at` carries a
+// NaN scalar; every other upload, and the manager's own state, is the
+// wrapped manager's.
+type nanOnceManager struct {
+	*core.Manager
+	at int
+}
+
+func (m *nanOnceManager) PrepareUpload(round int, x []float64) ([]float64, float64, int64) {
+	contrib, weight, up := m.Manager.PrepareUpload(round, x)
+	if round != m.at {
+		return contrib, weight, up
+	}
+	out := slices.Clone(contrib)
+	out[len(out)/2] = math.NaN()
+	return out, weight, up
+}
+
+// TestSimulatorWithholdsLikeTCP: one client (1) uploads a NaN scalar in
+// round 2. The in-process simulator and a fault-tolerant TCP cluster of
+// the same workload admit contributions by the same rule, so both withhold
+// that one update and end with the bit-identical model on every client —
+// the simulator's clients' models read from their managers' references,
+// which ApplyDownload makes the model — finite everywhere.
+func TestSimulatorWithholdsLikeTCP(t *testing.T) {
+	f := newSimFixture(tinyModel)
+	apf := f.factory
+	var simManagers []*core.Manager
+	f.factory = func(clientID, dim int) fl.SyncManager {
+		m := apf(clientID, dim).(*core.Manager)
+		simManagers = append(simManagers, m)
+		if clientID == 1 {
+			return &nanOnceManager{Manager: m, at: 2}
+		}
+		return m
+	}
+	simGlobal := f.simGlobal()
+	f.factory = func(clientID, dim int) fl.SyncManager {
+		m := apf(clientID, dim).(*core.Manager)
+		if clientID == 1 {
+			return &nanOnceManager{Manager: m, at: 2}
+		}
+		return m
+	}
+
+	res := runSpec(t, f.faultyCluster(ServerConfig{RoundDeadline: 2 * time.Second, MinClients: simClients - 1}, nil, 0, 0))
+	if n := res.Root.RejectedUpdates(); n != 1 {
+		t.Errorf("TCP server rejected %d updates, want client 1's NaN one", n)
+	}
+	if n := res.Root.PartialRounds(); n != 1 {
+		t.Errorf("%d partial rounds, want round 2 alone", n)
+	}
+	for c, m := range simManagers {
+		model := m.Snapshot().Ref
+		if slices.ContainsFunc(model, math.IsNaN) {
+			t.Fatalf("simulator client %d holds a NaN model", c)
+		}
+		if !sameBits(res.Clients[c].FinalModel, model) {
+			t.Fatalf("client %d: the TCP cluster and the simulator ended with different models", c)
+		}
+	}
+	requireMatchesSimulator(t, res.Clients, simGlobal)
 }

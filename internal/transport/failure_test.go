@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -294,5 +295,69 @@ func TestFlushWaitsOutInflightAfterDetach(t *testing.T) {
 	s.sessions = []*session{stuck}
 	if err := s.flush(context.Background()); err == nil {
 		t.Error("flush forgave a frame that was never written")
+	}
+}
+
+// TestServerRefusesDenseUpdatePastModel: a dense update longer than the
+// model (12 scalars on an 8-scalar one, inside the frame limit's slack) is
+// its sender's protocol violation, refused by the reader before it reaches
+// the round. Stored first, it would fix the round's length and get the
+// honest update after it refused in its place: the strict run would abort
+// naming the honest client, the fault-tolerant one commit the intruder's.
+func TestServerRefusesDenseUpdatePastModel(t *testing.T) {
+	init := make([]float64, 8)
+	long := &UpdateMsg{Round: 0, Weight: 1, Payload: make([]float64, len(init)+4)}
+	honest := &UpdateMsg{Round: 0, Weight: 1, Payload: []float64{1, 2, 3, 4, 5, 6, 7, 8}}
+	for _, deadline := range []time.Duration{0, 300 * time.Millisecond} {
+		reg := telemetry.New()
+		srv, err := NewServer(ServerConfig{Addr: "127.0.0.1:0", NumClients: 2, Rounds: 1, Init: init,
+			IOTimeout: 2 * time.Second, RoundDeadline: deadline, MinClients: 1, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		done := make(chan error, 1)
+		go func() {
+			_, err := srv.Run(ctx)
+			done <- err
+		}()
+		peers := make([]*rawPeer, 2)
+		for i := range peers {
+			peers[i] = dialRaw(t, srv.Addr().String())
+			peers[i].send(&JoinMsg{Name: "c"})
+			peers[i].welcome()
+		}
+		peers[0].send(long)
+		// Hold the honest update until the server has dealt with the long
+		// one: stored it, or closed its sender (then a strict server stops,
+		// and the honest write may fail).
+		for wait := time.Now().Add(5 * time.Second); reg.Snapshot()["apf_updates_received_total"] == 0; {
+			_ = peers[0].conn.SetReadDeadline(time.Now().Add(10 * time.Millisecond))
+			if _, err := peers[0].conn.Read(make([]byte, 1)); err != nil && !errors.Is(err, os.ErrDeadlineExceeded) {
+				break
+			}
+			if time.Now().After(wait) {
+				t.Fatal("the server neither stored the long update nor closed its sender")
+			}
+		}
+		_ = writeMsg(peers[1].conn, 5*time.Second, honest, nil)
+		err = <-done
+		cancel()
+		if deadline == 0 {
+			if !errors.Is(err, errProtocol) || !strings.Contains(err.Error(), "client 0 update carries 12 scalars, model has 8") {
+				t.Errorf("strict: Run = %v, want a protocol error naming client 0's 12 scalars", err)
+			}
+		} else {
+			if err != nil {
+				t.Errorf("fault-tolerant: Run = %v", err)
+			}
+			g, ok := peers[1].recv().(*GlobalMsg)
+			if !ok || g.Participants != 1 || !sameBits(g.Payload, honest.Payload) {
+				t.Errorf("fault-tolerant: honest client got %+v, want the honest update alone", g)
+			}
+		}
+		for _, p := range peers {
+			p.conn.Close()
+		}
 	}
 }

@@ -45,8 +45,9 @@ func encodeAll(msgs ...wire.Msg) []byte {
 // armed), or a RelayJoinMsg followed by PartialUpdateMsgs (root) — and hands
 // every decoded contribution to the round engine's one classifier
 // (roundEngine.handle on the engine tests' in-process sink, fault-tolerant so
-// a refused contribution is rejected rather than fatal). On the root tier the
-// connection layer's checks run first, as they do on a socket: a relay join
+// a refused contribution is rejected rather than fatal). The connection
+// layer's checks run first, as they do on a socket: on the flat tier an
+// update longer than the model (checkDenseUpdate), on the root tier a relay join
 // declaring more clients than one round folds (checkDeclared) and a partial
 // of the wrong dimension or counting more clients than its relay declared
 // (checkPartial) are refused with a protocol error before any merge. Every
@@ -59,6 +60,7 @@ func FuzzServerDecode(f *testing.F) {
 	f.Add(seedJoinUpdates())
 	f.Add(seedRelayJoinPartials())
 	f.Add(seedArmedGates())
+	f.Add(seedDenseUpdatePastDim())
 	f.Add(encodeAll(fixtureResumeJoin))
 	f.Add([]byte("not a wire frame at all"))
 	f.Add([]byte{})
@@ -118,6 +120,12 @@ func FuzzServerDecode(f *testing.F) {
 			ev := event{id: i % peers, maskGen: -1}
 			switch c := m.(type) {
 			case *UpdateMsg:
+				if err := checkDenseUpdate(c, ev.id, wire.CodecDense, dim); err != nil {
+					if !errors.Is(err, errProtocol) {
+						t.Fatalf("untyped refusal of an update: %v", err)
+					}
+					return // the connection layer retires the client
+				}
 				ev.upd = c
 			case *PartialUpdateMsg:
 				if err := checkPartial(c, dim, declared); err != nil {
@@ -307,6 +315,13 @@ func seedArmedGates() []byte {
 		msgs = append(msgs, fixtureUpdate)
 	}
 	return encodeAll(append(msgs, &UpdateMsg{Round: 0, Payload: []float64{-1, -2, -3}, Weight: 3, MaskHash: 42})...)
+}
+
+// seedDenseUpdatePastDim is the flat-tier stream seed the connection layer
+// refuses: a join, then an update one scalar longer than the model, ahead
+// of an honest one.
+func seedDenseUpdatePastDim() []byte {
+	return encodeAll(fixtureJoin, &UpdateMsg{Round: 0, Payload: []float64{1, 2, 3, 4}, Weight: 3, MaskHash: 42}, fixtureUpdate)
 }
 
 // relayPartial folds contribs at weight 2 into a round's relay partial.
@@ -535,12 +550,13 @@ func corpusFixtures(t *testing.T) map[string][]byte {
 		wireDir + "bad-crc":              patched(global, len(global)-1, global[len(global)-1]^0xff),
 		wireDir + "truncated-frame":      update[:len(update)-4],
 
-		serverDir + "valid-join-updates":        seedJoinUpdates(),
-		serverDir + "valid-join-armed-gates":    seedArmedGates(),
-		serverDir + "valid-relay-join-partials": seedRelayJoinPartials(),
-		serverDir + "valid-resume-join":         encodeAll(fixtureResumeJoin),
-		serverDir + "valid-catchup-offer":       seedCatchUpOffer([]uint32{0}),
-		serverDir + "hostile-offer-gens-length": seedCatchUpOffer([]uint32{0, 0}),
+		serverDir + "valid-join-updates":            seedJoinUpdates(),
+		serverDir + "valid-join-armed-gates":        seedArmedGates(),
+		serverDir + "valid-relay-join-partials":     seedRelayJoinPartials(),
+		serverDir + "valid-resume-join":             encodeAll(fixtureResumeJoin),
+		serverDir + "valid-catchup-offer":           seedCatchUpOffer([]uint32{0}),
+		serverDir + "hostile-offer-gens-length":     seedCatchUpOffer([]uint32{0, 0}),
+		serverDir + "hostile-dense-update-past-dim": seedDenseUpdatePastDim(),
 
 		clientDir + "valid-welcome-globals":   seedWelcomeGlobals(),
 		clientDir + "valid-resume-welcome":    encodeAll(fixtureResumeWelcome),

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 
+	"apf/internal/fl"
 	"apf/internal/telemetry"
 	"apf/internal/wire"
 )
@@ -244,7 +245,7 @@ func (m *serverMetrics) recordRejection(err error) {
 		m.rejNorm.Inc()
 	case errors.Is(err, ErrDirectionOutlier):
 		m.rejCosine.Inc()
-	case errors.Is(err, ErrNonFiniteUpdate):
+	case errors.Is(err, fl.ErrNonFinite):
 		m.rejNonFinite.Inc()
 	case errors.Is(err, ErrDimMismatch):
 		m.rejDim.Inc()

@@ -80,12 +80,13 @@ type ServerConfig struct {
 	// (default 5); between snapshots only the WAL grows.
 	SnapshotEvery int
 	// Validator, when non-nil, enables inbound update sanitization:
-	// non-finite values, impossible dimensions, median-gated norm
-	// outliers, and direction outliers (when CosineFloor is set) are
-	// rejected with typed errors, repeat offenders are quarantined, and
-	// the post-round norm review (when RoundNormMult is set) strikes
-	// norm-evasive scalers. Clients and Dim are filled from the server
-	// config.
+	// median-gated norm outliers and direction outliers (when CosineFloor
+	// is set) are rejected with typed errors, repeat offenders — of these
+	// gates and of the aggregator's finiteness and bound checks — are
+	// quarantined, and the post-round norm review (when RoundNormMult is
+	// set) strikes norm-evasive scalers. Clients is filled from the server
+	// config; Dim is cleared, since the reader bounds every update's
+	// length.
 	Validator *ValidatorConfig
 	// TrimFraction selects how accepted contributions fold into the
 	// committed aggregate: 0 (the zero value) is classic weighted FedAvg; a
@@ -304,7 +305,9 @@ func newServer(cfg ServerConfig, reducer roundReducer) (*Server, error) {
 	if cfg.Validator != nil {
 		vcfg := *cfg.Validator
 		vcfg.Clients = cfg.NumClients
-		vcfg.Dim = len(cfg.Init)
+		// The reader refuses an update longer than the model as a
+		// protocol error, so the validator judges only statistics.
+		vcfg.Dim = 0
 		s.validator = NewValidator(vcfg)
 	}
 	if cfg.CheckpointDir != "" {

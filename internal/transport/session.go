@@ -559,14 +559,10 @@ func (s *Server) reader(sess *session, gen int, cc *countingConn) {
 		if err == nil {
 			switch u := m.(type) {
 			case *UpdateMsg:
-				// The mirror of checkSparseUpdate: a full-length update
-				// stored first would make the aggregator refuse every
-				// compact one of the round.
-				if s.cfg.Codec <= wire.CodecDense {
+				if err = checkDenseUpdate(u, sess.id, s.cfg.Codec, len(s.cfg.Init)); err == nil {
 					s.post(event{id: sess.id, name: sess.name, upd: u, maskGen: -1})
 					continue
 				}
-				err = protocolErrorf("client %d sent a dense update on a %s cluster", sess.id, s.cfg.Codec)
 			case *SparseUpdateMsg:
 				if err = s.checkSparseUpdate(sess, u); err == nil {
 					// The engine aggregates the compact payload as float64
@@ -611,6 +607,22 @@ func (s *Server) relayReader(sess *session, gen int, cc *countingConn, declared 
 		s.retire(sess, gen, err)
 		return
 	}
+}
+
+// checkDenseUpdate refuses a dense update from client id on a cluster of
+// the given codec and model dim when the codec is sparse — the mirror of
+// checkSparseUpdate: a full-length update stored first would make the
+// aggregator refuse every compact one of the round — or when the update is
+// longer than the model, which would otherwise fix the round's length and
+// get every honest update after it refused.
+func checkDenseUpdate(u *UpdateMsg, id int, codec wire.Codec, dim int) error {
+	if codec > wire.CodecDense {
+		return protocolErrorf("client %d sent a dense update on a %s cluster", id, codec)
+	}
+	if len(u.Payload) > dim {
+		return protocolErrorf("client %d update carries %d scalars, model has %d", id, len(u.Payload), dim)
+	}
+	return nil
 }
 
 // checkSparseUpdate validates a sparse update against the cluster's

@@ -354,9 +354,15 @@ func TestWeightedMean(t *testing.T) {
 	}
 	agg := fl.NewAggregator(1)
 	defer agg.Close()
+	agg.Open(0, len(ups))
+	for id, u := range ups {
+		if err := agg.Add(id, u.Payload, u.Weight); err != nil {
+			t.Fatal(err)
+		}
+	}
 	out := make([]float64, 2)
-	if !agg.WeightedMean(out, [][]float64{ups[0].Payload, ups[1].Payload}, []float64{1, 3}) {
-		t.Fatal("WeightedMean reported nothing to aggregate")
+	if _, ok := agg.Reduce(out); !ok {
+		t.Fatal("Reduce reported nothing to aggregate")
 	}
 	if out[0] != 2.5 || out[1] != 5 {
 		t.Errorf("aggregate = %v, want [2.5 5]", out)

@@ -8,12 +8,13 @@ import (
 )
 
 // Update sanitization errors, distinguishable with errors.Is. Each names
-// the offending client and round when wrapped by Validator.Check.
+// the offending client and round when wrapped by Validator.Check. What
+// the exact fold cannot take — a NaN or Inf scalar or weight, a negative
+// weight, a product past its bound — is not a statistic: fl.Aggregator.Add
+// refuses it with fl's typed errors, the one admission rule of every tier.
 var (
-	// ErrNonFiniteUpdate marks a payload or weight carrying NaN or Inf.
-	ErrNonFiniteUpdate = errors.New("transport: non-finite update")
-	// ErrDimMismatch marks a payload whose length cannot belong to the
-	// model (empty, or beyond the dense dimension).
+	// ErrDimMismatch marks an update whose client id is outside the
+	// cluster or whose payload is longer than the dense dimension.
 	ErrDimMismatch = errors.New("transport: update dimension mismatch")
 	// ErrNormOutlier marks an update whose L2 norm exceeds the median-based
 	// gate (an exploding or maliciously scaled contribution).
@@ -45,10 +46,13 @@ const (
 type ValidatorConfig struct {
 	// Clients is the cluster size (strike counters are per client id).
 	Clients int
-	// Dim is the dense model dimension; payloads longer than it (or empty)
-	// are rejected. Compact (mask-elided) payloads are shorter by design,
-	// so only the upper bound is enforced here — cross-client length
-	// agreement stays with fl.Aggregator.Add.
+	// Dim, when positive, is the dense model dimension, and Check refuses
+	// a longer payload as ErrDimMismatch. It serves callers that feed
+	// Check directly; it is not a server gate: a Server clears it, because
+	// its reader refuses an update longer than the model as a protocol
+	// error before the update reaches any gate. Compact (mask-elided)
+	// payloads are shorter by design — a fully frozen round's are empty —
+	// and cross-client length agreement stays with fl.Aggregator.Add.
 	Dim int
 	// MaxNormMult rejects an update whose L2 norm exceeds this multiple of
 	// the median norm of recently accepted updates (0 disables the gate;
@@ -76,13 +80,14 @@ type ValidatorConfig struct {
 	RoundNormMult float64
 }
 
-// Validator sanitizes inbound UpdateMsgs before they reach the
-// aggregator: non-finite values, impossible dimensions, and norm
-// outliers are rejected with typed errors, violations accumulate
-// per-client strikes, and a client at the strike limit is quarantined.
-// It is the transport-level defense line; fl.Aggregator.Add re-checks
-// finiteness independently so a bypassed or disabled validator still
-// cannot poison the shards.
+// Validator judges inbound UpdateMsgs by their statistics before they
+// reach the aggregator: norm or direction outliers (and, when Dim is set,
+// payloads longer than it) are rejected with typed errors, violations
+// accumulate per-client strikes, and a client at the strike limit is
+// quarantined. Whether the exact fold can take an update at all
+// (finiteness, weight, length agreement) is fl.Aggregator.Add's one rule;
+// the round engine charges a strike for Add's refusals too, so a client
+// pays the same for a NaN with or without a validator in front.
 //
 // Validator methods are not safe for concurrent use; the server calls
 // them from its single round loop.
@@ -135,15 +140,18 @@ func NewValidator(cfg ValidatorConfig) *Validator {
 	return v
 }
 
-// Check validates one update from client id without touching the norm
+// Check judges one update from client id without touching the norm
 // history. A nil error means the update passed every gate; the returned
 // norm must be handed to Commit once the update clears all later guards
 // (the aggregator may still reject it), so an update refused downstream
-// never skews the median gate. A non-nil return is one of the typed
-// errors above, wrapped with client and round context. Each rejection
+// never skews the median gate. An update holding a NaN or ±Inf scalar
+// passes both gates unjudged, and the last argument, the update's weight,
+// is not a statistic: Add judges both. Finite scalars whose norm
+// overflows float64 are refused as ErrNormOutlier. A non-nil return is
+// one of the typed errors above, wrapped with client and round context. Each rejection
 // other than ErrQuarantined costs the client a strike; reaching the
 // strike limit quarantines it permanently for the run.
-func (v *Validator) Check(id, round int, payload []float64, weight float64) (float64, error) {
+func (v *Validator) Check(id, round int, payload []float64, _ float64) (float64, error) {
 	v.lastCosOK = false
 	if id < 0 || id >= v.cfg.Clients {
 		return 0, fmt.Errorf("%w: round %d: client id %d out of range", ErrDimMismatch, round, id)
@@ -151,29 +159,33 @@ func (v *Validator) Check(id, round int, payload []float64, weight float64) (flo
 	if v.quar[id] {
 		return 0, fmt.Errorf("%w: round %d: client %d (%d strikes)", ErrQuarantined, round, id, v.strikes[id])
 	}
-	if len(payload) == 0 || (v.cfg.Dim > 0 && len(payload) > v.cfg.Dim) {
-		return 0, v.strike(id, round, fmt.Errorf("%w: round %d: client %d payload length %d outside (0,%d]",
+	if v.cfg.Dim > 0 && len(payload) > v.cfg.Dim {
+		return 0, v.strike(id, round, fmt.Errorf("%w: round %d: client %d payload length %d past the model's %d",
 			ErrDimMismatch, round, id, len(payload), v.cfg.Dim))
 	}
-	if math.IsNaN(weight) || math.IsInf(weight, 0) {
-		return 0, v.strike(id, round, fmt.Errorf("%w: round %d: client %d weight %v", ErrNonFiniteUpdate, round, id, weight))
-	}
-	// One pass computes the norm and catches non-finite scalars (a NaN
-	// or Inf anywhere makes the running sum non-finite).
 	sum := 0.0
 	for _, x := range payload {
 		sum += x * x
 	}
-	if math.IsNaN(sum) || math.IsInf(sum, 0) {
-		for j, x := range payload {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				return 0, v.strike(id, round, fmt.Errorf("%w: round %d: client %d scalar %d is %v",
-					ErrNonFiniteUpdate, round, id, j, x))
+	norm := math.Sqrt(sum)
+	if math.IsNaN(norm) {
+		// A NaN scalar, which Add refuses: no statistic to judge, and no
+		// NaN cosine to observe.
+		return norm, nil
+	}
+	if math.IsInf(norm, 1) {
+		// An ±Inf scalar is Add's to refuse. Finite scalars whose squares
+		// pass the float range are no honest update: at a weight small
+		// enough for Add to admit them, their products could move the
+		// global past every gate.
+		for _, x := range payload {
+			if math.IsInf(x, 0) {
+				return norm, nil
 			}
 		}
-		return 0, v.strike(id, round, fmt.Errorf("%w: round %d: client %d norm overflow", ErrNonFiniteUpdate, round, id))
+		return 0, v.strike(id, round, fmt.Errorf("%w: round %d: client %d norm overflows float64",
+			ErrNormOutlier, round, id))
 	}
-	norm := math.Sqrt(sum)
 	if v.cfg.MaxNormMult > 0 && v.filled >= normMinHistory {
 		if med := v.median(); med > 0 && norm > v.cfg.MaxNormMult*med {
 			return 0, v.strike(id, round, fmt.Errorf("%w: round %d: client %d norm %.6g exceeds %gx median %.6g",
@@ -208,8 +220,14 @@ func (v *Validator) LastCosine() (float64, bool) { return v.lastCos, v.lastCosOK
 // every later guard (the aggregator's) also accepted the update. A
 // payload length different from the reference's signals a mask refresh:
 // the reference restarts at the new geometry and the cosine gate holds
-// fire until cosineMinHistory fresh commits rebuild it.
+// fire until cosineMinHistory fresh commits rebuild it. An empty payload
+// (every client's in a fully frozen round) has no statistic and leaves
+// the state as it was: its zero norm would drag the median down and, once
+// it held the window's middle, switch the norm gate off.
 func (v *Validator) Commit(norm float64, payload []float64) {
+	if len(payload) == 0 {
+		return
+	}
 	v.norms[v.next] = norm
 	v.next = (v.next + 1) % len(v.norms)
 	if v.filled < len(v.norms) {

@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"apf/internal/checkpoint"
@@ -21,38 +22,91 @@ func accept(t *testing.T, v *Validator, id, round int, payload []float64, weight
 }
 
 // TestValidatorTypedRejections drives each rejection class through Check
-// and asserts the typed error surfaces.
+// and asserts the typed error surfaces; what is not a statistic — an
+// empty payload, a non-finite or negative weight, a non-finite scalar —
+// passes Check (fl.Aggregator.Add judges it) without reaching either
+// gate.
 func TestValidatorTypedRejections(t *testing.T) {
-	v := NewValidator(ValidatorConfig{Clients: 4, Dim: 3, StrikeLimit: 100})
+	v := NewValidator(ValidatorConfig{Clients: 4, Dim: 3, StrikeLimit: 100, CosineFloor: 0.5})
 	good := []float64{1, 2, 3}
 
 	cases := []struct {
 		name    string
 		id      int
 		payload []float64
-		weight  float64
 		want    error
 	}{
-		{"empty payload", 0, nil, 1, ErrDimMismatch},
-		{"oversized payload", 0, []float64{1, 2, 3, 4}, 1, ErrDimMismatch},
-		{"id out of range", 9, good, 1, ErrDimMismatch},
-		{"nan weight", 1, good, math.NaN(), ErrNonFiniteUpdate},
-		{"inf weight", 1, good, math.Inf(1), ErrNonFiniteUpdate},
-		{"nan scalar", 2, []float64{1, math.NaN(), 3}, 1, ErrNonFiniteUpdate},
-		{"inf scalar", 2, []float64{math.Inf(-1), 2, 3}, 1, ErrNonFiniteUpdate},
+		{"oversized payload", 0, []float64{1, 2, 3, 4}, ErrDimMismatch},
+		{"id out of range", 9, good, ErrDimMismatch},
 	}
 	for _, tc := range cases {
-		_, err := v.Check(tc.id, 0, tc.payload, tc.weight)
+		_, err := v.Check(tc.id, 0, tc.payload, 1)
 		if !errors.Is(err, tc.want) {
 			t.Fatalf("%s: err = %v, want %v", tc.name, err, tc.want)
 		}
 	}
-	if err := accept(t, v, 0, 0, good, 1); err != nil {
-		t.Fatalf("good update rejected: %v", err)
+	for i := 0; i < cosineMinHistory; i++ {
+		if err := accept(t, v, 0, 0, good, 1); err != nil {
+			t.Fatalf("good update rejected: %v", err)
+		}
 	}
-	// A compact (mask-elided) payload is shorter than Dim and legal.
-	if err := accept(t, v, 1, 0, []float64{7}, 1); err != nil {
-		t.Fatalf("compact payload rejected: %v", err)
+	// A compact (mask-elided) payload is shorter than Dim and legal, down
+	// to a fully frozen round's empty one.
+	for _, compact := range [][]float64{{7}, nil} {
+		if err := accept(t, v, 1, 0, compact, 1); err != nil {
+			t.Fatalf("compact payload %v rejected: %v", compact, err)
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		payload []float64
+		weight  float64
+	}{
+		{"nan weight", good, math.NaN()},
+		{"negative weight", good, -1},
+		{"nan scalar", []float64{1, math.NaN(), 3}, 1},
+		{"inf scalar", []float64{math.Inf(-1), 2, 3}, 1},
+	} {
+		norm, err := v.Check(2, 0, tc.payload, tc.weight)
+		if err != nil {
+			t.Fatalf("%s: Check = %v, want it left to Add", tc.name, err)
+		}
+		if _, ok := v.LastCosine(); ok && (math.IsNaN(norm) || math.IsInf(norm, 0)) {
+			t.Fatalf("%s: a non-finite norm reached the cosine gate", tc.name)
+		}
+	}
+	if v.Strikes(2) != 0 {
+		t.Fatalf("Check struck client 2 %d times for what Add judges", v.Strikes(2))
+	}
+	// Finite squares past the float range, at a weight so small that every
+	// product stays inside Add's bound, are refused and struck, before any
+	// gate could be skipped.
+	wide := []float64{1.4e154, 2, 3}
+	if _, err := v.Check(2, 0, wide, 6e-142); !errors.Is(err, ErrNormOutlier) || v.Strikes(2) != 1 {
+		t.Fatalf("Check(%v) = %v with %d strikes; want ErrNormOutlier and one", wide, err, v.Strikes(2))
+	}
+	// An empty payload has no statistic: committing it leaves the gate
+	// state as it was.
+	filled, ref := v.filled, slices.Clone(v.ref)
+	v.Commit(0, nil)
+	if v.filled != filled || !slices.Equal(v.ref, ref) {
+		t.Fatal("an empty payload entered the gate state")
+	}
+}
+
+// normPoison is a norm outlier against the √2-scale history armNormGate
+// records: a strike a server can deliver, unlike a length no reader
+// passes.
+var normPoison = []float64{100, 100}
+
+// armNormGate records normMinHistory in-scale norms from client id, so
+// the median gate of a validator with MaxNormMult set is live.
+func armNormGate(t *testing.T, v *Validator, id int) {
+	t.Helper()
+	for i := 0; i < normMinHistory; i++ {
+		if err := accept(t, v, id, i, []float64{1, 1}, 1); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -124,13 +178,13 @@ func TestCheckAloneDoesNotRecordNorms(t *testing.T) {
 // TestValidatorQuarantine checks the strike limit trips into quarantine
 // and stays there.
 func TestValidatorQuarantine(t *testing.T) {
-	v := NewValidator(ValidatorConfig{Clients: 2, Dim: 2, StrikeLimit: 3})
-	poison := []float64{math.NaN(), 0}
+	v := NewValidator(ValidatorConfig{Clients: 2, MaxNormMult: 4, StrikeLimit: 3})
+	armNormGate(t, v, 1)
 	for i := 0; i < 3; i++ {
 		if v.Quarantined(0) {
 			t.Fatalf("quarantined after %d strikes", i)
 		}
-		if _, err := v.Check(0, i, poison, 1); !errors.Is(err, ErrNonFiniteUpdate) {
+		if _, err := v.Check(0, i, normPoison, 1); !errors.Is(err, ErrNormOutlier) {
 			t.Fatalf("strike %d: %v", i, err)
 		}
 	}
@@ -179,23 +233,22 @@ func TestValidatorRollingWindow(t *testing.T) {
 // survive: the quarantine holds and the norm gate fires immediately,
 // without waiting for normMinHistory fresh norms.
 func TestValidatorStateRoundTrip(t *testing.T) {
-	cfg := ValidatorConfig{Clients: 3, Dim: 2, MaxNormMult: 4, StrikeLimit: 2}
+	cfg := ValidatorConfig{Clients: 3, MaxNormMult: 4, StrikeLimit: 2}
 	v := NewValidator(cfg)
-	poison := []float64{math.NaN(), 0}
-	for i := 0; i < 2; i++ {
-		if _, err := v.Check(2, i, poison, 1); !errors.Is(err, ErrNonFiniteUpdate) {
-			t.Fatalf("strike %d: %v", i, err)
-		}
-	}
-	if !v.Quarantined(2) {
-		t.Fatal("client 2 not quarantined")
-	}
 	// Arm the gate at scale ~1, overflowing the window so the chronological
 	// export of a wrapped ring is exercised.
 	for i := 0; i < normWindow+2; i++ {
 		if err := accept(t, v, i%2, i, []float64{1, 1}, 1); err != nil {
 			t.Fatal(err)
 		}
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := v.Check(2, normWindow+2+i, normPoison, 1); !errors.Is(err, ErrNormOutlier) {
+			t.Fatalf("strike %d: %v", i, err)
+		}
+	}
+	if !v.Quarantined(2) {
+		t.Fatal("client 2 not quarantined")
 	}
 
 	st := &serverState{
@@ -241,25 +294,25 @@ func TestValidatorStateRoundTrip(t *testing.T) {
 // strike, immutable afterwards — and the sentinel returns after a state
 // restore, which carries the flag but not the round.
 func TestValidatorQuarantineRound(t *testing.T) {
-	v := NewValidator(ValidatorConfig{Clients: 2, Dim: 2, StrikeLimit: 2})
-	poison := []float64{math.NaN(), 0}
+	v := NewValidator(ValidatorConfig{Clients: 2, MaxNormMult: 4, StrikeLimit: 2})
+	armNormGate(t, v, 1)
 	if v.QuarantineRound(0) != -1 || v.QuarantineRound(1) != -1 {
 		t.Fatal("fresh validator should report -1 quarantine rounds")
 	}
-	if _, err := v.Check(0, 3, poison, 1); !errors.Is(err, ErrNonFiniteUpdate) {
+	if _, err := v.Check(0, 3, normPoison, 1); !errors.Is(err, ErrNormOutlier) {
 		t.Fatalf("strike 1: %v", err)
 	}
 	if v.QuarantineRound(0) != -1 {
 		t.Fatalf("quarantine round set before the limit: %d", v.QuarantineRound(0))
 	}
-	if _, err := v.Check(0, 5, poison, 1); !errors.Is(err, ErrNonFiniteUpdate) {
+	if _, err := v.Check(0, 5, normPoison, 1); !errors.Is(err, ErrNormOutlier) {
 		t.Fatalf("strike 2: %v", err)
 	}
 	if v.QuarantineRound(0) != 5 {
 		t.Fatalf("quarantine round = %d, want 5", v.QuarantineRound(0))
 	}
 	// Further rejections must not move the recorded round.
-	if _, err := v.Check(0, 7, poison, 1); !errors.Is(err, ErrQuarantined) {
+	if _, err := v.Check(0, 7, normPoison, 1); !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("post-quarantine err = %v", err)
 	}
 	if v.QuarantineRound(0) != 5 {
