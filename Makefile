@@ -90,7 +90,7 @@ examples:
 	set -e; for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d; done
 
 # The round-critical benchmarks, one list for bench and benchsmoke.
-BENCHES = 'BenchmarkManagerRound$$|BenchmarkStabilityCheck$$|BenchmarkAggregate$$|BenchmarkPartialFold$$|BenchmarkPartialMerge$$|BenchmarkWireDense$$|BenchmarkCheckpointF64s$$|BenchmarkFrameRead$$|BenchmarkAggregatorAdd$$|BenchmarkTrainStep$$|BenchmarkEngineRound$$'
+BENCHES = 'BenchmarkManagerRound$$|BenchmarkStabilityCheck$$|BenchmarkAggregate$$|BenchmarkPartialFold$$|BenchmarkPartialMerge$$|BenchmarkWireDense$$|BenchmarkCheckpointF64s$$|BenchmarkFrameRead$$|BenchmarkAggregatorAdd$$|BenchmarkTrainStep$$|BenchmarkConvStep$$|BenchmarkEngineRound$$'
 
 # Quick look at the round-critical benchmarks while working on them. Not a
 # tracked number: timings are measured end to end and per layer by bench/

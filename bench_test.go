@@ -452,15 +452,40 @@ func BenchmarkMatMul(b *testing.B) {
 	}
 }
 
-// BenchmarkConvForward measures a LeNet-sized convolution forward pass.
-func BenchmarkConvForward(b *testing.B) {
+// BenchmarkConvStep measures one forward and one backward pass of each of
+// LeNet-5's convolutions at the lenet preset's shapes: conv1 (1→6, 5×5) on
+// a batch of 20 16×16 images, conv2 (6→16, 5×5) on that batch's pooled
+// 6×6 maps, where each sample has a 2×2 output. Backward computes the
+// input gradient here; in situ, conv1 (the lowest layer) skips it.
+func BenchmarkConvStep(b *testing.B) {
+	p, err := preset.Load("lenet", 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	idx := make([]int, p.Batch)
+	for i := range idx {
+		idx[i] = i
+	}
+	x1, _ := p.Data.Gather(idx)
 	rng := rand.New(rand.NewSource(4))
-	conv := nn.NewConv2D(rng, "conv", 6, 16, 5, 1, 0)
-	x := tensor.Randn(rng, 0, 1, 20, 6, 12, 12)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		conv.Forward(x, true)
+	conv1 := nn.NewConv2D(rng, "conv1", x1.Shape[1], 6, 5, 1, 0)
+	x2 := nn.NewMaxPool2D(2, 2).Forward(nn.NewReLU().Forward(conv1.Forward(x1, true), true), true).Clone()
+	conv2 := nn.NewConv2D(rng, "conv2", 6, 16, 5, 1, 0)
+	for _, c := range []struct {
+		name string
+		conv *nn.Conv2D
+		x    *tensor.Tensor
+	}{{"conv1", conv1, x1}, {"conv2", conv2, x2}} {
+		b.Run(c.name, func(b *testing.B) {
+			dy := tensor.Randn(rng, 0, 1, c.conv.Forward(c.x, true).Shape...)
+			c.conv.Backward(dy)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.conv.Forward(c.x, true)
+				c.conv.Backward(dy)
+			}
+		})
 	}
 }
 

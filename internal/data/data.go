@@ -45,10 +45,16 @@ func (d *Dataset) sampleShape() []int { return d.X.Shape[1:] }
 // Gather copies the samples at indices into a new batch tensor and label
 // slice.
 func (d *Dataset) Gather(indices []int) (*tensor.Tensor, []int) {
-	row := d.rowSize()
-	shape := append([]int{len(indices)}, d.sampleShape()...)
-	x := tensor.New(shape...)
+	x := tensor.New(append([]int{len(indices)}, d.sampleShape()...)...)
 	labels := make([]int, len(indices))
+	d.gatherInto(x, labels, indices)
+	return x, labels
+}
+
+// gatherInto copies the samples at indices into x, a [len(indices), ...]
+// batch, and their labels into labels.
+func (d *Dataset) gatherInto(x *tensor.Tensor, labels, indices []int) {
+	row := d.rowSize()
 	for i, idx := range indices {
 		if idx < 0 || idx >= d.Len() {
 			panic(fmt.Sprintf("data: sample index %d out of range [0,%d)", idx, d.Len()))
@@ -56,7 +62,6 @@ func (d *Dataset) Gather(indices []int) (*tensor.Tensor, []int) {
 		copy(x.Data[i*row:(i+1)*row], d.X.Data[idx*row:(idx+1)*row])
 		labels[i] = d.Labels[idx]
 	}
-	return x, labels
 }
 
 // Subset materializes a new dataset containing the samples at indices.

@@ -114,13 +114,17 @@ func PartitionByClass(rng *rand.Rand, labels []int, classes, clients, classesPer
 
 // Batcher yields shuffled mini-batches from a subset of a dataset,
 // reshuffling at every epoch boundary. Each client owns one Batcher seeded
-// from its own RNG stream.
+// from its own RNG stream. It gathers every batch into one tensor and label
+// slice of its own, so a batch is valid until the next Next (the layer
+// workspace contract of internal/nn).
 type Batcher struct {
 	ds      *Dataset
 	indices []int
 	batch   int
 	rng     *rand.Rand
 	pos     int
+	x       *tensor.Tensor
+	labels  []int
 }
 
 // NewBatcher constructs a batcher over ds restricted to indices.
@@ -131,11 +135,14 @@ func NewBatcher(ds *Dataset, indices []int, batchSize int, rng *rand.Rand) *Batc
 	if len(indices) == 0 {
 		panic("data: batcher needs at least one sample")
 	}
+	n := min(batchSize, len(indices))
 	b := &Batcher{
 		ds:      ds,
 		indices: append([]int(nil), indices...),
-		batch:   batchSize,
+		batch:   n,
 		rng:     rng,
+		x:       tensor.New(append([]int{n}, ds.sampleShape()...)...),
+		labels:  make([]int, n),
 	}
 	b.shuffle()
 	return b
@@ -155,16 +162,13 @@ func (b *Batcher) Len() int { return len(b.indices) }
 // Next returns the next mini-batch tensor and labels, wrapping (and
 // reshuffling) at epoch boundaries. Batches are full-sized; a final short
 // remainder is folded into the next epoch. When the subset holds fewer
-// samples than one batch, the whole subset is returned.
+// samples than one batch, the whole subset is returned. Both results are
+// the batcher's own and are overwritten by the next call.
 func (b *Batcher) Next() (*tensor.Tensor, []int) {
-	n := b.batch
-	if n > len(b.indices) {
-		n = len(b.indices)
-	}
-	if b.pos+n > len(b.indices) {
+	if b.pos+b.batch > len(b.indices) {
 		b.shuffle()
 	}
-	sel := b.indices[b.pos : b.pos+n]
-	b.pos += n
-	return b.ds.Gather(sel)
+	b.ds.gatherInto(b.x, b.labels, b.indices[b.pos:b.pos+b.batch])
+	b.pos += b.batch
+	return b.x, b.labels
 }

@@ -14,7 +14,9 @@
 // training step allocates nothing. The contract: a tensor a layer returns
 // is valid until that layer's next call of the same method, and a layer
 // never writes into a tensor it received. A caller that keeps a result
-// across such a call copies it (Clone).
+// across such a call copies it (Clone). Conv2D alone reuses its output's
+// storage in Backward, so its output is valid until its next Forward or
+// Backward.
 package nn
 
 import "apf/internal/tensor"

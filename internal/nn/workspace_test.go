@@ -161,37 +161,43 @@ func TestDenseGradientAccumulates(t *testing.T) {
 	}
 }
 
-// TestIm2colWritesEveryCell checks the lowering cell by cell against its
-// definition, into a buffer pre-filled with NaN: an image cell where the
-// receptive field is inside the image, +0 where it is padding.
+// TestIm2colWritesEveryCell checks the batch lowering cell by cell against
+// its definition, into a buffer pre-filled with NaN: sample n's column
+// n·oh·ow + q holds an image cell where the receptive field is inside the
+// image, and +0 where it is padding.
 func TestIm2colWritesEveryCell(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	for trial := 0; trial < 60; trial++ {
-		inC, k := 1+rng.Intn(2), 1+rng.Intn(4)
+		n, inC, k := 1+rng.Intn(3), 1+rng.Intn(2), 1+rng.Intn(4)
 		stride, pad := 1+rng.Intn(3), rng.Intn(3)
 		h, w := k+rng.Intn(5), k+rng.Intn(5)
 		c := NewConv2D(rng, "conv", inC, 1, k, stride, pad)
 		oh, ow := c.outDim(h), c.outDim(w)
-		x := tensor.Randn(rng, 0, 1, inC, h, w)
-		cols := make([]float64, inC*k*k*oh*ow)
+		p := oh * ow
+		x := tensor.Randn(rng, 0, 1, n, inC, h, w)
+		cols := make([]float64, inC*k*k*n*p)
 		for i := range cols {
 			cols[i] = math.NaN()
 		}
-		c.im2col(x.Data, cols, h, w, oh, ow)
-		for ic := 0; ic < inC; ic++ {
-			for ky := 0; ky < k; ky++ {
-				for kx := 0; kx < k; kx++ {
-					for oy := 0; oy < oh; oy++ {
-						for ox := 0; ox < ow; ox++ {
-							iy, ix := oy*stride-pad+ky, ox*stride-pad+kx
-							want := 0.0
-							if iy >= 0 && iy < h && ix >= 0 && ix < w {
-								want = x.At(ic, iy, ix)
-							}
-							got := cols[((ic*k+ky)*k+kx)*oh*ow+oy*ow+ox]
-							if math.Float64bits(got) != math.Float64bits(want) {
-								t.Fatalf("k=%d stride=%d pad=%d %dx%d: cell (%d,%d,%d,%d,%d) = %v, want %v",
-									k, stride, pad, h, w, ic, ky, kx, oy, ox, got, want)
+		for in := 0; in < n; in++ {
+			c.im2col(x.Data[in*inC*h*w:(in+1)*inC*h*w], cols[in*p:], n*p, h, w, oh, ow)
+		}
+		for in := 0; in < n; in++ {
+			for ic := 0; ic < inC; ic++ {
+				for ky := 0; ky < k; ky++ {
+					for kx := 0; kx < k; kx++ {
+						for oy := 0; oy < oh; oy++ {
+							for ox := 0; ox < ow; ox++ {
+								iy, ix := oy*stride-pad+ky, ox*stride-pad+kx
+								want := 0.0
+								if iy >= 0 && iy < h && ix >= 0 && ix < w {
+									want = x.At(in, ic, iy, ix)
+								}
+								got := cols[((ic*k+ky)*k+kx)*n*p+in*p+oy*ow+ox]
+								if math.Float64bits(got) != math.Float64bits(want) {
+									t.Fatalf("n=%d k=%d stride=%d pad=%d %dx%d: cell (%d,%d,%d,%d,%d,%d) = %v, want %v",
+										n, k, stride, pad, h, w, in, ic, ky, kx, oy, ox, got, want)
+								}
 							}
 						}
 					}

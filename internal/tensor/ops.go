@@ -113,16 +113,18 @@ func Dot(a, b *Tensor) float64 {
 	return s
 }
 
-// The three matrix products share one contract: every output element is
-// the sum of its inner-product terms accumulated from 0 in ascending inner
-// index, rounded after every term, with a zero left-operand entry skipping
-// its term in MatMul and MatMulTransA (so 0·Inf and 0·NaN contribute
-// nothing there). The kernels block the work — four inner indices per pass
-// over an output row, four outputs per pass over a row of a — without
-// reassociating any sum, so results are bit-identical to the plain loops
-// (internal/tensor's tests keep those loops as references). Each product
-// has one kernel; the allocating forms wrap the Into forms, whose dst must
-// have the product's shape, is overwritten, and must not alias a or b.
+// The matrix products share one contract: every output element is the sum
+// of its inner-product terms accumulated from 0 in ascending inner index,
+// rounded after every term, with a zero left-operand entry skipping its
+// term in MatMul and MatMulTransA (so 0·Inf and 0·NaN contribute nothing
+// there). AddMatMulTransBBlocks applies that rule to each block of inner
+// indices and adds the block sums to dst in ascending block order. The
+// kernels block the work — four inner indices per pass over an output row,
+// four outputs per pass over a row of a — without reassociating any sum, so
+// results are bit-identical to the plain loops (internal/tensor's tests
+// keep those loops as references). Each product has one kernel; the
+// allocating forms wrap the Into forms, whose dst must have the product's
+// shape, is overwritten, and must not alias a or b.
 
 // matDims validates the operands of a product whose a is (m×k), or (k×m)
 // when transA, and whose b is (k×n), or (n×k) when transB.
@@ -283,6 +285,63 @@ func MatMulTransBInto(dst, a, b *Tensor) {
 				s += av * brow[kk]
 			}
 			orow[j] = s
+		}
+	}
+}
+
+// AddMatMulTransBBlocks adds a·bᵀ for a (m×k) and b (n×k) into dst (m×n),
+// one block of inner indices at a time: the k inner indices split into
+// blocks of block consecutive ones, each block's terms are summed from 0
+// in ascending inner index, and each block sum is added to dst in ascending
+// block order. That is exactly MatMulTransBInto on each block followed by
+// an elementwise add, without the product buffer. dst must not alias a or
+// b; block must be positive and divide k.
+func AddMatMulTransBBlocks(dst, a, b *Tensor, block int) {
+	m, k, n := matDims("AddMatMulTransBBlocks", a, b, false, true)
+	checkDst("AddMatMulTransBBlocks", dst, m, n)
+	if block <= 0 || k%block != 0 {
+		panic(fmt.Sprintf("tensor: AddMatMulTransBBlocks block %d does not divide inner dimension %d", block, k))
+	}
+	for i := 0; i < m; i++ {
+		arow := a.Data[i*k : (i+1)*k]
+		orow := dst.Data[i*n : (i+1)*n]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			b0 := b.Data[j*k : (j+1)*k][:len(arow)]
+			b1 := b.Data[(j+1)*k : (j+2)*k][:len(arow)]
+			b2 := b.Data[(j+2)*k : (j+3)*k][:len(arow)]
+			b3 := b.Data[(j+3)*k : (j+4)*k][:len(arow)]
+			g0, g1, g2, g3 := orow[j], orow[j+1], orow[j+2], orow[j+3]
+			for lo := 0; lo < k; lo += block {
+				ab := arow[lo : lo+block]
+				c0, c1, c2, c3 := b0[lo:][:len(ab)], b1[lo:][:len(ab)], b2[lo:][:len(ab)], b3[lo:][:len(ab)]
+				var s0, s1, s2, s3 float64
+				for kk, av := range ab {
+					s0 += av * c0[kk]
+					s1 += av * c1[kk]
+					s2 += av * c2[kk]
+					s3 += av * c3[kk]
+				}
+				g0 += s0
+				g1 += s1
+				g2 += s2
+				g3 += s3
+			}
+			orow[j], orow[j+1], orow[j+2], orow[j+3] = g0, g1, g2, g3
+		}
+		for ; j < n; j++ {
+			brow := b.Data[j*k : (j+1)*k][:len(arow)]
+			g := orow[j]
+			for lo := 0; lo < k; lo += block {
+				ab := arow[lo : lo+block]
+				c := brow[lo:][:len(ab)]
+				s := 0.0
+				for kk, av := range ab {
+					s += av * c[kk]
+				}
+				g += s
+			}
+			orow[j] = g
 		}
 	}
 }

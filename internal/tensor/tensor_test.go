@@ -343,6 +343,55 @@ func TestMatMulKernelsBitExact(t *testing.T) {
 	}
 }
 
+// addMatMulTransBBlocksRef is AddMatMulTransBBlocks' plain loop: each
+// block's terms summed from 0, each block sum added to dst in block order.
+func addMatMulTransBBlocksRef(dst, a, b *Tensor, block int) {
+	m, k := a.Shape[0], a.Shape[1]
+	n := b.Shape[0]
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			for lo := 0; lo < k; lo += block {
+				s := 0.0
+				for kk := lo; kk < lo+block; kk++ {
+					s += a.Data[i*k+kk] * b.Data[j*k+kk]
+				}
+				dst.Data[i*n+j] += s
+			}
+		}
+	}
+}
+
+// sameFloat reports whether x and y hold the same bits, counting any two
+// NaNs alike: when both operands of a sum are NaN, which payload the result
+// carries is left to the compiler's choice of operand order (Go does not
+// specify it), so payloads are not part of any result.
+func sameFloat(x, y float64) bool {
+	return math.Float64bits(x) == math.Float64bits(y) || (x != x && y != y)
+}
+
+// TestAddMatMulTransBBlocksBitExact holds the block-sum kernel to its plain
+// loop bit for bit, over every remainder of n mod 4, blocks of one inner
+// index up to the whole of k, and operands and starting sums full of the
+// IEEE cases (−0 + +0, Inf − Inf, NaN) where reordering a sum would show.
+func TestAddMatMulTransBBlocksBitExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	for trial := 0; trial < 400; trial++ {
+		m, n := 1+rng.Intn(9), 1+rng.Intn(9)
+		block, blocks := 1+rng.Intn(6), 1+rng.Intn(5)
+		k := block * blocks
+		a, b := specialOperand(rng, m, k), specialOperand(rng, n, k)
+		want := specialOperand(rng, m, n)
+		got := want.Clone()
+		addMatMulTransBBlocksRef(want, a, b, block)
+		AddMatMulTransBBlocks(got, a, b, block)
+		for i := range want.Data {
+			if !sameFloat(got.Data[i], want.Data[i]) {
+				t.Fatalf("AddMatMulTransBBlocks %v block %d: element %d is %v, want %v", want.Shape, block, i, got.Data[i], want.Data[i])
+			}
+		}
+	}
+}
+
 func TestMatMulShapeChecks(t *testing.T) {
 	tests := []struct {
 		name string
@@ -355,6 +404,10 @@ func TestMatMulShapeChecks(t *testing.T) {
 		{"into dst", func() { MatMulInto(New(3, 2), New(2, 3), New(3, 2)) }},
 		{"transA into dst", func() { MatMulTransAInto(New(2, 3), New(3, 2), New(3, 2)) }},
 		{"transB into dst", func() { MatMulTransBInto(New(2, 1), New(2, 3), New(2, 3)) }},
+		{"blocks dst", func() { AddMatMulTransBBlocks(New(2, 1), New(2, 4), New(2, 4), 2) }},
+		{"blocks inner", func() { AddMatMulTransBBlocks(New(2, 2), New(2, 4), New(2, 3), 1) }},
+		{"block divides", func() { AddMatMulTransBBlocks(New(2, 2), New(2, 6), New(2, 6), 4) }},
+		{"block positive", func() { AddMatMulTransBBlocks(New(2, 2), New(2, 6), New(2, 6), 0) }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
